@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use etlopt_core::cost::RowCountModel;
+use etlopt_core::json;
 use etlopt_core::opt::{
     run_adaptive, AdaptiveConfig, BeamSearch, ExhaustiveSearch, HeuristicSearch, HsGreedy,
     Optimizer, SearchBudget,
@@ -199,11 +200,11 @@ impl CorpusReport {
                 f.kind,
                 f.failures
                     .iter()
-                    .map(|s| format!("\"{}\"", json_escape(s)))
+                    .map(|s| format!("\"{}\"", json::escape(s)))
                     .collect::<Vec<_>>()
                     .join(", "),
                 match &f.repro {
-                    Some(cmd) => format!("\"{}\"", json_escape(cmd)),
+                    Some(cmd) => format!("\"{}\"", json::escape(cmd)),
                     None => "null".to_owned(),
                 },
             ));
@@ -249,10 +250,6 @@ impl CorpusReport {
             failures,
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Run one scenario through all its checks. Each search run's telemetry is
@@ -556,6 +553,44 @@ mod tests {
         for algo in ["\"ES\"", "\"HS\"", "\"HS-Greedy\"", "\"Beam\""] {
             assert!(trace.contains(algo), "{trace}");
         }
+    }
+
+    /// Failure strings embed error `Display`s and shell commands, which may
+    /// hold anything; the document must stay parseable and give them back.
+    #[test]
+    fn failure_text_with_control_characters_stays_valid_json() {
+        let nasty = "original failed to execute: line 1\n\tcol \\ \"quoted\"";
+        let report = CorpusReport {
+            config: CorpusConfig::default(),
+            scenarios: Vec::new(),
+            failed: vec![FailureRecord {
+                scenario: "small-2".to_owned(),
+                seed: 2,
+                category: SizeCategory::Small,
+                kind: "chain".to_owned(),
+                failures: vec![nasty.to_owned()],
+                repro: Some(nasty.to_owned()),
+            }],
+            checks: 1,
+            passed: 0,
+            warnings: 0,
+            adaptive_checks: 0,
+            adaptive_passed: 0,
+            elapsed_secs: 0.0,
+            search_stats: Vec::new(),
+        };
+        let doc = json::parse(&report.to_json()).expect("CONFORMANCE.json must parse");
+        let Some(json::Value::Arr(failures)) = doc.get("failures") else {
+            panic!("no failures array in {doc:?}");
+        };
+        assert_eq!(
+            failures[0].get("repro").and_then(|v| v.as_str()),
+            Some(nasty)
+        );
+        let Some(json::Value::Arr(texts)) = failures[0].get("failures") else {
+            panic!("no failure texts in {doc:?}");
+        };
+        assert_eq!(texts[0].as_str(), Some(nasty));
     }
 
     /// With `adaptive_rounds` set, every scenario gains an adaptive-loop

@@ -1,0 +1,554 @@
+//! The workspace's one JSON codec: [`escape`] for the `format!`-built
+//! writers and [`parse`] for everything that reads JSON back — the server's
+//! wire envelopes, the calibration store, the conformance report. The
+//! workspace is offline/zero-dep (no serde), so this is a small
+//! recursive-descent parser for exactly what those need: objects, arrays,
+//! strings (with the standard escapes, `\n` included, since the workflow
+//! text DSL travels inside a JSON string), numbers, booleans and null.
+//! Input may be hostile (request lines, store files): nesting depth and
+//! input size are capped, and every failure is an `Err`, never a panic.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// A parsed JSON value. Object keys are ordered (`BTreeMap`) so
+/// re-renderings are deterministic, though the protocol never relies on
+/// re-rendering parsed values byte-identically.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A non-negative integer literal that fits `u64`, held exactly (the
+    /// calibration store's tallies span the full `u64` range, which `f64`
+    /// cannot represent above 2^53).
+    Int(u64),
+    /// Any other JSON number (negative, fractional, exponent, or too large
+    /// for `u64`).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object.
+    Obj(BTreeMap<String, Value>),
+}
+
+impl Value {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Int(n) => Some(*n as f64),
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as a u64, if this is a non-negative integral number
+    /// that is known exactly: any [`Value::Int`], or a float spelling
+    /// (`3.0`, `1e3`) up to 2^53. Beyond that an `f64` no longer names one
+    /// integer, so the answer is `None` rather than a rounded value.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Int(n) => Some(*n),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_F64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The bool payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The object payload, if this is an object.
+    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
+        match self {
+            Value::Obj(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// Object field lookup (`None` for non-objects and absent keys).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_obj().and_then(|m| m.get(key))
+    }
+}
+
+/// Parse one JSON value from `text` (must consume the whole input apart
+/// from trailing whitespace). Errors are one-line descriptions with a
+/// byte offset.
+pub fn parse(text: &str) -> Result<Value, String> {
+    if text.len() > MAX_INPUT_BYTES {
+        return Err(format!(
+            "input of {} bytes exceeds the {MAX_INPUT_BYTES}-byte limit",
+            text.len()
+        ));
+    }
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
+/// Escape `s` for embedding inside a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 8);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Maximum container nesting. The protocol needs 2–3 levels; the cap
+/// exists because the parser is recursive descent on a network-facing
+/// daemon — without it a `[[[[…` request line deep enough to overflow
+/// the stack aborts the whole process, not just the connection.
+const MAX_DEPTH: usize = 64;
+
+/// Maximum input size. A parsed [`Value`] tree can be an order of
+/// magnitude larger than its text, so the text is bounded before anything
+/// is allocated for it. The server's request lines are capped at 1 MiB
+/// upstream; calibration stores and conformance reports are kilobytes.
+const MAX_INPUT_BYTES: usize = 16 << 20;
+
+/// 2^53: the largest magnitude up to which every integer is an `f64`.
+const MAX_EXACT_F64: f64 = 9_007_199_254_740_992.0;
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn enter(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        Ok(())
+    }
+
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        match self.peek() {
+            Some(b) if b == c => {
+                self.pos += 1;
+                Ok(())
+            }
+            other => Err(format!(
+                "expected `{}` at byte {}, found {:?}",
+                c as char,
+                self.pos,
+                other.map(|b| b as char)
+            )),
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.keyword("true", Value::Bool(true)),
+            Some(b'f') => self.keyword("false", Value::Bool(false)),
+            Some(b'n') => self.keyword("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.pos
+            )),
+        }
+    }
+
+    fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
+        self.skip_ws();
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(format!("expected `{word}` at byte {}", self.pos))
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.enter()?;
+        self.eat(b'{')?;
+        let mut map = BTreeMap::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(Value::Obj(map));
+        }
+        loop {
+            let key = self.string()?;
+            self.eat(b':')?;
+            let val = self.value()?;
+            map.insert(key, val);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(Value::Obj(map));
+                }
+                other => {
+                    return Err(format!(
+                        "expected `,` or `}}` at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|b| b as char)
+                    ))
+                }
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.enter()?;
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(Value::Arr(items));
+                }
+                other => {
+                    return Err(format!(
+                        "expected `,` or `]` at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|b| b as char)
+                    ))
+                }
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.bytes.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            // Surrogate pairs are not needed by the
+                            // protocol (escape() never emits them); reject
+                            // rather than mis-decode.
+                            let c = char::from_u32(code)
+                                .ok_or_else(|| format!("unpaired surrogate \\u{hex}"))?;
+                            out.push(c);
+                            self.pos += 4;
+                        }
+                        other => {
+                            return Err(format!(
+                                "unsupported escape {:?} at byte {}",
+                                other.map(|&b| b as char),
+                                self.pos
+                            ))
+                        }
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary; validating only the run keeps a long
+                    // string linear in its length.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(run);
+                    self.pos += run.len();
+                }
+                None => return Err("unterminated string".to_owned()),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        let start = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| format!("bad number at byte {start}"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
+        text.parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Rng;
+
+    #[test]
+    fn parses_nested_envelope() {
+        let v = parse(r#"{"id":"r1","n":3,"ok":true,"body":{"xs":[1,2,-3.5]},"z":null}"#).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("r1"));
+        assert_eq!(v.get("n").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("z"), Some(&Value::Null));
+        let xs = match v.get("body").and_then(|b| b.get("xs")) {
+            Some(Value::Arr(xs)) => xs,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(xs.len(), 3);
+    }
+
+    #[test]
+    fn escape_roundtrips_through_parse() {
+        let nasty = "line1\nline2\t\"quoted\" \\slash\u{1} π";
+        let wire = format!("{{\"s\":\"{}\"}}", escape(nasty));
+        let v = parse(&wire).unwrap();
+        assert_eq!(v.get("s").and_then(Value::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn rejects_garbage_with_position() {
+        assert!(parse("{\"a\" 1}").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{} trailing").is_err());
+        assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_stack_overflowed() {
+        // Well under the cap parses fine…
+        let shallow = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        assert!(parse(&shallow).is_ok());
+        // …one past it is a parse error…
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&deep).unwrap_err().contains("nesting"), "{deep}");
+        // …and a hostile request tens of thousands deep must error, not
+        // overflow the thread stack and abort the daemon.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn workflow_text_survives_the_wire() {
+        let dsl = "source \"S\" table rows=10 (a)\nactivity a1 \"σ\" = filter a >= 1.0 <- \"S\"\ntarget \"T\" table (a) <- a1\n";
+        let wire = format!("{{\"workflow\":\"{}\"}}", escape(dsl));
+        assert!(!wire.contains('\n'), "envelope must stay one line");
+        let v = parse(&wire).unwrap();
+        assert_eq!(v.get("workflow").and_then(Value::as_str), Some(dsl));
+    }
+
+    #[test]
+    fn integers_are_exact_and_floats_never_round_into_u64() {
+        for (text, want) in [
+            ("18446744073709551615", Some(u64::MAX)),
+            ("9007199254740993", Some((1 << 53) + 1)),
+            ("3.0", Some(3)),
+            ("1e3", Some(1000)),
+            ("18446744073709551616", None),
+            ("1e19", None),
+            ("-1", None),
+            ("1.5", None),
+        ] {
+            assert_eq!(parse(text).unwrap().as_u64(), want, "{text}");
+        }
+        let max = parse("18446744073709551615").unwrap();
+        assert_eq!(max.as_f64(), Some(u64::MAX as f64));
+    }
+
+    #[test]
+    fn oversize_input_is_rejected_before_parsing() {
+        let big = format!("\"{}\"", "a".repeat(MAX_INPUT_BYTES));
+        assert!(parse(&big).unwrap_err().contains("limit"));
+        let fits = format!("\"{}\"", "a".repeat(MAX_INPUT_BYTES - 2));
+        assert!(parse(&fits).is_ok());
+    }
+
+    /// A random scalar value: any `char`, with the C0 controls, quotes,
+    /// backslashes and multi-byte characters over-represented.
+    fn random_string(rng: &mut Rng) -> String {
+        let len = rng.gen_range(0..24usize);
+        (0..len)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => char::from_u32(rng.gen_range(0..0x20u32)).unwrap(),
+                1 => ['"', '\\', '/', '\u{7f}', '\u{2028}'][rng.gen_range(0..5usize)],
+                2 => char::from_u32(rng.gen_range(0x80..0x800u32)).unwrap(),
+                3 => char::from_u32(rng.gen_range(0x1_0000..0x11_0000u32)).unwrap_or('\u{fffd}'),
+                _ => char::from_u32(rng.gen_range(0x20..0x7fu32)).unwrap(),
+            })
+            .collect()
+    }
+
+    fn random_document(rng: &mut Rng, depth: usize) -> String {
+        match rng.gen_range(0..if depth < 4 { 7 } else { 5u32 }) {
+            0 => "null".to_owned(),
+            1 => rng.gen_bool(0.5).to_string(),
+            2 => rng.next_u64().to_string(),
+            3 => format!("{:e}", rng.next_f64() - 0.5),
+            4 => format!("\"{}\"", escape(&random_string(rng))),
+            5 => {
+                let items: Vec<String> = (0..rng.gen_range(0..4usize))
+                    .map(|_| random_document(rng, depth + 1))
+                    .collect();
+                format!("[{}]", items.join(", "))
+            }
+            _ => {
+                let items: Vec<String> = (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        let key = escape(&random_string(rng));
+                        format!("\"{key}\": {}", random_document(rng, depth + 1))
+                    })
+                    .collect();
+                format!("{{{}}}", items.join(","))
+            }
+        }
+    }
+
+    #[test]
+    fn fuzz_escape_then_parse_is_identity() {
+        let all_c0: String = (0..0x20u32).filter_map(char::from_u32).collect();
+        assert_eq!(
+            parse(&format!("\"{}\"", escape(&all_c0))),
+            Ok(Value::Str(all_c0))
+        );
+        let mut rng = Rng::seed_from_u64(0x6a73_6f6e);
+        for _ in 0..4_000 {
+            let s = random_string(&mut rng);
+            let wire = format!("\"{}\"", escape(&s));
+            assert!(
+                !wire.chars().any(|c| (c as u32) < 0x20),
+                "raw control character in {wire:?}"
+            );
+            assert_eq!(parse(&wire), Ok(Value::Str(s)), "{wire:?}");
+        }
+    }
+
+    #[test]
+    fn fuzz_random_and_mutated_input_never_panics() {
+        let mut rng = Rng::seed_from_u64(0x6675_7a7a);
+        for _ in 0..4_000 {
+            // Valid documents parse…
+            let doc = random_document(&mut rng, 0);
+            assert!(parse(&doc).is_ok(), "{doc:?}");
+            // …and any byte-level damage to one is an `Ok` or an `Err`.
+            let mut bytes = doc.into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..bytes.len());
+                match rng.gen_range(0..3u32) {
+                    0 => bytes[at] = rng.next_u64() as u8,
+                    1 => bytes.truncate(at),
+                    _ => bytes.insert(at, b"{}[]\",:\\u-e.0"[rng.gen_range(0..13usize)]),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            // Pure noise, too.
+            let noise: Vec<u8> = (0..rng.gen_range(0..64usize))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let _ = parse(&String::from_utf8_lossy(&noise));
+        }
+    }
+}

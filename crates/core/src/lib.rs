@@ -58,6 +58,7 @@ pub mod error;
 pub mod explain;
 pub mod graph;
 pub mod impact;
+pub mod json;
 pub mod naming;
 pub mod opt;
 pub mod oracle;

@@ -1,27 +1,46 @@
-//! Bounded-width Beam search.
+//! The generation-synchronous search loop, and bounded-width Beam search.
 //!
 //! The paper caps ES at 40 hours and reports best-so-far on medium and
 //! large workflows because the state space is exponential; the related
-//! task-re-ordering literature (Kougka & Gounaris, PAPERS.md) shows that
-//! bounded-width exploration recovers most of exhaustive quality at a
-//! fraction of the states. [`BeamSearch`] is ES's generation-synchronous
-//! BFS with one change: after each generation's merge, the frontier is
-//! truncated to the `width` cheapest states. With `width = ∞` it *is* ES;
-//! with `width = 1` it degenerates to steepest-descent hill climbing over
-//! fingerprint-distinct states. That puts it between HS and ES on the
-//! quality/time trade-off, with a knob instead of a fixed phase recipe.
+//! task-re-ordering literature (Kougka & Gounaris, PAPERS.md) frames
+//! exhaustive and bounded re-ordering as one search that differs only in
+//! which candidates survive a generation. This module holds that one
+//! search, `search_generations`: without a cut it is ES
+//! ([`crate::opt::ExhaustiveSearch`] calls it with `width = None`); with
+//! the frontier truncated to the `width` cheapest states after each
+//! generation's merge it is [`BeamSearch`]. `width = 1` degenerates to
+//! steepest-descent hill climbing over fingerprint-distinct states, which
+//! puts beam between HS and ES on the quality/time trade-off, with a knob
+//! instead of a fixed phase recipe.
+//!
+//! ## The loop
+//!
+//! Each round the current frontier is sharded across the budget's worker
+//! threads ([`crate::opt::Threads`]); every worker enumerates its states'
+//! moves through a shared [`MoveMemo`] (unchanged local groups skip
+//! re-scanning), applies the transitions, and evaluates each successor
+//! *incrementally* — delta cost and fingerprint rehash along the dirty
+//! downstream path only ([`crate::opt::EvalState`]), reusing the parent's
+//! per-node tables for everything a rewrite did not touch. Duplicate
+//! successors are dropped worker-side against the [`ShardedVisited`] set
+//! (quiescent while workers run, so the probe is deterministic); a single
+//! coordinator then merges the fresh result lists **in (frontier index,
+//! move index) order**, inserting into the same sharded set, so the set of
+//! accepted states — and therefore the reported best — is identical for
+//! any thread count, including the forced sequential path
+//! (`parallelism = 1`). The sharded set also owns the `max_states` cap:
+//! `visited_states` can never overshoot the budget.
 //!
 //! ## Determinism contract
 //!
-//! Truncation keeps the top `K` states under the same total order the
-//! searches already use for the incumbent: cost first
-//! ([`f64::total_cmp`]), state [`Signature`] as the tie-break. Distinct
-//! fingerprints have distinct signatures, so the order — and therefore the
-//! surviving frontier, the best state, and every deterministic counter —
-//! is byte-identical at any worker-thread count.
-//! `tests/search_determinism.rs` pins beam at parallelism 1/2/4, and the
-//! beam-width sweep test pins `best_cost(K = ∞) == best_cost(ES)` plus
-//! monotone non-increasing best cost in `K` on the smoke seeds.
+//! The incumbent and the beam cut use one total order: cost first
+//! ([`f64::total_cmp`]), state [`Signature`] as the tie-break, never
+//! arrival order. Distinct fingerprints have distinct signatures, so the
+//! order — and therefore the surviving frontier, the best state, and every
+//! deterministic counter — is byte-identical at any worker-thread count.
+//! `tests/search_determinism.rs` pins ES and beam at parallelism 1/2/4;
+//! `tests/beam_width.rs` pins ES against constants captured before the
+//! two loops were merged.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -30,7 +49,7 @@ use std::time::Instant;
 use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::{
-    expand_frontier, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
+    expand_frontier, Admit, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
     ShardedVisited, Threads,
 };
 use crate::signature::Signature;
@@ -43,8 +62,7 @@ pub struct BeamSearch {
     /// Resource bounds, shared with the other algorithms.
     pub budget: SearchBudget,
     /// Frontier width `K`: after each generation, only the `K` cheapest
-    /// states (signature tie-break) survive. Clamped to ≥ 1 by the
-    /// constructors; `usize::MAX` makes the search exhaustive.
+    /// states (signature tie-break) survive. Clamped to ≥ 1.
     pub width: usize,
     /// Optional cross-run move-enumeration cache; `None` builds a fresh
     /// per-run memo (the one-shot default).
@@ -86,52 +104,41 @@ impl BeamSearch {
         self.width = width.max(1);
         self
     }
+}
 
-    /// Remove the width bound: the search becomes ES (useful for the
-    /// differential tests that pin beam against the exhaustive baseline).
-    pub fn unbounded(mut self) -> Self {
-        self.width = usize::MAX;
-        self
+/// Truncate a merged frontier to the `width` cheapest states under the
+/// deterministic (cost, signature) order; returns the survivors in that
+/// order and the number of states dropped. Signatures are only built for
+/// states that actually tie on cost, and at most once each.
+fn truncate(frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64) {
+    if frontier.len() <= width {
+        return (frontier, 0);
     }
-
-    /// Truncate a merged frontier to the `width` cheapest states under the
-    /// deterministic (cost, signature) order; returns the survivors in
-    /// that order and the number of states dropped. Signatures are only
-    /// built for states that actually tie on cost, and at most once each.
-    fn truncate(&self, frontier: Vec<EvalState>) -> (Vec<EvalState>, u64) {
-        if frontier.len() <= self.width {
-            return (frontier, 0);
-        }
-        let sigs: Vec<OnceCell<Signature>> = frontier.iter().map(|_| OnceCell::new()).collect();
-        let mut order: Vec<usize> = (0..frontier.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            frontier[a]
-                .total
-                .total_cmp(&frontier[b].total)
-                .then_with(|| {
-                    let sa = sigs[a].get_or_init(|| frontier[a].wf.signature());
-                    let sb = sigs[b].get_or_init(|| frontier[b].wf.signature());
-                    sa.cmp(sb)
-                })
-        });
-        let dropped = (frontier.len() - self.width) as u64;
-        let mut slots: Vec<Option<EvalState>> = frontier.into_iter().map(Some).collect();
-        let kept = order
-            .iter()
-            .take(self.width)
-            .filter_map(|&i| slots[i].take())
-            .collect();
-        (kept, dropped)
-    }
+    let sigs: Vec<OnceCell<Signature>> = frontier.iter().map(|_| OnceCell::new()).collect();
+    let mut order: Vec<usize> = (0..frontier.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        frontier[a]
+            .total
+            .total_cmp(&frontier[b].total)
+            .then_with(|| {
+                let sa = sigs[a].get_or_init(|| frontier[a].wf.signature());
+                let sb = sigs[b].get_or_init(|| frontier[b].wf.signature());
+                sa.cmp(sb)
+            })
+    });
+    let dropped = (frontier.len() - width) as u64;
+    let mut slots: Vec<Option<EvalState>> = frontier.into_iter().map(Some).collect();
+    let kept = order
+        .iter()
+        .take(width)
+        .filter_map(|&i| slots[i].take())
+        .collect();
+    (kept, dropped)
 }
 
 impl Default for BeamSearch {
     fn default() -> Self {
-        BeamSearch {
-            budget: SearchBudget::default(),
-            width: Self::DEFAULT_WIDTH,
-            shared_memo: None,
-        }
+        Self::with_budget(SearchBudget::default())
     }
 }
 
@@ -146,170 +153,212 @@ impl Optimizer for BeamSearch {
         model: &dyn CostModel,
         sink: &dyn TraceSink,
     ) -> Result<SearchOutcome> {
-        let width = self.width.max(1);
-        let started = Instant::now();
-        let span = Span::start("search");
-        let mut col = Collector::new("Beam");
+        search_generations(
+            "Beam",
+            Some(self.width.max(1)),
+            &self.budget,
+            self.shared_memo.as_deref(),
+            wf,
+            model,
+            sink,
+        )
+    }
+}
+
+/// The generation-synchronous BFS behind ES (`width = None`: every admitted
+/// state is expanded) and beam (`Some(K)`: only the `K` cheapest survivors
+/// of each generation are). `shared_memo = None` builds a fresh per-run
+/// memo.
+pub(super) fn search_generations(
+    algorithm: &'static str,
+    width: Option<usize>,
+    budget: &SearchBudget,
+    shared_memo: Option<&MoveMemo>,
+    wf: &Workflow,
+    model: &dyn CostModel,
+    sink: &dyn TraceSink,
+) -> Result<SearchOutcome> {
+    let started = Instant::now();
+    let span = Span::start("search");
+    let mut col = Collector::new(algorithm);
+    if let Some(width) = width {
         col.beam_width(u64::try_from(width).unwrap_or(u64::MAX));
-        let mut pacer = Pacer::new(started, &self.budget);
-        let threads = Threads::new(self.budget.threads());
-        let local_memo;
-        let memo: &MoveMemo = match self.shared_memo.as_deref() {
-            Some(m) => m,
-            None => {
-                local_memo = MoveMemo::new();
-                &local_memo
+    }
+    let mut pacer = Pacer::new(started, budget);
+    let threads = Threads::new(budget.threads());
+    let local_memo;
+    let memo: &MoveMemo = match shared_memo {
+        Some(m) => m,
+        None => {
+            local_memo = MoveMemo::new();
+            &local_memo
+        }
+    };
+    let (memo_h0, memo_m0) = memo.stats();
+    let initial = EvalState::full(wf.clone(), model)?;
+    let initial_cost = initial.total;
+    col.evaluated(initial.via_delta());
+
+    let visited = ShardedVisited::new(budget.max_states);
+    visited.insert(initial.fp);
+
+    // Best state tracked by (cost, signature): strictly cheaper wins; an
+    // exact cost tie goes to the lexicographically smaller signature, so
+    // the winner does not depend on arrival order. The full signature
+    // string is only built lazily, for tie-breaks. The winning workflow
+    // itself is cloned once per improving generation (after the merge and
+    // before the cut — the incumbent may well be a state a later
+    // truncation drops from the frontier), not once per improvement.
+    let mut best = wf.clone();
+    let mut best_cost = initial_cost;
+    let mut best_sig: Option<Signature> = None;
+
+    let mut frontier: Vec<EvalState> = vec![initial];
+    let mut budget_exhausted = false;
+    let mut generation = 0usize;
+
+    while !frontier.is_empty() {
+        if visited.at_cap() || pacer.check_now() {
+            budget_exhausted = true;
+            break;
+        }
+        col.frontier(frontier.len());
+        sink.event(TraceEvent::Generation {
+            index: generation,
+            frontier: frontier.len(),
+            visited: visited.len(),
+        });
+        generation += 1;
+        // Every frontier state gets its moves enumerated and applied by
+        // the workers below, budget or not — count the expansions up
+        // front so the accounting matches what actually runs.
+        for state in &frontier {
+            col.expanded(state.fp);
+        }
+
+        // Expansion: workers pull frontier states off a shared cursor;
+        // results come back ordered by frontier index, successors ordered
+        // by move index within each state. Rejected transitions come back
+        // as per-state counter deltas instead of being discarded.
+        let expanded = expand_frontier(&frontier, &threads, memo, model, &visited);
+
+        // Merge: one coordinator, deterministic order, one sharded
+        // visited set. Workers may still have priced duplicate successors
+        // (two states can reach the same *new* third state in one round);
+        // the insert drops them here. Once the budget stops the merge, the
+        // remaining chunks are only *counted* (the workers evaluated them
+        // either way), never accepted — and a worker error in that
+        // discarded region is dropped with them.
+        let mut next_frontier: Vec<EvalState> = Vec::new();
+        let mut gen_best: Option<usize> = None;
+        let mut merging = true;
+        for chunk in expanded {
+            let chunk = match chunk {
+                Ok(c) => c,
+                Err(e) if merging => return Err(e),
+                Err(_) => continue,
+            };
+            col.rejections(&chunk.rej);
+            for _ in 0..chunk.dedup_delta {
+                col.evaluated(true);
+                col.deduplicated();
             }
-        };
-        let (memo_h0, memo_m0) = memo.stats();
-        let initial = EvalState::full(wf.clone(), model)?;
-        let initial_cost = initial.total;
-        col.evaluated(initial.via_delta());
-
-        let visited = ShardedVisited::new(self.budget.max_states);
-        visited.insert(initial.fp);
-
-        // Best state tracked by (cost, signature), exactly as ES does —
-        // the incumbent may well be a state a later truncation drops from
-        // the frontier, so it is cloned before the cut.
-        let mut best = wf.clone();
-        let mut best_cost = initial_cost;
-        let mut best_sig: Option<Signature> = None;
-
-        let mut frontier: Vec<EvalState> = vec![initial];
-        let mut budget_exhausted = false;
-        let mut generation = 0usize;
-        let mut truncated_total = 0u64;
-
-        while !frontier.is_empty() {
-            if visited.at_cap() || pacer.check_now() {
-                budget_exhausted = true;
-                break;
+            for _ in 0..chunk.dedup_full {
+                col.evaluated(false);
+                col.deduplicated();
             }
-            col.frontier(frontier.len());
-            sink.event(TraceEvent::Generation {
-                index: generation,
-                frontier: frontier.len(),
-                visited: visited.len(),
-            });
-            generation += 1;
-            for state in &frontier {
-                col.expanded(state.fp);
-            }
-
-            // Expansion: identical to ES — workers price successors
-            // incrementally and pre-filter duplicates against the
-            // quiescent sharded visited set.
-            let expanded = expand_frontier(&frontier, &threads, memo, model, &visited);
-
-            // Merge: one coordinator, deterministic (frontier index, move
-            // index) order, same bookkeeping as ES. Once the budget stops
-            // the merge, remaining chunks are only counted.
-            let mut next_frontier: Vec<EvalState> = Vec::new();
-            let mut gen_best: Option<usize> = None;
-            let mut merging = true;
-            for chunk in expanded {
-                let chunk = match chunk {
-                    Ok(c) => c,
-                    Err(e) if merging => return Err(e),
-                    Err(_) => continue,
-                };
-                col.rejections(&chunk.rej);
-                for _ in 0..chunk.dedup_delta {
-                    col.evaluated(true);
-                    col.deduplicated();
+            for next in chunk.fresh {
+                col.evaluated(next.via_delta());
+                if !merging {
+                    continue;
                 }
-                for _ in 0..chunk.dedup_full {
-                    col.evaluated(false);
-                    col.deduplicated();
+                if pacer.tick() {
+                    budget_exhausted = true;
+                    merging = false;
+                    continue;
                 }
-                for next in chunk.fresh {
-                    col.evaluated(next.via_delta());
-                    if !merging {
+                match visited.insert(next.fp) {
+                    Admit::Duplicate => {
+                        col.deduplicated();
                         continue;
                     }
-                    if pacer.tick() {
+                    Admit::CapReached => {
                         budget_exhausted = true;
                         merging = false;
                         continue;
                     }
-                    match visited.insert(next.fp) {
-                        crate::opt::Admit::Duplicate => {
-                            col.deduplicated();
-                            continue;
+                    Admit::Fresh => {}
+                }
+                let total = next.total;
+                let strict = total < best_cost;
+                let improves = strict || {
+                    total == best_cost && {
+                        // Reuse the lazily-built signatures: the
+                        // incumbent's is computed at most once per reign,
+                        // and a tie-winner donates its own.
+                        let sig = next.wf.signature();
+                        let wins = {
+                            let cur = best_sig.get_or_insert_with(|| best.signature());
+                            sig < *cur
+                        };
+                        if wins {
+                            best_sig = Some(sig);
                         }
-                        crate::opt::Admit::CapReached => {
-                            budget_exhausted = true;
-                            merging = false;
-                            continue;
-                        }
-                        crate::opt::Admit::Fresh => {}
+                        wins
                     }
-                    let total = next.total;
-                    let strict = total < best_cost;
-                    let improves = strict || {
-                        total == best_cost && {
-                            let sig = next.wf.signature();
-                            let wins = {
-                                let cur = best_sig.get_or_insert_with(|| best.signature());
-                                sig < *cur
-                            };
-                            if wins {
-                                best_sig = Some(sig);
-                            }
-                            wins
-                        }
-                    };
-                    next_frontier.push(next);
-                    if improves {
-                        if strict {
-                            best_sig = None;
-                        }
-                        best_cost = total;
-                        gen_best = Some(next_frontier.len() - 1);
+                };
+                next_frontier.push(next);
+                if improves {
+                    if strict {
+                        best_sig = None;
                     }
+                    best_cost = total;
+                    gen_best = Some(next_frontier.len() - 1);
                 }
             }
-            if let Some(i) = gen_best {
-                best = next_frontier[i].wf.clone();
-            }
-            // The beam cut: keep the K cheapest survivors. Truncated
-            // states stay in the visited set (they were admitted and count
-            // toward the budget) but are never expanded, so they surface
-            // as `pruned` in the accounting and as `truncated_states` in
-            // the beam telemetry.
-            let (kept, dropped) = self.truncate(next_frontier);
-            truncated_total += dropped;
-            frontier = kept;
-            if budget_exhausted {
-                break;
-            }
         }
-
-        col.truncated(truncated_total);
-        let (shard_min, shard_max) = visited.occupancy();
-        col.visited_shards(visited.shard_count() as u64, shard_min, shard_max);
-        let (hits, misses) = memo.stats();
-        col.memo(hits.saturating_sub(memo_h0), misses.saturating_sub(memo_m0));
-        col.worker_batches(threads.batch_counts());
-        col.span(span);
-        sink.event(TraceEvent::Finished {
-            algorithm: "Beam",
-            best_cost,
-            visited: visited.len(),
-            budget_exhausted,
-        });
-        Ok(SearchOutcome {
-            best,
-            best_cost,
-            initial_cost,
-            visited_states: visited.len(),
-            elapsed: started.elapsed(),
-            budget_exhausted,
-            phase_stats: Vec::new(),
-            stats: col.finish(),
-        })
+        if let Some(i) = gen_best {
+            best = next_frontier[i].wf.clone();
+        }
+        // The beam cut: keep the K cheapest survivors. Truncated states
+        // stay in the visited set (they were admitted and count toward the
+        // budget) but are never expanded, so they surface as `pruned` in
+        // the accounting and as `truncated_states` in the beam telemetry.
+        frontier = match width {
+            Some(width) => {
+                let (kept, dropped) = truncate(next_frontier, width);
+                col.truncated(dropped);
+                kept
+            }
+            None => next_frontier,
+        };
+        if budget_exhausted {
+            break;
+        }
     }
+
+    let (shard_min, shard_max) = visited.occupancy();
+    col.visited_shards(visited.shard_count() as u64, shard_min, shard_max);
+    let (hits, misses) = memo.stats();
+    col.memo(hits.saturating_sub(memo_h0), misses.saturating_sub(memo_m0));
+    col.worker_batches(threads.batch_counts());
+    col.span(span);
+    sink.event(TraceEvent::Finished {
+        algorithm,
+        best_cost,
+        visited: visited.len(),
+        budget_exhausted,
+    });
+    Ok(SearchOutcome {
+        best,
+        best_cost,
+        initial_cost,
+        visited_states: visited.len(),
+        elapsed: started.elapsed(),
+        budget_exhausted,
+        phase_stats: Vec::new(),
+        stats: col.finish(),
+    })
 }
 
 #[cfg(test)]
@@ -323,6 +372,7 @@ mod tests {
     use crate::semantics::{BinaryOp, UnaryOp};
     use crate::workflow::WorkflowBuilder;
 
+    /// Expensive SK before a selective filter: the optimum is the swap.
     fn swap_win() -> Workflow {
         let mut b = WorkflowBuilder::new();
         let s = b.source("S", Schema::of(["k", "v"]), 1000.0);
@@ -367,19 +417,6 @@ mod tests {
             out.stats.visited_shards,
             crate::opt::ShardedVisited::SHARDS as u64
         );
-    }
-
-    #[test]
-    fn unbounded_beam_matches_es_exactly() {
-        let model = RowCountModel::default();
-        for wf in [swap_win(), fac_dis()] {
-            let es = ExhaustiveSearch::new().run(&wf, &model).unwrap();
-            let beam = BeamSearch::new().unbounded().run(&wf, &model).unwrap();
-            assert_eq!(es.best_cost.to_bits(), beam.best_cost.to_bits());
-            assert_eq!(es.best.signature(), beam.best.signature());
-            assert_eq!(es.visited_states, beam.visited_states);
-            assert_eq!(beam.stats.truncated_states, 0);
-        }
     }
 
     #[test]
@@ -442,6 +479,87 @@ mod tests {
                 par.stats.counters_json(),
                 "beam counters must be thread-count invariant"
             );
+        }
+    }
+
+    #[test]
+    fn es_finds_the_swap_optimum() {
+        let wf = swap_win();
+        let model = RowCountModel::default();
+        let out = ExhaustiveSearch::new().run(&wf, &model).unwrap();
+        assert!(!out.budget_exhausted);
+        assert!(out.best_cost < out.initial_cost);
+        // Optimal order: σ first.
+        let first = out.best.activities().unwrap()[0];
+        assert_eq!(out.best.graph().activity(first).unwrap().label, "σ");
+        assert!(equivalent(&wf, &out.best).unwrap());
+    }
+
+    #[test]
+    fn es_explores_fac_dis_space() {
+        let wf = fac_dis();
+        let model = RowCountModel::default();
+        let out = ExhaustiveSearch::new().run(&wf, &model).unwrap();
+        assert!(out.visited_states > 3, "visited {}", out.visited_states);
+        assert!(out.best_cost < out.initial_cost);
+        assert!(equivalent(&wf, &out.best).unwrap());
+    }
+
+    #[test]
+    fn es_respects_budget() {
+        let wf = swap_win();
+        let model = RowCountModel::default();
+        let out = ExhaustiveSearch::with_budget(SearchBudget::states(1))
+            .run(&wf, &model)
+            .unwrap();
+        assert!(out.budget_exhausted);
+        assert!(out.visited_states <= 2);
+    }
+
+    #[test]
+    fn es_on_fixed_workflow_is_deterministic() {
+        let wf = swap_win();
+        let model = RowCountModel::default();
+        let a = ExhaustiveSearch::new().run(&wf, &model).unwrap();
+        let b = ExhaustiveSearch::new().run(&wf, &model).unwrap();
+        assert_eq!(a.best.signature(), b.best.signature());
+        assert_eq!(a.visited_states, b.visited_states);
+    }
+
+    #[test]
+    fn es_parallel_matches_sequential() {
+        let model = RowCountModel::default();
+        for wf in [swap_win(), fac_dis()] {
+            let seq = ExhaustiveSearch::with_budget(SearchBudget::default().with_parallelism(1))
+                .run(&wf, &model)
+                .unwrap();
+            let par = ExhaustiveSearch::with_budget(SearchBudget::default().with_parallelism(4))
+                .run(&wf, &model)
+                .unwrap();
+            assert_eq!(seq.best_cost.to_bits(), par.best_cost.to_bits());
+            assert_eq!(seq.best.signature(), par.best.signature());
+            assert_eq!(seq.visited_states, par.visited_states);
+        }
+    }
+
+    #[test]
+    fn es_parallel_matches_sequential_under_state_budget() {
+        let model = RowCountModel::default();
+        let wf = fac_dis();
+        for max in [2, 5, 9] {
+            let seq = ExhaustiveSearch::with_budget(SearchBudget::states(max).with_parallelism(1))
+                .run(&wf, &model)
+                .unwrap();
+            let par = ExhaustiveSearch::with_budget(SearchBudget::states(max).with_parallelism(4))
+                .run(&wf, &model)
+                .unwrap();
+            assert_eq!(
+                seq.best_cost.to_bits(),
+                par.best_cost.to_bits(),
+                "max {max}"
+            );
+            assert_eq!(seq.best.signature(), par.best.signature(), "max {max}");
+            assert_eq!(seq.visited_states, par.visited_states, "max {max}");
         }
     }
 }

@@ -7,8 +7,9 @@
 //! as a selectable backend (`StreamConfig { pipeline: false, .. }`) for
 //! two reasons:
 //!
-//! * `engine_bench` compares it against the pipelined executor
-//!   (`pipelined_vs_roundsync`), keeping the claimed win honest.
+//! * The benchmark's `engine_seq` workload times it against the pipelined
+//!   executor (`exec.roundsync2.rows_per_s` vs `exec.par2.rows_per_s`),
+//!   keeping the claimed win honest.
 //! * The conformance oracle cross-checks it as a third independent
 //!   implementation of the same determinism contract.
 //!

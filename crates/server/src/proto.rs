@@ -325,6 +325,7 @@ fn render_value(v: &Value) -> String {
     match v {
         Value::Null => "null".to_owned(),
         Value::Bool(b) => b.to_string(),
+        Value::Int(n) => n.to_string(),
         Value::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
                 format!("{}", *n as i64)

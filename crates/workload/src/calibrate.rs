@@ -11,6 +11,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use etlopt_core::activity::Op;
+use etlopt_core::json::{self, Value};
 use etlopt_core::opt::adaptive::{CalEntry, Calibration};
 use etlopt_core::semantics::UnaryOp;
 use etlopt_core::workflow::Workflow;
@@ -27,7 +28,7 @@ pub const MIN_SELECTIVITY: f64 = etlopt_core::opt::adaptive::SELECTIVITY_FLOOR;
 /// fingerprints (`etlopt_core::opt::adaptive::activity_key`), plus
 /// observed source cardinalities. Implements [`Calibration`] for the loop
 /// and adds what a between-loads deployment needs on top: lossless JSON
-/// round-tripping (hand-rolled — the workspace is offline/zero-dep) and a
+/// round-tripping (through [`etlopt_core::json`]) and a
 /// commutative, idempotent [`CalibrationStore::merge`] so stores built by
 /// independent runs can be combined in any order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,7 +85,7 @@ impl CalibrationStore {
         let sources: Vec<String> = self
             .sources
             .iter()
-            .map(|(n, r)| format!("    \"{}\": {}", json_escape(n), r))
+            .map(|(n, r)| format!("    \"{}\": {}", json::escape(n), r))
             .collect();
         let entries: Vec<String> = self
             .entries
@@ -96,7 +97,7 @@ impl CalibrationStore {
                         "\"rows_in\": {}, \"rows_out\": {}}}"
                     ),
                     k,
-                    json_escape(a),
+                    json::escape(a),
                     e.rows_in,
                     e.rows_out
                 )
@@ -119,53 +120,36 @@ impl CalibrationStore {
     /// any JSON of the same shape). Returns a one-line description of the
     /// first syntax or schema problem.
     pub fn from_json(text: &str) -> std::result::Result<CalibrationStore, String> {
-        let mut p = JsonParser::new(text);
+        let root = json::parse(text)?;
+        let fields = root.as_obj().ok_or("calibration store is not an object")?;
+        if !fields.contains_key("version") {
+            return Err("calibration store has no `version`".to_owned());
+        }
         let mut store = CalibrationStore::new();
-        p.expect('{')?;
-        loop {
-            let field = p.string()?;
-            p.expect(':')?;
+        for (field, value) in fields {
             match field.as_str() {
                 "version" => {
-                    let v = p.integer()?;
+                    let v = exact_u64(value, "version")?;
                     if v != 1 {
                         return Err(format!("unsupported calibration store version {v}"));
                     }
                 }
                 "sources" => {
-                    p.expect('{')?;
-                    if !p.peek_is('}') {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(':')?;
-                            let rows = p.integer()?;
-                            store.record_source(&name, rows);
-                            if !p.comma_or('}')? {
-                                break;
-                            }
-                        }
-                    } else {
-                        p.expect('}')?;
+                    let sources = value.as_obj().ok_or("`sources` is not an object")?;
+                    for (name, rows) in sources {
+                        store.record_source(name, exact_u64(rows, name)?);
                     }
                 }
                 "entries" => {
-                    p.expect('[')?;
-                    if !p.peek_is(']') {
-                        loop {
-                            let (key, activity, entry) = parse_entry(&mut p)?;
-                            store.record(key, &activity, entry);
-                            if !p.comma_or(']')? {
-                                break;
-                            }
-                        }
-                    } else {
-                        p.expect(']')?;
+                    let Value::Arr(entries) = value else {
+                        return Err("`entries` is not an array".to_owned());
+                    };
+                    for entry in entries {
+                        let (key, activity, entry) = parse_entry(entry)?;
+                        store.record(key, activity, entry);
                     }
                 }
                 other => return Err(format!("unknown calibration store field `{other}`")),
-            }
-            if !p.comma_or('}')? {
-                break;
             }
         }
         Ok(store)
@@ -368,153 +352,36 @@ impl Calibration for CalibrationStore {
     }
 }
 
-fn parse_entry(p: &mut JsonParser<'_>) -> std::result::Result<(u128, String, CalEntry), String> {
-    p.expect('{')?;
+/// An exact `u64` field: row tallies span the full range, so a value the
+/// codec could only hold rounded is an error, never a nearby number.
+fn exact_u64(value: &Value, field: &str) -> std::result::Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("`{field}` is not an unsigned 64-bit integer"))
+}
+
+fn parse_entry(value: &Value) -> std::result::Result<(u128, &str, CalEntry), String> {
+    let fields = value.as_obj().ok_or("calibration entry is not an object")?;
     let (mut key, mut activity) = (None, None);
     let mut entry = CalEntry::default();
-    loop {
-        let field = p.string()?;
-        p.expect(':')?;
+    for (field, value) in fields {
         match field.as_str() {
             "key" => {
-                let hex = p.string()?;
+                let hex = value.as_str().ok_or("calibration key is not a string")?;
                 key = Some(
-                    u128::from_str_radix(&hex, 16)
+                    u128::from_str_radix(hex, 16)
                         .map_err(|_| format!("bad calibration key `{hex}`"))?,
                 );
             }
-            "activity" => activity = Some(p.string()?),
-            "rows_in" => entry.rows_in = p.integer()?,
-            "rows_out" => entry.rows_out = p.integer()?,
+            "activity" => activity = value.as_str(),
+            "rows_in" => entry.rows_in = exact_u64(value, "rows_in")?,
+            "rows_out" => entry.rows_out = exact_u64(value, "rows_out")?,
             other => return Err(format!("unknown entry field `{other}`")),
-        }
-        if !p.comma_or('}')? {
-            break;
         }
     }
     match (key, activity) {
         (Some(k), Some(a)) => Ok((k, a, entry)),
         _ => Err("calibration entry missing `key` or `activity`".to_owned()),
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Minimal recursive-descent scanner for exactly the JSON shape the store
-/// emits (strings, unsigned integers, `{}`/`[]` punctuation). Hand-rolled
-/// because the workspace has no serde — and must build offline.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&(c as u8))
-    }
-
-    fn expect(&mut self, c: char) -> std::result::Result<(), String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(&b) if b == c as u8 => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(&b) => Err(format!(
-                "expected `{c}` at byte {}, found `{}`",
-                self.pos, b as char
-            )),
-            None => Err(format!("expected `{c}`, found end of input")),
-        }
-    }
-
-    /// After a value: consume `,` (more items follow → `true`) or the
-    /// closing delimiter (→ `false`).
-    fn comma_or(&mut self, close: char) -> std::result::Result<bool, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(&b) if b == close as u8 => {
-                self.pos += 1;
-                Ok(false)
-            }
-            other => Err(format!(
-                "expected `,` or `{close}` at byte {}, found {:?}",
-                self.pos,
-                other.map(|&b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> std::result::Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self.bytes.get(self.pos + 1);
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        other => {
-                            return Err(format!(
-                                "unsupported escape {:?} at byte {}",
-                                other.map(|&b| b as char),
-                                self.pos
-                            ))
-                        }
-                    }
-                    self.pos += 2;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    fn integer(&mut self) -> std::result::Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected an integer at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad integer at byte {start}"))
     }
 }
 

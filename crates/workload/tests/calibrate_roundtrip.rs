@@ -63,8 +63,33 @@ fn activity_names_are_escaped() {
     let mut store = CalibrationStore::new();
     store.record(activity_key_str("a\"b\\c"), "a\"b\\c", CalEntry::new(10, 5));
     store.record_source("s\"rc", 7);
-    let back = CalibrationStore::from_json(&store.to_json()).expect("parse escaped");
+    // Non-ASCII names must come back as the same characters, not as their
+    // UTF-8 bytes read one by one.
+    store.record(activity_key_str("σ-ÖST"), "σ-ÖST", CalEntry::new(3, 2));
+    store.record_source("DIM_ÖST", 12_000);
+    // Control characters must be written as escapes (raw they are not JSON).
+    store.record(
+        activity_key_str("a\tb\nc"),
+        "a\tb\nc\u{1}",
+        CalEntry::new(4, 4),
+    );
+    store.record_source("a\tb\nc", 9);
+    // Tallies are exact over the whole u64 range, beyond what f64 holds.
+    store.record(
+        activity_key_str("big"),
+        "big",
+        CalEntry::new(u64::MAX, (1 << 53) + 1),
+    );
+    store.record_source("BIG", u64::MAX);
+    let text = store.to_json();
+    assert!(
+        !text.chars().any(|c| c.is_control() && c != '\n'),
+        "raw control character in {text:?}"
+    );
+    let back = CalibrationStore::from_json(&text).expect("parse escaped");
     assert_eq!(back, store);
+    assert_eq!(back.source_rows("DIM_ÖST"), Some(12_000));
+    assert_eq!(back.source_rows("BIG"), Some(u64::MAX));
 }
 
 #[test]
@@ -76,6 +101,12 @@ fn from_json_rejects_garbage() {
     assert!(
         CalibrationStore::from_json("{\"version\": 1, \"entries\": [{\"rows_in\": 3}]}").is_err()
     );
+    assert!(CalibrationStore::from_json("{}").is_err());
+    // A tally the codec cannot hold exactly is an error, not a nearby value.
+    for rows in ["18446744073709551616", "1e19", "-1", "1.5"] {
+        let text = format!("{{\"version\": 1, \"sources\": {{\"S\": {rows}}}}}");
+        assert!(CalibrationStore::from_json(&text).is_err(), "{rows}");
+    }
 }
 
 #[test]
