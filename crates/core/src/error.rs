@@ -64,6 +64,9 @@ pub enum CoreError {
     /// was executing a chosen plan for feedback (the engine-side error,
     /// carried as text so the core crate stays engine-agnostic).
     Observation(String),
+    /// A search worker thread panicked; the run is abandoned and the panic
+    /// message (when it was a string) is carried as text.
+    WorkerPanicked(String),
     /// A conformance fault-injection site does not describe a valid
     /// (function, filter) pair on the workflow it was applied to — the
     /// nodes have the wrong operator kinds, or the site went stale after a
@@ -118,6 +121,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::Observation(msg) => {
                 write!(f, "plan observation failed: {msg}")
+            }
+            CoreError::WorkerPanicked(msg) => {
+                write!(f, "a search worker thread panicked: {msg}")
             }
             CoreError::InvalidFaultSite { node, detail } => {
                 write!(f, "invalid fault-injection site at node {node}: {detail}")

@@ -382,8 +382,8 @@ impl Graph {
     }
 
     /// All providers of `id`, one entry per port.
-    pub fn providers(&self, id: NodeId) -> Result<Vec<Option<NodeId>>> {
-        Ok(self.slot(id)?.preds.as_slice().to_vec())
+    pub fn providers(&self, id: NodeId) -> Result<&[Option<NodeId>]> {
+        Ok(self.slot(id)?.preds.as_slice())
     }
 
     /// All consumers of `id` (one entry per consuming port).
@@ -541,7 +541,7 @@ mod tests {
         let u = g.add_activity(binary(3, "U", BinaryOp::Union));
         g.connect(s1, u, 0).unwrap();
         g.connect(s2, u, 1).unwrap();
-        assert_eq!(g.providers(u).unwrap(), vec![Some(s1), Some(s2)]);
+        assert_eq!(g.providers(u).unwrap(), &[Some(s1), Some(s2)]);
         assert_eq!(g.port_of(s2, u).unwrap(), Some(1));
     }
 

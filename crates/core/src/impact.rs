@@ -181,7 +181,7 @@ fn attribute_impact(
         }
         // Union of providers' tainted sets.
         let mut incoming: BTreeSet<Attr> = BTreeSet::new();
-        for p in graph.providers(id)?.into_iter().flatten() {
+        for p in graph.providers(id)?.iter().flatten() {
             for a in &tainted[p.0 as usize] {
                 incoming.insert(a.clone());
             }
@@ -249,7 +249,12 @@ pub fn lineage(wf: &Workflow, node: NodeId, attr: &Attr) -> Result<Vec<LineageSt
     }];
     let mut seen: BTreeSet<LineageStep> = frontier.iter().cloned().collect();
     while let Some(step) = frontier.pop() {
-        let providers: Vec<NodeId> = graph.providers(step.node)?.into_iter().flatten().collect();
+        let providers: Vec<NodeId> = graph
+            .providers(step.node)?
+            .iter()
+            .copied()
+            .flatten()
+            .collect();
         if providers.is_empty() {
             // A true source: record it if the attribute exists here.
             if graph.node(step.node)?.output_schema().contains(&step.attr) {

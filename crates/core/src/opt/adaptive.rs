@@ -640,8 +640,8 @@ mod tests {
             for id in g.topo_order()? {
                 if let Ok(act) = g.activity(id) {
                     let mut inp = 0.0;
-                    for p in g.providers(id)?.into_iter().flatten() {
-                        inp += rows.get(&p).copied().unwrap_or(0.0);
+                    for p in g.providers(id)?.iter().flatten() {
+                        inp += rows.get(p).copied().unwrap_or(0.0);
                     }
                     let key = act.id.to_string();
                     // Resolve the *true* pass rate structurally, like the

@@ -15,21 +15,25 @@
 //!
 //! ## The loop
 //!
-//! Each round the current frontier is sharded across the budget's worker
-//! threads ([`crate::opt::Threads`]); every worker enumerates its states'
-//! moves through a shared [`MoveMemo`] (unchanged local groups skip
+//! A generation's frontier is expanded in windows of
+//! [`EXPAND_WINDOW`] states. Each window is sharded across the budget's
+//! worker threads ([`crate::opt::Threads`]); every worker enumerates its
+//! states' moves through a shared [`MoveMemo`] (unchanged local groups skip
 //! re-scanning), applies the transitions, and evaluates each successor
 //! *incrementally* — delta cost and fingerprint rehash along the dirty
 //! downstream path only ([`crate::opt::EvalState`]), reusing the parent's
 //! per-node tables for everything a rewrite did not touch. Duplicate
 //! successors are dropped worker-side against the [`ShardedVisited`] set
 //! (quiescent while workers run, so the probe is deterministic); a single
-//! coordinator then merges the fresh result lists **in (frontier index,
-//! move index) order**, inserting into the same sharded set, so the set of
-//! accepted states — and therefore the reported best — is identical for
-//! any thread count, including the forced sequential path
+//! coordinator then merges the window's fresh result lists **in (frontier
+//! index, move index) order**, inserting into the same sharded set, so the
+//! set of accepted states — and therefore the reported best — is identical
+//! for any thread count, including the forced sequential path
 //! (`parallelism = 1`). The sharded set also owns the `max_states` cap:
-//! `visited_states` can never overshoot the budget.
+//! `visited_states` can never overshoot the budget, and no window is
+//! expanded once the set is full — a binding budget stops the work, not
+//! just the admission (see [`crate::opt::expand_frontier`] for the
+//! per-state half of that).
 //!
 //! ## Determinism contract
 //!
@@ -50,7 +54,7 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::{
     expand_frontier, Admit, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
-    ShardedVisited, Threads,
+    ShardedVisited, Threads, EXPAND_WINDOW,
 };
 use crate::signature::Signature;
 use crate::trace::{Collector, Span, TraceEvent, TraceSink};
@@ -229,91 +233,99 @@ pub(super) fn search_generations(
             visited: visited.len(),
         });
         generation += 1;
-        // Every frontier state gets its moves enumerated and applied by
-        // the workers below, budget or not — count the expansions up
-        // front so the accounting matches what actually runs.
-        for state in &frontier {
-            col.expanded(state.fp);
-        }
-
-        // Expansion: workers pull frontier states off a shared cursor;
-        // results come back ordered by frontier index, successors ordered
-        // by move index within each state. Rejected transitions come back
-        // as per-state counter deltas instead of being discarded.
-        let expanded = expand_frontier(&frontier, &threads, memo, model, &visited);
-
-        // Merge: one coordinator, deterministic order, one sharded
-        // visited set. Workers may still have priced duplicate successors
-        // (two states can reach the same *new* third state in one round);
-        // the insert drops them here. Once the budget stops the merge, the
-        // remaining chunks are only *counted* (the workers evaluated them
-        // either way), never accepted — and a worker error in that
-        // discarded region is dropped with them.
+        // Expansion and merge alternate window by window, so the budget
+        // stops *work*, not just admission: no window is expanded once the
+        // visited set is full or the clock has run out, and the states of
+        // the frontier it never reached are not expanded at all.
         let mut next_frontier: Vec<EvalState> = Vec::new();
         let mut gen_best: Option<usize> = None;
-        let mut merging = true;
-        for chunk in expanded {
-            let chunk = match chunk {
-                Ok(c) => c,
-                Err(e) if merging => return Err(e),
-                Err(_) => continue,
-            };
-            col.rejections(&chunk.rej);
-            for _ in 0..chunk.dedup_delta {
-                col.evaluated(true);
-                col.deduplicated();
+        for window in frontier.chunks(EXPAND_WINDOW) {
+            if budget_exhausted || visited.at_cap() || pacer.check_now() {
+                budget_exhausted = true;
+                break;
             }
-            for _ in 0..chunk.dedup_full {
-                col.evaluated(false);
-                col.deduplicated();
+            for state in window {
+                col.expanded(state.fp);
             }
-            for next in chunk.fresh {
-                col.evaluated(next.via_delta());
-                if !merging {
-                    continue;
+            // Workers pull the window's states off a shared cursor; results
+            // come back ordered by frontier index, successors ordered by
+            // move index within each state. Rejected transitions come back
+            // as per-state counter deltas instead of being discarded.
+            let expanded =
+                expand_frontier(window, &threads, memo, model, &visited, visited.room())?;
+
+            // Merge: one coordinator, deterministic order, one sharded
+            // visited set. Workers may still have priced duplicate
+            // successors (two states can reach the same *new* third state
+            // in one window); the insert drops them here. Once the budget
+            // stops the merge, the window's remaining chunks are only
+            // *counted* (the workers evaluated them either way), never
+            // accepted — and a worker error in that discarded region is
+            // dropped with them.
+            let mut merging = true;
+            for chunk in expanded {
+                let chunk = match chunk {
+                    Ok(c) => c,
+                    Err(e) if merging => return Err(e),
+                    Err(_) => continue,
+                };
+                col.rejections(&chunk.rej);
+                for _ in 0..chunk.dedup_delta {
+                    col.evaluated(true);
+                    col.deduplicated();
                 }
-                if pacer.tick() {
-                    budget_exhausted = true;
-                    merging = false;
-                    continue;
+                for _ in 0..chunk.dedup_full {
+                    col.evaluated(false);
+                    col.deduplicated();
                 }
-                match visited.insert(next.fp) {
-                    Admit::Duplicate => {
-                        col.deduplicated();
+                for next in chunk.fresh {
+                    col.evaluated(next.via_delta());
+                    if !merging {
                         continue;
                     }
-                    Admit::CapReached => {
+                    if pacer.tick() {
                         budget_exhausted = true;
                         merging = false;
                         continue;
                     }
-                    Admit::Fresh => {}
-                }
-                let total = next.total;
-                let strict = total < best_cost;
-                let improves = strict || {
-                    total == best_cost && {
-                        // Reuse the lazily-built signatures: the
-                        // incumbent's is computed at most once per reign,
-                        // and a tie-winner donates its own.
-                        let sig = next.wf.signature();
-                        let wins = {
-                            let cur = best_sig.get_or_insert_with(|| best.signature());
-                            sig < *cur
-                        };
-                        if wins {
-                            best_sig = Some(sig);
+                    match visited.insert(next.fp) {
+                        Admit::Duplicate => {
+                            col.deduplicated();
+                            continue;
                         }
-                        wins
+                        Admit::CapReached => {
+                            budget_exhausted = true;
+                            merging = false;
+                            continue;
+                        }
+                        Admit::Fresh => {}
                     }
-                };
-                next_frontier.push(next);
-                if improves {
-                    if strict {
-                        best_sig = None;
+                    let total = next.total;
+                    let strict = total < best_cost;
+                    let improves = strict || {
+                        total == best_cost && {
+                            // Reuse the lazily-built signatures: the
+                            // incumbent's is computed at most once per
+                            // reign, and a tie-winner donates its own.
+                            let sig = next.wf.signature();
+                            let wins = {
+                                let cur = best_sig.get_or_insert_with(|| best.signature());
+                                sig < *cur
+                            };
+                            if wins {
+                                best_sig = Some(sig);
+                            }
+                            wins
+                        }
+                    };
+                    next_frontier.push(next);
+                    if improves {
+                        if strict {
+                            best_sig = None;
+                        }
+                        best_cost = total;
+                        gen_best = Some(next_frontier.len() - 1);
                     }
-                    best_cost = total;
-                    gen_best = Some(next_frontier.len() - 1);
                 }
             }
         }

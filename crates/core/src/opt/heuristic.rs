@@ -306,7 +306,7 @@ impl<'m> Runner<'m> {
                     Some((snew.fingerprint(), snew, c))
                 })();
                 (out, rej)
-            });
+            })?;
             // Rejections first, over *every* item: the workers evaluated
             // them all, so counting must not depend on where the budget
             // stops the merge below.
@@ -376,7 +376,7 @@ impl<'m> Runner<'m> {
                     Some((snew.fingerprint(), snew, c))
                 })();
                 (out, rej)
-            });
+            })?;
             for (_, rej) in &evals {
                 self.col.rejections(rej);
             }
@@ -421,7 +421,7 @@ impl<'m> Runner<'m> {
         self.phase_started("IV swaps");
         let span = Span::start("IV swaps");
         let model = self.model;
-        let costs: Vec<Result<f64>> = self.threads.map(&collected, |s| state_total(model, s));
+        let costs: Vec<Result<f64>> = self.threads.map(&collected, |s| state_total(model, s))?;
         let mut ranked: Vec<(f64, &Workflow)> = costs
             .into_iter()
             .zip(&collected)
@@ -592,7 +592,7 @@ impl<'m> Runner<'m> {
                 let mut rej = Rejections::default();
                 let out = s.step_transition(sw, model, &mut rej);
                 (out, rej)
-            });
+            })?;
             for (_, rej) in &evals {
                 self.col.rejections(rej);
             }
@@ -645,7 +645,7 @@ impl<'m> Runner<'m> {
                 let mut rej = Rejections::default();
                 let out = cur.step_transition(sw, model, &mut rej);
                 (out, rej)
-            });
+            })?;
             for (_, rej) in &evals {
                 self.col.rejections(rej);
             }
@@ -709,7 +709,7 @@ impl<'m> Runner<'m> {
                 let mut rej = Rejections::default();
                 let out = cur.step_transition(sw, model, &mut rej);
                 (out, rej)
-            });
+            })?;
             // Count rejections across the whole speculative batch — the
             // workers evaluated every remaining pair, including the stale
             // tail the acceptance below throws away.

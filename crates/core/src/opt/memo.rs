@@ -118,7 +118,7 @@ impl MoveMemo {
                     continue;
                 }
                 let start = out.len();
-                binary_moves(wf, a, &providers, c, &mut out);
+                binary_moves(wf, a, providers, c, &mut out);
                 if cacheable {
                     self.insert(key, out[start..].to_vec());
                 }
@@ -128,7 +128,9 @@ impl MoveMemo {
     }
 
     fn extend_cached(&self, key: u128, out: &mut Vec<Move>) -> bool {
-        let map = self.cache.read().expect("memo lock poisoned");
+        // Entries are inserted whole, so the map is valid even if a thread
+        // panicked while holding the lock: recover the guard.
+        let map = self.cache.read().unwrap_or_else(|e| e.into_inner());
         match map.get(&key) {
             Some(v) => {
                 out.extend_from_slice(v);
@@ -143,7 +145,7 @@ impl MoveMemo {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.cache
             .write()
-            .expect("memo lock poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .insert(key, val);
     }
 }

@@ -9,6 +9,10 @@
 //! maintained **semi-incrementally** (§4.1) — only the path from the
 //! activities a transition touched towards the targets is re-priced.
 
+// A search runs inside daemon workers: a broken invariant here must come
+// back as a typed error, never take the process down.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 pub mod adaptive;
 mod beam;
 mod eval;
@@ -261,28 +265,51 @@ pub(crate) struct ExpandChunk {
     pub(crate) dedup_full: u64,
 }
 
-/// Expand one BFS frontier across the worker pool. Workers enumerate moves
-/// through the shared [`MoveMemo`], price each successor incrementally, and
-/// drop successors already in `visited` without funneling them through the
-/// coordinator — the set is quiescent while workers run (only the
-/// coordinator inserts, between rounds), so the pre-filter's outcome is
-/// deterministic at any thread count. Results come back in (frontier index,
-/// move index) order.
+/// Frontier states expanded between two merges of the generation loop.
+///
+/// The state budget can only stop work at a merge, so the window bounds
+/// what a search evaluates past its cap: at most `EXPAND_WINDOW` states'
+/// move lists. It is a constant — never derived from the thread count and
+/// not a budget field — because which successors get evaluated, and hence
+/// every deterministic counter, depends on where the merges fall. It is
+/// [`Threads::map`]'s inline threshold: the narrowest window that still
+/// fans out to workers.
+pub const EXPAND_WINDOW: usize = 8;
+
+/// Expand one window of a BFS frontier across the worker pool. Workers
+/// enumerate moves through the shared [`MoveMemo`], price each successor
+/// incrementally, and drop successors already in `visited` without
+/// funneling them through the coordinator — the set is quiescent while
+/// workers run (only the coordinator inserts, between windows), so the
+/// pre-filter's outcome is deterministic at any thread count. Results come
+/// back in (frontier index, move index) order.
+///
+/// `room` is how many more states `visited` can admit. A state stops
+/// producing successors once it holds `room` distinct ones that `visited`
+/// lacks: after the merge each of them is in the set (inserted by this
+/// state or by an earlier one of the window) unless the cap was hit first,
+/// so the set grew by `room` and is full either way — whatever the state
+/// would have produced next could only have been counted, never admitted.
 pub(crate) fn expand_frontier(
-    frontier: &[EvalState],
+    window: &[EvalState],
     threads: &Threads,
     memo: &MoveMemo,
     model: &dyn CostModel,
     visited: &ShardedVisited,
-) -> Vec<Result<ExpandChunk>> {
-    threads.map(frontier, |state| {
+    room: usize,
+) -> Result<Vec<Result<ExpandChunk>>> {
+    threads.map(window, |state| {
         let mut chunk = ExpandChunk {
             fresh: Vec::new(),
             rej: crate::trace::Rejections::default(),
             dedup_delta: 0,
             dedup_full: 0,
         };
+        let mut distinct = 0usize;
         for mv in memo.moves(&state.wf)? {
+            if distinct >= room {
+                break;
+            }
             let Some(next) = state.step_move(&mv, model, &mut chunk.rej) else {
                 continue;
             };
@@ -294,6 +321,12 @@ pub(crate) fn expand_frontier(
                     chunk.dedup_full += 1;
                 }
             } else {
+                // Two moves of one state can meet in the same successor;
+                // the repeat goes to the merge (which counts it as a
+                // duplicate) but fills no room.
+                if chunk.fresh.iter().all(|seen| seen.fp != next.fp) {
+                    distinct += 1;
+                }
                 chunk.fresh.push(next);
             }
         }

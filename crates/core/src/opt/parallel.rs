@@ -22,6 +22,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use crate::error::{CoreError, Result};
+
 /// A worker-count handle; see [`Threads::map`].
 #[derive(Debug)]
 pub(crate) struct Threads {
@@ -62,7 +64,11 @@ impl Threads {
     /// With one worker (or a tiny input) this is a plain sequential map on
     /// the calling thread — the `parallelism = 1` knob therefore exercises
     /// the *same* code path the parallel run does, minus the threads.
-    pub(crate) fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    ///
+    /// A panic in `f` on a worker thread comes back as
+    /// [`CoreError::WorkerPanicked`] once every worker has been joined; it
+    /// does not unwind through the caller.
+    pub(crate) fn map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
     where
         T: Sync,
         R: Send + Sync,
@@ -72,7 +78,7 @@ impl Threads {
             if !items.is_empty() {
                 self.batches[0].fetch_add(1, Ordering::Relaxed);
             }
-            return items.iter().map(f).collect();
+            return Ok(items.iter().map(f).collect());
         }
         let slots: Vec<OnceLock<R>> = (0..items.len()).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
@@ -80,31 +86,47 @@ impl Threads {
         // Batch size: 8 claims per worker keeps the tail balanced while
         // cutting cursor traffic by ~batch×.
         let batch = (items.len() / (workers * 8)).max(1);
-        std::thread::scope(|scope| {
+        let joined: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
             let cursor = &cursor;
             let slots = &slots;
             let f = &f;
-            for w in 0..workers {
-                let claimed = &self.batches[w];
-                scope.spawn(move || loop {
-                    let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    let end = (start + batch).min(items.len());
-                    for i in start..end {
-                        // A slot is claimed by exactly one worker (the
-                        // cursor hands out each index once), so `set`
-                        // cannot collide.
-                        let _ = slots[i].set(f(&items[i]));
-                    }
-                });
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let claimed = &self.batches[w];
+                    scope.spawn(move || loop {
+                        let start = cursor.fetch_add(batch, Ordering::Relaxed);
+                        if start >= items.len() {
+                            break;
+                        }
+                        claimed.fetch_add(1, Ordering::Relaxed);
+                        let end = (start + batch).min(items.len());
+                        for i in start..end {
+                            // A slot is claimed by exactly one worker (the
+                            // cursor hands out each index once), so `set`
+                            // cannot collide.
+                            let _ = slots[i].set(f(&items[i]));
+                        }
+                    })
+                })
+                .collect();
+            // Join every handle: the scope re-raises the panic of any
+            // thread it has to join itself.
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        if let Some(payload) = joined.into_iter().find_map(std::result::Result::err) {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            return Err(CoreError::WorkerPanicked(what));
+        }
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled"))
+            .map(|slot| {
+                slot.into_inner()
+                    .ok_or_else(|| CoreError::WorkerPanicked("a result slot stayed empty".into()))
+            })
             .collect()
     }
 }
@@ -116,7 +138,7 @@ mod tests {
     #[test]
     fn map_preserves_input_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = Threads::new(8).map(&items, |&x| x * 2);
+        let out = Threads::new(8).map(&items, |&x| x * 2).unwrap();
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -125,15 +147,15 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let f = |&x: &u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
         assert_eq!(
-            Threads::new(1).map(&items, f),
-            Threads::new(4).map(&items, f)
+            Threads::new(1).map(&items, f).unwrap(),
+            Threads::new(4).map(&items, f).unwrap()
         );
     }
 
     #[test]
     fn tiny_inputs_run_inline() {
         // Not observable directly, but must not deadlock or reorder.
-        let out = Threads::new(16).map(&[1, 2, 3], |&x: &i32| x + 1);
+        let out = Threads::new(16).map(&[1, 2, 3], |&x: &i32| x + 1).unwrap();
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -142,7 +164,7 @@ mod tests {
         // 1000 items / 3 workers → batch > 1; every index must still be
         // claimed exactly once and land in order.
         let items: Vec<usize> = (0..1000).collect();
-        let out = Threads::new(3).map(&items, |&x| x + 1);
+        let out = Threads::new(3).map(&items, |&x| x + 1).unwrap();
         assert_eq!(out, (1..=1000).collect::<Vec<_>>());
     }
 
@@ -166,7 +188,7 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let out = Threads::new(0).map(&[5], |&x: &i32| x);
+        let out = Threads::new(0).map(&[5], |&x: &i32| x).unwrap();
         assert_eq!(out, vec![5]);
     }
 
@@ -176,9 +198,26 @@ mod tests {
         let items: Vec<u32> = std::iter::once(1_000_000)
             .chain(std::iter::repeat_n(10, 63))
             .collect();
-        let out = Threads::new(4).map(&items, |&n| (0..n).fold(0u64, |a, x| a ^ u64::from(x)));
+        let work = |&n: &u32| (0..n).fold(0u64, |a, x| a ^ u64::from(x));
+        let out = Threads::new(4).map(&items, work).unwrap();
         assert_eq!(out.len(), 64);
-        let seq = Threads::new(1).map(&items, |&n| (0..n).fold(0u64, |a, x| a ^ u64::from(x)));
-        assert_eq!(out, seq);
+        assert_eq!(out, Threads::new(1).map(&items, work).unwrap());
+    }
+
+    #[test]
+    fn a_panicking_worker_is_a_typed_error() {
+        // Regression: the scope used to re-raise the panic in the caller,
+        // and the slot collection `expect`ed every slot filled.
+        let items: Vec<usize> = (0..64).collect();
+        let err = Threads::new(4)
+            .map(&items, |&x| {
+                assert_ne!(x, 13, "unlucky item");
+                x
+            })
+            .unwrap_err();
+        let CoreError::WorkerPanicked(what) = &err else {
+            panic!("expected WorkerPanicked, got {err:?}");
+        };
+        assert!(what.contains("unlucky item"), "{what}");
     }
 }

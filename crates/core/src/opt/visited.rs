@@ -122,6 +122,11 @@ impl ShardedVisited {
         self.len() >= self.cap
     }
 
+    /// How many more fingerprints the cap admits.
+    pub fn room(&self) -> usize {
+        self.cap.saturating_sub(self.len())
+    }
+
     /// Number of shards (constant; exposed for telemetry).
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -43,8 +43,8 @@ pub fn predicted_processed_rows(
     for id in wf.activities()? {
         let act = graph.activity(id)?;
         let mut processed = 0.0;
-        for p in graph.providers(id)?.into_iter().flatten() {
-            processed += report.rows.get(&p).copied().unwrap_or(0.0);
+        for p in graph.providers(id)?.iter().flatten() {
+            processed += report.rows.get(p).copied().unwrap_or(0.0);
         }
         out.insert(act.id.to_string(), processed);
     }

@@ -12,87 +12,96 @@ use crate::error::{CoreError, Result};
 use crate::graph::{Graph, Node, NodeId};
 use crate::schema::Schema;
 
+/// A failed regeneration: the node whose schemata could not be derived,
+/// and why. Transitions report that node in their applicability error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegenFailure {
+    /// The node the walk was deriving when it failed.
+    pub node: NodeId,
+    /// The underlying error.
+    pub error: CoreError,
+}
+
 /// Re-derive all schemata from source recordsets forward. Intermediate
 /// recordsets adopt the schema of the flow written into them; *target*
 /// schemata are validated by [`crate::workflow::Workflow::validate`], not
 /// here, so the regeneration itself stays role-agnostic.
+///
+/// This is the from-scratch reference: every node is re-derived, whatever
+/// its stored schemata say.
 pub fn regenerate(graph: &mut Graph) -> Result<()> {
-    regenerate_nodes(graph, None)
+    let order = graph.topo_order()?;
+    regenerate_nodes(graph, &order, None).map_err(|f| f.error)
 }
 
-/// Re-derive schemata only for the nodes in (or downstream of) `starts` —
-/// the incremental form used after a transition, where everything upstream
-/// of the rewired nodes is untouched by construction.
-pub fn regenerate_downstream(graph: &mut Graph, starts: &[NodeId]) -> Result<()> {
-    let dirty = downstream_of(graph, starts)?;
-    regenerate_nodes(graph, Some(&dirty))
+/// Re-derive schemata only where a transition that rewired `starts` can
+/// have changed them — the incremental form used after a transition, where
+/// everything upstream of the rewired nodes is untouched by construction.
+///
+/// The walk visits the nodes downstream of `starts` in topological order
+/// but *cuts propagation off* wherever nothing changed: a node whose stored
+/// input schemata still equal its providers' current outputs keeps its
+/// stored output without re-deriving it (§4.1's "only the path from the
+/// affected activities towards the targets changes", applied to schemata —
+/// after most swaps the pair's combined output is what it was, and nothing
+/// further down is touched or even cloned).
+///
+/// "Same inputs ⇒ same output" presumes the stored output was derived from
+/// the stored inputs. That holds for every node the transition did not
+/// create or re-semanticize, but not for a node it just inserted: FAC
+/// places a fresh activity (copied inputs, *empty* output) after the
+/// binary, possibly in a recycled arena slot that is not among `starts`.
+/// So the nodes in `starts` and their direct consumers — everything a
+/// transition rewires or inserts — are always re-derived; the cutoff
+/// applies from the second hop on.
+pub fn regenerate_downstream(
+    graph: &mut Graph,
+    starts: &[NodeId],
+) -> std::result::Result<(), RegenFailure> {
+    let dirty = downstream_of(graph, starts).map_err(|error| {
+        let node = match error {
+            CoreError::CyclicGraph { node } | CoreError::UnknownNode(node) => node,
+            // The ordering raises nothing else; blame the first rewired node.
+            _ => starts.first().copied().unwrap_or(NodeId(0)),
+        };
+        RegenFailure { node, error }
+    })?;
+    regenerate_nodes(graph, &dirty, Some(starts))
 }
 
-fn regenerate_nodes(graph: &mut Graph, only: Option<&[NodeId]>) -> Result<()> {
-    let order = match only {
-        None => graph.topo_order()?,
-        Some(dirty) => dirty.to_vec(), // already topologically ordered
-    };
-    for &id in &order {
-        let providers = graph.providers(id)?;
-        // Collect provider output schemata first (immutable pass).
-        let mut inputs: Vec<Option<Schema>> = Vec::with_capacity(providers.len());
-        for p in &providers {
-            inputs.push(match p {
-                Some(pid) => Some(graph.node(*pid)?.output_schema().clone()),
-                None => None,
-            });
-        }
+/// What [`refresh`] found a node's schemata should become.
+enum Update {
+    /// Fresh inputs (`None`: the stored ones still hold) and output.
+    Activity(Option<Vec<Schema>>, Schema),
+    Recordset(Schema),
+}
+
+/// Walk `order` (topological), refreshing each node's schemata from its
+/// providers' current outputs. With `rewired = None` every node is
+/// re-derived; otherwise only the rewired nodes, their direct consumers,
+/// and nodes whose stored inputs no longer equal those outputs.
+fn regenerate_nodes(
+    graph: &mut Graph,
+    order: &[NodeId],
+    rewired: Option<&[NodeId]>,
+) -> std::result::Result<(), RegenFailure> {
+    for &id in order {
+        let fail = |error: CoreError| RegenFailure { node: id, error };
         // Derive from the *current* node first and mutate only on change:
         // `node_mut` is copy-on-write, so an unconditional write would
         // detach every node's `Arc` from sibling states and turn the cheap
         // structural-sharing clone back into a deep copy.
-        enum Update {
-            Activity(Vec<Schema>, Schema),
-            Recordset(Schema),
-        }
-        let update = match graph.node(id)? {
-            Node::Activity(act) => {
-                let mut in_schemas = Vec::with_capacity(inputs.len());
-                for (port, s) in inputs.into_iter().enumerate() {
-                    match s {
-                        Some(s) => in_schemas.push(s),
-                        None => return Err(CoreError::MissingProvider { node: id, port }),
+        match refresh(graph, id, rewired).map_err(fail)? {
+            Some(Update::Activity(inputs, output)) => {
+                if let Node::Activity(act) = graph.node_mut(id).map_err(fail)? {
+                    if let Some(inputs) = inputs {
+                        act.inputs = inputs;
                     }
-                }
-                let output = act.derive_output(&in_schemas)?;
-                if act.inputs != in_schemas || act.output != output {
-                    Some(Update::Activity(in_schemas, output))
-                } else {
-                    None
-                }
-            }
-            Node::Recordset(rs) => {
-                // An intermediate recordset materializes exactly what
-                // flows in. A *target* with a declared schema keeps
-                // it: the flow must match (equivalence condition (a),
-                // §3.4) and `Workflow::validate` rejects the state
-                // otherwise. A target declared without a schema
-                // adopts the flow as a convenience.
-                let is_target = graph.consumers(id)?.is_empty();
-                let keep_declared = is_target && !rs.schema.is_empty();
-                match inputs.first() {
-                    Some(Some(s)) if !keep_declared && !rs.schema.same_attrs(s) => {
-                        Some(Update::Recordset(s.clone()))
-                    }
-                    _ => None,
-                }
-            }
-        };
-        match update {
-            Some(Update::Activity(in_schemas, output)) => {
-                if let Node::Activity(act) = graph.node_mut(id)? {
-                    act.inputs = in_schemas;
                     act.output = output;
                 }
             }
             Some(Update::Recordset(s)) => {
-                if let Node::Recordset(rs) = graph.node_mut(id)? {
+                if let Node::Recordset(rs) = graph.node_mut(id).map_err(fail)? {
                     rs.schema = s;
                 }
             }
@@ -100,6 +109,59 @@ fn regenerate_nodes(graph: &mut Graph, only: Option<&[NodeId]>) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// The schemata node `id` should carry given its providers' current
+/// outputs, or `None` when it already carries them.
+fn refresh(graph: &Graph, id: NodeId, rewired: Option<&[NodeId]>) -> Result<Option<Update>> {
+    let providers = graph.providers(id)?;
+    match graph.node(id)? {
+        Node::Activity(act) => {
+            // Compare by reference; clone a provider's schema only when it
+            // has to be stored.
+            let mut same_inputs = act.inputs.len() == providers.len();
+            for (port, p) in providers.iter().enumerate() {
+                let pid = p.ok_or(CoreError::MissingProvider { node: id, port })?;
+                let flow = graph.node(pid)?.output_schema();
+                same_inputs = same_inputs && act.inputs.get(port) == Some(flow);
+            }
+            let must_derive = rewired.is_none_or(|starts| {
+                starts.contains(&id) || providers.iter().flatten().any(|p| starts.contains(p))
+            });
+            if same_inputs && !must_derive {
+                return Ok(None);
+            }
+            let fresh = if same_inputs {
+                None
+            } else {
+                let mut inputs = Vec::with_capacity(providers.len());
+                for p in providers.iter().flatten() {
+                    inputs.push(graph.node(*p)?.output_schema().clone());
+                }
+                Some(inputs)
+            };
+            let output = act.derive_output(fresh.as_deref().unwrap_or(&act.inputs))?;
+            Ok(
+                (fresh.is_some() || act.output != output)
+                    .then_some(Update::Activity(fresh, output)),
+            )
+        }
+        Node::Recordset(rs) => {
+            // An intermediate recordset materializes exactly what flows
+            // in. A *target* with a declared schema keeps it: the flow must
+            // match (equivalence condition (a), §3.4) and
+            // `Workflow::validate` rejects the state otherwise. A target
+            // declared without a schema adopts the flow as a convenience.
+            let is_target = graph.consumers(id)?.is_empty();
+            let keep_declared = is_target && !rs.schema.is_empty();
+            let Some(Some(pid)) = providers.first() else {
+                return Ok(None);
+            };
+            let flow = graph.node(*pid)?.output_schema();
+            Ok((!keep_declared && !rs.schema.same_attrs(flow))
+                .then(|| Update::Recordset(flow.clone())))
+        }
+    }
 }
 
 /// Check whether regeneration *would* succeed on this graph without

@@ -63,9 +63,9 @@ pub fn render(wf: &Workflow) -> Result<String> {
         let input_refs = || -> Result<String> {
             let providers: Vec<String> = graph
                 .providers(id)?
-                .into_iter()
+                .iter()
                 .flatten()
-                .map(|p| names[&p].clone())
+                .map(|p| names[p].clone())
                 .collect();
             Ok(providers.join(", "))
         };

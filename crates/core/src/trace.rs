@@ -176,10 +176,16 @@ pub struct SearchStats {
     pub deduplicated: u64,
     /// Distinct states whose outgoing transitions were enumerated and
     /// applied (each fingerprint counted once, however often a phase
-    /// revisits it).
+    /// revisits it). ES and beam count a state when its window is handed to
+    /// the workers, so frontier states a budget stop never reached are not
+    /// in here.
     pub expanded: u64,
-    /// Distinct generated states never expanded: dropped by a budget stop,
-    /// a collection cap, or run termination. Derived at finish time as
+    /// Distinct generated states never expanded: admitted states the run
+    /// ended before reaching (a budget stop, a collection cap, beam
+    /// truncation), plus what was priced but could not be admitted any more
+    /// — for ES and beam at most one window of move lists
+    /// ([`crate::opt::EXPAND_WINDOW`]), because expansion stops at the
+    /// first merge that fills the budget. Derived at finish time as
     /// `generated − deduplicated − expanded`; an accounting bug that makes
     /// that subtraction underflow poisons the field to `u64::MAX` so
     /// [`SearchStats::reconciles`] fails loudly instead of hiding it.

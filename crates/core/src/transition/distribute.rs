@@ -93,10 +93,10 @@ impl Transition for Distribute {
             .graph()
             .providers(self.binary)
             .unwrap_or_default()
-            .into_iter()
+            .iter()
             .flatten()
         {
-            nodes.push(p);
+            nodes.push(*p);
         }
         nodes
     }

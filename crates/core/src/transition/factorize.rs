@@ -159,10 +159,10 @@ impl Transition for Factorize {
             .graph()
             .providers(self.binary)
             .unwrap_or_default()
-            .into_iter()
+            .iter()
             .flatten()
         {
-            nodes.push(p);
+            nodes.push(*p);
         }
         nodes
     }

@@ -203,12 +203,14 @@ pub trait Transition: fmt::Debug {
 /// transitions' structural invariants plus the always-on target-schema
 /// check.
 pub(crate) fn finalize(mut wf: Workflow, affected: &[NodeId]) -> Result<Workflow, TransitionError> {
-    crate::schema_gen::regenerate_downstream(&mut wf.graph, affected).map_err(|e| match e {
-        CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
-            node: NodeId(u32::MAX),
-            detail,
-        },
-        other => TransitionError::Graph(other),
+    crate::schema_gen::regenerate_downstream(&mut wf.graph, affected).map_err(|f| {
+        match f.error {
+            CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
+                node: f.node,
+                detail,
+            },
+            other => TransitionError::Graph(other),
+        }
     })?;
     // Equivalence condition (a): targets must still receive their declared
     // schema. Cheap (targets only), always on.
@@ -236,6 +238,45 @@ pub(crate) fn finalize(mut wf: Workflow, affected: &[NodeId]) -> Result<Workflow
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Predicate;
+    use crate::schema::Schema;
+    use crate::semantics::UnaryOp;
+    use crate::workflow::WorkflowBuilder;
+
+    #[test]
+    fn finalize_blames_the_activity_whose_schema_broke() {
+        // Fig. 5: S → $2€ → σ(€) → T. `Swap` refuses the pair in its
+        // structural check; rewire it by hand so the regeneration walk is
+        // what meets σ(€) reading an attribute nothing upstream generates.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["pkey", "dollar_cost"]), 100.0);
+        let f = b.unary(
+            "$2E",
+            UnaryOp::function("dollar2euro", ["dollar_cost"], "euro_cost"),
+            s,
+        );
+        let sel = b.unary("σ", UnaryOp::filter(Predicate::gt("euro_cost", 100)), f);
+        let t = b.target("T", Schema::of(["pkey", "euro_cost"]), sel);
+        let wf = b.build().unwrap();
+
+        let mut out = wf.clone();
+        let g = &mut out.graph;
+        for node in [f, sel, t] {
+            g.disconnect(node, 0).unwrap();
+        }
+        g.connect(s, sel, 0).unwrap();
+        g.connect(sel, f, 0).unwrap();
+        g.connect(f, t, 0).unwrap();
+
+        let err = finalize(out, &[f, sel]).unwrap_err();
+        let TransitionError::FunctionalityViolated { node, .. } = &err else {
+            panic!("expected a functionality violation, got {err:?}");
+        };
+        // Regression: this used to be `NodeId(u32::MAX)`, displayed as
+        // "functionality schema of n4294967295 violated".
+        assert_eq!(*node, sel, "{err}");
+        assert_eq!(wf.graph().activity(*node).unwrap().label, "σ");
+    }
 
     #[test]
     fn kinds_render_paper_notation() {

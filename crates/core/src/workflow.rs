@@ -169,9 +169,9 @@ impl Workflow {
                 .graph
                 .providers(id)
                 .unwrap_or_default()
-                .into_iter()
+                .iter()
                 .flatten()
-                .map(|p| self.priority_token(p))
+                .map(|p| self.priority_token(*p))
                 .collect();
             let from = if providers.is_empty() {
                 String::new()

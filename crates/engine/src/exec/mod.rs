@@ -220,8 +220,8 @@ pub(crate) fn plan_cache(
                 }
                 counters.cache_misses += 1;
             }
-            for p in graph.providers(id)?.into_iter().flatten() {
-                stack.push(p);
+            for p in graph.providers(id)?.iter().flatten() {
+                stack.push(*p);
             }
         }
         plan.hashes = Some(h);
@@ -328,7 +328,7 @@ pub(crate) fn run_stream(
             }
             Node::Activity(act) => {
                 let mut inputs: Vec<BoxIter> = Vec::new();
-                for p in graph.providers(id)? {
+                for &p in graph.providers(id)? {
                     let p = p.ok_or(EngineError::Core(CoreError::MissingProvider {
                         node: id,
                         port: 0,

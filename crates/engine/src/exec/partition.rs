@@ -1341,7 +1341,7 @@ impl Planner<'_, '_> {
         };
         let key = act.id.to_string();
         let mut ids = Vec::new();
-        for p in graph.providers(id)? {
+        for &p in graph.providers(id)? {
             ids.push(p.ok_or(EngineError::Core(CoreError::MissingProvider {
                 node: id,
                 port: 0,

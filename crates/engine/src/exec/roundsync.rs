@@ -484,7 +484,7 @@ pub(crate) fn run_round_sync(
             }
             Node::Activity(act) => {
                 let mut inputs: Vec<PartSet> = Vec::new();
-                for p in graph.providers(id)? {
+                for &p in graph.providers(id)? {
                     let p = p.ok_or(EngineError::Core(CoreError::MissingProvider {
                         node: id,
                         port: 0,

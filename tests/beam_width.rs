@@ -30,22 +30,30 @@ fn budget() -> SearchBudget {
 }
 
 /// `(seed, best_cost.to_bits(), visited_states, FNV-1a of counters_json())`
-/// for ES under [`budget`] on the small scenario of each smoke seed,
-/// captured at commit 9c4da12 — the last one where `exhaustive.rs` had a
-/// generation loop of its own. ES and beam now run one loop, so comparing
-/// them would compare a function with itself; these constants are what
-/// says ES did not move.
+/// for ES under [`budget`] on the small scenario of each smoke seed. The
+/// cost bits and visited counts were captured at commit 9c4da12 — the last
+/// one where `exhaustive.rs` had a generation loop of its own. ES and beam
+/// now run one loop, so comparing them would compare a function with
+/// itself; these constants are what says ES did not move.
+///
+/// The counter digests were recaptured when expansion became
+/// budget-bounded (ISSUE 13): all ten runs hit the 4 000-state cap, and the
+/// counters used to include every successor the last generation evaluated
+/// after the cap could no longer admit it (`generated`, `deduplicated`,
+/// `pruned`, `expanded`, the rejection table). The search no longer does
+/// that work, so those counts shrank; the accepted set — cost bits and
+/// visited counts, left as captured — did not.
 const ES_GOLDENS: [(u64, u64, usize, u64); 10] = [
-    (2, 0x4107ba953ba5e480, 4000, 0x2a88f94987b5cd1c),
-    (4, 0x40e011f38d941aad, 4000, 0xff8d123998467366),
-    (10, 0x40fa6d38bab4211a, 4000, 0x900cb279635507b4),
-    (11, 0x40d11fdc2f38d95d, 4000, 0x6dec57645eb89d0f),
-    (13, 0x40f8c8f6c5302de3, 4000, 0xea81985f99fb56e0),
-    (19, 0x40e6824ca920deea, 4000, 0x4813ab3723b4e284),
-    (21, 0x41069e3bd65c0148, 4000, 0xc8ddbce6f7bbcc4d),
-    (22, 0x40eb58279fb09c5b, 4000, 0x96e95afaa1b528ae),
-    (27, 0x40f47b0df1fb186b, 4000, 0xd03a95958a08d905),
-    (32, 0x40f34e23a63a4d50, 4000, 0x059b4e6f89717ffe),
+    (2, 0x4107ba953ba5e480, 4000, 0x6c5be1c9c07ff6a0),
+    (4, 0x40e011f38d941aad, 4000, 0x1e327061bbc024fe),
+    (10, 0x40fa6d38bab4211a, 4000, 0x1c7af68ef3af379f),
+    (11, 0x40d11fdc2f38d95d, 4000, 0xf88bc60c9597d26f),
+    (13, 0x40f8c8f6c5302de3, 4000, 0x99b1259e6af383a2),
+    (19, 0x40e6824ca920deea, 4000, 0x24fff286b342b434),
+    (21, 0x41069e3bd65c0148, 4000, 0x40933e6389bed594),
+    (22, 0x40eb58279fb09c5b, 4000, 0x2b71a4c92d9cb18a),
+    (27, 0x40f47b0df1fb186b, 4000, 0x81c6db7718c67922),
+    (32, 0x40f34e23a63a4d50, 4000, 0x39a9d4da05586fec),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -3,16 +3,12 @@
 //! byte-identical to the forced-sequential run. Parallelism may only change
 //! wall-clock time, never the answer.
 
-use etlopt::core::opt::SearchBudget;
+use etlopt::core::opt::{SearchBudget, EXPAND_WINDOW};
 use etlopt::prelude::*;
 use etlopt::workload::{Generator, GeneratorConfig, SizeCategory};
 
 /// Assert two outcomes are indistinguishable to a caller.
-fn assert_same_outcome(
-    label: &str,
-    a: &etlopt::core::opt::SearchOutcome,
-    b: &etlopt::core::opt::SearchOutcome,
-) {
+fn assert_same_outcome(label: &str, a: &SearchOutcome, b: &SearchOutcome) {
     assert_eq!(
         a.best_cost.to_bits(),
         b.best_cost.to_bits(),
@@ -128,6 +124,54 @@ fn beam_parallel_matches_sequential_on_generated_workloads() {
                     &outcomes[0],
                     par,
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_binding_state_budget_stops_expansion_within_one_window() {
+    // ES and beam expand a generation window by window and stop at the
+    // first merge that fills the budget. What they evaluate past the cap
+    // (`generated − deduplicated − visited_states`: priced successors that
+    // were neither known nor admitted) is therefore at most one window of
+    // move lists — before, it was the whole rest of the last generation,
+    // thousands of states on a medium workflow. Where the windows fall is
+    // the same at any thread count, so the counters stay byte-identical.
+    let model = RowCountModel::default();
+    for (name, wf) in scenarios() {
+        for cap in [1usize, 2, 3, 7, 19, 100, 400] {
+            let runs = |threads: usize| -> [SearchOutcome; 2] {
+                let budget = SearchBudget::states(cap).with_parallelism(threads);
+                [
+                    ExhaustiveSearch::with_budget(budget)
+                        .run(&wf, &model)
+                        .unwrap(),
+                    BeamSearch::with_budget(budget).run(&wf, &model).unwrap(),
+                ]
+            };
+            let seq = runs(1);
+            for out in &seq {
+                let label = format!("{} cap {cap} on {name}", out.stats.algorithm);
+                assert!(out.visited_states <= cap, "{label}: overshot the budget");
+                // A state has at most one SWA per unary activity and a FAC
+                // plus a DIS per binary one; only DIS adds an activity, so
+                // `g` generations deep there are at most `g` more of them.
+                let widest = 2 * (wf.activity_count() + out.stats.frontier_sizes.len());
+                let overhang =
+                    out.stats.generated - out.stats.deduplicated - out.visited_states as u64;
+                assert!(
+                    overhang <= (EXPAND_WINDOW * widest) as u64,
+                    "{label}: {overhang} states evaluated past the cap, window \
+                     {EXPAND_WINDOW} × move lists of at most {widest}\n{}",
+                    out.stats.counters_json()
+                );
+            }
+            for threads in [2usize, 4] {
+                for (a, b) in seq.iter().zip(&runs(threads)) {
+                    let label = format!("{} cap {cap} t={threads} on {name}", a.stats.algorithm);
+                    assert_same_outcome(&label, a, b);
+                }
             }
         }
     }
