@@ -100,8 +100,36 @@ impl EvalState {
         model: &dyn CostModel,
         rej: &mut Rejections,
     ) -> Option<Result<EvalState>> {
-        match t.apply(&self.wf) {
-            Ok(next) => Some(self.step_applied(next, &t.affected(&self.wf), model)),
+        self.step_chain(&self.wf, Vec::new(), t, model, rej)
+    }
+
+    /// Close a chain of transitions with `t`. `shifted` is this state after
+    /// the chain's earlier links and `touched` the union of their
+    /// [`Transition::affected`] nodes; the successor is priced and
+    /// fingerprinted against *this* state's tables by one dirty walk over
+    /// `touched` plus `t`'s own affected nodes, so `shifted` never is.
+    ///
+    /// Exact for the reason one link is. A link cuts only edges that end at
+    /// one of its affected nodes, at a node it deletes, or at a consumer of
+    /// an affected node, so a path that made a node dirty at one link still
+    /// leads to it from some link's affected node after the later links. In
+    /// the final graph every node whose providers or provider values
+    /// changed anywhere along the chain is therefore downstream of
+    /// `touched ∪ affected(t)`, and every other node keeps the value this
+    /// state's tables hold for it (DESIGN §6a).
+    pub fn step_chain<T: Transition>(
+        &self,
+        shifted: &Workflow,
+        mut touched: Vec<NodeId>,
+        t: &T,
+        model: &dyn CostModel,
+        rej: &mut Rejections,
+    ) -> Option<Result<EvalState>> {
+        match t.apply(shifted) {
+            Ok(next) => {
+                touched.extend(t.affected(shifted));
+                Some(self.step_applied(next, &touched, model))
+            }
             Err(e) => {
                 rej.record(&e);
                 None
@@ -131,17 +159,5 @@ impl EvalState {
             wf: next,
             via_delta: true,
         })
-    }
-}
-
-/// Total state cost through the same summation the delta path uses:
-/// slot-order `price` totals for delta-capable models, full `cost`
-/// otherwise. Search phases that evaluate states from scratch rank with
-/// this so their totals compare bit-exactly against delta-maintained ones.
-pub(crate) fn state_total(model: &dyn CostModel, wf: &Workflow) -> Result<f64> {
-    if model.supports_delta() {
-        Ok(model.price(wf)?.total)
-    } else {
-        model.cost(wf)
     }
 }

@@ -16,6 +16,14 @@
 //! then post-processing (Split everything merged). HS-Greedy replaces the
 //! per-group exhaustive swap exploration with hill climbing: only swaps
 //! that immediately improve the cost are taken.
+//!
+//! Every state, in every phase, travels as an [`EvalState`]: a swap is
+//! delta-priced and incrementally fingerprinted against the state it was
+//! applied to, and a Phase II/III candidate (a shift chain closed by one
+//! FAC or DIS) against the worklist state it started from — one dirty walk
+//! over the union of the chain's affected nodes, so the intermediate shift
+//! states are never priced or hashed. All candidate batches go through one
+//! routine, [`Runner::batch`].
 
 use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
@@ -23,22 +31,18 @@ use std::time::Instant;
 use crate::activity::ActivityId;
 use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
-use crate::graph::NodeId;
-use crate::opt::{state_total, EvalState, Optimizer, Pacer, SearchBudget, SearchOutcome, Threads};
+use crate::graph::{Graph, NodeId};
+use crate::opt::{EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, Threads};
 use crate::trace::{Collector, Rejections, Span, TraceEvent, TraceSink};
 use crate::transition::{Distribute, Factorize, Merge, Swap, Transition};
 use crate::workflow::Workflow;
 
-/// One evaluated candidate state, as produced by a worker thread: its
-/// fingerprint, the state itself, and its (possibly failed) model cost.
-/// `None` when the candidate move did not apply. Errors are deferred to the
-/// coordinator so they surface exactly when the sequential code would have
-/// hit them. The swap phases carry full [`EvalState`]s instead, so swaps —
-/// the bulk of all generated states — are delta-priced and incrementally
-/// fingerprinted against their parent. Each worker item also returns its
-/// rejection-rule counter deltas, merged by the coordinator in item order.
-type Eval = (Option<(u128, Workflow, Result<f64>)>, Rejections);
-type DeltaEval = (Option<Result<EvalState>>, Rejections);
+/// What a worker hands back for one candidate move: the successor, priced
+/// and fingerprinted against the state the move was applied to, or `None`
+/// when the move did not apply. An evaluation error stays inside, deferred
+/// to the coordinator so it surfaces exactly when a sequential run would
+/// have hit it.
+type Candidate = Option<Result<EvalState>>;
 
 /// The HS algorithm (Fig. 7).
 #[derive(Debug, Clone, Default)]
@@ -140,9 +144,20 @@ struct Runner<'m> {
     /// the budget and the group count so Phase I cannot starve the
     /// Factorize/Distribute phases.
     group_cap: usize,
+    phase_stats: Vec<PhaseStat>,
     col: Collector,
     sink: &'m dyn TraceSink,
 }
+
+/// Cap on states produced by the FAC/DIS worklists: the useful chains are
+/// short (each activity factorizes/distributes once per lineage); past
+/// this, additional interleavings are redundant.
+const COLLECT_CAP: usize = 192;
+
+/// Phase IV revisits only this many of the collected states, cheapest
+/// first, so the swap re-optimization budget goes to candidates that can
+/// actually beat S_MIN.
+const PHASE4_CAP: usize = 6;
 
 impl<'m> Runner<'m> {
     fn new(
@@ -163,6 +178,7 @@ impl<'m> Runner<'m> {
             visited_states: 0,
             budget_exhausted: false,
             group_cap: 5040,
+            phase_stats: Vec::new(),
             col: Collector::new(if greedy { "HS-Greedy" } else { "HS" }),
             sink,
         }
@@ -208,298 +224,215 @@ impl<'m> Runner<'m> {
         self.budget_exhausted
     }
 
+    /// Build one candidate per item on the worker pool, then admit the
+    /// produced states in item order — so dedup, budget accounting and
+    /// whatever `admit` keeps (a running best, a heap, a worklist) come out
+    /// the same for any thread count. `admit` gets the item's index and
+    /// its state, and returns `false` to drop the rest of the batch.
+    fn batch<T: Sync>(
+        &mut self,
+        items: &[T],
+        build: impl Fn(&T, &mut Rejections) -> Candidate + Sync,
+        mut admit: impl FnMut(usize, EvalState) -> bool,
+    ) -> Result<()> {
+        let built: Vec<(Candidate, Rejections)> = self.threads.map(items, |item| {
+            let mut rej = Rejections::default();
+            (build(item, &mut rej), rej)
+        })?;
+        // Rejections first, over *every* item: the workers evaluated them
+        // all, so the counts must not depend on where the budget (or
+        // `admit`) stops the loop below.
+        for (_, rej) in &built {
+            self.col.rejections(rej);
+        }
+        for (i, (candidate, _)) in built.into_iter().enumerate() {
+            // Per-item stop: without it one speculative batch could admit
+            // states past `max_states` before the caller's boundary check
+            // ran again.
+            if self.out_of_budget() {
+                break;
+            }
+            let Some(next) = candidate else { continue };
+            let next = next?;
+            self.record_eval(next.fp, next.via_delta());
+            if !admit(i, next) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     fn run(
         mut self,
         wf: &Workflow,
         merge_constraints: &[(NodeId, NodeId)],
     ) -> Result<SearchOutcome> {
-        let initial_cost = state_total(self.model, wf)?;
+        let mut s0 = EvalState::full(wf.clone(), self.model)?;
+        let initial_cost = s0.total;
 
         // Pre-processing (Fig. 7 lines 4-8): apply all MER per constraints…
-        let mut s0 = wf.clone();
-        for &(a1, a2) in merge_constraints {
-            s0 = Merge::new(a1, a2)
-                .apply(&s0)
-                .map_err(|e| CoreError::Schema(format!("merge constraint failed: {e}")))?;
+        if !merge_constraints.is_empty() {
+            let mut merged = wf.clone();
+            for &(a1, a2) in merge_constraints {
+                merged = Merge::new(a1, a2)
+                    .apply(&merged)
+                    .map_err(|e| CoreError::Schema(format!("merge constraint failed: {e}")))?;
+            }
+            s0 = EvalState::full(merged, self.model)?;
         }
         // …then find H, D (recorded with their activity ids so that arena
         // slot reuse in later states cannot alias them) and L.
-        let h: Vec<(NodeId, NodeId, NodeId)> = s0.homologous_pairs()?;
-        let h: Vec<(Anchor, Anchor, Anchor)> = h
-            .iter()
-            .map(|&(a1, a2, ab)| {
-                Ok((
-                    Anchor::of(&s0, a1)?,
-                    Anchor::of(&s0, a2)?,
-                    Anchor::of(&s0, ab)?,
-                ))
-            })
+        let anchor = |node| Anchor::of(&s0.wf, node);
+        let h: Vec<[Anchor; 3]> = (s0.wf.homologous_pairs()?.iter())
+            .map(|&(a1, a2, ab)| Ok([anchor(a1)?, anchor(a2)?, anchor(ab)?]))
             .collect::<Result<_>>()?;
-        let d: Vec<(Anchor, Anchor)> = s0
-            .distributable_activities()?
-            .iter()
-            .map(|&(a, ab)| Ok((Anchor::of(&s0, a)?, Anchor::of(&s0, ab)?)))
+        let d: Vec<[Anchor; 2]> = (s0.wf.distributable_activities()?.iter())
+            .map(|&(a, ab)| Ok([anchor(a)?, anchor(ab)?]))
             .collect::<Result<_>>()?;
 
         // Phase I (lines 9-13): swaps within each local group. The pacer
         // throttles clock sampling to every 1024 costed states; phase
         // boundaries re-sample unconditionally so a slow phase cannot hide
         // a blown time budget from the next one.
-        let mut phase_stats: Vec<crate::opt::PhaseStat> = Vec::new();
-        self.phase_started("I swaps");
-        let span = Span::start("I swaps");
-        let smin_state = self.phase_swaps(EvalState::full(s0.clone(), self.model)?)?;
-        self.record_eval(smin_state.fp, smin_state.via_delta());
-        let mut smin = smin_state.wf;
-        let mut smin_cost = smin_state.total;
-        if self.pacer.check_now() {
-            self.budget_exhausted = true;
-        }
-        self.col.frontier(1);
-        self.col.span(span);
-        self.phase_finished("I swaps", smin_cost);
-        phase_stats.push(crate::opt::PhaseStat {
-            phase: "I swaps",
-            best_cost: smin_cost,
-            visited_states: self.visited_states,
-        });
+        let span = self.phase_started("I swaps");
+        let mut smin = self.phase_swaps(s0)?;
+        self.record_eval(smin.fp, smin.via_delta());
+        self.phase_finished("I swaps", span, 1, smin.total);
 
         // Phase II (lines 14-20): ShiftFrw + FAC over H. A worklist chains
         // factorizations over different binaries (one FAC may enable
-        // another); signatures dedup the produced states.
-        /// Cap on states produced by the FAC/DIS worklists: the useful
-        /// chains are short (each activity factorizes/distributes once per
-        /// lineage); past this, additional interleavings are redundant.
-        const COLLECT_CAP: usize = 192;
-        self.phase_started("II factorize");
-        let span = Span::start("II factorize");
-        let mut collected: Vec<Workflow> = vec![smin.clone()];
-        let mut produced: HashSet<u128> = HashSet::new();
-        produced.insert(smin.fingerprint());
-        let mut worklist: Vec<Workflow> = vec![smin.clone()];
-        while let Some(si) = worklist.pop() {
-            if collected.len() >= COLLECT_CAP {
-                break;
-            }
-            self.col.expanded(si.fingerprint());
-            // Shift + factorize + price every H candidate on the worker
-            // pool; the merge below consumes the results in enumeration
-            // order, so dedup, budget accounting and the running best are
-            // identical for any thread count.
-            let model = self.model;
-            let evals: Vec<Eval> = self.threads.map(&h, |(a1, a2, ab)| {
-                let mut rej = Rejections::default();
-                let out = (|| {
-                    let n1 = a1.locate(&si)?;
-                    let n2 = a2.locate(&si)?;
-                    let nb = ab.locate(&si)?;
-                    let s = shift_frw_counted(&si, n1, nb, &mut rej)?;
-                    let s = shift_frw_counted(&s, n2, nb, &mut rej)?;
-                    let snew = match Factorize::new(nb, n1, n2).apply(&s) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            rej.record(&e);
-                            return None;
-                        }
-                    };
-                    let c = state_total(model, &snew);
-                    Some((snew.fingerprint(), snew, c))
-                })();
-                (out, rej)
-            })?;
-            // Rejections first, over *every* item: the workers evaluated
-            // them all, so counting must not depend on where the budget
-            // stops the merge below.
-            for (_, rej) in &evals {
-                self.col.rejections(rej);
-            }
-            for (eval, _) in evals {
-                if self.out_of_budget() {
-                    break;
-                }
-                let Some((fp, snew, c)) = eval else { continue };
-                let c = c?;
-                self.record_eval(fp, false);
-                if !produced.insert(fp) {
-                    continue;
-                }
-                if c < smin_cost {
-                    smin = snew.clone();
-                    smin_cost = c;
-                }
-                collected.push(snew.clone());
-                worklist.push(snew);
-            }
-            if self.out_of_budget() {
-                break;
-            }
-        }
-        if self.pacer.check_now() {
-            self.budget_exhausted = true;
-        }
-        self.col.frontier(collected.len());
-        self.col.span(span);
-        self.phase_finished("II factorize", smin_cost);
-        phase_stats.push(crate::opt::PhaseStat {
-            phase: "II factorize",
-            best_cost: smin_cost,
-            visited_states: self.visited_states,
-        });
+        // another); fingerprints dedup the produced states.
+        let mut collected = vec![smin.clone()];
+        let span = self.phase_started("II factorize");
+        self.phase_chain(&h, vec![0], &mut collected, &mut smin, factorize_candidate)?;
+        self.phase_finished("II factorize", span, collected.len(), smin.total);
 
         // Phase III (lines 21-28): ShiftBkw + DIS over D, on each Phase-II
         // state — again worklist-chained, so several activities can be
         // distributed in sequence (DIS σ then DIS SK). Activities
         // factorized in Phase II are not in D (Heuristic 2).
-        self.phase_started("III distribute");
-        let span = Span::start("III distribute");
-        let mut worklist: Vec<Workflow> = collected.clone();
-        while let Some(si) = worklist.pop() {
-            if collected.len() >= COLLECT_CAP {
-                break;
-            }
-            self.col.expanded(si.fingerprint());
-            let model = self.model;
-            let evals: Vec<Eval> = self.threads.map(&d, |(a, ab)| {
-                let mut rej = Rejections::default();
-                let out = (|| {
-                    let na = a.locate(&si)?;
-                    let nb = ab.locate(&si)?;
-                    let s = shift_bkw_counted(&si, na, nb, &mut rej)?;
-                    let snew = match Distribute::new(nb, na).apply(&s) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            rej.record(&e);
-                            return None;
-                        }
-                    };
-                    let c = state_total(model, &snew);
-                    Some((snew.fingerprint(), snew, c))
-                })();
-                (out, rej)
-            })?;
-            for (_, rej) in &evals {
-                self.col.rejections(rej);
-            }
-            for (eval, _) in evals {
-                if self.out_of_budget() {
-                    break;
-                }
-                let Some((fp, snew, c)) = eval else { continue };
-                let c = c?;
-                self.record_eval(fp, false);
-                if !produced.insert(fp) {
-                    continue;
-                }
-                if c < smin_cost {
-                    smin = snew.clone();
-                    smin_cost = c;
-                }
-                collected.push(snew.clone());
-                worklist.push(snew);
-            }
-            if self.out_of_budget() {
-                break;
-            }
-        }
-        if self.pacer.check_now() {
-            self.budget_exhausted = true;
-        }
-        self.col.frontier(collected.len());
-        self.col.span(span);
-        self.phase_finished("III distribute", smin_cost);
-        phase_stats.push(crate::opt::PhaseStat {
-            phase: "III distribute",
-            best_cost: smin_cost,
-            visited_states: self.visited_states,
-        });
+        let span = self.phase_started("III distribute");
+        let all = (0..collected.len()).collect();
+        self.phase_chain(&d, all, &mut collected, &mut smin, distribute_candidate)?;
+        self.phase_finished("III distribute", span, collected.len(), smin.total);
 
-        // Phase IV (lines 29-35): Phase I again on the collected states.
-        // States are revisited cheapest-first and the pass is bounded to
-        // the most promising ones, so the swap re-optimization budget goes
-        // to candidates that can actually beat S_MIN.
-        const PHASE4_CAP: usize = 6;
-        self.phase_started("IV swaps");
-        let span = Span::start("IV swaps");
-        let model = self.model;
-        let costs: Vec<Result<f64>> = self.threads.map(&collected, |s| state_total(model, s))?;
-        let mut ranked: Vec<(f64, &Workflow)> = costs
-            .into_iter()
-            .zip(&collected)
-            .map(|(c, s)| Ok((c?, s)))
-            .collect::<Result<_>>()?;
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let pool = ranked.len().min(PHASE4_CAP);
-        for (_, si) in ranked.into_iter().take(PHASE4_CAP) {
+        // Phase IV (lines 29-35): Phase I again on the collected states,
+        // cheapest first by the totals they were priced at when produced.
+        let span = self.phase_started("IV swaps");
+        collected.sort_by(|a, b| a.total.total_cmp(&b.total));
+        let pool = collected.len().min(PHASE4_CAP);
+        for si in collected.into_iter().take(PHASE4_CAP) {
             if self.out_of_budget() {
                 break;
             }
-            let cand = self.phase_swaps(EvalState::full(si.clone(), self.model)?)?;
+            let cand = self.phase_swaps(si)?;
             self.record_eval(cand.fp, cand.via_delta());
-            if cand.total < smin_cost {
-                smin = cand.wf;
-                smin_cost = cand.total;
+            if cand.total < smin.total {
+                smin = cand;
             }
         }
-
-        if self.pacer.check_now() {
-            self.budget_exhausted = true;
-        }
-        self.col.frontier(pool);
-        self.col.span(span);
-        self.phase_finished("IV swaps", smin_cost);
-        phase_stats.push(crate::opt::PhaseStat {
-            phase: "IV swaps",
-            best_cost: smin_cost,
-            visited_states: self.visited_states,
-        });
+        self.phase_finished("IV swaps", span, pool, smin.total);
 
         // Post-processing (line 36): split everything that was merged.
         if !merge_constraints.is_empty() {
-            smin = crate::transition::split_all(&smin)
+            let split = crate::transition::split_all(&smin.wf)
                 .map_err(|e| CoreError::Schema(format!("post-split failed: {e}")))?;
-            smin_cost = state_total(self.model, &smin)?;
+            smin = EvalState::full(split, self.model)?;
         }
 
         self.col.worker_batches(self.threads.batch_counts());
         self.sink.event(TraceEvent::Finished {
             algorithm: self.algorithm(),
-            best_cost: smin_cost,
+            best_cost: smin.total,
             visited: self.visited_states,
             budget_exhausted: self.budget_exhausted,
         });
         Ok(SearchOutcome {
-            best: smin,
-            best_cost: smin_cost,
+            best: smin.wf,
+            best_cost: smin.total,
             initial_cost,
             visited_states: self.visited_states,
             elapsed: self.started.elapsed(),
             budget_exhausted: self.budget_exhausted,
-            phase_stats,
+            phase_stats: self.phase_stats,
             stats: self.col.finish(),
         })
     }
 
-    fn phase_started(&mut self, phase: &'static str) {
+    fn phase_started(&mut self, phase: &'static str) -> Span {
         self.sink.event(TraceEvent::PhaseStarted {
             algorithm: self.algorithm(),
             phase,
         });
+        Span::start(phase)
     }
 
-    fn phase_finished(&mut self, phase: &'static str, best_cost: f64) {
+    /// Close a phase: re-sample the clock, then record the pool size the
+    /// phase leaves behind and the best cost so far.
+    fn phase_finished(&mut self, phase: &'static str, span: Span, pool: usize, best_cost: f64) {
+        if self.pacer.check_now() {
+            self.budget_exhausted = true;
+        }
+        self.col.frontier(pool);
+        self.col.span(span);
         self.sink.event(TraceEvent::PhaseFinished {
             algorithm: self.algorithm(),
             phase,
             best_cost,
             visited: self.visited_states,
         });
+        self.phase_stats.push(PhaseStat {
+            phase,
+            best_cost,
+            visited_states: self.visited_states,
+        });
+    }
+
+    /// Phases II and III: pop a collected state, build one chain candidate
+    /// per anchor tuple from it, and push every state not collected before
+    /// onto `collected` and the worklist (which holds indices into
+    /// `collected`), so chains compose across anchors.
+    fn phase_chain<const N: usize>(
+        &mut self,
+        anchors: &[[Anchor; N]],
+        mut worklist: Vec<usize>,
+        collected: &mut Vec<EvalState>,
+        smin: &mut EvalState,
+        candidate: fn(&EvalState, &[Anchor; N], &dyn CostModel, &mut Rejections) -> Candidate,
+    ) -> Result<()> {
+        let mut produced: HashSet<u128> = collected.iter().map(|s| s.fp).collect();
+        while let Some(idx) = worklist.pop() {
+            if collected.len() >= COLLECT_CAP {
+                break;
+            }
+            let si = collected[idx].clone();
+            self.col.expanded(si.fp);
+            let model = self.model;
+            self.batch(
+                anchors,
+                |anchor, rej| candidate(&si, anchor, model, rej),
+                |_, next| {
+                    if produced.insert(next.fp) {
+                        if next.total < smin.total {
+                            *smin = next.clone();
+                        }
+                        worklist.push(collected.len());
+                        collected.push(next);
+                    }
+                    true
+                },
+            )?;
+            if self.out_of_budget() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Phase I / Phase IV: optimize the swap order inside each local group
     /// (Heuristic 4 — divide and conquer), threading the best state from
     /// group to group. Exhaustive per-group exploration for HS, hill
-    /// climbing for HS-Greedy. The state travels as an [`EvalState`], so
-    /// every candidate swap is delta-priced against its parent.
+    /// climbing for HS-Greedy.
     fn phase_swaps(&mut self, s0: EvalState) -> Result<EvalState> {
         let mut current = s0;
         let groups = current.wf.local_groups()?;
@@ -560,22 +493,17 @@ impl<'m> Runner<'m> {
         // refinement can only improve on — under any truncation HS is at
         // least as good per group as HS-Greedy.
         let climbed = self.swap_hill_climb(&state, members)?;
-        let climbed_cost = climbed.total;
-        let start_cost = state.total;
         self.record_eval(state.fp, state.via_delta());
         self.record_eval(climbed.fp, climbed.via_delta());
-        let (mut best, mut best_cost) = if climbed_cost <= start_cost {
-            (climbed.clone(), climbed_cost)
+        let mut best = if climbed.total <= state.total {
+            climbed.clone()
         } else {
-            (state.clone(), start_cost)
+            state.clone()
         };
-        let mut seen: HashSet<u128> = HashSet::new();
-        seen.insert(state.fp);
-        seen.insert(climbed.fp);
+        let mut seen = HashSet::from([state.fp, climbed.fp]);
+        let mut heap =
+            BinaryHeap::from([Reverse(Key(state.total, 0)), Reverse(Key(climbed.total, 1))]);
         let mut states: Vec<EvalState> = vec![state, climbed];
-        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-        heap.push(Reverse(Key(start_cost, 0)));
-        heap.push(Reverse(Key(climbed_cost, 1)));
         let mut expanded = 0usize;
         while let Some(Reverse(Key(_, idx))) = heap.pop() {
             if expanded >= cap || self.out_of_budget() {
@@ -584,38 +512,22 @@ impl<'m> Runner<'m> {
             let s = states[idx].clone();
             expanded += 1;
             self.col.expanded(s.fp);
-            // Apply and delta-price this state's group swaps on the worker
-            // pool; dedup and the heap pushes stay in enumeration order.
             let moves = group_swaps(&s.wf, members)?;
             let model = self.model;
-            let evals: Vec<DeltaEval> = self.threads.map(&moves, |sw| {
-                let mut rej = Rejections::default();
-                let out = s.step_transition(sw, model, &mut rej);
-                (out, rej)
-            })?;
-            for (_, rej) in &evals {
-                self.col.rejections(rej);
-            }
-            for (eval, _) in evals {
-                // Per-item stop: without it one speculative batch could
-                // admit states past `max_states` before the heap loop's
-                // boundary check ran again.
-                if self.out_of_budget() {
-                    break;
-                }
-                let Some(res) = eval else { continue };
-                let next = res?;
-                self.record_eval(next.fp, next.via_delta());
-                if !seen.insert(next.fp) {
-                    continue;
-                }
-                if next.total < best_cost {
-                    best_cost = next.total;
-                    best = next.clone();
-                }
-                heap.push(Reverse(Key(next.total, states.len())));
-                states.push(next);
-            }
+            self.batch(
+                &moves,
+                |sw, rej| s.step_transition(sw, model, rej),
+                |_, next| {
+                    if seen.insert(next.fp) {
+                        if next.total < best.total {
+                            best = next.clone();
+                        }
+                        heap.push(Reverse(Key(next.total, states.len())));
+                        states.push(next);
+                    }
+                    true
+                },
+            )?;
         }
         Ok(best)
     }
@@ -630,43 +542,24 @@ impl<'m> Runner<'m> {
     ) -> Result<EvalState> {
         let mut current = state.clone();
         self.record_eval(current.fp, current.via_delta());
-        loop {
-            if self.out_of_budget() {
-                break;
-            }
+        while !self.out_of_budget() {
             self.col.expanded(current.fp);
-            // Evaluate every candidate swap of this climb step in
-            // parallel; the best-improving pick below scans in enumeration
-            // order, so ties resolve identically for any thread count.
             let moves = group_swaps(&current.wf, members)?;
             let model = self.model;
-            let cur = &current;
-            let evals: Vec<DeltaEval> = self.threads.map(&moves, |sw| {
-                let mut rej = Rejections::default();
-                let out = cur.step_transition(sw, model, &mut rej);
-                (out, rej)
-            })?;
-            for (_, rej) in &evals {
-                self.col.rejections(rej);
-            }
+            // The first of the cheapest improving successors, in
+            // enumeration order, so ties resolve identically for any
+            // thread count.
             let mut improved: Option<EvalState> = None;
-            for (eval, _) in evals {
-                // Per-item stop, as in the best-first and greedy loops.
-                if self.out_of_budget() {
-                    break;
-                }
-                let Some(res) = eval else { continue };
-                let next = res?;
-                self.record_eval(next.fp, next.via_delta());
-                if next.total < current.total
-                    && improved
-                        .as_ref()
-                        .map(|b| next.total < b.total)
-                        .unwrap_or(true)
-                {
-                    improved = Some(next);
-                }
-            }
+            self.batch(
+                &moves,
+                |sw, rej| current.step_transition(sw, model, rej),
+                |_, next| {
+                    if next.total < improved.as_ref().unwrap_or(&current).total {
+                        improved = Some(next);
+                    }
+                    true
+                },
+            )?;
             match improved {
                 Some(next) => current = next,
                 None => break,
@@ -696,7 +589,8 @@ impl<'m> Runner<'m> {
         // changes the state the next pair is judged against), so the
         // workers evaluate the remaining pairs *speculatively* against the
         // current state; the coordinator consumes them in order up to the
-        // first acceptance and throws the stale tail away, which makes the
+        // first acceptance and throws the stale tail away (its rejections
+        // stay counted — the workers did evaluate it), which makes the
         // accepted swaps — and the budget accounting — identical to a
         // sequential sweep for any thread count.
         let moves = group_swaps(&current.wf, members)?;
@@ -704,31 +598,18 @@ impl<'m> Runner<'m> {
         while start < moves.len() {
             self.col.expanded(current.fp);
             let model = self.model;
-            let cur = &current;
-            let evals: Vec<DeltaEval> = self.threads.map(&moves[start..], |sw| {
-                let mut rej = Rejections::default();
-                let out = cur.step_transition(sw, model, &mut rej);
-                (out, rej)
-            })?;
-            // Count rejections across the whole speculative batch — the
-            // workers evaluated every remaining pair, including the stale
-            // tail the acceptance below throws away.
-            for (_, rej) in &evals {
-                self.col.rejections(rej);
-            }
             let mut advance: Option<(EvalState, usize)> = None;
-            for (off, (eval, _)) in evals.into_iter().enumerate() {
-                if self.out_of_budget() {
-                    break;
-                }
-                let Some(res) = eval else { continue };
-                let next = res?;
-                self.record_eval(next.fp, next.via_delta());
-                if next.total < current.total {
-                    advance = Some((next, start + off + 1));
-                    break;
-                }
-            }
+            self.batch(
+                &moves[start..],
+                |sw, rej| current.step_transition(sw, model, rej),
+                |off, next| {
+                    let accept = next.total < current.total;
+                    if accept {
+                        advance = Some((next, start + off + 1));
+                    }
+                    !accept
+                },
+            )?;
             match advance {
                 Some((next, s)) => {
                     current = next;
@@ -757,63 +638,89 @@ fn group_swaps(wf: &Workflow, members: &BTreeSet<NodeId>) -> Result<Vec<Swap>> {
     Ok(out)
 }
 
-/// `ShiftFrw(a, a_b)` (Fig. 7): push `a` forward through its local group by
-/// successive swaps until it is the direct provider of `a_b`. `None` if
-/// some swap on the way is not applicable.
-pub fn shift_frw(wf: &Workflow, a: NodeId, ab: NodeId) -> Option<Workflow> {
-    shift_frw_counted(wf, a, ab, &mut Rejections::default())
+/// Phase II candidate (Fig. 7 lines 16-18): shift both homologous
+/// activities forward to their binary, factorize them, and price the result
+/// against `si`.
+fn factorize_candidate(
+    si: &EvalState,
+    [a1, a2, ab]: &[Anchor; 3],
+    model: &dyn CostModel,
+    rej: &mut Rejections,
+) -> Candidate {
+    let (n1, n2, nb) = (a1.locate(&si.wf)?, a2.locate(&si.wf)?, ab.locate(&si.wf)?);
+    let mut touched = Vec::new();
+    let s = shift_frw(&si.wf, n1, nb, &mut touched, rej)?;
+    let s = shift_frw(&s, n2, nb, &mut touched, rej)?;
+    si.step_chain(&s, touched, &Factorize::new(nb, n1, n2), model, rej)
 }
 
-/// [`shift_frw`], with every refused swap on the way counted on `rej` by
-/// its rejection rule.
-fn shift_frw_counted(
+/// Phase III candidate (Fig. 7 lines 23-25): shift the activity back to
+/// its binary, distribute it, and price the result against `si`.
+fn distribute_candidate(
+    si: &EvalState,
+    [a, ab]: &[Anchor; 2],
+    model: &dyn CostModel,
+    rej: &mut Rejections,
+) -> Candidate {
+    let (na, nb) = (a.locate(&si.wf)?, ab.locate(&si.wf)?);
+    let mut touched = Vec::new();
+    let s = shift_bkw(&si.wf, na, nb, &mut touched, rej)?;
+    si.step_chain(&s, touched, &Distribute::new(nb, na), model, rej)
+}
+
+/// `ShiftFrw(a, a_b)` (Fig. 7): push `a` forward through its local group by
+/// successive swaps until it is the direct provider of `a_b`. `None` if
+/// some swap on the way is not applicable; the refusal is counted on `rej`
+/// by its rule. Every node a swap moved is appended to `touched` — against
+/// the returned state, the [`Transition::affected`] set of the whole shift.
+pub fn shift_frw(
     wf: &Workflow,
     a: NodeId,
     ab: NodeId,
+    touched: &mut Vec<NodeId>,
     rej: &mut Rejections,
 ) -> Option<Workflow> {
-    let mut cur = wf.clone();
-    for _ in 0..cur.activity_count() + 1 {
-        let consumers = cur.graph().consumers(a).ok()?;
-        if consumers.len() != 1 {
-            return None;
-        }
-        let c = consumers[0];
-        if c == ab {
-            return Some(cur);
-        }
-        match Swap::new(a, c).apply(&cur) {
-            Ok(next) => cur = next,
-            Err(e) => {
-                rej.record(&e);
-                return None;
-            }
-        }
-    }
-    None
+    shift(wf, a, ab, touched, rej, |g| match g.consumers(a).ok()? {
+        [c] => Some(*c),
+        _ => None,
+    })
 }
 
 /// `ShiftBkw(a, a_b)` (Fig. 7): pull `a` backward through its local group
-/// until its provider is `a_b`. `None` if blocked.
-pub fn shift_bkw(wf: &Workflow, a: NodeId, ab: NodeId) -> Option<Workflow> {
-    shift_bkw_counted(wf, a, ab, &mut Rejections::default())
-}
-
-/// [`shift_bkw`], with every refused swap on the way counted on `rej`.
-fn shift_bkw_counted(
+/// until its provider is `a_b`. `None` if blocked; `touched` and `rej` as
+/// for [`shift_frw`].
+pub fn shift_bkw(
     wf: &Workflow,
     a: NodeId,
     ab: NodeId,
+    touched: &mut Vec<NodeId>,
     rej: &mut Rejections,
+) -> Option<Workflow> {
+    shift(wf, a, ab, touched, rej, |g| g.provider(a, 0).ok()?)
+}
+
+/// The shift walk: swap `a` with its `neighbour` (the single consumer going
+/// forward, the provider going backward) until that neighbour is `ab`.
+fn shift(
+    wf: &Workflow,
+    a: NodeId,
+    ab: NodeId,
+    touched: &mut Vec<NodeId>,
+    rej: &mut Rejections,
+    neighbour: impl Fn(&Graph) -> Option<NodeId>,
 ) -> Option<Workflow> {
     let mut cur = wf.clone();
     for _ in 0..cur.activity_count() + 1 {
-        let p = cur.graph().provider(a, 0).ok()??;
-        if p == ab {
+        let n = neighbour(cur.graph())?;
+        if n == ab {
             return Some(cur);
         }
-        match Swap::new(p, a).apply(&cur) {
-            Ok(next) => cur = next,
+        let swap = Swap::new(a, n);
+        match swap.apply(&cur) {
+            Ok(next) => {
+                touched.extend(swap.affected(&cur));
+                cur = next;
+            }
             Err(e) => {
                 rej.record(&e);
                 return None;
@@ -1009,8 +916,10 @@ mod tests {
                 .unwrap();
             (sel, u)
         };
-        let back = shift_bkw(&wf, sel, u).unwrap();
+        let (mut touched, mut rej) = (Vec::new(), Rejections::default());
+        let back = shift_bkw(&wf, sel, u, &mut touched, &mut rej).unwrap();
         assert_eq!(back.signature(), wf.signature());
+        assert!(touched.is_empty(), "no swap was needed: {touched:?}");
         // SK can also be shifted back to the union (swapping past σ).
         let sk = wf
             .activities()
@@ -1018,8 +927,10 @@ mod tests {
             .into_iter()
             .find(|&a| wf.graph().activity(a).unwrap().label == "SK")
             .unwrap();
-        let shifted = shift_bkw(&wf, sk, u).unwrap();
+        let shifted = shift_bkw(&wf, sk, u, &mut touched, &mut rej).unwrap();
         assert_ne!(shifted.signature(), wf.signature());
+        assert_eq!(touched, vec![sk, sel], "one swap, past σ");
+        assert_eq!(rej.total(), 0);
         assert!(equivalent(&wf, &shifted).unwrap());
     }
 

@@ -27,7 +27,7 @@ pub use adaptive::{
     MemoryCalibration, Observation, PlanObserver, RoundReport,
 };
 pub use beam::BeamSearch;
-pub(crate) use eval::{state_total, EvalState};
+pub(crate) use eval::EvalState;
 pub use exhaustive::ExhaustiveSearch;
 pub use heuristic::{shift_bkw, shift_frw, HeuristicSearch, HsGreedy};
 pub use memo::MoveMemo;

@@ -190,9 +190,13 @@ pub struct SearchStats {
     /// that subtraction underflow poisons the field to `u64::MAX` so
     /// [`SearchStats::reconciles`] fails loudly instead of hiding it.
     pub pruned: u64,
-    /// Evaluations served by delta repricing + incremental rehash.
+    /// Evaluations served by delta repricing + incremental rehash: every
+    /// successor of a state that carries its tables, including HS's
+    /// Phase II/III chain candidates (one walk per chain).
     pub repriced_delta: u64,
-    /// Evaluations that priced the whole state from scratch.
+    /// Evaluations that priced the whole state from scratch: the states a
+    /// search starts from, and every state of a model without delta
+    /// support.
     pub repriced_full: u64,
     /// ES: frontier size per BFS generation. HS/HS-Greedy: candidate-pool
     /// size at each phase boundary (after I, II, III, IV).

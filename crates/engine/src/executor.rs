@@ -365,67 +365,6 @@ impl PlanObserver for Harvester {
     }
 }
 
-/// [`Harvester`]'s multi-executor twin: the same adaptive-loop observer,
-/// but over a [`SharedCacheHandle`] instead of an owned cache — so
-/// several concurrently running loops (or a server's sibling jobs) feed
-/// and probe one family-scoped cache. Targets — and therefore every
-/// observation the calibration layer sees — stay bit-identical to an
-/// uncached run regardless of who populated the cache first; only the
-/// work accounting (`counters`) varies with cache occupancy.
-#[derive(Debug)]
-pub struct SharedHarvester {
-    exec: Executor,
-    cache: SharedCacheHandle,
-    counters: ExecCounters,
-    runs: u64,
-}
-
-impl SharedHarvester {
-    /// An observer over `exec` feeding the shared `cache` (which must be
-    /// scoped to this executor's catalog and the plans' workflow family).
-    pub fn new(exec: Executor, cache: SharedCacheHandle) -> SharedHarvester {
-        SharedHarvester {
-            exec,
-            cache,
-            counters: ExecCounters::default(),
-            runs: 0,
-        }
-    }
-
-    /// The wrapped executor.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
-    }
-
-    /// Pool/batch/cache counters accumulated over this observer's runs
-    /// (not the whole shared cache's traffic).
-    pub fn counters(&self) -> &ExecCounters {
-        &self.counters
-    }
-
-    /// Number of plans observed so far.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// The shared cache handle.
-    pub fn cache(&self) -> &SharedCacheHandle {
-        &self.cache
-    }
-}
-
-impl PlanObserver for SharedHarvester {
-    fn observe(&mut self, wf: &Workflow) -> etlopt_core::error::Result<Observation> {
-        let run = self
-            .exec
-            .run_stream_shared(wf, &self.cache)
-            .map_err(|e| CoreError::Observation(e.to_string()))?;
-        self.counters.absorb(&run.counters);
-        self.runs += 1;
-        self.exec.observation_of(wf, &run.result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ pub mod validate;
 pub use catalog::Catalog;
 pub use error::{EngineError, Result};
 pub use exec::{Backend, SharedCache, SharedCacheHandle, StreamConfig, StreamRun};
-pub use executor::{ExecResult, ExecStats, Executor, Harvester, SharedHarvester};
+pub use executor::{ExecResult, ExecStats, Executor, Harvester};
 pub use functions::FunctionRegistry;
 pub use pool::{BufferId, BufferPool, PoolConfig};
 pub use table::{Row, Table};

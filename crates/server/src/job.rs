@@ -35,7 +35,7 @@ use etlopt_workload::{datagen, CalibrationStore};
 
 use crate::json;
 use crate::proto::{Code, Op, Request, Response};
-use crate::state::Registry;
+use crate::state::{relock, Registry};
 
 /// The seed tweak `etlopt-conformance::scenario_executor` applies before
 /// generating the synthetic catalog; replicated here so a server
@@ -430,7 +430,7 @@ fn adaptive_body(
         let store = registry
             .calibration(&req.tenant, digest)
             .map_err(|e| format!("calibration store: {e}"))?;
-        let mut guard = store.lock().expect("tenant calibration lock poisoned");
+        let mut guard = relock(store.lock());
         meta.warm_entries = guard.len();
         let report = run_adaptive(wf, model, optimizer, &mut harvester, &mut *guard, cfg)
             .map_err(|e| format!("adaptive: {e}"))?;

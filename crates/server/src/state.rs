@@ -27,13 +27,25 @@
 //!   tenant gets an isolated store, optionally persisted under
 //!   [`StoreDir`]'s escaped per-tenant directories.
 
+// One job that panics while it holds a registry lock must not fail every
+// later request: locks are taken through `relock`, never `expect`ed.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LockResult, Mutex};
 
 use etlopt_core::opt::MoveMemo;
 use etlopt_engine::{SharedCache, SharedCacheHandle};
 use etlopt_workload::{CalibrationStore, StoreDir, StoreError};
+
+/// Take a registry lock even if a job panicked while holding it. Sound
+/// because nothing behind these locks is ever torn: the maps only gain
+/// whole entries, and a calibration store a panic interrupted holds the
+/// observations merged so far — what a shorter run would have left.
+pub(crate) fn relock<T>(r: LockResult<T>) -> T {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Server-process configuration: listen address, pool sizing, admission
 /// caps and the per-job budget ceilings that clamp client requests.
@@ -113,7 +125,7 @@ impl Family {
     /// (rows, seed) alone could alias two different datasets and serve
     /// cached intermediates under the wrong catalog.
     pub fn cache(&self, rows: usize, seed: u64, data: u64) -> SharedCacheHandle {
-        let mut caches = self.caches.lock().expect("family cache map poisoned");
+        let mut caches = relock(self.caches.lock());
         caches
             .entry((rows, seed, data))
             .or_insert_with(|| SharedCacheHandle::new(SharedCache::new()))
@@ -121,7 +133,7 @@ impl Family {
     }
 
     fn cache_totals(&self) -> (usize, u64, u64, u64) {
-        let caches = self.caches.lock().expect("family cache map poisoned");
+        let caches = relock(self.caches.lock());
         let mut totals = (caches.len(), 0, 0, 0);
         for handle in caches.values() {
             let (h, m, i) = handle.counters();
@@ -162,7 +174,7 @@ impl Registry {
 
     /// The shared state for one workflow family, created on first touch.
     pub fn family(&self, digest: u128) -> Arc<Family> {
-        let mut families = self.families.lock().expect("family map poisoned");
+        let mut families = relock(self.families.lock());
         Arc::clone(
             families
                 .entry(digest)
@@ -180,14 +192,14 @@ impl Registry {
         family: u128,
     ) -> Result<Arc<Mutex<CalibrationStore>>, StoreError> {
         let tenant_state = {
-            let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+            let mut tenants = relock(self.tenants.lock());
             Arc::clone(tenants.entry(tenant.to_owned()).or_insert_with(|| {
                 Arc::new(Tenant {
                     cals: Mutex::new(HashMap::new()),
                 })
             }))
         };
-        let mut cals = tenant_state.cals.lock().expect("tenant store map poisoned");
+        let mut cals = relock(tenant_state.cals.lock());
         if let Some(store) = cals.get(&family) {
             return Ok(Arc::clone(store));
         }
@@ -218,7 +230,7 @@ impl Registry {
 
     /// Registry statistics as a JSON object line (the `stats` op).
     pub fn stats_json(&self) -> String {
-        let families = self.families.lock().expect("family map poisoned");
+        let families = relock(self.families.lock());
         let mut caches = 0usize;
         let (mut hits, mut misses, mut insertions) = (0u64, 0u64, 0u64);
         let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
@@ -232,7 +244,7 @@ impl Registry {
             memo_hits += mh;
             memo_misses += mm;
         }
-        let tenants = self.tenants.lock().expect("tenant map poisoned").len();
+        let tenants = relock(self.tenants.lock()).len();
         format!(
             concat!(
                 "{{\"op\":\"stats\",\"families\":{},\"tenants\":{},\"caches\":{},",
@@ -302,6 +314,45 @@ mod tests {
         );
         let a2 = reg.calibration("acme", 5).unwrap();
         assert!(Arc::ptr_eq(&a, &a2), "same tenant+family is one store");
+    }
+
+    #[test]
+    fn a_job_that_panics_under_a_registry_lock_does_not_poison_later_requests() {
+        let reg = Registry::new(ServerConfig::default());
+        let fam = reg.family(7);
+        fam.cache(64, 1, 0);
+        let store = reg.calibration("acme", 7).unwrap();
+        // Panic on another thread with every kind of registry lock held.
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _families = reg.families.lock().unwrap();
+                    let _tenants = reg.tenants.lock().unwrap();
+                    let _caches = fam.caches.lock().unwrap();
+                    let _store = store.lock().unwrap();
+                    panic!("job died holding the registry");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(reg.families.is_poisoned() && reg.tenants.is_poisoned());
+        assert!(fam.caches.is_poisoned() && store.is_poisoned());
+
+        assert!(Arc::ptr_eq(&reg.family(7), &fam), "known family survives");
+        reg.family(8);
+        assert_eq!(fam.cache(64, 1, 0).len(), 0);
+        assert!(Arc::ptr_eq(&reg.calibration("acme", 7).unwrap(), &store));
+        reg.calibration("umbrella", 7).unwrap();
+        assert_eq!(relock(store.lock()).len(), 0);
+        let v = crate::json::parse(&reg.stats_json()).unwrap();
+        assert_eq!(
+            v.get("families").and_then(crate::json::Value::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            v.get("tenants").and_then(crate::json::Value::as_u64),
+            Some(2)
+        );
     }
 
     #[test]

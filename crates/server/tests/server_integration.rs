@@ -266,30 +266,61 @@ fn admission_control_rejects_with_typed_429_not_dropped_connections() {
     let fast_wf = workflow_text(77, SizeCategory::Small);
 
     std::thread::scope(|scope| {
-        // Occupy the worker with a slow adaptive job.
+        // The flood's 8 clients connect first, so that once the worker is
+        // busy nothing stands between them and the queue but one write.
+        let flood: Vec<TcpStream> = (0..8)
+            .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+            .collect();
+        // Occupy the worker with a slow adaptive job: 8 rounds of a
+        // 4 000-state search are ≈ 0.14 s optimized and ≈ 2 s unoptimized,
+        // a hundred times what the flood below takes to submit.
         let slow = {
             let server = &server;
             let wf = slow_wf.clone();
             scope.spawn(move || {
                 let mut req = request("slow", Op::Adaptive, &wf);
+                req.states = 4_000;
                 req.rows = 512;
                 req.rounds = 8;
                 roundtrip(server, &req)
             })
         };
-        // Give the slow job time to reach the worker.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        // Wait for the daemon itself to show the job on the worker, not
+        // for a fixed time: a job registers its family as its first step,
+        // before any search or execution, and `stats` is answered inline.
+        // The flood then lands at the very start of the job however fast
+        // the build is (a fixed sleep outlived the whole job in release
+        // builds, and the flood found an idle worker).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let poll = TcpStream::connect(server.local_addr()).expect("connect");
+        loop {
+            let stats = roundtrip_on(&poll, &request("poll", Op::Stats, ""));
+            let families = json::parse(&stats.body)
+                .expect("stats body")
+                .get("families")
+                .and_then(json::Value::as_u64);
+            if families >= Some(1) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the slow job never reached the worker"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
 
         // Flood: 8 concurrent clients. Capacity is 1 waiting slot, so at
         // least 7 must get typed 429 rejections; every connection gets a
         // well-formed response either way.
         let outcomes: Vec<Code> = {
-            let handles: Vec<_> = (0..8)
-                .map(|i| {
-                    let server = &server;
+            let handles: Vec<_> = flood
+                .into_iter()
+                .enumerate()
+                .map(|(i, stream)| {
                     let wf = &fast_wf;
                     scope.spawn(move || {
-                        let resp = roundtrip(server, &request(&format!("f{i}"), Op::Optimize, wf));
+                        let resp =
+                            roundtrip_on(&stream, &request(&format!("f{i}"), Op::Optimize, wf));
                         match resp.code {
                             Code::Ok => {}
                             Code::QueueFull => {
