@@ -1,17 +1,23 @@
 //! The catalog: source tables and surrogate-key lookup tables.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use etlopt_core::scalar::Scalar;
 
 use crate::table::Table;
 
+/// One surrogate-key lookup table: canonical key rendering → surrogate.
+pub(crate) type LookupTable = BTreeMap<String, Scalar>;
+
 /// Maps source recordset names to tables and surrogate-key lookup names to
-/// key→surrogate maps.
+/// key→surrogate maps. Tables and lookup tables sit behind `Arc`s so the
+/// streaming backend scans and probes them by handle instead of copying.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
-    lookups: BTreeMap<String, BTreeMap<String, Scalar>>,
+    tables: BTreeMap<String, Arc<Table>>,
+    lookups: BTreeMap<String, Arc<LookupTable>>,
 }
 
 impl Catalog {
@@ -22,20 +28,23 @@ impl Catalog {
 
     /// Register a source table under a recordset name.
     pub fn insert(&mut self, name: impl Into<String>, table: Table) {
-        self.tables.insert(name.into(), table);
+        self.tables.insert(name.into(), Arc::new(table));
     }
 
     /// Fetch a source table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
+    }
+
+    /// A shared handle to a source table (what a streaming scan holds).
+    pub(crate) fn shared_table(&self, name: &str) -> Option<Arc<Table>> {
+        self.tables.get(name).cloned()
     }
 
     /// Register a surrogate-key lookup entry. Keys are stored under their
     /// canonical rendering so heterogeneous key types coexist.
     pub fn insert_lookup(&mut self, lookup: impl Into<String>, key: &Scalar, surrogate: Scalar) {
-        self.lookups
-            .entry(lookup.into())
-            .or_default()
+        Arc::make_mut(self.lookups.entry(lookup.into()).or_default())
             .insert(canonical_key(key), surrogate);
     }
 
@@ -44,21 +53,37 @@ impl Catalog {
         self.lookups.get(lookup)?.get(&canonical_key(key))
     }
 
+    /// A shared handle to a whole lookup table (a compiled `SK` kernel
+    /// resolves the name once and probes the handle per row).
+    pub(crate) fn lookup_table(&self, lookup: &str) -> Option<Arc<LookupTable>> {
+        self.lookups.get(lookup).cloned()
+    }
+
     /// Number of registered tables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
     }
 }
 
-/// Canonical string form of a key value, stable across runs.
-pub(crate) fn canonical_key(key: &Scalar) -> String {
-    match key {
+/// Append the canonical string form of a key value (stable across runs)
+/// to `out`. These bytes key every join / group / dedup map, route rows
+/// across partitions and seed [`auto_surrogate`], so they never change.
+pub(crate) fn write_canonical_key(out: &mut String, key: &Scalar) {
+    // Writing into a `String` cannot fail.
+    let _ = match key {
         // Integral floats canonicalize to the integer form so Int(5) and
         // Float(5.0) hit the same lookup entry (they compare equal).
-        Scalar::Float(f) if f.fract() == 0.0 && f.is_finite() => format!("i:{}", *f as i64),
-        Scalar::Int(i) => format!("i:{i}"),
-        other => format!("{other:?}"),
-    }
+        Scalar::Float(f) if f.fract() == 0.0 && f.is_finite() => write!(out, "i:{}", *f as i64),
+        Scalar::Int(i) => write!(out, "i:{i}"),
+        other => write!(out, "{other:?}"),
+    };
+}
+
+/// Canonical string form of a key value, stable across runs.
+pub(crate) fn canonical_key(key: &Scalar) -> String {
+    let mut out = String::new();
+    write_canonical_key(&mut out, key);
+    out
 }
 
 /// A deterministic surrogate derived from the key alone (FNV-1a 64). Used
@@ -66,7 +91,11 @@ pub(crate) fn canonical_key(key: &Scalar) -> String {
 /// the key, it is stable under any re-ordering or cloning of the SK
 /// activity — which is what makes equivalence checks exact.
 pub fn auto_surrogate(key: &Scalar) -> Scalar {
-    let s = canonical_key(key);
+    surrogate_of_canonical(&canonical_key(key))
+}
+
+/// [`auto_surrogate`] of a key whose canonical form is already rendered.
+pub(crate) fn surrogate_of_canonical(s: &str) -> Scalar {
     let mut hash: u64 = 0xcbf29ce484222325;
     for b in s.as_bytes() {
         hash ^= u64::from(*b);

@@ -21,7 +21,7 @@ pub enum Truth {
 }
 
 impl Truth {
-    fn not(self) -> Truth {
+    pub(crate) fn not(self) -> Truth {
         match self {
             Truth::True => Truth::False,
             Truth::False => Truth::True,
@@ -29,7 +29,7 @@ impl Truth {
         }
     }
 
-    fn and(self, other: Truth) -> Truth {
+    pub(crate) fn and(self, other: Truth) -> Truth {
         match (self, other) {
             (Truth::False, _) | (_, Truth::False) => Truth::False,
             (Truth::True, Truth::True) => Truth::True,
@@ -37,7 +37,7 @@ impl Truth {
         }
     }
 
-    fn or(self, other: Truth) -> Truth {
+    pub(crate) fn or(self, other: Truth) -> Truth {
         match (self, other) {
             (Truth::True, _) | (_, Truth::True) => Truth::True,
             (Truth::False, Truth::False) => Truth::False,
@@ -51,7 +51,7 @@ impl Truth {
     }
 }
 
-fn compare(op: CmpOp, left: &Scalar, right: &Scalar) -> Truth {
+pub(crate) fn compare(op: CmpOp, left: &Scalar, right: &Scalar) -> Truth {
     match left.compare(right) {
         None => Truth::Unknown,
         Some(ord) => {

@@ -145,9 +145,15 @@ impl SharedCacheHandle {
         }
     }
 
-    /// Run `f` with exclusive access to the cache.
+    /// Run `f` with exclusive access to the cache. A run that panicked
+    /// under the lock does not fail the runs after it: an entry is only
+    /// ever admitted as a whole finished table, so the cache it leaves
+    /// behind is valid.
     pub fn with_cache<R>(&self, f: impl FnOnce(&mut SharedCache) -> R) -> R {
-        let mut guard = self.inner.lock().expect("shared cache lock poisoned");
+        let mut guard = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         f(&mut guard)
     }
 

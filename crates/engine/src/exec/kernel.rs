@@ -1,0 +1,459 @@
+//! Compiled row-wise kernels: σ, NN, function application, π-out, ADD and
+//! SK, resolved once per pipeline and applied in place to an owned batch.
+//!
+//! [`Kernel::compile`] binds an operator to its input schema — attributes
+//! become column indices, the function name becomes its [`ScalarFn`], the
+//! lookup name becomes a handle on the catalog's lookup table, the
+//! predicate tree carries columns instead of [`Attr`]s — so the per-row
+//! work is the operator itself. [`Kernel::apply`] then edits the batch it
+//! is given: a filter is `retain`, a function overwrites or appends its
+//! cell, π-out / SK `remove` and `push` on the row's own `Vec`. A
+//! surviving row is never re-allocated and a dropped row is never copied.
+//!
+//! Both streaming executors run these kernels — the sequential pull
+//! pipeline over `Row`s, the partitioned ones over `(tag, Row)` pairs
+//! ([`Carrier`]). The materializing `ops::*` implementations stay the
+//! deliberately naive reference they are compared against: the kernels
+//! share no per-row code with them, only the empty-table probe that
+//! derives the output schema and raises schema errors identically.
+
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+use etlopt_core::predicate::{CmpOp, Predicate};
+use etlopt_core::scalar::Scalar;
+use etlopt_core::schema::{Attr, Schema};
+use etlopt_core::semantics::UnaryOp;
+
+use crate::catalog::{surrogate_of_canonical, write_canonical_key, LookupTable};
+use crate::error::{EngineError, Result};
+use crate::eval::{compare, Truth};
+use crate::functions::ScalarFn;
+use crate::ops::{self, ExecCtx};
+use crate::table::{Row, Table};
+
+/// Something that carries a row through a kernel: a bare [`Row`] in the
+/// sequential pipeline, a `(tag, Row)` pair in the partitioned ones.
+pub(crate) trait Carrier {
+    fn row(&self) -> &Row;
+    fn row_mut(&mut self) -> &mut Row;
+}
+
+impl Carrier for Row {
+    fn row(&self) -> &Row {
+        self
+    }
+    fn row_mut(&mut self) -> &mut Row {
+        self
+    }
+}
+
+impl<T> Carrier for (T, Row) {
+    fn row(&self) -> &Row {
+        &self.1
+    }
+    fn row_mut(&mut self) -> &mut Row {
+        &mut self.1
+    }
+}
+
+/// Column positions of `dst`'s attributes inside `src`, or `None` when the
+/// layouts already agree. Attributes of `src` that `dst` does not name are
+/// dropped, like [`Table::reordered`] drops them.
+pub(crate) fn perm_for(src: &Schema, dst: &Schema) -> Result<Option<Vec<usize>>> {
+    if src == dst {
+        return Ok(None);
+    }
+    let probe = Table::empty(src.clone());
+    dst.iter()
+        .map(|a| probe.col(a))
+        .collect::<Result<_>>()
+        .map(Some)
+}
+
+/// A predicate over column positions (SQL three-valued logic, exactly
+/// [`crate::eval::eval`]).
+pub(crate) enum Pred {
+    Cmp(usize, CmpOp, Scalar),
+    CmpCols(usize, CmpOp, usize),
+    IsNotNull(usize),
+    IsNull(usize),
+    InList {
+        col: usize,
+        values: Vec<Scalar>,
+        has_null: bool,
+    },
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+    Not(Box<Pred>),
+    True,
+}
+
+impl Pred {
+    /// Resolve attributes depth-first, left to right — the order
+    /// `eval::eval` meets them in, so a missing attribute is reported as
+    /// the same one.
+    fn compile(pred: &Predicate, probe: &Table) -> Result<Pred> {
+        Ok(match pred {
+            Predicate::Cmp { attr, op, value } => Pred::Cmp(probe.col(attr)?, *op, value.clone()),
+            Predicate::CmpAttr { left, op, right } => {
+                Pred::CmpCols(probe.col(left)?, *op, probe.col(right)?)
+            }
+            Predicate::IsNotNull(attr) => Pred::IsNotNull(probe.col(attr)?),
+            Predicate::IsNull(attr) => Pred::IsNull(probe.col(attr)?),
+            Predicate::InList { attr, values } => Pred::InList {
+                col: probe.col(attr)?,
+                values: values.clone(),
+                has_null: values.iter().any(Scalar::is_null),
+            },
+            Predicate::And(a, b) => Pred::And(
+                Box::new(Pred::compile(a, probe)?),
+                Box::new(Pred::compile(b, probe)?),
+            ),
+            Predicate::Or(a, b) => Pred::Or(
+                Box::new(Pred::compile(a, probe)?),
+                Box::new(Pred::compile(b, probe)?),
+            ),
+            Predicate::Not(p) => Pred::Not(Box::new(Pred::compile(p, probe)?)),
+            Predicate::True => Pred::True,
+        })
+    }
+
+    fn eval(&self, row: &[Scalar]) -> Truth {
+        let truth = |b: bool| if b { Truth::True } else { Truth::False };
+        match self {
+            Pred::Cmp(col, op, value) => compare(*op, &row[*col], value),
+            Pred::CmpCols(left, op, right) => compare(*op, &row[*left], &row[*right]),
+            Pred::IsNotNull(col) => truth(!row[*col].is_null()),
+            Pred::IsNull(col) => truth(row[*col].is_null()),
+            Pred::InList {
+                col,
+                values,
+                has_null,
+            } => {
+                let v = &row[*col];
+                if v.is_null() {
+                    Truth::Unknown
+                } else if values.iter().any(|x| v.compare(x) == Some(Ordering::Equal)) {
+                    Truth::True
+                } else if *has_null {
+                    Truth::Unknown
+                } else {
+                    Truth::False
+                }
+            }
+            // Evaluation cannot fail once compiled, so skipping the right
+            // side when the left decides is unobservable.
+            Pred::And(a, b) => match a.eval(row) {
+                Truth::False => Truth::False,
+                t => t.and(b.eval(row)),
+            },
+            Pred::Or(a, b) => match a.eval(row) {
+                Truth::True => Truth::True,
+                t => t.or(b.eval(row)),
+            },
+            Pred::Not(p) => p.eval(row).not(),
+            Pred::True => Truth::True,
+        }
+    }
+}
+
+/// A kernel that only keeps or drops rows. It never edits one, so it can
+/// run on borrowed rows — a scan applies it before cloning anything.
+pub(crate) enum Filter {
+    Pred(Pred),
+    NotNull(usize),
+}
+
+impl Filter {
+    pub(crate) fn keeps(&self, row: &[Scalar]) -> bool {
+        match self {
+            Filter::Pred(p) => p.eval(row).passes(),
+            Filter::NotNull(col) => !row[*col].is_null(),
+        }
+    }
+}
+
+/// A resolved function application and the row edit that lays its value
+/// out like `UnaryOp::output` orders the schema.
+struct Call {
+    name: String,
+    /// `None` when the registry has no such function: reported on the
+    /// first row, like the reference (which never calls it on no rows).
+    f: Option<ScalarFn>,
+    args: Vec<usize>,
+    /// The in-place slot the value overwrites; `None` appends it.
+    overwrite: Option<usize>,
+    /// Input columns that do not survive, descending, so each `remove`
+    /// leaves the remaining indices valid.
+    drop: Vec<usize>,
+}
+
+impl Call {
+    fn edit(&self, row: &mut Row, scratch: &mut Vec<Scalar>) -> Result<()> {
+        let f = self
+            .f
+            .as_ref()
+            .ok_or_else(|| EngineError::UnknownFunction(self.name.clone()))?;
+        let value = match self.args.as_slice() {
+            // The common one-argument call borrows its cell.
+            [col] => f(std::slice::from_ref(&row[*col]))?,
+            cols => {
+                scratch.clear();
+                scratch.extend(cols.iter().map(|&c| row[c].clone()));
+                f(scratch)?
+            }
+        };
+        let appended = match self.overwrite {
+            Some(col) => {
+                row[col] = value;
+                None
+            }
+            None => Some(value),
+        };
+        for &c in &self.drop {
+            row.remove(c);
+        }
+        row.extend(appended);
+        Ok(())
+    }
+}
+
+/// A resolved surrogate-key assignment: key column out, surrogate appended.
+struct Surrogate {
+    key_col: usize,
+    lookup: String,
+    /// `None` when the catalog has no such lookup table (every key misses).
+    table: Option<Arc<LookupTable>>,
+    auto: bool,
+}
+
+impl Surrogate {
+    fn edit(&self, row: &mut Row, key: &mut String) -> Result<()> {
+        key.clear();
+        write_canonical_key(key, &row[self.key_col]);
+        let hit = self.table.as_ref().and_then(|t| t.get(key.as_str()));
+        let sk = match hit {
+            Some(s) => s.clone(),
+            None if self.auto => surrogate_of_canonical(key),
+            None => {
+                return Err(EngineError::LookupMiss {
+                    lookup: self.lookup.clone(),
+                    key: row[self.key_col].to_string(),
+                })
+            }
+        };
+        row.remove(self.key_col);
+        row.push(sk);
+        Ok(())
+    }
+}
+
+enum Step {
+    Filter(Filter),
+    /// A σ over an attribute its input lacks. The reference only notices
+    /// when a row reaches it, so the error waits for the first row.
+    Broken(EngineError),
+    Call(Call),
+    /// Columns to remove, descending.
+    ProjectOut(Vec<usize>),
+    AddField(Scalar),
+    Surrogate(Surrogate),
+}
+
+/// One row-wise operator bound to its input schema.
+pub(crate) struct Kernel {
+    step: Step,
+}
+
+fn cols<'a>(probe: &Table, attrs: impl IntoIterator<Item = &'a Attr>) -> Result<Vec<usize>> {
+    attrs.into_iter().map(|a| probe.col(a)).collect()
+}
+
+fn descending(mut cols: Vec<usize>) -> Vec<usize> {
+    cols.sort_unstable_by(|a, b| b.cmp(a));
+    cols.dedup();
+    cols
+}
+
+impl Kernel {
+    /// Bind `op` to `input`, returning the kernel and its output schema.
+    /// The schema — and every schema error — comes from probing the
+    /// materializing implementation with an empty table, so both backends
+    /// reject the same plans with the same error.
+    pub(crate) fn compile(
+        op: &UnaryOp,
+        input: &Schema,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<(Kernel, Schema)> {
+        let probe = Table::empty(input.clone());
+        let output = ops::exec_unary(op, &probe, ctx)?.schema().clone();
+        let step = match op {
+            UnaryOp::Filter { predicate, .. } => match Pred::compile(predicate, &probe) {
+                Ok(p) => Step::Filter(Filter::Pred(p)),
+                Err(e) => Step::Broken(e),
+            },
+            UnaryOp::NotNull { attr, .. } => Step::Filter(Filter::NotNull(probe.col(attr)?)),
+            UnaryOp::Function(f) => Step::Call(Call {
+                name: f.function.clone(),
+                f: ctx.functions.resolve(&f.function),
+                args: cols(&probe, &f.inputs)?,
+                overwrite: match f.inputs.contains(&f.output) {
+                    true => Some(probe.col(&f.output)?),
+                    false => None,
+                },
+                drop: descending(cols(&probe, op.projected_out(input).iter())?),
+            }),
+            UnaryOp::ProjectOut(attrs) => Step::ProjectOut(descending(
+                attrs.iter().filter_map(|a| input.index_of(a)).collect(),
+            )),
+            UnaryOp::AddField { value, .. } => Step::AddField(value.clone()),
+            UnaryOp::SurrogateKey { key, lookup, .. } => Step::Surrogate(Surrogate {
+                key_col: probe.col(key)?,
+                lookup: lookup.clone(),
+                table: ctx.catalog.lookup_table(lookup),
+                auto: ctx.auto_lookup,
+            }),
+            UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } | UnaryOp::Aggregate { .. } => {
+                return Err(EngineError::FunctionFailed {
+                    function: "exec::kernel".into(),
+                    reason: format!("{op} is not row-wise"),
+                })
+            }
+        };
+        Ok((Kernel { step }, output))
+    }
+
+    /// The filter this kernel is, if it is one — handed to a scan so it
+    /// runs before rows are cloned; otherwise the kernel back.
+    pub(crate) fn into_filter(self) -> std::result::Result<Filter, Kernel> {
+        match self.step {
+            Step::Filter(f) => Ok(f),
+            step => Err(Kernel { step }),
+        }
+    }
+
+    /// Run the operator over `batch` in place. On an error the batch is
+    /// left part-edited; the run that owns it is over.
+    pub(crate) fn apply<T: Carrier>(&self, batch: &mut Vec<T>) -> Result<()> {
+        match &self.step {
+            Step::Filter(f) => batch.retain(|t| f.keeps(t.row())),
+            Step::Broken(e) => {
+                if !batch.is_empty() {
+                    return Err(e.clone());
+                }
+            }
+            Step::Call(call) => {
+                let mut scratch = Vec::new();
+                for t in batch.iter_mut() {
+                    call.edit(t.row_mut(), &mut scratch)?;
+                }
+            }
+            Step::ProjectOut(cols) => {
+                for t in batch.iter_mut() {
+                    for &c in cols {
+                        t.row_mut().remove(c);
+                    }
+                }
+            }
+            Step::AddField(value) => {
+                for t in batch.iter_mut() {
+                    t.row_mut().push(value.clone());
+                }
+            }
+            Step::Surrogate(sk) => {
+                let mut key = String::new();
+                for t in batch.iter_mut() {
+                    sk.edit(t.row_mut(), &mut key)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Catalog;
+    use crate::functions::FunctionRegistry;
+
+    fn with_ctx<R>(f: impl FnOnce(&ExecCtx<'_>) -> R) -> R {
+        let functions = FunctionRegistry::builtin();
+        let catalog = Catalog::new();
+        f(&ExecCtx {
+            functions: &functions,
+            catalog: &catalog,
+            auto_lookup: true,
+        })
+    }
+
+    fn sample() -> Table {
+        Table::from_rows(
+            Schema::of(["k", "a", "b"]),
+            vec![
+                vec![1.into(), 10.0.into(), "x".into()],
+                vec![2.into(), Scalar::Null, "y".into()],
+                vec![3.into(), 30.0.into(), Scalar::Null],
+            ],
+        )
+        .unwrap()
+    }
+
+    /// The partitioned executors run the same kernels over `(tag, Row)`:
+    /// tags ride along untouched and the rows equal the reference's.
+    #[test]
+    fn tagged_batches_keep_their_tags_and_match_the_reference() {
+        let ops = [
+            UnaryOp::filter(Predicate::gt("a", 5.0).or(Predicate::IsNull(Attr::new("b")))),
+            UnaryOp::not_null("b"),
+            UnaryOp::function("concat", ["b", "k"], "bk"),
+            UnaryOp::function("scale", ["a"], "a"),
+            UnaryOp::project_out(["a", "k"]),
+            UnaryOp::surrogate_key("k", "sk", "L"),
+        ];
+        with_ctx(|ctx| {
+            for op in &ops {
+                let input = sample();
+                let (kernel, schema) = Kernel::compile(op, input.schema(), ctx).unwrap();
+                let reference = ops::exec_unary(op, &input, ctx).unwrap();
+                assert_eq!(&schema, reference.schema(), "{op}");
+
+                let mut plain = input.rows().to_vec();
+                kernel.apply(&mut plain).unwrap();
+                assert_eq!(plain, reference.rows(), "{op}");
+
+                let mut tagged: Vec<(u64, Row)> = input
+                    .rows()
+                    .iter()
+                    .cloned()
+                    .map(|r| (r[0].as_i64().unwrap() as u64, r))
+                    .collect();
+                kernel.apply(&mut tagged).unwrap();
+                let rows: Vec<Row> = tagged.iter().map(|(_, r)| r.clone()).collect();
+                assert_eq!(rows, reference.rows(), "{op}");
+                assert!(tagged.windows(2).all(|w| w[0].0 < w[1].0), "{op}");
+            }
+        });
+    }
+
+    /// A σ over a missing attribute passes the empty probe in the
+    /// reference and fails on its first row; the kernel does the same.
+    #[test]
+    fn filter_on_a_missing_attribute_fails_on_the_first_row_only() {
+        let op = UnaryOp::filter(Predicate::gt("ghost", 1));
+        with_ctx(|ctx| {
+            let input = sample();
+            let (kernel, _) = Kernel::compile(&op, input.schema(), ctx).unwrap();
+            let mut none: Vec<Row> = Vec::new();
+            kernel.apply(&mut none).unwrap();
+            let mut some = input.rows().to_vec();
+            assert_eq!(
+                kernel.apply(&mut some).unwrap_err(),
+                ops::exec_unary(&op, &input, ctx).unwrap_err()
+            );
+        });
+    }
+}

@@ -23,8 +23,11 @@
 //! performed — the cross-backend stats guarantee applies to uncached
 //! runs.
 
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 mod cache;
 pub(crate) mod channel;
+pub(crate) mod kernel;
 pub(crate) mod partition;
 pub(crate) mod roundsync;
 pub(crate) mod stream;
@@ -119,11 +122,22 @@ pub(crate) struct Runtime<'a> {
 
 impl Runtime<'_> {
     pub(crate) fn add_processed(&mut self, key: &str, n: u64) {
-        *self.stats.rows_processed.entry(key.to_owned()).or_insert(0) += n;
+        add(&mut self.stats.rows_processed, key, n);
     }
 
     pub(crate) fn add_out(&mut self, key: &str, n: u64) {
-        *self.stats.rows_out.entry(key.to_owned()).or_insert(0) += n;
+        add(&mut self.stats.rows_out, key, n);
+    }
+}
+
+/// `map[key] += n`. Every executing activity's key is pre-seeded, so the
+/// per-batch path finds its entry and allocates nothing.
+pub(crate) fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match map.get_mut(key) {
+        Some(v) => *v += n,
+        None => {
+            map.insert(key.to_owned(), n);
+        }
     }
 }
 
@@ -150,8 +164,8 @@ fn take_iter(outs: &mut HashMap<NodeId, Out>, id: NodeId, pool: &BufferPool) -> 
         Some(Out::Pipe(slot)) => slot
             .take()
             .ok_or_else(|| internal(format!("pipeline of node {id:?} consumed twice"))),
-        Some(Out::Buffered(buf)) => Ok(Box::new(stream::BufferScan::new(*buf, pool.schema(*buf)))),
-        Some(Out::Cached(t)) => Ok(Box::new(stream::CachedScan::new(Arc::clone(t)))),
+        Some(Out::Buffered(buf)) => Ok(Box::new(stream::Scan::buffer(*buf, pool.schema(*buf)))),
+        Some(Out::Cached(t)) => Ok(Box::new(stream::Scan::table(Arc::clone(t), t.schema())?)),
         None => Err(internal(format!("provider {id:?} has no planned output"))),
     }
 }
@@ -297,11 +311,11 @@ pub(crate) fn run_stream(
                         let t = rt
                             .ctx
                             .catalog
-                            .table(&rs.name)
+                            .shared_table(&rs.name)
                             .ok_or_else(|| EngineError::MissingSource(rs.name.clone()))?;
                         // Present the source under its declared schema
                         // (reference attribute names / order).
-                        Box::new(stream::TableScan::new(t.reordered(&rs.schema)?))
+                        Box::new(stream::Scan::table(t, &rs.schema)?)
                     }
                     Some(p) => stream::reorder(take_iter(&mut outs, p, &rt.pool)?, &rs.schema)?,
                 };

@@ -17,6 +17,10 @@
 //! routing, worker-index-order absorption) lives in
 //! [`super::partition`] and is shared with the pipelined executor.
 
+// Open failure-domain item (ROADMAP): the `.expect(..)` sites of this file
+// are not yet typed errors, so it opts out of `exec`'s gate.
+#![allow(clippy::expect_used)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -35,10 +39,10 @@ use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
 use super::partition::{
-    add, apply_link, distribute, exchange, internal, max_tag, merge_rows, per_part, plan_chain,
+    apply_link, distribute, exchange, internal, max_tag, merge_rows, per_part, plan_chain,
     reorder_set, retag_dense, scheme_after, set_rows, PartSet, Require, Scheme,
 };
-use super::{plan_cache, SharedCache, StreamConfig, StreamRun};
+use super::{add, plan_cache, SharedCache, StreamConfig, StreamRun};
 
 /// Shared state of one round-synchronous partition-parallel run.
 struct ParRuntime<'a> {
@@ -86,9 +90,8 @@ impl ParRuntime<'_> {
             }
             add(&mut self.stats.rows_processed, key, set_rows(&set));
             let scheme = scheme_after(&link.plan, set.scheme.clone());
-            let ctx = &self.ctx;
             let input = &set;
-            let parts = per_part(self.nparts, |j| apply_link(link, &input.parts[j], ctx))?;
+            let parts = per_part(self.nparts, |j| apply_link(link, &input.parts[j]))?;
             set = PartSet {
                 schema: link.out_schema.clone(),
                 scheme,

@@ -5,15 +5,20 @@
 //! batches from its child, transforms them, and counts the same
 //! per-activity statistics the materializing executor counts — so both
 //! backends report bit-identical [`crate::executor::ExecStats`]. Row-wise
-//! operators reuse the materializing implementations verbatim on each
-//! batch; stateful operators (key checks, dedup, aggregation, the binary
-//! ops) carry their state across batches, draining a side through the
-//! buffer pool where the materializing path would hold a whole table.
+//! operators are compiled [`Kernel`]s editing the batch they own in place;
+//! stateful operators (key checks, dedup, aggregation, the binary ops)
+//! carry their state across batches, draining a side through the buffer
+//! pool where the materializing path would hold a whole table.
 //!
-//! `counters.batches` counts batches *born* into a pipeline: source-table
-//! scans, buffer re-reads, cached-table scans, and aggregate output
-//! emissions. Transformed batches flowing through row-wise operators are
-//! not re-counted.
+//! A batch is owned by whoever pulled it. The one clone a row pays
+//! happens in [`Scan`], which reads rows it does not own (a catalog or
+//! cached table, a pool page) — and when the links directly above a scan
+//! are filters they run there, on the borrowed rows, so only survivors
+//! are cloned at all.
+//!
+//! `counters.batches` counts batches *born* into a pipeline: table scans,
+//! buffer re-reads, and aggregate output emissions. Transformed batches
+//! flowing through row-wise operators are not re-counted.
 //!
 //! This module is the 1-worker pull pipeline; at
 //! `StreamConfig::parallelism > 1` execution moves to the partitioned
@@ -33,6 +38,7 @@ use crate::ops::{self, tuple_key, AggState, ExecCtx};
 use crate::pool::BufferId;
 use crate::table::{Row, Table};
 
+use super::kernel::{perm_for, Filter, Kernel};
 use super::Runtime;
 
 /// One streaming operator: a pull-based producer of row batches.
@@ -41,6 +47,12 @@ pub(crate) trait BatchIter {
     fn schema(&self) -> &Schema;
     /// Produce the next batch, or `None` once exhausted.
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>>;
+    /// Offer the link directly above this iterator. An iterator that
+    /// reads rows it does not own takes a filter (`None`) and runs it
+    /// before cloning; everything else hands the link back.
+    fn fuse(&mut self, link: Link) -> Option<Link> {
+        Some(link)
+    }
 }
 
 /// A boxed operator in a pipeline.
@@ -53,103 +65,138 @@ fn internal(reason: impl Into<String>) -> EngineError {
     }
 }
 
-/// Scan over an owned table (source recordsets), emitting
-/// `batch_rows`-sized chunks.
-pub(crate) struct TableScan {
+/// One row-wise link of an activity's chain: the compiled operator (a
+/// [`Kernel`], or just its [`Filter`] once fused into a [`Scan`]) plus the
+/// stats it reports under the activity's key.
+pub(crate) struct Link<Op = Kernel> {
+    op: Op,
+    key: String,
+    counts_out: bool,
+}
+
+/// The rows a [`Scan`] reads. It owns none of them.
+enum Source {
+    /// A catalog table or a cache hit, `batch_rows` rows per pull.
+    Table { table: Arc<Table>, pos: usize },
+    /// A pool buffer, re-read page-at-a-time (each appended batch is one
+    /// page, so pages come back in the granularity they were drained at).
+    Buffer { buf: BufferId, page: usize },
+}
+
+/// The leaf of every pipeline: reads borrowed rows, runs the filters
+/// fused into it, and clones what survives — the one clone a row pays.
+pub(crate) struct Scan {
+    source: Source,
     schema: Schema,
-    rows: std::vec::IntoIter<Row>,
+    /// Stored column → declared column, when the layouts differ.
+    perm: Option<Vec<usize>>,
+    fused: Vec<Link<Filter>>,
 }
 
-impl TableScan {
-    pub(crate) fn new(table: Table) -> TableScan {
-        TableScan {
-            schema: table.schema().clone(),
-            rows: table.into_rows().into_iter(),
-        }
-    }
-}
-
-impl BatchIter for TableScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let batch: Vec<Row> = self.rows.by_ref().take(rt.batch_rows).collect();
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        rt.counters.batches += 1;
-        Ok(Some(batch))
-    }
-}
-
-/// Scan over a cached table shared via `Arc` (cache hits).
-pub(crate) struct CachedScan {
-    table: Arc<Table>,
-    schema: Schema,
-    pos: usize,
-}
-
-impl CachedScan {
-    pub(crate) fn new(table: Arc<Table>) -> CachedScan {
-        CachedScan {
-            schema: table.schema().clone(),
-            table,
-            pos: 0,
-        }
-    }
-}
-
-impl BatchIter for CachedScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
+impl Scan {
+    /// Scan `table` presented under `declared` (reference attribute names
+    /// and order); the permutation is resolved here, once.
+    pub(crate) fn table(table: Arc<Table>, declared: &Schema) -> Result<Scan> {
+        Ok(Scan {
+            perm: perm_for(table.schema(), declared)?,
+            source: Source::Table { table, pos: 0 },
+            schema: declared.clone(),
+            fused: Vec::new(),
+        })
     }
 
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let rows = self.table.rows();
-        if self.pos >= rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + rt.batch_rows).min(rows.len());
-        let batch = rows[self.pos..end].to_vec();
-        self.pos = end;
-        rt.counters.batches += 1;
-        Ok(Some(batch))
-    }
-}
-
-/// Re-read a pool buffer page-at-a-time (each appended batch is one page,
-/// so pages come back in the batch granularity they were drained at).
-pub(crate) struct BufferScan {
-    buf: BufferId,
-    schema: Schema,
-    page: usize,
-}
-
-impl BufferScan {
-    pub(crate) fn new(buf: BufferId, schema: Schema) -> BufferScan {
-        BufferScan {
-            buf,
+    pub(crate) fn buffer(buf: BufferId, schema: Schema) -> Scan {
+        Scan {
+            source: Source::Buffer { buf, page: 0 },
             schema,
-            page: 0,
+            perm: None,
+            fused: Vec::new(),
         }
     }
 }
 
-impl BatchIter for BufferScan {
+impl BatchIter for Scan {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if self.page >= rt.pool.pages(self.buf) {
+        let page;
+        let rows: &[Row] = match &mut self.source {
+            Source::Table { table, pos } => {
+                let start = *pos;
+                *pos = (start + rt.batch_rows).min(table.len());
+                &table.rows()[start..*pos]
+            }
+            Source::Buffer { buf, page: next } => {
+                if *next >= rt.pool.pages(*buf) {
+                    return Ok(None);
+                }
+                page = rt.pool.page(*buf, *next)?;
+                *next += 1;
+                page.as_slice()
+            }
+        };
+        if rows.is_empty() {
             return Ok(None);
         }
-        let rows = rt.pool.page(self.buf, self.page)?;
-        self.page += 1;
         rt.counters.batches += 1;
-        Ok(Some(rows.as_ref().clone()))
+        // `stopped[i]` rows were dropped by fused filter `i`; the last slot
+        // counts the survivors.
+        let mut stopped = vec![0u64; self.fused.len() + 1];
+        let mut batch = Vec::with_capacity(if self.fused.is_empty() { rows.len() } else { 0 });
+        for row in rows {
+            let depth = self
+                .fused
+                .iter()
+                .position(|f| !f.op.keeps(row))
+                .unwrap_or(self.fused.len());
+            stopped[depth] += 1;
+            if depth == self.fused.len() {
+                batch.push(match &self.perm {
+                    Some(perm) => perm.iter().map(|&c| row[c].clone()).collect(),
+                    None => row.clone(),
+                });
+            }
+        }
+        // A link processes every row that got past the links before it.
+        let mut reached = rows.len() as u64;
+        for (f, dropped) in self.fused.iter().zip(&stopped) {
+            rt.add_processed(&f.key, reached);
+            reached -= dropped;
+            if f.counts_out {
+                rt.add_out(&f.key, reached);
+            }
+        }
+        Ok(Some(batch))
+    }
+
+    fn fuse(&mut self, link: Link) -> Option<Link> {
+        // Fused filters read stored rows with columns compiled against the
+        // declared layout, so a permuting scan keeps its links above it.
+        if self.perm.is_some() {
+            return Some(link);
+        }
+        let Link {
+            op,
+            key,
+            counts_out,
+        } = link;
+        match op.into_filter() {
+            Ok(op) => {
+                self.fused.push(Link {
+                    op,
+                    key,
+                    counts_out,
+                });
+                None
+            }
+            Err(op) => Some(Link {
+                op,
+                key,
+                counts_out,
+            }),
+        }
     }
 }
 
@@ -182,14 +229,9 @@ impl BatchIter for Reorder {
 /// Wrap `inner` so its batches come out in `target` column order; a no-op
 /// when the schema already matches.
 pub(crate) fn reorder(inner: BoxIter, target: &Schema) -> Result<BoxIter> {
-    if inner.schema() == target {
+    let Some(perm) = perm_for(inner.schema(), target)? else {
         return Ok(inner);
-    }
-    let probe = Table::empty(inner.schema().clone());
-    let mut perm = Vec::with_capacity(target.len());
-    for a in target.iter() {
-        perm.push(probe.col(a)?);
-    }
+    };
     Ok(Box::new(Reorder {
         inner,
         perm,
@@ -197,35 +239,28 @@ pub(crate) fn reorder(inner: BoxIter, target: &Schema) -> Result<BoxIter> {
     }))
 }
 
-/// A stateless row-wise operator applied batch-at-a-time through the
-/// materializing implementation (`ops::exec_unary`), counting stats under
-/// the owning activity's key.
-struct OpIter {
+/// A row-wise link over an owned batch: the kernel edits it in place.
+struct Apply {
     inner: BoxIter,
-    op: UnaryOp,
-    key: String,
-    counts_out: bool,
-    in_schema: Schema,
+    link: Link,
     schema: Schema,
 }
 
-impl BatchIter for OpIter {
+impl BatchIter for Apply {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
+        let Some(mut batch) = self.inner.next_batch(rt)? else {
             return Ok(None);
         };
-        rt.add_processed(&self.key, batch.len() as u64);
-        let t = Table::from_rows(self.in_schema.clone(), batch)?;
-        let out = ops::exec_unary(&self.op, &t, &rt.ctx)?;
-        let rows = out.into_rows();
-        if self.counts_out {
-            rt.add_out(&self.key, rows.len() as u64);
+        rt.add_processed(&self.link.key, batch.len() as u64);
+        self.link.op.apply(&mut batch)?;
+        if self.link.counts_out {
+            rt.add_out(&self.link.key, batch.len() as u64);
         }
-        Ok(Some(rows))
+        Ok(Some(batch))
     }
 }
 
@@ -385,20 +420,20 @@ pub(crate) fn unary_pipeline(
                 })
             }
             op => {
-                // Row-wise: derive the output schema (and surface schema
-                // errors exactly like the materializing path) by probing
-                // the operator with an empty table.
-                let schema = ops::exec_unary(op, &Table::empty(in_schema.clone()), ctx)?
-                    .schema()
-                    .clone();
-                Box::new(OpIter {
-                    inner: cur,
-                    op: op.clone(),
+                let (op, schema) = Kernel::compile(op, &in_schema, ctx)?;
+                let link = Link {
+                    op,
                     key: key.to_owned(),
                     counts_out,
-                    in_schema,
-                    schema,
-                })
+                };
+                match cur.fuse(link) {
+                    None => cur,
+                    Some(link) => Box::new(Apply {
+                        inner: cur,
+                        link,
+                        schema,
+                    }),
+                }
             }
         };
     }

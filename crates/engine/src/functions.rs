@@ -17,7 +17,8 @@ use etlopt_core::scalar::Scalar;
 
 use crate::error::{EngineError, Result};
 
-type ScalarFn = Arc<dyn Fn(&[Scalar]) -> Result<Scalar> + Send + Sync>;
+/// An executable scalar function: argument values in, one value out.
+pub type ScalarFn = Arc<dyn Fn(&[Scalar]) -> Result<Scalar> + Send + Sync>;
 
 /// Name → implementation map for scalar functions.
 #[derive(Clone)]
@@ -165,6 +166,12 @@ impl FunctionRegistry {
             .get(name)
             .ok_or_else(|| EngineError::UnknownFunction(name.to_owned()))?;
         f(args)
+    }
+
+    /// The implementation registered under `name`, for callers that invoke
+    /// it many times (a compiled kernel resolves once per pipeline).
+    pub fn resolve(&self, name: &str) -> Option<ScalarFn> {
+        self.fns.get(name).cloned()
     }
 
     /// Is `name` registered?

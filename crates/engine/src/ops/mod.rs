@@ -71,7 +71,7 @@ pub(crate) fn tuple_key<'a>(
 ) -> String {
     let mut out = String::new();
     for v in values {
-        out.push_str(&crate::catalog::canonical_key(v));
+        crate::catalog::write_canonical_key(&mut out, v);
         out.push('\u{1f}');
     }
     out
@@ -105,6 +105,44 @@ mod tests {
         let (out, processed) = exec_chain(&chain, &t, &ctx).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(processed, 10 + 5);
+    }
+
+    /// The key bytes are load-bearing: they key join / group / dedup maps,
+    /// route rows across partitions (`partition::route`) and seed
+    /// `auto_surrogate`. Pinned per `Scalar` variant.
+    #[test]
+    fn key_bytes_are_pinned_for_every_scalar_variant() {
+        use crate::catalog::{auto_surrogate, canonical_key};
+        use etlopt_core::scalar::Scalar;
+        let cases: [(Scalar, &str); 13] = [
+            (Scalar::Null, "Null"),
+            (Scalar::Int(5), "i:5"),
+            (Scalar::Int(-7), "i:-7"),
+            (Scalar::Float(5.0), "i:5"),
+            (Scalar::Float(-0.0), "i:0"),
+            (Scalar::Float(2.5), "Float(2.5)"),
+            (Scalar::Float(f64::NAN), "Float(NaN)"),
+            (Scalar::Float(f64::INFINITY), "Float(inf)"),
+            (Scalar::Float(1e300), "i:9223372036854775807"),
+            (Scalar::Str("a\u{1f}b".into()), "Str(\"a\\u{1f}b\")"),
+            (Scalar::Str(String::new()), "Str(\"\")"),
+            (Scalar::Bool(true), "Bool(true)"),
+            (Scalar::Date(-3), "Date(-3)"),
+        ];
+        for (value, expected) in &cases {
+            assert_eq!(canonical_key(value), *expected, "{value:?}");
+            assert_eq!(
+                tuple_key(std::iter::once(value)),
+                format!("{expected}\u{1f}"),
+                "{value:?}"
+            );
+        }
+        let whole: String = cases.iter().map(|(_, e)| format!("{e}\u{1f}")).collect();
+        assert_eq!(tuple_key(cases.iter().map(|(v, _)| v)), whole);
+        assert_eq!(
+            auto_surrogate(&Scalar::Float(5.0)),
+            Scalar::Int(1_550_680_885_121_691_614)
+        );
     }
 
     #[test]

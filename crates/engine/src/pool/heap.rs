@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use etlopt_core::scalar::Scalar;
-use etlopt_core::schema::Schema;
 
 use crate::error::{EngineError, Result};
 use crate::recordfile::{render_field, split_line, DELIMITER};
@@ -96,8 +95,8 @@ impl SpillFile {
         })
     }
 
-    /// Read one page back, checking every row against `schema`'s arity.
-    pub(crate) fn read_page(&mut self, loc: PageLoc, schema: &Schema) -> Result<Vec<Row>> {
+    /// Read one page back, checking every row is `width` values wide.
+    pub(crate) fn read_page(&mut self, loc: PageLoc, width: usize) -> Result<Vec<Row>> {
         self.file
             .seek(SeekFrom::Start(loc.offset))
             .map_err(|e| io_err("read", e))?;
@@ -116,7 +115,7 @@ impl SpillFile {
         while let Some(nl) = rest.find('\n') {
             let line = &rest[..nl];
             rest = &rest[nl + 1..];
-            let row = parse_row(line, schema)?;
+            let row = parse_row(line, width)?;
             rows.push(row);
         }
         Ok(rows)
@@ -128,18 +127,18 @@ impl SpillFile {
     }
 }
 
-fn parse_row(line: &str, schema: &Schema) -> Result<Row> {
-    let row = if schema.len() == 1 && line.is_empty() {
+fn parse_row(line: &str, width: usize) -> Result<Row> {
+    let row = if width == 1 && line.is_empty() {
         // `split_line` on "" yields one NULL field, which is exactly the
         // one-column case; wider schemata can never render an empty line.
         vec![Scalar::Null]
     } else {
         split_line(line)?
     };
-    if row.len() != schema.len() {
+    if row.len() != width {
         return Err(EngineError::RowArity {
             context: format!("spill page (line `{line}`, delimiter `{DELIMITER}`)"),
-            expected: schema.len(),
+            expected: width,
             actual: row.len(),
         });
     }
@@ -155,10 +154,6 @@ impl Drop for SpillFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn schema3() -> Schema {
-        Schema::of(["a", "b", "c"])
-    }
 
     #[test]
     fn pages_roundtrip_all_scalar_kinds() {
@@ -177,7 +172,7 @@ mod tests {
             ],
         ];
         let loc = f.write_page(&rows).unwrap();
-        let back = f.read_page(loc, &schema3()).unwrap();
+        let back = f.read_page(loc, 3).unwrap();
         assert_eq!(rows, back);
     }
 
@@ -189,24 +184,23 @@ mod tests {
         let l1 = f.write_page(&p1).unwrap();
         let l2 = f.write_page(&p2).unwrap();
         assert!(f.len() > 0);
-        assert_eq!(f.read_page(l2, &schema3()).unwrap(), p2);
-        assert_eq!(f.read_page(l1, &schema3()).unwrap(), p1);
+        assert_eq!(f.read_page(l2, 3).unwrap(), p2);
+        assert_eq!(f.read_page(l1, 3).unwrap(), p1);
     }
 
     #[test]
     fn single_null_column_rows_survive() {
         let mut f = SpillFile::create().unwrap();
-        let schema = Schema::of(["only"]);
         let rows: Vec<Row> = vec![vec![Scalar::Null], vec![Scalar::Int(9)], vec![Scalar::Null]];
         let loc = f.write_page(&rows).unwrap();
-        assert_eq!(f.read_page(loc, &schema).unwrap(), rows);
+        assert_eq!(f.read_page(loc, 1).unwrap(), rows);
     }
 
     #[test]
     fn empty_page_roundtrips() {
         let mut f = SpillFile::create().unwrap();
         let loc = f.write_page(&[]).unwrap();
-        assert!(f.read_page(loc, &schema3()).unwrap().is_empty());
+        assert!(f.read_page(loc, 3).unwrap().is_empty());
     }
 
     #[test]
@@ -223,7 +217,7 @@ mod tests {
         let mut f = SpillFile::create().unwrap();
         let loc = f.write_page(&[vec![Scalar::Int(1)]]).unwrap();
         assert!(matches!(
-            f.read_page(loc, &schema3()).unwrap_err(),
+            f.read_page(loc, 3).unwrap_err(),
             EngineError::RowArity { .. }
         ));
     }

@@ -34,6 +34,8 @@
 //! reader, and when every candidate is pinned the pool admits over
 //! budget rather than stalling.
 
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 mod heap;
 
 use std::collections::VecDeque;
@@ -120,6 +122,8 @@ struct Shard {
 #[derive(Debug, Clone)]
 struct BufferMeta {
     schema: Schema,
+    /// `schema.len()`, so the per-page paths never touch the schema.
+    width: usize,
     shard: usize,
     /// Index into the owning shard's `bufs`.
     slot: usize,
@@ -155,16 +159,17 @@ impl BufferPool {
         self.shards.len()
     }
 
-    /// Look up a buffer's placement: (shard index, shard-local slot).
-    fn place(&self, buf: BufferId) -> (usize, usize) {
+    /// Look up a buffer's placement and row width:
+    /// (shard index, shard-local slot, width).
+    fn place(&self, buf: BufferId) -> (usize, usize, usize) {
         let reg = relock(self.registry.read());
         let meta = &reg[buf.0];
-        (meta.shard, meta.slot)
+        (meta.shard, meta.slot, meta.width)
     }
 
     /// Lock the shard owning `buf`, returning the guard and the slot.
     fn shard_of(&self, buf: BufferId) -> (MutexGuard<'_, Shard>, usize) {
-        let (shard, slot) = self.place(buf);
+        let (shard, slot, _) = self.place(buf);
         (relock(self.shards[shard].lock()), slot)
     }
 
@@ -183,6 +188,7 @@ impl BufferPool {
         });
         drop(s);
         reg.push(BufferMeta {
+            width: schema.len(),
             schema,
             shard,
             slot,
@@ -226,7 +232,7 @@ impl BufferPool {
         if rows.is_empty() {
             return Ok(0);
         }
-        let width = self.schema(buf).len();
+        let (shard, slot, width) = self.place(buf);
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
             return Err(EngineError::RowArity {
                 context: "BufferPool::append".into(),
@@ -234,7 +240,7 @@ impl BufferPool {
                 actual: bad.len(),
             });
         }
-        let (mut s, slot) = self.shard_of(buf);
+        let mut s = relock(self.shards[shard].lock());
         s.make_room(1, self.shard_budget)?;
         let b = &mut s.bufs[slot];
         let start = b.rows;
@@ -257,8 +263,8 @@ impl BufferPool {
     /// evicted. The returned `Arc` pins the page: the clock sweep skips
     /// it until the caller drops the clone.
     pub fn page(&self, buf: BufferId, page: usize) -> Result<Arc<Vec<Row>>> {
-        let schema = self.schema(buf);
-        let (mut s, slot) = self.shard_of(buf);
+        let (shard, slot, width) = self.place(buf);
+        let mut s = relock(self.shards[shard].lock());
         let p = &mut s.bufs[slot].pages[page];
         p.referenced = true;
         if let Some(rows) = &p.rows {
@@ -279,7 +285,7 @@ impl BufferPool {
                 function: "BufferPool::page".into(),
                 reason: "spilled page but no heap file".into(),
             })?;
-        let rows = Arc::new(spill.read_page(loc, &schema)?);
+        let rows = Arc::new(spill.read_page(loc, width)?);
         let p = &mut s.bufs[slot].pages[page];
         p.rows = Some(Arc::clone(&rows));
         p.referenced = true;
@@ -395,12 +401,9 @@ impl Shard {
             // Victim: write on first eviction, drop for free afterwards.
             if page.disk.is_none() {
                 let rows = page.rows.as_ref().map(|r| r.as_slice()).unwrap_or(&[]);
-                let spill = match self.spill.as_mut() {
+                let spill = match &mut self.spill {
                     Some(s) => s,
-                    None => {
-                        self.spill = Some(SpillFile::create()?);
-                        self.spill.as_mut().expect("just created")
-                    }
+                    empty => empty.insert(SpillFile::create()?),
                 };
                 let loc = spill.write_page(rows)?;
                 self.bufs[bi].pages[pi].disk = Some(loc);

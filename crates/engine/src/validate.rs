@@ -33,6 +33,7 @@ pub fn equivalent_execution(exec: &Executor, a: &Workflow, b: &Workflow) -> Resu
 
 /// Panic with a diagnostic when the two states disagree on some target —
 /// the assert-flavored variant for tests.
+#[allow(clippy::expect_used)] // panicking on a failed run is this function's contract
 pub fn assert_equivalent_execution(exec: &Executor, a: &Workflow, b: &Workflow) {
     let ra = exec.run(a).expect("state A must execute");
     let rb = exec.run(b).expect("state B must execute");

@@ -2,14 +2,24 @@
 //! the optimizer's transitions rely on must hold on arbitrary data. Driven by
 //! the in-repo seeded [`Rng`] (the build environment is offline, so
 //! `proptest` is unavailable); each case names its seed on failure.
+//!
+//! The second half pins the streaming engine's compiled row-wise kernels
+//! (`exec::kernel`) to these same operators: rows, row order, `ExecStats`
+//! and error variants equal the materializing reference at one worker and
+//! at two.
 
-use etlopt_core::predicate::Predicate;
+use std::cmp::Ordering;
+
+use etlopt_core::predicate::{CmpOp, Predicate};
 use etlopt_core::rng::Rng;
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
-use etlopt_core::semantics::{Aggregation, BinaryOp, UnaryOp};
-use etlopt_engine::ops::{exec_binary, exec_unary, ExecCtx};
-use etlopt_engine::{Catalog, FunctionRegistry, Table};
+use etlopt_core::semantics::{Aggregation, BinaryOp, FunctionApp, UnaryOp};
+use etlopt_core::workflow::{Workflow, WorkflowBuilder};
+use etlopt_engine::ops::{exec_binary, exec_chain, exec_unary, ExecCtx};
+use etlopt_engine::table::row_cmp;
+use etlopt_engine::{Catalog, EngineError, Executor, FunctionRegistry, StreamConfig, Table};
+use etlopt_workload::scenarios;
 
 const CASES: u64 = 384;
 
@@ -206,5 +216,284 @@ fn same_bag_is_reflexive_and_symmetric() {
             b.same_bag(&a).unwrap(),
             "seed {seed}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compiled kernels ≡ the materializing reference
+// ---------------------------------------------------------------------
+
+/// `k`: join-style keys, some as integral floats (`3.0` ≡ `3`); `n`:
+/// numeric with NULL, NaN and integral floats; `s`: strings with NULL.
+fn table_kns(rng: &mut Rng, rows: usize) -> Table {
+    let k = |rng: &mut Rng| match rng.gen_range(0..6u32) {
+        0 => Scalar::Float(rng.gen_range(0..8i64) as f64),
+        _ => Scalar::Int(rng.gen_range(0..8i64)),
+    };
+    let n = |rng: &mut Rng| match rng.gen_range(0..8u32) {
+        0 => Scalar::Null,
+        1 => Scalar::Float(f64::NAN),
+        2 => Scalar::Float(rng.gen_range(0..6i64) as f64),
+        3 | 4 => Scalar::Int(rng.gen_range(-3..6i64)),
+        _ => Scalar::Float((rng.gen_range(-3.0..6.0f64) * 4.0).round() / 4.0),
+    };
+    let s = |rng: &mut Rng| match rng.gen_range(0..5u32) {
+        0 => Scalar::Null,
+        i => Scalar::from(["a", "b", " c ", "12/31/2004"][i as usize - 1]),
+    };
+    Table::from_rows(
+        Schema::of(["k", "n", "s"]),
+        (0..rows).map(|_| vec![k(rng), n(rng), s(rng)]).collect(),
+    )
+    .unwrap()
+}
+
+fn function(name: &str, inputs: &[&str], output: &str, keep_inputs: bool) -> UnaryOp {
+    UnaryOp::Function(FunctionApp {
+        function: name.into(),
+        inputs: inputs.iter().map(|a| Attr::new(*a)).collect(),
+        output: Attr::new(output),
+        keep_inputs,
+        injective: false,
+    })
+}
+
+/// Every row-wise operator form over `table_kns`.
+fn row_wise_ops() -> Vec<UnaryOp> {
+    let preds = [
+        Predicate::gt("n", 2.5),
+        Predicate::eq("s", "b"),
+        Predicate::ne("k", 3),
+        Predicate::CmpAttr {
+            left: "n".into(),
+            op: CmpOp::Lt,
+            right: "k".into(),
+        },
+        Predicate::IsNull("s".into()),
+        Predicate::not_null("n"),
+        Predicate::InList {
+            attr: "k".into(),
+            values: vec![Scalar::Int(1), Scalar::Null, Scalar::Float(3.0)],
+        },
+        // UNKNOWN, not FALSE, for a non-member: only a NOT can tell.
+        Predicate::InList {
+            attr: "k".into(),
+            values: vec![Scalar::Int(2), Scalar::Null],
+        }
+        .not(),
+        Predicate::in_list("s", ["a", " c "]),
+        Predicate::gt("n", 2)
+            .and(Predicate::eq("s", "a").not())
+            .or(Predicate::le("k", 1)),
+        Predicate::True,
+    ];
+    let mut ops: Vec<UnaryOp> = preds.into_iter().map(UnaryOp::filter).collect();
+    ops.extend([
+        UnaryOp::not_null("n"),
+        UnaryOp::not_null("s"),
+        // In place, renaming, keeping its input.
+        function("negate", &["n"], "n", false),
+        function("negate", &["n"], "neg", false),
+        function("uppercase", &["s"], "upper", true),
+        // Multi-input: inputs dropped, one overwritten, all kept.
+        function("concat", &["s", "k"], "sk", false),
+        function("concat", &["s", "k"], "s", false),
+        function("concat", &["k", "s"], "ks", true),
+        UnaryOp::project_out(["n"]),
+        UnaryOp::project_out(["s", "k"]),
+        UnaryOp::AddField {
+            attr: "src".into(),
+            value: Scalar::from("S1"),
+        },
+        // Keys 0..4 hit the lookup table, the rest are derived.
+        UnaryOp::surrogate_key("k", "sk", "L"),
+    ]);
+    ops
+}
+
+/// `S → chain → T`, one activity per link.
+fn chain_wf(source: &Schema, chain: &[UnaryOp]) -> Workflow {
+    let mut b = WorkflowBuilder::new();
+    let mut cur = b.source("S", source.clone(), 100.0);
+    let mut schema = source.clone();
+    for (i, op) in chain.iter().enumerate() {
+        schema = op.output(&schema).unwrap();
+        cur = b.unary(&format!("op{i}"), op.clone(), cur);
+    }
+    b.target("T", schema, cur);
+    b.build().unwrap()
+}
+
+fn catalog_with(table: Table) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.insert("S", table);
+    for key in 0..4 {
+        catalog.insert_lookup("L", &Scalar::Int(key), Scalar::Int(1000 + key));
+    }
+    catalog
+}
+
+fn stream_cfg(batch_rows: usize, parallelism: usize) -> StreamConfig {
+    StreamConfig {
+        batch_rows,
+        parallelism,
+        ..StreamConfig::default()
+    }
+}
+
+/// NaN-proof table equality: same schema, same rows in the same order.
+fn assert_same_table(got: &Table, want: &Table, what: &str) {
+    assert_eq!(got.schema(), want.schema(), "{what}");
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (g, w)) in got.rows().iter().zip(want.rows()).enumerate() {
+        assert_eq!(
+            row_cmp(g, w),
+            Ordering::Equal,
+            "{what}: row {i}: {g:?} vs {w:?}"
+        );
+    }
+}
+
+/// Every row-wise operator, directly above the scan (where a filter runs
+/// on the scan's borrowed rows) and behind another link (where it edits
+/// an owned batch): the streamed target equals `ops::exec_chain` row for
+/// row at one worker and at two.
+#[test]
+fn kernels_match_the_reference_row_for_row() {
+    let ahead = function("normalize", &["k"], "k", false);
+    for (n, op) in row_wise_ops().into_iter().enumerate() {
+        for chain in [vec![op.clone()], vec![ahead.clone(), op.clone()]] {
+            for seed in 0..12u64 {
+                let mut rng = Rng::seed_from_u64(seed ^ 0x9000 ^ ((n as u64) << 16));
+                let table = table_kns(&mut rng, 40);
+                let catalog = catalog_with(table.clone());
+                let functions = FunctionRegistry::builtin();
+                let ctx = ExecCtx {
+                    functions: &functions,
+                    catalog: &catalog,
+                    auto_lookup: true,
+                };
+                let (want, _) = exec_chain(&chain, &table, &ctx).unwrap();
+                let wf = chain_wf(table.schema(), &chain);
+                for parallelism in [1, 2] {
+                    let run = Executor::new(catalog.clone())
+                        .with_stream_config(stream_cfg(7, parallelism))
+                        .run_stream(&wf)
+                        .unwrap();
+                    let what = format!("{op} ({} links) seed {seed} x{parallelism}", chain.len());
+                    assert_same_table(&run.result.targets["T"], &want, &what);
+                }
+            }
+        }
+    }
+}
+
+/// A failing row fails every backend with the same error variant.
+#[test]
+fn kernel_failures_are_the_reference_failures() {
+    let mut rng = Rng::seed_from_u64(0xA000);
+    let table = table_kns(&mut rng, 40);
+    let narrow = Table::from_rows(Schema::of(["k", "n"]), vec![vec![1.into(), 2.into()]]).unwrap();
+    let cases: [(&str, UnaryOp, Table, bool); 3] = [
+        (
+            "non-numeric argument",
+            function("scale", &["s"], "scaled", false),
+            table.clone(),
+            true,
+        ),
+        (
+            "strict lookup miss",
+            UnaryOp::surrogate_key("k", "sk", "L"),
+            table.clone(),
+            false,
+        ),
+        // The stored table lacks a column the source declares.
+        ("missing attribute", UnaryOp::not_null("s"), narrow, true),
+    ];
+    for (what, op, stored, auto_lookup) in cases {
+        let wf = chain_wf(table.schema(), &[op]);
+        let exec = |parallelism| {
+            let exec = Executor::new(catalog_with(stored.clone()))
+                .with_stream_config(stream_cfg(7, parallelism));
+            if auto_lookup {
+                exec
+            } else {
+                exec.with_strict_lookups()
+            }
+        };
+        let want = exec(1).run_materialize(&wf).unwrap_err();
+        let expected = match what {
+            "non-numeric argument" => matches!(want, EngineError::FunctionFailed { .. }),
+            "strict lookup miss" => matches!(want, EngineError::LookupMiss { .. }),
+            _ => matches!(want, EngineError::MissingAttribute { .. }),
+        };
+        assert!(expected, "{what}: reference raised {want:?}");
+        for parallelism in [1, 2] {
+            let got = exec(parallelism).run_stream(&wf).unwrap_err();
+            assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(&want),
+                "{what} x{parallelism}: {got:?} vs {want:?}"
+            );
+        }
+    }
+}
+
+/// The scan boundary: sources stored in non-declared column order (the
+/// scan permutes as it clones, and keeps its filters above it) and a
+/// source with two consumers (drained through the pool, re-read per
+/// consumer), across batch sizes that split, straddle and swallow the
+/// input. Targets and `ExecStats` equal `run_materialize`.
+#[test]
+fn scans_match_materialize_across_layouts_and_batch_sizes() {
+    let two_consumers = {
+        let mut b = WorkflowBuilder::new();
+        let schema = Schema::of(["acct", "dollar_amt"]);
+        let s = b.source("LEDGER_TODAY", schema.clone(), 100.0);
+        let hi = b.unary("σ", UnaryOp::filter(Predicate::gt("dollar_amt", 500.0)), s);
+        let nn = b.unary("NN", UnaryOp::not_null("acct"), s);
+        b.target("HIGH", schema.clone(), hi);
+        b.target("ALL", schema, nn);
+        b.build().unwrap()
+    };
+    let cases = [
+        (scenarios::fig1(), scenarios::fig1_catalog(11, 40, 300)),
+        (
+            scenarios::clickstream(),
+            scenarios::clickstream_catalog(11, 300),
+        ),
+        (
+            scenarios::reconciliation(),
+            scenarios::reconciliation_catalog(11, 300),
+        ),
+        (two_consumers, scenarios::reconciliation_catalog(11, 300)),
+    ];
+    for (wf, stored) in cases {
+        // Re-store every source with its columns reversed.
+        let mut reversed = stored.clone();
+        for src in wf.sources() {
+            let name = &wf.graph().recordset(src).unwrap().name;
+            let t = stored.table(name).unwrap();
+            let mut attrs: Vec<Attr> = t.schema().iter().cloned().collect();
+            attrs.reverse();
+            reversed.insert(
+                name.clone(),
+                t.reordered(&attrs.into_iter().collect()).unwrap(),
+            );
+        }
+        for catalog in [stored, reversed] {
+            let want = Executor::new(catalog.clone()).run_materialize(&wf).unwrap();
+            for batch_rows in [1, 7, 1024] {
+                for parallelism in [1, 2] {
+                    let run = Executor::new(catalog.clone())
+                        .with_stream_config(stream_cfg(batch_rows, parallelism))
+                        .run_stream(&wf)
+                        .unwrap();
+                    let what = format!("batch_rows {batch_rows} x{parallelism}");
+                    assert_eq!(run.result.targets, want.targets, "{what}");
+                    assert_eq!(run.result.stats, want.stats, "{what}");
+                }
+            }
+        }
     }
 }
