@@ -66,8 +66,10 @@ impl Catalog {
 }
 
 /// Append the canonical string form of a key value (stable across runs)
-/// to `out`. These bytes key every join / group / dedup map, route rows
-/// across partitions and seed [`auto_surrogate`], so they never change.
+/// to `out`. These bytes key the lookup tables and the materializing
+/// reference's join / group / dedup maps and seed [`auto_surrogate`], so
+/// they never change; `exec::keyed` encodes the same equivalence classes
+/// without the string.
 pub(crate) fn write_canonical_key(out: &mut String, key: &Scalar) {
     // Writing into a `String` cannot fail.
     let _ = match key {

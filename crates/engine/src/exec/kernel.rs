@@ -66,11 +66,25 @@ pub(crate) fn perm_for(src: &Schema, dst: &Schema) -> Result<Option<Vec<usize>>>
     if src == dst {
         return Ok(None);
     }
-    let probe = Table::empty(src.clone());
-    dst.iter()
-        .map(|a| probe.col(a))
-        .collect::<Result<_>>()
-        .map(Some)
+    cols_of(dst.iter(), src).map(Some)
+}
+
+/// Re-order an owned row through a [`perm_for`] permutation. It names each
+/// source cell at most once, so cells move instead of being cloned.
+pub(crate) fn permute(row: &mut Row, perm: &[usize]) {
+    *row = perm
+        .iter()
+        .map(|&i| std::mem::replace(&mut row[i], Scalar::Null))
+        .collect();
+}
+
+/// Column positions of `attrs` inside `schema`.
+pub(crate) fn cols_of<'a>(
+    attrs: impl IntoIterator<Item = &'a Attr>,
+    schema: &Schema,
+) -> Result<Vec<usize>> {
+    let probe = Table::empty(schema.clone());
+    attrs.into_iter().map(|a| probe.col(a)).collect()
 }
 
 /// A predicate over column positions (SQL three-valued logic, exactly

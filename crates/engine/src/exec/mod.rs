@@ -28,6 +28,7 @@
 mod cache;
 pub(crate) mod channel;
 pub(crate) mod kernel;
+pub(crate) mod keyed;
 pub(crate) mod partition;
 pub(crate) mod roundsync;
 pub(crate) mod stream;

@@ -39,8 +39,9 @@
 //!    `(left tag, right tag)` lexicographically before re-densifying.
 //! 2. **Co-location.** Planning tracks each edge's partitioning
 //!    [`Scheme`]; where a keyed link's requirement is unprovable the
-//!    segment is split and an exchange feeder re-routes rows by FNV-1a
-//!    over the canonical key string. The exchange feeder emits the
+//!    segment is split and an exchange feeder re-routes rows by
+//!    [`keyed::route`], the hash of their typed key bytes. The exchange
+//!    feeder emits the
 //!    k-way tag-merge of the upstream parts in *global* tag order, so
 //!    every destination channel is tag-ascending by construction — and
 //!    being the sole producer of all N channels, it can never deadlock
@@ -58,11 +59,6 @@
 //! channel receiver, which wakes any feeder blocked on the bounded
 //! queue, so poisoned runs fail fast instead of deadlocking.
 
-// Open failure-domain item (ROADMAP): the `.expect(..)` sites of this file
-// are not yet typed errors, so it opts out of `exec`'s gate.
-#![allow(clippy::expect_used)]
-
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -78,12 +74,13 @@ use etlopt_core::workflow::Workflow;
 
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
-use crate::ops::{self, tuple_key, AggState, ExecCtx};
+use crate::ops::{self, ExecCtx};
 use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
 use super::channel::{self, ChannelStats, Receiver, Sender};
-use super::kernel::{perm_for, Kernel};
+use super::kernel::{cols_of, perm_for, permute, Kernel};
+use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::{add, plan_cache, CachePlan, SharedCache, StreamConfig, StreamRun};
 
 /// A row plus its sequential-order tag.
@@ -156,27 +153,6 @@ pub(super) enum Require {
     Keys(Vec<Attr>),
     /// Identical whole rows must share a partition (any key scheme works).
     WholeRow,
-}
-
-// ---------------------------------------------------------------------
-// Deterministic routing
-// ---------------------------------------------------------------------
-
-/// FNV-1a over the canonical key bytes. The partitioner must hash
-/// identically on every run and every thread count — `HashMap`'s
-/// `RandomState` is seeded per process and must never route rows.
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Destination partition for a canonical key string.
-pub(super) fn route(key: &str, nparts: usize) -> usize {
-    (fnv1a(key.as_bytes()) % nparts as u64) as usize
 }
 
 // ---------------------------------------------------------------------
@@ -284,8 +260,8 @@ pub(super) fn retag_dense(parts: Vec<Vec<(u128, Row)>>) -> Vec<Vec<Tagged>> {
     out
 }
 
-/// The in-memory exchange operator: re-route every row to
-/// `route(hash(keys))`, preserving tags (so partitions stay
+/// The in-memory exchange operator: re-route every row by
+/// [`keyed::route`], preserving tags (so partitions stay
 /// tag-ascending). Worker `j` scans all source partitions and keeps the
 /// rows destined for itself; the per-source selections merge by tag.
 pub(super) fn exchange(
@@ -294,17 +270,15 @@ pub(super) fn exchange(
     nparts: usize,
     counters: &mut ExecCounters,
 ) -> Result<PartSet> {
-    let probe = Table::empty(set.schema.clone());
-    let cols: Vec<usize> = keys.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
+    let cols = cols_of(keys, &set.schema)?;
     let parts = per_part(nparts, |j| {
+        let mut key = Vec::new();
         let lanes: Vec<Vec<Tagged>> = set
             .parts
             .iter()
             .map(|src| {
                 src.iter()
-                    .filter(|(_, row)| {
-                        route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts) == j
-                    })
+                    .filter(|(_, row)| keyed::route(&mut key, row, &cols, nparts) == j)
                     .cloned()
                     .collect()
             })
@@ -345,15 +319,10 @@ pub(super) fn reorder_set(set: PartSet, target: &Schema) -> Result<PartSet> {
     let Some(perm) = perm_for(&set.schema, target)? else {
         return Ok(set);
     };
-    let parts = set
-        .parts
-        .into_iter()
-        .map(|part| {
-            part.into_iter()
-                .map(|(tag, row)| (tag, perm.iter().map(|&i| row[i].clone()).collect()))
-                .collect()
-        })
-        .collect();
+    let mut parts = set.parts;
+    for (_, row) in parts.iter_mut().flatten() {
+        permute(row, &perm);
+    }
     Ok(PartSet {
         schema: target.clone(),
         scheme: set.scheme,
@@ -371,10 +340,7 @@ pub(super) enum LinkPlan {
     /// check, `None` for whole-row dedup.
     KeepFirst(Option<Vec<usize>>),
     /// Partitioned group-by aggregation.
-    Aggregate {
-        agg: Aggregation,
-        group_cols: Vec<usize>,
-    },
+    Aggregate(Aggregation),
     /// A row-wise operator (σ, NN, function, π-out, ADD, SK) compiled
     /// against the link's input schema; tags pass through untouched.
     RowWise { op: UnaryOp, kernel: Kernel },
@@ -401,38 +367,22 @@ pub(super) fn plan_chain(
     let mut links = Vec::with_capacity(chain.len());
     let mut cur = input_schema.clone();
     for op in chain {
-        let probe = Table::empty(cur.clone());
         let (plan, out_schema, require) = match op {
-            UnaryOp::PkCheck { key, .. } => {
-                let cols: Vec<usize> = key.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
-                (
-                    LinkPlan::KeepFirst(Some(cols)),
-                    cur.clone(),
-                    Some(Require::Keys(key.clone())),
-                )
-            }
+            UnaryOp::PkCheck { key, .. } => (
+                LinkPlan::KeepFirst(Some(cols_of(key, &cur)?)),
+                cur.clone(),
+                Some(Require::Keys(key.clone())),
+            ),
             UnaryOp::Dedup { .. } => (
                 LinkPlan::KeepFirst(None),
                 cur.clone(),
                 Some(Require::WholeRow),
             ),
-            UnaryOp::Aggregate { agg, .. } => {
-                let state = AggState::new(agg, &cur)?;
-                let out = state.output_schema();
-                let group_cols: Vec<usize> = agg
-                    .group_by
-                    .iter()
-                    .map(|a| probe.col(a))
-                    .collect::<Result<_>>()?;
-                (
-                    LinkPlan::Aggregate {
-                        agg: agg.clone(),
-                        group_cols,
-                    },
-                    out,
-                    Some(Require::Keys(agg.group_by.clone())),
-                )
-            }
+            UnaryOp::Aggregate { agg, .. } => (
+                LinkPlan::Aggregate(agg.clone()),
+                GroupBy::new(agg, &cur)?.output_schema().clone(),
+                Some(Require::Keys(agg.group_by.clone())),
+            ),
             op => {
                 let (kernel, out) = Kernel::compile(op, &cur, ctx)?;
                 let op = op.clone();
@@ -461,7 +411,7 @@ pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
         // Keep-first never moves or rewrites columns.
         LinkPlan::KeepFirst(_) => false,
         // Group rows keep their groupers' values; other columns vanish.
-        LinkPlan::Aggregate { agg, .. } => !keys.iter().all(|k| agg.group_by.contains(k)),
+        LinkPlan::Aggregate(agg) => !keys.iter().all(|k| agg.group_by.contains(k)),
         LinkPlan::RowWise { op, .. } => match op {
             UnaryOp::ProjectOut(attrs) => keys.iter().any(|k| attrs.contains(k)),
             UnaryOp::AddField { attr, .. } => keys.contains(attr),
@@ -484,51 +434,12 @@ pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
 }
 
 /// Execute one planned link over one whole partition (the
-/// round-synchronous path). Input is tag-ascending; output must be too.
+/// round-synchronous path): the pipelined [`LinkRt`], fed one batch.
 pub(super) fn apply_link(link: &Link, part: &[Tagged]) -> Result<Vec<Tagged>> {
-    match &link.plan {
-        LinkPlan::KeepFirst(cols) => {
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut out = Vec::new();
-            for (tag, row) in part {
-                let k = match cols {
-                    Some(cols) => tuple_key(cols.iter().map(|&c| &row[c])),
-                    None => tuple_key(row.iter()),
-                };
-                if let Entry::Vacant(e) = seen.entry(k) {
-                    e.insert(());
-                    out.push((*tag, row.clone()));
-                }
-            }
-            Ok(out)
-        }
-        LinkPlan::Aggregate { agg, group_cols } => {
-            // The whole group lives in this partition and arrives in
-            // global input order, so accumulation order — and float
-            // sums — match the sequential run bit-for-bit. Each group
-            // is tagged with its first-seen input tag: ascending in
-            // first-appearance order, the sequential emission order.
-            let mut state = AggState::new(agg, &link.in_schema)?;
-            let mut seen: HashSet<String> = HashSet::new();
-            let mut first_tags: Vec<u64> = Vec::new();
-            for (tag, row) in part {
-                if seen.insert(tuple_key(group_cols.iter().map(|&c| &row[c]))) {
-                    first_tags.push(*tag);
-                }
-                state.feed_row(row)?;
-            }
-            let rows = state.finish()?.into_rows();
-            if rows.len() != first_tags.len() {
-                return Err(internal("aggregate group count drifted from tag count"));
-            }
-            Ok(first_tags.into_iter().zip(rows).collect())
-        }
-        LinkPlan::RowWise { kernel, .. } => {
-            let mut out = part.to_vec();
-            kernel.apply(&mut out)?;
-            Ok(out)
-        }
-    }
+    let mut rt = LinkRt::new(&link.plan, &link.in_schema)?;
+    let mut out = rt.run(part.to_vec())?;
+    out.extend(rt.finish());
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -869,7 +780,7 @@ enum TableSrc {
 enum RouteMode {
     /// Source distribution: row `i` goes to partition `i % N`.
     RoundRobin,
-    /// Exchange: FNV-1a over the canonical key string of these columns.
+    /// Exchange: [`keyed::route`] on these columns.
     Hash(Vec<usize>),
 }
 
@@ -938,8 +849,8 @@ enum BinKind {
     Union { perm: Option<Vec<usize>> },
     /// Partitioned hash join (build right, probe left, composite tags).
     Join {
-        lcols: Vec<usize>,
-        rcols: Vec<usize>,
+        /// The empty index each partition clones and fills.
+        index: BuildProbe<(usize, u64)>,
         extra: Vec<usize>,
     },
     /// Bag difference/intersection via co-located multiplicity maps.
@@ -974,11 +885,6 @@ struct TaskGraph {
     consumers: Vec<Vec<usize>>,
     /// Number of consuming tasks (staged parts free when it hits zero).
     fanout: Vec<usize>,
-}
-
-fn cols_of(keys: &[Attr], schema: &Schema) -> Result<Vec<usize>> {
-    let probe = Table::empty(schema.clone());
-    keys.iter().map(|a| probe.col(a)).collect()
 }
 
 /// Static planner: walks the workflow in topo order, collapses maximal
@@ -1319,14 +1225,7 @@ impl Planner<'_, '_> {
                 (BinKind::Union { perm }, sch)
             }
             BinaryOp::Join(on) => {
-                let lcols = cols_of(on, &ls)?;
-                let rcols = cols_of(on, &rs_)?;
-                let extra: Vec<usize> = rs_
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !ls.contains(a))
-                    .map(|(i, _)| i)
-                    .collect();
+                let (index, extra) = BuildProbe::plan(on, &ls, &rs_)?;
                 let subset = |s: &[Attr]| s.iter().all(|a| on.contains(a));
                 // Matching rows must co-locate: both sides hashed on the
                 // same attribute list, a subset of the join key. Reuse an
@@ -1348,21 +1247,14 @@ impl Planner<'_, '_> {
                         lscheme = Scheme::Keys(on.clone());
                     }
                 }
-                (
-                    BinKind::Join {
-                        lcols,
-                        rcols,
-                        extra,
-                    },
-                    lscheme.clone(),
-                )
+                (BinKind::Join { index, extra }, lscheme.clone())
             }
             BinaryOp::Difference | BinaryOp::Intersection => {
                 let intersect = matches!(op, BinaryOp::Intersection);
                 let perm = perm_for(&rs_, &ls)?;
                 // Whole-row bag arithmetic: both sides must share one
                 // key scheme (key attrs resolved by name on each side,
-                // so the canonical key strings agree after the perm).
+                // so the keys agree after the perm).
                 match (&lscheme, &rscheme) {
                     (Scheme::Keys(a), Scheme::Keys(b)) if a == b => {}
                     (Scheme::Keys(a), _) => {
@@ -1485,27 +1377,67 @@ struct WorkerOut {
     chan: Option<ChannelStats>,
 }
 
-/// Per-worker runtime state of one link. Mirrors [`apply_link`] exactly,
-/// but holds the stateful pieces (dedup sets, aggregation accumulators)
-/// across batches so rows can flow through the whole segment pipeline
-/// without a per-link barrier.
+/// Per-worker runtime state of one link: the stateful pieces (seen keys,
+/// aggregation groups) live across batches so rows can flow through the
+/// whole segment pipeline without a per-link barrier.
 enum LinkRt<'s> {
-    KeepFirst {
-        cols: Option<&'s [usize]>,
-        seen: HashSet<String>,
-    },
+    KeepFirst(keyed::KeepFirst),
     Aggregate {
-        /// `Option` so `flush` can take ownership for `finish()`.
-        state: Option<AggState>,
-        group_cols: &'s [usize],
-        seen: HashSet<String>,
+        state: GroupBy,
+        /// Per group, in slot order: the tag of the row that opened it.
         first_tags: Vec<u64>,
     },
     RowWise(&'s Kernel),
-    Reorder {
-        perm: &'s [usize],
-    },
+    Reorder(&'s [usize]),
     Tally,
+}
+
+impl<'s> LinkRt<'s> {
+    fn new(plan: &'s LinkPlan, in_schema: &Schema) -> Result<Self> {
+        Ok(match plan {
+            LinkPlan::KeepFirst(cols) => LinkRt::KeepFirst(keyed::KeepFirst::new(cols.clone())),
+            LinkPlan::Aggregate(agg) => LinkRt::Aggregate {
+                state: GroupBy::new(agg, in_schema)?,
+                first_tags: Vec::new(),
+            },
+            LinkPlan::RowWise { kernel, .. } => LinkRt::RowWise(kernel),
+        })
+    }
+
+    /// Apply the link to one batch. Input batches are tag-ascending and
+    /// arrive in global tag order, so stateful links observe rows in the
+    /// sequential order — keep-first keeps the minimum tag, aggregation
+    /// accumulates (and float-sums) in sequential order.
+    fn run(&mut self, mut batch: Vec<Tagged>) -> Result<Vec<Tagged>> {
+        match self {
+            LinkRt::KeepFirst(seen) => seen.retain(&mut batch),
+            LinkRt::Aggregate { state, first_tags } => {
+                // The whole group lives in this partition; tagging it with
+                // its first-seen input tag makes tags ascend in
+                // first-appearance order, the sequential emission order.
+                for (tag, row) in &batch {
+                    if state.feed_row(row)? {
+                        first_tags.push(*tag);
+                    }
+                }
+                batch.clear();
+            }
+            LinkRt::RowWise(kernel) => kernel.apply(&mut batch)?,
+            LinkRt::Reorder(perm) => batch.iter_mut().for_each(|(_, row)| permute(row, perm)),
+            LinkRt::Tally => {}
+        }
+        Ok(batch)
+    }
+
+    /// End of input: what a blocking link accumulated (else nothing).
+    fn finish(&mut self) -> Vec<Tagged> {
+        match self {
+            LinkRt::Aggregate { state, first_tags } => {
+                first_tags.drain(..).zip(state.finish()).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
 }
 
 struct LinkCell<'s> {
@@ -1514,54 +1446,6 @@ struct LinkCell<'s> {
     counts_out: bool,
     processed: u64,
     out: u64,
-}
-
-/// Apply one link to one batch. Input batches are tag-ascending and
-/// arrive in global tag order, so stateful links observe rows in the
-/// sequential order — keep-first keeps the minimum tag, aggregation
-/// accumulates (and float-sums) in sequential order.
-fn run_cell(cell: &mut LinkCell<'_>, mut batch: Vec<Tagged>) -> Result<Vec<Tagged>> {
-    match &mut cell.rt {
-        LinkRt::KeepFirst { cols, seen } => {
-            let mut out = Vec::with_capacity(batch.len());
-            for (tag, row) in batch {
-                let k = match cols {
-                    Some(cols) => tuple_key(cols.iter().map(|&c| &row[c])),
-                    None => tuple_key(row.iter()),
-                };
-                if seen.insert(k) {
-                    out.push((tag, row));
-                }
-            }
-            Ok(out)
-        }
-        LinkRt::Aggregate {
-            state,
-            group_cols,
-            seen,
-            first_tags,
-        } => {
-            let st = state
-                .as_mut()
-                .ok_or_else(|| internal("aggregate state consumed before end of stream"))?;
-            for (tag, row) in &batch {
-                if seen.insert(tuple_key(group_cols.iter().map(|&c| &row[c]))) {
-                    first_tags.push(*tag);
-                }
-                st.feed_row(row)?;
-            }
-            Ok(Vec::new())
-        }
-        LinkRt::RowWise(kernel) => {
-            kernel.apply(&mut batch)?;
-            Ok(batch)
-        }
-        LinkRt::Reorder { perm } => Ok(batch
-            .into_iter()
-            .map(|(tag, row)| (tag, perm.iter().map(|&i| row[i].clone()).collect()))
-            .collect()),
-        LinkRt::Tally => Ok(batch),
-    }
 }
 
 /// One worker's running chain: every link of the segment plus its
@@ -1576,18 +1460,8 @@ impl<'s> ChainRt<'s> {
         let mut cells = Vec::with_capacity(seg.links.len());
         for link in &seg.links {
             let rt = match &link.plan {
-                PipePlan::Op(LinkPlan::KeepFirst(cols)) => LinkRt::KeepFirst {
-                    cols: cols.as_deref(),
-                    seen: HashSet::new(),
-                },
-                PipePlan::Op(LinkPlan::Aggregate { agg, group_cols }) => LinkRt::Aggregate {
-                    state: Some(AggState::new(agg, &link.in_schema)?),
-                    group_cols,
-                    seen: HashSet::new(),
-                    first_tags: Vec::new(),
-                },
-                PipePlan::Op(LinkPlan::RowWise { kernel, .. }) => LinkRt::RowWise(kernel),
-                PipePlan::Reorder(perm) => LinkRt::Reorder { perm },
+                PipePlan::Op(plan) => LinkRt::new(plan, &link.in_schema)?,
+                PipePlan::Reorder(perm) => LinkRt::Reorder(perm),
                 PipePlan::Tally => LinkRt::Tally,
             };
             cells.push(LinkCell {
@@ -1619,8 +1493,7 @@ impl<'s> ChainRt<'s> {
             if cell.counts_processed {
                 cell.processed += batch.len() as u64;
             }
-            batch = run_cell(cell, batch)?;
-            let cell = &mut self.cells[i];
+            batch = cell.rt.run(batch)?;
             if cell.counts_out {
                 cell.out += batch.len() as u64;
             }
@@ -1635,35 +1508,17 @@ impl<'s> ChainRt<'s> {
     /// down the remaining pipeline, in link order.
     fn flush(&mut self, sink: &mut Sink<'_>) -> Result<()> {
         for i in 0..self.cells.len() {
-            let emitted: Option<Vec<Tagged>> = match &mut self.cells[i].rt {
-                LinkRt::Aggregate {
-                    state, first_tags, ..
-                } => {
-                    let st = state
-                        .take()
-                        .ok_or_else(|| internal("aggregate state flushed twice"))?;
-                    let rows = st.finish()?.into_rows();
-                    let tags = std::mem::take(first_tags);
-                    if rows.len() != tags.len() {
-                        return Err(internal("aggregate group count drifted from tag count"));
-                    }
-                    Some(tags.into_iter().zip(rows).collect())
+            let mut iter = self.cells[i].rt.finish().into_iter();
+            loop {
+                let chunk: Vec<Tagged> = iter.by_ref().take(self.batch_rows).collect();
+                if chunk.is_empty() {
+                    break;
                 }
-                _ => None,
-            };
-            if let Some(all) = emitted {
-                let mut iter = all.into_iter();
-                loop {
-                    let chunk: Vec<Tagged> = iter.by_ref().take(self.batch_rows).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    let cell = &mut self.cells[i];
-                    if cell.counts_out {
-                        cell.out += chunk.len() as u64;
-                    }
-                    self.feed(i + 1, chunk, sink)?;
+                let cell = &mut self.cells[i];
+                if cell.counts_out {
+                    cell.out += chunk.len() as u64;
                 }
+                self.feed(i + 1, chunk, sink)?;
             }
         }
         Ok(())
@@ -1731,6 +1586,7 @@ fn feed_segment(
     let nparts = rt.nparts;
     let mut fed = vec![0u64; nparts];
     let mut pending: Vec<Vec<Tagged>> = vec![Vec::new(); nparts];
+    let mut key = Vec::new();
     match &seg.feed {
         Feed::Table { src, mode } => {
             let (table, perm): (&Table, Option<&Vec<usize>>) = match src {
@@ -1750,9 +1606,7 @@ fn feed_segment(
                 };
                 let d = match mode {
                     RouteMode::RoundRobin => i % nparts,
-                    RouteMode::Hash(cols) => {
-                        route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts)
-                    }
+                    RouteMode::Hash(cols) => keyed::route(&mut key, &row, cols, nparts),
                 };
                 fed[d] += 1;
                 pending[d].push((i as u64, row));
@@ -1768,7 +1622,7 @@ fn feed_segment(
             };
             let mut merge = MergeReader::new(rt.pool, &set.parts);
             while let Some((tag, row)) = merge.next()? {
-                let d = route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts);
+                let d = keyed::route(&mut key, &row, cols, nparts);
                 fed[d] += 1;
                 pending[d].push((tag, row));
                 if pending[d].len() >= rt.batch_rows {
@@ -2033,11 +1887,10 @@ fn run_binary_task(
                         w.push(tag, row)?;
                     }
                     let mut rr = PartReader::new(rt.pool, &right.parts[j]);
-                    while let Some((tag, row)) = rr.next()? {
-                        let row: Row = match perm {
-                            Some(p) => p.iter().map(|&c| row[c].clone()).collect(),
-                            None => row,
-                        };
+                    while let Some((tag, mut row)) = rr.next()? {
+                        if let Some(p) = perm {
+                            permute(&mut row, p);
+                        }
                         let shifted = tag
                             .checked_add(lbase)
                             .ok_or_else(|| internal("union tag overflow"))?;
@@ -2054,11 +1907,7 @@ fn run_binary_task(
                 (parts, pages, total, total)
             }
         }
-        BinKind::Join {
-            lcols,
-            rcols,
-            extra,
-        } => {
+        BinKind::Join { index, extra } => {
             // Composite output tag (left tag, right tag), lexicographic —
             // the sequential probe emission order (left rows in order,
             // each row's matches in right insertion order).
@@ -2074,19 +1923,12 @@ fn run_binary_task(
             // the matches under their composite tags. NULL keys are
             // never indexed and never probe: they never join.
             let temps = per_part(rt.nparts, |j| {
-                let mut index: HashMap<String, Vec<(usize, u64)>> = HashMap::new();
-                {
-                    let mut rr = PartReader::new(rt.pool, &right.parts[j]);
-                    let mut pos = 0usize;
-                    while let Some((rtag, row)) = rr.next()? {
-                        if !rcols.iter().any(|&c| row[c].is_null()) {
-                            index
-                                .entry(tuple_key(rcols.iter().map(|&c| &row[c])))
-                                .or_default()
-                                .push((pos, rtag));
-                        }
-                        pos += 1;
-                    }
+                let mut index = index.clone();
+                let mut rr = PartReader::new(rt.pool, &right.parts[j]);
+                let mut pos = 0usize;
+                while let Some((rtag, row)) = rr.next()? {
+                    index.insert(&row, (pos, rtag));
+                    pos += 1;
                 }
                 let mut w = if discard {
                     None
@@ -2100,20 +1942,15 @@ fn run_binary_task(
                 let mut emitted = 0u64;
                 let mut lr = PartReader::new(rt.pool, &left.parts[j]);
                 while let Some((ltag, lrow)) = lr.next()? {
-                    if lcols.iter().any(|&c| lrow[c].is_null()) {
-                        continue;
-                    }
-                    if let Some(hits) = index.get(&tuple_key(lcols.iter().map(|&c| &lrow[c]))) {
-                        for &(pos, rtag) in hits {
-                            emitted += 1;
-                            if let Some(w) = &mut w {
-                                // Encoded row: skip the hidden tag cell.
-                                let enc = rt.pool.row(right.parts[j].buf, pos)?;
-                                let mut row = lrow.clone();
-                                row.extend(extra.iter().map(|&c| enc[1 + c].clone()));
-                                let ctag = u128::from(ltag) * rbound + u128::from(rtag);
-                                w.push_composite(ctag, row)?;
-                            }
+                    for &(pos, rtag) in index.probe(&lrow) {
+                        emitted += 1;
+                        if let Some(w) = &mut w {
+                            // Encoded row: skip the hidden tag cell.
+                            let enc = rt.pool.row(right.parts[j].buf, pos)?;
+                            let mut row = lrow.clone();
+                            row.extend(extra.iter().map(|&c| enc[1 + c].clone()));
+                            let ctag = u128::from(ltag) * rbound + u128::from(rtag);
+                            w.push_composite(ctag, row)?;
                         }
                     }
                 }
@@ -2174,17 +2011,13 @@ fn run_binary_task(
             // is the sequential map restricted to its keys; left rows
             // cancel (or survive) in tag order. The right side is keyed
             // through its permutation to the left schema, so both sides'
-            // canonical key strings agree.
+            // keys agree.
             let intersect = *intersect;
             let outs = per_part(rt.nparts, |j| {
-                let mut counts: HashMap<String, usize> = HashMap::new();
+                let mut counts = BagCounts::new(perm.clone());
                 let mut rr = PartReader::new(rt.pool, &right.parts[j]);
                 while let Some((_, row)) = rr.next()? {
-                    let k = match perm {
-                        Some(p) => tuple_key(p.iter().map(|&c| &row[c])),
-                        None => tuple_key(row.iter()),
-                    };
-                    *counts.entry(k).or_insert(0) += 1;
+                    counts.add(&row);
                 }
                 let mut w = if discard {
                     None
@@ -2194,25 +2027,7 @@ fn run_binary_task(
                 let mut emitted = 0u64;
                 let mut lr = PartReader::new(rt.pool, &left.parts[j]);
                 while let Some((tag, row)) = lr.next()? {
-                    let k = tuple_key(row.iter());
-                    let keep = if intersect {
-                        match counts.get_mut(&k) {
-                            Some(c) if *c > 0 => {
-                                *c -= 1;
-                                true
-                            }
-                            _ => false,
-                        }
-                    } else {
-                        match counts.get_mut(&k) {
-                            Some(c) if *c > 0 => {
-                                *c -= 1;
-                                false
-                            }
-                            _ => true,
-                        }
-                    };
-                    if keep {
+                    if counts.cancel(&row) == intersect {
                         emitted += 1;
                         if let Some(w) = &mut w {
                             w.push(tag, row)?;
@@ -2494,16 +2309,6 @@ mod tests {
     use etlopt_core::scalar::Scalar;
     use etlopt_core::workflow::WorkflowBuilder;
 
-    #[test]
-    fn routing_is_deterministic_and_spreads_keys() {
-        let hits: Vec<usize> = (0..64).map(|i| route(&format!("key-{i}"), 4)).collect();
-        let again: Vec<usize> = (0..64).map(|i| route(&format!("key-{i}"), 4)).collect();
-        assert_eq!(hits, again, "routing must be stable across calls");
-        let used: HashSet<usize> = hits.iter().copied().collect();
-        assert!(used.len() > 1, "64 distinct keys should hit >1 partition");
-        assert!(hits.iter().all(|&p| p < 4));
-    }
-
     fn keyed_table(rows: i64) -> Table {
         Table::from_rows(
             Schema::of(["k", "v"]),
@@ -2551,7 +2356,7 @@ mod tests {
             for (tag, row) in part {
                 assert!(last.is_none_or(|l| l < *tag), "tags ascend per partition");
                 last = Some(*tag);
-                let k = tuple_key([&row[kcol]].into_iter());
+                let k = crate::catalog::canonical_key(&row[kcol]);
                 assert_eq!(
                     *home.entry(k).or_insert(j),
                     j,

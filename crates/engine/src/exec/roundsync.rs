@@ -13,13 +13,9 @@
 //! * The conformance oracle cross-checks it as a third independent
 //!   implementation of the same determinism contract.
 //!
-//! The determinism machinery (order tags, the scheme lattice, FNV
+//! The determinism machinery (order tags, the scheme lattice, key
 //! routing, worker-index-order absorption) lives in
 //! [`super::partition`] and is shared with the pipelined executor.
-
-// Open failure-domain item (ROADMAP): the `.expect(..)` sites of this file
-// are not yet typed errors, so it opts out of `exec`'s gate.
-#![allow(clippy::expect_used)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -34,10 +30,11 @@ use etlopt_core::workflow::Workflow;
 
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
-use crate::ops::{self, tuple_key, ExecCtx};
+use crate::ops::{self, ExecCtx};
 use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
+use super::keyed::{BagCounts, BuildProbe};
 use super::partition::{
     apply_link, distribute, exchange, internal, max_tag, merge_rows, per_part, plan_chain,
     reorder_set, retag_dense, scheme_after, set_rows, PartSet, Require, Scheme,
@@ -182,25 +179,14 @@ impl ParRuntime<'_> {
                     // Equal rows co-locate, so this partition's
                     // multiplicity map is the sequential map restricted
                     // to its keys; left rows cancel in tag order.
-                    let mut counts: HashMap<String, usize> = HashMap::new();
+                    let mut counts = BagCounts::new(None);
                     for (_, row) in &rref.parts[j] {
-                        *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
+                        counts.add(row);
                     }
                     let mut out = Vec::new();
                     for (tag, row) in &lref.parts[j] {
-                        let k = tuple_key(row.iter());
-                        if intersect {
-                            if let Some(c) = counts.get_mut(&k) {
-                                if *c > 0 {
-                                    *c -= 1;
-                                    out.push((*tag, row.clone()));
-                                }
-                            }
-                        } else {
-                            match counts.get_mut(&k) {
-                                Some(c) if *c > 0 => *c -= 1,
-                                _ => out.push((*tag, row.clone())),
-                            }
+                        if counts.cancel(row) == intersect {
+                            out.push((*tag, row.clone()));
                         }
                     }
                     Ok(out)
@@ -227,17 +213,7 @@ impl ParRuntime<'_> {
         out_schema: Schema,
         key: &str,
     ) -> Result<PartSet> {
-        let lprobe = Table::empty(left.schema.clone());
-        let rprobe = Table::empty(right.schema.clone());
-        let lcols: Vec<usize> = on.iter().map(|a| lprobe.col(a)).collect::<Result<_>>()?;
-        let rcols: Vec<usize> = on.iter().map(|a| rprobe.col(a)).collect::<Result<_>>()?;
-        let extra: Vec<usize> = right
-            .schema
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !left.schema.contains(a))
-            .map(|(i, _)| i)
-            .collect();
+        let (index, extra) = BuildProbe::plan(on, &left.schema, &right.schema)?;
         let subset = |s: &[Attr]| s.iter().all(|a| on.contains(a));
         // Matching rows must co-locate: both sides hashed on the same
         // attribute list, which must be a subset of the join key. Reuse
@@ -284,30 +260,20 @@ impl ParRuntime<'_> {
             // chunks (bounding residency like the sequential join) and
             // index key → (row position, right tag). NULL keys are
             // stored but never indexed — they never join.
-            let mut index: HashMap<String, Vec<(usize, u64)>> = HashMap::new();
+            let mut index = index.clone();
             for (pos, (rtag, row)) in rpart.iter().enumerate() {
-                if !rcols.iter().any(|&c| row[c].is_null()) {
-                    index
-                        .entry(tuple_key(rcols.iter().map(|&c| &row[c])))
-                        .or_default()
-                        .push((pos, *rtag));
-                }
+                index.insert(row, (pos, *rtag));
             }
             for chunk in rpart.chunks(batch_rows) {
                 pool.append(buf, chunk.iter().map(|(_, r)| r.clone()).collect())?;
             }
             let mut out: Vec<(u128, Row)> = Vec::new();
             for (ltag, lrow) in &lref.parts[j] {
-                if lcols.iter().any(|&c| lrow[c].is_null()) {
-                    continue;
-                }
-                if let Some(matches) = index.get(&tuple_key(lcols.iter().map(|&c| &lrow[c]))) {
-                    for &(pos, rtag) in matches {
-                        let rrow = pool.row(buf, pos)?;
-                        let mut row = lrow.clone();
-                        row.extend(extra.iter().map(|&c| rrow[c].clone()));
-                        out.push((u128::from(*ltag) * rbound + u128::from(rtag), row));
-                    }
+                for &(pos, rtag) in index.probe(lrow) {
+                    let rrow = pool.row(buf, pos)?;
+                    let mut row = lrow.clone();
+                    row.extend(extra.iter().map(|&c| rrow[c].clone()));
+                    out.push((u128::from(*ltag) * rbound + u128::from(rtag), row));
                 }
             }
             pool.free(buf);

@@ -7,8 +7,9 @@
 //! backends report bit-identical [`crate::executor::ExecStats`]. Row-wise
 //! operators are compiled [`Kernel`]s editing the batch they own in place;
 //! stateful operators (key checks, dedup, aggregation, the binary ops)
-//! carry their state across batches, draining a side through the buffer
-//! pool where the materializing path would hold a whole table.
+//! carry a [`super::keyed`] state machine across batches, draining a side
+//! through the buffer pool where the materializing path would hold a
+//! whole table.
 //!
 //! A batch is owned by whoever pulled it. The one clone a row pays
 //! happens in [`Scan`], which reads rows it does not own (a catalog or
@@ -26,19 +27,18 @@
 //! [`super::partition`] (default) or the round-synchronous plan in
 //! [`super::roundsync`] — both bit-identical to this backend.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use etlopt_core::schema::Schema;
 use etlopt_core::semantics::{BinaryOp, UnaryOp};
 
 use crate::error::{EngineError, Result};
-use crate::ops::{self, tuple_key, AggState, ExecCtx};
+use crate::ops::{self, ExecCtx};
 use crate::pool::BufferId;
 use crate::table::{Row, Table};
 
-use super::kernel::{perm_for, Filter, Kernel};
+use super::kernel::{cols_of, perm_for, permute, Filter, Kernel};
+use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::Runtime;
 
 /// One streaming operator: a pull-based producer of row batches.
@@ -91,6 +91,9 @@ pub(crate) struct Scan {
     /// Stored column → declared column, when the layouts differ.
     perm: Option<Vec<usize>>,
     fused: Vec<Link<Filter>>,
+    /// Per batch: `stopped[i]` rows were dropped by fused filter `i`; the
+    /// last slot counts the survivors.
+    stopped: Vec<u64>,
 }
 
 impl Scan {
@@ -102,6 +105,7 @@ impl Scan {
             source: Source::Table { table, pos: 0 },
             schema: declared.clone(),
             fused: Vec::new(),
+            stopped: Vec::new(),
         })
     }
 
@@ -111,6 +115,7 @@ impl Scan {
             schema,
             perm: None,
             fused: Vec::new(),
+            stopped: Vec::new(),
         }
     }
 }
@@ -141,9 +146,8 @@ impl BatchIter for Scan {
             return Ok(None);
         }
         rt.counters.batches += 1;
-        // `stopped[i]` rows were dropped by fused filter `i`; the last slot
-        // counts the survivors.
-        let mut stopped = vec![0u64; self.fused.len() + 1];
+        self.stopped.clear();
+        self.stopped.resize(self.fused.len() + 1, 0);
         let mut batch = Vec::with_capacity(if self.fused.is_empty() { rows.len() } else { 0 });
         for row in rows {
             let depth = self
@@ -151,7 +155,7 @@ impl BatchIter for Scan {
                 .iter()
                 .position(|f| !f.op.keeps(row))
                 .unwrap_or(self.fused.len());
-            stopped[depth] += 1;
+            self.stopped[depth] += 1;
             if depth == self.fused.len() {
                 batch.push(match &self.perm {
                     Some(perm) => perm.iter().map(|&c| row[c].clone()).collect(),
@@ -161,7 +165,7 @@ impl BatchIter for Scan {
         }
         // A link processes every row that got past the links before it.
         let mut reached = rows.len() as u64;
-        for (f, dropped) in self.fused.iter().zip(&stopped) {
+        for (f, dropped) in self.fused.iter().zip(&self.stopped) {
             rt.add_processed(&f.key, reached);
             reached -= dropped;
             if f.counts_out {
@@ -214,15 +218,11 @@ impl BatchIter for Reorder {
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
+        let Some(mut batch) = self.inner.next_batch(rt)? else {
             return Ok(None);
         };
-        Ok(Some(
-            batch
-                .iter()
-                .map(|r| self.perm.iter().map(|&i| r[i].clone()).collect())
-                .collect(),
-        ))
+        batch.iter_mut().for_each(|row| permute(row, &self.perm));
+        Ok(Some(batch))
     }
 }
 
@@ -268,9 +268,7 @@ impl BatchIter for Apply {
 /// (key columns) and `DD` (whole rows).
 struct KeepFirst {
     inner: BoxIter,
-    /// Key columns, or `None` for whole-row dedup.
-    cols: Option<Vec<usize>>,
-    seen: HashMap<String, ()>,
+    seen: keyed::KeepFirst,
     key: String,
     counts_out: bool,
     schema: Schema,
@@ -282,25 +280,15 @@ impl BatchIter for KeepFirst {
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
+        let Some(mut batch) = self.inner.next_batch(rt)? else {
             return Ok(None);
         };
         rt.add_processed(&self.key, batch.len() as u64);
-        let mut out = Vec::new();
-        for row in batch {
-            let k = match &self.cols {
-                Some(cols) => tuple_key(cols.iter().map(|&i| &row[i])),
-                None => tuple_key(row.iter()),
-            };
-            if let Entry::Vacant(e) = self.seen.entry(k) {
-                e.insert(());
-                out.push(row);
-            }
-        }
+        self.seen.retain(&mut batch);
         if self.counts_out {
-            rt.add_out(&self.key, out.len() as u64);
+            rt.add_out(&self.key, batch.len() as u64);
         }
-        Ok(Some(out))
+        Ok(Some(batch))
     }
 }
 
@@ -309,29 +297,30 @@ impl BatchIter for KeepFirst {
 /// batches. The only buffered data is the group table itself.
 struct Agg {
     inner: BoxIter,
-    state: Option<AggState>,
+    state: GroupBy,
+    /// The drained groups, once the input is folded.
     out: Option<std::vec::IntoIter<Row>>,
     key: String,
     counts_out: bool,
-    schema: Schema,
 }
 
 impl BatchIter for Agg {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.state.output_schema()
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if let Some(mut state) = self.state.take() {
+        if self.out.is_none() {
             while let Some(batch) = self.inner.next_batch(rt)? {
                 rt.add_processed(&self.key, batch.len() as u64);
-                state.feed(&batch)?;
+                for row in &batch {
+                    self.state.feed_row(row)?;
+                }
             }
-            self.out = Some(state.finish()?.into_rows().into_iter());
         }
-        let Some(it) = self.out.as_mut() else {
-            return Ok(None);
-        };
+        let it = self
+            .out
+            .get_or_insert_with(|| self.state.finish().into_iter());
         let batch: Vec<Row> = it.by_ref().take(rt.batch_rows).collect();
         if batch.is_empty() {
             return Ok(None);
@@ -387,38 +376,26 @@ pub(crate) fn unary_pipeline(
         let counts_out = i == last;
         let in_schema = cur.schema().clone();
         cur = match op {
-            UnaryOp::PkCheck { key: pk, .. } => {
-                let probe = Table::empty(in_schema.clone());
-                let cols: Vec<usize> = pk.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
+            UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } => {
+                let cols = match op {
+                    UnaryOp::PkCheck { key: pk, .. } => Some(cols_of(pk, &in_schema)?),
+                    _ => None,
+                };
                 Box::new(KeepFirst {
                     inner: cur,
-                    cols: Some(cols),
-                    seen: HashMap::new(),
+                    seen: keyed::KeepFirst::new(cols),
                     key: key.to_owned(),
                     counts_out,
                     schema: in_schema,
                 })
             }
-            UnaryOp::Dedup { .. } => Box::new(KeepFirst {
+            UnaryOp::Aggregate { agg, .. } => Box::new(Agg {
                 inner: cur,
-                cols: None,
-                seen: HashMap::new(),
+                state: GroupBy::new(agg, &in_schema)?,
+                out: None,
                 key: key.to_owned(),
                 counts_out,
-                schema: in_schema,
             }),
-            UnaryOp::Aggregate { agg, .. } => {
-                let state = AggState::new(agg, &in_schema)?;
-                let schema = state.output_schema();
-                Box::new(Agg {
-                    inner: cur,
-                    state: Some(state),
-                    out: None,
-                    key: key.to_owned(),
-                    counts_out,
-                    schema,
-                })
-            }
             op => {
                 let (op, schema) = Kernel::compile(op, &in_schema, ctx)?;
                 let link = Link {
@@ -475,15 +452,15 @@ impl BatchIter for Union {
 }
 
 /// Streaming hash join: the build (right) side drains into a pool buffer
-/// plus a key → row-index map on the first pull, then probe (left)
+/// plus a key → row-position index on the first pull, then probe (left)
 /// batches stream through, fetching matches back via random row access —
 /// so the build side is frame-budget-bounded, not memory-resident.
 struct HashJoin {
     left: BoxIter,
     right: Option<BoxIter>,
-    built: Option<(BufferId, HashMap<String, Vec<usize>>)>,
-    lcols: Vec<usize>,
-    rcols: Vec<usize>,
+    /// Where the build side was drained to, once it was.
+    buf: Option<BufferId>,
+    index: BuildProbe<usize>,
     /// Right columns appended to matched left rows.
     extra: Vec<usize>,
     key: String,
@@ -496,52 +473,33 @@ impl BatchIter for HashJoin {
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if self.built.is_none() {
-            let mut right = self
-                .right
-                .take()
-                .ok_or_else(|| internal("join build side already consumed"))?;
+        if let Some(mut right) = self.right.take() {
             let buf = rt.pool.create(right.schema().clone());
-            let mut index: HashMap<String, Vec<usize>> = HashMap::new();
+            self.buf = Some(buf);
             let mut base = 0usize;
             while let Some(batch) = right.next_batch(rt)? {
                 rt.add_processed(&self.key, batch.len() as u64);
                 for (i, row) in batch.iter().enumerate() {
-                    // NULL keys never join.
-                    if self.rcols.iter().any(|&c| row[c].is_null()) {
-                        continue;
-                    }
-                    index
-                        .entry(tuple_key(self.rcols.iter().map(|&c| &row[c])))
-                        .or_default()
-                        .push(base + i);
+                    self.index.insert(row, base + i);
                 }
                 base += batch.len();
                 rt.pool.append(buf, batch)?;
             }
-            self.built = Some((buf, index));
         }
+        let buf = self
+            .buf
+            .ok_or_else(|| internal("join probed before build"))?;
         let Some(lbatch) = self.left.next_batch(rt)? else {
             return Ok(None);
         };
         rt.add_processed(&self.key, lbatch.len() as u64);
-        let (buf, index) = self
-            .built
-            .as_ref()
-            .ok_or_else(|| internal("join probed before build"))?;
         let mut out = Vec::new();
         for lrow in &lbatch {
-            if self.lcols.iter().any(|&c| lrow[c].is_null()) {
-                continue;
-            }
-            let k = tuple_key(self.lcols.iter().map(|&c| &lrow[c]));
-            if let Some(matches) = index.get(&k) {
-                for &ri in matches {
-                    let rrow = rt.pool.row(*buf, ri)?;
-                    let mut row = lrow.clone();
-                    row.extend(self.extra.iter().map(|&c| rrow[c].clone()));
-                    out.push(row);
-                }
+            for &ri in self.index.probe(lrow) {
+                let rrow = rt.pool.row(buf, ri)?;
+                let mut row = lrow.clone();
+                row.extend(self.extra.iter().map(|&c| rrow[c].clone()));
+                out.push(row);
             }
         }
         rt.add_out(&self.key, out.len() as u64);
@@ -555,7 +513,7 @@ impl BatchIter for HashJoin {
 struct DiffIntersect {
     left: BoxIter,
     right: Option<BoxIter>,
-    counts: Option<HashMap<String, usize>>,
+    counts: BagCounts,
     intersect: bool,
     key: String,
     schema: Schema,
@@ -567,47 +525,19 @@ impl BatchIter for DiffIntersect {
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if self.counts.is_none() {
-            let mut right = self
-                .right
-                .take()
-                .ok_or_else(|| internal("diff/intersect right side already consumed"))?;
-            let mut counts: HashMap<String, usize> = HashMap::new();
+        if let Some(mut right) = self.right.take() {
             while let Some(batch) = right.next_batch(rt)? {
                 rt.add_processed(&self.key, batch.len() as u64);
-                for row in &batch {
-                    *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
-                }
+                batch.iter().for_each(|row| self.counts.add(row));
             }
-            self.counts = Some(counts);
         }
-        let Some(batch) = self.left.next_batch(rt)? else {
+        let Some(mut batch) = self.left.next_batch(rt)? else {
             return Ok(None);
         };
         rt.add_processed(&self.key, batch.len() as u64);
-        let counts = self
-            .counts
-            .as_mut()
-            .ok_or_else(|| internal("diff/intersect streamed before build"))?;
-        let mut out = Vec::new();
-        for row in batch {
-            let k = tuple_key(row.iter());
-            if self.intersect {
-                if let Some(c) = counts.get_mut(&k) {
-                    if *c > 0 {
-                        *c -= 1;
-                        out.push(row);
-                    }
-                }
-            } else {
-                match counts.get_mut(&k) {
-                    Some(c) if *c > 0 => *c -= 1,
-                    _ => out.push(row),
-                }
-            }
-        }
-        rt.add_out(&self.key, out.len() as u64);
-        Ok(Some(out))
+        batch.retain(|row| self.counts.cancel(row) == self.intersect);
+        rt.add_out(&self.key, batch.len() as u64);
+        Ok(Some(batch))
     }
 }
 
@@ -638,22 +568,12 @@ pub(crate) fn binary_pipeline(
             schema,
         })),
         BinaryOp::Join(on) => {
-            let lprobe = Table::empty(lschema.clone());
-            let rprobe = Table::empty(rschema.clone());
-            let lcols: Vec<usize> = on.iter().map(|a| lprobe.col(a)).collect::<Result<_>>()?;
-            let rcols: Vec<usize> = on.iter().map(|a| rprobe.col(a)).collect::<Result<_>>()?;
-            let extra: Vec<usize> = rschema
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !lschema.contains(a))
-                .map(|(i, _)| i)
-                .collect();
+            let (index, extra) = BuildProbe::plan(on, &lschema, &rschema)?;
             Ok(Box::new(HashJoin {
                 left,
+                buf: None,
                 right: Some(right),
-                built: None,
-                lcols,
-                rcols,
+                index,
                 extra,
                 key: key.to_owned(),
                 schema,
@@ -662,7 +582,7 @@ pub(crate) fn binary_pipeline(
         BinaryOp::Difference | BinaryOp::Intersection => Ok(Box::new(DiffIntersect {
             left,
             right: Some(reorder(right, &lschema)?),
-            counts: None,
+            counts: BagCounts::new(None),
             intersect: matches!(op, BinaryOp::Intersection),
             key: key.to_owned(),
             schema,

@@ -1,11 +1,12 @@
 //! Blocking operators: primary-key check, duplicate elimination, group-by
 //! aggregation.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use etlopt_core::scalar::Scalar;
-use etlopt_core::schema::{Attr, Schema};
+use etlopt_core::schema::Attr;
 use etlopt_core::semantics::{AggFunc, Aggregation};
 
 use crate::error::{EngineError, Result};
@@ -41,189 +42,79 @@ pub fn dedup(input: &Table) -> Result<Table> {
     Ok(out)
 }
 
-/// Accumulator for one aggregate column.
-#[derive(Debug, Clone)]
-struct Acc {
-    func: AggFunc,
-    sum: f64,
-    count: u64,
-    min: Option<Scalar>,
-    max: Option<Scalar>,
-}
-
-impl Acc {
-    fn new(func: AggFunc) -> Self {
-        Acc {
-            func,
-            sum: 0.0,
-            count: 0,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn feed(&mut self, v: &Scalar) -> Result<()> {
-        if v.is_null() {
-            return Ok(());
-        }
-        self.count += 1;
-        match self.func {
-            AggFunc::Sum | AggFunc::Avg => {
-                self.sum += v.as_f64().ok_or_else(|| {
-                    EngineError::Type(format!("cannot aggregate non-numeric value {v}"))
-                })?;
-            }
-            AggFunc::Count => {}
-            AggFunc::Min => {
-                let replace = match &self.min {
-                    None => true,
-                    Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Less,
-                };
-                if replace {
-                    self.min = Some(v.clone());
-                }
-            }
-            AggFunc::Max => {
-                let replace = match &self.max {
-                    None => true,
-                    Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Greater,
-                };
-                if replace {
-                    self.max = Some(v.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Scalar {
-        match self.func {
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Scalar::Null
-                } else {
-                    Scalar::Float(self.sum)
-                }
-            }
-            AggFunc::Count => Scalar::Int(self.count as i64),
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Scalar::Null
-                } else {
-                    Scalar::Float(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Scalar::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Scalar::Null),
-        }
-    }
-}
-
-/// Incremental state for `γ(group_by; aggregates)`: groups accumulate
-/// across [`AggState::feed`] calls (the streaming runtime feeds one batch
-/// at a time), and [`AggState::finish`] emits groupers then aggregate
-/// outputs, groups in first-appearance order (deterministic). Feeding the
-/// whole input in one call is exactly the blocking [`aggregate`].
-#[derive(Debug)]
-pub(crate) struct AggState {
-    agg: Aggregation,
-    group_cols: Vec<usize>,
-    agg_cols: Vec<usize>,
-    order: Vec<String>,
-    groups: HashMap<String, (Row, Vec<Acc>)>,
-}
-
-impl AggState {
-    /// Resolve the grouping and aggregate columns against the input schema.
-    pub(crate) fn new(agg: &Aggregation, input_schema: &Schema) -> Result<Self> {
-        // Column resolution goes through an empty table so missing
-        // attributes raise the same error the blocking path raises.
-        let probe = Table::empty(input_schema.clone());
-        let group_cols: Vec<usize> = agg
-            .group_by
-            .iter()
-            .map(|a| probe.col(a))
-            .collect::<Result<_>>()?;
-        let agg_cols: Vec<usize> = agg
-            .aggregates
-            .iter()
-            .map(|s| probe.col(&s.input))
-            .collect::<Result<_>>()?;
-        Ok(AggState {
-            agg: agg.clone(),
-            group_cols,
-            agg_cols,
-            order: Vec::new(),
-            groups: HashMap::new(),
-        })
-    }
-
-    /// The output schema: groupers then aggregate outputs.
-    pub(crate) fn output_schema(&self) -> Schema {
-        let mut out: Schema = self.agg.group_by.iter().cloned().collect();
-        for s in &self.agg.aggregates {
-            out.push(s.output.clone());
-        }
-        out
-    }
-
-    /// Fold one row into its group.
-    pub(crate) fn feed_row(&mut self, row: &Row) -> Result<()> {
-        let k = tuple_key(self.group_cols.iter().map(|&i| &row[i]));
-        let entry = match self.groups.entry(k.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.order.push(k);
-                let key_row: Row = self.group_cols.iter().map(|&i| row[i].clone()).collect();
-                let accs = self
-                    .agg
-                    .aggregates
-                    .iter()
-                    .map(|s| Acc::new(s.func))
-                    .collect();
-                e.insert((key_row, accs))
-            }
-        };
-        for (acc, &col) in entry.1.iter_mut().zip(self.agg_cols.iter()) {
-            acc.feed(&row[col])?;
-        }
-        Ok(())
-    }
-
-    /// Fold a batch of rows.
-    pub(crate) fn feed(&mut self, rows: &[Row]) -> Result<()> {
-        for row in rows {
-            self.feed_row(row)?;
-        }
-        Ok(())
-    }
-
-    /// Emit the aggregated table.
-    pub(crate) fn finish(self) -> Result<Table> {
-        let mut out = Table::empty(self.output_schema());
-        for k in &self.order {
-            let (key_row, accs) = &self.groups[k];
-            let mut row = key_row.clone();
-            for acc in accs {
-                row.push(acc.finish());
-            }
-            out.push(row)?;
-        }
-        Ok(out)
-    }
-}
-
 /// `γ(group_by; aggregates)`: output schema is groupers then aggregate
 /// outputs, groups emitted in first-appearance order (deterministic).
+/// Deliberately naive — a string key per row, every group's rows collected,
+/// one pass over them per aggregate: the streaming executors aggregate
+/// with `exec::keyed::GroupBy` and are compared against this.
 pub fn aggregate(agg: &Aggregation, input: &Table) -> Result<Table> {
-    let mut state = AggState::new(agg, input.schema())?;
-    state.feed(input.rows())?;
-    state.finish()
+    let group_cols: Vec<usize> = agg
+        .group_by
+        .iter()
+        .map(|a| input.col(a))
+        .collect::<Result<_>>()?;
+    let agg_cols: Vec<usize> = agg
+        .aggregates
+        .iter()
+        .map(|s| input.col(&s.input))
+        .collect::<Result<_>>()?;
+    let mut order: Vec<String> = Vec::new();
+    let mut groups: HashMap<String, Vec<&Row>> = HashMap::new();
+    for row in input.rows() {
+        let k = tuple_key(group_cols.iter().map(|&i| &row[i]));
+        if !groups.contains_key(&k) {
+            order.push(k.clone());
+        }
+        groups.entry(k).or_default().push(row);
+    }
+    let outputs = agg.aggregates.iter().map(|s| &s.output);
+    let mut out = Table::empty(agg.group_by.iter().chain(outputs).cloned().collect());
+    for k in &order {
+        let rows = &groups[k];
+        let mut row: Row = group_cols.iter().map(|&i| rows[0][i].clone()).collect();
+        for (spec, &col) in agg.aggregates.iter().zip(&agg_cols) {
+            let values = rows.iter().map(|r| &r[col]).filter(|v| !v.is_null());
+            row.push(fold(spec.func, &values.collect::<Vec<_>>())?);
+        }
+        out.push(row)?;
+    }
+    Ok(out)
+}
+
+/// One aggregate over a group's non-NULL values, in row order. No values:
+/// NULL (`COUNT`: 0).
+fn fold(func: AggFunc, values: &[&Scalar]) -> Result<Scalar> {
+    let sum = || {
+        values.iter().try_fold(0.0, |sum, v| match v.as_f64() {
+            Some(x) => Ok(sum + x),
+            None => Err(EngineError::Type(format!(
+                "cannot aggregate non-numeric value {v}"
+            ))),
+        })
+    };
+    let extreme = |wins: Ordering| {
+        let mut best: Option<&Scalar> = None;
+        for &v in values {
+            if best.is_none_or(|b| v.total_cmp(b) == wins) {
+                best = Some(v);
+            }
+        }
+        best.cloned().unwrap_or(Scalar::Null)
+    };
+    Ok(match func {
+        AggFunc::Count => Scalar::Int(values.len() as i64),
+        AggFunc::Sum | AggFunc::Avg if values.is_empty() => Scalar::Null,
+        AggFunc::Sum => Scalar::Float(sum()?),
+        AggFunc::Avg => Scalar::Float(sum()? / values.len() as f64),
+        AggFunc::Min => extreme(Ordering::Less),
+        AggFunc::Max => extreme(Ordering::Greater),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etlopt_core::schema::Schema;
     use etlopt_core::semantics::AggSpec;
 
     fn sample() -> Table {

@@ -13,7 +13,6 @@ mod surrogate;
 mod unary;
 
 pub use binary::exec_binary;
-pub(crate) use blocking::AggState;
 
 use etlopt_core::semantics::UnaryOp;
 
@@ -64,11 +63,12 @@ pub fn exec_chain(chain: &[UnaryOp], input: &Table, ctx: &ExecCtx<'_>) -> Result
     Ok((cur, processed))
 }
 
-/// Canonical key string for a tuple of values (used for grouping, dedup and
-/// bag arithmetic). The unit separator keeps composite keys unambiguous.
-pub(crate) fn tuple_key<'a>(
-    values: impl Iterator<Item = &'a etlopt_core::scalar::Scalar>,
-) -> String {
+/// Canonical key string for a tuple of values (grouping, dedup, join and
+/// bag arithmetic of the materializing reference only — private to `ops`;
+/// the streaming executors key on `exec::keyed`'s typed bytes, which have
+/// these strings' equivalence classes). The unit separator keeps composite
+/// keys unambiguous.
+fn tuple_key<'a>(values: impl Iterator<Item = &'a etlopt_core::scalar::Scalar>) -> String {
     let mut out = String::new();
     for v in values {
         crate::catalog::write_canonical_key(&mut out, v);
@@ -107,9 +107,10 @@ mod tests {
         assert_eq!(processed, 10 + 5);
     }
 
-    /// The key bytes are load-bearing: they key join / group / dedup maps,
-    /// route rows across partitions (`partition::route`) and seed
-    /// `auto_surrogate`. Pinned per `Scalar` variant.
+    /// The key bytes are load-bearing: they key the reference's join /
+    /// group / dedup maps, define the equivalence classes `exec::keyed`
+    /// must reproduce, and seed `auto_surrogate`. Pinned per `Scalar`
+    /// variant.
     #[test]
     fn key_bytes_are_pinned_for_every_scalar_variant() {
         use crate::catalog::{auto_surrogate, canonical_key};

@@ -497,3 +497,203 @@ fn scans_match_materialize_across_layouts_and_batch_sizes() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Keyed operators (PK, DD, γ, ⋈, ∪ / − / ∩) ≡ the materializing reference
+// ---------------------------------------------------------------------
+
+/// Key columns built to collide across representations: `g` holds `Int`s,
+/// the integral `Float`s that equal them, NaN, NULL and a non-integral
+/// float; `h` holds strings, NULL, a `Bool` and a `Date`; `v` is numeric
+/// with NULLs — and always NULL when `g` is 7, so that group aggregates
+/// nothing.
+fn table_ghv(rng: &mut Rng, rows: usize) -> Table {
+    let g = |rng: &mut Rng| match rng.gen_range(0..10u32) {
+        0 => Scalar::Null,
+        1 => Scalar::Float(f64::NAN),
+        2 => Scalar::Float(rng.gen_range(0..4i64) as f64),
+        3 => Scalar::Float(2.5),
+        4 => Scalar::Int(7),
+        _ => Scalar::Int(rng.gen_range(0..4i64)),
+    };
+    let h = |rng: &mut Rng| match rng.gen_range(0..6u32) {
+        0 => Scalar::Null,
+        1 => Scalar::Bool(true),
+        2 => Scalar::Date(3),
+        i => Scalar::from(["a", "b", "a\u{1f}b"][i as usize - 3]),
+    };
+    let v = |rng: &mut Rng| match rng.gen_range(0..5u32) {
+        0 => Scalar::Null,
+        1 => Scalar::Int(rng.gen_range(-3..6i64)),
+        _ => Scalar::Float((rng.gen_range(-3.0..6.0f64) * 4.0).round() / 4.0),
+    };
+    let row = |rng: &mut Rng| {
+        let g = g(rng);
+        let v = match g {
+            Scalar::Int(7) => Scalar::Null,
+            _ => v(rng),
+        };
+        vec![g, h(rng), v]
+    };
+    Table::from_rows(
+        Schema::of(["g", "h", "v"]),
+        (0..rows).map(|_| row(rng)).collect(),
+    )
+    .unwrap()
+}
+
+fn every_agg_func(group_by: &[&str]) -> UnaryOp {
+    use etlopt_core::semantics::{AggFunc, AggSpec};
+    let funcs = [
+        (AggFunc::Sum, "sum"),
+        (AggFunc::Count, "count"),
+        (AggFunc::Min, "min"),
+        (AggFunc::Max, "max"),
+        (AggFunc::Avg, "avg"),
+    ];
+    UnaryOp::aggregate(Aggregation::new(
+        group_by.iter().copied(),
+        funcs
+            .into_iter()
+            .map(|(func, output)| AggSpec {
+                func,
+                input: "v".into(),
+                output: output.into(),
+            })
+            .collect(),
+    ))
+}
+
+/// `left op right → T`; the right source is declared (and stored) in
+/// `right`'s own column order.
+fn binary_wf(op: &BinaryOp, left: &Schema, right: &Schema) -> Workflow {
+    let mut b = WorkflowBuilder::new();
+    let l = b.source("S", left.clone(), 100.0);
+    let r = b.source("R", right.clone(), 100.0);
+    let x = b.binary("X", op.clone(), l, r);
+    b.target("T", op.output(left, right).unwrap(), x);
+    b.build().unwrap()
+}
+
+/// Every executor configuration that must agree with the reference: the
+/// sequential pipeline, and both partitioned coordinators at 2 and 4
+/// workers with 1- and 4-batch channels.
+fn keyed_configs() -> Vec<StreamConfig> {
+    let mut cfgs = Vec::new();
+    for batch_rows in [1, 7, 1024] {
+        cfgs.push(stream_cfg(batch_rows, 1));
+        for parallelism in [2, 4] {
+            for channel_batches in [1, 4] {
+                for pipeline in [true, false] {
+                    cfgs.push(StreamConfig {
+                        channel_batches,
+                        pipeline,
+                        ..stream_cfg(batch_rows, parallelism)
+                    });
+                }
+            }
+        }
+    }
+    cfgs
+}
+
+fn assert_matches_materialize(wf: &Workflow, catalog: &Catalog, what: &str) {
+    let want = Executor::new(catalog.clone()).run_materialize(wf).unwrap();
+    for cfg in keyed_configs() {
+        let run = Executor::new(catalog.clone())
+            .with_stream_config(cfg)
+            .run_stream(wf)
+            .unwrap();
+        let what = format!("{what} {cfg:?}");
+        assert_eq!(
+            run.result.targets.keys().collect::<Vec<_>>(),
+            want.targets.keys().collect::<Vec<_>>(),
+            "{what}"
+        );
+        for (name, table) in &run.result.targets {
+            assert_same_table(table, &want.targets[name], &what);
+        }
+        assert_eq!(run.result.stats, want.stats, "{what}");
+    }
+}
+
+/// The keyed operators of both streaming executors and the round-sync
+/// coordinator, against `run_materialize` (which keeps its own string
+/// keys and its own aggregate): targets row for row and `ExecStats`.
+///
+/// Mutations in `exec::keyed` / `exec::partition`, each failing here:
+/// encoding an integral `Float` under the float tag (splits `Int` /
+/// `Float` groups and join matches); keying the right side of − / ∩
+/// without its permutation (partitioned runs cancel nothing); `cancel`
+/// not using the occurrence up (multiplicities); pushing a first-seen tag
+/// for every aggregated row (partitioned γ emits garbage tags); taking a
+/// group's grouper cells from its latest row. Not caught here, by
+/// design: NaN payloads and `Str` boundaries (the `keyed` unit test pins
+/// those), and dropping only one side's NULL-key skip in the join (the
+/// other side's skip alone already keeps NULLs from matching).
+#[test]
+fn keyed_operators_match_the_reference_row_for_row() {
+    let pk = |key: &[&str]| UnaryOp::PkCheck {
+        key: key.iter().map(|a| Attr::new(*a)).collect(),
+        selectivity: 1.0,
+    };
+    let unary = [
+        pk(&["g"]),
+        pk(&["g", "h"]),
+        UnaryOp::Dedup { selectivity: 1.0 },
+        every_agg_func(&[]),
+        every_agg_func(&["g"]),
+        every_agg_func(&["h", "g"]),
+    ];
+    for seed in 0..4u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0xB000);
+        let left = table_ghv(&mut rng, 60);
+        for op in &unary {
+            let wf = chain_wf(left.schema(), std::slice::from_ref(op));
+            let what = format!("{op} seed {seed}");
+            assert_matches_materialize(&wf, &catalog_with(left.clone()), &what);
+        }
+
+        // ∪ / − / ∩: the right side repeats some left rows (so
+        // multiplicities matter) and is stored with its columns permuted.
+        let mut rrows: Vec<_> = left.rows().iter().step_by(3).cloned().collect();
+        rrows.extend(left.rows().iter().step_by(7).cloned());
+        rrows.extend(table_ghv(&mut rng, 10).into_rows());
+        let right = Table::from_rows(left.schema().clone(), rrows)
+            .unwrap()
+            .reordered(&Schema::of(["v", "g", "h"]))
+            .unwrap();
+        for op in [
+            BinaryOp::Union,
+            BinaryOp::Difference,
+            BinaryOp::Intersection,
+        ] {
+            let wf = binary_wf(&op, left.schema(), right.schema());
+            let mut catalog = catalog_with(left.clone());
+            catalog.insert("R", right.clone());
+            assert_matches_materialize(&wf, &catalog, &format!("{op} seed {seed}"));
+        }
+
+        // ⋈ on `g`: NULL keys on both sides never join, duplicate build
+        // keys keep build order, `Float(1.0)` on the build side meets the
+        // probe side's `Int(1)`.
+        let dim = Table::from_rows(
+            Schema::of(["name", "g"]),
+            vec![
+                vec!["one".into(), Scalar::Float(1.0)],
+                vec!["null".into(), Scalar::Null],
+                vec!["uno".into(), Scalar::Int(1)],
+                vec!["two".into(), Scalar::Int(2)],
+                vec!["nan".into(), Scalar::Float(f64::NAN)],
+                vec!["half".into(), Scalar::Float(2.5)],
+                vec!["eins".into(), Scalar::Float(1.0)],
+            ],
+        )
+        .unwrap();
+        let op = BinaryOp::Join(vec![Attr::new("g")]);
+        let wf = binary_wf(&op, left.schema(), dim.schema());
+        let mut catalog = catalog_with(left.clone());
+        catalog.insert("R", dim);
+        assert_matches_materialize(&wf, &catalog, &format!("join seed {seed}"));
+    }
+}
