@@ -183,7 +183,7 @@ impl CorpusReport {
     }
 
     /// Serialize to the `CONFORMANCE.json` document.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self, smoke: &SmokeReport) -> String {
         let mut failures = String::new();
         for (i, f) in self.failed.iter().enumerate() {
             if i > 0 {
@@ -225,6 +225,7 @@ impl CorpusReport {
                 "  \"activity_warnings\": {},\n",
                 "  \"adaptive\": {{\"rounds\": {}, \"checks\": {}, \"passed\": {}, ",
                 "\"pass_rate\": {:.4}}},\n",
+                "  \"mutation_smoke\": {{\"injected\": {}, \"caught\": {}}},\n",
                 "  \"elapsed_secs\": {:.2},\n",
                 "  \"failures\": [\n{}\n  ]\n",
                 "}}\n"
@@ -246,6 +247,8 @@ impl CorpusReport {
             self.adaptive_checks,
             self.adaptive_passed,
             self.adaptive_pass_rate(),
+            smoke.injected,
+            smoke.caught,
             self.elapsed_secs,
             failures,
         )
@@ -517,6 +520,27 @@ pub fn run_corpus(
 mod tests {
     use super::*;
 
+    const SMOKE: SmokeReport = SmokeReport {
+        injected: 10,
+        caught: 9,
+        escaped: Vec::new(),
+    };
+
+    fn report_of(failed: Vec<FailureRecord>) -> CorpusReport {
+        CorpusReport {
+            config: CorpusConfig::default(),
+            scenarios: Vec::new(),
+            checks: failed.len(),
+            failed,
+            passed: 0,
+            warnings: 0,
+            adaptive_checks: 0,
+            adaptive_passed: 0,
+            elapsed_secs: 0.0,
+            search_stats: Vec::new(),
+        }
+    }
+
     /// A trimmed sweep: every check must pass and the JSON document must
     /// carry the headline numbers. (The full ≥200-scenario corpus runs in
     /// the `conformance` binary / CI job.)
@@ -539,7 +563,7 @@ mod tests {
             report.failed
         );
         assert!((report.pass_rate() - 1.0).abs() < 1e-9);
-        let json = report.to_json();
+        let json = report.to_json(&SMOKE);
         assert!(json.contains("\"pass_rate\": 1.0000"));
         assert!(json.contains("\"checks\": 20"));
         // The aggregated telemetry covers all four algorithms and its
@@ -560,26 +584,15 @@ mod tests {
     #[test]
     fn failure_text_with_control_characters_stays_valid_json() {
         let nasty = "original failed to execute: line 1\n\tcol \\ \"quoted\"";
-        let report = CorpusReport {
-            config: CorpusConfig::default(),
-            scenarios: Vec::new(),
-            failed: vec![FailureRecord {
-                scenario: "small-2".to_owned(),
-                seed: 2,
-                category: SizeCategory::Small,
-                kind: "chain".to_owned(),
-                failures: vec![nasty.to_owned()],
-                repro: Some(nasty.to_owned()),
-            }],
-            checks: 1,
-            passed: 0,
-            warnings: 0,
-            adaptive_checks: 0,
-            adaptive_passed: 0,
-            elapsed_secs: 0.0,
-            search_stats: Vec::new(),
-        };
-        let doc = json::parse(&report.to_json()).expect("CONFORMANCE.json must parse");
+        let report = report_of(vec![FailureRecord {
+            scenario: "small-2".to_owned(),
+            seed: 2,
+            category: SizeCategory::Small,
+            kind: "chain".to_owned(),
+            failures: vec![nasty.to_owned()],
+            repro: Some(nasty.to_owned()),
+        }]);
+        let doc = json::parse(&report.to_json(&SMOKE)).expect("CONFORMANCE.json must parse");
         let Some(json::Value::Arr(failures)) = doc.get("failures") else {
             panic!("no failures array in {doc:?}");
         };
@@ -591,6 +604,17 @@ mod tests {
             panic!("no failure texts in {doc:?}");
         };
         assert_eq!(texts[0].as_str(), Some(nasty));
+    }
+
+    /// `CONFORMANCE.json` is the only file that records the mutation
+    /// smoke-test's counts, so they must be in it and it must still parse.
+    #[test]
+    fn to_json_carries_the_mutation_smoke_counts() {
+        let doc = json::parse(&report_of(Vec::new()).to_json(&SMOKE)).expect("must parse");
+        let smoke = doc.get("mutation_smoke").expect("mutation_smoke key");
+        assert_eq!(smoke.get("injected").and_then(|v| v.as_u64()), Some(10));
+        assert_eq!(smoke.get("caught").and_then(|v| v.as_u64()), Some(9));
+        assert!(doc.get("elapsed_secs").is_some());
     }
 
     /// With `adaptive_rounds` set, every scenario gains an adaptive-loop
@@ -619,7 +643,7 @@ mod tests {
             report.failed
         );
         assert_eq!(report.adaptive_passed, 2);
-        let json = report.to_json();
+        let json = report.to_json(&SMOKE);
         assert!(
             json.contains("\"adaptive\": {\"rounds\": 4, \"checks\": 2, \"passed\": 2, \"pass_rate\": 1.0000}"),
             "{json}"

@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use etlopt_core::activity::Op;
 use etlopt_core::error::CoreError;
-use etlopt_core::graph::{Node, NodeId};
+use etlopt_core::graph::{Graph, Node, NodeId};
 use etlopt_core::signature::{hash_state, NodeHashes};
 use etlopt_core::trace::ExecCounters;
 use etlopt_core::workflow::Workflow;
@@ -245,6 +245,24 @@ pub(crate) fn plan_cache(
     Ok(plan)
 }
 
+/// Stats with a zero entry per executing activity: the materializing
+/// executor creates entries unconditionally, and bit-identical stats
+/// include the key set.
+pub(crate) fn seeded_stats(graph: &Graph, order: &[NodeId], plan: &CachePlan) -> Result<ExecStats> {
+    let mut stats = ExecStats::default();
+    for &id in order {
+        if !plan.runs(id) || plan.cached.contains_key(&id) {
+            continue;
+        }
+        if let Node::Activity(act) = graph.node(id)? {
+            let key = act.id.to_string();
+            stats.rows_processed.insert(key.clone(), 0);
+            stats.rows_out.insert(key, 0);
+        }
+    }
+    Ok(stats)
+}
+
 /// Execute `wf` with the streaming backend. With a cache, boundary
 /// lookups may serve whole subgraphs from prior runs (the cache must
 /// belong to this catalog — fingerprints hash structure, not data).
@@ -273,20 +291,7 @@ pub(crate) fn run_stream(
 
     let plan = plan_cache(wf, &order, cache.as_deref_mut(), &mut rt.counters)?;
     let runs = |id: &NodeId| plan.runs(*id);
-
-    // Pre-seed a zero entry per executing activity: the materializing
-    // executor creates entries unconditionally, and bit-identical stats
-    // include the key set.
-    for &id in &order {
-        if !runs(&id) || plan.cached.contains_key(&id) {
-            continue;
-        }
-        if let Node::Activity(act) = graph.node(id)? {
-            let key = act.id.to_string();
-            rt.stats.rows_processed.entry(key.clone()).or_insert(0);
-            rt.stats.rows_out.entry(key).or_insert(0);
-        }
-    }
+    rt.stats = seeded_stats(graph, &order, &plan)?;
 
     let mut outs: HashMap<NodeId, Out> = HashMap::new();
     let mut targets: BTreeMap<String, Table> = BTreeMap::new();

@@ -81,7 +81,7 @@ use crate::table::{Row, Table};
 use super::channel::{self, ChannelStats, Receiver, Sender};
 use super::kernel::{cols_of, perm_for, permute, Kernel};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
-use super::{add, plan_cache, CachePlan, SharedCache, StreamConfig, StreamRun};
+use super::{add, plan_cache, seeded_stats, CachePlan, SharedCache, StreamConfig, StreamRun};
 
 /// A row plus its sequential-order tag.
 pub(super) type Tagged = (u64, Row);
@@ -2243,19 +2243,7 @@ pub(crate) fn run_parallel(
     let mut counters = lane_counters(nparts);
     let plan = plan_cache(wf, &order, cache.as_deref_mut(), &mut counters)?;
 
-    // Pre-seed a zero entry per executing activity (bit-identical stats
-    // include the key set).
-    let mut stats = ExecStats::default();
-    for &id in &order {
-        if !plan.runs(id) || plan.cached.contains_key(&id) {
-            continue;
-        }
-        if let Node::Activity(act) = graph.node(id)? {
-            let key = act.id.to_string();
-            stats.rows_processed.entry(key.clone()).or_insert(0);
-            stats.rows_out.entry(key).or_insert(0);
-        }
-    }
+    let mut stats = seeded_stats(graph, &order, &plan)?;
 
     let mut targets: BTreeMap<String, Table> = BTreeMap::new();
     let mut planner = Planner {

@@ -39,7 +39,7 @@ use super::partition::{
     apply_link, distribute, exchange, internal, max_tag, merge_rows, per_part, plan_chain,
     reorder_set, retag_dense, scheme_after, set_rows, PartSet, Require, Scheme,
 };
-use super::{add, plan_cache, SharedCache, StreamConfig, StreamRun};
+use super::{add, plan_cache, seeded_stats, SharedCache, StreamConfig, StreamRun};
 
 /// Shared state of one round-synchronous partition-parallel run.
 struct ParRuntime<'a> {
@@ -375,19 +375,7 @@ pub(crate) fn run_round_sync(
     rt.counters.worker_rows = vec![0; nparts];
 
     let plan = plan_cache(wf, &order, cache.as_deref_mut(), &mut rt.counters)?;
-
-    // Pre-seed a zero entry per executing activity (bit-identical stats
-    // include the key set).
-    for &id in &order {
-        if !plan.runs(id) || plan.cached.contains_key(&id) {
-            continue;
-        }
-        if let Node::Activity(act) = graph.node(id)? {
-            let key = act.id.to_string();
-            rt.stats.rows_processed.entry(key.clone()).or_insert(0);
-            rt.stats.rows_out.entry(key).or_insert(0);
-        }
-    }
+    rt.stats = seeded_stats(graph, &order, &plan)?;
 
     let mut outs: HashMap<NodeId, Slot> = HashMap::new();
     let mut targets: BTreeMap<String, Table> = BTreeMap::new();

@@ -133,15 +133,6 @@ impl Executor {
         self
     }
 
-    /// Choose the parallel coordinator: pipelined persistent workers
-    /// (`true`, the default) or the round-synchronous coordinator
-    /// (`false`). Both produce bit-identical results; the knob exists
-    /// for benchmarking one against the other.
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.stream_cfg.pipeline = pipeline;
-        self
-    }
-
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -16,6 +16,8 @@
 //! change (hit counts, elapsed time) travels in the envelope's
 //! non-canonical `meta` field.
 
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 pub mod job;
 pub mod json;
 pub mod proto;

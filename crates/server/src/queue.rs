@@ -7,7 +7,9 @@
 //! until the queue is empty, so in-flight work completes.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+use crate::state::relock;
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +34,14 @@ pub struct JobQueue<T> {
 }
 
 impl<T> JobQueue<T> {
+    /// Lock the queue even if a thread panicked while holding it: every
+    /// mutation is a single push, pop or flag store, so a poisoned guard
+    /// is still consistent, and a worker that panicked here instead would
+    /// never be respawned.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        relock(self.inner.lock())
+    }
+
     /// A queue admitting at most `cap` waiting jobs (jobs already being
     /// run by a worker no longer count against the cap).
     pub fn new(cap: usize) -> JobQueue<T> {
@@ -48,7 +58,7 @@ impl<T> JobQueue<T> {
     /// Try to enqueue. Never blocks: over-capacity and draining states
     /// are immediate typed rejections.
     pub fn submit(&self, item: T) -> Result<(), Rejected> {
-        let mut inner = self.inner.lock().expect("job queue lock poisoned");
+        let mut inner = self.lock();
         if inner.closed {
             return Err(Rejected::Draining);
         }
@@ -64,7 +74,7 @@ impl<T> JobQueue<T> {
     /// Returns `None` once the queue is closed *and* drained — the
     /// worker-exit signal.
     pub fn recv(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("job queue lock poisoned");
+        let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -72,25 +82,21 @@ impl<T> JobQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).expect("job queue lock poisoned");
+            inner = relock(self.ready.wait(inner));
         }
     }
 
     /// Close the queue: refuse new submissions, wake all workers. Queued
     /// jobs still drain. Idempotent.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("job queue lock poisoned");
+        let mut inner = self.lock();
         inner.closed = true;
         self.ready.notify_all();
     }
 
     /// Jobs currently waiting (not yet picked up by a worker).
     pub fn depth(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("job queue lock poisoned")
-            .items
-            .len()
+        self.lock().items.len()
     }
 }
 
@@ -119,6 +125,32 @@ mod tests {
         assert_eq!(q.recv(), Some(11));
         assert_eq!(q.recv(), None);
         assert_eq!(q.recv(), None, "exit signal is sticky");
+    }
+
+    /// A thread that panics while holding the queue lock poisons it; the
+    /// queue must keep serving (a panicking `recv` would kill a worker
+    /// nothing respawns).
+    #[test]
+    fn a_poisoned_lock_keeps_serving() {
+        let q = Arc::new(JobQueue::new(2));
+        q.submit(1).unwrap();
+        let holder = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("poison the job queue lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(q.inner.is_poisoned());
+
+        assert_eq!(q.submit(2), Ok(()));
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.submit(3), Err(Rejected::Full(2)));
+        assert_eq!(q.recv(), Some(1));
+        q.close();
+        assert_eq!(q.submit(4), Err(Rejected::Draining));
+        assert_eq!(q.recv(), Some(2));
+        assert_eq!(q.recv(), None);
     }
 
     #[test]

@@ -38,27 +38,6 @@ pub fn catalog_for(wf: &Workflow, rows_per_source: usize, seed: u64) -> Catalog 
     catalog
 }
 
-/// Row-count multiplier read from the `ETLOPT_ROW_SCALE` environment
-/// variable (default `1`). CI and local perf runs can scale every
-/// scenario's data volume without touching call sites: `ETLOPT_ROW_SCALE=10`
-/// turns a 200-row smoke catalog into a 2000-row one. Values that are
-/// unset, non-numeric, or zero fall back to `1`.
-pub fn row_scale() -> usize {
-    scale_from(std::env::var("ETLOPT_ROW_SCALE").ok().as_deref())
-}
-
-/// Parse a scale setting; anything unusable means "no scaling".
-fn scale_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
-/// [`catalog_for`] with `rows_per_source` multiplied by [`row_scale`].
-pub fn catalog_for_scaled(wf: &Workflow, rows_per_source: usize, seed: u64) -> Catalog {
-    catalog_for(wf, rows_per_source.saturating_mul(row_scale()), seed)
-}
-
 fn random_value(attr: &str, rng: &mut Rng) -> Scalar {
     if attr == "pkey" || attr.ends_with("_id") || attr == "session" || attr == "acct" {
         Scalar::Int(rng.gen_range(1..200))
@@ -104,16 +83,6 @@ mod tests {
             let name = &s.workflow.graph().recordset(src).unwrap().name;
             assert_eq!(a.table(name), b.table(name));
         }
-    }
-
-    #[test]
-    fn scale_parsing_falls_back_to_one() {
-        assert_eq!(scale_from(None), 1);
-        assert_eq!(scale_from(Some("")), 1);
-        assert_eq!(scale_from(Some("banana")), 1);
-        assert_eq!(scale_from(Some("0")), 1);
-        assert_eq!(scale_from(Some("1")), 1);
-        assert_eq!(scale_from(Some(" 25 ")), 25);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! conformance sweep  [--base-seed N] [--small N] [--medium N] [--large N]
 //!                    [--rows N] [--states N] [--parallelism N] [--chain-len N]
 //!                    [--adaptive] [--adaptive-rounds N]
-//!                    [--out FILE] [--bench FILE] [--trace-json FILE]
+//!                    [--out FILE] [--trace-json FILE]
 //! conformance backends [--rows N] [--frame-budget N] [--batch-rows N]
 //!                      [--threads N] [--channel-batches N] [--trace-json FILE]
 //! conformance replay --seed N --category small|medium|large --steps S
@@ -16,9 +16,9 @@
 //! `sweep` generates the seeded scenario corpus, judges every search
 //! algorithm's best state plus one random transition chain per scenario
 //! with the execution-backed oracle, runs the mutation smoke-test, shrinks
-//! any failing chain to a replayable repro, and writes `CONFORMANCE.json`
-//! (full report) and `BENCH_conformance.json` (runtime + pass-rate
-//! headline). Exit code 1 on any conformance failure.
+//! any failing chain to a replayable repro, writes `CONFORMANCE.json` (the
+//! full report, mutation smoke and runtime included) and prints its
+//! headline to stdout. Exit code 1 on any conformance failure.
 //!
 //! `backends` runs every smoke-corpus scenario through both executor
 //! backends (materializing and streaming) and demands identical targets
@@ -31,9 +31,8 @@
 //! per-worker batch split (`worker_rows`) plus the pipeline-depth
 //! telemetry (`pipeline` section of `--trace-json`). `--channel-batches`
 //! (default 4) sets the pipelined backend's bounded channel capacity in
-//! batches. `--rows`
-//! honors `ETLOPT_ROW_SCALE`. Aggregated execution counters go to stdout
-//! and `--trace-json`. Exit code 1 on any divergence.
+//! batches. Aggregated execution counters go to stdout and `--trace-json`.
+//! Exit code 1 on any divergence.
 //!
 //! `replay` re-executes one chain — typically a minimizer-printed repro —
 //! and reports the oracle's verdict. Exit code 1 if the oracle fails the
@@ -59,7 +58,7 @@ use etlopt::core::cost::RowCountModel;
 use etlopt::core::opt::{run_adaptive, AdaptiveConfig, HeuristicSearch, SearchBudget};
 use etlopt::core::trace::ExecCounters;
 use etlopt::engine::{Executor, Harvester, StreamConfig};
-use etlopt::workload::{datagen, CalibrationStore, Generator, GeneratorConfig, SizeCategory};
+use etlopt::workload::{CalibrationStore, Generator, GeneratorConfig, SizeCategory};
 
 fn parse_category(s: &str) -> Result<SizeCategory, String> {
     match s {
@@ -132,9 +131,6 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
     let out_path = flags
         .take("--out")
         .unwrap_or_else(|| "CONFORMANCE.json".to_owned());
-    let bench_path = flags
-        .take("--bench")
-        .unwrap_or_else(|| "BENCH_conformance.json".to_owned());
     let trace_path = flags.take("--trace-json");
     flags.ensure_empty()?;
 
@@ -161,13 +157,14 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
         smoke.caught, smoke.injected
     );
 
-    std::fs::write(&out_path, report.to_json()).map_err(|e| format!("write {out_path}: {e}"))?;
+    std::fs::write(&out_path, report.to_json(&smoke))
+        .map_err(|e| format!("write {out_path}: {e}"))?;
     if let Some(path) = &trace_path {
         std::fs::write(path, report.trace_json()).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("aggregated search telemetry written to {path}");
     }
 
-    let bench = format!(
+    print!(
         concat!(
             "{{\n",
             "  \"scenarios\": {},\n",
@@ -188,8 +185,6 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
         report.elapsed_secs,
         report.checks as f64 / report.elapsed_secs.max(1e-9),
     );
-    std::fs::write(&bench_path, &bench).map_err(|e| format!("write {bench_path}: {e}"))?;
-    print!("{bench}");
 
     let mut failed = false;
     if !report.failed.is_empty() {
@@ -217,7 +212,7 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
 }
 
 fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
-    let rows_flag: usize = flags.take_parsed("--rows", 96)?;
+    let rows: usize = flags.take_parsed("--rows", 96)?;
     let frame_budget: usize = flags.take_parsed("--frame-budget", 2)?;
     let batch_rows: usize = flags.take_parsed("--batch-rows", 8)?;
     let threads: usize = flags.take_parsed("--threads", 1)?;
@@ -225,7 +220,6 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
     let trace_path = flags.take("--trace-json");
     flags.ensure_empty()?;
 
-    let rows = rows_flag.saturating_mul(datagen::row_scale());
     let cfg = StreamConfig {
         batch_rows,
         frame_budget,

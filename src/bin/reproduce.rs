@@ -1,30 +1,31 @@
 //! Regenerate every table and figure of the ICDE'05 evaluation.
 //!
 //! ```text
-//! cargo run --release -p etlopt-bench --bin reproduce -- all
-//! cargo run --release -p etlopt-bench --bin reproduce -- table1 table2
-//! cargo run --release -p etlopt-bench --bin reproduce -- --paper all   # full 40-scenario suite
-//! cargo run --release -p etlopt-bench --bin reproduce -- --seed 7 table2
+//! cargo run --release --bin reproduce -- all
+//! cargo run --release --bin reproduce -- table1 table2
+//! cargo run --release --bin reproduce -- --paper all   # full 40-scenario suite
+//! cargo run --release --bin reproduce -- --seed 7 table2
 //! ```
 //!
-//! * `fig1`   — the running example: Fig. 1 → Fig. 2 via Heuristic Search.
-//! * `fig4`   — the Factorize/Distribute cost arithmetic.
-//! * `table1` — quality of solution % (avg) per size band and algorithm.
-//! * `table2` — visited states, improvement % and time per band/algorithm.
+//! * `fig1`     — the running example: Fig. 1 → Fig. 2 via Heuristic Search.
+//! * `fig4`     — the Factorize/Distribute cost arithmetic.
+//! * `physical` — the physical planner on the running example.
+//! * `phases`   — best cost after each HS phase, one scenario per band.
+//! * `table1`   — quality of solution % (avg) per size band and algorithm.
+//! * `table2`   — visited states, improvement % and time per band/algorithm.
 //!
-//! Absolute numbers differ from the paper (different machine, regenerated
-//! scenarios, budgeted ES); the *shape* — who wins, by how much, where ES
-//! stops terminating — is the reproduction target. See EXPERIMENTS.md.
+//! Budgets are state counts only, so every column except `time_ms` is a
+//! function of the seed and the tree. Absolute numbers differ from the
+//! paper (different machine, regenerated scenarios, budgeted ES); the
+//! *shape* — who wins, by how much, where ES stops terminating — is the
+//! reproduction target. See EXPERIMENTS.md.
 
-use std::time::Duration;
-
-use etlopt_core::cost::{CostModel, RowCountModel};
-use etlopt_core::opt::{
+use etlopt::core::cost::{CostModel, RowCountModel};
+use etlopt::core::opt::{
     ExhaustiveSearch, HeuristicSearch, HsGreedy, Optimizer, SearchBudget, SearchOutcome,
 };
-use etlopt_core::workflow::Workflow;
-use etlopt_engine::Executor;
-use etlopt_workload::{scenarios, Generator, Scenario, SizeCategory};
+use etlopt::engine::Executor;
+use etlopt::workload::{scenarios, Generator, GeneratorConfig, Scenario, SizeCategory};
 
 #[derive(Clone, Copy)]
 struct Config {
@@ -42,37 +43,13 @@ impl Config {
         }
     }
 
+    /// The laptop-scale analogue of the paper's 40-hour ES cap.
     fn es_budget(&self) -> SearchBudget {
-        if self.paper {
-            // The laptop-scale analogue of the paper's 40-hour cap.
-            SearchBudget {
-                max_states: 500_000,
-                max_time: Duration::from_secs(120),
-                ..SearchBudget::default()
-            }
-        } else {
-            SearchBudget {
-                max_states: 60_000,
-                max_time: Duration::from_secs(8),
-                ..SearchBudget::default()
-            }
-        }
+        SearchBudget::states(if self.paper { 500_000 } else { 60_000 })
     }
 
     fn hs_budget(&self) -> SearchBudget {
-        if self.paper {
-            SearchBudget {
-                max_states: 200_000,
-                max_time: Duration::from_secs(120),
-                ..SearchBudget::default()
-            }
-        } else {
-            SearchBudget {
-                max_states: 50_000,
-                max_time: Duration::from_secs(25),
-                ..SearchBudget::default()
-            }
-        }
+        SearchBudget::states(if self.paper { 200_000 } else { 50_000 })
     }
 }
 
@@ -93,10 +70,16 @@ impl RunStats {
     }
 }
 
-/// (avg activity count, per-algorithm stats, best cost per scenario×algo).
-type BandStats = (f64, Vec<(&'static str, RunStats)>, Vec<Vec<f64>>);
+/// (band, avg activity count, per-algorithm stats, best cost per
+/// scenario×algo).
+type BandResult = (
+    SizeCategory,
+    f64,
+    Vec<(&'static str, RunStats)>,
+    Vec<Vec<f64>>,
+);
 
-fn run_band(cfg: &Config, category: SizeCategory, suite: &[Scenario]) -> BandStats {
+fn run_band(cfg: &Config, category: SizeCategory, suite: &[Scenario]) -> BandResult {
     let model = RowCountModel::default();
     let scenarios: Vec<&Scenario> = suite.iter().filter(|s| s.category == category).collect();
     let avg_activities = scenarios
@@ -134,7 +117,7 @@ fn run_band(cfg: &Config, category: SizeCategory, suite: &[Scenario]) -> BandSta
         }
         per_algo.push((name, RunStats { outcomes }));
     }
-    (avg_activities, per_algo, best_costs)
+    (category, avg_activities, per_algo, best_costs)
 }
 
 /// Quality of solution (Table 1): the share of the best-achieved
@@ -160,23 +143,13 @@ fn quality(per_algo: &[(&'static str, RunStats)], best_costs: &[Vec<f64>]) -> Ve
         .collect()
 }
 
-type BandResult = (
-    SizeCategory,
-    f64,
-    Vec<(&'static str, RunStats)>,
-    Vec<Vec<f64>>,
-);
-
 /// Run the three algorithms over every band once; both tables print from
 /// the same results.
 fn run_all_bands(cfg: &Config) -> Vec<BandResult> {
     let suite = cfg.suite();
     SizeCategory::all()
         .into_iter()
-        .map(|category| {
-            let (acts, per_algo, best_costs) = run_band(cfg, category, &suite);
-            (category, acts, per_algo, best_costs)
-        })
+        .map(|category| run_band(cfg, category, &suite))
         .collect()
 }
 
@@ -270,11 +243,11 @@ fn fig4() {
 
     // The three states, derived through the actual transition system.
     let m = RowCountModel::default();
-    use etlopt_core::predicate::Predicate;
-    use etlopt_core::schema::Schema;
-    use etlopt_core::semantics::{BinaryOp, UnaryOp};
-    use etlopt_core::transition::{Distribute, Factorize, Swap, Transition};
-    use etlopt_core::workflow::WorkflowBuilder;
+    use etlopt::core::predicate::Predicate;
+    use etlopt::core::schema::Schema;
+    use etlopt::core::semantics::{BinaryOp, UnaryOp};
+    use etlopt::core::transition::{Distribute, Factorize, Swap, Transition};
+    use etlopt::core::workflow::WorkflowBuilder;
 
     // Case 1 (original): SK per branch, union, σ on the joint flow.
     let mut b = WorkflowBuilder::new();
@@ -339,16 +312,11 @@ fn fig1() {
         out.visited_states
     );
     let exec = Executor::new(scenarios::fig1_catalog(2005, 300, 9000));
-    let ok = etlopt_engine::equivalent_execution(&exec, &wf, &out.best).expect("both run");
+    let ok = etlopt::engine::equivalent_execution(&exec, &wf, &out.best).expect("both run");
     println!("empirical equivalence on PARTS1/PARTS2 data: {ok}");
-    check_fig2_shape(&out.best);
-}
-
-fn check_fig2_shape(best: &Workflow) {
-    let sig = best.signature().to_string();
     println!(
         "Fig. 2 structure: σ(€) distributed (clone ids present) = {}",
-        sig.contains('\'')
+        out.best.signature().to_string().contains('\'')
     );
 }
 
@@ -356,7 +324,7 @@ fn phases(cfg: &Config) {
     println!("\nPhase contribution (Fig. 7 ablation): best cost after each HS phase");
     let model = RowCountModel::default();
     for category in SizeCategory::all() {
-        let s = Generator::generate(etlopt_workload::GeneratorConfig {
+        let s = Generator::generate(GeneratorConfig {
             seed: cfg.seed,
             category,
         });
@@ -376,7 +344,7 @@ fn phases(cfg: &Config) {
 }
 
 fn physical() {
-    use etlopt_core::physical::{plan, PhysicalConfig};
+    use etlopt::core::physical::{plan, PhysicalConfig};
     println!("\nPhysical plan for the running example (future-work extension)");
     let wf = scenarios::fig1();
     for (label, cfg) in [
@@ -443,33 +411,22 @@ fn main() {
         commands.push("all".to_owned());
     }
     let mut bands: Option<Vec<BandResult>> = None;
-    let ensure_bands = |cfg: &Config, bands: &mut Option<Vec<BandResult>>| {
-        if bands.is_none() {
-            *bands = Some(run_all_bands(cfg));
-        }
-    };
     for c in &commands {
         match c.as_str() {
             "fig1" => fig1(),
             "fig4" => fig4(),
             "physical" => physical(),
             "phases" => phases(&cfg),
-            "table1" => {
-                ensure_bands(&cfg, &mut bands);
-                table1(bands.as_ref().expect("computed"));
-            }
-            "table2" => {
-                ensure_bands(&cfg, &mut bands);
-                table2(bands.as_ref().expect("computed"));
-            }
+            "table1" => table1(bands.get_or_insert_with(|| run_all_bands(&cfg))),
+            "table2" => table2(bands.get_or_insert_with(|| run_all_bands(&cfg))),
             "all" => {
                 fig1();
                 fig4();
                 physical();
                 phases(&cfg);
-                ensure_bands(&cfg, &mut bands);
-                table1(bands.as_ref().expect("computed"));
-                table2(bands.as_ref().expect("computed"));
+                let bands = bands.get_or_insert_with(|| run_all_bands(&cfg));
+                table1(bands);
+                table2(bands);
             }
             other => {
                 eprintln!(
