@@ -508,7 +508,7 @@ pub struct ExecCounters {
     /// Intermediate results admitted into the shared cache.
     pub cache_insertions: u64,
     /// Rows routed to each worker index by the partition-parallel
-    /// exchanges (the execution-plane counterpart of
+    /// source scans and exchanges (the execution-plane counterpart of
     /// [`SearchStats::worker_batches`]). Empty for sequential runs. The
     /// routing hash is fixed-key, so the split is deterministic for a
     /// given thread count.
@@ -519,19 +519,19 @@ pub struct ExecCounters {
     /// which holds partition sets in memory instead.
     pub pages_staged: u64,
     /// Pipelined segment tasks executed by the partition-parallel
-    /// branch scheduler.
+    /// coordinator.
     pub pipeline_segments: u64,
     /// High-water mark of batches resident in any one segment channel.
     /// Runtime telemetry: bounded by the configured channel capacity but
     /// dependent on scheduling, unlike the deterministic row counters.
     pub channel_high_water: u64,
-    /// High-water mark of concurrently in-flight scheduler tasks —
-    /// evidence that independent DAG branches actually overlapped.
+    /// High-water mark of concurrently in-flight tasks: 1 for a
+    /// pipelined run, whose coordinator runs tasks one after another.
     pub peak_inflight_tasks: u64,
     /// Batches each worker index processed through its segment links,
     /// absorbed element-wise in worker-index order.
     pub worker_busy: Vec<u64>,
-    /// Times the segment feeder blocked sending to each worker's bounded
+    /// Times the exchange feeder blocked sending to each worker's bounded
     /// channel (backpressure from a slow worker). Runtime telemetry.
     pub worker_send_blocked: Vec<u64>,
     /// Times each worker blocked waiting for its channel to fill

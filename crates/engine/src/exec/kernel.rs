@@ -89,6 +89,7 @@ pub(crate) fn cols_of<'a>(
 
 /// A predicate over column positions (SQL three-valued logic, exactly
 /// [`crate::eval::eval`]).
+#[derive(Clone)]
 pub(crate) enum Pred {
     Cmp(usize, CmpOp, Scalar),
     CmpCols(usize, CmpOp, usize),
@@ -176,6 +177,7 @@ impl Pred {
 
 /// A kernel that only keeps or drops rows. It never edits one, so it can
 /// run on borrowed rows — a scan applies it before cloning anything.
+#[derive(Clone)]
 pub(crate) enum Filter {
     Pred(Pred),
     NotNull(usize),
@@ -186,6 +188,78 @@ impl Filter {
         match self {
             Filter::Pred(p) => p.eval(row).passes(),
             Filter::NotNull(col) => !row[*col].is_null(),
+        }
+    }
+}
+
+/// The filters fused into a scan: run in link order on rows the scan does
+/// not own, tallying what each link would have reported had it run above
+/// the scan. Both the sequential [`super::stream::Scan`] and the
+/// partitioned source scan of [`super::partition`] read through this.
+pub(crate) struct Fused {
+    filters: Vec<Filter>,
+    /// `stopped[i]` rows were dropped by filter `i`; the last slot counts
+    /// the survivors.
+    stopped: Vec<u64>,
+}
+
+impl Fused {
+    pub(crate) fn new(filters: Vec<Filter>) -> Fused {
+        Fused {
+            stopped: vec![0; filters.len() + 1],
+            filters,
+        }
+    }
+
+    pub(crate) fn push(&mut self, filter: Filter) {
+        self.filters.push(filter);
+        self.stopped.push(0);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.filters.is_empty()
+    }
+
+    /// Does `row` pass every filter? Tallied either way.
+    pub(crate) fn keeps(&mut self, row: &[Scalar]) -> bool {
+        let depth = self
+            .filters
+            .iter()
+            .position(|f| !f.keeps(row))
+            .unwrap_or(self.filters.len());
+        self.stopped[depth] += 1;
+        depth == self.filters.len()
+    }
+
+    /// Report `(filter index, rows it processed, rows it passed)` for every
+    /// filter since the last drain — a link processes every row that got
+    /// past the links before it — and reset the tallies.
+    pub(crate) fn drain_tallies(&mut self, mut report: impl FnMut(usize, u64, u64)) {
+        let mut reached: u64 = self.stopped.iter().sum();
+        for (i, dropped) in self.stopped.iter_mut().enumerate() {
+            let processed = reached;
+            reached -= std::mem::take(dropped);
+            if i < self.filters.len() {
+                report(i, processed, reached);
+            }
+        }
+    }
+}
+
+/// The one clone a scanned row pays: through `perm` when the stored and
+/// declared layouts differ, with room for `spare` more cells.
+pub(crate) fn clone_row(row: &[Scalar], perm: Option<&[usize]>, spare: usize) -> Row {
+    match perm {
+        Some(perm) => {
+            let mut out = Vec::with_capacity(perm.len() + spare);
+            out.extend(perm.iter().map(|&c| row[c].clone()));
+            out
+        }
+        None if spare == 0 => row.to_vec(),
+        None => {
+            let mut out = Vec::with_capacity(row.len() + spare);
+            out.extend_from_slice(row);
+            out
         }
     }
 }
@@ -340,12 +414,12 @@ impl Kernel {
         Ok((Kernel { step }, output))
     }
 
-    /// The filter this kernel is, if it is one — handed to a scan so it
-    /// runs before rows are cloned; otherwise the kernel back.
-    pub(crate) fn into_filter(self) -> std::result::Result<Filter, Kernel> {
-        match self.step {
-            Step::Filter(f) => Ok(f),
-            step => Err(Kernel { step }),
+    /// The filter this kernel is, if it is one — a scan copies it so it
+    /// runs before rows are cloned.
+    pub(crate) fn as_filter(&self) -> Option<&Filter> {
+        match &self.step {
+            Step::Filter(f) => Some(f),
+            _ => None,
         }
     }
 

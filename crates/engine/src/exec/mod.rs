@@ -327,9 +327,10 @@ pub(crate) fn run_stream(
                 };
                 if consumers == 0 {
                     // Target: drain through the pool (bounding the
-                    // resident set), materialize at the API boundary.
+                    // resident set), then hand its pages over to the
+                    // table at the API boundary.
                     let buf = drain(&mut rt, iter)?;
-                    let table = rt.pool.to_table(buf)?;
+                    let table = rt.pool.into_table(buf)?;
                     if let (Some(c), Some(h)) = (cache.as_deref_mut(), plan.hashes.as_ref()) {
                         c.insert(h.of(id), Arc::new(table.clone()));
                         rt.counters.cache_insertions += 1;

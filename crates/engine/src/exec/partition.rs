@@ -4,23 +4,32 @@
 //! default) the streaming backend runs a **pipelined** partitioned plan:
 //!
 //! * **Segments, not rounds.** Planning collapses each maximal
-//!   exchange-free run of unary links into one *segment task*. A
-//!   segment's N partition workers are long-lived threads: rows flow
-//!   feeder → link → link → staging through bounded channels
-//!   ([`super::channel`], capacity `StreamConfig::channel_batches`)
-//!   with no coordinator barrier between links. The coordinator
-//!   re-enters only at exchange points, fan-in merges, and
-//!   materialization boundaries — exactly the places the determinism
-//!   contract already forces a rendezvous.
-//! * **Concurrent DAG branches.** A dependency-counted scheduler
-//!   launches every task whose inputs are staged, so independent
-//!   branches (the two legs of a join, the parallel chains of a
-//!   butterfly workflow) overlap instead of executing in topo sequence.
-//! * **Bounded residency.** Inter-segment partition sets never live in
-//!   coordinator `Vec`s: workers stage their output through the sharded
-//!   [`BufferPool`] (spill-eligible, pin-on-read pages), and downstream
-//!   tasks stream them back page-at-a-time. `ExecCounters` records the
-//!   staged-page traffic and the pipeline-depth telemetry.
+//!   exchange-free run of unary links into one *segment task*: rows flow
+//!   source → link → link → staging inside one worker with no barrier
+//!   between links. A table-fed segment has no feeder at all — worker
+//!   `j` reads its own share of the borrowed catalog rows, runs the
+//!   segment's leading filters on them and clones only the survivors.
+//!   Only an exchange routes rows through bounded channels
+//!   ([`super::channel`], capacity `StreamConfig::channel_batches`).
+//! * **N workers, one coordinator.** `parallelism: N` spawns N partition
+//!   workers once per run. The calling thread runs the tasks one after
+//!   another in task-id (topological) order: it hands every worker its
+//!   partition of the task, feeds the exchange if there is one, and does
+//!   the fan-in work — target and cache merges, join re-tagging — itself.
+//!   It re-enters exactly where the determinism contract forces a
+//!   rendezvous anyway; independent DAG branches do not overlap.
+//! * **Staged sets change hands.** Inter-segment partition sets never
+//!   live in coordinator `Vec`s: workers stage their output through the
+//!   sharded [`BufferPool`] as spill-eligible pages. A set with a single
+//!   sequential consumer is *taken* back out page by page
+//!   ([`BufferPool::take_page`]) — rows move, frames are released as
+//!   they are read, and only pages the clock evicted ever see the spill
+//!   codec. A set with several readers, a cache admission, or a join
+//!   probing it by row position is read shared, pin-on-read. The pool's
+//!   frame budget bounds what is staged and not yet consumed; a target
+//!   table is merged straight into its rows, since it is fully resident
+//!   the moment it exists. `ExecCounters` records the staged-page
+//!   traffic and the pipeline telemetry.
 //!
 //! # The determinism contract
 //!
@@ -31,7 +40,7 @@
 //!
 //! 1. **Order tags.** Every row carries a `u64` tag recording its
 //!    position in the node's sequential output order. Staged partitions
-//!    persist the tag as a hidden leading column; every channel batch
+//!    persist the tag as a hidden trailing column; every channel batch
 //!    and staged part is tag-ascending, so a k-way merge by tag at any
 //!    fan-in reconstructs the exact sequential order. Keep-first
 //!    operators keep the minimum tag per key, aggregation tags each
@@ -47,19 +56,18 @@
 //!    being the sole producer of all N channels, it can never deadlock
 //!    against the bounded capacities.
 //! 3. **Deterministic absorption.** Workers never touch shared
-//!    counters: each task absorbs its workers' tallies in
-//!    partition-index order, and the scheduler folds task deltas with
-//!    commutative operations (sums, maxes, element-wise lane sums), so
-//!    completion order cannot leak into `ExecStats` or the trace.
+//!    counters: the coordinator folds each task's worker tallies in
+//!    partition-index order, tasks in task-id order, so completion order
+//!    cannot leak into `ExecStats` or the trace.
 //!    Residency counters (spills, evictions, peak frames) remain
 //!    schedule-dependent telemetry — nothing compares them bit-wise.
 //!
 //! Worker panics are converted into typed
-//! [`EngineError::WorkerPanicked`] errors: a panicking worker drops its
-//! channel receiver, which wakes any feeder blocked on the bounded
-//! queue, so poisoned runs fail fast instead of deadlocking.
+//! [`EngineError::WorkerPanicked`] errors: the unwind drops the work
+//! item's channel receiver, which wakes a coordinator blocked feeding
+//! the bounded queue, so poisoned runs fail fast instead of deadlocking.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, OnceLock};
 
@@ -79,7 +87,7 @@ use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
 use super::channel::{self, ChannelStats, Receiver, Sender};
-use super::kernel::{cols_of, perm_for, permute, Kernel};
+use super::kernel::{clone_row, cols_of, perm_for, permute, Filter, Fused, Kernel};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::{add, plan_cache, seeded_stats, CachePlan, SharedCache, StreamConfig, StreamRun};
 
@@ -446,18 +454,20 @@ pub(super) fn apply_link(link: &Link, part: &[Tagged]) -> Result<Vec<Tagged>> {
 // Staged partition sets: pool-resident, spill-eligible
 // ---------------------------------------------------------------------
 
-/// Hidden leading column persisting each staged row's order tag. The
-/// control character keeps it out of any plausible user attribute space;
-/// staging still verifies no collision (schema construction would panic
-/// on a duplicate attribute).
+/// Hidden trailing column persisting each staged row's order tag — last,
+/// so the writer `push`es it onto the row it was handed and the reader
+/// `pop`s it off again, with no per-row `Vec` on either side. The control
+/// character keeps it out of any plausible user attribute space; staging
+/// still verifies no collision (schema construction would panic on a
+/// duplicate attribute).
 const TAG_ATTR: &str = "\u{1}tag";
 
-/// Hidden columns persisting a join's `u128` composite tag as three
-/// 42-bit limbs (most-significant first, so limb-wise comparison is the
-/// composite comparison).
+/// Hidden trailing columns persisting a join's `u128` composite tag as
+/// three 42-bit limbs (most-significant first, so limb-wise comparison is
+/// the composite comparison).
 const JTAG_ATTRS: [&str; 3] = ["\u{1}t2", "\u{1}t1", "\u{1}t0"];
 
-fn hidden_schema(hidden: &[&str], data: &Schema) -> Result<Schema> {
+fn hidden_schema(data: &Schema, hidden: &[&str]) -> Result<Schema> {
     for h in hidden {
         if data.contains(&Attr::new(*h)) {
             return Err(internal(format!(
@@ -465,10 +475,10 @@ fn hidden_schema(hidden: &[&str], data: &Schema) -> Result<Schema> {
             )));
         }
     }
-    Ok(hidden
+    Ok(data
         .iter()
-        .map(|h| Attr::new(*h))
-        .chain(data.iter().cloned())
+        .cloned()
+        .chain(hidden.iter().map(|h| Attr::new(*h)))
         .collect())
 }
 
@@ -478,9 +488,9 @@ fn tag_cell(tag: u64) -> Result<Scalar> {
         .map_err(|_| internal("order tag overflows the staging tag cell"))
 }
 
-fn cell_tag(cell: &Scalar) -> Result<u64> {
+fn cell_tag(cell: Option<&Scalar>) -> Result<u64> {
     match cell {
-        Scalar::Int(i) if *i >= 0 => Ok(*i as u64),
+        Some(Scalar::Int(i)) if *i >= 0 => Ok(*i as u64),
         other => Err(internal(format!("corrupt staged tag cell: {other:?}"))),
     }
 }
@@ -498,15 +508,17 @@ fn jtag_cells(tag: u128) -> Result<[Scalar; 3]> {
     ])
 }
 
-fn cells_jtag(cells: &[Scalar]) -> Result<u128> {
+/// The composite tag in the trailing [`JTAG_ATTRS`] cells of a staged row.
+fn row_jtag(row: &[Scalar]) -> Result<u128> {
+    let limbs = row.len().saturating_sub(JTAG_ATTRS.len());
     let mut tag = 0u128;
-    for c in cells {
-        tag = tag * JTAG_LIMB + u128::from(cell_tag(c)?);
+    for c in &row[limbs..] {
+        tag = tag * JTAG_LIMB + u128::from(cell_tag(Some(c))?);
     }
     Ok(tag)
 }
 
-/// One staged partition: a pool buffer of `[tag | data...]` rows in
+/// One staged partition: a pool buffer of `[data... | tag]` rows in
 /// tag-ascending order, plus the metadata fan-in operators need without
 /// faulting pages back in.
 #[derive(Debug, Clone)]
@@ -516,17 +528,34 @@ struct StagedPart {
     max_tag: Option<u64>,
 }
 
-/// A task output staged through the pool: one part per partition, all
-/// tag-ascending, under a shared *data* schema (the hidden tag column is
-/// a storage detail). Buffer ownership is exclusive — the scheduler
-/// frees parts once the last consumer finishes.
+/// A task output staged through the pool as one consumer sees it: one
+/// part per partition, all tag-ascending, under a shared *data* schema
+/// (the hidden tag column is a storage detail). Buffer ownership is
+/// exclusive — the coordinator frees parts once the last consumer
+/// finishes.
 #[derive(Debug, Clone)]
 struct StagedSet {
     parts: Vec<StagedPart>,
+    /// This consumer is the set's only reader and reads it front to back,
+    /// so pages change hands by ownership ([`BufferPool::take_page`])
+    /// instead of being pinned and cloned out of.
+    take: bool,
 }
 
-fn free_set(pool: &BufferPool, set: &StagedSet) {
-    for p in &set.parts {
+impl StagedSet {
+    fn rows(&self) -> u64 {
+        self.parts.iter().map(|p| p.rows).sum()
+    }
+
+    /// One past the largest tag in the set (0 when empty).
+    fn tag_bound(&self) -> u64 {
+        let max = self.parts.iter().filter_map(|p| p.max_tag).max();
+        max.map_or(0, |t| t + 1)
+    }
+}
+
+fn free_parts(pool: &BufferPool, parts: &[StagedPart]) {
+    for p in parts {
         pool.free(p.buf);
     }
 }
@@ -544,46 +573,29 @@ struct StageWriter<'p> {
 }
 
 impl<'p> StageWriter<'p> {
-    fn new(pool: &'p BufferPool, data: &Schema, batch_rows: usize) -> Result<Self> {
-        let schema = hidden_schema(&[TAG_ATTR], data)?;
+    /// A writer of `data` rows under `hidden` trailing tag columns:
+    /// [`TAG_ATTR`], or [`JTAG_ATTRS`] for join temp staging.
+    fn new(rt: &Rt<'p>, data: &Schema, hidden: &[&str]) -> Result<Self> {
         Ok(StageWriter {
-            pool,
-            buf: pool.create(schema),
+            pool: rt.pool,
+            buf: rt.pool.create(hidden_schema(data, hidden)?),
             pending: Vec::new(),
-            batch_rows: batch_rows.max(1),
+            batch_rows: rt.batch_rows,
             rows: 0,
             max_tag: None,
             pages: 0,
         })
     }
 
-    /// A writer for join temp staging: three composite-tag limbs.
-    fn composite(pool: &'p BufferPool, data: &Schema, batch_rows: usize) -> Result<Self> {
-        let schema = hidden_schema(&JTAG_ATTRS, data)?;
-        Ok(StageWriter {
-            pool,
-            buf: pool.create(schema),
-            pending: Vec::new(),
-            batch_rows: batch_rows.max(1),
-            rows: 0,
-            max_tag: None,
-            pages: 0,
-        })
-    }
-
-    fn push(&mut self, tag: u64, row: Row) -> Result<()> {
-        let mut enc = Vec::with_capacity(1 + row.len());
-        enc.push(tag_cell(tag)?);
-        enc.extend(row);
+    fn push(&mut self, tag: u64, mut row: Row) -> Result<()> {
+        row.push(tag_cell(tag)?);
         self.max_tag = Some(tag);
-        self.push_enc(enc)
+        self.push_enc(row)
     }
 
-    fn push_composite(&mut self, tag: u128, row: Row) -> Result<()> {
-        let mut enc = Vec::with_capacity(3 + row.len());
-        enc.extend(jtag_cells(tag)?);
-        enc.extend(row);
-        self.push_enc(enc)
+    fn push_composite(&mut self, tag: u128, mut row: Row) -> Result<()> {
+        row.extend(jtag_cells(tag)?);
+        self.push_enc(row)
     }
 
     fn push_enc(&mut self, enc: Row) -> Result<()> {
@@ -619,112 +631,152 @@ impl<'p> StageWriter<'p> {
     }
 }
 
-/// Streaming cursor over one staged part: faults pages in one at a time
-/// (pin-on-read), so a reader's residency is one page.
+/// The page a [`PartReader`] is on: its own (taken) or a pinned shared one.
+enum Page {
+    Taken(std::vec::IntoIter<Row>),
+    Shared { rows: Arc<Vec<Row>>, off: usize },
+}
+
+impl Page {
+    fn cur(&self) -> Option<&Row> {
+        match self {
+            Page::Taken(it) => it.as_slice().first(),
+            Page::Shared { rows, off } => rows.get(*off),
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        match self {
+            Page::Taken(it) => it.len(),
+            Page::Shared { rows, off } => rows.len() - off,
+        }
+    }
+
+    /// Advance past the current row and return its data cells: a taken row
+    /// drops its `hidden` tag cells in place (keeping their capacity for
+    /// the next staging), a shared one is cloned without them.
+    fn pop(&mut self, hidden: usize) -> Option<Row> {
+        match self {
+            Page::Taken(it) => {
+                let mut row = it.next()?;
+                row.truncate(row.len().saturating_sub(hidden));
+                Some(row)
+            }
+            Page::Shared { rows, off } => {
+                let enc = rows.get(*off)?;
+                *off += 1;
+                let data = &enc[..enc.len().saturating_sub(hidden)];
+                Some(clone_row(data, None, hidden))
+            }
+        }
+    }
+}
+
+/// Streaming cursor over one staged part, one page at a time: taken out
+/// of the pool when this reader is the part's only consumer, otherwise
+/// faulted in and pinned while it is being read.
 struct PartReader<'p> {
     pool: &'p BufferPool,
     buf: BufferId,
     hidden: usize,
+    take: bool,
     npages: usize,
-    page_idx: usize,
-    page: Option<Arc<Vec<Row>>>,
-    off: usize,
+    next_page: usize,
+    page: Option<Page>,
 }
 
 impl<'p> PartReader<'p> {
-    fn new(pool: &'p BufferPool, part: &StagedPart) -> Self {
+    fn new(pool: &'p BufferPool, part: &StagedPart, take: bool) -> Self {
         PartReader {
             pool,
             buf: part.buf,
             hidden: 1,
+            take,
             npages: pool.pages(part.buf),
-            page_idx: 0,
+            next_page: 0,
             page: None,
-            off: 0,
         }
     }
 
+    /// A reader over join temp staging, which only its writer's task
+    /// reads: always taken.
     fn composite(pool: &'p BufferPool, part: &StagedPart) -> Self {
         PartReader {
-            hidden: 3,
-            ..PartReader::new(pool, part)
+            hidden: JTAG_ATTRS.len(),
+            ..PartReader::new(pool, part, true)
         }
     }
 
-    /// Current encoded row, faulting its page in if needed.
+    /// Current encoded row, moving to the next non-empty page if needed.
     fn cur(&mut self) -> Result<Option<&Row>> {
-        loop {
-            if self.page_idx >= self.npages {
+        while self.page.as_ref().is_none_or(|p| p.cur().is_none()) {
+            // Unpin before faulting: a reader holds one page, not two.
+            self.page = None;
+            if self.next_page >= self.npages {
                 return Ok(None);
             }
-            if self.page.is_none() {
-                self.page = Some(self.pool.page(self.buf, self.page_idx)?);
-                self.off = 0;
-            }
-            let len = self.page.as_ref().map_or(0, |p| p.len());
-            if self.off < len {
-                break;
-            }
-            self.page = None;
-            self.page_idx += 1;
+            self.page = Some(if self.take {
+                Page::Taken(self.pool.take_page(self.buf, self.next_page)?.into_iter())
+            } else {
+                Page::Shared {
+                    rows: self.pool.page(self.buf, self.next_page)?,
+                    off: 0,
+                }
+            });
+            self.next_page += 1;
         }
-        Ok(self.page.as_deref().map(|p| &p[self.off]))
+        Ok(self.page.as_ref().and_then(Page::cur))
     }
 
     fn peek_tag(&mut self) -> Result<Option<u64>> {
         match self.cur()? {
-            Some(row) => Ok(Some(cell_tag(&row[0])?)),
+            Some(row) => Ok(Some(cell_tag(row.last())?)),
             None => Ok(None),
         }
     }
 
     fn peek_composite(&mut self) -> Result<Option<u128>> {
-        let hidden = self.hidden;
         match self.cur()? {
-            Some(row) => Ok(Some(cells_jtag(&row[..hidden])?)),
+            Some(row) => Ok(Some(row_jtag(row)?)),
             None => Ok(None),
         }
     }
 
+    /// The current row's data cells, advancing past it.
+    fn pop(&mut self) -> Result<Row> {
+        let hidden = self.hidden;
+        self.page
+            .as_mut()
+            .and_then(|p| p.pop(hidden))
+            .ok_or_else(|| internal("staged reader advanced past its page"))
+    }
+
     /// Decode and advance past the current row.
     fn next(&mut self) -> Result<Option<Tagged>> {
-        let hidden = self.hidden;
-        let Some(row) = self.cur()? else {
-            return Ok(None);
-        };
-        let tag = cell_tag(&row[0])?;
-        let data: Row = row[hidden..].to_vec();
-        self.off += 1;
-        Ok(Some((tag, data)))
+        match self.peek_tag()? {
+            Some(tag) => Ok(Some((tag, self.pop()?))),
+            None => Ok(None),
+        }
     }
 
     /// Decode and advance past the current composite-tagged row.
     fn next_composite(&mut self) -> Result<Option<(u128, Row)>> {
-        let hidden = self.hidden;
-        let Some(row) = self.cur()? else {
-            return Ok(None);
-        };
-        let tag = cells_jtag(&row[..hidden])?;
-        let data: Row = row[hidden..].to_vec();
-        self.off += 1;
-        Ok(Some((tag, data)))
+        match self.peek_composite()? {
+            Some(tag) => Ok(Some((tag, self.pop()?))),
+            None => Ok(None),
+        }
     }
 
-    /// Decode one whole page as a batch (the `Pass` feed granularity).
+    /// Decode the rest of the current page as a batch (the `Pass` feed
+    /// granularity).
     fn next_page(&mut self) -> Result<Option<Vec<Tagged>>> {
         if self.cur()?.is_none() {
             return Ok(None);
         }
-        let hidden = self.hidden;
-        let page = self
-            .page
-            .clone()
-            .ok_or_else(|| internal("reader lost its page"))?;
-        let mut out = Vec::with_capacity(page.len() - self.off);
-        while self.off < page.len() {
-            let row = &page[self.off];
-            out.push((cell_tag(&row[0])?, row[hidden..].to_vec()));
-            self.off += 1;
+        let mut out = Vec::with_capacity(self.page.as_ref().map_or(0, Page::remaining));
+        while let Some(enc) = self.page.as_ref().and_then(Page::cur) {
+            let tag = cell_tag(enc.last())?;
+            out.push((tag, self.pop()?));
         }
         Ok(Some(out))
     }
@@ -737,9 +789,13 @@ struct MergeReader<'p> {
 }
 
 impl<'p> MergeReader<'p> {
-    fn new(pool: &'p BufferPool, parts: &[StagedPart]) -> Self {
+    fn new(pool: &'p BufferPool, set: &StagedSet) -> Self {
         MergeReader {
-            readers: parts.iter().map(|p| PartReader::new(pool, p)).collect(),
+            readers: set
+                .parts
+                .iter()
+                .map(|p| PartReader::new(pool, p, set.take))
+                .collect(),
         }
     }
 
@@ -775,7 +831,7 @@ enum TableSrc {
     Cached(Arc<Table>),
 }
 
-/// How a feeder routes rows to partition workers.
+/// How rows are routed to partition workers.
 #[derive(Debug)]
 enum RouteMode {
     /// Source distribution: row `i` goes to partition `i % N`.
@@ -787,13 +843,14 @@ enum RouteMode {
 /// A segment's input.
 #[derive(Debug)]
 enum Feed {
-    /// Rows read from a table, tagged with their table position.
+    /// Rows of a table, tagged with their table position: worker `j`
+    /// reads its own share of the borrowed rows — no feeder, no channel.
     Table { src: TableSrc, mode: RouteMode },
     /// Exchange point: the feeder k-way tag-merges the upstream staged
     /// parts and re-routes rows (the only cross-partition shuffle).
     Staged { from: usize, mode: RouteMode },
     /// Partition-aligned hand-off: worker `j` reads upstream part `j`
-    /// directly — no channels, no feeder thread.
+    /// directly — no channels, no feeder.
     Pass { from: usize },
 }
 
@@ -808,6 +865,15 @@ struct PipeLink {
     key: Option<String>,
     counts_processed: bool,
     counts_out: bool,
+}
+
+impl PipeLink {
+    fn as_filter(&self) -> Option<&Filter> {
+        match &self.plan {
+            PipePlan::Op(LinkPlan::RowWise { kernel, .. }) => kernel.as_filter(),
+            _ => None,
+        }
+    }
 }
 
 enum PipePlan {
@@ -830,16 +896,41 @@ enum SegOut {
     Discard,
 }
 
-/// One maximal exchange-free run of links executed by persistent
-/// partition workers.
+/// One maximal exchange-free run of links executed by the partition
+/// workers.
 struct SegmentPlan {
     feed: Feed,
     links: Vec<PipeLink>,
+    /// How many leading links are filters a table scan runs on the
+    /// borrowed rows, before cloning — the rule of `stream::Scan::fuse`:
+    /// none under a permuting scan, whose stored rows are not laid out
+    /// the way the links were compiled.
+    fused: usize,
     out: SegOut,
     out_schema: Schema,
     /// Cache-admission node whose merged output should be inserted
     /// (deferred to end-of-run, applied in topo order).
     cache_node: Option<NodeId>,
+}
+
+impl SegmentPlan {
+    fn new(feed: Feed, links: Vec<PipeLink>, out: SegOut, out_schema: Schema) -> Self {
+        let fusable = match &feed {
+            Feed::Table { src, .. } => !matches!(src, TableSrc::Catalog { perm: Some(_), .. }),
+            Feed::Staged { .. } | Feed::Pass { .. } => false,
+        };
+        SegmentPlan {
+            fused: links
+                .iter()
+                .take_while(|l| fusable && l.as_filter().is_some())
+                .count(),
+            feed,
+            links,
+            out,
+            out_schema,
+            cache_node: None,
+        }
+    }
 }
 
 /// A planned binary operator over two staged inputs.
@@ -875,16 +966,43 @@ enum TaskPlan {
     Binary(BinaryPlan),
 }
 
-/// The planned task DAG: tasks in creation (≈ topo) order plus exact
-/// dependency wiring for the scheduler.
+/// The planned task DAG. Tasks are numbered in creation order, which is
+/// a topological order: a task only ever names inputs planned before it.
 struct TaskGraph {
     tasks: Vec<TaskPlan>,
-    /// Distinct input task ids per task.
-    deps: Vec<Vec<usize>>,
-    /// Tasks consuming each task's staged output.
-    consumers: Vec<Vec<usize>>,
-    /// Number of consuming tasks (staged parts free when it hits zero).
+    /// Number of distinct consuming tasks (staged parts free when the
+    /// last one finishes).
     fanout: Vec<usize>,
+}
+
+impl TaskPlan {
+    /// Distinct input task ids.
+    fn deps(&self) -> Vec<usize> {
+        match self {
+            TaskPlan::Segment(s) => match &s.feed {
+                Feed::Table { .. } => vec![],
+                Feed::Staged { from, .. } | Feed::Pass { from } => vec![*from],
+            },
+            TaskPlan::Binary(b) if b.left == b.right => vec![b.left],
+            TaskPlan::Binary(b) => vec![b.left, b.right],
+        }
+    }
+
+    fn cache_node(&self) -> Option<NodeId> {
+        match self {
+            TaskPlan::Segment(s) => s.cache_node,
+            TaskPlan::Binary(b) => b.cache_node,
+        }
+    }
+}
+
+impl TaskGraph {
+    /// May the one consumer of `from`'s staged output take its pages? Only
+    /// when nobody else reads them: no second consuming task, and no
+    /// cache admission merging the same parts.
+    fn sole_reader(&self, from: usize) -> bool {
+        self.fanout[from] == 1 && self.tasks[from].cache_node().is_none()
+    }
 }
 
 /// Static planner: walks the workflow in topo order, collapses maximal
@@ -931,17 +1049,17 @@ impl Planner<'_, '_> {
                         targets.insert(rs.name.clone(), (**t).clone());
                     }
                 } else {
+                    let feed = Feed::Table {
+                        src: TableSrc::Cached(Arc::clone(t)),
+                        mode: RouteMode::RoundRobin,
+                    };
                     let tid = self.push(
-                        TaskPlan::Segment(SegmentPlan {
-                            feed: Feed::Table {
-                                src: TableSrc::Cached(Arc::clone(t)),
-                                mode: RouteMode::RoundRobin,
-                            },
-                            links: Vec::new(),
-                            out: SegOut::Stage,
-                            out_schema: t.schema().clone(),
-                            cache_node: None,
-                        }),
+                        TaskPlan::Segment(SegmentPlan::new(
+                            feed,
+                            Vec::new(),
+                            SegOut::Stage,
+                            t.schema().clone(),
+                        )),
                         t.schema().clone(),
                         Scheme::Arbitrary,
                     );
@@ -1109,13 +1227,12 @@ impl Planner<'_, '_> {
                         };
                     } else {
                         let tid = self.push(
-                            TaskPlan::Segment(SegmentPlan {
+                            TaskPlan::Segment(SegmentPlan::new(
                                 feed,
-                                links: std::mem::take(&mut cur_links),
-                                out: SegOut::Stage,
-                                out_schema: link.in_schema.clone(),
-                                cache_node: None,
-                            }),
+                                std::mem::take(&mut cur_links),
+                                SegOut::Stage,
+                                link.in_schema.clone(),
+                            )),
                             link.in_schema.clone(),
                             scheme.clone(),
                         );
@@ -1148,17 +1265,11 @@ impl Planner<'_, '_> {
                 (consumers >= 2 && cache_on).then_some(last_node),
             ),
         };
-        let tid = self.push(
-            TaskPlan::Segment(SegmentPlan {
-                feed,
-                links: cur_links,
-                out,
-                out_schema: schema.clone(),
-                cache_node,
-            }),
-            schema,
-            scheme,
-        );
+        let seg = SegmentPlan {
+            cache_node,
+            ..SegmentPlan::new(feed, cur_links, out, schema.clone())
+        };
+        let tid = self.push(TaskPlan::Segment(seg), schema, scheme);
         self.node_task.insert(last_node, tid);
         Ok(())
     }
@@ -1166,17 +1277,17 @@ impl Planner<'_, '_> {
     /// A standalone exchange segment re-routing `from` on `keys`.
     fn exchange_task(&mut self, from: usize, schema: &Schema, keys: &[Attr]) -> Result<usize> {
         let cols = cols_of(keys, schema)?;
+        let feed = Feed::Staged {
+            from,
+            mode: RouteMode::Hash(cols),
+        };
         Ok(self.push(
-            TaskPlan::Segment(SegmentPlan {
-                feed: Feed::Staged {
-                    from,
-                    mode: RouteMode::Hash(cols),
-                },
-                links: Vec::new(),
-                out: SegOut::Stage,
-                out_schema: schema.clone(),
-                cache_node: None,
-            }),
+            TaskPlan::Segment(SegmentPlan::new(
+                feed,
+                Vec::new(),
+                SegOut::Stage,
+                schema.clone(),
+            )),
             schema.clone(),
             Scheme::Keys(keys.to_vec()),
         ))
@@ -1295,44 +1406,26 @@ impl Planner<'_, '_> {
         Ok(())
     }
 
-    /// Finish planning: compute exact dependency wiring.
+    /// Finish planning: count each task's consumers.
     fn wire(self) -> TaskGraph {
-        let n = self.tasks.len();
-        let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut fanout = vec![0usize; self.tasks.len()];
         for t in &self.tasks {
-            let mut d = match t {
-                TaskPlan::Segment(s) => match &s.feed {
-                    Feed::Table { .. } => vec![],
-                    Feed::Staged { from, .. } | Feed::Pass { from } => vec![*from],
-                },
-                TaskPlan::Binary(b) => vec![b.left, b.right],
-            };
-            d.sort_unstable();
-            d.dedup();
-            deps.push(d);
-        }
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut fanout = vec![0usize; n];
-        for (t, d) in deps.iter().enumerate() {
-            for &p in d {
-                consumers[p].push(t);
+            for p in t.deps() {
                 fanout[p] += 1;
             }
         }
         TaskGraph {
             tasks: self.tasks,
-            deps,
-            consumers,
             fanout,
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Segment runtime: persistent workers over bounded channels
+// Worker runtime: one partition of one task
 // ---------------------------------------------------------------------
 
-/// Immutable run-wide context shared by every task and worker thread.
+/// Immutable run-wide context shared by the coordinator and every worker.
 struct Rt<'e> {
     pool: &'e BufferPool,
     ctx: &'e ExecCtx<'e>,
@@ -1353,27 +1446,20 @@ fn lane_counters(nparts: usize) -> ExecCounters {
     }
 }
 
-/// Everything one finished task hands back to the scheduler. Counters
-/// and stats fold commutatively, so absorption order (= completion
-/// order) cannot leak into the result.
-struct TaskOutput {
-    staged: Option<StagedSet>,
-    target: Option<(String, Table)>,
-    cache: Option<(NodeId, Table)>,
-    /// Per-activity `(key, rows_processed, rows_out)` deltas.
-    stats: Vec<(String, u64, u64)>,
-    counters: ExecCounters,
-}
-
-/// One partition worker's result for a segment.
+/// One partition worker's result for one task.
+#[derive(Default)]
 struct WorkerOut {
-    /// The staged output part (`None` for discard sinks).
+    /// The staged output part and the pages it took (`None` for discard
+    /// sinks).
     part: Option<(StagedPart, u64)>,
-    /// Per-link `(processed, out)` tallies, in link order.
+    /// `(processed, out)` tallies: per link, in link order, for a
+    /// segment; the one `(rows read, rows emitted)` pair for a binary.
     tallies: Vec<(u64, u64)>,
+    /// Source rows this worker scanned in as its own (table feeds).
+    scanned: u64,
     /// Batches this worker processed.
     busy: u64,
-    /// Channel telemetry (`None` for `Pass` feeds — no channel).
+    /// Channel telemetry (exchange feeds only).
     chan: Option<ChannelStats>,
 }
 
@@ -1448,17 +1534,21 @@ struct LinkCell<'s> {
     out: u64,
 }
 
-/// One worker's running chain: every link of the segment plus its
-/// stats tallies.
-struct ChainRt<'s> {
+/// One worker's running chain: every link of the segment the scan did not
+/// fuse, its stats tallies, and the sink the survivors are staged into.
+struct ChainRt<'s, 'p> {
     cells: Vec<LinkCell<'s>>,
     batch_rows: usize,
+    /// `None` for a discard sink: executed for stats parity, rows dropped.
+    sink: Option<StageWriter<'p>>,
+    /// Batches pushed in.
+    busy: u64,
 }
 
-impl<'s> ChainRt<'s> {
-    fn new(seg: &'s SegmentPlan, batch_rows: usize) -> Result<Self> {
-        let mut cells = Vec::with_capacity(seg.links.len());
-        for link in &seg.links {
+impl<'s, 'p> ChainRt<'s, 'p> {
+    fn new(seg: &'s SegmentPlan, rt: &Rt<'p>) -> Result<Self> {
+        let mut cells = Vec::with_capacity(seg.links.len() - seg.fused);
+        for link in &seg.links[seg.fused..] {
             let rt = match &link.plan {
                 PipePlan::Op(plan) => LinkRt::new(plan, &link.in_schema)?,
                 PipePlan::Reorder(perm) => LinkRt::Reorder(perm),
@@ -1472,24 +1562,32 @@ impl<'s> ChainRt<'s> {
                 out: 0,
             });
         }
+        let sink = match seg.out {
+            SegOut::Discard => None,
+            SegOut::Stage | SegOut::Target(_) => {
+                Some(StageWriter::new(rt, &seg.out_schema, &[TAG_ATTR])?)
+            }
+        };
         Ok(ChainRt {
             cells,
-            batch_rows: batch_rows.max(1),
+            batch_rows: rt.batch_rows,
+            sink,
+            busy: 0,
         })
     }
 
-    fn push(&mut self, batch: Vec<Tagged>, sink: &mut Sink<'_>) -> Result<()> {
-        self.feed(0, batch, sink)
+    fn push(&mut self, batch: Vec<Tagged>) -> Result<()> {
+        self.busy += 1;
+        self.feed(0, batch)
     }
 
     /// Run one batch through links `from..`, tallying as it shrinks or
-    /// parks in blocking state.
-    fn feed(&mut self, from: usize, mut batch: Vec<Tagged>, sink: &mut Sink<'_>) -> Result<()> {
-        for i in from..self.cells.len() {
+    /// parks in blocking state, and stage what comes out the far end.
+    fn feed(&mut self, from: usize, mut batch: Vec<Tagged>) -> Result<()> {
+        for cell in &mut self.cells[from..] {
             if batch.is_empty() {
                 return Ok(());
             }
-            let cell = &mut self.cells[i];
             if cell.counts_processed {
                 cell.processed += batch.len() as u64;
             }
@@ -1498,15 +1596,18 @@ impl<'s> ChainRt<'s> {
                 cell.out += batch.len() as u64;
             }
         }
-        if !batch.is_empty() {
-            sink.emit(batch)?;
+        if let Some(w) = &mut self.sink {
+            for (tag, row) in batch {
+                w.push(tag, row)?;
+            }
         }
         Ok(())
     }
 
     /// End of input: release every blocking link's accumulated output
-    /// down the remaining pipeline, in link order.
-    fn flush(&mut self, sink: &mut Sink<'_>) -> Result<()> {
+    /// down the remaining pipeline, in link order, close the sink, and
+    /// report — the scan's fused-link `tallies` first, then the chain's.
+    fn finish(mut self, mut tallies: Vec<(u64, u64)>) -> Result<WorkerOut> {
         for i in 0..self.cells.len() {
             let mut iter = self.cells[i].rt.finish().into_iter();
             loop {
@@ -1518,492 +1619,207 @@ impl<'s> ChainRt<'s> {
                 if cell.counts_out {
                     cell.out += chunk.len() as u64;
                 }
-                self.feed(i + 1, chunk, sink)?;
+                self.feed(i + 1, chunk)?;
             }
         }
-        Ok(())
-    }
-
-    fn tallies(&self) -> Vec<(u64, u64)> {
-        self.cells.iter().map(|c| (c.processed, c.out)).collect()
-    }
-}
-
-/// Where a worker's surviving rows go.
-enum Sink<'p> {
-    Stage(StageWriter<'p>),
-    Discard,
-}
-
-impl Sink<'_> {
-    fn emit(&mut self, batch: Vec<Tagged>) -> Result<()> {
-        match self {
-            Sink::Stage(w) => {
-                for (tag, row) in batch {
-                    w.push(tag, row)?;
-                }
-                Ok(())
-            }
-            Sink::Discard => Ok(()),
-        }
-    }
-
-    fn finish(self) -> Result<Option<(StagedPart, u64)>> {
-        match self {
-            Sink::Stage(w) => w.finish().map(Some),
-            Sink::Discard => Ok(None),
-        }
+        tallies.extend(self.cells.iter().map(|c| (c.processed, c.out)));
+        Ok(WorkerOut {
+            part: self.sink.map(StageWriter::finish).transpose()?,
+            tallies,
+            busy: self.busy,
+            ..WorkerOut::default()
+        })
     }
 }
 
-fn seg_sink<'e>(seg: &SegmentPlan, rt: &Rt<'e>) -> Result<Sink<'e>> {
-    Ok(match seg.out {
-        SegOut::Discard => Sink::Discard,
-        SegOut::Stage | SegOut::Target(_) => {
-            Sink::Stage(StageWriter::new(rt.pool, &seg.out_schema, rt.batch_rows)?)
-        }
-    })
+/// What one work item owns of its task's inputs.
+enum Work {
+    /// A table-fed segment: the worker scans the borrowed table itself.
+    Scan,
+    /// A partition-aligned segment: read upstream part `j`.
+    Pass(StagedSet),
+    /// An exchange-fed segment: drain what the coordinator routes here.
+    Fed(Receiver<Vec<Tagged>>),
+    /// A binary task over two co-located inputs.
+    Binary(StagedSet, StagedSet),
 }
 
-fn send_batch(txs: &[Sender<Vec<Tagged>>], d: usize, batch: Vec<Tagged>) -> Result<()> {
-    txs[d]
-        .send(batch)
-        .map_err(|_| internal(format!("partition worker {d} hung up mid-stream")))
-}
-
-/// The feeder half of a channel-fed segment: stream the source (a table
-/// or the k-way tag-merge of upstream staged parts) in global tag order
-/// and route each row to its destination worker. Being the sole
-/// producer of all N bounded channels, the feeder cannot participate in
-/// a channel cycle — backpressure only ever blocks it on a worker that
-/// is still draining.
-fn feed_segment(
+/// Worker `j`'s share of a source table: rows `j, j+N, …` for round-robin
+/// distribution, the rows [`keyed::route`] sends to `j` for hash routing —
+/// each tagged with its table position. The segment's fused filters run
+/// on the borrowed row; only survivors are cloned, once, with a spare
+/// cell so staging never reallocates them.
+fn scan_table(
     seg: &SegmentPlan,
-    input: Option<&StagedSet>,
+    src: &TableSrc,
+    mode: &RouteMode,
+    j: usize,
     rt: &Rt<'_>,
-    txs: Vec<Sender<Vec<Tagged>>>,
-) -> Result<Vec<u64>> {
-    let nparts = rt.nparts;
-    let mut fed = vec![0u64; nparts];
-    let mut pending: Vec<Vec<Tagged>> = vec![Vec::new(); nparts];
+    chain: &mut ChainRt<'_, '_>,
+) -> Result<(u64, Vec<(u64, u64)>)> {
+    let (table, perm) = match src {
+        TableSrc::Catalog { name, perm } => (
+            rt.ctx
+                .catalog
+                .table(name)
+                .ok_or_else(|| EngineError::MissingSource(name.clone()))?,
+            perm.as_deref(),
+        ),
+        TableSrc::Cached(t) => (t.as_ref(), None),
+    };
+    let fused_links = &seg.links[..seg.fused];
+    let mut fused = Fused::new(
+        fused_links
+            .iter()
+            .filter_map(|l| l.as_filter().cloned())
+            .collect(),
+    );
+    // Routing columns name the declared layout; the stored row is read
+    // through the scan's permutation.
+    let (first, stride, route_cols) = match mode {
+        RouteMode::RoundRobin => (j, rt.nparts, None),
+        RouteMode::Hash(cols) => {
+            let stored: Vec<usize> = cols.iter().map(|&c| perm.map_or(c, |p| p[c])).collect();
+            (0, 1, Some(stored))
+        }
+    };
     let mut key = Vec::new();
-    match &seg.feed {
-        Feed::Table { src, mode } => {
-            let (table, perm): (&Table, Option<&Vec<usize>>) = match src {
-                TableSrc::Catalog { name, perm } => (
-                    rt.ctx
-                        .catalog
-                        .table(name)
-                        .ok_or_else(|| EngineError::MissingSource(name.clone()))?,
-                    perm.as_ref(),
-                ),
-                TableSrc::Cached(t) => (t.as_ref(), None),
-            };
-            for (i, src_row) in table.rows().iter().enumerate() {
-                let row: Row = match perm {
-                    Some(p) => p.iter().map(|&c| src_row[c].clone()).collect(),
-                    None => src_row.clone(),
-                };
-                let d = match mode {
-                    RouteMode::RoundRobin => i % nparts,
-                    RouteMode::Hash(cols) => keyed::route(&mut key, &row, cols, nparts),
-                };
-                fed[d] += 1;
-                pending[d].push((i as u64, row));
-                if pending[d].len() >= rt.batch_rows {
-                    send_batch(&txs, d, std::mem::take(&mut pending[d]))?;
-                }
+    let mut scanned = 0u64;
+    let mut batch = Vec::new();
+    for (i, row) in table.rows().iter().enumerate().skip(first).step_by(stride) {
+        if let Some(cols) = &route_cols {
+            if keyed::route(&mut key, row, cols, rt.nparts) != j {
+                continue;
             }
         }
-        Feed::Staged { mode, .. } => {
-            let set = input.ok_or_else(|| internal("exchange feed without a staged input"))?;
-            let RouteMode::Hash(cols) = mode else {
-                return Err(internal("exchange feed must hash-route"));
-            };
-            let mut merge = MergeReader::new(rt.pool, &set.parts);
-            while let Some((tag, row)) = merge.next()? {
-                let d = keyed::route(&mut key, &row, cols, nparts);
-                fed[d] += 1;
-                pending[d].push((tag, row));
-                if pending[d].len() >= rt.batch_rows {
-                    send_batch(&txs, d, std::mem::take(&mut pending[d]))?;
-                }
+        scanned += 1;
+        if fused.keeps(row) {
+            batch.push((i as u64, clone_row(row, perm, 1)));
+            if batch.len() >= rt.batch_rows {
+                chain.push(std::mem::take(&mut batch))?;
             }
         }
-        Feed::Pass { .. } => return Err(internal("pass feed does not use a feeder")),
     }
-    for (d, batch) in pending.into_iter().enumerate() {
-        if !batch.is_empty() {
-            send_batch(&txs, d, batch)?;
-        }
+    if !batch.is_empty() {
+        chain.push(batch)?;
     }
-    Ok(fed)
-}
-
-/// One persistent worker of a channel-fed segment: drain the channel,
-/// run every batch through the whole link chain, flush blocking state at
-/// end-of-stream, and report channel telemetry.
-fn fed_worker(rx: Receiver<Vec<Tagged>>, seg: &SegmentPlan, rt: &Rt<'_>) -> Result<WorkerOut> {
-    let mut chain = ChainRt::new(seg, rt.batch_rows)?;
-    let mut sink = seg_sink(seg, rt)?;
-    let mut busy = 0u64;
-    while let Some(batch) = rx.recv() {
-        busy += 1;
-        chain.push(batch, &mut sink)?;
-    }
-    chain.flush(&mut sink)?;
-    let chan = rx.stats();
-    Ok(WorkerOut {
-        part: sink.finish()?,
-        tallies: chain.tallies(),
-        busy,
-        chan: Some(chan),
-    })
-}
-
-/// Run a channel-fed segment: N persistent workers on scoped threads,
-/// the feeder on the task's own thread. A panicking worker drops its
-/// receiver (unblocking the feeder), and its unwind is converted into
-/// [`EngineError::WorkerPanicked`]; the lowest worker index wins over
-/// the feeder's secondary hang-up error.
-fn run_fed_segment(
-    seg: &SegmentPlan,
-    input: Option<&StagedSet>,
-    rt: &Rt<'_>,
-) -> Result<(Vec<WorkerOut>, Vec<u64>)> {
-    let nparts = rt.nparts;
-    let slots: Vec<OnceLock<Result<WorkerOut>>> = (0..nparts).map(|_| OnceLock::new()).collect();
-    let mut txs = Vec::with_capacity(nparts);
-    let mut rxs = Vec::with_capacity(nparts);
-    for _ in 0..nparts {
-        let (tx, rx) = channel::bounded::<Vec<Tagged>>(rt.chan_cap);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let fed = std::thread::scope(|scope| {
-        for (j, rx) in rxs.into_iter().enumerate() {
-            let slot = &slots[j];
-            scope.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| fed_worker(rx, seg, rt)))
-                    .unwrap_or_else(|p| Err(panicked(j, p.as_ref())));
-                let _ = slot.set(r);
-            });
-        }
-        // Feeder errors abort the stream; dropping `txs` closes every
-        // channel so workers drain and exit.
-        feed_segment(seg, input, rt, txs)
+    let mut tallies = Vec::with_capacity(seg.links.len());
+    fused.drain_tallies(|i, processed, passed| {
+        let out = if fused_links[i].counts_out { passed } else { 0 };
+        tallies.push((processed, out));
     });
-    let mut outs = Vec::with_capacity(nparts);
-    let mut worker_err: Option<EngineError> = None;
-    for (j, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok(w)) => outs.push(w),
-            Some(Err(e)) => {
-                if worker_err.is_none() {
-                    worker_err = Some(e);
-                }
-            }
-            None => {
-                if worker_err.is_none() {
-                    worker_err = Some(internal(format!("partition worker {j} produced no result")));
-                }
-            }
-        }
-    }
-    // A worker failure is the root cause; the feeder's hung-up error is
-    // its symptom.
-    if let Some(e) = worker_err {
-        return Err(e);
-    }
-    Ok((outs, fed?))
+    Ok((scanned, tallies))
 }
 
-/// Merge staged parts back into sequential row order and materialize a
-/// table, draining through the pool in page-sized chunks so the resident
-/// set stays bounded like a sequential target drain.
-fn merge_to_table(
-    rt: &Rt<'_>,
-    schema: &Schema,
-    parts: &[StagedPart],
-    counters: &mut ExecCounters,
-) -> Result<Table> {
-    let buf = rt.pool.create(schema.clone());
-    let mut merge = MergeReader::new(rt.pool, parts);
-    let mut pending: Vec<Row> = Vec::new();
-    while let Some((_, row)) = merge.next()? {
-        pending.push(row);
-        if pending.len() >= rt.batch_rows {
-            counters.batches += 1;
-            rt.pool.append(buf, std::mem::take(&mut pending))?;
+/// Run partition `j` of a segment: feed the chain from the segment's
+/// source, flush blocking state at end-of-stream, close the sink.
+fn run_segment_part(seg: &SegmentPlan, j: usize, work: Work, rt: &Rt<'_>) -> Result<WorkerOut> {
+    let mut chain = ChainRt::new(seg, rt)?;
+    match (&seg.feed, work) {
+        (Feed::Table { src, mode }, Work::Scan) => {
+            let (scanned, tallies) = scan_table(seg, src, mode, j, rt, &mut chain)?;
+            Ok(WorkerOut {
+                scanned,
+                ..chain.finish(tallies)?
+            })
         }
+        (Feed::Pass { .. }, Work::Pass(set)) => {
+            let part = set
+                .parts
+                .get(j)
+                .ok_or_else(|| internal("pass feed partition-count mismatch"))?;
+            let mut reader = PartReader::new(rt.pool, part, set.take);
+            while let Some(batch) = reader.next_page()? {
+                chain.push(batch)?;
+            }
+            chain.finish(Vec::new())
+        }
+        (Feed::Staged { .. }, Work::Fed(rx)) => {
+            while let Some(batch) = rx.recv() {
+                chain.push(batch)?;
+            }
+            Ok(WorkerOut {
+                chan: Some(rx.stats()),
+                ..chain.finish(Vec::new())?
+            })
+        }
+        _ => Err(internal("work item does not match its segment's feed")),
     }
-    if !pending.is_empty() {
-        counters.batches += 1;
-        rt.pool.append(buf, pending)?;
-    }
-    let t = rt.pool.to_table(buf)?;
-    rt.pool.free(buf);
-    Ok(t)
 }
 
-/// Execute one segment task end to end and fold its workers' results —
-/// in partition-index order, never completion order — into a
-/// [`TaskOutput`].
-fn run_segment(seg: &SegmentPlan, input: Option<&StagedSet>, rt: &Rt<'_>) -> Result<TaskOutput> {
-    let (workers, fed) = match &seg.feed {
-        Feed::Pass { .. } => {
-            let set = input.ok_or_else(|| internal("pass feed without a staged input"))?;
-            if set.parts.len() != rt.nparts {
-                return Err(internal("pass feed partition-count mismatch"));
-            }
-            let outs = per_part(rt.nparts, |j| {
-                let mut chain = ChainRt::new(seg, rt.batch_rows)?;
-                let mut sink = seg_sink(seg, rt)?;
-                let mut reader = PartReader::new(rt.pool, &set.parts[j]);
-                let mut busy = 0u64;
-                while let Some(batch) = reader.next_page()? {
-                    busy += 1;
-                    chain.push(batch, &mut sink)?;
-                }
-                chain.flush(&mut sink)?;
-                Ok(WorkerOut {
-                    part: sink.finish()?,
-                    tallies: chain.tallies(),
-                    busy,
-                    chan: None,
-                })
-            })?;
-            (outs, None)
-        }
-        Feed::Table { .. } | Feed::Staged { .. } => {
-            let (outs, fed) = run_fed_segment(seg, input, rt)?;
-            (outs, Some(fed))
-        }
-    };
-
-    let mut counters = lane_counters(rt.nparts);
-    counters.pipeline_segments = 1;
-    if let Some(f) = fed {
-        for (j, n) in f.into_iter().enumerate() {
-            counters.worker_rows[j] += n;
-        }
-    }
-    for (j, w) in workers.iter().enumerate() {
-        counters.worker_busy[j] += w.busy;
-        counters.batches += w.busy;
-        if let Some(c) = &w.chan {
-            counters.channel_high_water = counters.channel_high_water.max(c.high_water);
-            counters.worker_send_blocked[j] += c.send_blocked;
-            counters.worker_recv_blocked[j] += c.recv_blocked;
-        }
-    }
-    let mut stats = Vec::new();
-    for (li, link) in seg.links.iter().enumerate() {
-        if let Some(key) = &link.key {
-            let p: u64 = workers.iter().map(|w| w.tallies[li].0).sum();
-            let o: u64 = workers.iter().map(|w| w.tallies[li].1).sum();
-            stats.push((key.clone(), p, o));
-        }
-    }
-    let mut parts = Vec::with_capacity(workers.len());
-    for w in workers {
-        if let Some((part, pages)) = w.part {
-            counters.pages_staged += pages;
-            parts.push(part);
-        }
-    }
-    let mut out = TaskOutput {
-        staged: None,
-        target: None,
-        cache: None,
-        stats,
-        counters,
-    };
-    match &seg.out {
-        SegOut::Stage => {
-            if let Some(node) = seg.cache_node {
-                let t = merge_to_table(rt, &seg.out_schema, &parts, &mut out.counters)?;
-                out.cache = Some((node, t));
-            }
-            out.staged = Some(StagedSet { parts });
-        }
-        SegOut::Target(name) => {
-            let table = merge_to_table(rt, &seg.out_schema, &parts, &mut out.counters)?;
-            for p in &parts {
-                rt.pool.free(p.buf);
-            }
-            if let Some(node) = seg.cache_node {
-                out.cache = Some((node, table.clone()));
-            }
-            out.target = Some((name.clone(), table));
-        }
-        SegOut::Discard => {}
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Binary task runtime
-// ---------------------------------------------------------------------
-
-/// Execute a binary task over two staged inputs. Both inputs were
-/// aligned (co-located) at planning time; each partition works
-/// independently and the results fold in partition order. Input buffers
-/// are owned by the scheduler — never freed here.
-fn run_binary_task(
+/// Run partition `j` of a binary task. Both inputs were aligned
+/// (co-located) at planning time, so each partition works independently.
+/// Input buffers are owned by the coordinator — never freed here.
+fn run_binary_part(
     bp: &BinaryPlan,
+    j: usize,
     left: &StagedSet,
     right: &StagedSet,
     rt: &Rt<'_>,
-) -> Result<TaskOutput> {
-    if left.parts.len() != rt.nparts || right.parts.len() != rt.nparts {
+) -> Result<WorkerOut> {
+    let (Some(lpart), Some(rpart)) = (left.parts.get(j), right.parts.get(j)) else {
         return Err(internal("binary input partition-count mismatch"));
-    }
-    let counters = lane_counters(rt.nparts);
-    let discard = matches!(bp.out, SegOut::Discard);
-    let lrows: u64 = left.parts.iter().map(|p| p.rows).sum();
-    let rrows: u64 = right.parts.iter().map(|p| p.rows).sum();
-
-    let (parts, pages, processed, emitted) = match &bp.kind {
+    };
+    let mut lr = PartReader::new(rt.pool, lpart, left.take);
+    let mut rr = PartReader::new(rt.pool, rpart, right.take);
+    let mut w = match (&bp.out, &bp.kind) {
+        (SegOut::Discard, _) => None,
+        // Join matches are staged under their composite tags first.
+        (_, BinKind::Join { .. }) => Some(StageWriter::new(rt, &bp.out_schema, &JTAG_ATTRS)?),
+        _ => Some(StageWriter::new(rt, &bp.out_schema, &[TAG_ATTR])?),
+    };
+    let mut emitted = 0u64;
+    match &bp.kind {
         BinKind::Union { perm } => {
             // Sequential union order: every left row, then every right
             // row — realized by offsetting right tags past the left tag
-            // space. A discarded union needs no data movement at all:
-            // its stats are fully determined by the input cardinalities.
-            let total = lrows + rrows;
-            if discard {
-                (Vec::new(), 0, total, total)
-            } else {
-                let lbase = left
-                    .parts
-                    .iter()
-                    .filter_map(|p| p.max_tag)
-                    .max()
-                    .map_or(0, |t| t + 1);
-                let outs = per_part(rt.nparts, |j| {
-                    let mut w = StageWriter::new(rt.pool, &bp.out_schema, rt.batch_rows)?;
-                    let mut lr = PartReader::new(rt.pool, &left.parts[j]);
-                    while let Some((tag, row)) = lr.next()? {
-                        w.push(tag, row)?;
-                    }
-                    let mut rr = PartReader::new(rt.pool, &right.parts[j]);
-                    while let Some((tag, mut row)) = rr.next()? {
-                        if let Some(p) = perm {
-                            permute(&mut row, p);
-                        }
-                        let shifted = tag
-                            .checked_add(lbase)
-                            .ok_or_else(|| internal("union tag overflow"))?;
-                        w.push(shifted, row)?;
-                    }
-                    w.finish()
-                })?;
-                let mut parts = Vec::with_capacity(outs.len());
-                let mut pages = 0u64;
-                for (part, pg) in outs {
-                    pages += pg;
-                    parts.push(part);
+            // space.
+            let lbase = left.tag_bound();
+            if let Some(w) = &mut w {
+                while let Some((tag, row)) = lr.next()? {
+                    w.push(tag, row)?;
                 }
-                (parts, pages, total, total)
+                while let Some((tag, mut row)) = rr.next()? {
+                    if let Some(p) = perm {
+                        permute(&mut row, p);
+                    }
+                    let shifted = tag
+                        .checked_add(lbase)
+                        .ok_or_else(|| internal("union tag overflow"))?;
+                    w.push(shifted, row)?;
+                }
             }
+            emitted = lpart.rows + rpart.rows;
         }
         BinKind::Join { index, extra } => {
             // Composite output tag (left tag, right tag), lexicographic —
             // the sequential probe emission order (left rows in order,
             // each row's matches in right insertion order).
-            let rbound = right
-                .parts
-                .iter()
-                .filter_map(|p| p.max_tag)
-                .max()
-                .map_or(1u128, |t| u128::from(t) + 1);
-            // Phase 1 (parallel): build this shard's right index —
-            // key → (row position, right tag), probing rows back out of
-            // the staged input buffer — probe the left stream, and stage
-            // the matches under their composite tags. NULL keys are
-            // never indexed and never probe: they never join.
-            let temps = per_part(rt.nparts, |j| {
-                let mut index = index.clone();
-                let mut rr = PartReader::new(rt.pool, &right.parts[j]);
-                let mut pos = 0usize;
-                while let Some((rtag, row)) = rr.next()? {
-                    index.insert(&row, (pos, rtag));
-                    pos += 1;
-                }
-                let mut w = if discard {
-                    None
-                } else {
-                    Some(StageWriter::composite(
-                        rt.pool,
-                        &bp.out_schema,
-                        rt.batch_rows,
-                    )?)
-                };
-                let mut emitted = 0u64;
-                let mut lr = PartReader::new(rt.pool, &left.parts[j]);
-                while let Some((ltag, lrow)) = lr.next()? {
-                    for &(pos, rtag) in index.probe(&lrow) {
-                        emitted += 1;
-                        if let Some(w) = &mut w {
-                            // Encoded row: skip the hidden tag cell.
-                            let enc = rt.pool.row(right.parts[j].buf, pos)?;
-                            let mut row = lrow.clone();
-                            row.extend(extra.iter().map(|&c| enc[1 + c].clone()));
-                            let ctag = u128::from(ltag) * rbound + u128::from(rtag);
-                            w.push_composite(ctag, row)?;
-                        }
+            let rbound = u128::from(right.tag_bound()).max(1);
+            // Build this shard's right index — key → (row position, right
+            // tag) — then probe the left stream, fetching each match's
+            // extra columns back out of the staged build side (which is
+            // why the coordinator never lets that side be taken). NULL
+            // keys are never indexed and never probe: they never join.
+            let mut index = index.clone();
+            let mut pos = 0usize;
+            while let Some((rtag, row)) = rr.next()? {
+                index.insert(&row, (pos, rtag));
+                pos += 1;
+            }
+            while let Some((ltag, lrow)) = lr.next()? {
+                for &(pos, rtag) in index.probe(&lrow) {
+                    emitted += 1;
+                    if let Some(w) = &mut w {
+                        let enc = rt.pool.row(rpart.buf, pos)?;
+                        let mut row =
+                            Vec::with_capacity(lrow.len() + extra.len() + JTAG_ATTRS.len());
+                        row.extend_from_slice(&lrow);
+                        row.extend(extra.iter().map(|&c| enc[c].clone()));
+                        let ctag = u128::from(ltag) * rbound + u128::from(rtag);
+                        w.push_composite(ctag, row)?;
                     }
                 }
-                match w {
-                    Some(w) => w.finish().map(|(p, pg)| (Some(p), pg, emitted)),
-                    None => Ok((None, 0, emitted)),
-                }
-            })?;
-            let emitted: u64 = temps.iter().map(|(_, _, e)| *e).sum();
-            let tpages: u64 = temps.iter().map(|(_, pg, _)| *pg).sum();
-            if discard {
-                (Vec::new(), tpages, rrows + lrows, emitted)
-            } else {
-                // Phase 2 (sequential): k-way merge the composite-tagged
-                // temp parts in global composite order, re-densifying to
-                // u64 tags while keeping each row in its partition.
-                let tparts: Vec<StagedPart> = temps.into_iter().filter_map(|(p, _, _)| p).collect();
-                let mut readers: Vec<PartReader<'_>> = tparts
-                    .iter()
-                    .map(|p| PartReader::composite(rt.pool, p))
-                    .collect();
-                let mut writers = Vec::with_capacity(rt.nparts);
-                for _ in 0..rt.nparts {
-                    writers.push(StageWriter::new(rt.pool, &bp.out_schema, rt.batch_rows)?);
-                }
-                let mut next = 0u64;
-                loop {
-                    let mut best: Option<(u128, usize)> = None;
-                    for (i, r) in readers.iter_mut().enumerate() {
-                        if let Some(t) = r.peek_composite()? {
-                            if best.is_none_or(|(bt, _)| t < bt) {
-                                best = Some((t, i));
-                            }
-                        }
-                    }
-                    let Some((_, i)) = best else { break };
-                    if let Some((_, row)) = readers[i].next_composite()? {
-                        writers[i].push(next, row)?;
-                        next += 1;
-                    }
-                }
-                drop(readers);
-                for p in &tparts {
-                    rt.pool.free(p.buf);
-                }
-                let mut parts = Vec::with_capacity(writers.len());
-                let mut pages = tpages;
-                for w in writers {
-                    let (part, pg) = w.finish()?;
-                    pages += pg;
-                    parts.push(part);
-                }
-                (parts, pages, rrows + lrows, emitted)
             }
         }
         BinKind::DiffIntersect { intersect, perm } => {
@@ -2012,217 +1828,351 @@ fn run_binary_task(
             // cancel (or survive) in tag order. The right side is keyed
             // through its permutation to the left schema, so both sides'
             // keys agree.
-            let intersect = *intersect;
-            let outs = per_part(rt.nparts, |j| {
-                let mut counts = BagCounts::new(perm.clone());
-                let mut rr = PartReader::new(rt.pool, &right.parts[j]);
-                while let Some((_, row)) = rr.next()? {
-                    counts.add(&row);
-                }
-                let mut w = if discard {
-                    None
-                } else {
-                    Some(StageWriter::new(rt.pool, &bp.out_schema, rt.batch_rows)?)
-                };
-                let mut emitted = 0u64;
-                let mut lr = PartReader::new(rt.pool, &left.parts[j]);
-                while let Some((tag, row)) = lr.next()? {
-                    if counts.cancel(&row) == intersect {
-                        emitted += 1;
-                        if let Some(w) = &mut w {
-                            w.push(tag, row)?;
-                        }
+            let mut counts = BagCounts::new(perm.clone());
+            while let Some((_, row)) = rr.next()? {
+                counts.add(&row);
+            }
+            while let Some((tag, row)) = lr.next()? {
+                if counts.cancel(&row) == *intersect {
+                    emitted += 1;
+                    if let Some(w) = &mut w {
+                        w.push(tag, row)?;
                     }
                 }
-                match w {
-                    Some(w) => w.finish().map(|(p, pg)| (Some(p), pg, emitted)),
-                    None => Ok((None, 0, emitted)),
-                }
-            })?;
-            let emitted: u64 = outs.iter().map(|(_, _, e)| *e).sum();
-            let pages: u64 = outs.iter().map(|(_, pg, _)| *pg).sum();
-            let parts: Vec<StagedPart> = outs.into_iter().filter_map(|(p, _, _)| p).collect();
-            (parts, pages, rrows + lrows, emitted)
-        }
-    };
-
-    let mut out = TaskOutput {
-        staged: None,
-        target: None,
-        cache: None,
-        stats: vec![(bp.key.clone(), processed, emitted)],
-        counters,
-    };
-    out.counters.pages_staged += pages;
-    match &bp.out {
-        SegOut::Stage => {
-            if let Some(node) = bp.cache_node {
-                let t = merge_to_table(rt, &bp.out_schema, &parts, &mut out.counters)?;
-                out.cache = Some((node, t));
             }
-            out.staged = Some(StagedSet { parts });
         }
-        SegOut::Target(name) => {
-            // Planning never targets a binary directly (targets are
-            // recordset chains), but handle it uniformly anyway.
-            let table = merge_to_table(rt, &bp.out_schema, &parts, &mut out.counters)?;
-            for p in &parts {
-                rt.pool.free(p.buf);
-            }
-            out.target = Some((name.clone(), table));
-        }
-        SegOut::Discard => {}
     }
-    Ok(out)
+    Ok(WorkerOut {
+        part: w.map(StageWriter::finish).transpose()?,
+        tallies: vec![(lpart.rows + rpart.rows, emitted)],
+        ..WorkerOut::default()
+    })
+}
+
+/// One unit of work for a partition worker.
+struct Item {
+    task: usize,
+    part: usize,
+    work: Work,
+    reply: mpsc::Sender<(usize, Result<WorkerOut>)>,
+}
+
+/// A partition worker: spawned once per run, it executes its partition
+/// of every task the coordinator dispatches, until the coordinator hangs
+/// up. A panic inside an item is caught and reported as that item's
+/// result; unwinding drops the item's channel receiver on the way, so a
+/// coordinator blocked feeding it wakes up.
+fn worker_loop(items: mpsc::Receiver<Item>, tg: &TaskGraph, rt: &Rt<'_>) {
+    for Item {
+        task,
+        part,
+        work,
+        reply,
+    } in items
+    {
+        let run = move || match (&tg.tasks[task], work) {
+            (TaskPlan::Segment(seg), work) => run_segment_part(seg, part, work, rt),
+            (TaskPlan::Binary(bp), Work::Binary(left, right)) => {
+                run_binary_part(bp, part, &left, &right, rt)
+            }
+            (TaskPlan::Binary(_), _) => Err(internal("binary task without its two inputs")),
+        };
+        let result =
+            catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| Err(panicked(part, p.as_ref())));
+        let _ = reply.send((part, result));
+    }
 }
 
 // ---------------------------------------------------------------------
-// Dependency-counted task scheduler
+// Coordinator: tasks in topological order, fan-in on the calling thread
 // ---------------------------------------------------------------------
 
-fn run_task(
-    task: &TaskPlan,
-    a: Option<&StagedSet>,
-    b: Option<&StagedSet>,
+/// The exchange: stream the k-way tag-merge of the upstream parts in
+/// global tag order and route each row to its destination worker — the
+/// only cross-partition shuffle, and the only use of channels. Being the
+/// sole producer of all N bounded channels, the feeder cannot take part
+/// in a channel cycle: backpressure only ever blocks it on a worker that
+/// is still draining. Returns the rows fed to each worker.
+fn feed_exchange(
+    set: &StagedSet,
+    cols: &[usize],
     rt: &Rt<'_>,
-) -> Result<TaskOutput> {
-    match task {
-        TaskPlan::Segment(seg) => run_segment(seg, a, rt),
-        TaskPlan::Binary(bp) => {
-            let left = a.ok_or_else(|| internal("binary task missing its left input"))?;
-            let right = b.ok_or_else(|| internal("binary task missing its right input"))?;
-            run_binary_task(bp, left, right, rt)
+    txs: Vec<Sender<Vec<Tagged>>>,
+) -> Result<Vec<u64>> {
+    let send = |d: usize, batch: Vec<Tagged>| {
+        txs[d]
+            .send(batch)
+            .map_err(|_| internal(format!("partition worker {d} hung up mid-stream")))
+    };
+    let mut fed = vec![0u64; rt.nparts];
+    let mut pending: Vec<Vec<Tagged>> = vec![Vec::new(); rt.nparts];
+    let mut key = Vec::new();
+    let mut merge = MergeReader::new(rt.pool, set);
+    while let Some((tag, row)) = merge.next()? {
+        let d = keyed::route(&mut key, &row, cols, rt.nparts);
+        fed[d] += 1;
+        pending[d].push((tag, row));
+        if pending[d].len() >= rt.batch_rows {
+            send(d, std::mem::take(&mut pending[d]))?;
         }
     }
+    for (d, batch) in pending.into_iter().enumerate() {
+        if !batch.is_empty() {
+            send(d, batch)?;
+        }
+    }
+    Ok(fed)
 }
 
-/// Run the task DAG: every task whose inputs are staged launches on its
-/// own scoped thread (up to `max(nparts, 2)` in flight), so independent
-/// branches overlap. Ready tasks launch in task-id (≈ topo) order;
-/// completions absorb commutatively, so scheduling order cannot leak
-/// into targets, stats, or cache contents. Staged inputs are freed the
-/// moment their last consumer completes — the refcount, not the DAG's
-/// depth, bounds pool residency. When several tasks fail, the smallest
-/// task id wins, making the surfaced error schedule-independent.
-fn schedule(
-    tg: &TaskGraph,
-    rt: &Rt<'_>,
-    stats: &mut ExecStats,
-    counters: &mut ExecCounters,
-    targets: &mut BTreeMap<String, Table>,
-) -> Result<Vec<(NodeId, Table)>> {
-    let n = tg.tasks.len();
-    let mut cache_tables: Vec<(NodeId, Table)> = Vec::new();
-    if n == 0 {
-        return Ok(cache_tables);
+/// Merge staged parts back into sequential row order, straight into the
+/// table's rows.
+fn merge_to_table(rt: &Rt<'_>, schema: &Schema, set: &StagedSet) -> Result<Table> {
+    let mut rows = Vec::with_capacity(set.rows() as usize);
+    let mut merge = MergeReader::new(rt.pool, set);
+    while let Some((_, row)) = merge.next()? {
+        rows.push(row);
     }
-    let mut indeg: Vec<usize> = tg.deps.iter().map(Vec::len).collect();
-    let mut ready: BTreeSet<usize> = indeg
+    Table::from_rows(schema.clone(), rows)
+}
+
+/// Phase 2 of a join: k-way merge the workers' composite-tagged temp
+/// parts in global composite order, re-densifying to `u64` tags while
+/// keeping each row in its partition. Returns the final parts and the
+/// pages they took.
+fn retag_join(
+    rt: &Rt<'_>,
+    schema: &Schema,
+    temps: &[StagedPart],
+) -> Result<(Vec<StagedPart>, u64)> {
+    let mut readers: Vec<PartReader<'_>> = temps
         .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| i)
+        .map(|p| PartReader::composite(rt.pool, p))
         .collect();
-    let mut staged: Vec<Option<StagedSet>> = (0..n).map(|_| None).collect();
-    let mut fan_left = tg.fanout.clone();
-    let cap = rt.nparts.max(2);
-    let mut first_err: Option<(usize, EngineError)> = None;
-
-    std::thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<TaskOutput>)>();
-        let mut inflight = 0usize;
-        let mut remaining = n;
-        loop {
-            if first_err.is_none() {
-                while inflight < cap {
-                    let Some(&t) = ready.iter().next() else { break };
-                    ready.remove(&t);
-                    // Inputs are cheap clones (buffer ids + metadata);
-                    // the underlying pool pages are shared.
-                    let (a, b) = match &tg.tasks[t] {
-                        TaskPlan::Segment(s) => match &s.feed {
-                            Feed::Table { .. } => (None, None),
-                            Feed::Staged { from, .. } | Feed::Pass { from } => {
-                                (staged[*from].clone(), None)
-                            }
-                        },
-                        TaskPlan::Binary(bp) => (staged[bp.left].clone(), staged[bp.right].clone()),
-                    };
-                    let task = &tg.tasks[t];
-                    let tx = done_tx.clone();
-                    scope.spawn(move || {
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            run_task(task, a.as_ref(), b.as_ref(), rt)
-                        }))
-                        .unwrap_or_else(|p| Err(panicked(t, p.as_ref())));
-                        let _ = tx.send((t, r));
-                    });
-                    inflight += 1;
-                    counters.peak_inflight_tasks =
-                        counters.peak_inflight_tasks.max(inflight as u64);
-                }
-            }
-            if inflight == 0 {
-                if first_err.is_none() && remaining > 0 {
-                    first_err = Some((
-                        usize::MAX,
-                        internal("scheduler stalled with tasks remaining"),
-                    ));
-                }
-                break;
-            }
-            let Ok((t, res)) = done_rx.recv() else {
-                first_err = Some((usize::MAX, internal("task completion channel closed")));
-                break;
-            };
-            inflight -= 1;
-            remaining -= 1;
-            match res {
-                Ok(out) => {
-                    counters.absorb(&out.counters);
-                    for (k, p, o) in out.stats {
-                        add(&mut stats.rows_processed, &k, p);
-                        add(&mut stats.rows_out, &k, o);
-                    }
-                    if let Some((name, table)) = out.target {
-                        targets.insert(name, table);
-                    }
-                    if let Some(ct) = out.cache {
-                        cache_tables.push(ct);
-                    }
-                    if let Some(set) = out.staged {
-                        if fan_left[t] == 0 {
-                            free_set(rt.pool, &set);
-                        } else {
-                            staged[t] = Some(set);
-                        }
-                    }
-                    for &d in &tg.deps[t] {
-                        fan_left[d] -= 1;
-                        if fan_left[d] == 0 {
-                            if let Some(s) = staged[d].take() {
-                                free_set(rt.pool, &s);
-                            }
-                        }
-                    }
-                    for &c in &tg.consumers[t] {
-                        indeg[c] -= 1;
-                        if indeg[c] == 0 {
-                            ready.insert(c);
-                        }
-                    }
-                }
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                        first_err = Some((t, e));
-                    }
+    let mut writers = Vec::with_capacity(temps.len());
+    for _ in temps {
+        writers.push(StageWriter::new(rt, schema, &[TAG_ATTR])?);
+    }
+    let mut next = 0u64;
+    loop {
+        let mut best: Option<(u128, usize)> = None;
+        for (i, r) in readers.iter_mut().enumerate() {
+            if let Some(t) = r.peek_composite()? {
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, i));
                 }
             }
         }
-    });
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(cache_tables),
+        let Some((_, i)) = best else { break };
+        if let Some((_, row)) = readers[i].next_composite()? {
+            writers[i].push(next, row)?;
+            next += 1;
+        }
+    }
+    free_parts(rt.pool, temps);
+    let mut parts = Vec::with_capacity(writers.len());
+    let mut pages = 0;
+    for w in writers {
+        let (part, pg) = w.finish()?;
+        pages += pg;
+        parts.push(part);
+    }
+    Ok((parts, pages))
+}
+
+/// The coordinator's state across tasks: the workers' item queues, the
+/// staged sets awaiting consumers, and the run's results so far.
+struct Coordinator<'e> {
+    tg: &'e TaskGraph,
+    rt: &'e Rt<'e>,
+    /// One item queue per partition worker.
+    workers: Vec<mpsc::Sender<Item>>,
+    /// Staged outputs awaiting their consumers, and how many are left.
+    staged: Vec<Option<Vec<StagedPart>>>,
+    fan_left: Vec<usize>,
+    stats: &'e mut ExecStats,
+    counters: &'e mut ExecCounters,
+    targets: &'e mut BTreeMap<String, Table>,
+    /// Cache admissions, deferred to end-of-run.
+    cache_tables: Vec<(NodeId, Table)>,
+}
+
+impl Coordinator<'_> {
+    /// `from`'s staged output as one consumer sees it; `sequential` is
+    /// false when that consumer does not read it once, front to back.
+    fn input(&self, from: usize, sequential: bool) -> Result<StagedSet> {
+        let parts = self.staged[from]
+            .clone()
+            .ok_or_else(|| internal(format!("task {from} has no staged output")))?;
+        if parts.len() != self.rt.nparts {
+            return Err(internal("staged input partition-count mismatch"));
+        }
+        Ok(StagedSet {
+            parts,
+            take: sequential && self.tg.sole_reader(from),
+        })
+    }
+
+    /// Hand worker `j` partition `j` of task `t` with `works[j]` — running
+    /// `feeder` on this thread meanwhile — and collect the results in
+    /// partition order. When several workers fail the lowest partition
+    /// wins, and a worker failure (the root cause) wins over the feeder's
+    /// hung-up error (its symptom).
+    fn dispatch(
+        &self,
+        t: usize,
+        works: Vec<Work>,
+        feeder: impl FnOnce() -> Result<Vec<u64>>,
+    ) -> Result<(Vec<WorkerOut>, Vec<u64>)> {
+        let (reply, replies) = mpsc::channel();
+        for ((part, worker), work) in self.workers.iter().enumerate().zip(works) {
+            let item = Item {
+                task: t,
+                part,
+                work,
+                reply: reply.clone(),
+            };
+            worker
+                .send(item)
+                .map_err(|_| internal(format!("partition worker {part} is gone")))?;
+        }
+        drop(reply);
+        let fed = feeder();
+        let mut slots: Vec<Option<Result<WorkerOut>>> = self.workers.iter().map(|_| None).collect();
+        for (j, result) in replies {
+            slots[j] = Some(result);
+        }
+        let mut outs = Vec::with_capacity(slots.len());
+        for (j, slot) in slots.into_iter().enumerate() {
+            let lost = || internal(format!("partition worker {j} produced no result"));
+            outs.push(slot.ok_or_else(lost)??);
+        }
+        Ok((outs, fed?))
+    }
+
+    /// Execute task `t` end to end and fold its workers' results — in
+    /// partition-index order, never completion order — into the run.
+    fn run_task(&mut self, t: usize) -> Result<()> {
+        let rt = self.rt;
+        let task = &self.tg.tasks[t];
+        let no_feed = || Ok(vec![0; rt.nparts]);
+        let each = |work: &dyn Fn() -> Work| (0..rt.nparts).map(|_| work()).collect();
+        // Per stats key (`None` for a recordset reorder), in tally order.
+        let (keys, (workers, fed)): (Vec<Option<&String>>, _) = match task {
+            TaskPlan::Segment(seg) => {
+                self.counters.pipeline_segments += 1;
+                let done = match &seg.feed {
+                    Feed::Table { .. } => self.dispatch(t, each(&|| Work::Scan), no_feed)?,
+                    Feed::Pass { from } => {
+                        let set = self.input(*from, true)?;
+                        self.dispatch(t, each(&|| Work::Pass(set.clone())), no_feed)?
+                    }
+                    Feed::Staged { from, mode } => {
+                        let set = self.input(*from, true)?;
+                        let RouteMode::Hash(cols) = mode else {
+                            return Err(internal("exchange feed must hash-route"));
+                        };
+                        let (mut txs, mut works) = (Vec::new(), Vec::new());
+                        for _ in 0..rt.nparts {
+                            let (tx, rx) = channel::bounded::<Vec<Tagged>>(rt.chan_cap);
+                            txs.push(tx);
+                            works.push(Work::Fed(rx));
+                        }
+                        // A feeder error aborts the stream; dropping `txs`
+                        // closes every channel so workers drain and exit.
+                        self.dispatch(t, works, || feed_exchange(&set, cols, rt, txs))?
+                    }
+                };
+                (seg.links.iter().map(|l| l.key.as_ref()).collect(), done)
+            }
+            TaskPlan::Binary(bp) => {
+                // One task reading a set twice shares it, and so does a
+                // join's build side, which is probed by row position.
+                let apart = bp.left != bp.right;
+                let build = matches!(bp.kind, BinKind::Join { .. });
+                let left = self.input(bp.left, apart)?;
+                let right = self.input(bp.right, apart && !build)?;
+                let both = || Work::Binary(left.clone(), right.clone());
+                (vec![Some(&bp.key)], self.dispatch(t, each(&both), no_feed)?)
+            }
+        };
+
+        let counters = &mut *self.counters;
+        for (j, n) in fed.into_iter().enumerate() {
+            counters.worker_rows[j] += n;
+        }
+        for (j, w) in workers.iter().enumerate() {
+            counters.worker_rows[j] += w.scanned;
+            counters.worker_busy[j] += w.busy;
+            counters.batches += w.busy;
+            if let Some(c) = &w.chan {
+                counters.channel_high_water = counters.channel_high_water.max(c.high_water);
+                counters.worker_send_blocked[j] += c.send_blocked;
+                counters.worker_recv_blocked[j] += c.recv_blocked;
+            }
+        }
+        for (li, key) in keys.into_iter().enumerate() {
+            if let Some(key) = key {
+                let p: u64 = workers.iter().map(|w| w.tallies[li].0).sum();
+                let o: u64 = workers.iter().map(|w| w.tallies[li].1).sum();
+                add(&mut self.stats.rows_processed, key, p);
+                add(&mut self.stats.rows_out, key, o);
+            }
+        }
+        let mut parts = Vec::with_capacity(workers.len());
+        for w in workers {
+            if let Some((part, pages)) = w.part {
+                counters.pages_staged += pages;
+                parts.push(part);
+            }
+        }
+        let (out, out_schema, cache_node) = match task {
+            TaskPlan::Segment(s) => (&s.out, &s.out_schema, s.cache_node),
+            TaskPlan::Binary(b) => {
+                if let BinKind::Join { .. } = b.kind {
+                    let (dense, pages) = retag_join(rt, &b.out_schema, &parts)?;
+                    counters.pages_staged += pages;
+                    parts = dense;
+                }
+                (&b.out, &b.out_schema, b.cache_node)
+            }
+        };
+        match out {
+            SegOut::Stage => {
+                // The consumers still need the parts: the cache admission
+                // reads them shared.
+                let set = StagedSet { parts, take: false };
+                if let Some(node) = cache_node {
+                    let table = merge_to_table(rt, out_schema, &set)?;
+                    self.cache_tables.push((node, table));
+                }
+                if self.fan_left[t] == 0 {
+                    free_parts(rt.pool, &set.parts);
+                } else {
+                    self.staged[t] = Some(set.parts);
+                }
+            }
+            SegOut::Target(name) => {
+                let set = StagedSet { parts, take: true };
+                let table = merge_to_table(rt, out_schema, &set)?;
+                free_parts(rt.pool, &set.parts);
+                if let Some(node) = cache_node {
+                    self.cache_tables.push((node, table.clone()));
+                }
+                self.targets.insert(name.clone(), table);
+            }
+            SegOut::Discard => {}
+        }
+        // Staged inputs are freed the moment their last consumer completes
+        // — the refcount, not the DAG's depth, bounds pool residency.
+        for d in task.deps() {
+            self.fan_left[d] -= 1;
+            if self.fan_left[d] == 0 {
+                if let Some(parts) = self.staged[d].take() {
+                    free_parts(rt.pool, &parts);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -2265,17 +2215,45 @@ pub(crate) fn run_parallel(
         batch_rows: cfg.batch_rows.max(1),
         chan_cap: cfg.channel_batches.max(1),
     };
-    let cache_tables = schedule(&tg, &rt, &mut stats, &mut counters, &mut targets)?;
+    // Everything the workers borrow is built; `parallelism: N` is N
+    // threads, spawned here once. The tasks then run one after another on
+    // this thread, in task-id (topological) order, so the first failing
+    // task is the error surfaced, and leaving the scope — on success or
+    // on `?` — hangs up on the workers, which then exit and are joined.
+    let mut cache_tables = Vec::new();
+    if !tg.tasks.is_empty() {
+        counters.peak_inflight_tasks = 1;
+        cache_tables = std::thread::scope(|scope| {
+            let mut co = Coordinator {
+                tg: &tg,
+                rt: &rt,
+                workers: Vec::with_capacity(nparts),
+                staged: tg.tasks.iter().map(|_| None).collect(),
+                fan_left: tg.fanout.clone(),
+                stats: &mut stats,
+                counters: &mut counters,
+                targets: &mut targets,
+                cache_tables: Vec::new(),
+            };
+            for _ in 0..nparts {
+                let (tx, items) = mpsc::channel();
+                co.workers.push(tx);
+                let (tg, rt) = (&tg, &rt);
+                scope.spawn(move || worker_loop(items, tg, rt));
+            }
+            (0..tg.tasks.len()).try_for_each(|t| co.run_task(t))?;
+            Ok::<_, EngineError>(co.cache_tables)
+        })?;
+    }
 
-    // Cache admissions were deferred (tasks complete in schedule order);
-    // apply them in topo order so the cache ends up exactly as a
-    // sequential walk would have left it.
+    // A task admits under its chain's *last* node, so task order is not
+    // node order: apply the admissions in topo order, leaving the cache
+    // exactly as a sequential walk would have left it.
     if let (Some(c), Some(h)) = (cache, plan.hashes.as_ref()) {
         let pos: HashMap<NodeId, usize> =
             order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let mut inserts = cache_tables;
-        inserts.sort_by_key(|(id, _)| pos.get(id).copied().unwrap_or(usize::MAX));
-        for (id, table) in inserts {
+        cache_tables.sort_by_key(|(id, _)| pos.get(id).copied().unwrap_or(usize::MAX));
+        for (id, table) in cache_tables {
             c.insert(h.of(id), Arc::new(table));
             counters.cache_insertions += 1;
         }
@@ -2529,22 +2507,16 @@ mod tests {
     }
 
     #[test]
-    fn butterfly_branches_overlap_in_flight() {
-        // rich_workflow is a butterfly: S and D are independent roots,
-        // and after NN stages, the HI and LO chains are both ready. The
-        // scheduler fills its in-flight window before waiting on any
-        // completion, so at parallelism ≥ 2 at least two tasks must have
-        // been observed in flight together.
+    fn butterfly_run_reports_its_pipeline_telemetry() {
+        // rich_workflow is a butterfly (S and D are independent roots, HI
+        // and LO both hang off NN) with a dedup and a join behind
+        // exchanges. Tasks run one at a time on the calling thread.
         let wf = rich_workflow();
         let par = rich_executor()
             .with_parallelism(2)
             .run_stream(&wf)
             .expect("parallel run");
-        assert!(
-            par.counters.peak_inflight_tasks >= 2,
-            "independent branches should overlap: {:?}",
-            par.counters
-        );
+        assert_eq!(par.counters.peak_inflight_tasks, 1, "{:?}", par.counters);
         assert!(par.counters.pipeline_segments > 0);
         assert!(par.counters.channel_high_water >= 1);
         assert!(par.counters.worker_busy.iter().sum::<u64>() > 0);

@@ -37,7 +37,7 @@ use crate::ops::{self, ExecCtx};
 use crate::pool::BufferId;
 use crate::table::{Row, Table};
 
-use super::kernel::{cols_of, perm_for, permute, Filter, Kernel};
+use super::kernel::{clone_row, cols_of, perm_for, permute, Fused, Kernel};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::Runtime;
 
@@ -65,11 +65,10 @@ fn internal(reason: impl Into<String>) -> EngineError {
     }
 }
 
-/// One row-wise link of an activity's chain: the compiled operator (a
-/// [`Kernel`], or just its [`Filter`] once fused into a [`Scan`]) plus the
-/// stats it reports under the activity's key.
-pub(crate) struct Link<Op = Kernel> {
-    op: Op,
+/// One row-wise link of an activity's chain: the compiled operator plus
+/// the stats it reports under the activity's key.
+pub(crate) struct Link {
+    op: Kernel,
     key: String,
     counts_out: bool,
 }
@@ -90,10 +89,10 @@ pub(crate) struct Scan {
     schema: Schema,
     /// Stored column → declared column, when the layouts differ.
     perm: Option<Vec<usize>>,
-    fused: Vec<Link<Filter>>,
-    /// Per batch: `stopped[i]` rows were dropped by fused filter `i`; the
-    /// last slot counts the survivors.
-    stopped: Vec<u64>,
+    fused: Fused,
+    /// Per fused filter: its activity's stats key and whether it is the
+    /// link that reports `rows_out`.
+    fused_keys: Vec<(String, bool)>,
 }
 
 impl Scan {
@@ -104,8 +103,8 @@ impl Scan {
             perm: perm_for(table.schema(), declared)?,
             source: Source::Table { table, pos: 0 },
             schema: declared.clone(),
-            fused: Vec::new(),
-            stopped: Vec::new(),
+            fused: Fused::new(Vec::new()),
+            fused_keys: Vec::new(),
         })
     }
 
@@ -114,8 +113,8 @@ impl Scan {
             source: Source::Buffer { buf, page: 0 },
             schema,
             perm: None,
-            fused: Vec::new(),
-            stopped: Vec::new(),
+            fused: Fused::new(Vec::new()),
+            fused_keys: Vec::new(),
         }
     }
 }
@@ -146,60 +145,37 @@ impl BatchIter for Scan {
             return Ok(None);
         }
         rt.counters.batches += 1;
-        self.stopped.clear();
-        self.stopped.resize(self.fused.len() + 1, 0);
         let mut batch = Vec::with_capacity(if self.fused.is_empty() { rows.len() } else { 0 });
         for row in rows {
-            let depth = self
-                .fused
-                .iter()
-                .position(|f| !f.op.keeps(row))
-                .unwrap_or(self.fused.len());
-            self.stopped[depth] += 1;
-            if depth == self.fused.len() {
-                batch.push(match &self.perm {
-                    Some(perm) => perm.iter().map(|&c| row[c].clone()).collect(),
-                    None => row.clone(),
-                });
+            if self.fused.keeps(row) {
+                batch.push(clone_row(row, self.perm.as_deref(), 0));
             }
         }
-        // A link processes every row that got past the links before it.
-        let mut reached = rows.len() as u64;
-        for (f, dropped) in self.fused.iter().zip(&self.stopped) {
-            rt.add_processed(&f.key, reached);
-            reached -= dropped;
-            if f.counts_out {
-                rt.add_out(&f.key, reached);
+        let keys = &self.fused_keys;
+        self.fused.drain_tallies(|i, processed, passed| {
+            let (key, counts_out) = &keys[i];
+            rt.add_processed(key, processed);
+            if *counts_out {
+                rt.add_out(key, passed);
             }
-        }
+        });
         Ok(Some(batch))
     }
 
     fn fuse(&mut self, link: Link) -> Option<Link> {
         // Fused filters read stored rows with columns compiled against the
         // declared layout, so a permuting scan keeps its links above it.
-        if self.perm.is_some() {
-            return Some(link);
-        }
-        let Link {
-            op,
-            key,
-            counts_out,
-        } = link;
-        match op.into_filter() {
-            Ok(op) => {
-                self.fused.push(Link {
-                    op,
-                    key,
-                    counts_out,
-                });
+        let filter = match &self.perm {
+            None => link.op.as_filter(),
+            Some(_) => None,
+        };
+        match filter {
+            Some(f) => {
+                self.fused.push(f.clone());
+                self.fused_keys.push((link.key, link.counts_out));
                 None
             }
-            Err(op) => Some(Link {
-                op,
-                key,
-                counts_out,
-            }),
+            None => Some(link),
         }
     }
 }

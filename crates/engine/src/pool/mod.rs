@@ -33,6 +33,21 @@
 //! set above the budget is therefore bounded by one page per active
 //! reader, and when every candidate is pinned the pool admits over
 //! budget rather than stalling.
+//!
+//! # Taking a page
+//!
+//! A page with exactly one remaining reader does not need to be shared
+//! at all. [`BufferPool::take_page`] hands the rows over **by
+//! ownership**: an unpinned resident page is moved out and its frame
+//! released on the spot, a pinned one is cloned (its other holder keeps
+//! reading), and a spilled one is decoded straight from the heap file
+//! into the caller's hands without ever occupying a frame. Either way
+//! the page is gone from the pool afterwards — a second take, or a
+//! `page` / `row` on it, is a typed error. The partitioned executor
+//! takes every staged set that has a single sequential consumer, and
+//! [`BufferPool::into_table`] drains a target buffer this way; the
+//! spill codec (see `heap`) is paid only by pages the clock actually
+//! evicted.
 
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
@@ -264,61 +279,59 @@ impl BufferPool {
     /// it until the caller drops the clone.
     pub fn page(&self, buf: BufferId, page: usize) -> Result<Arc<Vec<Row>>> {
         let (shard, slot, width) = self.place(buf);
-        let mut s = relock(self.shards[shard].lock());
-        let p = &mut s.bufs[slot].pages[page];
-        p.referenced = true;
-        if let Some(rows) = &p.rows {
-            return Ok(Arc::clone(rows));
+        relock(self.shards[shard].lock()).fault(buf, slot, page, width, self.shard_budget)
+    }
+
+    /// Take one page out of the pool by ownership (see the module docs):
+    /// moved when resident and unpinned, cloned when another reader still
+    /// holds it, decoded from the heap file — without admitting a frame —
+    /// when spilled. The page is gone afterwards: taking or reading it
+    /// again, like taking from a freed buffer, is a typed error.
+    pub fn take_page(&self, buf: BufferId, page: usize) -> Result<Vec<Row>> {
+        let (shard, slot, width) = self.place(buf);
+        let mut guard = relock(self.shards[shard].lock());
+        let s = &mut *guard;
+        let p = s.bufs[slot]
+            .pages
+            .get_mut(page)
+            .ok_or_else(|| gone("take_page", buf, page, "does not exist"))?;
+        if let Some(rows) = p.rows.take() {
+            p.disk = None;
+            s.resident -= 1;
+            return Ok(Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone()));
         }
-        let loc = p.disk.ok_or_else(|| EngineError::FunctionFailed {
-            function: "BufferPool::page".into(),
-            reason: format!(
-                "page {page} of buffer {} is neither resident nor spilled",
-                buf.0
-            ),
-        })?;
-        s.make_room(1, self.shard_budget)?;
+        let loc = p
+            .disk
+            .take()
+            .ok_or_else(|| gone("take_page", buf, page, "was already taken or freed"))?;
         let spill = s
             .spill
             .as_mut()
-            .ok_or_else(|| EngineError::FunctionFailed {
-                function: "BufferPool::page".into(),
-                reason: "spilled page but no heap file".into(),
-            })?;
-        let rows = Arc::new(spill.read_page(loc, width)?);
-        let p = &mut s.bufs[slot].pages[page];
-        p.rows = Some(Arc::clone(&rows));
-        p.referenced = true;
-        s.clock.push_back((slot, page));
-        s.resident += 1;
+            .ok_or_else(|| gone("take_page", buf, page, "is spilled but has no heap file"))?;
         s.counters.pages_reloaded += 1;
-        s.counters.peak_resident_frames = s.counters.peak_resident_frames.max(s.resident as u64);
-        Ok(rows)
+        spill.read_page(loc, width)
     }
 
     /// Fetch one row by its global index within the buffer (hash-join
-    /// probes). Faults the owning page in if necessary.
+    /// probes), faulting the owning page in if necessary. Page, offset
+    /// and rows are resolved under one registry read and one shard lock.
     pub fn row(&self, buf: BufferId, index: usize) -> Result<Row> {
-        let page = {
-            let (s, slot) = self.shard_of(buf);
-            let b = &s.bufs[slot];
-            if index >= b.rows {
-                return Err(EngineError::FunctionFailed {
-                    function: "BufferPool::row".into(),
-                    reason: format!("row {index} out of range ({} rows)", b.rows),
-                });
-            }
-            // Pages are start-ordered; find the one covering `index`.
-            match b.pages.binary_search_by(|p| p.start.cmp(&index)) {
-                Ok(p) => p,
-                Err(ins) => ins - 1,
-            }
+        let (shard, slot, width) = self.place(buf);
+        let mut s = relock(self.shards[shard].lock());
+        let b = &s.bufs[slot];
+        if index >= b.rows {
+            return Err(EngineError::FunctionFailed {
+                function: "BufferPool::row".into(),
+                reason: format!("row {index} out of range ({} rows)", b.rows),
+            });
+        }
+        // Pages are start-ordered; find the one covering `index`.
+        let page = match b.pages.binary_search_by(|p| p.start.cmp(&index)) {
+            Ok(p) => p,
+            Err(ins) => ins - 1,
         };
-        let start = {
-            let (s, slot) = self.shard_of(buf);
-            s.bufs[slot].pages[page].start
-        };
-        let rows = self.page(buf, page)?;
+        let start = b.pages[page].start;
+        let rows = s.fault(buf, slot, page, width, self.shard_budget)?;
         Ok(rows[index - start].clone())
     }
 
@@ -333,6 +346,19 @@ impl BufferPool {
             let p = self.page(buf, page)?;
             rows.extend(p.iter().cloned());
         }
+        Table::from_rows(schema, rows)
+    }
+
+    /// Materialize the whole buffer as a [`Table`] and free it: every page
+    /// changes hands through [`BufferPool::take_page`], so resident rows
+    /// are moved, not cloned, and spilled ones never re-enter a frame.
+    pub fn into_table(&self, buf: BufferId) -> Result<Table> {
+        let mut rows = Vec::with_capacity(self.rows(buf));
+        for page in 0..self.pages(buf) {
+            rows.append(&mut self.take_page(buf, page)?);
+        }
+        let schema = self.schema(buf);
+        self.free(buf);
         Table::from_rows(schema, rows)
     }
 
@@ -357,7 +383,50 @@ impl BufferPool {
     }
 }
 
+fn gone(function: &str, buf: BufferId, page: usize, what: &str) -> EngineError {
+    EngineError::FunctionFailed {
+        function: format!("BufferPool::{function}"),
+        reason: format!("page {page} of buffer {} {what}", buf.0),
+    }
+}
+
 impl Shard {
+    /// The resident rows of one page, read back from the heap file (and
+    /// admitted under `budget`) if the clock evicted them.
+    fn fault(
+        &mut self,
+        buf: BufferId,
+        slot: usize,
+        page: usize,
+        width: usize,
+        budget: usize,
+    ) -> Result<Arc<Vec<Row>>> {
+        let p = self.bufs[slot]
+            .pages
+            .get_mut(page)
+            .ok_or_else(|| gone("page", buf, page, "does not exist"))?;
+        p.referenced = true;
+        if let Some(rows) = &p.rows {
+            return Ok(Arc::clone(rows));
+        }
+        let loc = p
+            .disk
+            .ok_or_else(|| gone("page", buf, page, "is neither resident nor spilled"))?;
+        self.make_room(1, budget)?;
+        let spill = self
+            .spill
+            .as_mut()
+            .ok_or_else(|| gone("page", buf, page, "is spilled but has no heap file"))?;
+        let rows = Arc::new(spill.read_page(loc, width)?);
+        self.bufs[slot].pages[page].rows = Some(Arc::clone(&rows));
+        self.clock.push_back((slot, page));
+        self.resident += 1;
+        self.counters.pages_reloaded += 1;
+        self.counters.peak_resident_frames =
+            self.counters.peak_resident_frames.max(self.resident as u64);
+        Ok(rows)
+    }
+
     /// Evict resident pages until `incoming` more fit inside the shard's
     /// budget.
     fn make_room(&mut self, incoming: usize, budget: usize) -> Result<()> {
@@ -551,6 +620,81 @@ mod tests {
         // The freed buffer's frames were reclaimed: no eviction needed.
         assert_eq!(pool.counters().evictions, 0);
         assert_eq!(pool.to_table(b).unwrap().len(), 8);
+    }
+
+    fn resident(pool: &BufferPool) -> usize {
+        pool.shards.iter().map(|s| relock(s.lock()).resident).sum()
+    }
+
+    #[test]
+    fn taking_an_unshared_resident_page_moves_it_and_releases_the_frame() {
+        let pool = BufferPool::new(PoolConfig::with_budget(4));
+        let b = pool.create(schema());
+        pool.append(b, rows(0..3)).unwrap();
+        let cells = pool.page(b, 0).unwrap()[0].as_ptr();
+        assert_eq!(resident(&pool), 1);
+        let taken = pool.take_page(b, 0).unwrap();
+        assert_eq!(taken, rows(0..3));
+        assert_eq!(taken[0].as_ptr(), cells, "rows were moved, not cloned");
+        assert_eq!(resident(&pool), 0);
+        // Gone for every reader, with a typed error each.
+        assert!(pool.take_page(b, 0).is_err());
+        assert!(pool.page(b, 0).is_err());
+        assert!(pool.row(b, 0).is_err());
+        assert!(pool.take_page(b, 1).is_err(), "no such page");
+    }
+
+    #[test]
+    fn taking_a_shared_page_clones_it_for_the_taker() {
+        let pool = BufferPool::new(PoolConfig::with_budget(4));
+        let b = pool.create(schema());
+        pool.append(b, rows(0..3)).unwrap();
+        let held = pool.page(b, 0).unwrap();
+        let taken = pool.take_page(b, 0).unwrap();
+        assert_eq!(taken, *held);
+        assert_ne!(taken[0].as_ptr(), held[0].as_ptr());
+        assert_eq!(resident(&pool), 0);
+    }
+
+    #[test]
+    fn taking_a_spilled_page_reads_it_without_admitting_a_frame() {
+        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let b = pool.create(schema());
+        pool.append(b, rows(0..2)).unwrap();
+        pool.append(b, rows(2..4)).unwrap(); // spills page 0
+        let before = pool.counters();
+        assert_eq!((before.pages_spilled, resident(&pool)), (1, 1));
+        assert_eq!(pool.take_page(b, 0).unwrap(), rows(0..2));
+        let after = pool.counters();
+        assert_eq!(resident(&pool), 1, "page 1 still holds the only frame");
+        assert_eq!(after.evictions, before.evictions);
+        assert_eq!(after.pages_reloaded, before.pages_reloaded + 1);
+        assert!(pool.take_page(b, 0).is_err(), "double take");
+    }
+
+    #[test]
+    fn a_freed_buffer_has_nothing_to_take() {
+        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let b = pool.create(schema());
+        pool.append(b, rows(0..2)).unwrap();
+        pool.append(b, rows(2..4)).unwrap();
+        pool.free(b);
+        assert!(pool.take_page(b, 0).is_err(), "spilled, then freed");
+        assert!(pool.take_page(b, 1).is_err(), "resident, then freed");
+    }
+
+    #[test]
+    fn into_table_drains_resident_and_spilled_pages_in_order() {
+        let pool = BufferPool::new(PoolConfig::with_budget(2));
+        let b = pool.create(schema());
+        for start in 0..5 {
+            pool.append(b, rows(start * 3..(start + 1) * 3)).unwrap();
+        }
+        assert!(pool.counters().spilled());
+        let t = pool.into_table(b).unwrap();
+        assert_eq!(t.rows(), rows(0..15));
+        assert_eq!(resident(&pool), 0);
+        assert!(pool.take_page(b, 0).is_err(), "the buffer is freed");
     }
 
     #[test]
