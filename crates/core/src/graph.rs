@@ -40,6 +40,7 @@ pub enum Node {
 
 impl Node {
     /// The node's output schema: an activity's output, a recordset's schema.
+    #[inline]
     pub fn output_schema(&self) -> &Schema {
         match self {
             Node::Activity(a) => &a.output,
@@ -57,6 +58,7 @@ impl Node {
     }
 
     /// View as activity.
+    #[inline]
     pub fn as_activity(&self) -> Option<&Activity> {
         match self {
             Node::Activity(a) => Some(a),
@@ -103,6 +105,7 @@ impl Ports {
         self.len as usize
     }
 
+    #[inline]
     fn as_slice(&self) -> &[Option<NodeId>] {
         &self.slots[..self.len as usize]
     }
@@ -134,6 +137,7 @@ impl Consumers {
         Consumers::Inline(0, [Self::NONE; 2])
     }
 
+    #[inline]
     fn as_slice(&self) -> &[NodeId] {
         match self {
             Consumers::Inline(len, items) => &items[..*len as usize],
@@ -229,6 +233,7 @@ impl Graph {
     /// Number of arena slots (live **or** freed). Slot-indexed side tables
     /// (row counts, per-node hashes) size themselves by this, so a `NodeId`
     /// of any live node is always in bounds.
+    #[inline]
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
@@ -267,6 +272,11 @@ impl Graph {
         }
     }
 
+    // The one-line accessors below are `#[inline]`: the searches' walks call
+    // them per node from other modules (and the engine from another crate),
+    // and without LTO a plain function is inlined there only when it happens
+    // to share a codegen unit with its caller.
+    #[inline]
     fn slot(&self, id: NodeId) -> Result<&Slot> {
         self.slots
             .get(id.0 as usize)
@@ -274,6 +284,7 @@ impl Graph {
             .ok_or(CoreError::UnknownNode(id))
     }
 
+    #[inline]
     fn slot_mut(&mut self, id: NodeId) -> Result<&mut Slot> {
         self.slots
             .get_mut(id.0 as usize)
@@ -282,11 +293,13 @@ impl Graph {
     }
 
     /// Does `id` refer to a live node?
+    #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
         self.slot(id).is_ok()
     }
 
     /// Immutable node access.
+    #[inline]
     pub fn node(&self, id: NodeId) -> Result<&Node> {
         Ok(&self.slot(id)?.node)
     }
@@ -306,6 +319,7 @@ impl Graph {
     }
 
     /// The activity at `id`, or an error if it is a recordset / missing.
+    #[inline]
     pub fn activity(&self, id: NodeId) -> Result<&Activity> {
         self.node(id)?
             .as_activity()
@@ -321,6 +335,7 @@ impl Graph {
     }
 
     /// The recordset at `id`, or an error.
+    #[inline]
     pub fn recordset(&self, id: NodeId) -> Result<&Recordset> {
         self.node(id)?
             .as_recordset()
@@ -372,6 +387,7 @@ impl Graph {
     }
 
     /// Provider of input `port` of `id`.
+    #[inline]
     pub fn provider(&self, id: NodeId, port: usize) -> Result<Option<NodeId>> {
         let slot = self.slot(id)?;
         slot.preds
@@ -382,17 +398,20 @@ impl Graph {
     }
 
     /// All providers of `id`, one entry per port.
+    #[inline]
     pub fn providers(&self, id: NodeId) -> Result<&[Option<NodeId>]> {
         Ok(self.slot(id)?.preds.as_slice())
     }
 
     /// All consumers of `id` (one entry per consuming port).
+    #[inline]
     pub fn consumers(&self, id: NodeId) -> Result<&[NodeId]> {
         Ok(self.slot(id)?.succs.as_slice())
     }
 
     /// Which input port of `consumer` is fed by `provider`? Returns the
     /// first matching port.
+    #[inline]
     pub fn port_of(&self, provider: NodeId, consumer: NodeId) -> Result<Option<usize>> {
         let slot = self.slot(consumer)?;
         Ok(slot

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Search workers share state through borrows the compiler checks, nothing
+// else.
+#![forbid(unsafe_code)]
 //! # etlopt-core
 //!
 //! Logical optimization of Extraction-Transformation-Loading (ETL) workflows,

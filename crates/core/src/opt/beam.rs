@@ -112,12 +112,29 @@ impl BeamSearch {
 
 /// Truncate a merged frontier to the `width` cheapest states under the
 /// deterministic (cost, signature) order; returns the survivors in that
-/// order and the number of states dropped. Signatures are only built for
-/// states that actually tie on cost, and at most once each.
-fn truncate(frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64) {
+/// order and the number of states dropped.
+///
+/// Only what can survive is ordered: the `width`-th cheapest cost is found
+/// by selection, every state strictly dearer is dropped unseen — no
+/// signature is built for it — and the rest (the survivors, plus whatever
+/// ties the boundary cost) goes through the full order.
+fn truncate(mut frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64) {
     if frontier.len() <= width {
         return (frontier, 0);
     }
+    let dropped = (frontier.len() - width) as u64;
+    let mut costs: Vec<f64> = frontier.iter().map(|s| s.total).collect();
+    let boundary = *costs
+        .select_nth_unstable_by(width.saturating_sub(1), f64::total_cmp)
+        .1;
+    frontier.retain(|s| s.total.total_cmp(&boundary).is_le());
+    (cheapest(frontier, width), dropped)
+}
+
+/// The `width` first states of `frontier` under the (cost, signature)
+/// order, in that order. Signatures are only built for states that actually
+/// tie on cost, and at most once each.
+fn cheapest(frontier: Vec<EvalState>, width: usize) -> Vec<EvalState> {
     let sigs: Vec<OnceCell<Signature>> = frontier.iter().map(|_| OnceCell::new()).collect();
     let mut order: Vec<usize> = (0..frontier.len()).collect();
     order.sort_unstable_by(|&a, &b| {
@@ -130,14 +147,12 @@ fn truncate(frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64) {
                 sa.cmp(sb)
             })
     });
-    let dropped = (frontier.len() - width) as u64;
     let mut slots: Vec<Option<EvalState>> = frontier.into_iter().map(Some).collect();
-    let kept = order
+    order
         .iter()
         .take(width)
         .filter_map(|&i| slots[i].take())
-        .collect();
-    (kept, dropped)
+        .collect()
 }
 
 impl Default for BeamSearch {
@@ -411,6 +426,68 @@ mod tests {
         let sk = b.unary("SK", UnaryOp::surrogate_key("k", "sk", "L"), sel);
         b.target("T", Schema::of(["sk", "v"]), sk);
         b.build().unwrap()
+    }
+
+    /// Distinct states to cut: the orderings of six commuting filters,
+    /// breadth-first from the initial one.
+    fn orderings(at_least: usize) -> Vec<EvalState> {
+        let mut b = WorkflowBuilder::new();
+        let mut last = b.source("S", Schema::of(["a"]), 1000.0);
+        for i in 0..6 {
+            let op = UnaryOp::filter(Predicate::gt("a", i)).with_selectivity(0.5);
+            last = b.unary("σ", op, last);
+        }
+        b.target("T", Schema::of(["a"]), last);
+        let model = RowCountModel::default();
+        let mut states = vec![EvalState::full(b.build().unwrap(), &model).unwrap()];
+        let mut next = 0;
+        while states.len() < at_least {
+            let from = states[next].clone();
+            next += 1;
+            for mv in crate::opt::enumerate_moves(&from.wf).unwrap() {
+                let known = |fp| states.iter().any(|s| s.fp == fp);
+                let mut rej = crate::trace::Rejections::default();
+                if let Some(Ok(crate::opt::Step::New(s))) =
+                    from.step_move(&mv, &model, known, &mut rej)
+                {
+                    states.push(s);
+                }
+            }
+        }
+        states
+    }
+
+    #[test]
+    fn truncate_keeps_what_the_full_sort_keeps() {
+        // `cheapest` over the whole frontier is the cut as it was before
+        // the selection: order everything, keep the first `width`.
+        let states = orderings(90);
+        let mut rng = crate::rng::Rng::seed_from_u64(0x7a7a);
+        for case in 0..24 {
+            let mut frontier = states.clone();
+            // Heavy ties: 1, 3 or 12 distinct costs over ~90 states, so the
+            // boundary cost is shared by states on both sides of the cut,
+            // or (one cost) by all of them.
+            let levels = [1u32, 3, 12][case % 3];
+            for s in &mut frontier {
+                s.total = f64::from(rng.gen_range(0..levels));
+            }
+            for width in [1, 2, 64, frontier.len() - 1, frontier.len()] {
+                let at = format!("case {case}, width {width}");
+                let expect = if width < frontier.len() {
+                    cheapest(frontier.clone(), width)
+                } else {
+                    frontier.clone()
+                };
+                let (kept, dropped) = truncate(frontier.clone(), width);
+                let fps = |states: &[EvalState]| states.iter().map(|s| s.fp).collect::<Vec<_>>();
+                assert_eq!(fps(&kept), fps(&expect), "{at}");
+                assert_eq!(dropped as usize, frontier.len() - kept.len(), "{at}");
+                let boundary = kept.iter().map(|s| s.total).fold(f64::MIN, f64::max);
+                let cheaper = frontier.iter().filter(|s| s.total < boundary).count();
+                assert!(cheaper < width, "{at}: a cheaper state was cut");
+            }
+        }
     }
 
     #[test]

@@ -1,29 +1,78 @@
 //! Incremental state evaluation: the carrier that makes state expansion
-//! O(affected subgraph) instead of O(whole workflow).
+//! O(affected subgraph) instead of O(whole workflow), and free for a
+//! successor the search already holds.
 //!
 //! Every search state is paired with its flat per-node pricing
-//! ([`CostVec`]) and per-node structural hashes ([`NodeHashes`]). Expanding
-//! a state then costs one transition `apply`, one `downstream_of` walk over
-//! the dirty subgraph (shared between repricing and rehashing), and a
-//! handful of per-node recomputations — everything upstream and on sibling
-//! branches is reused from the parent bit-for-bit, so delta-evaluated
-//! totals and fingerprints are *exactly* equal to from-scratch ones (pinned
-//! by the equivalence property tests).
+//! ([`CostVec`]) and per-node structural hashes ([`NodeHashes`]). A
+//! successor is then produced by one pipeline, in this order:
+//!
+//! 1. **rewire** — the transition's structural check, a structure-sharing
+//!    clone and the edge surgery ([`Rewire::rewire`]);
+//! 2. **walk** — `downstream_of(touched ∪ affected)` on the rewired graph,
+//!    *once*; every later step runs over this one list;
+//! 3. **rehash** — the fingerprint. A node's hash reads ids, edges and
+//!    commutativity, never a schema, so it is already valid on the rewired
+//!    state whose schemata are still the parent's;
+//! 4. **ask** — the caller's "already have it" test. A fingerprint the
+//!    search admitted belongs to a structurally identical state that passed
+//!    step 5 when it was first produced, so a known successor can neither
+//!    be a refusal nor be new: it comes back as [`Step::Known`] here,
+//!    before anything is regenerated or priced;
+//! 5. **finalize** — change-driven schema regeneration plus the always-on
+//!    target check ([`finalize_along`]); a refusal is counted on `rej`;
+//! 6. **reprice** — delta cost along the list.
+//!
+//! Everything upstream and on sibling branches is reused from the parent
+//! bit-for-bit, so delta-evaluated totals and fingerprints are *exactly*
+//! equal to from-scratch ones (pinned by the equivalence property tests).
 //!
 //! Models that override [`CostModel::cost`] with something richer than the
 //! per-activity summation (`supports_delta() == false`, e.g. the physical
-//! planner) fall back to full `cost` + scratch fingerprint per state — same
-//! results as before, just without the shortcut.
+//! planner) fall back to `apply`, full `cost` and a scratch fingerprint per
+//! state, and are asked only then — same results, without the shortcut.
 
 use crate::cost::{CostModel, CostVec};
 use crate::error::Result;
 use crate::graph::NodeId;
 use crate::opt::Move;
-use crate::schema_gen;
+use crate::schema_gen::downstream_of;
 use crate::signature::{self, NodeHashes};
 use crate::trace::Rejections;
-use crate::transition::Transition;
+use crate::transition::{finalize_along, Rewire, TransitionError};
 use crate::workflow::Workflow;
+
+/// What expanding one transition produced.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// A successor the caller did not have, regenerated and priced.
+    New(EvalState),
+    /// A successor the caller's test recognised by its fingerprint.
+    Known {
+        /// The fingerprint it was recognised by.
+        fp: u128,
+        /// The evaluation path the candidate was on (see
+        /// [`EvalState::via_delta`]); telemetry only.
+        via_delta: bool,
+    },
+}
+
+impl Step {
+    /// The candidate's fingerprint.
+    pub fn fp(&self) -> u128 {
+        match self {
+            Step::New(next) => next.fp,
+            Step::Known { fp, .. } => *fp,
+        }
+    }
+
+    /// Was the candidate on the delta path ([`EvalState::via_delta`])?
+    pub fn via_delta(&self) -> bool {
+        match self {
+            Step::New(next) => next.via_delta,
+            Step::Known { via_delta, .. } => *via_delta,
+        }
+    }
+}
 
 /// A search state with everything needed to expand it incrementally.
 #[derive(Debug, Clone)]
@@ -76,38 +125,39 @@ impl EvalState {
 
     /// Expand one enumerated [`Move`]; `None` when it does not apply — in
     /// which case the rejection rule is counted on `rej` rather than
-    /// silently discarded.
+    /// silently discarded. `known` is the caller's "already have it" test.
     pub fn step_move(
         &self,
         mv: &Move,
         model: &dyn CostModel,
+        known: impl Fn(u128) -> bool,
         rej: &mut Rejections,
-    ) -> Option<Result<EvalState>> {
-        match mv.apply(&self.wf) {
-            Ok(next) => Some(self.step_applied(next, &mv.affected(&self.wf), model)),
-            Err(e) => {
-                rej.record(&e);
-                None
-            }
+    ) -> Option<Result<Step>> {
+        match mv {
+            Move::Swap(t) => self.step_transition(t, model, known, rej),
+            Move::Factorize(t) => self.step_transition(t, model, known, rej),
+            Move::Distribute(t) => self.step_transition(t, model, known, rej),
         }
     }
 
-    /// Expand one [`Transition`]; `None` when it does not apply — the
+    /// Expand one transition; `None` when it does not apply — the
     /// rejection rule is counted on `rej`.
-    pub fn step_transition<T: Transition>(
+    pub fn step_transition<T: Rewire>(
         &self,
         t: &T,
         model: &dyn CostModel,
+        known: impl Fn(u128) -> bool,
         rej: &mut Rejections,
-    ) -> Option<Result<EvalState>> {
-        self.step_chain(&self.wf, Vec::new(), t, model, rej)
+    ) -> Option<Result<Step>> {
+        self.step_chain(&self.wf, Vec::new(), t, model, known, rej)
     }
 
     /// Close a chain of transitions with `t`. `shifted` is this state after
     /// the chain's earlier links and `touched` the union of their
-    /// [`Transition::affected`] nodes; the successor is priced and
-    /// fingerprinted against *this* state's tables by one dirty walk over
-    /// `touched` plus `t`'s own affected nodes, so `shifted` never is.
+    /// [`crate::transition::Transition::affected`] nodes; the successor is
+    /// fingerprinted, regenerated and priced against *this* state's tables
+    /// by one dirty walk over `touched` plus `t`'s own affected nodes, so
+    /// `shifted` never is.
     ///
     /// Exact for the reason one link is. A link cuts only edges that end at
     /// one of its affected nodes, at a node it deletes, or at a consumer of
@@ -116,20 +166,21 @@ impl EvalState {
     /// the final graph every node whose providers or provider values
     /// changed anywhere along the chain is therefore downstream of
     /// `touched ∪ affected(t)`, and every other node keeps the value this
-    /// state's tables hold for it (DESIGN §6a).
-    pub fn step_chain<T: Transition>(
+    /// state's tables hold for it (DESIGN §6a). The regeneration is `t`'s
+    /// alone — `shifted` carries the schemata of its own links — and is
+    /// forced from `t`'s affected nodes only; the rest of the union list it
+    /// skips unless a change reaches it.
+    pub fn step_chain<T: Rewire>(
         &self,
         shifted: &Workflow,
-        mut touched: Vec<NodeId>,
+        touched: Vec<NodeId>,
         t: &T,
         model: &dyn CostModel,
+        known: impl Fn(u128) -> bool,
         rej: &mut Rejections,
-    ) -> Option<Result<EvalState>> {
-        match t.apply(shifted) {
-            Ok(next) => {
-                touched.extend(t.affected(shifted));
-                Some(self.step_applied(next, &touched, model))
-            }
+    ) -> Option<Result<Step>> {
+        match self.successor(shifted, touched, t, model, known) {
+            Ok(step) => Some(step),
             Err(e) => {
                 rej.record(&e);
                 None
@@ -137,27 +188,175 @@ impl EvalState {
         }
     }
 
-    /// Price and fingerprint an already-applied successor, reusing this
-    /// state's tables along the dirty downstream path.
-    fn step_applied(
+    /// The pipeline of the module docs. The outer error is a refusal of the
+    /// transition, the inner one an evaluation failure.
+    fn successor<T: Rewire>(
         &self,
-        next: Workflow,
-        affected: &[NodeId],
+        shifted: &Workflow,
+        touched: Vec<NodeId>,
+        t: &T,
         model: &dyn CostModel,
-    ) -> Result<EvalState> {
+        known: impl Fn(u128) -> bool,
+    ) -> Result<Result<Step>, TransitionError> {
         let Some((cost, hashes)) = &self.detail else {
-            return EvalState::full(next, model);
+            let next = t.apply(shifted)?;
+            return Ok(EvalState::full(next, model).map(|next| {
+                if known(next.fp) {
+                    let (fp, via_delta) = (next.fp, false);
+                    Step::Known { fp, via_delta }
+                } else {
+                    Step::New(next)
+                }
+            }));
         };
-        // One dirty walk, shared by repricing and rehashing.
-        let dirty = schema_gen::downstream_of(next.graph(), affected)?;
-        let cost = model.reprice_along(&next, cost, &dirty)?;
+        let mut next = t.rewire(shifted)?;
+        // `t`'s own affected nodes first: they are what the regeneration is
+        // forced from, the chain's earlier ones only widen the walk.
+        let mut roots = t.affected(shifted);
+        let own = roots.len();
+        roots.extend(touched);
+        let dirty = downstream_of(next.graph(), &roots)?;
         let (hashes, fp) = signature::rehash_along(&next, hashes, &dirty);
-        Ok(EvalState {
-            total: cost.total,
-            fp,
-            detail: Some((cost, hashes)),
-            wf: next,
-            via_delta: true,
-        })
+        if known(fp) {
+            return Ok(Ok(Step::Known {
+                fp,
+                via_delta: true,
+            }));
+        }
+        finalize_along(&mut next, &roots[..own], &dirty)?;
+        Ok(model.reprice_along(&next, cost, &dirty).map(|cost| {
+            Step::New(EvalState {
+                total: cost.total,
+                fp,
+                detail: Some((cost, hashes)),
+                wf: next,
+                via_delta: true,
+            })
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::cost::RowCountModel;
+    use crate::opt::enumerate_moves;
+    use crate::predicate::Predicate;
+    use crate::rng::Rng;
+    use crate::scalar::Scalar;
+    use crate::schema::Schema;
+    use crate::semantics::{BinaryOp, UnaryOp};
+    use crate::transition::finalize;
+    use crate::workflow::WorkflowBuilder;
+
+    /// Two homologous branches into a union, then a tail whose last pair
+    /// (`π-out(d)`, `ADD(d)`) passes Swap's structural check but not the
+    /// regeneration: moved first, `ADD(d)` would generate a name its input
+    /// still carries.
+    fn converging() -> Workflow {
+        let mut b = WorkflowBuilder::new();
+        let mut branch = |name: &str| {
+            let s = b.source(name, Schema::of(["k", "v", "d"]), 1000.0);
+            let nn = b.unary("NN", UnaryOp::not_null("v").with_selectivity(0.9), s);
+            let sel = UnaryOp::filter(Predicate::gt("v", 1)).with_selectivity(0.4);
+            let f = b.unary("σ", sel, nn);
+            b.unary("SK", UnaryOp::surrogate_key("k", "sk", "L"), f)
+        };
+        let (l, r) = (branch("S1"), branch("S2"));
+        let u = b.binary("U", BinaryOp::Union, l, r);
+        let late = UnaryOp::filter(Predicate::gt("d", 5)).with_selectivity(0.2);
+        let f = b.unary("σ-late", late, u);
+        let drop = b.unary("π-out", UnaryOp::project_out(["d"]), f);
+        let add = UnaryOp::AddField {
+            attr: "d".into(),
+            value: Scalar::from("x"),
+        };
+        let add = b.unary("ADD", add, drop);
+        b.target("T", Schema::of(["v", "sk", "d"]), add);
+        b.build().unwrap()
+    }
+
+    fn rewire(mv: &Move, wf: &Workflow) -> std::result::Result<Workflow, TransitionError> {
+        match mv {
+            Move::Swap(t) => t.rewire(wf),
+            Move::Factorize(t) => t.rewire(wf),
+            Move::Distribute(t) => t.rewire(wf),
+        }
+    }
+
+    /// Step 3 before step 5: over seeded walks, for every enumerated move,
+    /// the fingerprint taken on the rewired state — schemata still the
+    /// parent's — is the fingerprint of the finalized successor, and two
+    /// candidates with one fingerprint get one verdict from `finalize`. That
+    /// is what lets a search answer "known" for a candidate it never
+    /// regenerated.
+    #[test]
+    fn the_fingerprint_of_a_rewired_state_is_final_and_decides_the_verdict() {
+        let model = RowCountModel::default();
+        let mut verdicts: HashMap<u128, bool> = HashMap::new();
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        for seed in 0..24u64 {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x0e0e);
+            let mut cur = EvalState::full(converging(), &model).unwrap();
+            for _ in 0..10 {
+                let moves = enumerate_moves(&cur.wf).unwrap();
+                let mut successors = Vec::new();
+                for mv in &moves {
+                    let at = mv.describe(&cur.wf);
+                    let Ok(rewired) = rewire(mv, &cur.wf) else {
+                        assert!(mv.apply(&cur.wf).is_err(), "{at}: structural refusal");
+                        continue;
+                    };
+                    let affected = mv.affected(&cur.wf);
+                    let dirty = downstream_of(rewired.graph(), &affected).unwrap();
+                    let hashes = &cur.detail.as_ref().unwrap().1;
+                    let (_, fp) = signature::rehash_along(&rewired, hashes, &dirty);
+                    let verdict = match finalize(rewired, &affected) {
+                        Ok(next) => {
+                            assert_eq!(fp, next.fingerprint(), "{at}: fingerprint moved");
+                            assert_eq!(next, mv.apply(&cur.wf).unwrap(), "{at}");
+                            accepted += 1;
+                            successors.push(*mv);
+                            true
+                        }
+                        Err(_) => {
+                            assert!(mv.apply(&cur.wf).is_err(), "{at}");
+                            refused += 1;
+                            false
+                        }
+                    };
+                    let first = *verdicts.entry(fp).or_insert(verdict);
+                    assert_eq!(first, verdict, "{at}: one fingerprint, two verdicts");
+
+                    // The pipeline itself: a known fingerprint comes back
+                    // before it is priced, a new one as the applied state.
+                    let mut rej = Rejections::default();
+                    let step = cur.step_move(mv, &model, |_| true, &mut rej);
+                    assert!(matches!(step, Some(Ok(Step::Known { fp: k, .. })) if k == fp));
+                    match cur.step_move(mv, &model, |_| false, &mut rej) {
+                        Some(Ok(Step::New(next))) => {
+                            assert!(verdict, "{at}");
+                            assert_eq!(next.fp, fp, "{at}");
+                            assert_eq!(next.wf, mv.apply(&cur.wf).unwrap(), "{at}");
+                        }
+                        None => assert!(!verdict && rej.total() == 1, "{at}"),
+                        other => panic!("{at}: {other:?}"),
+                    }
+                }
+                if successors.is_empty() {
+                    break;
+                }
+                let mv = successors[rng.gen_range(0..successors.len())];
+                let step = cur.step_move(&mv, &model, |_| false, &mut Rejections::default());
+                let Some(Ok(Step::New(next))) = step else {
+                    panic!("an accepted move must step");
+                };
+                cur = next;
+            }
+        }
+        assert!(accepted > 500, "too few successors checked: {accepted}");
+        assert!(refused > 0, "finalize never refused a rewired candidate");
     }
 }

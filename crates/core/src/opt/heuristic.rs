@@ -18,31 +18,42 @@
 //! that immediately improve the cost are taken.
 //!
 //! Every state, in every phase, travels as an [`EvalState`]: a swap is
-//! delta-priced and incrementally fingerprinted against the state it was
+//! incrementally fingerprinted and delta-priced against the state it was
 //! applied to, and a Phase II/III candidate (a shift chain closed by one
 //! FAC or DIS) against the worklist state it started from — one dirty walk
 //! over the union of the chain's affected nodes, so the intermediate shift
 //! states are never priced or hashed. All candidate batches go through one
-//! routine, [`Runner::batch`].
+//! routine, [`Runner::batch`]; a candidate the caller's set already holds
+//! comes back as [`Step::Known`], counted but never regenerated or priced.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
-use crate::activity::ActivityId;
+use crate::activity::{Activity, ActivityId};
 use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::opt::{EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, Threads};
+use crate::opt::{
+    EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, Step, Threads,
+};
 use crate::trace::{Collector, Rejections, Span, TraceEvent, TraceSink};
 use crate::transition::{Distribute, Factorize, Merge, Swap, Transition};
 use crate::workflow::Workflow;
 
-/// What a worker hands back for one candidate move: the successor, priced
-/// and fingerprinted against the state the move was applied to, or `None`
-/// when the move did not apply. An evaluation error stays inside, deferred
-/// to the coordinator so it surfaces exactly when a sequential run would
-/// have hit it.
-type Candidate = Option<Result<EvalState>>;
+/// What a worker hands back for one candidate move: the successor,
+/// fingerprinted and (unless already known) priced against the state the
+/// move was applied to, or `None` when the move did not apply. An
+/// evaluation error stays inside, deferred to the coordinator so it
+/// surfaces exactly when a sequential run would have hit it.
+type Candidate = Option<Result<Step>>;
+
+/// The "already have it" test [`Runner::batch`] hands its build phase.
+type Known<'a> = &'a (dyn Fn(u128) -> bool + Sync);
+
+/// A Phase II/III candidate builder, for anchor tuples of `N` activities.
+type ChainFn<const N: usize> =
+    fn(&EvalState, &[Anchor; N], &dyn CostModel, Known, &mut Rejections) -> Candidate;
 
 /// The HS algorithm (Fig. 7).
 #[derive(Debug, Clone, Default)]
@@ -134,6 +145,7 @@ struct Runner<'m> {
     model: &'m dyn CostModel,
     budget: SearchBudget,
     greedy: bool,
+    algorithm: &'static str,
     started: Instant,
     pacer: Pacer,
     threads: Threads,
@@ -167,10 +179,12 @@ impl<'m> Runner<'m> {
         sink: &'m dyn TraceSink,
     ) -> Self {
         let started = Instant::now();
+        let algorithm = if greedy { "HS-Greedy" } else { "HS" };
         Runner {
             model,
             budget,
             greedy,
+            algorithm,
             started,
             pacer: Pacer::new(started, &budget),
             threads: Threads::new(budget.threads()),
@@ -179,23 +193,15 @@ impl<'m> Runner<'m> {
             budget_exhausted: false,
             group_cap: 5040,
             phase_stats: Vec::new(),
-            col: Collector::new(if greedy { "HS-Greedy" } else { "HS" }),
+            col: Collector::new(algorithm),
             sink,
         }
     }
 
-    fn algorithm(&self) -> &'static str {
-        if self.greedy {
-            "HS-Greedy"
-        } else {
-            "HS"
-        }
-    }
-
-    /// Account one costed state against the budget: unique states count
+    /// Account one generated state against the budget: unique states count
     /// toward `max_states`, and every call ticks the throttled wall-clock
-    /// watchdog. `via_delta` says how the state was priced when it was
-    /// created (delta repricing vs full pricing).
+    /// watchdog. `via_delta` says which evaluation path it was on when it
+    /// was created (delta repricing vs full pricing).
     fn record_eval(&mut self, fp: u128, via_delta: bool) {
         self.col.evaluated(via_delta);
         if self.seen.contains(&fp) {
@@ -229,15 +235,24 @@ impl<'m> Runner<'m> {
     /// whatever `admit` keeps (a running best, a heap, a worklist) come out
     /// the same for any thread count. `admit` gets the item's index and
     /// its state, and returns `false` to drop the rest of the batch.
+    ///
+    /// `have` is the caller's set of states it wants no second copy of. The
+    /// phases never overlap: the build phase reads it through a shared borrow
+    /// (the workers' `known` test — what it holds is not regenerated or
+    /// priced), the admit phase then inserts into it and shows `admit` fresh
+    /// states only. A known candidate is accounted like a priced duplicate.
     fn batch<T: Sync>(
         &mut self,
         items: &[T],
-        build: impl Fn(&T, &mut Rejections) -> Candidate + Sync,
+        mut have: Option<&mut HashSet<u128>>,
+        build: impl Fn(&T, Known, &mut Rejections) -> Candidate + Sync,
         mut admit: impl FnMut(usize, EvalState) -> bool,
     ) -> Result<()> {
+        let held = have.as_deref();
+        let known = |fp: u128| held.is_some_and(|set| set.contains(&fp));
         let built: Vec<(Candidate, Rejections)> = self.threads.map(items, |item| {
             let mut rej = Rejections::default();
-            (build(item, &mut rej), rej)
+            (build(item, &known, &mut rej), rej)
         })?;
         // Rejections first, over *every* item: the workers evaluated them
         // all, so the counts must not depend on where the budget (or
@@ -252,10 +267,12 @@ impl<'m> Runner<'m> {
             if self.out_of_budget() {
                 break;
             }
-            let Some(next) = candidate else { continue };
-            let next = next?;
-            self.record_eval(next.fp, next.via_delta());
-            if !admit(i, next) {
+            let Some(step) = candidate else { continue };
+            let step = step?;
+            self.record_eval(step.fp(), step.via_delta());
+            let Step::New(next) = step else { continue };
+            let repeat = have.as_deref_mut().is_some_and(|set| !set.insert(next.fp));
+            if !repeat && !admit(i, next) {
                 break;
             }
         }
@@ -342,7 +359,7 @@ impl<'m> Runner<'m> {
 
         self.col.worker_batches(self.threads.batch_counts());
         self.sink.event(TraceEvent::Finished {
-            algorithm: self.algorithm(),
+            algorithm: self.algorithm,
             best_cost: smin.total,
             visited: self.visited_states,
             budget_exhausted: self.budget_exhausted,
@@ -361,7 +378,7 @@ impl<'m> Runner<'m> {
 
     fn phase_started(&mut self, phase: &'static str) -> Span {
         self.sink.event(TraceEvent::PhaseStarted {
-            algorithm: self.algorithm(),
+            algorithm: self.algorithm,
             phase,
         });
         Span::start(phase)
@@ -376,7 +393,7 @@ impl<'m> Runner<'m> {
         self.col.frontier(pool);
         self.col.span(span);
         self.sink.event(TraceEvent::PhaseFinished {
-            algorithm: self.algorithm(),
+            algorithm: self.algorithm,
             phase,
             best_cost,
             visited: self.visited_states,
@@ -398,7 +415,7 @@ impl<'m> Runner<'m> {
         mut worklist: Vec<usize>,
         collected: &mut Vec<EvalState>,
         smin: &mut EvalState,
-        candidate: fn(&EvalState, &[Anchor; N], &dyn CostModel, &mut Rejections) -> Candidate,
+        candidate: ChainFn<N>,
     ) -> Result<()> {
         let mut produced: HashSet<u128> = collected.iter().map(|s| s.fp).collect();
         while let Some(idx) = worklist.pop() {
@@ -410,15 +427,14 @@ impl<'m> Runner<'m> {
             let model = self.model;
             self.batch(
                 anchors,
-                |anchor, rej| candidate(&si, anchor, model, rej),
+                Some(&mut produced),
+                |anchor, known, rej| candidate(&si, anchor, model, known, rej),
                 |_, next| {
-                    if produced.insert(next.fp) {
-                        if next.total < smin.total {
-                            *smin = next.clone();
-                        }
-                        worklist.push(collected.len());
-                        collected.push(next);
+                    if next.total < smin.total {
+                        *smin = next.clone();
                     }
+                    worklist.push(collected.len());
+                    collected.push(next);
                     true
                 },
             )?;
@@ -516,15 +532,14 @@ impl<'m> Runner<'m> {
             let model = self.model;
             self.batch(
                 &moves,
-                |sw, rej| s.step_transition(sw, model, rej),
+                Some(&mut seen),
+                |sw, known, rej| s.step_transition(sw, model, known, rej),
                 |_, next| {
-                    if seen.insert(next.fp) {
-                        if next.total < best.total {
-                            best = next.clone();
-                        }
-                        heap.push(Reverse(Key(next.total, states.len())));
-                        states.push(next);
+                    if next.total < best.total {
+                        best = next.clone();
                     }
+                    heap.push(Reverse(Key(next.total, states.len())));
+                    states.push(next);
                     true
                 },
             )?;
@@ -552,7 +567,8 @@ impl<'m> Runner<'m> {
             let mut improved: Option<EvalState> = None;
             self.batch(
                 &moves,
-                |sw, rej| current.step_transition(sw, model, rej),
+                None,
+                |sw, known, rej| current.step_transition(sw, model, known, rej),
                 |_, next| {
                     if next.total < improved.as_ref().unwrap_or(&current).total {
                         improved = Some(next);
@@ -560,10 +576,8 @@ impl<'m> Runner<'m> {
                     true
                 },
             )?;
-            match improved {
-                Some(next) => current = next,
-                None => break,
-            }
+            let Some(next) = improved else { break };
+            current = next;
         }
         Ok(current)
     }
@@ -601,7 +615,8 @@ impl<'m> Runner<'m> {
             let mut advance: Option<(EvalState, usize)> = None;
             self.batch(
                 &moves[start..],
-                |sw, rej| current.step_transition(sw, model, rej),
+                None,
+                |sw, known, rej| current.step_transition(sw, model, known, rej),
                 |off, next| {
                     let accept = next.total < current.total;
                     if accept {
@@ -610,13 +625,8 @@ impl<'m> Runner<'m> {
                     !accept
                 },
             )?;
-            match advance {
-                Some((next, s)) => {
-                    current = next;
-                    start = s;
-                }
-                None => break,
-            }
+            let Some(next) = advance else { break };
+            (current, start) = next;
         }
         Ok(current)
     }
@@ -645,13 +655,14 @@ fn factorize_candidate(
     si: &EvalState,
     [a1, a2, ab]: &[Anchor; 3],
     model: &dyn CostModel,
+    known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
     let (n1, n2, nb) = (a1.locate(&si.wf)?, a2.locate(&si.wf)?, ab.locate(&si.wf)?);
-    let mut touched = Vec::new();
-    let s = shift_frw(&si.wf, n1, nb, &mut touched, rej)?;
-    let s = shift_frw(&s, n2, nb, &mut touched, rej)?;
-    si.step_chain(&s, touched, &Factorize::new(nb, n1, n2), model, rej)
+    let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
+    shift(&mut s, n1, nb, &mut touched, rej, forward)?;
+    shift(&mut s, n2, nb, &mut touched, rej, forward)?;
+    si.step_chain(&s, touched, &Factorize::new(nb, n1, n2), model, known, rej)
 }
 
 /// Phase III candidate (Fig. 7 lines 23-25): shift the activity back to
@@ -660,12 +671,13 @@ fn distribute_candidate(
     si: &EvalState,
     [a, ab]: &[Anchor; 2],
     model: &dyn CostModel,
+    known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
     let (na, nb) = (a.locate(&si.wf)?, ab.locate(&si.wf)?);
-    let mut touched = Vec::new();
-    let s = shift_bkw(&si.wf, na, nb, &mut touched, rej)?;
-    si.step_chain(&s, touched, &Distribute::new(nb, na), model, rej)
+    let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
+    shift(&mut s, na, nb, &mut touched, rej, backward)?;
+    si.step_chain(&s, touched, &Distribute::new(nb, na), model, known, rej)
 }
 
 /// `ShiftFrw(a, a_b)` (Fig. 7): push `a` forward through its local group by
@@ -680,10 +692,8 @@ pub fn shift_frw(
     touched: &mut Vec<NodeId>,
     rej: &mut Rejections,
 ) -> Option<Workflow> {
-    shift(wf, a, ab, touched, rej, |g| match g.consumers(a).ok()? {
-        [c] => Some(*c),
-        _ => None,
-    })
+    let mut cur = Cow::Borrowed(wf);
+    shift(&mut cur, a, ab, touched, rej, forward).map(|()| cur.into_owned())
 }
 
 /// `ShiftBkw(a, a_b)` (Fig. 7): pull `a` backward through its local group
@@ -696,36 +706,49 @@ pub fn shift_bkw(
     touched: &mut Vec<NodeId>,
     rej: &mut Rejections,
 ) -> Option<Workflow> {
-    shift(wf, a, ab, touched, rej, |g| g.provider(a, 0).ok()?)
+    let mut cur = Cow::Borrowed(wf);
+    shift(&mut cur, a, ab, touched, rej, backward).map(|()| cur.into_owned())
 }
 
-/// The shift walk: swap `a` with its `neighbour` (the single consumer going
-/// forward, the provider going backward) until that neighbour is `ab`.
+/// The neighbour a forward shift swaps `a` with: its single consumer.
+fn forward(g: &Graph, a: NodeId) -> Option<NodeId> {
+    match g.consumers(a).ok()? {
+        [c] => Some(*c),
+        _ => None,
+    }
+}
+
+/// The neighbour a backward shift swaps `a` with: its provider.
+fn backward(g: &Graph, a: NodeId) -> Option<NodeId> {
+    g.provider(a, 0).ok()?
+}
+
+/// The shift walk: swap `a` with its `neighbour` until that neighbour is
+/// `ab`. `cur` is the chain's state: borrowed until a swap has to rewire it,
+/// the chain's own copy from then on. The first swap's `apply` takes the
+/// copy — only once its structural check has passed on the borrowed state —
+/// and every later link rewires it in place. A refused link leaves it
+/// unusable; `None` makes the caller drop it.
 fn shift(
-    wf: &Workflow,
+    cur: &mut Cow<'_, Workflow>,
     a: NodeId,
     ab: NodeId,
     touched: &mut Vec<NodeId>,
     rej: &mut Rejections,
-    neighbour: impl Fn(&Graph) -> Option<NodeId>,
-) -> Option<Workflow> {
-    let mut cur = wf.clone();
+    neighbour: fn(&Graph, NodeId) -> Option<NodeId>,
+) -> Option<()> {
     for _ in 0..cur.activity_count() + 1 {
-        let n = neighbour(cur.graph())?;
+        let n = neighbour(cur.graph(), a)?;
         if n == ab {
-            return Some(cur);
+            return Some(());
         }
         let swap = Swap::new(a, n);
-        match swap.apply(&cur) {
-            Ok(next) => {
-                touched.extend(swap.affected(&cur));
-                cur = next;
-            }
-            Err(e) => {
-                rej.record(&e);
-                return None;
-            }
-        }
+        let applied = match cur {
+            Cow::Owned(own) => swap.apply_in_place(own),
+            Cow::Borrowed(wf) => swap.apply(wf).map(|next| *cur = Cow::Owned(next)),
+        };
+        applied.map_err(|e| rej.record(&e)).ok()?;
+        touched.extend([a, n]);
     }
     None
 }
@@ -740,28 +763,19 @@ struct Anchor {
 
 impl Anchor {
     fn of(wf: &Workflow, node: NodeId) -> Result<Anchor> {
-        Ok(Anchor {
-            node,
-            activity: wf.graph().activity(node)?.id.clone(),
-        })
+        let activity = wf.graph().activity(node)?.id.clone();
+        Ok(Anchor { node, activity })
     }
 
     /// Find this activity in a (possibly rewired) state: fast path through
     /// the remembered slot, slow path by activity-id scan.
     fn locate(&self, wf: &Workflow) -> Option<NodeId> {
-        if let Ok(a) = wf.graph().activity(self.node) {
-            if a.id == self.activity {
-                return Some(self.node);
-            }
+        let same = |a: &Activity| a.id == self.activity;
+        if wf.graph().activity(self.node).is_ok_and(same) {
+            return Some(self.node);
         }
-        wf.graph()
-            .iter()
-            .find(|(_, n)| {
-                n.as_activity()
-                    .map(|a| a.id == self.activity)
-                    .unwrap_or(false)
-            })
-            .map(|(id, _)| id)
+        let mut nodes = wf.graph().iter();
+        nodes.find_map(|(id, n)| n.as_activity().is_some_and(same).then_some(id))
     }
 }
 
@@ -900,33 +914,18 @@ mod tests {
     #[test]
     fn shift_frw_and_bkw_roundtrip() {
         let wf = dis_win();
-        // σ is the consumer of U; shifting it forward to… itself is trivial;
-        // exercise bkw: move σ back to be adjacent to U (already adjacent).
-        let (sel, u) = {
-            let acts = wf.activities().unwrap();
-            let sel = acts
-                .iter()
-                .copied()
-                .find(|&a| wf.graph().activity(a).unwrap().label == "σ")
-                .unwrap();
-            let u = acts
-                .iter()
-                .copied()
-                .find(|&a| wf.graph().activity(a).unwrap().label == "U")
-                .unwrap();
-            (sel, u)
+        let by_label = |label: &str| {
+            let mut acts = wf.activities().unwrap().into_iter();
+            acts.find(|&a| wf.graph().activity(a).unwrap().label == label)
+                .unwrap()
         };
+        // σ is the consumer of U: moving it back to U needs no swap.
+        let (sel, u, sk) = (by_label("σ"), by_label("U"), by_label("SK"));
         let (mut touched, mut rej) = (Vec::new(), Rejections::default());
         let back = shift_bkw(&wf, sel, u, &mut touched, &mut rej).unwrap();
         assert_eq!(back.signature(), wf.signature());
         assert!(touched.is_empty(), "no swap was needed: {touched:?}");
         // SK can also be shifted back to the union (swapping past σ).
-        let sk = wf
-            .activities()
-            .unwrap()
-            .into_iter()
-            .find(|&a| wf.graph().activity(a).unwrap().label == "SK")
-            .unwrap();
         let shifted = shift_bkw(&wf, sk, u, &mut touched, &mut rej).unwrap();
         assert_ne!(shifted.signature(), wf.signature());
         assert_eq!(touched, vec![sk, sel], "one swap, past σ");

@@ -27,7 +27,7 @@ pub use adaptive::{
     MemoryCalibration, Observation, PlanObserver, RoundReport,
 };
 pub use beam::BeamSearch;
-pub(crate) use eval::EvalState;
+pub(crate) use eval::{EvalState, Step};
 pub use exhaustive::ExhaustiveSearch;
 pub use heuristic::{shift_bkw, shift_frw, HeuristicSearch, HsGreedy};
 pub use memo::MoveMemo;
@@ -259,9 +259,11 @@ pub(crate) struct ExpandChunk {
     pub(crate) fresh: Vec<EvalState>,
     /// Rejection-rule deltas for this state's transition attempts.
     pub(crate) rej: crate::trace::Rejections,
-    /// Duplicates dropped worker-side after delta repricing.
+    /// Duplicates recognised worker-side on the delta path — by their
+    /// fingerprint, before regeneration and pricing.
     pub(crate) dedup_delta: u64,
-    /// Duplicates dropped worker-side after full pricing.
+    /// Duplicates dropped worker-side after full pricing (models without
+    /// delta support).
     pub(crate) dedup_full: u64,
 }
 
@@ -277,12 +279,13 @@ pub(crate) struct ExpandChunk {
 pub const EXPAND_WINDOW: usize = 8;
 
 /// Expand one window of a BFS frontier across the worker pool. Workers
-/// enumerate moves through the shared [`MoveMemo`], price each successor
-/// incrementally, and drop successors already in `visited` without
-/// funneling them through the coordinator — the set is quiescent while
-/// workers run (only the coordinator inserts, between windows), so the
-/// pre-filter's outcome is deterministic at any thread count. Results come
-/// back in (frontier index, move index) order.
+/// enumerate moves through the shared [`MoveMemo`], fingerprint each
+/// successor incrementally, drop the ones already in `visited` before they
+/// are regenerated or priced — and without funneling them through the
+/// coordinator — and price the rest. The set is quiescent while workers run
+/// (only the coordinator inserts, between windows), so the pre-filter's
+/// outcome is deterministic at any thread count. Results come back in
+/// (frontier index, move index) order.
 ///
 /// `room` is how many more states `visited` can admit. A state stops
 /// producing successors once it holds `room` distinct ones that `visited`
@@ -310,24 +313,24 @@ pub(crate) fn expand_frontier(
             if distinct >= room {
                 break;
             }
-            let Some(next) = state.step_move(&mv, model, &mut chunk.rej) else {
+            let known = |fp| visited.contains(fp);
+            let Some(step) = state.step_move(&mv, model, known, &mut chunk.rej) else {
                 continue;
             };
-            let next = next?;
-            if visited.contains(next.fp) {
-                if next.via_delta() {
-                    chunk.dedup_delta += 1;
-                } else {
-                    chunk.dedup_full += 1;
+            match step? {
+                Step::Known {
+                    via_delta: true, ..
+                } => chunk.dedup_delta += 1,
+                Step::Known { .. } => chunk.dedup_full += 1,
+                Step::New(next) => {
+                    // Two moves of one state can meet in the same successor;
+                    // the repeat goes to the merge (which counts it as a
+                    // duplicate) but fills no room.
+                    if chunk.fresh.iter().all(|seen| seen.fp != next.fp) {
+                        distinct += 1;
+                    }
+                    chunk.fresh.push(next);
                 }
-            } else {
-                // Two moves of one state can meet in the same successor;
-                // the repeat goes to the merge (which counts it as a
-                // duplicate) but fills no room.
-                if chunk.fresh.iter().all(|seen| seen.fp != next.fp) {
-                    distinct += 1;
-                }
-                chunk.fresh.push(next);
             }
         }
         Ok(chunk)

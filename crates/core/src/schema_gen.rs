@@ -7,6 +7,18 @@
 //! that leaves some activity without the attributes its functionality schema
 //! needs makes this walk fail — which is precisely how illegal rewirings are
 //! rejected (swap conditions 3 and 4 reduce to this walk succeeding).
+//!
+//! Two forms. [`regenerate`] re-derives every node and is the reference.
+//! [`regenerate_downstream`] is what a transition pays: it walks only what
+//! lies downstream of the rewired nodes, forces those nodes and their
+//! direct consumers, and beyond them follows *changes* — a node none of
+//! whose providers' outputs changed in this walk is skipped without a
+//! schema being read. [`downstream_of`] is that walk's list, which the
+//! searches compute once per successor and share between fingerprinting,
+//! regeneration and pricing.
+
+// Every transition ends in this walk; see `crate::transition`.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, Node, NodeId};
@@ -39,21 +51,26 @@ pub fn regenerate(graph: &mut Graph) -> Result<()> {
 /// everything upstream of the rewired nodes is untouched by construction.
 ///
 /// The walk visits the nodes downstream of `starts` in topological order
-/// but *cuts propagation off* wherever nothing changed: a node whose stored
-/// input schemata still equal its providers' current outputs keeps its
-/// stored output without re-deriving it (§4.1's "only the path from the
-/// affected activities towards the targets changes", applied to schemata —
-/// after most swaps the pair's combined output is what it was, and nothing
-/// further down is touched or even cloned).
+/// but *follows changes*: a node is refreshed only if it is one of `starts`,
+/// reads one of them, or reads a node whose output this walk changed. Every
+/// other node is skipped without a schema being looked at (§4.1's "only the
+/// path from the affected activities towards the targets changes", applied
+/// to schemata — after most swaps the pair's combined output is what it
+/// was, and nothing further down is touched, compared or cloned).
 ///
-/// "Same inputs ⇒ same output" presumes the stored output was derived from
-/// the stored inputs. That holds for every node the transition did not
-/// create or re-semanticize, but not for a node it just inserted: FAC
-/// places a fresh activity (copied inputs, *empty* output) after the
-/// binary, possibly in a recycled arena slot that is not among `starts`.
-/// So the nodes in `starts` and their direct consumers — everything a
-/// transition rewires or inserts — are always re-derived; the cutoff
-/// applies from the second hop on.
+/// This rests on the invariant the transitions already keep: the state they
+/// rewire is validated, so every node stores exactly its providers'
+/// outputs, and every edge a transition cuts or adds ends at one of
+/// `starts` or at a direct consumer of one. A node past that first hop
+/// therefore reads the providers it read before, and its stored inputs can
+/// only be stale if one of those providers' outputs changed in this walk.
+///
+/// The first hop is forced, not change-driven, because "same inputs ⇒ same
+/// output" presumes the stored output was derived from the stored inputs.
+/// That holds for every node the transition did not create, but not for one
+/// it just inserted: FAC places a fresh activity (copied inputs, *empty*
+/// output) after the binary, possibly in a recycled arena slot that is not
+/// among `starts`.
 pub fn regenerate_downstream(
     graph: &mut Graph,
     starts: &[NodeId],
@@ -66,46 +83,85 @@ pub fn regenerate_downstream(
         };
         RegenFailure { node, error }
     })?;
-    regenerate_nodes(graph, &dirty, Some(starts))
+    regenerate_along(graph, starts, &dirty)
+}
+
+/// [`regenerate_downstream`] with the walk precomputed: `dirty` is
+/// [`downstream_of`] some superset of `starts`, in topological order. The
+/// searches share one such list between rehashing, regeneration and
+/// repricing; nodes of it that no change reaches are skipped, so a superset
+/// derives exactly what the walk from `starts` alone would.
+pub(crate) fn regenerate_along(
+    graph: &mut Graph,
+    starts: &[NodeId],
+    dirty: &[NodeId],
+) -> std::result::Result<(), RegenFailure> {
+    regenerate_nodes(graph, dirty, Some(starts))
 }
 
 /// What [`refresh`] found a node's schemata should become.
 enum Update {
-    /// Fresh inputs (`None`: the stored ones still hold) and output.
-    Activity(Option<Vec<Schema>>, Schema),
+    /// Fresh inputs (`None`: the stored ones still hold) and output, and
+    /// whether that output differs from the stored one.
+    Activity(Option<Vec<Schema>>, Schema, bool),
     Recordset(Schema),
 }
 
 /// Walk `order` (topological), refreshing each node's schemata from its
 /// providers' current outputs. With `rewired = None` every node is
 /// re-derived; otherwise only the rewired nodes, their direct consumers,
-/// and nodes whose stored inputs no longer equal those outputs.
+/// and consumers of a node whose output the walk changed.
 fn regenerate_nodes(
     graph: &mut Graph,
     order: &[NodeId],
     rewired: Option<&[NodeId]>,
 ) -> std::result::Result<(), RegenFailure> {
+    // Slot-indexed "this walk changed the node's output"; sized at the
+    // first change, which most incremental walks never see.
+    let mut changed: Vec<bool> = Vec::new();
     for &id in order {
         let fail = |error: CoreError| RegenFailure { node: id, error };
+        if let Some(starts) = rewired {
+            let reached = starts.contains(&id)
+                || graph
+                    .providers(id)
+                    .map_err(fail)?
+                    .iter()
+                    .flatten()
+                    .any(|p| {
+                        starts.contains(p) || changed.get(p.0 as usize).copied().unwrap_or(false)
+                    });
+            if !reached {
+                continue;
+            }
+        }
         // Derive from the *current* node first and mutate only on change:
         // `node_mut` is copy-on-write, so an unconditional write would
         // detach every node's `Arc` from sibling states and turn the cheap
         // structural-sharing clone back into a deep copy.
-        match refresh(graph, id, rewired).map_err(fail)? {
-            Some(Update::Activity(inputs, output)) => {
+        let output_changed = match refresh(graph, id).map_err(fail)? {
+            Some(Update::Activity(inputs, output, output_changed)) => {
                 if let Node::Activity(act) = graph.node_mut(id).map_err(fail)? {
                     if let Some(inputs) = inputs {
                         act.inputs = inputs;
                     }
                     act.output = output;
                 }
+                output_changed
             }
             Some(Update::Recordset(s)) => {
                 if let Node::Recordset(rs) = graph.node_mut(id).map_err(fail)? {
                     rs.schema = s;
                 }
+                true
             }
-            None => {}
+            None => false,
+        };
+        if output_changed && rewired.is_some() {
+            if changed.is_empty() {
+                changed.resize(graph.slot_capacity(), false);
+            }
+            changed[id.0 as usize] = true;
         }
     }
     Ok(())
@@ -113,7 +169,7 @@ fn regenerate_nodes(
 
 /// The schemata node `id` should carry given its providers' current
 /// outputs, or `None` when it already carries them.
-fn refresh(graph: &Graph, id: NodeId, rewired: Option<&[NodeId]>) -> Result<Option<Update>> {
+fn refresh(graph: &Graph, id: NodeId) -> Result<Option<Update>> {
     let providers = graph.providers(id)?;
     match graph.node(id)? {
         Node::Activity(act) => {
@@ -125,12 +181,6 @@ fn refresh(graph: &Graph, id: NodeId, rewired: Option<&[NodeId]>) -> Result<Opti
                 let flow = graph.node(pid)?.output_schema();
                 same_inputs = same_inputs && act.inputs.get(port) == Some(flow);
             }
-            let must_derive = rewired.is_none_or(|starts| {
-                starts.contains(&id) || providers.iter().flatten().any(|p| starts.contains(p))
-            });
-            if same_inputs && !must_derive {
-                return Ok(None);
-            }
             let fresh = if same_inputs {
                 None
             } else {
@@ -141,9 +191,13 @@ fn refresh(graph: &Graph, id: NodeId, rewired: Option<&[NodeId]>) -> Result<Opti
                 Some(inputs)
             };
             let output = act.derive_output(fresh.as_deref().unwrap_or(&act.inputs))?;
+            let output_changed = act.output != output;
             Ok(
-                (fresh.is_some() || act.output != output)
-                    .then_some(Update::Activity(fresh, output)),
+                (fresh.is_some() || output_changed).then_some(Update::Activity(
+                    fresh,
+                    output,
+                    output_changed,
+                )),
             )
         }
         Node::Recordset(rs) => {

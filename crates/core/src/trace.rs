@@ -190,13 +190,16 @@ pub struct SearchStats {
     /// that subtraction underflow poisons the field to `u64::MAX` so
     /// [`SearchStats::reconciles`] fails loudly instead of hiding it.
     pub pruned: u64,
-    /// Evaluations served by delta repricing + incremental rehash: every
-    /// successor of a state that carries its tables, including HS's
-    /// Phase II/III chain candidates (one walk per chain).
+    /// Generated candidates on the delta path (incremental rehash, then
+    /// delta repricing): every successor of a state that carries its
+    /// tables, including HS's Phase II/III chain candidates (one walk per
+    /// chain). The two `repriced_*` counters classify candidates by
+    /// evaluation path, not by work done: a duplicate the search recognised
+    /// by its fingerprint *before* pricing is counted here like the priced
+    /// ones, so `repriced_delta + repriced_full == generated` either way.
     pub repriced_delta: u64,
-    /// Evaluations that priced the whole state from scratch: the states a
-    /// search starts from, and every state of a model without delta
-    /// support.
+    /// Generated candidates on the from-scratch path: the states a search
+    /// starts from, and every state of a model without delta support.
     pub repriced_full: u64,
     /// ES: frontier size per BFS generation. HS/HS-Greedy: candidate-pool
     /// size at each phase boundary (after I, II, III, IV).
@@ -396,7 +399,8 @@ impl Collector {
         }
     }
 
-    /// One state evaluation (pricing + fingerprint), delta or full.
+    /// One generated candidate, on the delta or the from-scratch path —
+    /// priced, or recognised as a duplicate before pricing.
     pub(crate) fn evaluated(&mut self, delta: bool) {
         self.stats.generated += 1;
         if delta {

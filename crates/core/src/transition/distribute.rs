@@ -16,7 +16,7 @@ use crate::activity::{Activity, ActivityId};
 use crate::error::CoreError;
 use crate::graph::NodeId;
 use crate::transition::factorize::distributable_through;
-use crate::transition::{finalize, Transition, TransitionError, TransitionKind};
+use crate::transition::{finalize, Rewire, Transition, TransitionError, TransitionKind};
 use crate::workflow::Workflow;
 
 /// `DIS(a_b,a)`: clone `a` (the consumer of binary `a_b`) into both flows
@@ -80,28 +80,8 @@ impl Distribute {
     }
 }
 
-impl Transition for Distribute {
-    fn kind(&self) -> TransitionKind {
-        TransitionKind::Distribute
-    }
-
-    fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
-        // The clones are spliced in right after the binary's providers, so
-        // the providers anchor the dirty set in the successor state.
-        let mut nodes = vec![self.binary, self.activity];
-        for p in wf
-            .graph()
-            .providers(self.binary)
-            .unwrap_or_default()
-            .iter()
-            .flatten()
-        {
-            nodes.push(*p);
-        }
-        nodes
-    }
-
-    fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
+impl Rewire for Distribute {
+    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
         self.structural_check(wf)?;
         let mut out = wf.clone();
         let g = &mut out.graph;
@@ -145,7 +125,33 @@ impl Transition for Distribute {
         g.connect(p2, c2, 0)?;
         g.connect(c2, self.binary, 1)?;
 
-        finalize(out, &self.affected(wf))
+        Ok(out)
+    }
+}
+
+impl Transition for Distribute {
+    fn kind(&self) -> TransitionKind {
+        TransitionKind::Distribute
+    }
+
+    fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
+        // The clones are spliced in right after the binary's providers, so
+        // the providers anchor the dirty set in the successor state.
+        let mut nodes = vec![self.binary, self.activity];
+        for p in wf
+            .graph()
+            .providers(self.binary)
+            .unwrap_or_default()
+            .iter()
+            .flatten()
+        {
+            nodes.push(*p);
+        }
+        nodes
+    }
+
+    fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
+        finalize(self.rewire(wf)?, &self.affected(wf))
     }
 
     fn describe(&self, wf: &Workflow) -> String {

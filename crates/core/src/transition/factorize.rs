@@ -16,7 +16,7 @@
 use crate::activity::{Activity, ActivityId};
 use crate::graph::NodeId;
 use crate::semantics::{BinaryOp, UnaryOp};
-use crate::transition::{finalize, Transition, TransitionError, TransitionKind};
+use crate::transition::{finalize, Rewire, Transition, TransitionError, TransitionKind};
 use crate::workflow::Workflow;
 
 /// Can an activity made of these unary links be moved across this binary
@@ -146,28 +146,8 @@ impl Factorize {
     }
 }
 
-impl Transition for Factorize {
-    fn kind(&self) -> TransitionKind {
-        TransitionKind::Factorize
-    }
-
-    fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
-        let mut nodes = vec![self.binary, self.a1, self.a2];
-        // The replacement activity may reuse a freed arena slot; covering
-        // the providers keeps the dirty set conservative.
-        for p in wf
-            .graph()
-            .providers(self.binary)
-            .unwrap_or_default()
-            .iter()
-            .flatten()
-        {
-            nodes.push(*p);
-        }
-        nodes
-    }
-
-    fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
+impl Rewire for Factorize {
+    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
         self.structural_check(wf)?;
         let mut out = wf.clone();
         let g = &mut out.graph;
@@ -213,7 +193,33 @@ impl Transition for Factorize {
         g.redirect_consumers(self.binary, a)?;
         g.connect(self.binary, a, 0)?;
 
-        finalize(out, &self.affected(wf))
+        Ok(out)
+    }
+}
+
+impl Transition for Factorize {
+    fn kind(&self) -> TransitionKind {
+        TransitionKind::Factorize
+    }
+
+    fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
+        let mut nodes = vec![self.binary, self.a1, self.a2];
+        // The replacement activity may reuse a freed arena slot; covering
+        // the providers keeps the dirty set conservative.
+        for p in wf
+            .graph()
+            .providers(self.binary)
+            .unwrap_or_default()
+            .iter()
+            .flatten()
+        {
+            nodes.push(*p);
+        }
+        nodes
+    }
+
+    fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
+        finalize(self.rewire(wf)?, &self.affected(wf))
     }
 
     fn check(&self, wf: &Workflow) -> Result<(), TransitionError> {

@@ -42,17 +42,14 @@ fn parts_of(act: &Activity) -> Option<(Vec<ActivityId>, Vec<String>, Vec<UnaryOp
     }
 }
 
+/// The activity made of these links: a plain unary activity for one link,
+/// a merged node otherwise.
 fn assemble(ids: Vec<ActivityId>, labels: Vec<String>, ops: Vec<UnaryOp>) -> Activity {
     debug_assert_eq!(labels.len(), ops.len());
-    if ops.len() == 1 {
-        Activity::new(
-            ids.into_iter().next().expect("one id"),
-            labels.into_iter().next().expect("one label"),
-            Op::Unary(ops.into_iter().next().expect("one op")),
-        )
-    } else {
-        Activity::new(ActivityId::Merged(ids), labels.join("+"), Op::Merged(ops))
+    if let ([id], [label], [op]) = (ids.as_slice(), labels.as_slice(), ops.as_slice()) {
+        return Activity::new(id.clone(), label.clone(), Op::Unary(op.clone()));
     }
+    Activity::new(ActivityId::Merged(ids), labels.join("+"), Op::Merged(ops))
 }
 
 /// `MER(a₁₊₂,a₁,a₂)`: package adjacent unary activities `a₁ → a₂` into one
@@ -108,8 +105,9 @@ impl Transition for Merge {
         if g.consumers(self.a1)?.len() != 1 {
             return Err(TransitionError::MultipleConsumers(self.a1));
         }
-        let (mut ids, mut labels, mut ops) = parts_of(first).expect("unary");
-        let (ids2, labels2, ops2) = parts_of(second).expect("unary");
+        let (mut ids, mut labels, mut ops) =
+            parts_of(first).ok_or(TransitionError::NotUnary(self.a1))?;
+        let (ids2, labels2, ops2) = parts_of(second).ok_or(TransitionError::NotUnary(self.a2))?;
         ids.extend(ids2);
         labels.extend(labels2);
         ops.extend(ops2);
@@ -182,7 +180,12 @@ impl Transition for Split {
         if chain_len < 2 {
             return Err(TransitionError::NotMerged(self.merged));
         }
-        let (ids, labels, ops) = parts_of(act).expect("merged is unary-shaped");
+        let (ids, labels, ops) = parts_of(act).ok_or(TransitionError::NotMerged(self.merged))?;
+        // One id per link, or the node cannot be taken apart. `Merge` only
+        // builds such nodes; a hand-built one may carry any id.
+        if ids.len() != ops.len() {
+            return Err(TransitionError::NotMerged(self.merged));
+        }
         let head = assemble(
             vec![ids[0].clone()],
             vec![labels[0].clone()],
@@ -340,6 +343,27 @@ mod tests {
         assert!(equivalent(&wf, &swapped).unwrap());
         let first = swapped.activities().unwrap()[0];
         assert_eq!(swapped.graph().activity(first).unwrap().label, "σ+π");
+    }
+
+    #[test]
+    fn split_of_a_merged_node_whose_id_names_no_links_is_rejected() {
+        // Regression: a two-link chain under a plain id split into `a` and
+        // a one-link remainder with no id left for it, and `assemble`
+        // panicked on `expect("one id")`.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["a", "b"]), 100.0);
+        let f = b.unary("NN", UnaryOp::not_null("a"), s);
+        b.target("T", Schema::of(["a", "b"]), f);
+        let mut wf = b.build().unwrap();
+        let chain = vec![
+            UnaryOp::not_null("a"),
+            UnaryOp::filter(Predicate::gt("b", 1)),
+        ];
+        wf.graph.activity_mut(f).unwrap().op = Op::Merged(chain);
+        wf.validate().unwrap();
+        let err = Split::new(f).apply(&wf).unwrap_err();
+        assert_eq!(err, TransitionError::NotMerged(f));
+        assert!(split_all(&wf).is_err());
     }
 
     #[test]

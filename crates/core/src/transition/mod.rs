@@ -22,6 +22,20 @@
 //! delta repricing and fingerprint rehashing start from exactly those
 //! roots (`crate::cost::CostModel::reprice_from`,
 //! `crate::signature::rehash_along`).
+//!
+//! `apply` is two halves. The first — structural check, structure-sharing
+//! clone, edge surgery — is the crate-private `Rewire::rewire` of the three
+//! transitions the searches enumerate. The second, `finalize`, is a dirty
+//! walk (`crate::schema_gen::downstream_of`) and what runs along it
+//! (`finalize_along`: schema regeneration, the target-schema check, the
+//! debug `validate`). The searches call the halves themselves
+//! (`crate::opt::EvalState`): their pricing and fingerprinting need the
+//! same walk, and a successor whose fingerprint they already hold needs no
+//! second half at all.
+
+// Transitions run inside search workers inside daemon workers: a state a
+// transition cannot handle must come back as a typed refusal.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod commute;
 mod distribute;
@@ -191,6 +205,19 @@ pub trait Transition: fmt::Debug {
     fn describe(&self, wf: &Workflow) -> String;
 }
 
+/// The part of a search transition that comes before [`finalize`]: what the
+/// searches' one-walk pipeline (`crate::opt::EvalState`) runs instead of
+/// [`Transition::apply`], so that the dirty walk it needs anyway also
+/// serves the regeneration, and a successor it already knows is never
+/// regenerated at all. For the implementors `apply` is exactly
+/// `rewire` + [`finalize`].
+pub(crate) trait Rewire: Transition {
+    /// Structural check, clone, edge surgery. The returned state carries
+    /// the pre-state's schemata and is a search state only once
+    /// [`finalize_along`] has accepted it.
+    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError>;
+}
+
 /// Finalize a rewired candidate: regenerate the schemata downstream of the
 /// rewired nodes and re-check the state, mapping failures to transition
 /// errors. Shared by all transition implementations.
@@ -198,12 +225,36 @@ pub trait Transition: fmt::Debug {
 /// `affected` are the transition's touched nodes as reported by
 /// [`Transition::affected`] against the *pre*-state; everything upstream of
 /// them is untouched by construction, so only the downstream slice is
-/// re-derived. The full structural validation runs in debug builds (and is
-/// exercised heavily by the test suite); release-mode searches rely on the
-/// transitions' structural invariants plus the always-on target-schema
-/// check.
+/// re-derived.
 pub(crate) fn finalize(mut wf: Workflow, affected: &[NodeId]) -> Result<Workflow, TransitionError> {
-    crate::schema_gen::regenerate_downstream(&mut wf.graph, affected).map_err(|f| {
+    finalize_in_place(&mut wf, affected)?;
+    Ok(wf)
+}
+
+/// [`finalize`] on a state the caller owns; on failure the state is left
+/// half-regenerated and must be dropped.
+pub(crate) fn finalize_in_place(
+    wf: &mut Workflow,
+    affected: &[NodeId],
+) -> Result<(), TransitionError> {
+    let dirty = crate::schema_gen::downstream_of(&wf.graph, affected)?;
+    finalize_along(wf, affected, &dirty)
+}
+
+/// [`finalize`] with the walk precomputed: `dirty` is
+/// [`crate::schema_gen::downstream_of`] `affected` or a superset of it (a
+/// chain's union), which regenerates
+/// the same nodes — only `affected` and their direct consumers are forced,
+/// everything else follows changes (`crate::schema_gen`). The full
+/// structural validation runs in debug builds (and is exercised heavily by
+/// the test suite); release-mode searches rely on the transitions'
+/// structural invariants plus the always-on target-schema check.
+pub(crate) fn finalize_along(
+    wf: &mut Workflow,
+    affected: &[NodeId],
+    dirty: &[NodeId],
+) -> Result<(), TransitionError> {
+    crate::schema_gen::regenerate_along(&mut wf.graph, affected, dirty).map_err(|f| {
         match f.error {
             CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
                 node: f.node,
@@ -232,7 +283,7 @@ pub(crate) fn finalize(mut wf: Workflow, affected: &[NodeId]) -> Result<Workflow
     }
     #[cfg(debug_assertions)]
     wf.validate().map_err(TransitionError::Graph)?;
-    Ok(wf)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,10 +17,12 @@
 //! blocking operators exact (the `γ`-vs-`A2E` case is *allowed*, the
 //! `γ`-vs-`σ(€COST)` case is *blocked*).
 
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::schema::Schema;
 use crate::transition::commute::{chains_commute, Verdict};
-use crate::transition::{finalize, Transition, TransitionError, TransitionKind};
+use crate::transition::{
+    finalize, finalize_in_place, Rewire, Transition, TransitionError, TransitionKind,
+};
 use crate::workflow::Workflow;
 
 /// `SWA(a₁,a₂)`: swap two adjacent unary activities. The order of the two
@@ -72,8 +74,8 @@ impl Swap {
             return Err(TransitionError::MultipleConsumers(second));
         }
         // Semantic commutation (blocking operators, injectivity).
-        let fl = fa.unary_links().expect("unary checked");
-        let sl = sa.unary_links().expect("unary checked");
+        let fl = fa.unary_links().ok_or(TransitionError::NotUnary(first))?;
+        let sl = sa.unary_links().ok_or(TransitionError::NotUnary(second))?;
         if let Verdict::Blocked(why) = chains_commute(fl, sl) {
             return Err(TransitionError::NotCommutative {
                 a: first,
@@ -105,6 +107,45 @@ impl Swap {
         }
         Ok((first, second))
     }
+
+    /// The edge surgery: `p → first → second → c` becomes
+    /// `p → second → first → c`.
+    fn relink(g: &mut Graph, first: NodeId, second: NodeId) -> Result<(), TransitionError> {
+        let p = g
+            .provider(first, 0)?
+            .ok_or(TransitionError::NotAdjacent(first, second))?;
+        let consumer = g.consumers(second)?[0];
+        // The consumer list and the ports are two views of one edge; a
+        // graph where they disagree is reported, not trusted.
+        let cport = g
+            .port_of(second, consumer)?
+            .ok_or(TransitionError::NotAdjacent(second, consumer))?;
+        g.disconnect(first, 0)?;
+        g.disconnect(second, 0)?;
+        g.disconnect(consumer, cport)?;
+        g.connect(p, second, 0)?;
+        g.connect(second, first, 0)?;
+        g.connect(first, consumer, cport)?;
+        Ok(())
+    }
+
+    /// [`Transition::apply`] on a state the caller owns — a shift chain's
+    /// private copy: same checks, same successor, no clone. A refused swap
+    /// may leave `wf` rewired or half-regenerated; the caller drops it.
+    pub(crate) fn apply_in_place(&self, wf: &mut Workflow) -> Result<(), TransitionError> {
+        let (first, second) = self.structural_check(wf)?;
+        Self::relink(&mut wf.graph, first, second)?;
+        finalize_in_place(wf, &[self.a1, self.a2])
+    }
+}
+
+impl Rewire for Swap {
+    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
+        let (first, second) = self.structural_check(wf)?;
+        let mut out = wf.clone();
+        Self::relink(&mut out.graph, first, second)?;
+        Ok(out)
+    }
 }
 
 impl Transition for Swap {
@@ -117,25 +158,9 @@ impl Transition for Swap {
     }
 
     fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        let (first, second) = self.structural_check(wf)?;
-        let mut out = wf.clone();
-        let g = &mut out.graph;
-        let p = g
-            .provider(first, 0)?
-            .ok_or(TransitionError::NotAdjacent(first, second))?;
-        let consumer = g.consumers(second)?[0];
-        let cport = g
-            .port_of(second, consumer)?
-            .expect("consumer recorded without port");
-        g.disconnect(first, 0)?;
-        g.disconnect(second, 0)?;
-        g.disconnect(consumer, cport)?;
-        g.connect(p, second, 0)?;
-        g.connect(second, first, 0)?;
-        g.connect(first, consumer, cport)?;
         // Conditions 3 and 4 in their full generality (both "before and
         // after" sides) reduce to the regeneration succeeding.
-        finalize(out, &self.affected(wf))
+        finalize(self.rewire(wf)?, &[self.a1, self.a2])
     }
 
     fn describe(&self, wf: &Workflow) -> String {

@@ -220,3 +220,37 @@ fn parallel_runs_are_repeatable() {
         .unwrap();
     assert_same_outcome("HS par-vs-par", &ha, &hb);
 }
+
+#[test]
+fn known_and_cap_pruned_candidates_interleave_identically_at_any_parallelism() {
+    // A candidate the search already holds is recognised by its fingerprint
+    // in the workers' build phase and never priced; one past the cap is
+    // priced and never admitted. Under a budget that binds mid-batch both
+    // kinds fall into the same batches, and the counters they land in must
+    // not depend on how many workers built the batch.
+    let model = RowCountModel::default();
+    let wf = Generator::generate(GeneratorConfig {
+        seed: 11,
+        category: SizeCategory::Medium,
+    })
+    .workflow;
+    for cap in [60usize, 150, 300] {
+        let run = |threads: usize| -> [SearchOutcome; 2] {
+            let budget = SearchBudget::states(cap).with_parallelism(threads);
+            [
+                HeuristicSearch::with_budget(budget)
+                    .run(&wf, &model)
+                    .unwrap(),
+                BeamSearch::with_budget(budget).run(&wf, &model).unwrap(),
+            ]
+        };
+        let seq = run(1);
+        for (a, b) in seq.iter().zip(&run(4)) {
+            let label = format!("{} cap {cap}", a.stats.algorithm);
+            assert!(a.budget_exhausted, "{label}: the budget must bind");
+            assert!(a.stats.deduplicated > 0, "{label}: no known candidate");
+            assert!(a.stats.pruned > 0, "{label}: no cap-pruned candidate");
+            assert_same_outcome(&label, a, b);
+        }
+    }
+}
