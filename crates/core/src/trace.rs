@@ -495,6 +495,13 @@ impl Collector {
 pub struct ExecCounters {
     /// Batches emitted by operators of the streaming pipeline.
     pub batches: u64,
+    /// Rows the scans read where they are stored: catalog and cached
+    /// tables, and the sequential executor's pool-buffer re-reads.
+    pub rows_scanned: u64,
+    /// Rows those scans allocated — the ones that outlived every row-wise
+    /// link fused into the scan and were handed to an owner. Rows lent to
+    /// a read-only consumer are scanned but never materialized.
+    pub rows_materialized: u64,
     /// Pages admitted into the buffer pool.
     pub pages_appended: u64,
     /// Pages written to the spill heap file by eviction.
@@ -553,6 +560,8 @@ impl ExecCounters {
     /// it is a high-water mark, not a flow).
     pub fn absorb(&mut self, other: &ExecCounters) {
         self.batches += other.batches;
+        self.rows_scanned += other.rows_scanned;
+        self.rows_materialized += other.rows_materialized;
         self.pages_appended += other.pages_appended;
         self.pages_spilled += other.pages_spilled;
         self.pages_reloaded += other.pages_reloaded;
@@ -588,6 +597,7 @@ impl ExecCounters {
             concat!(
                 "{{\n",
                 "  \"batches\": {},\n",
+                "  \"scan\": {{\"rows_scanned\": {}, \"rows_materialized\": {}}},\n",
                 "  \"pool\": {{\"pages_appended\": {}, \"pages_spilled\": {}, ",
                 "\"pages_reloaded\": {}, \"evictions\": {}, ",
                 "\"peak_resident_frames\": {}}},\n",
@@ -600,6 +610,8 @@ impl ExecCounters {
                 "}}"
             ),
             self.batches,
+            self.rows_scanned,
+            self.rows_materialized,
             self.pages_appended,
             self.pages_spilled,
             self.pages_reloaded,
@@ -968,6 +980,8 @@ mod tests {
     fn exec_counters_absorb_and_render() {
         let mut a = ExecCounters {
             batches: 10,
+            rows_scanned: 100,
+            rows_materialized: 40,
             pages_appended: 4,
             pages_spilled: 2,
             pages_reloaded: 1,
@@ -988,6 +1002,8 @@ mod tests {
         assert!(a.spilled());
         let b = ExecCounters {
             batches: 5,
+            rows_scanned: 20,
+            rows_materialized: 2,
             peak_resident_frames: 16,
             worker_rows: vec![1, 1, 1],
             pages_staged: 1,
@@ -999,6 +1015,7 @@ mod tests {
         assert!(!b.spilled());
         a.absorb(&b);
         assert_eq!(a.batches, 15);
+        assert_eq!((a.rows_scanned, a.rows_materialized), (120, 42));
         assert_eq!(a.pages_spilled, 2);
         // Peak is a high-water mark: absorbed as a max, not a sum.
         assert_eq!(a.peak_resident_frames, 16);
@@ -1011,6 +1028,7 @@ mod tests {
         assert_eq!(a.peak_inflight_tasks, 3);
         assert_eq!(a.worker_busy, vec![8, 9]);
         let json = a.to_json();
+        assert!(json.contains("\"rows_materialized\": 42"), "{json}");
         assert!(json.contains("\"pages_spilled\": 2"), "{json}");
         assert!(json.contains("\"peak_resident_frames\": 16"), "{json}");
         assert!(json.contains("\"hits\": 1"), "{json}");

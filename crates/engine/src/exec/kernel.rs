@@ -1,14 +1,33 @@
 //! Compiled row-wise kernels: σ, NN, function application, π-out, ADD and
-//! SK, resolved once per pipeline and applied in place to an owned batch.
+//! SK, resolved once per pipeline and run one row at a time.
 //!
 //! [`Kernel::compile`] binds an operator to its input schema — attributes
 //! become column indices, the function name becomes its [`ScalarFn`], the
 //! lookup name becomes a handle on the catalog's lookup table, the
 //! predicate tree carries columns instead of [`Attr`]s — so the per-row
-//! work is the operator itself. [`Kernel::apply`] then edits the batch it
-//! is given: a filter is `retain`, a function overwrites or appends its
-//! cell, π-out / SK `remove` and `push` on the row's own `Vec`. A
-//! surviving row is never re-allocated and a dropped row is never copied.
+//! work is the operator itself. [`Kernel::edit`] is the one primitive:
+//! edit a row in place and say whether it is kept. A filter only answers,
+//! a function overwrites or appends its cell, π-out / SK `remove` and
+//! `push` on the row's own `Vec`. Over rows somebody owns,
+//! [`Kernel::apply`] is `retain_mut` over the batch. Over rows nobody owns
+//! yet (a catalog or cached table, a pool page) a scan runs a [`Program`]:
+//! every row-wise link between it and the first operator that must own
+//! its input, per borrowed row — leading filters on the stored row, the
+//! rest on one reused scratch row. What comes out is [`Lent`]: a consumer
+//! that only reads takes it as it is, one that keeps it pays
+//! [`Lent::into_row`], the one allocation a surviving row pays (the
+//! scratch row itself changes hands; nothing is copied twice). A row some
+//! link drops is never allocated.
+//!
+//! **Which error a run surfaces.** In a program: that of the first row, in
+//! scan order, that fails, at the link where it fails. Over owned batches:
+//! that of the first batch with a failing row, at the first link failing
+//! on it. With one failing link both are the reference's error; with two
+//! in one chain they need not be (row 3 missing its lookup at link 2 beats
+//! row 7 failing its function at link 1 in a program and loses to it in
+//! the reference) — batch-order-dependent before, row-order-dependent
+//! now. [`Step::Broken`] and an unknown function fail only when a row
+//! reaches them.
 //!
 //! Both streaming executors run these kernels — the sequential pull
 //! pipeline over `Row`s, the partitioned ones over `(tag, Row)` pairs
@@ -175,8 +194,8 @@ impl Pred {
     }
 }
 
-/// A kernel that only keeps or drops rows. It never edits one, so it can
-/// run on borrowed rows — a scan applies it before cloning anything.
+/// A kernel that only keeps or drops rows. It never edits one, so a
+/// [`Program`] runs its leading ones on the stored row itself.
 #[derive(Clone)]
 pub(crate) enum Filter {
     Pred(Pred),
@@ -184,7 +203,7 @@ pub(crate) enum Filter {
 }
 
 impl Filter {
-    pub(crate) fn keeps(&self, row: &[Scalar]) -> bool {
+    fn keeps(&self, row: &[Scalar]) -> bool {
         match self {
             Filter::Pred(p) => p.eval(row).passes(),
             Filter::NotNull(col) => !row[*col].is_null(),
@@ -192,80 +211,153 @@ impl Filter {
     }
 }
 
-/// The filters fused into a scan: run in link order on rows the scan does
-/// not own, tallying what each link would have reported had it run above
-/// the scan. Both the sequential [`super::stream::Scan`] and the
-/// partitioned source scan of [`super::partition`] read through this.
-pub(crate) struct Fused {
-    filters: Vec<Filter>,
-    /// `stopped[i]` rows were dropped by filter `i`; the last slot counts
-    /// the survivors.
-    stopped: Vec<u64>,
+/// A copy of `row` with room for `spare` more cells.
+pub(crate) fn clone_row(row: &[Scalar], spare: usize) -> Row {
+    let mut out = Vec::with_capacity(row.len() + spare);
+    out.extend_from_slice(row);
+    out
 }
 
-impl Fused {
-    pub(crate) fn new(filters: Vec<Filter>) -> Fused {
-        Fused {
-            stopped: vec![0; filters.len() + 1],
-            filters,
+/// A row that survived a [`Program`], lent to whoever reads it next: valid
+/// until the program runs its next row. It is still in the table or page
+/// it was read from when nothing had to edit it, on the program's scratch
+/// row otherwise.
+pub(crate) struct Lent<'a> {
+    program: &'a mut Program,
+    stored: &'a [Scalar],
+}
+
+impl Lent<'_> {
+    pub(crate) fn cells(&self) -> &[Scalar] {
+        match self.program.edits() {
+            true => &self.program.scratch,
+            false => self.stored,
         }
     }
 
-    pub(crate) fn push(&mut self, filter: Filter) {
-        self.filters.push(filter);
+    /// The one allocation a surviving row pays: a stored row is cloned;
+    /// the scratch row, allocated when it was filled, changes hands and
+    /// the program fills a fresh one next time.
+    pub(crate) fn into_row(self) -> Row {
+        match self.program.edits() {
+            true => std::mem::take(&mut self.program.scratch),
+            false => clone_row(self.stored, self.program.spare),
+        }
+    }
+}
+
+/// The row-wise links a scan runs on rows it does not own, in link order,
+/// tallying what each link would have reported had it run above the scan.
+/// Both the sequential [`super::stream::Scan`] and the partitioned source
+/// scan of [`super::partition`] read through this.
+#[derive(Default)]
+pub(crate) struct Program {
+    /// Stored column → declared column, when the layouts differ. Links are
+    /// compiled against the declared layout, so a permuting program is
+    /// given none: it only lays the row out.
+    perm: Option<Vec<usize>>,
+    /// Cells an owner appends to a row it takes; allocated along with it.
+    spare: usize,
+    /// The leading filters, run on the stored row.
+    lead: Vec<Filter>,
+    /// The links behind them, run on the scratch row.
+    rest: Vec<Kernel>,
+    /// `stopped[i]` rows were dropped by link `i`; the last slot counts
+    /// the survivors.
+    stopped: Vec<u64>,
+    /// The row being edited: reused while rows are dropped or only lent,
+    /// re-allocated — at the widest a row has left the links — once taken.
+    scratch: Row,
+    widest: usize,
+    bufs: Bufs,
+}
+
+impl Program {
+    pub(crate) fn new(perm: Option<Vec<usize>>, spare: usize) -> Program {
+        Program {
+            perm,
+            spare,
+            stopped: vec![0],
+            ..Program::default()
+        }
+    }
+
+    pub(crate) fn push(&mut self, link: Kernel) {
+        match link.step {
+            Step::Filter(f) if self.rest.is_empty() => self.lead.push(f),
+            step => self.rest.push(Kernel { step }),
+        }
         self.stopped.push(0);
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.filters.is_empty()
+        self.stopped.len() == 1
     }
 
-    /// Does `row` pass every filter? Tallied either way.
-    pub(crate) fn keeps(&mut self, row: &[Scalar]) -> bool {
-        let depth = self
-            .filters
-            .iter()
-            .position(|f| !f.keeps(row))
-            .unwrap_or(self.filters.len());
-        self.stopped[depth] += 1;
-        depth == self.filters.len()
+    pub(crate) fn permutes(&self) -> bool {
+        self.perm.is_some()
     }
 
-    /// Report `(filter index, rows it processed, rows it passed)` for every
-    /// filter since the last drain — a link processes every row that got
+    /// Must a row that passed the leading filters be laid out or edited?
+    fn edits(&self) -> bool {
+        self.permutes() || !self.rest.is_empty()
+    }
+
+    /// Run `stored` through every link; `None` when one drops it. Tallied
+    /// either way.
+    pub(crate) fn run<'a>(&'a mut self, stored: &'a [Scalar]) -> Result<Option<Lent<'a>>> {
+        let mut at = self.lead.iter().take_while(|f| f.keeps(stored)).count();
+        if at == self.lead.len() && self.edits() {
+            self.scratch.clear();
+            self.scratch
+                .reserve_exact(stored.len().max(self.widest) + self.spare);
+            match &self.perm {
+                Some(perm) => self.scratch.extend(perm.iter().map(|&c| stored[c].clone())),
+                None => self.scratch.extend_from_slice(stored),
+            }
+            for link in &self.rest {
+                if !link.edit(&mut self.scratch, &mut self.bufs)? {
+                    break;
+                }
+                at += 1;
+            }
+            self.widest = self.widest.max(self.scratch.len());
+        }
+        self.stopped[at] += 1;
+        let survived = at + 1 == self.stopped.len();
+        Ok(survived.then_some(Lent {
+            program: self,
+            stored,
+        }))
+    }
+
+    /// Report `(link index, rows it processed, rows it passed)` for every
+    /// link since the last drain — a link processes every row that got
     /// past the links before it — and reset the tallies.
     pub(crate) fn drain_tallies(&mut self, mut report: impl FnMut(usize, u64, u64)) {
+        let links = self.stopped.len() - 1;
         let mut reached: u64 = self.stopped.iter().sum();
         for (i, dropped) in self.stopped.iter_mut().enumerate() {
             let processed = reached;
             reached -= std::mem::take(dropped);
-            if i < self.filters.len() {
+            if i < links {
                 report(i, processed, reached);
             }
         }
     }
 }
 
-/// The one clone a scanned row pays: through `perm` when the stored and
-/// declared layouts differ, with room for `spare` more cells.
-pub(crate) fn clone_row(row: &[Scalar], perm: Option<&[usize]>, spare: usize) -> Row {
-    match perm {
-        Some(perm) => {
-            let mut out = Vec::with_capacity(perm.len() + spare);
-            out.extend(perm.iter().map(|&c| row[c].clone()));
-            out
-        }
-        None if spare == 0 => row.to_vec(),
-        None => {
-            let mut out = Vec::with_capacity(row.len() + spare);
-            out.extend_from_slice(row);
-            out
-        }
-    }
+/// What a kernel reuses from row to row: a multi-argument call's argument
+/// cells, a surrogate lookup's canonical key.
+#[derive(Default)]
+pub(crate) struct Bufs {
+    args: Vec<Scalar>,
+    key: String,
 }
 
 /// A resolved function application and the row edit that lays its value
 /// out like `UnaryOp::output` orders the schema.
+#[derive(Clone)]
 struct Call {
     name: String,
     /// `None` when the registry has no such function: reported on the
@@ -280,7 +372,7 @@ struct Call {
 }
 
 impl Call {
-    fn edit(&self, row: &mut Row, scratch: &mut Vec<Scalar>) -> Result<()> {
+    fn edit(&self, row: &mut Row, args: &mut Vec<Scalar>) -> Result<()> {
         let f = self
             .f
             .as_ref()
@@ -289,9 +381,9 @@ impl Call {
             // The common one-argument call borrows its cell.
             [col] => f(std::slice::from_ref(&row[*col]))?,
             cols => {
-                scratch.clear();
-                scratch.extend(cols.iter().map(|&c| row[c].clone()));
-                f(scratch)?
+                args.clear();
+                args.extend(cols.iter().map(|&c| row[c].clone()));
+                f(args)?
             }
         };
         let appended = match self.overwrite {
@@ -310,6 +402,7 @@ impl Call {
 }
 
 /// A resolved surrogate-key assignment: key column out, surrogate appended.
+#[derive(Clone)]
 struct Surrogate {
     key_col: usize,
     lookup: String,
@@ -339,6 +432,7 @@ impl Surrogate {
     }
 }
 
+#[derive(Clone)]
 enum Step {
     Filter(Filter),
     /// A σ over an attribute its input lacks. The reference only notices
@@ -352,6 +446,7 @@ enum Step {
 }
 
 /// One row-wise operator bound to its input schema.
+#[derive(Clone)]
 pub(crate) struct Kernel {
     step: Step,
 }
@@ -414,51 +509,37 @@ impl Kernel {
         Ok((Kernel { step }, output))
     }
 
-    /// The filter this kernel is, if it is one — a scan copies it so it
-    /// runs before rows are cloned.
-    pub(crate) fn as_filter(&self) -> Option<&Filter> {
+    /// Edit one row in place; `false` drops it. An error ends the run
+    /// that owns the row.
+    pub(crate) fn edit(&self, row: &mut Row, bufs: &mut Bufs) -> Result<bool> {
         match &self.step {
-            Step::Filter(f) => Some(f),
-            _ => None,
+            Step::Filter(f) => return Ok(f.keeps(row)),
+            Step::Broken(e) => return Err(e.clone()),
+            Step::Call(call) => call.edit(row, &mut bufs.args)?,
+            Step::ProjectOut(cols) => {
+                for &c in cols {
+                    row.remove(c);
+                }
+            }
+            Step::AddField(value) => row.push(value.clone()),
+            Step::Surrogate(sk) => sk.edit(row, &mut bufs.key)?,
         }
+        Ok(true)
     }
 
-    /// Run the operator over `batch` in place. On an error the batch is
-    /// left part-edited; the run that owns it is over.
+    /// Run the operator over an owned `batch` in place. On an error the
+    /// batch is left part-edited; the run that owns it is over.
     pub(crate) fn apply<T: Carrier>(&self, batch: &mut Vec<T>) -> Result<()> {
-        match &self.step {
-            Step::Filter(f) => batch.retain(|t| f.keeps(t.row())),
-            Step::Broken(e) => {
-                if !batch.is_empty() {
-                    return Err(e.clone());
-                }
-            }
-            Step::Call(call) => {
-                let mut scratch = Vec::new();
-                for t in batch.iter_mut() {
-                    call.edit(t.row_mut(), &mut scratch)?;
-                }
-            }
-            Step::ProjectOut(cols) => {
-                for t in batch.iter_mut() {
-                    for &c in cols {
-                        t.row_mut().remove(c);
-                    }
-                }
-            }
-            Step::AddField(value) => {
-                for t in batch.iter_mut() {
-                    t.row_mut().push(value.clone());
-                }
-            }
-            Step::Surrogate(sk) => {
-                let mut key = String::new();
-                for t in batch.iter_mut() {
-                    sk.edit(t.row_mut(), &mut key)?;
-                }
-            }
-        }
-        Ok(())
+        let mut bufs = Bufs::default();
+        let mut failed = None;
+        batch.retain_mut(|t| {
+            failed.is_none()
+                && self.edit(t.row_mut(), &mut bufs).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    false
+                })
+        });
+        failed.map_or(Ok(()), Err)
     }
 }
 
@@ -527,8 +608,54 @@ mod tests {
         });
     }
 
+    /// A program is its links applied one after the other: same rows, and
+    /// per link the rows that reached it and the rows it passed. Only
+    /// leading filters read the stored row — behind an editing link a
+    /// filter sees the edited scratch row.
+    #[test]
+    fn a_program_is_its_links_applied_in_turn() {
+        let chain = [
+            UnaryOp::not_null("b"),
+            UnaryOp::function("scale", ["a"], "a"),
+            UnaryOp::filter(Predicate::IsNotNull(Attr::new("a"))),
+            UnaryOp::project_out(["k"]),
+        ];
+        with_ctx(|ctx| {
+            for links in 0..=chain.len() {
+                let input = sample();
+                let (mut schema, mut batch) = (input.schema().clone(), input.rows().to_vec());
+                let (mut program, mut want) = (Program::new(None, 1), Vec::new());
+                for op in &chain[..links] {
+                    let (kernel, out) = Kernel::compile(op, &schema, ctx).unwrap();
+                    let reached = batch.len() as u64;
+                    kernel.apply(&mut batch).unwrap();
+                    want.push((reached, batch.len() as u64));
+                    program.push(kernel);
+                    schema = out;
+                }
+                let mut rows = Vec::new();
+                for stored in input.rows() {
+                    if let Some(lent) = program.run(stored).unwrap() {
+                        let lent_where_stored = std::ptr::eq(lent.cells(), &stored[..]);
+                        assert_eq!(lent_where_stored, links <= 1, "{links}");
+                        rows.push(lent.into_row());
+                    }
+                }
+                assert_eq!(rows, batch, "{links} links");
+                // Room for the spare cell, and no more than the stored width.
+                assert!(rows
+                    .iter()
+                    .all(|r| (r.len() + 1..=4).contains(&r.capacity())));
+                let mut got = Vec::new();
+                program.drain_tallies(|_, reached, passed| got.push((reached, passed)));
+                assert_eq!(got, want, "{links} links");
+            }
+        });
+    }
+
     /// A σ over a missing attribute passes the empty probe in the
-    /// reference and fails on its first row; the kernel does the same.
+    /// reference and fails on its first row; the kernel does the same,
+    /// over a batch and behind the links of a program.
     #[test]
     fn filter_on_a_missing_attribute_fails_on_the_first_row_only() {
         let op = UnaryOp::filter(Predicate::gt("ghost", 1));
@@ -538,10 +665,18 @@ mod tests {
             let mut none: Vec<Row> = Vec::new();
             kernel.apply(&mut none).unwrap();
             let mut some = input.rows().to_vec();
-            assert_eq!(
-                kernel.apply(&mut some).unwrap_err(),
-                ops::exec_unary(&op, &input, ctx).unwrap_err()
-            );
+            let want = ops::exec_unary(&op, &input, ctx).unwrap_err();
+            assert_eq!(kernel.apply(&mut some).unwrap_err(), want);
+
+            // Behind a filter only row 3 passes, rows 1 and 2 never reach it.
+            let ahead = UnaryOp::filter(Predicate::gt("k", 2));
+            let mut program = Program::new(None, 0);
+            program.push(Kernel::compile(&ahead, input.schema(), ctx).unwrap().0);
+            program.push(kernel);
+            let rows = input.rows();
+            assert!(program.run(&rows[0]).unwrap().is_none());
+            assert!(program.run(&rows[1]).unwrap().is_none());
+            assert_eq!(program.run(&rows[2]).err(), Some(want));
         });
     }
 }

@@ -287,7 +287,7 @@ impl GroupBy {
     }
 
     /// Fold one row into its group; `true` when the row opened the group.
-    pub(crate) fn feed_row(&mut self, row: &Row) -> Result<bool> {
+    pub(crate) fn feed_row(&mut self, row: &[Scalar]) -> Result<bool> {
         let (slot, cells, new) = self.groups.entry(row, Some(&self.group_cols));
         let n = self.funcs.len();
         if new {
@@ -371,7 +371,7 @@ impl BagCounts {
     }
 
     /// Count one right-side row.
-    pub(crate) fn add(&mut self, row: &Row) {
+    pub(crate) fn add(&mut self, row: &[Scalar]) {
         *self.counts.entry(row, self.right_cols.as_deref()).1 += 1;
     }
 
@@ -586,14 +586,14 @@ mod tests {
     fn group_by_drains_and_resets() {
         let agg = Aggregation::sum(["k"], "v", "v");
         let mut g = GroupBy::new(&agg, &Schema::of(["k", "v"])).unwrap();
-        assert!(g.feed_row(&vec![2.into(), 1.5.into()]).unwrap());
-        assert!(g.feed_row(&vec![1.into(), Scalar::Null]).unwrap());
-        assert!(!g.feed_row(&vec![2.0.into(), 2.into()]).unwrap());
+        assert!(g.feed_row(&[2.into(), 1.5.into()]).unwrap());
+        assert!(g.feed_row(&[1.into(), Scalar::Null]).unwrap());
+        assert!(!g.feed_row(&[2.0.into(), 2.into()]).unwrap());
         assert_eq!(
             g.finish(),
             vec![vec![2.into(), 3.5.into()], vec![1.into(), Scalar::Null]]
         );
         assert!(g.finish().is_empty());
-        assert!(g.feed_row(&vec![2.into(), 1.into()]).unwrap());
+        assert!(g.feed_row(&[2.into(), 1.into()]).unwrap());
     }
 }

@@ -376,9 +376,9 @@ pub(crate) fn run_stream(
                 };
                 if consumers == 0 {
                     // Dangling activity: run it for stats parity with the
-                    // materializing executor, discard the rows.
+                    // materializing executor; nobody keeps the rows.
                     let mut iter = iter;
-                    while iter.next_batch(&mut rt)?.is_some() {}
+                    stream::lend_all(&mut *iter, &mut rt, |_| Ok(()))?;
                 } else if consumers == 1 {
                     outs.insert(id, Out::Pipe(Some(iter)));
                 } else {
@@ -478,6 +478,32 @@ mod tests {
         let exec = executor(500);
         let run = assert_backends_agree(&exec, &pipeline_wf());
         assert!(run.counters.batches > 0);
+    }
+
+    /// The allocation gauge: a scan allocates the rows that outlive the
+    /// row-wise chain fused into it — here a filter behind a function —
+    /// and none at all when what reads the chain only borrows.
+    #[test]
+    fn scans_materialize_only_what_survives_their_chain() {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 500.0);
+        let f = b.unary("f", UnaryOp::function("scale", ["v"], "v"), s);
+        let hi = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 495.0)), f);
+        b.target("T", Schema::of(["k", "v"]), hi);
+        let wf = b.build().unwrap();
+        for parallelism in [1, 2] {
+            let exec = executor(500).with_parallelism(parallelism);
+            let run = assert_backends_agree(&exec, &wf);
+            let kept = run.result.targets["T"].len() as u64;
+            assert!((40..60).contains(&kept), "σ keeps about a tenth: {kept}");
+            let c = &run.counters;
+            assert_eq!((c.rows_scanned, c.rows_materialized), (500, kept));
+        }
+
+        // NN → σ → γ: the aggregate folds lent rows.
+        let run = assert_backends_agree(&executor(500), &pipeline_wf());
+        let c = &run.counters;
+        assert_eq!((c.rows_scanned, c.rows_materialized), (500, 0));
     }
 
     #[test]

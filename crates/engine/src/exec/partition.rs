@@ -8,7 +8,8 @@
 //!   source → link → link → staging inside one worker with no barrier
 //!   between links. A table-fed segment has no feeder at all — worker
 //!   `j` reads its own share of the borrowed catalog rows, runs the
-//!   segment's leading filters on them and clones only the survivors.
+//!   segment's leading row-wise links on them ([`Program`]) and allocates
+//!   only the survivors, once.
 //!   Only an exchange routes rows through bounded channels
 //!   ([`super::channel`], capacity `StreamConfig::channel_batches`).
 //! * **N workers, one coordinator.** `parallelism: N` spawns N partition
@@ -87,7 +88,7 @@ use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
 use super::channel::{self, ChannelStats, Receiver, Sender};
-use super::kernel::{clone_row, cols_of, perm_for, permute, Filter, Fused, Kernel};
+use super::kernel::{clone_row, cols_of, perm_for, permute, Kernel, Program};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::{add, plan_cache, seeded_stats, CachePlan, SharedCache, StreamConfig, StreamRun};
 
@@ -666,7 +667,7 @@ impl Page {
                 let enc = rows.get(*off)?;
                 *off += 1;
                 let data = &enc[..enc.len().saturating_sub(hidden)];
-                Some(clone_row(data, None, hidden))
+                Some(clone_row(data, hidden))
             }
         }
     }
@@ -868,9 +869,9 @@ struct PipeLink {
 }
 
 impl PipeLink {
-    fn as_filter(&self) -> Option<&Filter> {
+    fn row_wise(&self) -> Option<&Kernel> {
         match &self.plan {
-            PipePlan::Op(LinkPlan::RowWise { kernel, .. }) => kernel.as_filter(),
+            PipePlan::Op(LinkPlan::RowWise { kernel, .. }) => Some(kernel),
             _ => None,
         }
     }
@@ -901,8 +902,8 @@ enum SegOut {
 struct SegmentPlan {
     feed: Feed,
     links: Vec<PipeLink>,
-    /// How many leading links are filters a table scan runs on the
-    /// borrowed rows, before cloning — the rule of `stream::Scan::fuse`:
+    /// How many leading links are row-wise ones a table scan runs on the
+    /// borrowed rows, before allocating — the rule of `stream::Scan::fuse`:
     /// none under a permuting scan, whose stored rows are not laid out
     /// the way the links were compiled.
     fused: usize,
@@ -922,7 +923,7 @@ impl SegmentPlan {
         SegmentPlan {
             fused: links
                 .iter()
-                .take_while(|l| fusable && l.as_filter().is_some())
+                .take_while(|l| fusable && l.row_wise().is_some())
                 .count(),
             feed,
             links,
@@ -1455,8 +1456,10 @@ struct WorkerOut {
     /// `(processed, out)` tallies: per link, in link order, for a
     /// segment; the one `(rows read, rows emitted)` pair for a binary.
     tallies: Vec<(u64, u64)>,
-    /// Source rows this worker scanned in as its own (table feeds).
+    /// Source rows this worker scanned in as its own, and how many of
+    /// them outlived the scan's program and were allocated (table feeds).
     scanned: u64,
+    materialized: u64,
     /// Batches this worker processed.
     busy: u64,
     /// Channel telemetry (exchange feeds only).
@@ -1646,8 +1649,8 @@ enum Work {
 
 /// Worker `j`'s share of a source table: rows `j, j+N, …` for round-robin
 /// distribution, the rows [`keyed::route`] sends to `j` for hash routing —
-/// each tagged with its table position. The segment's fused filters run
-/// on the borrowed row; only survivors are cloned, once, with a spare
+/// each tagged with its table position. The segment's fused links run on
+/// the borrowed row; only survivors are allocated, once, with a spare
 /// cell so staging never reallocates them.
 fn scan_table(
     seg: &SegmentPlan,
@@ -1655,8 +1658,8 @@ fn scan_table(
     mode: &RouteMode,
     j: usize,
     rt: &Rt<'_>,
-    chain: &mut ChainRt<'_, '_>,
-) -> Result<(u64, Vec<(u64, u64)>)> {
+    mut chain: ChainRt<'_, '_>,
+) -> Result<WorkerOut> {
     let (table, perm) = match src {
         TableSrc::Catalog { name, perm } => (
             rt.ctx
@@ -1668,12 +1671,10 @@ fn scan_table(
         TableSrc::Cached(t) => (t.as_ref(), None),
     };
     let fused_links = &seg.links[..seg.fused];
-    let mut fused = Fused::new(
-        fused_links
-            .iter()
-            .filter_map(|l| l.as_filter().cloned())
-            .collect(),
-    );
+    let mut program = Program::new(perm.map(<[usize]>::to_vec), 1);
+    for kernel in fused_links.iter().filter_map(PipeLink::row_wise) {
+        program.push(kernel.clone());
+    }
     // Routing columns name the declared layout; the stored row is read
     // through the scan's permutation.
     let (first, stride, route_cols) = match mode {
@@ -1684,7 +1685,7 @@ fn scan_table(
         }
     };
     let mut key = Vec::new();
-    let mut scanned = 0u64;
+    let (mut scanned, mut materialized) = (0u64, 0u64);
     let mut batch = Vec::new();
     for (i, row) in table.rows().iter().enumerate().skip(first).step_by(stride) {
         if let Some(cols) = &route_cols {
@@ -1693,8 +1694,9 @@ fn scan_table(
             }
         }
         scanned += 1;
-        if fused.keeps(row) {
-            batch.push((i as u64, clone_row(row, perm, 1)));
+        if let Some(lent) = program.run(row)? {
+            materialized += 1;
+            batch.push((i as u64, lent.into_row()));
             if batch.len() >= rt.batch_rows {
                 chain.push(std::mem::take(&mut batch))?;
             }
@@ -1704,11 +1706,15 @@ fn scan_table(
         chain.push(batch)?;
     }
     let mut tallies = Vec::with_capacity(seg.links.len());
-    fused.drain_tallies(|i, processed, passed| {
+    program.drain_tallies(|i, processed, passed| {
         let out = if fused_links[i].counts_out { passed } else { 0 };
         tallies.push((processed, out));
     });
-    Ok((scanned, tallies))
+    Ok(WorkerOut {
+        scanned,
+        materialized,
+        ..chain.finish(tallies)?
+    })
 }
 
 /// Run partition `j` of a segment: feed the chain from the segment's
@@ -1716,13 +1722,7 @@ fn scan_table(
 fn run_segment_part(seg: &SegmentPlan, j: usize, work: Work, rt: &Rt<'_>) -> Result<WorkerOut> {
     let mut chain = ChainRt::new(seg, rt)?;
     match (&seg.feed, work) {
-        (Feed::Table { src, mode }, Work::Scan) => {
-            let (scanned, tallies) = scan_table(seg, src, mode, j, rt, &mut chain)?;
-            Ok(WorkerOut {
-                scanned,
-                ..chain.finish(tallies)?
-            })
-        }
+        (Feed::Table { src, mode }, Work::Scan) => scan_table(seg, src, mode, j, rt, chain),
         (Feed::Pass { .. }, Work::Pass(set)) => {
             let part = set
                 .parts
@@ -2102,6 +2102,8 @@ impl Coordinator<'_> {
         }
         for (j, w) in workers.iter().enumerate() {
             counters.worker_rows[j] += w.scanned;
+            counters.rows_scanned += w.scanned;
+            counters.rows_materialized += w.materialized;
             counters.worker_busy[j] += w.busy;
             counters.batches += w.busy;
             if let Some(c) = &w.chan {

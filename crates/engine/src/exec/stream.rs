@@ -5,17 +5,21 @@
 //! batches from its child, transforms them, and counts the same
 //! per-activity statistics the materializing executor counts — so both
 //! backends report bit-identical [`crate::executor::ExecStats`]. Row-wise
-//! operators are compiled [`Kernel`]s editing the batch they own in place;
-//! stateful operators (key checks, dedup, aggregation, the binary ops)
-//! carry a [`super::keyed`] state machine across batches, draining a side
-//! through the buffer pool where the materializing path would hold a
-//! whole table.
+//! operators are compiled [`Kernel`]s; stateful operators (key checks,
+//! dedup, aggregation, the binary ops) carry a [`super::keyed`] state
+//! machine across batches, draining a side through the buffer pool where
+//! the materializing path would hold a whole table.
 //!
-//! A batch is owned by whoever pulled it. The one clone a row pays
-//! happens in [`Scan`], which reads rows it does not own (a catalog or
-//! cached table, a pool page) — and when the links directly above a scan
-//! are filters they run there, on the borrowed rows, so only survivors
-//! are cloned at all.
+//! A batch is owned by whoever pulled it, and a row is allocated only
+//! where an operator must own it. [`Scan`] reads rows it does not own (a
+//! catalog or cached table, a pool page) and every row-wise link above it
+//! — up to the first stateful operator, across activity boundaries — is
+//! fused into its [`Program`] and runs there, per borrowed row. The one
+//! allocation a surviving row pays happens when `next_batch` hands it
+//! over; a consumer that only reads its input (`γ`, the right side of
+//! − / ∩, the drain of a dangling activity) pulls `lend_batch` instead
+//! and the scan allocates nothing. Everything that is not a scan owns its
+//! batches, edits them in place ([`Apply`]) and lends from them.
 //!
 //! `counters.batches` counts batches *born* into a pipeline: table scans,
 //! buffer re-reads, and aggregate output emissions. Transformed batches
@@ -29,6 +33,7 @@
 
 use std::sync::Arc;
 
+use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::Schema;
 use etlopt_core::semantics::{BinaryOp, UnaryOp};
 
@@ -37,7 +42,7 @@ use crate::ops::{self, ExecCtx};
 use crate::pool::BufferId;
 use crate::table::{Row, Table};
 
-use super::kernel::{clone_row, cols_of, perm_for, permute, Fused, Kernel};
+use super::kernel::{cols_of, perm_for, permute, Kernel, Program};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::Runtime;
 
@@ -47,12 +52,41 @@ pub(crate) trait BatchIter {
     fn schema(&self) -> &Schema;
     /// Produce the next batch, or `None` once exhausted.
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>>;
-    /// Offer the link directly above this iterator. An iterator that
-    /// reads rows it does not own takes a filter (`None`) and runs it
-    /// before cloning; everything else hands the link back.
+    /// `next_batch` for a consumer that only reads its input: the batch's
+    /// rows are lent to `sink` one by one instead of handed over; `false`
+    /// once exhausted. A scan lends its stored or scratch row and
+    /// allocates nothing; everything else lends from the batch it owns.
+    fn lend_batch(&mut self, rt: &mut Runtime<'_>, sink: &mut RowSink<'_>) -> Result<bool> {
+        let Some(batch) = self.next_batch(rt)? else {
+            return Ok(false);
+        };
+        batch.iter().try_for_each(|row| sink(row))?;
+        Ok(true)
+    }
+    /// Offer the row-wise link directly above this iterator. An iterator
+    /// that reads rows it does not own takes it (`None`) and runs it
+    /// before allocating; everything else hands the link back.
     fn fuse(&mut self, link: Link) -> Option<Link> {
         Some(link)
     }
+}
+
+/// What `lend_batch` lends rows to.
+pub(crate) type RowSink<'s> = dyn FnMut(&[Scalar]) -> Result<()> + 's;
+
+/// Lend every remaining row of `iter` to `each`; how many there were.
+pub(crate) fn lend_all(
+    iter: &mut dyn BatchIter,
+    rt: &mut Runtime<'_>,
+    mut each: impl FnMut(&[Scalar]) -> Result<()>,
+) -> Result<u64> {
+    let mut rows = 0;
+    let mut sink = |row: &[Scalar]| {
+        rows += 1;
+        each(row)
+    };
+    while iter.lend_batch(rt, &mut sink)? {}
+    Ok(rows)
 }
 
 /// A boxed operator in a pipeline.
@@ -65,10 +99,11 @@ fn internal(reason: impl Into<String>) -> EngineError {
     }
 }
 
-/// One row-wise link of an activity's chain: the compiled operator plus
-/// the stats it reports under the activity's key.
+/// One row-wise link of an activity's chain: the compiled operator, its
+/// output schema, and the stats it reports under the activity's key.
 pub(crate) struct Link {
     op: Kernel,
+    schema: Schema,
     key: String,
     counts_out: bool,
 }
@@ -82,17 +117,16 @@ enum Source {
     Buffer { buf: BufferId, page: usize },
 }
 
-/// The leaf of every pipeline: reads borrowed rows, runs the filters
-/// fused into it, and clones what survives — the one clone a row pays.
+/// The leaf of every pipeline: reads borrowed rows and runs the row-wise
+/// links fused into it on them. What survives is allocated once, or not
+/// at all when the consumer only borrows it.
 pub(crate) struct Scan {
     source: Source,
     schema: Schema,
-    /// Stored column → declared column, when the layouts differ.
-    perm: Option<Vec<usize>>,
-    fused: Fused,
-    /// Per fused filter: its activity's stats key and whether it is the
-    /// link that reports `rows_out`.
-    fused_keys: Vec<(String, bool)>,
+    program: Program,
+    /// Per link of the program: its activity's stats key and whether it
+    /// is the link that reports `rows_out`.
+    keys: Vec<(String, bool)>,
 }
 
 impl Scan {
@@ -100,11 +134,10 @@ impl Scan {
     /// and order); the permutation is resolved here, once.
     pub(crate) fn table(table: Arc<Table>, declared: &Schema) -> Result<Scan> {
         Ok(Scan {
-            perm: perm_for(table.schema(), declared)?,
+            program: Program::new(perm_for(table.schema(), declared)?, 0),
             source: Source::Table { table, pos: 0 },
             schema: declared.clone(),
-            fused: Fused::new(Vec::new()),
-            fused_keys: Vec::new(),
+            keys: Vec::new(),
         })
     }
 
@@ -112,19 +145,18 @@ impl Scan {
         Scan {
             source: Source::Buffer { buf, page: 0 },
             schema,
-            perm: None,
-            fused: Fused::new(Vec::new()),
-            fused_keys: Vec::new(),
+            program: Program::new(None, 0),
+            keys: Vec::new(),
         }
     }
-}
 
-impl BatchIter for Scan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
+    /// Run `each` over the next batch of borrowed rows, then report the
+    /// program's tallies; `None` once the source is exhausted.
+    fn over_batch<R>(
+        &mut self,
+        rt: &mut Runtime<'_>,
+        each: impl FnOnce(&mut Program, &[Row]) -> Result<R>,
+    ) -> Result<Option<R>> {
         let page;
         let rows: &[Row] = match &mut self.source {
             Source::Table { table, pos } => {
@@ -145,38 +177,63 @@ impl BatchIter for Scan {
             return Ok(None);
         }
         rt.counters.batches += 1;
-        let mut batch = Vec::with_capacity(if self.fused.is_empty() { rows.len() } else { 0 });
-        for row in rows {
-            if self.fused.keeps(row) {
-                batch.push(clone_row(row, self.perm.as_deref(), 0));
-            }
-        }
-        let keys = &self.fused_keys;
-        self.fused.drain_tallies(|i, processed, passed| {
+        rt.counters.rows_scanned += rows.len() as u64;
+        let out = each(&mut self.program, rows)?;
+        let keys = &self.keys;
+        self.program.drain_tallies(|i, processed, passed| {
             let (key, counts_out) = &keys[i];
             rt.add_processed(key, processed);
             if *counts_out {
                 rt.add_out(key, passed);
             }
         });
-        Ok(Some(batch))
+        Ok(Some(out))
+    }
+}
+
+impl BatchIter for Scan {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
+        let batch = self.over_batch(rt, |program, rows| {
+            let all = if program.is_empty() { rows.len() } else { 0 };
+            let mut batch = Vec::with_capacity(all);
+            for row in rows {
+                if let Some(lent) = program.run(row)? {
+                    batch.push(lent.into_row());
+                }
+            }
+            Ok(batch)
+        })?;
+        rt.counters.rows_materialized += batch.as_ref().map_or(0, |b| b.len() as u64);
+        Ok(batch)
+    }
+
+    fn lend_batch(&mut self, rt: &mut Runtime<'_>, sink: &mut RowSink<'_>) -> Result<bool> {
+        let lent = self.over_batch(rt, |program, rows| {
+            for row in rows {
+                if let Some(lent) = program.run(row)? {
+                    sink(lent.cells())?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(lent.is_some())
     }
 
     fn fuse(&mut self, link: Link) -> Option<Link> {
-        // Fused filters read stored rows with columns compiled against the
-        // declared layout, so a permuting scan keeps its links above it.
-        let filter = match &self.perm {
-            None => link.op.as_filter(),
-            Some(_) => None,
-        };
-        match filter {
-            Some(f) => {
-                self.fused.push(f.clone());
-                self.fused_keys.push((link.key, link.counts_out));
-                None
-            }
-            None => Some(link),
+        // Links are compiled against the declared layout and their leading
+        // filters read stored rows, so a permuting scan keeps its links
+        // above it.
+        if self.program.permutes() {
+            return Some(link);
         }
+        self.program.push(link.op);
+        self.keys.push((link.key, link.counts_out));
+        self.schema = link.schema;
+        None
     }
 }
 
@@ -219,12 +276,11 @@ pub(crate) fn reorder(inner: BoxIter, target: &Schema) -> Result<BoxIter> {
 struct Apply {
     inner: BoxIter,
     link: Link,
-    schema: Schema,
 }
 
 impl BatchIter for Apply {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.link.schema
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
@@ -287,12 +343,9 @@ impl BatchIter for Agg {
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
         if self.out.is_none() {
-            while let Some(batch) = self.inner.next_batch(rt)? {
-                rt.add_processed(&self.key, batch.len() as u64);
-                for row in &batch {
-                    self.state.feed_row(row)?;
-                }
-            }
+            let state = &mut self.state;
+            let fed = lend_all(&mut *self.inner, rt, |row| state.feed_row(row).map(drop))?;
+            rt.add_processed(&self.key, fed);
         }
         let it = self
             .out
@@ -376,16 +429,13 @@ pub(crate) fn unary_pipeline(
                 let (op, schema) = Kernel::compile(op, &in_schema, ctx)?;
                 let link = Link {
                     op,
+                    schema,
                     key: key.to_owned(),
                     counts_out,
                 };
                 match cur.fuse(link) {
                     None => cur,
-                    Some(link) => Box::new(Apply {
-                        inner: cur,
-                        link,
-                        schema,
-                    }),
+                    Some(link) => Box::new(Apply { inner: cur, link }),
                 }
             }
         };
@@ -483,9 +533,9 @@ impl BatchIter for HashJoin {
     }
 }
 
-/// Bag difference / intersection: the right side (reordered to the left
-/// layout) drains into a multiplicity map on the first pull, then left
-/// batches stream through cancelling against it.
+/// Bag difference / intersection: the right side (keyed through its
+/// permutation to the left layout) is lent into a multiplicity map on the
+/// first pull, then left batches stream through cancelling against it.
 struct DiffIntersect {
     left: BoxIter,
     right: Option<BoxIter>,
@@ -502,10 +552,11 @@ impl BatchIter for DiffIntersect {
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
         if let Some(mut right) = self.right.take() {
-            while let Some(batch) = right.next_batch(rt)? {
-                rt.add_processed(&self.key, batch.len() as u64);
-                batch.iter().for_each(|row| self.counts.add(row));
-            }
+            let counted = lend_all(&mut *right, rt, |row| {
+                self.counts.add(row);
+                Ok(())
+            })?;
+            rt.add_processed(&self.key, counted);
         }
         let Some(mut batch) = self.left.next_batch(rt)? else {
             return Ok(None);
@@ -557,8 +608,8 @@ pub(crate) fn binary_pipeline(
         }
         BinaryOp::Difference | BinaryOp::Intersection => Ok(Box::new(DiffIntersect {
             left,
-            right: Some(reorder(right, &lschema)?),
-            counts: BagCounts::new(None),
+            counts: BagCounts::new(perm_for(&rschema, &lschema)?),
+            right: Some(right),
             intersect: matches!(op, BinaryOp::Intersection),
             key: key.to_owned(),
             schema,

@@ -6,7 +6,10 @@
 //! The second half pins the streaming engine's compiled row-wise kernels
 //! (`exec::kernel`) to these same operators: rows, row order, `ExecStats`
 //! and error variants equal the materializing reference at one worker and
-//! at two.
+//! at two — link by link, and as whole chains fused into the scan's row
+//! program (over a source, over a buffered fan-out, feeding `γ` and the
+//! right side of − / ∩), where the one thing allowed to differ from the
+//! reference is which of two failing links a run reports.
 
 use std::cmp::Ordering;
 
@@ -470,18 +473,12 @@ fn scans_match_materialize_across_layouts_and_batch_sizes() {
     ];
     for (wf, stored) in cases {
         // Re-store every source with its columns reversed.
-        let mut reversed = stored.clone();
+        let mut permuted = stored.clone();
         for src in wf.sources() {
             let name = &wf.graph().recordset(src).unwrap().name;
-            let t = stored.table(name).unwrap();
-            let mut attrs: Vec<Attr> = t.schema().iter().cloned().collect();
-            attrs.reverse();
-            reversed.insert(
-                name.clone(),
-                t.reordered(&attrs.into_iter().collect()).unwrap(),
-            );
+            permuted.insert(name.clone(), reversed(stored.table(name).unwrap()));
         }
-        for catalog in [stored, reversed] {
+        for catalog in [stored, permuted] {
             let want = Executor::new(catalog.clone()).run_materialize(&wf).unwrap();
             for batch_rows in [1, 7, 1024] {
                 for parallelism in [1, 2] {
@@ -496,6 +493,231 @@ fn scans_match_materialize_across_layouts_and_batch_sizes() {
             }
         }
     }
+}
+
+/// Which error a fused chain surfaces: that of the first row, in scan
+/// order, that fails, at the link where it fails. `scale(s)` cannot scale
+/// row 7 and the strict `SK` behind it misses row 3's key, so every
+/// streaming configuration reports the lookup miss — while the reference,
+/// which runs `scale` over the whole table first, reports the function.
+/// A link that would fail every row (an unknown function; the kernel's
+/// unit tests do the same for a σ over an attribute its input lacks)
+/// fails only if a row reaches it.
+#[test]
+fn a_fused_chain_reports_its_first_failing_row() {
+    let rows = (0..12i64).map(|i| {
+        let k = Scalar::Int(if i == 3 { 9 } else { i % 4 });
+        let s = if i == 7 { "x".into() } else { Scalar::Int(i) };
+        vec![k, s]
+    });
+    let table = Table::from_rows(Schema::of(["k", "s"]), rows.collect()).unwrap();
+    let two_failing = chain_wf(
+        table.schema(),
+        &[
+            function("scale", &["s"], "s", false),
+            UnaryOp::surrogate_key("k", "sk", "L"),
+        ],
+    );
+    let unknown = |keep: Predicate| {
+        let dead = function("no_such_function", &["s"], "s", false);
+        chain_wf(table.schema(), &[UnaryOp::filter(keep), dead])
+    };
+    let (unreached, reached) = (unknown(Predicate::gt("k", 100)), unknown(Predicate::True));
+    let exec = |batch_rows, parallelism| {
+        Executor::new(catalog_with(table.clone()))
+            .with_strict_lookups()
+            .with_stream_config(stream_cfg(batch_rows, parallelism))
+    };
+    let reference = exec(7, 1).run_materialize(&two_failing).unwrap_err();
+    assert!(matches!(reference, EngineError::FunctionFailed { .. }));
+    for batch_rows in [1, 7, 1024] {
+        for parallelism in [1, 2, 4] {
+            let exec = exec(batch_rows, parallelism);
+            let what = format!("batch_rows {batch_rows} x{parallelism}");
+            let got = exec.run_stream(&two_failing).unwrap_err();
+            assert!(
+                matches!(got, EngineError::LookupMiss { .. }),
+                "{what}: {got:?}"
+            );
+            let want = exec.run_materialize(&unreached).unwrap();
+            let run = exec.run_stream(&unreached).unwrap();
+            assert_eq!(run.result.targets, want.targets, "{what}");
+            assert_eq!(run.result.stats, want.stats, "{what}");
+            let got = exec.run_stream(&reached).unwrap_err();
+            assert_eq!(got, exec.run_materialize(&reached).unwrap_err(), "{what}");
+        }
+    }
+}
+
+/// A chain of `links` row-wise operators, each valid over the schema the
+/// ones before it leave behind.
+fn random_chain(rng: &mut Rng, input: &Schema, links: usize) -> Vec<UnaryOp> {
+    let ops = row_wise_ops();
+    let (mut chain, mut schema) = (Vec::new(), input.clone());
+    while chain.len() < links {
+        let op = &ops[rng.gen_range(0..ops.len())];
+        if let Ok(out) = op.output(&schema) {
+            chain.push(op.clone());
+            schema = out;
+        }
+    }
+    chain
+}
+
+/// `table` with its columns stored in reverse order.
+fn reversed(table: &Table) -> Table {
+    let mut attrs: Vec<Attr> = table.schema().iter().cloned().collect();
+    attrs.reverse();
+    table.reordered(&attrs.into_iter().collect()).unwrap()
+}
+
+/// Whole chains fused into the scan's row program: seeded random chains
+/// of 2–6 links (plus the shapes the generator writes most: a filter
+/// behind a function, π-out of a function's input, SK behind a filter,
+/// ADD last) directly over a source, over a source buffered for two
+/// consumers, feeding `γ`, and on both sides of − and ∩ — whose right
+/// side, like `γ`'s input, is only lent. Targets row for row and
+/// `ExecStats` equal `run_materialize` at every batch size and worker
+/// count, for sources stored as declared and stored column-reversed.
+///
+/// The permuting scan keeps its links above it, and that case is run,
+/// not skipped: over a source stored as declared the scan allocates
+/// exactly the rows that reach the target, over the reversed one every
+/// row it reads.
+#[test]
+fn fused_chains_match_the_reference_row_for_row() {
+    let fixed = [
+        vec![
+            function("negate", &["n"], "n", false),
+            UnaryOp::filter(Predicate::gt("n", 2.5)),
+        ],
+        vec![
+            function("uppercase", &["s"], "upper", true),
+            UnaryOp::project_out(["s", "k"]),
+        ],
+        vec![
+            UnaryOp::filter(Predicate::ne("k", 3)),
+            UnaryOp::surrogate_key("k", "sk", "L"),
+        ],
+    ];
+    let add = UnaryOp::AddField {
+        attr: "src".into(),
+        value: Scalar::from("S1"),
+    };
+    for seed in 0..24u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0xC000);
+        let left = table_kns(&mut rng, 40);
+        let mut rrows: Vec<_> = left.rows().iter().step_by(2).cloned().collect();
+        rrows.extend(table_kns(&mut rng, 15).into_rows());
+        let right = Table::from_rows(left.schema().clone(), rrows).unwrap();
+        let mut chain = match fixed.get(seed as usize) {
+            Some(chain) => chain.clone(),
+            None => {
+                let links = rng.gen_range(2..7usize);
+                random_chain(&mut rng, left.schema(), links)
+            }
+        };
+        if seed % 4 == 3 && add.output(&chain_schema(left.schema(), &chain)).is_ok() {
+            chain.push(add.clone());
+        }
+        let out = chain_schema(left.schema(), &chain);
+        let grouper = out.attrs()[out.len() - 1].clone();
+
+        // One activity per link under `from`, so the program is fused
+        // across activity boundaries.
+        let extend = |b: &mut WorkflowBuilder, from, tag: &str| {
+            let mut cur = from;
+            for (i, op) in chain.iter().enumerate() {
+                cur = b.unary(&format!("{tag}{i}"), op.clone(), cur);
+            }
+            cur
+        };
+        let direct = chain_wf(left.schema(), &chain);
+        let buffered = {
+            let mut b = WorkflowBuilder::new();
+            let s = b.source("S", left.schema().clone(), 100.0);
+            let end = extend(&mut b, s, "op");
+            b.target("T", out.clone(), end);
+            b.target("COPY", left.schema().clone(), s);
+            b.build().unwrap()
+        };
+        let grouped = {
+            let mut b = WorkflowBuilder::new();
+            let s = b.source("S", left.schema().clone(), 100.0);
+            let end = extend(&mut b, s, "op");
+            let count = Aggregation::new(
+                [grouper.clone()],
+                vec![etlopt_core::semantics::AggSpec {
+                    func: etlopt_core::semantics::AggFunc::Count,
+                    input: out.attrs()[0].clone(),
+                    output: "cnt".into(),
+                }],
+            );
+            let agg = UnaryOp::aggregate(count);
+            let schema = agg.output(&out).unwrap();
+            let g = b.unary("γ", agg, end);
+            b.target("T", schema, g);
+            b.build().unwrap()
+        };
+        let bag = |op: BinaryOp| {
+            let mut b = WorkflowBuilder::new();
+            let s = b.source("S", left.schema().clone(), 100.0);
+            let r = b.source("R", left.schema().clone(), 100.0);
+            let (l, r) = (extend(&mut b, s, "l"), extend(&mut b, r, "r"));
+            let x = b.binary("X", op, l, r);
+            b.target("T", out.clone(), x);
+            b.build().unwrap()
+        };
+        let shapes = [
+            ("direct", direct),
+            ("buffered", buffered),
+            ("γ", grouped),
+            ("−", bag(BinaryOp::Difference)),
+            ("∩", bag(BinaryOp::Intersection)),
+        ];
+
+        let layouts = [
+            (false, left.clone(), right.clone()),
+            (true, reversed(&left), reversed(&right)),
+        ];
+        for (permuted, s, r) in layouts {
+            let mut catalog = catalog_with(s);
+            catalog.insert("R", r);
+            for (shape, wf) in &shapes {
+                let want = Executor::new(catalog.clone()).run_materialize(wf).unwrap();
+                for batch_rows in [1, 7, 1024] {
+                    for parallelism in [1, 2, 4] {
+                        let run = Executor::new(catalog.clone())
+                            .with_stream_config(stream_cfg(batch_rows, parallelism))
+                            .run_stream(wf)
+                            .unwrap();
+                        let what = format!(
+                            "seed {seed} {shape} {chain:?} permuted {permuted} \
+                             batch_rows {batch_rows} x{parallelism}"
+                        );
+                        for (name, table) in &want.targets {
+                            assert_same_table(&run.result.targets[name], table, &what);
+                        }
+                        assert_eq!(run.result.stats, want.stats, "{what}");
+                        if *shape == "direct" {
+                            let c = &run.counters;
+                            let (read, kept) = (left.len(), want.targets["T"].len());
+                            let owned = if permuted { read } else { kept } as u64;
+                            assert_eq!(c.rows_scanned, read as u64, "{what}");
+                            assert_eq!(c.rows_materialized, owned, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The schema `chain` leaves behind over `input`.
+fn chain_schema(input: &Schema, chain: &[UnaryOp]) -> Schema {
+    chain
+        .iter()
+        .fold(input.clone(), |schema, op| op.output(&schema).unwrap())
 }
 
 // ---------------------------------------------------------------------
