@@ -371,6 +371,9 @@ pub struct RoundReport {
     pub max_rel_error: f64,
     /// Telemetry of this round's search run.
     pub stats: SearchStats,
+    /// Did this round's search observe its wall-clock deadline
+    /// ([`SearchOutcome::time_capped`])? Not part of [`AdaptiveReport::to_json`].
+    pub time_capped: bool,
 }
 
 /// The loop's typed outcome: the full round trajectory plus convergence.
@@ -578,6 +581,7 @@ pub fn run_adaptive_traced(
             mean_rel_error,
             max_rel_error,
             stats: outcome.stats,
+            time_capped: outcome.time_capped,
         });
 
         if prev_fp == Some(fingerprint) {

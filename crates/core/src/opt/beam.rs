@@ -383,6 +383,7 @@ pub(super) fn search_generations(
         visited_states: visited.len(),
         elapsed: started.elapsed(),
         budget_exhausted,
+        time_capped: pacer.time_up(),
         phase_stats: Vec::new(),
         stats: col.finish(),
     })

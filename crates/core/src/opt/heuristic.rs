@@ -371,6 +371,7 @@ impl<'m> Runner<'m> {
             visited_states: self.visited_states,
             elapsed: self.started.elapsed(),
             budget_exhausted: self.budget_exhausted,
+            time_capped: self.pacer.time_up(),
             phase_stats: self.phase_stats,
             stats: self.col.finish(),
         })

@@ -246,6 +246,11 @@ impl Pacer {
         }
         self.time_up
     }
+
+    /// Has any sample so far seen the deadline? Reads no clock.
+    pub(crate) fn time_up(&self) -> bool {
+        self.time_up
+    }
 }
 
 /// Per-frontier-state expansion result handed back by a generation-
@@ -353,6 +358,14 @@ pub struct SearchOutcome {
     /// `true` if the run stopped because the budget ran out (ES on medium
     /// and large workflows — the asterisked cells of Tables 1 and 2).
     pub budget_exhausted: bool,
+    /// `true` if the run ever observed its wall-clock deadline. Only then
+    /// can the outcome depend on the machine and its load: a run that is
+    /// not time-capped is a pure function of (workflow, model, algorithm,
+    /// state budget), which is what lets a server store and replay it.
+    /// Conservative — a deadline first seen by the very last sample is
+    /// flagged although it stopped nothing. Not part of
+    /// [`SearchStats::counters_json`].
+    pub time_capped: bool,
     /// Per-phase progress for phase-structured algorithms (HS, HS-Greedy):
     /// the best cost and cumulative visited-state count after each of the
     /// Fig. 7 phases. Empty for ES.
@@ -510,6 +523,7 @@ mod tests {
         for algo in algos {
             let out = algo.run(&wf, &model).unwrap();
             assert!(out.budget_exhausted, "{} ignored the deadline", algo.name());
+            assert!(out.time_capped, "{} did not flag the deadline", algo.name());
             // Within a handful of states, not a 1024-tick stride of them.
             assert!(
                 out.visited_states <= 8,
@@ -540,6 +554,7 @@ mod tests {
                     algo.name(),
                     out.visited_states
                 );
+                assert!(!out.time_capped, "a state-only budget has no deadline");
             }
         }
     }
@@ -554,6 +569,7 @@ mod tests {
             visited_states: 1,
             elapsed: Duration::ZERO,
             budget_exhausted: false,
+            time_capped: false,
             phase_stats: Vec::new(),
             stats: SearchStats::new("ES"),
         };

@@ -1,23 +1,31 @@
 //! Tokenizer for the workflow text format.
+//!
+//! One pass over the line's bytes. The grammar's own characters are all
+//! ASCII, so punctuation dispatches on one byte and a token is a slice of
+//! the line; only a character outside ASCII is decoded (identifiers and
+//! whitespace follow `char::is_alphanumeric` / `char::is_whitespace`), and
+//! only a string literal that contains a backslash is copied.
+
+use std::borrow::Cow;
 
 use crate::error::{CoreError, Result};
 
-/// A token of the workflow DSL.
+/// A token of the workflow DSL, borrowing from the line it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (`filter`, `pkey`, …).
-    Ident(String),
-    /// Double-quoted string (escapes: `\"`, `\\`).
-    Str(String),
+    Ident(&'a str),
+    /// Double-quoted string (escapes: `\"`, `\\`), unescaped.
+    Str(Cow<'a, str>),
     /// Numeric literal (held as text; the parser decides int vs float).
-    Number(String),
+    Number(&'a str),
     /// Punctuation / operator.
     Punct(&'static str),
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Identifier payload, if this is one.
-    pub fn as_ident(&self) -> Option<&str> {
+    pub fn as_ident(&self) -> Option<&'a str> {
         match self {
             Token::Ident(s) => Some(s),
             _ => None,
@@ -25,131 +33,161 @@ impl Token {
     }
 }
 
-const PUNCTS: &[&str] = &[
-    "<-", "->", "<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ";", "{", "}",
-];
+/// The punctuation starting with byte `b`, given the byte after it. The
+/// two-byte forms win over their one-byte prefixes.
+fn punct(b: u8, next: Option<u8>) -> Option<&'static str> {
+    Some(match (b, next) {
+        (b'<', Some(b'-')) => "<-",
+        (b'<', Some(b'=')) => "<=",
+        (b'<', Some(b'>')) => "<>",
+        (b'<', _) => "<",
+        (b'-', Some(b'>')) => "->",
+        (b'>', Some(b'=')) => ">=",
+        (b'>', _) => ">",
+        (b'!', Some(b'=')) => "!=",
+        (b'=', _) => "=",
+        (b'(', _) => "(",
+        (b')', _) => ")",
+        (b',', _) => ",",
+        (b';', _) => ";",
+        (b'{', _) => "{",
+        (b'}', _) => "}",
+        _ => return None,
+    })
+}
 
-/// Tokenize one logical line.
-pub fn tokenize(line: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    'outer: while i < bytes.len() {
-        let c = bytes[i];
-        if c.is_whitespace() {
+/// The character starting at byte `i` of `line` (a boundary), if any;
+/// decodes only outside ASCII.
+fn char_at(line: &str, i: usize) -> Option<char> {
+    let b = *line.as_bytes().get(i)?;
+    if b.is_ascii() {
+        Some(char::from(b))
+    } else {
+        line[i..].chars().next()
+    }
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '.'
+}
+
+/// Read a string literal whose opening quote is at byte `open`. Returns
+/// the unescaped text and the index just past the closing quote. (`"` and
+/// `\` are ASCII and cannot occur inside a multi-byte character, so
+/// scanning bytes finds exactly the characters.)
+fn string_literal(line: &str, open: usize) -> Result<(Cow<'_, str>, usize)> {
+    let bytes = line.as_bytes();
+    let start = open + 1;
+    // Written to only once an escape is met; `run` is where the text not
+    // yet copied into it begins.
+    let mut unescaped = String::new();
+    let (mut run, mut i) = (start, start);
+    loop {
+        while matches!(bytes.get(i), Some(&b) if b != b'"' && b != b'\\') {
             i += 1;
-            continue;
         }
-        if c == '#' {
-            break; // trailing comment
-        }
-        if c == '"' {
-            let mut s = String::new();
-            i += 1;
-            loop {
-                match bytes.get(i) {
-                    Some('"') => {
-                        i += 1;
-                        break;
-                    }
-                    Some('\\') => {
-                        match bytes.get(i + 1) {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            other => {
-                                return Err(CoreError::Schema(format!(
-                                    "bad escape {other:?} in string literal"
-                                )))
-                            }
-                        }
-                        i += 2;
-                    }
-                    Some(&c) => {
-                        s.push(c);
-                        i += 1;
-                    }
-                    None => {
+        match bytes.get(i) {
+            Some(b'"') if run == start => return Ok((Cow::Borrowed(&line[start..i]), i + 1)),
+            Some(b'"') => {
+                unescaped.push_str(&line[run..i]);
+                return Ok((Cow::Owned(unescaped), i + 1));
+            }
+            Some(_) => {
+                unescaped.push_str(&line[run..i]);
+                match line[i + 1..].chars().next() {
+                    Some('"') => unescaped.push('"'),
+                    Some('\\') => unescaped.push('\\'),
+                    other => {
                         return Err(CoreError::Schema(format!(
-                            "unterminated string in `{line}`"
+                            "bad escape {other:?} in string literal"
                         )))
                     }
                 }
+                i += 2;
+                run = i;
             }
+            None => {
+                return Err(CoreError::Schema(format!(
+                    "unterminated string in `{line}`"
+                )))
+            }
+        }
+    }
+}
+
+/// Tokenize one logical line.
+pub fn tokenize(line: &str) -> Result<Vec<Token<'_>>> {
+    let bytes = line.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while let Some(c) = char_at(line, i) {
+        // Only whitespace and identifier characters may lie outside ASCII,
+        // so everything else is told by the byte.
+        let (b, next) = (bytes[i], bytes.get(i + 1).copied());
+        if c.is_whitespace() {
+            i += c.len_utf8();
+        } else if b == b'#' {
+            break; // trailing comment
+        } else if b == b'"' {
+            let (s, end) = string_literal(line, i)?;
             out.push(Token::Str(s));
-            continue;
-        }
-        // Multi-char puncts first.
-        for p in PUNCTS {
-            if line_at(&bytes, i, p) {
-                out.push(Token::Punct(p));
-                i += p.chars().count();
-                continue 'outer;
-            }
-        }
-        if c.is_ascii_digit()
-            || (c == '-' && matches!(bytes.get(i + 1), Some(d) if d.is_ascii_digit()))
+            i = end;
+        } else if let Some(p) = punct(b, next) {
+            out.push(Token::Punct(p));
+            i += p.len();
+        } else if b.is_ascii_digit() || (b == b'-' && matches!(next, Some(d) if d.is_ascii_digit()))
         {
             let start = i;
             i += 1;
-            while i < bytes.len()
-                && (bytes[i].is_ascii_digit()
-                    || bytes[i] == '.'
-                    || bytes[i] == 'e'
-                    || bytes[i] == 'E'
-                    || (bytes[i] == '-' && matches!(bytes[i - 1], 'e' | 'E')))
-            {
-                i += 1;
+            while let Some(&d) = bytes.get(i) {
+                let exponent_sign = d == b'-' && matches!(bytes[i - 1], b'e' | b'E');
+                if d.is_ascii_digit() || matches!(d, b'.' | b'e' | b'E') || exponent_sign {
+                    i += 1;
+                } else {
+                    break;
+                }
             }
-            out.push(Token::Number(bytes[start..i].iter().collect()));
-            continue;
-        }
-        if c.is_alphanumeric() || c == '_' || c == '.' {
+            out.push(Token::Number(&line[start..i]));
+        } else if is_ident_char(c) {
             let start = i;
-            while i < bytes.len()
-                && (bytes[i].is_alphanumeric() || bytes[i] == '_' || bytes[i] == '.')
-            {
-                i += 1;
+            while let Some(c) = char_at(line, i).filter(|c| is_ident_char(*c)) {
+                i += c.len_utf8();
             }
-            out.push(Token::Ident(bytes[start..i].iter().collect()));
-            continue;
+            out.push(Token::Ident(&line[start..i]));
+        } else {
+            return Err(CoreError::Schema(format!(
+                "unexpected character `{c}` in `{line}`"
+            )));
         }
-        return Err(CoreError::Schema(format!(
-            "unexpected character `{c}` in `{line}`"
-        )));
     }
     Ok(out)
 }
 
-fn line_at(bytes: &[char], i: usize, pat: &str) -> bool {
-    let pat: Vec<char> = pat.chars().collect();
-    bytes.len() >= i + pat.len() && bytes[i..i + pat.len()] == pat[..]
-}
-
 /// Cursor over a token list with expectation helpers.
-pub struct Cursor {
-    tokens: Vec<Token>,
+pub struct Cursor<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
-    line: String,
+    line: &'a str,
 }
 
-impl Cursor {
+impl<'a> Cursor<'a> {
     /// Tokenize and wrap.
-    pub fn new(line: &str) -> Result<Cursor> {
+    pub fn new(line: &'a str) -> Result<Cursor<'a>> {
         Ok(Cursor {
             tokens: tokenize(line)?,
             pos: 0,
-            line: line.to_owned(),
+            line,
         })
     }
 
     /// Peek the next token.
-    pub fn peek(&self) -> Option<&Token> {
+    pub fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
     /// Take the next token.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Token> {
+    pub fn next(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -171,7 +209,7 @@ impl Cursor {
     }
 
     /// Expect an identifier.
-    pub fn expect_ident(&mut self) -> Result<String> {
+    pub fn expect_ident(&mut self) -> Result<&'a str> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, got {other:?}"))),
@@ -187,7 +225,7 @@ impl Cursor {
     }
 
     /// Expect a quoted string.
-    pub fn expect_str(&mut self) -> Result<String> {
+    pub fn expect_str(&mut self) -> Result<Cow<'a, str>> {
         match self.next() {
             Some(Token::Str(s)) => Ok(s),
             other => Err(self.err(format!("expected string literal, got {other:?}"))),
@@ -216,7 +254,7 @@ impl Cursor {
 
     /// Consume a keyword if it is next; report whether it was.
     pub fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Ident(s)) if s == kw) {
+        if matches!(self.peek(), Some(Token::Ident(s)) if *s == kw) {
             self.pos += 1;
             true
         } else {
@@ -239,7 +277,7 @@ impl Cursor {
     }
 
     /// Parse a parenthesized, comma-separated identifier list.
-    pub fn ident_list(&mut self) -> Result<Vec<String>> {
+    pub fn ident_list(&mut self) -> Result<Vec<&'a str>> {
         self.expect_punct("(")?;
         let mut out = Vec::new();
         if self.eat_punct(")") {
@@ -262,10 +300,10 @@ mod tests {
     #[test]
     fn tokenizes_mixed_line() {
         let toks = tokenize(r#"activity a3 "NN" = not_null(cost) sel=0.95 <- s1"#).unwrap();
-        assert_eq!(toks[0], Token::Ident("activity".into()));
+        assert_eq!(toks[0], Token::Ident("activity"));
         assert_eq!(toks[2], Token::Str("NN".into()));
         assert!(toks.contains(&Token::Punct("<-")));
-        assert!(toks.contains(&Token::Number("0.95".into())));
+        assert!(toks.contains(&Token::Number("0.95")));
     }
 
     #[test]
@@ -298,9 +336,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Number("-3".into()),
-                Token::Number("4.5".into()),
-                Token::Number("1e-3".into())
+                Token::Number("-3"),
+                Token::Number("4.5"),
+                Token::Number("1e-3")
             ]
         );
     }

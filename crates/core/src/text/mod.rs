@@ -255,7 +255,7 @@ pub fn parse(text: &str) -> Result<Workflow> {
         }
         let mut c = Cursor::new(line)?;
         let kw = c.expect_ident()?;
-        match kw.as_str() {
+        match kw {
             "source" => {
                 let name = c.expect_str()?;
                 let kind = parse_kind(&mut c)?;
@@ -302,7 +302,7 @@ pub fn parse(text: &str) -> Result<Workflow> {
                     }
                     (Op::Merged(_), _) => unreachable!("parser never builds merged ops"),
                 };
-                names.insert(handle, id);
+                names.insert(handle.to_owned(), id);
             }
             "recordset" | "target" => {
                 let name = c.expect_str()?;
@@ -341,8 +341,7 @@ pub fn parse(text: &str) -> Result<Workflow> {
 }
 
 fn parse_kind(c: &mut Cursor) -> Result<RecordsetKind> {
-    let k = c.expect_ident()?;
-    match k.as_str() {
+    match c.expect_ident()? {
         "table" => Ok(RecordsetKind::Table),
         "file" => Ok(RecordsetKind::File),
         other => Err(c.err(format!("expected table|file, got `{other}`"))),
@@ -353,7 +352,7 @@ fn parse_refs(c: &mut Cursor, names: &BTreeMap<String, NodeId>) -> Result<Vec<No
     let mut out = Vec::new();
     loop {
         let key = match c.next() {
-            Some(Token::Ident(s)) => s,
+            Some(Token::Ident(s)) => s.to_owned(),
             Some(Token::Str(s)) => quote(&s),
             other => return Err(c.err(format!("expected node reference, got {other:?}"))),
         };
@@ -369,15 +368,14 @@ fn parse_refs(c: &mut Cursor, names: &BTreeMap<String, NodeId>) -> Result<Vec<No
 
 /// Parse an op spec plus an optional trailing `sel=<f>`.
 fn parse_op(c: &mut Cursor) -> Result<(Op, Option<f64>)> {
-    let head = c.expect_ident()?;
-    let op = match head.as_str() {
+    let op = match c.expect_ident()? {
         "filter" => Op::Unary(UnaryOp::filter(pred::parse(c)?)),
         "not_null" => {
             let attrs = c.ident_list()?;
             let [a] = attrs.as_slice() else {
                 return Err(c.err("not_null takes exactly one attribute"));
             };
-            Op::Unary(UnaryOp::not_null(a.as_str()))
+            Op::Unary(UnaryOp::not_null(*a))
         }
         "pk_check" => Op::Unary(UnaryOp::PkCheck {
             key: c.ident_list()?.into_iter().map(Attr::new).collect(),
@@ -392,7 +390,7 @@ fn parse_op(c: &mut Cursor) -> Result<(Op, Option<f64>)> {
             let keep_inputs = c.eat_keyword("keep");
             let injective = !c.eat_keyword("noninjective");
             Op::Unary(UnaryOp::Function(FunctionApp {
-                function: fname,
+                function: fname.to_owned(),
                 inputs,
                 output,
                 keep_inputs,
@@ -404,8 +402,7 @@ fn parse_op(c: &mut Cursor) -> Result<(Op, Option<f64>)> {
             let group_by = c.ident_list()?;
             let mut aggregates = Vec::new();
             loop {
-                let fname = c.expect_ident()?;
-                let func = match fname.as_str() {
+                let func = match c.expect_ident()? {
                     "sum" => AggFunc::Sum,
                     "count" => AggFunc::Count,
                     "min" => AggFunc::Min,
@@ -445,7 +442,7 @@ fn parse_op(c: &mut Cursor) -> Result<(Op, Option<f64>)> {
             Op::Unary(UnaryOp::SurrogateKey {
                 key,
                 surrogate,
-                lookup,
+                lookup: lookup.into_owned(),
             })
         }
         "union" => Op::Binary(BinaryOp::Union),

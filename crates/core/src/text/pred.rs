@@ -42,16 +42,16 @@ pub fn render_scalar(v: &Scalar) -> String {
 /// Parse a scalar literal.
 pub fn parse_scalar(c: &mut Cursor) -> Result<Scalar> {
     match c.next() {
-        Some(Token::Ident(s)) if s == "null" => Ok(Scalar::Null),
-        Some(Token::Ident(s)) if s == "true" => Ok(Scalar::Bool(true)),
-        Some(Token::Ident(s)) if s == "false" => Ok(Scalar::Bool(false)),
-        Some(Token::Ident(s)) if s == "date" => {
+        Some(Token::Ident("null")) => Ok(Scalar::Null),
+        Some(Token::Ident("true")) => Ok(Scalar::Bool(true)),
+        Some(Token::Ident("false")) => Ok(Scalar::Bool(false)),
+        Some(Token::Ident("date")) => {
             c.expect_punct("(")?;
             let n = c.expect_number()?;
             c.expect_punct(")")?;
             Ok(Scalar::Date(n as i32))
         }
-        Some(Token::Str(s)) => Ok(Scalar::Str(s)),
+        Some(Token::Str(s)) => Ok(Scalar::Str(s.into_owned())),
         Some(Token::Number(s)) => {
             if s.contains('.') || s.contains('e') || s.contains('E') {
                 Ok(Scalar::Float(s.parse().map_err(|e| c.err(e))?))
@@ -164,7 +164,7 @@ fn parse_unary(c: &mut Cursor) -> Result<Predicate> {
     if ident == "true" {
         return Ok(Predicate::True);
     }
-    let attr = Attr::new(&ident);
+    let attr = Attr::new(ident);
     if c.eat_keyword("is") {
         let negated = c.eat_keyword("not");
         c.expect_keyword("null")?;
@@ -197,7 +197,7 @@ fn parse_unary(c: &mut Cursor) -> Result<Predicate> {
     };
     // Attribute on the right? (identifiers that are not scalar keywords)
     if let Some(Token::Ident(s)) = c.peek() {
-        if !matches!(s.as_str(), "null" | "true" | "false" | "date") {
+        if !matches!(*s, "null" | "true" | "false" | "date") {
             let right = c.expect_ident()?;
             return Ok(Predicate::CmpAttr {
                 left: attr,

@@ -19,14 +19,24 @@
 //!   prefix results without re-running their activities, so per-activity
 //!   stats are the one execution artifact that is *not*
 //!   concurrency-stable.
+//!
+//! That contract makes an `optimize` / `execute` body a pure function of
+//! (algorithm, clamped budgets, workflow text) — plus rows and seed for
+//! the executed targets — whenever the search's time cap did not bind,
+//! and it is what the registry's plan tier ([`crate::state`]) rests on:
+//! such a body is always rendered from a `Plan`, which is either found
+//! under the exact request before anything is parsed, or produced by
+//! parsing and searching. A search that did observe its deadline is the
+//! one place a body may differ between machines; it is flagged
+//! `"time_capped":true` in `meta` and its plan is never stored.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use etlopt_core::cost::{CostModel, RowCountModel};
+use etlopt_core::cost::RowCountModel;
 use etlopt_core::opt::{
     run_adaptive, AdaptiveConfig, BeamSearch, ExhaustiveSearch, HeuristicSearch, HsGreedy,
-    MoveMemo, Optimizer, SearchBudget, SearchOutcome,
+    MoveMemo, Optimizer, SearchBudget,
 };
 use etlopt_core::text;
 use etlopt_core::workflow::Workflow;
@@ -35,7 +45,7 @@ use etlopt_workload::{datagen, CalibrationStore};
 
 use crate::json;
 use crate::proto::{Code, Op, Request, Response};
-use crate::state::{relock, Registry};
+use crate::state::{relock, Family, Plan, PlanKey, Registry};
 
 /// The seed tweak `etlopt-conformance::scenario_executor` applies before
 /// generating the synthetic catalog; replicated here so a server
@@ -73,8 +83,11 @@ fn clamp(req: &Request, reg: &Registry) -> Effective {
     }
 }
 
-fn build_optimizer(algo: &str, budget: SearchBudget, memo: Arc<MoveMemo>) -> Box<dyn Optimizer> {
-    match algo {
+fn build_optimizer(req: &Request, eff: &Effective, memo: Arc<MoveMemo>) -> Box<dyn Optimizer> {
+    let budget = SearchBudget::states(eff.states)
+        .with_max_time(Duration::from_millis(eff.time_ms))
+        .with_parallelism(eff.parallelism);
+    match req.algo.as_str() {
         "es" => Box::new(ExhaustiveSearch::with_budget(budget).with_shared_memo(memo)),
         "hs" => Box::new(HeuristicSearch::with_budget(budget)),
         "hs-greedy" => Box::new(HsGreedy::with_budget(budget)),
@@ -87,12 +100,6 @@ fn build_optimizer(algo: &str, budget: SearchBudget, memo: Arc<MoveMemo>) -> Box
 /// for this request.
 fn catalog_for_request(wf: &Workflow, rows: usize, seed: u64) -> Catalog {
     datagen::catalog_for(wf, rows, seed ^ DATA_SEED_TWEAK)
-}
-
-/// The executor the one-shot conformance path would build for this
-/// request: synthetic catalog from the workflow's sources.
-fn executor_for(wf: &Workflow, rows: usize, seed: u64) -> Executor {
-    Executor::new(catalog_for_request(wf, rows, seed))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -190,6 +197,12 @@ pub fn table_digest(table: &Table) -> u64 {
 }
 
 /// Observational (non-canonical) metadata accumulated while a job runs.
+///
+/// `plan_cache` is `"hit"`, `"miss"` or `"skip"` (adaptive never consults
+/// the plan tier). On a hit no search ran in this request: `memo_hits` and
+/// `memo_misses` are 0 and `time_capped` is `false` (a time-capped search
+/// is never stored). `time_capped` is the one thing that tells a caller
+/// the body may differ on another machine or under another load.
 struct Meta {
     started: Instant,
     memo_hits: u64,
@@ -199,6 +212,8 @@ struct Meta {
     cache_insertions: u64,
     harvest_runs: u64,
     warm_entries: usize,
+    time_capped: bool,
+    plan_cache: &'static str,
 }
 
 impl Meta {
@@ -212,7 +227,16 @@ impl Meta {
             cache_insertions: 0,
             harvest_runs: 0,
             warm_entries: 0,
+            time_capped: false,
+            plan_cache: "skip",
         }
+    }
+
+    /// Charge the job with what `memo` counted since `(hits, misses)`.
+    fn memo_since(&mut self, memo: &MoveMemo, (hits, misses): (u64, u64)) {
+        let (h, m) = memo.stats();
+        self.memo_hits = h.saturating_sub(hits);
+        self.memo_misses = m.saturating_sub(misses);
     }
 
     fn render(&self) -> String {
@@ -220,7 +244,8 @@ impl Meta {
             concat!(
                 "{{\"elapsed_us\":{},\"memo_hits\":{},\"memo_misses\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_insertions\":{},",
-                "\"harvest_runs\":{},\"warm_entries\":{}}}"
+                "\"harvest_runs\":{},\"warm_entries\":{},",
+                "\"time_capped\":{},\"plan_cache\":\"{}\"}}"
             ),
             self.started.elapsed().as_micros(),
             self.memo_hits,
@@ -230,6 +255,8 @@ impl Meta {
             self.cache_insertions,
             self.harvest_runs,
             self.warm_entries,
+            self.time_capped,
+            self.plan_cache,
         )
     }
 }
@@ -252,64 +279,93 @@ pub fn run_request(registry: &Registry, req: &Request) -> Response {
     }
 }
 
-fn run_job(registry: &Registry, req: &Request) -> Response {
-    let wf = match text::parse(&req.workflow) {
-        Ok(wf) => wf,
-        Err(e) => return Response::fail(&req.id, Code::BadRequest, format!("workflow: {e}")),
-    };
-    let digest = match text::family_digest(&wf) {
-        Ok(d) => d,
-        Err(e) => return Response::fail(&req.id, Code::BadRequest, format!("family digest: {e}")),
-    };
-    let eff = clamp(req, registry);
-    let family = registry.family(digest);
-    let memo = family.memo();
-    let budget = SearchBudget::states(eff.states)
-        .with_max_time(Duration::from_millis(eff.time_ms))
-        .with_parallelism(eff.parallelism);
-    let optimizer = build_optimizer(&req.algo, budget, Arc::clone(&memo));
-    let model = RowCountModel::default();
-    let mut meta = Meta::new();
-    let (memo_h0, memo_m0) = memo.stats();
+/// Why a job failed: the code it answers with, and the message.
+type Failure = (Code, String);
 
-    let result = match req.op {
-        Op::Optimize => optimize_body(req, &eff, digest, &wf, optimizer.as_ref(), &model),
-        Op::Execute => execute_body(
-            req,
-            &eff,
-            digest,
-            &wf,
-            optimizer.as_ref(),
-            &model,
-            registry,
-            &mut meta,
-        ),
-        Op::Adaptive => adaptive_body(
-            req,
-            &eff,
-            digest,
-            &wf,
-            optimizer.as_ref(),
-            &model,
-            registry,
-            &mut meta,
-        ),
-        // run_request dispatched only job ops here.
-        _ => Err("not a job op".to_owned()),
+fn internal(e: String) -> Failure {
+    (Code::Internal, e)
+}
+
+fn run_job(registry: &Registry, req: &Request) -> Response {
+    let eff = clamp(req, registry);
+    let mut meta = Meta::new();
+    let body = match req.op {
+        Op::Adaptive => adaptive_body(req, &eff, registry, &mut meta),
+        // Optimize and execute: one path, a body is always rendered from
+        // a `Plan`; a plan-tier hit merely skips producing it.
+        _ => plan_for(req, &eff, registry, &mut meta)
+            .and_then(|plan| plan_body(req, &eff, &plan, &mut meta)),
     };
-    let (memo_h1, memo_m1) = memo.stats();
-    meta.memo_hits = memo_h1.saturating_sub(memo_h0);
-    meta.memo_misses = memo_m1.saturating_sub(memo_m0);
-    match result {
+    match body {
         Ok(body) => Response::ok(&req.id, body, meta.render()),
-        Err(e) => Response::fail(&req.id, Code::Internal, e),
+        Err((code, e)) => Response::fail(&req.id, code, e),
     }
 }
 
-/// The search-result fragment shared by optimize and execute bodies.
-fn outcome_fragment(outcome: &SearchOutcome) -> Result<String, String> {
-    let plan = text::render(&outcome.best).map_err(|e| format!("render plan: {e}"))?;
-    Ok(format!(
+/// A request's workflow, parsed, with its family's shared state.
+struct Parsed {
+    wf: Workflow,
+    digest: u128,
+    family: Arc<Family>,
+    /// Was the family in the registry before this request?
+    seen: bool,
+}
+
+fn parse_workflow(req: &Request, registry: &Registry) -> Result<Parsed, Failure> {
+    let wf =
+        text::parse(&req.workflow).map_err(|e| (Code::BadRequest, format!("workflow: {e}")))?;
+    let digest =
+        text::family_digest(&wf).map_err(|e| (Code::BadRequest, format!("family digest: {e}")))?;
+    let (family, seen) = registry.family_seen(digest);
+    Ok(Parsed {
+        wf,
+        digest,
+        family,
+        seen,
+    })
+}
+
+/// The plan an `optimize` / `execute` body is rendered from: the one
+/// stored for this exact request, or else a fresh search's, looked up
+/// before anything is parsed. No lock is held while searching — two
+/// concurrent misses both search, and the second store is a no-op (their
+/// plans are equal by the byte-identity contract). The fresh plan is
+/// stored only if its family had been seen before this request (one-off
+/// traffic stores nothing) and the search never observed its deadline (a
+/// time-capped result is the one body that may differ across machines).
+fn plan_for(
+    req: &Request,
+    eff: &Effective,
+    registry: &Registry,
+    meta: &mut Meta,
+) -> Result<Arc<Plan>, Failure> {
+    let key = PlanKey {
+        algo: req.algo.clone(),
+        states: eff.states,
+        time_ms: eff.time_ms,
+        text: req.workflow.clone(),
+    };
+    if let Some(plan) = registry.plan(&key) {
+        meta.plan_cache = "hit";
+        return Ok(plan);
+    }
+    meta.plan_cache = "miss";
+    let Parsed {
+        wf,
+        digest,
+        family,
+        seen,
+    } = parse_workflow(req, registry)?;
+    let memo = family.memo();
+    let before = memo.stats();
+    let outcome = build_optimizer(req, eff, Arc::clone(&memo))
+        .run(&wf, &RowCountModel::default())
+        .map_err(|e| internal(format!("search: {e}")))?;
+    meta.memo_since(&memo, before);
+    meta.time_capped = outcome.time_capped;
+    let plan_text =
+        text::render(&outcome.best).map_err(|e| internal(format!("render plan: {e}")))?;
+    let fragment = format!(
         concat!(
             "\"initial_cost\":{},\"best_cost\":{},\"visited_states\":{},",
             "\"budget_exhausted\":{},\"plan\":\"{}\",\"counters\":\"{}\""
@@ -318,57 +374,47 @@ fn outcome_fragment(outcome: &SearchOutcome) -> Result<String, String> {
         outcome.best_cost,
         outcome.visited_states,
         outcome.budget_exhausted,
-        json::escape(&plan),
+        json::escape(&plan_text),
         json::escape(&outcome.stats.counters_json()),
-    ))
-}
-
-fn optimize_body(
-    req: &Request,
-    eff: &Effective,
-    digest: u128,
-    wf: &Workflow,
-    optimizer: &dyn Optimizer,
-    model: &dyn CostModel,
-) -> Result<String, String> {
-    let outcome = optimizer
-        .run(wf, model)
-        .map_err(|e| format!("search: {e}"))?;
-    Ok(format!(
-        "{{\"op\":\"optimize\",\"algo\":\"{}\",\"family\":\"{:032x}\",\"states\":{},\"time_ms\":{},{}}}",
-        req.algo,
+    );
+    let plan = Arc::new(Plan {
         digest,
-        eff.states,
-        eff.time_ms,
-        outcome_fragment(&outcome)?,
-    ))
+        family,
+        best: outcome.best,
+        fragment,
+    });
+    if seen && !outcome.time_capped {
+        registry.store_plan(key, Arc::clone(&plan));
+    }
+    Ok(plan)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_body(
+/// Render an `optimize` / `execute` body from its plan.
+fn plan_body(
     req: &Request,
     eff: &Effective,
-    digest: u128,
-    wf: &Workflow,
-    optimizer: &dyn Optimizer,
-    model: &dyn CostModel,
-    registry: &Registry,
+    plan: &Plan,
     meta: &mut Meta,
-) -> Result<String, String> {
-    let outcome = optimizer
-        .run(wf, model)
-        .map_err(|e| format!("search: {e}"))?;
+) -> Result<String, Failure> {
+    if req.op != Op::Execute {
+        return Ok(format!(
+            "{{\"op\":\"optimize\",\"algo\":\"{}\",\"family\":\"{:032x}\",\"states\":{},\"time_ms\":{},{}}}",
+            req.algo, plan.digest, eff.states, eff.time_ms, plan.fragment,
+        ));
+    }
     // Generate the data before touching the cache: the cache key needs a
     // digest of the catalog actually generated (datagen is source-
-    // declaration-order-sensitive; family digests are not).
-    let catalog = catalog_for_request(wf, eff.rows, req.seed);
-    let family = registry.family(digest);
-    let cache = family.cache(eff.rows, req.seed, catalog_digest(wf, &catalog));
+    // declaration-order-sensitive; family digests are not). The plan keeps
+    // the request workflow's sources, ids and order, so this is the
+    // catalog the request's own text generates.
+    let catalog = catalog_for_request(&plan.best, eff.rows, req.seed);
+    let cache = plan
+        .family
+        .cache(eff.rows, req.seed, catalog_digest(&plan.best, &catalog));
     let (h0, m0, i0) = cache.counters();
-    let exec = Executor::new(catalog);
-    let run = exec
-        .run_stream_shared(&outcome.best, &cache)
-        .map_err(|e| format!("execute: {e}"))?;
+    let run = Executor::new(catalog)
+        .run_stream_shared(&plan.best, &cache)
+        .map_err(|e| internal(format!("execute: {e}")))?;
     let (h1, m1, i1) = cache.counters();
     meta.cache_hits = h1.saturating_sub(h0);
     meta.cache_misses = m1.saturating_sub(m0);
@@ -391,36 +437,33 @@ fn execute_body(
             "\"states\":{},\"time_ms\":{},\"rows\":{},\"seed\":{},",
             "{},\"targets\":{{{}}}}}"
         ),
-        req.algo,
-        digest,
-        eff.states,
-        eff.time_ms,
-        eff.rows,
-        req.seed,
-        outcome_fragment(&outcome)?,
-        targets,
+        req.algo, plan.digest, eff.states, eff.time_ms, eff.rows, req.seed, plan.fragment, targets,
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn adaptive_body(
     req: &Request,
     eff: &Effective,
-    digest: u128,
-    wf: &Workflow,
-    optimizer: &dyn Optimizer,
-    model: &dyn CostModel,
     registry: &Registry,
     meta: &mut Meta,
-) -> Result<String, String> {
+) -> Result<String, Failure> {
+    let Parsed {
+        wf, digest, family, ..
+    } = parse_workflow(req, registry)?;
+    let memo = family.memo();
+    let before = memo.stats();
+    let optimizer = build_optimizer(req, eff, Arc::clone(&memo));
+    let model = RowCountModel::default();
     // Adaptive deliberately does NOT use the family's shared result
     // cache: calibration harvests per-activity statistics, and a
     // cache-served prefix executes no activities — a pre-warmed cache
     // would starve the harvester of observations and change the report.
     // The private per-job cache below still reuses prefixes *across
     // rounds*, exactly like the one-shot adaptive path; the cross-job
-    // shared win for adaptive is the warm calibration store.
-    let mut harvester = Harvester::new(executor_for(wf, eff.rows, req.seed));
+    // shared win for adaptive is the warm calibration store. Nor does it
+    // touch the plan tier: its searches price with the tenant's
+    // calibration, which no request key could capture.
+    let mut harvester = Harvester::new(Executor::new(catalog_for_request(&wf, eff.rows, req.seed)));
     let cfg = AdaptiveConfig::rounds(eff.rounds);
 
     let report = if req.warm {
@@ -429,22 +472,38 @@ fn adaptive_body(
         // and writes), persist afterwards.
         let store = registry
             .calibration(&req.tenant, digest)
-            .map_err(|e| format!("calibration store: {e}"))?;
+            .map_err(|e| internal(format!("calibration store: {e}")))?;
         let mut guard = relock(store.lock());
         meta.warm_entries = guard.len();
-        let report = run_adaptive(wf, model, optimizer, &mut harvester, &mut *guard, cfg)
-            .map_err(|e| format!("adaptive: {e}"))?;
+        let report = run_adaptive(
+            &wf,
+            &model,
+            optimizer.as_ref(),
+            &mut harvester,
+            &mut *guard,
+            cfg,
+        )
+        .map_err(|e| internal(format!("adaptive: {e}")))?;
         registry
             .persist_calibration(&req.tenant, digest, &guard)
-            .map_err(|e| format!("calibration store: {e}"))?;
+            .map_err(|e| internal(format!("calibration store: {e}")))?;
         report
     } else {
         // Cold: a throwaway store, never merged back — a pure baseline
         // run that cannot leak observations into the tenant's state.
         let mut store = CalibrationStore::new();
-        run_adaptive(wf, model, optimizer, &mut harvester, &mut store, cfg)
-            .map_err(|e| format!("adaptive: {e}"))?
+        run_adaptive(
+            &wf,
+            &model,
+            optimizer.as_ref(),
+            &mut harvester,
+            &mut store,
+            cfg,
+        )
+        .map_err(|e| internal(format!("adaptive: {e}")))?
     };
+    meta.memo_since(&memo, before);
+    meta.time_capped = report.rounds.iter().any(|r| r.time_capped);
     let counters = harvester.counters();
     meta.cache_hits = counters.cache_hits;
     meta.cache_misses = counters.cache_misses;

@@ -5,8 +5,8 @@
 //! newline-delimited JSON envelopes ([`proto`]) carrying workflows in
 //! the repository's `text` DSL; a bounded worker pool ([`queue`],
 //! [`server`]) runs them with server-clamped budgets ([`job`]); sibling
-//! requests share move memos and result caches process-wide while
-//! calibration stays tenant-scoped ([`state`]).
+//! requests share move memos, result caches and resubmitted requests'
+//! plans process-wide while calibration stays tenant-scoped ([`state`]).
 //!
 //! The load-bearing invariant, stated once here and enforced by
 //! construction in [`job::run_request`]: **response bodies are

@@ -26,16 +26,35 @@
 //!   observations must never re-price another tenant's plans, so each
 //!   tenant gets an isolated store, optionally persisted under
 //!   [`StoreDir`]'s escaped per-tenant directories.
+//! * **Plans** are keyed by the *exact request*: (algorithm, clamped
+//!   state budget, clamped time cap, workflow text), process-wide across
+//!   tenants. An `optimize` / `execute` body is a pure function of exactly
+//!   that tuple whenever the search was not time-capped (the byte-identity
+//!   contract of [`crate::job::run_request`]; both ops price with the
+//!   default row-count model, never with calibration), so replaying a
+//!   stored `Plan` is indistinguishable from searching again. The key is
+//!   the text itself, not a fingerprint of the parsed workflow: the body
+//!   echoes a plan whose activity numbering follows the text's declaration
+//!   order, datagen follows its source order, and a lookup must cost less
+//!   than the parse it saves. A different spelling of one workflow is a
+//!   different key — it searches, shares the family's memo and cache as
+//!   before, and is right either way. A plan is admitted only on the
+//!   *second sight* of its family (a never-seen family stores nothing, so
+//!   one-off traffic costs no memory), never from a time-capped or failed
+//!   search, and `adaptive` neither reads nor writes the tier. FIFO over a
+//!   fixed byte budget ([`PLAN_CACHE_BYTES`]).
 
 // One job that panics while it holds a registry lock must not fail every
 // later request: locks are taken through `relock`, never `expect`ed.
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, LockResult, Mutex};
 
 use etlopt_core::opt::MoveMemo;
+use etlopt_core::workflow::Workflow;
 use etlopt_engine::{SharedCache, SharedCacheHandle};
 use etlopt_workload::{CalibrationStore, StoreDir, StoreError};
 
@@ -145,6 +164,102 @@ impl Family {
     }
 }
 
+/// Byte budget of the plan tier (a constant, like the result cache's row
+/// budget): about 650 small-workflow plans.
+pub const PLAN_CACHE_BYTES: usize = 16 << 20;
+
+/// Heap a stored [`Workflow`] is charged per graph slot: parsed workflows
+/// of the benchmark's `search_plan` population retain 561 bytes per slot
+/// (counting allocator, 2 705 slots).
+const SLOT_BYTES: usize = 576;
+
+/// What an `optimize` / `execute` request is looked up by: everything its
+/// body depends on besides `rows` and `seed`, which only feed execution.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey {
+    pub(crate) algo: String,
+    pub(crate) states: usize,
+    pub(crate) time_ms: u64,
+    pub(crate) text: String,
+}
+
+/// What a search leaves behind that a body is rendered from.
+pub(crate) struct Plan {
+    /// The request workflow's family digest.
+    pub(crate) digest: u128,
+    /// That family's shared state (families are never evicted, so a plan
+    /// holding its family keeps nothing alive that would otherwise go).
+    pub(crate) family: Arc<Family>,
+    /// The search's best state, with the parsed request's node ids — an
+    /// `execute` generates its catalog from this workflow's sources.
+    pub(crate) best: Workflow,
+    /// The search-result members of the body, rendered.
+    pub(crate) fragment: String,
+}
+
+/// The plan tier: exact-request key → plan, FIFO over a byte budget.
+struct PlanCache {
+    max_bytes: usize,
+    bytes: usize,
+    entries: HashMap<Arc<PlanKey>, (Arc<Plan>, usize)>,
+    /// Insertion order for FIFO eviction.
+    order: VecDeque<Arc<PlanKey>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl PlanCache {
+    fn new(max_bytes: usize) -> PlanCache {
+        PlanCache {
+            max_bytes,
+            bytes: 0,
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    fn get(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
+        match self.entries.get(key) {
+            Some((plan, _)) => {
+                self.hits += 1;
+                Some(Arc::clone(plan))
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Admit `plan`, evicting oldest entries past the byte budget. An entry
+    /// larger than the whole budget and an already-present key (a
+    /// concurrent miss got there first; the bodies are equal) are ignored.
+    fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) {
+        let bytes =
+            key.text.len() + plan.fragment.len() + plan.best.graph().slot_capacity() * SLOT_BYTES;
+        if bytes > self.max_bytes || self.entries.contains_key(&key) {
+            return;
+        }
+        while self.bytes + bytes > self.max_bytes {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            if let Some((_, freed)) = self.entries.remove(&old) {
+                self.bytes -= freed;
+                self.evictions += 1;
+            }
+        }
+        let key = Arc::new(key);
+        self.bytes += bytes;
+        self.entries.insert(Arc::clone(&key), (plan, bytes));
+        self.order.push_back(key);
+    }
+}
+
 /// One tenant's calibration stores, keyed by family digest.
 struct Tenant {
     cals: Mutex<HashMap<u128, Arc<Mutex<CalibrationStore>>>>,
@@ -155,6 +270,7 @@ pub struct Registry {
     cfg: ServerConfig,
     families: Mutex<HashMap<u128, Arc<Family>>>,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
+    plans: Mutex<PlanCache>,
 }
 
 impl Registry {
@@ -164,6 +280,7 @@ impl Registry {
             cfg,
             families: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
+            plans: Mutex::new(PlanCache::new(PLAN_CACHE_BYTES)),
         }
     }
 
@@ -174,12 +291,27 @@ impl Registry {
 
     /// The shared state for one workflow family, created on first touch.
     pub fn family(&self, digest: u128) -> Arc<Family> {
-        let mut families = relock(self.families.lock());
-        Arc::clone(
-            families
-                .entry(digest)
-                .or_insert_with(|| Arc::new(Family::new())),
-        )
+        self.family_seen(digest).0
+    }
+
+    /// [`Registry::family`], and whether the family already existed — the
+    /// plan tier's admission test.
+    pub fn family_seen(&self, digest: u128) -> (Arc<Family>, bool) {
+        match relock(self.families.lock()).entry(digest) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), true),
+            Entry::Vacant(v) => (Arc::clone(v.insert(Arc::new(Family::new()))), false),
+        }
+    }
+
+    /// The stored plan for an exact request, counting a hit or a miss.
+    pub(crate) fn plan(&self, key: &PlanKey) -> Option<Arc<Plan>> {
+        relock(self.plans.lock()).get(key)
+    }
+
+    /// Store a plan. The caller has checked admission: the family had been
+    /// seen before and the search was not time-capped.
+    pub(crate) fn store_plan(&self, key: PlanKey, plan: Arc<Plan>) {
+        relock(self.plans.lock()).insert(key, plan);
     }
 
     /// The calibration store for (tenant, family), created on first
@@ -230,6 +362,10 @@ impl Registry {
 
     /// Registry statistics as a JSON object line (the `stats` op).
     pub fn stats_json(&self) -> String {
+        let (plans, plan_bytes, plan_hits, plan_misses, plan_evictions) = {
+            let p = relock(self.plans.lock());
+            (p.entries.len(), p.bytes, p.hits, p.misses, p.evictions)
+        };
         let families = relock(self.families.lock());
         let mut caches = 0usize;
         let (mut hits, mut misses, mut insertions) = (0u64, 0u64, 0u64);
@@ -249,7 +385,9 @@ impl Registry {
             concat!(
                 "{{\"op\":\"stats\",\"families\":{},\"tenants\":{},\"caches\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_insertions\":{},",
-                "\"memo_hits\":{},\"memo_misses\":{}}}"
+                "\"memo_hits\":{},\"memo_misses\":{},",
+                "\"plans\":{},\"plan_bytes\":{},\"plan_hits\":{},",
+                "\"plan_misses\":{},\"plan_evictions\":{}}}"
             ),
             families.len(),
             tenants,
@@ -259,6 +397,11 @@ impl Registry {
             insertions,
             memo_hits,
             memo_misses,
+            plans,
+            plan_bytes,
+            plan_hits,
+            plan_misses,
+            plan_evictions,
         )
     }
 }
@@ -301,6 +444,119 @@ mod tests {
         );
     }
 
+    fn plan(fragment_len: usize) -> Arc<Plan> {
+        let best = etlopt_core::text::parse(concat!(
+            "source \"S\" table rows=10 (a)\n",
+            "activity a1 \"NN\" = not_null(a) <- \"S\"\n",
+            "target \"T\" table (a) <- a1\n",
+        ))
+        .unwrap();
+        Arc::new(Plan {
+            digest: 7,
+            family: Arc::new(Family::new()),
+            best,
+            fragment: "f".repeat(fragment_len),
+        })
+    }
+
+    fn key(text: &str) -> PlanKey {
+        PlanKey {
+            algo: "beam".to_owned(),
+            states: 600,
+            time_ms: 60_000,
+            text: text.to_owned(),
+        }
+    }
+
+    #[test]
+    fn family_seen_reports_the_first_sight_once() {
+        let reg = Registry::new(ServerConfig::default());
+        let (first, seen) = reg.family_seen(7);
+        assert!(!seen, "a fresh registry has seen nothing");
+        let (second, seen) = reg.family_seen(7);
+        assert!(seen && Arc::ptr_eq(&first, &second));
+        assert!(
+            !reg.family_seen(8).1,
+            "another family is its own first sight"
+        );
+        assert!(reg.family_seen(8).1);
+    }
+
+    #[test]
+    fn plan_cache_is_fifo_over_its_byte_budget_and_exact_on_every_key_part() {
+        // Every entry below is charged the same: one-letter text, 100-byte
+        // fragment, the same three-node workflow.
+        let entry = 1 + 100 + plan(0).best.graph().slot_capacity() * SLOT_BYTES;
+        let mut cache = PlanCache::new(3 * entry);
+        for text in ["a", "b", "c"] {
+            cache.insert(key(text), plan(100));
+        }
+        assert_eq!((cache.entries.len(), cache.bytes), (3, 3 * entry));
+        assert!(cache.get(&key("a")).is_some());
+        // Every part of the key is exact.
+        assert!(cache.get(&key("a ")).is_none(), "text");
+        assert!(
+            cache
+                .get(&PlanKey {
+                    states: 601,
+                    ..key("a")
+                })
+                .is_none(),
+            "states"
+        );
+        assert!(
+            cache
+                .get(&PlanKey {
+                    time_ms: 59_999,
+                    ..key("a")
+                })
+                .is_none(),
+            "time cap"
+        );
+        assert!(
+            cache
+                .get(&PlanKey {
+                    algo: "es".to_owned(),
+                    ..key("a")
+                })
+                .is_none(),
+            "algo"
+        );
+        assert_eq!((cache.hits, cache.misses), (1, 4));
+
+        // A second insert under a resident key is a no-op: the first plan
+        // stays (two concurrent misses computed equal plans).
+        let resident = cache.get(&key("b")).unwrap();
+        cache.insert(key("b"), plan(100));
+        assert!(Arc::ptr_eq(&resident, &cache.get(&key("b")).unwrap()));
+        assert_eq!(cache.bytes, 3 * entry);
+
+        // The fourth entry evicts the oldest, not the most recently read.
+        cache.insert(key("d"), plan(100));
+        assert!(cache.get(&key("a")).is_none(), "oldest goes first");
+        assert!(cache.get(&key("b")).is_some() && cache.get(&key("d")).is_some());
+        assert_eq!(
+            (cache.entries.len(), cache.bytes, cache.evictions),
+            (3, 3 * entry, 1)
+        );
+        // A larger one makes room for itself by evicting as many as it needs.
+        cache.insert(key("e"), plan(100 + entry));
+        assert_eq!(
+            (cache.entries.len(), cache.bytes, cache.evictions),
+            (2, 3 * entry, 3)
+        );
+        assert!(cache.get(&key("d")).is_some() && cache.get(&key("e")).is_some());
+        // One that exceeds the whole budget is never admitted and evicts
+        // nothing.
+        cache.insert(key("f"), plan(3 * entry));
+        assert!(cache.get(&key("f")).is_none());
+        assert_eq!(
+            (cache.entries.len(), cache.bytes, cache.evictions),
+            (2, 3 * entry, 3)
+        );
+        assert_eq!(cache.order.len(), cache.entries.len());
+    }
+
     #[test]
     fn calibration_is_tenant_scoped() {
         use etlopt_core::opt::adaptive::{CalEntry, Calibration};
@@ -322,6 +578,7 @@ mod tests {
         let fam = reg.family(7);
         fam.cache(64, 1, 0);
         let store = reg.calibration("acme", 7).unwrap();
+        reg.store_plan(key("w"), plan(8));
         // Panic on another thread with every kind of registry lock held.
         let panicked = std::thread::scope(|scope| {
             scope
@@ -330,6 +587,7 @@ mod tests {
                     let _tenants = reg.tenants.lock().unwrap();
                     let _caches = fam.caches.lock().unwrap();
                     let _store = store.lock().unwrap();
+                    let _plans = reg.plans.lock().unwrap();
                     panic!("job died holding the registry");
                 })
                 .join()
@@ -337,6 +595,7 @@ mod tests {
         assert!(panicked.is_err());
         assert!(reg.families.is_poisoned() && reg.tenants.is_poisoned());
         assert!(fam.caches.is_poisoned() && store.is_poisoned());
+        assert!(reg.plans.is_poisoned());
 
         assert!(Arc::ptr_eq(&reg.family(7), &fam), "known family survives");
         reg.family(8);
@@ -344,7 +603,15 @@ mod tests {
         assert!(Arc::ptr_eq(&reg.calibration("acme", 7).unwrap(), &store));
         reg.calibration("umbrella", 7).unwrap();
         assert_eq!(relock(store.lock()).len(), 0);
+        assert!(reg.plan(&key("w")).is_some(), "stored plan survives");
+        reg.store_plan(key("x"), plan(8));
+        assert!(reg.plan(&key("x")).is_some() && reg.plan(&key("y")).is_none());
         let v = crate::json::parse(&reg.stats_json()).unwrap();
+        let stat = |k| v.get(k).and_then(crate::json::Value::as_u64);
+        assert_eq!(
+            (stat("plans"), stat("plan_hits"), stat("plan_misses")),
+            (Some(2), Some(2), Some(1))
+        );
         assert_eq!(
             v.get("families").and_then(crate::json::Value::as_u64),
             Some(2)
@@ -373,5 +640,18 @@ mod tests {
             v.get("caches").and_then(crate::json::Value::as_u64),
             Some(1)
         );
+        for k in [
+            "plans",
+            "plan_bytes",
+            "plan_hits",
+            "plan_misses",
+            "plan_evictions",
+        ] {
+            assert_eq!(
+                v.get(k).and_then(crate::json::Value::as_u64),
+                Some(0),
+                "{k}"
+            );
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Live-server integration: concurrency byte-identity, admission
-//! control, multi-tenant shared-state wins and the drain protocol, all
-//! over real TCP connections against an in-process daemon.
+//! control, multi-tenant shared-state wins, the plan tier (second-sight
+//! admission, exact keys, time-capped searches flagged and never stored)
+//! and the drain protocol, all over real TCP connections against an
+//! in-process daemon.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -77,12 +79,47 @@ fn roundtrip_on(stream: &TcpStream, req: &Request) -> Response {
     Response::parse(line.trim_end()).expect("parse response")
 }
 
-fn meta_u64(resp: &Response, key: &str) -> u64 {
+/// One member of the response's observational `meta`.
+fn meta_field(resp: &Response, key: &str) -> json::Value {
     json::parse(&resp.meta)
         .expect("parse meta")
         .get(key)
-        .and_then(json::Value::as_u64)
         .unwrap_or_else(|| panic!("meta missing {key}: {}", resp.meta))
+        .clone()
+}
+
+fn meta_u64(resp: &Response, key: &str) -> u64 {
+    meta_field(resp, key).as_u64().expect("a count")
+}
+
+/// The response's `meta.plan_cache`: `hit`, `miss` or `skip`.
+fn plan_cache(resp: &Response) -> String {
+    meta_field(resp, "plan_cache")
+        .as_str()
+        .expect("a string")
+        .to_owned()
+}
+
+fn time_capped(resp: &Response) -> bool {
+    meta_field(resp, "time_capped").as_bool().expect("a flag")
+}
+
+/// One counter of the daemon's `stats` body.
+fn stat(server: &Server, key: &str) -> u64 {
+    let stats = roundtrip(server, &request("stats", Op::Stats, ""));
+    json::parse(&stats.body)
+        .expect("stats body")
+        .get(key)
+        .and_then(json::Value::as_u64)
+        .unwrap_or_else(|| panic!("stats missing {key}: {}", stats.body))
+}
+
+/// What `etlopt-client oneshot` answers: the same job path on a registry
+/// that has seen nothing.
+fn oneshot(req: &Request) -> Response {
+    let resp = run_request(&Registry::new(ServerConfig::default()), req);
+    assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+    resp
 }
 
 fn body_field<'a>(body: &'a json::Value, key: &str) -> &'a json::Value {
@@ -178,6 +215,36 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
         r2.meta
     );
     assert_eq!(r2.body, r1.body, "shared state must never change the body");
+    // It was also the family's second sight: it searched (the memo hits
+    // above) and left the plan behind.
+    assert_eq!(plan_cache(&r1), "miss");
+    assert_eq!(plan_cache(&r2), "miss");
+    assert_eq!(stat(&server, "plans"), 1);
+
+    // The same request a third time, from the first tenant again: the
+    // plan tier is tenant-neutral, so no search runs (no memo traffic) —
+    // execution still goes through the shared result cache.
+    let mut third = request("c2b", Op::Execute, &wf);
+    third.tenant = "acme".to_owned();
+    third.algo = "beam".to_owned();
+    let r2b = roundtrip(&server, &third);
+    assert_eq!(r2b.code, Code::Ok, "{}", r2b.error);
+    assert_eq!(plan_cache(&r2b), "hit", "{}", r2b.meta);
+    assert_eq!(meta_u64(&r2b, "memo_hits"), 0, "{}", r2b.meta);
+    assert_eq!(meta_u64(&r2b, "memo_misses"), 0, "{}", r2b.meta);
+    assert!(meta_u64(&r2b, "cache_hits") > 0, "{}", r2b.meta);
+    assert_eq!(r2b.body, r1.body, "a replayed plan must give the same body");
+
+    // A true sibling — same text, another state budget — is another key:
+    // it searches, and the family's memo still serves it.
+    let mut sibling = third.clone();
+    sibling.id = "c2c".to_owned();
+    sibling.states = 500;
+    let r2c = roundtrip(&server, &sibling);
+    assert_eq!(r2c.code, Code::Ok, "{}", r2c.error);
+    assert_eq!(plan_cache(&r2c), "miss", "{}", r2c.meta);
+    assert!(meta_u64(&r2c, "memo_hits") > 0, "{}", r2c.meta);
+    assert_eq!(r2c.body, oneshot(&sibling).body);
 
     // Tenant acme accumulates calibration via a warm adaptive run…
     let mut adaptive = request("c3", Op::Adaptive, &wf);
@@ -185,6 +252,11 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     let r3 = roundtrip(&server, &adaptive);
     assert_eq!(r3.code, Code::Ok, "{}", r3.error);
     assert_eq!(meta_u64(&r3, "warm_entries"), 0, "acme starts cold");
+    assert_eq!(
+        plan_cache(&r3),
+        "skip",
+        "adaptive never consults the plan tier"
+    );
 
     // …after which acme's *next* adaptive warm-starts…
     let mut warm = request("c4", Op::Adaptive, &wf);
@@ -250,6 +322,224 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
 
     server.shutdown();
     server.join();
+}
+
+/// First sight searches and stores nothing, second sight searches and
+/// stores, third is answered from the plan — and all three bodies are the
+/// one-shot body, for every algorithm and both plan-rendered ops.
+#[test]
+fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let mut stored = 0;
+    for (a, algo) in ["es", "hs", "hs-greedy", "beam"].into_iter().enumerate() {
+        for (o, op) in [Op::Optimize, Op::Execute].into_iter().enumerate() {
+            // A family of its own per case, so each starts at a first sight.
+            let wf = workflow_text(300 + (2 * a + o) as u64, SizeCategory::Small);
+            let mut req = request("p", op, &wf);
+            req.algo = algo.to_owned();
+            let reference = oneshot(&req);
+            for (sight, expect) in ["miss", "miss", "hit"].into_iter().enumerate() {
+                let resp = roundtrip(&server, &req);
+                assert_eq!(resp.code, Code::Ok, "{algo} {op:?}: {}", resp.error);
+                assert_eq!(
+                    resp.body, reference.body,
+                    "{algo} {op:?} sight {sight}: body differs from one-shot"
+                );
+                assert_eq!(plan_cache(&resp), expect, "{algo} {op:?} sight {sight}");
+                assert!(!time_capped(&resp), "{algo} {op:?}: 30 s never binds");
+                // Not stored on the first sight, stored on the second.
+                if sight == 1 {
+                    stored += 1;
+                }
+                assert_eq!(
+                    stat(&server, "plans"),
+                    stored,
+                    "{algo} {op:?} sight {sight}"
+                );
+            }
+            // The other op of the same request shares the plan: the key
+            // holds nothing an op could change.
+            let mut other = req.clone();
+            other.op = if op == Op::Optimize {
+                Op::Execute
+            } else {
+                Op::Optimize
+            };
+            let resp = roundtrip(&server, &other);
+            assert_eq!(plan_cache(&resp), "hit", "{algo} {:?}", other.op);
+            assert_eq!(resp.body, oneshot(&other).body, "{algo} {:?}", other.op);
+        }
+    }
+    assert_eq!(stat(&server, "plan_hits"), 16);
+    assert_eq!(stat(&server, "plan_misses"), 16);
+    assert_eq!(stat(&server, "plan_evictions"), 0);
+    assert!(stat(&server, "plan_bytes") > 0);
+    server.shutdown();
+    server.join();
+}
+
+/// Eight clients race one never-stored request at a daemon that already
+/// knows the family: however the misses and hits interleave, every body is
+/// the one-shot body and exactly one plan is left.
+#[test]
+fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_plan() {
+    let server = spawn(ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let wf = workflow_text(2005, SizeCategory::Medium);
+    // First sight, under another budget: registers the family, stores
+    // nothing.
+    let mut first = request("warm", Op::Optimize, &wf);
+    first.algo = "beam".to_owned();
+    first.states = 50;
+    assert_eq!(roundtrip(&server, &first).code, Code::Ok);
+    assert_eq!(stat(&server, "plans"), 0);
+
+    let mut req = request("race", Op::Execute, &wf);
+    req.algo = "beam".to_owned();
+    let reference = oneshot(&req);
+    // Connect first, then release all eight at once.
+    let barrier = std::sync::Barrier::new(8);
+    let replies: Vec<Response> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let stream = TcpStream::connect(server.local_addr()).expect("connect");
+                let (barrier, req) = (&barrier, &req);
+                scope.spawn(move || {
+                    barrier.wait();
+                    roundtrip_on(&stream, req)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
+    });
+    for resp in &replies {
+        assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+        assert_eq!(resp.body, reference.body);
+    }
+    let misses = replies.iter().filter(|r| plan_cache(r) == "miss").count();
+    assert!(misses >= 1, "somebody had to search");
+    assert_eq!(stat(&server, "plans"), 1, "{misses} misses, one plan");
+    assert_eq!(plan_cache(&roundtrip(&server, &req)), "hit");
+    server.shutdown();
+    server.join();
+}
+
+/// The key is the text, not the workflow: a comment and some spaces make
+/// it another request, which searches and is still right.
+#[test]
+fn a_respelled_workflow_is_another_key_and_still_the_right_body() {
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let wf = workflow_text(41, SizeCategory::Small);
+    let req = request("t", Op::Execute, &wf);
+    for expect in ["miss", "miss", "hit"] {
+        assert_eq!(plan_cache(&roundtrip(&server, &req)), expect);
+    }
+    let respelled = format!(
+        "# nightly load\n{}\n",
+        wf.replace(" <- ", "   <-  ").replace('\n', "  \n\n")
+    );
+    assert_ne!(respelled, wf);
+    assert_eq!(
+        text::parse(&respelled).expect("parse").signature(),
+        text::parse(&wf).expect("parse").signature(),
+        "same workflow, spelled differently"
+    );
+    let again = request("t2", Op::Execute, &respelled);
+    let resp = roundtrip(&server, &again);
+    assert_eq!(plan_cache(&resp), "miss", "another text is another key");
+    assert_eq!(resp.body, oneshot(&again).body);
+    // Its family is the one already seen, so this first sending stored it.
+    assert_eq!(stat(&server, "plans"), 2);
+    assert_eq!(plan_cache(&roundtrip(&server, &again)), "hit");
+    server.shutdown();
+    server.join();
+}
+
+/// A search that observed its deadline is the one body that may differ
+/// between machines: it is flagged in `meta`, and never stored — not even
+/// on the family's second and third sight.
+#[test]
+fn a_time_capped_search_is_flagged_in_meta_and_never_stored() {
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let wf = workflow_text(2005, SizeCategory::Large);
+    for algo in ["beam", "hs"] {
+        let mut req = request("capped", Op::Optimize, &wf);
+        req.algo = algo.to_owned();
+        req.states = usize::MAX; // clamped to the ceiling: 20 000 states
+        req.time_ms = 1;
+        for sight in 0..3 {
+            let resp = roundtrip(&server, &req);
+            assert_eq!(resp.code, Code::Ok, "{algo}: {}", resp.error);
+            assert!(resp.body.contains("\"time_ms\":1,"), "{}", resp.body);
+            assert!(
+                !resp.body.contains("time_capped"),
+                "the flag is observational, never canonical"
+            );
+            assert!(time_capped(&resp), "{algo} sight {sight}: {}", resp.meta);
+            assert_eq!(plan_cache(&resp), "miss", "{algo} sight {sight}");
+            assert_eq!(stat(&server, "plans"), 0, "{algo} sight {sight}");
+        }
+    }
+    // The same text under a cap that does not bind is stored at once (the
+    // family has been seen) and replayed.
+    let mut req = request("roomy", Op::Optimize, &wf);
+    req.algo = "hs".to_owned();
+    let resp = roundtrip(&server, &req);
+    assert!(!time_capped(&resp), "{}", resp.meta);
+    assert_eq!(stat(&server, "plans"), 1);
+    assert_eq!(plan_cache(&roundtrip(&server, &req)), "hit");
+    server.shutdown();
+    server.join();
+}
+
+/// An `execute` served from a stored plan generates its catalog from the
+/// plan, not from the request text it never parsed. That is the request's
+/// own catalog because a search never touches source recordsets: same
+/// sources, same node order, so `catalog_for` threads its one RNG through
+/// them identically.
+#[test]
+fn a_plan_generates_the_catalog_its_request_text_generates() {
+    use etlopt_core::cost::RowCountModel;
+    use etlopt_core::graph::Node;
+    use etlopt_core::opt::{BeamSearch, Optimizer, SearchBudget};
+    use etlopt_workload::datagen;
+
+    for scenario in Generator::suite(2005, 48, 29, 3) {
+        let wf = text::parse(&text::render(&scenario.workflow).expect("render")).expect("parse");
+        let best = BeamSearch::with_budget(SearchBudget::states(600).with_parallelism(1))
+            .run(&wf, &RowCountModel::default())
+            .expect("search")
+            .best;
+        let names = |w: &etlopt_core::workflow::Workflow| -> Vec<String> {
+            w.sources()
+                .into_iter()
+                .map(|id| match w.graph().node(id) {
+                    Ok(Node::Recordset(rs)) => rs.name.clone(),
+                    other => panic!("source is not a recordset: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(names(&wf), names(&best), "{}: source order", scenario.name);
+        let (from_text, from_plan) = (
+            datagen::catalog_for(&wf, 64, 2005),
+            datagen::catalog_for(&best, 64, 2005),
+        );
+        for name in names(&wf) {
+            assert!(from_text.table(&name).is_some(), "{name} not generated");
+            assert_eq!(
+                from_text.table(&name),
+                from_plan.table(&name),
+                "{}: source {name}",
+                scenario.name
+            );
+        }
+    }
 }
 
 #[test]
