@@ -140,11 +140,18 @@ pub struct SearchBudget {
     pub max_states: usize,
     /// Wall-clock limit.
     pub max_time: Duration,
-    /// Worker threads for frontier/candidate evaluation. `None` uses
-    /// [`std::thread::available_parallelism`]; `Some(1)` forces the
+    /// Worker threads for frontier/candidate evaluation; `1` is the
     /// sequential path. Any setting returns the same `best_cost` and
     /// best-state signature — parallelism only changes wall-clock time.
-    pub parallelism: Option<NonZeroUsize>,
+    ///
+    /// The default is 1, not the machine's core count: workers are scoped
+    /// threads spawned per [`EXPAND_WINDOW`]-state window, and on the
+    /// reference box (2 hardware threads) that spawning costs more than
+    /// the fan-out saves (the benchmark's `search_plan` population, every
+    /// core vs one thread, ms a pass: ES 107 vs 81, HS 374 vs 220,
+    /// HS-Greedy 1 366 vs 314, beam 371 vs 227). Callers that measured a
+    /// gain ask for it with [`SearchBudget::with_parallelism`].
+    pub parallelism: NonZeroUsize,
 }
 
 impl Default for SearchBudget {
@@ -152,7 +159,7 @@ impl Default for SearchBudget {
         SearchBudget {
             max_states: 200_000,
             max_time: Duration::from_secs(60),
-            parallelism: None,
+            parallelism: NonZeroUsize::MIN,
         }
     }
 }
@@ -163,16 +170,14 @@ impl SearchBudget {
         SearchBudget {
             max_states,
             max_time: Duration::from_secs(u64::MAX / 4),
-            parallelism: None,
+            parallelism: NonZeroUsize::MIN,
         }
     }
 
-    /// Set the worker-thread count. `1` forces the sequential path, and so
-    /// does `0` — it is clamped rather than treated as "auto", because
-    /// `NonZeroUsize::new(0)` is `None` and would silently re-enable the
-    /// all-machine-cores auto-detect arm callers asked to turn off.
+    /// Set the worker-thread count. `1` is the sequential path, and so is
+    /// `0`: it is clamped, never read as "every core".
     pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = NonZeroUsize::new(n.max(1));
+        self.parallelism = NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN);
         self
     }
 
@@ -183,13 +188,9 @@ impl SearchBudget {
         self
     }
 
-    /// Resolved worker count: the explicit knob, or the machine's
-    /// available parallelism.
+    /// The worker count.
     pub fn threads(&self) -> usize {
-        match self.parallelism {
-            Some(n) => n.get(),
-            None => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-        }
+        self.parallelism.get()
     }
 
     /// Is the budget spent?
@@ -480,11 +481,13 @@ mod tests {
 
     #[test]
     fn zero_parallelism_clamps_to_sequential() {
-        // Regression: `NonZeroUsize::new(0)` is `None`, which used to fall
-        // through to the all-machine-cores auto-detect arm.
+        // Regression: `0` used to mean "every core", and so did a budget
+        // nobody set a count on — a measured loss (see the field doc).
         let b = SearchBudget::default().with_parallelism(0);
-        assert_eq!(b.parallelism, NonZeroUsize::new(1));
+        assert_eq!(b.parallelism, NonZeroUsize::MIN);
         assert_eq!(b.threads(), 1);
+        assert_eq!(SearchBudget::default().threads(), 1);
+        assert_eq!(SearchBudget::states(10).threads(), 1);
         assert_eq!(SearchBudget::default().with_parallelism(4).threads(), 4);
     }
 
@@ -512,7 +515,7 @@ mod tests {
         let budget = SearchBudget {
             max_states: 100_000,
             max_time: Duration::ZERO,
-            parallelism: NonZeroUsize::new(1),
+            parallelism: NonZeroUsize::MIN,
         };
         let algos: [Box<dyn Optimizer>; 4] = [
             Box::new(ExhaustiveSearch::with_budget(budget)),

@@ -29,16 +29,28 @@
 //! parsing and searching. A search that did observe its deadline is the
 //! one place a body may differ between machines; it is flagged
 //! `"time_capped":true` in `meta` and its plan is never stored.
+//!
+//! A warm request repeats nothing the registry already holds. An `execute`
+//! whose plan remembers a run over the same rows and seed splices the
+//! remembered `targets` string where it would splice the computed one: no
+//! catalog, no executor. And `adaptive`'s rounds search through the same
+//! tier, behind `TierSearch`: each round's key carries the estimates its
+//! seeded workflow holds, so a tenant whose calibration has stopped moving
+//! finds every round's search done — by itself last time, or by any tenant
+//! whose calibration says the same.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use etlopt_core::cost::RowCountModel;
+use etlopt_core::cost::{CostModel, RowCountModel};
+use etlopt_core::graph::Node;
 use etlopt_core::opt::{
     run_adaptive, AdaptiveConfig, BeamSearch, ExhaustiveSearch, HeuristicSearch, HsGreedy,
-    MoveMemo, Optimizer, SearchBudget,
+    MoveMemo, Optimizer, SearchBudget, SearchOutcome,
 };
 use etlopt_core::text;
+use etlopt_core::trace::{NoopSink, TraceSink};
 use etlopt_core::workflow::Workflow;
 use etlopt_engine::{Catalog, Executor, Harvester, Table};
 use etlopt_workload::{datagen, CalibrationStore};
@@ -124,7 +136,6 @@ fn feed(h: &mut u64, bytes: &[u8]) {
 /// identical (family, rows, seed) — only requests whose generated data
 /// is bit-identical may share cached intermediates.
 pub fn catalog_digest(wf: &Workflow, catalog: &Catalog) -> u64 {
-    use etlopt_core::graph::Node;
     let mut entries: Vec<(&str, u64)> = Vec::new();
     for src in wf.sources() {
         let Ok(Node::Recordset(rs)) = wf.graph().node(src) else {
@@ -198,11 +209,19 @@ pub fn table_digest(table: &Table) -> u64 {
 
 /// Observational (non-canonical) metadata accumulated while a job runs.
 ///
-/// `plan_cache` is `"hit"`, `"miss"` or `"skip"` (adaptive never consults
-/// the plan tier). On a hit no search ran in this request: `memo_hits` and
+/// `searches` counts the searches this request actually ran: 0 or 1 for
+/// `optimize` / `execute`, at most one per round for `adaptive`.
+/// `plan_cache` is `"hit"` when it ran none — every search it needed was in
+/// the plan tier — and `"miss"` otherwise. With no search, `memo_hits` and
 /// `memo_misses` are 0 and `time_capped` is `false` (a time-capped search
-/// is never stored). `time_capped` is the one thing that tells a caller
-/// the body may differ on another machine or under another load.
+/// is never stored); a replayed [`SearchOutcome`] carries `elapsed: 0`.
+/// `time_capped` is the one thing that tells a caller the body may differ
+/// on another machine or under another load.
+///
+/// `run` is `"remembered"` when an `execute`'s targets came from its plan,
+/// `"executed"` when they were computed, `"none"` for the other ops. A
+/// remembered run never reaches the result cache, so the three `cache_*`
+/// counts are 0 there.
 struct Meta {
     started: Instant,
     memo_hits: u64,
@@ -213,7 +232,8 @@ struct Meta {
     harvest_runs: u64,
     warm_entries: usize,
     time_capped: bool,
-    plan_cache: &'static str,
+    searches: u64,
+    run: &'static str,
 }
 
 impl Meta {
@@ -228,7 +248,8 @@ impl Meta {
             harvest_runs: 0,
             warm_entries: 0,
             time_capped: false,
-            plan_cache: "skip",
+            searches: 0,
+            run: "none",
         }
     }
 
@@ -245,7 +266,8 @@ impl Meta {
                 "{{\"elapsed_us\":{},\"memo_hits\":{},\"memo_misses\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_insertions\":{},",
                 "\"harvest_runs\":{},\"warm_entries\":{},",
-                "\"time_capped\":{},\"plan_cache\":\"{}\"}}"
+                "\"time_capped\":{},\"plan_cache\":\"{}\",",
+                "\"searches\":{},\"run\":\"{}\"}}"
             ),
             self.started.elapsed().as_micros(),
             self.memo_hits,
@@ -256,7 +278,9 @@ impl Meta {
             self.harvest_runs,
             self.warm_entries,
             self.time_capped,
-            self.plan_cache,
+            if self.searches == 0 { "hit" } else { "miss" },
+            self.searches,
+            self.run,
         )
     }
 }
@@ -294,7 +318,7 @@ fn run_job(registry: &Registry, req: &Request) -> Response {
         // Optimize and execute: one path, a body is always rendered from
         // a `Plan`; a plan-tier hit merely skips producing it.
         _ => plan_for(req, &eff, registry, &mut meta)
-            .and_then(|plan| plan_body(req, &eff, &plan, &mut meta)),
+            .and_then(|plan| plan_body(req, &eff, registry, &plan, &mut meta)),
     };
     match body {
         Ok(body) => Response::ok(&req.id, body, meta.render()),
@@ -325,95 +349,184 @@ fn parse_workflow(req: &Request, registry: &Registry) -> Result<Parsed, Failure>
     })
 }
 
+/// The estimates a workflow carries where re-seeding may have made them
+/// differ from its text's: every activity's selectivity and every
+/// recordset's row estimate as `f64` bit patterns, in node order. Two
+/// workflows parsed from one text with equal bits are equal workflows
+/// (re-seeding replaces nothing else), which is what makes
+/// [`PlanKey::estimates`] exact. Only source estimates are ever re-seeded;
+/// the others are as the text says and ride along so the walk needs no
+/// source test.
+pub(crate) fn estimate_bits(wf: &Workflow) -> Vec<u64> {
+    wf.graph()
+        .iter()
+        .map(|(_, node)| match node {
+            Node::Activity(a) => a.selectivity().to_bits(),
+            Node::Recordset(rs) => rs.row_estimate.to_bits(),
+        })
+        .collect()
+}
+
+fn plan_key(req: &Request, eff: &Effective, estimates: Vec<u64>) -> Arc<PlanKey> {
+    Arc::new(PlanKey {
+        algo: req.algo.clone(),
+        states: eff.states,
+        time_ms: eff.time_ms,
+        text: req.workflow.clone(),
+        estimates,
+    })
+}
+
+/// A request's optimizer with the plan tier behind it: [`TierSearch::search`]
+/// is the one place a search runs and the one place a plan is stored, for
+/// all three ops. `plan_for` calls it on a miss; handed to `run_adaptive`
+/// as the loop's [`Optimizer`], it answers each round from the tier when it
+/// can and searches through the same function when it cannot.
+///
+/// Sound because the model is fixed — every caller in this module passes
+/// `RowCountModel::default()` — so a search that is not time-capped is a
+/// pure function of (algorithm, state budget, workflow), and the key pins
+/// the workflow: its text and, where they may differ from it, its estimates.
+struct TierSearch<'a> {
+    req: &'a Request,
+    eff: &'a Effective,
+    registry: &'a Registry,
+    parsed: &'a Parsed,
+    optimizer: Box<dyn Optimizer>,
+    /// Searches actually run.
+    searches: Cell<u64>,
+}
+
+impl<'a> TierSearch<'a> {
+    fn new(
+        req: &'a Request,
+        eff: &'a Effective,
+        registry: &'a Registry,
+        parsed: &'a Parsed,
+    ) -> TierSearch<'a> {
+        TierSearch {
+            req,
+            eff,
+            registry,
+            parsed,
+            optimizer: build_optimizer(req, eff, parsed.family.memo()),
+            searches: Cell::new(0),
+        }
+    }
+
+    /// Search `wf` — the request's workflow, as parsed or re-seeded — and
+    /// build its plan. No lock is held meanwhile: two concurrent misses both
+    /// search, and the second store is a no-op (their plans are equal). The
+    /// plan is stored only if its family had been seen before this request
+    /// (one-off traffic stores nothing) and the search never observed its
+    /// deadline (a time-capped result is the one that may differ across
+    /// machines).
+    fn search(
+        &self,
+        key: Arc<PlanKey>,
+        wf: &Workflow,
+        model: &dyn CostModel,
+        sink: &dyn TraceSink,
+    ) -> etlopt_core::error::Result<Arc<Plan>> {
+        self.searches.set(self.searches.get() + 1);
+        let mut outcome = self.optimizer.run_traced(wf, model, sink)?;
+        // What is kept is replayed, and a replay takes no time.
+        outcome.elapsed = Duration::ZERO;
+        let fragment = format!(
+            concat!(
+                "\"initial_cost\":{},\"best_cost\":{},\"visited_states\":{},",
+                "\"budget_exhausted\":{},\"plan\":\"{}\",\"counters\":\"{}\""
+            ),
+            outcome.initial_cost,
+            outcome.best_cost,
+            outcome.visited_states,
+            outcome.budget_exhausted,
+            json::escape(&text::render(&outcome.best)?),
+            json::escape(&outcome.stats.counters_json()),
+        );
+        let admit = self.parsed.seen && !outcome.time_capped;
+        let plan = Arc::new(Plan::new(
+            key,
+            self.parsed.digest,
+            Arc::clone(&self.parsed.family),
+            outcome,
+            fragment,
+        ));
+        if admit {
+            self.registry.store_plan(Arc::clone(&plan));
+        }
+        Ok(plan)
+    }
+}
+
+impl Optimizer for TierSearch<'_> {
+    fn name(&self) -> &str {
+        self.optimizer.name()
+    }
+
+    fn run_traced(
+        &self,
+        wf: &Workflow,
+        model: &dyn CostModel,
+        sink: &dyn TraceSink,
+    ) -> etlopt_core::error::Result<SearchOutcome> {
+        let key = plan_key(self.req, self.eff, estimate_bits(wf));
+        let plan = match self.registry.plan(&key) {
+            Some(plan) => plan,
+            None => self.search(key, wf, model, sink)?,
+        };
+        Ok(plan.outcome.clone())
+    }
+}
+
 /// The plan an `optimize` / `execute` body is rendered from: the one
-/// stored for this exact request, or else a fresh search's, looked up
-/// before anything is parsed. No lock is held while searching — two
-/// concurrent misses both search, and the second store is a no-op (their
-/// plans are equal by the byte-identity contract). The fresh plan is
-/// stored only if its family had been seen before this request (one-off
-/// traffic stores nothing) and the search never observed its deadline (a
-/// time-capped result is the one body that may differ across machines).
+/// stored for this exact request, looked up before anything is parsed, or
+/// else a fresh search's ([`TierSearch::search`]).
 fn plan_for(
     req: &Request,
     eff: &Effective,
     registry: &Registry,
     meta: &mut Meta,
 ) -> Result<Arc<Plan>, Failure> {
-    let key = PlanKey {
-        algo: req.algo.clone(),
-        states: eff.states,
-        time_ms: eff.time_ms,
-        text: req.workflow.clone(),
-    };
+    // No estimates: the search reads the text as it stands.
+    let key = plan_key(req, eff, Vec::new());
     if let Some(plan) = registry.plan(&key) {
-        meta.plan_cache = "hit";
         return Ok(plan);
     }
-    meta.plan_cache = "miss";
-    let Parsed {
-        wf,
-        digest,
-        family,
-        seen,
-    } = parse_workflow(req, registry)?;
-    let memo = family.memo();
+    let parsed = parse_workflow(req, registry)?;
+    let memo = parsed.family.memo();
     let before = memo.stats();
-    let outcome = build_optimizer(req, eff, Arc::clone(&memo))
-        .run(&wf, &RowCountModel::default())
+    let tier = TierSearch::new(req, eff, registry, &parsed);
+    let plan = tier
+        .search(key, &parsed.wf, &RowCountModel::default(), &NoopSink)
         .map_err(|e| internal(format!("search: {e}")))?;
     meta.memo_since(&memo, before);
-    meta.time_capped = outcome.time_capped;
-    let plan_text =
-        text::render(&outcome.best).map_err(|e| internal(format!("render plan: {e}")))?;
-    let fragment = format!(
-        concat!(
-            "\"initial_cost\":{},\"best_cost\":{},\"visited_states\":{},",
-            "\"budget_exhausted\":{},\"plan\":\"{}\",\"counters\":\"{}\""
-        ),
-        outcome.initial_cost,
-        outcome.best_cost,
-        outcome.visited_states,
-        outcome.budget_exhausted,
-        json::escape(&plan_text),
-        json::escape(&outcome.stats.counters_json()),
-    );
-    let plan = Arc::new(Plan {
-        digest,
-        family,
-        best: outcome.best,
-        fragment,
-    });
-    if seen && !outcome.time_capped {
-        registry.store_plan(key, Arc::clone(&plan));
-    }
+    meta.searches = tier.searches.get();
+    meta.time_capped = plan.outcome.time_capped;
     Ok(plan)
 }
 
-/// Render an `optimize` / `execute` body from its plan.
-fn plan_body(
+/// Execute `plan` over the request's synthetic data and render the
+/// `targets` member of the body.
+fn run_targets(
     req: &Request,
     eff: &Effective,
     plan: &Plan,
     meta: &mut Meta,
 ) -> Result<String, Failure> {
-    if req.op != Op::Execute {
-        return Ok(format!(
-            "{{\"op\":\"optimize\",\"algo\":\"{}\",\"family\":\"{:032x}\",\"states\":{},\"time_ms\":{},{}}}",
-            req.algo, plan.digest, eff.states, eff.time_ms, plan.fragment,
-        ));
-    }
+    let best = &plan.outcome.best;
     // Generate the data before touching the cache: the cache key needs a
     // digest of the catalog actually generated (datagen is source-
     // declaration-order-sensitive; family digests are not). The plan keeps
     // the request workflow's sources, ids and order, so this is the
     // catalog the request's own text generates.
-    let catalog = catalog_for_request(&plan.best, eff.rows, req.seed);
+    let catalog = catalog_for_request(best, eff.rows, req.seed);
     let cache = plan
         .family
-        .cache(eff.rows, req.seed, catalog_digest(&plan.best, &catalog));
+        .cache(eff.rows, req.seed, catalog_digest(best, &catalog));
     let (h0, m0, i0) = cache.counters();
     let run = Executor::new(catalog)
-        .run_stream_shared(&plan.best, &cache)
+        .run_stream_shared(best, &cache)
         .map_err(|e| internal(format!("execute: {e}")))?;
     let (h1, m1, i1) = cache.counters();
     meta.cache_hits = h1.saturating_sub(h0);
@@ -431,6 +544,37 @@ fn plan_body(
             table_digest(table),
         ));
     }
+    Ok(targets)
+}
+
+/// Render an `optimize` / `execute` body from its plan.
+fn plan_body(
+    req: &Request,
+    eff: &Effective,
+    registry: &Registry,
+    plan: &Arc<Plan>,
+    meta: &mut Meta,
+) -> Result<String, Failure> {
+    if req.op != Op::Execute {
+        return Ok(format!(
+            "{{\"op\":\"optimize\",\"algo\":\"{}\",\"family\":\"{:032x}\",\"states\":{},\"time_ms\":{},{}}}",
+            req.algo, plan.digest, eff.states, eff.time_ms, plan.fragment,
+        ));
+    }
+    // The targets are a pure function of (plan, rows, seed): remembered on
+    // the plan, or computed and then remembered. A failed run is not.
+    let targets = match registry.run(plan, eff.rows, req.seed) {
+        Some(targets) => {
+            meta.run = "remembered";
+            targets
+        }
+        None => {
+            let targets: Arc<str> = Arc::from(run_targets(req, eff, plan, meta)?);
+            meta.run = "executed";
+            registry.remember_run(plan, eff.rows, req.seed, Arc::clone(&targets));
+            targets
+        }
+    };
     Ok(format!(
         concat!(
             "{{\"op\":\"execute\",\"algo\":\"{}\",\"family\":\"{:032x}\",",
@@ -447,12 +591,13 @@ fn adaptive_body(
     registry: &Registry,
     meta: &mut Meta,
 ) -> Result<String, Failure> {
-    let Parsed {
-        wf, digest, family, ..
-    } = parse_workflow(req, registry)?;
-    let memo = family.memo();
+    let parsed = parse_workflow(req, registry)?;
+    let (wf, digest) = (&parsed.wf, parsed.digest);
+    let memo = parsed.family.memo();
     let before = memo.stats();
-    let optimizer = build_optimizer(req, eff, Arc::clone(&memo));
+    // Every round's search goes through the plan tier, keyed by the
+    // estimates that round seeded.
+    let optimizer = TierSearch::new(req, eff, registry, &parsed);
     let model = RowCountModel::default();
     // Adaptive deliberately does NOT use the family's shared result
     // cache: calibration harvests per-activity statistics, and a
@@ -460,49 +605,41 @@ fn adaptive_body(
     // would starve the harvester of observations and change the report.
     // The private per-job cache below still reuses prefixes *across
     // rounds*, exactly like the one-shot adaptive path; the cross-job
-    // shared win for adaptive is the warm calibration store. Nor does it
-    // touch the plan tier: its searches price with the tenant's
-    // calibration, which no request key could capture.
-    let mut harvester = Harvester::new(Executor::new(catalog_for_request(&wf, eff.rows, req.seed)));
+    // shared wins for adaptive are the warm calibration store and the
+    // searches that store makes repeatable.
+    let mut harvester = Harvester::new(Executor::new(catalog_for_request(wf, eff.rows, req.seed)));
     let cfg = AdaptiveConfig::rounds(eff.rounds);
 
     let report = if req.warm {
         // Warm: run against the tenant's accumulated calibration, hold
         // its lock for the whole loop (adaptive rounds interleave reads
-        // and writes), persist afterwards.
+        // and writes), persist afterwards if the loop taught it anything.
         let store = registry
             .calibration(&req.tenant, digest)
             .map_err(|e| internal(format!("calibration store: {e}")))?;
         let mut guard = relock(store.lock());
         meta.warm_entries = guard.len();
-        let report = run_adaptive(
-            &wf,
-            &model,
-            optimizer.as_ref(),
-            &mut harvester,
-            &mut *guard,
-            cfg,
-        )
-        .map_err(|e| internal(format!("adaptive: {e}")))?;
-        registry
-            .persist_calibration(&req.tenant, digest, &guard)
-            .map_err(|e| internal(format!("calibration store: {e}")))?;
+        let unchanged = guard.clone();
+        let report = run_adaptive(wf, &model, &optimizer, &mut harvester, &mut *guard, cfg)
+            .map_err(|e| internal(format!("adaptive: {e}")))?;
+        if *guard != unchanged {
+            if let Err(e) = registry.persist_calibration(&req.tenant, digest, &guard) {
+                // Memory stays in step with the disk, so the next request
+                // differs from its snapshot again and retries the save.
+                *guard = unchanged;
+                return Err(internal(format!("calibration store: {e}")));
+            }
+        }
         report
     } else {
         // Cold: a throwaway store, never merged back — a pure baseline
         // run that cannot leak observations into the tenant's state.
         let mut store = CalibrationStore::new();
-        run_adaptive(
-            &wf,
-            &model,
-            optimizer.as_ref(),
-            &mut harvester,
-            &mut store,
-            cfg,
-        )
-        .map_err(|e| internal(format!("adaptive: {e}")))?
+        run_adaptive(wf, &model, &optimizer, &mut harvester, &mut store, cfg)
+            .map_err(|e| internal(format!("adaptive: {e}")))?
     };
     meta.memo_since(&memo, before);
+    meta.searches = optimizer.searches.get();
     meta.time_capped = report.rounds.iter().any(|r| r.time_capped);
     let counters = harvester.counters();
     meta.cache_hits = counters.cache_hits;
@@ -531,6 +668,7 @@ fn adaptive_body(
 mod tests {
     use super::*;
     use crate::state::ServerConfig;
+    use etlopt_core::opt::adaptive::seed_workflow;
 
     const WF: &str = concat!(
         "source \"S\" file rows=40 (pkey, cost, date)\n",
@@ -601,7 +739,372 @@ mod tests {
             let d = run_request(&reg, &req);
             assert_eq!(c.body, a.body, "{op:?} warm registry changed the body");
             assert_eq!(d.body, a.body, "{op:?} second warm run changed the body");
+            // The second run was the family's second sight and left its
+            // searches behind: the third runs none, whatever the op — a
+            // cold adaptive's rounds included.
+            let e = run_request(&reg, &req);
+            assert_eq!(e.body, a.body, "{op:?} replayed run changed the body");
+            assert!(meta_u64(&d, "searches") >= 1, "{op:?}: {}", d.meta);
+            assert_eq!(meta_u64(&e, "searches"), 0, "{op:?}: {}", e.meta);
+            assert!(e.meta.contains("\"plan_cache\":\"hit\""), "{}", e.meta);
+            let run = match op {
+                Op::Execute => "remembered",
+                _ => "none",
+            };
+            assert!(e.meta.contains(&format!("\"run\":\"{run}\"")), "{}", e.meta);
         }
+    }
+
+    fn meta_u64(resp: &Response, key: &str) -> u64 {
+        json::parse(&resp.meta)
+            .expect("meta")
+            .get(key)
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("meta missing {key}: {}", resp.meta))
+    }
+
+    fn stat(reg: &Registry, key: &str) -> u64 {
+        json::parse(&reg.stats_json())
+            .expect("stats")
+            .get(key)
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("stats missing {key}"))
+    }
+
+    fn generated(seed: u64, category: etlopt_workload::SizeCategory) -> String {
+        use etlopt_workload::{Generator, GeneratorConfig};
+        let s = Generator::generate(GeneratorConfig { seed, category });
+        text::render(&s.workflow).expect("render generated workflow")
+    }
+
+    /// A warm beam adaptive over a generated small workflow.
+    fn adaptive_request(tenant: &str, workflow: &str) -> Request {
+        Request {
+            tenant: tenant.to_owned(),
+            algo: "beam".to_owned(),
+            rows: 256,
+            rounds: 4,
+            ..request(Op::Adaptive, workflow)
+        }
+    }
+
+    /// The tenant's store as it stands.
+    fn store_of(reg: &Registry, req: &Request) -> CalibrationStore {
+        let wf = text::parse(&req.workflow).expect("parse");
+        let digest = text::family_digest(&wf).expect("digest");
+        let store = reg.calibration(&req.tenant, digest).expect("store");
+        let copy = relock(store.lock()).clone();
+        copy
+    }
+
+    /// What the daemon answered before its searches went through the plan
+    /// tier: the loop over the bare optimizer, here on a copy of the store.
+    /// Returns the report and leaves `store` as the loop left it.
+    fn bare_loop(req: &Request, reg: &Registry, store: &mut CalibrationStore) -> String {
+        let eff = clamp(req, reg);
+        let wf = text::parse(&req.workflow).expect("parse");
+        let optimizer = build_optimizer(req, &eff, Arc::new(MoveMemo::new()));
+        let mut harvester =
+            Harvester::new(Executor::new(catalog_for_request(&wf, eff.rows, req.seed)));
+        run_adaptive(
+            &wf,
+            &RowCountModel::default(),
+            optimizer.as_ref(),
+            &mut harvester,
+            store,
+            AdaptiveConfig::rounds(eff.rounds),
+        )
+        .expect("bare adaptive loop")
+        .to_json()
+    }
+
+    fn report_of(resp: &Response) -> String {
+        assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+        json::parse(&resp.body)
+            .expect("body")
+            .get("report")
+            .and_then(json::Value::as_str)
+            .expect("report")
+            .to_owned()
+    }
+
+    /// Send `req` and hold the reply to the bare loop run on a copy of the
+    /// tenant's store: same report, same store afterwards.
+    fn checked_adaptive(reg: &Registry, req: &Request) -> Response {
+        let mut reference = store_of(reg, req);
+        let expected = bare_loop(req, reg, &mut reference);
+        let resp = run_request(reg, req);
+        assert_eq!(report_of(&resp), expected, "tenant {}", req.tenant);
+        assert_eq!(store_of(reg, req), reference, "tenant {}", req.tenant);
+        resp
+    }
+
+    #[test]
+    fn warm_adaptive_requests_answer_as_the_bare_loop_and_stop_searching_once_the_store_rests() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let reg = Registry::new(ServerConfig::default());
+        // The family's first sight (nothing of it is stored).
+        run_request(&reg, &request(Op::Optimize, &wf));
+        let req = adaptive_request("acme", &wf);
+        let mut rested = false;
+        let mut replayed = 0;
+        for i in 0..4 {
+            let before = store_of(&reg, &req);
+            let resp = checked_adaptive(&reg, &req);
+            let (searches, rounds) = (meta_u64(&resp, "searches"), rounds_used(&resp));
+            assert!(searches <= rounds, "request {i}: {}", resp.meta);
+            if i == 0 {
+                assert!(searches >= 1, "an empty store's first round: {}", resp.meta);
+            }
+            if rested {
+                // The store did not move during the previous request, so
+                // this one seeds what that one seeded, round by round.
+                assert_eq!(searches, 0, "request {i}: {}", resp.meta);
+                replayed += 1;
+            }
+            let expect = if searches == 0 { "hit" } else { "miss" };
+            assert!(
+                resp.meta.contains(&format!("\"plan_cache\":\"{expect}\"")),
+                "{}",
+                resp.meta
+            );
+            assert!(resp.meta.contains("\"time_capped\":false"), "{}", resp.meta);
+            rested = store_of(&reg, &req) == before;
+        }
+        assert!(
+            replayed >= 1,
+            "the store never came to rest in four requests"
+        );
+    }
+
+    fn rounds_used(resp: &Response) -> u64 {
+        json::parse(&report_of(resp))
+            .expect("report")
+            .get("rounds_used")
+            .and_then(json::Value::as_u64)
+            .expect("rounds_used")
+    }
+
+    #[test]
+    fn tenants_share_a_search_exactly_when_their_calibrations_agree() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let reg = Registry::new(ServerConfig::default());
+        run_request(&reg, &request(Op::Optimize, &wf));
+        // acme learns until its store rests.
+        let acme = adaptive_request("acme", &wf);
+        while meta_u64(&checked_adaptive(&reg, &acme), "searches") > 0 {}
+        let plans = stat(&reg, "plans");
+
+        // umbrella starts where acme started — an empty store — and sees
+        // the same data: every search it needs is one acme ran, so it runs
+        // none, and still its body is its own loop's over its own store.
+        let umbrella = adaptive_request("umbrella", &wf);
+        assert!(store_of(&reg, &umbrella).is_empty());
+        let resp = checked_adaptive(&reg, &umbrella);
+        assert_eq!(meta_u64(&resp, "searches"), 0, "{}", resp.meta);
+        assert_eq!(store_of(&reg, &umbrella), store_of(&reg, &acme));
+        assert_eq!(stat(&reg, "plans"), plans, "nothing new to store");
+
+        // initech sees other data, so its calibration comes to differ from
+        // acme's: from then on its keys are its own, it searches, and what
+        // it stores sits beside acme's entries, not in them.
+        let initech = Request {
+            rows: 193,
+            ..adaptive_request("initech", &wf)
+        };
+        let resp = checked_adaptive(&reg, &initech);
+        assert_ne!(store_of(&reg, &initech), store_of(&reg, &acme));
+        assert!(meta_u64(&resp, "searches") >= 1, "{}", resp.meta);
+        assert!(stat(&reg, "plans") > plans);
+        let parsed = text::parse(&wf).expect("parse");
+        let seeded = |req: &Request| {
+            let seeded = seed_workflow(&parsed, &store_of(&reg, req)).expect("seed");
+            plan_key(req, &clamp(req, &reg), estimate_bits(&seeded.workflow))
+        };
+        assert_eq!(seeded(&acme), seeded(&umbrella));
+        // (`rows` is no part of the key: only the estimates tell them apart.)
+        assert_ne!(seeded(&acme), seeded(&initech));
+        // acme is where it was: its next request still runs no search and
+        // answers as its own loop does.
+        let resp = checked_adaptive(&reg, &acme);
+        assert_eq!(meta_u64(&resp, "searches"), 0, "{}", resp.meta);
+    }
+
+    #[test]
+    fn a_time_capped_adaptive_is_flagged_and_stores_nothing() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Large);
+        let reg = Registry::new(ServerConfig::default());
+        run_request(&reg, &request(Op::Optimize, &wf));
+        let req = Request {
+            states: usize::MAX, // clamped to the ceiling: 20 000 states
+            time_ms: 1,
+            rounds: 2,
+            ..adaptive_request("acme", &wf)
+        };
+        for _ in 0..2 {
+            let resp = run_request(&reg, &req);
+            assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+            assert!(resp.meta.contains("\"time_capped\":true"), "{}", resp.meta);
+            assert!(meta_u64(&resp, "searches") >= 1, "{}", resp.meta);
+            assert_eq!(stat(&reg, "plans"), 0);
+        }
+    }
+
+    /// The key is exact: the estimates are the only thing re-seeding can
+    /// change, so equal text and equal bits mean equal workflows — whatever
+    /// stores they were seeded from — and one flipped bit is another key.
+    #[test]
+    fn equal_text_and_equal_estimate_bits_mean_equal_workflows() {
+        use etlopt_core::opt::adaptive::{activity_key, is_adjustable, CalEntry, Calibration};
+        use etlopt_core::rng::Rng;
+        use etlopt_workload::SizeCategory;
+
+        let reg = Registry::new(ServerConfig::default());
+        let mut rng = Rng::seed_from_u64(2005);
+        let (mut equal_pairs, mut flips) = (0, 0);
+        for seed in 0..24u64 {
+            let category = [SizeCategory::Small, SizeCategory::Medium][(seed % 2) as usize];
+            let wf_text = generated(700 + seed, category);
+            let wf = text::parse(&wf_text).expect("parse");
+            let req = adaptive_request("acme", &wf_text);
+            let key_of = |w: &Workflow| plan_key(&req, &clamp(&req, &reg), estimate_bits(w));
+
+            // Two stores that agree on every ratio and every source but
+            // hold different tallies (and, the second, strays the workflow
+            // never resolves), and a third that disagrees somewhere.
+            let (mut a, mut b, mut c) = (
+                CalibrationStore::new(),
+                CalibrationStore::new(),
+                CalibrationStore::new(),
+            );
+            for node in wf.activities().expect("activities") {
+                let act = wf.graph().activity(node).expect("activity");
+                if !is_adjustable(&act.op) || rng.gen_range(0..4) == 0 {
+                    continue;
+                }
+                let (rows_in, scale) = (rng.gen_range(1..500) as u64, rng.gen_range(2..5) as u64);
+                let rows_out = rng.gen_range(0..rows_in as usize + 1) as u64;
+                let (key, id) = (activity_key(&act.id), act.id.to_string());
+                a.record(key, &id, CalEntry::new(rows_in, rows_out));
+                b.record(key, &id, CalEntry::new(rows_in * scale, rows_out * scale));
+                c.record(key, &id, CalEntry::new(rows_in, rows_out));
+            }
+            for src in wf.sources() {
+                let name = &wf.graph().recordset(src).expect("source").name;
+                let rows = rng.gen_range(1..5_000) as u64;
+                a.record_source(name, rows);
+                b.record_source(name, rows);
+                c.record_source(name, rows + 1);
+            }
+            b.record(1, "stray", CalEntry::new(9, 3));
+            assert_ne!(a, b);
+            let seeded =
+                |store: &CalibrationStore| seed_workflow(&wf, store).expect("seed").workflow;
+            let (wa, wb, wc) = (seeded(&a), seeded(&b), seeded(&c));
+            assert_eq!(estimate_bits(&wa), estimate_bits(&wb), "seed {seed}");
+            assert_eq!(
+                wa, wb,
+                "seed {seed}: equal text and bits, unequal workflows"
+            );
+            assert_eq!(key_of(&wa), key_of(&wb));
+            equal_pairs += 1;
+            assert_ne!(wa, wc, "seed {seed}");
+            assert_ne!(
+                key_of(&wa),
+                key_of(&wc),
+                "seed {seed}: a source estimate moved"
+            );
+            assert_ne!(
+                key_of(&wa),
+                key_of(&wf),
+                "seed {seed}: seeded is not as the text says"
+            );
+
+            // One bit of one selectivity is another key.
+            let adjustable: Vec<_> = wf
+                .activities()
+                .expect("activities")
+                .into_iter()
+                .filter(|&n| is_adjustable(&wf.graph().activity(n).expect("activity").op))
+                .collect();
+            if adjustable.is_empty() {
+                continue;
+            }
+            let node = adjustable[rng.gen_range(0..adjustable.len())];
+            let sel = wa.graph().activity(node).expect("activity").selectivity();
+            // Stay inside (0, 1]: clear the lowest bit if it is set, else
+            // set it on anything below 1.
+            let flipped = f64::from_bits(if sel.to_bits() & 1 == 1 || sel == 1.0 {
+                sel.to_bits() - 1
+            } else {
+                sel.to_bits() + 1
+            });
+            let wd = wa.with_selectivity(node, flipped).expect("re-estimate");
+            assert_ne!(key_of(&wa), key_of(&wd), "seed {seed}: one bit");
+            assert_ne!(wa, wd);
+            flips += 1;
+        }
+        assert!(
+            equal_pairs == 24 && flips >= 20,
+            "{equal_pairs} pairs, {flips} flips"
+        );
+    }
+
+    /// A warm request whose loop taught the store nothing writes nothing; a
+    /// save that fails leaves memory where the disk is, so the next request
+    /// saves.
+    #[test]
+    fn a_warm_adaptive_saves_its_store_only_when_it_changed_and_retries_a_failed_save() {
+        let dir = std::env::temp_dir().join(format!("etlopt_job_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let root = dir.join("stores");
+        let reg = Registry::new(ServerConfig {
+            store_dir: Some(root.clone()),
+            ..ServerConfig::default()
+        });
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let req = adaptive_request("acme", &wf);
+        let digest = text::family_digest(&text::parse(&wf).expect("parse")).expect("digest");
+        let file = etlopt_workload::StoreDir::new(&root).path_for("acme", digest);
+
+        // A directory where `CalibrationStore::save` puts its temporary
+        // file: the save fails, the request is a 500, and the tenant's
+        // store is as it was.
+        let in_the_way = file.with_extension("json.tmp");
+        std::fs::create_dir_all(&in_the_way).expect("block the temporary file");
+        let failed = run_request(&reg, &req);
+        assert_eq!(failed.code, Code::Internal, "{}", failed.body);
+        assert!(
+            failed.error.contains("calibration store"),
+            "{}",
+            failed.error
+        );
+        assert!(
+            store_of(&reg, &req).is_empty(),
+            "memory ran ahead of the disk"
+        );
+        assert!(!file.exists());
+        // Out of the way again: the same request learns the same and saves.
+        std::fs::remove_dir(&in_the_way).expect("unblock");
+        assert_eq!(run_request(&reg, &req).code, Code::Ok);
+        assert_eq!(
+            CalibrationStore::load(&file).expect("saved store"),
+            store_of(&reg, &req)
+        );
+
+        // Once the store rests, a request does not write it again.
+        loop {
+            let before = store_of(&reg, &req);
+            assert_eq!(run_request(&reg, &req).code, Code::Ok);
+            if store_of(&reg, &req) == before {
+                break;
+            }
+        }
+        std::fs::remove_file(&file).expect("remove the store file");
+        assert_eq!(run_request(&reg, &req).code, Code::Ok);
+        assert!(!file.exists(), "an unchanged store was written again");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

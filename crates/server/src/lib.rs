@@ -6,7 +6,8 @@
 //! the repository's `text` DSL; a bounded worker pool ([`queue`],
 //! [`server`]) runs them with server-clamped budgets ([`job`]); sibling
 //! requests share move memos, result caches and resubmitted requests'
-//! plans process-wide while calibration stays tenant-scoped ([`state`]).
+//! plans — searches, adaptive rounds' included, and remembered runs —
+//! process-wide while calibration stays tenant-scoped ([`state`]).
 //!
 //! The load-bearing invariant, stated once here and enforced by
 //! construction in [`job::run_request`]: **response bodies are

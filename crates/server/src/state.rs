@@ -27,22 +27,44 @@
 //!   tenant gets an isolated store, optionally persisted under
 //!   [`StoreDir`]'s escaped per-tenant directories.
 //! * **Plans** are keyed by the *exact request*: (algorithm, clamped
-//!   state budget, clamped time cap, workflow text), process-wide across
-//!   tenants. An `optimize` / `execute` body is a pure function of exactly
-//!   that tuple whenever the search was not time-capped (the byte-identity
-//!   contract of [`crate::job::run_request`]; both ops price with the
-//!   default row-count model, never with calibration), so replaying a
-//!   stored `Plan` is indistinguishable from searching again. The key is
-//!   the text itself, not a fingerprint of the parsed workflow: the body
-//!   echoes a plan whose activity numbering follows the text's declaration
-//!   order, datagen follows its source order, and a lookup must cost less
-//!   than the parse it saves. A different spelling of one workflow is a
-//!   different key — it searches, shares the family's memo and cache as
-//!   before, and is right either way. A plan is admitted only on the
-//!   *second sight* of its family (a never-seen family stores nothing, so
-//!   one-off traffic costs no memory), never from a time-capped or failed
-//!   search, and `adaptive` neither reads nor writes the tier. FIFO over a
-//!   fixed byte budget ([`PLAN_CACHE_BYTES`]).
+//!   state budget, clamped time cap, workflow text, the estimates the
+//!   search read beyond that text), process-wide across tenants. A search
+//!   that was not time-capped is a pure function of (algorithm, state
+//!   budget, cost model, workflow), [`crate::job`] fixes the model, and the
+//!   workflow is the text's parse with nothing but estimates replaced — so
+//!   replaying a stored `Plan` is indistinguishable from searching again.
+//!   The key is the text itself, not a fingerprint of the parsed workflow:
+//!   the body echoes a plan whose activity numbering follows the text's
+//!   declaration order, datagen follows its source order, and a lookup must
+//!   cost less than the parse it saves. A different spelling of one
+//!   workflow is a different key — it searches, shares the family's memo
+//!   and cache as before, and is right either way. A plan is admitted only
+//!   on the *second sight* of its family (a never-seen family stores
+//!   nothing, so one-off traffic costs no memory) and never from a
+//!   time-capped or failed search. FIFO over a fixed byte budget
+//!   ([`PLAN_CACHE_BYTES`]). Two more things ride on a plan:
+//!   * `optimize` / `execute` search the text as it stands (no estimates
+//!     in the key); **`adaptive`** searches it re-seeded from the tenant's
+//!     calibration, and the key then carries every estimate of the seeded
+//!     workflow as `f64` bit patterns (`PlanKey::estimates`). The key
+//!     holds the calibration's *values*, not the tenant: two tenants meet
+//!     in one entry exactly when their calibrations agree on this
+//!     workflow, and then the entry is what either would have computed.
+//!     Bits and not a digest of them, for the reason the text is not
+//!     digested: a collision would hand one tenant a plan priced with
+//!     another's observations, and nothing downstream could tell.
+//!   * a plan **remembers its runs**: per (clamped rows, seed) the rendered
+//!     `targets` member of an `execute` body, a pure function of (plan,
+//!     rows, seed) by datagen's and the engine's determinism contracts. No
+//!     catalog digest is needed here, unlike in the result cache's key: the
+//!     plan fixes the text, hence the source order, hence the data. A hit
+//!     touches no data at all. A handful per plan ([`RUNS_PER_PLAN`]),
+//!     FIFO, charged to the tier's byte budget; a plan that was never
+//!     admitted remembers its one run until its request ends.
+//!
+//! Lock order: the plans lock, then one plan's runs lock (remembering a
+//! run, `stats`); a run *lookup* takes the runs lock alone. Neither is held
+//! while searching or executing.
 
 // One job that panics while it holds a registry lock must not fail every
 // later request: locks are taken through `relock`, never `expect`ed.
@@ -51,10 +73,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex};
 
-use etlopt_core::opt::MoveMemo;
-use etlopt_core::workflow::Workflow;
+use etlopt_core::opt::{MoveMemo, SearchOutcome};
 use etlopt_engine::{SharedCache, SharedCacheHandle};
 use etlopt_workload::{CalibrationStore, StoreDir, StoreError};
 
@@ -168,33 +190,106 @@ impl Family {
 /// budget): about 650 small-workflow plans.
 pub const PLAN_CACHE_BYTES: usize = 16 << 20;
 
-/// Heap a stored [`Workflow`] is charged per graph slot: parsed workflows
-/// of the benchmark's `search_plan` population retain 561 bytes per slot
-/// (counting allocator, 2 705 slots).
+/// Heap a stored plan's best state is charged per graph slot: parsed
+/// workflows of the benchmark's `search_plan` population retain 561 bytes
+/// per slot (counting allocator, 2 705 slots).
 const SLOT_BYTES: usize = 576;
 
-/// What an `optimize` / `execute` request is looked up by: everything its
-/// body depends on besides `rows` and `seed`, which only feed execution.
+/// What a stored plan is charged besides its text, estimates, fragment and
+/// best state. Counting allocator over the `search_plan` population × the
+/// four algorithms at 600 states: a `SearchOutcome` is 384 bytes inline and
+/// keeps at most 296 on the heap behind its phase and frontier vectors;
+/// the rest of `Plan` (112), the `PlanKey` (88), their two `Arc` headers
+/// and the entry's map and queue slots bring it to about 940.
+const PLAN_BYTES: usize = 1024;
+
+/// What a remembered run is charged besides its `targets` string: its
+/// deque slot (32 bytes) and the `Arc<str>` header (16).
+const RUN_BYTES: usize = 48;
+
+/// Runs one plan remembers. A scheduler resubmits a pipeline with the
+/// `rows` and `seed` it used the night before; the few slots beyond the
+/// first are for fleets that share a text and differ in their data knobs.
+pub const RUNS_PER_PLAN: usize = 4;
+
+/// What a search is looked up by: everything its outcome depends on. Not
+/// `rows` and `seed`, which only feed execution, nor `parallelism`, which
+/// changes no result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     pub(crate) algo: String,
     pub(crate) states: usize,
     pub(crate) time_ms: u64,
     pub(crate) text: String,
+    /// The estimates the searched workflow carries where they may differ
+    /// from `text`'s: `f64::to_bits` of every activity's selectivity and
+    /// every recordset's row estimate, in node order
+    /// ([`crate::job::estimate_bits`]). Empty for `optimize` / `execute`,
+    /// which search the text as it stands.
+    pub(crate) estimates: Vec<u64>,
 }
 
-/// What a search leaves behind that a body is rendered from.
+/// One remembered execution of a plan.
+struct Run {
+    rows: usize,
+    seed: u64,
+    /// The `targets` member of the `execute` body, rendered.
+    targets: Arc<str>,
+}
+
+/// What a search leaves behind: what a body is rendered from, and what an
+/// adaptive round is replayed from.
 pub(crate) struct Plan {
+    /// What the plan is stored under.
+    pub(crate) key: Arc<PlanKey>,
     /// The request workflow's family digest.
     pub(crate) digest: u128,
     /// That family's shared state (families are never evicted, so a plan
     /// holding its family keeps nothing alive that would otherwise go).
     pub(crate) family: Arc<Family>,
-    /// The search's best state, with the parsed request's node ids — an
-    /// `execute` generates its catalog from this workflow's sources.
-    pub(crate) best: Workflow,
+    /// The search's outcome. `outcome.best` has the parsed request's node
+    /// ids — an `execute` generates its catalog from its sources.
+    pub(crate) outcome: SearchOutcome,
     /// The search-result members of the body, rendered.
     pub(crate) fragment: String,
+    /// Oldest first, at most [`RUNS_PER_PLAN`], one per (rows, seed).
+    runs: Mutex<VecDeque<Run>>,
+}
+
+impl Plan {
+    pub(crate) fn new(
+        key: Arc<PlanKey>,
+        digest: u128,
+        family: Arc<Family>,
+        outcome: SearchOutcome,
+        fragment: String,
+    ) -> Plan {
+        Plan {
+            key,
+            digest,
+            family,
+            outcome,
+            fragment,
+            runs: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// Bytes the plan is charged on admission.
+    fn bytes(&self) -> usize {
+        let runs = relock(self.runs.lock());
+        PLAN_BYTES
+            + self.key.text.len()
+            + self.key.estimates.len() * std::mem::size_of::<u64>()
+            + self.fragment.len()
+            + self.outcome.best.graph().slot_capacity() * SLOT_BYTES
+            + runs.iter().map(Run::bytes).sum::<usize>()
+    }
+}
+
+impl Run {
+    fn bytes(&self) -> usize {
+        RUN_BYTES + self.targets.len()
+    }
 }
 
 /// The plan tier: exact-request key → plan, FIFO over a byte budget.
@@ -235,16 +330,9 @@ impl PlanCache {
         }
     }
 
-    /// Admit `plan`, evicting oldest entries past the byte budget. An entry
-    /// larger than the whole budget and an already-present key (a
-    /// concurrent miss got there first; the bodies are equal) are ignored.
-    fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) {
-        let bytes =
-            key.text.len() + plan.fragment.len() + plan.best.graph().slot_capacity() * SLOT_BYTES;
-        if bytes > self.max_bytes || self.entries.contains_key(&key) {
-            return;
-        }
-        while self.bytes + bytes > self.max_bytes {
+    /// Evict oldest entries until `incoming` more bytes fit the budget.
+    fn make_room(&mut self, incoming: usize) {
+        while self.bytes + incoming > self.max_bytes {
             let Some(old) = self.order.pop_front() else {
                 break;
             };
@@ -253,10 +341,64 @@ impl PlanCache {
                 self.evictions += 1;
             }
         }
-        let key = Arc::new(key);
+    }
+
+    /// Admit `plan`, evicting oldest entries past the byte budget. An entry
+    /// larger than the whole budget and an already-present key (a
+    /// concurrent miss got there first; the bodies are equal) are ignored.
+    fn insert(&mut self, plan: Arc<Plan>) {
+        let bytes = plan.bytes();
+        if bytes > self.max_bytes || self.entries.contains_key(&plan.key) {
+            return;
+        }
+        self.make_room(bytes);
         self.bytes += bytes;
-        self.entries.insert(Arc::clone(&key), (plan, bytes));
-        self.order.push_back(key);
+        self.order.push_back(Arc::clone(&plan.key));
+        self.entries.insert(Arc::clone(&plan.key), (plan, bytes));
+    }
+
+    /// Remember one run on `plan`: the oldest goes once the plan holds
+    /// [`RUNS_PER_PLAN`], a second run under the same (rows, seed) is
+    /// dropped (two concurrent misses executed; their strings are equal).
+    /// If `plan` is the stored one its charge follows, and the tier evicts
+    /// as on an insert; a plan that was never admitted, or has been
+    /// evicted, remembers for whoever still holds it and is charged nothing.
+    fn remember(&mut self, plan: &Arc<Plan>, rows: usize, seed: u64, targets: Arc<str>) {
+        let (added, freed) = {
+            let mut runs = relock(plan.runs.lock());
+            if runs.iter().any(|r| (r.rows, r.seed) == (rows, seed)) {
+                return;
+            }
+            let evicted = if runs.len() >= RUNS_PER_PLAN {
+                runs.pop_front()
+            } else {
+                None
+            };
+            let run = Run {
+                rows,
+                seed,
+                targets,
+            };
+            let added = run.bytes();
+            runs.push_back(run);
+            (added, evicted.map_or(0, |r| r.bytes()))
+        };
+        match self.entries.get_mut(&*plan.key) {
+            Some((stored, bytes)) if Arc::ptr_eq(stored, plan) => {
+                *bytes = *bytes + added - freed;
+                self.bytes = self.bytes + added - freed;
+                self.make_room(0);
+            }
+            _ => {}
+        }
+    }
+
+    /// Runs remembered across the stored plans.
+    fn runs(&self) -> usize {
+        self.entries
+            .values()
+            .map(|(plan, _)| relock(plan.runs.lock()).len())
+            .sum()
     }
 }
 
@@ -271,6 +413,8 @@ pub struct Registry {
     families: Mutex<HashMap<u128, Arc<Family>>>,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
     plans: Mutex<PlanCache>,
+    /// `execute` requests answered from a remembered run (a statistic).
+    run_hits: AtomicU64,
 }
 
 impl Registry {
@@ -281,6 +425,7 @@ impl Registry {
             families: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
             plans: Mutex::new(PlanCache::new(PLAN_CACHE_BYTES)),
+            run_hits: AtomicU64::new(0),
         }
     }
 
@@ -310,8 +455,22 @@ impl Registry {
 
     /// Store a plan. The caller has checked admission: the family had been
     /// seen before and the search was not time-capped.
-    pub(crate) fn store_plan(&self, key: PlanKey, plan: Arc<Plan>) {
-        relock(self.plans.lock()).insert(key, plan);
+    pub(crate) fn store_plan(&self, plan: Arc<Plan>) {
+        relock(self.plans.lock()).insert(plan);
+    }
+
+    /// The `targets` string `plan` remembers for (rows, seed), counting a
+    /// hit. Takes the plan's runs lock only.
+    pub(crate) fn run(&self, plan: &Plan, rows: usize, seed: u64) -> Option<Arc<str>> {
+        let runs = relock(plan.runs.lock());
+        let run = runs.iter().find(|r| (r.rows, r.seed) == (rows, seed))?;
+        self.run_hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&run.targets))
+    }
+
+    /// Remember what executing `plan` over (rows, seed) rendered.
+    pub(crate) fn remember_run(&self, plan: &Arc<Plan>, rows: usize, seed: u64, targets: Arc<str>) {
+        relock(self.plans.lock()).remember(plan, rows, seed, targets);
     }
 
     /// The calibration store for (tenant, family), created on first
@@ -362,9 +521,17 @@ impl Registry {
 
     /// Registry statistics as a JSON object line (the `stats` op).
     pub fn stats_json(&self) -> String {
-        let (plans, plan_bytes, plan_hits, plan_misses, plan_evictions) = {
+        let (plans, plan_bytes, plan_hits, plan_misses, plan_evictions, plan_runs) = {
             let p = relock(self.plans.lock());
-            (p.entries.len(), p.bytes, p.hits, p.misses, p.evictions)
+            let runs = p.runs();
+            (
+                p.entries.len(),
+                p.bytes,
+                p.hits,
+                p.misses,
+                p.evictions,
+                runs,
+            )
         };
         let families = relock(self.families.lock());
         let mut caches = 0usize;
@@ -387,7 +554,8 @@ impl Registry {
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_insertions\":{},",
                 "\"memo_hits\":{},\"memo_misses\":{},",
                 "\"plans\":{},\"plan_bytes\":{},\"plan_hits\":{},",
-                "\"plan_misses\":{},\"plan_evictions\":{}}}"
+                "\"plan_misses\":{},\"plan_evictions\":{},",
+                "\"plan_runs\":{},\"run_hits\":{}}}"
             ),
             families.len(),
             tenants,
@@ -402,6 +570,8 @@ impl Registry {
             plan_hits,
             plan_misses,
             plan_evictions,
+            plan_runs,
+            self.run_hits.load(Ordering::Relaxed),
         )
     }
 }
@@ -444,28 +614,46 @@ mod tests {
         );
     }
 
-    fn plan(fragment_len: usize) -> Arc<Plan> {
-        let best = etlopt_core::text::parse(concat!(
-            "source \"S\" table rows=10 (a)\n",
-            "activity a1 \"NN\" = not_null(a) <- \"S\"\n",
-            "target \"T\" table (a) <- a1\n",
-        ))
-        .unwrap();
-        Arc::new(Plan {
-            digest: 7,
-            family: Arc::new(Family::new()),
-            best,
-            fragment: "f".repeat(fragment_len),
-        })
-    }
-
     fn key(text: &str) -> PlanKey {
         PlanKey {
             algo: "beam".to_owned(),
             states: 600,
             time_ms: 60_000,
             text: text.to_owned(),
+            estimates: Vec::new(),
         }
+    }
+
+    /// A plan under `key`, its best state a three-node workflow.
+    fn plan_under(key: PlanKey, fragment_len: usize) -> Arc<Plan> {
+        let best = etlopt_core::text::parse(concat!(
+            "source \"S\" table rows=10 (a)\n",
+            "activity a1 \"NN\" = not_null(a) <- \"S\"\n",
+            "target \"T\" table (a) <- a1\n",
+        ))
+        .unwrap();
+        let outcome = SearchOutcome {
+            best,
+            best_cost: 1.0,
+            initial_cost: 1.0,
+            visited_states: 1,
+            elapsed: std::time::Duration::ZERO,
+            budget_exhausted: false,
+            time_capped: false,
+            phase_stats: Vec::new(),
+            stats: etlopt_core::trace::SearchStats::new("BEAM"),
+        };
+        Arc::new(Plan::new(
+            Arc::new(key),
+            7,
+            Arc::new(Family::new()),
+            outcome,
+            "f".repeat(fragment_len),
+        ))
+    }
+
+    fn plan(text: &str, fragment_len: usize) -> Arc<Plan> {
+        plan_under(key(text), fragment_len)
     }
 
     #[test]
@@ -486,10 +674,14 @@ mod tests {
     fn plan_cache_is_fifo_over_its_byte_budget_and_exact_on_every_key_part() {
         // Every entry below is charged the same: one-letter text, 100-byte
         // fragment, the same three-node workflow.
-        let entry = 1 + 100 + plan(0).best.graph().slot_capacity() * SLOT_BYTES;
+        let entry = plan("a", 100).bytes();
+        assert_eq!(
+            entry,
+            PLAN_BYTES + 1 + 100 + plan("a", 0).outcome.best.graph().slot_capacity() * SLOT_BYTES
+        );
         let mut cache = PlanCache::new(3 * entry);
         for text in ["a", "b", "c"] {
-            cache.insert(key(text), plan(100));
+            cache.insert(plan(text, 100));
         }
         assert_eq!((cache.entries.len(), cache.bytes), (3, 3 * entry));
         assert!(cache.get(&key("a")).is_some());
@@ -522,17 +714,26 @@ mod tests {
                 .is_none(),
             "algo"
         );
-        assert_eq!((cache.hits, cache.misses), (1, 4));
+        assert!(
+            cache
+                .get(&PlanKey {
+                    estimates: vec![0.5f64.to_bits()],
+                    ..key("a")
+                })
+                .is_none(),
+            "estimates"
+        );
+        assert_eq!((cache.hits, cache.misses), (1, 5));
 
         // A second insert under a resident key is a no-op: the first plan
         // stays (two concurrent misses computed equal plans).
         let resident = cache.get(&key("b")).unwrap();
-        cache.insert(key("b"), plan(100));
+        cache.insert(plan("b", 100));
         assert!(Arc::ptr_eq(&resident, &cache.get(&key("b")).unwrap()));
         assert_eq!(cache.bytes, 3 * entry);
 
         // The fourth entry evicts the oldest, not the most recently read.
-        cache.insert(key("d"), plan(100));
+        cache.insert(plan("d", 100));
         assert!(cache.get(&key("a")).is_none(), "oldest goes first");
         assert!(cache.get(&key("b")).is_some() && cache.get(&key("d")).is_some());
         assert_eq!(
@@ -540,7 +741,7 @@ mod tests {
             (3, 3 * entry, 1)
         );
         // A larger one makes room for itself by evicting as many as it needs.
-        cache.insert(key("e"), plan(100 + entry));
+        cache.insert(plan("e", 100 + entry));
         assert_eq!(
             (cache.entries.len(), cache.bytes, cache.evictions),
             (2, 3 * entry, 3)
@@ -548,13 +749,107 @@ mod tests {
         assert!(cache.get(&key("d")).is_some() && cache.get(&key("e")).is_some());
         // One that exceeds the whole budget is never admitted and evicts
         // nothing.
-        cache.insert(key("f"), plan(3 * entry));
+        cache.insert(plan("f", 3 * entry));
         assert!(cache.get(&key("f")).is_none());
         assert_eq!(
             (cache.entries.len(), cache.bytes, cache.evictions),
             (2, 3 * entry, 3)
         );
         assert_eq!(cache.order.len(), cache.entries.len());
+
+        // Estimates are charged, eight bytes each.
+        let seeded = plan_under(
+            PlanKey {
+                estimates: vec![1, 2, 3],
+                ..key("a")
+            },
+            100,
+        );
+        assert_eq!(seeded.bytes(), entry + 24);
+    }
+
+    #[test]
+    fn a_plan_remembers_a_handful_of_runs_fifo_and_the_tier_is_charged_for_them() {
+        let entry = plan("a", 100).bytes();
+        let run = RUN_BYTES + 10;
+        let reg = Registry::new(ServerConfig::default());
+        let stored = plan("a", 100);
+        reg.store_plan(Arc::clone(&stored));
+        let stat = |k: &str| {
+            crate::json::parse(&reg.stats_json())
+                .unwrap()
+                .get(k)
+                .and_then(crate::json::Value::as_u64)
+                .unwrap()
+        };
+        assert_eq!((stat("plan_bytes"), stat("plan_runs")), (entry as u64, 0));
+        assert!(reg.run(&stored, 64, 1).is_none(), "nothing remembered yet");
+
+        // One run per (rows, seed); a second under the same pair — two
+        // concurrent misses both executed — is dropped, not charged.
+        reg.remember_run(&stored, 64, 1, "targets-01".into());
+        reg.remember_run(&stored, 64, 1, "targets-01".into());
+        assert_eq!(reg.run(&stored, 64, 1).as_deref(), Some("targets-01"));
+        assert!(reg.run(&stored, 64, 2).is_none(), "seed is part of the key");
+        assert!(reg.run(&stored, 65, 1).is_none(), "so is rows");
+        assert_eq!(
+            (stat("plan_bytes"), stat("plan_runs"), stat("run_hits")),
+            ((entry + run) as u64, 1, 1)
+        );
+
+        // The bound evicts the oldest run and gives its bytes back.
+        for seed in 2..=RUNS_PER_PLAN as u64 {
+            reg.remember_run(&stored, 64, seed, "targets-02".into());
+        }
+        assert_eq!(stat("plan_runs"), RUNS_PER_PLAN as u64);
+        assert_eq!(stat("plan_bytes"), (entry + RUNS_PER_PLAN * run) as u64);
+        reg.remember_run(&stored, 64, 99, "targets-99-longer".into());
+        assert!(reg.run(&stored, 64, 1).is_none(), "oldest run goes first");
+        assert!(reg.run(&stored, 64, 2).is_some() && reg.run(&stored, 64, 99).is_some());
+        assert_eq!(stat("plan_runs"), RUNS_PER_PLAN as u64);
+        assert_eq!(
+            stat("plan_bytes"),
+            (entry + RUNS_PER_PLAN * run + 7) as u64,
+            "charged by the string's length"
+        );
+
+        // A plan that was never admitted remembers for whoever holds it and
+        // is charged nothing — not even when a plan is stored under its key.
+        let unadmitted = plan("a", 100);
+        reg.remember_run(&unadmitted, 64, 1, "targets-01".into());
+        assert_eq!(reg.run(&unadmitted, 64, 1).as_deref(), Some("targets-01"));
+        assert_eq!(stat("plan_runs"), RUNS_PER_PLAN as u64);
+        assert_eq!(stat("plan_bytes"), (entry + RUNS_PER_PLAN * run + 7) as u64);
+
+        // A plan stored with its runs is charged for them on admission, and
+        // evicting a plan gives back what its runs had added.
+        let mut cache = PlanCache::new(2 * entry + run);
+        let first = plan("x", 100);
+        cache.insert(Arc::clone(&first));
+        cache.remember(&first, 64, 1, "targets-01".into());
+        assert_eq!(cache.bytes, entry + run);
+        cache.insert(plan("y", 100));
+        assert_eq!((cache.entries.len(), cache.bytes), (2, 2 * entry + run));
+        // Growing a stored plan past the budget evicts as an insert would.
+        let second = cache.get(&key("y")).unwrap();
+        cache.remember(&second, 64, 1, "targets-01".into());
+        assert_eq!(
+            (cache.entries.len(), cache.bytes, cache.evictions),
+            (1, entry + run, 1)
+        );
+        assert!(cache.get(&key("x")).is_none() && cache.get(&key("y")).is_some());
+        cache.remember(&first, 64, 2, "targets-02".into());
+        assert_eq!(
+            cache.bytes,
+            entry + run,
+            "an evicted plan is charged nothing"
+        );
+        cache.insert(Arc::clone(&first));
+        assert_eq!(
+            (cache.entries.len(), cache.bytes, cache.runs()),
+            (1, entry + 2 * run, 2),
+            "re-admitted with both its runs, the older entry evicted"
+        );
     }
 
     #[test]
@@ -578,7 +873,9 @@ mod tests {
         let fam = reg.family(7);
         fam.cache(64, 1, 0);
         let store = reg.calibration("acme", 7).unwrap();
-        reg.store_plan(key("w"), plan(8));
+        let stored = plan("w", 8);
+        reg.store_plan(Arc::clone(&stored));
+        reg.remember_run(&stored, 64, 1, "t".into());
         // Panic on another thread with every kind of registry lock held.
         let panicked = std::thread::scope(|scope| {
             scope
@@ -588,6 +885,7 @@ mod tests {
                     let _caches = fam.caches.lock().unwrap();
                     let _store = store.lock().unwrap();
                     let _plans = reg.plans.lock().unwrap();
+                    let _runs = stored.runs.lock().unwrap();
                     panic!("job died holding the registry");
                 })
                 .join()
@@ -595,7 +893,7 @@ mod tests {
         assert!(panicked.is_err());
         assert!(reg.families.is_poisoned() && reg.tenants.is_poisoned());
         assert!(fam.caches.is_poisoned() && store.is_poisoned());
-        assert!(reg.plans.is_poisoned());
+        assert!(reg.plans.is_poisoned() && stored.runs.is_poisoned());
 
         assert!(Arc::ptr_eq(&reg.family(7), &fam), "known family survives");
         reg.family(8);
@@ -604,7 +902,10 @@ mod tests {
         reg.calibration("umbrella", 7).unwrap();
         assert_eq!(relock(store.lock()).len(), 0);
         assert!(reg.plan(&key("w")).is_some(), "stored plan survives");
-        reg.store_plan(key("x"), plan(8));
+        assert_eq!(reg.run(&stored, 64, 1).as_deref(), Some("t"), "and its run");
+        reg.remember_run(&stored, 64, 2, "u".into());
+        assert!(reg.run(&stored, 64, 2).is_some());
+        reg.store_plan(plan("x", 8));
         assert!(reg.plan(&key("x")).is_some() && reg.plan(&key("y")).is_none());
         let v = crate::json::parse(&reg.stats_json()).unwrap();
         let stat = |k| v.get(k).and_then(crate::json::Value::as_u64);
@@ -612,6 +913,7 @@ mod tests {
             (stat("plans"), stat("plan_hits"), stat("plan_misses")),
             (Some(2), Some(2), Some(1))
         );
+        assert_eq!((stat("plan_runs"), stat("run_hits")), (Some(2), Some(2)));
         assert_eq!(
             v.get("families").and_then(crate::json::Value::as_u64),
             Some(2)
@@ -646,6 +948,8 @@ mod tests {
             "plan_hits",
             "plan_misses",
             "plan_evictions",
+            "plan_runs",
+            "run_hits",
         ] {
             assert_eq!(
                 v.get(k).and_then(crate::json::Value::as_u64),

@@ -1,6 +1,7 @@
 //! Live-server integration: concurrency byte-identity, admission
 //! control, multi-tenant shared-state wins, the plan tier (second-sight
-//! admission, exact keys, time-capped searches flagged and never stored)
+//! admission, exact keys, time-capped searches flagged and never stored,
+//! runs remembered per rows and seed, adaptive rounds answered from it)
 //! and the drain protocol, all over real TCP connections against an
 //! in-process daemon.
 
@@ -92,12 +93,18 @@ fn meta_u64(resp: &Response, key: &str) -> u64 {
     meta_field(resp, key).as_u64().expect("a count")
 }
 
-/// The response's `meta.plan_cache`: `hit`, `miss` or `skip`.
+fn meta_str(resp: &Response, key: &str) -> String {
+    meta_field(resp, key).as_str().expect("a string").to_owned()
+}
+
+/// The response's `meta.plan_cache`: `hit` or `miss`.
 fn plan_cache(resp: &Response) -> String {
-    meta_field(resp, "plan_cache")
-        .as_str()
-        .expect("a string")
-        .to_owned()
+    meta_str(resp, "plan_cache")
+}
+
+/// The response's `meta.run`: `remembered`, `executed` or `none`.
+fn run_of(resp: &Response) -> String {
+    meta_str(resp, "run")
 }
 
 fn time_capped(resp: &Response) -> bool {
@@ -216,34 +223,47 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     );
     assert_eq!(r2.body, r1.body, "shared state must never change the body");
     // It was also the family's second sight: it searched (the memo hits
-    // above) and left the plan behind.
+    // above), left the plan behind, and the plan remembers the run.
     assert_eq!(plan_cache(&r1), "miss");
     assert_eq!(plan_cache(&r2), "miss");
-    assert_eq!(stat(&server, "plans"), 1);
+    assert_eq!(
+        (run_of(&r1), run_of(&r2)),
+        ("executed".into(), "executed".into())
+    );
+    assert_eq!((stat(&server, "plans"), stat(&server, "plan_runs")), (1, 1));
 
     // The same request a third time, from the first tenant again: the
     // plan tier is tenant-neutral, so no search runs (no memo traffic) —
-    // execution still goes through the shared result cache.
+    // and nothing executes: the targets are the plan's remembered run, so
+    // the result cache is not even asked.
     let mut third = request("c2b", Op::Execute, &wf);
     third.tenant = "acme".to_owned();
     third.algo = "beam".to_owned();
     let r2b = roundtrip(&server, &third);
     assert_eq!(r2b.code, Code::Ok, "{}", r2b.error);
     assert_eq!(plan_cache(&r2b), "hit", "{}", r2b.meta);
+    assert_eq!(meta_u64(&r2b, "searches"), 0, "{}", r2b.meta);
     assert_eq!(meta_u64(&r2b, "memo_hits"), 0, "{}", r2b.meta);
     assert_eq!(meta_u64(&r2b, "memo_misses"), 0, "{}", r2b.meta);
-    assert!(meta_u64(&r2b, "cache_hits") > 0, "{}", r2b.meta);
+    assert_eq!(run_of(&r2b), "remembered", "{}", r2b.meta);
+    assert_eq!(meta_u64(&r2b, "cache_hits"), 0, "{}", r2b.meta);
+    assert_eq!(meta_u64(&r2b, "cache_misses"), 0, "{}", r2b.meta);
     assert_eq!(r2b.body, r1.body, "a replayed plan must give the same body");
+    assert_eq!(stat(&server, "run_hits"), 1);
 
     // A true sibling — same text, another state budget — is another key:
-    // it searches, and the family's memo still serves it.
+    // it searches, the family's memo still serves it, and it executes
+    // through the family's result cache.
     let mut sibling = third.clone();
     sibling.id = "c2c".to_owned();
     sibling.states = 500;
     let r2c = roundtrip(&server, &sibling);
     assert_eq!(r2c.code, Code::Ok, "{}", r2c.error);
     assert_eq!(plan_cache(&r2c), "miss", "{}", r2c.meta);
+    assert_eq!(meta_u64(&r2c, "searches"), 1, "{}", r2c.meta);
     assert!(meta_u64(&r2c, "memo_hits") > 0, "{}", r2c.meta);
+    assert_eq!(run_of(&r2c), "executed", "{}", r2c.meta);
+    assert!(meta_u64(&r2c, "cache_hits") > 0, "{}", r2c.meta);
     assert_eq!(r2c.body, oneshot(&sibling).body);
 
     // Tenant acme accumulates calibration via a warm adaptive run…
@@ -252,11 +272,11 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     let r3 = roundtrip(&server, &adaptive);
     assert_eq!(r3.code, Code::Ok, "{}", r3.error);
     assert_eq!(meta_u64(&r3, "warm_entries"), 0, "acme starts cold");
-    assert_eq!(
-        plan_cache(&r3),
-        "skip",
-        "adaptive never consults the plan tier"
-    );
+    // Its rounds go through the plan tier, keyed by what each seeded: the
+    // first, over an empty store, is a search nobody has run.
+    assert_eq!(plan_cache(&r3), "miss", "{}", r3.meta);
+    assert!(meta_u64(&r3, "searches") >= 1, "{}", r3.meta);
+    assert_eq!(run_of(&r3), "none", "{}", r3.meta);
 
     // …after which acme's *next* adaptive warm-starts…
     let mut warm = request("c4", Op::Adaptive, &wf);
@@ -347,6 +367,26 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
                 );
                 assert_eq!(plan_cache(&resp), expect, "{algo} {op:?} sight {sight}");
                 assert!(!time_capped(&resp), "{algo} {op:?}: 30 s never binds");
+                // An execute computes its targets on the first sight
+                // (nothing stored), computes and remembers them on the
+                // second, and on the third touches no data: no catalog, no
+                // executor, no result cache.
+                let run = match (op, sight) {
+                    (Op::Execute, 2) => "remembered",
+                    (Op::Execute, _) => "executed",
+                    _ => "none",
+                };
+                assert_eq!(run_of(&resp), run, "{algo} {op:?} sight {sight}");
+                if run == "remembered" {
+                    for counter in ["cache_hits", "cache_misses", "cache_insertions"] {
+                        assert_eq!(meta_u64(&resp, counter), 0, "{algo}: {}", resp.meta);
+                    }
+                }
+                assert_eq!(
+                    meta_u64(&resp, "searches"),
+                    u64::from(expect == "miss"),
+                    "{algo} {op:?} sight {sight}"
+                );
                 // Not stored on the first sight, stored on the second.
                 if sight == 1 {
                     stored += 1;
@@ -374,6 +414,81 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
     assert_eq!(stat(&server, "plan_misses"), 16);
     assert_eq!(stat(&server, "plan_evictions"), 0);
     assert!(stat(&server, "plan_bytes") > 0);
+    // One run per stored plan: the storing execute's, or — where the three
+    // sights were optimizes — the other op's.
+    assert_eq!(stat(&server, "plan_runs"), 8);
+    assert_eq!(stat(&server, "run_hits"), 4);
+    server.shutdown();
+    server.join();
+}
+
+/// `rows` and `seed` are no part of a plan's key: another pair is a plan
+/// hit whose run is executed once and then remembered, with the one-shot
+/// body each time; a plan keeps a handful of runs and drops the oldest.
+#[test]
+fn a_plan_remembers_one_run_per_rows_and_seed_up_to_its_bound() {
+    use etlopt_server::state::RUNS_PER_PLAN;
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let wf = workflow_text(52, SizeCategory::Small);
+    let req = request("r", Op::Execute, &wf);
+    for run in ["executed", "executed", "remembered"] {
+        assert_eq!(run_of(&roundtrip(&server, &req)), run);
+    }
+    assert_eq!((stat(&server, "plans"), stat(&server, "plan_runs")), (1, 1));
+    let one_run = stat(&server, "plan_bytes");
+
+    // Other rows, then other seeds: RUNS_PER_PLAN - 1 more pairs fill the
+    // plan, and every first answer is computed, every second remembered.
+    let mut variants = vec![Request {
+        rows: 32,
+        ..req.clone()
+    }];
+    variants.extend((1..RUNS_PER_PLAN as u64 - 1).map(|i| Request {
+        seed: 7 + i,
+        ..req.clone()
+    }));
+    for (i, variant) in variants.iter().enumerate() {
+        let reference = oneshot(variant);
+        assert_ne!(
+            reference.body,
+            oneshot(&req).body,
+            "other data, other targets"
+        );
+        for run in ["executed", "remembered"] {
+            let resp = roundtrip(&server, variant);
+            assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+            assert_eq!(plan_cache(&resp), "hit", "variant {i}");
+            assert_eq!(run_of(&resp), run, "variant {i}");
+            assert_eq!(resp.body, reference.body, "variant {i} {run}");
+        }
+        assert_eq!(stat(&server, "plan_runs"), 2 + i as u64);
+        assert!(stat(&server, "plan_bytes") > one_run, "runs are charged");
+    }
+    assert_eq!(stat(&server, "plan_runs"), RUNS_PER_PLAN as u64);
+    let full = stat(&server, "plan_bytes");
+
+    // One more pushes the oldest out — the run of the request that stored
+    // the plan — and takes its place in the accounts.
+    let extra = Request {
+        seed: 99,
+        ..req.clone()
+    };
+    assert_eq!(run_of(&roundtrip(&server, &extra)), "executed");
+    assert_eq!(stat(&server, "plan_runs"), RUNS_PER_PLAN as u64);
+    // (Row counts of other data may differ by a digit or two.)
+    assert!(
+        stat(&server, "plan_bytes").abs_diff(full) < 16,
+        "one string out, its like in"
+    );
+    assert_eq!(run_of(&roundtrip(&server, &extra)), "remembered");
+    assert_eq!(run_of(&roundtrip(&server, &variants[0])), "remembered");
+    let again = roundtrip(&server, &req);
+    assert_eq!(run_of(&again), "executed", "the oldest run went first");
+    assert_eq!(again.body, oneshot(&req).body);
+    assert_eq!(
+        (stat(&server, "plans"), stat(&server, "plan_evictions")),
+        (1, 0)
+    );
     server.shutdown();
     server.join();
 }
@@ -425,7 +540,17 @@ fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_plan() {
     let misses = replies.iter().filter(|r| plan_cache(r) == "miss").count();
     assert!(misses >= 1, "somebody had to search");
     assert_eq!(stat(&server, "plans"), 1, "{misses} misses, one plan");
-    assert_eq!(plan_cache(&roundtrip(&server, &req)), "hit");
+    // Whoever executed — the storing miss, the other misses on plans of
+    // their own, hits that found no run yet — the stored plan remembers
+    // the run once.
+    assert!(replies.iter().any(|r| run_of(r) == "executed"));
+    assert_eq!(stat(&server, "plan_runs"), 1);
+    let after = roundtrip(&server, &req);
+    assert_eq!(
+        (plan_cache(&after), run_of(&after)),
+        ("hit".into(), "remembered".into())
+    );
+    assert_eq!(after.body, reference.body);
     server.shutdown();
     server.join();
 }

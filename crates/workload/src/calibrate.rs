@@ -155,13 +155,33 @@ impl CalibrationStore {
         Ok(store)
     }
 
-    /// Write the store to a file.
+    /// Write the store to a file, atomically: the JSON goes to a sibling
+    /// `<file name>.tmp`, is synced, and is renamed over `path`. A failed or
+    /// interrupted save — disk full, a crash mid-write — therefore leaves
+    /// the previous file as it was, never a truncated one that the next
+    /// [`CalibrationStore::load`] would rightly refuse. (The directory is
+    /// not synced: after a power loss the old file may still be the one
+    /// there, which loads.) One writer per path at a time — the temporary
+    /// name is fixed; the server saves under the store's own lock.
     pub fn save(&self, path: impl AsRef<Path>) -> std::result::Result<(), StoreError> {
+        use std::io::Write;
         let path = path.as_ref();
-        std::fs::write(path, self.to_json()).map_err(|e| StoreError::Io {
-            path: path.to_path_buf(),
-            source: e,
-        })
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let io = |at: &Path, source| StoreError::Io {
+            path: at.to_path_buf(),
+            source,
+        };
+        let written = std::fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(self.to_json().as_bytes())?;
+            file.sync_all()
+        });
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(io(&tmp, e));
+        }
+        std::fs::rename(&tmp, path).map_err(|e| io(path, e))
     }
 
     /// Load a store from a file written by [`CalibrationStore::save`].
@@ -462,6 +482,34 @@ mod tests {
             .find(|&a| wf.graph().activity(a).unwrap().label == label)
             .unwrap();
         wf.graph().activity(node).unwrap().selectivity()
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_old_file_loadable() {
+        let dir = std::env::temp_dir().join(format!("etlopt_cal_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        let mut old = CalibrationStore::new();
+        old.record(1, "1", CalEntry::new(10, 5));
+        old.save(&path).unwrap();
+        assert!(!dir.join("store.json.tmp").exists(), "renamed, not copied");
+
+        // The write cannot even start: a directory sits where the
+        // temporary file goes.
+        std::fs::create_dir(dir.join("store.json.tmp")).unwrap();
+        let mut new = old.clone();
+        new.record(2, "2", CalEntry::new(20, 1));
+        let err = new.save(&path).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert!(!err.is_malformed() && !err.is_not_found());
+        assert_eq!(CalibrationStore::load(&path).unwrap(), old);
+
+        // With the way clear the same save replaces the file whole.
+        std::fs::remove_dir(dir.join("store.json.tmp")).unwrap();
+        new.save(&path).unwrap();
+        assert_eq!(CalibrationStore::load(&path).unwrap(), new);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

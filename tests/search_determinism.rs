@@ -179,20 +179,23 @@ fn a_binding_state_budget_stops_expansion_within_one_window() {
 
 #[test]
 fn default_parallelism_matches_forced_sequential() {
-    // `parallelism: None` resolves to the machine's available parallelism —
-    // whatever that is, the answer must match the 1-thread run.
+    // A budget nobody set a count on runs one thread (the per-window thread
+    // spawning is a measured loss, see `SearchBudget::parallelism`) — and
+    // its answer is the forced 1-thread run's.
     let model = RowCountModel::default();
     let s = Generator::generate(GeneratorConfig {
         seed: 42,
         category: SizeCategory::Medium,
     });
+    assert_eq!(SearchBudget::states(1_500).threads(), 1);
+    assert_eq!(SearchBudget::default().threads(), 1);
     let auto = ExhaustiveSearch::with_budget(SearchBudget::states(1_500))
         .run(&s.workflow, &model)
         .unwrap();
     let seq = ExhaustiveSearch::with_budget(SearchBudget::states(1_500).with_parallelism(1))
         .run(&s.workflow, &model)
         .unwrap();
-    assert_same_outcome("ES auto-vs-1", &auto, &seq);
+    assert_same_outcome("ES default-vs-1", &auto, &seq);
 }
 
 #[test]
