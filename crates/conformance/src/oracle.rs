@@ -128,11 +128,7 @@ impl Verdict {
 /// seed is derived from the scenario seed so a (seed, category, rows)
 /// triple fully determines the oracle's inputs.
 pub fn scenario_executor(wf: &Workflow, rows_per_source: usize, seed: u64) -> Executor {
-    Executor::new(datagen::catalog_for(
-        wf,
-        rows_per_source,
-        seed ^ 0xD1FF_C0DE,
-    ))
+    Executor::new(datagen::scenario_catalog(wf, rows_per_source, seed))
 }
 
 /// Run one scenario through **both executor backends** and demand exact

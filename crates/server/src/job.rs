@@ -1,5 +1,5 @@
-//! Job execution: the one code path shared by server workers and the
-//! client's `oneshot` mode.
+//! Job execution: the one code path shared by the server's connection
+//! threads and the client's `oneshot` mode.
 //!
 //! [`run_request`] is deliberately the *only* way a job op produces a
 //! body, so "server responses are byte-identical to the one-shot
@@ -59,12 +59,6 @@ use crate::json;
 use crate::proto::{Code, Op, Request, Response};
 use crate::state::{relock, Family, Plan, PlanKey, Registry};
 
-/// The seed tweak `etlopt-conformance::scenario_executor` applies before
-/// generating the synthetic catalog; replicated here so a server
-/// `execute` sees exactly the conformance suite's data for the same
-/// (workflow, rows, seed) triple.
-const DATA_SEED_TWEAK: u64 = 0xD1FF_C0DE;
-
 /// A request after server-side clamping: the budgets the job actually
 /// runs with. Clamped values are part of the canonical body, so a client
 /// asking for more than the ceiling sees what it actually got — except
@@ -84,8 +78,7 @@ fn clamp(req: &Request, reg: &Registry) -> Effective {
     let cfg = reg.config();
     // Ceilings are normalized with `.max(1)`: `clamp` panics when
     // min > max, and a zero ceiling in a hand-built config must degrade
-    // to "smallest budget", never panic a worker thread (a panicked
-    // worker strands every client queued behind it).
+    // to "smallest budget", not to a caught panic's `500` on every job.
     Effective {
         states: req.states.clamp(1, cfg.max_states.max(1)),
         time_ms: req.time_ms.clamp(1, cfg.max_time_ms.max(1)),
@@ -106,12 +99,6 @@ fn build_optimizer(req: &Request, eff: &Effective, memo: Arc<MoveMemo>) -> Box<d
         // Request::parse validated the algo name already.
         _ => Box::new(BeamSearch::with_budget(budget).with_shared_memo(memo)),
     }
-}
-
-/// The synthetic catalog the one-shot conformance path would generate
-/// for this request.
-fn catalog_for_request(wf: &Workflow, rows: usize, seed: u64) -> Catalog {
-    datagen::catalog_for(wf, rows, seed ^ DATA_SEED_TWEAK)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -292,8 +279,8 @@ pub fn run_request(registry: &Registry, req: &Request) -> Response {
     match req.op {
         Op::Ping => Response::ok(&req.id, "{\"op\":\"ping\"}".to_owned(), String::new()),
         Op::Stats => Response::ok(&req.id, registry.stats_json(), String::new()),
-        // The server intercepts shutdown before run_request; reaching it
-        // here (client oneshot mode) is a no-op acknowledgement.
+        // The server begins its drain, then answers with this; in client
+        // oneshot mode there is nothing to drain.
         Op::Shutdown => Response::ok(
             &req.id,
             "{\"op\":\"shutdown\",\"draining\":true}".to_owned(),
@@ -520,7 +507,7 @@ fn run_targets(
     // declaration-order-sensitive; family digests are not). The plan keeps
     // the request workflow's sources, ids and order, so this is the
     // catalog the request's own text generates.
-    let catalog = catalog_for_request(best, eff.rows, req.seed);
+    let catalog = datagen::scenario_catalog(best, eff.rows, req.seed);
     let cache = plan
         .family
         .cache(eff.rows, req.seed, catalog_digest(best, &catalog));
@@ -607,7 +594,9 @@ fn adaptive_body(
     // rounds*, exactly like the one-shot adaptive path; the cross-job
     // shared wins for adaptive are the warm calibration store and the
     // searches that store makes repeatable.
-    let mut harvester = Harvester::new(Executor::new(catalog_for_request(wf, eff.rows, req.seed)));
+    let mut harvester = Harvester::new(Executor::new(datagen::scenario_catalog(
+        wf, eff.rows, req.seed,
+    )));
     let cfg = AdaptiveConfig::rounds(eff.rounds);
 
     let report = if req.warm {
@@ -804,8 +793,9 @@ mod tests {
         let eff = clamp(req, reg);
         let wf = text::parse(&req.workflow).expect("parse");
         let optimizer = build_optimizer(req, &eff, Arc::new(MoveMemo::new()));
-        let mut harvester =
-            Harvester::new(Executor::new(catalog_for_request(&wf, eff.rows, req.seed)));
+        let mut harvester = Harvester::new(Executor::new(datagen::scenario_catalog(
+            &wf, eff.rows, req.seed,
+        )));
         run_adaptive(
             &wf,
             &RowCountModel::default(),
@@ -1140,8 +1130,8 @@ mod tests {
         let eff = clamp(&req, &reg);
         assert_eq!(eff.parallelism, 2, "parallelism must honor the ceiling");
 
-        // Zero ceilings: `x.clamp(1, 0)` panics (min > max), and a
-        // panicked worker never respawns — degrade to budget 1 instead.
+        // Zero ceilings: `x.clamp(1, 0)` panics (min > max), which would
+        // turn every job into a `500` — degrade to budget 1 instead.
         let zero = Registry::new(ServerConfig {
             max_states: 0,
             max_time_ms: 0,
@@ -1215,12 +1205,12 @@ mod tests {
         );
         // The hazard is real: same family, same (rows, seed), different
         // generated data — and the catalog digest tells them apart.
-        let dig_ab = catalog_digest(&wf_ab, &catalog_for_request(&wf_ab, 64, 2005));
-        let dig_ba = catalog_digest(&wf_ba, &catalog_for_request(&wf_ba, 64, 2005));
+        let dig_ab = catalog_digest(&wf_ab, &datagen::scenario_catalog(&wf_ab, 64, 2005));
+        let dig_ba = catalog_digest(&wf_ba, &datagen::scenario_catalog(&wf_ba, 64, 2005));
         assert_ne!(dig_ab, dig_ba, "swapped sources must re-key the cache");
         assert_eq!(
             dig_ab,
-            catalog_digest(&wf_ab, &catalog_for_request(&wf_ab, 64, 2005)),
+            catalog_digest(&wf_ab, &datagen::scenario_catalog(&wf_ab, 64, 2005)),
             "the digest itself is deterministic"
         );
 

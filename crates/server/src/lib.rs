@@ -3,8 +3,9 @@
 //!
 //! One process hosts many tenants and many workflows. Requests are
 //! newline-delimited JSON envelopes ([`proto`]) carrying workflows in
-//! the repository's `text` DSL; a bounded worker pool ([`queue`],
-//! [`server`]) runs them with server-clamped budgets ([`job`]); sibling
+//! the repository's `text` DSL; each runs on the connection thread that
+//! read it, holding one of a bounded count of job slots ([`admission`],
+//! [`server`]), with server-clamped budgets ([`job`]); sibling
 //! requests share move memos, result caches and resubmitted requests'
 //! plans — searches, adaptive rounds' included, and remembered runs —
 //! process-wide while calibration stays tenant-scoped ([`state`]).
@@ -19,15 +20,14 @@
 
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
+pub mod admission;
 pub mod job;
 pub mod json;
 pub mod proto;
-pub mod queue;
 pub mod server;
 pub mod state;
 
 pub use job::{catalog_digest, run_request, table_digest};
 pub use proto::{Code, Op, Request, Response};
-pub use queue::{JobQueue, Rejected};
 pub use server::{spawn, DrainReport, Server};
 pub use state::{Family, Registry, ServerConfig};

@@ -30,9 +30,10 @@ pub enum Code {
     Ok = 200,
     /// The request line did not parse or failed validation.
     BadRequest = 400,
-    /// Admission control: the job queue is at capacity. Retry later.
+    /// Admission control: every job slot is held and the line waiting
+    /// for one is full. Retry later.
     QueueFull = 429,
-    /// The job was accepted but failed while running.
+    /// The job was accepted but failed (or panicked) while running.
     Internal = 500,
     /// The server is draining for shutdown and admits no new jobs.
     Draining = 503,
@@ -69,7 +70,7 @@ impl Code {
 /// The operation a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Liveness probe; answered inline, never queued.
+    /// Liveness probe; answered without admission.
     Ping,
     /// Optimize the workflow; body reports plan text, costs and counters.
     Optimize,
@@ -77,9 +78,9 @@ pub enum Op {
     Execute,
     /// Feedback-driven adaptive re-optimization with tenant calibration.
     Adaptive,
-    /// Registry statistics; answered inline, never queued.
+    /// Registry statistics; answered without admission.
     Stats,
-    /// Begin graceful drain; answered inline.
+    /// Begin graceful drain; answered without admission.
     Shutdown,
 }
 
@@ -108,8 +109,9 @@ impl Op {
         }
     }
 
-    /// Whether this op runs through the bounded worker queue (true) or is
-    /// answered inline on the connection thread (false).
+    /// Whether this op must hold one of the daemon's job slots while it
+    /// runs (true) or is answered without admission (false). Both kinds
+    /// run on the connection thread that read them.
     pub fn is_job(self) -> bool {
         matches!(self, Op::Optimize | Op::Execute | Op::Adaptive)
     }

@@ -1,42 +1,40 @@
-//! The daemon: accept loop, connection handlers, worker pool and the
+//! The daemon: accept loop, connection handlers, admission and the
 //! graceful-drain shutdown protocol.
 //!
 //! Thread layout:
 //!
 //! * one **listener** thread accepting connections;
-//! * one detached **connection** thread per client, reading request
-//!   lines, answering control ops (`ping`/`stats`/`shutdown`) inline
-//!   and submitting job ops to the queue;
-//! * `workers` **worker** threads draining the bounded [`JobQueue`],
-//!   running [`job::run_request`] and handing the rendered response
-//!   line back over a per-job channel.
+//! * one detached **connection** thread per client, reading request lines
+//!   and answering each one itself: control ops (`ping`/`stats`/`shutdown`)
+//!   at once, job ops while holding one of `workers` job slots
+//!   ([`Admission`]). A job runs on the thread that read its line; nothing
+//!   is handed to another thread and back.
 //!
-//! Shutdown protocol: `shutdown` (the op or the method) closes the
-//! queue — new jobs are refused with a typed `503` while every job
-//! already admitted still runs to completion — then unblocks the
-//! listener with a self-connection. `join` waits for the listener and
-//! all workers, then writes the drain report. Clients waiting on an
-//! admitted job therefore always get their response; clients arriving
+//! A job that panics is caught on its connection thread: it answers a typed
+//! `500` carrying its request id and frees its slot, and the registry's
+//! locks (see `state::relock`) keep serving later requests.
+//!
+//! Shutdown protocol: `shutdown` (the op or the method) closes admission —
+//! new jobs are refused with a typed `503` while every job already running
+//! or in line for a slot still runs to completion — then unblocks the
+//! listener with a self-connection. `join` waits for the listener, then for
+//! admission to go idle, then writes the drain report. Clients waiting on
+//! an admitted job therefore always get their response; clients arriving
 //! after the drain started get a typed rejection, never a dropped
 //! connection.
 
+use std::any::Any;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use crate::admission::{Admission, Rejected};
 use crate::job;
 use crate::proto::{Code, Op, Request, Response};
-use crate::queue::{JobQueue, Rejected};
 use crate::state::{Registry, ServerConfig};
-
-/// A job admitted to the queue: the parsed request plus the channel its
-/// rendered response line travels back on.
-struct QueuedJob {
-    req: Request,
-    resp: mpsc::Sender<String>,
-}
 
 /// Counters for the drain report.
 #[derive(Default)]
@@ -50,10 +48,11 @@ struct Counters {
 /// What the drain looked like, reported by [`Server::join`].
 #[derive(Debug, Clone)]
 pub struct DrainReport {
-    /// Jobs admitted to the queue over the server's lifetime.
+    /// Jobs that got a job slot over the server's lifetime (a place in
+    /// line always leads to one).
     pub accepted: u64,
-    /// Jobs that ran to completion (equals `accepted` after a clean
-    /// drain — admitted work is never dropped).
+    /// Jobs that ran to completion, a caught panic included (equals
+    /// `accepted` after a clean drain — admitted work is never dropped).
     pub completed: u64,
     /// Submissions refused by admission control (`429`).
     pub rejected_full: u64,
@@ -70,62 +69,51 @@ impl DrainReport {
     }
 }
 
-/// A running server instance.
-pub struct Server {
-    addr: SocketAddr,
+/// What the listener and every connection thread share.
+struct Shared {
     registry: Arc<Registry>,
-    queue: Arc<JobQueue<QueuedJob>>,
-    counters: Arc<Counters>,
-    draining: Arc<AtomicBool>,
-    listener_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<u64>>,
+    admission: Admission,
+    counters: Counters,
+    addr: SocketAddr,
 }
 
-/// Start a server for `cfg`. Binds, spawns the pool and returns
+impl Shared {
+    /// Begin the graceful drain. Idempotent. Admission closes first, so no
+    /// job slips in after the listener stops; the self-connection that
+    /// unblocks the accept loop is answered `503` like any late arrival.
+    fn begin_drain(&self) {
+        if self.admission.close() {
+            let _ = TcpStream::connect(self.addr);
+        }
+    }
+}
+
+/// A running server instance.
+pub struct Server {
+    shared: Arc<Shared>,
+    listener_thread: JoinHandle<()>,
+}
+
+/// Start a server for `cfg`. Binds, spawns the listener and returns
 /// immediately; `local_addr` has the resolved port.
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<Server> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let workers = cfg.workers.max(1);
-    let queue: Arc<JobQueue<QueuedJob>> = Arc::new(JobQueue::new(cfg.queue_depth));
-    let registry = Arc::new(Registry::new(cfg));
-    let counters = Arc::new(Counters::default());
-    let draining = Arc::new(AtomicBool::new(false));
-
-    let mut worker_threads = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let queue = Arc::clone(&queue);
-        let registry = Arc::clone(&registry);
-        let counters = Arc::clone(&counters);
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("etlopt-worker-{i}"))
-                .spawn(move || {
-                    let mut done = 0u64;
-                    while let Some(queued) = queue.recv() {
-                        let resp = job::run_request(&registry, &queued.req);
-                        counters.completed.fetch_add(1, Ordering::Relaxed);
-                        done += 1;
-                        // A send error means the client hung up; the job
-                        // still completed and still counts.
-                        let _ = queued.resp.send(resp.render());
-                    }
-                    done
-                })?,
-        );
-    }
+    let shared = Arc::new(Shared {
+        admission: Admission::new(cfg.workers, cfg.queue_depth),
+        registry: Arc::new(Registry::new(cfg)),
+        counters: Counters::default(),
+        addr,
+    });
 
     let listener_thread = {
-        let queue = Arc::clone(&queue);
-        let registry = Arc::clone(&registry);
-        let counters = Arc::clone(&counters);
-        let draining = Arc::clone(&draining);
+        let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("etlopt-listener".to_owned())
             .spawn(move || {
                 for stream in listener.incoming() {
                     let Ok(stream) = stream else { continue };
-                    if draining.load(Ordering::SeqCst) {
+                    if shared.admission.is_closed() {
                         // This accept may be the shutdown self-connection
                         // *or* a real client that won the race against it:
                         // either way, send the typed 503 before the
@@ -140,52 +128,36 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<Server> {
                         let _ = write_line(&mut writer, &refusal.render());
                         break;
                     }
-                    let queue = Arc::clone(&queue);
-                    let registry = Arc::clone(&registry);
-                    let counters = Arc::clone(&counters);
-                    let draining = Arc::clone(&draining);
+                    let shared = Arc::clone(&shared);
                     // Detached: the handler lives as long as its client.
                     let _ = std::thread::Builder::new()
                         .name("etlopt-conn".to_owned())
-                        .spawn(move || {
-                            handle_connection(stream, &registry, &queue, &counters, &draining, addr)
-                        });
+                        .spawn(move || handle_connection(stream, &shared));
                 }
             })?
     };
 
     Ok(Server {
-        addr,
-        registry,
-        queue,
-        counters,
-        draining,
-        listener_thread: Some(listener_thread),
-        worker_threads,
+        shared,
+        listener_thread,
     })
 }
 
 impl Server {
     /// The bound address (resolved port included).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The process-wide registry (tests inspect shared-state counters).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.shared.registry
     }
 
     /// Begin the graceful drain: refuse new jobs, let admitted jobs
     /// finish, unblock the listener. Idempotent.
     pub fn shutdown(&self) {
-        if self.draining.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.queue.close();
-        // Unblock the accept loop; the no-op connection is dropped
-        // immediately because `draining` is already set.
-        let _ = TcpStream::connect(self.addr);
+        self.shared.begin_drain();
     }
 
     /// Wait for the drain to be initiated (by [`Server::shutdown`] or
@@ -193,27 +165,19 @@ impl Server {
     /// log (if configured) and return the report. A daemon that should
     /// serve until told otherwise calls `join` directly; a test that
     /// wants to stop now calls `shutdown` first.
-    pub fn join(mut self) -> DrainReport {
-        if let Some(listener) = self.listener_thread.take() {
-            let _ = listener.join();
-        }
-        let mut per_worker = Vec::with_capacity(self.worker_threads.len());
-        for handle in self.worker_threads.drain(..) {
-            per_worker.push(handle.join().unwrap_or(0));
-        }
+    pub fn join(self) -> DrainReport {
+        let _ = self.listener_thread.join();
+        let shared = &self.shared;
+        shared.admission.wait_idle();
+        let counters = &shared.counters;
         let report = DrainReport {
-            accepted: self.counters.accepted.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            rejected_full: self.counters.rejected_full.load(Ordering::Relaxed),
-            rejected_draining: self.counters.rejected_draining.load(Ordering::Relaxed),
+            accepted: counters.accepted.load(Ordering::Relaxed),
+            completed: counters.completed.load(Ordering::Relaxed),
+            rejected_full: counters.rejected_full.load(Ordering::Relaxed),
+            rejected_draining: counters.rejected_draining.load(Ordering::Relaxed),
         };
-        if let Some(path) = &self.registry.config().drain_log {
-            let mut log = String::new();
-            for (i, done) in per_worker.iter().enumerate() {
-                log.push_str(&format!("worker {i}: completed={done}\n"));
-            }
-            log.push_str(&report.render());
-            let _ = std::fs::write(path, log);
+        if let Some(path) = &shared.registry.config().drain_log {
+            let _ = std::fs::write(path, report.render());
         }
         report
     }
@@ -280,14 +244,7 @@ fn read_line_bounded<R: BufRead>(reader: &mut R, max: usize) -> LineRead {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    registry: &Registry,
-    queue: &JobQueue<QueuedJob>,
-    counters: &Counters,
-    draining: &AtomicBool,
-    addr: SocketAddr,
-) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
@@ -312,67 +269,69 @@ fn handle_connection(
         }
         let response = match Request::parse(&line) {
             Err(e) => Response::fail("", Code::BadRequest, e),
-            Ok(req) => match req.op {
-                Op::Ping | Op::Stats => job::run_request(registry, &req),
-                Op::Shutdown => {
-                    // Same protocol as Server::shutdown, triggered over
-                    // the wire: close first so no job sneaks in between
-                    // the flag and the queue.
-                    if !draining.swap(true, Ordering::SeqCst) {
-                        queue.close();
-                        let _ = TcpStream::connect(addr);
-                    }
-                    Response::ok(
-                        &req.id,
-                        "{\"op\":\"shutdown\",\"draining\":true}".to_owned(),
-                        String::new(),
-                    )
+            Ok(req) if req.op.is_job() => {
+                run_admitted(shared, &req, || job::run_request(&shared.registry, &req))
+            }
+            Ok(req) => {
+                if req.op == Op::Shutdown {
+                    shared.begin_drain();
                 }
-                Op::Optimize | Op::Execute | Op::Adaptive => {
-                    let (tx, rx) = mpsc::channel();
-                    let id = req.id.clone();
-                    match queue.submit(QueuedJob { req, resp: tx }) {
-                        Ok(()) => {
-                            counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            match rx.recv() {
-                                Ok(line) => {
-                                    if write_line(&mut writer, &line).is_err() {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                                // Worker pool gone mid-job: report, don't drop.
-                                Err(_) => Response::fail(
-                                    &id,
-                                    Code::Internal,
-                                    "worker pool terminated".to_owned(),
-                                ),
-                            }
-                        }
-                        Err(Rejected::Full(cap)) => {
-                            counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                            Response::fail(
-                                &id,
-                                Code::QueueFull,
-                                format!("queue full (admission cap {cap}); retry later"),
-                            )
-                        }
-                        Err(Rejected::Draining) => {
-                            counters.rejected_draining.fetch_add(1, Ordering::Relaxed);
-                            Response::fail(
-                                &id,
-                                Code::Draining,
-                                "server draining for shutdown".to_owned(),
-                            )
-                        }
-                    }
-                }
-            },
+                job::run_request(&shared.registry, &req)
+            }
         };
         if write_line(&mut writer, &response.render()).is_err() {
             break;
         }
     }
+}
+
+/// Run one job op under admission: take a slot (or answer the typed
+/// refusal), run `job` under `catch_unwind`, and free the slot before the
+/// caller writes the reply, so a slow reader never holds one. `completed`
+/// is counted while the slot is still held, so a drain that has seen
+/// admission go idle also sees every admitted job counted. A job that
+/// panics answers a typed `500` carrying the request's id.
+fn run_admitted(shared: &Shared, req: &Request, job: impl FnOnce() -> Response) -> Response {
+    let counters = &shared.counters;
+    let slot = match shared.admission.enter() {
+        Ok(slot) => slot,
+        Err(Rejected::Full(cap)) => {
+            counters.rejected_full.fetch_add(1, Ordering::Relaxed);
+            return Response::fail(
+                &req.id,
+                Code::QueueFull,
+                format!("queue full (admission cap {cap}); retry later"),
+            );
+        }
+        Err(Rejected::Draining) => {
+            counters.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            return Response::fail(
+                &req.id,
+                Code::Draining,
+                "server draining for shutdown".to_owned(),
+            );
+        }
+    };
+    counters.accepted.fetch_add(1, Ordering::Relaxed);
+    let response = catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        Response::fail(
+            &req.id,
+            Code::Internal,
+            format!("job panicked: {}", panic_message(&*payload)),
+        )
+    });
+    counters.completed.fetch_add(1, Ordering::Relaxed);
+    drop(slot);
+    response
+}
+
+/// The text a panic was raised with, when it was raised with text.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload")
 }
 
 fn write_line(writer: &mut BufWriter<TcpStream>, line: &str) -> std::io::Result<()> {
@@ -384,6 +343,49 @@ fn write_line(writer: &mut BufWriter<TcpStream>, line: &str) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn shared(workers: usize) -> Shared {
+        Shared {
+            registry: Arc::new(Registry::new(ServerConfig::default())),
+            admission: Admission::new(workers, 1),
+            counters: Counters::default(),
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_answers_500_frees_its_slot_and_the_next_job_runs() {
+        let shared = shared(1);
+        let mut req =
+            Request::parse(r#"{"id":"boom-1","op":"optimize","workflow":"x","algo":"beam"}"#)
+                .unwrap();
+        let resp = run_admitted(&shared, &req, || panic!("a job went wrong"));
+        assert_eq!(resp.code, Code::Internal);
+        assert_eq!(resp.id, "boom-1");
+        assert!(resp.error.contains("a job went wrong"), "{}", resp.error);
+        assert_eq!(shared.admission.load(), (0, 0), "the slot was freed");
+
+        req.id = "after-1".to_owned();
+        req.workflow = etlopt_core::text::render(&etlopt_workload::scenarios::fig1()).unwrap();
+        let resp = run_admitted(&shared, &req, || job::run_request(&shared.registry, &req));
+        assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+        assert_eq!(resp.id, "after-1");
+        let c = &shared.counters;
+        assert_eq!(c.accepted.load(Ordering::Relaxed), 2);
+        assert_eq!(c.completed.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn refusals_are_typed_and_counted() {
+        let shared = shared(1);
+        let req = Request::parse(r#"{"id":"r","op":"optimize","workflow":"x"}"#).unwrap();
+        assert!(shared.admission.close());
+        let resp = run_admitted(&shared, &req, || unreachable!("a refused job never runs"));
+        assert_eq!((resp.code, resp.id.as_str()), (Code::Draining, "r"));
+        let c = &shared.counters;
+        assert_eq!(c.rejected_draining.load(Ordering::Relaxed), 1);
+        assert_eq!(c.accepted.load(Ordering::Relaxed), 0);
+    }
 
     fn read_all(input: &[u8], max: usize) -> Vec<Result<String, ()>> {
         let mut reader = std::io::Cursor::new(input.to_vec());

@@ -88,15 +88,16 @@ pub(crate) fn relock<T>(r: LockResult<T>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Server-process configuration: listen address, pool sizing, admission
+/// Server-process configuration: listen address, job slots, admission
 /// caps and the per-job budget ceilings that clamp client requests.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads draining the job queue.
+    /// Jobs running at once: the number of job slots. Each job runs on
+    /// the connection thread that read it while it holds a slot.
     pub workers: usize,
-    /// Admission control: jobs allowed to wait in the queue. Submissions
+    /// Admission control: jobs allowed to wait for a slot. Submissions
     /// beyond this are rejected with a typed `429`.
     pub queue_depth: usize,
     /// Ceiling on the per-job search-state budget.
@@ -407,7 +408,7 @@ struct Tenant {
     cals: Mutex<HashMap<u128, Arc<Mutex<CalibrationStore>>>>,
 }
 
-/// The process-wide registry behind all worker threads.
+/// The process-wide registry every connection thread runs its jobs against.
 pub struct Registry {
     cfg: ServerConfig,
     families: Mutex<HashMap<u128, Arc<Family>>>,

@@ -1,5 +1,6 @@
 //! Live-server integration: concurrency byte-identity, admission
-//! control, multi-tenant shared-state wins, the plan tier (second-sight
+//! control (a full line is a 429, a line within its depth waits its
+//! turn), multi-tenant shared-state wins, the plan tier (second-sight
 //! admission, exact keys, time-capped searches flagged and never stored,
 //! runs remembered per rows and seed, adaptive rounds answered from it)
 //! and the drain protocol, all over real TCP connections against an
@@ -667,99 +668,105 @@ fn a_plan_generates_the_catalog_its_request_text_generates() {
     }
 }
 
+/// Hold a one-slot daemon's slot with a slow adaptive job: 8 rounds of a
+/// 4 000-state search are ≈ 0.14 s optimized and ≈ 2 s unoptimized, a
+/// hundred times what a handful of clients takes to submit. Returns once
+/// the daemon itself shows the job running, not after a fixed time: a job
+/// registers its family as its first step, before any search or execution,
+/// and `stats` is answered without admission. Clients sent next therefore
+/// land at the very start of the job however fast the build is (a fixed
+/// sleep outlived the whole job in release builds).
+fn occupy_the_slot<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    server: &'scope Server,
+) -> std::thread::ScopedJoinHandle<'scope, Response> {
+    let slow_wf = workflow_text(2005, SizeCategory::Medium);
+    let slow = scope.spawn(move || {
+        let mut req = request("slow", Op::Adaptive, &slow_wf);
+        req.states = 4_000;
+        req.rows = 512;
+        req.rounds = 8;
+        roundtrip(server, &req)
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let poll = TcpStream::connect(server.local_addr()).expect("connect");
+    loop {
+        let stats = roundtrip_on(&poll, &request("poll", Op::Stats, ""));
+        let families = json::parse(&stats.body)
+            .expect("stats body")
+            .get("families")
+            .and_then(json::Value::as_u64);
+        if families >= Some(1) {
+            return slow;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the slow job never started"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Send one optimize per stream, all at once, and collect the codes.
+fn flood<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    streams: Vec<TcpStream>,
+    wf: &'scope str,
+) -> Vec<Code> {
+    let handles: Vec<_> = streams
+        .into_iter()
+        .enumerate()
+        .map(|(i, stream)| {
+            scope.spawn(move || {
+                let resp = roundtrip_on(&stream, &request(&format!("f{i}"), Op::Optimize, wf));
+                match resp.code {
+                    Code::Ok => {}
+                    Code::QueueFull => {
+                        assert!(
+                            resp.error.contains("queue full"),
+                            "429 must say why: {}",
+                            resp.error
+                        );
+                    }
+                    other => panic!("unexpected code {other:?}: {}", resp.error),
+                }
+                resp.code
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("client"))
+        .collect()
+}
+
 #[test]
 fn admission_control_rejects_with_typed_429_not_dropped_connections() {
-    // One worker, one queue slot: with a slow job on the worker and one
-    // in the queue, every further submission is a typed 429.
+    // One slot, one place in line: with a slow job holding the slot and
+    // one job waiting, every further submission is a typed 429.
     let server = spawn(ServerConfig {
         workers: 1,
         queue_depth: 1,
         ..ServerConfig::default()
     })
     .expect("spawn server");
-    let slow_wf = workflow_text(2005, SizeCategory::Medium);
     let fast_wf = workflow_text(77, SizeCategory::Small);
 
     std::thread::scope(|scope| {
-        // The flood's 8 clients connect first, so that once the worker is
-        // busy nothing stands between them and the queue but one write.
-        let flood: Vec<TcpStream> = (0..8)
+        // The flood's 8 clients connect first, so that once the slot is
+        // held nothing stands between them and admission but one write.
+        let streams: Vec<TcpStream> = (0..8)
             .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
             .collect();
-        // Occupy the worker with a slow adaptive job: 8 rounds of a
-        // 4 000-state search are ≈ 0.14 s optimized and ≈ 2 s unoptimized,
-        // a hundred times what the flood below takes to submit.
-        let slow = {
-            let server = &server;
-            let wf = slow_wf.clone();
-            scope.spawn(move || {
-                let mut req = request("slow", Op::Adaptive, &wf);
-                req.states = 4_000;
-                req.rows = 512;
-                req.rounds = 8;
-                roundtrip(server, &req)
-            })
-        };
-        // Wait for the daemon itself to show the job on the worker, not
-        // for a fixed time: a job registers its family as its first step,
-        // before any search or execution, and `stats` is answered inline.
-        // The flood then lands at the very start of the job however fast
-        // the build is (a fixed sleep outlived the whole job in release
-        // builds, and the flood found an idle worker).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let poll = TcpStream::connect(server.local_addr()).expect("connect");
-        loop {
-            let stats = roundtrip_on(&poll, &request("poll", Op::Stats, ""));
-            let families = json::parse(&stats.body)
-                .expect("stats body")
-                .get("families")
-                .and_then(json::Value::as_u64);
-            if families >= Some(1) {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the slow job never reached the worker"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-
-        // Flood: 8 concurrent clients. Capacity is 1 waiting slot, so at
-        // least 7 must get typed 429 rejections; every connection gets a
-        // well-formed response either way.
-        let outcomes: Vec<Code> = {
-            let handles: Vec<_> = flood
-                .into_iter()
-                .enumerate()
-                .map(|(i, stream)| {
-                    let wf = &fast_wf;
-                    scope.spawn(move || {
-                        let resp =
-                            roundtrip_on(&stream, &request(&format!("f{i}"), Op::Optimize, wf));
-                        match resp.code {
-                            Code::Ok => {}
-                            Code::QueueFull => {
-                                assert!(
-                                    resp.error.contains("queue full"),
-                                    "429 must say why: {}",
-                                    resp.error
-                                );
-                            }
-                            other => panic!("unexpected code {other:?}: {}", resp.error),
-                        }
-                        resp.code
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client"))
-                .collect()
-        };
+        let slow = occupy_the_slot(scope, &server);
+        // Capacity is 1 waiting place, so at least 7 must get typed 429
+        // rejections; every connection gets a well-formed response either
+        // way.
+        let outcomes = flood(scope, streams, &fast_wf);
         let rejected = outcomes.iter().filter(|c| **c == Code::QueueFull).count();
         assert!(
             rejected >= 7,
-            "with queue depth 1 and a busy worker, at least 7 of 8 must be \
+            "with queue depth 1 and the slot held, at least 7 of 8 must be \
              rejected; got {rejected} ({outcomes:?})"
         );
         assert_eq!(slow.join().expect("slow client").code, Code::Ok);
@@ -771,6 +778,33 @@ fn admission_control_rejects_with_typed_429_not_dropped_connections() {
     };
     assert_eq!(report.completed, report.accepted);
     assert!(report.rejected_full >= 7, "{report:?}");
+}
+
+#[test]
+fn clients_queued_behind_a_slow_job_wait_for_the_slot_not_a_429() {
+    // One slot, two places in line: two clients sent while the slot is
+    // held both wait their turn and both get a 200.
+    let server = spawn(ServerConfig {
+        workers: 1,
+        queue_depth: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let fast_wf = workflow_text(77, SizeCategory::Small);
+
+    std::thread::scope(|scope| {
+        let streams: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+            .collect();
+        let slow = occupy_the_slot(scope, &server);
+        assert_eq!(flood(scope, streams, &fast_wf), vec![Code::Ok, Code::Ok]);
+        assert_eq!(slow.join().expect("slow client").code, Code::Ok);
+    });
+
+    server.shutdown();
+    let report = server.join();
+    assert_eq!((report.accepted, report.completed), (3, 3), "{report:?}");
+    assert_eq!(report.rejected_full, 0, "{report:?}");
 }
 
 #[test]
@@ -833,10 +867,10 @@ fn shutdown_drains_in_flight_jobs_and_refuses_late_arrivals() {
     assert_eq!(report.accepted, 2);
     assert_eq!(report.completed, 2, "drain dropped admitted jobs");
     assert_eq!(report.rejected_draining, 1);
+    assert_eq!(report.accepted, report.completed);
     let log = std::fs::read_to_string(&drain_log).expect("drain log written");
-    assert!(
-        log.contains("drain complete: accepted=2 completed=2"),
-        "{log}"
+    assert_eq!(
+        log,
+        "drain complete: accepted=2 completed=2 rejected_full=0 rejected_draining=1\n"
     );
-    assert!(log.contains("worker 0:"), "{log}");
 }

@@ -10,10 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use etlopt_core::activity::Op;
 use etlopt_core::json::{self, Value};
-use etlopt_core::opt::adaptive::{CalEntry, Calibration};
-use etlopt_core::semantics::UnaryOp;
+use etlopt_core::opt::adaptive::{is_adjustable, CalEntry, Calibration};
 use etlopt_core::workflow::Workflow;
 use etlopt_engine::{Executor, Result};
 
@@ -416,17 +414,7 @@ pub fn calibrate(wf: &Workflow, exec: &Executor) -> Result<Workflow> {
             .graph()
             .activity(node)
             .map_err(etlopt_engine::EngineError::Core)?;
-        let adjustable = matches!(
-            act.op,
-            Op::Unary(
-                UnaryOp::Filter { .. }
-                    | UnaryOp::NotNull { .. }
-                    | UnaryOp::PkCheck { .. }
-                    | UnaryOp::Dedup { .. }
-                    | UnaryOp::Aggregate { .. }
-            )
-        );
-        if !adjustable {
+        if !is_adjustable(&act.op) {
             continue;
         }
         if let Some(observed) = result.stats.observed_selectivity(&act.id.to_string()) {

@@ -38,6 +38,15 @@ pub fn catalog_for(wf: &Workflow, rows_per_source: usize, seed: u64) -> Catalog 
     catalog
 }
 
+/// The catalog a seeded scenario executes against: [`catalog_for`] under
+/// the scenario seed with a fixed tweak applied, so the data stream is not
+/// the one the generator drew the scenario's shape from. The conformance
+/// oracle and the server's `execute` / `adaptive` both call this, so a
+/// (workflow, rows, seed) triple means the same data everywhere.
+pub fn scenario_catalog(wf: &Workflow, rows_per_source: usize, seed: u64) -> Catalog {
+    catalog_for(wf, rows_per_source, seed ^ 0xD1FF_C0DE)
+}
+
 fn random_value(attr: &str, rng: &mut Rng) -> Scalar {
     if attr == "pkey" || attr.ends_with("_id") || attr == "session" || attr == "acct" {
         Scalar::Int(rng.gen_range(1..200))

@@ -183,8 +183,7 @@ fn thirty_scenario_sweep_converges_and_is_thread_count_invariant() {
             seed,
             category: SizeCategory::Small,
         });
-        let catalog =
-            || etlopt::workload::datagen::catalog_for(&s.workflow, 64, seed ^ 0xD1FF_C0DE);
+        let catalog = || etlopt::workload::datagen::scenario_catalog(&s.workflow, 64, seed);
         let (seq, _) = run_loop(&s.workflow, 1, 4, Harvester::new(Executor::new(catalog())));
         assert!(
             seq.converged && seq.rounds_used() <= 4,
