@@ -38,9 +38,18 @@
 //! seeded workflow holds, so a tenant whose calibration has stopped moving
 //! finds every round's search done — by itself last time, or by any tenant
 //! whose calibration says the same.
+//!
+//! Once that tenant's store is at rest, a warm `adaptive` does not even
+//! execute. With every search a pure function of its key, a fresh private
+//! `Harvester` per job and a deterministic loop, a warm adaptive whose
+//! rounds were not time-capped is a pure function of the clamped request
+//! and of the store before the loop. So [`run_warm`] remembers the body of
+//! a loop that left the store unchanged, with a snapshot of that store; the
+//! next identical request of the tenant is answered with it before anything
+//! is parsed, as long as the store still equals the snapshot.
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use etlopt_core::cost::{CostModel, RowCountModel};
@@ -57,7 +66,7 @@ use etlopt_workload::{datagen, CalibrationStore};
 
 use crate::json;
 use crate::proto::{Code, Op, Request, Response};
-use crate::state::{relock, Family, Plan, PlanKey, Registry};
+use crate::state::{relock, AdaptiveKey, Family, Plan, PlanKey, Registry};
 
 /// A request after server-side clamping: the budgets the job actually
 /// runs with. Clamped values are part of the canonical body, so a client
@@ -205,10 +214,13 @@ pub fn table_digest(table: &Table) -> u64 {
 /// `time_capped` is the one thing that tells a caller the body may differ
 /// on another machine or under another load.
 ///
-/// `run` is `"remembered"` when an `execute`'s targets came from its plan,
-/// `"executed"` when they were computed, `"none"` for the other ops. A
-/// remembered run never reaches the result cache, so the three `cache_*`
-/// counts are 0 there.
+/// `run` is `"remembered"` when an `execute`'s targets came from its plan
+/// or a warm `adaptive`'s whole body came from the registry, `"executed"`
+/// when an `execute`'s targets were computed, and `"none"` otherwise (an
+/// `optimize`, an `adaptive` that ran its loop). Nothing remembered reaches
+/// the result cache or a harvester, so the three `cache_*` counts and
+/// `harvest_runs` are 0 there; a remembered adaptive's `warm_entries` is its
+/// store's length.
 struct Meta {
     started: Instant,
     memo_hits: u64,
@@ -572,12 +584,33 @@ fn plan_body(
     ))
 }
 
+fn adaptive_key(req: &Request, eff: &Effective) -> AdaptiveKey {
+    AdaptiveKey {
+        tenant: req.tenant.clone(),
+        algo: req.algo.clone(),
+        states: eff.states,
+        time_ms: eff.time_ms,
+        rows: eff.rows,
+        seed: req.seed,
+        rounds: eff.rounds,
+        text: req.workflow.clone(),
+    }
+}
+
 fn adaptive_body(
     req: &Request,
     eff: &Effective,
     registry: &Registry,
     meta: &mut Meta,
 ) -> Result<String, Failure> {
+    // Warm: the body this tenant's store was last left at rest by, if the
+    // store has not moved since — looked up before anything is parsed.
+    let key = req.warm.then(|| adaptive_key(req, eff));
+    if let Some((body, entries)) = key.as_ref().and_then(|k| registry.remembered_adaptive(k)) {
+        meta.run = "remembered";
+        meta.warm_entries = entries;
+        return Ok(body.to_string());
+    }
     let parsed = parse_workflow(req, registry)?;
     let (wf, digest) = (&parsed.wf, parsed.digest);
     let memo = parsed.family.memo();
@@ -592,65 +625,96 @@ fn adaptive_body(
     // would starve the harvester of observations and change the report.
     // The private per-job cache below still reuses prefixes *across
     // rounds*, exactly like the one-shot adaptive path; the cross-job
-    // shared wins for adaptive are the warm calibration store and the
-    // searches that store makes repeatable.
+    // shared wins for adaptive are the warm calibration store, the
+    // searches that store makes repeatable and the bodies it makes
+    // replayable.
     let mut harvester = Harvester::new(Executor::new(datagen::scenario_catalog(
         wf, eff.rows, req.seed,
     )));
     let cfg = AdaptiveConfig::rounds(eff.rounds);
 
-    let report = if req.warm {
-        // Warm: run against the tenant's accumulated calibration, hold
-        // its lock for the whole loop (adaptive rounds interleave reads
-        // and writes), persist afterwards if the loop taught it anything.
-        let store = registry
-            .calibration(&req.tenant, digest)
-            .map_err(|e| internal(format!("calibration store: {e}")))?;
-        let mut guard = relock(store.lock());
-        meta.warm_entries = guard.len();
-        let unchanged = guard.clone();
-        let report = run_adaptive(wf, &model, &optimizer, &mut harvester, &mut *guard, cfg)
+    let mut run = |store: &mut CalibrationStore| -> Result<(String, bool), Failure> {
+        meta.warm_entries = store.len();
+        let report = run_adaptive(wf, &model, &optimizer, &mut harvester, store, cfg)
             .map_err(|e| internal(format!("adaptive: {e}")))?;
-        if *guard != unchanged {
-            if let Err(e) = registry.persist_calibration(&req.tenant, digest, &guard) {
-                // Memory stays in step with the disk, so the next request
-                // differs from its snapshot again and retries the save.
-                *guard = unchanged;
-                return Err(internal(format!("calibration store: {e}")));
-            }
+        meta.memo_since(&memo, before);
+        meta.searches = optimizer.searches.get();
+        meta.time_capped = report.rounds.iter().any(|r| r.time_capped);
+        let counters = harvester.counters();
+        meta.cache_hits = counters.cache_hits;
+        meta.cache_misses = counters.cache_misses;
+        meta.cache_insertions = counters.cache_insertions;
+        meta.harvest_runs = harvester.runs();
+        let body = format!(
+            concat!(
+                "{{\"op\":\"adaptive\",\"algo\":\"{}\",\"family\":\"{:032x}\",",
+                "\"states\":{},\"time_ms\":{},\"rows\":{},\"seed\":{},",
+                "\"rounds\":{},\"warm\":{},\"report\":\"{}\"}}"
+            ),
+            req.algo,
+            digest,
+            eff.states,
+            eff.time_ms,
+            eff.rows,
+            req.seed,
+            eff.rounds,
+            req.warm,
+            json::escape(&report.to_json()),
+        );
+        Ok((body, !meta.time_capped))
+    };
+    match key {
+        // Warm: run against the tenant's accumulated calibration.
+        Some(key) => {
+            let store = registry
+                .calibration(&req.tenant, digest)
+                .map_err(|e| internal(format!("calibration store: {e}")))?;
+            run_warm(registry, key, digest, &store, run)
         }
-        report
-    } else {
         // Cold: a throwaway store, never merged back — a pure baseline
         // run that cannot leak observations into the tenant's state.
-        let mut store = CalibrationStore::new();
-        run_adaptive(wf, &model, &optimizer, &mut harvester, &mut store, cfg)
-            .map_err(|e| internal(format!("adaptive: {e}")))?
+        None => run(&mut CalibrationStore::new()).map(|(body, _)| body),
+    }
+}
+
+/// Run a warm adaptive's loop `run` on the tenant's `store`, holding its
+/// lock throughout (rounds interleave reads and writes), and settle what
+/// the loop did to it:
+///
+/// * the loop failed, or it taught the store something and the save
+///   failed: the store is put back as it was, so memory never runs ahead
+///   of the disk and the next request retries;
+/// * it taught the store something: the store is saved;
+/// * it left the store as it found it: there is nothing to save, and if
+///   `run` says its body is exact (no round was time-capped) the body is
+///   remembered under `key` with that store.
+///
+/// `run` returns the rendered body and whether it is exact.
+fn run_warm(
+    registry: &Registry,
+    key: AdaptiveKey,
+    digest: u128,
+    store: &Arc<Mutex<CalibrationStore>>,
+    run: impl FnOnce(&mut CalibrationStore) -> Result<(String, bool), Failure>,
+) -> Result<String, Failure> {
+    let mut guard = relock(store.lock());
+    let unchanged = guard.clone();
+    let (body, exact) = match run(&mut guard) {
+        Ok(done) => done,
+        Err(e) => {
+            *guard = unchanged;
+            return Err(e);
+        }
     };
-    meta.memo_since(&memo, before);
-    meta.searches = optimizer.searches.get();
-    meta.time_capped = report.rounds.iter().any(|r| r.time_capped);
-    let counters = harvester.counters();
-    meta.cache_hits = counters.cache_hits;
-    meta.cache_misses = counters.cache_misses;
-    meta.cache_insertions = counters.cache_insertions;
-    meta.harvest_runs = harvester.runs();
-    Ok(format!(
-        concat!(
-            "{{\"op\":\"adaptive\",\"algo\":\"{}\",\"family\":\"{:032x}\",",
-            "\"states\":{},\"time_ms\":{},\"rows\":{},\"seed\":{},",
-            "\"rounds\":{},\"warm\":{},\"report\":\"{}\"}}"
-        ),
-        req.algo,
-        digest,
-        eff.states,
-        eff.time_ms,
-        eff.rows,
-        req.seed,
-        eff.rounds,
-        req.warm,
-        json::escape(&report.to_json()),
-    ))
+    if *guard == unchanged {
+        if exact {
+            registry.remember_adaptive(key, store, unchanged, Arc::from(body.as_str()));
+        }
+    } else if let Err(e) = registry.persist_calibration(&key.tenant, digest, &guard) {
+        *guard = unchanged;
+        return Err(internal(format!("calibration store: {e}")));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -1095,6 +1159,239 @@ mod tests {
         assert_eq!(run_request(&reg, &req).code, Code::Ok);
         assert!(!file.exists(), "an unchanged store was written again");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn remembered(resp: &Response) -> bool {
+        resp.meta.contains("\"run\":\"remembered\"")
+    }
+
+    /// Send `req`, each reply checked against the bare loop, until a request
+    /// leaves the tenant's store as it found it (at most six).
+    fn bring_to_rest(reg: &Registry, req: &Request) {
+        for _ in 0..6 {
+            let before = store_of(reg, req);
+            checked_adaptive(reg, req);
+            if store_of(reg, req) == before {
+                return;
+            }
+        }
+        panic!("tenant {}'s store never came to rest", req.tenant);
+    }
+
+    #[test]
+    fn once_the_store_rests_the_next_request_is_the_remembered_body() {
+        let dir = std::env::temp_dir().join(format!("etlopt_job_rest_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::new(ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let req = adaptive_request("acme", &wf);
+        bring_to_rest(&reg, &req);
+        let digest = text::family_digest(&text::parse(&wf).expect("parse")).expect("digest");
+        let file = etlopt_workload::StoreDir::new(&dir).path_for("acme", digest);
+        std::fs::remove_file(&file).expect("the store was saved");
+        assert_eq!(stat(&reg, "adaptive_hits"), 0);
+
+        for hit in 1..=2 {
+            let resp = checked_adaptive(&reg, &req);
+            assert!(remembered(&resp), "{}", resp.meta);
+            assert!(
+                resp.meta.contains("\"plan_cache\":\"hit\""),
+                "{}",
+                resp.meta
+            );
+            for k in [
+                "searches",
+                "harvest_runs",
+                "cache_hits",
+                "cache_misses",
+                "cache_insertions",
+                "memo_hits",
+                "memo_misses",
+            ] {
+                assert_eq!(meta_u64(&resp, k), 0, "{k}: {}", resp.meta);
+            }
+            assert_eq!(
+                meta_u64(&resp, "warm_entries"),
+                store_of(&reg, &req).len() as u64
+            );
+            assert_eq!(stat(&reg, "adaptive_hits"), hit);
+        }
+        assert!(!file.exists(), "a remembered adaptive wrote its store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_direct_write_to_the_store_makes_the_next_request_run_the_loop() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let reg = Registry::new(ServerConfig::default());
+        let req = adaptive_request("acme", &wf);
+        bring_to_rest(&reg, &req);
+        assert!(remembered(&checked_adaptive(&reg, &req)));
+
+        // Another holder of the store writes it: a source seen larger.
+        use etlopt_core::opt::adaptive::Calibration;
+        let parsed = text::parse(&wf).expect("parse");
+        let src = parsed.sources()[0];
+        let source = &parsed.graph().recordset(src).expect("source").name;
+        let digest = text::family_digest(&parsed).expect("digest");
+        let store = reg.calibration("acme", digest).expect("store");
+        relock(store.lock()).record_source(source, 1_000_000);
+
+        let resp = checked_adaptive(&reg, &req);
+        assert!(!remembered(&resp), "{}", resp.meta);
+        assert!(meta_u64(&resp, "harvest_runs") > 0, "{}", resp.meta);
+        // The loop left the written store at rest: remembered anew.
+        let resp = checked_adaptive(&reg, &req);
+        assert!(remembered(&resp), "{}", resp.meta);
+    }
+
+    #[test]
+    fn another_tenant_never_gets_a_remembered_body() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let reg = Registry::new(ServerConfig::default());
+        let acme = adaptive_request("acme", &wf);
+        bring_to_rest(&reg, &acme);
+        assert!(remembered(&checked_adaptive(&reg, &acme)));
+
+        // umbrella holds exactly acme's store and sends the same text: the
+        // body it is owed is the same, yet acme's entry is not its entry.
+        let umbrella = adaptive_request("umbrella", &wf);
+        let digest = text::family_digest(&text::parse(&wf).expect("parse")).expect("digest");
+        let store = reg.calibration("umbrella", digest).expect("store");
+        relock(store.lock()).merge(&store_of(&reg, &acme));
+        let resp = checked_adaptive(&reg, &umbrella);
+        assert!(!remembered(&resp), "{}", resp.meta);
+        assert!(meta_u64(&resp, "harvest_runs") > 0, "{}", resp.meta);
+        // Its own loop left its store at rest: from now on its own entry.
+        assert!(remembered(&checked_adaptive(&reg, &umbrella)));
+        assert!(remembered(&checked_adaptive(&reg, &acme)));
+        assert_eq!(stat(&reg, "adaptive_hits"), 3);
+    }
+
+    #[test]
+    fn a_time_capped_adaptive_is_never_remembered() {
+        let wf = generated(2005, etlopt_workload::SizeCategory::Large);
+        let reg = Registry::new(ServerConfig::default());
+        let req = Request {
+            states: usize::MAX,
+            time_ms: 1,
+            rounds: 2,
+            ..adaptive_request("acme", &wf)
+        };
+        for _ in 0..4 {
+            let resp = run_request(&reg, &req);
+            assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+            assert!(resp.meta.contains("\"time_capped\":true"), "{}", resp.meta);
+            assert!(!remembered(&resp), "{}", resp.meta);
+            assert!(meta_u64(&resp, "harvest_runs") > 0, "{}", resp.meta);
+        }
+        assert_eq!(stat(&reg, "adaptive_hits"), 0);
+    }
+
+    /// The one function that settles a warm loop, driven by stand-in loops.
+    #[test]
+    fn a_failed_or_inexact_loop_is_never_remembered_and_a_failed_one_is_rolled_back() {
+        use etlopt_core::opt::adaptive::{CalEntry, Calibration};
+        let reg = Registry::new(ServerConfig::default());
+        let req = adaptive_request("acme", WF);
+        let key = adaptive_key(&req, &clamp(&req, &reg));
+        let store = reg.calibration("acme", 7).expect("store");
+
+        // A loop that harvested, then failed: the store is as it was.
+        let failed = run_warm(&reg, key.clone(), 7, &store, |s| {
+            s.record(1, "1", CalEntry::new(10, 5));
+            Err(internal("round 2 failed".to_owned()))
+        });
+        assert_eq!(failed, Err((Code::Internal, "round 2 failed".to_owned())));
+        assert!(
+            relock(store.lock()).is_empty(),
+            "memory ran ahead of the disk"
+        );
+        assert!(reg.remembered_adaptive(&key).is_none());
+
+        // A loop that left the store at rest but was time-capped.
+        let capped = run_warm(&reg, key.clone(), 7, &store, |_| {
+            Ok(("capped".to_owned(), false))
+        });
+        assert_eq!(capped.as_deref(), Ok("capped"));
+        assert!(reg.remembered_adaptive(&key).is_none());
+
+        // An exact one is remembered, and answers while the store rests.
+        let exact = run_warm(&reg, key.clone(), 7, &store, |_| {
+            Ok(("exact".to_owned(), true))
+        });
+        assert_eq!(exact.as_deref(), Ok("exact"));
+        let hit = reg
+            .remembered_adaptive(&key)
+            .map(|(body, n)| (body.to_string(), n));
+        assert_eq!(hit, Some(("exact".to_owned(), 0)));
+        // One that taught the store something is saved, not remembered: the
+        // entry taken at rest no longer answers.
+        let taught = run_warm(&reg, key.clone(), 7, &store, |s| {
+            s.record(1, "1", CalEntry::new(10, 5));
+            Ok(("taught".to_owned(), true))
+        });
+        assert_eq!(taught.as_deref(), Ok("taught"));
+        assert!(reg.remembered_adaptive(&key).is_none());
+    }
+
+    /// Random interleavings of three warm request shapes — acme at two
+    /// `rows` over one store, umbrella at one — each held to the bare loop
+    /// run on reference stores that only the bare loop ever touches. Whether
+    /// a reply is remembered is predicted from those stores alone: exactly
+    /// when the last request of its shape to leave its store at rest left
+    /// it as it is now. The store keeps max-evidence entries, so acme's
+    /// larger shape can move the store under the smaller one's remembered
+    /// body, never the reverse.
+    #[test]
+    fn interleaved_adaptives_answer_as_the_bare_loop_on_reference_stores() {
+        use etlopt_core::rng::Rng;
+        let wf = generated(2005, etlopt_workload::SizeCategory::Small);
+        let shapes = [
+            adaptive_request("acme", &wf),
+            Request {
+                rows: 320,
+                ..adaptive_request("acme", &wf)
+            },
+            adaptive_request("umbrella", &wf),
+        ];
+        let mut rng = Rng::seed_from_u64(2005);
+        let (mut hits, mut misses, mut invalidated) = (0, 0, 0);
+        for sequence in 0..16 {
+            let reg = Registry::new(ServerConfig::default());
+            run_request(&reg, &request(Op::Optimize, &wf));
+            let mut reference = [CalibrationStore::new(), CalibrationStore::new()];
+            let mut rested: [Option<CalibrationStore>; 3] = Default::default();
+            for step in 0..10 {
+                let shape = rng.gen_range(0..shapes.len());
+                let req = &shapes[shape];
+                let tenant = usize::from(req.tenant == "umbrella");
+                let before = reference[tenant].clone();
+                let predicted = rested[shape].as_ref() == Some(&before);
+                invalidated += usize::from(rested[shape].is_some() && !predicted);
+                let expected = bare_loop(req, &reg, &mut reference[tenant]);
+                let resp = run_request(&reg, req);
+                let at = format!("sequence {sequence}, step {step}, shape {shape}");
+                assert_eq!(report_of(&resp), expected, "{at}");
+                assert_eq!(store_of(&reg, req), reference[tenant], "{at}");
+                assert_eq!(remembered(&resp), predicted, "{at}: {}", resp.meta);
+                if reference[tenant] == before {
+                    rested[shape] = Some(before);
+                }
+                if predicted {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+        }
+        assert!(
+            hits >= 16 && misses >= 16 && invalidated >= 4,
+            "{hits} hits, {misses} misses, {invalidated} invalidated"
+        );
     }
 
     #[test]

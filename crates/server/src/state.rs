@@ -61,10 +61,22 @@
 //!     touches no data at all. A handful per plan ([`RUNS_PER_PLAN`]),
 //!     FIFO, charged to the tier's byte budget; a plan that was never
 //!     admitted remembers its one run until its request ends.
+//! * **Remembered adaptives** share the tier's budget and its FIFO. A warm
+//!   `adaptive` body is keyed by the tenant and the clamped request
+//!   ([`AdaptiveKey`]: the text as is, like a plan's) and kept with a
+//!   snapshot of the tenant's store taken when the loop left that store
+//!   unchanged. With no round time-capped, the body is a pure function of
+//!   the key and of the store before the loop, so it is replayed exactly
+//!   while the store still *equals* the snapshot. Equality, not a version
+//!   counter: [`Registry::calibration`] hands the store out, and any holder
+//!   may write it. Only the tenant's own entry can ever answer it.
 //!
-//! Lock order: the plans lock, then one plan's runs lock (remembering a
-//! run, `stats`); a run *lookup* takes the runs lock alone. Neither is held
-//! while searching or executing.
+//! Lock order: a calibration store, then the plans lock, then one plan's
+//! runs lock (remembering a run, `stats`); a run *lookup* takes the runs
+//! lock alone. No store lock is taken while the plans lock is held: a
+//! remembered adaptive is cloned out under the plans lock and compared with
+//! its store after. Neither the plans nor a runs lock is held while
+//! searching or executing.
 
 // One job that panics while it holds a registry lock must not fail every
 // later request: locks are taken through `relock`, never `expect`ed.
@@ -187,8 +199,10 @@ impl Family {
     }
 }
 
-/// Byte budget of the plan tier (a constant, like the result cache's row
-/// budget): about 650 small-workflow plans.
+/// Byte budget of the plan tier, plans and remembered adaptives together (a
+/// constant, like the result cache's row budget): about 650 small-workflow
+/// plans, or 2 200 small-workflow adaptives (≈ 7.5 KiB each, most of it
+/// text and body).
 pub const PLAN_CACHE_BYTES: usize = 16 << 20;
 
 /// Heap a stored plan's best state is charged per graph slot: parsed
@@ -212,6 +226,19 @@ const RUN_BYTES: usize = 48;
 /// `rows` and `seed` it used the night before; the few slots beyond the
 /// first are for fleets that share a text and differ in their data knobs.
 pub const RUNS_PER_PLAN: usize = 4;
+
+/// What a remembered adaptive is charged besides its tenant, its text, its
+/// body and its snapshot's entries. Counting allocator over 24 rested
+/// stores of generated small workflows at `serve_warm`'s knobs (beam, 600
+/// states, 1 024 rows, 4 rounds): the entry's two `Arc`s (88 and 128
+/// bytes), the body's `Arc` header, the algorithm string and the entry's
+/// map and queue slots come to about 295.
+const ADAPTIVE_BYTES: usize = 320;
+
+/// What a snapshot is charged per calibrated activity and per source,
+/// besides its name: B-tree nodes, 116 bytes an entry over the same 24
+/// stores (563 entries).
+const CAL_ENTRY_BYTES: usize = 120;
 
 /// What a search is looked up by: everything its outcome depends on. Not
 /// `rows` and `seed`, which only feed execution, nor `parallelism`, which
@@ -293,13 +320,62 @@ impl Run {
     }
 }
 
-/// The plan tier: exact-request key → plan, FIFO over a byte budget.
+/// What a warm adaptive's body is remembered under: the tenant and every
+/// clamped request field the body depends on. Not `parallelism`, which
+/// changes no result, nor `warm`: only a warm adaptive is remembered.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct AdaptiveKey {
+    pub(crate) tenant: String,
+    pub(crate) algo: String,
+    pub(crate) states: usize,
+    pub(crate) time_ms: u64,
+    pub(crate) rows: usize,
+    pub(crate) seed: u64,
+    pub(crate) rounds: usize,
+    pub(crate) text: String,
+}
+
+/// A warm adaptive's rendered body and the store it was computed from.
+struct Remembered {
+    /// The tenant's store (tenant stores are never evicted, so this is the
+    /// one every later request of the tenant and family locks).
+    store: Arc<Mutex<CalibrationStore>>,
+    /// The store as the loop found it and left it.
+    snapshot: CalibrationStore,
+    body: Arc<str>,
+}
+
+impl Remembered {
+    /// Bytes the entry is charged, with its key.
+    fn bytes(&self, key: &AdaptiveKey) -> usize {
+        let activities = self.snapshot.entries().map(|(_, id, _)| id.len());
+        let sources = self.snapshot.sources().map(|(name, _)| name.len());
+        ADAPTIVE_BYTES
+            + key.tenant.len()
+            + key.text.len()
+            + self.body.len()
+            + activities
+                .chain(sources)
+                .map(|name| CAL_ENTRY_BYTES + name)
+                .sum::<usize>()
+    }
+}
+
+/// An entry of the tier, in FIFO order.
+enum Resident {
+    Plan(Arc<PlanKey>),
+    Adaptive(Arc<AdaptiveKey>),
+}
+
+/// The plan tier: exact-request key → plan, and tenant + request →
+/// remembered adaptive, FIFO together over one byte budget.
 struct PlanCache {
     max_bytes: usize,
     bytes: usize,
     entries: HashMap<Arc<PlanKey>, (Arc<Plan>, usize)>,
+    adaptives: HashMap<Arc<AdaptiveKey>, (Arc<Remembered>, usize)>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<Arc<PlanKey>>,
+    order: VecDeque<Resident>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -311,6 +387,7 @@ impl PlanCache {
             max_bytes,
             bytes: 0,
             entries: HashMap::new(),
+            adaptives: HashMap::new(),
             order: VecDeque::new(),
             hits: 0,
             misses: 0,
@@ -331,13 +408,18 @@ impl PlanCache {
         }
     }
 
-    /// Evict oldest entries until `incoming` more bytes fit the budget.
+    /// Evict oldest entries, plans and adaptives alike, until `incoming`
+    /// more bytes fit the budget.
     fn make_room(&mut self, incoming: usize) {
         while self.bytes + incoming > self.max_bytes {
             let Some(old) = self.order.pop_front() else {
                 break;
             };
-            if let Some((_, freed)) = self.entries.remove(&old) {
+            let freed = match old {
+                Resident::Plan(key) => self.entries.remove(&key).map(|(_, bytes)| bytes),
+                Resident::Adaptive(key) => self.adaptives.remove(&key).map(|(_, bytes)| bytes),
+            };
+            if let Some(freed) = freed {
                 self.bytes -= freed;
                 self.evictions += 1;
             }
@@ -354,8 +436,31 @@ impl PlanCache {
         }
         self.make_room(bytes);
         self.bytes += bytes;
-        self.order.push_back(Arc::clone(&plan.key));
+        self.order.push_back(Resident::Plan(Arc::clone(&plan.key)));
         self.entries.insert(Arc::clone(&plan.key), (plan, bytes));
+    }
+
+    /// Remember an adaptive under `key`. Unlike a plan, a resident entry is
+    /// replaced (its snapshot is of a store that has moved since), in place:
+    /// it keeps its FIFO position, and its charge follows the new entry. An
+    /// entry larger than the whole budget is ignored.
+    fn remember_adaptive(&mut self, key: AdaptiveKey, entry: Remembered) {
+        let bytes = entry.bytes(&key);
+        if bytes > self.max_bytes {
+            return;
+        }
+        let entry = Arc::new(entry);
+        if let Some((resident, charged)) = self.adaptives.get_mut(&key) {
+            self.bytes = self.bytes - *charged + bytes;
+            (*resident, *charged) = (entry, bytes);
+            self.make_room(0);
+            return;
+        }
+        self.make_room(bytes);
+        self.bytes += bytes;
+        let key = Arc::new(key);
+        self.order.push_back(Resident::Adaptive(Arc::clone(&key)));
+        self.adaptives.insert(key, (entry, bytes));
     }
 
     /// Remember one run on `plan`: the oldest goes once the plan holds
@@ -416,6 +521,8 @@ pub struct Registry {
     plans: Mutex<PlanCache>,
     /// `execute` requests answered from a remembered run (a statistic).
     run_hits: AtomicU64,
+    /// `adaptive` requests answered from a remembered body (a statistic).
+    adaptive_hits: AtomicU64,
 }
 
 impl Registry {
@@ -427,6 +534,7 @@ impl Registry {
             tenants: Mutex::new(HashMap::new()),
             plans: Mutex::new(PlanCache::new(PLAN_CACHE_BYTES)),
             run_hits: AtomicU64::new(0),
+            adaptive_hits: AtomicU64::new(0),
         }
     }
 
@@ -472,6 +580,40 @@ impl Registry {
     /// Remember what executing `plan` over (rows, seed) rendered.
     pub(crate) fn remember_run(&self, plan: &Arc<Plan>, rows: usize, seed: u64, targets: Arc<str>) {
         relock(self.plans.lock()).remember(plan, rows, seed, targets);
+    }
+
+    /// The body remembered under `key`, if its tenant's store still equals
+    /// the snapshot it was computed from, with that store's length; counts a
+    /// hit. The entry is cloned out under the plans lock and compared under
+    /// the store's lock alone.
+    pub(crate) fn remembered_adaptive(&self, key: &AdaptiveKey) -> Option<(Arc<str>, usize)> {
+        let entry = relock(self.plans.lock())
+            .adaptives
+            .get(key)
+            .map(|(entry, _)| Arc::clone(entry))?;
+        if *relock(entry.store.lock()) != entry.snapshot {
+            return None;
+        }
+        self.adaptive_hits.fetch_add(1, Ordering::Relaxed);
+        Some((Arc::clone(&entry.body), entry.snapshot.len()))
+    }
+
+    /// Remember a warm adaptive's `body`, computed by a loop that found
+    /// `store` equal to `snapshot` and left it so. The caller holds the
+    /// store's lock and has checked that no round was time-capped.
+    pub(crate) fn remember_adaptive(
+        &self,
+        key: AdaptiveKey,
+        store: &Arc<Mutex<CalibrationStore>>,
+        snapshot: CalibrationStore,
+        body: Arc<str>,
+    ) {
+        let entry = Remembered {
+            store: Arc::clone(store),
+            snapshot,
+            body,
+        };
+        relock(self.plans.lock()).remember_adaptive(key, entry);
     }
 
     /// The calibration store for (tenant, family), created on first
@@ -556,7 +698,7 @@ impl Registry {
                 "\"memo_hits\":{},\"memo_misses\":{},",
                 "\"plans\":{},\"plan_bytes\":{},\"plan_hits\":{},",
                 "\"plan_misses\":{},\"plan_evictions\":{},",
-                "\"plan_runs\":{},\"run_hits\":{}}}"
+                "\"plan_runs\":{},\"run_hits\":{},\"adaptive_hits\":{}}}"
             ),
             families.len(),
             tenants,
@@ -573,6 +715,7 @@ impl Registry {
             plan_evictions,
             plan_runs,
             self.run_hits.load(Ordering::Relaxed),
+            self.adaptive_hits.load(Ordering::Relaxed),
         )
     }
 }
@@ -853,6 +996,109 @@ mod tests {
         );
     }
 
+    fn adaptive_key(tenant: &str, text: &str) -> AdaptiveKey {
+        AdaptiveKey {
+            tenant: tenant.to_owned(),
+            algo: "beam".to_owned(),
+            states: 600,
+            time_ms: 60_000,
+            rows: 1024,
+            seed: 1,
+            rounds: 4,
+            text: text.to_owned(),
+        }
+    }
+
+    /// A store of `n` activities (ids "1", "2", …) and one source "S".
+    fn store_of(n: u64) -> CalibrationStore {
+        use etlopt_core::opt::adaptive::{CalEntry, Calibration};
+        let mut store = CalibrationStore::new();
+        for i in 1..=n {
+            store.record(u128::from(i), &i.to_string(), CalEntry::new(10 * i, i));
+        }
+        store.record_source("S", 1000);
+        store
+    }
+
+    fn remembered(store: &Arc<Mutex<CalibrationStore>>, body_len: usize) -> Remembered {
+        Remembered {
+            store: Arc::clone(store),
+            snapshot: relock(store.lock()).clone(),
+            body: "b".repeat(body_len).into(),
+        }
+    }
+
+    #[test]
+    fn remembered_adaptives_are_charged_exactly_and_evicted_fifo_with_plans() {
+        let store = Arc::new(Mutex::new(store_of(3)));
+        let akey = adaptive_key("acme", "wf");
+        let entry = remembered(&store, 100);
+        // Tenant, text, body, then four entries (three activities, one
+        // source) and their names.
+        let bytes = ADAPTIVE_BYTES + 4 + 2 + 100 + 4 * CAL_ENTRY_BYTES + (3 + 1);
+        assert_eq!(entry.bytes(&akey), bytes);
+
+        let plan_bytes = plan("a", 100).bytes();
+        let mut cache = PlanCache::new(2 * plan_bytes + bytes);
+        cache.insert(plan("a", 100));
+        cache.remember_adaptive(akey.clone(), entry);
+        cache.insert(plan("b", 100));
+        assert_eq!(cache.bytes, 2 * plan_bytes + bytes);
+        // Replacing the entry keeps its place in line; its charge follows.
+        cache.remember_adaptive(akey.clone(), remembered(&store, 90));
+        assert_eq!(cache.bytes, 2 * plan_bytes + bytes - 10);
+        assert_eq!(cache.order.len(), 3);
+        // One queue for both kinds: plan a goes first, ...
+        cache.insert(plan("c", 100));
+        assert_eq!(cache.evictions, 1);
+        assert!(cache.get(&key("a")).is_none() && cache.adaptives.contains_key(&akey));
+        // ... then the adaptive, then plan b, to fit a larger plan d.
+        cache.insert(plan("d", 100 + bytes));
+        assert_eq!(cache.evictions, 3);
+        assert!(cache.adaptives.is_empty() && cache.get(&key("b")).is_none());
+        assert!(cache.get(&key("c")).is_some() && cache.get(&key("d")).is_some());
+        assert_eq!(cache.bytes, 2 * plan_bytes + bytes);
+        assert_eq!(cache.order.len(), cache.entries.len());
+        // One larger than the whole budget is never admitted.
+        cache.remember_adaptive(akey.clone(), remembered(&store, cache.max_bytes));
+        assert!(cache.adaptives.is_empty());
+        assert_eq!(cache.evictions, 3);
+    }
+
+    #[test]
+    fn a_remembered_adaptive_answers_only_while_its_store_equals_the_snapshot() {
+        use etlopt_core::opt::adaptive::{CalEntry, Calibration};
+        let reg = Registry::new(ServerConfig::default());
+        let store = reg.calibration("acme", 7).unwrap();
+        *relock(store.lock()) = store_of(2);
+        let key = adaptive_key("acme", "wf");
+        let snapshot = relock(store.lock()).clone();
+        reg.remember_adaptive(key.clone(), &store, snapshot, "body".into());
+        let hit = || {
+            reg.remembered_adaptive(&key)
+                .map(|(b, n)| (b.to_string(), n))
+        };
+        assert_eq!(hit(), Some(("body".to_owned(), 2)));
+        assert!(
+            reg.remembered_adaptive(&adaptive_key("umbrella", "wf"))
+                .is_none(),
+            "the tenant is part of the key"
+        );
+        // Any write that changes the store — here the max-evidence rule
+        // takes a larger observation — and the entry no longer answers.
+        relock(store.lock()).record(1, "1", CalEntry::new(11, 1));
+        assert_eq!(hit(), None);
+        // A write that changes nothing leaves it answering.
+        *relock(store.lock()) = store_of(2);
+        relock(store.lock()).record_source("S", 999);
+        assert_eq!(hit(), Some(("body".to_owned(), 2)));
+        let v = crate::json::parse(&reg.stats_json()).unwrap();
+        assert_eq!(
+            v.get("adaptive_hits").and_then(crate::json::Value::as_u64),
+            Some(2)
+        );
+    }
+
     #[test]
     fn calibration_is_tenant_scoped() {
         use etlopt_core::opt::adaptive::{CalEntry, Calibration};
@@ -877,6 +1123,8 @@ mod tests {
         let stored = plan("w", 8);
         reg.store_plan(Arc::clone(&stored));
         reg.remember_run(&stored, 64, 1, "t".into());
+        let akey = adaptive_key("acme", "w");
+        reg.remember_adaptive(akey.clone(), &store, CalibrationStore::new(), "a".into());
         // Panic on another thread with every kind of registry lock held.
         let panicked = std::thread::scope(|scope| {
             scope
@@ -908,6 +1156,21 @@ mod tests {
         assert!(reg.run(&stored, 64, 2).is_some());
         reg.store_plan(plan("x", 8));
         assert!(reg.plan(&key("x")).is_some() && reg.plan(&key("y")).is_none());
+        // The remembered adaptive is compared with its poisoned store.
+        let hit = reg
+            .remembered_adaptive(&akey)
+            .map(|(body, n)| (body.to_string(), n));
+        assert_eq!(
+            hit,
+            Some(("a".to_owned(), 0)),
+            "and the remembered adaptive"
+        );
+        reg.remember_adaptive(akey.clone(), &store, CalibrationStore::new(), "b".into());
+        assert_eq!(
+            reg.remembered_adaptive(&akey)
+                .map(|(body, _)| body.to_string()),
+            Some("b".to_owned())
+        );
         let v = crate::json::parse(&reg.stats_json()).unwrap();
         let stat = |k| v.get(k).and_then(crate::json::Value::as_u64);
         assert_eq!(
@@ -915,6 +1178,7 @@ mod tests {
             (Some(2), Some(2), Some(1))
         );
         assert_eq!((stat("plan_runs"), stat("run_hits")), (Some(2), Some(2)));
+        assert_eq!(stat("adaptive_hits"), Some(2));
         assert_eq!(
             v.get("families").and_then(crate::json::Value::as_u64),
             Some(2)
@@ -951,6 +1215,7 @@ mod tests {
             "plan_evictions",
             "plan_runs",
             "run_hits",
+            "adaptive_hits",
         ] {
             assert_eq!(
                 v.get(k).and_then(crate::json::Value::as_u64),
