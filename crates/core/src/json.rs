@@ -6,10 +6,22 @@
 //! strings (with the standard escapes, `\n` included, since the workflow
 //! text DSL travels inside a JSON string), numbers, booleans and null.
 //! Input may be hostile (request lines, store files): nesting depth and
-//! input size are capped, and every failure is an `Err`, never a panic.
+//! input size are capped, every failure is an `Err`, never a panic, and
+//! every offset into the input goes through `get` (indexing is denied).
+//!
+//! Both directions work in runs: [`escape_into`] copies each stretch of
+//! bytes that needs no escape with one `push_str`, and the parser copies
+//! each stretch of a string between escapes the same way, so a long
+//! string costs a few `memcpy`s, not a branch per character.
+//! [`parse_members`] reads a top-level object and hands back each
+//! member's value with the raw text it was parsed from, so an envelope
+//! can move its strings out and keep a member verbatim.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A parsed JSON value. Object keys are ordered (`BTreeMap`) so
 /// re-renderings are deterministic, though the protocol never relies on
@@ -93,42 +105,82 @@ impl Value {
 /// from trailing whitespace). Errors are one-line descriptions with a
 /// byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
-    if text.len() > MAX_INPUT_BYTES {
-        return Err(format!(
-            "input of {} bytes exceeds the {MAX_INPUT_BYTES}-byte limit",
-            text.len()
-        ));
-    }
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(text)?;
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// One member of an object read by [`parse_members`].
+#[derive(Debug, PartialEq)]
+pub struct Member<'a> {
+    /// The parsed value.
+    pub value: Value,
+    /// The text `value` was parsed from, exactly as it arrived (no
+    /// surrounding whitespace).
+    pub raw: &'a str,
+}
+
+/// The members of an object, by key. A repeated key keeps its last
+/// value, as in [`parse`].
+pub type Members<'a> = BTreeMap<String, Member<'a>>;
+
+/// Parse `text` as one JSON object and return its members, each with its
+/// raw text. The caps, the errors and the trailing-garbage check are
+/// [`parse`]'s; `Ok(None)` means `text` is valid JSON but not an object.
+pub fn parse_members(text: &str) -> Result<Option<Members<'_>>, String> {
+    let mut p = Parser::new(text)?;
+    if p.peek() != Some(b'{') {
+        p.value()?;
+        p.finish()?;
+        return Ok(None);
+    }
+    let mut members = Members::new();
+    p.object_with(|key, value, span| {
+        let raw = text
+            .get(span)
+            .ok_or("member does not start and end on a character boundary")?;
+        members.insert(key, Member { value, raw });
+        Ok(())
+    })?;
+    p.finish()?;
+    Ok(Some(members))
 }
 
 /// Escape `s` for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s`, escaped for a JSON string literal, to `out`: `"`, `\`,
+/// `\n`, `\r` and `\t` as their short escapes, the other C0 controls as
+/// `\u00xx` (lowercase hex), everything else — DEL and all non-ASCII
+/// included — as is. Canonical bodies embed escaped text, so these bytes
+/// are part of the byte-identity contract.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so both ends of the run are character boundaries.
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(s.get(run..).unwrap_or_default());
 }
 
 /// Maximum container nesting. The protocol needs 2–3 levels; the cap
@@ -147,12 +199,39 @@ const MAX_INPUT_BYTES: usize = 16 << 20;
 const MAX_EXACT_F64: f64 = 9_007_199_254_740_992.0;
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same input, scanned byte by byte. Runs
+    /// are copied out of `text`, which is already known to be UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Result<Parser<'a>, String> {
+        if text.len() > MAX_INPUT_BYTES {
+            return Err(format!(
+                "input of {} bytes exceeds the {MAX_INPUT_BYTES}-byte limit",
+                text.len()
+            ));
+        }
+        Ok(Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// Only whitespace may follow the top-level value.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn enter(&mut self) -> Result<(), String> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
@@ -213,7 +292,8 @@ impl<'a> Parser<'a> {
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
         self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -222,25 +302,40 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
+        let mut map = BTreeMap::new();
+        self.object_with(|key, val, _| {
+            map.insert(key, val);
+            Ok(())
+        })?;
+        Ok(Value::Obj(map))
+    }
+
+    /// Parse an object, handing each member to `member` with the byte
+    /// span its value was parsed from.
+    fn object_with(
+        &mut self,
+        mut member: impl FnMut(String, Value, Range<usize>) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.enter()?;
         self.eat(b'{')?;
-        let mut map = BTreeMap::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Value::Obj(map));
+            return Ok(());
         }
         loop {
             let key = self.string()?;
             self.eat(b':')?;
+            self.skip_ws();
+            let start = self.pos;
             let val = self.value()?;
-            map.insert(key, val);
+            member(key, val, start..self.pos)?;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Value::Obj(map));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -331,17 +426,17 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     // Copy the whole run up to the next quote or backslash.
                     // Both are ASCII, so the run ends on a character
-                    // boundary; validating only the run keeps a long
-                    // string linear in its length.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
+                    // boundary of the (already valid UTF-8) input.
+                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
+                    let len = rest
                         .iter()
                         .position(|b| matches!(b, b'"' | b'\\'))
                         .unwrap_or(rest.len());
-                    let run =
-                        std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8 in string")?;
+                    let run = self.text.get(self.pos..self.pos + len).ok_or_else(|| {
+                        format!("string run at byte {} splits a character", self.pos)
+                    })?;
                     out.push_str(run);
-                    self.pos += run.len();
+                    self.pos += len;
                 }
                 None => return Err("unterminated string".to_owned()),
             }
@@ -361,8 +456,10 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| format!("bad number at byte {start}"))?;
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Value::Int(n));
         }
@@ -523,6 +620,24 @@ mod tests {
         }
     }
 
+    /// One to three byte-level edits — overwrite, truncate, or insert a
+    /// structural byte — read back lossily as UTF-8.
+    fn damage(doc: &str, rng: &mut Rng) -> String {
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..4usize) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0..3u32) {
+                0 => bytes[at] = rng.next_u64() as u8,
+                1 => bytes.truncate(at),
+                _ => bytes.insert(at, b"{}[]\",:\\u-e.0"[rng.gen_range(0..13usize)]),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
     #[test]
     fn fuzz_random_and_mutated_input_never_panics() {
         let mut rng = Rng::seed_from_u64(0x6675_7a7a);
@@ -530,25 +645,178 @@ mod tests {
             // Valid documents parse…
             let doc = random_document(&mut rng, 0);
             assert!(parse(&doc).is_ok(), "{doc:?}");
-            // …and any byte-level damage to one is an `Ok` or an `Err`.
-            let mut bytes = doc.into_bytes();
-            for _ in 0..rng.gen_range(1..4usize) {
-                let at = rng.gen_range(0..bytes.len());
-                match rng.gen_range(0..3u32) {
-                    0 => bytes[at] = rng.next_u64() as u8,
-                    1 => bytes.truncate(at),
-                    _ => bytes.insert(at, b"{}[]\",:\\u-e.0"[rng.gen_range(0..13usize)]),
-                }
-                if bytes.is_empty() {
-                    break;
-                }
-            }
-            let _ = parse(&String::from_utf8_lossy(&bytes));
+            // …and any byte-level damage to one is an `Ok` or an `Err`,
+            // read as a whole or as an object's members.
+            let damaged = damage(&doc, &mut rng);
+            let _ = parse(&damaged);
+            let _ = parse_members(&damaged);
             // Pure noise, too.
             let noise: Vec<u8> = (0..rng.gen_range(0..64usize))
                 .map(|_| rng.next_u64() as u8)
                 .collect();
             let _ = parse(&String::from_utf8_lossy(&noise));
         }
+    }
+
+    /// `escape` as it was before it copied runs: one branch and one push
+    /// per character.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 8);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// The string decoder as it was before it sliced runs out of the
+    /// input `&str`: one string literal, quotes included, validating each
+    /// run with `from_utf8`. `Err` where the parser must fail.
+    fn reference_string(wire: &str) -> Result<String, ()> {
+        let bytes = wire
+            .trim_matches(|c: char| c.is_ascii_whitespace())
+            .as_bytes();
+        if bytes.first() != Some(&b'"') {
+            return Err(());
+        }
+        let mut pos = 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(pos) {
+                Some(b'"') => {
+                    return if pos + 1 == bytes.len() {
+                        Ok(out)
+                    } else {
+                        Err(())
+                    }
+                }
+                Some(b'\\') => {
+                    pos += 1;
+                    match bytes.get(pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes.get(pos + 1..pos + 5).ok_or(())?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| ())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|_| ())?;
+                            out.push(char::from_u32(code).ok_or(())?);
+                            pos += 4;
+                        }
+                        _ => return Err(()),
+                    }
+                    pos += 1;
+                }
+                Some(_) => {
+                    let rest = &bytes[pos..];
+                    let run = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| ())?);
+                    pos += run;
+                }
+                None => return Err(()),
+            }
+        }
+    }
+
+    #[test]
+    fn escape_matches_the_reference_byte_for_byte() {
+        let mut edges: Vec<String> = (0..0x20u32)
+            .chain([0x7f, 0x80, 0x2028, 0x1_f600])
+            .filter_map(char::from_u32)
+            .map(String::from)
+            .collect();
+        edges.push(edges.concat());
+        edges.extend(["", "plain", "\"\\\"", "σ-load €2 \"x\"\n"].map(String::from));
+        for s in &edges {
+            assert_eq!(escape(s), reference_escape(s), "{s:?}");
+        }
+        let mut rng = Rng::seed_from_u64(0x7275_6e73);
+        for _ in 0..4_000 {
+            // Joined strings give long runs between the escapes.
+            let s: String = (0..rng.gen_range(1..5usize))
+                .map(|_| random_string(&mut rng))
+                .collect();
+            assert_eq!(escape(&s), reference_escape(&s), "{s:?}");
+            let mut into = "prefix ".to_owned();
+            escape_into(&mut into, &s);
+            assert_eq!(into, format!("prefix {}", reference_escape(&s)));
+        }
+    }
+
+    #[test]
+    fn strings_decode_as_the_reference_decodes_them() {
+        let mut rng = Rng::seed_from_u64(0x6465_636f);
+        let extra = [
+            "\\/", "\\b", "\\f", "\\u00e9", "\\u20ac", "\\uD800", "\\u12", "\\x",
+        ];
+        for _ in 0..4_000 {
+            let mut wire = format!("\"{}", escape(&random_string(&mut rng)));
+            if rng.gen_bool(0.5) {
+                wire.push_str(extra[rng.gen_range(0..extra.len())]);
+                wire.push_str(&escape(&random_string(&mut rng)));
+            }
+            wire.push('"');
+            for wire in [wire.clone(), damage(&wire, &mut rng)] {
+                let new = match parse(&wire) {
+                    Ok(Value::Str(s)) => Ok(s),
+                    _ => Err(()),
+                };
+                assert_eq!(new, reference_string(&wire), "{wire:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_members_raw_text_reparses_to_its_value() {
+        let mut rng = Rng::seed_from_u64(0x7261_7773);
+        let mut objects = 0;
+        for _ in 0..4_000 {
+            let doc = random_document(&mut rng, 0);
+            let whole = parse(&doc).unwrap();
+            let members = parse_members(&doc).unwrap();
+            let Value::Obj(map) = whole else {
+                assert_eq!(members, None, "{doc:?}");
+                continue;
+            };
+            objects += 1;
+            let members = members.unwrap();
+            assert_eq!(members.len(), map.len(), "{doc:?}");
+            for (key, member) in &members {
+                assert_eq!(Some(&member.value), map.get(key), "{doc:?}");
+                assert_eq!(parse(member.raw).as_ref(), Ok(&member.value), "{doc:?}");
+                assert_eq!(member.raw.trim(), member.raw, "{doc:?}");
+            }
+        }
+        assert!(objects > 500, "{objects}");
+        // A repeated key keeps its last value, and its last raw text.
+        let members = parse_members(r#"{"a":1, "a" : [ 2 ] }"#).unwrap().unwrap();
+        assert_eq!(members["a"].raw, "[ 2 ]");
+        // A non-object is `None`; broken JSON is the error `parse` gives.
+        assert_eq!(parse_members("[1]"), Ok(None));
+        assert_eq!(
+            parse_members("{\"a\":}").unwrap_err(),
+            parse("{\"a\":}").unwrap_err()
+        );
+        assert_eq!(
+            parse_members("{} x").unwrap_err(),
+            parse("{} x").unwrap_err()
+        );
     }
 }

@@ -19,8 +19,19 @@
 //! `body` is canonical (same request ⇒ same bytes, at any concurrency);
 //! `meta` is observational (elapsed time, shared-cache and memo deltas)
 //! and explicitly outside the determinism contract.
+//!
+//! The envelopes cost what their bytes cost. Rendering escapes each
+//! string straight into one line reserved up front ([`json::escape_into`]
+//! copies runs of plain bytes whole), and the escapes are byte-identical
+//! to the character-by-character escape they replaced, so lines and
+//! bodies are too. Parsing reads the line's members once
+//! ([`json::parse_members`]) and moves their strings out — the workflow
+//! and the body are never copied a second time — and a parsed response
+//! keeps `meta` as the raw text it arrived as.
 
-use crate::json::{self, Value};
+use std::fmt::Write as _;
+
+use crate::json::{self, Members, Value};
 
 /// Typed response codes, HTTP-flavoured so admission-control rejections
 /// are distinguishable from malformed requests and internal failures.
@@ -153,50 +164,32 @@ impl Request {
     /// a bare `{"op":"optimize","workflow":…}` behaves like the one-shot
     /// binaries.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = json::parse(line)?;
-        if v.as_obj().is_none() {
-            return Err("request must be a JSON object".to_owned());
-        }
-        let op_name = v
+        let mut m = json::parse_members(line)?.ok_or("request must be a JSON object")?;
+        let op_name = m
             .get("op")
-            .and_then(Value::as_str)
+            .and_then(|op| op.value.as_str())
             .ok_or("missing string field `op`")?;
         let op = Op::from_str(op_name).ok_or_else(|| format!("unknown op `{op_name}`"))?;
-        let str_field = |key: &str, default: &str| -> Result<String, String> {
-            match v.get(key) {
-                None => Ok(default.to_owned()),
-                Some(Value::Str(s)) => Ok(s.clone()),
-                Some(_) => Err(format!("field `{key}` must be a string")),
-            }
-        };
-        let num_field = |key: &str, default: u64| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(val) => val
-                    .as_u64()
-                    .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-            }
-        };
         let req = Request {
-            id: str_field("id", "")?,
-            tenant: str_field("tenant", "public")?,
+            id: take_str(&mut m, "id", "")?,
+            tenant: take_str(&mut m, "tenant", "public")?,
             op,
-            algo: str_field("algo", "hs")?,
-            states: num_field("states", 600)? as usize,
-            time_ms: num_field("time_ms", 60_000)?,
-            parallelism: num_field("parallelism", 1)?.max(1) as usize,
-            rows: num_field("rows", 64)? as usize,
-            seed: num_field("seed", 2005)?,
-            rounds: num_field("rounds", 6)? as usize,
-            warm: match v.get("warm") {
+            algo: take_str(&mut m, "algo", "hs")?,
+            states: num_field(&m, "states", 600)? as usize,
+            time_ms: num_field(&m, "time_ms", 60_000)?,
+            parallelism: num_field(&m, "parallelism", 1)?.max(1) as usize,
+            rows: num_field(&m, "rows", 64)? as usize,
+            seed: num_field(&m, "seed", 2005)?,
+            rounds: num_field(&m, "rounds", 6)? as usize,
+            warm: match m.get("warm").map(|w| &w.value) {
                 None => Ok(true),
                 Some(Value::Bool(b)) => Ok(*b),
                 Some(_) => Err("field `warm` must be a boolean".to_owned()),
             }?,
-            workflow: str_field("workflow", "")?,
+            workflow: take_str(&mut m, "workflow", "")?,
         };
         if req.op.is_job() && req.workflow.is_empty() {
-            return Err(format!("op `{}` requires a `workflow`", op_name));
+            return Err(format!("op `{}` requires a `workflow`", op.name()));
         }
         if !matches!(req.algo.as_str(), "es" | "hs" | "hs-greedy" | "beam") {
             return Err(format!(
@@ -209,16 +202,20 @@ impl Request {
 
     /// Render this request as a wire line (no trailing newline).
     pub fn render(&self) -> String {
-        format!(
+        let escaped = self.id.len() + self.tenant.len() + self.algo.len() + self.workflow.len();
+        let mut out = String::with_capacity(192 + escaped + escaped / 4);
+        out.push_str("{\"id\":\"");
+        json::escape_into(&mut out, &self.id);
+        out.push_str("\",\"tenant\":\"");
+        json::escape_into(&mut out, &self.tenant);
+        let _ = write!(out, "\",\"op\":\"{}\",\"algo\":\"", self.op.name());
+        json::escape_into(&mut out, &self.algo);
+        let _ = write!(
+            out,
             concat!(
-                "{{\"id\":\"{}\",\"tenant\":\"{}\",\"op\":\"{}\",\"algo\":\"{}\",",
-                "\"states\":{},\"time_ms\":{},\"parallelism\":{},\"rows\":{},",
-                "\"seed\":{},\"rounds\":{},\"warm\":{},\"workflow\":\"{}\"}}"
+                "\",\"states\":{},\"time_ms\":{},\"parallelism\":{},\"rows\":{},",
+                "\"seed\":{},\"rounds\":{},\"warm\":{},\"workflow\":\""
             ),
-            json::escape(&self.id),
-            json::escape(&self.tenant),
-            self.op.name(),
-            json::escape(&self.algo),
             self.states,
             self.time_ms,
             self.parallelism,
@@ -226,8 +223,30 @@ impl Request {
             self.seed,
             self.rounds,
             self.warm,
-            json::escape(&self.workflow),
-        )
+        );
+        json::escape_into(&mut out, &self.workflow);
+        out.push_str("\"}");
+        out
+    }
+}
+
+/// Move string member `key` out of `m`, or `default` if it is absent.
+fn take_str(m: &mut Members, key: &str, default: &str) -> Result<String, String> {
+    match m.remove(key).map(|member| member.value) {
+        None => Ok(default.to_owned()),
+        Some(Value::Str(s)) => Ok(s),
+        Some(_) => Err(format!("field `{key}` must be a string")),
+    }
+}
+
+/// Numeric member `key` of `m`, or `default` if it is absent.
+fn num_field(m: &Members, key: &str, default: u64) -> Result<u64, String> {
+    match m.get(key) {
+        None => Ok(default),
+        Some(member) => member
+            .value
+            .as_u64()
+            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
     }
 }
 
@@ -240,8 +259,10 @@ pub struct Response {
     pub code: Code,
     /// Canonical payload (empty unless `code` is [`Code::Ok`]).
     pub body: String,
-    /// Observational metadata as pre-rendered JSON object text (empty =
-    /// no meta). Outside the determinism contract.
+    /// Observational metadata as JSON object text (empty = no meta),
+    /// outside the determinism contract. The daemon renders it; a parsed
+    /// response keeps it byte for byte as it arrived, unparsed — read it
+    /// with [`json::parse`].
     pub meta: String,
     /// Human-readable error (empty unless `code` is an error/rejection).
     pub error: String,
@@ -270,89 +291,64 @@ impl Response {
         }
     }
 
-    /// Render as one wire line (no trailing newline).
+    /// Render as one wire line (no trailing newline). The capacity leaves
+    /// room for the escapes and for the newline a writer appends.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "{{\"id\":\"{}\",\"code\":{},\"status\":\"{}\"",
-            json::escape(&self.id),
+        let (key, text) = match self.code {
+            Code::Ok => ("body", &self.body),
+            _ => ("error", &self.error),
+        };
+        let escaped = self.id.len() + text.len();
+        let mut out = String::with_capacity(64 + escaped + escaped / 4 + self.meta.len());
+        out.push_str("{\"id\":\"");
+        json::escape_into(&mut out, &self.id);
+        let _ = write!(
+            out,
+            "\",\"code\":{},\"status\":\"{}\",\"{key}\":\"",
             self.code.as_u16(),
             self.code.status()
         );
-        if self.code == Code::Ok {
-            out.push_str(",\"body\":\"");
-            out.push_str(&json::escape(&self.body));
-            out.push('"');
-            if !self.meta.is_empty() {
-                out.push_str(",\"meta\":");
-                out.push_str(&self.meta);
-            }
-        } else {
-            out.push_str(",\"error\":\"");
-            out.push_str(&json::escape(&self.error));
-            out.push('"');
+        json::escape_into(&mut out, text);
+        out.push('"');
+        if self.code == Code::Ok && !self.meta.is_empty() {
+            out.push_str(",\"meta\":");
+            out.push_str(&self.meta);
         }
         out.push('}');
         out
     }
 
-    /// Parse one response line.
+    /// Parse one response line. Strings are moved out of the parsed
+    /// line and `meta` is its raw text.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let v = json::parse(line)?;
-        let code_num = v
+        let mut m = json::parse_members(line)?.unwrap_or_default();
+        let code_num = m
             .get("code")
-            .and_then(Value::as_u64)
+            .and_then(|code| code.value.as_u64())
             .ok_or("missing numeric field `code`")?;
         let code =
             Code::from_u16(code_num as u16).ok_or_else(|| format!("unknown code {code_num}"))?;
-        let field = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("").to_owned();
-        // Meta is kept as raw text for display; re-rendering the parsed
-        // value is fine because meta is outside the byte contract.
-        let meta = match v.get("meta") {
-            Some(m) => render_value(m),
-            None => String::new(),
+        let mut field = |key: &str| match m.remove(key).map(|member| member.value) {
+            Some(Value::Str(s)) => s,
+            _ => String::new(),
         };
+        let (id, body, error) = (field("id"), field("body"), field("error"));
         Ok(Response {
-            id: field("id"),
+            id,
             code,
-            body: field("body"),
-            meta,
-            error: field("error"),
+            body,
+            meta: m
+                .get("meta")
+                .map_or_else(String::new, |meta| meta.raw.to_owned()),
+            error,
         })
-    }
-}
-
-/// Re-render a parsed value (used only for meta display, never for the
-/// canonical body).
-fn render_value(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_owned(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(n) => n.to_string(),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Value::Str(s) => format!("\"{}\"", json::escape(s)),
-        Value::Arr(xs) => {
-            let items: Vec<String> = xs.iter().map(render_value).collect();
-            format!("[{}]", items.join(","))
-        }
-        Value::Obj(m) => {
-            let items: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", json::escape(k), render_value(v)))
-                .collect();
-            format!("{{{}}}", items.join(","))
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etlopt_core::rng::Rng;
 
     #[test]
     fn request_roundtrips_with_multiline_workflow() {
@@ -423,5 +419,150 @@ mod tests {
         assert_eq!(back.code, Code::QueueFull);
         assert_eq!(back.code.status(), "rejected");
         assert!(back.error.contains("queue full"));
+    }
+
+    /// Any text, with every C0 control, quotes, backslashes, DEL and
+    /// multi-byte characters over-represented.
+    fn random_text(rng: &mut Rng, max_len: usize) -> String {
+        (0..rng.gen_range(0..max_len))
+            .map(|_| match rng.gen_range(0..5u32) {
+                0 => char::from_u32(rng.gen_range(0..0x20u32)).unwrap(),
+                1 => ['"', '\\', '/', '\u{7f}', 'σ', '€', '\u{1f600}'][rng.gen_range(0..7usize)],
+                2 => char::from_u32(rng.gen_range(0x80..0x800u32)).unwrap(),
+                _ => char::from_u32(rng.gen_range(0x20..0x7fu32)).unwrap(),
+            })
+            .collect()
+    }
+
+    /// The damage `json::tests` applies: one to three overwritten bytes,
+    /// truncations or inserted structural bytes, read back lossily.
+    fn damage(line: &str, rng: &mut Rng) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..4usize) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0..3u32) {
+                0 => bytes[at] = rng.next_u64() as u8,
+                1 => bytes.truncate(at),
+                _ => bytes.insert(at, b"{}[]\",:\\u-e.0"[rng.gen_range(0..13usize)]),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// `Response::render` as it was before it escaped into one reserved
+    /// line: the reference for the response line's bytes.
+    fn reference_render(r: &Response) -> String {
+        let mut out = format!(
+            "{{\"id\":\"{}\",\"code\":{},\"status\":\"{}\"",
+            json::escape(&r.id),
+            r.code.as_u16(),
+            r.code.status()
+        );
+        if r.code == Code::Ok {
+            out.push_str(&format!(",\"body\":\"{}\"", json::escape(&r.body)));
+            if !r.meta.is_empty() {
+                out.push_str(&format!(",\"meta\":{}", r.meta));
+            }
+        } else {
+            out.push_str(&format!(",\"error\":\"{}\"", json::escape(&r.error)));
+        }
+        out.push('}');
+        out
+    }
+
+    #[test]
+    fn responses_roundtrip_exactly_and_render_the_reference_bytes() {
+        let mut rng = Rng::seed_from_u64(0x656e_7665);
+        let codes = [
+            Code::Ok,
+            Code::BadRequest,
+            Code::QueueFull,
+            Code::Internal,
+            Code::Draining,
+        ];
+        for i in 0..2_000 {
+            let meta = match i % 3 {
+                0 => String::new(),
+                1 => format!("{{\"elapsed_us\":{},\"run\":\"none\"}}", rng.next_u64()),
+                // Spacing, key order and escapes a re-render would change.
+                _ => format!(
+                    "{{ \"z\" : [1.50, {{}}], \"a\":\"{}\" }}",
+                    json::escape(&random_text(&mut rng, 12))
+                ),
+            };
+            let resp = match codes[rng.gen_range(0..codes.len())] {
+                Code::Ok => {
+                    Response::ok(&random_text(&mut rng, 16), random_text(&mut rng, 200), meta)
+                }
+                code => Response::fail(&random_text(&mut rng, 16), code, random_text(&mut rng, 40)),
+            };
+            let line = resp.render();
+            assert_eq!(line, reference_render(&resp));
+            assert!(!line.contains('\n'), "{line:?}");
+            let back = Response::parse(&line).unwrap();
+            assert_eq!(
+                (back.id, back.code, back.body, back.meta, back.error),
+                (resp.id, resp.code, resp.body, resp.meta, resp.error),
+            );
+        }
+    }
+
+    #[test]
+    fn requests_roundtrip_every_field() {
+        let mut rng = Rng::seed_from_u64(0x7265_7175);
+        let ops = [Op::Ping, Op::Optimize, Op::Execute, Op::Adaptive, Op::Stats];
+        let algos = ["es", "hs", "hs-greedy", "beam"];
+        for _ in 0..2_000 {
+            let req = Request {
+                id: random_text(&mut rng, 16),
+                tenant: random_text(&mut rng, 8),
+                op: ops[rng.gen_range(0..ops.len())],
+                algo: algos[rng.gen_range(0..algos.len())].to_owned(),
+                states: rng.gen_range(0..1_000_000usize),
+                time_ms: rng.next_u64(),
+                parallelism: rng.gen_range(1..64usize),
+                rows: rng.gen_range(0..100_000usize),
+                seed: rng.next_u64(),
+                rounds: rng.gen_range(0..32usize),
+                warm: rng.gen_bool(0.5),
+                workflow: format!("w{}", random_text(&mut rng, 300)),
+            };
+            let line = req.render();
+            assert!(!line.contains('\n'), "{line:?}");
+            let back = Request::parse(&line).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{req:?}"));
+            assert_eq!(back.render(), line);
+        }
+    }
+
+    #[test]
+    fn damaged_envelope_lines_never_panic() {
+        let mut rng = Rng::seed_from_u64(0x6461_6d61);
+        for _ in 0..4_000 {
+            let req = Request {
+                id: random_text(&mut rng, 8),
+                tenant: "acme".to_owned(),
+                op: Op::Optimize,
+                algo: "beam".to_owned(),
+                states: 600,
+                time_ms: 1_000,
+                parallelism: 1,
+                rows: 64,
+                seed: 7,
+                rounds: 6,
+                warm: true,
+                workflow: random_text(&mut rng, 60),
+            };
+            let resp = Response::ok(
+                &req.id,
+                random_text(&mut rng, 60),
+                "{\"elapsed_us\":3,\"plan_cache\":\"hit\"}".to_owned(),
+            );
+            let _ = Request::parse(&damage(&req.render(), &mut rng));
+            let _ = Response::parse(&damage(&resp.render(), &mut rng));
+        }
     }
 }

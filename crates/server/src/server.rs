@@ -24,7 +24,7 @@
 //! connection.
 
 use std::any::Any;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,20 +112,22 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<Server> {
             .name("etlopt-listener".to_owned())
             .spawn(move || {
                 for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
+                    let Ok(mut stream) = stream else { continue };
+                    // Every reply is one whole-line write: Nagle has
+                    // nothing to coalesce and could only delay its tail.
+                    let _ = stream.set_nodelay(true);
                     if shared.admission.is_closed() {
                         // This accept may be the shutdown self-connection
                         // *or* a real client that won the race against it:
                         // either way, send the typed 503 before the
                         // listener exits — a late arrival is never
                         // silently dropped.
-                        let mut writer = BufWriter::new(stream);
                         let refusal = Response::fail(
                             "",
                             Code::Draining,
                             "server draining for shutdown".to_owned(),
                         );
-                        let _ = write_line(&mut writer, &refusal.render());
+                        let _ = write_line(&mut stream, refusal.render());
                         break;
                     }
                     let shared = Arc::clone(&shared);
@@ -244,12 +246,11 @@ fn read_line_bounded<R: BufRead>(reader: &mut R, max: usize) -> LineRead {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(reader_stream);
-    let mut writer = BufWriter::new(stream);
     loop {
         let line = match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
             LineRead::Line(line) => line,
@@ -260,7 +261,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     Code::BadRequest,
                     format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                let _ = write_line(&mut writer, &refusal.render());
+                let _ = write_line(&mut stream, refusal.render());
                 break;
             }
         };
@@ -279,7 +280,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 job::run_request(&shared.registry, &req)
             }
         };
-        if write_line(&mut writer, &response.render()).is_err() {
+        if write_line(&mut stream, response.render()).is_err() {
             break;
         }
     }
@@ -334,9 +335,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-text panic payload")
 }
 
-fn write_line(writer: &mut BufWriter<TcpStream>, line: &str) -> std::io::Result<()> {
+/// Send `line` and its newline in one `write_all`. A newline written on
+/// its own after a long line leaves a 1-byte segment that Nagle holds
+/// until the client's delayed ACK, ≈ 40 ms per reply.
+fn write_line<W: Write>(writer: &mut W, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -427,5 +431,36 @@ mod tests {
         assert_eq!(read_all(&vec![b'y'; 4096], 16), vec![Err(())]);
         // Exactly at the cap is fine.
         assert_eq!(read_all(b"abcd\n", 4), vec![Ok("abcd".to_owned())]);
+    }
+
+    /// A writer that records every `write` call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_newline_included_at_any_size() {
+        for len in [100, 9 << 10, 100 << 10] {
+            let resp = Response::ok(&"x".repeat(len), "{}".to_owned(), String::new());
+            let line = resp.render();
+            let mut out = CountingWriter::default();
+            write_line(&mut out, line.clone()).unwrap();
+            assert_eq!(out.writes, 1, "{len}-byte id");
+            assert_eq!(out.bytes, format!("{line}\n").into_bytes());
+        }
     }
 }

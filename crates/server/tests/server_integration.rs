@@ -808,6 +808,27 @@ fn clients_queued_behind_a_slow_job_wait_for_the_slot_not_a_429() {
 }
 
 #[test]
+fn replies_over_the_write_buffer_size_do_not_wait_for_a_delayed_ack() {
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let id = "x".repeat(20_000);
+    let started = std::time::Instant::now();
+    for _ in 0..8 {
+        let resp = roundtrip_on(&stream, &request(&id, Op::Ping, ""));
+        assert_eq!((resp.code, resp.id.len()), (Code::Ok, id.len()));
+    }
+    // A reply whose newline trails it as a separate segment waits ≈ 40 ms
+    // for the client's delayed ACK: eight of them take ≈ 350 ms.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(150),
+        "{elapsed:?}"
+    );
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_drains_in_flight_jobs_and_refuses_late_arrivals() {
     let scratch = Scratch::new("drain");
     let drain_log = scratch.0.join("drain.log");
