@@ -262,6 +262,9 @@ pub fn parse(text: &str) -> Result<Workflow> {
                 c.expect_keyword("rows")?;
                 c.expect_punct("=")?;
                 let rows = c.expect_number()?;
+                if rows.is_nan() || rows < 0.0 {
+                    return Err(c.err(format!("row estimate must be non-negative, got {rows}")));
+                }
                 let attrs = c.ident_list()?;
                 c.expect_end()?;
                 let schema = Schema::of(attrs);
@@ -455,7 +458,13 @@ fn parse_op(c: &mut Cursor) -> Result<(Op, Option<f64>)> {
     };
     let sel = if c.eat_keyword("sel") {
         c.expect_punct("=")?;
-        Some(c.expect_number()?)
+        let s = c.expect_number()?;
+        // `with_selectivity` asserts this range: a text is input, so an
+        // overflowing `sel=1e999` is an error, not a panic.
+        if s.is_nan() || s <= 0.0 || s > 1.0 {
+            return Err(c.err(format!("selectivity must be in (0, 1], got {s}")));
+        }
+        Some(s)
     } else {
         None
     };
@@ -628,6 +637,22 @@ mod tests {
         assert!(
             parse("source \"S\" table rows=1 (a)\nactivity a1 \"u\" = union <- \"S\"").is_err()
         );
+    }
+
+    /// Estimates the model would assert on are parse errors: a text is input.
+    #[test]
+    fn parse_rejects_estimates_out_of_range_instead_of_panicking() {
+        for rows in ["-1", "-1e999"] {
+            let err = parse(&format!("source \"S\" table rows={rows} (a)")).unwrap_err();
+            assert!(err.to_string().contains("row estimate"), "{err}");
+        }
+        for sel in ["0", "1.5", "1e999", "-0.5"] {
+            let text = format!(
+                "source \"S\" table rows=1 (a)\nactivity a1 \"n\" = dedup sel={sel} <- \"S\""
+            );
+            let err = parse(&text).unwrap_err();
+            assert!(err.to_string().contains("selectivity"), "{sel}: {err}");
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! the repository's `text` DSL; each runs on the connection thread that
 //! read it, holding one of a bounded count of job slots ([`admission`],
 //! [`server`]), with server-clamped budgets ([`job`]); sibling
-//! requests share move memos, result caches and resubmitted requests'
-//! plans — searches, adaptive rounds' included, and remembered runs —
-//! process-wide while calibration stays tenant-scoped ([`state`]).
+//! requests share move memos and result caches, and a resubmitted request
+//! is answered with the body it got last time — one tier of remembered
+//! bodies, keyed by the clamped request — process-wide while calibration
+//! stays tenant-scoped ([`state`]).
 //!
 //! The load-bearing invariant, stated once here and enforced by
 //! construction in [`job::run_request`]: **response bodies are

@@ -79,7 +79,7 @@ impl Code {
 }
 
 /// The operation a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Liveness probe; answered without admission.
     Ping,

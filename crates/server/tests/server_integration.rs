@@ -1,10 +1,9 @@
 //! Live-server integration: concurrency byte-identity, admission
 //! control (a full line is a 429, a line within its depth waits its
-//! turn), multi-tenant shared-state wins, the plan tier (second-sight
-//! admission, exact keys, time-capped searches flagged and never stored,
-//! runs remembered per rows and seed, adaptive rounds answered from it)
-//! and the drain protocol, all over real TCP connections against an
-//! in-process daemon.
+//! turn), multi-tenant shared-state wins, the tier of remembered bodies
+//! (second-sight admission, exact keys, time-capped searches flagged and
+//! never stored, one key per rows and seed) and the drain protocol, all
+//! over real TCP connections against an in-process daemon.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -224,19 +223,18 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     );
     assert_eq!(r2.body, r1.body, "shared state must never change the body");
     // It was also the family's second sight: it searched (the memo hits
-    // above), left the plan behind, and the plan remembers the run.
+    // above), executed, and left its body behind.
     assert_eq!(plan_cache(&r1), "miss");
     assert_eq!(plan_cache(&r2), "miss");
     assert_eq!(
         (run_of(&r1), run_of(&r2)),
         ("executed".into(), "executed".into())
     );
-    assert_eq!((stat(&server, "plans"), stat(&server, "plan_runs")), (1, 1));
+    assert_eq!(stat(&server, "bodies"), 1);
 
     // The same request a third time, from the first tenant again: the
-    // plan tier is tenant-neutral, so no search runs (no memo traffic) —
-    // and nothing executes: the targets are the plan's remembered run, so
-    // the result cache is not even asked.
+    // tier is tenant-neutral for an execute, so no search runs (no memo
+    // traffic) and nothing executes — the result cache is not even asked.
     let mut third = request("c2b", Op::Execute, &wf);
     third.tenant = "acme".to_owned();
     third.algo = "beam".to_owned();
@@ -249,8 +247,8 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     assert_eq!(run_of(&r2b), "remembered", "{}", r2b.meta);
     assert_eq!(meta_u64(&r2b, "cache_hits"), 0, "{}", r2b.meta);
     assert_eq!(meta_u64(&r2b, "cache_misses"), 0, "{}", r2b.meta);
-    assert_eq!(r2b.body, r1.body, "a replayed plan must give the same body");
-    assert_eq!(stat(&server, "run_hits"), 1);
+    assert_eq!(r2b.body, r1.body, "a remembered body is the same body");
+    assert_eq!(stat(&server, "body_hits"), 1);
 
     // A true sibling — same text, another state budget — is another key:
     // it searches, the family's memo still serves it, and it executes
@@ -273,8 +271,7 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     let r3 = roundtrip(&server, &adaptive);
     assert_eq!(r3.code, Code::Ok, "{}", r3.error);
     assert_eq!(meta_u64(&r3, "warm_entries"), 0, "acme starts cold");
-    // Its rounds go through the plan tier, keyed by what each seeded: the
-    // first, over an empty store, is a search nobody has run.
+    // Its loop runs: an empty store learns, so nothing is remembered.
     assert_eq!(plan_cache(&r3), "miss", "{}", r3.meta);
     assert!(meta_u64(&r3, "searches") >= 1, "{}", r3.meta);
     assert_eq!(run_of(&r3), "none", "{}", r3.meta);
@@ -345,9 +342,9 @@ fn sibling_requests_share_cache_and_memo_and_tenants_stay_isolated() {
     server.join();
 }
 
-/// First sight searches and stores nothing, second sight searches and
-/// stores, third is answered from the plan — and all three bodies are the
-/// one-shot body, for every algorithm and both plan-rendered ops.
+/// First sight computes and stores nothing, second sight computes and
+/// stores, third is the remembered body — and all three bodies are the
+/// one-shot body, for every algorithm and both search ops.
 #[test]
 fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
     let server = spawn(ServerConfig::default()).expect("spawn server");
@@ -368,12 +365,10 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
                 );
                 assert_eq!(plan_cache(&resp), expect, "{algo} {op:?} sight {sight}");
                 assert!(!time_capped(&resp), "{algo} {op:?}: 30 s never binds");
-                // An execute computes its targets on the first sight
-                // (nothing stored), computes and remembers them on the
-                // second, and on the third touches no data: no catalog, no
+                // The third touches no data: no search, no catalog, no
                 // executor, no result cache.
                 let run = match (op, sight) {
-                    (Op::Execute, 2) => "remembered",
+                    (_, 2) => "remembered",
                     (Op::Execute, _) => "executed",
                     _ => "none",
                 };
@@ -393,13 +388,13 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
                     stored += 1;
                 }
                 assert_eq!(
-                    stat(&server, "plans"),
+                    stat(&server, "bodies"),
                     stored,
                     "{algo} {op:?} sight {sight}"
                 );
             }
-            // The other op of the same request shares the plan: the key
-            // holds nothing an op could change.
+            // The other op of the same request is another key: its family
+            // has been seen, so it computes, is stored, and is right.
             let mut other = req.clone();
             other.op = if op == Op::Optimize {
                 Op::Execute
@@ -407,47 +402,47 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
                 Op::Optimize
             };
             let resp = roundtrip(&server, &other);
-            assert_eq!(plan_cache(&resp), "hit", "{algo} {:?}", other.op);
+            assert_eq!(plan_cache(&resp), "miss", "{algo} {:?}", other.op);
             assert_eq!(resp.body, oneshot(&other).body, "{algo} {:?}", other.op);
+            stored += 1;
         }
     }
-    assert_eq!(stat(&server, "plan_hits"), 16);
-    assert_eq!(stat(&server, "plan_misses"), 16);
-    assert_eq!(stat(&server, "plan_evictions"), 0);
-    assert!(stat(&server, "plan_bytes") > 0);
-    // One run per stored plan: the storing execute's, or — where the three
-    // sights were optimizes — the other op's.
-    assert_eq!(stat(&server, "plan_runs"), 8);
-    assert_eq!(stat(&server, "run_hits"), 4);
+    assert_eq!(stat(&server, "bodies"), 16);
+    assert_eq!(stat(&server, "body_hits"), 8);
+    assert_eq!(stat(&server, "body_misses"), 24);
+    assert_eq!(stat(&server, "body_evictions"), 0);
+    assert!(stat(&server, "body_bytes") > 0);
     server.shutdown();
     server.join();
 }
 
-/// `rows` and `seed` are no part of a plan's key: another pair is a plan
-/// hit whose run is executed once and then remembered, with the one-shot
-/// body each time; a plan keeps a handful of runs and drops the oldest.
+/// `rows` and `seed` are part of an `execute`'s key: each pair is computed
+/// on its first sending after the family's first sight and remembered
+/// from then on, and every body is the one-shot body.
 #[test]
-fn a_plan_remembers_one_run_per_rows_and_seed_up_to_its_bound() {
-    use etlopt_server::state::RUNS_PER_PLAN;
+fn each_rows_and_seed_is_its_own_key_and_every_body_equals_oneshot() {
     let server = spawn(ServerConfig::default()).expect("spawn server");
     let wf = workflow_text(52, SizeCategory::Small);
     let req = request("r", Op::Execute, &wf);
     for run in ["executed", "executed", "remembered"] {
         assert_eq!(run_of(&roundtrip(&server, &req)), run);
     }
-    assert_eq!((stat(&server, "plans"), stat(&server, "plan_runs")), (1, 1));
-    let one_run = stat(&server, "plan_bytes");
-
-    // Other rows, then other seeds: RUNS_PER_PLAN - 1 more pairs fill the
-    // plan, and every first answer is computed, every second remembered.
-    let mut variants = vec![Request {
-        rows: 32,
-        ..req.clone()
-    }];
-    variants.extend((1..RUNS_PER_PLAN as u64 - 1).map(|i| Request {
-        seed: 7 + i,
-        ..req.clone()
-    }));
+    assert_eq!(stat(&server, "bodies"), 1);
+    let variants = [
+        Request {
+            rows: 32,
+            ..req.clone()
+        },
+        Request {
+            seed: 7,
+            ..req.clone()
+        },
+        Request {
+            rows: 32,
+            seed: 7,
+            ..req.clone()
+        },
+    ];
     for (i, variant) in variants.iter().enumerate() {
         let reference = oneshot(variant);
         assert_ne!(
@@ -455,50 +450,31 @@ fn a_plan_remembers_one_run_per_rows_and_seed_up_to_its_bound() {
             oneshot(&req).body,
             "other data, other targets"
         );
-        for run in ["executed", "remembered"] {
+        for (run, cache) in [("executed", "miss"), ("remembered", "hit")] {
             let resp = roundtrip(&server, variant);
             assert_eq!(resp.code, Code::Ok, "{}", resp.error);
-            assert_eq!(plan_cache(&resp), "hit", "variant {i}");
-            assert_eq!(run_of(&resp), run, "variant {i}");
+            assert_eq!(
+                (run_of(&resp), plan_cache(&resp)),
+                (run.into(), cache.into())
+            );
             assert_eq!(resp.body, reference.body, "variant {i} {run}");
         }
-        assert_eq!(stat(&server, "plan_runs"), 2 + i as u64);
-        assert!(stat(&server, "plan_bytes") > one_run, "runs are charged");
+        assert_eq!(stat(&server, "bodies"), 2 + i as u64);
     }
-    assert_eq!(stat(&server, "plan_runs"), RUNS_PER_PLAN as u64);
-    let full = stat(&server, "plan_bytes");
-
-    // One more pushes the oldest out — the run of the request that stored
-    // the plan — and takes its place in the accounts.
-    let extra = Request {
-        seed: 99,
-        ..req.clone()
-    };
-    assert_eq!(run_of(&roundtrip(&server, &extra)), "executed");
-    assert_eq!(stat(&server, "plan_runs"), RUNS_PER_PLAN as u64);
-    // (Row counts of other data may differ by a digit or two.)
-    assert!(
-        stat(&server, "plan_bytes").abs_diff(full) < 16,
-        "one string out, its like in"
-    );
-    assert_eq!(run_of(&roundtrip(&server, &extra)), "remembered");
-    assert_eq!(run_of(&roundtrip(&server, &variants[0])), "remembered");
+    // The first pair is still remembered: nothing was evicted.
     let again = roundtrip(&server, &req);
-    assert_eq!(run_of(&again), "executed", "the oldest run went first");
+    assert_eq!(run_of(&again), "remembered");
     assert_eq!(again.body, oneshot(&req).body);
-    assert_eq!(
-        (stat(&server, "plans"), stat(&server, "plan_evictions")),
-        (1, 0)
-    );
+    assert_eq!(stat(&server, "body_evictions"), 0);
     server.shutdown();
     server.join();
 }
 
 /// Eight clients race one never-stored request at a daemon that already
 /// knows the family: however the misses and hits interleave, every body is
-/// the one-shot body and exactly one plan is left.
+/// the one-shot body and exactly one is left.
 #[test]
-fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_plan() {
+fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_body() {
     let server = spawn(ServerConfig {
         workers: 4,
         ..ServerConfig::default()
@@ -511,7 +487,7 @@ fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_plan() {
     first.algo = "beam".to_owned();
     first.states = 50;
     assert_eq!(roundtrip(&server, &first).code, Code::Ok);
-    assert_eq!(stat(&server, "plans"), 0);
+    assert_eq!(stat(&server, "bodies"), 0);
 
     let mut req = request("race", Op::Execute, &wf);
     req.algo = "beam".to_owned();
@@ -540,12 +516,8 @@ fn concurrent_misses_on_a_warm_family_all_match_oneshot_and_leave_one_plan() {
     }
     let misses = replies.iter().filter(|r| plan_cache(r) == "miss").count();
     assert!(misses >= 1, "somebody had to search");
-    assert_eq!(stat(&server, "plans"), 1, "{misses} misses, one plan");
-    // Whoever executed — the storing miss, the other misses on plans of
-    // their own, hits that found no run yet — the stored plan remembers
-    // the run once.
+    assert_eq!(stat(&server, "bodies"), 1, "{misses} misses, one body");
     assert!(replies.iter().any(|r| run_of(r) == "executed"));
-    assert_eq!(stat(&server, "plan_runs"), 1);
     let after = roundtrip(&server, &req);
     assert_eq!(
         (plan_cache(&after), run_of(&after)),
@@ -581,7 +553,7 @@ fn a_respelled_workflow_is_another_key_and_still_the_right_body() {
     assert_eq!(plan_cache(&resp), "miss", "another text is another key");
     assert_eq!(resp.body, oneshot(&again).body);
     // Its family is the one already seen, so this first sending stored it.
-    assert_eq!(stat(&server, "plans"), 2);
+    assert_eq!(stat(&server, "bodies"), 2);
     assert_eq!(plan_cache(&roundtrip(&server, &again)), "hit");
     server.shutdown();
     server.join();
@@ -609,7 +581,7 @@ fn a_time_capped_search_is_flagged_in_meta_and_never_stored() {
             );
             assert!(time_capped(&resp), "{algo} sight {sight}: {}", resp.meta);
             assert_eq!(plan_cache(&resp), "miss", "{algo} sight {sight}");
-            assert_eq!(stat(&server, "plans"), 0, "{algo} sight {sight}");
+            assert_eq!(stat(&server, "bodies"), 0, "{algo} sight {sight}");
         }
     }
     // The same text under a cap that does not bind is stored at once (the
@@ -618,17 +590,16 @@ fn a_time_capped_search_is_flagged_in_meta_and_never_stored() {
     req.algo = "hs".to_owned();
     let resp = roundtrip(&server, &req);
     assert!(!time_capped(&resp), "{}", resp.meta);
-    assert_eq!(stat(&server, "plans"), 1);
+    assert_eq!(stat(&server, "bodies"), 1);
     assert_eq!(plan_cache(&roundtrip(&server, &req)), "hit");
     server.shutdown();
     server.join();
 }
 
-/// An `execute` served from a stored plan generates its catalog from the
-/// plan, not from the request text it never parsed. That is the request's
-/// own catalog because a search never touches source recordsets: same
-/// sources, same node order, so `catalog_for` threads its one RNG through
-/// them identically.
+/// An `execute` generates its catalog from the searched plan, not from the
+/// request text. That is the request's own catalog because a search never
+/// touches source recordsets: same sources, same node order, so
+/// `catalog_for` threads its one RNG through them identically.
 #[test]
 fn a_plan_generates_the_catalog_its_request_text_generates() {
     use etlopt_core::cost::RowCountModel;

@@ -122,6 +122,24 @@ fn same(line: &str) {
     assert_eq!(current(line), reference(line), "line {line:?}");
 }
 
+/// Byte-level damage: overwrite, truncate, or insert one of the bytes the
+/// grammar gives meaning to (and two that start multi-byte characters),
+/// one to three times.
+fn damage(rng: &mut Rng, bytes: &mut Vec<u8>) {
+    const SALT: &[u8] = b"\"\\#<>-=!(),;{}.e_0 \t\x0b\xc3\xe2";
+    for _ in 0..rng.gen_range(1..4usize) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..bytes.len());
+        match rng.gen_range(0..3u32) {
+            0 => bytes[at] = rng.next_u64() as u8,
+            1 => bytes.truncate(at),
+            _ => bytes.insert(at, SALT[rng.gen_range(0..SALT.len())]),
+        }
+    }
+}
+
 #[test]
 fn tokenizer_matches_the_reference_on_the_population_and_on_damage() {
     let population: Vec<String> = Generator::suite(2005, 48, 29, 3)
@@ -135,24 +153,10 @@ fn tokenizer_matches_the_reference_on_the_population_and_on_damage() {
         assert!(current(line).is_ok(), "rendered line must tokenize: {line}");
     }
 
-    // Byte-level damage: overwrite, truncate, or insert one of the bytes
-    // the grammar gives meaning to (and two that start multi-byte
-    // characters).
-    const SALT: &[u8] = b"\"\\#<>-=!(),;{}.e_0 \t\x0b\xc3\xe2";
     let mut rng = Rng::seed_from_u64(0x6c65_7865);
     for _ in 0..20_000 {
         let mut bytes = lines[rng.gen_range(0..lines.len())].as_bytes().to_vec();
-        for _ in 0..rng.gen_range(1..4usize) {
-            if bytes.is_empty() {
-                break;
-            }
-            let at = rng.gen_range(0..bytes.len());
-            match rng.gen_range(0..3u32) {
-                0 => bytes[at] = rng.next_u64() as u8,
-                1 => bytes.truncate(at),
-                _ => bytes.insert(at, SALT[rng.gen_range(0..SALT.len())]),
-            }
-        }
+        damage(&mut rng, &mut bytes);
         same(&String::from_utf8_lossy(&bytes));
         let noise: Vec<u8> = (0..rng.gen_range(0..48usize))
             .map(|_| rng.next_u64() as u8)
@@ -190,4 +194,35 @@ fn tokenizer_matches_the_reference_on_edge_cases() {
     ] {
         same(line);
     }
+}
+
+/// The parser above the lexer under the same damage: every undamaged text
+/// of the `serve_warm` population is a fixpoint of `render ∘ parse`, and a
+/// damaged copy of one parses to `Ok` or `Err`, never a panic.
+#[test]
+fn parser_survives_damage_and_render_inverts_parse_on_the_serve_warm_population() {
+    let population: Vec<String> = Generator::suite(2005, 32, 0, 0)
+        .iter()
+        .map(|s| text::render(&s.workflow).expect("render"))
+        .collect();
+    for t in &population {
+        let parsed = text::parse(t).expect("a rendered text parses");
+        assert_eq!(&text::render(&parsed).expect("render"), t);
+    }
+    let mut rng = Rng::seed_from_u64(0x7061_7273);
+    let (mut parsed, mut refused) = (0, 0);
+    for _ in 0..8_000 {
+        let mut bytes = population[rng.gen_range(0..population.len())]
+            .as_bytes()
+            .to_vec();
+        damage(&mut rng, &mut bytes);
+        match text::parse(&String::from_utf8_lossy(&bytes)) {
+            Ok(_) => parsed += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(
+        parsed >= 100 && refused >= 4_000,
+        "{parsed} parsed, {refused} refused"
+    );
 }
