@@ -519,10 +519,10 @@ pub struct ExecCounters {
     /// Intermediate results admitted into the shared cache.
     pub cache_insertions: u64,
     /// Rows routed to each worker index by the partition-parallel
-    /// source scans and exchanges (the execution-plane counterpart of
-    /// [`SearchStats::worker_batches`]). Empty for sequential runs. The
-    /// routing hash is fixed-key, so the split is deterministic for a
-    /// given thread count.
+    /// source scans, routed sinks and (round-synchronous) exchanges (the
+    /// execution-plane counterpart of [`SearchStats::worker_batches`]).
+    /// Empty for sequential runs. The routing hash is fixed-key, so the
+    /// split is deterministic for a given thread count.
     pub worker_rows: Vec<u64>,
     /// Pages written while staging inter-segment partition sets through
     /// the buffer pool (a subset of `pages_appended`). Zero for
@@ -532,21 +532,22 @@ pub struct ExecCounters {
     /// Pipelined segment tasks executed by the partition-parallel
     /// coordinator.
     pub pipeline_segments: u64,
-    /// High-water mark of batches resident in any one segment channel.
-    /// Runtime telemetry: bounded by the configured channel capacity but
-    /// dependent on scheduling, unlike the deterministic row counters.
+    /// Always 0: the pipelined executor has no channels (rows change
+    /// partition through routed sinks in the pool). Kept only because
+    /// the benchmark's engine workload still reads it.
     pub channel_high_water: u64,
-    /// High-water mark of concurrently in-flight tasks: 1 for a
-    /// pipelined run, whose coordinator runs tasks one after another.
+    /// Always 1 for a pipelined run, whose coordinator runs tasks one
+    /// after another (0 when no task ran). Kept only because the
+    /// benchmark's engine workload still reads it.
     pub peak_inflight_tasks: u64,
     /// Batches each worker index processed through its segment links,
     /// absorbed element-wise in worker-index order.
     pub worker_busy: Vec<u64>,
-    /// Times the exchange feeder blocked sending to each worker's bounded
-    /// channel (backpressure from a slow worker). Runtime telemetry.
+    /// Always empty: no worker sends to another. Kept only because the
+    /// benchmark's engine workload still reads it.
     pub worker_send_blocked: Vec<u64>,
-    /// Times each worker blocked waiting for its channel to fill
-    /// (starvation behind the feeder). Runtime telemetry.
+    /// Always empty: no worker waits on a feeder. Kept only because the
+    /// benchmark's engine workload still reads it.
     pub worker_recv_blocked: Vec<u64>,
 }
 

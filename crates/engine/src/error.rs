@@ -44,10 +44,9 @@ pub enum EngineError {
     },
     /// A type error during evaluation (e.g. SUM over strings).
     Type(String),
-    /// A partition worker panicked mid-pipeline. The coordinator
-    /// converts the unwind into this typed error instead of propagating
-    /// the panic (and instead of deadlocking on the worker's bounded
-    /// channels — dropping the worker's receiver unblocks the feeder).
+    /// A partition worker panicked mid-pipeline. The worker catches the
+    /// unwind and reports it as this typed error instead of propagating
+    /// the panic.
     WorkerPanicked {
         /// Partition index of the worker that panicked.
         partition: usize,

@@ -1,6 +1,6 @@
 //! Keyed operators, written once: keep-first (`PK`, `DD`), group-by (`γ`),
 //! the join index (`⋈`) and bag multiplicities (`−`, `∩`), plus the
-//! exchange's routing hash — all over one typed key encoding.
+//! rows' routing hash — all over one typed key encoding.
 //!
 //! A key is the concatenation of its cells, each a tag byte and a
 //! fixed-width little-endian payload (`Str`: a `u64` length, then the

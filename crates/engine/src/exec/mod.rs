@@ -26,7 +26,6 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 mod cache;
-pub(crate) mod channel;
 pub(crate) mod kernel;
 pub(crate) mod keyed;
 pub(crate) mod partition;
@@ -76,12 +75,6 @@ pub struct StreamConfig {
     /// (`partition`), with targets, row order, and [`ExecStats`] kept
     /// bit-identical to the sequential run.
     pub parallelism: usize,
-    /// Capacity (in batches) of each bounded channel between a segment
-    /// feeder and a partition worker in the pipelined executor — the
-    /// backpressure knob. Clamped to ≥ 1. Targets, row order, and
-    /// [`ExecStats`] are identical at every capacity; only scheduling
-    /// telemetry (channel high-water, blocked tallies) varies.
-    pub channel_batches: usize,
     /// Select the pipelined partition executor (`true`, default) or the
     /// legacy round-synchronous coordinator (`false`) above
     /// `parallelism = 1`. Both are bit-identical to the sequential
@@ -96,7 +89,6 @@ impl Default for StreamConfig {
             batch_rows: 1024,
             frame_budget: 256,
             parallelism: 1,
-            channel_batches: 4,
             pipeline: true,
         }
     }

@@ -4,21 +4,27 @@
 //! default) the streaming backend runs a **pipelined** partitioned plan:
 //!
 //! * **Segments, not rounds.** Planning collapses each maximal
-//!   exchange-free run of unary links into one *segment task*: rows flow
-//!   source → link → link → staging inside one worker with no barrier
-//!   between links. A table-fed segment has no feeder at all — worker
-//!   `j` reads its own share of the borrowed catalog rows, runs the
-//!   segment's leading row-wise links on them ([`Program`]) and allocates
-//!   only the survivors, once.
-//!   Only an exchange routes rows through bounded channels
-//!   ([`super::channel`], capacity `StreamConfig::channel_batches`).
+//!   re-route-free run of unary links into one *segment task*: rows flow
+//!   source → link → link → sink inside one worker with no barrier
+//!   between links. A table-fed segment reads no staged input at all —
+//!   worker `j` reads its own round-robin share of the borrowed catalog
+//!   rows, runs the segment's leading row-wise links on them
+//!   ([`Program`]) and allocates only the survivors, once.
+//! * **Rows change partition in one place: a routed sink.** Where a keyed
+//!   link's co-location is unprovable, the segment closing before it
+//!   stages its output as one part per (worker, destination) by
+//!   [`keyed::route`] on the link's key columns, and worker `j` of the
+//!   next task reads partition `j` as the tag-merge of the parts
+//!   addressed to it. Every other re-route — a binary input, a keyed link
+//!   first after a source, a union or a join — is a zero-link segment
+//!   with a routed sink over its input. No row crosses a thread except
+//!   through the pool.
 //! * **N workers, one coordinator.** `parallelism: N` spawns N partition
 //!   workers once per run. The calling thread runs the tasks one after
 //!   another in task-id (topological) order: it hands every worker its
-//!   partition of the task, feeds the exchange if there is one, and does
-//!   the fan-in work — target and cache merges, join re-tagging — itself.
-//!   It re-enters exactly where the determinism contract forces a
-//!   rendezvous anyway; independent DAG branches do not overlap.
+//!   partition of the task and waits. Its only row work is the fan-in the
+//!   determinism contract forces anyway: target merges, cache admissions
+//!   and join re-tagging. Independent DAG branches do not overlap.
 //! * **Staged sets change hands.** Inter-segment partition sets never
 //!   live in coordinator `Vec`s: workers stage their output through the
 //!   sharded [`BufferPool`] as spill-eligible pages. A set with a single
@@ -26,36 +32,34 @@
 //!   ([`BufferPool::take_page`]) — rows move, frames are released as
 //!   they are read, and only pages the clock evicted ever see the spill
 //!   codec. A set with several readers, a cache admission, or a join
-//!   probing it by row position is read shared, pin-on-read. The pool's
-//!   frame budget bounds what is staged and not yet consumed; a target
-//!   table is merged straight into its rows, since it is fully resident
-//!   the moment it exists. `ExecCounters` records the staged-page
-//!   traffic and the pipeline telemetry.
+//!   probing it by (part, position) is read shared, pin-on-read. The
+//!   pool's frame budget bounds what is staged and not yet consumed; a
+//!   routed sink holds at most one pending batch per destination. A
+//!   target table is merged straight into its rows, since it is fully
+//!   resident the moment it exists. `ExecCounters` records the
+//!   staged-page traffic and the pipeline telemetry.
 //!
 //! # The determinism contract
 //!
 //! Targets, row order, and [`ExecStats`] must stay **bit-identical** to
-//! the sequential stream at every thread count and channel capacity.
+//! the sequential stream at every thread count.
 //! The machinery is shared with the round-synchronous backend
 //! ([`super::roundsync`]):
 //!
 //! 1. **Order tags.** Every row carries a `u64` tag recording its
-//!    position in the node's sequential output order. Staged partitions
-//!    persist the tag as a hidden trailing column; every channel batch
-//!    and staged part is tag-ascending, so a k-way merge by tag at any
-//!    fan-in reconstructs the exact sequential order. Keep-first
-//!    operators keep the minimum tag per key, aggregation tags each
-//!    group with its first-seen input tag, joins compose
-//!    `(left tag, right tag)` lexicographically before re-densifying.
+//!    position in the node's sequential output order. Staged parts
+//!    persist the tag as a hidden trailing column and are tag-ascending,
+//!    so a k-way merge by tag at any fan-in reconstructs the exact
+//!    sequential order. Keep-first operators keep the minimum tag per
+//!    key, aggregation tags each group with its first-seen input tag,
+//!    joins compose `(left tag, right tag)` lexicographically before
+//!    re-densifying.
 //! 2. **Co-location.** Planning tracks each edge's partitioning
 //!    [`Scheme`]; where a keyed link's requirement is unprovable the
-//!    segment is split and an exchange feeder re-routes rows by
-//!    [`keyed::route`], the hash of their typed key bytes. The exchange
-//!    feeder emits the
-//!    k-way tag-merge of the upstream parts in *global* tag order, so
-//!    every destination channel is tag-ascending by construction — and
-//!    being the sole producer of all N channels, it can never deadlock
-//!    against the bounded capacities.
+//!    segment is split and its sink routes. A routed sink splits a
+//!    tag-ascending stream, so every part it writes is tag-ascending, and
+//!    the reader's tag-merge of a partition's parts is the partition in
+//!    global tag order.
 //! 3. **Deterministic absorption.** Workers never touch shared
 //!    counters: the coordinator folds each task's worker tallies in
 //!    partition-index order, tasks in task-id order, so completion order
@@ -63,10 +67,8 @@
 //!    Residency counters (spills, evictions, peak frames) remain
 //!    schedule-dependent telemetry — nothing compares them bit-wise.
 //!
-//! Worker panics are converted into typed
-//! [`EngineError::WorkerPanicked`] errors: the unwind drops the work
-//! item's channel receiver, which wakes a coordinator blocked feeding
-//! the bounded queue, so poisoned runs fail fast instead of deadlocking.
+//! Worker panics are caught and converted into typed
+//! [`EngineError::WorkerPanicked`] errors for the item that raised them.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,7 +89,6 @@ use crate::ops::{self, ExecCtx};
 use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
-use super::channel::{self, ChannelStats, Receiver, Sender};
 use super::kernel::{clone_row, cols_of, perm_for, permute, Kernel, Program};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::{add, plan_cache, seeded_stats, CachePlan, SharedCache, StreamConfig, StreamRun};
@@ -411,7 +412,7 @@ pub(super) fn plan_chain(
 
 /// How a link transforms the partitioning scheme. Soundness, not
 /// precision: a preserved `Keys` claim must actually still co-locate;
-/// degrading to `Arbitrary` merely forces a later exchange.
+/// degrading to `Arbitrary` merely forces a later re-route.
 pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
     let Scheme::Keys(keys) = scheme else {
         return Scheme::Arbitrary;
@@ -529,14 +530,19 @@ struct StagedPart {
     max_tag: Option<u64>,
 }
 
-/// A task output staged through the pool as one consumer sees it: one
-/// part per partition, all tag-ascending, under a shared *data* schema
-/// (the hidden tag column is a storage detail). Buffer ownership is
-/// exclusive — the coordinator frees parts once the last consumer
-/// finishes.
+/// A task output staged through the pool, by destination partition:
+/// `dests[j]` holds the parts partition `j` reads — its producer's own
+/// part, or one part per producing worker when the producer's sink
+/// routed. Every part is tag-ascending under a shared *data* schema (the
+/// hidden tag column is a storage detail), and tags are unique across
+/// the set. Buffer ownership is exclusive — the coordinator frees the
+/// parts once the last consumer finishes.
+type Dests = Vec<Vec<StagedPart>>;
+
+/// A staged output as one consumer sees it.
 #[derive(Debug, Clone)]
 struct StagedSet {
-    parts: Vec<StagedPart>,
+    dests: Dests,
     /// This consumer is the set's only reader and reads it front to back,
     /// so pages change hands by ownership ([`BufferPool::take_page`])
     /// instead of being pinned and cloned out of.
@@ -544,18 +550,26 @@ struct StagedSet {
 }
 
 impl StagedSet {
-    fn rows(&self) -> u64 {
-        self.parts.iter().map(|p| p.rows).sum()
+    /// The parts partition `j` reads.
+    fn dest(&self, j: usize) -> Result<&[StagedPart]> {
+        self.dests
+            .get(j)
+            .map(Vec::as_slice)
+            .ok_or_else(|| internal("staged input partition-count mismatch"))
     }
 
     /// One past the largest tag in the set (0 when empty).
     fn tag_bound(&self) -> u64 {
-        let max = self.parts.iter().filter_map(|p| p.max_tag).max();
+        let max = self.dests.iter().flatten().filter_map(|p| p.max_tag).max();
         max.map_or(0, |t| t + 1)
     }
 }
 
-fn free_parts(pool: &BufferPool, parts: &[StagedPart]) {
+fn part_rows(parts: &[StagedPart]) -> u64 {
+    parts.iter().map(|p| p.rows).sum()
+}
+
+fn free_parts<'a>(pool: &BufferPool, parts: impl IntoIterator<Item = &'a StagedPart>) {
     for p in parts {
         pool.free(p.buf);
     }
@@ -684,6 +698,8 @@ struct PartReader<'p> {
     npages: usize,
     next_page: usize,
     page: Option<Page>,
+    /// Rows popped so far: the position of the current row in the part.
+    read: usize,
 }
 
 impl<'p> PartReader<'p> {
@@ -696,6 +712,7 @@ impl<'p> PartReader<'p> {
             npages: pool.pages(part.buf),
             next_page: 0,
             page: None,
+            read: 0,
         }
     }
 
@@ -746,6 +763,7 @@ impl<'p> PartReader<'p> {
     /// The current row's data cells, advancing past it.
     fn pop(&mut self) -> Result<Row> {
         let hidden = self.hidden;
+        self.read += 1;
         self.page
             .as_mut()
             .and_then(|p| p.pop(hidden))
@@ -768,39 +786,45 @@ impl<'p> PartReader<'p> {
         }
     }
 
-    /// Decode the rest of the current page as a batch (the `Pass` feed
-    /// granularity).
-    fn next_page(&mut self) -> Result<Option<Vec<Tagged>>> {
-        if self.cur()?.is_none() {
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(self.page.as_ref().map_or(0, Page::remaining));
-        while let Some(enc) = self.page.as_ref().and_then(Page::cur) {
+    /// Decode up to `max` rows of the current page as a batch (empty at
+    /// the end).
+    fn next_page(&mut self, max: usize) -> Result<Vec<Tagged>> {
+        let room = self.cur()?.map_or(0, |_| max);
+        let mut out = Vec::with_capacity(room.min(self.page.as_ref().map_or(0, Page::remaining)));
+        while out.len() < room {
+            let Some(enc) = self.page.as_ref().and_then(Page::cur) else {
+                break;
+            };
             let tag = cell_tag(enc.last())?;
             out.push((tag, self.pop()?));
         }
-        Ok(Some(out))
+        Ok(out)
     }
 }
 
-/// Streaming k-way tag merge over staged parts: the fan-in primitive.
-/// Tags are unique across a set's parts, so the merge is a total order.
+/// Streaming k-way tag merge over staged parts: the fan-in primitive, and
+/// how a worker reads its partition of a staged set. Tags are unique
+/// across a set's parts, so the merge is a total order.
 struct MergeReader<'p> {
     readers: Vec<PartReader<'p>>,
 }
 
 impl<'p> MergeReader<'p> {
-    fn new(pool: &'p BufferPool, set: &StagedSet) -> Self {
+    fn new<'a>(
+        pool: &'p BufferPool,
+        parts: impl IntoIterator<Item = &'a StagedPart>,
+        take: bool,
+    ) -> Self {
         MergeReader {
-            readers: set
-                .parts
-                .iter()
-                .map(|p| PartReader::new(pool, p, set.take))
+            readers: parts
+                .into_iter()
+                .map(|p| PartReader::new(pool, p, take))
                 .collect(),
         }
     }
 
-    fn next(&mut self) -> Result<Option<Tagged>> {
+    /// The reader holding the smallest next tag.
+    fn pick(&mut self) -> Result<Option<usize>> {
         let mut best: Option<(u64, usize)> = None;
         for (i, r) in self.readers.iter_mut().enumerate() {
             if let Some(tag) = r.peek_tag()? {
@@ -809,10 +833,40 @@ impl<'p> MergeReader<'p> {
                 }
             }
         }
-        match best {
-            Some((_, i)) => self.readers[i].next(),
+        Ok(best.map(|(_, i)| i))
+    }
+
+    fn next(&mut self) -> Result<Option<Tagged>> {
+        match self.pick()? {
+            Some(i) => self.readers[i].next(),
             None => Ok(None),
         }
+    }
+
+    /// The next row with its address: (part index, position in the part).
+    fn next_at(&mut self) -> Result<Option<((usize, usize), Tagged)>> {
+        let Some(i) = self.pick()? else {
+            return Ok(None);
+        };
+        let pos = self.readers[i].read;
+        Ok(self.readers[i].next()?.map(|t| ((i, pos), t)))
+    }
+
+    /// The next batch of at most `max` rows in tag order (empty at the
+    /// end). A lone part — every partition of an unrouted set — is read
+    /// page-wise, without comparing tags.
+    fn next_batch(&mut self, max: usize) -> Result<Vec<Tagged>> {
+        if let [one] = self.readers.as_mut_slice() {
+            return one.next_page(max);
+        }
+        let mut batch = Vec::with_capacity(max);
+        while batch.len() < max {
+            match self.next()? {
+                Some(t) => batch.push(t),
+                None => break,
+            }
+        }
+        Ok(batch)
     }
 }
 
@@ -832,27 +886,15 @@ enum TableSrc {
     Cached(Arc<Table>),
 }
 
-/// How rows are routed to partition workers.
-#[derive(Debug)]
-enum RouteMode {
-    /// Source distribution: row `i` goes to partition `i % N`.
-    RoundRobin,
-    /// Exchange: [`keyed::route`] on these columns.
-    Hash(Vec<usize>),
-}
-
 /// A segment's input.
 #[derive(Debug)]
 enum Feed {
     /// Rows of a table, tagged with their table position: worker `j`
-    /// reads its own share of the borrowed rows — no feeder, no channel.
-    Table { src: TableSrc, mode: RouteMode },
-    /// Exchange point: the feeder k-way tag-merges the upstream staged
-    /// parts and re-routes rows (the only cross-partition shuffle).
-    Staged { from: usize, mode: RouteMode },
-    /// Partition-aligned hand-off: worker `j` reads upstream part `j`
-    /// directly — no channels, no feeder.
-    Pass { from: usize },
+    /// reads rows `j, j+N, …` of the borrowed rows.
+    Table(TableSrc),
+    /// A staged task output: worker `j` reads partition `j`, the
+    /// tag-merge of the parts addressed to it.
+    Staged { from: usize },
 }
 
 /// One pipelined link inside a segment.
@@ -889,15 +931,19 @@ enum PipePlan {
 /// Where a segment's output goes.
 #[derive(Debug)]
 enum SegOut {
-    /// Stage through the pool for downstream tasks.
+    /// Stage through the pool for downstream tasks, one part per worker.
     Stage,
+    /// Stage one part per destination partition, routed by
+    /// [`keyed::route`] on these columns: the only way rows change
+    /// partition.
+    Route(Vec<usize>),
     /// Merge by tag and materialize the named target table.
     Target(String),
     /// Dangling activity: executed for stats parity, rows dropped.
     Discard,
 }
 
-/// One maximal exchange-free run of links executed by the partition
+/// One maximal re-route-free run of links executed by the partition
 /// workers.
 struct SegmentPlan {
     feed: Feed,
@@ -917,8 +963,8 @@ struct SegmentPlan {
 impl SegmentPlan {
     fn new(feed: Feed, links: Vec<PipeLink>, out: SegOut, out_schema: Schema) -> Self {
         let fusable = match &feed {
-            Feed::Table { src, .. } => !matches!(src, TableSrc::Catalog { perm: Some(_), .. }),
-            Feed::Staged { .. } | Feed::Pass { .. } => false,
+            Feed::Table(src) => !matches!(src, TableSrc::Catalog { perm: Some(_), .. }),
+            Feed::Staged { .. } => false,
         };
         SegmentPlan {
             fused: links
@@ -941,8 +987,9 @@ enum BinKind {
     Union { perm: Option<Vec<usize>> },
     /// Partitioned hash join (build right, probe left, composite tags).
     Join {
-        /// The empty index each partition clones and fills.
-        index: BuildProbe<(usize, u64)>,
+        /// The empty index each partition clones and fills: key → (build
+        /// row address, right tag).
+        index: BuildProbe<((usize, usize), u64)>,
         extra: Vec<usize>,
     },
     /// Bag difference/intersection via co-located multiplicity maps.
@@ -981,8 +1028,8 @@ impl TaskPlan {
     fn deps(&self) -> Vec<usize> {
         match self {
             TaskPlan::Segment(s) => match &s.feed {
-                Feed::Table { .. } => vec![],
-                Feed::Staged { from, .. } | Feed::Pass { from } => vec![*from],
+                Feed::Table(_) => vec![],
+                Feed::Staged { from } => vec![*from],
             },
             TaskPlan::Binary(b) if b.left == b.right => vec![b.left],
             TaskPlan::Binary(b) => vec![b.left, b.right],
@@ -1008,8 +1055,9 @@ impl TaskGraph {
 
 /// Static planner: walks the workflow in topo order, collapses maximal
 /// unary runs into segments, splits segments at unprovable co-location
-/// requirements, and wires binary tasks (inserting standalone exchange
-/// segments where a side must re-route). All schema probing and catalog
+/// requirements (the closing segment's sink routes), and wires binary
+/// tasks (inserting zero-link routed segments where a side must
+/// re-route). All schema probing and catalog
 /// validation happens here, in topo order — the same order the
 /// sequential backend surfaces planning errors.
 struct Planner<'a, 'c> {
@@ -1050,10 +1098,7 @@ impl Planner<'_, '_> {
                         targets.insert(rs.name.clone(), (**t).clone());
                     }
                 } else {
-                    let feed = Feed::Table {
-                        src: TableSrc::Cached(Arc::clone(t)),
-                        mode: RouteMode::RoundRobin,
-                    };
+                    let feed = Feed::Table(TableSrc::Cached(Arc::clone(t)));
                     let tid = self.push(
                         TaskPlan::Segment(SegmentPlan::new(
                             feed,
@@ -1111,13 +1156,10 @@ impl Planner<'_, '_> {
                         .ok_or_else(|| EngineError::MissingSource(rs.name.clone()))?;
                     let perm = perm_for(t.schema(), &rs.schema)?;
                     (
-                        Feed::Table {
-                            src: TableSrc::Catalog {
-                                name: rs.name.clone(),
-                                perm,
-                            },
-                            mode: RouteMode::RoundRobin,
-                        },
+                        Feed::Table(TableSrc::Catalog {
+                            name: rs.name.clone(),
+                            perm,
+                        }),
                         rs.schema.clone(),
                         Scheme::Arbitrary,
                     )
@@ -1125,7 +1167,7 @@ impl Planner<'_, '_> {
                 Some(p) => {
                     let from = self.task_of(p)?;
                     let (ps, pscheme) = self.task_out[from].clone();
-                    (Feed::Pass { from }, ps, pscheme)
+                    (Feed::Staged { from }, ps, pscheme)
                 }
             },
             Node::Activity(_) => {
@@ -1137,7 +1179,7 @@ impl Planner<'_, '_> {
                 ))?;
                 let from = self.task_of(p)?;
                 let (ps, pscheme) = self.task_out[from].clone();
-                (Feed::Pass { from }, ps, pscheme)
+                (Feed::Staged { from }, ps, pscheme)
             }
         };
 
@@ -1194,10 +1236,10 @@ impl Planner<'_, '_> {
             }
         }
 
-        // Split into exchange-free segments wherever a link's
-        // co-location requirement is unprovable under the running
-        // scheme. An unmet requirement before any work re-routes the
-        // feed itself instead of inserting an empty segment.
+        // Split into re-route-free segments wherever a link's
+        // co-location requirement is unprovable under the running scheme:
+        // the segment closing there routes its output on the link's keys
+        // (a zero-link one when no link ran yet).
         let mut cur_links: Vec<PipeLink> = Vec::new();
         for link in links {
             if let Some(req) = &link.require {
@@ -1210,38 +1252,9 @@ impl Planner<'_, '_> {
                         Require::Keys(k) => k.clone(),
                         Require::WholeRow => link.in_schema.iter().cloned().collect(),
                     };
-                    let cols = cols_of(&keys, &link.in_schema)?;
-                    if cur_links.is_empty() {
-                        feed = match feed {
-                            Feed::Table { src, .. } => Feed::Table {
-                                src,
-                                mode: RouteMode::Hash(cols),
-                            },
-                            Feed::Staged { from, .. } => Feed::Staged {
-                                from,
-                                mode: RouteMode::Hash(cols),
-                            },
-                            Feed::Pass { from } => Feed::Staged {
-                                from,
-                                mode: RouteMode::Hash(cols),
-                            },
-                        };
-                    } else {
-                        let tid = self.push(
-                            TaskPlan::Segment(SegmentPlan::new(
-                                feed,
-                                std::mem::take(&mut cur_links),
-                                SegOut::Stage,
-                                link.in_schema.clone(),
-                            )),
-                            link.in_schema.clone(),
-                            scheme.clone(),
-                        );
-                        feed = Feed::Staged {
-                            from: tid,
-                            mode: RouteMode::Hash(cols),
-                        };
-                    }
+                    let links = std::mem::take(&mut cur_links);
+                    let from = self.routed(feed, links, &link.in_schema, &keys)?;
+                    feed = Feed::Staged { from };
                     scheme = Scheme::Keys(keys);
                 }
             }
@@ -1275,23 +1288,26 @@ impl Planner<'_, '_> {
         Ok(())
     }
 
-    /// A standalone exchange segment re-routing `from` on `keys`.
-    fn exchange_task(&mut self, from: usize, schema: &Schema, keys: &[Attr]) -> Result<usize> {
-        let cols = cols_of(keys, schema)?;
-        let feed = Feed::Staged {
-            from,
-            mode: RouteMode::Hash(cols),
-        };
+    /// A segment running `links` over `feed` whose sink routes its
+    /// `schema` rows on `keys`.
+    fn routed(
+        &mut self,
+        feed: Feed,
+        links: Vec<PipeLink>,
+        schema: &Schema,
+        keys: &[Attr],
+    ) -> Result<usize> {
+        let out = SegOut::Route(cols_of(keys, schema)?);
         Ok(self.push(
-            TaskPlan::Segment(SegmentPlan::new(
-                feed,
-                Vec::new(),
-                SegOut::Stage,
-                schema.clone(),
-            )),
+            TaskPlan::Segment(SegmentPlan::new(feed, links, out, schema.clone())),
             schema.clone(),
             Scheme::Keys(keys.to_vec()),
         ))
+    }
+
+    /// A zero-link segment re-routing task `from`'s output on `keys`.
+    fn reroute(&mut self, from: usize, schema: &Schema, keys: &[Attr]) -> Result<usize> {
+        self.routed(Feed::Staged { from }, Vec::new(), schema, keys)
     }
 
     fn plan_binary(&mut self, id: NodeId) -> Result<()> {
@@ -1346,16 +1362,16 @@ impl Planner<'_, '_> {
                     (Scheme::Keys(a), Scheme::Keys(b)) if a == b && subset(a) => {}
                     (Scheme::Keys(a), _) if subset(a) => {
                         let k = a.clone();
-                        rt = self.exchange_task(rt, &rs_, &k)?;
+                        rt = self.reroute(rt, &rs_, &k)?;
                     }
                     (_, Scheme::Keys(b)) if subset(b) => {
                         let k = b.clone();
-                        lt = self.exchange_task(lt, &ls, &k)?;
+                        lt = self.reroute(lt, &ls, &k)?;
                         lscheme = Scheme::Keys(k);
                     }
                     _ => {
-                        lt = self.exchange_task(lt, &ls, on)?;
-                        rt = self.exchange_task(rt, &rs_, on)?;
+                        lt = self.reroute(lt, &ls, on)?;
+                        rt = self.reroute(rt, &rs_, on)?;
                         lscheme = Scheme::Keys(on.clone());
                     }
                 }
@@ -1371,12 +1387,12 @@ impl Planner<'_, '_> {
                     (Scheme::Keys(a), Scheme::Keys(b)) if a == b => {}
                     (Scheme::Keys(a), _) => {
                         let k = a.clone();
-                        rt = self.exchange_task(rt, &rs_, &k)?;
+                        rt = self.reroute(rt, &rs_, &k)?;
                     }
                     _ => {
                         let all: Vec<Attr> = ls.iter().cloned().collect();
-                        lt = self.exchange_task(lt, &ls, &all)?;
-                        rt = self.exchange_task(rt, &rs_, &all)?;
+                        lt = self.reroute(lt, &ls, &all)?;
+                        rt = self.reroute(rt, &rs_, &all)?;
                         lscheme = Scheme::Keys(all);
                     }
                 }
@@ -1432,8 +1448,6 @@ struct Rt<'e> {
     ctx: &'e ExecCtx<'e>,
     nparts: usize,
     batch_rows: usize,
-    /// Bounded channel capacity in batches (`StreamConfig::channel_batches`).
-    chan_cap: usize,
 }
 
 /// Per-run counters with the per-worker lanes sized for `nparts`.
@@ -1441,8 +1455,6 @@ fn lane_counters(nparts: usize) -> ExecCounters {
     ExecCounters {
         worker_rows: vec![0; nparts],
         worker_busy: vec![0; nparts],
-        worker_send_blocked: vec![0; nparts],
-        worker_recv_blocked: vec![0; nparts],
         ..ExecCounters::default()
     }
 }
@@ -1450,9 +1462,11 @@ fn lane_counters(nparts: usize) -> ExecCounters {
 /// One partition worker's result for one task.
 #[derive(Default)]
 struct WorkerOut {
-    /// The staged output part and the pages it took (`None` for discard
-    /// sinks).
-    part: Option<(StagedPart, u64)>,
+    /// The staged output parts — none for a discard sink, one per
+    /// destination for a routed one, else one.
+    parts: Vec<StagedPart>,
+    /// Pages those parts took.
+    pages: u64,
     /// `(processed, out)` tallies: per link, in link order, for a
     /// segment; the one `(rows read, rows emitted)` pair for a binary.
     tallies: Vec<(u64, u64)>,
@@ -1462,8 +1476,6 @@ struct WorkerOut {
     materialized: u64,
     /// Batches this worker processed.
     busy: u64,
-    /// Channel telemetry (exchange feeds only).
-    chan: Option<ChannelStats>,
 }
 
 /// Per-worker runtime state of one link: the stateful pieces (seen keys,
@@ -1537,13 +1549,60 @@ struct LinkCell<'s> {
     out: u64,
 }
 
+/// Where one worker's surviving rows are staged: no writer for a discard
+/// sink (executed for stats parity, rows dropped), one per destination
+/// partition when `route` names key columns, else one.
+struct Sink<'s, 'p> {
+    writers: Vec<StageWriter<'p>>,
+    route: Option<&'s [usize]>,
+    key: Vec<u8>,
+}
+
+impl<'s, 'p> Sink<'s, 'p> {
+    fn new(out: &'s SegOut, schema: &Schema, rt: &Rt<'p>) -> Result<Self> {
+        let (n, route) = match out {
+            SegOut::Discard => (0, None),
+            SegOut::Stage | SegOut::Target(_) => (1, None),
+            SegOut::Route(cols) => (rt.nparts, Some(cols.as_slice())),
+        };
+        let writers = (0..n)
+            .map(|_| StageWriter::new(rt, schema, &[TAG_ATTR]))
+            .collect::<Result<_>>()?;
+        Ok(Sink {
+            writers,
+            route,
+            key: Vec::new(),
+        })
+    }
+
+    fn push(&mut self, tag: u64, row: Row) -> Result<()> {
+        let d = match self.route {
+            Some(cols) => keyed::route(&mut self.key, &row, cols, self.writers.len()),
+            None => 0,
+        };
+        match self.writers.get_mut(d) {
+            Some(w) => w.push(tag, row),
+            None => Ok(()),
+        }
+    }
+
+    fn finish(self) -> Result<(Vec<StagedPart>, u64)> {
+        let (mut parts, mut pages) = (Vec::with_capacity(self.writers.len()), 0);
+        for w in self.writers {
+            let (part, pg) = w.finish()?;
+            parts.push(part);
+            pages += pg;
+        }
+        Ok((parts, pages))
+    }
+}
+
 /// One worker's running chain: every link of the segment the scan did not
 /// fuse, its stats tallies, and the sink the survivors are staged into.
 struct ChainRt<'s, 'p> {
     cells: Vec<LinkCell<'s>>,
     batch_rows: usize,
-    /// `None` for a discard sink: executed for stats parity, rows dropped.
-    sink: Option<StageWriter<'p>>,
+    sink: Sink<'s, 'p>,
     /// Batches pushed in.
     busy: u64,
 }
@@ -1565,16 +1624,10 @@ impl<'s, 'p> ChainRt<'s, 'p> {
                 out: 0,
             });
         }
-        let sink = match seg.out {
-            SegOut::Discard => None,
-            SegOut::Stage | SegOut::Target(_) => {
-                Some(StageWriter::new(rt, &seg.out_schema, &[TAG_ATTR])?)
-            }
-        };
         Ok(ChainRt {
             cells,
             batch_rows: rt.batch_rows,
-            sink,
+            sink: Sink::new(&seg.out, &seg.out_schema, rt)?,
             busy: 0,
         })
     }
@@ -1599,10 +1652,8 @@ impl<'s, 'p> ChainRt<'s, 'p> {
                 cell.out += batch.len() as u64;
             }
         }
-        if let Some(w) = &mut self.sink {
-            for (tag, row) in batch {
-                w.push(tag, row)?;
-            }
+        for (tag, row) in batch {
+            self.sink.push(tag, row)?;
         }
         Ok(())
     }
@@ -1626,8 +1677,10 @@ impl<'s, 'p> ChainRt<'s, 'p> {
             }
         }
         tallies.extend(self.cells.iter().map(|c| (c.processed, c.out)));
+        let (parts, pages) = self.sink.finish()?;
         Ok(WorkerOut {
-            part: self.sink.map(StageWriter::finish).transpose()?,
+            parts,
+            pages,
             tallies,
             busy: self.busy,
             ..WorkerOut::default()
@@ -1639,23 +1692,19 @@ impl<'s, 'p> ChainRt<'s, 'p> {
 enum Work {
     /// A table-fed segment: the worker scans the borrowed table itself.
     Scan,
-    /// A partition-aligned segment: read upstream part `j`.
-    Pass(StagedSet),
-    /// An exchange-fed segment: drain what the coordinator routes here.
-    Fed(Receiver<Vec<Tagged>>),
+    /// A staged-fed segment: read partition `j` of the set.
+    Staged(StagedSet),
     /// A binary task over two co-located inputs.
     Binary(StagedSet, StagedSet),
 }
 
-/// Worker `j`'s share of a source table: rows `j, j+N, …` for round-robin
-/// distribution, the rows [`keyed::route`] sends to `j` for hash routing —
-/// each tagged with its table position. The segment's fused links run on
-/// the borrowed row; only survivors are allocated, once, with a spare
-/// cell so staging never reallocates them.
+/// Worker `j`'s share of a source table: rows `j, j+N, …`, each tagged
+/// with its table position. The segment's fused links run on the
+/// borrowed row; only survivors are allocated, once, with a spare cell so
+/// staging never reallocates them.
 fn scan_table(
     seg: &SegmentPlan,
     src: &TableSrc,
-    mode: &RouteMode,
     j: usize,
     rt: &Rt<'_>,
     mut chain: ChainRt<'_, '_>,
@@ -1675,24 +1724,9 @@ fn scan_table(
     for kernel in fused_links.iter().filter_map(PipeLink::row_wise) {
         program.push(kernel.clone());
     }
-    // Routing columns name the declared layout; the stored row is read
-    // through the scan's permutation.
-    let (first, stride, route_cols) = match mode {
-        RouteMode::RoundRobin => (j, rt.nparts, None),
-        RouteMode::Hash(cols) => {
-            let stored: Vec<usize> = cols.iter().map(|&c| perm.map_or(c, |p| p[c])).collect();
-            (0, 1, Some(stored))
-        }
-    };
-    let mut key = Vec::new();
     let (mut scanned, mut materialized) = (0u64, 0u64);
     let mut batch = Vec::new();
-    for (i, row) in table.rows().iter().enumerate().skip(first).step_by(stride) {
-        if let Some(cols) = &route_cols {
-            if keyed::route(&mut key, row, cols, rt.nparts) != j {
-                continue;
-            }
-        }
+    for (i, row) in table.rows().iter().enumerate().skip(j).step_by(rt.nparts) {
         scanned += 1;
         if let Some(lent) = program.run(row)? {
             materialized += 1;
@@ -1722,26 +1756,17 @@ fn scan_table(
 fn run_segment_part(seg: &SegmentPlan, j: usize, work: Work, rt: &Rt<'_>) -> Result<WorkerOut> {
     let mut chain = ChainRt::new(seg, rt)?;
     match (&seg.feed, work) {
-        (Feed::Table { src, mode }, Work::Scan) => scan_table(seg, src, mode, j, rt, chain),
-        (Feed::Pass { .. }, Work::Pass(set)) => {
-            let part = set
-                .parts
-                .get(j)
-                .ok_or_else(|| internal("pass feed partition-count mismatch"))?;
-            let mut reader = PartReader::new(rt.pool, part, set.take);
-            while let Some(batch) = reader.next_page()? {
+        (Feed::Table(src), Work::Scan) => scan_table(seg, src, j, rt, chain),
+        (Feed::Staged { .. }, Work::Staged(set)) => {
+            let mut reader = MergeReader::new(rt.pool, set.dest(j)?, set.take);
+            loop {
+                let batch = reader.next_batch(rt.batch_rows)?;
+                if batch.is_empty() {
+                    break;
+                }
                 chain.push(batch)?;
             }
             chain.finish(Vec::new())
-        }
-        (Feed::Staged { .. }, Work::Fed(rx)) => {
-            while let Some(batch) = rx.recv() {
-                chain.push(batch)?;
-            }
-            Ok(WorkerOut {
-                chan: Some(rx.stats()),
-                ..chain.finish(Vec::new())?
-            })
         }
         _ => Err(internal("work item does not match its segment's feed")),
     }
@@ -1757,11 +1782,10 @@ fn run_binary_part(
     right: &StagedSet,
     rt: &Rt<'_>,
 ) -> Result<WorkerOut> {
-    let (Some(lpart), Some(rpart)) = (left.parts.get(j), right.parts.get(j)) else {
-        return Err(internal("binary input partition-count mismatch"));
-    };
-    let mut lr = PartReader::new(rt.pool, lpart, left.take);
-    let mut rr = PartReader::new(rt.pool, rpart, right.take);
+    let (lparts, rparts) = (left.dest(j)?, right.dest(j)?);
+    let read = part_rows(lparts) + part_rows(rparts);
+    let mut lr = MergeReader::new(rt.pool, lparts, left.take);
+    let mut rr = MergeReader::new(rt.pool, rparts, right.take);
     let mut w = match (&bp.out, &bp.kind) {
         (SegOut::Discard, _) => None,
         // Join matches are staged under their composite tags first.
@@ -1789,29 +1813,32 @@ fn run_binary_part(
                     w.push(shifted, row)?;
                 }
             }
-            emitted = lpart.rows + rpart.rows;
+            emitted = read;
         }
         BinKind::Join { index, extra } => {
             // Composite output tag (left tag, right tag), lexicographic —
             // the sequential probe emission order (left rows in order,
             // each row's matches in right insertion order).
             let rbound = u128::from(right.tag_bound()).max(1);
-            // Build this shard's right index — key → (row position, right
-            // tag) — then probe the left stream, fetching each match's
-            // extra columns back out of the staged build side (which is
-            // why the coordinator never lets that side be taken). NULL
-            // keys are never indexed and never probe: they never join.
+            // Build this shard's right index — key → ((part, position),
+            // right tag) — then probe the left stream, fetching each
+            // match's extra columns back out of the staged build side
+            // (which is why the coordinator never lets that side be
+            // taken). NULL keys are never indexed and never probe: they
+            // never join.
             let mut index = index.clone();
-            let mut pos = 0usize;
-            while let Some((rtag, row)) = rr.next()? {
-                index.insert(&row, (pos, rtag));
-                pos += 1;
+            while let Some((at, (rtag, row))) = rr.next_at()? {
+                index.insert(&row, (at, rtag));
             }
             while let Some((ltag, lrow)) = lr.next()? {
-                for &(pos, rtag) in index.probe(&lrow) {
+                for &((part, pos), rtag) in index.probe(&lrow) {
                     emitted += 1;
                     if let Some(w) = &mut w {
-                        let enc = rt.pool.row(rpart.buf, pos)?;
+                        let buf = rparts
+                            .get(part)
+                            .ok_or_else(|| internal("join build row outside its partition"))?
+                            .buf;
+                        let enc = rt.pool.row(buf, pos)?;
                         let mut row =
                             Vec::with_capacity(lrow.len() + extra.len() + JTAG_ATTRS.len());
                         row.extend_from_slice(&lrow);
@@ -1842,9 +1869,17 @@ fn run_binary_part(
             }
         }
     }
+    let (parts, pages) = match w {
+        Some(w) => {
+            let (part, pages) = w.finish()?;
+            (vec![part], pages)
+        }
+        None => (Vec::new(), 0),
+    };
     Ok(WorkerOut {
-        part: w.map(StageWriter::finish).transpose()?,
-        tallies: vec![(lpart.rows + rpart.rows, emitted)],
+        parts,
+        pages,
+        tallies: vec![(read, emitted)],
         ..WorkerOut::default()
     })
 }
@@ -1860,8 +1895,7 @@ struct Item {
 /// A partition worker: spawned once per run, it executes its partition
 /// of every task the coordinator dispatches, until the coordinator hangs
 /// up. A panic inside an item is caught and reported as that item's
-/// result; unwinding drops the item's channel receiver on the way, so a
-/// coordinator blocked feeding it wakes up.
+/// result.
 fn worker_loop(items: mpsc::Receiver<Item>, tg: &TaskGraph, rt: &Rt<'_>) {
     for Item {
         task,
@@ -1887,48 +1921,12 @@ fn worker_loop(items: mpsc::Receiver<Item>, tg: &TaskGraph, rt: &Rt<'_>) {
 // Coordinator: tasks in topological order, fan-in on the calling thread
 // ---------------------------------------------------------------------
 
-/// The exchange: stream the k-way tag-merge of the upstream parts in
-/// global tag order and route each row to its destination worker — the
-/// only cross-partition shuffle, and the only use of channels. Being the
-/// sole producer of all N bounded channels, the feeder cannot take part
-/// in a channel cycle: backpressure only ever blocks it on a worker that
-/// is still draining. Returns the rows fed to each worker.
-fn feed_exchange(
-    set: &StagedSet,
-    cols: &[usize],
-    rt: &Rt<'_>,
-    txs: Vec<Sender<Vec<Tagged>>>,
-) -> Result<Vec<u64>> {
-    let send = |d: usize, batch: Vec<Tagged>| {
-        txs[d]
-            .send(batch)
-            .map_err(|_| internal(format!("partition worker {d} hung up mid-stream")))
-    };
-    let mut fed = vec![0u64; rt.nparts];
-    let mut pending: Vec<Vec<Tagged>> = vec![Vec::new(); rt.nparts];
-    let mut key = Vec::new();
-    let mut merge = MergeReader::new(rt.pool, set);
-    while let Some((tag, row)) = merge.next()? {
-        let d = keyed::route(&mut key, &row, cols, rt.nparts);
-        fed[d] += 1;
-        pending[d].push((tag, row));
-        if pending[d].len() >= rt.batch_rows {
-            send(d, std::mem::take(&mut pending[d]))?;
-        }
-    }
-    for (d, batch) in pending.into_iter().enumerate() {
-        if !batch.is_empty() {
-            send(d, batch)?;
-        }
-    }
-    Ok(fed)
-}
-
 /// Merge staged parts back into sequential row order, straight into the
 /// table's rows.
-fn merge_to_table(rt: &Rt<'_>, schema: &Schema, set: &StagedSet) -> Result<Table> {
-    let mut rows = Vec::with_capacity(set.rows() as usize);
-    let mut merge = MergeReader::new(rt.pool, set);
+fn merge_to_table(rt: &Rt<'_>, schema: &Schema, dests: &Dests, take: bool) -> Result<Table> {
+    let total: u64 = dests.iter().map(|d| part_rows(d)).sum();
+    let mut rows = Vec::with_capacity(total as usize);
+    let mut merge = MergeReader::new(rt.pool, dests.iter().flatten(), take);
     while let Some((_, row)) = merge.next()? {
         rows.push(row);
     }
@@ -1987,7 +1985,7 @@ struct Coordinator<'e> {
     /// One item queue per partition worker.
     workers: Vec<mpsc::Sender<Item>>,
     /// Staged outputs awaiting their consumers, and how many are left.
-    staged: Vec<Option<Vec<StagedPart>>>,
+    staged: Vec<Option<Dests>>,
     fan_left: Vec<usize>,
     stats: &'e mut ExecStats,
     counters: &'e mut ExecCounters,
@@ -2000,35 +1998,25 @@ impl Coordinator<'_> {
     /// `from`'s staged output as one consumer sees it; `sequential` is
     /// false when that consumer does not read it once, front to back.
     fn input(&self, from: usize, sequential: bool) -> Result<StagedSet> {
-        let parts = self.staged[from]
+        let dests = self.staged[from]
             .clone()
             .ok_or_else(|| internal(format!("task {from} has no staged output")))?;
-        if parts.len() != self.rt.nparts {
-            return Err(internal("staged input partition-count mismatch"));
-        }
         Ok(StagedSet {
-            parts,
+            dests,
             take: sequential && self.tg.sole_reader(from),
         })
     }
 
-    /// Hand worker `j` partition `j` of task `t` with `works[j]` — running
-    /// `feeder` on this thread meanwhile — and collect the results in
-    /// partition order. When several workers fail the lowest partition
-    /// wins, and a worker failure (the root cause) wins over the feeder's
-    /// hung-up error (its symptom).
-    fn dispatch(
-        &self,
-        t: usize,
-        works: Vec<Work>,
-        feeder: impl FnOnce() -> Result<Vec<u64>>,
-    ) -> Result<(Vec<WorkerOut>, Vec<u64>)> {
+    /// Hand worker `j` partition `j` of task `t` with `work()` and collect
+    /// the results in partition order. When several workers fail the
+    /// lowest partition wins.
+    fn dispatch(&self, t: usize, work: impl Fn() -> Work) -> Result<Vec<WorkerOut>> {
         let (reply, replies) = mpsc::channel();
-        for ((part, worker), work) in self.workers.iter().enumerate().zip(works) {
+        for (part, worker) in self.workers.iter().enumerate() {
             let item = Item {
                 task: t,
                 part,
-                work,
+                work: work(),
                 reply: reply.clone(),
             };
             worker
@@ -2036,7 +2024,6 @@ impl Coordinator<'_> {
                 .map_err(|_| internal(format!("partition worker {part} is gone")))?;
         }
         drop(reply);
-        let fed = feeder();
         let mut slots: Vec<Option<Result<WorkerOut>>> = self.workers.iter().map(|_| None).collect();
         for (j, result) in replies {
             slots[j] = Some(result);
@@ -2046,7 +2033,7 @@ impl Coordinator<'_> {
             let lost = || internal(format!("partition worker {j} produced no result"));
             outs.push(slot.ok_or_else(lost)??);
         }
-        Ok((outs, fed?))
+        Ok(outs)
     }
 
     /// Execute task `t` end to end and fold its workers' results — in
@@ -2054,63 +2041,38 @@ impl Coordinator<'_> {
     fn run_task(&mut self, t: usize) -> Result<()> {
         let rt = self.rt;
         let task = &self.tg.tasks[t];
-        let no_feed = || Ok(vec![0; rt.nparts]);
-        let each = |work: &dyn Fn() -> Work| (0..rt.nparts).map(|_| work()).collect();
         // Per stats key (`None` for a recordset reorder), in tally order.
-        let (keys, (workers, fed)): (Vec<Option<&String>>, _) = match task {
+        let (keys, workers): (Vec<Option<&String>>, _) = match task {
             TaskPlan::Segment(seg) => {
                 self.counters.pipeline_segments += 1;
                 let done = match &seg.feed {
-                    Feed::Table { .. } => self.dispatch(t, each(&|| Work::Scan), no_feed)?,
-                    Feed::Pass { from } => {
+                    Feed::Table(_) => self.dispatch(t, || Work::Scan)?,
+                    Feed::Staged { from } => {
                         let set = self.input(*from, true)?;
-                        self.dispatch(t, each(&|| Work::Pass(set.clone())), no_feed)?
-                    }
-                    Feed::Staged { from, mode } => {
-                        let set = self.input(*from, true)?;
-                        let RouteMode::Hash(cols) = mode else {
-                            return Err(internal("exchange feed must hash-route"));
-                        };
-                        let (mut txs, mut works) = (Vec::new(), Vec::new());
-                        for _ in 0..rt.nparts {
-                            let (tx, rx) = channel::bounded::<Vec<Tagged>>(rt.chan_cap);
-                            txs.push(tx);
-                            works.push(Work::Fed(rx));
-                        }
-                        // A feeder error aborts the stream; dropping `txs`
-                        // closes every channel so workers drain and exit.
-                        self.dispatch(t, works, || feed_exchange(&set, cols, rt, txs))?
+                        self.dispatch(t, || Work::Staged(set.clone()))?
                     }
                 };
                 (seg.links.iter().map(|l| l.key.as_ref()).collect(), done)
             }
             TaskPlan::Binary(bp) => {
                 // One task reading a set twice shares it, and so does a
-                // join's build side, which is probed by row position.
+                // join's build side, which is probed by (part, position).
                 let apart = bp.left != bp.right;
                 let build = matches!(bp.kind, BinKind::Join { .. });
                 let left = self.input(bp.left, apart)?;
                 let right = self.input(bp.right, apart && !build)?;
                 let both = || Work::Binary(left.clone(), right.clone());
-                (vec![Some(&bp.key)], self.dispatch(t, each(&both), no_feed)?)
+                (vec![Some(&bp.key)], self.dispatch(t, both)?)
             }
         };
 
         let counters = &mut *self.counters;
-        for (j, n) in fed.into_iter().enumerate() {
-            counters.worker_rows[j] += n;
-        }
         for (j, w) in workers.iter().enumerate() {
             counters.worker_rows[j] += w.scanned;
             counters.rows_scanned += w.scanned;
             counters.rows_materialized += w.materialized;
             counters.worker_busy[j] += w.busy;
             counters.batches += w.busy;
-            if let Some(c) = &w.chan {
-                counters.channel_high_water = counters.channel_high_water.max(c.high_water);
-                counters.worker_send_blocked[j] += c.send_blocked;
-                counters.worker_recv_blocked[j] += c.recv_blocked;
-            }
         }
         for (li, key) in keys.into_iter().enumerate() {
             if let Some(key) = key {
@@ -2120,43 +2082,49 @@ impl Coordinator<'_> {
                 add(&mut self.stats.rows_out, key, o);
             }
         }
-        let mut parts = Vec::with_capacity(workers.len());
-        for w in workers {
-            if let Some((part, pages)) = w.part {
-                counters.pages_staged += pages;
-                parts.push(part);
-            }
-        }
         let (out, out_schema, cache_node) = match task {
             TaskPlan::Segment(s) => (&s.out, &s.out_schema, s.cache_node),
-            TaskPlan::Binary(b) => {
-                if let BinKind::Join { .. } = b.kind {
-                    let (dense, pages) = retag_join(rt, &b.out_schema, &parts)?;
-                    counters.pages_staged += pages;
-                    parts = dense;
-                }
-                (&b.out, &b.out_schema, b.cache_node)
-            }
+            TaskPlan::Binary(b) => (&b.out, &b.out_schema, b.cache_node),
         };
+        // Worker `w`'s `i`-th part is addressed to destination `i` when its
+        // sink routed, else to its own partition `w`.
+        let routed = matches!(out, SegOut::Route(_));
+        let mut dests: Dests = vec![Vec::new(); rt.nparts];
+        for (j, w) in workers.into_iter().enumerate() {
+            counters.pages_staged += w.pages;
+            for (i, part) in w.parts.into_iter().enumerate() {
+                let d = if routed { i } else { j };
+                if routed {
+                    counters.worker_rows[d] += part.rows;
+                }
+                dests[d].push(part);
+            }
+        }
+        if let TaskPlan::Binary(b) = task {
+            if let BinKind::Join { .. } = b.kind {
+                let temps: Vec<StagedPart> = dests.into_iter().flatten().collect();
+                let (dense, pages) = retag_join(rt, &b.out_schema, &temps)?;
+                counters.pages_staged += pages;
+                dests = dense.into_iter().map(|p| vec![p]).collect();
+            }
+        }
         match out {
-            SegOut::Stage => {
+            SegOut::Stage | SegOut::Route(_) => {
                 // The consumers still need the parts: the cache admission
                 // reads them shared.
-                let set = StagedSet { parts, take: false };
                 if let Some(node) = cache_node {
-                    let table = merge_to_table(rt, out_schema, &set)?;
+                    let table = merge_to_table(rt, out_schema, &dests, false)?;
                     self.cache_tables.push((node, table));
                 }
                 if self.fan_left[t] == 0 {
-                    free_parts(rt.pool, &set.parts);
+                    free_parts(rt.pool, dests.iter().flatten());
                 } else {
-                    self.staged[t] = Some(set.parts);
+                    self.staged[t] = Some(dests);
                 }
             }
             SegOut::Target(name) => {
-                let set = StagedSet { parts, take: true };
-                let table = merge_to_table(rt, out_schema, &set)?;
-                free_parts(rt.pool, &set.parts);
+                let table = merge_to_table(rt, out_schema, &dests, true)?;
+                free_parts(rt.pool, dests.iter().flatten());
                 if let Some(node) = cache_node {
                     self.cache_tables.push((node, table.clone()));
                 }
@@ -2169,8 +2137,8 @@ impl Coordinator<'_> {
         for d in task.deps() {
             self.fan_left[d] -= 1;
             if self.fan_left[d] == 0 {
-                if let Some(parts) = self.staged[d].take() {
-                    free_parts(rt.pool, &parts);
+                if let Some(dests) = self.staged[d].take() {
+                    free_parts(rt.pool, dests.iter().flatten());
                 }
             }
         }
@@ -2215,7 +2183,6 @@ pub(crate) fn run_parallel(
         ctx: &ctx,
         nparts,
         batch_rows: cfg.batch_rows.max(1),
-        chan_cap: cfg.channel_batches.max(1),
     };
     // Everything the workers borrow is built; `parallelism: N` is N
     // threads, spawned here once. The tasks then run one after another on
@@ -2406,26 +2373,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_capacity_does_not_change_results() {
-        let wf = rich_workflow();
-        let seq = rich_executor().run_stream(&wf).expect("sequential run");
-        for cap in [1, 2, 8] {
-            let par = rich_executor()
-                .with_parallelism(3)
-                .with_channel_batches(cap)
-                .run_stream(&wf)
-                .unwrap_or_else(|e| panic!("parallel run at capacity {cap}: {e:?}"));
-            assert_eq!(seq.result.targets, par.result.targets, "capacity {cap}");
-            assert_eq!(seq.result.stats, par.result.stats, "capacity {cap}");
-            assert!(
-                par.counters.channel_high_water <= cap as u64,
-                "queue depth {} exceeds capacity {cap}",
-                par.counters.channel_high_water
-            );
-        }
-    }
-
-    #[test]
     fn parallel_run_under_tiny_pool_spills_and_matches() {
         let mut b = WorkflowBuilder::new();
         use etlopt_core::predicate::Predicate;
@@ -2463,12 +2410,12 @@ mod tests {
     #[test]
     fn chain_under_two_frame_pool_stages_spills_and_stays_bounded() {
         // A three-link chain with a dedup in the middle: the dedup's key
-        // requirement forces an exchange, so rows are staged through the
-        // pool between the two pipeline segments as well as at the
-        // target drain. Under a 2-frame budget the staged sets must
-        // spill, and the resident high-water must stay a small constant
-        // (one frame per shard plus one pinned page per active reader)
-        // rather than scaling with the 300-row input.
+        // requirement makes the segment before it route its sink, so
+        // rows are staged through the pool between the two segments as
+        // well as at the target drain. Under a 2-frame budget the staged
+        // sets must spill, and the resident high-water must stay a small
+        // constant (one frame per shard plus one pinned page per active
+        // reader) rather than scaling with the 300-row input.
         use etlopt_core::predicate::Predicate;
         let mut b = WorkflowBuilder::new();
         let s = b.source("S", Schema::of(["k", "v"]), 300.0);
@@ -2511,8 +2458,8 @@ mod tests {
     #[test]
     fn butterfly_run_reports_its_pipeline_telemetry() {
         // rich_workflow is a butterfly (S and D are independent roots, HI
-        // and LO both hang off NN) with a dedup and a join behind
-        // exchanges. Tasks run one at a time on the calling thread.
+        // and LO both hang off NN) with a dedup and a join behind routed
+        // sinks. Tasks run one at a time on the calling thread.
         let wf = rich_workflow();
         let par = rich_executor()
             .with_parallelism(2)
@@ -2520,7 +2467,11 @@ mod tests {
             .expect("parallel run");
         assert_eq!(par.counters.peak_inflight_tasks, 1, "{:?}", par.counters);
         assert!(par.counters.pipeline_segments > 0);
-        assert!(par.counters.channel_high_water >= 1);
+        assert!(par.counters.pages_staged > 0, "{:?}", par.counters);
+        // Routed sinks count the rows they address to each worker on top
+        // of the source scans: more rows change hands than were scanned.
+        let routed: u64 = par.counters.worker_rows.iter().sum();
+        assert!(routed > par.counters.rows_scanned, "{:?}", par.counters);
         assert!(par.counters.worker_busy.iter().sum::<u64>() > 0);
     }
 

@@ -125,14 +125,6 @@ impl Executor {
         self
     }
 
-    /// Set the pipelined backend's bounded channel capacity, in batches
-    /// (≥ 1). Purely a residency/backpressure knob: results are
-    /// bit-identical at any capacity.
-    pub fn with_channel_batches(mut self, batches: usize) -> Self {
-        self.stream_cfg.channel_batches = batches.max(1);
-        self
-    }
-
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -1,16 +1,19 @@
 //! Record files: the paper's second recordset kind (§2.1 — "relational
 //! tables and record files").
 //!
-//! A record file is a delimited text file with a header row. Values are
-//! parsed into the tightest matching [`Scalar`]: empty field → NULL,
-//! integer, float, `true`/`false`, `d:<days>` → date, anything else →
-//! string. Writing round-trips: `write → read` reproduces the table
-//! exactly (strings that *look* like numbers are quoted on write).
+//! A record file is a delimited text file with a header row naming each
+//! column once. Values are parsed into the tightest matching [`Scalar`]:
+//! empty field → NULL, integer, float, `true`/`false`, `d:<days>` → date,
+//! anything else → string. A double-quoted field is always a string (`""`
+//! inside it is one quote) and may span lines. Writing round-trips:
+//! `write → read` reproduces the table exactly (strings that *look* like
+//! another type, are empty, or hold the delimiter, a quote or a line break
+//! are quoted on write).
 
 use std::fmt::Write as _;
 
 use etlopt_core::scalar::Scalar;
-use etlopt_core::schema::Schema;
+use etlopt_core::schema::{Attr, Schema};
 
 use crate::error::{EngineError, Result};
 use crate::table::Table;
@@ -30,7 +33,7 @@ pub fn write_str(table: &Table) -> String {
     out
 }
 
-pub(crate) fn render_field(v: &Scalar) -> String {
+fn render_field(v: &Scalar) -> String {
     match v {
         Scalar::Null => String::new(),
         Scalar::Int(i) => i.to_string(),
@@ -46,10 +49,8 @@ pub(crate) fn render_field(v: &Scalar) -> String {
         Scalar::Date(d) => format!("d:{d}"),
         Scalar::Str(s) => {
             // Quote strings that would otherwise re-parse as another type
-            // or that contain the delimiter.
-            if s.is_empty()
-                || s.contains(DELIMITER)
-                || s.contains('"')
+            // or split the field or the record.
+            if s.contains([DELIMITER, '"', '\n', '\r'])
                 || parse_unquoted(s) != Scalar::Str(s.clone())
             {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -84,82 +85,94 @@ fn parse_unquoted(field: &str) -> Scalar {
     Scalar::Str(field.to_owned())
 }
 
-/// Split one line on the delimiter, honoring double-quoted fields.
-pub(crate) fn split_line(line: &str) -> Result<Vec<Scalar>> {
+fn malformed(reason: String) -> EngineError {
+    EngineError::FunctionFailed {
+        function: "recordfile::read".into(),
+        reason,
+    }
+}
+
+/// Split one record off the front of `text`, honoring double-quoted
+/// fields: its fields and the text after its line break (`\n` or
+/// `\r\n`), or why it is malformed.
+fn split_record(text: &str) -> std::result::Result<(Vec<Scalar>, &str), String> {
     let mut fields = Vec::new();
-    let mut chars = line.chars().peekable();
+    let mut rest = text;
     loop {
-        if chars.peek() == Some(&'"') {
-            chars.next();
+        let after = if let Some(quoted) = rest.strip_prefix('"') {
             let mut s = String::new();
+            let mut tail = quoted;
             loop {
-                match chars.next() {
-                    Some('"') => {
-                        if chars.peek() == Some(&'"') {
-                            chars.next();
-                            s.push('"');
-                        } else {
-                            break;
-                        }
+                let Some(end) = tail.find('"') else {
+                    return Err("unterminated quote".into());
+                };
+                s.push_str(&tail[..end]);
+                tail = &tail[end + 1..];
+                match tail.strip_prefix('"') {
+                    Some(t) => {
+                        s.push('"');
+                        tail = t;
                     }
-                    Some(c) => s.push(c),
-                    None => {
-                        return Err(EngineError::FunctionFailed {
-                            function: "recordfile::read".into(),
-                            reason: format!("unterminated quote in line `{line}`"),
-                        })
-                    }
+                    None => break,
                 }
             }
             fields.push(Scalar::Str(s));
-            match chars.next() {
-                Some(DELIMITER) => continue,
-                None => break,
-                Some(c) => {
-                    return Err(EngineError::FunctionFailed {
-                        function: "recordfile::read".into(),
-                        reason: format!("unexpected `{c}` after closing quote"),
-                    })
-                }
+            match tail.chars().next() {
+                None | Some(DELIMITER | '\n') => tail,
+                Some('\r') if tail[1..].starts_with('\n') => &tail[1..],
+                Some(c) => return Err(format!("unexpected `{c}` after closing quote")),
             }
         } else {
-            let mut raw = String::new();
-            let mut ended = false;
-            for c in chars.by_ref() {
-                if c == DELIMITER {
-                    ended = true;
-                    break;
-                }
-                raw.push(c);
-            }
-            fields.push(parse_unquoted(&raw));
-            if !ended {
-                break;
-            }
+            let end = rest.find([DELIMITER, '\n']).unwrap_or(rest.len());
+            let raw = &rest[..end];
+            let tail = &rest[end..];
+            let raw = if tail.starts_with(DELIMITER) {
+                raw
+            } else {
+                raw.strip_suffix('\r').unwrap_or(raw)
+            };
+            fields.push(parse_unquoted(raw));
+            tail
+        };
+        match after.strip_prefix(DELIMITER) {
+            Some(next) => rest = next,
+            None => return Ok((fields, after.strip_prefix('\n').unwrap_or(after))),
         }
     }
-    Ok(fields)
 }
 
-/// Parse delimited text (with header) into a table.
-pub fn read_str(text: &str) -> Result<Table> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| EngineError::FunctionFailed {
-        function: "recordfile::read".into(),
-        reason: "empty record file".into(),
-    })?;
-    let attrs: Vec<&str> = header.split(DELIMITER).collect();
-    let schema = Schema::of(attrs);
-    let mut table = Table::empty(schema);
-    for (lineno, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
+/// The header's schema: every column named, none twice.
+fn header_schema(header: &str) -> Result<Schema> {
+    let names: Vec<&str> = header.split(DELIMITER).collect();
+    for (i, name) in names.iter().enumerate() {
+        if name.is_empty() {
+            return Err(malformed(format!("header column {} has no name", i + 1)));
         }
-        let row = split_line(line)?;
-        table.push(row).map_err(|e| EngineError::FunctionFailed {
-            function: "recordfile::read".into(),
-            reason: format!("line {}: {e}", lineno + 2),
-        })?;
+        if names[..i].contains(name) {
+            return Err(malformed(format!("header names `{name}` twice")));
+        }
+    }
+    Ok(names.into_iter().map(Attr::new).collect())
+}
+
+/// Parse delimited text (with header) into a table. Every line after the
+/// header is one record — a blank one is a row of one NULL — except where
+/// a quoted field spans lines.
+pub fn read_str(text: &str) -> Result<Table> {
+    if text.is_empty() {
+        return Err(malformed("empty record file".into()));
+    }
+    let (header, mut rest) = text.split_once('\n').unwrap_or((text, ""));
+    let schema = header_schema(header.strip_suffix('\r').unwrap_or(header))?;
+    let mut table = Table::empty(schema);
+    let mut line = 2;
+    while !rest.is_empty() {
+        let (row, next) = split_record(rest).map_err(|e| malformed(format!("line {line}: {e}")))?;
+        table
+            .push(row)
+            .map_err(|e| malformed(format!("line {line}: {e}")))?;
+        line += rest[..rest.len() - next.len()].matches('\n').count();
+        rest = next;
     }
     Ok(table)
 }
@@ -184,6 +197,7 @@ pub fn read_file(path: &std::path::Path) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etlopt_core::rng::Rng;
 
     fn sample() -> Table {
         Table::from_rows(
@@ -262,6 +276,159 @@ mod tests {
         assert!(read_str("a|b\n1\n").is_err());
         // Unterminated quote.
         assert!(read_str("a\n\"oops\n").is_err());
+    }
+
+    #[test]
+    fn repeated_or_empty_header_names_are_typed_errors() {
+        for header in ["a|a", "|", "a|b|a\n1|2|3\n", "a||b", "\n"] {
+            match read_str(header) {
+                Err(EngineError::FunctionFailed { reason, .. }) => {
+                    assert!(reason.contains("header"), "{header:?}: {reason}");
+                }
+                other => panic!("{header:?}: expected a header error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn line_breaks_and_one_column_nulls_roundtrip() {
+        let t = Table::from_rows(
+            Schema::of(["s"]),
+            vec![
+                vec![Scalar::Null],
+                vec![Scalar::Str("two\nlines".into())],
+                vec![Scalar::Str("crlf\r\n".into())],
+                vec![Scalar::Str("\r".into())],
+                vec![Scalar::Null],
+            ],
+        )
+        .unwrap();
+        let back = read_str(&write_str(&t)).unwrap();
+        assert_eq!(t, back);
+        // CRLF line ends read as LF ones.
+        let crlf = read_str("a|b\r\n1|x\r\n\"q\"|\r\n").unwrap();
+        assert_eq!(
+            crlf.rows(),
+            &[
+                vec![Scalar::Int(1), Scalar::Str("x".into())],
+                vec![Scalar::Str("q".into()), Scalar::Null],
+            ]
+        );
+    }
+
+    fn random_cell(rng: &mut Rng) -> Scalar {
+        const SPELLINGS: [&str; 16] = [
+            "123", "-7", "1.5", "1e5", "inf", "-inf", "NaN", "true", "false", "d:42", "d:", "-0.0",
+            " 12", "12 ", " ", "é|ü",
+        ];
+        const PIECES: [&str; 12] = [
+            "|", "\"", "\r", "\n", "\r\n", " ", "a", "9", ".", "d:", "e", "\t",
+        ];
+        let pick = |rng: &mut Rng, xs: &[&str]| xs[rng.gen_range(0..xs.len())].to_owned();
+        match rng.gen_range(0..10u32) {
+            0 => Scalar::Null,
+            1 => Scalar::Str(String::new()),
+            2 => Scalar::Int(match rng.gen_range(0..4u32) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.gen_range(-1000..1000i64),
+            }),
+            3 => Scalar::Float(match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::MAX,
+                5 => f64::MIN_POSITIVE,
+                6 => rng.gen_range(-1e6..1e6f64).round(),
+                _ => rng.gen_range(-1e6..1e6f64),
+            }),
+            4 => Scalar::Bool(rng.gen_bool(0.5)),
+            5 => Scalar::Date(match rng.gen_range(0..3u32) {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                _ => rng.gen_range(-5000..5000i32),
+            }),
+            6 => Scalar::Str(pick(rng, &SPELLINGS)),
+            _ => Scalar::Str(
+                (0..rng.gen_range(1..6usize))
+                    .map(|_| pick(rng, &PIECES))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn random_table(rng: &mut Rng) -> Table {
+        let width = rng.gen_range(1..5usize);
+        let rows = (0..rng.gen_range(0..12usize))
+            .map(|_| (0..width).map(|_| random_cell(rng)).collect())
+            .collect();
+        Table::from_rows(Schema::of((0..width).map(|i| format!("c{i}"))), rows).unwrap()
+    }
+
+    /// Exact equality: `-0.0` and `0.0` are different cells here.
+    fn assert_exact(want: &Table, got: &Table, what: &str) {
+        assert_eq!(want.schema(), got.schema(), "{what}");
+        assert_eq!(want.len(), got.len(), "{what}");
+        for (w, g) in want.rows().iter().zip(got.rows()) {
+            assert_eq!(w.len(), g.len(), "{what}");
+            for (a, b) in w.iter().zip(g) {
+                assert_eq!(
+                    a.total_cmp(b),
+                    std::cmp::Ordering::Equal,
+                    "{what}: {a:?} vs {b:?}"
+                );
+                assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// The zero-dependency fuzzer: random tables over NULLs, empty
+    /// strings, strings holding the delimiter, quotes, line breaks or edge
+    /// spaces, strings spelling other types, ±0.0, ±inf and integer
+    /// extremes read back exactly; and every byte-damaged copy of their
+    /// text either parses or returns a typed error. Reaching the end of
+    /// this test is the no-panic assertion.
+    #[test]
+    fn random_tables_roundtrip_and_damaged_texts_never_panic() {
+        let (mut parsed, mut rejected) = (0u32, 0u32);
+        for seed in 0..300u64 {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x2ec0);
+            let t = random_table(&mut rng);
+            let text = write_str(&t);
+            let back = read_str(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text:?}"));
+            assert_exact(&t, &back, &format!("seed {seed}: {text:?}"));
+
+            let bytes = text.as_bytes();
+            for _ in 0..20 {
+                let mut bad = bytes.to_vec();
+                match rng.gen_range(0..3u32) {
+                    0 => bad.truncate(rng.gen_range(0..bad.len())),
+                    1 => {
+                        let at = rng.gen_range(0..bad.len());
+                        bad[at] ^= 1 << rng.gen_range(0..8u32);
+                    }
+                    _ => {
+                        let at = rng.gen_range(0..=bad.len());
+                        let hostile = [b'|', b'"', b'\n', b'\r', b'd', b':', b'-', b'.'];
+                        bad.insert(at, hostile[rng.gen_range(0..hostile.len())]);
+                    }
+                }
+                match read_str(&String::from_utf8_lossy(&bad)) {
+                    Ok(_) => parsed += 1,
+                    Err(EngineError::FunctionFailed { .. }) => rejected += 1,
+                    Err(other) => panic!("seed {seed}: untyped failure {other:?}"),
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
     }
 
     #[test]

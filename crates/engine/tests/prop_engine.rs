@@ -799,20 +799,17 @@ fn binary_wf(op: &BinaryOp, left: &Schema, right: &Schema) -> Workflow {
 
 /// Every executor configuration that must agree with the reference: the
 /// sequential pipeline, and both partitioned coordinators at 2 and 4
-/// workers with 1- and 4-batch channels.
+/// workers.
 fn keyed_configs() -> Vec<StreamConfig> {
     let mut cfgs = Vec::new();
     for batch_rows in [1, 7, 1024] {
         cfgs.push(stream_cfg(batch_rows, 1));
         for parallelism in [2, 4] {
-            for channel_batches in [1, 4] {
-                for pipeline in [true, false] {
-                    cfgs.push(StreamConfig {
-                        channel_batches,
-                        pipeline,
-                        ..stream_cfg(batch_rows, parallelism)
-                    });
-                }
+            for pipeline in [true, false] {
+                cfgs.push(StreamConfig {
+                    pipeline,
+                    ..stream_cfg(batch_rows, parallelism)
+                });
             }
         }
     }

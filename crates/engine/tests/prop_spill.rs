@@ -21,7 +21,6 @@ const TINY: StreamConfig = StreamConfig {
     batch_rows: 8,
     frame_budget: 2,
     parallelism: 1,
-    channel_batches: 4,
     pipeline: true,
 };
 
@@ -34,8 +33,13 @@ fn value(rng: &mut Rng) -> Scalar {
 }
 
 fn random_table(rng: &mut Rng, rows: usize) -> Table {
+    random_table_as(rng, rows, ["k", "v"])
+}
+
+/// [`random_table`] under other column names.
+fn random_table_as(rng: &mut Rng, rows: usize, names: [&str; 2]) -> Table {
     Table::from_rows(
-        Schema::of(["k", "v"]),
+        Schema::of(names),
         (0..rows)
             .map(|_| vec![Scalar::Int(rng.gen_range(0..12i64)), value(rng)])
             .collect(),
@@ -78,6 +82,46 @@ fn binary_wf(op: BinaryOp) -> Workflow {
     let s2 = b.source("B", Schema::of(["k", "v"]), 200.0);
     let x = b.binary("⊖", op, s1, s2);
     b.target("OUT", Schema::of(["k", "v"]), x);
+    b.build().expect("workflow is well-formed")
+}
+
+/// The re-routes the other workflows rarely plan, over `A(k, v)`,
+/// `B(k, w)` and `C(k, v)`:
+///
+/// * `C → γc`: a keyed link first after a source — a zero-link segment
+///   routes the scanned rows.
+/// * `NN` fans out to a target, a union's two sides and a join; the join
+///   re-routes it, so one reader of a shared set routes.
+/// * `DD` is a keyed link first after a union and `γw` one first after a
+///   join (whose scheme is `k`, not `w`).
+/// * The join's two sides both re-route (neither is keyed); the − / ∩ of
+///   [`binary_wf`] covers the same for whole-row co-location.
+fn reroute_wf(cut: f64) -> Workflow {
+    let kv = || Schema::of(["k", "v"]);
+    let mut b = WorkflowBuilder::new();
+    let a = b.source("A", kv(), 200.0);
+    let bw = b.source("B", Schema::of(["k", "w"]), 100.0);
+    let c = b.source("C", kv(), 200.0);
+    let gc = b.unary(
+        "γc",
+        UnaryOp::aggregate(Aggregation::sum(["k"], "v", "v")),
+        c,
+    );
+    let nn = b.unary("NN", UnaryOp::not_null("v"), a);
+    let hi = b.unary("HI", UnaryOp::filter(Predicate::gt("v", cut)), nn);
+    let lo = b.unary("LO", UnaryOp::filter(Predicate::le("v", cut)), nn);
+    let u = b.binary("∪", BinaryOp::Union, hi, lo);
+    let dd = b.unary("DD", UnaryOp::Dedup { selectivity: 1.0 }, u);
+    let j = b.binary("⋈", BinaryOp::Join(vec!["k".into()]), nn, bw);
+    let gw = b.unary(
+        "γw",
+        UnaryOp::aggregate(Aggregation::sum(["w"], "v", "v")),
+        j,
+    );
+    b.target("C_SUMS", kv(), gc);
+    b.target("RAW", kv(), nn);
+    b.target("DEDUP", kv(), dd);
+    b.target("BY_W", Schema::of(["w", "v"]), gw);
     b.build().expect("workflow is well-formed")
 }
 
@@ -128,25 +172,18 @@ fn spilled_runs_stay_bit_identical() {
 }
 
 /// Parallel variant of [`check`]: the pipelined partition-parallel
-/// stream at `threads` workers and `caps` channel batches must reproduce
-/// the 1-thread stream bit-for-bit (targets *and* stats) under the same
-/// tiny pool. Returns the parallel run's (spilled, staged) page counts
-/// so the corpus can prove the sharded pool really spilled and the
-/// pipeline really staged inter-segment sets through it.
-fn check_parallel(
-    wf: &Workflow,
-    catalog: Catalog,
-    seed: u64,
-    threads: usize,
-    caps: usize,
-) -> (u64, u64) {
+/// stream at `threads` workers must reproduce the 1-thread stream
+/// bit-for-bit (targets *and* stats) under the same tiny pool. Returns
+/// the parallel run's (spilled, staged) page counts so the corpus can
+/// prove the sharded pool really spilled and the pipeline really staged
+/// inter-segment sets through it.
+fn check_parallel(wf: &Workflow, catalog: Catalog, seed: u64, threads: usize) -> (u64, u64) {
     let base = Executor::new(catalog.clone())
         .with_stream_config(TINY)
         .run_stream(wf)
         .expect("1-thread stream executes");
     let cfg = StreamConfig {
         parallelism: threads,
-        channel_batches: caps,
         ..TINY
     };
     let par = Executor::new(catalog)
@@ -155,22 +192,23 @@ fn check_parallel(
         .expect("parallel stream executes");
     assert_eq!(
         base.result.targets, par.result.targets,
-        "seed {seed}: targets at {threads} threads, {caps} channel batches"
+        "seed {seed}: targets at {threads} threads"
     );
     assert_eq!(
         base.result.stats, par.result.stats,
-        "seed {seed}: stats at {threads} threads, {caps} channel batches"
+        "seed {seed}: stats at {threads} threads"
     );
     (par.counters.pages_spilled, par.counters.pages_staged)
 }
 
 /// The pipelined partition-parallel stream under the two-frame pool:
-/// every case runs at {2, 4} workers × {1, 4} channel batches; targets
-/// and `ExecStats` must be bit-identical to the 1-thread stream across
-/// the whole grid, and the corpus as a whole must exercise both the
-/// sharded spill path and inter-segment staging. The aggregation and
-/// dedup-free fan-out workflows cover both exchange-forcing (group-by)
-/// and exchange-free (row-wise) plans.
+/// every case runs at 2 and 4 workers; targets and `ExecStats` must be
+/// bit-identical to the 1-thread stream across the whole grid, and the
+/// corpus as a whole must exercise both the sharded spill path and
+/// inter-segment staging. The aggregation and dedup-free fan-out
+/// workflows cover both re-routing (group-by) and re-route-free
+/// (row-wise) plans; [`reroute_wf`] stages through a routed sink in every
+/// run.
 #[test]
 fn parallel_spilled_runs_stay_bit_identical() {
     let mut total_spilled = 0;
@@ -184,25 +222,31 @@ fn parallel_spilled_runs_stay_bit_identical() {
         let rows = rng.gen_range(150..300usize);
         let cut = rng.gen_range(-400.0..400.0f64);
         for threads in [2usize, 4] {
-            for caps in [1usize, 4] {
-                let mut cat = Catalog::new();
-                cat.insert("S", random_table(&mut rng, rows));
-                tally(check_parallel(&fan_out_wf(cut), cat, seed, threads, caps));
+            let mut cat = Catalog::new();
+            cat.insert("S", random_table(&mut rng, rows));
+            tally(check_parallel(&fan_out_wf(cut), cat, seed, threads));
 
-                let mut cat = Catalog::new();
-                cat.insert("S", random_table(&mut rng, rows));
-                tally(check_parallel(&agg_wf(cut), cat, seed, threads, caps));
+            let mut cat = Catalog::new();
+            cat.insert("S", random_table(&mut rng, rows));
+            tally(check_parallel(&agg_wf(cut), cat, seed, threads));
 
-                let op = if seed % 2 == 0 {
-                    BinaryOp::Difference
-                } else {
-                    BinaryOp::Intersection
-                };
-                let mut cat = Catalog::new();
-                cat.insert("A", random_table(&mut rng, rows));
-                cat.insert("B", random_table(&mut rng, rows / 2));
-                tally(check_parallel(&binary_wf(op), cat, seed, threads, caps));
-            }
+            let op = if seed % 2 == 0 {
+                BinaryOp::Difference
+            } else {
+                BinaryOp::Intersection
+            };
+            let mut cat = Catalog::new();
+            cat.insert("A", random_table(&mut rng, rows));
+            cat.insert("B", random_table(&mut rng, rows / 2));
+            tally(check_parallel(&binary_wf(op), cat, seed, threads));
+
+            let mut cat = Catalog::new();
+            cat.insert("A", random_table(&mut rng, rows));
+            cat.insert("B", random_table_as(&mut rng, rows / 4, ["k", "w"]));
+            cat.insert("C", random_table(&mut rng, rows));
+            let (spilled, staged) = check_parallel(&reroute_wf(cut), cat, seed, threads);
+            assert!(staged > 0, "seed {seed}: re-routes staged nothing");
+            tally((spilled, staged));
         }
     }
     assert!(total_spilled > 0, "tiny sharded pool never spilled");
@@ -235,13 +279,14 @@ fn butterfly_wf(cut: f64) -> Workflow {
 /// * `S` is read under its stored layout with a σ first: the source scan
 ///   fuses the filter and runs it on borrowed rows. Its NN output has two
 ///   consumers (`fanout == 2`), so those staged pages are read shared.
-/// * `HI → DD → σ2` is a `fanout == 1` chain across an exchange (dedup
-///   needs whole rows co-located): its staged pages are taken. The union
-///   and the difference both sit behind that exchange.
+/// * `HI → DD → σ2` is a `fanout == 1` chain cut before the dedup (which
+///   needs whole rows co-located): `HI`'s sink routes, and its staged
+///   pages are taken. The union and the difference both sit behind that
+///   cut.
 /// * `P` is stored as `(v, k)` and declared `(k, v)`: the scan permutes,
 ///   so its σ stays above the scan, unfused.
-/// * `K` feeds a PK check directly: the scan itself hash-routes, each
-///   worker keeping the rows `keyed::route` sends it.
+/// * `K` feeds a PK check directly: a zero-link segment scans it and
+///   routes each row where `keyed::route` sends it.
 /// * The join's build side (`PK`) is read back by row position and so is
 ///   never taken; its probe side is.
 fn grid_wf(cut: f64) -> Workflow {
@@ -280,11 +325,11 @@ fn grid_wf(cut: f64) -> Workflow {
     b.build().expect("workflow is well-formed")
 }
 
-/// The determinism grid over those paths: 1 / 2 / 4 threads × channel
-/// depth 1 / 4 × frame budget 2 / 8 / 256 (everything spills / some of it
-/// / nothing). Targets, row order and `ExecStats` must equal the
-/// materializing reference and the 1-thread stream in every cell, and a
-/// cached rerun in the same cell must serve the same targets.
+/// The determinism grid over those paths: 1 / 2 / 4 threads × frame
+/// budget 2 / 8 / 256 (everything spills / some of it / nothing).
+/// Targets, row order and `ExecStats` must equal the materializing
+/// reference and the 1-thread stream in every cell, and a cached rerun
+/// in the same cell must serve the same targets.
 #[test]
 fn every_staging_path_is_bit_identical_across_the_grid() {
     let mut staged = 0;
@@ -317,34 +362,31 @@ fn every_staging_path_is_bit_identical_across_the_grid() {
         );
         for frame_budget in [2usize, 8, 256] {
             for parallelism in [1usize, 2, 4] {
-                for channel_batches in [1usize, 4] {
-                    let cfg = StreamConfig {
-                        frame_budget,
-                        parallelism,
-                        channel_batches,
-                        ..TINY
-                    };
-                    let cell = format!("seed {seed}, {cfg:?}");
-                    let exec = Executor::new(cat.clone()).with_stream_config(cfg);
-                    let run = exec.run_stream(&wf).expect("stream executes");
-                    assert_eq!(mat.targets, run.result.targets, "{cell}: targets");
-                    assert_eq!(mat.stats, run.result.stats, "{cell}: stats");
-                    staged += run.counters.pages_staged;
-                    spilled += run.counters.pages_spilled;
+                let cfg = StreamConfig {
+                    frame_budget,
+                    parallelism,
+                    ..TINY
+                };
+                let cell = format!("seed {seed}, {cfg:?}");
+                let exec = Executor::new(cat.clone()).with_stream_config(cfg);
+                let run = exec.run_stream(&wf).expect("stream executes");
+                assert_eq!(mat.targets, run.result.targets, "{cell}: targets");
+                assert_eq!(mat.stats, run.result.stats, "{cell}: stats");
+                staged += run.counters.pages_staged;
+                spilled += run.counters.pages_spilled;
 
-                    let mut cache = SharedCache::new();
-                    let first = exec
-                        .run_stream_cached(&wf, &mut cache)
-                        .expect("cached run executes");
-                    assert_eq!(mat.targets, first.result.targets, "{cell}: cached");
-                    assert_eq!(mat.stats, first.result.stats, "{cell}: cached stats");
-                    assert!(first.counters.cache_insertions > 0, "{cell}");
-                    let again = exec
-                        .run_stream_cached(&wf, &mut cache)
-                        .expect("cached rerun executes");
-                    assert_eq!(mat.targets, again.result.targets, "{cell}: rerun");
-                    assert!(again.counters.cache_hits > 0, "{cell}");
-                }
+                let mut cache = SharedCache::new();
+                let first = exec
+                    .run_stream_cached(&wf, &mut cache)
+                    .expect("cached run executes");
+                assert_eq!(mat.targets, first.result.targets, "{cell}: cached");
+                assert_eq!(mat.stats, first.result.stats, "{cell}: cached stats");
+                assert!(first.counters.cache_insertions > 0, "{cell}");
+                let again = exec
+                    .run_stream_cached(&wf, &mut cache)
+                    .expect("cached rerun executes");
+                assert_eq!(mat.targets, again.result.targets, "{cell}: rerun");
+                assert!(again.counters.cache_hits > 0, "{cell}");
             }
         }
     }
@@ -382,8 +424,8 @@ fn butterfly_branches_stay_bit_identical() {
 
 /// Pool-poison regression: a worker that panics mid-pipeline (here via a
 /// scalar function that panics on the first Float it sees) must surface
-/// as a typed `WorkerPanicked` error — not a deadlock on a full channel,
-/// a poisoned pool mutex, or a propagated panic. A watchdog thread
+/// as a typed `WorkerPanicked` error — not a deadlock, a poisoned pool
+/// mutex, or a propagated panic. A watchdog thread
 /// bounds the wait so a regression fails fast instead of hanging CI.
 #[test]
 fn panicking_worker_reports_typed_error_without_deadlock() {
@@ -414,7 +456,6 @@ fn panicking_worker_reports_typed_error_without_deadlock() {
             .with_functions(fns)
             .with_stream_config(StreamConfig {
                 parallelism: 4,
-                channel_batches: 1,
                 ..TINY
             })
             .run_stream(&wf);

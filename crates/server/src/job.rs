@@ -270,7 +270,7 @@ pub fn run_request(registry: &Registry, req: &Request) -> Response {
     match req.op {
         Op::Ping => Response::ok(&req.id, "{\"op\":\"ping\"}".to_owned(), String::new()),
         Op::Stats => Response::ok(&req.id, registry.stats_json(), String::new()),
-        // The server begins its drain, then answers with this; in client
+        // The server answers with this, then begins its drain; in client
         // oneshot mode there is nothing to drain.
         Op::Shutdown => Response::ok(
             &req.id,

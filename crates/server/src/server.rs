@@ -268,19 +268,24 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = match Request::parse(&line) {
-            Err(e) => Response::fail("", Code::BadRequest, e),
-            Ok(req) if req.op.is_job() => {
-                run_admitted(shared, &req, || job::run_request(&shared.registry, &req))
-            }
-            Ok(req) => {
-                if req.op == Op::Shutdown {
-                    shared.begin_drain();
-                }
-                job::run_request(&shared.registry, &req)
-            }
+        let (response, shutdown) = match Request::parse(&line) {
+            Err(e) => (Response::fail("", Code::BadRequest, e), false),
+            Ok(req) if req.op.is_job() => (
+                run_admitted(shared, &req, || job::run_request(&shared.registry, &req)),
+                false,
+            ),
+            Ok(req) => (
+                job::run_request(&shared.registry, &req),
+                req.op == Op::Shutdown,
+            ),
         };
-        if write_line(&mut stream, response.render()).is_err() {
+        let written = write_line(&mut stream, response.render());
+        // The acknowledgement goes out before the drain begins: once it
+        // has begun, `join` may return and the daemon exit.
+        if shutdown {
+            shared.begin_drain();
+        }
+        if written.is_err() {
             break;
         }
     }

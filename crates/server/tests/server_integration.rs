@@ -799,6 +799,35 @@ fn replies_over_the_write_buffer_size_do_not_wait_for_a_delayed_ack() {
     server.join();
 }
 
+/// The `shutdown` acknowledgement is written before the drain begins, so
+/// it is in the client's socket buffer by the time `join` returns — when
+/// `etlopt-server` exits. Looped: answering after the drain began lost
+/// that race only some of the time.
+#[test]
+fn the_shutdown_reply_is_readable_as_soon_as_join_returns() {
+    for run in 0..1000 {
+        let server = spawn(ServerConfig::default()).expect("spawn server");
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut req = request(&format!("shut-{run}"), Op::Ping, "");
+        req.op = Op::Shutdown;
+        (&stream)
+            .write_all(format!("{}\n", req.render()).as_bytes())
+            .expect("send");
+        server.join();
+        // Already written means readable without waiting.
+        stream.set_nonblocking(true).expect("non-blocking");
+        let mut line = String::new();
+        let read = BufReader::new(&stream).read_line(&mut line);
+        assert!(
+            read.is_ok(),
+            "run {run}: no reply when join returned: {read:?}"
+        );
+        let resp = Response::parse(line.trim_end()).expect("parse response");
+        assert_eq!(resp.code, Code::Ok, "run {run}: {}", resp.error);
+        assert!(resp.body.contains("\"draining\":true"), "{}", resp.body);
+    }
+}
+
 #[test]
 fn shutdown_drains_in_flight_jobs_and_refuses_late_arrivals() {
     let scratch = Scratch::new("drain");

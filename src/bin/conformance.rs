@@ -6,7 +6,7 @@
 //!                    [--adaptive] [--adaptive-rounds N]
 //!                    [--out FILE] [--trace-json FILE]
 //! conformance backends [--rows N] [--frame-budget N] [--batch-rows N]
-//!                      [--threads N] [--channel-batches N] [--trace-json FILE]
+//!                      [--threads N] [--trace-json FILE]
 //! conformance replay --seed N --category small|medium|large --steps S
 //!                    [--rows N]
 //! conformance adaptive [--smoke] [--rounds N] [--rows N] [--seed N]
@@ -29,9 +29,8 @@
 //! checked bit-identical against the 1-thread stream *and* the
 //! round-synchronous backend, and the counter report carries the
 //! per-worker batch split (`worker_rows`) plus the pipeline-depth
-//! telemetry (`pipeline` section of `--trace-json`). `--channel-batches`
-//! (default 4) sets the pipelined backend's bounded channel capacity in
-//! batches. Aggregated execution counters go to stdout and `--trace-json`.
+//! telemetry (`pipeline` section of `--trace-json`). Aggregated execution
+//! counters go to stdout and `--trace-json`.
 //! Exit code 1 on any divergence.
 //!
 //! `replay` re-executes one chain — typically a minimizer-printed repro —
@@ -216,7 +215,6 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
     let frame_budget: usize = flags.take_parsed("--frame-budget", 2)?;
     let batch_rows: usize = flags.take_parsed("--batch-rows", 8)?;
     let threads: usize = flags.take_parsed("--threads", 1)?;
-    let channel_batches: usize = flags.take_parsed("--channel-batches", 4)?;
     let trace_path = flags.take("--trace-json");
     flags.ensure_empty()?;
 
@@ -224,7 +222,6 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
         batch_rows,
         frame_budget,
         parallelism: threads.max(1),
-        channel_batches: channel_batches.max(1),
         ..StreamConfig::default()
     };
     eprintln!(
