@@ -210,16 +210,12 @@ impl Activity {
 
     /// The projected-out schema relative to the cached input schema.
     pub fn projected_out(&self) -> Schema {
+        let none = Schema::empty();
+        let input = self.inputs.first().unwrap_or(&none);
         match &self.op {
-            Op::Unary(op) => {
-                let input = self.inputs.first().cloned().unwrap_or_default();
-                op.projected_out(&input)
-            }
+            Op::Unary(op) => op.projected_out(input),
             Op::Binary(_) => Schema::empty(),
-            Op::Merged(_) => {
-                let input = self.inputs.first().cloned().unwrap_or_default();
-                input.difference(&self.output)
-            }
+            Op::Merged(_) => input.difference(&self.output),
         }
     }
 

@@ -19,17 +19,30 @@
 //!    be a refusal nor be new: it comes back as [`Step::Known`] here,
 //!    before anything is regenerated or priced;
 //! 5. **finalize** — change-driven schema regeneration plus the always-on
-//!    target check ([`finalize_along`]); a refusal is counted on `rej`;
+//!    check of the targets it reached ([`finalize_along`]); a refusal is
+//!    counted on `rej`;
 //! 6. **reprice** — delta cost along the list.
 //!
 //! Everything upstream and on sibling branches is reused from the parent
 //! bit-for-bit, so delta-evaluated totals and fingerprints are *exactly*
 //! equal to from-scratch ones (pinned by the equivalence property tests).
 //!
+//! A swap — most of every search's moves — takes the same steps in a
+//! cheaper order ([`EvalState::step_swap`]): its structural check and the
+//! three provider edges it will write are read off the parent, the walk
+//! runs on the parent (same nodes; only the pair trades places), and the
+//! fingerprint is taken through those edges as an overlay, so a known
+//! successor is never cloned or relinked. A new one is cloned, relinked,
+//! regenerated on the pair and its consumer only — past the consumer only
+//! if its output changed — and target-checked only where the regeneration
+//! reached (`Swap::finalize`).
+//!
 //! Models that override [`CostModel::cost`] with something richer than the
 //! per-activity summation (`supports_delta() == false`, e.g. the physical
 //! planner) fall back to `apply`, full `cost` and a scratch fingerprint per
 //! state, and are asked only then — same results, without the shortcut.
+
+use std::borrow::Cow;
 
 use crate::cost::{CostModel, CostVec};
 use crate::error::Result;
@@ -38,7 +51,7 @@ use crate::opt::Move;
 use crate::schema_gen::downstream_of;
 use crate::signature::{self, NodeHashes};
 use crate::trace::Rejections;
-use crate::transition::{finalize_along, Rewire, TransitionError};
+use crate::transition::{finalize_along, Rewire, Swap, TransitionError};
 use crate::workflow::Workflow;
 
 /// What expanding one transition produced.
@@ -134,22 +147,31 @@ impl EvalState {
         rej: &mut Rejections,
     ) -> Option<Result<Step>> {
         match mv {
-            Move::Swap(t) => self.step_transition(t, model, known, rej),
-            Move::Factorize(t) => self.step_transition(t, model, known, rej),
-            Move::Distribute(t) => self.step_transition(t, model, known, rej),
+            Move::Swap(t) => self.step_swap(t, model, known, rej),
+            Move::Factorize(t) => {
+                self.step_chain(Cow::Borrowed(&self.wf), Vec::new(), t, model, known, rej)
+            }
+            Move::Distribute(t) => {
+                self.step_chain(Cow::Borrowed(&self.wf), Vec::new(), t, model, known, rej)
+            }
         }
     }
 
-    /// Expand one transition; `None` when it does not apply — the
-    /// rejection rule is counted on `rej`.
-    pub fn step_transition<T: Rewire>(
+    /// Expand one swap; `None` when it does not apply — the rejection rule
+    /// is counted on `rej`. The swap path of the module docs: the same
+    /// successor, fingerprint and verdict as the general pipeline.
+    pub fn step_swap(
         &self,
-        t: &T,
+        t: &Swap,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
         rej: &mut Rejections,
     ) -> Option<Result<Step>> {
-        self.step_chain(&self.wf, Vec::new(), t, model, known, rej)
+        let step = match &self.detail {
+            Some((cost, hashes)) => self.swap_successor(t, cost, hashes, model, known),
+            None => self.successor(Cow::Borrowed(&self.wf), Vec::new(), t, model, known),
+        };
+        step.map_err(|e| rej.record(&e)).ok()
     }
 
     /// Close a chain of transitions with `t`. `shifted` is this state after
@@ -157,7 +179,8 @@ impl EvalState {
     /// [`crate::transition::Transition::affected`] nodes; the successor is
     /// fingerprinted, regenerated and priced against *this* state's tables
     /// by one dirty walk over `touched` plus `t`'s own affected nodes, so
-    /// `shifted` never is.
+    /// `shifted` never is. A chain that owns its shifted copy hands it
+    /// over, and `t` rewires it without another clone.
     ///
     /// Exact for the reason one link is. A link cuts only edges that end at
     /// one of its affected nodes, at a node it deletes, or at a consumer of
@@ -172,34 +195,70 @@ impl EvalState {
     /// skips unless a change reaches it.
     pub fn step_chain<T: Rewire>(
         &self,
-        shifted: &Workflow,
+        shifted: Cow<'_, Workflow>,
         touched: Vec<NodeId>,
         t: &T,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
         rej: &mut Rejections,
     ) -> Option<Result<Step>> {
-        match self.successor(shifted, touched, t, model, known) {
-            Ok(step) => Some(step),
-            Err(e) => {
-                rej.record(&e);
-                None
-            }
+        let step = self.successor(shifted, touched, t, model, known);
+        step.map_err(|e| rej.record(&e)).ok()
+    }
+
+    /// The swap path of the module docs; errors as for
+    /// [`EvalState::successor`].
+    fn swap_successor(
+        &self,
+        t: &Swap,
+        cost: &CostVec,
+        hashes: &NodeHashes,
+        model: &dyn CostModel,
+        known: impl Fn(u128) -> bool,
+    ) -> Result<Result<Step>, TransitionError> {
+        let edges = t.edges(&self.wf)?;
+        let [(second, ..), (first, ..), (c, ..)] = edges;
+        // On the parent the walk reads `first, second, c, …`: the pair is
+        // its only start-free prefix. The successor's walk is the same list
+        // with the pair traded.
+        let mut dirty = downstream_of(self.wf.graph(), &[first, second])?;
+        match dirty.as_mut_slice() {
+            [a, b, d, ..] if (*a, *b, *d) == (first, second, c) => std::mem::swap(a, b),
+            _ => return Err(TransitionError::NotAdjacent(first, second)),
         }
+        let (hashes, fp) = signature::rehash_with_edges(&self.wf, hashes, &dirty, &edges);
+        if known(fp) {
+            return Ok(Ok(Step::Known {
+                fp,
+                via_delta: true,
+            }));
+        }
+        let mut next = self.wf.clone();
+        Swap::relink(&mut next.graph, &edges)?;
+        Swap::finalize(&mut next, &edges, dirty.get(3..))?;
+        Ok(model.reprice_along(&next, cost, &dirty).map(|cost| {
+            Step::New(EvalState {
+                total: cost.total,
+                fp,
+                detail: Some((cost, hashes)),
+                wf: next,
+                via_delta: true,
+            })
+        }))
     }
 
     /// The pipeline of the module docs. The outer error is a refusal of the
     /// transition, the inner one an evaluation failure.
     fn successor<T: Rewire>(
         &self,
-        shifted: &Workflow,
+        shifted: Cow<'_, Workflow>,
         touched: Vec<NodeId>,
         t: &T,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
     ) -> Result<Result<Step>, TransitionError> {
         let Some((cost, hashes)) = &self.detail else {
-            let next = t.apply(shifted)?;
+            let next = t.apply(&shifted)?;
             return Ok(EvalState::full(next, model).map(|next| {
                 if known(next.fp) {
                     let (fp, via_delta) = (next.fp, false);
@@ -209,12 +268,13 @@ impl EvalState {
                 }
             }));
         };
-        let mut next = t.rewire(shifted)?;
         // `t`'s own affected nodes first: they are what the regeneration is
-        // forced from, the chain's earlier ones only widen the walk.
-        let mut roots = t.affected(shifted);
+        // forced from, the chain's earlier ones only widen the walk. Read
+        // off the pre-state, which the rewiring may consume.
+        let mut roots = t.affected(&shifted);
         let own = roots.len();
         roots.extend(touched);
+        let mut next = t.rewire(shifted)?;
         let dirty = downstream_of(next.graph(), &roots)?;
         let (hashes, fp) = signature::rehash_along(&next, hashes, &dirty);
         if known(fp) {
@@ -279,6 +339,7 @@ mod tests {
     }
 
     fn rewire(mv: &Move, wf: &Workflow) -> std::result::Result<Workflow, TransitionError> {
+        let wf = Cow::Borrowed(wf);
         match mv {
             Move::Swap(t) => t.rewire(wf),
             Move::Factorize(t) => t.rewire(wf),
@@ -358,5 +419,146 @@ mod tests {
         }
         assert!(accepted > 500, "too few successors checked: {accepted}");
         assert!(refused > 0, "finalize never refused a rewired candidate");
+    }
+
+    /// `S → ADD(src) → SK(k→sk) → σ → T`: swapping the two generators
+    /// changes the order their attributes are appended in, so the pair's
+    /// consumer σ hands on a new schema and the walk must go on past it.
+    fn generators() -> Workflow {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 1000.0);
+        let add = UnaryOp::AddField {
+            attr: "src".into(),
+            value: Scalar::from("S"),
+        };
+        let add = b.unary("ADD", add, s);
+        let sk = b.unary("SK", UnaryOp::surrogate_key("k", "sk", "L"), add);
+        let f = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 1)), sk);
+        b.target("T", Schema::of(["v", "src", "sk"]), f);
+        b.build().unwrap()
+    }
+
+    /// What a swap's finalize was before it paid for three nodes: the
+    /// change-driven walk over `downstream_of` the pair, then every target
+    /// of the state checked. Returns the targets the walk reached.
+    fn finalize_by_full_walk(
+        wf: &mut Workflow,
+        pair: &[NodeId],
+        walk: &[NodeId],
+    ) -> std::result::Result<Vec<NodeId>, TransitionError> {
+        let mut reached = Vec::new();
+        crate::schema_gen::regenerate_along(&mut wf.graph, pair, walk, &mut reached)
+            .map_err(crate::transition::refusal)?;
+        crate::transition::check_reached(wf, &wf.targets())?;
+        Ok(reached)
+    }
+
+    /// The swap path against the general one. Over seeded walks from
+    /// `converging()` (whose π-out/ADD pair feeds the target and is refused
+    /// by the regeneration) and from `generators()` (whose ADD/SK pair
+    /// changes its consumer's output), for every enumerated swap:
+    ///
+    /// * regenerating `second`, `first` and the consumer — and past it only
+    ///   if its output changed, with the rest of the walk given or walked
+    ///   anew — derives the schemata, the verdict (rule, node and detail)
+    ///   and the reached targets the full walk does, checking targets only
+    ///   where it reached gives the verdict that checking them all gives;
+    /// * the parent's walk with the pair traded is the successor's walk;
+    /// * the fingerprint taken through the three-edge overlay on the
+    ///   parent is `rehash_along` on the built successor, table and all.
+    #[test]
+    fn a_swap_paid_for_by_three_nodes_is_the_swap_the_full_walk_finalizes() {
+        let model = RowCountModel::default();
+        let (mut checked, mut refused, mut escaped, mut into_target) = (0, 0, 0, 0);
+        let mut pout_add = false;
+        for (start, fixture) in [(converging(), "converging"), (generators(), "generators")] {
+            for seed in 0..12u64 {
+                let mut rng = Rng::seed_from_u64(seed ^ 0x5a5a);
+                let mut cur = EvalState::full(start.clone(), &model).unwrap();
+                for step in 0..8 {
+                    let wf = &cur.wf;
+                    for mv in enumerate_moves(wf).unwrap() {
+                        let Move::Swap(t) = mv else { continue };
+                        let at = format!("{fixture} seed {seed} step {step}: {}", mv.describe(wf));
+                        let Ok(edges) = t.edges(wf) else {
+                            assert!(mv.apply(wf).is_err(), "{at}: structural refusal");
+                            continue;
+                        };
+                        let [(second, ..), (first, ..), (c, ..)] = edges;
+                        let mut rewired = wf.clone();
+                        Swap::relink(&mut rewired.graph, &edges).unwrap();
+                        let walk = downstream_of(rewired.graph(), &[t.a1, t.a2]).unwrap();
+                        let mut traded = downstream_of(wf.graph(), &[first, second]).unwrap();
+                        traded.swap(0, 1);
+                        assert_eq!(traded, walk, "{at}: the pair-traded walk");
+
+                        let mut full = rewired.clone();
+                        let reference = finalize_by_full_walk(&mut full, &[t.a1, t.a2], &walk);
+                        for rest in [walk.get(3..), None] {
+                            let mut local = rewired.clone();
+                            let mut reached = Vec::new();
+                            let verdict = crate::schema_gen::regenerate_swap(
+                                &mut local.graph,
+                                [second, first, c],
+                                rest,
+                                &mut reached,
+                            )
+                            .map_err(crate::transition::refusal)
+                            .and_then(|()| crate::transition::check_reached(&local, &reached));
+                            match (&reference, verdict) {
+                                (Ok(full_reached), Ok(())) => {
+                                    assert_eq!(&reached, full_reached, "{at}: reached targets");
+                                    assert_eq!(local.graph(), full.graph(), "{at}: schemata");
+                                }
+                                (Err(full_err), Err(err)) => assert_eq!(&err, full_err, "{at}"),
+                                (full_verdict, verdict) => {
+                                    panic!(
+                                        "{at}: full walk {full_verdict:?}, three nodes {verdict:?}"
+                                    )
+                                }
+                            }
+                            let mut via_finalize = rewired.clone();
+                            let verdict = Swap::finalize(&mut via_finalize, &edges, rest);
+                            assert_eq!(verdict.is_ok(), reference.is_ok(), "{at}");
+                        }
+
+                        let hashes = &cur.detail.as_ref().unwrap().1;
+                        let overlay = signature::rehash_with_edges(wf, hashes, &walk, &edges);
+                        assert_eq!(
+                            overlay,
+                            signature::rehash_along(&rewired, hashes, &walk),
+                            "{at}"
+                        );
+
+                        checked += 1;
+                        let consumer_is_target = rewired.targets().contains(&c);
+                        into_target += usize::from(consumer_is_target);
+                        if reference.is_err() {
+                            refused += 1;
+                        } else if full.graph().node(c).unwrap().output_schema()
+                            != wf.graph().node(c).unwrap().output_schema()
+                        {
+                            escaped += 1;
+                        }
+                        let labels = |n: NodeId| wf.graph().node(n).unwrap().label().to_owned();
+                        if (labels(first), labels(second)) == ("π-out".into(), "ADD".into()) {
+                            assert!(consumer_is_target && reference.is_err(), "{at}");
+                            pout_add = true;
+                        }
+                    }
+                    let moves = enumerate_moves(&cur.wf).unwrap();
+                    let mv = moves[rng.gen_range(0..moves.len())];
+                    let step = cur.step_move(&mv, &model, |_| false, &mut Rejections::default());
+                    if let Some(Ok(Step::New(next))) = step {
+                        cur = next;
+                    }
+                }
+            }
+        }
+        assert!(checked > 300, "too few swaps checked: {checked}");
+        assert!(refused > 0, "no swap was refused by its regeneration");
+        assert!(escaped > 0, "no swap changed its consumer's output");
+        assert!(into_target > 0, "no swap fed a target");
+        assert!(pout_add, "the π-out/ADD pair was never checked");
     }
 }

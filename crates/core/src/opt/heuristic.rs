@@ -27,7 +27,7 @@
 //! comes back as [`Step::Known`], counted but never regenerated or priced.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 use crate::activity::{Activity, ActivityId};
@@ -53,7 +53,11 @@ type Known<'a> = &'a (dyn Fn(u128) -> bool + Sync);
 
 /// A Phase II/III candidate builder, for anchor tuples of `N` activities.
 type ChainFn<const N: usize> =
-    fn(&EvalState, &[Anchor; N], &dyn CostModel, Known, &mut Rejections) -> Candidate;
+    fn(&EvalState, &Ids, &[Anchor; N], &dyn CostModel, Known, &mut Rejections) -> Candidate;
+
+/// A worklist state's activities by id, the first of each in arena order:
+/// where [`Anchor::locate`] looks when the remembered slot holds another.
+type Ids<'a> = HashMap<&'a ActivityId, NodeId>;
 
 /// The HS algorithm (Fig. 7).
 #[derive(Debug, Clone, Default)]
@@ -209,24 +213,18 @@ impl<'m> Runner<'m> {
         } else if self.visited_states < self.budget.max_states {
             self.seen.insert(fp);
             self.visited_states += 1;
-            if self.visited_states >= self.budget.max_states {
-                self.budget_exhausted = true;
-            }
+            self.budget_exhausted |= self.visited_states >= self.budget.max_states;
         } else {
             // At the cap: the state was priced (the batch was already in
             // flight) but is not admitted, so `visited_states` can never
             // overshoot `max_states` — it surfaces as `pruned` instead.
             self.budget_exhausted = true;
         }
-        if self.pacer.tick() {
-            self.budget_exhausted = true;
-        }
+        self.budget_exhausted |= self.pacer.tick();
     }
 
     fn out_of_budget(&mut self) -> bool {
-        if self.visited_states >= self.budget.max_states {
-            self.budget_exhausted = true;
-        }
+        self.budget_exhausted |= self.visited_states >= self.budget.max_states;
         self.budget_exhausted
     }
 
@@ -388,9 +386,7 @@ impl<'m> Runner<'m> {
     /// Close a phase: re-sample the clock, then record the pool size the
     /// phase leaves behind and the best cost so far.
     fn phase_finished(&mut self, phase: &'static str, span: Span, pool: usize, best_cost: f64) {
-        if self.pacer.check_now() {
-            self.budget_exhausted = true;
-        }
+        self.budget_exhausted |= self.pacer.check_now();
         self.col.frontier(pool);
         self.col.span(span);
         self.sink.event(TraceEvent::PhaseFinished {
@@ -425,11 +421,17 @@ impl<'m> Runner<'m> {
             }
             let si = collected[idx].clone();
             self.col.expanded(si.fp);
+            let mut ids = Ids::with_capacity(si.wf.graph().slot_capacity());
+            for (id, n) in si.wf.graph().iter() {
+                if let Some(a) = n.as_activity() {
+                    ids.entry(&a.id).or_insert(id);
+                }
+            }
             let model = self.model;
             self.batch(
                 anchors,
                 Some(&mut produced),
-                |anchor, known, rej| candidate(&si, anchor, model, known, rej),
+                |anchor, known, rej| candidate(&si, &ids, anchor, model, known, rej),
                 |_, next| {
                     if next.total < smin.total {
                         *smin = next.clone();
@@ -534,7 +536,7 @@ impl<'m> Runner<'m> {
             self.batch(
                 &moves,
                 Some(&mut seen),
-                |sw, known, rej| s.step_transition(sw, model, known, rej),
+                |sw, known, rej| s.step_swap(sw, model, known, rej),
                 |_, next| {
                     if next.total < best.total {
                         best = next.clone();
@@ -569,7 +571,7 @@ impl<'m> Runner<'m> {
             self.batch(
                 &moves,
                 None,
-                |sw, known, rej| current.step_transition(sw, model, known, rej),
+                |sw, known, rej| current.step_swap(sw, model, known, rej),
                 |_, next| {
                     if next.total < improved.as_ref().unwrap_or(&current).total {
                         improved = Some(next);
@@ -617,7 +619,7 @@ impl<'m> Runner<'m> {
             self.batch(
                 &moves[start..],
                 None,
-                |sw, known, rej| current.step_transition(sw, model, known, rej),
+                |sw, known, rej| current.step_swap(sw, model, known, rej),
                 |off, next| {
                     let accept = next.total < current.total;
                     if accept {
@@ -638,12 +640,9 @@ fn group_swaps(wf: &Workflow, members: &BTreeSet<NodeId>) -> Result<Vec<Swap>> {
     let g = wf.graph();
     let mut out = Vec::new();
     for &a in members {
-        if !g.contains(a) {
-            continue;
-        }
-        let consumers = g.consumers(a)?;
-        if consumers.len() == 1 && members.contains(&consumers[0]) {
-            out.push(Swap::new(a, consumers[0]));
+        let Ok(cs) = g.consumers(a) else { continue };
+        if cs.len() == 1 && members.contains(&cs[0]) {
+            out.push(Swap::new(a, cs[0]));
         }
     }
     Ok(out)
@@ -654,31 +653,34 @@ fn group_swaps(wf: &Workflow, members: &BTreeSet<NodeId>) -> Result<Vec<Swap>> {
 /// against `si`.
 fn factorize_candidate(
     si: &EvalState,
+    ids: &Ids,
     [a1, a2, ab]: &[Anchor; 3],
     model: &dyn CostModel,
     known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
-    let (n1, n2, nb) = (a1.locate(&si.wf)?, a2.locate(&si.wf)?, ab.locate(&si.wf)?);
+    let at = |a: &Anchor| a.locate(&si.wf, ids);
+    let (n1, n2, nb) = (at(a1)?, at(a2)?, at(ab)?);
     let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
     shift(&mut s, n1, nb, &mut touched, rej, forward)?;
     shift(&mut s, n2, nb, &mut touched, rej, forward)?;
-    si.step_chain(&s, touched, &Factorize::new(nb, n1, n2), model, known, rej)
+    si.step_chain(s, touched, &Factorize::new(nb, n1, n2), model, known, rej)
 }
 
 /// Phase III candidate (Fig. 7 lines 23-25): shift the activity back to
 /// its binary, distribute it, and price the result against `si`.
 fn distribute_candidate(
     si: &EvalState,
+    ids: &Ids,
     [a, ab]: &[Anchor; 2],
     model: &dyn CostModel,
     known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
-    let (na, nb) = (a.locate(&si.wf)?, ab.locate(&si.wf)?);
+    let (na, nb) = (a.locate(&si.wf, ids)?, ab.locate(&si.wf, ids)?);
     let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
     shift(&mut s, na, nb, &mut touched, rej, backward)?;
-    si.step_chain(&s, touched, &Distribute::new(nb, na), model, known, rej)
+    si.step_chain(s, touched, &Distribute::new(nb, na), model, known, rej)
 }
 
 /// `ShiftFrw(a, a_b)` (Fig. 7): push `a` forward through its local group by
@@ -768,15 +770,13 @@ impl Anchor {
         Ok(Anchor { node, activity })
     }
 
-    /// Find this activity in a (possibly rewired) state: fast path through
-    /// the remembered slot, slow path by activity-id scan.
-    fn locate(&self, wf: &Workflow) -> Option<NodeId> {
+    /// Find this activity in a (possibly rewired) state: the remembered
+    /// slot if it still holds it, else the first holder in arena order.
+    fn locate(&self, wf: &Workflow, ids: &Ids) -> Option<NodeId> {
         let same = |a: &Activity| a.id == self.activity;
-        if wf.graph().activity(self.node).is_ok_and(same) {
-            return Some(self.node);
-        }
-        let mut nodes = wf.graph().iter();
-        nodes.find_map(|(id, n)| n.as_activity().is_some_and(same).then_some(id))
+        let slot = wf.graph().activity(self.node).is_ok_and(same);
+        slot.then_some(self.node)
+            .or_else(|| ids.get(&self.activity).copied())
     }
 }
 

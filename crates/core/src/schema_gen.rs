@@ -15,7 +15,9 @@
 //! whose providers' outputs changed in this walk is skipped without a
 //! schema being read. [`downstream_of`] is that walk's list, which the
 //! searches compute once per successor and share between fingerprinting,
-//! regeneration and pricing.
+//! regeneration and pricing. A swap pays for less: `regenerate_swap`
+//! refreshes the three nodes it rewired and walks further only when the
+//! pair's consumer hands on something new.
 
 // Every transition ends in this walk; see `crate::transition`.
 #![cfg_attr(not(test), deny(clippy::expect_used))]
@@ -43,7 +45,9 @@ pub struct RegenFailure {
 /// its stored schemata say.
 pub fn regenerate(graph: &mut Graph) -> Result<()> {
     let order = graph.topo_order()?;
-    regenerate_nodes(graph, &order, None).map_err(|f| f.error)
+    regenerate_nodes(graph, &order, Reach::All, &mut Vec::new())
+        .map(drop)
+        .map_err(|f| f.error)
 }
 
 /// Re-derive schemata only where a transition that rewired `starts` can
@@ -75,28 +79,84 @@ pub fn regenerate_downstream(
     graph: &mut Graph,
     starts: &[NodeId],
 ) -> std::result::Result<(), RegenFailure> {
-    let dirty = downstream_of(graph, starts).map_err(|error| {
+    let dirty = walk_from(graph, starts)?;
+    regenerate_along(graph, starts, &dirty, &mut Vec::new())
+}
+
+/// [`downstream_of`] with an ordering failure blamed on a node.
+fn walk_from(graph: &Graph, starts: &[NodeId]) -> std::result::Result<Vec<NodeId>, RegenFailure> {
+    downstream_of(graph, starts).map_err(|error| {
         let node = match error {
             CoreError::CyclicGraph { node } | CoreError::UnknownNode(node) => node,
             // The ordering raises nothing else; blame the first rewired node.
             _ => starts.first().copied().unwrap_or(NodeId(0)),
         };
         RegenFailure { node, error }
-    })?;
-    regenerate_along(graph, starts, &dirty)
+    })
 }
 
 /// [`regenerate_downstream`] with the walk precomputed: `dirty` is
 /// [`downstream_of`] some superset of `starts`, in topological order. The
 /// searches share one such list between rehashing, regeneration and
 /// repricing; nodes of it that no change reaches are skipped, so a superset
-/// derives exactly what the walk from `starts` alone would.
+/// derives exactly what the walk from `starts` alone would. Every target
+/// the walk reaches is appended to `targets`.
 pub(crate) fn regenerate_along(
     graph: &mut Graph,
     starts: &[NodeId],
     dirty: &[NodeId],
+    targets: &mut Vec<NodeId>,
 ) -> std::result::Result<(), RegenFailure> {
-    regenerate_nodes(graph, dirty, Some(starts))
+    regenerate_nodes(graph, dirty, Reach::From(starts), targets).map(drop)
+}
+
+/// [`regenerate_downstream`] after a swap rewired `p → first → second → c`
+/// into `p → second → first → c`, paid for by the three nodes whose
+/// providers changed. `second`, `first` and `c` are refreshed in that
+/// (topological) order, forced as a walk's first hop always is — but as
+/// nodes of the pre-state, not new ones ([`Reach::Moved`]), so one whose
+/// inputs came out the same keeps its output. Past `c` the walk goes on
+/// only if `c`'s output changed: nothing else reads the pair (each of the
+/// two has `c`, or the other, as its one consumer), so otherwise no node
+/// further down can read a changed provider. That continuation follows
+/// changes from `c` exactly as the walk from the pair would. `rest` is it,
+/// precomputed: [`downstream_of`] `c` without `c` itself, which the
+/// searches hold as the tail of their dirty list; `None` walks it here.
+/// Every target the walk reaches is appended to `targets`.
+pub(crate) fn regenerate_swap(
+    graph: &mut Graph,
+    [second, first, c]: [NodeId; 3],
+    rest: Option<&[NodeId]>,
+    targets: &mut Vec<NodeId>,
+) -> std::result::Result<(), RegenFailure> {
+    let changed = regenerate_nodes(graph, &[second, first, c], Reach::Moved, targets)?;
+    if !changed.get(c.0 as usize).copied().unwrap_or(false) {
+        return Ok(());
+    }
+    let walked;
+    let rest = match rest {
+        Some(rest) => rest,
+        None => {
+            walked = walk_from(graph, &[c])?;
+            walked.get(1..).unwrap_or_default()
+        }
+    };
+    regenerate_nodes(graph, rest, Reach::From(&[c]), targets).map(drop)
+}
+
+/// Which nodes of its order a regeneration walk refreshes, and how.
+#[derive(Clone, Copy)]
+enum Reach<'a> {
+    /// Every node, each output re-derived: the from-scratch reference.
+    All,
+    /// Every node, but one whose inputs come out the same keeps its
+    /// output: the nodes are the pre-state's, each storing the output its
+    /// stored inputs derive (a swap moves nodes, it creates none).
+    Moved,
+    /// The rewired nodes and their direct consumers, forced and re-derived
+    /// (a FAC may have just created one, with no output yet), and beyond
+    /// them consumers of a node whose output the walk changed.
+    From(&'a [NodeId]),
 }
 
 /// What [`refresh`] found a node's schemata should become.
@@ -107,21 +167,22 @@ enum Update {
     Recordset(Schema),
 }
 
-/// Walk `order` (topological), refreshing each node's schemata from its
-/// providers' current outputs. With `rewired = None` every node is
-/// re-derived; otherwise only the rewired nodes, their direct consumers,
-/// and consumers of a node whose output the walk changed.
+/// Walk `order` (topological), refreshing the nodes `reach` selects from
+/// their providers' current outputs. Each target (a recordset nothing
+/// reads) the walk refreshes is appended to `targets`. Returns the
+/// slot-indexed "this walk changed the node's output", sized at the first
+/// change, which most incremental walks never see.
 fn regenerate_nodes(
     graph: &mut Graph,
     order: &[NodeId],
-    rewired: Option<&[NodeId]>,
-) -> std::result::Result<(), RegenFailure> {
-    // Slot-indexed "this walk changed the node's output"; sized at the
-    // first change, which most incremental walks never see.
+    reach: Reach,
+    targets: &mut Vec<NodeId>,
+) -> std::result::Result<Vec<bool>, RegenFailure> {
     let mut changed: Vec<bool> = Vec::new();
+    let kept = matches!(reach, Reach::Moved);
     for &id in order {
         let fail = |error: CoreError| RegenFailure { node: id, error };
-        if let Some(starts) = rewired {
+        if let Reach::From(starts) = reach {
             let reached = starts.contains(&id)
                 || graph
                     .providers(id)
@@ -139,7 +200,7 @@ fn regenerate_nodes(
         // `node_mut` is copy-on-write, so an unconditional write would
         // detach every node's `Arc` from sibling states and turn the cheap
         // structural-sharing clone back into a deep copy.
-        let output_changed = match refresh(graph, id).map_err(fail)? {
+        let output_changed = match refresh(graph, id, kept).map_err(fail)? {
             Some(Update::Activity(inputs, output, output_changed)) => {
                 if let Node::Activity(act) = graph.node_mut(id).map_err(fail)? {
                     if let Some(inputs) = inputs {
@@ -157,19 +218,25 @@ fn regenerate_nodes(
             }
             None => false,
         };
-        if output_changed && rewired.is_some() {
+        if matches!(graph.node(id), Ok(Node::Recordset(_)))
+            && graph.consumers(id).map_err(fail)?.is_empty()
+        {
+            targets.push(id);
+        }
+        if output_changed {
             if changed.is_empty() {
                 changed.resize(graph.slot_capacity(), false);
             }
             changed[id.0 as usize] = true;
         }
     }
-    Ok(())
+    Ok(changed)
 }
 
 /// The schemata node `id` should carry given its providers' current
-/// outputs, or `None` when it already carries them.
-fn refresh(graph: &Graph, id: NodeId) -> Result<Option<Update>> {
+/// outputs, or `None` when it already carries them. With `kept`, an
+/// activity whose inputs are unchanged is taken to carry its output.
+fn refresh(graph: &Graph, id: NodeId, kept: bool) -> Result<Option<Update>> {
     let providers = graph.providers(id)?;
     match graph.node(id)? {
         Node::Activity(act) => {
@@ -182,6 +249,9 @@ fn refresh(graph: &Graph, id: NodeId) -> Result<Option<Update>> {
                 same_inputs = same_inputs && act.inputs.get(port) == Some(flow);
             }
             let fresh = if same_inputs {
+                if kept {
+                    return Ok(None);
+                }
                 None
             } else {
                 let mut inputs = Vec::with_capacity(providers.len());
@@ -274,67 +344,121 @@ pub fn check(graph: &Graph) -> Result<()> {
 /// ordered — its clean providers are upstream of every start node by
 /// construction). The min-heap keeps the order deterministic, mirroring
 /// [`Graph::topo_order`]. Dead start ids are skipped, so callers may pass
-/// `affected` lists naming slots a transition has since freed.
+/// `affected` lists naming slots a transition has since freed. The only
+/// allocation is the returned list: the walk's marks, stack and heap are
+/// the calling thread's [`Walk`], reset after every use.
 pub fn downstream_of(graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let cap = graph.slot_capacity();
-    let mut reached = vec![false; cap];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &id in start {
-        if (id.0 as usize) < cap && graph.contains(id) && !reached[id.0 as usize] {
-            reached[id.0 as usize] = true;
-            stack.push(id);
+    WALK.with(|walk| match walk.try_borrow_mut() {
+        Ok(mut walk) => walk.run(graph, start),
+        Err(_) => Walk::new().run(graph, start),
+    })
+}
+
+thread_local! {
+    static WALK: std::cell::RefCell<Walk> = const { std::cell::RefCell::new(Walk::new()) };
+}
+
+/// The working memory of [`downstream_of`]. Between walks every `reached`
+/// mark is `false` and every `indegree` 0; a walk clears exactly the slots
+/// it set, so it costs O(dirty subgraph) however large the tables grew.
+struct Walk {
+    reached: Vec<bool>,
+    indegree: Vec<usize>,
+    stack: Vec<NodeId>,
+    members: Vec<NodeId>,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<NodeId>>,
+}
+
+impl Walk {
+    const fn new() -> Self {
+        Walk {
+            reached: Vec::new(),
+            indegree: Vec::new(),
+            stack: Vec::new(),
+            members: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
         }
     }
-    let mut members: Vec<NodeId> = Vec::with_capacity(stack.len() * 4);
-    while let Some(id) = stack.pop() {
-        members.push(id);
-        for &c in graph.consumers(id)? {
-            if !reached[c.0 as usize] {
-                reached[c.0 as usize] = true;
-                stack.push(c);
+
+    fn run(&mut self, graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
+        let cap = graph.slot_capacity();
+        if self.reached.len() < cap {
+            self.reached.resize(cap, false);
+            self.indegree.resize(cap, 0);
+        }
+        let out = self.order(graph, start);
+        // A failed walk can leave marks on the stack as well as on members.
+        for id in self.stack.drain(..).chain(self.members.drain(..)) {
+            self.reached[id.0 as usize] = false;
+            self.indegree[id.0 as usize] = 0;
+        }
+        self.heap.clear();
+        out
+    }
+
+    fn order(&mut self, graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
+        use std::cmp::Reverse;
+        let cap = graph.slot_capacity();
+        let Walk {
+            reached,
+            indegree,
+            stack,
+            members,
+            heap,
+        } = self;
+        for &id in start {
+            if (id.0 as usize) < cap && graph.contains(id) && !reached[id.0 as usize] {
+                reached[id.0 as usize] = true;
+                stack.push(id);
             }
         }
-    }
-    // Indegree counted per edge among dirty providers only (a consumer may
-    // read the same provider on both ports, exactly as in `topo_order`).
-    let mut indegree = vec![0usize; cap];
-    let mut heap: BinaryHeap<Reverse<NodeId>> = BinaryHeap::new();
-    for &id in &members {
-        let d = graph
-            .providers(id)?
-            .iter()
-            .flatten()
-            .filter(|p| reached[p.0 as usize])
-            .count();
-        indegree[id.0 as usize] = d;
-        if d == 0 {
-            heap.push(Reverse(id));
-        }
-    }
-    let mut out = Vec::with_capacity(members.len());
-    while let Some(Reverse(id)) = heap.pop() {
-        out.push(id);
-        for &c in graph.consumers(id)? {
-            let slot = c.0 as usize;
-            if reached[slot] {
-                indegree[slot] -= 1;
-                if indegree[slot] == 0 {
-                    heap.push(Reverse(c));
+        while let Some(id) = stack.pop() {
+            members.push(id);
+            for &c in graph.consumers(id)? {
+                if !reached[c.0 as usize] {
+                    reached[c.0 as usize] = true;
+                    stack.push(c);
                 }
             }
         }
+        // Indegree counted per edge among dirty providers only (a consumer
+        // may read the same provider on both ports, exactly as in
+        // `topo_order`).
+        for &id in members.iter() {
+            let d = graph
+                .providers(id)?
+                .iter()
+                .flatten()
+                .filter(|p| reached[p.0 as usize])
+                .count();
+            indegree[id.0 as usize] = d;
+            if d == 0 {
+                heap.push(Reverse(id));
+            }
+        }
+        let mut out = Vec::with_capacity(members.len());
+        while let Some(Reverse(id)) = heap.pop() {
+            out.push(id);
+            for &c in graph.consumers(id)? {
+                let slot = c.0 as usize;
+                if reached[slot] {
+                    indegree[slot] -= 1;
+                    if indegree[slot] == 0 {
+                        heap.push(Reverse(c));
+                    }
+                }
+            }
+        }
+        if out.len() != members.len() {
+            let stuck = members
+                .iter()
+                .copied()
+                .find(|id| indegree[id.0 as usize] > 0)
+                .unwrap_or(NodeId(0));
+            return Err(CoreError::CyclicGraph { node: stuck });
+        }
+        Ok(out)
     }
-    if out.len() != members.len() {
-        let stuck = members
-            .iter()
-            .copied()
-            .find(|id| indegree[id.0 as usize] > 0)
-            .unwrap_or(NodeId(0));
-        return Err(CoreError::CyclicGraph { node: stuck });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -418,5 +542,35 @@ mod tests {
         assert_eq!(down, vec![f2, t]);
         let all = downstream_of(&g, &[s]).unwrap();
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn a_failed_walk_leaves_the_next_one_exact() {
+        // The walk's marks live in a per-thread table: a walk that fails
+        // on a cycle, or one over a larger arena, must not leak into the
+        // next walk.
+        let chain = |n: u32| {
+            let mut g = Graph::new();
+            let mut last = g.add_recordset(Recordset::table("S", Schema::of(["a"])));
+            for i in 0..n {
+                let f = g.add_activity(unary(i + 1, "σ", UnaryOp::filter(Predicate::True)));
+                g.connect(last, f, 0).unwrap();
+                last = f;
+            }
+            g
+        };
+        let reference = downstream_of(&chain(3), &[NodeId(1)]).unwrap();
+        assert_eq!(reference, vec![NodeId(1), NodeId(2), NodeId(3)]);
+
+        // σ1 reads σ12 instead of S: σ1 … σ12 is a cycle.
+        let mut cyclic = chain(12);
+        cyclic.disconnect(NodeId(1), 0).unwrap();
+        cyclic.connect(NodeId(12), NodeId(1), 0).unwrap();
+        assert!(matches!(
+            downstream_of(&cyclic, &[NodeId(5)]),
+            Err(CoreError::CyclicGraph { .. })
+        ));
+        assert_eq!(downstream_of(&chain(12), &[NodeId(0)]).unwrap().len(), 13);
+        assert_eq!(downstream_of(&chain(3), &[NodeId(1)]).unwrap(), reference);
     }
 }

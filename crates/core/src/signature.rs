@@ -16,7 +16,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
+use crate::activity::ActivityId;
 use crate::graph::{Node, NodeId};
 use crate::workflow::Workflow;
 
@@ -141,6 +143,9 @@ impl fmt::Write for Fp128 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeHashes {
     node: Vec<u128>,
+    /// The state's targets, listed once by [`hash_state`] and shared by
+    /// every successor: transitions never add or remove a recordset.
+    targets: Arc<[NodeId]>,
 }
 
 impl NodeHashes {
@@ -159,12 +164,13 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
     let mut node = vec![0u128; cap];
     // 0 = untouched, 1 = scheduled, 2 = hashed.
     let mut state = vec![0u8; cap];
-    let targets = wf.targets();
+    let targets: Arc<[NodeId]> = wf.targets().into();
     let mut stack: Vec<(NodeId, bool)> = targets.iter().map(|&t| (t, false)).collect();
     while let Some((id, ready)) = stack.pop() {
         let slot = id.0 as usize;
+        let providers = wf.graph().providers(id).unwrap_or_default();
         if ready {
-            node[slot] = node_hash(wf, id, &node);
+            node[slot] = node_hash(wf, id, providers, &node);
             state[slot] = 2;
         } else {
             if state[slot] != 0 {
@@ -172,13 +178,7 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
             }
             state[slot] = 1;
             stack.push((id, true));
-            for p in wf
-                .graph()
-                .providers(id)
-                .unwrap_or_default()
-                .iter()
-                .flatten()
-            {
+            for p in providers.iter().flatten() {
                 if state[p.0 as usize] == 0 {
                     stack.push((*p, false));
                 }
@@ -186,7 +186,7 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
         }
     }
     let fp = combine_targets(&targets, &node);
-    (NodeHashes { node }, fp)
+    (NodeHashes { node, targets }, fp)
 }
 
 /// Incremental twin of [`hash_state`]: reuse the parent's per-node hashes
@@ -196,25 +196,52 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
 /// hash is a pure function of its providers' hashes, and the dirty closure
 /// contains every node whose providers changed.
 pub fn rehash_along(wf: &Workflow, parent: &NodeHashes, dirty: &[NodeId]) -> (NodeHashes, u128) {
+    rehash_with_edges(wf, parent, dirty, &[])
+}
+
+/// [`rehash_along`] with provider edges `(node, port, provider)` read as an
+/// overlay on `wf`'s graph. The searches fingerprint a swap successor this
+/// way before building it: `wf` is the parent, `overlay` the three edges
+/// the swap will write (`crate::transition::Swap`), `dirty` the
+/// successor's walk. A node's hash reads only its providers and its own
+/// payload, and a swap moves no payload, so this is the built successor's
+/// [`rehash_along`] to the bit — without the clone a successor the search
+/// already holds would have been built for.
+pub(crate) fn rehash_with_edges(
+    wf: &Workflow,
+    parent: &NodeHashes,
+    dirty: &[NodeId],
+    overlay: &[(NodeId, usize, NodeId)],
+) -> (NodeHashes, u128) {
+    let graph = wf.graph();
     let mut node = parent.node.clone();
-    node.resize(wf.graph().slot_capacity(), 0);
+    node.resize(graph.slot_capacity(), 0);
     for &id in dirty {
-        node[id.0 as usize] = node_hash(wf, id, &node);
+        let providers = graph.providers(id).unwrap_or_default();
+        let mut ports = [None; 2];
+        let n = providers.len().min(ports.len());
+        ports[..n].copy_from_slice(&providers[..n]);
+        for &(_, port, provider) in overlay.iter().filter(|edge| edge.0 == id) {
+            if let Some(slot) = ports.get_mut(port) {
+                *slot = Some(provider);
+            }
+        }
+        node[id.0 as usize] = node_hash(wf, id, &ports[..n], &node);
     }
-    let fp = combine_targets(&wf.targets(), &node);
-    (NodeHashes { node }, fp)
+    let fp = combine_targets(&parent.targets, &node);
+    let targets = Arc::clone(&parent.targets);
+    (NodeHashes { node, targets }, fp)
 }
 
 /// One node's structural hash from its providers' hashes. Arity tags keep
 /// the digest injective-in-structure the way the signature grammar is:
 /// `s`ource, `u`nary and `b`inary nodes cannot collide by token reuse, and
 /// commutative binaries sort their branch hashes exactly where the string
-/// render sorts its branch strings.
-fn node_hash(wf: &Workflow, id: NodeId, node: &[u128]) -> u128 {
-    use std::fmt::Write;
+/// render sorts its branch strings. The token's bytes are written as
+/// [`Workflow::priority_token`] renders them, without rendering it.
+fn node_hash(wf: &Workflow, id: NodeId, providers: &[Option<NodeId>], node: &[u128]) -> u128 {
     let graph = wf.graph();
     let mut fp = Fp128::new();
-    let providers = graph.providers(id).unwrap_or_default();
     match providers.len() {
         0 => fp.write(b"s"),
         1 => {
@@ -241,28 +268,86 @@ fn node_hash(wf: &Workflow, id: NodeId, node: &[u128]) -> u128 {
     }
     fp.write(b".");
     match graph.node(id) {
-        Ok(Node::Activity(a)) => {
-            let _ = write!(fp, "{}", a.id);
+        Ok(Node::Activity(a)) => write_id(&mut fp, &a.id),
+        Ok(Node::Recordset(_)) => match wf.rs_priority.get(&id) {
+            Some(&p) => write_decimal(&mut fp, p.into()),
+            None => {
+                fp.write(b"r");
+                write_decimal(&mut fp, id.0.into());
+            }
+        },
+        Err(_) => {
+            fp.write(b"?");
+            write_decimal(&mut fp, id.0.into());
         }
-        _ => fp.write(wf.priority_token(id).as_bytes()),
     }
     fp.finish()
 }
 
-/// Fold the target hashes, sorted so multi-target states are order-free —
-/// the hash-level twin of the sorted `||` join in [`Signature::of`].
-fn combine_targets(targets: &[NodeId], node: &[u128]) -> u128 {
-    let mut ts: Vec<u128> = targets
-        .iter()
-        .map(|t| node.get(t.0 as usize).copied().unwrap_or(0))
-        .collect();
-    ts.sort_unstable();
-    let mut fp = Fp128::new();
-    fp.write(b"W");
-    for h in ts {
-        fp.write_u128(h);
+/// The bytes [`ActivityId`]'s `Display` renders.
+fn write_id(fp: &mut Fp128, id: &ActivityId) {
+    match id {
+        ActivityId::Base(n) => write_decimal(fp, (*n).into()),
+        ActivityId::Merged(parts) => {
+            for (i, p) in parts.iter().enumerate() {
+                if i > 0 {
+                    fp.write(b"+");
+                }
+                write_id(fp, p);
+            }
+        }
+        ActivityId::Factored(a, b) => {
+            write_id(fp, a);
+            fp.write(b"&");
+            write_id(fp, b);
+        }
+        ActivityId::Cloned(a, k) => {
+            write_id(fp, a);
+            fp.write(b"'");
+            write_decimal(fp, (*k).into());
+        }
     }
-    fp.finish()
+}
+
+/// The decimal digits of `n`, as `Display` renders them.
+fn write_decimal(fp: &mut Fp128, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    fp.write(&digits[at..]);
+}
+
+/// Fold the target hashes, sorted so multi-target states are order-free —
+/// the hash-level twin of the sorted `||` join in [`Signature::of`]. Up to
+/// eight targets are sorted on the stack.
+fn combine_targets(targets: &[NodeId], node: &[u128]) -> u128 {
+    let hash = |t: &NodeId| node.get(t.0 as usize).copied().unwrap_or(0);
+    let fold = |ts: &mut [u128]| {
+        ts.sort_unstable();
+        let mut fp = Fp128::new();
+        fp.write(b"W");
+        for &h in ts.iter() {
+            fp.write_u128(h);
+        }
+        fp.finish()
+    };
+    let mut few = [0u128; 8];
+    match few.get_mut(..targets.len()) {
+        Some(ts) => {
+            for (h, t) in ts.iter_mut().zip(targets) {
+                *h = hash(t);
+            }
+            fold(ts)
+        }
+        None => fold(&mut targets.iter().map(hash).collect::<Vec<_>>()),
+    }
 }
 
 impl fmt::Display for Signature {
@@ -509,6 +594,33 @@ mod tests {
             b.build().unwrap()
         };
         assert_eq!(build(false).fingerprint(), build(true).fingerprint());
+    }
+
+    #[test]
+    fn node_tokens_hash_the_bytes_display_renders() {
+        use std::fmt::Write;
+        let base = |n| ActivityId::Base(n);
+        let ids = [
+            base(0),
+            base(7),
+            base(u32::MAX),
+            ActivityId::merged(&[base(3), base(14), base(159)]),
+            ActivityId::factored(&base(2), &base(10)),
+            ActivityId::Cloned(Box::new(ActivityId::factored(&base(4), &base(5))), 2),
+            ActivityId::merged(&[ActivityId::Cloned(Box::new(base(1)), 1), base(99)]),
+        ];
+        for id in ids {
+            let (mut written, mut rendered) = (Fp128::new(), Fp128::new());
+            write_id(&mut written, &id);
+            write!(rendered, "{id}").unwrap();
+            assert_eq!(written.finish(), rendered.finish(), "{id}");
+        }
+        for n in [0, 9, 10, 4_294_967_295, u64::MAX] {
+            let (mut written, mut rendered) = (Fp128::new(), Fp128::new());
+            write_decimal(&mut written, n);
+            rendered.write(n.to_string().as_bytes());
+            assert_eq!(written.finish(), rendered.finish(), "{n}");
+        }
     }
 
     #[test]

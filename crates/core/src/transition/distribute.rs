@@ -16,6 +16,8 @@ use crate::activity::{Activity, ActivityId};
 use crate::error::CoreError;
 use crate::graph::NodeId;
 use crate::transition::factorize::distributable_through;
+use std::borrow::Cow;
+
 use crate::transition::{finalize, Rewire, Transition, TransitionError, TransitionKind};
 use crate::workflow::Workflow;
 
@@ -63,14 +65,12 @@ impl Distribute {
         // keeps the applicability path panic-free end to end.
         let links = act
             .unary_links()
-            .ok_or(TransitionError::NotUnary(self.activity))?
-            .to_vec();
+            .ok_or(TransitionError::NotUnary(self.activity))?;
         let binop = ab
             .op
             .binary()
-            .ok_or(TransitionError::NotBinary(self.binary))?
-            .clone();
-        distributable_through(&links, &binop).map_err(|detail| {
+            .ok_or(TransitionError::NotBinary(self.binary))?;
+        distributable_through(links, binop).map_err(|detail| {
             TransitionError::NotDistributable {
                 node: self.activity,
                 detail,
@@ -81,9 +81,9 @@ impl Distribute {
 }
 
 impl Rewire for Distribute {
-    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        self.structural_check(wf)?;
-        let mut out = wf.clone();
+    fn rewire(&self, wf: Cow<'_, Workflow>) -> Result<Workflow, TransitionError> {
+        self.structural_check(&wf)?;
+        let mut out = wf.into_owned();
         let g = &mut out.graph;
 
         let p1 = g.provider(self.binary, 0)?.ok_or(TransitionError::Graph(
@@ -99,8 +99,9 @@ impl Rewire for Distribute {
             },
         ))?;
 
-        let template = g.activity(self.activity)?.clone();
+        let template = g.activity(self.activity)?;
         let (id1, id2) = ActivityId::distributed(&template.id);
+        let (label, op) = (template.label.clone(), template.op.clone());
 
         // Detach `a` and hand its consumers to the binary.
         g.disconnect(self.activity, 0)?;
@@ -110,16 +111,8 @@ impl Rewire for Distribute {
         // Splice one clone into each converging path.
         g.disconnect(self.binary, 0)?;
         g.disconnect(self.binary, 1)?;
-        let c1 = g.add_activity(Activity::new(
-            id1,
-            template.label.clone(),
-            template.op.clone(),
-        ));
-        let c2 = g.add_activity(Activity::new(
-            id2,
-            template.label.clone(),
-            template.op.clone(),
-        ));
+        let c1 = g.add_activity(Activity::new(id1, label.clone(), op.clone()));
+        let c2 = g.add_activity(Activity::new(id2, label, op));
         g.connect(p1, c1, 0)?;
         g.connect(c1, self.binary, 0)?;
         g.connect(p2, c2, 0)?;
@@ -151,7 +144,7 @@ impl Transition for Distribute {
     }
 
     fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        finalize(self.rewire(wf)?, &self.affected(wf))
+        finalize(self.rewire(Cow::Borrowed(wf))?, &self.affected(wf))
     }
 
     fn describe(&self, wf: &Workflow) -> String {

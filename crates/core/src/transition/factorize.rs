@@ -16,6 +16,8 @@
 use crate::activity::{Activity, ActivityId};
 use crate::graph::NodeId;
 use crate::semantics::{BinaryOp, UnaryOp};
+use std::borrow::Cow;
+
 use crate::transition::{finalize, Rewire, Transition, TransitionError, TransitionKind};
 use crate::workflow::Workflow;
 
@@ -129,14 +131,12 @@ impl Factorize {
         let links = g
             .activity(self.a1)?
             .unary_links()
-            .ok_or(TransitionError::NotUnary(self.a1))?
-            .to_vec();
+            .ok_or(TransitionError::NotUnary(self.a1))?;
         let binop = ab
             .op
             .binary()
-            .ok_or(TransitionError::NotBinary(self.binary))?
-            .clone();
-        distributable_through(&links, &binop).map_err(|detail| {
+            .ok_or(TransitionError::NotBinary(self.binary))?;
+        distributable_through(links, binop).map_err(|detail| {
             TransitionError::NotDistributable {
                 node: self.a1,
                 detail,
@@ -147,9 +147,9 @@ impl Factorize {
 }
 
 impl Rewire for Factorize {
-    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        self.structural_check(wf)?;
-        let mut out = wf.clone();
+    fn rewire(&self, wf: Cow<'_, Workflow>) -> Result<Workflow, TransitionError> {
+        self.structural_check(&wf)?;
+        let mut out = wf.into_owned();
         let g = &mut out.graph;
 
         // Ports on the binary fed by a1 / a2.
@@ -173,7 +173,7 @@ impl Rewire for Factorize {
         ))?;
 
         // The replacement activity: a1's semantics under the factored id.
-        let template = g.activity(self.a1)?.clone();
+        let template = g.activity(self.a1)?;
         let new_id = ActivityId::factored(&template.id, &g.activity(self.a2)?.id);
         let mut new_act = Activity::new(new_id, template.label.clone(), template.op.clone());
         new_act.inputs = template.inputs.clone();
@@ -219,7 +219,7 @@ impl Transition for Factorize {
     }
 
     fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        finalize(self.rewire(wf)?, &self.affected(wf))
+        finalize(self.rewire(Cow::Borrowed(wf))?, &self.affected(wf))
     }
 
     fn check(&self, wf: &Workflow) -> Result<(), TransitionError> {

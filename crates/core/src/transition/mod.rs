@@ -27,11 +27,13 @@
 //! clone, edge surgery — is the crate-private `Rewire::rewire` of the three
 //! transitions the searches enumerate. The second, `finalize`, is a dirty
 //! walk (`crate::schema_gen::downstream_of`) and what runs along it
-//! (`finalize_along`: schema regeneration, the target-schema check, the
-//! debug `validate`). The searches call the halves themselves
-//! (`crate::opt::EvalState`): their pricing and fingerprinting need the
-//! same walk, and a successor whose fingerprint they already hold needs no
-//! second half at all.
+//! (`finalize_along`: schema regeneration, the check of the targets it
+//! reached, the debug `validate`). A swap's second half is its own
+//! (`Swap::finalize`): the three nodes it rewired, and the walk past them
+//! only when their consumer's output changed. The searches call the halves
+//! themselves (`crate::opt::EvalState`): their pricing and fingerprinting
+//! need the same walk, and a successor whose fingerprint they already hold
+//! needs no second half at all.
 
 // Transitions run inside search workers inside daemon workers: a state a
 // transition cannot handle must come back as a typed refusal.
@@ -48,6 +50,7 @@ pub use factorize::{distributable_through, Factorize};
 pub use merge_split::{split_all, Merge, Split};
 pub use swap::Swap;
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::CoreError;
@@ -212,10 +215,12 @@ pub trait Transition: fmt::Debug {
 /// regenerated at all. For the implementors `apply` is exactly
 /// `rewire` + [`finalize`].
 pub(crate) trait Rewire: Transition {
-    /// Structural check, clone, edge surgery. The returned state carries
-    /// the pre-state's schemata and is a search state only once
+    /// Structural check, then the edge surgery — on a structure-sharing
+    /// clone of a borrowed state, on the state itself when the caller
+    /// hands it over (a shift chain's own copy). The returned state
+    /// carries the pre-state's schemata and is a search state only once
     /// [`finalize_along`] has accepted it.
-    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError>;
+    fn rewire(&self, wf: Cow<'_, Workflow>) -> Result<Workflow, TransitionError>;
 }
 
 /// Finalize a rewired candidate: regenerate the schemata downstream of the
@@ -248,24 +253,40 @@ pub(crate) fn finalize_in_place(
 /// everything else follows changes (`crate::schema_gen`). The full
 /// structural validation runs in debug builds (and is exercised heavily by
 /// the test suite); release-mode searches rely on the transitions'
-/// structural invariants plus the always-on target-schema check.
+/// structural invariants plus the always-on check of the targets the
+/// regeneration reached ([`check_reached`]).
 pub(crate) fn finalize_along(
     wf: &mut Workflow,
     affected: &[NodeId],
     dirty: &[NodeId],
 ) -> Result<(), TransitionError> {
-    crate::schema_gen::regenerate_along(&mut wf.graph, affected, dirty).map_err(|f| {
-        match f.error {
-            CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
-                node: f.node,
-                detail,
-            },
-            other => TransitionError::Graph(other),
-        }
-    })?;
-    // Equivalence condition (a): targets must still receive their declared
-    // schema. Cheap (targets only), always on.
-    for t in wf.targets() {
+    let mut targets = Vec::new();
+    crate::schema_gen::regenerate_along(&mut wf.graph, affected, dirty, &mut targets)
+        .map_err(refusal)?;
+    check_reached(wf, &targets)
+}
+
+/// The refusal a failed regeneration stands for: a schema that cannot be
+/// derived is a functionality violation of the node it failed at.
+pub(crate) fn refusal(f: crate::schema_gen::RegenFailure) -> TransitionError {
+    match f.error {
+        CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
+            node: f.node,
+            detail,
+        },
+        other => TransitionError::Graph(other),
+    }
+}
+
+/// Equivalence condition (a), always on: every target the regeneration
+/// reached must still receive its declared schema. Checking only those is
+/// exact, by the contract every rewiring keeps: each edge it cuts or adds
+/// ends at a start of the walk or at a direct consumer of one, both of
+/// which the walk reaches. A target it did not reach therefore reads the
+/// provider it read in the (valid) pre-state, whose output the walk left
+/// as it was.
+pub(crate) fn check_reached(wf: &Workflow, targets: &[NodeId]) -> Result<(), TransitionError> {
+    for &t in targets {
         let r = wf.graph.recordset(t).map_err(TransitionError::Graph)?;
         if let Some(p) = wf.graph.provider(t, 0).map_err(TransitionError::Graph)? {
             let out = wf
@@ -327,6 +348,29 @@ mod tests {
         // "functionality schema of n4294967295 violated".
         assert_eq!(*node, sel, "{err}");
         assert_eq!(wf.graph().activity(*node).unwrap().label, "σ");
+    }
+
+    #[test]
+    fn a_reached_target_that_would_receive_another_schema_refuses_the_state() {
+        // S(a,b) → NN(a) → π-out(b) → T[a], rewired by hand to bypass the
+        // projection: T is a direct consumer of the rewired NN, so the
+        // walk reaches it, and the check must see `b` arrive.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["a", "b"]), 100.0);
+        let nn = b.unary("NN", UnaryOp::not_null("a"), s);
+        let drop = b.unary("π-out", UnaryOp::project_out(["b"]), nn);
+        let t = b.target("T", Schema::of(["a"]), drop);
+        let wf = b.build().unwrap();
+
+        let mut out = wf.clone();
+        out.graph.disconnect(t, 0).unwrap();
+        out.graph.disconnect(drop, 0).unwrap();
+        out.graph.connect(nn, t, 0).unwrap();
+        let err = finalize(out, &[nn]).unwrap_err();
+        assert!(
+            matches!(&err, TransitionError::Graph(CoreError::Schema(m)) if m.contains("target T")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -17,13 +17,22 @@
 //! blocking operators exact (the `γ`-vs-`A2E` case is *allowed*, the
 //! `γ`-vs-`σ(€COST)` case is *blocked*).
 
+use std::borrow::Cow;
+
 use crate::graph::{Graph, NodeId};
 use crate::schema::Schema;
+use crate::schema_gen::regenerate_swap;
 use crate::transition::commute::{chains_commute, Verdict};
 use crate::transition::{
-    finalize, finalize_in_place, Rewire, Transition, TransitionError, TransitionKind,
+    check_reached, refusal, Rewire, Transition, TransitionError, TransitionKind,
 };
 use crate::workflow::Workflow;
+
+/// The three provider edges a swap writes, read off the state it rewires:
+/// `(node, port, new provider)` for `second`, `first` and their consumer,
+/// in that order — the successor's topological order of the three nodes
+/// whose providers change, and the order [`Swap`] connects them in.
+pub(crate) type Edges = [(NodeId, usize, NodeId); 3];
 
 /// `SWA(a₁,a₂)`: swap two adjacent unary activities. The order of the two
 /// fields does not matter; the transition discovers the orientation from
@@ -43,7 +52,9 @@ impl Swap {
     }
 
     /// Determine (provider, consumer) orientation; checks conditions 1–2
-    /// and the commutation rules, without building the successor.
+    /// and the commutation rules, without building the successor. Allocates
+    /// nothing it does not return: conditions 3 and 4 ask whether two
+    /// schemata meet, and name what they share only to explain a refusal.
     fn structural_check(&self, wf: &Workflow) -> Result<(NodeId, NodeId), TransitionError> {
         let g = wf.graph();
         let (first, second) = if g.provider(self.a2, 0).ok().flatten() == Some(self.a1) {
@@ -83,12 +94,12 @@ impl Swap {
                 detail: why,
             });
         }
+        let meet = |x: &Schema, y: &Schema| x.iter().any(|a| y.contains(a));
         // Condition 3 (after-swap direction): `second`, once moved before
         // `first`, must not need attributes `first` generates — Fig. 5.
-        let gen_first = fa.generated();
-        let fun_second = sa.functionality();
-        let clash: Schema = fun_second.intersection(&gen_first);
-        if !clash.is_empty() {
+        let (gen_first, fun_second) = (fa.generated(), sa.functionality());
+        if meet(&fun_second, &gen_first) {
+            let clash = fun_second.intersection(&gen_first);
             return Err(TransitionError::FunctionalityViolated {
                 node: second,
                 detail: format!("{} needs {clash}, which {} generates", sa.label, fa.label),
@@ -96,10 +107,9 @@ impl Swap {
         }
         // Condition 4 (after-swap direction): `first`, once moved after
         // `second`, must not lose attributes `second` projects out — Fig. 6.
-        let dropped = sa.projected_out();
-        let fun_first = fa.functionality();
-        let lost: Schema = fun_first.intersection(&dropped);
-        if !lost.is_empty() {
+        let (fun_first, dropped) = (fa.functionality(), sa.projected_out());
+        if meet(&fun_first, &dropped) {
+            let lost = fun_first.intersection(&dropped);
             return Err(TransitionError::ProviderViolated {
                 node: first,
                 detail: format!("{} needs {lost}, which {} projects out", fa.label, sa.label),
@@ -108,42 +118,71 @@ impl Swap {
         Ok((first, second))
     }
 
-    /// The edge surgery: `p → first → second → c` becomes
-    /// `p → second → first → c`.
-    fn relink(g: &mut Graph, first: NodeId, second: NodeId) -> Result<(), TransitionError> {
+    /// The structural check, and the edges the swap will write:
+    /// `p → first → second → c` becomes `p → second → first → c`. Read off
+    /// the unrewired state, so a search can fingerprint the successor
+    /// before it builds it.
+    pub(crate) fn edges(&self, wf: &Workflow) -> Result<Edges, TransitionError> {
+        let (first, second) = self.structural_check(wf)?;
+        let g = wf.graph();
         let p = g
             .provider(first, 0)?
             .ok_or(TransitionError::NotAdjacent(first, second))?;
-        let consumer = g.consumers(second)?[0];
+        let c = *g
+            .consumers(second)?
+            .first()
+            .ok_or(TransitionError::MultipleConsumers(second))?;
         // The consumer list and the ports are two views of one edge; a
         // graph where they disagree is reported, not trusted.
         let cport = g
-            .port_of(second, consumer)?
-            .ok_or(TransitionError::NotAdjacent(second, consumer))?;
-        g.disconnect(first, 0)?;
-        g.disconnect(second, 0)?;
-        g.disconnect(consumer, cport)?;
-        g.connect(p, second, 0)?;
-        g.connect(second, first, 0)?;
-        g.connect(first, consumer, cport)?;
+            .port_of(second, c)?
+            .ok_or(TransitionError::NotAdjacent(second, c))?;
+        Ok([(second, 0, p), (first, 0, second), (c, cport, first)])
+    }
+
+    /// The edge surgery: cut the three ports, then feed each from its new
+    /// provider.
+    pub(crate) fn relink(g: &mut Graph, edges: &Edges) -> Result<(), TransitionError> {
+        for &(node, port, _) in edges {
+            g.disconnect(node, port)?;
+        }
+        for &(node, port, provider) in edges {
+            g.connect(provider, node, port)?;
+        }
         Ok(())
+    }
+
+    /// [`crate::transition::finalize`] of a relinked swap, paid for by the
+    /// three rewired nodes (`crate::schema_gen::regenerate_swap`): the
+    /// schemata it derives, the refusal it reports and the targets it
+    /// checks are the full walk's. `rest` is the walk past the consumer when
+    /// the caller holds it.
+    pub(crate) fn finalize(
+        wf: &mut Workflow,
+        edges: &Edges,
+        rest: Option<&[NodeId]>,
+    ) -> Result<(), TransitionError> {
+        let [(second, ..), (first, ..), (c, ..)] = *edges;
+        let mut targets = Vec::new();
+        regenerate_swap(&mut wf.graph, [second, first, c], rest, &mut targets).map_err(refusal)?;
+        check_reached(wf, &targets)
     }
 
     /// [`Transition::apply`] on a state the caller owns — a shift chain's
     /// private copy: same checks, same successor, no clone. A refused swap
     /// may leave `wf` rewired or half-regenerated; the caller drops it.
     pub(crate) fn apply_in_place(&self, wf: &mut Workflow) -> Result<(), TransitionError> {
-        let (first, second) = self.structural_check(wf)?;
-        Self::relink(&mut wf.graph, first, second)?;
-        finalize_in_place(wf, &[self.a1, self.a2])
+        let edges = self.edges(wf)?;
+        Self::relink(&mut wf.graph, &edges)?;
+        Self::finalize(wf, &edges, None)
     }
 }
 
 impl Rewire for Swap {
-    fn rewire(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
-        let (first, second) = self.structural_check(wf)?;
-        let mut out = wf.clone();
-        Self::relink(&mut out.graph, first, second)?;
+    fn rewire(&self, wf: Cow<'_, Workflow>) -> Result<Workflow, TransitionError> {
+        let edges = self.edges(&wf)?;
+        let mut out = wf.into_owned();
+        Self::relink(&mut out.graph, &edges)?;
         Ok(out)
     }
 }
@@ -160,7 +199,11 @@ impl Transition for Swap {
     fn apply(&self, wf: &Workflow) -> Result<Workflow, TransitionError> {
         // Conditions 3 and 4 in their full generality (both "before and
         // after" sides) reduce to the regeneration succeeding.
-        finalize(self.rewire(wf)?, &[self.a1, self.a2])
+        let edges = self.edges(wf)?;
+        let mut out = wf.clone();
+        Self::relink(&mut out.graph, &edges)?;
+        Self::finalize(&mut out, &edges, None)?;
+        Ok(out)
     }
 
     fn describe(&self, wf: &Workflow) -> String {
