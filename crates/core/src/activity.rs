@@ -9,6 +9,7 @@
 //! ids derived from their originators, which makes Factorize∘Distribute and
 //! Merge∘Split exact involutions on ids.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::error::Result;
@@ -220,13 +221,13 @@ impl Activity {
     }
 
     /// Compute the output schema from given input schemata (does not touch
-    /// the cached ones).
-    pub fn derive_output(&self, inputs: &[Schema]) -> Result<Schema> {
+    /// the cached ones), owned or borrowed.
+    pub fn derive_output<S: Borrow<Schema>>(&self, inputs: &[S]) -> Result<Schema> {
         match &self.op {
-            Op::Unary(op) => op.output(&inputs[0]),
-            Op::Binary(op) => op.output(&inputs[0], &inputs[1]),
+            Op::Unary(op) => op.output(inputs[0].borrow()),
+            Op::Binary(op) => op.output(inputs[0].borrow(), inputs[1].borrow()),
             Op::Merged(chain) => {
-                let mut s = inputs[0].clone();
+                let mut s = inputs[0].borrow().clone();
                 for op in chain {
                     s = op.output(&s)?;
                 }

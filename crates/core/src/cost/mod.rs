@@ -17,7 +17,7 @@ pub use row_count::{LinearModel, RowCountModel};
 use std::collections::BTreeMap;
 
 use crate::activity::Activity;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::schema_gen;
 use crate::workflow::{binary_cardinality, Workflow};
@@ -33,6 +33,9 @@ pub trait CostModel: Sync {
     fn name(&self) -> &str;
 
     /// Cost of one activity processing `input_rows` (one entry per port).
+    /// It must follow from the activity's operation and `input_rows`
+    /// alone, never from its schemata: the searches price a swap successor
+    /// on its parent, before the swap's schemata are re-derived.
     fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64;
 
     /// Total cost of a state: propagate row counts from the sources and sum
@@ -118,12 +121,8 @@ pub trait CostModel: Sync {
     /// stable no matter how a state was reached.
     fn price(&self, wf: &Workflow) -> Result<CostVec> {
         let graph = wf.graph();
-        let order = graph.topo_order()?;
         let mut cv = CostVec::zeroed(graph.slot_capacity());
-        for &id in &order {
-            price_node(self, wf, id, &mut cv)?;
-        }
-        cv.total = cv.sum_live(wf);
+        reprice_into(self, wf, &mut cv, &graph.topo_order()?, &[])?;
         Ok(cv)
     }
 
@@ -150,14 +149,8 @@ pub trait CostModel: Sync {
     /// search hot path, which shares one `downstream_of` walk between
     /// repricing and incremental fingerprinting.
     fn reprice_along(&self, wf: &Workflow, parent: &CostVec, dirty: &[NodeId]) -> Result<CostVec> {
-        let graph = wf.graph();
         let mut cv = parent.clone();
-        cv.rows.resize(graph.slot_capacity(), 0.0);
-        cv.node_cost.resize(graph.slot_capacity(), 0.0);
-        for &id in dirty {
-            price_node(self, wf, id, &mut cv)?;
-        }
-        cv.total = cv.sum_live(wf);
+        reprice_into(self, wf, &mut cv, dirty, &[])?;
         Ok(cv)
     }
 
@@ -200,42 +193,92 @@ pub trait CostModel: Sync {
     }
 }
 
+/// The total [`CostModel::reprice_along`] would give the successor, priced
+/// with provider edges `(node, port, provider)` read as an overlay on `wf`'s
+/// graph, in the calling thread's scratch tables. The searches price a swap
+/// successor this way before they decide whether to build it: `wf` is the
+/// parent, `overlay` the three edges the swap will write, `dirty` the
+/// successor's walk. A swap moves edges, never a node, so the successor has
+/// the parent's live slots and activities: the same addends, summed in the
+/// same slot order, give the built state's total to the bit.
+pub(crate) fn reprice_total_with_edges(
+    model: &dyn CostModel,
+    wf: &Workflow,
+    parent: &CostVec,
+    dirty: &[NodeId],
+    overlay: &[(NodeId, usize, NodeId)],
+) -> Result<f64> {
+    SCRATCH.with(|scratch| {
+        let mut own = CostVec::zeroed(0);
+        let mut borrowed = scratch.try_borrow_mut();
+        let cv = borrowed.as_deref_mut().unwrap_or(&mut own);
+        cv.rows.clone_from(&parent.rows);
+        cv.node_cost.clone_from(&parent.node_cost);
+        reprice_into(model, wf, cv, dirty, overlay)?;
+        Ok(cv.total)
+    })
+}
+
+thread_local! {
+    /// [`reprice_total_with_edges`]'s tables: the parent's, then the
+    /// candidate's along its walk; overwritten by the next candidate.
+    static SCRATCH: std::cell::RefCell<CostVec> = const {
+        std::cell::RefCell::new(CostVec { total: 0.0, rows: Vec::new(), node_cost: Vec::new() })
+    };
+}
+
+/// Reprice `dirty` in `cv`, which holds the parent's pricing, with the
+/// providers `overlay` writes over `wf`'s graph, and total it.
+fn reprice_into<M: CostModel + ?Sized>(
+    model: &M,
+    wf: &Workflow,
+    cv: &mut CostVec,
+    dirty: &[NodeId],
+    overlay: &[(NodeId, usize, NodeId)],
+) -> Result<()> {
+    let graph = wf.graph();
+    cv.rows.resize(graph.slot_capacity(), 0.0);
+    cv.node_cost.resize(graph.slot_capacity(), 0.0);
+    for &id in dirty {
+        let (ports, n) = graph.providers_with(id, overlay)?;
+        price_node(model, wf, id, &ports[..n], cv)?;
+    }
+    cv.total = cv.sum_live(wf);
+    Ok(())
+}
+
 /// Price one node into the flat tables: rows out of the node, plus its
-/// activity cost. Recordsets are explicitly priced at 0.0 — a reused arena
-/// slot may have held an activity in the parent state, and its stale cost
-/// must not leak into the slot-order total.
+/// activity cost, from the rows of the providers on its `ports`.
+/// Recordsets are explicitly priced at 0.0 — a reused arena slot may have
+/// held an activity in the parent state, and its stale cost must not leak
+/// into the slot-order total.
 fn price_node<M: CostModel + ?Sized>(
     model: &M,
     wf: &Workflow,
     id: NodeId,
+    ports: &[Option<NodeId>],
     cv: &mut CostVec,
 ) -> Result<()> {
-    let graph = wf.graph();
     let slot = id.0 as usize;
-    let out_rows = match graph.node(id)? {
+    let rows_in = |port: usize| -> f64 {
+        let provider = ports.get(port).copied().flatten();
+        provider.map(|p| cv.rows[p.0 as usize]).unwrap_or(0.0)
+    };
+    let out_rows = match wf.graph().node(id)? {
         Node::Recordset(r) => {
-            cv.node_cost[slot] = 0.0;
-            match graph.provider(id, 0)? {
+            let writer = ports.first().copied();
+            let rows = match writer.ok_or(CoreError::MissingProvider { node: id, port: 0 })? {
                 None => r.row_estimate,
-                Some(p) => cv.rows[p.0 as usize],
-            }
+                Some(_) => rows_in(0),
+            };
+            cv.node_cost[slot] = 0.0;
+            rows
         }
         Node::Activity(a) => {
-            let providers = graph.providers(id)?;
-            let in0 = providers
-                .first()
-                .copied()
-                .flatten()
-                .map(|p| cv.rows[p.0 as usize])
-                .unwrap_or(0.0);
+            let in0 = rows_in(0);
             match &a.op {
                 crate::activity::Op::Binary(b) => {
-                    let in1 = providers
-                        .get(1)
-                        .copied()
-                        .flatten()
-                        .map(|p| cv.rows[p.0 as usize])
-                        .unwrap_or(0.0);
+                    let in1 = rows_in(1);
                     cv.node_cost[slot] = model.activity_cost(a, &[in0, in1]);
                     binary_cardinality(b, in0, in1)
                 }

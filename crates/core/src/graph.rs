@@ -403,6 +403,27 @@ impl Graph {
         Ok(self.slot(id)?.preds.as_slice())
     }
 
+    /// [`Graph::providers`] with every edge `(node, port, provider)` of
+    /// `overlay` that ends at `id` written over its port, and the port
+    /// count (at most two: the widest operator is binary). The searches
+    /// read a successor's wiring this way before they build it.
+    pub(crate) fn providers_with(
+        &self,
+        id: NodeId,
+        overlay: &[(NodeId, usize, NodeId)],
+    ) -> Result<([Option<NodeId>; 2], usize)> {
+        let providers = self.providers(id)?;
+        let mut ports = [None; 2];
+        let n = providers.len().min(ports.len());
+        ports[..n].copy_from_slice(&providers[..n]);
+        for &(_, port, provider) in overlay.iter().filter(|edge| edge.0 == id) {
+            if let Some(slot) = ports.get_mut(port) {
+                *slot = Some(provider);
+            }
+        }
+        Ok((ports, n))
+    }
+
     /// All consumers of `id` (one entry per consuming port).
     #[inline]
     pub fn consumers(&self, id: NodeId) -> Result<&[NodeId]> {

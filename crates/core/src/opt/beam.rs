@@ -46,7 +46,6 @@
 //! `tests/beam_width.rs` pins ES against constants captured before the
 //! two loops were merged.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,7 +53,7 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::{
     expand_frontier, Admit, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
-    ShardedVisited, Threads, EXPAND_WINDOW,
+    ShardedVisited, State, Threads, EXPAND_WINDOW,
 };
 use crate::signature::Signature;
 use crate::trace::{Collector, Span, TraceEvent, TraceSink};
@@ -115,12 +114,16 @@ impl BeamSearch {
 /// order and the number of states dropped.
 ///
 /// Only what can survive is ordered: the `width`-th cheapest cost is found
-/// by selection, every state strictly dearer is dropped unseen — no
-/// signature is built for it — and the rest (the survivors, plus whatever
-/// ties the boundary cost) goes through the full order.
-fn truncate(mut frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64) {
+/// by selection, every state strictly dearer is dropped unseen — neither
+/// built nor given a signature — and the rest (the survivors, plus
+/// whatever ties the boundary cost) goes through the full order.
+fn truncate(
+    mut frontier: Vec<State>,
+    width: usize,
+    model: &dyn CostModel,
+) -> Result<(Vec<State>, u64)> {
     if frontier.len() <= width {
-        return (frontier, 0);
+        return Ok((frontier, 0));
     }
     let dropped = (frontier.len() - width) as u64;
     let mut costs: Vec<f64> = frontier.iter().map(|s| s.total).collect();
@@ -128,31 +131,40 @@ fn truncate(mut frontier: Vec<EvalState>, width: usize) -> (Vec<EvalState>, u64)
         .select_nth_unstable_by(width.saturating_sub(1), f64::total_cmp)
         .1;
     frontier.retain(|s| s.total.total_cmp(&boundary).is_le());
-    (cheapest(frontier, width), dropped)
+    Ok((cheapest(frontier, width, model)?, dropped))
 }
 
 /// The `width` first states of `frontier` under the (cost, signature)
-/// order, in that order. Signatures are only built for states that actually
-/// tie on cost, and at most once each.
-fn cheapest(frontier: Vec<EvalState>, width: usize) -> Vec<EvalState> {
-    let sigs: Vec<OnceCell<Signature>> = frontier.iter().map(|_| OnceCell::new()).collect();
+/// order, in that order. Only states that tie on cost with another are
+/// built (and kept built: a survivor is expanded next) and given a
+/// signature, once each.
+fn cheapest(mut frontier: Vec<State>, width: usize, model: &dyn CostModel) -> Result<Vec<State>> {
     let mut order: Vec<usize> = (0..frontier.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        frontier[a]
+    order.sort_unstable_by(|&a, &b| frontier[a].total.total_cmp(&frontier[b].total));
+    let mut sigs: Vec<Option<Signature>> = vec![None; frontier.len()];
+    for pair in order.windows(2) {
+        if frontier[pair[0]]
             .total
-            .total_cmp(&frontier[b].total)
-            .then_with(|| {
-                let sa = sigs[a].get_or_init(|| frontier[a].wf.signature());
-                let sb = sigs[b].get_or_init(|| frontier[b].wf.signature());
-                sa.cmp(sb)
-            })
+            .total_cmp(&frontier[pair[1]].total)
+            .is_eq()
+        {
+            for &i in pair {
+                if sigs[i].is_none() {
+                    sigs[i] = Some(frontier[i].built(model)?.wf.signature());
+                }
+            }
+        }
+    }
+    order.sort_unstable_by(|&a, &b| {
+        let by_cost = frontier[a].total.total_cmp(&frontier[b].total);
+        by_cost.then_with(|| sigs[a].cmp(&sigs[b]))
     });
-    let mut slots: Vec<Option<EvalState>> = frontier.into_iter().map(Some).collect();
-    order
+    let mut slots: Vec<Option<State>> = frontier.into_iter().map(Some).collect();
+    Ok(order
         .iter()
         .take(width)
         .filter_map(|&i| slots[i].take())
-        .collect()
+        .collect())
 }
 
 impl Default for BeamSearch {
@@ -214,7 +226,7 @@ pub(super) fn search_generations(
         }
     };
     let (memo_h0, memo_m0) = memo.stats();
-    let initial = EvalState::full(wf.clone(), model)?;
+    let initial = State::from(EvalState::full(wf.clone(), model)?);
     let initial_cost = initial.total;
     col.evaluated(initial.via_delta());
 
@@ -224,15 +236,15 @@ pub(super) fn search_generations(
     // Best state tracked by (cost, signature): strictly cheaper wins; an
     // exact cost tie goes to the lexicographically smaller signature, so
     // the winner does not depend on arrival order. The full signature
-    // string is only built lazily, for tie-breaks. The winning workflow
-    // itself is cloned once per improving generation (after the merge and
+    // string is only built lazily, for tie-breaks. The winning state is
+    // built and shared once per improving generation (after the merge and
     // before the cut — the incumbent may well be a state a later
     // truncation drops from the frontier), not once per improvement.
-    let mut best = wf.clone();
+    let mut best = initial.build(model)?;
     let mut best_cost = initial_cost;
     let mut best_sig: Option<Signature> = None;
 
-    let mut frontier: Vec<EvalState> = vec![initial];
+    let mut frontier: Vec<State> = vec![initial];
     let mut budget_exhausted = false;
     let mut generation = 0usize;
 
@@ -252,7 +264,7 @@ pub(super) fn search_generations(
         // stops *work*, not just admission: no window is expanded once the
         // visited set is full or the clock has run out, and the states of
         // the frontier it never reached are not expanded at all.
-        let mut next_frontier: Vec<EvalState> = Vec::new();
+        let mut next_frontier: Vec<State> = Vec::new();
         let mut gen_best: Option<usize> = None;
         for window in frontier.chunks(EXPAND_WINDOW) {
             if budget_exhausted || visited.at_cap() || pacer.check_now() {
@@ -293,7 +305,7 @@ pub(super) fn search_generations(
                     col.evaluated(false);
                     col.deduplicated();
                 }
-                for next in chunk.fresh {
+                for mut next in chunk.fresh {
                     col.evaluated(next.via_delta());
                     if !merging {
                         continue;
@@ -322,9 +334,9 @@ pub(super) fn search_generations(
                             // Reuse the lazily-built signatures: the
                             // incumbent's is computed at most once per
                             // reign, and a tie-winner donates its own.
-                            let sig = next.wf.signature();
+                            let sig = next.built(model)?.wf.signature();
                             let wins = {
-                                let cur = best_sig.get_or_insert_with(|| best.signature());
+                                let cur = best_sig.get_or_insert_with(|| best.wf.signature());
                                 sig < *cur
                             };
                             if wins {
@@ -345,7 +357,7 @@ pub(super) fn search_generations(
             }
         }
         if let Some(i) = gen_best {
-            best = next_frontier[i].wf.clone();
+            best = next_frontier[i].built(model)?;
         }
         // The beam cut: keep the K cheapest survivors. Truncated states
         // stay in the visited set (they were admitted and count toward the
@@ -353,7 +365,7 @@ pub(super) fn search_generations(
         // the accounting and as `truncated_states` in the beam telemetry.
         frontier = match width {
             Some(width) => {
-                let (kept, dropped) = truncate(next_frontier, width);
+                let (kept, dropped) = truncate(next_frontier, width, model)?;
                 col.truncated(dropped);
                 kept
             }
@@ -377,7 +389,7 @@ pub(super) fn search_generations(
         budget_exhausted,
     });
     Ok(SearchOutcome {
-        best,
+        best: best.into_workflow(),
         best_cost,
         initial_cost,
         visited_states: visited.len(),
@@ -431,7 +443,7 @@ mod tests {
 
     /// Distinct states to cut: the orderings of six commuting filters,
     /// breadth-first from the initial one.
-    fn orderings(at_least: usize) -> Vec<EvalState> {
+    fn orderings(at_least: usize) -> Vec<State> {
         let mut b = WorkflowBuilder::new();
         let mut last = b.source("S", Schema::of(["a"]), 1000.0);
         for i in 0..6 {
@@ -440,10 +452,12 @@ mod tests {
         }
         b.target("T", Schema::of(["a"]), last);
         let model = RowCountModel::default();
-        let mut states = vec![EvalState::full(b.build().unwrap(), &model).unwrap()];
+        let mut states = vec![State::from(
+            EvalState::full(b.build().unwrap(), &model).unwrap(),
+        )];
         let mut next = 0;
         while states.len() < at_least {
-            let from = states[next].clone();
+            let from = states[next].build(&model).unwrap();
             next += 1;
             for mv in crate::opt::enumerate_moves(&from.wf).unwrap() {
                 let known = |fp| states.iter().any(|s| s.fp == fp);
@@ -462,7 +476,13 @@ mod tests {
     fn truncate_keeps_what_the_full_sort_keeps() {
         // `cheapest` over the whole frontier is the cut as it was before
         // the selection: order everything, keep the first `width`.
-        let states = orderings(90);
+        let model = RowCountModel::default();
+        // The totals below are made up, and a pending state must build
+        // into its total: build every state before its total is replaced.
+        let mut states = orderings(90);
+        for s in &mut states {
+            s.built(&model).unwrap();
+        }
         let mut rng = crate::rng::Rng::seed_from_u64(0x7a7a);
         for case in 0..24 {
             let mut frontier = states.clone();
@@ -476,12 +496,12 @@ mod tests {
             for width in [1, 2, 64, frontier.len() - 1, frontier.len()] {
                 let at = format!("case {case}, width {width}");
                 let expect = if width < frontier.len() {
-                    cheapest(frontier.clone(), width)
+                    cheapest(frontier.clone(), width, &model).unwrap()
                 } else {
                     frontier.clone()
                 };
-                let (kept, dropped) = truncate(frontier.clone(), width);
-                let fps = |states: &[EvalState]| states.iter().map(|s| s.fp).collect::<Vec<_>>();
+                let (kept, dropped) = truncate(frontier.clone(), width, &model).unwrap();
+                let fps = |states: &[State]| states.iter().map(|s| s.fp).collect::<Vec<_>>();
                 assert_eq!(fps(&kept), fps(&expect), "{at}");
                 assert_eq!(dropped as usize, frontier.len() - kept.len(), "{at}");
                 let boundary = kept.iter().map(|s| s.total).fold(f64::MIN, f64::max);

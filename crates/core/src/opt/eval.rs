@@ -1,10 +1,12 @@
 //! Incremental state evaluation: the carrier that makes state expansion
-//! O(affected subgraph) instead of O(whole workflow), and free for a
-//! successor the search already holds.
+//! O(affected subgraph) instead of O(whole workflow), free for a successor
+//! the search already holds, and — for a swap — deferred until the search
+//! expands or returns the successor.
 //!
-//! Every search state is paired with its flat per-node pricing
-//! ([`CostVec`]) and per-node structural hashes ([`NodeHashes`]). A
-//! successor is then produced by one pipeline, in this order:
+//! Every built search state ([`EvalState`]) is paired with its flat
+//! per-node pricing ([`CostVec`]) and per-node structural hashes
+//! ([`NodeHashes`]). A successor is then produced by one pipeline, in this
+//! order:
 //!
 //! 1. **rewire** — the transition's structural check, a structure-sharing
 //!    clone and the edge surgery ([`Rewire::rewire`]);
@@ -27,15 +29,20 @@
 //! bit-for-bit, so delta-evaluated totals and fingerprints are *exactly*
 //! equal to from-scratch ones (pinned by the equivalence property tests).
 //!
-//! A swap — most of every search's moves — takes the same steps in a
-//! cheaper order ([`EvalState::step_swap`]): its structural check and the
-//! three provider edges it will write are read off the parent, the walk
-//! runs on the parent (same nodes; only the pair trades places), and the
-//! fingerprint is taken through those edges as an overlay, so a known
-//! successor is never cloned or relinked. A new one is cloned, relinked,
-//! regenerated on the pair and its consumer only — past the consumer only
-//! if its output changed — and target-checked only where the regeneration
-//! reached (`Swap::finalize`).
+//! A swap — most of every search's moves — takes the same steps on the
+//! parent, without building anything ([`EvalState::step_move`]). Its
+//! structural check and the three provider edges it will write are read
+//! off the parent; the walk runs on the parent (same nodes, only the pair
+//! trades places); the fingerprint is taken through those edges as an
+//! overlay; the verdict derives the pair and its consumer through the
+//! overlay into locals (`Swap::contained`); the total is repriced through
+//! the overlay into a scratch table. What comes back is a *pending*
+//! [`State`]: the parent, the edges, the fingerprint and the total. Most
+//! successors a search admits it never expands, so most are never built;
+//! one is built — clone, relink, `Swap::finalize`, tables — only when a
+//! search expands or returns it ([`State::build`]). The one swap judged by
+//! building is the rare one whose consumer hands on a new schema: the walk
+//! then goes on past it, and that successor is built on the spot.
 //!
 //! Models that override [`CostModel::cost`] with something richer than the
 //! per-activity summation (`supports_delta() == false`, e.g. the physical
@@ -43,22 +50,23 @@
 //! state, and are asked only then — same results, without the shortcut.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
-use crate::cost::{CostModel, CostVec};
-use crate::error::Result;
+use crate::cost::{reprice_total_with_edges, CostModel, CostVec};
+use crate::error::{CoreError, Result};
 use crate::graph::NodeId;
 use crate::opt::Move;
 use crate::schema_gen::downstream_of;
 use crate::signature::{self, NodeHashes};
 use crate::trace::Rejections;
-use crate::transition::{finalize_along, Rewire, Swap, TransitionError};
+use crate::transition::{finalize_along, Edges, Rewire, Swap, TransitionError};
 use crate::workflow::Workflow;
 
 /// What expanding one transition produced.
 #[derive(Debug)]
 pub(crate) enum Step {
-    /// A successor the caller did not have, regenerated and priced.
-    New(EvalState),
+    /// A successor the caller did not have, judged and priced.
+    New(State),
     /// A successor the caller's test recognised by its fingerprint.
     Known {
         /// The fingerprint it was recognised by.
@@ -81,14 +89,93 @@ impl Step {
     /// Was the candidate on the delta path ([`EvalState::via_delta`])?
     pub fn via_delta(&self) -> bool {
         match self {
-            Step::New(next) => next.via_delta,
+            Step::New(next) => next.via_delta(),
             Step::Known { via_delta, .. } => *via_delta,
         }
     }
 }
 
-/// A search state with everything needed to expand it incrementally.
+/// A search state as the searches hold it: its fingerprint and total, and
+/// the state itself — built, or pending on its parent. Cloning one shares
+/// the state; it never copies a workflow.
 #[derive(Debug, Clone)]
+pub(crate) struct State {
+    /// The state fingerprint (keys the visited sets).
+    pub fp: u128,
+    /// The state's total cost, to the bit what the built state carries.
+    pub total: f64,
+    form: Form,
+}
+
+#[derive(Debug, Clone)]
+enum Form {
+    Built(Arc<EvalState>),
+    /// The swap along `edges`, judged legal on `parent` and not yet built.
+    Pending {
+        parent: Arc<EvalState>,
+        edges: Edges,
+    },
+}
+
+impl From<EvalState> for State {
+    fn from(state: EvalState) -> State {
+        Arc::new(state).into()
+    }
+}
+
+impl From<Arc<EvalState>> for State {
+    fn from(state: Arc<EvalState>) -> State {
+        State {
+            fp: state.fp,
+            total: state.total,
+            form: Form::Built(state),
+        }
+    }
+}
+
+impl State {
+    /// Was this state priced through the delta path? A pending one was.
+    pub fn via_delta(&self) -> bool {
+        match &self.form {
+            Form::Built(state) => state.via_delta,
+            Form::Pending { .. } => true,
+        }
+    }
+
+    /// The state, built: shared if it is, built from its parent if it is
+    /// pending. A search calls this for the states it expands or returns.
+    /// The searches ranked, deduplicated and cut a pending state on the
+    /// fingerprint and total taken on its parent; a built state that
+    /// disagrees with either (a cost model whose `activity_cost` reads
+    /// schemata, say) is an error, not a silently different search.
+    pub fn build(&self, model: &dyn CostModel) -> Result<Arc<EvalState>> {
+        match &self.form {
+            Form::Built(state) => Ok(Arc::clone(state)),
+            Form::Pending { parent, edges } => {
+                let state = parent.build_swap(edges, model)?;
+                if (state.fp, state.total.to_bits()) != (self.fp, self.total.to_bits()) {
+                    return Err(CoreError::Schema(format!(
+                        "a pending swap built into fingerprint {:032x} and total {}, \
+                         not the {:032x} and {} taken on its parent",
+                        state.fp, state.total, self.fp, self.total
+                    )));
+                }
+                Ok(Arc::new(state))
+            }
+        }
+    }
+
+    /// [`State::build`], keeping the built state in place of the pending
+    /// one, for a state that stays held after it is read.
+    pub fn built(&mut self, model: &dyn CostModel) -> Result<Arc<EvalState>> {
+        let state = self.build(model)?;
+        self.form = Form::Built(Arc::clone(&state));
+        Ok(state)
+    }
+}
+
+/// A built search state with everything needed to expand it incrementally.
+#[derive(Debug)]
 pub(crate) struct EvalState {
     /// The state itself.
     pub wf: Workflow,
@@ -136,11 +223,16 @@ impl EvalState {
         self.via_delta
     }
 
+    /// The state's workflow, copied only if the state is still shared.
+    pub fn into_workflow(self: Arc<Self>) -> Workflow {
+        Arc::try_unwrap(self).map_or_else(|shared| shared.wf.clone(), |own| own.wf)
+    }
+
     /// Expand one enumerated [`Move`]; `None` when it does not apply — in
     /// which case the rejection rule is counted on `rej` rather than
     /// silently discarded. `known` is the caller's "already have it" test.
     pub fn step_move(
-        &self,
+        self: &Arc<Self>,
         mv: &Move,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
@@ -159,9 +251,10 @@ impl EvalState {
 
     /// Expand one swap; `None` when it does not apply — the rejection rule
     /// is counted on `rej`. The swap path of the module docs: the same
-    /// successor, fingerprint and verdict as the general pipeline.
+    /// fingerprint, total and verdict as the general pipeline, and a
+    /// pending successor that builds into its successor.
     pub fn step_swap(
-        &self,
+        self: &Arc<Self>,
         t: &Swap,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
@@ -209,7 +302,7 @@ impl EvalState {
     /// The swap path of the module docs; errors as for
     /// [`EvalState::successor`].
     fn swap_successor(
-        &self,
+        self: &Arc<Self>,
         t: &Swap,
         cost: &CostVec,
         hashes: &NodeHashes,
@@ -217,34 +310,71 @@ impl EvalState {
         known: impl Fn(u128) -> bool,
     ) -> Result<Result<Step>, TransitionError> {
         let edges = t.edges(&self.wf)?;
-        let [(second, ..), (first, ..), (c, ..)] = edges;
-        // On the parent the walk reads `first, second, c, …`: the pair is
-        // its only start-free prefix. The successor's walk is the same list
-        // with the pair traded.
-        let mut dirty = downstream_of(self.wf.graph(), &[first, second])?;
-        match dirty.as_mut_slice() {
-            [a, b, d, ..] if (*a, *b, *d) == (first, second, c) => std::mem::swap(a, b),
-            _ => return Err(TransitionError::NotAdjacent(first, second)),
-        }
-        let (hashes, fp) = signature::rehash_with_edges(&self.wf, hashes, &dirty, &edges);
+        let dirty = swap_walk(&self.wf, &edges)?;
+        let fp = signature::fingerprint_with_edges(&self.wf, hashes, &dirty, &edges);
         if known(fp) {
             return Ok(Ok(Step::Known {
                 fp,
                 via_delta: true,
             }));
         }
+        if !Swap::contained(&self.wf, &edges)? {
+            let next = self.build_along(&edges, &dirty, cost, hashes, model)?;
+            return Ok(next.map(|next| Step::New(next.into())));
+        }
+        let total = reprice_total_with_edges(model, &self.wf, cost, &dirty, &edges);
+        Ok(total.map(|total| {
+            let parent = Arc::clone(self);
+            Step::New(State {
+                fp,
+                total,
+                form: Form::Pending { parent, edges },
+            })
+        }))
+    }
+
+    /// Build the swap along `edges` from this state: a pending successor
+    /// [`EvalState::swap_successor`] judged legal, so a refusal here is a
+    /// broken invariant, reported as an error.
+    fn build_swap(&self, edges: &Edges, model: &dyn CostModel) -> Result<EvalState> {
+        let broken = |e: TransitionError| match e {
+            TransitionError::Graph(e) => e,
+            e => CoreError::Schema(format!("a swap judged legal failed to build: {e}")),
+        };
+        let Some((cost, hashes)) = &self.detail else {
+            return Err(CoreError::Schema(
+                "a pending swap's parent has no tables".into(),
+            ));
+        };
+        let dirty = swap_walk(&self.wf, edges).map_err(broken)?;
+        self.build_along(edges, &dirty, cost, hashes, model)
+            .map_err(broken)?
+    }
+
+    /// The swap along `edges` built from this state: clone, relink, the
+    /// three-node `Swap::finalize`, and the tables along `dirty`, the
+    /// successor's walk. Errors as for [`EvalState::successor`].
+    fn build_along(
+        &self,
+        edges: &Edges,
+        dirty: &[NodeId],
+        cost: &CostVec,
+        hashes: &NodeHashes,
+        model: &dyn CostModel,
+    ) -> Result<Result<EvalState>, TransitionError> {
         let mut next = self.wf.clone();
-        Swap::relink(&mut next.graph, &edges)?;
-        Swap::finalize(&mut next, &edges, dirty.get(3..))?;
-        Ok(model.reprice_along(&next, cost, &dirty).map(|cost| {
-            Step::New(EvalState {
+        Swap::relink(&mut next.graph, edges)?;
+        Swap::finalize(&mut next, edges, dirty.get(3..))?;
+        let (hashes, fp) = signature::rehash_along(&next, hashes, dirty);
+        Ok(model
+            .reprice_along(&next, cost, dirty)
+            .map(|cost| EvalState {
                 total: cost.total,
                 fp,
                 detail: Some((cost, hashes)),
                 wf: next,
                 via_delta: true,
-            })
-        }))
+            }))
     }
 
     /// The pipeline of the module docs. The outer error is a refusal of the
@@ -264,7 +394,7 @@ impl EvalState {
                     let (fp, via_delta) = (next.fp, false);
                     Step::Known { fp, via_delta }
                 } else {
-                    Step::New(next)
+                    Step::New(next.into())
                 }
             }));
         };
@@ -285,15 +415,32 @@ impl EvalState {
         }
         finalize_along(&mut next, &roots[..own], &dirty)?;
         Ok(model.reprice_along(&next, cost, &dirty).map(|cost| {
-            Step::New(EvalState {
-                total: cost.total,
-                fp,
-                detail: Some((cost, hashes)),
-                wf: next,
-                via_delta: true,
-            })
+            Step::New(
+                EvalState {
+                    total: cost.total,
+                    fp,
+                    detail: Some((cost, hashes)),
+                    wf: next,
+                    via_delta: true,
+                }
+                .into(),
+            )
         }))
     }
+}
+
+/// The successor's walk for the swap along `edges`, read off the parent:
+/// there `downstream_of` the pair reads `first, second, c, …` (the pair is
+/// its only start-free prefix), and the successor's is the same list with
+/// the pair traded.
+fn swap_walk(wf: &Workflow, edges: &Edges) -> Result<Vec<NodeId>, TransitionError> {
+    let [(second, ..), (first, ..), (c, ..)] = *edges;
+    let mut dirty = downstream_of(wf.graph(), &[first, second])?;
+    match dirty.as_mut_slice() {
+        [a, b, d, ..] if (*a, *b, *d) == (first, second, c) => std::mem::swap(a, b),
+        _ => return Err(TransitionError::NotAdjacent(first, second)),
+    }
+    Ok(dirty)
 }
 
 #[cfg(test)]
@@ -360,7 +507,7 @@ mod tests {
         let (mut accepted, mut refused) = (0usize, 0usize);
         for seed in 0..24u64 {
             let mut rng = Rng::seed_from_u64(seed ^ 0x0e0e);
-            let mut cur = EvalState::full(converging(), &model).unwrap();
+            let mut cur = Arc::new(EvalState::full(converging(), &model).unwrap());
             for _ in 0..10 {
                 let moves = enumerate_moves(&cur.wf).unwrap();
                 let mut successors = Vec::new();
@@ -400,6 +547,7 @@ mod tests {
                         Some(Ok(Step::New(next))) => {
                             assert!(verdict, "{at}");
                             assert_eq!(next.fp, fp, "{at}");
+                            let next = next.build(&model).unwrap();
                             assert_eq!(next.wf, mv.apply(&cur.wf).unwrap(), "{at}");
                         }
                         None => assert!(!verdict && rej.total() == 1, "{at}"),
@@ -414,7 +562,7 @@ mod tests {
                 let Some(Ok(Step::New(next))) = step else {
                     panic!("an accepted move must step");
                 };
-                cur = next;
+                cur = next.build(&model).unwrap();
             }
         }
         assert!(accepted > 500, "too few successors checked: {accepted}");
@@ -465,7 +613,7 @@ mod tests {
     ///   where it reached gives the verdict that checking them all gives;
     /// * the parent's walk with the pair traded is the successor's walk;
     /// * the fingerprint taken through the three-edge overlay on the
-    ///   parent is `rehash_along` on the built successor, table and all.
+    ///   parent is `rehash_along`'s on the built successor.
     #[test]
     fn a_swap_paid_for_by_three_nodes_is_the_swap_the_full_walk_finalizes() {
         let model = RowCountModel::default();
@@ -474,7 +622,7 @@ mod tests {
         for (start, fixture) in [(converging(), "converging"), (generators(), "generators")] {
             for seed in 0..12u64 {
                 let mut rng = Rng::seed_from_u64(seed ^ 0x5a5a);
-                let mut cur = EvalState::full(start.clone(), &model).unwrap();
+                let mut cur = Arc::new(EvalState::full(start.clone(), &model).unwrap());
                 for step in 0..8 {
                     let wf = &cur.wf;
                     for mv in enumerate_moves(wf).unwrap() {
@@ -523,12 +671,9 @@ mod tests {
                         }
 
                         let hashes = &cur.detail.as_ref().unwrap().1;
-                        let overlay = signature::rehash_with_edges(wf, hashes, &walk, &edges);
-                        assert_eq!(
-                            overlay,
-                            signature::rehash_along(&rewired, hashes, &walk),
-                            "{at}"
-                        );
+                        let overlay = signature::fingerprint_with_edges(wf, hashes, &walk, &edges);
+                        let along = signature::rehash_along(&rewired, hashes, &walk).1;
+                        assert_eq!(overlay, along, "{at}");
 
                         checked += 1;
                         let consumer_is_target = rewired.targets().contains(&c);
@@ -550,7 +695,7 @@ mod tests {
                     let mv = moves[rng.gen_range(0..moves.len())];
                     let step = cur.step_move(&mv, &model, |_| false, &mut Rejections::default());
                     if let Some(Ok(Step::New(next))) = step {
-                        cur = next;
+                        cur = next.build(&model).unwrap();
                     }
                 }
             }
@@ -560,5 +705,131 @@ mod tests {
         assert!(escaped > 0, "no swap changed its consumer's output");
         assert!(into_target > 0, "no swap fed a target");
         assert!(pout_add, "the π-out/ADD pair was never checked");
+    }
+    /// Per live node: the hashes and the pricing, bit for bit.
+    fn same_tables(wf: &Workflow, a: &(CostVec, NodeHashes), b: &(CostVec, NodeHashes)) -> bool {
+        wf.graph().iter().all(|(id, _)| {
+            a.1.of(id) == b.1.of(id)
+                && a.0.rows_out(id).to_bits() == b.0.rows_out(id).to_bits()
+                && a.0.node_cost(id).to_bits() == b.0.node_cost(id).to_bits()
+        }) && a.0.total.to_bits() == b.0.total.to_bits()
+    }
+
+    /// `S → σ → NN → T` whose target has since dropped `w` from its
+    /// declared schema. No legal swap changes the attribute set a target
+    /// receives, so the target check is a safety net the search fixtures
+    /// never trip; this state trips it on every swap into `T`.
+    fn drifted() -> Workflow {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v", "w"]), 1000.0);
+        let f = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 1)), s);
+        let nn = b.unary("NN", UnaryOp::not_null("w"), f);
+        let t = b.target("T", Schema::of(["k", "v", "w"]), nn);
+        let mut wf = b.build().unwrap();
+        if let Ok(crate::graph::Node::Recordset(rs)) = wf.graph.node_mut(t) {
+            rs.schema = Schema::of(["k", "v"]);
+        }
+        wf
+    }
+
+    /// A pending swap is the swap built. Over seeded walks from
+    /// `converging()`, `generators()` and `drifted()`, for every enumerated
+    /// swap, what the parent alone says of the successor — the verdict
+    /// (rule, node and detail), the fingerprint and the total's bits — is
+    /// what `Swap::apply`, `rehash_along` and `reprice_along` say on the
+    /// built state; and the state a pending successor builds into, tables
+    /// and all, is `Swap::apply`'s, hashed by `hash_state` and priced by
+    /// `price` from scratch. Counted, so none of it is vacuous: refusals,
+    /// swaps into a target, refusals by the target check, swaps whose
+    /// consumer hands on a new schema (built on the spot), and the
+    /// π-out/ADD pair refused at its target.
+    #[test]
+    fn a_pending_swap_is_the_swap_built() {
+        let model = RowCountModel::default();
+        let (mut pending, mut refused, mut into_target, mut escaped) = (0, 0, 0, 0);
+        let (mut pout_add, mut target_checked) = (0, 0);
+        let fixtures = [
+            (converging(), "converging"),
+            (generators(), "generators"),
+            (drifted(), "drifted"),
+        ];
+        for (start, fixture) in fixtures {
+            for seed in 0..12u64 {
+                let mut rng = Rng::seed_from_u64(seed ^ 0x9e9e);
+                let mut cur = Arc::new(EvalState::full(start.clone(), &model).unwrap());
+                for step in 0..8 {
+                    let (wf, (cost, hashes)) = (&cur.wf, cur.detail.as_ref().unwrap());
+                    for mv in enumerate_moves(wf).unwrap() {
+                        let Move::Swap(t) = mv else { continue };
+                        let at = format!("{fixture} seed {seed} step {step}: {}", mv.describe(wf));
+                        let Ok(edges) = t.edges(wf) else { continue };
+                        let [(second, ..), (first, ..), (c, ..)] = edges;
+                        let mut walk = downstream_of(wf.graph(), &[first, second]).unwrap();
+                        walk.swap(0, 1);
+                        let is_target = wf.targets().contains(&c);
+                        let label = |n: NodeId| wf.graph().node(n).unwrap().label().to_owned();
+                        let is_pout_add = label(first) == "π-out" && label(second) == "ADD";
+                        let applied = mv.apply(wf);
+                        let next = match cur.swap_successor(&t, cost, hashes, &model, |_| false) {
+                            Err(refusal) => {
+                                let by_target = refusal.to_string().contains("target T declares");
+                                target_checked += usize::from(by_target);
+                                assert_eq!(Err(refusal), applied.map(drop), "{at}");
+                                refused += 1;
+                                pout_add += usize::from(is_pout_add && is_target);
+                                continue;
+                            }
+                            Ok(Ok(Step::New(next))) => next,
+                            Ok(other) => panic!("{at}: {other:?}"),
+                        };
+                        let applied = applied.unwrap_or_else(|e| panic!("{at}: {e}"));
+                        assert!(!is_pout_add, "{at}: the π-out/ADD pair was accepted");
+                        let (along_hashes, fp) = signature::rehash_along(&applied, hashes, &walk);
+                        let along = (
+                            model.reprice_along(&applied, cost, &walk).unwrap(),
+                            along_hashes,
+                        );
+                        assert_eq!(next.fp, fp, "{at}: fingerprint");
+                        assert_eq!(next.total.to_bits(), along.0.total.to_bits(), "{at}: total");
+                        match next.form {
+                            Form::Pending { .. } => pending += 1,
+                            Form::Built(_) => escaped += 1,
+                        }
+                        into_target += usize::from(is_target);
+
+                        let built = next.build(&model).unwrap();
+                        assert_eq!(built.wf, applied, "{at}: the built state");
+                        assert_eq!(
+                            (built.fp, built.total.to_bits()),
+                            (fp, next.total.to_bits())
+                        );
+                        let (scratch_hashes, scratch_fp) = signature::hash_state(&applied);
+                        let scratch = (model.price(&applied).unwrap(), scratch_hashes);
+                        assert_eq!(built.fp, scratch_fp, "{at}: fingerprint from scratch");
+                        let tables = built.detail.as_ref().unwrap();
+                        assert!(same_tables(&applied, tables, &along), "{at}: tables along");
+                        assert!(
+                            same_tables(&applied, tables, &scratch),
+                            "{at}: from scratch"
+                        );
+                    }
+                    let moves = enumerate_moves(&cur.wf).unwrap();
+                    let mv = moves[rng.gen_range(0..moves.len())];
+                    let step = cur.step_move(&mv, &model, |_| false, &mut Rejections::default());
+                    if let Some(Ok(Step::New(next))) = step {
+                        cur = next.build(&model).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(pending > 300, "too few pending swaps checked: {pending}");
+        assert!(refused > 0, "no swap was refused");
+        assert!(into_target > 0, "no accepted swap fed a target");
+        assert!(escaped > 0, "no swap changed its consumer's output");
+        assert!(target_checked > 0, "the target check never refused a swap");
+        assert!(
+            pout_add > 0,
+            "the π-out/ADD pair was never refused at its target"
+        );
     }
 }

@@ -17,17 +17,20 @@
 //! per-group exhaustive swap exploration with hill climbing: only swaps
 //! that immediately improve the cost are taken.
 //!
-//! Every state, in every phase, travels as an [`EvalState`]: a swap is
-//! incrementally fingerprinted and delta-priced against the state it was
-//! applied to, and a Phase II/III candidate (a shift chain closed by one
-//! FAC or DIS) against the worklist state it started from — one dirty walk
-//! over the union of the chain's affected nodes, so the intermediate shift
-//! states are never priced or hashed. All candidate batches go through one
-//! routine, [`Runner::batch`]; a candidate the caller's set already holds
-//! comes back as [`Step::Known`], counted but never regenerated or priced.
+//! Every state, in every phase, travels as a [`State`]: a swap successor
+//! is judged, fingerprinted and priced against the state it was applied
+//! to and held *pending* — built only when it is popped, climbed to or
+//! accepted — and a Phase II/III candidate (a shift chain closed by one
+//! FAC or DIS) is built and priced against the worklist state it started
+//! from — one dirty walk over the union of the chain's affected nodes, so
+//! the intermediate shift states are never priced or hashed. All candidate
+//! batches go through one routine, [`Runner::batch`]; a candidate the
+//! caller's set already holds comes back as [`Step::Known`], counted but
+//! never judged or priced.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::activity::{Activity, ActivityId};
@@ -35,7 +38,7 @@ use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::opt::{
-    EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, Step, Threads,
+    EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, State, Step, Threads,
 };
 use crate::trace::{Collector, Rejections, Span, TraceEvent, TraceSink};
 use crate::transition::{Distribute, Factorize, Merge, Swap, Transition};
@@ -244,7 +247,7 @@ impl<'m> Runner<'m> {
         items: &[T],
         mut have: Option<&mut HashSet<u128>>,
         build: impl Fn(&T, Known, &mut Rejections) -> Candidate + Sync,
-        mut admit: impl FnMut(usize, EvalState) -> bool,
+        mut admit: impl FnMut(usize, State) -> bool,
     ) -> Result<()> {
         let held = have.as_deref();
         let known = |fp: u128| held.is_some_and(|set| set.contains(&fp));
@@ -310,7 +313,7 @@ impl<'m> Runner<'m> {
         // boundaries re-sample unconditionally so a slow phase cannot hide
         // a blown time budget from the next one.
         let span = self.phase_started("I swaps");
-        let mut smin = self.phase_swaps(s0)?;
+        let mut smin = self.phase_swaps(s0.into())?;
         self.record_eval(smin.fp, smin.via_delta());
         self.phase_finished("I swaps", span, 1, smin.total);
 
@@ -349,22 +352,23 @@ impl<'m> Runner<'m> {
         self.phase_finished("IV swaps", span, pool, smin.total);
 
         // Post-processing (line 36): split everything that was merged.
+        let mut best = smin.build(self.model)?;
         if !merge_constraints.is_empty() {
-            let split = crate::transition::split_all(&smin.wf)
+            let split = crate::transition::split_all(&best.wf)
                 .map_err(|e| CoreError::Schema(format!("post-split failed: {e}")))?;
-            smin = EvalState::full(split, self.model)?;
+            best = Arc::new(EvalState::full(split, self.model)?);
         }
 
         self.col.worker_batches(self.threads.batch_counts());
         self.sink.event(TraceEvent::Finished {
             algorithm: self.algorithm,
-            best_cost: smin.total,
+            best_cost: best.total,
             visited: self.visited_states,
             budget_exhausted: self.budget_exhausted,
         });
         Ok(SearchOutcome {
-            best: smin.wf,
-            best_cost: smin.total,
+            best_cost: best.total,
+            best: best.into_workflow(),
             initial_cost,
             visited_states: self.visited_states,
             elapsed: self.started.elapsed(),
@@ -410,8 +414,8 @@ impl<'m> Runner<'m> {
         &mut self,
         anchors: &[[Anchor; N]],
         mut worklist: Vec<usize>,
-        collected: &mut Vec<EvalState>,
-        smin: &mut EvalState,
+        collected: &mut Vec<State>,
+        smin: &mut State,
         candidate: ChainFn<N>,
     ) -> Result<()> {
         let mut produced: HashSet<u128> = collected.iter().map(|s| s.fp).collect();
@@ -419,7 +423,7 @@ impl<'m> Runner<'m> {
             if collected.len() >= COLLECT_CAP {
                 break;
             }
-            let si = collected[idx].clone();
+            let si = collected[idx].built(self.model)?;
             self.col.expanded(si.fp);
             let mut ids = Ids::with_capacity(si.wf.graph().slot_capacity());
             for (id, n) in si.wf.graph().iter() {
@@ -452,9 +456,8 @@ impl<'m> Runner<'m> {
     /// (Heuristic 4 — divide and conquer), threading the best state from
     /// group to group. Exhaustive per-group exploration for HS, hill
     /// climbing for HS-Greedy.
-    fn phase_swaps(&mut self, s0: EvalState) -> Result<EvalState> {
-        let mut current = s0;
-        let groups = current.wf.local_groups()?;
+    fn phase_swaps(&mut self, mut current: State) -> Result<State> {
+        let groups = current.built(self.model)?.wf.local_groups()?;
         // Size the per-group exploration so Phase I takes at most ~1/6 of
         // the state budget even when every group is explored to its cap.
         // The upper clamp covers a 6-activity group (6! = 720) in full;
@@ -482,11 +485,7 @@ impl<'m> Runner<'m> {
     /// the whole budget before the Factorize/Distribute phases run. Swap
     /// preserves node ids, so group membership is stable across the
     /// exploration.
-    fn swap_exhaustive(
-        &mut self,
-        state: EvalState,
-        members: &BTreeSet<NodeId>,
-    ) -> Result<EvalState> {
+    fn swap_exhaustive(&mut self, mut state: State, members: &BTreeSet<NodeId>) -> Result<State> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
@@ -511,7 +510,7 @@ impl<'m> Runner<'m> {
         // Hill-climb first: a cheap local optimum that the best-first
         // refinement can only improve on — under any truncation HS is at
         // least as good per group as HS-Greedy.
-        let climbed = self.swap_hill_climb(&state, members)?;
+        let climbed = self.swap_hill_climb(state.built(self.model)?, members)?;
         self.record_eval(state.fp, state.via_delta());
         self.record_eval(climbed.fp, climbed.via_delta());
         let mut best = if climbed.total <= state.total {
@@ -522,13 +521,13 @@ impl<'m> Runner<'m> {
         let mut seen = HashSet::from([state.fp, climbed.fp]);
         let mut heap =
             BinaryHeap::from([Reverse(Key(state.total, 0)), Reverse(Key(climbed.total, 1))]);
-        let mut states: Vec<EvalState> = vec![state, climbed];
+        let mut states: Vec<State> = vec![state, climbed];
         let mut expanded = 0usize;
         while let Some(Reverse(Key(_, idx))) = heap.pop() {
             if expanded >= cap || self.out_of_budget() {
                 break;
             }
-            let s = states[idx].clone();
+            let s = states[idx].built(self.model)?;
             expanded += 1;
             self.col.expanded(s.fp);
             let moves = group_swaps(&s.wf, members)?;
@@ -555,10 +554,9 @@ impl<'m> Runner<'m> {
     /// at a local optimum.
     fn swap_hill_climb(
         &mut self,
-        state: &EvalState,
+        mut current: Arc<EvalState>,
         members: &BTreeSet<NodeId>,
-    ) -> Result<EvalState> {
-        let mut current = state.clone();
+    ) -> Result<State> {
         self.record_eval(current.fp, current.via_delta());
         while !self.out_of_budget() {
             self.col.expanded(current.fp);
@@ -567,22 +565,22 @@ impl<'m> Runner<'m> {
             // The first of the cheapest improving successors, in
             // enumeration order, so ties resolve identically for any
             // thread count.
-            let mut improved: Option<EvalState> = None;
+            let mut improved: Option<State> = None;
             self.batch(
                 &moves,
                 None,
                 |sw, known, rej| current.step_swap(sw, model, known, rej),
                 |_, next| {
-                    if next.total < improved.as_ref().unwrap_or(&current).total {
+                    if next.total < improved.as_ref().map_or(current.total, |s| s.total) {
                         improved = Some(next);
                     }
                     true
                 },
             )?;
             let Some(next) = improved else { break };
-            current = next;
+            current = next.build(model)?;
         }
-        Ok(current)
+        Ok(current.into())
     }
 
     /// HS-Greedy's Phase I/IV: one sweep over the group's adjacent pairs,
@@ -591,12 +589,8 @@ impl<'m> Runner<'m> {
     /// pass moves each activity at most a step or two — long local groups
     /// stay under-optimized, which is exactly why the paper reports
     /// HS-Greedy degrading on large workflows.
-    fn swap_greedy_sweep(
-        &mut self,
-        state: EvalState,
-        members: &BTreeSet<NodeId>,
-    ) -> Result<EvalState> {
-        let mut current = state;
+    fn swap_greedy_sweep(&mut self, state: State, members: &BTreeSet<NodeId>) -> Result<State> {
+        let mut current = state.build(self.model)?;
         self.record_eval(current.fp, current.via_delta());
         // The group's pair list is taken up front, as in Fig. 7; a pair
         // consumed by an earlier swap may no longer be adjacent, in which
@@ -615,7 +609,7 @@ impl<'m> Runner<'m> {
         while start < moves.len() {
             self.col.expanded(current.fp);
             let model = self.model;
-            let mut advance: Option<(EvalState, usize)> = None;
+            let mut advance: Option<(State, usize)> = None;
             self.batch(
                 &moves[start..],
                 None,
@@ -628,10 +622,10 @@ impl<'m> Runner<'m> {
                     !accept
                 },
             )?;
-            let Some(next) = advance else { break };
-            (current, start) = next;
+            let Some((next, at)) = advance else { break };
+            (current, start) = (next.build(model)?, at);
         }
-        Ok(current)
+        Ok(current.into())
     }
 }
 

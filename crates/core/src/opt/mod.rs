@@ -27,7 +27,7 @@ pub use adaptive::{
     MemoryCalibration, Observation, PlanObserver, RoundReport,
 };
 pub use beam::BeamSearch;
-pub(crate) use eval::{EvalState, Step};
+pub(crate) use eval::{EvalState, State, Step};
 pub use exhaustive::ExhaustiveSearch;
 pub use heuristic::{shift_bkw, shift_frw, HeuristicSearch, HsGreedy};
 pub use memo::MoveMemo;
@@ -262,7 +262,7 @@ impl Pacer {
 pub(crate) struct ExpandChunk {
     /// Successors not in the visited set when the worker probed it, in
     /// move-enumeration order.
-    pub(crate) fresh: Vec<EvalState>,
+    pub(crate) fresh: Vec<State>,
     /// Rejection-rule deltas for this state's transition attempts.
     pub(crate) rej: crate::trace::Rejections,
     /// Duplicates recognised worker-side on the delta path — by their
@@ -284,14 +284,15 @@ pub(crate) struct ExpandChunk {
 /// fans out to workers.
 pub const EXPAND_WINDOW: usize = 8;
 
-/// Expand one window of a BFS frontier across the worker pool. Workers
-/// enumerate moves through the shared [`MoveMemo`], fingerprint each
-/// successor incrementally, drop the ones already in `visited` before they
-/// are regenerated or priced — and without funneling them through the
-/// coordinator — and price the rest. The set is quiescent while workers run
-/// (only the coordinator inserts, between windows), so the pre-filter's
-/// outcome is deterministic at any thread count. Results come back in
-/// (frontier index, move index) order.
+/// Expand one window of a BFS frontier across the worker pool. Each worker
+/// builds the state it expands (a pending swap successor is built here, by
+/// the search that expands it), enumerates its moves through the shared
+/// [`MoveMemo`], fingerprints each successor incrementally, drops the ones
+/// already in `visited` before they are judged or priced — and without
+/// funneling them through the coordinator — and prices the rest. The set
+/// is quiescent while workers run (only the coordinator inserts, between
+/// windows), so the pre-filter's outcome is deterministic at any thread
+/// count. Results come back in (frontier index, move index) order.
 ///
 /// `room` is how many more states `visited` can admit. A state stops
 /// producing successors once it holds `room` distinct ones that `visited`
@@ -300,7 +301,7 @@ pub const EXPAND_WINDOW: usize = 8;
 /// so the set grew by `room` and is full either way — whatever the state
 /// would have produced next could only have been counted, never admitted.
 pub(crate) fn expand_frontier(
-    window: &[EvalState],
+    window: &[State],
     threads: &Threads,
     memo: &MoveMemo,
     model: &dyn CostModel,
@@ -315,6 +316,7 @@ pub(crate) fn expand_frontier(
             dedup_full: 0,
         };
         let mut distinct = 0usize;
+        let state = state.build(model)?;
         for mv in memo.moves(&state.wf)? {
             if distinct >= room {
                 break;

@@ -21,6 +21,10 @@
 //! [`CostModel`] trait, so the logical search algorithms can optimize
 //! directly against physical costs.
 
+// The physical planner prices every search state of the physical cost
+// model, inside daemon workers: a graph it cannot plan is a typed error.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
 use crate::activity::{Activity, Op};
@@ -211,7 +215,9 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                         let op_list = op.unary_chain().ok_or_else(|| {
                             CoreError::Schema(format!("activity {id} is not unary"))
                         })?;
-                        let p = graph.provider(id, 0)?.expect("validated workflow");
+                        let p = graph
+                            .provider(id, 0)?
+                            .ok_or(CoreError::MissingProvider { node: id, port: 0 })?;
                         for (pi, palt) in frontiers[&p].iter().enumerate() {
                             // Price the chain link by link against this
                             // provider alternative.
@@ -272,8 +278,11 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                         }
                     }
                     Op::Binary(bop) => {
-                        let p0 = graph.provider(id, 0)?.expect("validated");
-                        let p1 = graph.provider(id, 1)?.expect("validated");
+                        let provider = |port| {
+                            let p = graph.provider(id, port)?;
+                            p.ok_or(CoreError::MissingProvider { node: id, port })
+                        };
+                        let (p0, p1) = (provider(0)?, provider(1)?);
                         for (i0, a0) in frontiers[&p0].iter().enumerate() {
                             for (i1, a1) in frontiers[&p1].iter().enumerate() {
                                 let base = a0.cost + a1.cost;
@@ -354,7 +363,7 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-            .expect("every node has an alternative");
+            .ok_or_else(|| CoreError::Schema(format!("no physical plan reaches target {t}")))?;
         total_cost = total_cost.max(best.cost);
         pending.push((t, best_idx));
     }
@@ -530,6 +539,30 @@ mod tests {
         );
         b.target("T", Schema::of(["k", "v"]), g);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn a_missing_provider_is_an_error_not_a_panic() {
+        for (port, binary) in [(0, false), (0, true), (1, true)] {
+            let mut b = WorkflowBuilder::new();
+            let s1 = b.source("S1", Schema::of(["k", "v"]), 100.0);
+            let node = if binary {
+                let s2 = b.source("S2", Schema::of(["k", "v"]), 100.0);
+                b.binary("J", BinaryOp::Join(vec!["k".into()]), s1, s2)
+            } else {
+                let f = UnaryOp::filter(Predicate::gt("v", 1));
+                b.unary("σ", f, s1)
+            };
+            b.target("T", Schema::of(["k", "v"]), node);
+            let mut wf = b.build().unwrap();
+            wf.graph.disconnect(node, port).unwrap();
+            let err = plan(&wf, &PhysicalConfig::default()).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::MissingProvider { node, port },
+                "port {port}"
+            );
+        }
     }
 
     #[test]

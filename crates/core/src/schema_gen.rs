@@ -22,8 +22,11 @@
 // Every transition ends in this walk; see `crate::transition`.
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
+use std::borrow::Cow;
+
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, Node, NodeId};
+use crate::recordset::Recordset;
 use crate::schema::Schema;
 
 /// A failed regeneration: the node whose schemata could not be derived,
@@ -144,6 +147,66 @@ pub(crate) fn regenerate_swap(
     regenerate_nodes(graph, rest, Reach::From(&[c]), targets).map(drop)
 }
 
+/// What [`regenerate_swap`] would make of a swap, judged by [`judge_swap`]
+/// before the swap is built.
+pub(crate) enum Judged<'g> {
+    /// The consumer hands on what it handed on before: the walk ends there.
+    Contained,
+    /// The consumer is a target that keeps its declared schema and would
+    /// receive this flow, for the caller to check against it.
+    IntoTarget(&'g Recordset, Cow<'g, Schema>),
+    /// The consumer's output would change: the walk goes on past it, and
+    /// only the built successor says where it ends.
+    Escapes,
+}
+
+/// [`regenerate_swap`]'s three nodes, refreshed on the *unrewired* graph:
+/// `overlay` is the swap's three provider edges `(node, port, provider)` —
+/// `second`, `first` and their consumer `c`, in that order — read over the
+/// graph's ([`View`]), and every derived schema stays in a local. Each node
+/// is refreshed by [`refresh`] as [`Reach::Moved`] refreshes it, and a
+/// failure is blamed on the node the walk would blame. The graph is a
+/// validated state, so nothing past `c` can change unless `c`'s output
+/// does; that is the one case the caller has to build the successor to
+/// judge.
+pub(crate) fn judge_swap<'g>(
+    graph: &'g Graph,
+    overlay: &[(NodeId, usize, NodeId); 3],
+) -> std::result::Result<Judged<'g>, RegenFailure> {
+    let [(second, ..), (first, ..), (c, ..)] = *overlay;
+    let second_out = moved_output(graph, second, View::new(overlay, &[]))?;
+    let first_out = moved_output(graph, first, View::new(overlay, &[(second, &second_out)]))?;
+    let at_c = |error: CoreError| RegenFailure { node: c, error };
+    let update = refresh(graph, c, true, View::new(overlay, &[(first, &first_out)]));
+    Ok(match update.map_err(at_c)? {
+        Some(Update::Activity(.., true) | Update::Recordset(_)) => Judged::Escapes,
+        Some(Update::Activity(.., false)) => Judged::Contained,
+        // A target keeps its declared schema, whatever flows in.
+        None => match graph.node(c).map_err(at_c)? {
+            Node::Recordset(rs)
+                if !rs.schema.is_empty() && graph.consumers(c).map_err(at_c)?.is_empty() =>
+            {
+                Judged::IntoTarget(rs, first_out)
+            }
+            _ => Judged::Contained,
+        },
+    })
+}
+
+/// Activity `id`'s output as [`Reach::Moved`] would refresh it, its ports
+/// read through `view`.
+fn moved_output<'g>(
+    graph: &'g Graph,
+    id: NodeId,
+    view: View,
+) -> std::result::Result<Cow<'g, Schema>, RegenFailure> {
+    let fail = |error: CoreError| RegenFailure { node: id, error };
+    Ok(match refresh(graph, id, true, view).map_err(fail)? {
+        Some(Update::Activity(_, output, _)) => Cow::Owned(output),
+        _ => Cow::Borrowed(graph.node(id).map_err(fail)?.output_schema()),
+    })
+}
+
 /// Which nodes of its order a regeneration walk refreshes, and how.
 #[derive(Clone, Copy)]
 enum Reach<'a> {
@@ -161,10 +224,38 @@ enum Reach<'a> {
 
 /// What [`refresh`] found a node's schemata should become.
 enum Update {
-    /// Fresh inputs (`None`: the stored ones still hold) and output, and
-    /// whether that output differs from the stored one.
-    Activity(Option<Vec<Schema>>, Schema, bool),
+    /// Whether the inputs are fresh (the stored ones no longer hold), the
+    /// output, and whether that output differs from the stored one.
+    Activity(bool, Schema, bool),
     Recordset(Schema),
+}
+
+/// How [`refresh`] reads a node's ports: the graph's provider edges with
+/// `overlay`'s `(node, port, provider)` written over them, and a
+/// provider's output from `local` when it is there, else from the graph.
+/// The regeneration walks read the graph as it is; [`judge_swap`] reads a
+/// swap it has not made.
+#[derive(Clone, Copy, Default)]
+struct View<'v> {
+    overlay: &'v [(NodeId, usize, NodeId)],
+    local: &'v [(NodeId, &'v Schema)],
+}
+
+impl<'v> View<'v> {
+    fn new(overlay: &'v [(NodeId, usize, NodeId)], local: &'v [(NodeId, &'v Schema)]) -> Self {
+        View { overlay, local }
+    }
+
+    /// Provider `p`'s output.
+    fn output<'a>(&self, graph: &'a Graph, p: NodeId) -> Result<&'a Schema>
+    where
+        'v: 'a,
+    {
+        match self.local.iter().find(|(id, _)| *id == p) {
+            Some((_, local)) => Ok(local),
+            None => Ok(graph.node(p)?.output_schema()),
+        }
+    }
 }
 
 /// Walk `order` (topological), refreshing the nodes `reach` selects from
@@ -200,8 +291,13 @@ fn regenerate_nodes(
         // `node_mut` is copy-on-write, so an unconditional write would
         // detach every node's `Arc` from sibling states and turn the cheap
         // structural-sharing clone back into a deep copy.
-        let output_changed = match refresh(graph, id, kept).map_err(fail)? {
-            Some(Update::Activity(inputs, output, output_changed)) => {
+        let output_changed = match refresh(graph, id, kept, View::default()).map_err(fail)? {
+            Some(Update::Activity(fresh, output, output_changed)) => {
+                let inputs = if fresh {
+                    Some(stored_inputs(graph, id).map_err(fail)?)
+                } else {
+                    None
+                };
                 if let Node::Activity(act) = graph.node_mut(id).map_err(fail)? {
                     if let Some(inputs) = inputs {
                         act.inputs = inputs;
@@ -234,41 +330,37 @@ fn regenerate_nodes(
 }
 
 /// The schemata node `id` should carry given its providers' current
-/// outputs, or `None` when it already carries them. With `kept`, an
-/// activity whose inputs are unchanged is taken to carry its output.
-fn refresh(graph: &Graph, id: NodeId, kept: bool) -> Result<Option<Update>> {
-    let providers = graph.providers(id)?;
+/// outputs, read through `view`, or `None` when it already carries them.
+/// With `kept`, an activity whose inputs are unchanged is taken to carry
+/// its output.
+fn refresh(graph: &Graph, id: NodeId, kept: bool, view: View) -> Result<Option<Update>> {
+    let (ports, n) = graph.providers_with(id, view.overlay)?;
     match graph.node(id)? {
         Node::Activity(act) => {
-            // Compare by reference; clone a provider's schema only when it
-            // has to be stored.
-            let mut same_inputs = act.inputs.len() == providers.len();
-            for (port, p) in providers.iter().enumerate() {
+            // Compare by reference; the caller clones a provider's schema
+            // only when it has to be stored.
+            let mut flows = [&act.output; 2];
+            for (port, p) in ports[..n].iter().enumerate() {
                 let pid = p.ok_or(CoreError::MissingProvider { node: id, port })?;
-                let flow = graph.node(pid)?.output_schema();
-                same_inputs = same_inputs && act.inputs.get(port) == Some(flow);
+                flows[port] = view.output(graph, pid)?;
             }
-            let fresh = if same_inputs {
-                if kept {
-                    return Ok(None);
-                }
-                None
+            let flows = &flows[..n];
+            let same_inputs =
+                act.inputs.len() == n && act.inputs.iter().zip(flows).all(|(i, f)| i == *f);
+            if same_inputs && kept {
+                return Ok(None);
+            }
+            let output = if same_inputs {
+                act.derive_output(&act.inputs)?
             } else {
-                let mut inputs = Vec::with_capacity(providers.len());
-                for p in providers.iter().flatten() {
-                    inputs.push(graph.node(*p)?.output_schema().clone());
-                }
-                Some(inputs)
+                act.derive_output(flows)?
             };
-            let output = act.derive_output(fresh.as_deref().unwrap_or(&act.inputs))?;
             let output_changed = act.output != output;
-            Ok(
-                (fresh.is_some() || output_changed).then_some(Update::Activity(
-                    fresh,
-                    output,
-                    output_changed,
-                )),
-            )
+            Ok((!same_inputs || output_changed).then_some(Update::Activity(
+                !same_inputs,
+                output,
+                output_changed,
+            )))
         }
         Node::Recordset(rs) => {
             // An intermediate recordset materializes exactly what flows
@@ -278,14 +370,25 @@ fn refresh(graph: &Graph, id: NodeId, kept: bool) -> Result<Option<Update>> {
             // declared without a schema adopts the flow as a convenience.
             let is_target = graph.consumers(id)?.is_empty();
             let keep_declared = is_target && !rs.schema.is_empty();
-            let Some(Some(pid)) = providers.first() else {
+            let Some(Some(pid)) = ports[..n].first() else {
                 return Ok(None);
             };
-            let flow = graph.node(*pid)?.output_schema();
+            let flow = view.output(graph, *pid)?;
             Ok((!keep_declared && !rs.schema.same_attrs(flow))
                 .then(|| Update::Recordset(flow.clone())))
         }
     }
+}
+
+/// Node `id`'s providers' outputs, one per port, to be stored as its
+/// inputs.
+fn stored_inputs(graph: &Graph, id: NodeId) -> Result<Vec<Schema>> {
+    let providers = graph.providers(id)?;
+    let mut inputs = Vec::with_capacity(providers.len());
+    for p in providers.iter().flatten() {
+        inputs.push(graph.node(*p)?.output_schema().clone());
+    }
+    Ok(inputs)
 }
 
 /// Check whether regeneration *would* succeed on this graph without

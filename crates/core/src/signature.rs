@@ -196,41 +196,58 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
 /// hash is a pure function of its providers' hashes, and the dirty closure
 /// contains every node whose providers changed.
 pub fn rehash_along(wf: &Workflow, parent: &NodeHashes, dirty: &[NodeId]) -> (NodeHashes, u128) {
-    rehash_with_edges(wf, parent, dirty, &[])
+    let mut node = parent.node.clone();
+    let fp = rehash_into(wf, &parent.targets, &mut node, dirty, &[]);
+    let targets = Arc::clone(&parent.targets);
+    (NodeHashes { node, targets }, fp)
 }
 
-/// [`rehash_along`] with provider edges `(node, port, provider)` read as an
-/// overlay on `wf`'s graph. The searches fingerprint a swap successor this
-/// way before building it: `wf` is the parent, `overlay` the three edges
-/// the swap will write (`crate::transition::Swap`), `dirty` the
-/// successor's walk. A node's hash reads only its providers and its own
-/// payload, and a swap moves no payload, so this is the built successor's
-/// [`rehash_along`] to the bit — without the clone a successor the search
-/// already holds would have been built for.
-pub(crate) fn rehash_with_edges(
+/// The fingerprint [`rehash_along`] would give the successor, taken with
+/// provider edges `(node, port, provider)` read as an overlay on `wf`'s
+/// graph and the rehashed nodes kept in the calling thread's scratch table.
+/// The searches fingerprint a swap successor this way before they decide
+/// whether to build it: `wf` is the parent, `overlay` the three edges the
+/// swap will write (`crate::transition::Swap`), `dirty` the successor's
+/// walk. A node's hash reads only its providers and its own payload, and a
+/// swap moves no payload, so this is the built successor's fingerprint to
+/// the bit — without the successor, and without a table of its own.
+pub(crate) fn fingerprint_with_edges(
     wf: &Workflow,
     parent: &NodeHashes,
     dirty: &[NodeId],
     overlay: &[(NodeId, usize, NodeId)],
-) -> (NodeHashes, u128) {
+) -> u128 {
+    SCRATCH.with(|scratch| {
+        let mut own = Vec::new();
+        let mut borrowed = scratch.try_borrow_mut();
+        let node = borrowed.as_deref_mut().unwrap_or(&mut own);
+        node.clone_from(&parent.node);
+        rehash_into(wf, &parent.targets, node, dirty, overlay)
+    })
+}
+
+thread_local! {
+    /// [`fingerprint_with_edges`]'s table: the parent's hashes, then the
+    /// candidate's along its walk; overwritten by the next candidate.
+    static SCRATCH: std::cell::RefCell<Vec<u128>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Rehash `dirty` in `node`, which holds the parent's hashes, with the
+/// providers `overlay` writes; returns the state fingerprint.
+fn rehash_into(
+    wf: &Workflow,
+    targets: &[NodeId],
+    node: &mut Vec<u128>,
+    dirty: &[NodeId],
+    overlay: &[(NodeId, usize, NodeId)],
+) -> u128 {
     let graph = wf.graph();
-    let mut node = parent.node.clone();
     node.resize(graph.slot_capacity(), 0);
     for &id in dirty {
-        let providers = graph.providers(id).unwrap_or_default();
-        let mut ports = [None; 2];
-        let n = providers.len().min(ports.len());
-        ports[..n].copy_from_slice(&providers[..n]);
-        for &(_, port, provider) in overlay.iter().filter(|edge| edge.0 == id) {
-            if let Some(slot) = ports.get_mut(port) {
-                *slot = Some(provider);
-            }
-        }
-        node[id.0 as usize] = node_hash(wf, id, &ports[..n], &node);
+        let (ports, n) = graph.providers_with(id, overlay).unwrap_or_default();
+        node[id.0 as usize] = node_hash(wf, id, &ports[..n], node);
     }
-    let fp = combine_targets(&parent.targets, &node);
-    let targets = Arc::clone(&parent.targets);
-    (NodeHashes { node, targets }, fp)
+    combine_targets(targets, node)
 }
 
 /// One node's structural hash from its providers' hashes. Arity tags keep

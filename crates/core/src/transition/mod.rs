@@ -48,6 +48,7 @@ mod swap;
 pub use distribute::Distribute;
 pub use factorize::{distributable_through, Factorize};
 pub use merge_split::{split_all, Merge, Split};
+pub(crate) use swap::Edges;
 pub use swap::Swap;
 
 use std::borrow::Cow;
@@ -55,6 +56,8 @@ use std::fmt;
 
 use crate::error::CoreError;
 use crate::graph::NodeId;
+use crate::recordset::Recordset;
+use crate::schema::Schema;
 use crate::workflow::Workflow;
 
 /// Which of the five transitions a value represents.
@@ -289,22 +292,24 @@ pub(crate) fn check_reached(wf: &Workflow, targets: &[NodeId]) -> Result<(), Tra
     for &t in targets {
         let r = wf.graph.recordset(t).map_err(TransitionError::Graph)?;
         if let Some(p) = wf.graph.provider(t, 0).map_err(TransitionError::Graph)? {
-            let out = wf
-                .graph
-                .node(p)
-                .map_err(TransitionError::Graph)?
-                .output_schema();
-            if !out.same_attrs(&r.schema) {
-                return Err(TransitionError::Graph(CoreError::Schema(format!(
-                    "target {} declares {} but would receive {}",
-                    r.name, r.schema, out
-                ))));
-            }
+            let out = wf.graph.node(p).map_err(TransitionError::Graph)?;
+            check_target(r, out.output_schema())?;
         }
     }
     #[cfg(debug_assertions)]
     wf.validate().map_err(TransitionError::Graph)?;
     Ok(())
+}
+
+/// [`check_reached`] for one target `r` that would receive `flow`.
+pub(crate) fn check_target(r: &Recordset, flow: &Schema) -> Result<(), TransitionError> {
+    if flow.same_attrs(&r.schema) {
+        return Ok(());
+    }
+    Err(TransitionError::Graph(CoreError::Schema(format!(
+        "target {} declares {} but would receive {}",
+        r.name, r.schema, flow
+    ))))
 }
 
 #[cfg(test)]

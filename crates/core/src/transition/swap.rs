@@ -21,10 +21,10 @@ use std::borrow::Cow;
 
 use crate::graph::{Graph, NodeId};
 use crate::schema::Schema;
-use crate::schema_gen::regenerate_swap;
+use crate::schema_gen::{judge_swap, regenerate_swap, Judged};
 use crate::transition::commute::{chains_commute, Verdict};
 use crate::transition::{
-    check_reached, refusal, Rewire, Transition, TransitionError, TransitionKind,
+    check_reached, check_target, refusal, Rewire, Transition, TransitionError, TransitionKind,
 };
 use crate::workflow::Workflow;
 
@@ -97,23 +97,31 @@ impl Swap {
         let meet = |x: &Schema, y: &Schema| x.iter().any(|a| y.contains(a));
         // Condition 3 (after-swap direction): `second`, once moved before
         // `first`, must not need attributes `first` generates — Fig. 5.
-        let (gen_first, fun_second) = (fa.generated(), sa.functionality());
-        if meet(&fun_second, &gen_first) {
-            let clash = fun_second.intersection(&gen_first);
-            return Err(TransitionError::FunctionalityViolated {
-                node: second,
-                detail: format!("{} needs {clash}, which {} generates", sa.label, fa.label),
-            });
+        // Most activities generate nothing; then `second`'s needs are moot.
+        let gen_first = fa.generated();
+        if !gen_first.is_empty() {
+            let fun_second = sa.functionality();
+            if meet(&fun_second, &gen_first) {
+                let clash = fun_second.intersection(&gen_first);
+                return Err(TransitionError::FunctionalityViolated {
+                    node: second,
+                    detail: format!("{} needs {clash}, which {} generates", sa.label, fa.label),
+                });
+            }
         }
         // Condition 4 (after-swap direction): `first`, once moved after
         // `second`, must not lose attributes `second` projects out — Fig. 6.
-        let (fun_first, dropped) = (fa.functionality(), sa.projected_out());
-        if meet(&fun_first, &dropped) {
-            let lost = fun_first.intersection(&dropped);
-            return Err(TransitionError::ProviderViolated {
-                node: first,
-                detail: format!("{} needs {lost}, which {} projects out", fa.label, sa.label),
-            });
+        // Most activities project nothing out; then `first`'s needs are moot.
+        let dropped = sa.projected_out();
+        if !dropped.is_empty() {
+            let fun_first = fa.functionality();
+            if meet(&fun_first, &dropped) {
+                let lost = fun_first.intersection(&dropped);
+                return Err(TransitionError::ProviderViolated {
+                    node: first,
+                    detail: format!("{} needs {lost}, which {} projects out", fa.label, sa.label),
+                });
+            }
         }
         Ok((first, second))
     }
@@ -166,6 +174,24 @@ impl Swap {
         let mut targets = Vec::new();
         regenerate_swap(&mut wf.graph, [second, first, c], rest, &mut targets).map_err(refusal)?;
         check_reached(wf, &targets)
+    }
+
+    /// The verdict of [`Swap::finalize`] on the state `edges` were read
+    /// off, before it is rewired: `Ok(true)` when the regeneration stops at
+    /// the pair's consumer and the successor is legal, `Ok(false)` when the
+    /// consumer's output changes — the walk then goes on, and only
+    /// `finalize` on the built successor can judge it. A refusal is
+    /// `finalize`'s, rule, node and detail. The three rewired nodes are
+    /// derived through `edges` into locals (`crate::schema_gen::judge_swap`)
+    /// and the consumer, when it is a target, is checked against its
+    /// declared schema: that is all the walk would regenerate, and all
+    /// `check_reached` would check.
+    pub(crate) fn contained(wf: &Workflow, edges: &Edges) -> Result<bool, TransitionError> {
+        match judge_swap(&wf.graph, edges).map_err(refusal)? {
+            Judged::Contained => Ok(true),
+            Judged::IntoTarget(target, flow) => check_target(target, &flow).map(|()| true),
+            Judged::Escapes => Ok(false),
+        }
     }
 
     /// [`Transition::apply`] on a state the caller owns — a shift chain's
