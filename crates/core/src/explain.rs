@@ -15,7 +15,6 @@ use std::fmt::Write;
 
 use crate::activity::ActivityId;
 use crate::error::Result;
-use crate::opt::SearchOutcome;
 use crate::workflow::Workflow;
 
 /// One difference between two states.
@@ -180,123 +179,8 @@ pub fn explain_text(original: &Workflow, optimized: &Workflow) -> Result<String>
         .join("\n"))
 }
 
-/// Render a human-readable account of how a search *behaved* — the
-/// companion of [`explain_text`], which says what the search *found*. Pulls
-/// everything from [`SearchOutcome::stats`] (plus the phase snapshots), so
-/// it works identically for ES, HS, HS-Greedy and Beam.
-pub fn search_report(outcome: &SearchOutcome) -> String {
-    let s = &outcome.stats;
-    let mut out = String::with_capacity(512);
-    let _ = writeln!(out, "search report — {}", s.algorithm);
-    let _ = writeln!(
-        out,
-        "  states     : {} generated = {} deduplicated + {} expanded + {} pruned{}",
-        s.generated,
-        s.deduplicated,
-        s.expanded,
-        s.pruned,
-        if s.reconciles() {
-            ""
-        } else {
-            "  [ACCOUNTING MISMATCH]"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "  evaluation : {} delta-repriced, {} full-priced ({:.1}% delta)",
-        s.repriced_delta,
-        s.repriced_full,
-        100.0 * s.delta_fraction()
-    );
-    if s.beam_width > 0 {
-        let _ = writeln!(
-            out,
-            "  beam       : width {}, {} states truncated from frontiers",
-            s.beam_width, s.truncated_states
-        );
-    }
-    if s.visited_shards > 0 {
-        let _ = writeln!(
-            out,
-            "  visited set: {} shards, occupancy {}–{}",
-            s.visited_shards, s.visited_shard_min, s.visited_shard_max
-        );
-    }
-    let (hits, misses) = (s.memo_hits, s.memo_misses);
-    if hits + misses > 0 {
-        let _ = writeln!(
-            out,
-            "  move memo  : {} hits / {} misses ({:.1}% hit rate)",
-            hits,
-            misses,
-            100.0 * hits as f64 / (hits + misses) as f64
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  rejections : {} transition attempts refused",
-        s.rejections.total()
-    );
-    for (rule, count) in s.rejections.as_pairs() {
-        if count > 0 {
-            let note = if rule == "functionality_violated" {
-                "  (the paper's $2€ guard)"
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "      {rule:<24} {count}{note}");
-        }
-    }
-    if !s.frontier_sizes.is_empty() {
-        let sizes: Vec<String> = s.frontier_sizes.iter().map(usize::to_string).collect();
-        let _ = writeln!(out, "  frontiers  : {}", sizes.join(", "));
-    }
-    if outcome.phase_stats.is_empty() {
-        for p in &s.phases {
-            let _ = writeln!(
-                out,
-                "  phase      : {} in {:.2} ms",
-                p.phase,
-                p.nanos as f64 / 1e6
-            );
-        }
-    } else {
-        for p in &outcome.phase_stats {
-            let nanos = s
-                .phases
-                .iter()
-                .find(|span| span.phase == p.phase)
-                .map(|span| span.nanos);
-            let timing = match nanos {
-                Some(n) => format!(" in {:.2} ms", n as f64 / 1e6),
-                None => String::new(),
-            };
-            let _ = writeln!(
-                out,
-                "  phase      : {} — best {:.1}, {} states{}",
-                p.phase, p.best_cost, p.visited_states, timing
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "  outcome    : best {:.1} from {:.1} ({:.1}% improvement), {} states, {:.2} ms{}",
-        outcome.best_cost,
-        outcome.initial_cost,
-        outcome.improvement_pct(),
-        outcome.visited_states,
-        outcome.elapsed.as_secs_f64() * 1e3,
-        if outcome.budget_exhausted {
-            ", budget exhausted"
-        } else {
-            ""
-        }
-    );
-    out
-}
-
 /// Render the adaptive loop's round trajectory — the feedback companion
-/// of [`search_report`]: one line per calibrate → re-optimize round, with
+/// of [`explain_text`]: one line per calibrate → re-optimize round, with
 /// the chosen plan's calibrated cost, its predicted-vs-observed target
 /// error, and the calibration coverage that round searched under.
 pub fn adaptive_report(report: &crate::opt::AdaptiveReport) -> String {
@@ -447,46 +331,5 @@ mod tests {
         let text = explain_text(&wf, &out.best).unwrap();
         // The known optimum distributes both σ and SK.
         assert!(text.matches("DIS:").count() >= 1, "{text}");
-    }
-
-    #[test]
-    fn search_report_renders_the_stats() {
-        let (wf, _, _) = converging();
-        let model = RowCountModel::default();
-        let out = HeuristicSearch::new().run(&wf, &model).unwrap();
-        let report = search_report(&out);
-        assert!(report.contains("search report — HS"), "{report}");
-        assert!(report.contains("generated ="), "{report}");
-        assert!(report.contains("I swaps"), "{report}");
-        assert!(!report.contains("ACCOUNTING MISMATCH"), "{report}");
-        // ES renders the same sections through its single phase span, plus
-        // the sharded visited-set occupancy line.
-        let es = crate::opt::ExhaustiveSearch::new()
-            .run(&wf, &model)
-            .unwrap();
-        let es_report = search_report(&es);
-        assert!(es_report.contains("search report — ES"), "{es_report}");
-        assert!(es_report.contains("move memo"), "{es_report}");
-        assert!(es_report.contains("frontiers"), "{es_report}");
-        assert!(es_report.contains("visited set: 16 shards"), "{es_report}");
-        assert!(!es_report.contains("beam"), "{es_report}");
-        // Beam adds its width/truncation line on top.
-        let beam = crate::opt::BeamSearch::new()
-            .with_width(2)
-            .run(&wf, &model)
-            .unwrap();
-        let beam_report = search_report(&beam);
-        assert!(
-            beam_report.contains("search report — Beam"),
-            "{beam_report}"
-        );
-        assert!(
-            beam_report.contains("beam       : width 2"),
-            "{beam_report}"
-        );
-        assert!(
-            beam_report.contains("visited set: 16 shards"),
-            "{beam_report}"
-        );
     }
 }

@@ -10,7 +10,7 @@
 //! * **Backward lineage** — given a target attribute, which source
 //!   attributes feed it, through which function applications and
 //!   aggregations? (The companion problem of Cui & Widom's lineage tracing,
-//!   ref. [5] of the paper.)
+//!   ref. \[5\] of the paper.)
 //!
 //! Both respect the schema semantics of §3.2: a function *consumes* its
 //! functionality schema and *produces* its generated schema, so lineage

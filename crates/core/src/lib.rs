@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::schema::{Attr, Schema};
     pub use crate::semantics::{AggFunc, Aggregation, BinaryOp, FunctionApp, UnaryOp};
     pub use crate::signature::Signature;
-    pub use crate::trace::{NoopSink, RingSink, SearchStats, TraceEvent, TraceSink};
+    pub use crate::trace::SearchStats;
     pub use crate::transition::{
         Distribute, Factorize, Merge, Split, Swap, Transition, TransitionError, TransitionKind,
     };

@@ -33,7 +33,7 @@ use crate::opt::{Optimizer, SearchOutcome};
 use crate::oracle::predicted_target_rows;
 use crate::semantics::UnaryOp;
 use crate::signature::Fp128;
-use crate::trace::{NoopSink, SearchStats, TraceSink};
+use crate::trace::SearchStats;
 use crate::workflow::Workflow;
 
 /// Floor for calibrated selectivities: an activity that passed zero rows
@@ -494,18 +494,6 @@ fn target_error(predicted: &BTreeMap<String, f64>, observed: &BTreeMap<String, u
     (sum / observed.len() as f64, max)
 }
 
-/// Run the adaptive loop with the default (no-op) trace sink.
-pub fn run_adaptive(
-    wf: &Workflow,
-    model: &dyn CostModel,
-    optimizer: &dyn Optimizer,
-    observer: &mut dyn PlanObserver,
-    cal: &mut dyn Calibration,
-    cfg: AdaptiveConfig,
-) -> Result<AdaptiveReport> {
-    run_adaptive_traced(wf, model, optimizer, observer, cal, cfg, &NoopSink)
-}
-
 /// The calibrate → re-optimize → converge loop.
 ///
 /// Each round: re-seed the *original* workflow's estimates from the
@@ -515,14 +503,13 @@ pub fn run_adaptive(
 /// fingerprint sequence convergence-friendly), execute the chosen plan,
 /// harvest its observed statistics, and stop as soon as the chosen
 /// fingerprint repeats.
-pub fn run_adaptive_traced(
+pub fn run_adaptive(
     wf: &Workflow,
     model: &dyn CostModel,
     optimizer: &dyn Optimizer,
     observer: &mut dyn PlanObserver,
     cal: &mut dyn Calibration,
     cfg: AdaptiveConfig,
-    sink: &dyn TraceSink,
 ) -> Result<AdaptiveReport> {
     if cfg.max_rounds == 0 {
         return Err(CoreError::Observation(
@@ -541,7 +528,7 @@ pub fn run_adaptive_traced(
 
     for round in 1..=cfg.max_rounds {
         let seed = seed_workflow(wf, cal)?;
-        let outcome: SearchOutcome = optimizer.run_traced(&seed.workflow, model, sink)?;
+        let outcome: SearchOutcome = optimizer.run(&seed.workflow, model)?;
         let search_cost = outcome.best_cost;
 
         // Incumbent rule: re-estimate the previous winner under the new

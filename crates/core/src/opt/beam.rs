@@ -23,13 +23,13 @@
 //! *incrementally* — delta cost and fingerprint rehash along the dirty
 //! downstream path only ([`crate::opt::EvalState`]), reusing the parent's
 //! per-node tables for everything a rewrite did not touch. Duplicate
-//! successors are dropped worker-side against the [`ShardedVisited`] set
-//! (quiescent while workers run, so the probe is deterministic); a single
-//! coordinator then merges the window's fresh result lists **in (frontier
-//! index, move index) order**, inserting into the same sharded set, so the
-//! set of accepted states — and therefore the reported best — is identical
-//! for any thread count, including the forced sequential path
-//! (`parallelism = 1`). The sharded set also owns the `max_states` cap:
+//! successors are dropped worker-side against the visited set, which the
+//! workers hold by shared borrow, so it cannot change under their probes;
+//! a single coordinator then merges the window's fresh result lists **in
+//! (frontier index, move index) order**, inserting into the same set, so
+//! the set of accepted states — and therefore the reported best — is
+//! identical for any thread count, including the forced sequential path
+//! (`parallelism = 1`). The visited set also owns the `max_states` cap:
 //! `visited_states` can never overshoot the budget, and no window is
 //! expanded once the set is full — a binding budget stops the work, not
 //! just the admission (see [`crate::opt::expand_frontier`] for the
@@ -53,10 +53,10 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::{
     expand_frontier, Admit, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
-    ShardedVisited, State, Threads, EXPAND_WINDOW,
+    State, Threads, Visited, EXPAND_WINDOW,
 };
 use crate::signature::Signature;
-use crate::trace::{Collector, Span, TraceEvent, TraceSink};
+use crate::trace::{Collector, Span};
 use crate::workflow::Workflow;
 
 /// The beam-search algorithm: ES with a per-generation top-K frontier.
@@ -178,12 +178,7 @@ impl Optimizer for BeamSearch {
         "Beam"
     }
 
-    fn run_traced(
-        &self,
-        wf: &Workflow,
-        model: &dyn CostModel,
-        sink: &dyn TraceSink,
-    ) -> Result<SearchOutcome> {
+    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome> {
         search_generations(
             "Beam",
             Some(self.width.max(1)),
@@ -191,7 +186,6 @@ impl Optimizer for BeamSearch {
             self.shared_memo.as_deref(),
             wf,
             model,
-            sink,
         )
     }
 }
@@ -207,7 +201,6 @@ pub(super) fn search_generations(
     shared_memo: Option<&MoveMemo>,
     wf: &Workflow,
     model: &dyn CostModel,
-    sink: &dyn TraceSink,
 ) -> Result<SearchOutcome> {
     let started = Instant::now();
     let span = Span::start("search");
@@ -230,7 +223,7 @@ pub(super) fn search_generations(
     let initial_cost = initial.total;
     col.evaluated(initial.via_delta());
 
-    let visited = ShardedVisited::new(budget.max_states);
+    let mut visited = Visited::new(budget.max_states);
     visited.insert(initial.fp);
 
     // Best state tracked by (cost, signature): strictly cheaper wins; an
@@ -246,7 +239,6 @@ pub(super) fn search_generations(
 
     let mut frontier: Vec<State> = vec![initial];
     let mut budget_exhausted = false;
-    let mut generation = 0usize;
 
     while !frontier.is_empty() {
         if visited.at_cap() || pacer.check_now() {
@@ -254,12 +246,6 @@ pub(super) fn search_generations(
             break;
         }
         col.frontier(frontier.len());
-        sink.event(TraceEvent::Generation {
-            index: generation,
-            frontier: frontier.len(),
-            visited: visited.len(),
-        });
-        generation += 1;
         // Expansion and merge alternate window by window, so the budget
         // stops *work*, not just admission: no window is expanded once the
         // visited set is full or the clock has run out, and the states of
@@ -281,14 +267,13 @@ pub(super) fn search_generations(
             let expanded =
                 expand_frontier(window, &threads, memo, model, &visited, visited.room())?;
 
-            // Merge: one coordinator, deterministic order, one sharded
-            // visited set. Workers may still have priced duplicate
-            // successors (two states can reach the same *new* third state
-            // in one window); the insert drops them here. Once the budget
-            // stops the merge, the window's remaining chunks are only
-            // *counted* (the workers evaluated them either way), never
-            // accepted — and a worker error in that discarded region is
-            // dropped with them.
+            // Merge: one coordinator, deterministic order, one visited
+            // set. Workers may still have priced duplicate successors (two
+            // states can reach the same *new* third state in one window);
+            // the insert drops them here. Once the budget stops the merge,
+            // the window's remaining chunks are only *counted* (the
+            // workers evaluated them either way), never accepted — and a
+            // worker error in that discarded region is dropped with them.
             let mut merging = true;
             for chunk in expanded {
                 let chunk = match chunk {
@@ -376,18 +361,10 @@ pub(super) fn search_generations(
         }
     }
 
-    let (shard_min, shard_max) = visited.occupancy();
-    col.visited_shards(visited.shard_count() as u64, shard_min, shard_max);
     let (hits, misses) = memo.stats();
     col.memo(hits.saturating_sub(memo_h0), misses.saturating_sub(memo_m0));
     col.worker_batches(threads.batch_counts());
     col.span(span);
-    sink.event(TraceEvent::Finished {
-        algorithm,
-        best_cost,
-        visited: visited.len(),
-        budget_exhausted,
-    });
     Ok(SearchOutcome {
         best: best.into_workflow(),
         best_cost,
@@ -523,10 +500,6 @@ mod tests {
         assert!(equivalent(&wf, &out.best).unwrap());
         assert_eq!(out.stats.algorithm, "Beam");
         assert_eq!(out.stats.beam_width, BeamSearch::DEFAULT_WIDTH as u64);
-        assert_eq!(
-            out.stats.visited_shards,
-            crate::opt::ShardedVisited::SHARDS as u64
-        );
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::beam::search_generations;
 use crate::opt::{MoveMemo, Optimizer, SearchBudget, SearchOutcome};
-use crate::trace::TraceSink;
 use crate::workflow::Workflow;
 
 /// The ES algorithm.
@@ -67,12 +66,7 @@ impl Optimizer for ExhaustiveSearch {
         "ES"
     }
 
-    fn run_traced(
-        &self,
-        wf: &Workflow,
-        model: &dyn CostModel,
-        sink: &dyn TraceSink,
-    ) -> Result<SearchOutcome> {
+    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome> {
         search_generations(
             "ES",
             None,
@@ -80,7 +74,6 @@ impl Optimizer for ExhaustiveSearch {
             self.shared_memo.as_deref(),
             wf,
             model,
-            sink,
         )
     }
 }

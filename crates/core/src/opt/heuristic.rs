@@ -39,8 +39,9 @@ use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::opt::{
     EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, State, Step, Threads,
+    Visited,
 };
-use crate::trace::{Collector, Rejections, Span, TraceEvent, TraceSink};
+use crate::trace::{Collector, Rejections, Span};
 use crate::transition::{Distribute, Factorize, Merge, Swap, Transition};
 use crate::workflow::Workflow;
 
@@ -99,13 +100,8 @@ impl Optimizer for HeuristicSearch {
         "HS"
     }
 
-    fn run_traced(
-        &self,
-        wf: &Workflow,
-        model: &dyn CostModel,
-        sink: &dyn TraceSink,
-    ) -> Result<SearchOutcome> {
-        Runner::new(model, self.budget, false, sink).run(wf, &self.merge_constraints)
+    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome> {
+        Runner::new(model, self.budget, false).run(wf, &self.merge_constraints)
     }
 }
 
@@ -138,13 +134,8 @@ impl Optimizer for HsGreedy {
         "HS-Greedy"
     }
 
-    fn run_traced(
-        &self,
-        wf: &Workflow,
-        model: &dyn CostModel,
-        sink: &dyn TraceSink,
-    ) -> Result<SearchOutcome> {
-        Runner::new(model, self.budget, true, sink).run(wf, &self.merge_constraints)
+    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome> {
+        Runner::new(model, self.budget, true).run(wf, &self.merge_constraints)
     }
 }
 
@@ -152,12 +143,10 @@ struct Runner<'m> {
     model: &'m dyn CostModel,
     budget: SearchBudget,
     greedy: bool,
-    algorithm: &'static str,
     started: Instant,
     pacer: Pacer,
     threads: Threads,
-    seen: HashSet<u128>,
-    visited_states: usize,
+    visited: Visited,
     budget_exhausted: bool,
     /// Per-local-group cap for the best-first swap exploration, sized from
     /// the budget and the group count so Phase I cannot starve the
@@ -165,7 +154,6 @@ struct Runner<'m> {
     group_cap: usize,
     phase_stats: Vec<PhaseStat>,
     col: Collector,
-    sink: &'m dyn TraceSink,
 }
 
 /// Cap on states produced by the FAC/DIS worklists: the useful chains are
@@ -179,29 +167,20 @@ const COLLECT_CAP: usize = 192;
 const PHASE4_CAP: usize = 6;
 
 impl<'m> Runner<'m> {
-    fn new(
-        model: &'m dyn CostModel,
-        budget: SearchBudget,
-        greedy: bool,
-        sink: &'m dyn TraceSink,
-    ) -> Self {
+    fn new(model: &'m dyn CostModel, budget: SearchBudget, greedy: bool) -> Self {
         let started = Instant::now();
-        let algorithm = if greedy { "HS-Greedy" } else { "HS" };
         Runner {
             model,
             budget,
             greedy,
-            algorithm,
             started,
             pacer: Pacer::new(started, &budget),
             threads: Threads::new(budget.threads()),
-            seen: HashSet::new(),
-            visited_states: 0,
+            visited: Visited::new(budget.max_states),
             budget_exhausted: false,
             group_cap: 5040,
             phase_stats: Vec::new(),
-            col: Collector::new(algorithm),
-            sink,
+            col: Collector::new(if greedy { "HS-Greedy" } else { "HS" }),
         }
     }
 
@@ -209,25 +188,24 @@ impl<'m> Runner<'m> {
     /// toward `max_states`, and every call ticks the throttled wall-clock
     /// watchdog. `via_delta` says which evaluation path it was on when it
     /// was created (delta repricing vs full pricing).
+    ///
+    /// A known state is a duplicate even once the set is full. A new state
+    /// at the cap was priced (the batch was already in flight) but is not
+    /// admitted, so `visited_states` can never overshoot `max_states` — it
+    /// surfaces as `pruned` instead.
     fn record_eval(&mut self, fp: u128, via_delta: bool) {
         self.col.evaluated(via_delta);
-        if self.seen.contains(&fp) {
+        if self.visited.contains(fp) {
             self.col.deduplicated();
-        } else if self.visited_states < self.budget.max_states {
-            self.seen.insert(fp);
-            self.visited_states += 1;
-            self.budget_exhausted |= self.visited_states >= self.budget.max_states;
         } else {
-            // At the cap: the state was priced (the batch was already in
-            // flight) but is not admitted, so `visited_states` can never
-            // overshoot `max_states` — it surfaces as `pruned` instead.
-            self.budget_exhausted = true;
+            self.visited.insert(fp);
         }
+        self.budget_exhausted |= self.visited.at_cap();
         self.budget_exhausted |= self.pacer.tick();
     }
 
     fn out_of_budget(&mut self) -> bool {
-        self.budget_exhausted |= self.visited_states >= self.budget.max_states;
+        self.budget_exhausted |= self.visited.at_cap();
         self.budget_exhausted
     }
 
@@ -312,7 +290,7 @@ impl<'m> Runner<'m> {
         // throttles clock sampling to every 1024 costed states; phase
         // boundaries re-sample unconditionally so a slow phase cannot hide
         // a blown time budget from the next one.
-        let span = self.phase_started("I swaps");
+        let span = Span::start("I swaps");
         let mut smin = self.phase_swaps(s0.into())?;
         self.record_eval(smin.fp, smin.via_delta());
         self.phase_finished("I swaps", span, 1, smin.total);
@@ -321,7 +299,7 @@ impl<'m> Runner<'m> {
         // factorizations over different binaries (one FAC may enable
         // another); fingerprints dedup the produced states.
         let mut collected = vec![smin.clone()];
-        let span = self.phase_started("II factorize");
+        let span = Span::start("II factorize");
         self.phase_chain(&h, vec![0], &mut collected, &mut smin, factorize_candidate)?;
         self.phase_finished("II factorize", span, collected.len(), smin.total);
 
@@ -329,14 +307,14 @@ impl<'m> Runner<'m> {
         // state — again worklist-chained, so several activities can be
         // distributed in sequence (DIS σ then DIS SK). Activities
         // factorized in Phase II are not in D (Heuristic 2).
-        let span = self.phase_started("III distribute");
+        let span = Span::start("III distribute");
         let all = (0..collected.len()).collect();
         self.phase_chain(&d, all, &mut collected, &mut smin, distribute_candidate)?;
         self.phase_finished("III distribute", span, collected.len(), smin.total);
 
         // Phase IV (lines 29-35): Phase I again on the collected states,
         // cheapest first by the totals they were priced at when produced.
-        let span = self.phase_started("IV swaps");
+        let span = Span::start("IV swaps");
         collected.sort_by(|a, b| a.total.total_cmp(&b.total));
         let pool = collected.len().min(PHASE4_CAP);
         for si in collected.into_iter().take(PHASE4_CAP) {
@@ -360,17 +338,11 @@ impl<'m> Runner<'m> {
         }
 
         self.col.worker_batches(self.threads.batch_counts());
-        self.sink.event(TraceEvent::Finished {
-            algorithm: self.algorithm,
-            best_cost: best.total,
-            visited: self.visited_states,
-            budget_exhausted: self.budget_exhausted,
-        });
         Ok(SearchOutcome {
             best_cost: best.total,
             best: best.into_workflow(),
             initial_cost,
-            visited_states: self.visited_states,
+            visited_states: self.visited.len(),
             elapsed: self.started.elapsed(),
             budget_exhausted: self.budget_exhausted,
             time_capped: self.pacer.time_up(),
@@ -379,30 +351,16 @@ impl<'m> Runner<'m> {
         })
     }
 
-    fn phase_started(&mut self, phase: &'static str) -> Span {
-        self.sink.event(TraceEvent::PhaseStarted {
-            algorithm: self.algorithm,
-            phase,
-        });
-        Span::start(phase)
-    }
-
     /// Close a phase: re-sample the clock, then record the pool size the
     /// phase leaves behind and the best cost so far.
     fn phase_finished(&mut self, phase: &'static str, span: Span, pool: usize, best_cost: f64) {
         self.budget_exhausted |= self.pacer.check_now();
         self.col.frontier(pool);
         self.col.span(span);
-        self.sink.event(TraceEvent::PhaseFinished {
-            algorithm: self.algorithm,
-            phase,
-            best_cost,
-            visited: self.visited_states,
-        });
         self.phase_stats.push(PhaseStat {
             phase,
             best_cost,
-            visited_states: self.visited_states,
+            visited_states: self.visited.len(),
         });
     }
 

@@ -4,10 +4,11 @@
 //! trade-off).
 //!
 //! All four share the same skeleton: states are [`Workflow`]s identified by
-//! their [`Signature`]; successor states are produced by the applicable
-//! [`Move`]s; a [`crate::cost::CostModel`] ranks them; the state cost is
-//! maintained **semi-incrementally** (§4.1) — only the path from the
-//! activities a transition touched towards the targets is re-priced.
+//! their [`crate::signature::Signature`]; successor states are produced by
+//! the applicable [`Move`]s; a [`crate::cost::CostModel`] ranks them; the
+//! state cost is maintained **semi-incrementally** (§4.1) — only the path
+//! from the activities a transition touched towards the targets is
+//! re-priced.
 
 // A search runs inside daemon workers: a broken invariant here must come
 // back as a typed error, never take the process down.
@@ -20,11 +21,11 @@ mod exhaustive;
 mod heuristic;
 mod memo;
 mod parallel;
-pub mod visited;
+mod visited;
 
 pub use adaptive::{
-    run_adaptive, run_adaptive_traced, AdaptiveConfig, AdaptiveReport, Calibration,
-    MemoryCalibration, Observation, PlanObserver, RoundReport,
+    run_adaptive, AdaptiveConfig, AdaptiveReport, Calibration, MemoryCalibration, Observation,
+    PlanObserver, RoundReport,
 };
 pub use beam::BeamSearch;
 pub(crate) use eval::{EvalState, State, Step};
@@ -32,7 +33,7 @@ pub use exhaustive::ExhaustiveSearch;
 pub use heuristic::{shift_bkw, shift_frw, HeuristicSearch, HsGreedy};
 pub use memo::MoveMemo;
 pub(crate) use parallel::Threads;
-pub use visited::{Admit, ShardedVisited};
+pub(crate) use visited::{Admit, Visited};
 
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::cost::CostModel;
 use crate::error::Result;
 use crate::graph::NodeId;
-use crate::trace::{NoopSink, SearchStats, TraceSink};
+use crate::trace::SearchStats;
 use crate::transition::{Distribute, Factorize, Swap, Transition, TransitionError};
 use crate::workflow::Workflow;
 
@@ -257,7 +258,7 @@ impl Pacer {
 /// Per-frontier-state expansion result handed back by a generation-
 /// synchronous worker (ES/beam): the fresh successors, the rejection
 /// deltas, and counts of successors the worker itself pre-filtered as
-/// duplicates against the (quiescent) sharded visited set.
+/// duplicates against the visited set.
 #[derive(Debug)]
 pub(crate) struct ExpandChunk {
     /// Successors not in the visited set when the worker probed it, in
@@ -280,7 +281,7 @@ pub(crate) struct ExpandChunk {
 /// move lists. It is a constant — never derived from the thread count and
 /// not a budget field — because which successors get evaluated, and hence
 /// every deterministic counter, depends on where the merges fall. It is
-/// [`Threads::map`]'s inline threshold: the narrowest window that still
+/// `Threads::map`'s inline threshold: the narrowest window that still
 /// fans out to workers.
 pub const EXPAND_WINDOW: usize = 8;
 
@@ -289,10 +290,11 @@ pub const EXPAND_WINDOW: usize = 8;
 /// the search that expands it), enumerates its moves through the shared
 /// [`MoveMemo`], fingerprints each successor incrementally, drops the ones
 /// already in `visited` before they are judged or priced — and without
-/// funneling them through the coordinator — and prices the rest. The set
-/// is quiescent while workers run (only the coordinator inserts, between
-/// windows), so the pre-filter's outcome is deterministic at any thread
-/// count. Results come back in (frontier index, move index) order.
+/// funneling them through the coordinator — and prices the rest. Workers
+/// hold `visited` by shared borrow and the coordinator inserts through
+/// `&mut` only after the window is back, so the pre-filter's outcome is
+/// deterministic at any thread count. Results come back in (frontier
+/// index, move index) order.
 ///
 /// `room` is how many more states `visited` can admit. A state stops
 /// producing successors once it holds `room` distinct ones that `visited`
@@ -305,7 +307,7 @@ pub(crate) fn expand_frontier(
     threads: &Threads,
     memo: &MoveMemo,
     model: &dyn CostModel,
-    visited: &ShardedVisited,
+    visited: &Visited,
     room: usize,
 ) -> Result<Vec<Result<ExpandChunk>>> {
     threads.map(window, |state| {
@@ -409,22 +411,9 @@ pub trait Optimizer {
     /// Algorithm name as used in the paper's tables.
     fn name(&self) -> &str;
 
-    /// Optimize `wf` under `model` with the default (no-op) trace sink.
-    /// Counters on [`SearchOutcome::stats`] are collected either way — they
-    /// are plain integer adds — but no events are emitted.
-    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome> {
-        self.run_traced(wf, model, &NoopSink)
-    }
-
-    /// Optimize `wf` under `model`, emitting coarse-grained
-    /// [`crate::trace::TraceEvent`]s (per phase / BFS generation, never per
-    /// state) to `sink`.
-    fn run_traced(
-        &self,
-        wf: &Workflow,
-        model: &dyn CostModel,
-        sink: &dyn TraceSink,
-    ) -> Result<SearchOutcome>;
+    /// Optimize `wf` under `model`. What the run did — counters, frontier
+    /// sizes, phase snapshots and timings — comes back on the outcome.
+    fn run(&self, wf: &Workflow, model: &dyn CostModel) -> Result<SearchOutcome>;
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Automatic regeneration of activity schemata (§3.2, long version [19]).
+//! Automatic regeneration of activity schemata (§3.2, long version \[19\]).
 //!
 //! After every transition "the input and output schemata of each activity
 //! are automatically re-generated": we walk the graph in topological order,
@@ -449,7 +449,7 @@ pub fn check(graph: &Graph) -> Result<()> {
 /// [`Graph::topo_order`]. Dead start ids are skipped, so callers may pass
 /// `affected` lists naming slots a transition has since freed. The only
 /// allocation is the returned list: the walk's marks, stack and heap are
-/// the calling thread's [`Walk`], reset after every use.
+/// the calling thread's `Walk`, reset after every use.
 pub fn downstream_of(graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
     WALK.with(|walk| match walk.try_borrow_mut() {
         Ok(mut walk) => walk.run(graph, start),

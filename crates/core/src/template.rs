@@ -1,4 +1,4 @@
-//! Activity template library (§3.2, building on ref. [18] — ARKTOS II).
+//! Activity template library (§3.2, building on ref. \[18\] — ARKTOS II).
 //!
 //! Workflows are not assembled from ad-hoc code but from **templates** with
 //! predefined semantics and a parameter *signature*: materializing a

@@ -13,18 +13,16 @@
 //!   ([`Rejections`] — the paper's `$2€` applicability rejections are the
 //!   `functionality_violated` counter).
 //! * [`Span`] — a monotonic wall-clock span for coarse phase timing.
-//! * [`TraceSink`] — an event hook for live observation. The default
-//!   [`NoopSink`] keeps the hot path free: events are only constructed at
-//!   coarse boundaries (per BFS generation, per HS phase), and counter
-//!   updates are plain integer adds into a run-local [`Collector`].
-//! * [`RingSink`] — a bounded in-memory event ring for embedders that want
-//!   the last N events without unbounded growth.
+//!
+//! A search reports through its outcome and nothing else: counters are
+//! plain integer adds into a run-local collector, and the caller reads them
+//! from `SearchOutcome::stats` when the run returns.
 //!
 //! ## Determinism contract
 //!
 //! Everything rendered by [`SearchStats::counters_json`] is **bit-identical
 //! for any worker-thread count**: workers only ever return per-item counter
-//! deltas through [`crate::opt::Threads::map`], whose results come back in
+//! deltas through the search's worker map, whose results come back in
 //! input order, and the single-threaded coordinator merges them in that
 //! order (summed integers are also order-insensitive, so the merge is
 //! doubly safe). `tests/search_determinism.rs` pins the seq-vs-par byte
@@ -33,8 +31,7 @@
 //! a miss on two workers at once — so they are rendered only by
 //! [`SearchStats::to_json`] and excluded from the deterministic projection.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::Mutex;
+use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::transition::TransitionError;
@@ -216,16 +213,6 @@ pub struct SearchStats {
     /// subset of `pruned` — a truncated state was generated and never
     /// expanded.
     pub truncated_states: u64,
-    /// Shard count of the sharded visited set (ES/beam), or `0` when the
-    /// algorithm keeps a flat per-run set (HS/HS-Greedy). Fixed per
-    /// algorithm, never derived from the thread count — deterministic.
-    pub visited_shards: u64,
-    /// Smallest per-shard occupancy when the run ended. Deterministic: the
-    /// fingerprint → shard map depends only on the accepted state set.
-    pub visited_shard_min: u64,
-    /// Largest per-shard occupancy when the run ended (deterministic, as
-    /// `visited_shard_min`).
-    pub visited_shard_max: u64,
     /// Move-memo cache hits (runtime telemetry: racing workers may both
     /// miss the same key, so seq/par counts can differ).
     pub memo_hits: u64,
@@ -253,9 +240,6 @@ impl SearchStats {
             rejections: Rejections::default(),
             beam_width: 0,
             truncated_states: 0,
-            visited_shards: 0,
-            visited_shard_min: 0,
-            visited_shard_max: 0,
             memo_hits: 0,
             memo_misses: 0,
             phases: Vec::new(),
@@ -293,19 +277,10 @@ impl SearchStats {
         self.repriced_delta += other.repriced_delta;
         self.repriced_full += other.repriced_full;
         self.rejections.merge(&other.rejections);
-        // Truncations flow; width and shard occupancy are per-run shapes,
-        // absorbed as high/low-water marks across the sweep.
+        // Truncations flow; the width is a per-run shape, absorbed as a
+        // high-water mark across the sweep.
         self.truncated_states += other.truncated_states;
         self.beam_width = self.beam_width.max(other.beam_width);
-        if other.visited_shards > 0 {
-            self.visited_shard_min = if self.visited_shards == 0 {
-                other.visited_shard_min
-            } else {
-                self.visited_shard_min.min(other.visited_shard_min)
-            };
-            self.visited_shards = self.visited_shards.max(other.visited_shards);
-            self.visited_shard_max = self.visited_shard_max.max(other.visited_shard_max);
-        }
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
     }
@@ -328,10 +303,6 @@ impl SearchStats {
         out.push_str(&format!(
             "  \"beam\": {{\"width\": {}, \"truncated_states\": {}}},\n",
             self.beam_width, self.truncated_states
-        ));
-        out.push_str(&format!(
-            "  \"visited_shards\": {{\"count\": {}, \"min\": {}, \"max\": {}}},\n",
-            self.visited_shards, self.visited_shard_min, self.visited_shard_max
         ));
         let rej: Vec<String> = self
             .rejections
@@ -447,13 +418,6 @@ impl Collector {
     /// Count `n` states dropped from a frontier by beam truncation.
     pub(crate) fn truncated(&mut self, n: u64) {
         self.stats.truncated_states += n;
-    }
-
-    /// Record the sharded visited set's shape at the end of the run.
-    pub(crate) fn visited_shards(&mut self, count: u64, min: u64, max: u64) {
-        self.stats.visited_shards = count;
-        self.stats.visited_shard_min = min;
-        self.stats.visited_shard_max = max;
     }
 
     /// Append a finished phase span.
@@ -633,156 +597,6 @@ impl ExecCounters {
     }
 }
 
-/// A coarse-grained event emitted by a search run. Events fire at phase
-/// and generation boundaries only — never per state — so an enabled sink
-/// costs O(generations + phases), not O(states).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A phase began.
-    PhaseStarted {
-        /// Algorithm name.
-        algorithm: &'static str,
-        /// Phase name.
-        phase: &'static str,
-    },
-    /// A phase ended.
-    PhaseFinished {
-        /// Algorithm name.
-        algorithm: &'static str,
-        /// Phase name.
-        phase: &'static str,
-        /// Best cost when the phase ended.
-        best_cost: f64,
-        /// Distinct states visited so far.
-        visited: usize,
-    },
-    /// ES expanded one BFS generation.
-    Generation {
-        /// Generation index (0 = the initial state alone).
-        index: usize,
-        /// Frontier size entering the generation.
-        frontier: usize,
-        /// Distinct states visited so far.
-        visited: usize,
-    },
-    /// The run finished.
-    Finished {
-        /// Algorithm name.
-        algorithm: &'static str,
-        /// Final best cost.
-        best_cost: f64,
-        /// Distinct states visited.
-        visited: usize,
-        /// Did the budget run out?
-        budget_exhausted: bool,
-    },
-}
-
-impl std::fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceEvent::PhaseStarted { algorithm, phase } => {
-                write!(f, "[{algorithm}] phase {phase} started")
-            }
-            TraceEvent::PhaseFinished {
-                algorithm,
-                phase,
-                best_cost,
-                visited,
-            } => write!(
-                f,
-                "[{algorithm}] phase {phase} finished: best {best_cost:.1}, {visited} states"
-            ),
-            TraceEvent::Generation {
-                index,
-                frontier,
-                visited,
-            } => write!(
-                f,
-                "generation {index}: frontier {frontier}, {visited} states visited"
-            ),
-            TraceEvent::Finished {
-                algorithm,
-                best_cost,
-                visited,
-                budget_exhausted,
-            } => write!(
-                f,
-                "[{algorithm}] finished: best {best_cost:.1}, {visited} states{}",
-                if *budget_exhausted {
-                    " (budget exhausted)"
-                } else {
-                    ""
-                }
-            ),
-        }
-    }
-}
-
-/// A destination for [`TraceEvent`]s. Implementations must be cheap and
-/// non-blocking-ish: events fire from the coordinator thread at coarse
-/// boundaries while the search runs.
-pub trait TraceSink: Sync {
-    /// Observe one event.
-    fn event(&self, event: TraceEvent);
-}
-
-/// The default sink: discards everything. Searches run with this unless
-/// the caller opts into tracing via `Optimizer::run_traced`, so the
-/// disabled path costs one virtual call per phase/generation and nothing
-/// per state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn event(&self, _event: TraceEvent) {}
-}
-
-/// A bounded in-memory event ring: keeps the most recent `capacity`
-/// events, dropping the oldest. `Mutex`-guarded because phases of a run
-/// may interleave with a consumer draining from another thread.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    ring: Mutex<VecDeque<TraceEvent>>,
-}
-
-impl RingSink {
-    /// A ring keeping the last `capacity` events (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Take every buffered event, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        ring.drain(..).collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Is the ring empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for RingSink {
-    fn event(&self, event: TraceEvent) {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,58 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_caps_and_drains_in_order() {
-        let sink = RingSink::new(2);
-        assert!(sink.is_empty());
-        for i in 0..4 {
-            sink.event(TraceEvent::Generation {
-                index: i,
-                frontier: 1,
-                visited: i,
-            });
-        }
-        assert_eq!(sink.len(), 2);
-        let events = sink.drain();
-        assert_eq!(events.len(), 2);
-        assert!(
-            matches!(events[0], TraceEvent::Generation { index: 2, .. }),
-            "{events:?}"
-        );
-        assert!(matches!(events[1], TraceEvent::Generation { index: 3, .. }));
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn events_render_human_lines() {
-        let e = TraceEvent::Finished {
-            algorithm: "ES",
-            best_cost: 42.5,
-            visited: 10,
-            budget_exhausted: true,
-        };
-        let s = e.to_string();
-        assert!(s.contains("ES"), "{s}");
-        assert!(s.contains("budget exhausted"), "{s}");
-        let _ = NoopSink; // the default sink is a unit type
-        NoopSink.event(e);
-    }
-
-    #[test]
-    fn beam_and_shard_counters_render_deterministically() {
+    fn beam_counters_render_deterministically() {
         let mut c = Collector::new("Beam");
         c.evaluated(true);
         c.beam_width(8);
         c.truncated(3);
         c.truncated(2);
-        c.visited_shards(16, 1, 9);
         let stats = c.finish();
         let det = stats.counters_json();
         assert!(
             det.contains("\"beam\": {\"width\": 8, \"truncated_states\": 5}"),
-            "{det}"
-        );
-        assert!(
-            det.contains("\"visited_shards\": {\"count\": 16, \"min\": 1, \"max\": 9}"),
             "{det}"
         );
         // Unbounded algorithms render the same schema with zeros.
@@ -933,33 +705,19 @@ mod tests {
     }
 
     #[test]
-    fn absorb_takes_shard_marks_and_sums_truncations() {
+    fn absorb_takes_the_widest_beam_and_sums_truncations() {
         let mut a = SearchStats::new("Beam");
         a.beam_width = 8;
         a.truncated_states = 4;
-        a.visited_shards = 16;
-        a.visited_shard_min = 2;
-        a.visited_shard_max = 7;
         let mut b = SearchStats::new("Beam");
-        b.beam_width = 8;
+        b.beam_width = 16;
         b.truncated_states = 6;
-        b.visited_shards = 16;
-        b.visited_shard_min = 1;
-        b.visited_shard_max = 11;
         a.absorb(&b);
         assert_eq!(a.truncated_states, 10);
-        assert_eq!(a.beam_width, 8);
-        assert_eq!(a.visited_shards, 16);
-        assert_eq!(a.visited_shard_min, 1);
-        assert_eq!(a.visited_shard_max, 11);
-        // Absorbing a shardless run (HS) must not zero the marks…
+        assert_eq!(a.beam_width, 16);
+        // Absorbing an unbounded run (HS) keeps the width.
         a.absorb(&SearchStats::new("HS"));
-        assert_eq!(a.visited_shard_min, 1);
-        // …and a shardless aggregate takes the first shard shape whole.
-        let mut agg = SearchStats::new("Beam");
-        agg.absorb(&b);
-        assert_eq!(agg.visited_shard_min, 1);
-        assert_eq!(agg.visited_shard_max, 11);
+        assert_eq!(a.beam_width, 16);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! **homologous activities** (same semantics, in local groups converging to
 //! the same binary activity).
 
+// Workflows are built from client text inside daemon workers: a bad edge
+// must come back as a typed error, never take the process down.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
 use crate::activity::{Activity, ActivityId, Op};
@@ -458,17 +462,26 @@ pub(crate) fn binary_cardinality(op: &BinaryOp, left: f64, right: f64) -> f64 {
 ///
 /// Nodes are added in flow order; [`WorkflowBuilder::build`] assigns initial
 /// topological priorities (the paper's activity identifiers), derives all
-/// schemata and validates the result.
+/// schemata and validates the result. An edge that cannot be made (an
+/// input that is not a node of this builder) is remembered, and `build`
+/// returns the first such error.
 #[derive(Debug, Default)]
 pub struct WorkflowBuilder {
     graph: Graph,
+    error: Option<CoreError>,
 }
 
 impl WorkflowBuilder {
     /// Fresh builder.
     pub fn new() -> Self {
-        WorkflowBuilder {
-            graph: Graph::new(),
+        Self::default()
+    }
+
+    /// Connect `from` to input `port` of `to`, remembering the first
+    /// failure for [`WorkflowBuilder::build`].
+    fn connect(&mut self, from: NodeId, to: NodeId, port: usize) {
+        if let Err(e) = self.graph.connect(from, to, port) {
+            self.error.get_or_insert(e);
         }
     }
 
@@ -489,9 +502,7 @@ impl WorkflowBuilder {
         let id = self
             .graph
             .add_activity(Activity::new(ActivityId::Base(0), label, Op::Unary(op)));
-        self.graph
-            .connect(input, id, 0)
-            .expect("builder connect: fresh unary port");
+        self.connect(input, id, 0);
         id
     }
 
@@ -500,21 +511,15 @@ impl WorkflowBuilder {
         let id = self
             .graph
             .add_activity(Activity::new(ActivityId::Base(0), label, Op::Binary(op)));
-        self.graph
-            .connect(left, id, 0)
-            .expect("builder connect: fresh binary port 0");
-        self.graph
-            .connect(right, id, 1)
-            .expect("builder connect: fresh binary port 1");
+        self.connect(left, id, 0);
+        self.connect(right, id, 1);
         id
     }
 
     /// Add an intermediate recordset materializing the flow from `input`.
     pub fn recordset(&mut self, name: &str, schema: Schema, input: NodeId) -> NodeId {
         let id = self.graph.add_recordset(Recordset::table(name, schema));
-        self.graph
-            .connect(input, id, 0)
-            .expect("builder connect: fresh recordset port");
+        self.connect(input, id, 0);
         id
     }
 
@@ -525,6 +530,9 @@ impl WorkflowBuilder {
 
     /// Assign priorities, derive schemata, validate, and produce the state.
     pub fn build(self) -> Result<Workflow> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         let mut graph = self.graph;
         let order = graph.topo_order()?;
         let mut rs_priority = BTreeMap::new();
@@ -568,6 +576,37 @@ mod tests {
         let g = b.unary("g", UnaryOp::function("scale", ["v"], "v"), u);
         b.target("T", Schema::of(["k", "v"]), g);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn a_foreign_node_id_is_a_build_error() {
+        // Every builder call that takes an input, fed an id no node has.
+        type Wire = fn(&mut WorkflowBuilder, NodeId);
+        let foreign = NodeId(999);
+        let cases: [(&str, Wire); 4] = [
+            ("unary input", |b, _| {
+                b.unary("NN", UnaryOp::not_null("v"), NodeId(999));
+            }),
+            ("binary port 0", |b, s| {
+                b.binary("U", BinaryOp::Union, NodeId(999), s);
+            }),
+            ("binary port 1", |b, s| {
+                b.binary("U", BinaryOp::Union, s, NodeId(999));
+            }),
+            ("recordset input", |b, _| {
+                b.recordset("R", Schema::of(["k", "v"]), NodeId(999));
+            }),
+        ];
+        for (what, wire) in cases {
+            let mut b = WorkflowBuilder::new();
+            let s = b.source("S", Schema::of(["k", "v"]), 10.0);
+            wire(&mut b, s);
+            let err = b.build().expect_err(what);
+            assert!(
+                matches!(err, CoreError::UnknownNode(n) if n == foreign),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

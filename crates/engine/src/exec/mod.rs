@@ -2,7 +2,7 @@
 //! evaluation over the buffer pool (`crate::pool`).
 //!
 //! Where the materializing executor holds every node's full output table,
-//! the streaming backend builds one [`stream::BatchIter`] pipeline per
+//! the streaming backend builds one `stream::BatchIter` pipeline per
 //! workflow and moves fixed-size row batches through it. Rows materialize
 //! only at **boundaries** — fan-out nodes (≥ 2 consumers), targets, join
 //! build sides — and those drains go through the frame-budget-bounded

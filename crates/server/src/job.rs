@@ -11,13 +11,14 @@
 //!
 //! Canonical-body rules:
 //!
-//! * search counters come from [`SearchStats::counters_json`], which
-//!   excludes memo telemetry — a warm shared memo changes hit counts but
-//!   not the counters the body carries;
+//! * search counters come from
+//!   [`etlopt_core::trace::SearchStats::counters_json`], which excludes
+//!   memo telemetry — a warm shared memo changes hit counts but not the
+//!   counters the body carries;
 //! * executed targets are reported as row counts plus a multiset digest,
-//!   never per-activity [`ExecStats`] — a warm shared cache serves
-//!   prefix results without re-running their activities, so per-activity
-//!   stats are the one execution artifact that is *not*
+//!   never per-activity [`etlopt_engine::ExecStats`] — a warm shared
+//!   cache serves prefix results without re-running their activities, so
+//!   per-activity stats are the one execution artifact that is *not*
 //!   concurrency-stable.
 //!
 //! That contract makes a body a pure function of the clamped request —

@@ -10,7 +10,7 @@
 //!   medium ≈ 35–45, large ≈ 60–70 activities).
 //! * [`datagen`] — random source tables and surrogate lookups for any
 //!   generated workflow, so every scenario is executable end-to-end.
-//! * [`calibrate`] — the statistics-refresh loop: observed selectivities
+//! * [`mod@calibrate`] — the statistics-refresh loop: observed selectivities
 //!   from an engine run fed back into the workflow's estimates.
 
 pub mod calibrate;

@@ -52,37 +52,42 @@ fn budget() -> SearchBudget {
 /// `counters_json()` — the delta/full split is the one thing that change
 /// was meant to move — and covers the rest: `generated`, `deduplicated`,
 /// `expanded`, `pruned`, the rejection table and the per-phase pool sizes.
+///
+/// **All rows.** The counter digests were re-captured once more when
+/// `counters_json()` lost the visited set's shard-occupancy line: each is
+/// the previous digest's input with that line left out, so no counter
+/// moved.
 const GOLDENS: [(&str, u64, u64, usize, u64); 30] = [
-    ("ES", 2, 0x4107ba953ba5e480, 4000, 0x6c5be1c9c07ff6a0),
-    ("ES", 4, 0x40e011f38d941aad, 4000, 0x1e327061bbc024fe),
-    ("ES", 10, 0x40fa6d38bab4211a, 4000, 0x1c7af68ef3af379f),
-    ("ES", 11, 0x40d11fdc2f38d95d, 4000, 0xf88bc60c9597d26f),
-    ("ES", 13, 0x40f8c8f6c5302de3, 4000, 0x99b1259e6af383a2),
-    ("ES", 19, 0x40e6824ca920deea, 4000, 0x24fff286b342b434),
-    ("ES", 21, 0x41069e3bd65c0148, 4000, 0x40933e6389bed594),
-    ("ES", 22, 0x40eb58279fb09c5b, 4000, 0x2b71a4c92d9cb18a),
-    ("ES", 27, 0x40f47b0df1fb186b, 4000, 0x81c6db7718c67922),
-    ("ES", 32, 0x40f34e23a63a4d50, 4000, 0x39a9d4da05586fec),
-    ("HS", 2, 0x40ffd9a5e2f592cf, 4000, 0x5af81a4f2c1212e4),
-    ("HS", 4, 0x40db98b0ee9c2130, 4000, 0x0ba7fbb701641fe6),
-    ("HS", 10, 0x40e67f3de37beebf, 4000, 0x84a4fa6af915623c),
-    ("HS", 11, 0x40cdf3ee43b824bf, 3465, 0x8d596750584a7fb9),
-    ("HS", 13, 0x40f372417bc5e66a, 4000, 0x66fcda11ec928f87),
-    ("HS", 19, 0x40e1061add899542, 4000, 0x94f1370ed0159147),
-    ("HS", 21, 0x4103fbbc8c580f59, 2053, 0x336993626a23e04e),
-    ("HS", 22, 0x40e51f8dbf615cd6, 4000, 0x5ef9dabad543fcbe),
-    ("HS", 27, 0x40f093119ef6b937, 4000, 0x43aeabc00f121154),
-    ("HS", 32, 0x40e8acf39eaf0fcd, 4000, 0x497dd84656e0b36e),
-    ("HS-Greedy", 2, 0x4102ed6376a1b21b, 268, 0x064e02bf1f79e09a),
-    ("HS-Greedy", 4, 0x40dc87561bbb4447, 266, 0xe7753a6fc75c0666),
-    ("HS-Greedy", 10, 0x40f5658bc6933f4d, 283, 0x17ed41ffa1b204e9),
-    ("HS-Greedy", 11, 0x40d0abc60b54c61f, 245, 0xeb18c67f43b2c912),
-    ("HS-Greedy", 13, 0x40f5e8fc47f49bb5, 212, 0x3ded0660e51cc2ad),
-    ("HS-Greedy", 19, 0x40e36d70410b20e1, 266, 0xd7110a4dec61565f),
-    ("HS-Greedy", 21, 0x4105ee3aa6c3d843, 122, 0x996d9c9365fb9d4e),
-    ("HS-Greedy", 22, 0x40e7e08a90182c19, 275, 0x15d35de90f91c817),
-    ("HS-Greedy", 27, 0x40f3711bf21068d6, 269, 0xc484b799ab53d0d8),
-    ("HS-Greedy", 32, 0x40eb294f35325e13, 267, 0xdac19f9dc4386378),
+    ("ES", 2, 0x4107ba953ba5e480, 4000, 0x9d12aa1c8699c71e),
+    ("ES", 4, 0x40e011f38d941aad, 4000, 0x4cb30bdc4adaef5d),
+    ("ES", 10, 0x40fa6d38bab4211a, 4000, 0x2503b33b8efb9f22),
+    ("ES", 11, 0x40d11fdc2f38d95d, 4000, 0x87afd8ec30d45c39),
+    ("ES", 13, 0x40f8c8f6c5302de3, 4000, 0x1e816c0e27df18f5),
+    ("ES", 19, 0x40e6824ca920deea, 4000, 0x795e4d0e5029ec80),
+    ("ES", 21, 0x41069e3bd65c0148, 4000, 0xcddf831b4d832d1e),
+    ("ES", 22, 0x40eb58279fb09c5b, 4000, 0xb095b42a0756c225),
+    ("ES", 27, 0x40f47b0df1fb186b, 4000, 0x5e8cbc7ecf7cf031),
+    ("ES", 32, 0x40f34e23a63a4d50, 4000, 0x5e13e206805bac1a),
+    ("HS", 2, 0x40ffd9a5e2f592cf, 4000, 0xee1c843f7e0088a1),
+    ("HS", 4, 0x40db98b0ee9c2130, 4000, 0xca655293a9b1e50d),
+    ("HS", 10, 0x40e67f3de37beebf, 4000, 0x623e61400aed5ecd),
+    ("HS", 11, 0x40cdf3ee43b824bf, 3465, 0xe959fbd5f757e882),
+    ("HS", 13, 0x40f372417bc5e66a, 4000, 0x0766cccad37b446e),
+    ("HS", 19, 0x40e1061add899542, 4000, 0xfa2cfe08610e5aac),
+    ("HS", 21, 0x4103fbbc8c580f59, 2053, 0x407a4588655fa215),
+    ("HS", 22, 0x40e51f8dbf615cd6, 4000, 0x74c9ab1d87723159),
+    ("HS", 27, 0x40f093119ef6b937, 4000, 0xbca973ca93714179),
+    ("HS", 32, 0x40e8acf39eaf0fcd, 4000, 0xcebc24f12cb4b2d9),
+    ("HS-Greedy", 2, 0x4102ed6376a1b21b, 268, 0x1e5e80037b09f91b),
+    ("HS-Greedy", 4, 0x40dc87561bbb4447, 266, 0xcf345e13d1ec5cff),
+    ("HS-Greedy", 10, 0x40f5658bc6933f4d, 283, 0xc22f9d55bd8a9e6a),
+    ("HS-Greedy", 11, 0x40d0abc60b54c61f, 245, 0x2b0c5b06bfcf75b9),
+    ("HS-Greedy", 13, 0x40f5e8fc47f49bb5, 212, 0x4b98fe5af0d306d8),
+    ("HS-Greedy", 19, 0x40e36d70410b20e1, 266, 0x70c03bb7ca853ed8),
+    ("HS-Greedy", 21, 0x4105ee3aa6c3d843, 122, 0x8a7b2ba8be7bda57),
+    ("HS-Greedy", 22, 0x40e7e08a90182c19, 275, 0xc4c1c180e89767dc),
+    ("HS-Greedy", 27, 0x40f3711bf21068d6, 269, 0x1310782bd60ccd05),
+    ("HS-Greedy", 32, 0x40eb294f35325e13, 267, 0x830210d5e77baa1b),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -64,12 +64,13 @@ static GLOBAL: Counting = Counting;
 /// reached, rounded up to a tenth. Before the swap path paid for three
 /// nodes: ES 34.35, HS 29.91, HS-Greedy 130.79, beam 32.17. Before a swap
 /// successor was built only when a search expands or returns it: ES 14.79,
-/// HS 10.87, HS-Greedy 54.88, beam 14.41.
+/// HS 10.87, HS-Greedy 54.88, beam 14.41. Before ES and beam admitted
+/// states through one set instead of sixteen shards: ES 8.55, beam 9.78.
 const CEILINGS: [(&str, usize, f64); 4] = [
-    ("es", 100, 8.6),
+    ("es", 100, 8.5),
     ("hs", 400, 6.3),
     ("hs-greedy", 400, 44.1),
-    ("beam", 400, 9.8),
+    ("beam", 400, 9.7),
 ];
 
 fn optimizer(algo: &str, states: usize) -> Box<dyn Optimizer> {

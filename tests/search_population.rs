@@ -24,11 +24,16 @@ use etlopt::prelude::*;
 use etlopt::workload::Generator;
 
 /// (algorithm, state budget, digest at the parent commit).
+///
+/// Re-captured once when `counters_json()` lost the visited set's
+/// shard-occupancy line: each value is the parent's digest with that line
+/// left out, so plans, costs, visited counts and every other counter line
+/// are unchanged.
 const PINNED: [(&str, usize, u64); 4] = [
-    ("es", 100, 0x5710_1c13_f0d9_6128),
-    ("hs", 400, 0xc647_f357_b78f_1f3f),
-    ("hs-greedy", 400, 0x5e87_ef23_9337_a72b),
-    ("beam", 400, 0xa9b6_ea42_8cf2_d672),
+    ("es", 100, 0x2129_4d5b_3395_a0b6),
+    ("hs", 400, 0xf848_a9d7_62c8_ec37),
+    ("hs-greedy", 400, 0x3899_0e3b_2520_3cbf),
+    ("beam", 400, 0x00ee_5337_958f_091b),
 ];
 
 fn optimizer(algo: &str, states: usize, parallelism: usize) -> Box<dyn Optimizer> {
