@@ -147,7 +147,7 @@ pub trait CostModel: Sync {
 
     /// [`CostModel::reprice_from`] with the dirty list precomputed — the
     /// search hot path, which shares one `downstream_of` walk between
-    /// repricing and incremental fingerprinting.
+    /// repricing, re-tokening and regeneration.
     fn reprice_along(&self, wf: &Workflow, parent: &CostVec, dirty: &[NodeId]) -> Result<CostVec> {
         let mut cv = parent.clone();
         reprice_into(self, wf, &mut cv, dirty, &[])?;
@@ -195,9 +195,9 @@ pub trait CostModel: Sync {
 
 /// The total [`CostModel::reprice_along`] would give the successor, priced
 /// with provider edges `(node, port, provider)` read as an overlay on `wf`'s
-/// graph, in the calling thread's scratch tables. The searches price a swap
-/// successor this way before they decide whether to build it: `wf` is the
-/// parent, `overlay` the three edges the swap will write, `dirty` the
+/// graph, in the calling thread's scratch tables: the whole walk, for a swap
+/// whose rows escape its consumer ([`SwapPricing::total`] is `None`). `wf`
+/// is the parent, `overlay` the three edges the swap will write, `dirty` the
 /// successor's walk. A swap moves edges, never a node, so the successor has
 /// the parent's live slots and activities: the same addends, summed in the
 /// same slot order, give the built state's total to the bit.
@@ -227,6 +227,77 @@ thread_local! {
     };
 }
 
+/// A swap's three rewired nodes — `second`, `first` and their consumer
+/// `c` — priced on the parent through the edges the swap will write, into
+/// locals: `(node, rows out, cost)` each, in that order.
+///
+/// When `c` hands on the parent's rows bit for bit, every node past it
+/// reads the rows it read before and prices to the same bits, because
+/// [`CostModel::activity_cost`] may read only the op and the input rows.
+/// The successor's tables are then the parent's with these three entries,
+/// and its total is the parent's slot-order sum with their costs in place
+/// (the addends and order of [`CostVec::sum_live`]) — no walk past `c`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SwapPricing {
+    nodes: [(NodeId, f64, f64); 3],
+    contained: bool,
+}
+
+impl SwapPricing {
+    /// Price `edges` — `(second, 0, p)`, `(first, 0, second)`, `(c, port,
+    /// first)` — against `parent`, `wf`'s pricing.
+    pub(crate) fn of<M: CostModel + ?Sized>(
+        model: &M,
+        wf: &Workflow,
+        parent: &CostVec,
+        edges: &[(NodeId, usize, NodeId); 3],
+    ) -> Result<SwapPricing> {
+        let mut nodes = [(NodeId(0), 0.0, 0.0); 3];
+        for (i, &(id, ..)) in edges.iter().enumerate() {
+            let (ports, n) = wf.graph().providers_with(id, edges)?;
+            let (done, _) = nodes.split_at(i);
+            let rows = |p: NodeId| match done.iter().find(|(id, ..)| *id == p) {
+                Some(&(_, rows, _)) => rows,
+                None => parent.rows_out(p),
+            };
+            let (rows, cost) = priced(model, wf, id, &ports[..n], rows)?;
+            nodes[i] = (id, rows, cost);
+        }
+        let (c, rows, _) = nodes[2];
+        let contained = rows.to_bits() == parent.rows_out(c).to_bits();
+        Ok(SwapPricing { nodes, contained })
+    }
+
+    /// The successor's total, when the rows stop at `c`.
+    pub(crate) fn total(&self, wf: &Workflow, parent: &CostVec) -> Option<f64> {
+        self.contained.then(|| {
+            let mut total = 0.0;
+            for (id, node) in wf.graph().iter() {
+                if matches!(node, Node::Activity(_)) {
+                    total += match self.nodes.iter().find(|(n, ..)| *n == id) {
+                        Some(&(_, _, cost)) => cost,
+                        None => parent.node_cost[id.0 as usize],
+                    };
+                }
+            }
+            total
+        })
+    }
+
+    /// The successor's tables, when the rows stop at `c`: `parent` with the
+    /// three entries patched.
+    pub(crate) fn patched(&self, wf: &Workflow, parent: &CostVec) -> Option<CostVec> {
+        let total = self.total(wf, parent)?;
+        let mut cv = parent.clone();
+        for (id, rows, cost) in self.nodes {
+            cv.rows[id.0 as usize] = rows;
+            cv.node_cost[id.0 as usize] = cost;
+        }
+        cv.total = total;
+        Some(cv)
+    }
+}
+
 /// Reprice `dirty` in `cv`, which holds the parent's pricing, with the
 /// providers `overlay` writes over `wf`'s graph, and total it.
 fn reprice_into<M: CostModel + ?Sized>(
@@ -241,56 +312,53 @@ fn reprice_into<M: CostModel + ?Sized>(
     cv.node_cost.resize(graph.slot_capacity(), 0.0);
     for &id in dirty {
         let (ports, n) = graph.providers_with(id, overlay)?;
-        price_node(model, wf, id, &ports[..n], cv)?;
+        let (rows, cost) = priced(model, wf, id, &ports[..n], |p| cv.rows[p.0 as usize])?;
+        cv.rows[id.0 as usize] = rows;
+        cv.node_cost[id.0 as usize] = cost;
     }
     cv.total = cv.sum_live(wf);
     Ok(())
 }
 
-/// Price one node into the flat tables: rows out of the node, plus its
-/// activity cost, from the rows of the providers on its `ports`.
-/// Recordsets are explicitly priced at 0.0 — a reused arena slot may have
-/// held an activity in the parent state, and its stale cost must not leak
-/// into the slot-order total.
-fn price_node<M: CostModel + ?Sized>(
+/// Price one node: the rows out of it and its activity cost, from the rows
+/// `rows` gives for the providers on its `ports`. Recordsets are explicitly
+/// priced at 0.0 — a reused arena slot may have held an activity in the
+/// parent state, and its stale cost must not leak into the slot-order
+/// total.
+fn priced<M: CostModel + ?Sized>(
     model: &M,
     wf: &Workflow,
     id: NodeId,
     ports: &[Option<NodeId>],
-    cv: &mut CostVec,
-) -> Result<()> {
-    let slot = id.0 as usize;
+    rows: impl Fn(NodeId) -> f64,
+) -> Result<(f64, f64)> {
     let rows_in = |port: usize| -> f64 {
         let provider = ports.get(port).copied().flatten();
-        provider.map(|p| cv.rows[p.0 as usize]).unwrap_or(0.0)
+        provider.map(&rows).unwrap_or(0.0)
     };
-    let out_rows = match wf.graph().node(id)? {
+    Ok(match wf.graph().node(id)? {
         Node::Recordset(r) => {
             let writer = ports.first().copied();
             let rows = match writer.ok_or(CoreError::MissingProvider { node: id, port: 0 })? {
                 None => r.row_estimate,
                 Some(_) => rows_in(0),
             };
-            cv.node_cost[slot] = 0.0;
-            rows
+            (rows, 0.0)
         }
         Node::Activity(a) => {
             let in0 = rows_in(0);
             match &a.op {
                 crate::activity::Op::Binary(b) => {
                     let in1 = rows_in(1);
-                    cv.node_cost[slot] = model.activity_cost(a, &[in0, in1]);
-                    binary_cardinality(b, in0, in1)
+                    (
+                        binary_cardinality(b, in0, in1),
+                        model.activity_cost(a, &[in0, in1]),
+                    )
                 }
-                _ => {
-                    cv.node_cost[slot] = model.activity_cost(a, &[in0]);
-                    in0 * a.selectivity()
-                }
+                _ => (in0 * a.selectivity(), model.activity_cost(a, &[in0])),
             }
         }
-    };
-    cv.rows[slot] = out_rows;
-    Ok(())
+    })
 }
 
 /// Flat, slot-indexed pricing of a state — the delta-costing companion of

@@ -20,9 +20,10 @@
 //! worker threads ([`crate::opt::Threads`]); every worker enumerates its
 //! states' moves through a shared [`MoveMemo`] (unchanged local groups skip
 //! re-scanning), applies the transitions, and evaluates each successor
-//! *incrementally* — delta cost and fingerprint rehash along the dirty
-//! downstream path only ([`crate::opt::EvalState`]), reusing the parent's
-//! per-node tables for everything a rewrite did not touch. Duplicate
+//! *incrementally* — delta cost and search key along the dirty downstream
+//! path only, or for a swap by the three edges it rewrites
+//! ([`crate::opt::EvalState`]), reusing the parent's per-node tables for
+//! everything a rewrite did not touch. Duplicate
 //! successors are dropped worker-side against the visited set, which the
 //! workers hold by shared borrow, so it cannot change under their probes;
 //! a single coordinator then merges the window's fresh result lists **in

@@ -4,19 +4,20 @@
 //! expands or returns the successor.
 //!
 //! Every built search state ([`EvalState`]) is paired with its flat
-//! per-node pricing ([`CostVec`]) and per-node structural hashes
-//! ([`NodeHashes`]). A successor is then produced by one pipeline, in this
-//! order:
+//! per-node pricing ([`CostVec`]) and per-slot token hashes ([`Tokens`]),
+//! and keyed by [`signature::search_key`], a sum over its labelled provider
+//! edges. A successor is then produced by one pipeline, in this order:
 //!
 //! 1. **rewire** — the transition's structural check, a structure-sharing
 //!    clone and the edge surgery ([`Rewire::rewire`]);
 //! 2. **walk** — `downstream_of(touched ∪ affected)` on the rewired graph,
 //!    *once*; every later step runs over this one list;
-//! 3. **rehash** — the fingerprint. A node's hash reads ids, edges and
-//!    commutativity, never a schema, so it is already valid on the rewired
-//!    state whose schemata are still the parent's;
-//! 4. **ask** — the caller's "already have it" test. A fingerprint the
-//!    search admitted belongs to a structurally identical state that passed
+//! 3. **key** — the walk re-tokened and every edge summed
+//!    ([`Tokens::along`]). The key reads ids, edges and commutativity,
+//!    never a schema, so it is already valid on the rewired state whose
+//!    schemata are still the parent's;
+//! 4. **ask** — the caller's "already have it" test. A key the search
+//!    admitted belongs to a structurally identical state that passed
 //!    step 5 when it was first produced, so a known successor can neither
 //!    be a refusal nor be new: it comes back as [`Step::Known`] here,
 //!    before anything is regenerated or priced;
@@ -26,38 +27,41 @@
 //! 6. **reprice** — delta cost along the list.
 //!
 //! Everything upstream and on sibling branches is reused from the parent
-//! bit-for-bit, so delta-evaluated totals and fingerprints are *exactly*
-//! equal to from-scratch ones (pinned by the equivalence property tests).
+//! bit-for-bit, so delta-evaluated totals and keys are *exactly* equal to
+//! from-scratch ones (pinned by the equivalence property tests).
 //!
-//! A swap — most of every search's moves — takes the same steps on the
-//! parent, without building anything ([`EvalState::step_move`]). Its
-//! structural check and the three provider edges it will write are read
-//! off the parent; the walk runs on the parent (same nodes, only the pair
-//! trades places); the fingerprint is taken through those edges as an
-//! overlay; the verdict derives the pair and its consumer through the
-//! overlay into locals (`Swap::contained`); the total is repriced through
-//! the overlay into a scratch table. What comes back is a *pending*
-//! [`State`]: the parent, the edges, the fingerprint and the total. Most
-//! successors a search admits it never expands, so most are never built;
-//! one is built — clone, relink, `Swap::finalize`, tables — only when a
+//! A swap — most of every search's moves — is judged on the parent, without
+//! building anything ([`EvalState::step_move`]), and pays for the three
+//! nodes it rewires. Its structural check and the three provider edges it
+//! will write are read off the parent; its key is the parent's with those
+//! three edges exchanged ([`Tokens::rewired`]), with no walk; the verdict
+//! derives the pair and its consumer through the edges into locals
+//! (`Swap::contained`); so does the total ([`SwapPricing`]): when the
+//! consumer hands on the parent's rows bit for bit, it is the parent's
+//! slot-order sum with the three costs in place, and only otherwise is the
+//! walk to the targets repriced through the edges as an overlay. What comes
+//! back is a *pending* [`State`]: the parent, the edges, the key and the
+//! total. Most successors a search admits it never expands, so most are
+//! never built; one is built — clone, relink, `Swap::finalize`, the
+//! parent's tokens and its pricing with three entries patched — only when a
 //! search expands or returns it ([`State::build`]). The one swap judged by
 //! building is the rare one whose consumer hands on a new schema: the walk
 //! then goes on past it, and that successor is built on the spot.
 //!
 //! Models that override [`CostModel::cost`] with something richer than the
 //! per-activity summation (`supports_delta() == false`, e.g. the physical
-//! planner) fall back to `apply`, full `cost` and a scratch fingerprint per
+//! planner) fall back to `apply`, full `cost` and a key from scratch per
 //! state, and are asked only then — same results, without the shortcut.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::cost::{reprice_total_with_edges, CostModel, CostVec};
+use crate::cost::{reprice_total_with_edges, CostModel, CostVec, SwapPricing};
 use crate::error::{CoreError, Result};
 use crate::graph::NodeId;
 use crate::opt::Move;
 use crate::schema_gen::downstream_of;
-use crate::signature::{self, NodeHashes};
+use crate::signature::{self, Tokens};
 use crate::trace::Rejections;
 use crate::transition::{finalize_along, Edges, Rewire, Swap, TransitionError};
 use crate::workflow::Workflow;
@@ -100,7 +104,8 @@ impl Step {
 /// the state; it never copies a workflow.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
-    /// The state fingerprint (keys the visited sets).
+    /// The state's search key ([`signature::search_key`]; keys the visited
+    /// sets).
     pub fp: u128,
     /// The state's total cost, to the bit what the built state carries.
     pub total: f64,
@@ -181,10 +186,10 @@ pub(crate) struct EvalState {
     pub wf: Workflow,
     /// Total state cost (delta-maintained when the model supports it).
     pub total: f64,
-    /// State fingerprint (keys the visited sets).
+    /// State search key ([`signature::search_key`]; keys the visited sets).
     pub fp: u128,
-    /// Per-node pricing + hashes; `None` in the full-evaluation fallback.
-    detail: Option<(CostVec, NodeHashes)>,
+    /// Per-node pricing + tokens; `None` in the full-evaluation fallback.
+    detail: Option<(CostVec, Tokens)>,
     /// How this state was priced: `true` for the delta path (tables reused
     /// along the dirty walk), `false` for from-scratch pricing. Telemetry
     /// only — `detail` presence is what gates the *next* expansion's path.
@@ -196,17 +201,17 @@ impl EvalState {
     pub fn full(wf: Workflow, model: &dyn CostModel) -> Result<EvalState> {
         if model.supports_delta() {
             let cost = model.price(&wf)?;
-            let (hashes, fp) = signature::hash_state(&wf);
+            let (tokens, fp) = signature::search_key(&wf);
             Ok(EvalState {
                 total: cost.total,
                 fp,
-                detail: Some((cost, hashes)),
+                detail: Some((cost, tokens)),
                 wf,
                 via_delta: false,
             })
         } else {
             let total = model.cost(&wf)?;
-            let fp = wf.fingerprint();
+            let fp = signature::search_key(&wf).1;
             Ok(EvalState {
                 wf,
                 total,
@@ -261,7 +266,7 @@ impl EvalState {
         rej: &mut Rejections,
     ) -> Option<Result<Step>> {
         let step = match &self.detail {
-            Some((cost, hashes)) => self.swap_successor(t, cost, hashes, model, known),
+            Some((cost, tokens)) => self.swap_successor(t, cost, tokens, model, known),
             None => self.successor(Cow::Borrowed(&self.wf), Vec::new(), t, model, known),
         };
         step.map_err(|e| rej.record(&e)).ok()
@@ -305,13 +310,12 @@ impl EvalState {
         self: &Arc<Self>,
         t: &Swap,
         cost: &CostVec,
-        hashes: &NodeHashes,
+        tokens: &Tokens,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
     ) -> Result<Result<Step>, TransitionError> {
         let edges = t.edges(&self.wf)?;
-        let dirty = swap_walk(&self.wf, &edges)?;
-        let fp = signature::fingerprint_with_edges(&self.wf, hashes, &dirty, &edges);
+        let fp = tokens.rewired(self.fp, &self.wf, &edges);
         if known(fp) {
             return Ok(Ok(Step::Known {
                 fp,
@@ -319,10 +323,19 @@ impl EvalState {
             }));
         }
         if !Swap::contained(&self.wf, &edges)? {
-            let next = self.build_along(&edges, &dirty, cost, hashes, model)?;
+            let dirty = swap_walk(&self.wf, &edges)?;
+            let next = self.build_along(&edges, Some(&dirty), cost, tokens, model)?;
             return Ok(next.map(|next| Step::New(next.into())));
         }
-        let total = reprice_total_with_edges(model, &self.wf, cost, &dirty, &edges);
+        let priced = SwapPricing::of(model, &self.wf, cost, &edges);
+        let total = match priced.map(|priced| priced.total(&self.wf, cost)) {
+            Ok(Some(total)) => Ok(total),
+            Ok(None) => {
+                let dirty = swap_walk(&self.wf, &edges)?;
+                reprice_total_with_edges(model, &self.wf, cost, &dirty, &edges)
+            }
+            Err(e) => Err(e),
+        };
         Ok(total.map(|total| {
             let parent = Arc::clone(self);
             Step::New(State {
@@ -341,40 +354,54 @@ impl EvalState {
             TransitionError::Graph(e) => e,
             e => CoreError::Schema(format!("a swap judged legal failed to build: {e}")),
         };
-        let Some((cost, hashes)) = &self.detail else {
+        let Some((cost, tokens)) = &self.detail else {
             return Err(CoreError::Schema(
                 "a pending swap's parent has no tables".into(),
             ));
         };
-        let dirty = swap_walk(&self.wf, edges).map_err(broken)?;
-        self.build_along(edges, &dirty, cost, hashes, model)
+        self.build_along(edges, None, cost, tokens, model)
             .map_err(broken)?
     }
 
     /// The swap along `edges` built from this state: clone, relink, the
-    /// three-node `Swap::finalize`, and the tables along `dirty`, the
-    /// successor's walk. Errors as for [`EvalState::successor`].
+    /// three-node `Swap::finalize`, the parent's tokens, its key with the
+    /// three edges exchanged, and its pricing with the three nodes patched
+    /// in. Only what escapes the pair's consumer is walked: its schema, by
+    /// the regeneration, and its rows, by repricing the successor's walk.
+    /// `dirty` is that walk when the caller holds it. Errors as for
+    /// [`EvalState::successor`].
     fn build_along(
         &self,
         edges: &Edges,
-        dirty: &[NodeId],
+        dirty: Option<&[NodeId]>,
         cost: &CostVec,
-        hashes: &NodeHashes,
+        tokens: &Tokens,
         model: &dyn CostModel,
     ) -> Result<Result<EvalState>, TransitionError> {
         let mut next = self.wf.clone();
         Swap::relink(&mut next.graph, edges)?;
-        Swap::finalize(&mut next, edges, dirty.get(3..))?;
-        let (hashes, fp) = signature::rehash_along(&next, hashes, dirty);
-        Ok(model
-            .reprice_along(&next, cost, dirty)
-            .map(|cost| EvalState {
-                total: cost.total,
-                fp,
-                detail: Some((cost, hashes)),
-                wf: next,
-                via_delta: true,
-            }))
+        Swap::finalize(&mut next, edges, dirty.and_then(|walk| walk.get(3..)))?;
+        let fp = tokens.rewired(self.fp, &self.wf, edges);
+        let priced = SwapPricing::of(model, &self.wf, cost, edges);
+        let cost = match priced.map(|priced| priced.patched(&next, cost)) {
+            Ok(Some(cost)) => Ok(cost),
+            Ok(None) => {
+                let [(second, ..), (first, ..), _] = *edges;
+                let walk = match dirty {
+                    Some(walk) => Cow::Borrowed(walk),
+                    None => Cow::Owned(downstream_of(next.graph(), &[second, first])?),
+                };
+                model.reprice_along(&next, cost, &walk)
+            }
+            Err(e) => Err(e),
+        };
+        Ok(cost.map(|cost| EvalState {
+            total: cost.total,
+            fp,
+            detail: Some((cost, tokens.clone())),
+            wf: next,
+            via_delta: true,
+        }))
     }
 
     /// The pipeline of the module docs. The outer error is a refusal of the
@@ -387,7 +414,7 @@ impl EvalState {
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
     ) -> Result<Result<Step>, TransitionError> {
-        let Some((cost, hashes)) = &self.detail else {
+        let Some((cost, tokens)) = &self.detail else {
             let next = t.apply(&shifted)?;
             return Ok(EvalState::full(next, model).map(|next| {
                 if known(next.fp) {
@@ -406,7 +433,7 @@ impl EvalState {
         roots.extend(touched);
         let mut next = t.rewire(shifted)?;
         let dirty = downstream_of(next.graph(), &roots)?;
-        let (hashes, fp) = signature::rehash_along(&next, hashes, &dirty);
+        let (tokens, fp) = tokens.along(&next, &dirty);
         if known(fp) {
             return Ok(Ok(Step::Known {
                 fp,
@@ -419,7 +446,7 @@ impl EvalState {
                 EvalState {
                     total: cost.total,
                     fp,
-                    detail: Some((cost, hashes)),
+                    detail: Some((cost, tokens)),
                     wf: next,
                     via_delta: true,
                 }
@@ -495,8 +522,9 @@ mod tests {
     }
 
     /// Step 3 before step 5: over seeded walks, for every enumerated move,
-    /// the fingerprint taken on the rewired state — schemata still the
-    /// parent's — is the fingerprint of the finalized successor, and two
+    /// the search key taken on the rewired state — schemata still the
+    /// parent's, tokens re-taken along the walk — is the key of the
+    /// finalized successor from scratch, and two
     /// candidates with one fingerprint get one verdict from `finalize`. That
     /// is what lets a search answer "known" for a candidate it never
     /// regenerated.
@@ -519,11 +547,12 @@ mod tests {
                     };
                     let affected = mv.affected(&cur.wf);
                     let dirty = downstream_of(rewired.graph(), &affected).unwrap();
-                    let hashes = &cur.detail.as_ref().unwrap().1;
-                    let (_, fp) = signature::rehash_along(&rewired, hashes, &dirty);
+                    let tokens = &cur.detail.as_ref().unwrap().1;
+                    let (_, fp) = tokens.along(&rewired, &dirty);
                     let verdict = match finalize(rewired, &affected) {
                         Ok(next) => {
-                            assert_eq!(fp, next.fingerprint(), "{at}: fingerprint moved");
+                            let scratch = signature::search_key(&next).1;
+                            assert_eq!(fp, scratch, "{at}: fingerprint moved");
                             assert_eq!(next, mv.apply(&cur.wf).unwrap(), "{at}");
                             accepted += 1;
                             successors.push(*mv);
@@ -612,8 +641,8 @@ mod tests {
     ///   and the reached targets the full walk does, checking targets only
     ///   where it reached gives the verdict that checking them all gives;
     /// * the parent's walk with the pair traded is the successor's walk;
-    /// * the fingerprint taken through the three-edge overlay on the
-    ///   parent is `rehash_along`'s on the built successor.
+    /// * the parent's search key with the three edges exchanged is the
+    ///   rewired state's key from scratch.
     #[test]
     fn a_swap_paid_for_by_three_nodes_is_the_swap_the_full_walk_finalizes() {
         let model = RowCountModel::default();
@@ -670,10 +699,9 @@ mod tests {
                             assert_eq!(verdict.is_ok(), reference.is_ok(), "{at}");
                         }
 
-                        let hashes = &cur.detail.as_ref().unwrap().1;
-                        let overlay = signature::fingerprint_with_edges(wf, hashes, &walk, &edges);
-                        let along = signature::rehash_along(&rewired, hashes, &walk).1;
-                        assert_eq!(overlay, along, "{at}");
+                        let tokens = &cur.detail.as_ref().unwrap().1;
+                        let key = tokens.rewired(cur.fp, wf, &edges);
+                        assert_eq!(key, signature::search_key(&rewired).1, "{at}");
 
                         checked += 1;
                         let consumer_is_target = rewired.targets().contains(&c);
@@ -706,8 +734,8 @@ mod tests {
         assert!(into_target > 0, "no swap fed a target");
         assert!(pout_add, "the π-out/ADD pair was never checked");
     }
-    /// Per live node: the hashes and the pricing, bit for bit.
-    fn same_tables(wf: &Workflow, a: &(CostVec, NodeHashes), b: &(CostVec, NodeHashes)) -> bool {
+    /// Per live node: the tokens and the pricing, bit for bit.
+    fn same_tables(wf: &Workflow, a: (&CostVec, &Tokens), b: (&CostVec, &Tokens)) -> bool {
         wf.graph().iter().all(|(id, _)| {
             a.1.of(id) == b.1.of(id)
                 && a.0.rows_out(id).to_bits() == b.0.rows_out(id).to_bits()
@@ -732,33 +760,54 @@ mod tests {
         wf
     }
 
+    /// `S → σ → NN → σ' → SK → T` over 777 rows, whose selectivities
+    /// multiply to other bits in another order: a swapped pair's consumer
+    /// may hand on rows that differ from the parent's in the last bit, and
+    /// then SK's cost changes past it.
+    fn rounding() -> Workflow {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 777.0);
+        let f = UnaryOp::filter(Predicate::gt("v", 1)).with_selectivity(0.9);
+        let f = b.unary("σ", f, s);
+        let nn = b.unary("NN", UnaryOp::not_null("v").with_selectivity(0.3), f);
+        let g = UnaryOp::filter(Predicate::gt("v", 5)).with_selectivity(0.4);
+        let g = b.unary("σ'", g, nn);
+        let sk = b.unary("SK", UnaryOp::surrogate_key("k", "sk", "L"), g);
+        b.target("T", Schema::of(["v", "sk"]), sk);
+        b.build().unwrap()
+    }
+
     /// A pending swap is the swap built. Over seeded walks from
-    /// `converging()`, `generators()` and `drifted()`, for every enumerated
+    /// `converging()`, `generators()`, `drifted()` and `rounding()`, for every enumerated
     /// swap, what the parent alone says of the successor — the verdict
-    /// (rule, node and detail), the fingerprint and the total's bits — is
-    /// what `Swap::apply`, `rehash_along` and `reprice_along` say on the
-    /// built state; and the state a pending successor builds into, tables
-    /// and all, is `Swap::apply`'s, hashed by `hash_state` and priced by
-    /// `price` from scratch. Counted, so none of it is vacuous: refusals,
-    /// swaps into a target, refusals by the target check, swaps whose
-    /// consumer hands on a new schema (built on the spot), and the
-    /// π-out/ADD pair refused at its target.
+    /// (rule, node and detail), the search key and the total's bits — is
+    /// what `Swap::apply`, `search_key` from scratch and `reprice_along`
+    /// say on the built state; and the state a pending successor builds
+    /// into, tables and all, is `Swap::apply`'s, its tokens `search_key`'s
+    /// and its pricing both `reprice_along`'s and `price`'s from scratch.
+    /// Counted, so none of it is vacuous: refusals, swaps into a target,
+    /// refusals by the target check, swaps whose consumer hands on a new
+    /// schema (built on the spot), the π-out/ADD pair refused at its
+    /// target, and pending totals that stopped at the consumer and that
+    /// walked past it.
     #[test]
     fn a_pending_swap_is_the_swap_built() {
         let model = RowCountModel::default();
         let (mut pending, mut refused, mut into_target, mut escaped) = (0, 0, 0, 0);
         let (mut pout_add, mut target_checked) = (0, 0);
+        let (mut stopped, mut walked) = (0, 0);
         let fixtures = [
             (converging(), "converging"),
             (generators(), "generators"),
             (drifted(), "drifted"),
+            (rounding(), "rounding"),
         ];
         for (start, fixture) in fixtures {
             for seed in 0..12u64 {
                 let mut rng = Rng::seed_from_u64(seed ^ 0x9e9e);
                 let mut cur = Arc::new(EvalState::full(start.clone(), &model).unwrap());
                 for step in 0..8 {
-                    let (wf, (cost, hashes)) = (&cur.wf, cur.detail.as_ref().unwrap());
+                    let (wf, (cost, tokens)) = (&cur.wf, cur.detail.as_ref().unwrap());
                     for mv in enumerate_moves(wf).unwrap() {
                         let Move::Swap(t) = mv else { continue };
                         let at = format!("{fixture} seed {seed} step {step}: {}", mv.describe(wf));
@@ -770,7 +819,7 @@ mod tests {
                         let label = |n: NodeId| wf.graph().node(n).unwrap().label().to_owned();
                         let is_pout_add = label(first) == "π-out" && label(second) == "ADD";
                         let applied = mv.apply(wf);
-                        let next = match cur.swap_successor(&t, cost, hashes, &model, |_| false) {
+                        let next = match cur.swap_successor(&t, cost, tokens, &model, |_| false) {
                             Err(refusal) => {
                                 let by_target = refusal.to_string().contains("target T declares");
                                 target_checked += usize::from(by_target);
@@ -784,15 +833,19 @@ mod tests {
                         };
                         let applied = applied.unwrap_or_else(|e| panic!("{at}: {e}"));
                         assert!(!is_pout_add, "{at}: the π-out/ADD pair was accepted");
-                        let (along_hashes, fp) = signature::rehash_along(&applied, hashes, &walk);
-                        let along = (
-                            model.reprice_along(&applied, cost, &walk).unwrap(),
-                            along_hashes,
-                        );
-                        assert_eq!(next.fp, fp, "{at}: fingerprint");
-                        assert_eq!(next.total.to_bits(), along.0.total.to_bits(), "{at}: total");
+                        let (scratch_tokens, fp) = signature::search_key(&applied);
+                        let along = model.reprice_along(&applied, cost, &walk).unwrap();
+                        assert_eq!(next.fp, fp, "{at}: search key");
+                        assert_eq!(next.total.to_bits(), along.total.to_bits(), "{at}: total");
                         match next.form {
-                            Form::Pending { .. } => pending += 1,
+                            Form::Pending { .. } => {
+                                pending += 1;
+                                let priced = SwapPricing::of(&model, wf, cost, &edges).unwrap();
+                                match priced.total(wf, cost) {
+                                    Some(_) => stopped += 1,
+                                    None => walked += 1,
+                                }
+                            }
                             Form::Built(_) => escaped += 1,
                         }
                         into_target += usize::from(is_target);
@@ -803,13 +856,15 @@ mod tests {
                             (built.fp, built.total.to_bits()),
                             (fp, next.total.to_bits())
                         );
-                        let (scratch_hashes, scratch_fp) = signature::hash_state(&applied);
-                        let scratch = (model.price(&applied).unwrap(), scratch_hashes);
-                        assert_eq!(built.fp, scratch_fp, "{at}: fingerprint from scratch");
-                        let tables = built.detail.as_ref().unwrap();
-                        assert!(same_tables(&applied, tables, &along), "{at}: tables along");
+                        let (cost_built, tokens_built) = built.detail.as_ref().unwrap();
+                        let tables = (cost_built, tokens_built);
                         assert!(
-                            same_tables(&applied, tables, &scratch),
+                            same_tables(&applied, tables, (&along, &scratch_tokens)),
+                            "{at}: tables along"
+                        );
+                        let scratch = model.price(&applied).unwrap();
+                        assert!(
+                            same_tables(&applied, tables, (&scratch, &scratch_tokens)),
                             "{at}: from scratch"
                         );
                     }
@@ -823,6 +878,8 @@ mod tests {
             }
         }
         assert!(pending > 300, "too few pending swaps checked: {pending}");
+        assert!(stopped > 0, "no pending total stopped at the consumer");
+        assert!(walked > 0, "no pending total walked past the consumer");
         assert!(refused > 0, "no swap was refused");
         assert!(into_target > 0, "no accepted swap fed a target");
         assert!(escaped > 0, "no swap changed its consumer's output");
@@ -831,5 +888,6 @@ mod tests {
             pout_add > 0,
             "the π-out/ADD pair was never refused at its target"
         );
+        println!("pending totals: {stopped} stopped at the consumer, {walked} walked");
     }
 }

@@ -14,7 +14,7 @@
 //! direct consumers, and beyond them follows *changes* — a node none of
 //! whose providers' outputs changed in this walk is skipped without a
 //! schema being read. [`downstream_of`] is that walk's list, which the
-//! searches compute once per successor and share between fingerprinting,
+//! searches compute once per successor and share between keying,
 //! regeneration and pricing. A swap pays for less: `regenerate_swap`
 //! refreshes the three nodes it rewired and walks further only when the
 //! pair's consumer hands on something new.
@@ -100,7 +100,7 @@ fn walk_from(graph: &Graph, starts: &[NodeId]) -> std::result::Result<Vec<NodeId
 
 /// [`regenerate_downstream`] with the walk precomputed: `dirty` is
 /// [`downstream_of`] some superset of `starts`, in topological order. The
-/// searches share one such list between rehashing, regeneration and
+/// searches share one such list between re-tokening, regeneration and
 /// repricing; nodes of it that no change reaches are skipped, so a superset
 /// derives exactly what the walk from `starts` alone would. Every target
 /// the walk reaches is appended to `targets`.

@@ -124,9 +124,11 @@ impl fmt::Write for Fp128 {
     }
 }
 
-/// Slot-indexed structural hashes of every node's upstream subflow — the
-/// incremental-fingerprint state carried from parent to successor during
-/// search.
+/// Slot-indexed structural hashes of every node's upstream subflow: a
+/// Merkle fold whose per-node values name shared subgraphs (the engine's
+/// intermediate-result cache keys on them) and whose target fold is
+/// [`Workflow::fingerprint`]. The searches key their visited sets on the
+/// cheaper [`search_key`] instead.
 ///
 /// Each node's hash digests the same information its signature substring
 /// carries: the hashes of its providers (sorted for commutative binaries,
@@ -134,8 +136,8 @@ impl fmt::Write for Fp128 {
 /// token (activity id or recordset priority). The state fingerprint folds
 /// the target hashes in sorted order, mirroring the sorted-join of
 /// multi-target signatures. Fingerprint equality therefore coincides with
-/// signature equality (w.h.p.), which is the only property the visited
-/// sets rely on — asserted by the equivalence property tests.
+/// signature equality (w.h.p.), asserted by the equivalence property
+/// tests.
 ///
 /// Dead slots keep stale hashes; they are never read, because transitions'
 /// `affected` sets cover every re-populated slot (the same invariant delta
@@ -196,68 +198,143 @@ pub fn hash_state(wf: &Workflow) -> (NodeHashes, u128) {
 /// hash is a pure function of its providers' hashes, and the dirty closure
 /// contains every node whose providers changed.
 pub fn rehash_along(wf: &Workflow, parent: &NodeHashes, dirty: &[NodeId]) -> (NodeHashes, u128) {
+    let graph = wf.graph();
     let mut node = parent.node.clone();
-    let fp = rehash_into(wf, &parent.targets, &mut node, dirty, &[]);
+    node.resize(graph.slot_capacity(), 0);
+    for &id in dirty {
+        let providers = graph.providers(id).unwrap_or_default();
+        node[id.0 as usize] = node_hash(wf, id, providers, &node);
+    }
+    let fp = combine_targets(&parent.targets, &node);
     let targets = Arc::clone(&parent.targets);
     (NodeHashes { node, targets }, fp)
 }
 
-/// The fingerprint [`rehash_along`] would give the successor, taken with
-/// provider edges `(node, port, provider)` read as an overlay on `wf`'s
-/// graph and the rehashed nodes kept in the calling thread's scratch table.
-/// The searches fingerprint a swap successor this way before they decide
-/// whether to build it: `wf` is the parent, `overlay` the three edges the
-/// swap will write (`crate::transition::Swap`), `dirty` the successor's
-/// walk. A node's hash reads only its providers and its own payload, and a
-/// swap moves no payload, so this is the built successor's fingerprint to
-/// the bit — without the successor, and without a table of its own.
-pub(crate) fn fingerprint_with_edges(
-    wf: &Workflow,
-    parent: &NodeHashes,
-    dirty: &[NodeId],
-    overlay: &[(NodeId, usize, NodeId)],
-) -> u128 {
-    SCRATCH.with(|scratch| {
-        let mut own = Vec::new();
-        let mut borrowed = scratch.try_borrow_mut();
-        let node = borrowed.as_deref_mut().unwrap_or(&mut own);
-        node.clone_from(&parent.node);
-        rehash_into(wf, &parent.targets, node, dirty, overlay)
-    })
-}
+/// Slot-indexed token hashes of a state's live nodes: what [`search_key`]
+/// hashes an edge's two ends by. A node's token is its lifelong id, so a
+/// swap — which moves edges, never a node — leaves the table as it is, and
+/// a swap successor shares its parent's (cloning one is a reference-count
+/// bump). Dead slots keep stale tokens that no edge reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tokens(Arc<[u128]>);
 
-thread_local! {
-    /// [`fingerprint_with_edges`]'s table: the parent's hashes, then the
-    /// candidate's along its walk; overwritten by the next candidate.
-    static SCRATCH: std::cell::RefCell<Vec<u128>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Rehash `dirty` in `node`, which holds the parent's hashes, with the
-/// providers `overlay` writes; returns the state fingerprint.
-fn rehash_into(
-    wf: &Workflow,
-    targets: &[NodeId],
-    node: &mut Vec<u128>,
-    dirty: &[NodeId],
-    overlay: &[(NodeId, usize, NodeId)],
-) -> u128 {
-    let graph = wf.graph();
-    node.resize(graph.slot_capacity(), 0);
-    for &id in dirty {
-        let (ports, n) = graph.providers_with(id, overlay).unwrap_or_default();
-        node[id.0 as usize] = node_hash(wf, id, &ports[..n], node);
+impl Tokens {
+    /// The token hash of `id` (0 for ids never tokened).
+    pub fn of(&self, id: NodeId) -> u128 {
+        self.0.get(id.0 as usize).copied().unwrap_or(0)
     }
-    combine_targets(targets, node)
+
+    /// The tokens and search key of `wf`, reached from the state these
+    /// tokens belong to by a transition that re-populated no slot outside
+    /// `dirty` — the successor's walk, which covers every slot a
+    /// transition re-populates. Re-tokens `dirty` and sums every edge.
+    pub fn along(&self, wf: &Workflow, dirty: &[NodeId]) -> (Tokens, u128) {
+        let cap = wf.graph().slot_capacity();
+        let mut table: Arc<[u128]> = (0..cap)
+            .map(|slot| self.0.get(slot).copied().unwrap_or(0))
+            .collect();
+        if let Some(slots) = Arc::get_mut(&mut table) {
+            for &id in dirty {
+                if let Some(slot) = slots.get_mut(id.0 as usize) {
+                    *slot = token(wf, id);
+                }
+            }
+        }
+        let tokens = Tokens(table);
+        let key = tokens.key(wf);
+        (tokens, key)
+    }
+
+    /// The search key of the state `wf` becomes when every edge `(node,
+    /// port, provider)` of `edges` is written over its port, from `key`,
+    /// `wf`'s own: each edge's old provider edge is taken out of the sum
+    /// and the new one put in. Exact for rewirings that move no node, as a
+    /// swap's three edges: the tokens stay these.
+    pub fn rewired(&self, key: u128, wf: &Workflow, edges: &[(NodeId, usize, NodeId)]) -> u128 {
+        let graph = wf.graph();
+        edges.iter().fold(key, |key, &(node, port, provider)| {
+            let label = graph.node(node).map_or(port as u8, |n| label(n, port));
+            let old = match graph.provider(node, port) {
+                Ok(Some(old)) => self.edge(node, label, old),
+                _ => 0,
+            };
+            key.wrapping_sub(old)
+                .wrapping_add(self.edge(node, label, provider))
+        })
+    }
+
+    /// The sum over every provider edge of `wf`.
+    fn key(&self, wf: &Workflow) -> u128 {
+        let graph = wf.graph();
+        let mut key = 0u128;
+        for (id, node) in graph.iter() {
+            let providers = graph.providers(id).unwrap_or_default();
+            for (port, provider) in providers.iter().enumerate() {
+                if let Some(provider) = *provider {
+                    key = key.wrapping_add(self.edge(id, label(node, port), provider));
+                }
+            }
+        }
+        key
+    }
+
+    /// The hash of the labelled edge `provider → consumer`.
+    fn edge(&self, consumer: NodeId, label: u8, provider: NodeId) -> u128 {
+        let mut fp = Fp128::new();
+        fp.write_u128(self.of(consumer));
+        fp.write(&[label]);
+        fp.write_u128(self.of(provider));
+        fp.finish()
+    }
+}
+
+/// The search key of a state from scratch, and its tokens: the wrapping sum
+/// of one 128-bit hash per provider edge `(consumer token, port label,
+/// provider token)`. Both ports of a commutative binary carry one label, so
+/// mirror-image states collapse, as the sorted signature does.
+///
+/// The searches key their visited sets on it. Tokens are unique among a
+/// state's live nodes (ids and recordset priorities are lifelong and
+/// distinct, and `ActivityId::factored` / `distributed` mint fresh ones),
+/// so the labelled edge set is the signature's tree read edge by edge:
+/// key equality coincides with signature equality (w.h.p.), as
+/// [`Workflow::fingerprint`]'s does — asserted by the property tests. Being
+/// a sum, the key of a successor is its parent's with the rewritten edges
+/// exchanged ([`Tokens::rewired`]), whatever the distance to the targets.
+pub fn search_key(wf: &Workflow) -> (Tokens, u128) {
+    let graph = wf.graph();
+    let mut slots = vec![0u128; graph.slot_capacity()];
+    for (id, _) in graph.iter() {
+        slots[id.0 as usize] = token(wf, id);
+    }
+    let tokens = Tokens(slots.into());
+    let key = tokens.key(wf);
+    (tokens, key)
+}
+
+/// The hash of one node's token.
+fn token(wf: &Workflow, id: NodeId) -> u128 {
+    let mut fp = Fp128::new();
+    write_token(&mut fp, wf, id);
+    fp.finish()
+}
+
+/// The port label of an edge into `node`: its port, or one label for both
+/// ports of a commutative binary.
+fn label(node: &Node, port: usize) -> u8 {
+    if commutes(node) {
+        u8::MAX
+    } else {
+        port as u8
+    }
 }
 
 /// One node's structural hash from its providers' hashes. Arity tags keep
 /// the digest injective-in-structure the way the signature grammar is:
 /// `s`ource, `u`nary and `b`inary nodes cannot collide by token reuse, and
 /// commutative binaries sort their branch hashes exactly where the string
-/// render sorts its branch strings. The token's bytes are written as
-/// [`Workflow::priority_token`] renders them, without rendering it.
+/// render sorts its branch strings.
 fn node_hash(wf: &Workflow, id: NodeId, providers: &[Option<NodeId>], node: &[u128]) -> u128 {
-    let graph = wf.graph();
     let mut fp = Fp128::new();
     match providers.len() {
         0 => fp.write(b"s"),
@@ -270,35 +347,49 @@ fn node_hash(wf: &Workflow, id: NodeId, providers: &[Option<NodeId>], node: &[u1
         _ => {
             let l = providers[0].map(|p| node[p.0 as usize]).unwrap_or(0);
             let r = providers[1].map(|p| node[p.0 as usize]).unwrap_or(0);
-            let commutative = match graph.node(id) {
-                Ok(Node::Activity(a)) => match &a.op {
-                    crate::activity::Op::Binary(b) => b.is_commutative(),
-                    _ => false,
-                },
-                _ => false,
+            let (l, r) = if wf.graph().node(id).is_ok_and(commutes) && r < l {
+                (r, l)
+            } else {
+                (l, r)
             };
-            let (l, r) = if commutative && r < l { (r, l) } else { (l, r) };
             fp.write(b"b");
             fp.write_u128(l);
             fp.write_u128(r);
         }
     }
     fp.write(b".");
-    match graph.node(id) {
-        Ok(Node::Activity(a)) => write_id(&mut fp, &a.id),
+    write_token(&mut fp, wf, id);
+    fp.finish()
+}
+
+/// The node's lifelong token, written as [`Workflow::priority_token`]
+/// renders it, without rendering it.
+fn write_token(fp: &mut Fp128, wf: &Workflow, id: NodeId) {
+    match wf.graph().node(id) {
+        Ok(Node::Activity(a)) => write_id(fp, &a.id),
         Ok(Node::Recordset(_)) => match wf.rs_priority.get(&id) {
-            Some(&p) => write_decimal(&mut fp, p.into()),
+            Some(&p) => write_decimal(fp, p.into()),
             None => {
                 fp.write(b"r");
-                write_decimal(&mut fp, id.0.into());
+                write_decimal(fp, id.0.into());
             }
         },
         Err(_) => {
             fp.write(b"?");
-            write_decimal(&mut fp, id.0.into());
+            write_decimal(fp, id.0.into());
         }
     }
-    fp.finish()
+}
+
+/// Is `node` a binary activity whose branches the signature sorts?
+fn commutes(node: &Node) -> bool {
+    match node {
+        Node::Activity(a) => match &a.op {
+            crate::activity::Op::Binary(b) => b.is_commutative(),
+            _ => false,
+        },
+        Node::Recordset(_) => false,
+    }
 }
 
 /// The bytes [`ActivityId`]'s `Display` renders.
@@ -402,14 +493,11 @@ fn render(wf: &Workflow, id: NodeId, memo: &mut HashMap<NodeId, String>, out: &m
             if let Some(p) = providers[1] {
                 render(wf, p, memo, &mut r);
             }
-            let commutative = match graph.node(id) {
-                Ok(Node::Activity(a)) => match &a.op {
-                    crate::activity::Op::Binary(b) => b.is_commutative(),
-                    _ => false,
-                },
-                _ => false,
+            let (l, r) = if wf.graph().node(id).is_ok_and(commutes) && r < l {
+                (r, l)
+            } else {
+                (l, r)
             };
-            let (l, r) = if commutative && r < l { (r, l) } else { (l, r) };
             let _ = write!(out, "(({l})//({r})).");
         }
     }

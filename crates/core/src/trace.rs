@@ -187,7 +187,7 @@ pub struct SearchStats {
     /// that subtraction underflow poisons the field to `u64::MAX` so
     /// [`SearchStats::reconciles`] fails loudly instead of hiding it.
     pub pruned: u64,
-    /// Generated candidates on the delta path (incremental rehash, then
+    /// Generated candidates on the delta path (incremental search key, then
     /// delta repricing): every successor of a state that carries its
     /// tables, including HS's Phase II/III chain candidates (one walk per
     /// chain). The two `repriced_*` counters classify candidates by

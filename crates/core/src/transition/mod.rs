@@ -18,10 +18,10 @@
 //!
 //! The same dirty set drives the searches' incremental state evaluation:
 //! [`Transition::affected`] must conservatively cover every node whose
-//! derived row count or structural hash the rewrite can change, because
-//! delta repricing and fingerprint rehashing start from exactly those
-//! roots (`crate::cost::CostModel::reprice_from`,
-//! `crate::signature::rehash_along`).
+//! derived row count, structural hash or token the rewrite can change,
+//! because delta repricing, rehashing and re-tokening start from exactly
+//! those roots (`crate::cost::CostModel::reprice_from`,
+//! `crate::signature::rehash_along`, `crate::signature::Tokens::along`).
 //!
 //! `apply` is two halves. The first — structural check, structure-sharing
 //! clone, edge surgery — is the crate-private `Rewire::rewire` of the three
@@ -31,9 +31,9 @@
 //! reached, the debug `validate`). A swap's second half is its own
 //! (`Swap::finalize`): the three nodes it rewired, and the walk past them
 //! only when their consumer's output changed. The searches call the halves
-//! themselves (`crate::opt::EvalState`): their pricing and fingerprinting
-//! need the same walk, and a successor whose fingerprint they already hold
-//! needs no second half at all.
+//! themselves (`crate::opt::EvalState`): their pricing and keying need the
+//! same walk, and a successor whose search key they already hold needs no
+//! second half at all.
 
 // Transitions run inside search workers inside daemon workers: a state a
 // transition cannot handle must come back as a typed refusal.

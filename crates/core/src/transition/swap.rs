@@ -128,7 +128,7 @@ impl Swap {
 
     /// The structural check, and the edges the swap will write:
     /// `p → first → second → c` becomes `p → second → first → c`. Read off
-    /// the unrewired state, so a search can fingerprint the successor
+    /// the unrewired state, so a search can key, judge and price the successor
     /// before it builds it.
     pub(crate) fn edges(&self, wf: &Workflow) -> Result<Edges, TransitionError> {
         let (first, second) = self.structural_check(wf)?;

@@ -95,9 +95,9 @@ impl Workflow {
     /// of per-node hashes ([`crate::signature::hash_state`]) digesting the
     /// same structure the signature string renders. Fingerprint equality
     /// coincides with signature equality (w.h.p. — asserted by property
-    /// tests); search visited sets key on this value, and transitions
-    /// update it incrementally via [`crate::signature::rehash_along`]
-    /// instead of recomputing it from scratch.
+    /// tests). Adaptive rounds report it as the chosen plan's identity; the
+    /// searches key their visited sets on [`crate::signature::search_key`]
+    /// instead, whose swap update costs three edges.
     pub fn fingerprint(&self) -> u128 {
         crate::signature::hash_state(self).1
     }

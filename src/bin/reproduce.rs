@@ -398,12 +398,13 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--paper" => cfg.paper = true,
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed takes an integer");
-            }
+            "--seed" => match it.next().map(|s| s.parse()) {
+                Some(Ok(seed)) => cfg.seed = seed,
+                Some(Err(_)) | None => {
+                    eprintln!("--seed takes an unsigned integer, e.g. `--seed 2005`");
+                    std::process::exit(2);
+                }
+            },
             other => commands.push(other.to_owned()),
         }
     }

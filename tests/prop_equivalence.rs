@@ -6,6 +6,7 @@
 use etlopt::core::opt::{enumerate_moves, Move};
 use etlopt::core::postcond::equivalent;
 use etlopt::core::rng::Rng;
+use etlopt::core::signature::search_key;
 use etlopt::prelude::*;
 use etlopt::workload::{datagen, Generator, GeneratorConfig, SizeCategory};
 
@@ -171,11 +172,8 @@ fn equal_signatures_mean_equal_costs() {
     }
 }
 
-/// Fingerprints identify signatures: across walked-to states, fingerprint
-/// equality must coincide with signature-string equality (the visited sets
-/// key on the 128-bit fingerprint alone).
-#[test]
-fn fingerprint_equality_implies_signature_equality() {
+/// Generated workflows and the ends of seeded walks from them.
+fn walked_states() -> Vec<Workflow> {
     let mut states: Vec<Workflow> = Vec::new();
     for case in 0..24u64 {
         let mut rng = Rng::seed_from_u64(case ^ 0x0404);
@@ -189,6 +187,15 @@ fn fingerprint_equality_implies_signature_equality() {
         states.push(s.workflow);
         states.push(end);
     }
+    states
+}
+
+/// Fingerprints identify signatures: across walked-to states, fingerprint
+/// equality must coincide with signature-string equality (the visited sets
+/// key on the 128-bit fingerprint alone).
+#[test]
+fn fingerprint_equality_implies_signature_equality() {
+    let states = walked_states();
     for x in &states {
         for y in &states {
             let fp_eq = x.fingerprint() == y.fingerprint();
@@ -197,6 +204,28 @@ fn fingerprint_equality_implies_signature_equality() {
                 fp_eq,
                 sig_eq,
                 "fingerprint/signature disagreement: {} vs {}",
+                x.signature(),
+                y.signature()
+            );
+        }
+    }
+}
+
+/// Search keys identify signatures the same way: across walked-to states,
+/// `signature::search_key` equality must coincide with signature-string
+/// equality (the searches' visited sets key on it).
+#[test]
+fn search_key_equality_implies_signature_equality() {
+    let states = walked_states();
+    let keys: Vec<u128> = states.iter().map(|s| search_key(s).1).collect();
+    for (x, kx) in states.iter().zip(&keys) {
+        for (y, ky) in states.iter().zip(&keys) {
+            let key_eq = kx == ky;
+            let sig_eq = x.signature() == y.signature();
+            assert_eq!(
+                key_eq,
+                sig_eq,
+                "search key/signature disagreement: {} vs {}",
                 x.signature(),
                 y.signature()
             );

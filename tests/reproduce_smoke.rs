@@ -42,3 +42,20 @@ fn unknown_sub_command_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `table3`"));
 }
+
+#[test]
+fn a_bad_or_missing_seed_exits_2() {
+    for args in [&["--seed", "abc"][..], &["fig1", "--seed"][..]] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--seed takes an unsigned integer"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: ran before the usage error"
+        );
+    }
+}

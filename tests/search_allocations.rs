@@ -66,11 +66,14 @@ static GLOBAL: Counting = Counting;
 /// successor was built only when a search expands or returns it: ES 14.79,
 /// HS 10.87, HS-Greedy 54.88, beam 14.41. Before ES and beam admitted
 /// states through one set instead of sixteen shards: ES 8.55, beam 9.78.
+/// Before the search key and a swap's total stopped walking to the
+/// targets, and a built swap successor shared its parent's tokens: ES
+/// 8.42, HS 6.20, HS-Greedy 44.06, beam 9.70.
 const CEILINGS: [(&str, usize, f64); 4] = [
-    ("es", 100, 8.5),
-    ("hs", 400, 6.3),
-    ("hs-greedy", 400, 44.1),
-    ("beam", 400, 9.7),
+    ("es", 100, 7.4),
+    ("hs", 400, 5.0),
+    ("hs-greedy", 400, 43.3),
+    ("beam", 400, 8.6),
 ];
 
 fn optimizer(algo: &str, states: usize) -> Box<dyn Optimizer> {
