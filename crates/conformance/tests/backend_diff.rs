@@ -49,7 +49,7 @@ fn smoke_corpus_agrees_under_tiny_frame_budget() {
 
 #[test]
 fn smoke_corpus_agrees_under_partition_parallelism() {
-    // 4 workers over the sharded pool: `backend_differential` checks the
+    // 4 workers over one 4-frame pool: `backend_differential` checks the
     // parallel stream against materialize *and* the 1-thread stream.
     let counters = sweep(StreamConfig {
         batch_rows: 8,

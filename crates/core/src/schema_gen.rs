@@ -391,52 +391,6 @@ fn stored_inputs(graph: &Graph, id: NodeId) -> Result<Vec<Schema>> {
     Ok(inputs)
 }
 
-/// Check whether regeneration *would* succeed on this graph without
-/// mutating it. Transitions use this to test a candidate rewiring before
-/// committing. Runs as a pure derivation walk over a scratch schema table —
-/// no graph clone, no copy-on-write detaching.
-pub fn check(graph: &Graph) -> Result<()> {
-    let order = graph.topo_order()?;
-    // Derived output schema per node, indexed by arena slot.
-    let cap = order.iter().map(|id| id.0 as usize + 1).max().unwrap_or(0);
-    let mut outs: Vec<Option<Schema>> = vec![None; cap];
-    for &id in &order {
-        let derived_input = |p: &Option<NodeId>| -> Option<Schema> {
-            p.map(|pid| {
-                outs[pid.0 as usize]
-                    .clone()
-                    .unwrap_or_else(|| match graph.node(pid) {
-                        Ok(n) => n.output_schema().clone(),
-                        Err(_) => Schema::empty(),
-                    })
-            })
-        };
-        let providers = graph.providers(id)?;
-        let out = match graph.node(id)? {
-            Node::Activity(act) => {
-                let mut in_schemas = Vec::with_capacity(providers.len());
-                for (port, p) in providers.iter().enumerate() {
-                    match derived_input(p) {
-                        Some(s) => in_schemas.push(s),
-                        None => return Err(CoreError::MissingProvider { node: id, port }),
-                    }
-                }
-                act.derive_output(&in_schemas)?
-            }
-            Node::Recordset(rs) => {
-                let is_target = graph.consumers(id)?.is_empty();
-                let keep_declared = is_target && !rs.schema.is_empty();
-                match providers.first().and_then(derived_input) {
-                    Some(s) if !keep_declared && !rs.schema.same_attrs(&s) => s,
-                    _ => rs.schema.clone(),
-                }
-            }
-        };
-        outs[id.0 as usize] = Some(out);
-    }
-    Ok(())
-}
-
 /// Nodes reachable downstream of `start` (inclusive), in topological order.
 /// Used by the incremental state evaluation (§4.1): after a transition only
 /// the path from the affected activities towards the targets changes.
@@ -603,8 +557,6 @@ mod tests {
         g.connect(s, f, 0).unwrap();
         g.connect(f, t, 0).unwrap();
         assert!(regenerate(&mut g).is_err());
-        // check() reports the same without mutating.
-        assert!(check(&g).is_err());
     }
 
     #[test]

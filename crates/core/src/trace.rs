@@ -474,7 +474,8 @@ pub struct ExecCounters {
     pub pages_reloaded: u64,
     /// Resident pages dropped to stay inside the frame budget.
     pub evictions: u64,
-    /// High-water mark of resident frames.
+    /// The pool's high-water mark of resident frames across all
+    /// buffers, pinned over-budget pages included.
     pub peak_resident_frames: u64,
     /// Shared-cache lookups that found a previously computed intermediate.
     pub cache_hits: u64,

@@ -47,7 +47,7 @@ use etlopt_core::workflow::Workflow;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
 use crate::ops::ExecCtx;
-use crate::pool::{BufferId, BufferPool, PoolConfig};
+use crate::pool::{BufferId, BufferPool};
 use crate::table::Table;
 
 use stream::BoxIter;
@@ -274,7 +274,7 @@ pub(crate) fn run_stream(
     let graph = wf.graph();
     let order = graph.topo_order()?;
     let mut rt = Runtime {
-        pool: BufferPool::new(PoolConfig::with_budget(cfg.frame_budget)),
+        pool: BufferPool::new(cfg.frame_budget),
         stats: ExecStats::default(),
         counters: ExecCounters::default(),
         ctx,

@@ -27,7 +27,7 @@
 //!   and join re-tagging. Independent DAG branches do not overlap.
 //! * **Staged sets change hands.** Inter-segment partition sets never
 //!   live in coordinator `Vec`s: workers stage their output through the
-//!   sharded [`BufferPool`] as spill-eligible pages. A set with a single
+//!   one [`BufferPool`] as spill-eligible pages. A set with a single
 //!   sequential consumer is *taken* back out page by page
 //!   ([`BufferPool::take_page`]) — rows move, frames are released as
 //!   they are read, and only pages the clock evicted ever see the spill
@@ -86,7 +86,7 @@ use etlopt_core::workflow::Workflow;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
 use crate::ops::{self, ExecCtx};
-use crate::pool::{BufferId, BufferPool, PoolConfig};
+use crate::pool::{BufferId, BufferPool};
 use crate::table::{Row, Table};
 
 use super::kernel::{clone_row, cols_of, perm_for, permute, Kernel, Program};
@@ -1820,7 +1820,7 @@ fn run_binary_part(
             // the sequential probe emission order (left rows in order,
             // each row's matches in right insertion order).
             let rbound = u128::from(right.tag_bound()).max(1);
-            // Build this shard's right index — key → ((part, position),
+            // Build this partition's right index — key → ((part, position),
             // right tag) — then probe the left stream, fetching each
             // match's extra columns back out of the staged build side
             // (which is why the coordinator never lets that side be
@@ -2156,10 +2156,7 @@ pub(crate) fn run_parallel(
     let nparts = cfg.parallelism.max(2);
     let graph = wf.graph();
     let order = graph.topo_order()?;
-    let pool = BufferPool::new(PoolConfig {
-        frame_budget: cfg.frame_budget,
-        shards: nparts,
-    });
+    let pool = BufferPool::new(cfg.frame_budget);
     let mut counters = lane_counters(nparts);
     let plan = plan_cache(wf, &order, cache.as_deref_mut(), &mut counters)?;
 
@@ -2414,7 +2411,7 @@ mod tests {
         // rows are staged through the pool between the two segments as
         // well as at the target drain. Under a 2-frame budget the staged
         // sets must spill, and the resident high-water must stay a small
-        // constant (one frame per shard plus one pinned page per active
+        // constant (the frame budget plus one pinned page per active
         // reader) rather than scaling with the 300-row input.
         use etlopt_core::predicate::Predicate;
         let mut b = WorkflowBuilder::new();

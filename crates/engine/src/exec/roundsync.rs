@@ -31,7 +31,7 @@ use etlopt_core::workflow::Workflow;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
 use crate::ops::{self, ExecCtx};
-use crate::pool::{BufferId, BufferPool, PoolConfig};
+use crate::pool::{BufferId, BufferPool};
 use crate::table::{Row, Table};
 
 use super::keyed::{BagCounts, BuildProbe};
@@ -203,8 +203,8 @@ impl ParRuntime<'_> {
     }
 
     /// Partitioned hash join: align both sides on (a subset of) the join
-    /// key, then each worker builds its shard's right side through the
-    /// buffer pool and probes its shard's left side independently.
+    /// key, then each worker builds its partition's right side through
+    /// the buffer pool and probes its partition's left side independently.
     fn run_join(
         &mut self,
         on: &[Attr],
@@ -244,8 +244,7 @@ impl ParRuntime<'_> {
         // row's matches in right insertion order).
         let rbound = max_tag(&right).map_or(1u128, |t| u128::from(t) + 1);
         let scheme = left.scheme.clone();
-        // Build buffers are created in partition order by the
-        // coordinator so buffer → shard placement is deterministic;
+        // The coordinator creates one build buffer per partition;
         // worker `j` only ever touches `bufs[j]`.
         let bufs: Vec<BufferId> = (0..self.nparts)
             .map(|_| self.pool.create(right.schema.clone()))
@@ -362,10 +361,7 @@ pub(crate) fn run_round_sync(
     let graph = wf.graph();
     let order = graph.topo_order()?;
     let mut rt = ParRuntime {
-        pool: BufferPool::new(PoolConfig {
-            frame_budget: cfg.frame_budget,
-            shards: nparts,
-        }),
+        pool: BufferPool::new(cfg.frame_budget),
         stats: ExecStats::default(),
         counters: ExecCounters::default(),
         ctx,

@@ -51,6 +51,6 @@ pub use error::{EngineError, Result};
 pub use exec::{Backend, SharedCache, SharedCacheHandle, StreamConfig, StreamRun};
 pub use executor::{ExecResult, ExecStats, Executor, Harvester};
 pub use functions::FunctionRegistry;
-pub use pool::{BufferId, BufferPool, PoolConfig};
+pub use pool::{BufferId, BufferPool};
 pub use table::{Row, Table};
 pub use validate::{assert_equivalent_execution, equivalent_execution};

@@ -14,17 +14,12 @@
 //!
 //! The pool is shared by the partition-parallel executor
 //! (`crate::exec::partition`), so every method takes `&self` and the
-//! pool is `Send + Sync`. State is split into [`PoolConfig::shards`]
-//! **shards**, each holding its own clock ring, spill file, resident
-//! count, and traffic counters behind one mutex; a buffer is assigned to
-//! a shard round-robin at [`BufferPool::create`] time and all of its
-//! pages live there. Two clients touching buffers in different shards
-//! never contend; within a shard the mutex serializes the clock sweep so
-//! a page can never be double-evicted. Only one shard lock is ever held
-//! at a time (and the buffer registry lock is always taken before, never
-//! after, a shard lock), so the pool cannot deadlock. With the default
-//! `shards = 1` the behavior — including eviction order and counter
-//! values — is identical to the historical single-owner pool.
+//! pool is `Send + Sync`. All of its state — the buffers, one clock ring
+//! over their resident pages, one spill file, the resident count and the
+//! traffic counters — sits behind one mutex, and every call takes it
+//! once. The frame budget is one budget at any worker count, the clock
+//! sweep can never double-evict a page, and a single lock has no lock
+//! order to get wrong.
 //!
 //! Pages are handed out as `Arc<Vec<Row>>`. A page whose `Arc` is still
 //! held by a reader counts as **pinned**: the clock sweep skips it (its
@@ -54,7 +49,7 @@
 mod heap;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use etlopt_core::schema::Schema;
 use etlopt_core::trace::ExecCounters;
@@ -63,38 +58,6 @@ use crate::error::{EngineError, Result};
 use crate::table::{Row, Table};
 
 use heap::{PageLoc, SpillFile};
-
-/// Pool sizing knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Total pages resident in memory at once (≥ 1), split evenly across
-    /// the shards.
-    pub frame_budget: usize,
-    /// Number of independently-latched shards (≥ 1). Sequential
-    /// execution uses 1; the partition-parallel executor raises it to
-    /// the worker count so workers evict without contending.
-    pub shards: usize,
-}
-
-impl PoolConfig {
-    /// A single-shard pool under `frame_budget` — the sequential
-    /// executor's configuration.
-    pub fn with_budget(frame_budget: usize) -> PoolConfig {
-        PoolConfig {
-            frame_budget,
-            shards: 1,
-        }
-    }
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            frame_budget: 256,
-            shards: 1,
-        }
-    }
-}
 
 /// Handle to one paged buffer inside the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,131 +75,84 @@ struct Page {
     start: usize,
 }
 
-/// Page state of one buffer, owned by exactly one shard.
+/// One buffer: its schema and its pages.
 #[derive(Debug)]
-struct BufState {
+struct Buffer {
+    schema: Schema,
+    /// `schema.len()`, so the per-page paths never touch the schema.
+    width: usize,
     pages: Vec<Page>,
     rows: usize,
     freed: bool,
 }
 
-/// One independently-locked slice of the pool: its buffers' pages, the
-/// clock ring over them, the shard's spill file, and its counters.
+/// Everything the pool's lock guards.
 #[derive(Debug, Default)]
-struct Shard {
-    bufs: Vec<BufState>,
+struct State {
+    bufs: Vec<Buffer>,
     /// Clock ring over (possibly stale) resident page slots, addressed
-    /// as (shard-local buffer slot, page index).
+    /// as (buffer index, page index).
     clock: VecDeque<(usize, usize)>,
     resident: usize,
     spill: Option<SpillFile>,
     counters: ExecCounters,
 }
 
-/// Where a buffer lives: its schema plus its shard assignment.
-#[derive(Debug, Clone)]
-struct BufferMeta {
-    schema: Schema,
-    /// `schema.len()`, so the per-page paths never touch the schema.
-    width: usize,
-    shard: usize,
-    /// Index into the owning shard's `bufs`.
-    slot: usize,
-}
-
-/// The pool: the buffer registry plus the sharded page state.
+/// The pool: one frame budget over state behind one lock.
 #[derive(Debug)]
 pub struct BufferPool {
-    shard_budget: usize,
-    registry: RwLock<Vec<BufferMeta>>,
-    shards: Vec<Mutex<Shard>>,
-}
-
-/// Recover the guard even if another thread panicked while holding the
-/// lock — pool state is just caches and counters, never left torn.
-fn relock<T>(r: std::result::Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+    budget: usize,
+    state: Mutex<State>,
 }
 
 impl BufferPool {
-    /// An empty pool under `cfg` (budget and shard count clamped to ≥ 1).
-    pub fn new(cfg: PoolConfig) -> BufferPool {
-        let shards = cfg.shards.max(1);
+    /// An empty pool keeping at most `frame_budget` (clamped to ≥ 1)
+    /// unpinned pages resident.
+    pub fn new(frame_budget: usize) -> BufferPool {
         BufferPool {
-            shard_budget: (cfg.frame_budget / shards).max(1),
-            registry: RwLock::new(Vec::new()),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            budget: frame_budget.max(1),
+            state: Mutex::new(State::default()),
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// Lock the pool's state, recovering the guard even if another
+    /// thread panicked while holding it — pool state is just caches and
+    /// counters, never left torn.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Look up a buffer's placement and row width:
-    /// (shard index, shard-local slot, width).
-    fn place(&self, buf: BufferId) -> (usize, usize, usize) {
-        let reg = relock(self.registry.read());
-        let meta = &reg[buf.0];
-        (meta.shard, meta.slot, meta.width)
-    }
-
-    /// Lock the shard owning `buf`, returning the guard and the slot.
-    fn shard_of(&self, buf: BufferId) -> (MutexGuard<'_, Shard>, usize) {
-        let (shard, slot, _) = self.place(buf);
-        (relock(self.shards[shard].lock()), slot)
-    }
-
-    /// Create an empty buffer for rows under `schema`, assigning it to
-    /// the next shard round-robin.
+    /// Create an empty buffer for rows under `schema`.
     pub fn create(&self, schema: Schema) -> BufferId {
-        let mut reg = relock(self.registry.write());
-        let id = reg.len();
-        let shard = id % self.shards.len();
-        let mut s = relock(self.shards[shard].lock());
-        let slot = s.bufs.len();
-        s.bufs.push(BufState {
+        let mut s = self.lock();
+        s.bufs.push(Buffer {
+            width: schema.len(),
+            schema,
             pages: Vec::new(),
             rows: 0,
             freed: false,
         });
-        drop(s);
-        reg.push(BufferMeta {
-            width: schema.len(),
-            schema,
-            shard,
-            slot,
-        });
-        BufferId(id)
+        BufferId(s.bufs.len() - 1)
     }
 
     /// The buffer's schema.
     pub fn schema(&self, buf: BufferId) -> Schema {
-        relock(self.registry.read())[buf.0].schema.clone()
+        self.lock().bufs[buf.0].schema.clone()
     }
 
     /// Total rows appended to the buffer.
     pub fn rows(&self, buf: BufferId) -> usize {
-        let (s, slot) = self.shard_of(buf);
-        s.bufs[slot].rows
+        self.lock().bufs[buf.0].rows
     }
 
     /// Pages appended to the buffer.
     pub fn pages(&self, buf: BufferId) -> usize {
-        let (s, slot) = self.shard_of(buf);
-        s.bufs[slot].pages.len()
+        self.lock().bufs[buf.0].pages.len()
     }
 
-    /// The pool's page-traffic ledger so far, merged across shards in
-    /// shard-index order (sums of sums — deterministic for a given shard
-    /// count).
+    /// The pool's page-traffic ledger so far.
     pub fn counters(&self) -> ExecCounters {
-        let mut total = ExecCounters::default();
-        for shard in &self.shards {
-            total.absorb(&relock(shard.lock()).counters);
-        }
-        total
+        self.lock().counters.clone()
     }
 
     /// Append one batch as a new page, returning the number of pages
@@ -247,7 +163,8 @@ impl BufferPool {
         if rows.is_empty() {
             return Ok(0);
         }
-        let (shard, slot, width) = self.place(buf);
+        let mut s = self.lock();
+        let width = s.bufs[buf.0].width;
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
             return Err(EngineError::RowArity {
                 context: "BufferPool::append".into(),
@@ -255,9 +172,8 @@ impl BufferPool {
                 actual: bad.len(),
             });
         }
-        let mut s = relock(self.shards[shard].lock());
-        s.make_room(1, self.shard_budget)?;
-        let b = &mut s.bufs[slot];
+        s.make_room(self.budget)?;
+        let b = &mut s.bufs[buf.0];
         let start = b.rows;
         b.rows += rows.len();
         b.pages.push(Page {
@@ -267,10 +183,8 @@ impl BufferPool {
             start,
         });
         let page = b.pages.len() - 1;
-        s.clock.push_back((slot, page));
-        s.resident += 1;
+        s.admit(buf, page);
         s.counters.pages_appended += 1;
-        s.counters.peak_resident_frames = s.counters.peak_resident_frames.max(s.resident as u64);
         Ok(1)
     }
 
@@ -278,8 +192,7 @@ impl BufferPool {
     /// evicted. The returned `Arc` pins the page: the clock sweep skips
     /// it until the caller drops the clone.
     pub fn page(&self, buf: BufferId, page: usize) -> Result<Arc<Vec<Row>>> {
-        let (shard, slot, width) = self.place(buf);
-        relock(self.shards[shard].lock()).fault(buf, slot, page, width, self.shard_budget)
+        self.lock().fault(buf, page, self.budget)
     }
 
     /// Take one page out of the pool by ownership (see the module docs):
@@ -288,37 +201,14 @@ impl BufferPool {
     /// when spilled. The page is gone afterwards: taking or reading it
     /// again, like taking from a freed buffer, is a typed error.
     pub fn take_page(&self, buf: BufferId, page: usize) -> Result<Vec<Row>> {
-        let (shard, slot, width) = self.place(buf);
-        let mut guard = relock(self.shards[shard].lock());
-        let s = &mut *guard;
-        let p = s.bufs[slot]
-            .pages
-            .get_mut(page)
-            .ok_or_else(|| gone("take_page", buf, page, "does not exist"))?;
-        if let Some(rows) = p.rows.take() {
-            p.disk = None;
-            s.resident -= 1;
-            return Ok(Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone()));
-        }
-        let loc = p
-            .disk
-            .take()
-            .ok_or_else(|| gone("take_page", buf, page, "was already taken or freed"))?;
-        let spill = s
-            .spill
-            .as_mut()
-            .ok_or_else(|| gone("take_page", buf, page, "is spilled but has no heap file"))?;
-        s.counters.pages_reloaded += 1;
-        spill.read_page(loc, width)
+        self.lock().take(buf, page)
     }
 
     /// Fetch one row by its global index within the buffer (hash-join
-    /// probes), faulting the owning page in if necessary. Page, offset
-    /// and rows are resolved under one registry read and one shard lock.
+    /// probes), faulting the owning page in if necessary.
     pub fn row(&self, buf: BufferId, index: usize) -> Result<Row> {
-        let (shard, slot, width) = self.place(buf);
-        let mut s = relock(self.shards[shard].lock());
-        let b = &s.bufs[slot];
+        let mut s = self.lock();
+        let b = &s.bufs[buf.0];
         if index >= b.rows {
             return Err(EngineError::FunctionFailed {
                 function: "BufferPool::row".into(),
@@ -331,7 +221,7 @@ impl BufferPool {
             Err(ins) => ins - 1,
         };
         let start = b.pages[page].start;
-        let rows = s.fault(buf, slot, page, width, self.shard_budget)?;
+        let rows = s.fault(buf, page, self.budget)?;
         Ok(rows[index - start].clone())
     }
 
@@ -339,26 +229,30 @@ impl BufferPool {
     /// back in page-at-a-time — resident never exceeds the budget plus the
     /// one page being copied).
     pub fn to_table(&self, buf: BufferId) -> Result<Table> {
-        let schema = self.schema(buf);
-        let total = self.rows(buf);
-        let mut rows = Vec::with_capacity(total);
-        for page in 0..self.pages(buf) {
-            let p = self.page(buf, page)?;
-            rows.extend(p.iter().cloned());
+        let mut s = self.lock();
+        let b = &s.bufs[buf.0];
+        let (schema, pages) = (b.schema.clone(), b.pages.len());
+        let mut rows = Vec::with_capacity(b.rows);
+        for page in 0..pages {
+            rows.extend(s.fault(buf, page, self.budget)?.iter().cloned());
         }
+        drop(s);
         Table::from_rows(schema, rows)
     }
 
     /// Materialize the whole buffer as a [`Table`] and free it: every page
-    /// changes hands through [`BufferPool::take_page`], so resident rows
+    /// changes hands as in [`BufferPool::take_page`], so resident rows
     /// are moved, not cloned, and spilled ones never re-enter a frame.
     pub fn into_table(&self, buf: BufferId) -> Result<Table> {
-        let mut rows = Vec::with_capacity(self.rows(buf));
-        for page in 0..self.pages(buf) {
-            rows.append(&mut self.take_page(buf, page)?);
+        let mut s = self.lock();
+        let b = &s.bufs[buf.0];
+        let (schema, pages) = (b.schema.clone(), b.pages.len());
+        let mut rows = Vec::with_capacity(b.rows);
+        for page in 0..pages {
+            rows.append(&mut s.take(buf, page)?);
         }
-        let schema = self.schema(buf);
-        self.free(buf);
+        s.free(buf);
+        drop(s);
         Table::from_rows(schema, rows)
     }
 
@@ -366,8 +260,74 @@ impl BufferPool {
     /// heap file is append-only, so spilled bytes are reclaimed when the
     /// pool itself drops; clock entries go stale and are skipped lazily.
     pub fn free(&self, buf: BufferId) {
-        let (mut s, slot) = self.shard_of(buf);
-        let b = &mut s.bufs[slot];
+        self.lock().free(buf);
+    }
+}
+
+fn gone(function: &str, buf: BufferId, page: usize, what: &str) -> EngineError {
+    EngineError::FunctionFailed {
+        function: format!("BufferPool::{function}"),
+        reason: format!("page {page} of buffer {} {what}", buf.0),
+    }
+}
+
+impl State {
+    /// The resident rows of one page, read back from the heap file (and
+    /// admitted under `budget`) if the clock evicted them.
+    fn fault(&mut self, buf: BufferId, page: usize, budget: usize) -> Result<Arc<Vec<Row>>> {
+        let b = &mut self.bufs[buf.0];
+        let width = b.width;
+        let p = b
+            .pages
+            .get_mut(page)
+            .ok_or_else(|| gone("page", buf, page, "does not exist"))?;
+        p.referenced = true;
+        if let Some(rows) = &p.rows {
+            return Ok(Arc::clone(rows));
+        }
+        let loc = p
+            .disk
+            .ok_or_else(|| gone("page", buf, page, "is neither resident nor spilled"))?;
+        self.make_room(budget)?;
+        let spill = self
+            .spill
+            .as_mut()
+            .ok_or_else(|| gone("page", buf, page, "is spilled but has no heap file"))?;
+        let rows = Arc::new(spill.read_page(loc, width)?);
+        self.bufs[buf.0].pages[page].rows = Some(Arc::clone(&rows));
+        self.admit(buf, page);
+        self.counters.pages_reloaded += 1;
+        Ok(rows)
+    }
+
+    /// See [`BufferPool::take_page`].
+    fn take(&mut self, buf: BufferId, page: usize) -> Result<Vec<Row>> {
+        let b = &mut self.bufs[buf.0];
+        let width = b.width;
+        let p = b
+            .pages
+            .get_mut(page)
+            .ok_or_else(|| gone("take_page", buf, page, "does not exist"))?;
+        if let Some(rows) = p.rows.take() {
+            p.disk = None;
+            self.resident -= 1;
+            return Ok(Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone()));
+        }
+        let loc = p
+            .disk
+            .take()
+            .ok_or_else(|| gone("take_page", buf, page, "was already taken or freed"))?;
+        let spill = self
+            .spill
+            .as_mut()
+            .ok_or_else(|| gone("take_page", buf, page, "is spilled but has no heap file"))?;
+        self.counters.pages_reloaded += 1;
+        spill.read_page(loc, width)
+    }
+
+    /// See [`BufferPool::free`].
+    fn free(&mut self, buf: BufferId) {
+        let b = &mut self.bufs[buf.0];
         if b.freed {
             return;
         }
@@ -379,58 +339,21 @@ impl BufferPool {
             }
             page.disk = None;
         }
-        s.resident -= released;
+        self.resident -= released;
     }
-}
 
-fn gone(function: &str, buf: BufferId, page: usize, what: &str) -> EngineError {
-    EngineError::FunctionFailed {
-        function: format!("BufferPool::{function}"),
-        reason: format!("page {page} of buffer {} {what}", buf.0),
-    }
-}
-
-impl Shard {
-    /// The resident rows of one page, read back from the heap file (and
-    /// admitted under `budget`) if the clock evicted them.
-    fn fault(
-        &mut self,
-        buf: BufferId,
-        slot: usize,
-        page: usize,
-        width: usize,
-        budget: usize,
-    ) -> Result<Arc<Vec<Row>>> {
-        let p = self.bufs[slot]
-            .pages
-            .get_mut(page)
-            .ok_or_else(|| gone("page", buf, page, "does not exist"))?;
-        p.referenced = true;
-        if let Some(rows) = &p.rows {
-            return Ok(Arc::clone(rows));
-        }
-        let loc = p
-            .disk
-            .ok_or_else(|| gone("page", buf, page, "is neither resident nor spilled"))?;
-        self.make_room(1, budget)?;
-        let spill = self
-            .spill
-            .as_mut()
-            .ok_or_else(|| gone("page", buf, page, "is spilled but has no heap file"))?;
-        let rows = Arc::new(spill.read_page(loc, width)?);
-        self.bufs[slot].pages[page].rows = Some(Arc::clone(&rows));
-        self.clock.push_back((slot, page));
+    /// Count a page that just became resident: enqueue it on the clock
+    /// and raise the high-water mark.
+    fn admit(&mut self, buf: BufferId, page: usize) {
+        self.clock.push_back((buf.0, page));
         self.resident += 1;
-        self.counters.pages_reloaded += 1;
         self.counters.peak_resident_frames =
             self.counters.peak_resident_frames.max(self.resident as u64);
-        Ok(rows)
     }
 
-    /// Evict resident pages until `incoming` more fit inside the shard's
-    /// budget.
-    fn make_room(&mut self, incoming: usize, budget: usize) -> Result<()> {
-        while self.resident + incoming > budget {
+    /// Evict resident pages until one more fits inside `budget`.
+    fn make_room(&mut self, budget: usize) -> Result<()> {
+        while self.resident >= budget {
             if !self.evict_one()? {
                 // Nothing evictable (every candidate pinned or referenced
                 // under a tiny budget): admit over budget rather than
@@ -504,7 +427,7 @@ mod tests {
 
     #[test]
     fn append_and_read_back_without_eviction() {
-        let pool = BufferPool::new(PoolConfig::with_budget(8));
+        let pool = BufferPool::new(8);
         let b = pool.create(schema());
         pool.append(b, rows(0..4)).unwrap();
         pool.append(b, rows(4..8)).unwrap();
@@ -518,7 +441,7 @@ mod tests {
 
     #[test]
     fn eviction_spills_and_faults_back_bit_identical() {
-        let pool = BufferPool::new(PoolConfig::with_budget(2));
+        let pool = BufferPool::new(2);
         let b = pool.create(schema());
         for start in 0..6 {
             pool.append(b, rows(start * 3..(start + 1) * 3)).unwrap();
@@ -538,7 +461,7 @@ mod tests {
 
     #[test]
     fn random_row_access_faults_pages() {
-        let pool = BufferPool::new(PoolConfig::with_budget(2));
+        let pool = BufferPool::new(2);
         let b = pool.create(schema());
         for start in 0..5 {
             pool.append(b, rows(start * 4..(start + 1) * 4)).unwrap();
@@ -553,7 +476,7 @@ mod tests {
 
     #[test]
     fn a_held_page_is_pinned_against_eviction() {
-        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let pool = BufferPool::new(1);
         let b = pool.create(schema());
         pool.append(b, rows(0..2)).unwrap();
         let held = pool.page(b, 0).unwrap();
@@ -576,7 +499,7 @@ mod tests {
 
     #[test]
     fn second_eviction_of_a_clean_page_is_free() {
-        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let pool = BufferPool::new(1);
         let b = pool.create(schema());
         pool.append(b, rows(0..2)).unwrap();
         pool.append(b, rows(2..4)).unwrap(); // evicts+spills page 0
@@ -589,7 +512,7 @@ mod tests {
 
     #[test]
     fn multiple_buffers_share_the_budget() {
-        let pool = BufferPool::new(PoolConfig::with_budget(2));
+        let pool = BufferPool::new(2);
         let a = pool.create(schema());
         let b = pool.create(Schema::of(["x"]));
         pool.append(a, rows(0..3)).unwrap();
@@ -607,7 +530,7 @@ mod tests {
 
     #[test]
     fn freed_buffers_release_frames() {
-        let pool = BufferPool::new(PoolConfig::with_budget(4));
+        let pool = BufferPool::new(4);
         let a = pool.create(schema());
         pool.append(a, rows(0..2)).unwrap();
         pool.append(a, rows(2..4)).unwrap();
@@ -623,12 +546,12 @@ mod tests {
     }
 
     fn resident(pool: &BufferPool) -> usize {
-        pool.shards.iter().map(|s| relock(s.lock()).resident).sum()
+        pool.lock().resident
     }
 
     #[test]
     fn taking_an_unshared_resident_page_moves_it_and_releases_the_frame() {
-        let pool = BufferPool::new(PoolConfig::with_budget(4));
+        let pool = BufferPool::new(4);
         let b = pool.create(schema());
         pool.append(b, rows(0..3)).unwrap();
         let cells = pool.page(b, 0).unwrap()[0].as_ptr();
@@ -646,7 +569,7 @@ mod tests {
 
     #[test]
     fn taking_a_shared_page_clones_it_for_the_taker() {
-        let pool = BufferPool::new(PoolConfig::with_budget(4));
+        let pool = BufferPool::new(4);
         let b = pool.create(schema());
         pool.append(b, rows(0..3)).unwrap();
         let held = pool.page(b, 0).unwrap();
@@ -658,7 +581,7 @@ mod tests {
 
     #[test]
     fn taking_a_spilled_page_reads_it_without_admitting_a_frame() {
-        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let pool = BufferPool::new(1);
         let b = pool.create(schema());
         pool.append(b, rows(0..2)).unwrap();
         pool.append(b, rows(2..4)).unwrap(); // spills page 0
@@ -674,7 +597,7 @@ mod tests {
 
     #[test]
     fn a_freed_buffer_has_nothing_to_take() {
-        let pool = BufferPool::new(PoolConfig::with_budget(1));
+        let pool = BufferPool::new(1);
         let b = pool.create(schema());
         pool.append(b, rows(0..2)).unwrap();
         pool.append(b, rows(2..4)).unwrap();
@@ -685,7 +608,7 @@ mod tests {
 
     #[test]
     fn into_table_drains_resident_and_spilled_pages_in_order() {
-        let pool = BufferPool::new(PoolConfig::with_budget(2));
+        let pool = BufferPool::new(2);
         let b = pool.create(schema());
         for start in 0..5 {
             pool.append(b, rows(start * 3..(start + 1) * 3)).unwrap();
@@ -699,52 +622,64 @@ mod tests {
 
     #[test]
     fn arity_checked_on_append() {
-        let pool = BufferPool::new(PoolConfig::default());
+        let pool = BufferPool::new(256);
         let b = pool.create(schema());
         assert!(pool.append(b, vec![vec![Scalar::Int(1)]]).is_err());
     }
 
     #[test]
     fn empty_append_is_a_noop() {
-        let pool = BufferPool::new(PoolConfig::default());
+        let pool = BufferPool::new(256);
         let b = pool.create(schema());
         pool.append(b, Vec::new()).unwrap();
         assert_eq!(pool.pages(b), 0);
         assert_eq!(pool.to_table(b).unwrap().len(), 0);
     }
 
+    /// Four one-page buffers under a 2-frame pool — the way a 4-worker
+    /// run creates them: the budget is the pool's, not a quarter of it
+    /// per worker, so the third and fourth pages each evict one.
     #[test]
-    fn sharded_pool_isolates_clocks() {
-        let pool = BufferPool::new(PoolConfig {
-            frame_budget: 4,
-            shards: 2,
-        });
-        assert_eq!(pool.shards(), 2);
-        // Round-robin placement: a → shard 0, b → shard 1.
-        let a = pool.create(schema());
-        let b = pool.create(schema());
-        // Overflow shard 0's budget (2 frames) without touching shard 1.
-        for start in 0..4 {
-            pool.append(a, rows(start * 2..(start + 1) * 2)).unwrap();
+    fn the_frame_budget_holds_across_buffers() {
+        let pool = BufferPool::new(2);
+        for w in 0..4 {
+            let buf = pool.create(schema());
+            pool.append(buf, rows(w * 2..(w + 1) * 2)).unwrap();
+            assert!(resident(&pool) <= 2, "{} pages resident", resident(&pool));
         }
-        pool.append(b, rows(0..2)).unwrap();
         let c = pool.counters();
-        assert!(c.spilled(), "{c:?}");
-        // Shard 1 never evicted: b's single page stayed resident.
-        assert_eq!(pool.to_table(a).unwrap().len(), 8);
-        assert_eq!(pool.to_table(b).unwrap().len(), 2);
+        assert_eq!((c.evictions, c.pages_spilled), (2, 2), "{c:?}");
+        assert_eq!(c.peak_resident_frames, 2, "{c:?}");
     }
 
-    /// Satellite regression: two concurrent pinning clients under a tiny
-    /// frame budget must never deadlock, and a pinned page must never be
-    /// evicted out from under its holder (the historical single-owner
-    /// pool could not hit this; the sharded pool must survive it).
+    /// `peak_resident_frames` is the pool's real high-water, pinned
+    /// over-budget pages included, not the fullest part of it.
+    #[test]
+    fn the_peak_is_the_pools_high_water() {
+        let pool = BufferPool::new(2);
+        let mut held = Vec::new();
+        let mut high = 0;
+        for w in 0..4 {
+            let buf = pool.create(schema());
+            pool.append(buf, rows(w * 2..(w + 1) * 2)).unwrap();
+            held.push(pool.page(buf, 0).unwrap());
+            high = high.max(resident(&pool));
+        }
+        assert_eq!(high, 4, "every page is pinned, so none could go");
+        assert_eq!(pool.counters().peak_resident_frames, high as u64);
+        drop(held);
+        let extra = pool.create(schema());
+        pool.append(extra, rows(0..2)).unwrap();
+        assert_eq!(resident(&pool), 2, "unpinned, back to the budget");
+        assert_eq!(pool.counters().peak_resident_frames, 4);
+    }
+
+    /// Four concurrent pinning clients under a tiny frame budget must
+    /// never deadlock, and a pinned page must never be evicted out from
+    /// under its holder while other threads force evictions.
     #[test]
     fn concurrent_pinning_clients_never_deadlock_or_double_evict() {
-        let pool = BufferPool::new(PoolConfig {
-            frame_budget: 2,
-            shards: 2,
-        });
+        let pool = BufferPool::new(2);
         let ids: Vec<BufferId> = (0..4).map(|_| pool.create(schema())).collect();
         std::thread::scope(|scope| {
             for (w, &buf) in ids.iter().enumerate() {

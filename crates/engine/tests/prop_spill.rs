@@ -175,7 +175,7 @@ fn spilled_runs_stay_bit_identical() {
 /// stream at `threads` workers must reproduce the 1-thread stream
 /// bit-for-bit (targets *and* stats) under the same tiny pool. Returns
 /// the parallel run's (spilled, staged) page counts so the corpus can
-/// prove the sharded pool really spilled and the pipeline really staged
+/// prove the shared pool really spilled and the pipeline really staged
 /// inter-segment sets through it.
 fn check_parallel(wf: &Workflow, catalog: Catalog, seed: u64, threads: usize) -> (u64, u64) {
     let base = Executor::new(catalog.clone())
@@ -204,7 +204,7 @@ fn check_parallel(wf: &Workflow, catalog: Catalog, seed: u64, threads: usize) ->
 /// The pipelined partition-parallel stream under the two-frame pool:
 /// every case runs at 2 and 4 workers; targets and `ExecStats` must be
 /// bit-identical to the 1-thread stream across the whole grid, and the
-/// corpus as a whole must exercise both the sharded spill path and
+/// corpus as a whole must exercise both the parallel spill path and
 /// inter-segment staging. The aggregation and dedup-free fan-out
 /// workflows cover both re-routing (group-by) and re-route-free
 /// (row-wise) plans; [`reroute_wf`] stages through a routed sink in every
@@ -249,7 +249,7 @@ fn parallel_spilled_runs_stay_bit_identical() {
             tally((spilled, staged));
         }
     }
-    assert!(total_spilled > 0, "tiny sharded pool never spilled");
+    assert!(total_spilled > 0, "tiny shared pool never spilled");
     assert!(total_staged > 0, "pipeline never staged pages");
 }
 

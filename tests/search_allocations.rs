@@ -65,7 +65,7 @@ static GLOBAL: Counting = Counting;
 /// nodes: ES 34.35, HS 29.91, HS-Greedy 130.79, beam 32.17. Before a swap
 /// successor was built only when a search expands or returns it: ES 14.79,
 /// HS 10.87, HS-Greedy 54.88, beam 14.41. Before ES and beam admitted
-/// states through one set instead of sixteen shards: ES 8.55, beam 9.78.
+/// states through one set instead of sixteen sharded ones: ES 8.55, beam 9.78.
 /// Before the search key and a swap's total stopped walking to the
 /// targets, and a built swap successor shared its parent's tokens: ES
 /// 8.42, HS 6.20, HS-Greedy 44.06, beam 9.70.
