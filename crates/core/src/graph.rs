@@ -374,16 +374,18 @@ impl Graph {
         Ok(prev)
     }
 
-    /// Remove a fully disconnected node.
-    pub fn remove(&mut self, id: NodeId) -> Result<Node> {
-        {
-            let slot = self.slot(id)?;
-            if slot.preds.as_slice().iter().any(Option::is_some) || !slot.succs.is_empty() {
-                return Err(CoreError::DanglingOutput(id));
-            }
+    /// Remove a fully disconnected node. The node itself is dropped: a
+    /// state's nodes are shared with its parent, so handing it back would
+    /// cost a deep copy that no rewire reads.
+    pub fn remove(&mut self, id: NodeId) -> Result<()> {
+        let slot = self.slot(id)?;
+        if slot.preds.as_slice().iter().any(Option::is_some) || !slot.succs.is_empty() {
+            return Err(CoreError::DanglingOutput(id));
         }
-        let slot = self.slots[id.0 as usize].take().expect("checked above");
-        Ok(std::sync::Arc::try_unwrap(slot.node).unwrap_or_else(|arc| (*arc).clone()))
+        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            *slot = None;
+        }
+        Ok(())
     }
 
     /// Provider of input `port` of `id`.

@@ -12,7 +12,9 @@
 //! Both directions work in runs: [`escape_into`] copies each stretch of
 //! bytes that needs no escape with one `push_str`, and the parser copies
 //! each stretch of a string between escapes the same way, so a long
-//! string costs a few `memcpy`s, not a branch per character.
+//! string costs a few `memcpy`s, not a branch per character. The end of
+//! a run is found eight bytes a step, with word tests on a `u64`, so
+//! finding it costs a few instructions per word, not a branch per byte.
 //! [`parse_members`] reads a top-level object and hands back each
 //! member's value with the raw text it was parsed from, so an envelope
 //! can move its strings out and keep a member verbatim.
@@ -160,27 +162,68 @@ pub fn escape(s: &str) -> String {
 /// included — as is. Canonical bodies embed escaped text, so these bytes
 /// are part of the byte-identity contract.
 pub fn escape_into(out: &mut String, s: &str) {
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let short = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
+    let bytes = s.as_bytes();
+    let mut pos = 0;
+    loop {
+        let rest = bytes.get(pos..).unwrap_or_default();
+        let run = plain_run(rest, true);
+        // The run ends before an ASCII byte or at the end, so both of its
+        // ends are character boundaries.
+        out.push_str(s.get(pos..pos + run).unwrap_or_default());
+        pos += run;
+        let Some(&b) = bytes.get(pos) else {
+            return;
         };
-        // `b` is ASCII, so both ends of the run are character boundaries.
-        out.push_str(s.get(run..i).unwrap_or_default());
-        if short.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(short);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
-        run = i + 1;
+        pos += 1;
     }
-    out.push_str(s.get(run..).unwrap_or_default());
+}
+
+/// Eight copies of a byte, one per byte of a `u64`.
+const fn splat(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// The high bit of every byte of `x` that is below `n` (`n` ≤ 0x80).
+/// Exact up to the first such byte: a borrow out of it may also mark
+/// later bytes, so only the lowest mark is read.
+const fn bytes_below(x: u64, n: u8) -> u64 {
+    x.wrapping_sub(splat(n)) & !x & splat(0x80)
+}
+
+/// The length of the plain run at the start of `bytes`: the bytes before
+/// the first `"` or `\`, and with `controls` before the first C0 control
+/// too (a run to be escaped; a run to be decoded keeps its controls, as
+/// the reference decoder does). Eight bytes a step, then byte by byte for
+/// the tail. A quote or a backslash is a zero byte of the word XORed with
+/// eight copies of it, a control a byte below 0x20; a little-endian load
+/// puts the first byte lowest, so the lowest mark is the first match.
+fn plain_run(bytes: &[u8], controls: bool) -> usize {
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let w = u64::from_le_bytes(*word);
+        let mut marks = bytes_below(w ^ splat(b'"'), 1) | bytes_below(w ^ splat(b'\\'), 1);
+        if controls {
+            marks |= bytes_below(w, 0x20);
+        }
+        if marks != 0 {
+            return 8 * i + (marks.trailing_zeros() / 8) as usize;
+        }
+    }
+    8 * words.len()
+        + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+            .unwrap_or(tail.len())
 }
 
 /// Maximum container nesting. The protocol needs 2–3 levels; the cap
@@ -428,10 +471,7 @@ impl<'a> Parser<'a> {
                     // Both are ASCII, so the run ends on a character
                     // boundary of the (already valid UTF-8) input.
                     let rest = self.bytes.get(self.pos..).unwrap_or_default();
-                    let len = rest
-                        .iter()
-                        .position(|b| matches!(b, b'"' | b'\\'))
-                        .unwrap_or(rest.len());
+                    let len = plain_run(rest, false);
                     let run = self.text.get(self.pos..self.pos + len).ok_or_else(|| {
                         format!("string run at byte {} splits a character", self.pos)
                     })?;
@@ -779,6 +819,87 @@ mod tests {
                     _ => Err(()),
                 };
                 assert_eq!(new, reference_string(&wire), "{wire:?}");
+            }
+        }
+    }
+
+    /// Hold `s` to the byte-by-byte references: the run at every offset
+    /// ends where the first run-ending byte is, `escape` writes the
+    /// reference's bytes and decodes back to `s`, and `s` between quotes,
+    /// raw, decodes as the reference decodes it.
+    fn check_runs(s: &str) {
+        let bytes = s.as_bytes();
+        for start in 0..=bytes.len() {
+            let rest = &bytes[start..];
+            for controls in [false, true] {
+                let want = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+                    .unwrap_or(rest.len());
+                assert_eq!(plain_run(rest, controls), want, "{s:?} from {start}");
+            }
+        }
+        assert_eq!(escape(s), reference_escape(s), "{s:?}");
+        let wire = format!("\"{}\"", escape(s));
+        assert_eq!(parse(&wire), Ok(Value::Str(s.to_owned())), "{wire:?}");
+        let raw = format!("\"{s}\"");
+        let new = match parse(&raw) {
+            Ok(Value::Str(decoded)) => Ok(decoded),
+            _ => Err(()),
+        };
+        assert_eq!(new, reference_string(&raw), "{raw:?}");
+    }
+
+    /// ASCII that never ends a run, cycled to fill `len` bytes.
+    fn filler(len: usize) -> String {
+        " #]!a[\u{7f}~".chars().cycle().take(len).collect()
+    }
+
+    #[test]
+    fn a_run_ends_at_each_special_byte_at_every_offset() {
+        let specials = ['"', '\\']
+            .into_iter()
+            .chain((0..0x20u32).filter_map(char::from_u32));
+        for special in specials {
+            for len in 0..=24usize {
+                check_runs(&filler(len));
+                for at in (0..=16).filter(|&at| at < len) {
+                    check_runs(&format!("{}{special}{}", filler(at), filler(len - at - 1)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_word_tests_false_positive_neighbours_end_no_run_early() {
+        // A borrow out of a matching byte marks the byte after it too:
+        // `"#` and `\]` XOR to 00 01, and `\0\x01` is two controls.
+        for pair in ["\"#", "\\]", "\0\u{1}", "#\"", "]\\", "\u{1}\0"] {
+            for len in 2..=24usize {
+                for at in (0..=16).filter(|&at| at + 2 <= len) {
+                    check_runs(&format!("{}{pair}{}", filler(at), filler(len - at - 2)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn space_del_high_bytes_and_multibyte_characters_end_no_run() {
+        let mut plain: Vec<char> = (0x20..0x80u32)
+            .chain(0x80..0x100)
+            .filter_map(char::from_u32)
+            .filter(|c| !matches!(c, '"' | '\\'))
+            .collect();
+        plain.extend(['σ', '€', '\u{2028}', '\u{fffd}', '\u{1f600}', '\u{10ffff}']);
+        for c in plain {
+            for n in 0..=24usize {
+                let s = c.to_string().repeat(n);
+                assert_eq!(plain_run(s.as_bytes(), true), s.len(), "{s:?}");
+                assert_eq!(plain_run(s.as_bytes(), false), s.len(), "{s:?}");
+                check_runs(&s);
+                // Behind an ASCII prefix, so the multi-byte ones straddle
+                // every word boundary.
+                check_runs(&format!("{}{s}\"", filler(n % 8)));
             }
         }
     }

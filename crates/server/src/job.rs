@@ -293,10 +293,13 @@ fn run_job(registry: &Registry, req: &Request) -> Response {
     let eff = clamp(req, registry);
     let key = body_key(req, &eff);
     let mut meta = Meta::new();
-    if let Some((body, entries)) = registry.remembered(&key) {
+    if let Some((body, wire, entries)) = registry.remembered(&key) {
         meta.run = "remembered";
         meta.warm_entries = entries;
-        return Response::ok(&req.id, body, meta.render());
+        return Response {
+            wire: Some(wire),
+            ..Response::ok(&req.id, body, meta.render())
+        };
     }
     match miss(req, &eff, registry, key, &mut meta) {
         Ok(body) => Response::ok(&req.id, body, meta.render()),

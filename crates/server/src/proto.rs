@@ -22,14 +22,19 @@
 //!
 //! The envelopes cost what their bytes cost. Rendering escapes each
 //! string straight into one line reserved up front ([`json::escape_into`]
-//! copies runs of plain bytes whole), and the escapes are byte-identical
-//! to the character-by-character escape they replaced, so lines and
-//! bodies are too. Parsing reads the line's members once
+//! copies runs of plain bytes whole, finding each run's end eight bytes a
+//! step), and the escapes are byte-identical to the character-by-character
+//! escape they replaced, so lines and bodies are too. A reply the tier of
+//! remembered bodies answered ([`crate::state`]) is not escaped at all:
+//! the tier keeps each body's escaped form next to it, and rendering
+//! splices that between the envelope's head and `meta`, so a warm reply
+//! costs a lookup and a copy. Parsing reads the line's members once
 //! ([`json::parse_members`]) and moves their strings out — the workflow
 //! and the body are never copied a second time — and a parsed response
 //! keeps `meta` as the raw text it arrived as.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::json::{self, Members, Value};
 
@@ -257,7 +262,10 @@ pub struct Response {
     pub id: String,
     /// Typed outcome code.
     pub code: Code,
-    /// Canonical payload (empty unless `code` is [`Code::Ok`]).
+    /// Canonical payload (empty unless `code` is [`Code::Ok`]). A reply the
+    /// tier of remembered bodies answered renders the escaped copy stored
+    /// with this body, so changing `body` does not change its line: build
+    /// a new [`Response::ok`] instead.
     pub body: String,
     /// Observational metadata as JSON object text (empty = no meta),
     /// outside the determinism contract. The daemon renders it; a parsed
@@ -266,6 +274,11 @@ pub struct Response {
     pub meta: String,
     /// Human-readable error (empty unless `code` is an error/rejection).
     pub error: String,
+    /// `body` already escaped for the line, on a reply the tier of
+    /// remembered bodies answered ([`crate::state`]): [`Response::render`]
+    /// splices it in instead of escaping `body` again. Set only by
+    /// [`crate::job`], together with the `body` it escapes.
+    pub(crate) wire: Option<Arc<str>>,
 }
 
 impl Response {
@@ -277,6 +290,7 @@ impl Response {
             body,
             meta,
             error: String::new(),
+            wire: None,
         }
     }
 
@@ -288,18 +302,22 @@ impl Response {
             body: String::new(),
             meta: String::new(),
             error,
+            wire: None,
         }
     }
 
     /// Render as one wire line (no trailing newline). The capacity leaves
-    /// room for the escapes and for the newline a writer appends.
+    /// room for the escapes and for the newline a writer appends. A
+    /// remembered body is spliced in as the tier escaped it.
     pub fn render(&self) -> String {
         let (key, text) = match self.code {
             Code::Ok => ("body", &self.body),
             _ => ("error", &self.error),
         };
-        let escaped = self.id.len() + text.len();
-        let mut out = String::with_capacity(64 + escaped + escaped / 4 + self.meta.len());
+        let wire = self.wire.as_deref().filter(|_| self.code == Code::Ok);
+        let text_bytes = wire.map_or(text.len() + text.len() / 4, str::len);
+        let id_bytes = self.id.len() + self.id.len() / 4;
+        let mut out = String::with_capacity(64 + id_bytes + text_bytes + self.meta.len());
         out.push_str("{\"id\":\"");
         json::escape_into(&mut out, &self.id);
         let _ = write!(
@@ -308,7 +326,10 @@ impl Response {
             self.code.as_u16(),
             self.code.status()
         );
-        json::escape_into(&mut out, text);
+        match wire {
+            Some(wire) => out.push_str(wire),
+            None => json::escape_into(&mut out, text),
+        }
         out.push('"');
         if self.code == Code::Ok && !self.meta.is_empty() {
             out.push_str(",\"meta\":");
@@ -341,6 +362,7 @@ impl Response {
                 .get("meta")
                 .map_or_else(String::new, |meta| meta.raw.to_owned()),
             error,
+            wire: None,
         })
     }
 }

@@ -49,7 +49,9 @@
 //!   right either way. One admission rule ([`crate::job`]): the family had
 //!   been seen before the request (one-off traffic costs no memory), no
 //!   search was time-capped, and a warm adaptive's loop left its store
-//!   unchanged. FIFO over one byte budget ([`TIER_BYTES`]).
+//!   unchanged. An entry keeps the body and, escaped once when it is
+//!   remembered, its wire form, which a hit's reply splices in whole
+//!   ([`crate::proto`]). FIFO over one byte budget ([`TIER_BYTES`]).
 //!
 //! Lock order: a calibration store, then the tier. No path holds both
 //! today: a guarded entry is cloned out under the tier's lock and compared
@@ -70,6 +72,7 @@ use etlopt_core::opt::MoveMemo;
 use etlopt_engine::{SharedCache, SharedCacheHandle};
 use etlopt_workload::{CalibrationStore, StoreDir, StoreError};
 
+use crate::json;
 use crate::proto::Op;
 
 /// Take a registry lock even if a job panicked while holding it. Sound
@@ -182,17 +185,18 @@ impl Family {
 }
 
 /// Byte budget of the tier of remembered bodies (a constant, like the result
-/// cache's row budget): about 3 200 `serve_warm`-shaped entries (≈ 5 KiB
-/// each, most of it text and body).
+/// cache's row budget): about 2 000 `serve_warm`-shaped entries (≈ 8 KiB
+/// each, most of it the body twice, raw and escaped, and the text).
 pub const TIER_BYTES: usize = 16 << 20;
 
-/// What an entry is charged besides its key's strings, its body and its
-/// snapshot's entries. Counting allocator over `serve_warm`-shaped entries
-/// (its 32 workflows × optimize and execute, and 8 warm adaptives with
-/// rested stores, copied up to 1 152 entries): the key's `Arc` (136
-/// bytes), the entry's `Arc` (96), and the map and queue slots at their
-/// amortized growth come to 271–291.
-const ENTRY_BYTES: usize = 304;
+/// What an entry is charged besides its key's strings, its body, its wire
+/// form and its snapshot's entries. Counting allocator over
+/// `serve_warm`-shaped entries (its 32 workflows × optimize and execute,
+/// and 8 warm adaptives with rested stores, copied up to 1 152 entries):
+/// the key's `Arc` (136 bytes), the entry's `Arc` (112), the wire form's
+/// `Arc` header (16), and the map and queue slots at their amortized growth
+/// come to 315 over the mix and 326 over the unguarded entries alone.
+const ENTRY_BYTES: usize = 336;
 
 /// What a snapshot is charged per calibrated activity and per source,
 /// besides its name: B-tree nodes, 116 bytes an entry over 24 rested stores
@@ -231,13 +235,23 @@ pub(crate) struct Guard {
     pub(crate) snapshot: CalibrationStore,
 }
 
-/// A remembered body, and for a warm adaptive the store it answers for.
+/// A remembered body in both forms a hit hands out, and for a warm
+/// adaptive the store it answers for.
 struct Remembered {
     body: String,
+    /// `body` escaped for the envelope's `body` string, once, when it is
+    /// remembered: a hit's reply splices it in whole.
+    wire: Arc<str>,
     guard: Option<Guard>,
 }
 
 impl Remembered {
+    /// An entry for `body`, escaped once, here.
+    fn new(body: String, guard: Option<Guard>) -> Remembered {
+        let wire = json::escape(&body).into();
+        Remembered { body, wire, guard }
+    }
+
     /// Bytes the entry is charged, with its key.
     fn bytes(&self, key: &BodyKey) -> usize {
         let names = self.guard.iter().flat_map(|g| {
@@ -249,6 +263,7 @@ impl Remembered {
             + key.tenant.len()
             + key.text.len()
             + self.body.len()
+            + self.wire.len()
             + names.map(|name| CAL_ENTRY_BYTES + name).sum::<usize>()
     }
 }
@@ -354,11 +369,12 @@ impl Registry {
         }
     }
 
-    /// The body remembered under `key`, with its snapshot's length (0 for
-    /// an unguarded entry), counting a hit or a miss. A guarded entry is
-    /// cloned out under the tier's lock and compared with its store under
-    /// the store's lock alone: a store that has moved since is a miss.
-    pub(crate) fn remembered(&self, key: &BodyKey) -> Option<(String, usize)> {
+    /// The body remembered under `key`, its escaped wire form and its
+    /// snapshot's length (0 for an unguarded entry), counting a hit or a
+    /// miss. A guarded entry is cloned out under the tier's lock and
+    /// compared with its store under the store's lock alone: a store that
+    /// has moved since is a miss.
+    pub(crate) fn remembered(&self, key: &BodyKey) -> Option<(String, Arc<str>, usize)> {
         let entry = relock(self.tier.lock())
             .entries
             .get(key)
@@ -376,14 +392,16 @@ impl Registry {
         counter.fetch_add(1, Ordering::Relaxed);
         hit.map(|e| {
             let entries = e.guard.as_ref().map_or(0, |g| g.snapshot.len());
-            (e.body.clone(), entries)
+            (e.body.clone(), Arc::clone(&e.wire), entries)
         })
     }
 
-    /// Remember `body` under `key`, guarded for a warm adaptive. The caller
-    /// has checked admission.
+    /// Remember `body` under `key`, guarded for a warm adaptive, with its
+    /// wire form, escaped before the tier's lock is taken. The caller has
+    /// checked admission.
     pub(crate) fn remember(&self, key: BodyKey, body: String, guard: Option<Guard>) {
-        relock(self.tier.lock()).insert(key, Remembered { body, guard });
+        let entry = Remembered::new(body, guard);
+        relock(self.tier.lock()).insert(key, entry);
     }
 
     /// The calibration store for (tenant, family), created on first
@@ -552,10 +570,7 @@ mod tests {
     }
 
     fn body(len: usize) -> Remembered {
-        Remembered {
-            body: "b".repeat(len),
-            guard: None,
-        }
+        Remembered::new("b".repeat(len), None)
     }
 
     fn guard(store: &Arc<Mutex<CalibrationStore>>) -> Option<Guard> {
@@ -600,17 +615,22 @@ mod tests {
     #[test]
     fn the_tier_is_charged_exactly_and_evicts_fifo_across_kinds() {
         let store = Arc::new(Mutex::new(store_of(3)));
-        // Algorithm, text and body; a warm adaptive's tenant and its four
-        // snapshot entries (three activities, one source) with their names.
-        let plain = ENTRY_BYTES + 4 + 1 + 100;
+        // Algorithm, text, body and its wire form; a warm adaptive's tenant
+        // and its four snapshot entries (three activities, one source) with
+        // their names.
+        let plain = ENTRY_BYTES + 4 + 1 + 100 + 100;
         assert_eq!(body(100).bytes(&key(Op::Optimize, "a")), plain);
         assert_eq!(body(100).bytes(&execute("a")), plain);
         let adaptive = plain + 4 + 4 * CAL_ENTRY_BYTES + (3 + 1);
-        let guarded = |len| Remembered {
-            body: "b".repeat(len),
-            guard: guard(&store),
-        };
+        let guarded = |len| Remembered::new("b".repeat(len), guard(&store));
         assert_eq!(guarded(100).bytes(&warm("acme", "a")), adaptive);
+        // The wire form is charged as escaped: ten quotes are twenty bytes.
+        let quotes = Remembered::new("\"".repeat(10), None);
+        assert_eq!(&*quotes.wire, "\\\"".repeat(10));
+        assert_eq!(
+            quotes.bytes(&key(Op::Optimize, "a")),
+            ENTRY_BYTES + 4 + 1 + 10 + 20
+        );
 
         let mut tier = Tier::new(2 * plain + adaptive);
         tier.insert(key(Op::Optimize, "a"), body(100));
@@ -661,7 +681,7 @@ mod tests {
         // A guarded entry is replaced in place: it keeps its place in line,
         // and its charge follows the new entry.
         tier.insert(warm("acme", "a"), guarded(90));
-        assert_eq!(tier.bytes, 2 * plain + adaptive - 10);
+        assert_eq!(tier.bytes, 2 * plain + adaptive - 20);
         assert_eq!(tier.entries[&warm("acme", "a")].0.body.len(), 90);
         assert_eq!((tier.order.len(), tier.evictions), (3, 0));
         // One queue for every kind: the optimize goes first, ...
@@ -670,19 +690,22 @@ mod tests {
         assert!(!tier.entries.contains_key(&key(Op::Optimize, "a")));
         assert!(tier.entries.contains_key(&warm("acme", "a")));
         // ... then the adaptive, then the execute, to fit a larger entry.
-        tier.insert(execute("c"), body(100 + adaptive));
+        let larger = body(100 + adaptive / 2);
+        let left = plain + larger.bytes(&execute("c"));
+        assert!(left > plain + adaptive && left <= tier.max_bytes);
+        tier.insert(execute("c"), larger);
         assert_eq!(tier.evictions, 3);
         assert!(
             tier.entries.contains_key(&execute("b")) && tier.entries.contains_key(&execute("c"))
         );
-        assert_eq!((tier.entries.len(), tier.bytes), (2, 2 * plain + adaptive));
+        assert_eq!((tier.entries.len(), tier.bytes), (2, left));
         assert_eq!(tier.order.len(), tier.entries.len());
         // One larger than the whole budget is ignored and evicts nothing.
         tier.insert(execute("d"), body(tier.max_bytes));
         assert!(!tier.entries.contains_key(&execute("d")));
         assert_eq!(
             (tier.entries.len(), tier.bytes, tier.evictions),
-            (2, 2 * plain + adaptive, 3)
+            (2, left, 3)
         );
     }
 
@@ -694,7 +717,7 @@ mod tests {
         let key = warm("acme", "wf");
         reg.remember(key.clone(), "body".to_owned(), guard(&store));
         let hit = || reg.remembered(&key);
-        assert_eq!(hit(), Some(("body".to_owned(), 2)));
+        assert_eq!(hit(), Some(("body".to_owned(), "body".into(), 2)));
         assert!(
             reg.remembered(&warm("umbrella", "wf")).is_none(),
             "the tenant is part of the key"
@@ -706,12 +729,13 @@ mod tests {
         // A write that changes nothing leaves it answering.
         *relock(store.lock()) = store_of(2);
         relock(store.lock()).record_source("S", 999);
-        assert_eq!(hit(), Some(("body".to_owned(), 2)));
-        // An unguarded body answers whatever any store holds.
-        reg.remember(execute("wf"), "targets".to_owned(), None);
+        assert_eq!(hit(), Some(("body".to_owned(), "body".into(), 2)));
+        // An unguarded body answers whatever any store holds; its wire form
+        // is the body escaped.
+        reg.remember(execute("wf"), "\"t\"\n".to_owned(), None);
         assert_eq!(
             reg.remembered(&execute("wf")),
-            Some(("targets".to_owned(), 0))
+            Some(("\"t\"\n".to_owned(), "\\\"t\\\"\\n".into(), 0))
         );
         assert_eq!((stat(&reg, "bodies"), stat(&reg, "body_hits")), (2, 3));
         assert_eq!(stat(&reg, "body_misses"), 2);
@@ -767,7 +791,7 @@ mod tests {
         // The tier serves what it held and records more.
         assert_eq!(
             reg.remembered(&execute("w")),
-            Some(("t".to_owned(), 0)),
+            Some(("t".to_owned(), "t".into(), 0)),
             "a remembered body survives"
         );
         reg.remember(execute("x"), "u".to_owned(), None);
@@ -776,11 +800,11 @@ mod tests {
         // The guarded body is compared with its poisoned store, and replaced.
         assert_eq!(
             reg.remembered(&warm("acme", "w")),
-            Some(("a".to_owned(), 0))
+            Some(("a".to_owned(), "a".into(), 0))
         );
         reg.remember(warm("acme", "w"), "b".to_owned(), guard(&store));
         assert_eq!(
-            reg.remembered(&warm("acme", "w")).map(|(body, _)| body),
+            reg.remembered(&warm("acme", "w")).map(|(body, ..)| body),
             Some("b".to_owned())
         );
         assert_eq!(

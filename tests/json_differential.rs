@@ -3,8 +3,12 @@
 //! every workflow of the `serve_warm` population (`Generator::suite(2005,
 //! 32, 0, 0)`), its searched plan, and the request and response lines that
 //! carry them. `job` escapes plans inside canonical bodies, so a changed
-//! byte here is a changed body. Random strings, every control character
-//! and the decoder are compared in `etlopt_core::json`'s own tests.
+//! byte here is a changed body. A reply the tier of remembered bodies
+//! answers splices the body's stored wire form into its line; over the
+//! same population that line must be the one rendered from the body
+//! alone. Random strings, every control character, the word-at-a-time
+//! run scanner and the decoder are compared in `etlopt_core::json`'s own
+//! tests.
 
 use std::fmt::Write as _;
 
@@ -12,7 +16,7 @@ use etlopt::core::cost::RowCountModel;
 use etlopt::core::json;
 use etlopt::core::opt::{BeamSearch, Optimizer, SearchBudget};
 use etlopt::core::text;
-use etlopt::server::{Op, Request, Response};
+use etlopt::server::{run_request, Code, Op, Registry, Request, Response, ServerConfig};
 use etlopt::workload::Generator;
 
 /// `json::escape` as it was before it copied runs.
@@ -89,5 +93,65 @@ fn escape_matches_the_reference_on_the_serve_warm_population_and_its_plans() {
         );
         let back = Response::parse(&line).unwrap();
         assert_eq!((back.body, back.meta), (body, meta.to_owned()));
+    }
+}
+
+/// Send `req` until the tier answers it: a reply whose `meta` reads
+/// `"run":"remembered"`.
+fn remembered_reply(reg: &Registry, req: &Request) -> Response {
+    for _ in 0..8 {
+        let resp = run_request(reg, req);
+        assert_eq!(resp.code, Code::Ok, "{}: {}", req.id, resp.error);
+        if resp.meta.contains("\"run\":\"remembered\"") {
+            return resp;
+        }
+    }
+    panic!("{:?} {} was never remembered", req.op, req.id);
+}
+
+#[test]
+fn a_remembered_reply_is_the_line_rendered_without_the_stored_copy() {
+    let reg = Registry::new(ServerConfig::default());
+    for (f, scenario) in Generator::suite(2005, 32, 0, 0).into_iter().enumerate() {
+        let workflow = text::render(&scenario.workflow).unwrap();
+        // A warm adaptive on the first eight families, as `serve_warm`
+        // sends them, each from one of two tenants.
+        let ops: &[Op] = if f < 8 {
+            &[Op::Optimize, Op::Execute, Op::Adaptive]
+        } else {
+            &[Op::Optimize, Op::Execute]
+        };
+        for &op in ops {
+            let req = Request {
+                // An id that needs escapes of its own, around the splice.
+                id: format!("{}\"\\\n\u{1}é", scenario.name),
+                tenant: ["acme", "umbrella"][f % 2].to_owned(),
+                op,
+                algo: "beam".to_owned(),
+                states: 600,
+                time_ms: 60_000,
+                parallelism: 1,
+                rows: 64,
+                seed: 2005,
+                rounds: 4,
+                warm: true,
+                workflow: workflow.clone(),
+            };
+            let hit = remembered_reply(&reg, &req);
+            let line = hit.render();
+            let rebuilt = Response::ok(&hit.id, hit.body.clone(), hit.meta.clone());
+            assert_eq!(line, rebuilt.render(), "{op:?} {}", scenario.name);
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"id\":\"{}\",\"code\":200,\"status\":\"ok\",\"body\":\"{}\",\"meta\":{}}}",
+                    reference_escape(&hit.id),
+                    reference_escape(&hit.body),
+                    hit.meta
+                )
+            );
+            let back = Response::parse(&line).unwrap();
+            assert_eq!((back.id, back.body), (req.id, hit.body));
+        }
     }
 }
