@@ -14,16 +14,17 @@ mod row_count;
 
 pub use row_count::{LinearModel, RowCountModel};
 
-use std::collections::BTreeMap;
-
-use crate::activity::Activity;
+use crate::activity::{Activity, Op};
 use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::schema_gen;
-use crate::workflow::{binary_cardinality, Workflow};
+use crate::semantics::{BinaryOp, UnaryOp};
+use crate::workflow::Workflow;
 
-/// A cost model: prices one activity given the rows arriving on each of its
-/// input ports.
+/// A cost model: prices each operation given the rows arriving on its
+/// input ports. A model states only its formulas; pricing a whole state
+/// (propagating rows from the sources and summing) is the trait's one walk,
+/// [`CostModel::price`].
 ///
 /// `Sync` is a supertrait so the search algorithms can price candidate
 /// states from worker threads; models are expected to be stateless (all
@@ -32,93 +33,58 @@ pub trait CostModel: Sync {
     /// Model name (for reports and benches).
     fn name(&self) -> &str;
 
-    /// Cost of one activity processing `input_rows` (one entry per port).
-    /// It must follow from the activity's operation and `input_rows`
-    /// alone, never from its schemata: the searches price a swap successor
-    /// on its parent, before the swap's schemata are re-derived.
-    fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64;
+    /// Cost of one unary operation processing `rows` rows.
+    fn unary_cost(&self, op: &UnaryOp, rows: f64) -> f64;
 
-    /// Total cost of a state: propagate row counts from the sources and sum
-    /// the per-activity costs. This is the search hot path, so it uses a
-    /// flat slot-indexed row table instead of building a [`CostReport`].
-    fn cost(&self, wf: &Workflow) -> Result<f64> {
-        let graph = wf.graph();
-        let order = graph.topo_order()?;
-        let cap = order
-            .iter()
-            .map(|id| id.0 as usize)
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut rows: Vec<f64> = vec![0.0; cap];
-        let mut total = 0.0;
-        for &id in &order {
-            let out_rows = match graph.node(id)? {
-                Node::Recordset(r) => match graph.provider(id, 0)? {
-                    None => r.row_estimate,
-                    Some(p) => rows[p.0 as usize],
-                },
-                Node::Activity(a) => {
-                    let providers = graph.providers(id)?;
-                    let in0 = providers
-                        .first()
-                        .copied()
-                        .flatten()
-                        .map(|p| rows[p.0 as usize])
-                        .unwrap_or(0.0);
-                    match &a.op {
-                        crate::activity::Op::Binary(b) => {
-                            let in1 = providers
-                                .get(1)
-                                .copied()
-                                .flatten()
-                                .map(|p| rows[p.0 as usize])
-                                .unwrap_or(0.0);
-                            total += self.activity_cost(a, &[in0, in1]);
-                            binary_cardinality(b, in0, in1)
-                        }
-                        _ => {
-                            total += self.activity_cost(a, &[in0]);
-                            in0 * a.selectivity()
-                        }
-                    }
+    /// Cost of one binary operation over `left` and `right` input rows.
+    fn binary_cost(&self, op: &BinaryOp, left: f64, right: f64) -> f64;
+
+    /// Cost of one activity processing `input_rows` (one entry per port):
+    /// its operation's cost, where each link of a merged chain prices the
+    /// flow the links before it left. It follows from the activity's
+    /// operation and `input_rows` alone, never from its schemata: the
+    /// searches price a swap successor on its parent, before the swap's
+    /// schemata are re-derived.
+    fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64 {
+        match &activity.op {
+            Op::Unary(op) => self.unary_cost(op, input_rows[0]),
+            Op::Merged(chain) => {
+                let mut n = input_rows[0];
+                let mut total = 0.0;
+                for op in chain {
+                    total += self.unary_cost(op, n);
+                    n *= op.selectivity();
                 }
-            };
-            rows[id.0 as usize] = out_rows;
+                total
+            }
+            Op::Binary(op) => self.binary_cost(op, input_rows[0], input_rows[1]),
         }
-        Ok(total)
     }
 
-    /// Full per-node cost breakdown.
-    fn report(&self, wf: &Workflow) -> Result<CostReport> {
-        let order = wf.graph().topo_order()?;
-        let mut rows: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut per_node: BTreeMap<NodeId, f64> = BTreeMap::new();
-        for &id in &order {
-            compute_node(self, wf, id, &mut rows, &mut per_node)?;
-        }
-        Ok(CostReport {
-            total: per_node.values().sum(),
-            per_node,
-            rows,
-        })
+    /// Total cost of a state, `C(S)`: the total of [`CostModel::price`].
+    /// A model whose state cost is not the sum of its activities' costs
+    /// overrides this, and returns `false` from
+    /// [`CostModel::supports_delta`].
+    fn cost(&self, wf: &Workflow) -> Result<f64> {
+        Ok(self.price(wf)?.total)
     }
 
     /// Whether [`CostModel::price`] / [`CostModel::reprice_from`] agree
-    /// with this model's notion of state cost. The default (generic
-    /// per-activity summation) holds for any model whose `cost` is the sum
-    /// of `activity_cost` over the propagated row counts; a model that
+    /// with this model's notion of state cost. The default holds for any
+    /// model that keeps the default [`CostModel::cost`]; a model that
     /// overrides `cost` with something richer (e.g. the physical planner)
     /// must return `false` so the searches fall back to full `cost` calls.
     fn supports_delta(&self) -> bool {
         true
     }
 
-    /// Full slot-indexed pricing of a state — the from-scratch twin of
-    /// [`CostModel::reprice_from`]. Same totals as [`CostModel::cost`] up to
-    /// summation order: `price` totals are summed in *slot* order over the
-    /// live graph so that a delta reprice (which reuses parent values
-    /// bit-for-bit) reproduces the exact same `f64`, keeping comparisons
-    /// stable no matter how a state was reached.
+    /// Price a state from scratch: propagate rows from the sources in
+    /// topological order and total the activities' costs. This is the one
+    /// row propagation; [`CostModel::reprice_from`] is its delta twin.
+    /// Totals are summed in *slot* order over the live graph, so that a
+    /// delta reprice (which reuses parent values bit-for-bit) reproduces
+    /// the exact same `f64`, keeping comparisons stable no matter how a
+    /// state was reached.
     fn price(&self, wf: &Workflow) -> Result<CostVec> {
         let graph = wf.graph();
         let mut cv = CostVec::zeroed(graph.slot_capacity());
@@ -126,15 +92,14 @@ pub trait CostModel: Sync {
         Ok(cv)
     }
 
-    /// Delta costing (§4.1, tentpole form): given the parent state's
-    /// [`CostVec`] and the *dirty* node list — [`schema_gen::downstream_of`]
-    /// of the transition's affected nodes, evaluated on the successor graph
-    /// — recompute rows and cost only along that list. Untouched nodes keep
-    /// the parent's values verbatim, which is exact (not approximate):
-    /// every node's rows/cost is a pure function of its providers', and
-    /// transitions report `affected` sets whose downstream closure covers
-    /// every node whose providers changed, including freed arena slots that
-    /// a FAC/DIS re-populated.
+    /// Delta costing (§4.1): given the parent state's [`CostVec`] and the
+    /// nodes a transition touched, recompute rows and cost only along
+    /// [`schema_gen::downstream_of`] those nodes, evaluated on the
+    /// successor graph. Untouched nodes keep the parent's values verbatim,
+    /// which is exact (not approximate): every node's rows/cost is a pure
+    /// function of its providers', and transitions report `affected` sets
+    /// whose downstream closure covers every node whose providers changed,
+    /// including freed arena slots that a FAC/DIS re-populated.
     fn reprice_from(
         &self,
         wf: &Workflow,
@@ -152,44 +117,6 @@ pub trait CostModel: Sync {
         let mut cv = parent.clone();
         reprice_into(self, wf, &mut cv, dirty, &[])?;
         Ok(cv)
-    }
-
-    /// Semi-incremental costing (§4.1): given the report of a previous,
-    /// structurally similar state and the nodes a transition touched,
-    /// recompute only the affected nodes and everything downstream of them;
-    /// untouched nodes keep their previous cost. Node ids of untouched nodes
-    /// are stable across transitions, which is what makes this sound.
-    fn report_incremental(
-        &self,
-        wf: &Workflow,
-        previous: &CostReport,
-        affected: &[NodeId],
-    ) -> Result<CostReport> {
-        let graph = wf.graph();
-        let dirty = schema_gen::downstream_of(graph, affected)?;
-        let mut rows = BTreeMap::new();
-        let mut per_node = BTreeMap::new();
-        // Keep previous values for clean, still-live nodes.
-        for (&id, &r) in &previous.rows {
-            if graph.contains(id) && !dirty.contains(&id) {
-                rows.insert(id, r);
-                if let Some(&c) = previous.per_node.get(&id) {
-                    per_node.insert(id, c);
-                }
-            }
-        }
-        // Recompute dirty nodes in topological order; also fill any node the
-        // previous report never saw (fresh nodes from FAC/DIS).
-        for &id in &graph.topo_order()? {
-            if !rows.contains_key(&id) {
-                compute_node(self, wf, id, &mut rows, &mut per_node)?;
-            }
-        }
-        Ok(CostReport {
-            total: per_node.values().sum(),
-            per_node,
-            rows,
-        })
     }
 }
 
@@ -348,7 +275,7 @@ fn priced<M: CostModel + ?Sized>(
         Node::Activity(a) => {
             let in0 = rows_in(0);
             match &a.op {
-                crate::activity::Op::Binary(b) => {
+                Op::Binary(b) => {
                     let in1 = rows_in(1);
                     (
                         binary_cardinality(b, in0, in1),
@@ -361,10 +288,10 @@ fn priced<M: CostModel + ?Sized>(
     })
 }
 
-/// Flat, slot-indexed pricing of a state — the delta-costing companion of
-/// [`CostReport`]. Indexed by arena slot; dead slots carry stale values
-/// that are never read (only live providers are consulted, and the total
-/// sums live activities only).
+/// Flat, slot-indexed pricing of a state: the rows out of every node and
+/// the cost of every activity. Indexed by arena slot; dead slots carry
+/// stale values that are never read (only live providers are consulted,
+/// and the total sums live activities only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostVec {
     /// Total state cost `C(S)`, summed over live activities in slot order.
@@ -411,9 +338,10 @@ impl CostVec {
         self.node_cost.get(slot).copied().unwrap_or(0.0)
     }
 
-    /// Slot-order sum over the live graph. Both `price` and `reprice_along`
-    /// finish with this, so a delta-repriced state and a from-scratch one
-    /// produce bit-identical totals (same addends, same order).
+    /// Slot-order sum over the live graph. Every total — `price`,
+    /// `reprice_along` and so `cost` — is this sum, so a delta-repriced
+    /// state and a from-scratch one produce bit-identical totals (same
+    /// addends, same order).
     fn sum_live(&self, wf: &Workflow) -> f64 {
         let mut total = 0.0;
         for (id, node) in wf.graph().iter() {
@@ -425,51 +353,16 @@ impl CostVec {
     }
 }
 
-fn compute_node<M: CostModel + ?Sized>(
-    model: &M,
-    wf: &Workflow,
-    id: NodeId,
-    rows: &mut BTreeMap<NodeId, f64>,
-    per_node: &mut BTreeMap<NodeId, f64>,
-) -> Result<()> {
-    let graph = wf.graph();
-    let out_rows = match graph.node(id)? {
-        Node::Recordset(r) => match graph.provider(id, 0)? {
-            None => r.row_estimate,
-            Some(p) => rows[&p],
-        },
-        Node::Activity(a) => {
-            let inputs: Vec<f64> = graph
-                .providers(id)?
-                .iter()
-                .map(|p| p.map(|p| rows[&p]).unwrap_or(0.0))
-                .collect();
-            per_node.insert(id, model.activity_cost(a, &inputs));
-            match &a.op {
-                crate::activity::Op::Binary(b) => binary_cardinality(b, inputs[0], inputs[1]),
-                _ => inputs[0] * a.selectivity(),
-            }
-        }
-    };
-    rows.insert(id, out_rows);
-    Ok(())
-}
-
-/// Per-node cost breakdown of a state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostReport {
-    /// Total state cost `C(S)`.
-    pub total: f64,
-    /// Cost per activity node.
-    pub per_node: BTreeMap<NodeId, f64>,
-    /// Estimated rows flowing out of every node.
-    pub rows: BTreeMap<NodeId, f64>,
-}
-
-impl CostReport {
-    /// Cost of one node (0 for recordsets).
-    pub fn node_cost(&self, id: NodeId) -> f64 {
-        self.per_node.get(&id).copied().unwrap_or(0.0)
+/// Cardinality estimate for binary operators: bag union adds, join assumes
+/// foreign-key-ish matching on the smaller side, difference and intersection
+/// are bounded by the left input (we take the standard halved estimate for
+/// lack of statistics).
+fn binary_cardinality(op: &BinaryOp, left: f64, right: f64) -> f64 {
+    match op {
+        BinaryOp::Union => left + right,
+        BinaryOp::Join(_) => left.min(right),
+        BinaryOp::Difference => (left - right).max(left / 2.0),
+        BinaryOp::Intersection => left.min(right) / 2.0,
     }
 }
 
@@ -478,7 +371,6 @@ mod tests {
     use super::*;
     use crate::predicate::Predicate;
     use crate::schema::Schema;
-    use crate::semantics::{BinaryOp, UnaryOp};
     use crate::workflow::WorkflowBuilder;
 
     fn chain() -> Workflow {
@@ -495,51 +387,42 @@ mod tests {
     }
 
     #[test]
-    fn report_sums_activity_costs() {
+    fn price_sums_activity_costs() {
         let wf = chain();
         let m = RowCountModel::default();
-        let rep = m.report(&wf).unwrap();
         // σ: 1000; SK: 500·log2(500).
         let expected = 1000.0 + 500.0 * (500.0_f64).log2();
-        assert!((rep.total - expected).abs() < 1e-6, "{}", rep.total);
+        let total = m.price(&wf).unwrap().total;
+        assert!((total - expected).abs() < 1e-6, "{total}");
+        assert_eq!(m.cost(&wf).unwrap().to_bits(), total.to_bits());
+    }
+
+    /// `reprice_from` the parent's tables equals `price` from scratch, to
+    /// the bit, in every live slot.
+    fn assert_delta_is_scratch(m: &RowCountModel, next: &Workflow, delta: &CostVec) {
+        let full = m.price(next).unwrap();
+        assert_eq!(delta.total.to_bits(), full.total.to_bits());
+        for (id, _) in next.graph().iter() {
+            assert_eq!(delta.rows_out(id).to_bits(), full.rows_out(id).to_bits());
+            assert_eq!(delta.node_cost(id).to_bits(), full.node_cost(id).to_bits());
+        }
     }
 
     #[test]
-    fn incremental_matches_full_recompute() {
-        let wf = chain();
-        let m = RowCountModel::default();
-        let full = m.report(&wf).unwrap();
-        // Pretend the filter changed: recompute downstream of it.
-        let filter = wf.activities().unwrap()[0];
-        let inc = m.report_incremental(&wf, &full, &[filter]).unwrap();
-        assert!((inc.total - full.total).abs() < 1e-9);
-        assert_eq!(inc.per_node, full.per_node);
-    }
-
-    #[test]
-    fn incremental_matches_full_across_a_transition() {
-        // The real contract: previous report comes from the pre-transition
-        // state; the successor re-prices only downstream of the affected
-        // nodes.
+    fn delta_matches_full_across_a_swap() {
         use crate::transition::{Swap, Transition};
         let m = RowCountModel::default();
         let wf = chain();
-        let prev = m.report(&wf).unwrap();
+        let prev = m.price(&wf).unwrap();
         let acts = wf.activities().unwrap();
-        let (f, sk) = (acts[0], acts[1]);
-        let t = Swap::new(f, sk);
+        let t = Swap::new(acts[0], acts[1]);
         let next = t.apply(&wf).unwrap();
-        let inc = m
-            .report_incremental(&next, &prev, &t.affected(&wf))
-            .unwrap();
-        let full = m.report(&next).unwrap();
-        assert!((inc.total - full.total).abs() < 1e-9);
-        assert_eq!(inc.per_node, full.per_node);
-        assert_eq!(inc.rows, full.rows);
+        let delta = m.reprice_from(&next, &prev, &t.affected(&wf)).unwrap();
+        assert_delta_is_scratch(&m, &next, &delta);
     }
 
     #[test]
-    fn incremental_matches_full_across_distribute() {
+    fn delta_matches_full_across_distribute() {
         // Distribute splices clones *upstream* of the binary and may reuse
         // freed arena slots — the regression this test pins down.
         use crate::transition::{Distribute, Transition};
@@ -547,7 +430,7 @@ mod tests {
         let mut b = WorkflowBuilder::new();
         let s1 = b.source("S1", Schema::of(["k", "v"]), 64.0);
         let s2 = b.source("S2", Schema::of(["k", "v"]), 32.0);
-        let u = b.binary("U", crate::semantics::BinaryOp::Union, s1, s2);
+        let u = b.binary("U", BinaryOp::Union, s1, s2);
         let sel = b.unary(
             "σ",
             UnaryOp::filter(Predicate::gt("v", 0)).with_selectivity(0.5),
@@ -555,16 +438,11 @@ mod tests {
         );
         b.target("T", Schema::of(["k", "v"]), sel);
         let wf = b.build().unwrap();
-        let prev = m.report(&wf).unwrap();
+        let prev = m.price(&wf).unwrap();
         let t = Distribute::new(u, sel);
         let next = t.apply(&wf).unwrap();
-        let inc = m
-            .report_incremental(&next, &prev, &t.affected(&wf))
-            .unwrap();
-        let full = m.report(&next).unwrap();
-        assert!((inc.total - full.total).abs() < 1e-9);
-        assert_eq!(inc.per_node, full.per_node);
-        assert_eq!(inc.rows, full.rows);
+        let delta = m.reprice_from(&next, &prev, &t.affected(&wf)).unwrap();
+        assert_delta_is_scratch(&m, &next, &delta);
     }
 
     #[test]
@@ -574,7 +452,7 @@ mod tests {
         // arena slots — every live node of the priced workflow answers
         // `rows_out`/`node_cost` from a real slot (the accessors' lenient
         // out-of-range fallback is never taken), and the per-node costs
-        // agree with a from-scratch report.
+        // agree with a from-scratch pricing.
         use crate::opt::MoveMemo;
         use crate::rng::Rng;
         let m = RowCountModel::default();
@@ -607,15 +485,16 @@ mod tests {
                 let (mv, next) = &applicable[rng.gen_range(0..applicable.len())];
                 cv = m.reprice_from(next, &cv, &mv.affected(&wf)).unwrap();
                 wf = next.clone();
-                let report = m.report(&wf).unwrap();
+                let full = m.price(&wf).unwrap();
                 for (id, _) in wf.graph().iter() {
                     let rows = cv.rows_out(id);
                     let cost = cv.node_cost(id);
                     assert!(rows.is_finite() && cost.is_finite(), "seed {seed}, {id}");
-                    assert!(
-                        (cost - report.node_cost(id)).abs() < 1e-9,
+                    assert_eq!(
+                        cost.to_bits(),
+                        full.node_cost(id).to_bits(),
                         "seed {seed}, node {id}: delta {cost} vs full {}",
-                        report.node_cost(id)
+                        full.node_cost(id)
                     );
                 }
             }
@@ -648,8 +527,8 @@ mod tests {
         let u = b.binary("U", BinaryOp::Union, s1, s2);
         b.target("T", Schema::of(["a"]), u);
         let wf = b.build().unwrap();
-        let rep = RowCountModel::default().report(&wf).unwrap();
+        let cv = RowCountModel::default().price(&wf).unwrap();
         let t = wf.targets()[0];
-        assert_eq!(rep.rows[&t], 150.0);
+        assert_eq!(cv.rows_out(t), 150.0);
     }
 }

@@ -8,7 +8,6 @@
 //! key, aggregation, duplicate elimination), and configurable pricing for
 //! binary operators (Fig. 4 ignores the cost of union).
 
-use crate::activity::{Activity, Op};
 use crate::cost::CostModel;
 use crate::semantics::{BinaryOp, UnaryOp};
 
@@ -42,7 +41,11 @@ impl Default for RowCountModel {
     }
 }
 
-impl RowCountModel {
+impl CostModel for RowCountModel {
+    fn name(&self) -> &str {
+        "row-count"
+    }
+
     fn unary_cost(&self, op: &UnaryOp, n: f64) -> f64 {
         match op {
             UnaryOp::Filter { .. }
@@ -56,41 +59,19 @@ impl RowCountModel {
             | UnaryOp::PkCheck { .. } => nlogn(n),
         }
     }
-}
 
-impl CostModel for RowCountModel {
-    fn name(&self) -> &str {
-        "row-count"
-    }
-
-    fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64 {
-        match &activity.op {
-            Op::Unary(op) => self.unary_cost(op, input_rows[0]),
-            Op::Merged(chain) => {
-                // Each link processes the (shrinking) flow in turn.
-                let mut n = input_rows[0];
-                let mut total = 0.0;
-                for op in chain {
-                    total += self.unary_cost(op, n);
-                    n *= op.selectivity();
+    fn binary_cost(&self, op: &BinaryOp, l: f64, r: f64) -> f64 {
+        match op {
+            BinaryOp::Union => {
+                if self.union_free {
+                    0.0
+                } else {
+                    l + r
                 }
-                total
             }
-            Op::Binary(op) => {
-                let (l, r) = (input_rows[0], input_rows[1]);
-                match op {
-                    BinaryOp::Union => {
-                        if self.union_free {
-                            0.0
-                        } else {
-                            l + r
-                        }
-                    }
-                    // Sort-merge shape for the comparing operators.
-                    BinaryOp::Join(_) | BinaryOp::Difference | BinaryOp::Intersection => {
-                        nlogn(l) + nlogn(r)
-                    }
-                }
+            // Sort-merge shape for the comparing operators.
+            BinaryOp::Join(_) | BinaryOp::Difference | BinaryOp::Intersection => {
+                nlogn(l) + nlogn(r)
             }
         }
     }
@@ -107,27 +88,19 @@ impl CostModel for LinearModel {
         "linear"
     }
 
-    fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64 {
-        match &activity.op {
-            Op::Unary(_) => input_rows[0],
-            Op::Merged(chain) => {
-                let mut n = input_rows[0];
-                let mut total = 0.0;
-                for op in chain {
-                    total += n;
-                    n *= op.selectivity();
-                }
-                total
-            }
-            Op::Binary(_) => input_rows.iter().sum(),
-        }
+    fn unary_cost(&self, _: &UnaryOp, n: f64) -> f64 {
+        n
+    }
+
+    fn binary_cost(&self, _: &BinaryOp, l: f64, r: f64) -> f64 {
+        l + r
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{binary, unary, Activity, ActivityId};
+    use crate::activity::{binary, unary, Activity, ActivityId, Op};
     use crate::predicate::Predicate;
     use crate::semantics::Aggregation;
 

@@ -84,7 +84,7 @@ pub mod workflow;
 /// Convenient glob-import of the types needed for everyday use.
 pub mod prelude {
     pub use crate::activity::{Activity, ActivityId};
-    pub use crate::cost::{CostModel, CostReport, RowCountModel};
+    pub use crate::cost::{CostModel, RowCountModel};
     pub use crate::error::{CoreError, Result};
     pub use crate::graph::NodeId;
     pub use crate::naming::NamingRegistry;

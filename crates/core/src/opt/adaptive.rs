@@ -31,7 +31,6 @@ use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
 use crate::opt::{Optimizer, SearchOutcome};
 use crate::oracle::predicted_target_rows;
-use crate::semantics::UnaryOp;
 use crate::signature::Fp128;
 use crate::trace::SearchStats;
 use crate::workflow::Workflow;
@@ -129,59 +128,6 @@ pub trait Calibration {
     fn record_source(&mut self, name: &str, rows: u64);
 }
 
-/// In-memory [`Calibration`] — the loop's default store when persistence
-/// is not needed (the workload crate's `CalibrationStore` adds JSON
-/// round-tripping and merge on top of the same semantics).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemoryCalibration {
-    entries: BTreeMap<u128, (String, CalEntry)>,
-    sources: BTreeMap<String, u64>,
-}
-
-impl MemoryCalibration {
-    /// An empty store.
-    pub fn new() -> MemoryCalibration {
-        MemoryCalibration::default()
-    }
-
-    /// Number of calibrated activities.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.sources.is_empty()
-    }
-
-    /// Entries in key order: `(key, activity id string, entry)`.
-    pub fn entries(&self) -> impl Iterator<Item = (u128, &str, CalEntry)> {
-        self.entries.iter().map(|(k, (a, e))| (*k, a.as_str(), *e))
-    }
-}
-
-impl Calibration for MemoryCalibration {
-    fn entry(&self, key: u128) -> Option<CalEntry> {
-        self.entries.get(&key).map(|(_, e)| *e)
-    }
-
-    fn record(&mut self, key: u128, activity: &str, entry: CalEntry) {
-        self.entries
-            .entry(key)
-            .and_modify(|(_, e)| *e = e.prefer(entry))
-            .or_insert_with(|| (activity.to_owned(), entry));
-    }
-
-    fn source_rows(&self, name: &str) -> Option<u64> {
-        self.sources.get(name).copied()
-    }
-
-    fn record_source(&mut self, name: &str, rows: u64) {
-        let slot = self.sources.entry(name.to_owned()).or_insert(rows);
-        *slot = (*slot).max(rows);
-    }
-}
-
 /// Everything one plan execution tells the loop: per-activity row traffic
 /// (keyed by the activity id's canonical string, exactly like the
 /// engine's `ExecStats`), source cardinalities, and the rows each target
@@ -221,19 +167,12 @@ pub fn harvest(cal: &mut dyn Calibration, obs: &Observation) {
 }
 
 /// Is this the kind of activity whose selectivity calibration may
-/// overwrite — the cardinality-changing unaries? Functions, surrogate
-/// keys and binaries keep their model-assigned semantics.
+/// overwrite — a unary that carries an estimate
+/// ([`UnaryOp::estimate`](crate::semantics::UnaryOp::estimate))?
+/// Functions, surrogate keys and binaries keep their model-assigned
+/// semantics.
 pub fn is_adjustable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Unary(
-            UnaryOp::Filter { .. }
-                | UnaryOp::NotNull { .. }
-                | UnaryOp::PkCheck { .. }
-                | UnaryOp::Dedup { .. }
-                | UnaryOp::Aggregate { .. }
-        )
-    )
+    matches!(op, Op::Unary(u) if u.estimate().is_some())
 }
 
 /// Resolve the calibration entry for an activity id: the exact key first,
@@ -584,86 +523,6 @@ pub fn run_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::RowCountModel;
-    use crate::opt::HeuristicSearch;
-    use crate::predicate::Predicate;
-    use crate::schema::Schema;
-    use crate::workflow::WorkflowBuilder;
-
-    /// Two filters with inverted estimates over a 100-row source; the
-    /// observer replays fixed "ground truth" statistics: σa really passes
-    /// 90 %, σb really passes 10 %.
-    fn misestimated() -> Workflow {
-        let mut b = WorkflowBuilder::new();
-        let s = b.source("S", Schema::of(["v"]), 1000.0);
-        let fa = b.unary(
-            "σa",
-            UnaryOp::filter(Predicate::ge("v", 10)).with_selectivity(0.1),
-            s,
-        );
-        let fb = b.unary(
-            "σb",
-            UnaryOp::filter(Predicate::ge("v", 90)).with_selectivity(0.9),
-            fa,
-        );
-        b.target("T", Schema::of(["v"]), fb);
-        b.build().expect("valid workflow")
-    }
-
-    /// A synthetic observer that derives row traffic from the plan's own
-    /// topology using fixed true selectivities — a stand-in for the
-    /// engine that keeps core tests engine-free.
-    struct TrueSelectivities {
-        source_rows: u64,
-        truth: BTreeMap<String, f64>,
-    }
-
-    impl PlanObserver for TrueSelectivities {
-        fn observe(&mut self, wf: &Workflow) -> Result<Observation> {
-            let g = wf.graph();
-            let mut obs = Observation::default();
-            let mut rows: BTreeMap<crate::graph::NodeId, f64> = BTreeMap::new();
-            for src in wf.sources() {
-                let name = g.recordset(src)?.name.clone();
-                obs.source_rows.insert(name, self.source_rows);
-                rows.insert(src, self.source_rows as f64);
-            }
-            for id in g.topo_order()? {
-                if let Ok(act) = g.activity(id) {
-                    let mut inp = 0.0;
-                    for p in g.providers(id)?.iter().flatten() {
-                        inp += rows.get(p).copied().unwrap_or(0.0);
-                    }
-                    let key = act.id.to_string();
-                    // Resolve the *true* pass rate structurally, like the
-                    // loop resolves calibration.
-                    let sel = self.truth.get(&key).copied().unwrap_or(1.0);
-                    let out = inp * sel;
-                    obs.rows_processed.insert(key.clone(), inp.round() as u64);
-                    obs.rows_out.insert(key, out.round() as u64);
-                    rows.insert(id, out);
-                } else if let Ok(rs) = g.recordset(id) {
-                    if let Some(p) = g.provider(id, 0)? {
-                        let r = rows.get(&p).copied().unwrap_or(0.0);
-                        rows.insert(id, r);
-                        if g.consumers(id)?.is_empty() {
-                            obs.target_rows.insert(rs.name.clone(), r.round() as u64);
-                        }
-                    }
-                }
-            }
-            Ok(obs)
-        }
-    }
-
-    fn truth() -> TrueSelectivities {
-        TrueSelectivities {
-            source_rows: 100,
-            truth: [("2".to_owned(), 0.9), ("3".to_owned(), 0.1)]
-                .into_iter()
-                .collect(),
-        }
-    }
 
     #[test]
     fn activity_keys_are_stable_and_distinct() {
@@ -691,156 +550,5 @@ mod tests {
         assert_eq!(a.prefer(b), b.prefer(a));
         assert_eq!(a.prefer(a), a);
         assert_eq!(a.prefer(b), a, "more evidence wins");
-    }
-
-    #[test]
-    fn clone_resolves_to_template_entry() {
-        let mut cal = MemoryCalibration::new();
-        let base = ActivityId::Base(7);
-        cal.record(
-            activity_key(&base),
-            "7",
-            CalEntry {
-                rows_in: 100,
-                rows_out: 25,
-            },
-        );
-        let clone = ActivityId::Cloned(Box::new(base.clone()), 2);
-        let e = resolve_entry(&clone, &cal).expect("clone inherits template");
-        assert_eq!(e.rows_in, 100);
-        // A factored product pools both originators row-weighted.
-        let factored = ActivityId::factored(&base, &ActivityId::Base(9));
-        cal.record(
-            activity_key(&ActivityId::Base(9)),
-            "9",
-            CalEntry {
-                rows_in: 300,
-                rows_out: 30,
-            },
-        );
-        let f = resolve_entry(&factored, &cal).expect("factored pools");
-        assert_eq!((f.rows_in, f.rows_out), (400, 55));
-    }
-
-    #[test]
-    fn seed_reports_misses_instead_of_silent_passthrough() {
-        let wf = misestimated();
-        let cal = MemoryCalibration::new();
-        let seed = seed_workflow(&wf, &cal).unwrap();
-        assert_eq!(seed.seeded, 0);
-        assert_eq!(seed.missing, vec!["2".to_owned(), "3".to_owned()]);
-        // Priors untouched.
-        assert_eq!(seed.workflow.fingerprint(), wf.fingerprint());
-    }
-
-    #[test]
-    fn loop_converges_and_reorders_misestimated_filters() {
-        let wf = misestimated();
-        let model = RowCountModel::default();
-        let hs = HeuristicSearch::new();
-        let mut obs = truth();
-        let mut cal = MemoryCalibration::new();
-        let report = run_adaptive(
-            &wf,
-            &model,
-            &hs,
-            &mut obs,
-            &mut cal,
-            AdaptiveConfig::default(),
-        )
-        .unwrap();
-        assert!(report.converged, "{:#?}", report.rounds.len());
-        assert!(report.rounds_used() <= 3);
-        let last = report.final_round().unwrap();
-        // Converged plan puts the truly selective σb (id 3) first.
-        let first = last.plan.activities().unwrap()[0];
-        assert_eq!(last.plan.graph().activity(first).unwrap().label, "σb");
-        // Prediction error collapses once calibration is exact.
-        assert!(
-            last.max_rel_error < 0.05,
-            "late-round error should be small: {}",
-            last.max_rel_error
-        );
-        assert!(report.rounds[0].mean_rel_error > last.mean_rel_error);
-    }
-
-    #[test]
-    fn one_more_round_is_a_fixpoint() {
-        let wf = misestimated();
-        let model = RowCountModel::default();
-        let hs = HeuristicSearch::new();
-        let mut obs = truth();
-        let mut cal = MemoryCalibration::new();
-        let report = run_adaptive(
-            &wf,
-            &model,
-            &hs,
-            &mut obs,
-            &mut cal,
-            AdaptiveConfig::default(),
-        )
-        .unwrap();
-        assert!(report.converged);
-        let final_fp = report.final_round().unwrap().fingerprint;
-        // Calibration is exact now: one extra round must choose the same
-        // plan again.
-        let mut obs2 = truth();
-        let again = run_adaptive(
-            &wf,
-            &model,
-            &hs,
-            &mut obs2,
-            &mut cal,
-            AdaptiveConfig::rounds(1),
-        )
-        .unwrap();
-        assert_eq!(again.rounds[0].fingerprint, final_fp);
-    }
-
-    #[test]
-    fn report_json_is_wellformed_and_carries_rounds() {
-        let wf = misestimated();
-        let model = RowCountModel::default();
-        let hs = HeuristicSearch::new();
-        let mut obs = truth();
-        let mut cal = MemoryCalibration::new();
-        let report = run_adaptive(
-            &wf,
-            &model,
-            &hs,
-            &mut obs,
-            &mut cal,
-            AdaptiveConfig::default(),
-        )
-        .unwrap();
-        let json = report.to_json();
-        assert!(json.contains("\"converged\": true"), "{json}");
-        assert!(json.contains("\"round\": 1"), "{json}");
-        assert!(json.contains("\"fingerprint\""), "{json}");
-        assert_eq!(
-            json.matches("\"round\":").count(),
-            report.rounds_used(),
-            "{json}"
-        );
-        let total = report.stats_total();
-        assert!(total.generated > 0);
-    }
-
-    #[test]
-    fn zero_round_budget_is_an_error() {
-        let wf = misestimated();
-        let model = RowCountModel::default();
-        let hs = HeuristicSearch::new();
-        let mut obs = truth();
-        let mut cal = MemoryCalibration::new();
-        let err = run_adaptive(
-            &wf,
-            &model,
-            &hs,
-            &mut obs,
-            &mut cal,
-            AdaptiveConfig::rounds(0),
-        );
-        assert!(matches!(err, Err(CoreError::Observation(_))));
     }
 }

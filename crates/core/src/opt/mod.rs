@@ -24,8 +24,8 @@ mod parallel;
 mod visited;
 
 pub use adaptive::{
-    run_adaptive, AdaptiveConfig, AdaptiveReport, Calibration, MemoryCalibration, Observation,
-    PlanObserver, RoundReport,
+    run_adaptive, AdaptiveConfig, AdaptiveReport, Calibration, Observation, PlanObserver,
+    RoundReport,
 };
 pub use beam::BeamSearch;
 pub(crate) use eval::{EvalState, State, Step};

@@ -30,21 +30,20 @@ use crate::workflow::Workflow;
 /// stable id token — the same key the engine's `ExecStats::rows_processed`
 /// uses, so predictions and observations join directly.
 ///
-/// The estimates come from the model's [`CostModel::report`] row
-/// propagation, i.e. the numbers the row-count cost model actually prices
-/// states with.
+/// The estimates are the rows [`CostModel::price`] propagates, i.e. the
+/// numbers the model actually prices states with.
 pub fn predicted_processed_rows(
     wf: &Workflow,
     model: &dyn CostModel,
 ) -> Result<BTreeMap<String, f64>> {
-    let report = model.report(wf)?;
+    let priced = model.price(wf)?;
     let graph = wf.graph();
     let mut out = BTreeMap::new();
     for id in wf.activities()? {
         let act = graph.activity(id)?;
         let mut processed = 0.0;
         for p in graph.providers(id)?.iter().flatten() {
-            processed += report.rows.get(p).copied().unwrap_or(0.0);
+            processed += priced.rows_out(*p);
         }
         out.insert(act.id.to_string(), processed);
     }
@@ -57,12 +56,12 @@ pub fn predicted_target_rows(
     wf: &Workflow,
     model: &dyn CostModel,
 ) -> Result<BTreeMap<String, f64>> {
-    let report = model.report(wf)?;
+    let priced = model.price(wf)?;
     let graph = wf.graph();
     let mut out = BTreeMap::new();
     for t in wf.targets() {
         if let Node::Recordset(rs) = graph.node(t)? {
-            out.insert(rs.name.clone(), report.rows.get(&t).copied().unwrap_or(0.0));
+            out.insert(rs.name.clone(), priced.rows_out(t));
         }
     }
     Ok(out)

@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use crate::activity::{Activity, Op};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, RowCountModel};
 use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::schema::Attr;
@@ -178,7 +178,8 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
     // Remember, per node and per alternative index, which provider
     // alternative and choice produced it — enough to reconstruct choices.
     let mut back: BTreeMap<NodeId, Vec<BackRef>> = BTreeMap::new();
-    let rows = wf.row_counts()?;
+    // Rows do not depend on the model: any pricing carries them.
+    let rows = RowCountModel::default().price(wf)?;
 
     for &id in &order {
         let mut alts: Vec<Alt> = Vec::new();
@@ -206,7 +207,7 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                 let n_in: Vec<f64> = graph
                     .providers(id)?
                     .iter()
-                    .map(|p| p.map(|p| rows[&p]).unwrap_or(0.0))
+                    .map(|p| p.map(|p| rows.rows_out(p)).unwrap_or(0.0))
                     .collect();
                 match &act.op {
                     op @ (Op::Unary(_) | Op::Merged(_)) => {
@@ -454,9 +455,9 @@ fn alts_prune(alts: &mut Vec<Alt>, backrefs: &mut Vec<BackRef>) {
 /// Note: `cost` runs the full planner, so the state cost is **not** a sum
 /// of per-activity terms — `supports_delta` is `false` and every search
 /// algorithm ranks states of this model through the full `cost` (no
-/// delta-repricing shortcut). The per-activity `activity_cost` (used by the
-/// generic `report`/`report_incremental` paths) prices each activity with a
-/// context-free fallback that ignores order propagation.
+/// delta-repricing shortcut). Its per-operation costs, which
+/// [`CostModel::price`] sums, are a context-free fallback that ignores
+/// order propagation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhysicalCostModel {
     /// Planner configuration.
@@ -468,42 +469,22 @@ impl CostModel for PhysicalCostModel {
         "physical"
     }
 
-    fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64 {
-        // Context-free fallback (used by the generic report paths): price
-        // the activity under its cheapest context-free implementation.
-        match &activity.op {
-            Op::Unary(op) => {
-                // Row-wise ops scan; blocking ops hash when the groups fit.
-                let hashable = input_rows[0] * op.selectivity() <= self.config.memory_rows;
-                if op.is_row_wise() || hashable {
-                    input_rows[0]
-                } else {
-                    nlogn(input_rows[0])
-                }
-            }
-            Op::Merged(chain) => {
-                let mut n = input_rows[0];
-                let mut total = 0.0;
-                for op in chain {
-                    total += if op.is_row_wise() || n * op.selectivity() <= self.config.memory_rows
-                    {
-                        n
-                    } else {
-                        nlogn(n)
-                    };
-                    n *= op.selectivity();
-                }
-                total
-            }
-            Op::Binary(BinaryOp::Union) => 0.0,
-            Op::Binary(_) => {
-                let (l, r) = (input_rows[0], input_rows[1]);
-                if l.min(r) <= self.config.memory_rows {
-                    l + r
-                } else {
-                    nlogn(l) + nlogn(r)
-                }
-            }
+    // Context-free fallback (what `price` sums): each operation under its
+    // cheapest context-free implementation.
+    fn unary_cost(&self, op: &UnaryOp, n: f64) -> f64 {
+        // Row-wise ops scan; blocking ops hash when the groups fit.
+        if op.is_row_wise() || n * op.selectivity() <= self.config.memory_rows {
+            n
+        } else {
+            nlogn(n)
+        }
+    }
+
+    fn binary_cost(&self, op: &BinaryOp, l: f64, r: f64) -> f64 {
+        match op {
+            BinaryOp::Union => 0.0,
+            _ if l.min(r) <= self.config.memory_rows => l + r,
+            _ => nlogn(l) + nlogn(r),
         }
     }
 

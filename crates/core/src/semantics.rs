@@ -132,6 +132,25 @@ pub struct FunctionApp {
     pub injective: bool,
 }
 
+/// The estimate field of a [`UnaryOp`], for the kinds that carry one: the
+/// one list of them. Yields an `Option` of a reference with the
+/// mutability of `$op`.
+macro_rules! estimate_of {
+    ($op:expr) => {
+        match $op {
+            UnaryOp::Filter { selectivity, .. }
+            | UnaryOp::NotNull { selectivity, .. }
+            | UnaryOp::PkCheck { selectivity, .. }
+            | UnaryOp::Dedup { selectivity }
+            | UnaryOp::Aggregate { selectivity, .. } => Some(selectivity),
+            UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. } => None,
+        }
+    };
+}
+
 /// A unary activity operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnaryOp {
@@ -283,33 +302,22 @@ impl UnaryOp {
             s > 0.0 && s <= 1.0,
             "selectivity must be in (0, 1], got {s}"
         );
-        match &mut self {
-            UnaryOp::Filter { selectivity, .. }
-            | UnaryOp::NotNull { selectivity, .. }
-            | UnaryOp::PkCheck { selectivity, .. }
-            | UnaryOp::Dedup { selectivity }
-            | UnaryOp::Aggregate { selectivity, .. } => *selectivity = s,
-            UnaryOp::Function(_)
-            | UnaryOp::ProjectOut(_)
-            | UnaryOp::AddField { .. }
-            | UnaryOp::SurrogateKey { .. } => {}
+        if let Some(estimate) = estimate_of!(&mut self) {
+            *estimate = s;
         }
         self
     }
 
+    /// The selectivity estimate of a kind that carries one — selection,
+    /// not-null, PK check, duplicate elimination and aggregation, the kinds
+    /// that change cardinality — and `None` for the structurally 1:1 kinds.
+    pub fn estimate(&self) -> Option<f64> {
+        estimate_of!(self).copied()
+    }
+
     /// Estimated |output| / |input| ratio.
     pub fn selectivity(&self) -> f64 {
-        match self {
-            UnaryOp::Filter { selectivity, .. }
-            | UnaryOp::NotNull { selectivity, .. }
-            | UnaryOp::PkCheck { selectivity, .. }
-            | UnaryOp::Dedup { selectivity }
-            | UnaryOp::Aggregate { selectivity, .. } => *selectivity,
-            UnaryOp::Function(_)
-            | UnaryOp::ProjectOut(_)
-            | UnaryOp::AddField { .. }
-            | UnaryOp::SurrogateKey { .. } => 1.0,
-        }
+        self.estimate().unwrap_or(1.0)
     }
 
     /// The functionality (necessary) schema: attributes participating in the

@@ -104,12 +104,11 @@ pub fn render(wf: &Workflow) -> Result<String> {
                 next_activity += 1;
                 let name = format!("a{next_activity}");
                 let spec = render_op(&act.op)?;
-                let sel = act.selectivity();
-                let sel_part = if needs_selectivity(&act.op) && (sel - 1.0).abs() > 1e-12 {
-                    format!(" sel={sel}")
-                } else {
-                    String::new()
-                };
+                let sel_part = match &act.op {
+                    Op::Unary(op) => op.estimate().filter(|sel| (sel - 1.0).abs() > 1e-12),
+                    _ => None,
+                }
+                .map_or_else(String::new, |sel| format!(" sel={sel}"));
                 let _ = writeln!(
                     out,
                     "activity {name} {} = {spec}{sel_part} <- {}",
@@ -121,19 +120,6 @@ pub fn render(wf: &Workflow) -> Result<String> {
         }
     }
     Ok(out)
-}
-
-fn needs_selectivity(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Unary(
-            UnaryOp::Filter { .. }
-                | UnaryOp::NotNull { .. }
-                | UnaryOp::PkCheck { .. }
-                | UnaryOp::Dedup { .. }
-                | UnaryOp::Aggregate { .. }
-        )
-    )
 }
 
 fn render_op(op: &Op) -> Result<String> {

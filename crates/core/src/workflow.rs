@@ -414,48 +414,6 @@ impl Workflow {
         }
         Ok(out)
     }
-
-    /// Estimated row count flowing out of each node, propagated from source
-    /// cardinalities through activity selectivities. Used by cost models.
-    pub fn row_counts(&self) -> Result<BTreeMap<NodeId, f64>> {
-        let order = self.graph.topo_order()?;
-        let mut rows: BTreeMap<NodeId, f64> = BTreeMap::new();
-        for &id in &order {
-            let n = match self.graph.node(id)? {
-                Node::Recordset(r) => match self.graph.provider(id, 0)? {
-                    None => r.row_estimate,
-                    Some(p) => rows[&p],
-                },
-                Node::Activity(a) => {
-                    let inputs: Vec<f64> = self
-                        .graph
-                        .providers(id)?
-                        .iter()
-                        .map(|p| p.map(|p| rows[&p]).unwrap_or(0.0))
-                        .collect();
-                    match &a.op {
-                        Op::Unary(_) | Op::Merged(_) => inputs[0] * a.selectivity(),
-                        Op::Binary(op) => binary_cardinality(op, inputs[0], inputs[1]),
-                    }
-                }
-            };
-            rows.insert(id, n);
-        }
-        Ok(rows)
-    }
-}
-
-/// Cardinality estimate for binary operators: bag union adds, join assumes
-/// foreign-key-ish matching on the smaller side, difference and intersection
-/// are bounded by the left input (we take the standard halved estimate for
-/// lack of statistics).
-pub(crate) fn binary_cardinality(op: &BinaryOp, left: f64, right: f64) -> f64 {
-    match op {
-        BinaryOp::Union => left + right,
-        BinaryOp::Join(_) => left.min(right),
-        BinaryOp::Difference => (left - right).max(left / 2.0),
-        BinaryOp::Intersection => left.min(right) / 2.0,
-    }
 }
 
 /// Incrementally numbered builder for workflows.
@@ -749,12 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn row_counts_propagate_selectivities() {
+    fn rows_propagate_selectivities() {
+        use crate::cost::{CostModel, RowCountModel};
         let wf = small_converging();
-        let rows = wf.row_counts().unwrap();
+        let rows = RowCountModel::default().price(&wf).unwrap();
         let target = wf.targets()[0];
         // S1: 100 * 0.9 = 90; S2: 200 * 0.5 = 100; union: 190; f: 190.
-        assert!((rows[&target] - 190.0).abs() < 1e-9);
+        assert!((rows.rows_out(target) - 190.0).abs() < 1e-9);
     }
 
     #[test]

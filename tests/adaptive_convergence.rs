@@ -12,6 +12,8 @@
 //! * **Determinism** — a 30-scenario seeded sweep converges within the
 //!   4-round default budget, and the full `AdaptiveReport::to_json`
 //!   trajectory is byte-identical between search parallelism 1 and 4.
+//! * **One cost per plan** — a round that takes the search's fresh plan
+//!   reports the same `f64` for it as the search did.
 
 use etlopt::core::cost::{CostModel, RowCountModel};
 use etlopt::core::opt::adaptive::seed_workflow;
@@ -198,4 +200,29 @@ fn thirty_scenario_sweep_converges_and_is_thread_count_invariant() {
             "seed {seed}: adaptive trajectory diverged between 1 and 4 search workers"
         );
     }
+}
+
+#[test]
+fn a_round_that_takes_the_fresh_plan_reports_the_searchs_cost_for_it() {
+    // The loop prices the plan the search returned exactly as the search
+    // priced it: one plan, one cost, to the bit.
+    let mut fresh = 0usize;
+    for s in Generator::suite(2005, 30, 15, 3) {
+        let catalog = etlopt::workload::datagen::catalog_for(&s.workflow, 64, 11);
+        let (report, _) = run_loop(&s.workflow, 1, 4, Harvester::new(Executor::new(catalog)));
+        for r in report.rounds.iter().filter(|r| !r.kept_incumbent) {
+            assert_eq!(
+                r.calibrated_cost.to_bits(),
+                r.search_cost.to_bits(),
+                "{} round {}: calibrated {} vs search {}",
+                s.name,
+                r.round,
+                r.calibrated_cost,
+                r.search_cost
+            );
+            fresh += 1;
+        }
+    }
+    // Round 1 has no incumbent, so every scenario contributes one.
+    assert!(fresh >= 48, "only {fresh} rounds took the fresh plan");
 }
