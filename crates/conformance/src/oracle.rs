@@ -23,6 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use etlopt_core::activity::{ActivityId, Op};
 use etlopt_core::cost::RowCountModel;
 use etlopt_core::graph::Node;
+use etlopt_core::opt::adaptive::is_adjustable;
 use etlopt_core::oracle::{
     cross_validate, predicted_processed_rows, predicted_target_rows, RowCountMismatch, Tolerance,
 };
@@ -512,25 +513,15 @@ pub fn transfer_calibration(
     let mut unobserved = Vec::new();
 
     for src in candidate.sources() {
-        let name = g.recordset(src)?.name.clone();
-        if let Some(table) = catalog.table(&name) {
-            out = out.with_row_estimate(src, table.len() as f64)?;
+        let name = &g.recordset(src)?.name;
+        if let Some(table) = catalog.table(name) {
+            out.set_row_estimate(src, table.len() as f64)?;
         }
     }
 
     for node in candidate.activities()? {
         let act = g.activity(node)?;
-        let adjustable = matches!(
-            act.op,
-            Op::Unary(
-                UnaryOp::Filter { .. }
-                    | UnaryOp::NotNull { .. }
-                    | UnaryOp::PkCheck { .. }
-                    | UnaryOp::Dedup { .. }
-                    | UnaryOp::Aggregate { .. }
-            )
-        );
-        if !adjustable {
+        if !is_adjustable(&act.op) {
             continue;
         }
         let mut leaves = Vec::new();
@@ -547,7 +538,7 @@ pub fn transfer_calibration(
         }
         if inp > 0 {
             let s = (outp as f64 / inp as f64).clamp(MIN_SELECTIVITY, 1.0);
-            out = out.with_selectivity(node, s)?;
+            out.set_selectivity(node, s)?;
         }
     }
     Ok(CalibrationTransfer {

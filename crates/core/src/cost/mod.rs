@@ -12,6 +12,7 @@
 
 mod row_count;
 
+pub(crate) use row_count::nlogn;
 pub use row_count::{LinearModel, RowCountModel};
 
 use crate::activity::{Activity, Op};

@@ -12,7 +12,7 @@ use crate::cost::CostModel;
 use crate::semantics::{BinaryOp, UnaryOp};
 
 /// `n·log₂n` with a floor so tiny inputs never price at zero or negative.
-fn nlogn(n: f64) -> f64 {
+pub(crate) fn nlogn(n: f64) -> f64 {
     if n <= 1.0 {
         n
     } else {

@@ -17,12 +17,15 @@
 //! flows through `$2€` from `dollar_cost` to `euro_cost`; attributes that
 //! merely pass through an activity are transparent to it.
 
+// Impact analysis answers daemon and CLI requests: a workflow it cannot
+// walk is a typed error.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use std::collections::BTreeSet;
 
-use crate::activity::Op;
 use crate::error::Result;
 use crate::graph::{Node, NodeId};
-use crate::schema::Attr;
+use crate::schema::{Attr, Schema};
 use crate::semantics::UnaryOp;
 use crate::workflow::Workflow;
 
@@ -73,59 +76,30 @@ impl ImpactReport {
     }
 }
 
-/// How one activity relates to one of its input attributes.
-fn consumes(op_links: &[UnaryOp], attr: &Attr) -> bool {
-    op_links.iter().any(|op| op.functionality().contains(attr))
-}
-
-/// The attributes an activity derives *from* `attr` (identity if it passes
-/// through, the generated attribute(s) if `attr` is in the functionality
-/// schema of a producing link, nothing if it is projected out).
-fn propagate_through(activity_op: &Op, input_has: &Attr) -> Vec<Attr> {
-    let links: Vec<UnaryOp> = match activity_op {
-        Op::Unary(op) => vec![op.clone()],
-        Op::Merged(chain) => chain.clone(),
-        Op::Binary(_) => return vec![input_has.clone()], // unions/joins pass attributes through
-    };
-    let mut current: BTreeSet<Attr> = BTreeSet::new();
-    current.insert(input_has.clone());
-    for op in &links {
-        let mut next: BTreeSet<Attr> = BTreeSet::new();
-        for a in &current {
-            let consumed = op.functionality().contains(a);
-            if consumed {
-                // Tainted outputs: everything this op generates…
-                for g in op.generated().iter() {
-                    next.insert(g.clone());
-                }
-                // …and, for in-place transforms and groupers, the attribute
-                // itself survives under its own name.
-                let survives = match op {
-                    UnaryOp::Aggregate { agg, .. } => agg.group_by.contains(a),
-                    UnaryOp::Function(f) => f.keep_inputs || f.output == *a,
-                    UnaryOp::SurrogateKey { key, .. } => key != a,
-                    _ => true,
-                };
-                if survives {
-                    next.insert(a.clone());
-                }
-            } else {
-                // Pass-through, unless explicitly dropped.
-                let dropped = match op {
-                    UnaryOp::ProjectOut(attrs) => attrs.contains(a),
-                    UnaryOp::Aggregate { agg, .. } => {
-                        !agg.group_by.contains(a) && !agg.aggregates.iter().any(|s| s.output == *a)
-                    }
-                    _ => false,
-                };
-                if !dropped {
-                    next.insert(a.clone());
-                }
-            }
+/// The attributes at the output of a unary chain run over `input` that
+/// derive from the `tainted` attributes at its input. Each link's output
+/// schema ([`UnaryOp::output`]) decides what survives: a tainted attribute
+/// stays tainted while the output still carries it, and a link that
+/// consumes a tainted attribute taints everything it generates. So taint
+/// flows through `$2€` from `dollar_cost` to `euro_cost`, stops at a
+/// projection, and passes an in-place function or a grouper under its own
+/// name.
+fn propagate_through(
+    links: &[UnaryOp],
+    input: &Schema,
+    mut tainted: BTreeSet<Attr>,
+) -> Result<BTreeSet<Attr>> {
+    let mut schema = input.clone();
+    for op in links {
+        let output = op.output(&schema)?;
+        let consumed = op.functionality().iter().any(|a| tainted.contains(a));
+        tainted.retain(|a| output.contains(a));
+        if consumed {
+            tainted.extend(op.generated().iter().cloned());
         }
-        current = next;
+        schema = output;
     }
-    current.into_iter().collect()
+    Ok(tainted)
 }
 
 /// Forward impact of a change.
@@ -198,24 +172,19 @@ fn attribute_impact(
             }
             Node::Activity(act) => {
                 report.affected_activities.push(id);
-                let links: Vec<UnaryOp> = match &act.op {
-                    Op::Unary(op) => vec![op.clone()],
-                    Op::Merged(chain) => chain.clone(),
-                    Op::Binary(_) => Vec::new(),
-                };
-                if breaks && incoming.iter().any(|a| consumes(&links, a)) {
+                let links = act.op.unary_chain().unwrap_or_default();
+                let consumes = |a: &Attr| links.iter().any(|op| op.functionality().contains(a));
+                if breaks && incoming.iter().any(consumes) {
                     report.broken_activities.push(id);
                 }
-                let mut out: BTreeSet<Attr> = BTreeSet::new();
-                for a in &incoming {
-                    for derived in propagate_through(&act.op, a) {
-                        // Only attributes that actually exist in the output
-                        // schema can carry taint further.
-                        if act.output.contains(&derived) {
-                            out.insert(derived);
-                        }
+                let out = match act.inputs.first() {
+                    Some(input) if !links.is_empty() => propagate_through(links, input, incoming)?,
+                    // Unions and joins pass attributes through.
+                    _ => {
+                        incoming.retain(|a| act.output.contains(a));
+                        incoming
                     }
-                }
+                };
                 tainted[id.0 as usize] = out.into_iter().collect();
             }
         }
@@ -266,11 +235,7 @@ pub fn lineage(wf: &Workflow, node: NodeId, attr: &Attr) -> Result<Vec<LineageSt
         let upstream_names: Vec<Attr> = match graph.node(step.node)? {
             Node::Recordset(_) => vec![step.attr.clone()],
             Node::Activity(act) => {
-                let links: Vec<UnaryOp> = match &act.op {
-                    Op::Unary(op) => vec![op.clone()],
-                    Op::Merged(chain) => chain.clone(),
-                    Op::Binary(_) => vec![],
-                };
+                let links = act.op.unary_chain().unwrap_or_default();
                 // Walk the chain backwards.
                 let mut names = vec![step.attr.clone()];
                 for op in links.iter().rev() {
@@ -298,7 +263,14 @@ pub fn lineage(wf: &Workflow, node: NodeId, attr: &Attr) -> Result<Vec<LineageSt
                                     prev.push(n.clone());
                                 }
                             }
-                            _ => prev.push(n.clone()),
+                            UnaryOp::Function(_)
+                            | UnaryOp::SurrogateKey { .. }
+                            | UnaryOp::Filter { .. }
+                            | UnaryOp::NotNull { .. }
+                            | UnaryOp::PkCheck { .. }
+                            | UnaryOp::Dedup { .. }
+                            | UnaryOp::ProjectOut(_)
+                            | UnaryOp::AddField { .. } => prev.push(n.clone()),
                         }
                     }
                     names = prev;
@@ -552,6 +524,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(before.affected_targets, after.affected_targets);
+    }
+
+    #[test]
+    fn a_projection_ends_the_taint_it_consumes() {
+        let input = Schema::of(["x", "y"]);
+        let x = BTreeSet::from([Attr::new("x")]);
+        let out = propagate_through(&[UnaryOp::project_out(["x"])], &input, x.clone()).unwrap();
+        assert!(out.is_empty(), "{out:?}");
+        // A pass-through keeps it; a consuming function moves it.
+        let filter = UnaryOp::filter(Predicate::gt("y", 1));
+        let out = propagate_through(&[filter], &input, x.clone()).unwrap();
+        assert_eq!(out, x);
+        let f = UnaryOp::function("f", ["x"], "z");
+        let out = propagate_through(&[f], &input, x).unwrap();
+        assert_eq!(out, BTreeSet::from([Attr::new("z")]));
     }
 
     #[test]

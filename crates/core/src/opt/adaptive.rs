@@ -233,7 +233,7 @@ pub fn seed_workflow(wf: &Workflow, cal: &dyn Calibration) -> Result<SeedOutcome
     for src in wf.sources() {
         let name = &g.recordset(src)?.name;
         if let Some(rows) = cal.source_rows(name) {
-            out = out.with_row_estimate(src, rows as f64)?;
+            out.set_row_estimate(src, rows as f64)?;
         }
     }
     let mut seeded = 0usize;
@@ -245,7 +245,7 @@ pub fn seed_workflow(wf: &Workflow, cal: &dyn Calibration) -> Result<SeedOutcome
         }
         match resolve_entry(&act.id, cal).and_then(|e| e.selectivity()) {
             Some(s) => {
-                out = out.with_selectivity(node, s)?;
+                out.set_selectivity(node, s)?;
                 seeded += 1;
             }
             None => missing.push(act.id.to_string()),

@@ -13,11 +13,12 @@
 //!   **sorted lookup** against the dimension table;
 //! * joins/differences/intersections choose **hash** vs **sort-merge**.
 //!
-//! Sort orders are propagated through order-preserving operators
-//! (System-R-style *interesting orders*): a sort paid for once can make a
-//! downstream blocking operator free, so the planner keeps a Pareto
-//! frontier of `(order, cost)` alternatives per node and commits only at
-//! the targets. [`PhysicalCostModel`] exposes the planned total through the
+//! Sort orders are propagated through every row-wise operator that keeps
+//! the sorted attributes ([`UnaryOp::keeps`]; an in-place rewrite does not,
+//! injective or not) — System-R-style *interesting orders*: a sort paid
+//! for once can make a downstream blocking operator free, so the planner
+//! keeps a Pareto frontier of `(order, cost)` alternatives per node and
+//! commits only at the targets. [`PhysicalCostModel`] exposes the planned total through the
 //! [`CostModel`] trait, so the logical search algorithms can optimize
 //! directly against physical costs.
 
@@ -27,12 +28,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::activity::{Activity, Op};
-use crate::cost::{CostModel, RowCountModel};
+use crate::activity::Op;
+use crate::cost::{nlogn, CostModel, RowCountModel};
 use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::schema::Attr;
-use crate::semantics::{BinaryOp, UnaryOp};
+use crate::semantics::{BinaryOp, Grouping, UnaryOp};
 use crate::workflow::Workflow;
 
 /// Physical implementation choices.
@@ -119,52 +120,11 @@ pub struct PhysicalPlan {
     pub total_cost: f64,
 }
 
-fn nlogn(n: f64) -> f64 {
-    if n <= 1.0 {
-        n
-    } else {
-        n * n.log2()
-    }
-}
-
 /// Does `have` satisfy sortedness on `want` (prefix match)?
 fn satisfies(have: &SortOrder, want: &[Attr]) -> bool {
     match have {
         None => false,
         Some(h) => h.len() >= want.len() && h[..want.len()] == *want,
-    }
-}
-
-/// Does an op preserve its input's sort order?
-fn preserves_order(op: &UnaryOp, order: &SortOrder) -> bool {
-    let Some(attrs) = order else { return false };
-    match op {
-        // Filters drop rows but keep relative order.
-        UnaryOp::Filter { .. } | UnaryOp::NotNull { .. } => true,
-        // Order survives unless the op rewrites/removes an ordering attr.
-        UnaryOp::Function(f) => attrs
-            .iter()
-            .all(|a| !f.inputs.contains(a) || (*a == f.output && f.injective)),
-        UnaryOp::ProjectOut(dropped) => attrs.iter().all(|a| !dropped.contains(a)),
-        UnaryOp::AddField { .. } => true,
-        UnaryOp::SurrogateKey { key, .. } => attrs.iter().all(|a| a != key),
-        // Blocking ops define their own output order; handled separately.
-        UnaryOp::Aggregate { .. } | UnaryOp::Dedup { .. } | UnaryOp::PkCheck { .. } => false,
-    }
-}
-
-/// The grouping key a blocking op needs (whole-row dedup keys on the input
-/// schema).
-fn blocking_key(op: &UnaryOp, act: &Activity) -> Vec<Attr> {
-    match op {
-        UnaryOp::Aggregate { agg, .. } => agg.group_by.clone(),
-        UnaryOp::PkCheck { key, .. } => key.clone(),
-        UnaryOp::Dedup { .. } => act
-            .inputs
-            .first()
-            .map(|s| s.attrs().to_vec())
-            .unwrap_or_default(),
-        _ => Vec::new(),
     }
 }
 
@@ -204,6 +164,13 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                 }
             },
             Node::Activity(act) => {
+                // A whole-row key is the activity's input schema.
+                let whole_row = || {
+                    act.inputs
+                        .first()
+                        .map(|s| s.attrs().to_vec())
+                        .unwrap_or_default()
+                };
                 let n_in: Vec<f64> = graph
                     .providers(id)?
                     .iter()
@@ -228,13 +195,11 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                             let mut choice = PhysImpl::Scan;
                             let mut feasible = true;
                             for link in op_list {
-                                if link.is_row_wise() {
-                                    cost += n;
-                                    if !preserves_order(link, &cur_order) {
-                                        cur_order = None;
-                                    }
-                                } else {
-                                    let key = blocking_key(link, act);
+                                if let Some(grouping) = link.grouping() {
+                                    let key = match grouping {
+                                        Grouping::Keys(key) => key.to_vec(),
+                                        Grouping::WholeRow => whole_row(),
+                                    };
                                     let groups = n * link.selectivity();
                                     let hash_ok = groups <= cfg.memory_rows;
                                     let presorted = satisfies(&cur_order, &key);
@@ -250,6 +215,12 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                                     cost += c;
                                     choice = imp;
                                     cur_order = out_order;
+                                } else {
+                                    // Row-wise: the order survives while the
+                                    // link keeps every attribute it sorts on.
+                                    cost += n;
+                                    cur_order =
+                                        cur_order.filter(|o| o.iter().all(|a| link.keeps(a)));
                                 }
                                 if let UnaryOp::SurrogateKey { .. } = link {
                                     // Already priced as row-wise scan above;
@@ -313,15 +284,9 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                                         );
                                     }
                                     BinaryOp::Difference | BinaryOp::Intersection => {
-                                        // Keyed on the whole row.
-                                        let key = act
-                                            .inputs
-                                            .first()
-                                            .map(|s| s.attrs().to_vec())
-                                            .unwrap_or_default();
                                         self_binary_alts(
                                             cfg,
-                                            &key,
+                                            &whole_row(),
                                             base,
                                             a0,
                                             a1,
@@ -646,6 +611,69 @@ mod tests {
         assert_eq!(p.choices[&acts[2]], PhysImpl::SortGroup);
         let n: f64 = 50_000.0;
         let expected = nlogn(n) + 0.8 * n + 0.4 * n; // sort-γ + σ + free-sorted PK
+        assert!(
+            (p.total_cost - expected).abs() < 1.0,
+            "{} vs {}",
+            p.total_cost,
+            expected
+        );
+    }
+
+    /// S(k, v) → sort-based γ on `k` → `link` → PK check on `k`, under a
+    /// memory budget that rules out hashing: the PK check is free exactly
+    /// when `link` keeps the sort order on `k`.
+    fn sorted_then_pk(link: UnaryOp, out: &[&str]) -> (PhysicalPlan, NodeId) {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 50_000.0);
+        let g = b.unary(
+            "γ",
+            UnaryOp::aggregate(Aggregation::sum(["k"], "v", "v")).with_selectivity(0.8),
+            s,
+        );
+        let f = b.unary("f", link, g);
+        let pk = UnaryOp::PkCheck {
+            key: vec!["k".into()],
+            selectivity: 1.0,
+        };
+        let pk = b.unary("PK", pk, f);
+        b.target("T", Schema::of(out.iter().copied()), pk);
+        let wf = b.build().unwrap();
+        let cfg = PhysicalConfig {
+            memory_rows: 1.0,
+            ..Default::default()
+        };
+        (plan(&wf, &cfg).unwrap(), pk)
+    }
+
+    #[test]
+    fn an_in_place_function_breaks_the_order_it_rewrites() {
+        // Injective is not monotone: an am→eu date conversion reorders
+        // dates, so the PK check must sort again.
+        let (p, pk) = sorted_then_pk(UnaryOp::function("am2eu", ["k"], "k"), &["k", "v"]);
+        assert_eq!(p.choices[&pk], PhysImpl::SortGroup);
+        let n: f64 = 50_000.0;
+        let expected = nlogn(n) + 0.8 * n + nlogn(0.8 * n);
+        assert!(
+            (p.total_cost - expected).abs() < 1.0,
+            "{} vs {}",
+            p.total_cost,
+            expected
+        );
+    }
+
+    #[test]
+    fn a_function_keeping_its_inputs_keeps_their_order() {
+        let checksum = UnaryOp::Function(crate::semantics::FunctionApp {
+            function: "crc".into(),
+            inputs: vec!["k".into()],
+            output: "crc".into(),
+            keep_inputs: true,
+            injective: false,
+        });
+        let (p, pk) = sorted_then_pk(checksum, &["k", "v", "crc"]);
+        assert_eq!(p.choices[&pk], PhysImpl::SortGroup);
+        let n: f64 = 50_000.0;
+        let expected = nlogn(n) + 0.8 * n + 0.8 * n; // the PK check rides the order
         assert!(
             (p.total_cost - expected).abs() < 1.0,
             "{} vs {}",

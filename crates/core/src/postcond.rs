@@ -137,7 +137,10 @@ fn unary_cond(op: &UnaryOp) -> AtomicCond {
         UnaryOp::SurrogateKey {
             lookup, surrogate, ..
         } => format!("SK[{lookup}->{surrogate}]"),
-        other => other.op_name(),
+        UnaryOp::NotNull { .. }
+        | UnaryOp::PkCheck { .. }
+        | UnaryOp::Dedup { .. }
+        | UnaryOp::ProjectOut(_) => op.op_name(),
     };
     AtomicCond::new(
         &name,

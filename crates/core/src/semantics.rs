@@ -10,8 +10,16 @@
 //! * [`UnaryOp::projected_out`] — input attributes dropped by the op,
 //! * [`UnaryOp::output`] — the full output schema,
 //!
-//! and classifies itself for transition applicability
-//! ([`UnaryOp::is_row_wise`] drives Factorize/Distribute legality).
+//! and answers the two questions every planner asks of a kind:
+//! [`UnaryOp::grouping`] (which rows a blocking op must see together; `None`
+//! for row-wise ops, which drives Factorize/Distribute legality) and
+//! [`UnaryOp::keeps`] (does an attribute leave the op with its input
+//! values). Each is one exhaustive match, so a new kind is judged here or
+//! does not compile.
+
+// Schema derivation runs on every search state and inside daemon workers:
+// an op that cannot derive its output is a typed error.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use std::fmt;
 
@@ -130,6 +138,16 @@ pub struct FunctionApp {
     /// collapsing values (e.g. swapping a function applied to a grouper
     /// across an aggregation, or distributing it over a bag difference).
     pub injective: bool,
+}
+
+/// What a blocking op groups its input on: the rows it must see together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping<'a> {
+    /// Rows that agree on these attributes (γ's groupers, the PK check's
+    /// key).
+    Keys(&'a [Attr]),
+    /// Identical whole rows (duplicate elimination).
+    WholeRow,
 }
 
 /// The estimate field of a [`UnaryOp`], for the kinds that carry one: the
@@ -255,13 +273,13 @@ impl UnaryOp {
         I: IntoIterator<Item = A>,
         A: Into<Attr>,
     {
-        match Self::function(name, inputs, output) {
-            UnaryOp::Function(mut f) => {
-                f.injective = false;
-                UnaryOp::Function(f)
-            }
-            _ => unreachable!("function() always builds a Function"),
-        }
+        UnaryOp::Function(FunctionApp {
+            function: name.into(),
+            inputs: inputs.into_iter().map(Into::into).collect(),
+            output: output.into(),
+            keep_inputs: false,
+            injective: false,
+        })
     }
 
     /// Aggregation with |groups|/|rows| ratio 1.0 (tune with
@@ -298,14 +316,19 @@ impl UnaryOp {
     /// Override the selectivity estimate (no-op for ops whose output
     /// cardinality is structurally 1:1, like functions and projections).
     pub fn with_selectivity(mut self, s: f64) -> Self {
+        self.set_selectivity(s);
+        self
+    }
+
+    /// [`UnaryOp::with_selectivity`] in place.
+    pub fn set_selectivity(&mut self, s: f64) {
         assert!(
             s > 0.0 && s <= 1.0,
             "selectivity must be in (0, 1], got {s}"
         );
-        if let Some(estimate) = estimate_of!(&mut self) {
+        if let Some(estimate) = estimate_of!(self) {
             *estimate = s;
         }
-        self
     }
 
     /// The selectivity estimate of a kind that carries one — selection,
@@ -365,7 +388,11 @@ impl UnaryOp {
             }
             UnaryOp::AddField { attr, .. } => Schema::of([attr.clone()]),
             UnaryOp::SurrogateKey { surrogate, .. } => Schema::of([surrogate.clone()]),
-            _ => Schema::empty(),
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::ProjectOut(_) => Schema::empty(),
         }
     }
 
@@ -390,7 +417,11 @@ impl UnaryOp {
             }
             UnaryOp::ProjectOut(attrs) => attrs.iter().cloned().collect(),
             UnaryOp::SurrogateKey { key, .. } => Schema::of([key.clone()]),
-            _ => Schema::empty(),
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::AddField { .. } => Schema::empty(),
         }
     }
 
@@ -410,19 +441,22 @@ impl UnaryOp {
         }
         // Collision guards: a *fresh* output name must actually be fresh.
         let collision = match self {
-            UnaryOp::Function(f) if !f.inputs.contains(&f.output) => {
-                input.contains(&f.output).then(|| f.output.clone())
-            }
+            UnaryOp::Function(f) => (!f.inputs.contains(&f.output) && input.contains(&f.output))
+                .then(|| f.output.clone()),
             UnaryOp::AddField { attr, .. } => input.contains(attr).then(|| attr.clone()),
-            UnaryOp::SurrogateKey { surrogate, key, .. } if surrogate != key => {
-                input.contains(surrogate).then(|| surrogate.clone())
+            UnaryOp::SurrogateKey { surrogate, key, .. } => {
+                (surrogate != key && input.contains(surrogate)).then(|| surrogate.clone())
             }
             UnaryOp::Aggregate { agg, .. } => agg
                 .aggregates
                 .iter()
                 .find(|s| s.output != s.input && agg.group_by.contains(&s.output))
                 .map(|s| s.output.clone()),
-            _ => None,
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::ProjectOut(_) => None,
         };
         if let Some(attr) = collision {
             return Err(CoreError::Schema(format!(
@@ -447,19 +481,54 @@ impl UnaryOp {
         Ok(out)
     }
 
-    /// Row-wise operations act on each tuple independently; they distribute
-    /// over (and factorize through) union, difference and intersection.
-    /// Blocking operations (`γ`, dedup, PK check) do not: e.g.
-    /// `γ(A) ∪ γ(B) ≠ γ(A ∪ B)`.
-    pub fn is_row_wise(&self) -> bool {
+    /// What a blocking op groups rows on — `γ` its groupers, the PK check
+    /// its key, dedup the whole row — and `None` for the row-wise kinds,
+    /// which judge each row alone. A partitioned executor co-locates on it,
+    /// and a sort-based implementation sorts on it.
+    pub fn grouping(&self) -> Option<Grouping<'_>> {
         match self {
+            UnaryOp::Aggregate { agg, .. } => Some(Grouping::Keys(&agg.group_by)),
+            UnaryOp::PkCheck { key, .. } => Some(Grouping::Keys(key)),
+            UnaryOp::Dedup { .. } => Some(Grouping::WholeRow),
             UnaryOp::Filter { .. }
             | UnaryOp::NotNull { .. }
             | UnaryOp::Function(_)
             | UnaryOp::ProjectOut(_)
             | UnaryOp::AddField { .. }
-            | UnaryOp::SurrogateKey { .. } => true,
-            UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } | UnaryOp::Aggregate { .. } => false,
+            | UnaryOp::SurrogateKey { .. } => None,
+        }
+    }
+
+    /// Row-wise operations act on each tuple independently; they distribute
+    /// over (and factorize through) union, difference and intersection.
+    /// Blocking operations (`γ`, dedup, PK check) do not: e.g.
+    /// `γ(A) ∪ γ(B) ≠ γ(A ∪ B)`.
+    pub fn is_row_wise(&self) -> bool {
+        self.grouping().is_none()
+    }
+
+    /// Do the rows leaving the op carry `attr` with the values it had on
+    /// the way in? Not when the op projects it out, generates it, or
+    /// rewrites it in place (an in-place function, injective or not, maps
+    /// values to other values, and an aggregate output that reuses its
+    /// input's name is a new entity). A hash partitioning on `attr`
+    /// survives the op exactly when this holds, and so does a sort order on
+    /// it through a row-wise op.
+    pub fn keeps(&self, attr: &Attr) -> bool {
+        match self {
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. } => true,
+            UnaryOp::Function(f) => {
+                *attr != f.output && (f.keep_inputs || !f.inputs.contains(attr))
+            }
+            UnaryOp::Aggregate { agg, .. } => {
+                agg.group_by.contains(attr) && agg.aggregates.iter().all(|s| s.output != *attr)
+            }
+            UnaryOp::ProjectOut(attrs) => !attrs.contains(attr),
+            UnaryOp::AddField { attr: added, .. } => attr != added,
+            UnaryOp::SurrogateKey { key, surrogate, .. } => attr != key && attr != surrogate,
         }
     }
 
@@ -746,17 +815,94 @@ mod tests {
     }
 
     #[test]
-    fn row_wise_classification() {
-        assert!(UnaryOp::filter(Predicate::True).is_row_wise());
-        assert!(UnaryOp::function("f", ["a"], "b").is_row_wise());
-        assert!(UnaryOp::surrogate_key("k", "s", "L").is_row_wise());
-        assert!(!UnaryOp::aggregate(Aggregation::sum(["k"], "v", "v")).is_row_wise());
-        assert!(!UnaryOp::Dedup { selectivity: 1.0 }.is_row_wise());
-        assert!(!UnaryOp::PkCheck {
+    fn every_kind_states_its_grouping_and_what_it_keeps() {
+        let a2e = UnaryOp::function("am2eu", ["date"], "date");
+        let d2e = UnaryOp::function("dollar2euro", ["usd"], "eur");
+        let checksum = UnaryOp::Function(FunctionApp {
+            function: "crc".into(),
+            inputs: vec![Attr::new("a"), Attr::new("b")],
+            output: Attr::new("crc"),
+            keep_inputs: true,
+            injective: false,
+        });
+        let sk = UnaryOp::surrogate_key("pkey", "skey", "LOOKUP");
+        // γ groups on k and sums v under v's own name, and c into cnt.
+        let agg = UnaryOp::aggregate(Aggregation::new(
+            ["k"],
+            vec![
+                AggSpec {
+                    func: AggFunc::Sum,
+                    input: Attr::new("v"),
+                    output: Attr::new("v"),
+                },
+                AggSpec {
+                    func: AggFunc::Count,
+                    input: Attr::new("c"),
+                    output: Attr::new("cnt"),
+                },
+            ],
+        ));
+        let pk = UnaryOp::PkCheck {
             key: vec![Attr::new("k")],
-            selectivity: 1.0
+            selectivity: 1.0,
+        };
+        let dd = UnaryOp::Dedup { selectivity: 1.0 };
+        let add = UnaryOp::AddField {
+            attr: Attr::new("src"),
+            value: Scalar::from("S1"),
+        };
+        let filter = UnaryOp::filter(Predicate::gt("x", 1));
+        let nn = UnaryOp::not_null("x");
+        let pi = UnaryOp::project_out(["x"]);
+
+        let k = [Attr::new("k")];
+        assert_eq!(agg.grouping(), Some(Grouping::Keys(&k)));
+        assert_eq!(pk.grouping(), Some(Grouping::Keys(&k)));
+        assert_eq!(dd.grouping(), Some(Grouping::WholeRow));
+        for blocking in [&agg, &pk, &dd] {
+            assert!(!blocking.is_row_wise(), "{blocking}");
         }
-        .is_row_wise());
+        for row_wise in [&a2e, &d2e, &checksum, &sk, &add, &filter, &nn, &pi] {
+            assert_eq!(row_wise.grouping(), None, "{row_wise}");
+            assert!(row_wise.is_row_wise(), "{row_wise}");
+        }
+
+        // (op, attribute, kept?)
+        let cases: [(&UnaryOp, &str, bool); 22] = [
+            // In place: the values change under the same name, injective
+            // or not.
+            (&a2e, "date", false),
+            (&a2e, "other", true),
+            // Fresh output: the input is projected out, the output new.
+            (&d2e, "usd", false),
+            (&d2e, "eur", false),
+            (&d2e, "other", true),
+            // keep_inputs: the inputs leave untouched.
+            (&checksum, "a", true),
+            (&checksum, "b", true),
+            (&checksum, "crc", false),
+            // The SK key is consumed, the surrogate generated.
+            (&sk, "pkey", false),
+            (&sk, "skey", false),
+            (&sk, "cost", true),
+            // A grouper survives; an aggregated input does not, nor does
+            // an output that reuses its input's name.
+            (&agg, "k", true),
+            (&agg, "c", false),
+            (&agg, "v", false),
+            (&agg, "cnt", false),
+            (&add, "src", false),
+            (&add, "x", true),
+            (&pi, "x", false),
+            (&pi, "y", true),
+            (&filter, "x", true),
+            (&nn, "x", true),
+            (&pk, "v", true),
+        ];
+        for (op, attr, kept) in cases {
+            assert_eq!(op.keeps(&Attr::new(attr)), kept, "{op} keeps {attr}");
+        }
+        assert!(dd.keeps(&Attr::new("x")));
     }
 
     #[test]

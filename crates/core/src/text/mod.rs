@@ -686,7 +686,8 @@ mod tests {
 
         // Re-seeded selectivities stay in the family.
         let acts = wf.activities().unwrap();
-        let reseeded = wf.with_selectivity(acts[0], 0.123).unwrap();
+        let mut reseeded = wf.clone();
+        reseeded.set_selectivity(acts[0], 0.123).unwrap();
         assert_eq!(family_digest(&reseeded).unwrap(), base);
 
         // A different operator payload leaves it.

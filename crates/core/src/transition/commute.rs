@@ -98,17 +98,28 @@ pub fn ops_commute(a: &UnaryOp, b: &UnaryOp) -> Verdict {
                     Verdict::Commutes
                 }
             }
-            other => Verdict::Blocked(format!(
+            UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
                 "{} does not commute with an aggregation",
-                other.op_name()
+                row_wise.op_name()
             )),
         },
         UnaryOp::Dedup { .. } => match row_wise {
             UnaryOp::Filter { .. } | UnaryOp::NotNull { .. } => Verdict::Commutes,
             UnaryOp::Function(f) if f.injective && f.keep_inputs => Verdict::Commutes,
-            other => Verdict::Blocked(format!(
+            UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
                 "{} may change row identity across a whole-row dedup",
-                other.op_name()
+                row_wise.op_name()
             )),
         },
         UnaryOp::PkCheck { key, .. } => match row_wise {
@@ -159,12 +170,23 @@ pub fn ops_commute(a: &UnaryOp, b: &UnaryOp) -> Verdict {
                     Verdict::Commutes
                 }
             }
-            other => Verdict::Blocked(format!(
+            UnaryOp::SurrogateKey { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
                 "{} does not commute with a PK check",
-                other.op_name()
+                row_wise.op_name()
             )),
         },
-        other => Verdict::Blocked(format!("unhandled blocking operator {}", other.op_name())),
+        UnaryOp::Filter { .. }
+        | UnaryOp::NotNull { .. }
+        | UnaryOp::Function(_)
+        | UnaryOp::ProjectOut(_)
+        | UnaryOp::AddField { .. }
+        | UnaryOp::SurrogateKey { .. } => Verdict::Blocked(format!(
+            "unhandled blocking operator {}",
+            blocking.op_name()
+        )),
     }
 }
 

@@ -52,12 +52,8 @@ pub fn distributable_through(links: &[UnaryOp], op: &BinaryOp) -> Result<(), Str
                         op.op_name()
                     ));
                 }
-                other => {
-                    return Err(format!(
-                        "{} cannot cross a {}",
-                        other.op_name(),
-                        op.op_name()
-                    ));
+                UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } | UnaryOp::Aggregate { .. } => {
+                    return Err(format!("{} cannot cross a {}", l.op_name(), op.op_name()));
                 }
             },
             BinaryOp::Join(on) => match l {
@@ -72,8 +68,14 @@ pub fn distributable_through(links: &[UnaryOp], op: &BinaryOp) -> Result<(), Str
                         return Err("only NN over the join key can cross a join".to_owned());
                     }
                 }
-                other => {
-                    return Err(format!("{} cannot cross a join", other.op_name()));
+                UnaryOp::Function(_)
+                | UnaryOp::ProjectOut(_)
+                | UnaryOp::AddField { .. }
+                | UnaryOp::SurrogateKey { .. }
+                | UnaryOp::PkCheck { .. }
+                | UnaryOp::Dedup { .. }
+                | UnaryOp::Aggregate { .. } => {
+                    return Err(format!("{} cannot cross a join", l.op_name()));
                 }
             },
         }

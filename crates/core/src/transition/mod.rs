@@ -48,8 +48,7 @@ mod swap;
 pub use distribute::Distribute;
 pub use factorize::{distributable_through, Factorize};
 pub use merge_split::{split_all, Merge, Split};
-pub(crate) use swap::Edges;
-pub use swap::Swap;
+pub use swap::{Edges, Swap};
 
 use std::borrow::Cow;
 use std::fmt;

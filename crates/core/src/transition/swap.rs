@@ -32,7 +32,7 @@ use crate::workflow::Workflow;
 /// `(node, port, new provider)` for `second`, `first` and their consumer,
 /// in that order — the successor's topological order of the three nodes
 /// whose providers change, and the order [`Swap`] connects them in.
-pub(crate) type Edges = [(NodeId, usize, NodeId); 3];
+pub type Edges = [(NodeId, usize, NodeId); 3];
 
 /// `SWA(a₁,a₂)`: swap two adjacent unary activities. The order of the two
 /// fields does not matter; the transition discovers the orientation from
@@ -126,11 +126,12 @@ impl Swap {
         Ok((first, second))
     }
 
-    /// The structural check, and the edges the swap will write:
-    /// `p → first → second → c` becomes `p → second → first → c`. Read off
-    /// the unrewired state, so a search can key, judge and price the successor
-    /// before it builds it.
-    pub(crate) fn edges(&self, wf: &Workflow) -> Result<Edges, TransitionError> {
+    /// The edges the swap will write on `wf` — `p → first → second → c`
+    /// becomes `p → second → first → c` — or the refusal of its structural
+    /// check. Read off the unrewired state, so a search can key, judge and
+    /// price the successor before it builds it
+    /// ([`Tokens::rewired`](crate::signature::Tokens::rewired) keys it).
+    pub fn edges(&self, wf: &Workflow) -> Result<Edges, TransitionError> {
         let (first, second) = self.structural_check(wf)?;
         let g = wf.graph();
         let p = g

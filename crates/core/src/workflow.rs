@@ -117,44 +117,31 @@ impl Workflow {
         }
     }
 
-    /// Return a copy with the selectivity estimate of one unary activity
-    /// replaced (the statistics-refresh hook: observed selectivities from
-    /// an engine run can be fed back before re-optimizing). No-op for
-    /// structurally 1:1 operators; merged activities are not re-estimated
-    /// (split them first).
-    pub fn with_selectivity(&self, node: NodeId, selectivity: f64) -> Result<Workflow> {
-        let mut out = self.clone();
-        let act = out.graph.activity_mut(node)?;
-        if let Op::Unary(op) = &mut act.op {
-            *op = op.clone().with_selectivity(selectivity);
+    /// Replace the selectivity estimate of one unary activity (the
+    /// statistics-refresh hook: observed selectivities from an engine run
+    /// can be fed back before re-optimizing). No-op for structurally 1:1
+    /// operators; merged activities are not re-estimated (split them
+    /// first). Errors if `node` is not an activity.
+    pub fn set_selectivity(&mut self, node: NodeId, selectivity: f64) -> Result<()> {
+        if let Op::Unary(op) = &mut self.graph.activity_mut(node)?.op {
+            op.set_selectivity(selectivity);
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Return a copy with the row estimate of one source recordset replaced
-    /// (the companion statistics hook to [`Workflow::with_selectivity`]:
-    /// actual extract cardinalities from a run can be fed back so the cost
-    /// model prices states against real volumes). Errors if `node` is not a
-    /// recordset; no-op for non-source recordsets, whose cardinality is
-    /// derived.
-    pub fn with_row_estimate(&self, node: NodeId, rows: f64) -> Result<Workflow> {
-        let mut out = self.clone();
-        match out.graph.node_mut(node)? {
-            Node::Recordset(rs) => {
-                if self
-                    .graph
-                    .providers(node)?
-                    .iter()
-                    .flatten()
-                    .next()
-                    .is_none()
-                {
-                    rs.row_estimate = rows;
-                }
-            }
+    /// Replace the row estimate of one source recordset (the companion
+    /// statistics hook to [`Workflow::set_selectivity`]: actual extract
+    /// cardinalities from a run can be fed back so the cost model prices
+    /// states against real volumes). Errors if `node` is not a recordset;
+    /// no-op for non-source recordsets, whose cardinality is derived.
+    pub fn set_row_estimate(&mut self, node: NodeId, rows: f64) -> Result<()> {
+        let is_source = self.graph.providers(node)?.iter().all(Option::is_none);
+        match self.graph.node_mut(node)? {
+            Node::Recordset(rs) if is_source => rs.row_estimate = rows,
+            Node::Recordset(_) => {}
             Node::Activity(_) => return Err(CoreError::UnknownNode(node)),
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Human-readable rendering: one line per node in topological order,
@@ -762,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn with_selectivity_returns_adjusted_copy() {
+    fn set_selectivity_edits_one_activity() {
         let wf = small_converging();
         let nn = wf
             .activities()
@@ -770,36 +757,40 @@ mod tests {
             .into_iter()
             .find(|&a| wf.graph().activity(a).unwrap().label == "NN")
             .unwrap();
-        let tweaked = wf.with_selectivity(nn, 0.123).unwrap();
+        let mut tweaked = wf.clone();
+        tweaked.set_selectivity(nn, 0.123).unwrap();
         assert!((tweaked.graph().activity(nn).unwrap().selectivity() - 0.123).abs() < 1e-12);
-        // Original untouched; semantics unchanged.
+        // The clone it was made from is untouched; semantics unchanged.
         assert!((wf.graph().activity(nn).unwrap().selectivity() - 0.9).abs() < 1e-12);
         assert!(crate::postcond::equivalent(&wf, &tweaked).unwrap());
+        // A recordset is not an activity.
+        assert!(tweaked.set_selectivity(wf.sources()[0], 0.5).is_err());
     }
 
     #[test]
-    fn with_row_estimate_adjusts_sources_only() {
+    fn set_row_estimate_adjusts_sources_only() {
         let wf = small_converging();
         let sources = wf.sources();
-        let tweaked = wf.with_row_estimate(sources[0], 777.0).unwrap();
+        let mut tweaked = wf.clone();
+        tweaked.set_row_estimate(sources[0], 777.0).unwrap();
         assert_eq!(
             tweaked.graph().recordset(sources[0]).unwrap().row_estimate,
             777.0
         );
-        // Original untouched.
+        // The clone it was made from is untouched.
         assert_ne!(
             wf.graph().recordset(sources[0]).unwrap().row_estimate,
             777.0
         );
         // Derived (target) recordsets keep their estimate; activities error.
         let target = wf.targets()[0];
-        let same = wf.with_row_estimate(target, 5.0).unwrap();
+        tweaked.set_row_estimate(target, 5.0).unwrap();
         assert_eq!(
-            same.graph().recordset(target).unwrap().row_estimate,
+            tweaked.graph().recordset(target).unwrap().row_estimate,
             wf.graph().recordset(target).unwrap().row_estimate
         );
         let act = wf.activities().unwrap()[0];
-        assert!(wf.with_row_estimate(act, 5.0).is_err());
+        assert!(tweaked.set_row_estimate(act, 5.0).is_err());
     }
 
     #[test]

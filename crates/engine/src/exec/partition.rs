@@ -79,7 +79,7 @@ use etlopt_core::error::CoreError;
 use etlopt_core::graph::{Graph, Node, NodeId};
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
-use etlopt_core::semantics::{Aggregation, BinaryOp, UnaryOp};
+use etlopt_core::semantics::{Aggregation, BinaryOp, Grouping, UnaryOp};
 use etlopt_core::trace::ExecCounters;
 use etlopt_core::workflow::Workflow;
 
@@ -119,19 +119,26 @@ pub(super) enum Scheme {
 }
 
 impl Scheme {
-    /// Does this scheme co-locate rows that agree on `req`? Hashing on a
-    /// *subset* of the required keys suffices: equal `req`-values imply
-    /// equal subset-values, hence the same partition.
-    pub(super) fn colocates(&self, req: &[Attr]) -> bool {
-        match self {
-            Scheme::Keys(s) => s.iter().all(|a| req.contains(a)),
-            Scheme::Arbitrary => false,
-        }
-    }
-
-    /// Is this any key-based scheme (co-locates identical whole rows)?
-    pub(super) fn is_keys(&self) -> bool {
-        matches!(self, Scheme::Keys(_))
+    /// The keys a set laid out by this scheme must be re-routed on before
+    /// an op grouping on `grouping` runs over it, or `None` when the scheme
+    /// already co-locates what the op groups. Hashing on a *subset* of the
+    /// grouping keys suffices (equal key values imply equal subset values,
+    /// hence the same partition), and any key scheme co-locates identical
+    /// whole rows. A whole-row re-route hashes every column of `schema`.
+    pub(super) fn reroute_keys(
+        &self,
+        grouping: Grouping<'_>,
+        schema: &Schema,
+    ) -> Option<Vec<Attr>> {
+        let colocated = match (self, grouping) {
+            (Scheme::Keys(s), Grouping::Keys(k)) => s.iter().all(|a| k.contains(a)),
+            (Scheme::Keys(_), Grouping::WholeRow) => true,
+            (Scheme::Arbitrary, _) => false,
+        };
+        (!colocated).then(|| match grouping {
+            Grouping::Keys(k) => k.to_vec(),
+            Grouping::WholeRow => schema.iter().cloned().collect(),
+        })
     }
 }
 
@@ -155,14 +162,6 @@ pub(super) fn max_tag(set: &PartSet) -> Option<u64> {
         .iter()
         .filter_map(|p| p.last().map(|(t, _)| *t))
         .max()
-}
-
-/// Co-location demanded by a keyed operator.
-pub(super) enum Require {
-    /// Equal values of these attributes must share a partition.
-    Keys(Vec<Attr>),
-    /// Identical whole rows must share a partition (any key scheme works).
-    WholeRow,
 }
 
 // ---------------------------------------------------------------------
@@ -353,16 +352,16 @@ pub(super) enum LinkPlan {
     Aggregate(Aggregation),
     /// A row-wise operator (σ, NN, function, π-out, ADD, SK) compiled
     /// against the link's input schema; tags pass through untouched.
-    RowWise { op: UnaryOp, kernel: Kernel },
+    RowWise(Kernel),
 }
 
-/// One planned chain link: its execution plan, schemas, and the
-/// co-location it demands.
+/// One planned chain link: its execution plan, the op it runs (whose
+/// grouping is the co-location it demands), and its schemas.
 pub(super) struct Link {
     pub(super) plan: LinkPlan,
+    pub(super) op: UnaryOp,
     pub(super) in_schema: Schema,
     pub(super) out_schema: Schema,
-    pub(super) require: Option<Require>,
 }
 
 /// Plan every link of a unary chain up front — probing each operator
@@ -377,69 +376,43 @@ pub(super) fn plan_chain(
     let mut links = Vec::with_capacity(chain.len());
     let mut cur = input_schema.clone();
     for op in chain {
-        let (plan, out_schema, require) = match op {
-            UnaryOp::PkCheck { key, .. } => (
-                LinkPlan::KeepFirst(Some(cols_of(key, &cur)?)),
-                cur.clone(),
-                Some(Require::Keys(key.clone())),
-            ),
-            UnaryOp::Dedup { .. } => (
-                LinkPlan::KeepFirst(None),
-                cur.clone(),
-                Some(Require::WholeRow),
-            ),
+        let (plan, out_schema) = match op {
+            UnaryOp::PkCheck { key, .. } => {
+                (LinkPlan::KeepFirst(Some(cols_of(key, &cur)?)), cur.clone())
+            }
+            UnaryOp::Dedup { .. } => (LinkPlan::KeepFirst(None), cur.clone()),
             UnaryOp::Aggregate { agg, .. } => (
                 LinkPlan::Aggregate(agg.clone()),
                 GroupBy::new(agg, &cur)?.output_schema().clone(),
-                Some(Require::Keys(agg.group_by.clone())),
             ),
-            op => {
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. } => {
                 let (kernel, out) = Kernel::compile(op, &cur, ctx)?;
-                let op = op.clone();
-                (LinkPlan::RowWise { op, kernel }, out, None)
+                (LinkPlan::RowWise(kernel), out)
             }
         };
         links.push(Link {
             plan,
+            op: op.clone(),
             in_schema: cur.clone(),
             out_schema: out_schema.clone(),
-            require,
         });
         cur = out_schema;
     }
     Ok(links)
 }
 
-/// How a link transforms the partitioning scheme. Soundness, not
-/// precision: a preserved `Keys` claim must actually still co-locate;
-/// degrading to `Arbitrary` merely forces a later re-route.
-pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
-    let Scheme::Keys(keys) = scheme else {
-        return Scheme::Arbitrary;
-    };
-    let broken = match plan {
-        // Keep-first never moves or rewrites columns.
-        LinkPlan::KeepFirst(_) => false,
-        // Group rows keep their groupers' values; other columns vanish.
-        LinkPlan::Aggregate(agg) => !keys.iter().all(|k| agg.group_by.contains(k)),
-        LinkPlan::RowWise { op, .. } => match op {
-            UnaryOp::ProjectOut(attrs) => keys.iter().any(|k| attrs.contains(k)),
-            UnaryOp::AddField { attr, .. } => keys.contains(attr),
-            UnaryOp::Function(f) => {
-                keys.contains(&f.output)
-                    || (!f.keep_inputs && f.inputs.iter().any(|a| keys.contains(a)))
-            }
-            UnaryOp::SurrogateKey { key, surrogate, .. } => {
-                keys.contains(key) || keys.contains(surrogate)
-            }
-            // Row filters never move or rewrite columns.
-            _ => false,
-        },
-    };
-    if broken {
-        Scheme::Arbitrary
-    } else {
-        Scheme::Keys(keys)
+/// How `op` transforms the partitioning scheme: a `Keys` claim survives
+/// exactly when the op keeps every key attribute's values. Soundness, not
+/// precision: degrading to `Arbitrary` merely forces a later re-route.
+pub(super) fn scheme_after(op: &UnaryOp, scheme: Scheme) -> Scheme {
+    match scheme {
+        Scheme::Keys(keys) if keys.iter().all(|k| op.keeps(k)) => Scheme::Keys(keys),
+        Scheme::Keys(_) | Scheme::Arbitrary => Scheme::Arbitrary,
     }
 }
 
@@ -901,9 +874,6 @@ enum Feed {
 struct PipeLink {
     plan: PipePlan,
     in_schema: Schema,
-    /// Co-location demanded before this link (planning-time only: a
-    /// segment split or feed upgrade discharges it).
-    require: Option<Require>,
     /// Stats key (the activity id) — `None` for recordset reorders.
     key: Option<String>,
     counts_processed: bool,
@@ -913,15 +883,19 @@ struct PipeLink {
 impl PipeLink {
     fn row_wise(&self) -> Option<&Kernel> {
         match &self.plan {
-            PipePlan::Op(LinkPlan::RowWise { kernel, .. }) => Some(kernel),
+            PipePlan::Op {
+                plan: LinkPlan::RowWise(kernel),
+                ..
+            } => Some(kernel),
             _ => None,
         }
     }
 }
 
 enum PipePlan {
-    /// A planned operator link.
-    Op(LinkPlan),
+    /// A planned operator link and the op it runs (planning reads the op's
+    /// grouping and what it keeps to split segments).
+    Op { plan: LinkPlan, op: UnaryOp },
     /// Recordset column permutation (no stats).
     Reorder(Vec<usize>),
     /// Empty merged chain: pass rows through, counting output only.
@@ -1193,7 +1167,6 @@ impl Planner<'_, '_> {
                         links.push(PipeLink {
                             plan: PipePlan::Reorder(perm),
                             in_schema: schema.clone(),
-                            require: None,
                             key: None,
                             counts_processed: false,
                             counts_out: false,
@@ -1213,7 +1186,6 @@ impl Planner<'_, '_> {
                         links.push(PipeLink {
                             plan: PipePlan::Tally,
                             in_schema: schema.clone(),
-                            require: None,
                             key: Some(key),
                             counts_processed: false,
                             counts_out: true,
@@ -1223,9 +1195,11 @@ impl Planner<'_, '_> {
                         for (i, l) in planned.into_iter().enumerate() {
                             schema = l.out_schema.clone();
                             links.push(PipeLink {
-                                plan: PipePlan::Op(l.plan),
+                                plan: PipePlan::Op {
+                                    plan: l.plan,
+                                    op: l.op,
+                                },
                                 in_schema: l.in_schema,
-                                require: l.require,
                                 key: Some(key.clone()),
                                 counts_processed: true,
                                 counts_out: i == last,
@@ -1242,26 +1216,18 @@ impl Planner<'_, '_> {
         // (a zero-link one when no link ran yet).
         let mut cur_links: Vec<PipeLink> = Vec::new();
         for link in links {
-            if let Some(req) = &link.require {
-                let ok = match req {
-                    Require::Keys(k) => scheme.colocates(k),
-                    Require::WholeRow => scheme.is_keys(),
-                };
-                if !ok {
-                    let keys: Vec<Attr> = match req {
-                        Require::Keys(k) => k.clone(),
-                        Require::WholeRow => link.in_schema.iter().cloned().collect(),
-                    };
+            if let PipePlan::Op { op, .. } = &link.plan {
+                let reroute = op
+                    .grouping()
+                    .and_then(|g| scheme.reroute_keys(g, &link.in_schema));
+                if let Some(keys) = reroute {
                     let links = std::mem::take(&mut cur_links);
                     let from = self.routed(feed, links, &link.in_schema, &keys)?;
                     feed = Feed::Staged { from };
                     scheme = Scheme::Keys(keys);
                 }
+                scheme = scheme_after(op, scheme);
             }
-            scheme = match &link.plan {
-                PipePlan::Op(p) => scheme_after(p, scheme),
-                PipePlan::Reorder(_) | PipePlan::Tally => scheme,
-            };
             cur_links.push(link);
         }
 
@@ -1501,7 +1467,7 @@ impl<'s> LinkRt<'s> {
                 state: GroupBy::new(agg, in_schema)?,
                 first_tags: Vec::new(),
             },
-            LinkPlan::RowWise { kernel, .. } => LinkRt::RowWise(kernel),
+            LinkPlan::RowWise(kernel) => LinkRt::RowWise(kernel),
         })
     }
 
@@ -1612,7 +1578,7 @@ impl<'s, 'p> ChainRt<'s, 'p> {
         let mut cells = Vec::with_capacity(seg.links.len() - seg.fused);
         for link in &seg.links[seg.fused..] {
             let rt = match &link.plan {
-                PipePlan::Op(plan) => LinkRt::new(plan, &link.in_schema)?,
+                PipePlan::Op { plan, .. } => LinkRt::new(plan, &link.in_schema)?,
                 PipePlan::Reorder(perm) => LinkRt::Reorder(perm),
                 PipePlan::Tally => LinkRt::Tally,
             };

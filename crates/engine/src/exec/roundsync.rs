@@ -24,7 +24,7 @@ use etlopt_core::activity::Op;
 use etlopt_core::error::CoreError;
 use etlopt_core::graph::{Node, NodeId};
 use etlopt_core::schema::{Attr, Schema};
-use etlopt_core::semantics::{BinaryOp, UnaryOp};
+use etlopt_core::semantics::{BinaryOp, Grouping, UnaryOp};
 use etlopt_core::trace::ExecCounters;
 use etlopt_core::workflow::Workflow;
 
@@ -37,7 +37,7 @@ use crate::table::{Row, Table};
 use super::keyed::{BagCounts, BuildProbe};
 use super::partition::{
     apply_link, distribute, exchange, internal, max_tag, merge_rows, per_part, plan_chain,
-    reorder_set, retag_dense, scheme_after, set_rows, PartSet, Require, Scheme,
+    reorder_set, retag_dense, scheme_after, set_rows, PartSet, Scheme,
 };
 use super::{add, plan_cache, seeded_stats, SharedCache, StreamConfig, StreamRun};
 
@@ -52,21 +52,13 @@ struct ParRuntime<'a> {
 }
 
 impl ParRuntime<'_> {
-    /// Exchange `set` if its scheme cannot prove the required
-    /// co-location.
-    fn exchange_for(&mut self, set: PartSet, req: &Require) -> Result<PartSet> {
-        let satisfied = match req {
-            Require::Keys(k) => set.scheme.colocates(k),
-            Require::WholeRow => set.scheme.is_keys(),
-        };
-        if satisfied {
-            return Ok(set);
+    /// Exchange `set` if its scheme cannot prove the co-location an op
+    /// grouping on `grouping` needs.
+    fn exchange_for(&mut self, set: PartSet, grouping: Grouping<'_>) -> Result<PartSet> {
+        match set.scheme.reroute_keys(grouping, &set.schema) {
+            None => Ok(set),
+            Some(keys) => exchange(&set, &keys, self.nparts, &mut self.counters),
         }
-        let keys: Vec<Attr> = match req {
-            Require::Keys(k) => k.clone(),
-            Require::WholeRow => set.schema.iter().cloned().collect(),
-        };
-        exchange(&set, &keys, self.nparts, &mut self.counters)
     }
 
     /// Run a unary chain (a single op is a one-link chain) under one
@@ -82,11 +74,11 @@ impl ParRuntime<'_> {
         }
         let last = links.len() - 1;
         for (i, link) in links.iter().enumerate() {
-            if let Some(req) = &link.require {
-                set = self.exchange_for(set, req)?;
+            if let Some(grouping) = link.op.grouping() {
+                set = self.exchange_for(set, grouping)?;
             }
             add(&mut self.stats.rows_processed, key, set_rows(&set));
-            let scheme = scheme_after(&link.plan, set.scheme.clone());
+            let scheme = scheme_after(&link.op, set.scheme.clone());
             let input = &set;
             let parts = per_part(self.nparts, |j| apply_link(link, &input.parts[j]))?;
             set = PartSet {

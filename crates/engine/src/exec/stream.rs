@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::Schema;
-use etlopt_core::semantics::{BinaryOp, UnaryOp};
+use etlopt_core::semantics::{BinaryOp, Grouping, UnaryOp};
 
 use crate::error::{EngineError, Result};
 use crate::ops::{self, ExecCtx};
@@ -406,9 +406,9 @@ pub(crate) fn unary_pipeline(
         let in_schema = cur.schema().clone();
         cur = match op {
             UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } => {
-                let cols = match op {
-                    UnaryOp::PkCheck { key: pk, .. } => Some(cols_of(pk, &in_schema)?),
-                    _ => None,
+                let cols = match op.grouping() {
+                    Some(Grouping::Keys(pk)) => Some(cols_of(pk, &in_schema)?),
+                    Some(Grouping::WholeRow) | None => None,
                 };
                 Box::new(KeepFirst {
                     inner: cur,
@@ -425,7 +425,12 @@ pub(crate) fn unary_pipeline(
                 key: key.to_owned(),
                 counts_out,
             }),
-            op => {
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. } => {
                 let (op, schema) = Kernel::compile(op, &in_schema, ctx)?;
                 let link = Link {
                     op,

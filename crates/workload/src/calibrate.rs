@@ -418,8 +418,7 @@ pub fn calibrate(wf: &Workflow, exec: &Executor) -> Result<Workflow> {
             continue;
         }
         if let Some(observed) = result.stats.observed_selectivity(&act.id.to_string()) {
-            out = out
-                .with_selectivity(node, observed.clamp(MIN_SELECTIVITY, 1.0))
+            out.set_selectivity(node, observed.clamp(MIN_SELECTIVITY, 1.0))
                 .map_err(etlopt_engine::EngineError::Core)?;
         }
     }

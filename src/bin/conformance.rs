@@ -397,7 +397,7 @@ fn adaptive_fig1(
             _ => None,
         };
         if let Some(s) = skew {
-            wf = wf.with_selectivity(node, s).map_err(|e| e.to_string())?;
+            wf.set_selectivity(node, s).map_err(|e| e.to_string())?;
         }
     }
 

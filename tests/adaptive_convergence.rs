@@ -42,7 +42,7 @@ fn skewed_fig1() -> Workflow {
             _ => None,
         };
         if let Some(s) = skew {
-            wf = wf.with_selectivity(node, s).unwrap();
+            wf.set_selectivity(node, s).unwrap();
         }
     }
     wf
