@@ -75,7 +75,6 @@ pub mod schema;
 pub mod schema_gen;
 pub mod semantics;
 pub mod signature;
-pub mod template;
 pub mod text;
 pub mod trace;
 pub mod transition;

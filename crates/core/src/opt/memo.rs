@@ -150,9 +150,10 @@ impl MoveMemo {
     }
 }
 
-/// FAC/DIS candidates of one binary — the same pre-filter
-/// [`crate::opt::enumerate_moves`] applies.
-fn binary_moves(
+/// FAC/DIS candidates of one binary `a`: `FAC` when its two providers are
+/// homologous unary activities, `DIS` when its single consumer is a
+/// row-wise unary one. [`crate::opt::enumerate_moves`] applies it too.
+pub(super) fn binary_moves(
     wf: &Workflow,
     a: NodeId,
     providers: &[Option<NodeId>],

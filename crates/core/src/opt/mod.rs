@@ -97,37 +97,15 @@ pub fn enumerate_moves(wf: &Workflow) -> Result<Vec<Move>> {
     let g = wf.graph();
     let mut moves = Vec::new();
     for &a in &wf.activities()? {
-        let act = g.activity(a)?;
-        if act.is_unary() {
+        let consumers = g.consumers(a)?;
+        let single = (consumers.len() == 1).then(|| consumers[0]);
+        if g.activity(a)?.is_unary() {
             // SWA with the (single) unary consumer.
-            let consumers = g.consumers(a)?;
-            if consumers.len() == 1 {
-                let c = consumers[0];
-                if g.activity(c).map(|x| x.is_unary()).unwrap_or(false) {
-                    moves.push(Move::Swap(Swap::new(a, c)));
-                }
+            if let Some(c) = single.filter(|&c| g.activity(c).is_ok_and(|x| x.is_unary())) {
+                moves.push(Move::Swap(Swap::new(a, c)));
             }
         } else {
-            // FAC over direct unary providers.
-            let providers = g.providers(a)?;
-            if let (Some(Some(p1)), Some(Some(p2))) = (providers.first(), providers.get(1)) {
-                let both_unary = g.activity(*p1).map(|x| x.is_unary()).unwrap_or(false)
-                    && g.activity(*p2).map(|x| x.is_unary()).unwrap_or(false);
-                if both_unary && p1 != p2 && wf.are_homologous(*p1, *p2).unwrap_or(false) {
-                    moves.push(Move::Factorize(Factorize::new(a, *p1, *p2)));
-                }
-            }
-            // DIS of the single unary consumer.
-            let consumers = g.consumers(a)?;
-            if consumers.len() == 1 {
-                let c = consumers[0];
-                if g.activity(c)
-                    .map(|x| x.is_unary() && x.is_row_wise())
-                    .unwrap_or(false)
-                {
-                    moves.push(Move::Distribute(Distribute::new(a, c)));
-                }
-            }
+            memo::binary_moves(wf, a, g.providers(a)?, single, &mut moves);
         }
     }
     Ok(moves)

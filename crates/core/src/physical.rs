@@ -13,12 +13,13 @@
 //!   **sorted lookup** against the dimension table;
 //! * joins/differences/intersections choose **hash** vs **sort-merge**.
 //!
-//! Sort orders are propagated through every row-wise operator that keeps
-//! the sorted attributes ([`UnaryOp::keeps`]; an in-place rewrite does not,
-//! injective or not) — System-R-style *interesting orders*: a sort paid
-//! for once can make a downstream blocking operator free, so the planner
-//! keeps a Pareto frontier of `(order, cost)` alternatives per node and
-//! commits only at the targets. [`PhysicalCostModel`] exposes the planned total through the
+//! Sort orders are propagated through every row-wise operator, cut at
+//! the first sorted attribute it does not keep ([`UnaryOp::keeps`]; an
+//! in-place rewrite does not, injective or not) — System-R-style
+//! *interesting orders*: a sort paid for once can make a downstream
+//! blocking operator free, so the planner keeps a Pareto frontier of
+//! `(order, cost)` alternatives per node and commits only at the targets.
+//! [`PhysicalCostModel`] exposes the planned total through the
 //! [`CostModel`] trait, so the logical search algorithms can optimize
 //! directly against physical costs.
 
@@ -164,7 +165,7 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                 }
             },
             Node::Activity(act) => {
-                // A whole-row key is the activity's input schema.
+                // A binary's whole-row key is its first input's schema.
                 let whole_row = || {
                     act.inputs
                         .first()
@@ -186,6 +187,21 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                         let p = graph
                             .provider(id, 0)?
                             .ok_or(CoreError::MissingProvider { node: id, port: 0 })?;
+                        // Each blocking link's key, over the schema that
+                        // link sees: a whole-row key inside a merged chain
+                        // is what the links before it left.
+                        let mut schema = act.inputs.first().cloned().unwrap_or_default();
+                        let keys = op_list
+                            .iter()
+                            .map(|link| {
+                                let key = link.grouping().map(|grouping| match grouping {
+                                    Grouping::Keys(key) => key.to_vec(),
+                                    Grouping::WholeRow => schema.attrs().to_vec(),
+                                });
+                                schema = link.output(&schema)?;
+                                Ok(key)
+                            })
+                            .collect::<Result<Vec<_>>>()?;
                         for (pi, palt) in frontiers[&p].iter().enumerate() {
                             // Price the chain link by link against this
                             // provider alternative.
@@ -194,15 +210,11 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                             let mut cur_order = palt.order.clone();
                             let mut choice = PhysImpl::Scan;
                             let mut feasible = true;
-                            for link in op_list {
-                                if let Some(grouping) = link.grouping() {
-                                    let key = match grouping {
-                                        Grouping::Keys(key) => key.to_vec(),
-                                        Grouping::WholeRow => whole_row(),
-                                    };
+                            for (link, key) in op_list.iter().zip(&keys) {
+                                if let Some(key) = key {
                                     let groups = n * link.selectivity();
                                     let hash_ok = groups <= cfg.memory_rows;
-                                    let presorted = satisfies(&cur_order, &key);
+                                    let presorted = satisfies(&cur_order, key);
                                     // Pick per-link: sorted input → free
                                     // sort-group; else the cheaper feasible.
                                     let (c, imp, out_order) = if presorted {
@@ -216,11 +228,13 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                                     choice = imp;
                                     cur_order = out_order;
                                 } else {
-                                    // Row-wise: the order survives while the
-                                    // link keeps every attribute it sorts on.
+                                    // Row-wise: the order survives up to the
+                                    // first attribute the link does not keep.
                                     cost += n;
-                                    cur_order =
-                                        cur_order.filter(|o| o.iter().all(|a| link.keeps(a)));
+                                    cur_order = cur_order.and_then(|mut o| {
+                                        o.truncate(o.iter().take_while(|a| link.keeps(a)).count());
+                                        (!o.is_empty()).then_some(o)
+                                    });
                                 }
                                 if let UnaryOp::SurrogateKey { .. } = link {
                                     // Already priced as row-wise scan above;
@@ -473,6 +487,7 @@ mod tests {
     use crate::predicate::Predicate;
     use crate::schema::Schema;
     use crate::semantics::Aggregation;
+    use crate::transition::{Merge, Transition};
     use crate::workflow::WorkflowBuilder;
 
     fn agg_chain(rows: f64) -> Workflow {
@@ -680,6 +695,61 @@ mod tests {
             p.total_cost,
             expected
         );
+    }
+
+    #[test]
+    fn a_sorted_prefix_survives_a_link_dropping_its_tail() {
+        // Sort-based γ(k, d) leaves rows sorted on (k, d); π-out(d) keeps
+        // them sorted on k, so the PK check on k needs no second sort.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "d", "v"]), 50_000.0);
+        let g = b.unary(
+            "γ",
+            UnaryOp::aggregate(Aggregation::sum(["k", "d"], "v", "v")).with_selectivity(0.8),
+            s,
+        );
+        let f = b.unary("π-out", UnaryOp::project_out(["d"]), g);
+        let pk = UnaryOp::PkCheck {
+            key: vec!["k".into()],
+            selectivity: 1.0,
+        };
+        let pk = b.unary("PK", pk, f);
+        b.target("T", Schema::of(["k", "v"]), pk);
+        let wf = b.build().unwrap();
+        let cfg = PhysicalConfig {
+            memory_rows: 1.0,
+            ..Default::default()
+        };
+        let p = plan(&wf, &cfg).unwrap();
+        assert_eq!(p.choices[&pk], PhysImpl::SortGroup);
+        assert_eq!(p.total_cost.round(), 860_482.0);
+    }
+
+    #[test]
+    fn a_whole_row_key_in_a_merged_chain_is_the_schema_its_link_sees() {
+        // S(k, v, x) -> γ(k, v; SUM(x) -> total) -> π-out(total) -> DD: the
+        // dedup's whole row is (k, v), which γ's sort already orders, with
+        // π-out and DD apart or merged into one activity.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v", "x"]), 50_000.0);
+        let g = b.unary(
+            "γ",
+            UnaryOp::aggregate(Aggregation::sum(["k", "v"], "x", "total")).with_selectivity(0.8),
+            s,
+        );
+        let f = b.unary("π-out", UnaryOp::project_out(["total"]), g);
+        let dd = b.unary("DD", UnaryOp::Dedup { selectivity: 1.0 }, f);
+        b.target("T", Schema::of(["k", "v"]), dd);
+        let wf = b.build().unwrap();
+        let merged = Merge::new(f, dd).apply(&wf).unwrap();
+        let cfg = PhysicalConfig {
+            memory_rows: 1.0,
+            ..Default::default()
+        };
+        for (name, state) in [("apart", &wf), ("merged", &merged)] {
+            let p = plan(state, &cfg).unwrap();
+            assert_eq!(p.total_cost.round(), 860_482.0, "{name}");
+        }
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //!
 //! Both streaming executors run these kernels — the sequential pull
 //! pipeline over `Row`s, the partitioned ones over `(tag, Row)` pairs
-//! ([`Carrier`]). The materializing `ops::*` implementations stay the
-//! deliberately naive reference they are compared against: the kernels
-//! share no per-row code with them, only the empty-table probe that
-//! derives the output schema and raises schema errors identically.
+//! ([`Carrier`]) — and both choose a unary link's runtime in one place,
+//! [`LinkPlan::compile`]: a kernel for a row-wise kind, a keyed state
+//! machine for PK, DD and γ. The materializing `ops::*` implementations
+//! stay the deliberately naive reference they are compared against: the
+//! kernels share no per-row code with them, only the empty-table probe
+//! that derives the output schema and raises schema errors identically.
 
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
@@ -52,6 +54,8 @@ use crate::eval::{compare, Truth};
 use crate::functions::ScalarFn;
 use crate::ops::{self, ExecCtx};
 use crate::table::{Row, Table};
+
+use super::keyed::GroupBy;
 
 /// Something that carries a row through a kernel: a bare [`Row`] in the
 /// sequential pipeline, a `(tag, Row)` pair in the partitioned ones.
@@ -451,6 +455,49 @@ pub(crate) struct Kernel {
     step: Step,
 }
 
+/// How one unary link runs, in either streaming executor: keep the first
+/// row per key (PK on its key columns, DD on whole rows), group (γ), or a
+/// row-wise [`Kernel`].
+pub(crate) enum LinkPlan {
+    /// `Some(cols)` for the PK check, `None` for whole-row dedup.
+    KeepFirst(Option<Vec<usize>>),
+    /// The empty group-by state, resolved against the link's input.
+    Aggregate(Box<GroupBy>),
+    RowWise(Kernel),
+}
+
+impl LinkPlan {
+    /// Bind `op` to `input`, returning the plan and its output schema. A
+    /// schema error surfaces here, before any row moves.
+    pub(crate) fn compile(
+        op: &UnaryOp,
+        input: &Schema,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<(LinkPlan, Schema)> {
+        Ok(match op {
+            UnaryOp::PkCheck { key, .. } => (
+                LinkPlan::KeepFirst(Some(cols_of(key, input)?)),
+                input.clone(),
+            ),
+            UnaryOp::Dedup { .. } => (LinkPlan::KeepFirst(None), input.clone()),
+            UnaryOp::Aggregate { agg, .. } => {
+                let state = GroupBy::new(agg, input)?;
+                let output = state.output_schema().clone();
+                (LinkPlan::Aggregate(Box::new(state)), output)
+            }
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. } => {
+                let (kernel, output) = Kernel::compile(op, input, ctx)?;
+                (LinkPlan::RowWise(kernel), output)
+            }
+        })
+    }
+}
+
 fn cols<'a>(probe: &Table, attrs: impl IntoIterator<Item = &'a Attr>) -> Result<Vec<usize>> {
     attrs.into_iter().map(|a| probe.col(a)).collect()
 }
@@ -466,11 +513,7 @@ impl Kernel {
     /// The schema — and every schema error — comes from probing the
     /// materializing implementation with an empty table, so both backends
     /// reject the same plans with the same error.
-    pub(crate) fn compile(
-        op: &UnaryOp,
-        input: &Schema,
-        ctx: &ExecCtx<'_>,
-    ) -> Result<(Kernel, Schema)> {
+    fn compile(op: &UnaryOp, input: &Schema, ctx: &ExecCtx<'_>) -> Result<(Kernel, Schema)> {
         let probe = Table::empty(input.clone());
         let output = ops::exec_unary(op, &probe, ctx)?.schema().clone();
         let step = match op {

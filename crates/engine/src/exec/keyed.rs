@@ -201,6 +201,7 @@ impl KeepFirst {
 
 /// One aggregate column's accumulator. NULL inputs are skipped; a group
 /// that saw none yields NULL (`COUNT`: 0).
+#[derive(Clone)]
 enum Acc {
     Sum(f64, u64),
     Avg(f64, u64),
@@ -254,6 +255,7 @@ impl Acc {
 
 /// `γ(group_by; aggregates)` across batches: one slot per group, emitted
 /// in first-appearance order as groupers then aggregate outputs.
+#[derive(Clone)]
 pub(crate) struct GroupBy {
     /// Per group: the grouper cells of the row that opened it.
     groups: KeyTable<Row>,

@@ -79,7 +79,7 @@ use etlopt_core::error::CoreError;
 use etlopt_core::graph::{Graph, Node, NodeId};
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
-use etlopt_core::semantics::{Aggregation, BinaryOp, Grouping, UnaryOp};
+use etlopt_core::semantics::{BinaryOp, Grouping, UnaryOp};
 use etlopt_core::trace::ExecCounters;
 use etlopt_core::workflow::Workflow;
 
@@ -89,7 +89,7 @@ use crate::ops::{self, ExecCtx};
 use crate::pool::{BufferId, BufferPool};
 use crate::table::{Row, Table};
 
-use super::kernel::{clone_row, cols_of, perm_for, permute, Kernel, Program};
+use super::kernel::{clone_row, cols_of, perm_for, permute, Kernel, LinkPlan, Program};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::{add, plan_cache, seeded_stats, CachePlan, SharedCache, StreamConfig, StreamRun};
 
@@ -343,18 +343,6 @@ pub(super) fn reorder_set(set: PartSet, target: &Schema) -> Result<PartSet> {
 // Unary chain link planning (shared with roundsync)
 // ---------------------------------------------------------------------
 
-/// The per-partition execution plan of one chain link.
-pub(super) enum LinkPlan {
-    /// Keep the first (minimum-tag) row per key: `Some(cols)` for the PK
-    /// check, `None` for whole-row dedup.
-    KeepFirst(Option<Vec<usize>>),
-    /// Partitioned group-by aggregation.
-    Aggregate(Aggregation),
-    /// A row-wise operator (σ, NN, function, π-out, ADD, SK) compiled
-    /// against the link's input schema; tags pass through untouched.
-    RowWise(Kernel),
-}
-
 /// One planned chain link: its execution plan, the op it runs (whose
 /// grouping is the co-location it demands), and its schemas.
 pub(super) struct Link {
@@ -364,10 +352,10 @@ pub(super) struct Link {
     pub(super) out_schema: Schema,
 }
 
-/// Plan every link of a unary chain up front — probing each operator
-/// against an empty table exactly like the sequential
-/// `stream::unary_pipeline` does — so schema errors surface before any
-/// data moves, in the same order the sequential backend raises them.
+/// Plan every link of a unary chain up front — each compiled by
+/// `LinkPlan::compile`, as the sequential `stream::unary_pipeline` does —
+/// so schema errors surface before any data moves, in the same order the
+/// sequential backend raises them.
 pub(super) fn plan_chain(
     chain: &[UnaryOp],
     input_schema: &Schema,
@@ -376,25 +364,7 @@ pub(super) fn plan_chain(
     let mut links = Vec::with_capacity(chain.len());
     let mut cur = input_schema.clone();
     for op in chain {
-        let (plan, out_schema) = match op {
-            UnaryOp::PkCheck { key, .. } => {
-                (LinkPlan::KeepFirst(Some(cols_of(key, &cur)?)), cur.clone())
-            }
-            UnaryOp::Dedup { .. } => (LinkPlan::KeepFirst(None), cur.clone()),
-            UnaryOp::Aggregate { agg, .. } => (
-                LinkPlan::Aggregate(agg.clone()),
-                GroupBy::new(agg, &cur)?.output_schema().clone(),
-            ),
-            UnaryOp::Filter { .. }
-            | UnaryOp::NotNull { .. }
-            | UnaryOp::Function(_)
-            | UnaryOp::ProjectOut(_)
-            | UnaryOp::AddField { .. }
-            | UnaryOp::SurrogateKey { .. } => {
-                let (kernel, out) = Kernel::compile(op, &cur, ctx)?;
-                (LinkPlan::RowWise(kernel), out)
-            }
-        };
+        let (plan, out_schema) = LinkPlan::compile(op, &cur, ctx)?;
         links.push(Link {
             plan,
             op: op.clone(),
@@ -419,7 +389,7 @@ pub(super) fn scheme_after(op: &UnaryOp, scheme: Scheme) -> Scheme {
 /// Execute one planned link over one whole partition (the
 /// round-synchronous path): the pipelined [`LinkRt`], fed one batch.
 pub(super) fn apply_link(link: &Link, part: &[Tagged]) -> Result<Vec<Tagged>> {
-    let mut rt = LinkRt::new(&link.plan, &link.in_schema)?;
+    let mut rt = LinkRt::new(&link.plan);
     let mut out = rt.run(part.to_vec())?;
     out.extend(rt.finish());
     Ok(out)
@@ -1460,15 +1430,15 @@ enum LinkRt<'s> {
 }
 
 impl<'s> LinkRt<'s> {
-    fn new(plan: &'s LinkPlan, in_schema: &Schema) -> Result<Self> {
-        Ok(match plan {
+    fn new(plan: &'s LinkPlan) -> Self {
+        match plan {
             LinkPlan::KeepFirst(cols) => LinkRt::KeepFirst(keyed::KeepFirst::new(cols.clone())),
-            LinkPlan::Aggregate(agg) => LinkRt::Aggregate {
-                state: GroupBy::new(agg, in_schema)?,
+            LinkPlan::Aggregate(state) => LinkRt::Aggregate {
+                state: GroupBy::clone(state),
                 first_tags: Vec::new(),
             },
             LinkPlan::RowWise(kernel) => LinkRt::RowWise(kernel),
-        })
+        }
     }
 
     /// Apply the link to one batch. Input batches are tag-ascending and
@@ -1578,7 +1548,7 @@ impl<'s, 'p> ChainRt<'s, 'p> {
         let mut cells = Vec::with_capacity(seg.links.len() - seg.fused);
         for link in &seg.links[seg.fused..] {
             let rt = match &link.plan {
-                PipePlan::Op { plan, .. } => LinkRt::new(plan, &link.in_schema)?,
+                PipePlan::Op { plan, .. } => LinkRt::new(plan),
                 PipePlan::Reorder(perm) => LinkRt::Reorder(perm),
                 PipePlan::Tally => LinkRt::Tally,
             };

@@ -35,14 +35,14 @@ use std::sync::Arc;
 
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::Schema;
-use etlopt_core::semantics::{BinaryOp, Grouping, UnaryOp};
+use etlopt_core::semantics::{BinaryOp, UnaryOp};
 
 use crate::error::{EngineError, Result};
 use crate::ops::{self, ExecCtx};
 use crate::pool::BufferId;
 use crate::table::{Row, Table};
 
-use super::kernel::{cols_of, perm_for, permute, Kernel, Program};
+use super::kernel::{perm_for, permute, Kernel, LinkPlan, Program};
 use super::keyed::{self, BagCounts, BuildProbe, GroupBy};
 use super::Runtime;
 
@@ -403,39 +403,28 @@ pub(crate) fn unary_pipeline(
     let last = chain.len() - 1;
     for (i, op) in chain.iter().enumerate() {
         let counts_out = i == last;
-        let in_schema = cur.schema().clone();
-        cur = match op {
-            UnaryOp::PkCheck { .. } | UnaryOp::Dedup { .. } => {
-                let cols = match op.grouping() {
-                    Some(Grouping::Keys(pk)) => Some(cols_of(pk, &in_schema)?),
-                    Some(Grouping::WholeRow) | None => None,
-                };
-                Box::new(KeepFirst {
-                    inner: cur,
-                    seen: keyed::KeepFirst::new(cols),
-                    key: key.to_owned(),
-                    counts_out,
-                    schema: in_schema,
-                })
-            }
-            UnaryOp::Aggregate { agg, .. } => Box::new(Agg {
+        let key = key.to_owned();
+        let (plan, schema) = LinkPlan::compile(op, cur.schema(), ctx)?;
+        cur = match plan {
+            LinkPlan::KeepFirst(cols) => Box::new(KeepFirst {
                 inner: cur,
-                state: GroupBy::new(agg, &in_schema)?,
+                seen: keyed::KeepFirst::new(cols),
+                key,
+                counts_out,
+                schema,
+            }),
+            LinkPlan::Aggregate(state) => Box::new(Agg {
+                inner: cur,
+                state: *state,
                 out: None,
-                key: key.to_owned(),
+                key,
                 counts_out,
             }),
-            UnaryOp::Filter { .. }
-            | UnaryOp::NotNull { .. }
-            | UnaryOp::Function(_)
-            | UnaryOp::ProjectOut(_)
-            | UnaryOp::AddField { .. }
-            | UnaryOp::SurrogateKey { .. } => {
-                let (op, schema) = Kernel::compile(op, &in_schema, ctx)?;
+            LinkPlan::RowWise(op) => {
                 let link = Link {
                     op,
                     schema,
-                    key: key.to_owned(),
+                    key,
                     counts_out,
                 };
                 match cur.fuse(link) {

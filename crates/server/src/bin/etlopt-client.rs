@@ -23,47 +23,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use etlopt_server::{run_request, Code, Op, Registry, Request, Response, ServerConfig};
-
-/// Minimal `--flag value` parser over the remaining args.
-struct Flags(Vec<String>);
-
-impl Flags {
-    fn take(&mut self, name: &str) -> Option<String> {
-        let pos = self.0.iter().position(|a| a == name)?;
-        if pos + 1 >= self.0.len() {
-            return None;
-        }
-        let value = self.0.remove(pos + 1);
-        self.0.remove(pos);
-        Some(value)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        match self.take(name) {
-            Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
-            None => Ok(default),
-        }
-    }
-
-    fn take_flag(&mut self, name: &str) -> bool {
-        match self.0.iter().position(|a| a == name) {
-            Some(pos) => {
-                self.0.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn ensure_empty(&self) -> Result<(), String> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unrecognized arguments: {:?}", self.0))
-        }
-    }
-}
+use etlopt_server::{run_request, Code, Flags, Op, Registry, Request, Response, ServerConfig};
 
 fn parse_op(s: &str) -> Result<Op, String> {
     match s {
@@ -145,7 +105,7 @@ fn run() -> Result<ExitCode, String> {
         return Err("usage: etlopt-client submit|oneshot|ping|stats|shutdown …".into());
     }
     let command = args.remove(0);
-    let mut flags = Flags(args);
+    let mut flags = Flags::new(args);
     match command.as_str() {
         "submit" => {
             let addr = flags.take("--addr").ok_or("--addr HOST:PORT is required")?;

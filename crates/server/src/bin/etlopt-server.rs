@@ -16,40 +16,10 @@
 
 use std::process::ExitCode;
 
-use etlopt_server::{spawn, ServerConfig};
-
-/// Minimal `--flag value` parser over the remaining args.
-struct Flags(Vec<String>);
-
-impl Flags {
-    fn take(&mut self, name: &str) -> Option<String> {
-        let pos = self.0.iter().position(|a| a == name)?;
-        if pos + 1 >= self.0.len() {
-            return None;
-        }
-        let value = self.0.remove(pos + 1);
-        self.0.remove(pos);
-        Some(value)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        match self.take(name) {
-            Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
-            None => Ok(default),
-        }
-    }
-
-    fn ensure_empty(&self) -> Result<(), String> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unrecognized arguments: {:?}", self.0))
-        }
-    }
-}
+use etlopt_server::{spawn, Flags, ServerConfig};
 
 fn run() -> Result<ExitCode, String> {
-    let mut flags = Flags(std::env::args().skip(1).collect());
+    let mut flags = Flags::new(std::env::args().skip(1).collect());
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
         addr: flags.take("--addr").unwrap_or(defaults.addr),

@@ -22,12 +22,14 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod admission;
+mod flags;
 pub mod job;
 pub mod json;
 pub mod proto;
 pub mod server;
 pub mod state;
 
+pub use flags::Flags;
 pub use job::{catalog_digest, run_request, table_digest};
 pub use proto::{Code, Op, Request, Response};
 pub use server::{spawn, DrainReport, Server};

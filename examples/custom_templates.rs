@@ -1,86 +1,32 @@
-//! Extending the template library (§3.2, building on ARKTOS II): define a
-//! custom `phone_normalize` activity template with its own engine-side
-//! function, build a workflow from templates only, optimize and execute it.
+//! Custom activity behaviour (§3.2, building on ARKTOS II): the activity
+//! templates are the fixed kinds `core::semantics` declares and
+//! `core::text` spells, and a new behaviour is a named function applied by
+//! the `function` template. Here `phone_normalize` is written in text,
+//! given its engine-side implementation, optimized and executed.
 //!
 //! Run with `cargo run --example custom_templates`.
 
-use etlopt::core::activity::Op;
 use etlopt::core::scalar::Scalar;
-use etlopt::core::template::{ArgsBuilder, TemplateLibrary};
+use etlopt::core::text;
 use etlopt::engine::FunctionRegistry;
 use etlopt::prelude::*;
 
+// `phone` is the function's functionality schema; an in-place transform
+// generates nothing, so the optimizer may move it freely among row-wise
+// activities.
+const WORKFLOW: &str = r#"
+source "CRM" table rows=50000 (cust_id, phone, region)
+activity a1 "NN"           = not_null(phone) sel=0.95                   <- "CRM"
+activity a2 "normalize"    = function phone_normalize(phone) -> phone   <- a1
+activity a3 "σ(region=EU)" = filter region = "EU" sel=0.3               <- a2
+target "DW_CUSTOMERS" table (cust_id, phone, region) <- a3
+"#;
+
 fn main() {
-    // 1. Extend the template library with a custom activity. The template
-    //    dictates the auxiliary schemata: `phone` is the functionality
-    //    schema; an in-place transform generates nothing, so the optimizer
-    //    may move it freely among row-wise activities.
-    let mut library = TemplateLibrary::builtin();
-    library.register(TemplateLibrary::custom(
-        "phone_normalize",
-        "normalize phone numbers to digits-only form",
-        vec!["attr"],
-        |args| {
-            let attr = match &args["attr"] {
-                etlopt::core::template::Arg::Attr(a) => a.clone(),
-                _ => unreachable!("declared param"),
-            };
-            Ok(Op::Unary(UnaryOp::function(
-                "phone_normalize",
-                [attr.clone()],
-                attr,
-            )))
-        },
-    ));
-    println!("library has {} templates", library.len());
+    // 1. Load: CRM -> NN(phone) -> normalize -> σ(region) -> DW.
+    let workflow = text::parse(WORKFLOW).expect("workflow text parses");
 
-    // 2. Materialize activities from templates.
-    let not_null = library
-        .instantiate(
-            "not_null",
-            &ArgsBuilder::new().attr("attr", "phone").build(),
-        )
-        .expect("builtin template");
-    let normalize = library
-        .instantiate(
-            "phone_normalize",
-            &ArgsBuilder::new().attr("attr", "phone").build(),
-        )
-        .expect("custom template");
-    let region_filter = library
-        .instantiate(
-            "selection",
-            &ArgsBuilder::new()
-                .attr("attr", "region")
-                .name("op", "=")
-                .value("value", "EU")
-                .build(),
-        )
-        .expect("builtin template");
-
-    let unary = |op: Op| match op {
-        Op::Unary(u) => u,
-        other => panic!("expected unary, got {other:?}"),
-    };
-
-    // 3. Assemble the workflow: CRM -> NN(phone) -> normalize -> σ(region) -> DW.
-    let mut b = WorkflowBuilder::new();
-    let crm = b.source("CRM", Schema::of(["cust_id", "phone", "region"]), 50_000.0);
-    let a1 = b.unary("NN", unary(not_null).with_selectivity(0.95), crm);
-    let a2 = b.unary("normalize", unary(normalize), a1);
-    let a3 = b.unary(
-        "σ(region=EU)",
-        unary(region_filter).with_selectivity(0.3),
-        a2,
-    );
-    b.target(
-        "DW_CUSTOMERS",
-        Schema::of(["cust_id", "phone", "region"]),
-        a3,
-    );
-    let workflow = b.build().expect("valid workflow");
-
-    // 4. Optimize: the selective region filter should move to the front.
+    // 2. Optimize: the selective region filter should move to the front.
     let model = RowCountModel::default();
     let out = HeuristicSearch::new()
         .run(&workflow, &model)
@@ -99,7 +45,7 @@ fn main() {
         "the selective filter should be pushed to the source"
     );
 
-    // 5. Register the engine-side implementation and execute.
+    // 3. Register the engine-side implementation and execute.
     let mut functions = FunctionRegistry::builtin();
     functions.register("phone_normalize", |args| {
         Ok(match &args[0] {

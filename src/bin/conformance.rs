@@ -57,6 +57,7 @@ use etlopt::core::cost::RowCountModel;
 use etlopt::core::opt::{run_adaptive, AdaptiveConfig, HeuristicSearch, SearchBudget};
 use etlopt::core::trace::ExecCounters;
 use etlopt::engine::{Executor, Harvester, StreamConfig};
+use etlopt::server::Flags;
 use etlopt::workload::{CalibrationStore, Generator, GeneratorConfig, SizeCategory};
 
 fn parse_category(s: &str) -> Result<SizeCategory, String> {
@@ -65,46 +66,6 @@ fn parse_category(s: &str) -> Result<SizeCategory, String> {
         "medium" => Ok(SizeCategory::Medium),
         "large" => Ok(SizeCategory::Large),
         other => Err(format!("unknown category `{other}`")),
-    }
-}
-
-/// Minimal `--flag value` parser over the remaining args.
-struct Flags(Vec<String>);
-
-impl Flags {
-    fn take(&mut self, name: &str) -> Option<String> {
-        let pos = self.0.iter().position(|a| a == name)?;
-        if pos + 1 >= self.0.len() {
-            return None;
-        }
-        let value = self.0.remove(pos + 1);
-        self.0.remove(pos);
-        Some(value)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        match self.take(name) {
-            Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
-            None => Ok(default),
-        }
-    }
-
-    fn take_flag(&mut self, name: &str) -> bool {
-        match self.0.iter().position(|a| a == name) {
-            Some(pos) => {
-                self.0.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn ensure_empty(&self) -> Result<(), String> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unrecognized arguments: {:?}", self.0))
-        }
     }
 }
 
@@ -529,10 +490,10 @@ fn main() -> ExitCode {
         args.remove(0)
     };
     let result = match cmd.as_str() {
-        "sweep" => sweep(Flags(args)),
-        "backends" => backends_cmd(Flags(args)),
-        "replay" => replay_cmd(Flags(args)),
-        "adaptive" => adaptive_cmd(Flags(args)),
+        "sweep" => sweep(Flags::new(args)),
+        "backends" => backends_cmd(Flags::new(args)),
+        "replay" => replay_cmd(Flags::new(args)),
+        "adaptive" => adaptive_cmd(Flags::new(args)),
         other => Err(format!(
             "unknown command `{other}` (expected `sweep`, `backends`, `replay`, or `adaptive`)"
         )),
