@@ -69,10 +69,12 @@ pub struct StreamConfig {
     pub batch_rows: usize,
     /// Buffer-pool frame budget: pages resident before eviction/spill.
     pub frame_budget: usize,
-    /// Worker threads for partition-parallel execution (≥ 1). At 1 the
+    /// Partitions for partition-parallel execution (≥ 1). At 1 the
     /// classic single-threaded pipeline runs; above 1 every node's rows
-    /// are hash-partitioned across this many scoped workers
-    /// (`partition`), with targets, row order, and [`ExecStats`] kept
+    /// are hash-partitioned across this many partitions (`partition`):
+    /// the calling thread runs partition 0, and a task whose input gives
+    /// every partition a full batch hands the others to this many − 1
+    /// scoped workers. Targets, row order, and [`ExecStats`] stay
     /// bit-identical to the sequential run.
     pub parallelism: usize,
     /// Select the pipelined partition executor (`true`, default) or the

@@ -19,12 +19,20 @@
 //!   first after a source, a union or a join — is a zero-link segment
 //!   with a routed sink over its input. No row crosses a thread except
 //!   through the pool.
-//! * **N workers, one coordinator.** `parallelism: N` spawns N partition
-//!   workers once per run. The calling thread runs the tasks one after
-//!   another in task-id (topological) order: it hands every worker its
-//!   partition of the task and waits. Its only row work is the fan-in the
-//!   determinism contract forces anyway: target merges, cache admissions
-//!   and join re-tagging. Independent DAG branches do not overlap.
+//! * **The caller is partition 0.** The calling thread runs the tasks one
+//!   after another in task-id (topological) order, and every partition
+//!   of a task runs the same per-partition function, wherever it runs. A
+//!   task *fans out* only when its input — a table's length, a staged
+//!   set's rows, both sides of a binary — gives each of the N partitions
+//!   a full batch (`N × batch_rows` rows): the caller then hands
+//!   partitions 1..N to N − 1 workers, runs partition 0 itself and
+//!   collects the replies in partition order. A smaller task never leaves
+//!   the caller, which runs its N partitions in order, since a hand-off
+//!   would cost more than the rows. The workers are spawned by the run's
+//!   first task that fans out, so a run where none does spawns no thread.
+//!   The caller's other row work is the fan-in the determinism contract
+//!   forces anyway: target merges, cache admissions and join re-tagging.
+//!   Independent DAG branches do not overlap.
 //! * **Staged sets change hands.** Inter-segment partition sets never
 //!   live in coordinator `Vec`s: workers stage their output through the
 //!   one [`BufferPool`] as spill-eligible pages. A set with a single
@@ -60,15 +68,16 @@
 //!    tag-ascending stream, so every part it writes is tag-ascending, and
 //!    the reader's tag-merge of a partition's parts is the partition in
 //!    global tag order.
-//! 3. **Deterministic absorption.** Workers never touch shared
-//!    counters: the coordinator folds each task's worker tallies in
+//! 3. **Deterministic absorption.** Partitions never touch shared
+//!    counters: the coordinator folds each task's partition tallies in
 //!    partition-index order, tasks in task-id order, so completion order
 //!    cannot leak into `ExecStats` or the trace.
 //!    Residency counters (spills, evictions, peak frames) remain
 //!    schedule-dependent telemetry — nothing compares them bit-wise.
 //!
-//! Worker panics are caught and converted into typed
-//! [`EngineError::WorkerPanicked`] errors for the item that raised them.
+//! A panic in a partition, on the caller or on a worker, is caught and
+//! converted into a typed [`EngineError::WorkerPanicked`] naming that
+//! partition.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -501,6 +510,11 @@ impl StagedSet {
             .ok_or_else(|| internal("staged input partition-count mismatch"))
     }
 
+    /// Rows in the set, across every destination.
+    fn rows(&self) -> u64 {
+        self.dests.iter().map(|d| part_rows(d)).sum()
+    }
+
     /// One past the largest tag in the set (0 when empty).
     fn tag_bound(&self) -> u64 {
         let max = self.dests.iter().flatten().filter_map(|p| p.max_tag).max();
@@ -827,6 +841,22 @@ enum TableSrc {
     },
     /// A cache-hit table re-entering the partitioned plan.
     Cached(Arc<Table>),
+}
+
+impl TableSrc {
+    /// The rows to scan, and the permutation to the declared schema.
+    fn table<'t>(&'t self, rt: &Rt<'t>) -> Result<(&'t Table, Option<&'t [usize]>)> {
+        match self {
+            TableSrc::Catalog { name, perm } => Ok((
+                rt.ctx
+                    .catalog
+                    .table(name)
+                    .ok_or_else(|| EngineError::MissingSource(name.clone()))?,
+                perm.as_deref(),
+            )),
+            TableSrc::Cached(t) => Ok((t.as_ref(), None)),
+        }
+    }
 }
 
 /// A segment's input.
@@ -1645,16 +1675,7 @@ fn scan_table(
     rt: &Rt<'_>,
     mut chain: ChainRt<'_, '_>,
 ) -> Result<WorkerOut> {
-    let (table, perm) = match src {
-        TableSrc::Catalog { name, perm } => (
-            rt.ctx
-                .catalog
-                .table(name)
-                .ok_or_else(|| EngineError::MissingSource(name.clone()))?,
-            perm.as_deref(),
-        ),
-        TableSrc::Cached(t) => (t.as_ref(), None),
-    };
+    let (table, perm) = src.table(rt)?;
     let fused_links = &seg.links[..seg.fused];
     let mut program = Program::new(perm.map(<[usize]>::to_vec), 1);
     for kernel in fused_links.iter().filter_map(PipeLink::row_wise) {
@@ -1774,11 +1795,10 @@ fn run_binary_part(
                             .get(part)
                             .ok_or_else(|| internal("join build row outside its partition"))?
                             .buf;
-                        let enc = rt.pool.row(buf, pos)?;
                         let mut row =
                             Vec::with_capacity(lrow.len() + extra.len() + JTAG_ATTRS.len());
                         row.extend_from_slice(&lrow);
-                        row.extend(extra.iter().map(|&c| enc[c].clone()));
+                        rt.pool.append_cells(buf, pos, extra, &mut row)?;
                         let ctag = u128::from(ltag) * rbound + u128::from(rtag);
                         w.push_composite(ctag, row)?;
                     }
@@ -1820,36 +1840,35 @@ fn run_binary_part(
     })
 }
 
-/// One unit of work for a partition worker.
-struct Item {
-    task: usize,
-    part: usize,
-    work: Work,
-    reply: mpsc::Sender<(usize, Result<WorkerOut>)>,
+/// Run partition `part` of task `t` on `work`: the one per-partition
+/// function, called by the coordinator for the partitions it runs itself
+/// and by the workers for theirs. A panic is caught and reported as this
+/// partition's typed error.
+fn run_part(tg: &TaskGraph, rt: &Rt<'_>, t: usize, part: usize, work: Work) -> Result<WorkerOut> {
+    let run = move || match (&tg.tasks[t], work) {
+        (TaskPlan::Segment(seg), work) => run_segment_part(seg, part, work, rt),
+        (TaskPlan::Binary(bp), Work::Binary(left, right)) => {
+            run_binary_part(bp, part, &left, &right, rt)
+        }
+        (TaskPlan::Binary(_), _) => Err(internal("binary task without its two inputs")),
+    };
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| Err(panicked(part, p.as_ref())))
 }
 
-/// A partition worker: spawned once per run, it executes its partition
-/// of every task the coordinator dispatches, until the coordinator hangs
-/// up. A panic inside an item is caught and reported as that item's
-/// result.
-fn worker_loop(items: mpsc::Receiver<Item>, tg: &TaskGraph, rt: &Rt<'_>) {
-    for Item {
-        task,
-        part,
-        work,
-        reply,
-    } in items
-    {
-        let run = move || match (&tg.tasks[task], work) {
-            (TaskPlan::Segment(seg), work) => run_segment_part(seg, part, work, rt),
-            (TaskPlan::Binary(bp), Work::Binary(left, right)) => {
-                run_binary_part(bp, part, &left, &right, rt)
-            }
-            (TaskPlan::Binary(_), _) => Err(internal("binary task without its two inputs")),
-        };
-        let result =
-            catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| Err(panicked(part, p.as_ref())));
-        let _ = reply.send((part, result));
+/// The worker of partition `part`: it runs its partition of every task
+/// the coordinator hands it, replying in task order, until the
+/// coordinator hangs up.
+fn worker_loop(
+    part: usize,
+    items: mpsc::Receiver<(usize, Work)>,
+    replies: mpsc::Sender<Result<WorkerOut>>,
+    tg: &TaskGraph,
+    rt: &Rt<'_>,
+) {
+    for (t, work) in items {
+        if replies.send(run_part(tg, rt, t, part, work)).is_err() {
+            return;
+        }
     }
 }
 
@@ -1913,24 +1932,33 @@ fn retag_join(
     Ok((parts, pages))
 }
 
-/// The coordinator's state across tasks: the workers' item queues, the
-/// staged sets awaiting consumers, and the run's results so far.
-struct Coordinator<'e> {
+/// A spawned partition worker's two queues.
+struct Worker {
+    items: mpsc::Sender<(usize, Work)>,
+    replies: mpsc::Receiver<Result<WorkerOut>>,
+}
+
+/// The coordinator's state across tasks: the workers, the staged sets
+/// awaiting consumers, and the run's results so far.
+struct Coordinator<'s, 'e> {
+    /// The run's thread scope, which the workers are spawned into.
+    scope: &'s std::thread::Scope<'s, 'e>,
     tg: &'e TaskGraph,
     rt: &'e Rt<'e>,
-    /// One item queue per partition worker.
-    workers: Vec<mpsc::Sender<Item>>,
+    /// The workers of partitions 1..N, spawned by the first task that
+    /// fans out — none in a run where no task does.
+    workers: Vec<Worker>,
     /// Staged outputs awaiting their consumers, and how many are left.
     staged: Vec<Option<Dests>>,
     fan_left: Vec<usize>,
-    stats: &'e mut ExecStats,
-    counters: &'e mut ExecCounters,
-    targets: &'e mut BTreeMap<String, Table>,
+    stats: &'s mut ExecStats,
+    counters: &'s mut ExecCounters,
+    targets: &'s mut BTreeMap<String, Table>,
     /// Cache admissions, deferred to end-of-run.
     cache_tables: Vec<(NodeId, Table)>,
 }
 
-impl Coordinator<'_> {
+impl Coordinator<'_, '_> {
     /// `from`'s staged output as one consumer sees it; `sequential` is
     /// false when that consumer does not read it once, front to back.
     fn input(&self, from: usize, sequential: bool) -> Result<StagedSet> {
@@ -1943,33 +1971,45 @@ impl Coordinator<'_> {
         })
     }
 
-    /// Hand worker `j` partition `j` of task `t` with `work()` and collect
-    /// the results in partition order. When several workers fail the
-    /// lowest partition wins.
-    fn dispatch(&self, t: usize, work: impl Fn() -> Work) -> Result<Vec<WorkerOut>> {
-        let (reply, replies) = mpsc::channel();
-        for (part, worker) in self.workers.iter().enumerate() {
-            let item = Item {
-                task: t,
-                part,
-                work: work(),
-                reply: reply.clone(),
-            };
-            worker
-                .send(item)
-                .map_err(|_| internal(format!("partition worker {part} is gone")))?;
+    /// Run partition `j` of task `t` on `work()` for every `j` and return
+    /// the results in partition order; when several partitions fail the
+    /// lowest wins. The task fans out only when its `rows` of input give
+    /// every partition a full batch: then the workers run partitions
+    /// 1..N while this thread runs partition 0. Below that, a hand-off
+    /// would cost more than the rows, and this thread runs every
+    /// partition itself, in order.
+    fn dispatch(&mut self, t: usize, rows: u64, work: impl Fn() -> Work) -> Result<Vec<WorkerOut>> {
+        let (tg, rt) = (self.tg, self.rt);
+        let full = (rt.nparts as u64).saturating_mul(rt.batch_rows as u64);
+        if rows < full {
+            return (0..rt.nparts)
+                .map(|j| run_part(tg, rt, t, j, work()))
+                .collect();
         }
-        drop(reply);
-        let mut slots: Vec<Option<Result<WorkerOut>>> = self.workers.iter().map(|_| None).collect();
-        for (j, result) in replies {
-            slots[j] = Some(result);
+        if self.workers.is_empty() {
+            for part in 1..rt.nparts {
+                let (items_tx, items) = mpsc::channel();
+                let (replies_tx, replies) = mpsc::channel();
+                self.scope
+                    .spawn(move || worker_loop(part, items, replies_tx, tg, rt));
+                self.workers.push(Worker {
+                    items: items_tx,
+                    replies,
+                });
+            }
         }
-        let mut outs = Vec::with_capacity(slots.len());
-        for (j, slot) in slots.into_iter().enumerate() {
-            let lost = || internal(format!("partition worker {j} produced no result"));
-            outs.push(slot.ok_or_else(lost)??);
+        for (i, w) in self.workers.iter().enumerate() {
+            w.items
+                .send((t, work()))
+                .map_err(|_| internal(format!("partition worker {} is gone", i + 1)))?;
         }
-        Ok(outs)
+        let mut outs = Vec::with_capacity(rt.nparts);
+        outs.push(run_part(tg, rt, t, 0, work()));
+        for (i, w) in self.workers.iter().enumerate() {
+            let lost = |_| internal(format!("partition worker {} produced no result", i + 1));
+            outs.push(w.replies.recv().map_err(lost)?);
+        }
+        outs.into_iter().collect()
     }
 
     /// Execute task `t` end to end and fold its workers' results — in
@@ -1982,10 +2022,13 @@ impl Coordinator<'_> {
             TaskPlan::Segment(seg) => {
                 self.counters.pipeline_segments += 1;
                 let done = match &seg.feed {
-                    Feed::Table(_) => self.dispatch(t, || Work::Scan)?,
+                    Feed::Table(src) => {
+                        let rows = src.table(rt)?.0.len() as u64;
+                        self.dispatch(t, rows, || Work::Scan)?
+                    }
                     Feed::Staged { from } => {
                         let set = self.input(*from, true)?;
-                        self.dispatch(t, || Work::Staged(set.clone()))?
+                        self.dispatch(t, set.rows(), || Work::Staged(set.clone()))?
                     }
                 };
                 (seg.links.iter().map(|l| l.key.as_ref()).collect(), done)
@@ -1997,8 +2040,9 @@ impl Coordinator<'_> {
                 let build = matches!(bp.kind, BinKind::Join { .. });
                 let left = self.input(bp.left, apart)?;
                 let right = self.input(bp.right, apart && !build)?;
+                let rows = left.rows() + right.rows();
                 let both = || Work::Binary(left.clone(), right.clone());
-                (vec![Some(&bp.key)], self.dispatch(t, both)?)
+                (vec![Some(&bp.key)], self.dispatch(t, rows, both)?)
             }
         };
 
@@ -2117,19 +2161,20 @@ pub(crate) fn run_parallel(
         nparts,
         batch_rows: cfg.batch_rows.max(1),
     };
-    // Everything the workers borrow is built; `parallelism: N` is N
-    // threads, spawned here once. The tasks then run one after another on
-    // this thread, in task-id (topological) order, so the first failing
-    // task is the error surfaced, and leaving the scope — on success or
-    // on `?` — hangs up on the workers, which then exit and are joined.
+    // Everything the workers borrow is built. The tasks run one after
+    // another on this thread, in task-id (topological) order, so the first
+    // failing task is the error surfaced; leaving the scope — on success
+    // or on `?` — hangs up on whatever workers the run spawned, which then
+    // exit and are joined.
     let mut cache_tables = Vec::new();
     if !tg.tasks.is_empty() {
         counters.peak_inflight_tasks = 1;
         cache_tables = std::thread::scope(|scope| {
             let mut co = Coordinator {
+                scope,
                 tg: &tg,
                 rt: &rt,
-                workers: Vec::with_capacity(nparts),
+                workers: Vec::new(),
                 staged: tg.tasks.iter().map(|_| None).collect(),
                 fan_left: tg.fanout.clone(),
                 stats: &mut stats,
@@ -2137,12 +2182,6 @@ pub(crate) fn run_parallel(
                 targets: &mut targets,
                 cache_tables: Vec::new(),
             };
-            for _ in 0..nparts {
-                let (tx, items) = mpsc::channel();
-                co.workers.push(tx);
-                let (tg, rt) = (&tg, &rt);
-                scope.spawn(move || worker_loop(items, tg, rt));
-            }
             (0..tg.tasks.len()).try_for_each(|t| co.run_task(t))?;
             Ok::<_, EngineError>(co.cache_tables)
         })?;
@@ -2302,6 +2341,74 @@ mod tests {
                 "pipelined runs count their segments: {:?}",
                 par.counters
             );
+        }
+    }
+
+    /// Where the rows run. A function activity records the thread of
+    /// every call: with every task below `nparts × batch_rows` input rows
+    /// each call runs on the calling thread; with a source of that many
+    /// rows the scan fans out and the calls span the caller and a worker.
+    /// Either way the run equals the sequential stream.
+    #[test]
+    fn a_task_fans_out_only_when_every_partition_gets_a_full_batch() {
+        use crate::functions::FunctionRegistry;
+        use etlopt_core::semantics::Aggregation;
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 300.0);
+        let nn = b.unary("NN", UnaryOp::not_null("v"), s);
+        let w = b.unary("W", UnaryOp::function("where", ["v"], "w"), nn);
+        let g = b.unary(
+            "G",
+            UnaryOp::aggregate(Aggregation::sum(["k"], "w", "w")),
+            w,
+        );
+        b.target("ROWS", Schema::of(["k", "w"]), w);
+        b.target("SUMS", Schema::of(["k", "w"]), g);
+        let wf = b.build().expect("workflow builds");
+
+        let seen: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+        let mut fns = FunctionRegistry::builtin();
+        let log = Arc::clone(&seen);
+        fns.register("where", move |args| {
+            log.lock()
+                .expect("no call panics")
+                .insert(thread::current().id());
+            Ok(args[0].clone())
+        });
+        let me = thread::current().id();
+        for threads in [2usize, 4] {
+            let full = threads * 16;
+            for (rows, fans_out) in [(full - 1, false), (full, true)] {
+                let mut cat = Catalog::new();
+                cat.insert("S", keyed_table(rows as i64));
+                let exec = Executor::new(cat).with_functions(fns.clone());
+                let cfg = StreamConfig {
+                    batch_rows: 16,
+                    ..StreamConfig::default()
+                };
+                let seq = exec
+                    .clone()
+                    .with_stream_config(cfg)
+                    .run_stream(&wf)
+                    .expect("sequential run");
+                seen.lock().expect("no call panics").clear();
+                let par = exec
+                    .with_stream_config(StreamConfig {
+                        parallelism: threads,
+                        ..cfg
+                    })
+                    .run_stream(&wf)
+                    .expect("parallel run");
+                let cell = format!("{rows} rows at {threads} threads");
+                assert_eq!(seq.result.targets, par.result.targets, "{cell}");
+                assert_eq!(seq.result.stats, par.result.stats, "{cell}");
+                let seen = seen.lock().expect("no call panics");
+                assert!(seen.contains(&me), "{cell}: the caller runs partition 0");
+                assert_eq!(seen.len() > 1, fans_out, "{cell}: {} threads", seen.len());
+            }
         }
     }
 

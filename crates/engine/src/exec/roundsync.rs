@@ -261,9 +261,9 @@ impl ParRuntime<'_> {
             let mut out: Vec<(u128, Row)> = Vec::new();
             for (ltag, lrow) in &lref.parts[j] {
                 for &(pos, rtag) in index.probe(lrow) {
-                    let rrow = pool.row(buf, pos)?;
-                    let mut row = lrow.clone();
-                    row.extend(extra.iter().map(|&c| rrow[c].clone()));
+                    let mut row = Vec::with_capacity(lrow.len() + extra.len());
+                    row.extend_from_slice(lrow);
+                    pool.append_cells(buf, pos, &extra, &mut row)?;
                     out.push((u128::from(*ltag) * rbound + u128::from(rtag), row));
                 }
             }

@@ -516,9 +516,9 @@ impl BatchIter for HashJoin {
         let mut out = Vec::new();
         for lrow in &lbatch {
             for &ri in self.index.probe(lrow) {
-                let rrow = rt.pool.row(buf, ri)?;
-                let mut row = lrow.clone();
-                row.extend(self.extra.iter().map(|&c| rrow[c].clone()));
+                let mut row = Vec::with_capacity(lrow.len() + self.extra.len());
+                row.extend_from_slice(lrow);
+                rt.pool.append_cells(buf, ri, &self.extra, &mut row)?;
                 out.push(row);
             }
         }

@@ -38,9 +38,9 @@
 //! reading), and a spilled one is decoded straight from the heap file
 //! into the caller's hands without ever occupying a frame. Either way
 //! the page is gone from the pool afterwards — a second take, or a
-//! `page` / `row` on it, is a typed error. The partitioned executor
-//! takes every staged set that has a single sequential consumer, and
-//! [`BufferPool::into_table`] drains a target buffer this way; the
+//! `page` / `append_cells` on it, is a typed error. The partitioned
+//! executor takes every staged set that has a single sequential consumer,
+//! and [`BufferPool::into_table`] drains a target buffer this way; the
 //! spill codec (see `heap`) is paid only by pages the clock actually
 //! evicted.
 
@@ -204,16 +204,27 @@ impl BufferPool {
         self.lock().take(buf, page)
     }
 
-    /// Fetch one row by its global index within the buffer (hash-join
-    /// probes), faulting the owning page in if necessary.
-    pub fn row(&self, buf: BufferId, index: usize) -> Result<Row> {
+    /// Append cells `cols` of row `index` (its global index within the
+    /// buffer) to `row`, faulting the owning page in if necessary: a
+    /// hash-join match copies only the build-side columns it adds.
+    pub fn append_cells(
+        &self,
+        buf: BufferId,
+        index: usize,
+        cols: &[usize],
+        row: &mut Row,
+    ) -> Result<()> {
         let mut s = self.lock();
         let b = &s.bufs[buf.0];
+        let out_of_range = |what: String| EngineError::FunctionFailed {
+            function: "BufferPool::append_cells".into(),
+            reason: what,
+        };
         if index >= b.rows {
-            return Err(EngineError::FunctionFailed {
-                function: "BufferPool::row".into(),
-                reason: format!("row {index} out of range ({} rows)", b.rows),
-            });
+            return Err(out_of_range(format!(
+                "row {index} out of range ({} rows)",
+                b.rows
+            )));
         }
         // Pages are start-ordered; find the one covering `index`.
         let page = match b.pages.binary_search_by(|p| p.start.cmp(&index)) {
@@ -222,7 +233,14 @@ impl BufferPool {
         };
         let start = b.pages[page].start;
         let rows = s.fault(buf, page, self.budget)?;
-        Ok(rows[index - start].clone())
+        let src = &rows[index - start];
+        for &c in cols {
+            let cell = src
+                .get(c)
+                .ok_or_else(|| out_of_range(format!("column {c} out of range")))?;
+            row.push(cell.clone());
+        }
+        Ok(())
     }
 
     /// Materialize the whole buffer as a [`Table`] (faulting spilled pages
@@ -425,6 +443,13 @@ mod tests {
         Schema::of(["k", "v"])
     }
 
+    /// Row `index` of `b`, read back through [`BufferPool::append_cells`].
+    fn row_at(pool: &BufferPool, b: BufferId, index: usize) -> Result<Row> {
+        let mut row = Vec::new();
+        pool.append_cells(b, index, &[0, 1], &mut row)?;
+        Ok(row)
+    }
+
     #[test]
     fn append_and_read_back_without_eviction() {
         let pool = BufferPool::new(8);
@@ -468,10 +493,35 @@ mod tests {
         }
         // Probe back-to-front so early (evicted) pages must fault in.
         for i in (0..20).rev() {
-            let row = pool.row(b, i).unwrap();
+            let row = row_at(&pool, b, i).unwrap();
             assert_eq!(row[0], Scalar::Int(i as i64));
         }
-        assert!(pool.row(b, 20).is_err());
+        assert!(row_at(&pool, b, 20).is_err());
+    }
+
+    #[test]
+    fn appending_cells_of_a_spilled_row_copies_only_those_cells() {
+        let pool = BufferPool::new(1);
+        let b = pool.create(schema());
+        pool.append(b, rows(0..2)).unwrap();
+        pool.append(b, rows(2..4)).unwrap(); // spills page 0
+        assert_eq!(pool.counters().pages_spilled, 1);
+        let mut row = vec![Scalar::Null];
+        pool.append_cells(b, 1, &[1, 0, 1], &mut row).unwrap();
+        let ten = Scalar::Int(10);
+        assert_eq!(row, [Scalar::Null, ten.clone(), Scalar::Int(1), ten]);
+        assert_eq!(pool.counters().pages_reloaded, 1);
+        let mut none = Vec::new();
+        pool.append_cells(b, 3, &[], &mut none).unwrap();
+        assert!(none.is_empty());
+        assert!(
+            pool.append_cells(b, 0, &[2], &mut none).is_err(),
+            "no column 2"
+        );
+        assert!(
+            pool.append_cells(b, 4, &[0], &mut none).is_err(),
+            "no row 4"
+        );
     }
 
     #[test]
@@ -487,13 +537,13 @@ mod tests {
         pool.append(b, rows(2..4)).unwrap();
         pool.append(b, rows(4..6)).unwrap();
         assert_eq!(held[1][0], Scalar::Int(1));
-        assert_eq!(pool.row(b, 0).unwrap()[0], Scalar::Int(0));
+        assert_eq!(row_at(&pool, b, 0).unwrap()[0], Scalar::Int(0));
         drop(held);
         // Unpinned now: the next sweep may evict it, and spilled pages
         // reload intact.
         pool.append(b, rows(6..8)).unwrap();
         for i in 0..8 {
-            assert_eq!(pool.row(b, i).unwrap()[0], Scalar::Int(i as i64));
+            assert_eq!(row_at(&pool, b, i).unwrap()[0], Scalar::Int(i as i64));
         }
     }
 
@@ -563,7 +613,7 @@ mod tests {
         // Gone for every reader, with a typed error each.
         assert!(pool.take_page(b, 0).is_err());
         assert!(pool.page(b, 0).is_err());
-        assert!(pool.row(b, 0).is_err());
+        assert!(row_at(&pool, b, 0).is_err());
         assert!(pool.take_page(b, 1).is_err(), "no such page");
     }
 

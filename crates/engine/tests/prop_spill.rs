@@ -219,9 +219,18 @@ fn parallel_spilled_runs_stay_bit_identical() {
     };
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(seed ^ 0x9a17);
-        let rows = rng.gen_range(150..300usize);
+        let drawn = rng.gen_range(150..300usize);
         let cut = rng.gen_range(-400.0..400.0f64);
         for threads in [2usize, 4] {
+            // Seeds 0, 1 and 2 put every source one row below, at and one
+            // row above the size at which a scan fans out: a full batch
+            // for every partition.
+            let full = threads * TINY.batch_rows;
+            let rows = if seed < 3 {
+                full + seed as usize - 1
+            } else {
+                drawn
+            };
             let mut cat = Catalog::new();
             cat.insert("S", random_table(&mut rng, rows));
             tally(check_parallel(&fan_out_wf(cut), cat, seed, threads));
@@ -422,19 +431,28 @@ fn butterfly_branches_stay_bit_identical() {
     }
 }
 
-/// Pool-poison regression: a worker that panics mid-pipeline (here via a
-/// scalar function that panics on the first Float it sees) must surface
-/// as a typed `WorkerPanicked` error — not a deadlock, a poisoned pool
-/// mutex, or a propagated panic. A watchdog thread
-/// bounds the wait so a regression fails fast instead of hanging CI.
+/// Pool-poison regression: a partition that panics mid-pipeline (here
+/// via a scalar function that panics on a marked value while armed) must
+/// surface as a typed `WorkerPanicked` error naming that partition — not
+/// a deadlock, a poisoned pool mutex, or a propagated panic — and the same
+/// executor must then run the workflow again. At 4 workers and 8-row
+/// batches a task fans out from 32 input rows, so the cases cover a panic
+/// in a task the caller runs inline, in the caller's own partition 0 of a
+/// task that fans out, in a worker's partition, and in every partition at
+/// once (the lowest wins). A watchdog thread bounds the wait so a
+/// regression fails fast instead of hanging CI.
 #[test]
 fn panicking_worker_reports_typed_error_without_deadlock() {
-    use std::sync::mpsc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
+    const MARK: Scalar = Scalar::Int(1000);
+    let armed = Arc::new(AtomicBool::new(true));
     let mut fns = etlopt_engine::FunctionRegistry::builtin();
-    fns.register("boom", |args: &[Scalar]| {
-        if matches!(args[0], Scalar::Float(_)) {
+    let trigger = Arc::clone(&armed);
+    fns.register("boom", move |args: &[Scalar]| {
+        if args[0] == MARK && trigger.load(Ordering::SeqCst) {
             panic!("injected worker panic");
         }
         Ok(args[0].clone())
@@ -446,32 +464,60 @@ fn panicking_worker_reports_typed_error_without_deadlock() {
     b.target("OUT", Schema::of(["k", "w"]), f);
     let wf = b.build().expect("workflow is well-formed");
 
-    let mut rng = Rng::seed_from_u64(0xdead);
-    let mut cat = Catalog::new();
-    cat.insert("S", random_table(&mut rng, 200));
-
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let result = Executor::new(cat)
-            .with_functions(fns)
+    // (source rows, marked row positions, the partition that must be
+    // named); partition `j` reads rows `j, j + 4, …`.
+    let all: Vec<usize> = (0..200).collect();
+    let cases: [(usize, &[usize], usize); 4] =
+        [(31, &[1], 1), (64, &[4], 0), (64, &[6], 2), (200, &all, 0)];
+    for (rows, marked, partition) in cases {
+        let source = (0..rows)
+            .map(|i| {
+                let v = if marked.contains(&i) {
+                    MARK
+                } else {
+                    Scalar::Float(i as f64)
+                };
+                vec![Scalar::Int(i as i64), v]
+            })
+            .collect();
+        let mut cat = Catalog::new();
+        cat.insert(
+            "S",
+            Table::from_rows(Schema::of(["k", "v"]), source).expect("rows match schema"),
+        );
+        let exec = Executor::new(cat)
+            .with_functions(fns.clone())
             .with_stream_config(StreamConfig {
                 parallelism: 4,
                 ..TINY
-            })
-            .run_stream(&wf);
-        let _ = tx.send(result);
-    });
-    let result = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("pipeline must not deadlock on a panicking worker");
-    match result {
-        Err(etlopt_engine::EngineError::WorkerPanicked { detail, .. }) => {
-            assert!(
-                detail.contains("injected worker panic"),
-                "panic payload should be preserved: {detail}"
-            );
+            });
+        armed.store(true, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        let (wf, armed) = (wf.clone(), Arc::clone(&armed));
+        std::thread::spawn(move || {
+            let first = exec.run_stream(&wf);
+            armed.store(false, Ordering::SeqCst);
+            let _ = tx.send((first, exec.run_stream(&wf)));
+        });
+        let (first, second) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("pipeline must not deadlock on a panicking worker");
+        let case = format!("{rows} rows, marks {marked:?}");
+        match first {
+            Err(etlopt_engine::EngineError::WorkerPanicked {
+                partition: p,
+                detail,
+            }) => {
+                assert_eq!(p, partition, "{case}: the panicking partition");
+                assert!(
+                    detail.contains("injected worker panic"),
+                    "{case}: panic payload should be preserved: {detail}"
+                );
+            }
+            other => panic!("{case}: expected WorkerPanicked, got {other:?}"),
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        let again = second.unwrap_or_else(|e| panic!("{case}: second run fails: {e:?}"));
+        assert_eq!(again.result.targets["OUT"].len(), rows, "{case}");
     }
 }
 

@@ -13,6 +13,9 @@
 //! * `phases`   — best cost after each HS phase, one scenario per band.
 //! * `table1`   — quality of solution % (avg) per size band and algorithm.
 //! * `table2`   — visited states, improvement % and time per band/algorithm.
+//! * `parallel` — the streaming engine at parallelism 1 and 2 over the three
+//!   hand-built scenarios: best-of wall time and CPU ÷ wall. Its numbers are
+//!   timings of this machine, so `all` leaves it out.
 //!
 //! Budgets are state counts only, so every column except `time_ms` is a
 //! function of the seed and the tree. Absolute numbers differ from the
@@ -26,6 +29,7 @@ use etlopt::core::opt::{
 };
 use etlopt::engine::Executor;
 use etlopt::workload::{scenarios, Generator, GeneratorConfig, Scenario, SizeCategory};
+use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy)]
 struct Config {
@@ -387,6 +391,79 @@ fn physical() {
     }
 }
 
+/// CPU time this process has spent so far, user plus system, from
+/// `/proc/self/stat` (fields 14 and 15, in Linux's fixed 1/100 s clock
+/// ticks); `None` where that file does not exist.
+fn process_cpu_secs() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces, so count from its ')'.
+    let after_name = stat.get(stat.rfind(')')? + 1..)?;
+    let mut ticks = after_name
+        .split_whitespace()
+        .skip(11)
+        .map(str::parse::<u64>);
+    let (user, system) = (ticks.next()?.ok()?, ticks.next()?.ok()?);
+    Some((user + system) as f64 / 100.0)
+}
+
+/// The streaming engine at parallelism 1 and 2 on Fig. 1, clickstream and
+/// reconciliation, each with about `rows` source rows (split evenly over
+/// the scenario's two sources; reconciliation's second ledger keeps ≈ 90 %
+/// of the first). Each cell repeats the run for at least half a second and
+/// prints the best run's wall time and the process's CPU ÷ wall over all
+/// of them. A parallel run's targets must equal the sequential run's.
+fn parallel(cfg: &Config) {
+    println!("\nParallel sweep: run_stream at parallelism 1 and 2 (default pool)");
+    println!(
+        "{:<15} {:>7} {:>4} {:>10} {:>9} {:>5}",
+        "scenario", "rows", "par", "best_ms", "cpu/wall", "runs"
+    );
+    for rows in [1_000usize, 10_000, 100_000] {
+        let cases = [
+            (
+                "fig1",
+                scenarios::fig1(),
+                scenarios::fig1_catalog(cfg.seed, rows / 2, rows / 2),
+            ),
+            (
+                "clickstream",
+                scenarios::clickstream(),
+                scenarios::clickstream_catalog(cfg.seed, rows / 2),
+            ),
+            (
+                "reconciliation",
+                scenarios::reconciliation(),
+                scenarios::reconciliation_catalog(cfg.seed, rows / 2),
+            ),
+        ];
+        for (name, wf, catalog) in cases {
+            let mut sequential = None;
+            for par in [1usize, 2] {
+                let exec = Executor::new(catalog.clone()).with_parallelism(par);
+                let (mut best, mut runs) = (Duration::MAX, 0u32);
+                let (start, cpu_start) = (Instant::now(), process_cpu_secs());
+                while runs < 5 || start.elapsed() < Duration::from_millis(500) {
+                    let t = Instant::now();
+                    let run = exec.run_stream(&wf).expect("the scenario executes");
+                    best = best.min(t.elapsed());
+                    runs += 1;
+                    let targets = sequential.get_or_insert_with(|| run.result.targets.clone());
+                    assert_eq!(*targets, run.result.targets, "{name} at parallelism {par}");
+                }
+                let wall = start.elapsed().as_secs_f64();
+                let cpu = match (cpu_start, process_cpu_secs()) {
+                    (Some(a), Some(b)) => format!("{:.2}", (b - a) / wall),
+                    _ => "n/a".to_owned(),
+                };
+                println!(
+                    "{name:<15} {rows:>7} {par:>4} {:>10.3} {cpu:>9} {runs:>5}",
+                    best.as_secs_f64() * 1000.0
+                );
+            }
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = Config {
@@ -420,6 +497,7 @@ fn main() {
             "phases" => phases(&cfg),
             "table1" => table1(bands.get_or_insert_with(|| run_all_bands(&cfg))),
             "table2" => table2(bands.get_or_insert_with(|| run_all_bands(&cfg))),
+            "parallel" => parallel(&cfg),
             "all" => {
                 fig1();
                 fig4();
@@ -431,7 +509,7 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown command `{other}`; use fig1|fig4|physical|phases|table1|table2|all"
+                    "unknown command `{other}`; use fig1|fig4|physical|phases|table1|table2|parallel|all"
                 );
                 std::process::exit(2);
             }
