@@ -460,7 +460,7 @@ pub struct ExecCounters {
     /// Batches emitted by operators of the streaming pipeline.
     pub batches: u64,
     /// Rows the scans read where they are stored: catalog and cached
-    /// tables, and the sequential executor's pool-buffer re-reads.
+    /// tables, and pool-buffer re-reads.
     pub rows_scanned: u64,
     /// Rows those scans allocated — the ones that outlived every row-wise
     /// link fused into the scan and were handed to an owner. Rows lent to
@@ -483,36 +483,23 @@ pub struct ExecCounters {
     pub cache_misses: u64,
     /// Intermediate results admitted into the shared cache.
     pub cache_insertions: u64,
-    /// Rows routed to each worker index by the partition-parallel
-    /// source scans, routed sinks and (round-synchronous) exchanges (the
-    /// execution-plane counterpart of [`SearchStats::worker_batches`]).
-    /// Empty for sequential runs. The routing hash is fixed-key, so the
-    /// split is deterministic for a given thread count.
+    /// Always empty: every run is the single-threaded stream. The lane
+    /// and pipeline fields below stay only because the benchmark's engine
+    /// workload still writes or reads them; they go with it.
     pub worker_rows: Vec<u64>,
-    /// Pages written while staging inter-segment partition sets through
-    /// the buffer pool (a subset of `pages_appended`). Zero for
-    /// sequential runs and for the legacy round-synchronous coordinator,
-    /// which holds partition sets in memory instead.
+    /// Always 0, like `worker_rows`.
     pub pages_staged: u64,
-    /// Pipelined segment tasks executed by the partition-parallel
-    /// coordinator.
+    /// Always 0, like `worker_rows`.
     pub pipeline_segments: u64,
-    /// Always 0: the pipelined executor has no channels (rows change
-    /// partition through routed sinks in the pool). Kept only because
-    /// the benchmark's engine workload still reads it.
+    /// Always 0, like `worker_rows`.
     pub channel_high_water: u64,
-    /// Always 1 for a pipelined run, whose coordinator runs tasks one
-    /// after another (0 when no task ran). Kept only because the
-    /// benchmark's engine workload still reads it.
+    /// Always 0, like `worker_rows`.
     pub peak_inflight_tasks: u64,
-    /// Batches each worker index processed through its segment links,
-    /// absorbed element-wise in worker-index order.
+    /// Always empty, like `worker_rows`.
     pub worker_busy: Vec<u64>,
-    /// Always empty: no worker sends to another. Kept only because the
-    /// benchmark's engine workload still reads it.
+    /// Always empty, like `worker_rows`.
     pub worker_send_blocked: Vec<u64>,
-    /// Always empty: no worker waits on a feeder. Kept only because the
-    /// benchmark's engine workload still reads it.
+    /// Always empty, like `worker_rows`.
     pub worker_recv_blocked: Vec<u64>,
 }
 

@@ -44,15 +44,6 @@ pub enum EngineError {
     },
     /// A type error during evaluation (e.g. SUM over strings).
     Type(String),
-    /// A partition worker panicked mid-pipeline. The worker catches the
-    /// unwind and reports it as this typed error instead of propagating
-    /// the panic.
-    WorkerPanicked {
-        /// Partition index of the worker that panicked.
-        partition: usize,
-        /// Panic payload rendered as text, when it was a string.
-        detail: String,
-    },
     /// An underlying workflow/graph error.
     Core(etlopt_core::error::CoreError),
 }
@@ -84,9 +75,6 @@ impl fmt::Display for EngineError {
                 write!(f, "lookup `{lookup}` has no surrogate for key {key}")
             }
             EngineError::Type(msg) => write!(f, "type error: {msg}"),
-            EngineError::WorkerPanicked { partition, detail } => {
-                write!(f, "partition worker {partition} panicked: {detail}")
-            }
             EngineError::Core(e) => write!(f, "workflow error: {e}"),
         }
     }

@@ -29,11 +29,9 @@
 //! now. [`Step::Broken`] and an unknown function fail only when a row
 //! reaches them.
 //!
-//! Both streaming executors run these kernels — the sequential pull
-//! pipeline over `Row`s, the partitioned ones over `(tag, Row)` pairs
-//! ([`Carrier`]) — and both choose a unary link's runtime in one place,
-//! [`LinkPlan::compile`]: a kernel for a row-wise kind, a keyed state
-//! machine for PK, DD and γ. The materializing `ops::*` implementations
+//! The streaming executor runs these kernels and chooses a unary link's
+//! runtime in one place, [`LinkPlan::compile`]: a kernel for a row-wise
+//! kind, a keyed state machine for PK, DD and γ. The materializing `ops::*` implementations
 //! stay the deliberately naive reference they are compared against: the
 //! kernels share no per-row code with them, only the empty-table probe
 //! that derives the output schema and raises schema errors identically.
@@ -56,31 +54,6 @@ use crate::ops::{self, ExecCtx};
 use crate::table::{Row, Table};
 
 use super::keyed::GroupBy;
-
-/// Something that carries a row through a kernel: a bare [`Row`] in the
-/// sequential pipeline, a `(tag, Row)` pair in the partitioned ones.
-pub(crate) trait Carrier {
-    fn row(&self) -> &Row;
-    fn row_mut(&mut self) -> &mut Row;
-}
-
-impl Carrier for Row {
-    fn row(&self) -> &Row {
-        self
-    }
-    fn row_mut(&mut self) -> &mut Row {
-        self
-    }
-}
-
-impl<T> Carrier for (T, Row) {
-    fn row(&self) -> &Row {
-        &self.1
-    }
-    fn row_mut(&mut self) -> &mut Row {
-        &mut self.1
-    }
-}
 
 /// Column positions of `dst`'s attributes inside `src`, or `None` when the
 /// layouts already agree. Attributes of `src` that `dst` does not name are
@@ -252,8 +225,7 @@ impl Lent<'_> {
 
 /// The row-wise links a scan runs on rows it does not own, in link order,
 /// tallying what each link would have reported had it run above the scan.
-/// Both the sequential [`super::stream::Scan`] and the partitioned source
-/// scan of [`super::partition`] read through this.
+/// [`super::stream::Scan`] reads through this.
 #[derive(Default)]
 pub(crate) struct Program {
     /// Stored column → declared column, when the layouts differ. Links are
@@ -455,7 +427,7 @@ pub(crate) struct Kernel {
     step: Step,
 }
 
-/// How one unary link runs, in either streaming executor: keep the first
+/// How one unary link runs in the streaming executor: keep the first
 /// row per key (PK on its key columns, DD on whole rows), group (γ), or a
 /// row-wise [`Kernel`].
 pub(crate) enum LinkPlan {
@@ -572,12 +544,12 @@ impl Kernel {
 
     /// Run the operator over an owned `batch` in place. On an error the
     /// batch is left part-edited; the run that owns it is over.
-    pub(crate) fn apply<T: Carrier>(&self, batch: &mut Vec<T>) -> Result<()> {
+    pub(crate) fn apply(&self, batch: &mut Vec<Row>) -> Result<()> {
         let mut bufs = Bufs::default();
         let mut failed = None;
-        batch.retain_mut(|t| {
+        batch.retain_mut(|row| {
             failed.is_none()
-                && self.edit(t.row_mut(), &mut bufs).unwrap_or_else(|e| {
+                && self.edit(row, &mut bufs).unwrap_or_else(|e| {
                     failed = Some(e);
                     false
                 })
@@ -614,10 +586,9 @@ mod tests {
         .unwrap()
     }
 
-    /// The partitioned executors run the same kernels over `(tag, Row)`:
-    /// tags ride along untouched and the rows equal the reference's.
+    /// A kernel over an owned batch keeps the reference's schema and rows.
     #[test]
-    fn tagged_batches_keep_their_tags_and_match_the_reference() {
+    fn kernels_match_the_reference() {
         let ops = [
             UnaryOp::filter(Predicate::gt("a", 5.0).or(Predicate::IsNull(Attr::new("b")))),
             UnaryOp::not_null("b"),
@@ -636,17 +607,6 @@ mod tests {
                 let mut plain = input.rows().to_vec();
                 kernel.apply(&mut plain).unwrap();
                 assert_eq!(plain, reference.rows(), "{op}");
-
-                let mut tagged: Vec<(u64, Row)> = input
-                    .rows()
-                    .iter()
-                    .cloned()
-                    .map(|r| (r[0].as_i64().unwrap() as u64, r))
-                    .collect();
-                kernel.apply(&mut tagged).unwrap();
-                let rows: Vec<Row> = tagged.iter().map(|(_, r)| r.clone()).collect();
-                assert_eq!(rows, reference.rows(), "{op}");
-                assert!(tagged.windows(2).all(|w| w[0].0 < w[1].0), "{op}");
             }
         });
     }

@@ -1,6 +1,6 @@
 //! Keyed operators, written once: keep-first (`PK`, `DD`), group-by (`γ`),
-//! the join index (`⋈`) and bag multiplicities (`−`, `∩`), plus the
-//! rows' routing hash — all over one typed key encoding.
+//! the join index (`⋈`) and bag multiplicities (`−`, `∩`) — all over one
+//! typed key encoding.
 //!
 //! A key is the concatenation of its cells, each a tag byte and a
 //! fixed-width little-endian payload (`Str`: a `u64` length, then the
@@ -26,7 +26,7 @@ use etlopt_core::semantics::{AggFunc, Aggregation};
 use crate::error::{EngineError, Result};
 use crate::table::Row;
 
-use super::kernel::{cols_of, Carrier};
+use super::kernel::cols_of;
 
 fn encode_cell(out: &mut Vec<u8>, v: &Scalar) {
     let mut int = |i: i64| {
@@ -67,10 +67,9 @@ fn encode(out: &mut Vec<u8>, row: &[Scalar], cols: Option<&[usize]>) {
 }
 
 /// The one hash of encoded keys: a multiply-rotate fold over 8-byte words
-/// and a murmur3 finalizer. A pure function of the bytes — it routes rows
-/// across partitions, so it must agree between runs, processes and thread
-/// counts (`HashMap`'s `RandomState` does not). Not collision-resistant:
-/// a [`KeyTable`] compares key bytes, so a collision costs a probe.
+/// and a murmur3 finalizer, a pure function of the bytes. Not
+/// collision-resistant: a [`KeyTable`] compares key bytes, so a collision
+/// costs a probe.
 fn hash_key(bytes: &[u8]) -> u64 {
     let mut h = bytes.len() as u64;
     for chunk in bytes.chunks(8) {
@@ -83,13 +82,6 @@ fn hash_key(bytes: &[u8]) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     h ^ (h >> 33)
-}
-
-/// Destination partition of `row` keyed on `cols`; `scratch` is the
-/// caller's reused key buffer.
-pub(crate) fn route(scratch: &mut Vec<u8>, row: &[Scalar], cols: &[usize], nparts: usize) -> usize {
-    encode(scratch, row, Some(cols));
-    (hash_key(scratch) % nparts as u64) as usize
 }
 
 /// Key → payload, one slot per distinct key in first-appearance order.
@@ -116,9 +108,7 @@ impl<V: Default> KeyTable<V> {
         }
     }
 
-    /// The first bucket of a hash. Routing took the hash modulo the
-    /// partition count, so one partition's keys agree on its low bits;
-    /// the index reads the high half.
+    /// The first bucket of a hash, read from its high half.
     fn bucket(&self, hash: u64) -> usize {
         hash.rotate_left(32) as usize & (self.index.len() - 1)
     }
@@ -194,8 +184,8 @@ impl KeepFirst {
     }
 
     /// Drop every row whose key an earlier row carried.
-    pub(crate) fn retain<T: Carrier>(&mut self, batch: &mut Vec<T>) {
-        batch.retain(|t| self.seen.entry(t.row(), self.cols.as_deref()).2);
+    pub(crate) fn retain(&mut self, batch: &mut Vec<Row>) {
+        batch.retain(|row| self.seen.entry(row, self.cols.as_deref()).2);
     }
 }
 
@@ -288,8 +278,8 @@ impl GroupBy {
         &self.schema
     }
 
-    /// Fold one row into its group; `true` when the row opened the group.
-    pub(crate) fn feed_row(&mut self, row: &[Scalar]) -> Result<bool> {
+    /// Fold one row into its group.
+    pub(crate) fn feed_row(&mut self, row: &[Scalar]) -> Result<()> {
         let (slot, cells, new) = self.groups.entry(row, Some(&self.group_cols));
         let n = self.funcs.len();
         if new {
@@ -300,7 +290,7 @@ impl GroupBy {
         for (acc, &col) in self.accs[slot * n..][..n].iter_mut().zip(&self.agg_cols) {
             acc.feed(&row[col])?;
         }
-        Ok(new)
+        Ok(())
     }
 
     /// Drain the groups into output rows, leaving the state empty.
@@ -318,14 +308,14 @@ impl GroupBy {
 /// The join index: build rows by key, probed in build order. A NULL in a
 /// key column never joins — such rows are neither indexed nor matched.
 #[derive(Clone)]
-pub(crate) struct BuildProbe<T> {
-    /// Per key: what the caller recorded for each build row, in order.
-    hits: KeyTable<Vec<T>>,
+pub(crate) struct BuildProbe {
+    /// Per key: the index of each build row, in order.
+    hits: KeyTable<Vec<usize>>,
     build_cols: Vec<usize>,
     probe_cols: Vec<usize>,
 }
 
-impl<T> BuildProbe<T> {
+impl BuildProbe {
     /// The empty index of `left ⋈ right` on `on` (build right, probe
     /// left), and the right columns a joined row appends to its left row:
     /// those `left` lacks.
@@ -340,14 +330,14 @@ impl<T> BuildProbe<T> {
     }
 
     /// Index one build-side row as `at`.
-    pub(crate) fn insert(&mut self, row: &Row, at: T) {
+    pub(crate) fn insert(&mut self, row: &Row, at: usize) {
         if !self.build_cols.iter().any(|&c| row[c].is_null()) {
             self.hits.entry(row, Some(&self.build_cols)).1.push(at);
         }
     }
 
     /// The build rows one probe-side row joins.
-    pub(crate) fn probe(&mut self, row: &Row) -> &[T] {
+    pub(crate) fn probe(&mut self, row: &Row) -> &[usize] {
         if self.probe_cols.iter().any(|&c| row[c].is_null()) {
             return &[];
         }
@@ -516,11 +506,11 @@ mod tests {
         );
     }
 
-    /// The routing hash is a pure function of the key bytes: these values
-    /// hold in every process and at every thread count. Mutation: seeding
-    /// the fold with 0 instead of the length fails the pinned values.
+    /// The key hash is a pure function of the key bytes: these values hold
+    /// in every process. Mutation: seeding the fold with 0 instead of the
+    /// length fails the pinned values.
     #[test]
-    fn routing_hash_is_pinned() {
+    fn key_hash_is_pinned() {
         let rows: [Row; 3] = [
             vec![Scalar::Int(5)],
             vec![Scalar::Null, "ab".into()],
@@ -536,14 +526,6 @@ mod tests {
             ]
         );
         assert_eq!(hash_key(&[]), 0);
-        let mut key = Vec::new();
-        let routed: Vec<usize> = (0..64)
-            .map(|i| route(&mut key, &[Scalar::Int(i), Scalar::Null], &[0], 4))
-            .collect();
-        let per_part = |p| routed.iter().filter(|&&d| d == p).count();
-        assert!((0..4).all(|p| per_part(p) >= 8), "{routed:?}");
-        // `Float(5.0)` routes with `Int(5)`.
-        assert_eq!(route(&mut key, &[Scalar::Float(5.0)], &[0], 4), routed[5]);
     }
 
     /// A table's slots are dense, first-appearance ordered and survive
@@ -588,14 +570,15 @@ mod tests {
     fn group_by_drains_and_resets() {
         let agg = Aggregation::sum(["k"], "v", "v");
         let mut g = GroupBy::new(&agg, &Schema::of(["k", "v"])).unwrap();
-        assert!(g.feed_row(&[2.into(), 1.5.into()]).unwrap());
-        assert!(g.feed_row(&[1.into(), Scalar::Null]).unwrap());
-        assert!(!g.feed_row(&[2.0.into(), 2.into()]).unwrap());
+        g.feed_row(&[2.into(), 1.5.into()]).unwrap();
+        g.feed_row(&[1.into(), Scalar::Null]).unwrap();
+        g.feed_row(&[2.0.into(), 2.into()]).unwrap();
         assert_eq!(
             g.finish(),
             vec![vec![2.into(), 3.5.into()], vec![1.into(), Scalar::Null]]
         );
         assert!(g.finish().is_empty());
-        assert!(g.feed_row(&[2.into(), 1.into()]).unwrap());
+        g.feed_row(&[2.into(), 1.into()]).unwrap();
+        assert_eq!(g.finish(), vec![vec![2.into(), 1.0.into()]]);
     }
 }

@@ -22,15 +22,19 @@
 //! over one catalog. A cached run's stats cover only the work actually
 //! performed — the cross-backend stats guarantee applies to uncached
 //! runs.
+//!
+//! Every streaming run is single-threaded. [`StreamConfig::parallelism`]
+//! and [`StreamConfig::pipeline`] are accepted and ignored: the
+//! partition-parallel executors that once ran above parallelism 1 spent
+//! 1.9–3.0× the stream's CPU per run before any thread started, and at
+//! two workers never beat the stream's wall clock (DESIGN.md §8b).
 
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 mod cache;
-pub(crate) mod kernel;
-pub(crate) mod keyed;
-pub(crate) mod partition;
-pub(crate) mod roundsync;
-pub(crate) mod stream;
+mod kernel;
+mod keyed;
+mod stream;
 
 pub use cache::{SharedCache, SharedCacheHandle};
 
@@ -69,19 +73,10 @@ pub struct StreamConfig {
     pub batch_rows: usize,
     /// Buffer-pool frame budget: pages resident before eviction/spill.
     pub frame_budget: usize,
-    /// Partitions for partition-parallel execution (≥ 1). At 1 the
-    /// classic single-threaded pipeline runs; above 1 every node's rows
-    /// are hash-partitioned across this many partitions (`partition`):
-    /// the calling thread runs partition 0, and a task whose input gives
-    /// every partition a full batch hands the others to this many − 1
-    /// scoped workers. Targets, row order, and [`ExecStats`] stay
-    /// bit-identical to the sequential run.
+    /// Ignored: every run is the single-threaded stream. Kept so existing
+    /// callers still compile; it will be removed.
     pub parallelism: usize,
-    /// Select the pipelined partition executor (`true`, default) or the
-    /// legacy round-synchronous coordinator (`false`) above
-    /// `parallelism = 1`. Both are bit-identical to the sequential
-    /// stream; the round-sync path exists as a benchmarking baseline and
-    /// a differential reference.
+    /// Ignored, like `parallelism`.
     pub pipeline: bool,
 }
 
@@ -127,7 +122,7 @@ impl Runtime<'_> {
 
 /// `map[key] += n`. Every executing activity's key is pre-seeded, so the
 /// per-batch path finds its entry and allocates nothing.
-pub(crate) fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
     match map.get_mut(key) {
         Some(v) => *v += n,
         None => {
@@ -175,17 +170,16 @@ fn drain(rt: &mut Runtime<'_>, mut iter: BoxIter) -> Result<BufferId> {
 }
 
 /// Cache planning: fingerprints, boundary hits, and the node set that
-/// still executes. Shared by the sequential and partition-parallel
-/// executors so a cache populated by either serves the other.
-pub(crate) struct CachePlan {
-    pub(crate) hashes: Option<NodeHashes>,
-    pub(crate) cached: HashMap<NodeId, Arc<Table>>,
+/// still executes.
+struct CachePlan {
+    hashes: Option<NodeHashes>,
+    cached: HashMap<NodeId, Arc<Table>>,
     needed: Option<HashSet<NodeId>>,
 }
 
 impl CachePlan {
     /// Does this node execute (i.e. is it not cut off by a cache hit)?
-    pub(crate) fn runs(&self, id: NodeId) -> bool {
+    fn runs(&self, id: NodeId) -> bool {
         self.needed.as_ref().is_none_or(|n| n.contains(&id))
     }
 }
@@ -194,7 +188,7 @@ impl CachePlan {
 /// boundaries (the only admission points). A hit cuts off its whole
 /// upstream subgraph — the returned `needed` set is what actually
 /// executes. Without a cache every node runs, like materialize.
-pub(crate) fn plan_cache(
+fn plan_cache(
     wf: &Workflow,
     order: &[NodeId],
     cache: Option<&mut SharedCache>,
@@ -242,7 +236,7 @@ pub(crate) fn plan_cache(
 /// Stats with a zero entry per executing activity: the materializing
 /// executor creates entries unconditionally, and bit-identical stats
 /// include the key set.
-pub(crate) fn seeded_stats(graph: &Graph, order: &[NodeId], plan: &CachePlan) -> Result<ExecStats> {
+fn seeded_stats(graph: &Graph, order: &[NodeId], plan: &CachePlan) -> Result<ExecStats> {
     let mut stats = ExecStats::default();
     for &id in order {
         if !plan.runs(id) || plan.cached.contains_key(&id) {
@@ -257,22 +251,16 @@ pub(crate) fn seeded_stats(graph: &Graph, order: &[NodeId], plan: &CachePlan) ->
     Ok(stats)
 }
 
-/// Execute `wf` with the streaming backend. With a cache, boundary
-/// lookups may serve whole subgraphs from prior runs (the cache must
-/// belong to this catalog — fingerprints hash structure, not data).
+/// Execute `wf` with the streaming backend, on the calling thread. With a
+/// cache, boundary lookups may serve whole subgraphs from prior runs (the
+/// cache must belong to this catalog — fingerprints hash structure, not
+/// data).
 pub(crate) fn run_stream(
     ctx: ExecCtx<'_>,
     wf: &Workflow,
     cfg: StreamConfig,
     mut cache: Option<&mut SharedCache>,
 ) -> Result<StreamRun> {
-    if cfg.parallelism > 1 {
-        return if cfg.pipeline {
-            partition::run_parallel(ctx, wf, cfg, cache)
-        } else {
-            roundsync::run_round_sync(ctx, wf, cfg, cache)
-        };
-    }
     let graph = wf.graph();
     let order = graph.topo_order()?;
     let mut rt = Runtime {
@@ -485,19 +473,85 @@ mod tests {
         let hi = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 495.0)), f);
         b.target("T", Schema::of(["k", "v"]), hi);
         let wf = b.build().unwrap();
-        for parallelism in [1, 2] {
-            let exec = executor(500).with_parallelism(parallelism);
-            let run = assert_backends_agree(&exec, &wf);
-            let kept = run.result.targets["T"].len() as u64;
-            assert!((40..60).contains(&kept), "σ keeps about a tenth: {kept}");
-            let c = &run.counters;
-            assert_eq!((c.rows_scanned, c.rows_materialized), (500, kept));
-        }
+        let run = assert_backends_agree(&executor(500), &wf);
+        let kept = run.result.targets["T"].len() as u64;
+        assert!((40..60).contains(&kept), "σ keeps about a tenth: {kept}");
+        let c = &run.counters;
+        assert_eq!((c.rows_scanned, c.rows_materialized), (500, kept));
 
         // NN → σ → γ: the aggregate folds lent rows.
         let run = assert_backends_agree(&executor(500), &pipeline_wf());
         let c = &run.counters;
         assert_eq!((c.rows_scanned, c.rows_materialized), (500, 0));
+    }
+
+    /// Fig. 1 over a seeded catalog. The workload crate links its own copy
+    /// of this crate, so its tables are copied over row by row.
+    fn fig1_executor(parts1: usize, parts2: usize) -> (etlopt_core::workflow::Workflow, Executor) {
+        let theirs = etlopt_workload::scenarios::fig1_catalog(7, parts1, parts2);
+        let mut cat = Catalog::new();
+        for name in ["PARTS1", "PARTS2"] {
+            let t = theirs.table(name).unwrap();
+            cat.insert(
+                name,
+                Table::from_rows(t.schema().clone(), t.rows().to_vec()).unwrap(),
+            );
+        }
+        (etlopt_workload::scenarios::fig1(), Executor::new(cat))
+    }
+
+    /// A batch far larger than any input runs like `run_materialize`,
+    /// whatever `parallelism` says: no batch is reserved at its nominal
+    /// size, which at `1 << 30` rows would abort the process on a failed
+    /// 32 GiB allocation.
+    #[test]
+    fn a_huge_batch_runs_like_materialize_at_every_parallelism() {
+        let (wf, exec) = fig1_executor(300, 3_000);
+        let mat = exec.run_materialize(&wf).unwrap();
+        for parallelism in [1, 2] {
+            let run = exec
+                .clone()
+                .with_stream_config(StreamConfig {
+                    batch_rows: 1 << 30,
+                    parallelism,
+                    ..StreamConfig::default()
+                })
+                .run_stream(&wf)
+                .unwrap();
+            assert_eq!(mat.targets, run.result.targets, "x{parallelism}");
+            assert_eq!(mat.stats, run.result.stats, "x{parallelism}");
+        }
+    }
+
+    /// The benchmark's spilling shape — an 8-frame pool, 1 024-row
+    /// batches, a Fig. 1 target of more than eight pages — returns the
+    /// same whole `ExecCounters` at every `parallelism`, spill, reload
+    /// and eviction counts included.
+    #[test]
+    fn pool_counters_are_the_same_at_every_parallelism() {
+        let (wf, exec) = fig1_executor(16_384, 4_096);
+        let mat = exec.run_materialize(&wf).unwrap();
+        let run = |parallelism| {
+            let run = exec
+                .clone()
+                .with_stream_config(StreamConfig {
+                    batch_rows: 1024,
+                    frame_budget: 8,
+                    parallelism,
+                    ..StreamConfig::default()
+                })
+                .run_stream(&wf)
+                .unwrap();
+            assert_eq!(mat.targets, run.result.targets, "x{parallelism}");
+            assert_eq!(mat.stats, run.result.stats, "x{parallelism}");
+            run.counters
+        };
+        let one = run(1);
+        assert!(one.pages_spilled > 0 && one.pages_reloaded > 0, "{one:?}");
+        assert!(one.evictions > 0, "{one:?}");
+        for parallelism in [2, 4] {
+            assert_eq!(run(parallelism), one, "x{parallelism}");
+        }
     }
 
     #[test]

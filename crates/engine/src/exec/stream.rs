@@ -25,11 +25,8 @@
 //! buffer re-reads, and aggregate output emissions. Transformed batches
 //! flowing through row-wise operators are not re-counted.
 //!
-//! This module is the 1-worker pull pipeline; at
-//! `StreamConfig::parallelism > 1` execution moves to the partitioned
-//! coordinators instead — push-based pipelined segments in
-//! [`super::partition`] (default) or the round-synchronous plan in
-//! [`super::roundsync`] — both bit-identical to this backend.
+//! This pull pipeline is the engine's one streaming executor: every run
+//! is single-threaded, whatever `StreamConfig::parallelism` says.
 
 use std::sync::Arc;
 
@@ -344,7 +341,7 @@ impl BatchIter for Agg {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
         if self.out.is_none() {
             let state = &mut self.state;
-            let fed = lend_all(&mut *self.inner, rt, |row| state.feed_row(row).map(drop))?;
+            let fed = lend_all(&mut *self.inner, rt, |row| state.feed_row(row))?;
             rt.add_processed(&self.key, fed);
         }
         let it = self
@@ -480,7 +477,7 @@ struct HashJoin {
     right: Option<BoxIter>,
     /// Where the build side was drained to, once it was.
     buf: Option<BufferId>,
-    index: BuildProbe<usize>,
+    index: BuildProbe,
     /// Right columns appended to matched left rows.
     extra: Vec<usize>,
     key: String,

@@ -116,15 +116,6 @@ impl Executor {
         self
     }
 
-    /// Set the streaming backend's worker-thread count (≥ 1). Above 1,
-    /// [`Executor::run_stream`] and [`Executor::run_stream_cached`]
-    /// execute partition-parallel with targets, row order, and
-    /// [`ExecStats`] bit-identical to the sequential run.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.stream_cfg.parallelism = parallelism.max(1);
-        self
-    }
-
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -65,7 +65,7 @@ pub fn exec_chain(chain: &[UnaryOp], input: &Table, ctx: &ExecCtx<'_>) -> Result
 
 /// Canonical key string for a tuple of values (grouping, dedup, join and
 /// bag arithmetic of the materializing reference only — private to `ops`;
-/// the streaming executors key on `exec::keyed`'s typed bytes, which have
+/// the streaming executor keys on `exec::keyed`'s typed bytes, which have
 /// these strings' equivalence classes). The unit separator keeps composite
 /// keys unambiguous.
 fn tuple_key<'a>(values: impl Iterator<Item = &'a etlopt_core::scalar::Scalar>) -> String {

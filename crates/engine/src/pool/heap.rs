@@ -167,9 +167,7 @@ pub(crate) fn decode_page(bytes: &[u8], width: usize) -> Result<Vec<Row>> {
                 actual,
             });
         }
-        // One spare cell: staged rows lose and regain their order tag
-        // without reallocating (`exec::partition`).
-        let mut row = Vec::with_capacity(width + 1);
+        let mut row = Vec::with_capacity(width);
         for _ in 0..width {
             let [tag] = cur.array("cell tag")?;
             row.push(match tag {

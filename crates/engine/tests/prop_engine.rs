@@ -5,9 +5,8 @@
 //!
 //! The second half pins the streaming engine's compiled row-wise kernels
 //! (`exec::kernel`) to these same operators: rows, row order, `ExecStats`
-//! and error variants equal the materializing reference at one worker and
-//! at two — link by link, and as whole chains fused into the scan's row
-//! program (over a source, over a buffered fan-out, feeding `γ` and the
+//! and error variants equal the materializing reference — link by link,
+//! and as whole chains fused into the scan's row program (over a source, over a buffered fan-out, feeding `γ` and the
 //! right side of − / ∩), where the one thing allowed to differ from the
 //! reference is which of two failing links a run reports.
 
@@ -336,10 +335,9 @@ fn catalog_with(table: Table) -> Catalog {
     catalog
 }
 
-fn stream_cfg(batch_rows: usize, parallelism: usize) -> StreamConfig {
+fn stream_cfg(batch_rows: usize) -> StreamConfig {
     StreamConfig {
         batch_rows,
-        parallelism,
         ..StreamConfig::default()
     }
 }
@@ -360,7 +358,7 @@ fn assert_same_table(got: &Table, want: &Table, what: &str) {
 /// Every row-wise operator, directly above the scan (where a filter runs
 /// on the scan's borrowed rows) and behind another link (where it edits
 /// an owned batch): the streamed target equals `ops::exec_chain` row for
-/// row at one worker and at two.
+/// row.
 #[test]
 fn kernels_match_the_reference_row_for_row() {
     let ahead = function("normalize", &["k"], "k", false);
@@ -378,14 +376,12 @@ fn kernels_match_the_reference_row_for_row() {
                 };
                 let (want, _) = exec_chain(&chain, &table, &ctx).unwrap();
                 let wf = chain_wf(table.schema(), &chain);
-                for parallelism in [1, 2] {
-                    let run = Executor::new(catalog.clone())
-                        .with_stream_config(stream_cfg(7, parallelism))
-                        .run_stream(&wf)
-                        .unwrap();
-                    let what = format!("{op} ({} links) seed {seed} x{parallelism}", chain.len());
-                    assert_same_table(&run.result.targets["T"], &want, &what);
-                }
+                let run = Executor::new(catalog.clone())
+                    .with_stream_config(stream_cfg(7))
+                    .run_stream(&wf)
+                    .unwrap();
+                let what = format!("{op} ({} links) seed {seed}", chain.len());
+                assert_same_table(&run.result.targets["T"], &want, &what);
             }
         }
     }
@@ -415,30 +411,25 @@ fn kernel_failures_are_the_reference_failures() {
     ];
     for (what, op, stored, auto_lookup) in cases {
         let wf = chain_wf(table.schema(), &[op]);
-        let exec = |parallelism| {
-            let exec = Executor::new(catalog_with(stored.clone()))
-                .with_stream_config(stream_cfg(7, parallelism));
-            if auto_lookup {
-                exec
-            } else {
-                exec.with_strict_lookups()
-            }
+        let exec = Executor::new(catalog_with(stored.clone())).with_stream_config(stream_cfg(7));
+        let exec = if auto_lookup {
+            exec
+        } else {
+            exec.with_strict_lookups()
         };
-        let want = exec(1).run_materialize(&wf).unwrap_err();
+        let want = exec.run_materialize(&wf).unwrap_err();
         let expected = match what {
             "non-numeric argument" => matches!(want, EngineError::FunctionFailed { .. }),
             "strict lookup miss" => matches!(want, EngineError::LookupMiss { .. }),
             _ => matches!(want, EngineError::MissingAttribute { .. }),
         };
         assert!(expected, "{what}: reference raised {want:?}");
-        for parallelism in [1, 2] {
-            let got = exec(parallelism).run_stream(&wf).unwrap_err();
-            assert_eq!(
-                std::mem::discriminant(&got),
-                std::mem::discriminant(&want),
-                "{what} x{parallelism}: {got:?} vs {want:?}"
-            );
-        }
+        let got = exec.run_stream(&wf).unwrap_err();
+        assert_eq!(
+            std::mem::discriminant(&got),
+            std::mem::discriminant(&want),
+            "{what}: {got:?} vs {want:?}"
+        );
     }
 }
 
@@ -481,15 +472,13 @@ fn scans_match_materialize_across_layouts_and_batch_sizes() {
         for catalog in [stored, permuted] {
             let want = Executor::new(catalog.clone()).run_materialize(&wf).unwrap();
             for batch_rows in [1, 7, 1024] {
-                for parallelism in [1, 2] {
-                    let run = Executor::new(catalog.clone())
-                        .with_stream_config(stream_cfg(batch_rows, parallelism))
-                        .run_stream(&wf)
-                        .unwrap();
-                    let what = format!("batch_rows {batch_rows} x{parallelism}");
-                    assert_eq!(run.result.targets, want.targets, "{what}");
-                    assert_eq!(run.result.stats, want.stats, "{what}");
-                }
+                let run = Executor::new(catalog.clone())
+                    .with_stream_config(stream_cfg(batch_rows))
+                    .run_stream(&wf)
+                    .unwrap();
+                let what = format!("batch_rows {batch_rows}");
+                assert_eq!(run.result.targets, want.targets, "{what}");
+                assert_eq!(run.result.stats, want.stats, "{what}");
             }
         }
     }
@@ -523,29 +512,27 @@ fn a_fused_chain_reports_its_first_failing_row() {
         chain_wf(table.schema(), &[UnaryOp::filter(keep), dead])
     };
     let (unreached, reached) = (unknown(Predicate::gt("k", 100)), unknown(Predicate::True));
-    let exec = |batch_rows, parallelism| {
+    let exec = |batch_rows| {
         Executor::new(catalog_with(table.clone()))
             .with_strict_lookups()
-            .with_stream_config(stream_cfg(batch_rows, parallelism))
+            .with_stream_config(stream_cfg(batch_rows))
     };
-    let reference = exec(7, 1).run_materialize(&two_failing).unwrap_err();
+    let reference = exec(7).run_materialize(&two_failing).unwrap_err();
     assert!(matches!(reference, EngineError::FunctionFailed { .. }));
     for batch_rows in [1, 7, 1024] {
-        for parallelism in [1, 2, 4] {
-            let exec = exec(batch_rows, parallelism);
-            let what = format!("batch_rows {batch_rows} x{parallelism}");
-            let got = exec.run_stream(&two_failing).unwrap_err();
-            assert!(
-                matches!(got, EngineError::LookupMiss { .. }),
-                "{what}: {got:?}"
-            );
-            let want = exec.run_materialize(&unreached).unwrap();
-            let run = exec.run_stream(&unreached).unwrap();
-            assert_eq!(run.result.targets, want.targets, "{what}");
-            assert_eq!(run.result.stats, want.stats, "{what}");
-            let got = exec.run_stream(&reached).unwrap_err();
-            assert_eq!(got, exec.run_materialize(&reached).unwrap_err(), "{what}");
-        }
+        let exec = exec(batch_rows);
+        let what = format!("batch_rows {batch_rows}");
+        let got = exec.run_stream(&two_failing).unwrap_err();
+        assert!(
+            matches!(got, EngineError::LookupMiss { .. }),
+            "{what}: {got:?}"
+        );
+        let want = exec.run_materialize(&unreached).unwrap();
+        let run = exec.run_stream(&unreached).unwrap();
+        assert_eq!(run.result.targets, want.targets, "{what}");
+        assert_eq!(run.result.stats, want.stats, "{what}");
+        let got = exec.run_stream(&reached).unwrap_err();
+        assert_eq!(got, exec.run_materialize(&reached).unwrap_err(), "{what}");
     }
 }
 
@@ -577,8 +564,8 @@ fn reversed(table: &Table) -> Table {
 /// ADD last) directly over a source, over a source buffered for two
 /// consumers, feeding `γ`, and on both sides of − and ∩ — whose right
 /// side, like `γ`'s input, is only lent. Targets row for row and
-/// `ExecStats` equal `run_materialize` at every batch size and worker
-/// count, for sources stored as declared and stored column-reversed.
+/// `ExecStats` equal `run_materialize` at every batch size, for sources
+/// stored as declared and stored column-reversed.
 ///
 /// The permuting scan keeps its links above it, and that case is run,
 /// not skipped: over a source stored as declared the scan allocates
@@ -686,26 +673,23 @@ fn fused_chains_match_the_reference_row_for_row() {
             for (shape, wf) in &shapes {
                 let want = Executor::new(catalog.clone()).run_materialize(wf).unwrap();
                 for batch_rows in [1, 7, 1024] {
-                    for parallelism in [1, 2, 4] {
-                        let run = Executor::new(catalog.clone())
-                            .with_stream_config(stream_cfg(batch_rows, parallelism))
-                            .run_stream(wf)
-                            .unwrap();
-                        let what = format!(
-                            "seed {seed} {shape} {chain:?} permuted {permuted} \
-                             batch_rows {batch_rows} x{parallelism}"
-                        );
-                        for (name, table) in &want.targets {
-                            assert_same_table(&run.result.targets[name], table, &what);
-                        }
-                        assert_eq!(run.result.stats, want.stats, "{what}");
-                        if *shape == "direct" {
-                            let c = &run.counters;
-                            let (read, kept) = (left.len(), want.targets["T"].len());
-                            let owned = if permuted { read } else { kept } as u64;
-                            assert_eq!(c.rows_scanned, read as u64, "{what}");
-                            assert_eq!(c.rows_materialized, owned, "{what}");
-                        }
+                    let run = Executor::new(catalog.clone())
+                        .with_stream_config(stream_cfg(batch_rows))
+                        .run_stream(wf)
+                        .unwrap();
+                    let what = format!(
+                        "seed {seed} {shape} {chain:?} permuted {permuted} batch_rows {batch_rows}"
+                    );
+                    for (name, table) in &want.targets {
+                        assert_same_table(&run.result.targets[name], table, &what);
+                    }
+                    assert_eq!(run.result.stats, want.stats, "{what}");
+                    if *shape == "direct" {
+                        let c = &run.counters;
+                        let (read, kept) = (left.len(), want.targets["T"].len());
+                        let owned = if permuted { read } else { kept } as u64;
+                        assert_eq!(c.rows_scanned, read as u64, "{what}");
+                        assert_eq!(c.rows_materialized, owned, "{what}");
                     }
                 }
             }
@@ -797,28 +781,10 @@ fn binary_wf(op: &BinaryOp, left: &Schema, right: &Schema) -> Workflow {
     b.build().unwrap()
 }
 
-/// Every executor configuration that must agree with the reference: the
-/// sequential pipeline, and both partitioned coordinators at 2 and 4
-/// workers.
-fn keyed_configs() -> Vec<StreamConfig> {
-    let mut cfgs = Vec::new();
-    for batch_rows in [1, 7, 1024] {
-        cfgs.push(stream_cfg(batch_rows, 1));
-        for parallelism in [2, 4] {
-            for pipeline in [true, false] {
-                cfgs.push(StreamConfig {
-                    pipeline,
-                    ..stream_cfg(batch_rows, parallelism)
-                });
-            }
-        }
-    }
-    cfgs
-}
-
 fn assert_matches_materialize(wf: &Workflow, catalog: &Catalog, what: &str) {
     let want = Executor::new(catalog.clone()).run_materialize(wf).unwrap();
-    for cfg in keyed_configs() {
+    for batch_rows in [1, 7, 1024] {
+        let cfg = stream_cfg(batch_rows);
         let run = Executor::new(catalog.clone())
             .with_stream_config(cfg)
             .run_stream(wf)
@@ -836,17 +802,14 @@ fn assert_matches_materialize(wf: &Workflow, catalog: &Catalog, what: &str) {
     }
 }
 
-/// The keyed operators of both streaming executors and the round-sync
-/// coordinator, against `run_materialize` (which keeps its own string
-/// keys and its own aggregate): targets row for row and `ExecStats`.
+/// The streaming executor's keyed operators against `run_materialize`
+/// (which keeps its own string keys and its own aggregate): targets row
+/// for row and `ExecStats`.
 ///
-/// Mutations in `exec::keyed` / `exec::partition`, each failing here:
-/// encoding an integral `Float` under the float tag (splits `Int` /
-/// `Float` groups and join matches); keying the right side of − / ∩
-/// without its permutation (partitioned runs cancel nothing); `cancel`
-/// not using the occurrence up (multiplicities); pushing a first-seen tag
-/// for every aggregated row (partitioned γ emits garbage tags); taking a
-/// group's grouper cells from its latest row. Not caught here, by
+/// Mutations in `exec::keyed`, each failing here: encoding an integral
+/// `Float` under the float tag (splits `Int` / `Float` groups and join
+/// matches); `cancel` not using the occurrence up (multiplicities);
+/// taking a group's grouper cells from its latest row. Not caught here, by
 /// design: NaN payloads and `Str` boundaries (the `keyed` unit test pins
 /// those), and dropping only one side's NULL-key skip in the join (the
 /// other side's skip alone already keeps NULLs from matching).

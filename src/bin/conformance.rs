@@ -6,7 +6,7 @@
 //!                    [--adaptive] [--adaptive-rounds N]
 //!                    [--out FILE] [--trace-json FILE]
 //! conformance backends [--rows N] [--frame-budget N] [--batch-rows N]
-//!                      [--threads N] [--trace-json FILE]
+//!                      [--trace-json FILE]
 //! conformance replay --seed N --category small|medium|large --steps S
 //!                    [--rows N]
 //! conformance adaptive [--smoke] [--rounds N] [--rows N] [--seed N]
@@ -24,13 +24,8 @@
 //! backends (materializing and streaming) and demands identical targets
 //! and bit-identical stats; when the frame budget is smaller than the
 //! data volume it additionally asserts that the buffer pool really went
-//! through its spill path. `--threads N` (default 1) runs the stream with
-//! N partition-parallel workers; above 1 every scenario is additionally
-//! checked bit-identical against the 1-thread stream *and* the
-//! round-synchronous backend, and the counter report carries the
-//! per-worker batch split (`worker_rows`) plus the pipeline-depth
-//! telemetry (`pipeline` section of `--trace-json`). Aggregated execution
-//! counters go to stdout and `--trace-json`.
+//! through its spill path. Aggregated execution counters go to stdout and
+//! `--trace-json`.
 //! Exit code 1 on any divergence.
 //!
 //! `replay` re-executes one chain — typically a minimizer-printed repro —
@@ -175,21 +170,18 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
     let rows: usize = flags.take_parsed("--rows", 96)?;
     let frame_budget: usize = flags.take_parsed("--frame-budget", 2)?;
     let batch_rows: usize = flags.take_parsed("--batch-rows", 8)?;
-    let threads: usize = flags.take_parsed("--threads", 1)?;
     let trace_path = flags.take("--trace-json");
     flags.ensure_empty()?;
 
     let cfg = StreamConfig {
         batch_rows,
         frame_budget,
-        parallelism: threads.max(1),
         ..StreamConfig::default()
     };
     eprintln!(
         "backend differential over {} smoke scenarios, {rows} rows/source, \
-         frame budget {frame_budget} × {batch_rows}-row pages, {} stream worker(s)…",
+         frame budget {frame_budget} × {batch_rows}-row pages…",
         SMOKE_SEEDS.len(),
-        cfg.parallelism,
     );
 
     let mut total = ExecCounters::default();
@@ -201,21 +193,10 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
         });
         match backend_differential(&s.workflow, rows, seed, cfg) {
             Ok(counters) => {
-                if cfg.parallelism > 1 {
-                    eprintln!(
-                        "  {}: ok ({} batches, {} spilled, {} reloaded, workers {:?})",
-                        s.name,
-                        counters.batches,
-                        counters.pages_spilled,
-                        counters.pages_reloaded,
-                        counters.worker_rows,
-                    );
-                } else {
-                    eprintln!(
-                        "  {}: ok ({} batches, {} spilled, {} reloaded)",
-                        s.name, counters.batches, counters.pages_spilled, counters.pages_reloaded,
-                    );
-                }
+                eprintln!(
+                    "  {}: ok ({} batches, {} spilled, {} reloaded)",
+                    s.name, counters.batches, counters.pages_spilled, counters.pages_reloaded,
+                );
                 total.absorb(&counters);
             }
             Err(e) => {
