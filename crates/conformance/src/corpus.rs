@@ -40,8 +40,6 @@ pub struct CorpusConfig {
     pub rows_per_source: usize,
     /// State budget for each search run.
     pub search_states: usize,
-    /// Worker threads for the searches (`1` = sequential).
-    pub parallelism: usize,
     /// Length of the random transition chain per scenario.
     pub chain_len: usize,
     /// Round budget for the adaptive calibrate → re-optimize check per
@@ -59,7 +57,6 @@ impl Default for CorpusConfig {
             large: 20,
             rows_per_source: 64,
             search_states: 600,
-            parallelism: 1,
             chain_len: 8,
             adaptive_rounds: 0,
         }
@@ -217,7 +214,6 @@ impl CorpusReport {
                 "  \"bands\": {{\"small\": {}, \"medium\": {}, \"large\": {}}},\n",
                 "  \"rows_per_source\": {},\n",
                 "  \"search_states\": {},\n",
-                "  \"parallelism\": {},\n",
                 "  \"checks\": {},\n",
                 "  \"passed\": {},\n",
                 "  \"failed\": {},\n",
@@ -237,7 +233,6 @@ impl CorpusReport {
             self.config.large,
             self.config.rows_per_source,
             self.config.search_states,
-            self.config.parallelism,
             self.checks,
             self.passed,
             self.failed.len(),
@@ -278,7 +273,7 @@ fn sweep_scenario(s: &Scenario, cfg: &CorpusConfig, agg: &mut [SearchStats; 4]) 
     };
 
     let model = RowCountModel::default();
-    let budget = SearchBudget::states(cfg.search_states).with_parallelism(cfg.parallelism);
+    let budget = SearchBudget::states(cfg.search_states);
     let algos: [(&str, Box<dyn Optimizer>); 4] = [
         ("ES", Box::new(ExhaustiveSearch::with_budget(budget))),
         ("HS", Box::new(HeuristicSearch::with_budget(budget))),
@@ -342,8 +337,7 @@ fn sweep_scenario(s: &Scenario, cfg: &CorpusConfig, agg: &mut [SearchStats; 4]) 
 /// so ground truth matches), a cold [`CalibrationStore`], and the HS
 /// optimizer under the sweep's state budget.
 fn adaptive_check(s: &Scenario, cfg: &CorpusConfig, oracle: &Oracle) -> CheckOutcome {
-    let budget = SearchBudget::states(cfg.search_states).with_parallelism(cfg.parallelism);
-    let optimizer = HeuristicSearch::with_budget(budget);
+    let optimizer = HeuristicSearch::with_budget(SearchBudget::states(cfg.search_states));
     let mut harvester = Harvester::new(scenario_executor(&s.workflow, cfg.rows_per_source, s.seed));
     let mut store = CalibrationStore::new();
     let model = RowCountModel::default();

@@ -36,7 +36,7 @@ fn slow_convergers_fit_the_six_round_default() {
             scenario_executor(&s.workflow, ROWS_PER_SOURCE, seed),
         )
         .expect("original must execute");
-        let budget = SearchBudget::states(SEARCH_STATES).with_parallelism(1);
+        let budget = SearchBudget::states(SEARCH_STATES);
         let optimizer = HeuristicSearch::with_budget(budget);
         let mut harvester = Harvester::new(scenario_executor(&s.workflow, ROWS_PER_SOURCE, seed));
         let mut store = CalibrationStore::new();

@@ -68,7 +68,7 @@ fn server_execute_responses_pass_the_oracle() {
 
             // (a) The server returned exactly the plan the same search
             // construction produces in-memory…
-            let budget = SearchBudget::states(SEARCH_STATES).with_parallelism(1);
+            let budget = SearchBudget::states(SEARCH_STATES);
             let optimizer: Box<dyn Optimizer> = match algo {
                 "hs" => Box::new(HeuristicSearch::with_budget(budget)),
                 _ => Box::new(BeamSearch::with_budget(budget)),

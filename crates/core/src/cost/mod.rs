@@ -26,11 +26,7 @@ use crate::workflow::Workflow;
 /// input ports. A model states only its formulas; pricing a whole state
 /// (propagating rows from the sources and summing) is the trait's one walk,
 /// [`CostModel::price`].
-///
-/// `Sync` is a supertrait so the search algorithms can price candidate
-/// states from worker threads; models are expected to be stateless (all
-/// in-repo models are plain parameter structs).
-pub trait CostModel: Sync {
+pub trait CostModel {
     /// Model name (for reports and benches).
     fn name(&self) -> &str;
 

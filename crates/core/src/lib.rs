@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
-// Search workers share state through borrows the compiler checks, nothing
-// else.
+// State is shared through borrows the compiler checks, nothing else.
 #![forbid(unsafe_code)]
 //! # etlopt-core
 //!

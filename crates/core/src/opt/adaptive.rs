@@ -20,9 +20,9 @@
 //!
 //! Determinism contract (extends the search contract): same initial
 //! workflow + same observer behaviour ⇒ byte-identical round trajectory —
-//! per-round fingerprints, costs and deterministic counters — at any
-//! search worker-thread count. Everything here iterates `BTreeMap`s and
-//! topologically-ordered node lists; nothing samples clocks or entropy.
+//! per-round fingerprints, costs and deterministic counters. Everything
+//! here iterates `BTreeMap`s and topologically-ordered node lists; nothing
+//! samples clocks or entropy.
 
 use std::collections::BTreeMap;
 
@@ -258,8 +258,8 @@ pub fn seed_workflow(wf: &Workflow, cal: &dyn Calibration) -> Result<SeedOutcome
     })
 }
 
-/// Knobs for the adaptive loop. The search budget (including worker
-/// threads) lives on the [`Optimizer`] the loop is given.
+/// Knobs for the adaptive loop. The search budget lives on the
+/// [`Optimizer`] the loop is given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Maximum calibrate → re-optimize rounds (≥ 1). Convergence needs at
@@ -354,8 +354,8 @@ impl AdaptiveReport {
     }
 
     /// Deterministic JSON projection of the trajectory: every field is
-    /// byte-identical for any search worker-thread count (costs and
-    /// fingerprints by the search determinism contract, counters via
+    /// byte-identical run to run (costs and fingerprints by the search
+    /// determinism contract, counters via
     /// [`SearchStats::counters_json`]).
     pub fn to_json(&self) -> String {
         let mut rounds = String::new();

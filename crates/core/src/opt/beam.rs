@@ -15,26 +15,20 @@
 //!
 //! ## The loop
 //!
-//! A generation's frontier is expanded in windows of
-//! [`EXPAND_WINDOW`] states. Each window is sharded across the budget's
-//! worker threads ([`crate::opt::Threads`]); every worker enumerates its
-//! states' moves through a shared [`MoveMemo`] (unchanged local groups skip
-//! re-scanning), applies the transitions, and evaluates each successor
-//! *incrementally* — delta cost and search key along the dirty downstream
-//! path only, or for a swap by the three edges it rewrites
-//! ([`crate::opt::EvalState`]), reusing the parent's per-node tables for
-//! everything a rewrite did not touch. Duplicate
-//! successors are dropped worker-side against the visited set, which the
-//! workers hold by shared borrow, so it cannot change under their probes;
-//! a single coordinator then merges the window's fresh result lists **in
-//! (frontier index, move index) order**, inserting into the same set, so
-//! the set of accepted states — and therefore the reported best — is
-//! identical for any thread count, including the forced sequential path
-//! (`parallelism = 1`). The visited set also owns the `max_states` cap:
-//! `visited_states` can never overshoot the budget, and no window is
-//! expanded once the set is full — a binding budget stops the work, not
-//! just the admission (see [`crate::opt::expand_frontier`] for the
-//! per-state half of that).
+//! A generation's frontier is expanded in windows of [`EXPAND_WINDOW`]
+//! states. Each state's moves are enumerated through a [`MoveMemo`]
+//! (unchanged local groups skip re-scanning), the transitions applied, and
+//! each successor evaluated *incrementally* — delta cost and search key
+//! along the dirty downstream path only, or for a swap by the three edges
+//! it rewrites ([`crate::opt::EvalState`]), reusing the parent's per-node
+//! tables for everything a rewrite did not touch. Duplicate successors are
+//! dropped against the visited set as it stood before the window; the
+//! merge then takes the window's fresh result lists **in (frontier index,
+//! move index) order**, inserting into the same set. The visited set also
+//! owns the `max_states` cap: `visited_states` can never overshoot the
+//! budget, and no window is expanded once the set is full — a binding
+//! budget stops the work, not just the admission (see
+//! [`crate::opt::expand_frontier`] for the per-state half of that).
 //!
 //! ## Determinism contract
 //!
@@ -42,8 +36,8 @@
 //! ([`f64::total_cmp`]), state [`Signature`] as the tie-break, never
 //! arrival order. Distinct fingerprints have distinct signatures, so the
 //! order — and therefore the surviving frontier, the best state, and every
-//! deterministic counter — is byte-identical at any worker-thread count.
-//! `tests/search_determinism.rs` pins ES and beam at parallelism 1/2/4;
+//! deterministic counter — is a function of the workflow, the model and
+//! a state-only budget. `tests/search_determinism.rs` runs ES and beam twice;
 //! `tests/beam_width.rs` pins ES against constants captured before the
 //! two loops were merged.
 
@@ -54,7 +48,7 @@ use crate::cost::CostModel;
 use crate::error::Result;
 use crate::opt::{
     expand_frontier, Admit, EvalState, MoveMemo, Optimizer, Pacer, SearchBudget, SearchOutcome,
-    State, Threads, Visited, EXPAND_WINDOW,
+    State, Visited, EXPAND_WINDOW,
 };
 use crate::signature::Signature;
 use crate::trace::{Collector, Span};
@@ -210,7 +204,6 @@ pub(super) fn search_generations(
         col.beam_width(u64::try_from(width).unwrap_or(u64::MAX));
     }
     let mut pacer = Pacer::new(started, budget);
-    let threads = Threads::new(budget.threads());
     let local_memo;
     let memo: &MoveMemo = match shared_memo {
         Some(m) => m,
@@ -261,20 +254,19 @@ pub(super) fn search_generations(
             for state in window {
                 col.expanded(state.fp);
             }
-            // Workers pull the window's states off a shared cursor; results
-            // come back ordered by frontier index, successors ordered by
-            // move index within each state. Rejected transitions come back
-            // as per-state counter deltas instead of being discarded.
-            let expanded =
-                expand_frontier(window, &threads, memo, model, &visited, visited.room())?;
+            // Results come back ordered by frontier index, successors
+            // ordered by move index within each state. Rejected transitions
+            // come back as per-state counter deltas instead of being
+            // discarded.
+            let expanded = expand_frontier(window, memo, model, &visited, visited.room());
 
-            // Merge: one coordinator, deterministic order, one visited
-            // set. Workers may still have priced duplicate successors (two
-            // states can reach the same *new* third state in one window);
-            // the insert drops them here. Once the budget stops the merge,
-            // the window's remaining chunks are only *counted* (the
-            // workers evaluated them either way), never accepted — and a
-            // worker error in that discarded region is dropped with them.
+            // Merge: deterministic order, one visited set. The window may
+            // still have priced duplicate successors (two states can reach
+            // the same *new* third state in one window); the insert drops
+            // them here. Once the budget stops the merge, the window's
+            // remaining chunks are only *counted* (they were evaluated
+            // either way), never accepted — and an error in that discarded
+            // region is dropped with them.
             let mut merging = true;
             for chunk in expanded {
                 let chunk = match chunk {
@@ -364,7 +356,6 @@ pub(super) fn search_generations(
 
     let (hits, misses) = memo.stats();
     col.memo(hits.saturating_sub(memo_h0), misses.saturating_sub(memo_m0));
-    col.worker_batches(threads.batch_counts());
     col.span(span);
     Ok(SearchOutcome {
         best: best.into_workflow(),
@@ -544,29 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_parallel_matches_sequential() {
-        let model = RowCountModel::default();
-        for wf in [swap_win(), fac_dis()] {
-            let seq = BeamSearch::with_budget(SearchBudget::default().with_parallelism(1))
-                .with_width(4)
-                .run(&wf, &model)
-                .unwrap();
-            let par = BeamSearch::with_budget(SearchBudget::default().with_parallelism(4))
-                .with_width(4)
-                .run(&wf, &model)
-                .unwrap();
-            assert_eq!(seq.best_cost.to_bits(), par.best_cost.to_bits());
-            assert_eq!(seq.best.signature(), par.best.signature());
-            assert_eq!(seq.visited_states, par.visited_states);
-            assert_eq!(
-                seq.stats.counters_json(),
-                par.stats.counters_json(),
-                "beam counters must be thread-count invariant"
-            );
-        }
-    }
-
-    #[test]
     fn es_finds_the_swap_optimum() {
         let wf = swap_win();
         let model = RowCountModel::default();
@@ -608,42 +576,5 @@ mod tests {
         let b = ExhaustiveSearch::new().run(&wf, &model).unwrap();
         assert_eq!(a.best.signature(), b.best.signature());
         assert_eq!(a.visited_states, b.visited_states);
-    }
-
-    #[test]
-    fn es_parallel_matches_sequential() {
-        let model = RowCountModel::default();
-        for wf in [swap_win(), fac_dis()] {
-            let seq = ExhaustiveSearch::with_budget(SearchBudget::default().with_parallelism(1))
-                .run(&wf, &model)
-                .unwrap();
-            let par = ExhaustiveSearch::with_budget(SearchBudget::default().with_parallelism(4))
-                .run(&wf, &model)
-                .unwrap();
-            assert_eq!(seq.best_cost.to_bits(), par.best_cost.to_bits());
-            assert_eq!(seq.best.signature(), par.best.signature());
-            assert_eq!(seq.visited_states, par.visited_states);
-        }
-    }
-
-    #[test]
-    fn es_parallel_matches_sequential_under_state_budget() {
-        let model = RowCountModel::default();
-        let wf = fac_dis();
-        for max in [2, 5, 9] {
-            let seq = ExhaustiveSearch::with_budget(SearchBudget::states(max).with_parallelism(1))
-                .run(&wf, &model)
-                .unwrap();
-            let par = ExhaustiveSearch::with_budget(SearchBudget::states(max).with_parallelism(4))
-                .run(&wf, &model)
-                .unwrap();
-            assert_eq!(
-                seq.best_cost.to_bits(),
-                par.best_cost.to_bits(),
-                "max {max}"
-            );
-            assert_eq!(seq.best.signature(), par.best.signature(), "max {max}");
-            assert_eq!(seq.visited_states, par.visited_states, "max {max}");
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! transitions; ES explores it breadth-first with a visited set keyed by
 //! state fingerprint, then returns the cheapest state seen.
 //!
-//! The BFS itself is the generation-synchronous, parallel loop in
+//! The BFS itself is the generation-synchronous loop in
 //! `opt/beam.rs`, run without a cut: every admitted state is expanded.
 //!
 //! The space is exponential; the paper capped ES at 40 hours and reported

@@ -38,22 +38,21 @@ use crate::cost::CostModel;
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::opt::{
-    EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, State, Step, Threads,
-    Visited,
+    EvalState, Optimizer, Pacer, PhaseStat, SearchBudget, SearchOutcome, State, Step, Visited,
 };
 use crate::trace::{Collector, Rejections, Span};
 use crate::transition::{Distribute, Factorize, Merge, Swap, Transition};
 use crate::workflow::Workflow;
 
-/// What a worker hands back for one candidate move: the successor,
-/// fingerprinted and (unless already known) priced against the state the
-/// move was applied to, or `None` when the move did not apply. An
-/// evaluation error stays inside, deferred to the coordinator so it
-/// surfaces exactly when a sequential run would have hit it.
+/// What the build phase of [`Runner::batch`] makes of one candidate move:
+/// the successor, fingerprinted and (unless already known) priced against
+/// the state the move was applied to, or `None` when the move did not
+/// apply. An evaluation error stays inside, deferred to the admit phase so
+/// it surfaces only if the admission reaches its item.
 type Candidate = Option<Result<Step>>;
 
 /// The "already have it" test [`Runner::batch`] hands its build phase.
-type Known<'a> = &'a (dyn Fn(u128) -> bool + Sync);
+type Known<'a> = &'a dyn Fn(u128) -> bool;
 
 /// A Phase II/III candidate builder, for anchor tuples of `N` activities.
 type ChainFn<const N: usize> =
@@ -145,7 +144,6 @@ struct Runner<'m> {
     greedy: bool,
     started: Instant,
     pacer: Pacer,
-    threads: Threads,
     visited: Visited,
     budget_exhausted: bool,
     /// Per-local-group cap for the best-first swap exploration, sized from
@@ -175,7 +173,6 @@ impl<'m> Runner<'m> {
             greedy,
             started,
             pacer: Pacer::new(started, &budget),
-            threads: Threads::new(budget.threads()),
             visited: Visited::new(budget.max_states),
             budget_exhausted: false,
             group_cap: 5040,
@@ -209,33 +206,40 @@ impl<'m> Runner<'m> {
         self.budget_exhausted
     }
 
-    /// Build one candidate per item on the worker pool, then admit the
-    /// produced states in item order — so dedup, budget accounting and
-    /// whatever `admit` keeps (a running best, a heap, a worklist) come out
-    /// the same for any thread count. `admit` gets the item's index and
-    /// its state, and returns `false` to drop the rest of the batch.
+    /// Build one candidate per item, every item first, then admit the
+    /// produced states in item order. `admit` gets the item's index and its
+    /// state, and returns `false` to drop the rest of the batch.
+    ///
+    /// Building every item before admitting any is what the search's
+    /// deterministic counters are pinned to: each item's rejections are
+    /// counted, even past the item where the budget or `admit` stops the
+    /// batch, and every item is judged against `have` as it stood before
+    /// the batch.
     ///
     /// `have` is the caller's set of states it wants no second copy of. The
     /// phases never overlap: the build phase reads it through a shared borrow
-    /// (the workers' `known` test — what it holds is not regenerated or
-    /// priced), the admit phase then inserts into it and shows `admit` fresh
-    /// states only. A known candidate is accounted like a priced duplicate.
-    fn batch<T: Sync>(
+    /// (the `known` test — what it holds is not regenerated or priced), the
+    /// admit phase then inserts into it and shows `admit` fresh states only.
+    /// A known candidate is accounted like a priced duplicate.
+    fn batch<T>(
         &mut self,
         items: &[T],
         mut have: Option<&mut HashSet<u128>>,
-        build: impl Fn(&T, Known, &mut Rejections) -> Candidate + Sync,
+        build: impl Fn(&T, Known, &mut Rejections) -> Candidate,
         mut admit: impl FnMut(usize, State) -> bool,
     ) -> Result<()> {
         let held = have.as_deref();
         let known = |fp: u128| held.is_some_and(|set| set.contains(&fp));
-        let built: Vec<(Candidate, Rejections)> = self.threads.map(items, |item| {
-            let mut rej = Rejections::default();
-            (build(item, &known, &mut rej), rej)
-        })?;
-        // Rejections first, over *every* item: the workers evaluated them
-        // all, so the counts must not depend on where the budget (or
-        // `admit`) stops the loop below.
+        let built: Vec<(Candidate, Rejections)> = items
+            .iter()
+            .map(|item| {
+                let mut rej = Rejections::default();
+                (build(item, &known, &mut rej), rej)
+            })
+            .collect();
+        // Rejections first, over *every* item: all of them were built, so
+        // the counts must not depend on where the budget (or `admit`)
+        // stops the loop below.
         for (_, rej) in &built {
             self.col.rejections(rej);
         }
@@ -337,7 +341,6 @@ impl<'m> Runner<'m> {
             best = Arc::new(EvalState::full(split, self.model)?);
         }
 
-        self.col.worker_batches(self.threads.batch_counts());
         Ok(SearchOutcome {
             best_cost: best.total,
             best: best.into_workflow(),
@@ -521,8 +524,7 @@ impl<'m> Runner<'m> {
             let moves = group_swaps(&current.wf, members)?;
             let model = self.model;
             // The first of the cheapest improving successors, in
-            // enumeration order, so ties resolve identically for any
-            // thread count.
+            // enumeration order: a tie goes to the earlier move.
             let mut improved: Option<State> = None;
             self.batch(
                 &moves,
@@ -554,14 +556,12 @@ impl<'m> Runner<'m> {
         // consumed by an earlier swap may no longer be adjacent, in which
         // case `apply` refuses and the sweep moves on.
         //
-        // The sweep itself is sequential by definition (each accepted swap
-        // changes the state the next pair is judged against), so the
-        // workers evaluate the remaining pairs *speculatively* against the
-        // current state; the coordinator consumes them in order up to the
-        // first acceptance and throws the stale tail away (its rejections
-        // stay counted — the workers did evaluate it), which makes the
-        // accepted swaps — and the budget accounting — identical to a
-        // sequential sweep for any thread count.
+        // Each accepted swap changes the state the next pair is judged
+        // against. One batch evaluates the remaining pairs *speculatively*
+        // against the current state and is consumed in order up to the
+        // first acceptance; the stale tail is thrown away, but its
+        // rejections stay counted (it was evaluated), and the counters
+        // are pinned to that.
         let moves = group_swaps(&current.wf, members)?;
         let mut start = 0;
         while start < moves.len() {

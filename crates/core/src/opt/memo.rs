@@ -19,9 +19,11 @@
 //! activities, whose derived schemata depend on their *position*; binaries
 //! touching a merged provider bypass the cache entirely.
 //!
-//! The cache is shared across worker threads behind an `RwLock`; a raced
-//! double-compute inserts the identical value twice, so results stay
-//! deterministic for any thread count.
+//! A search builds its own memo unless it is handed one: the daemon keeps
+//! one per workflow family and shares it across that family's jobs, which
+//! run on their own connection threads. So the cache sits behind an
+//! `RwLock`; two jobs racing on one key insert the identical value twice,
+//! so results stay deterministic whatever the cache holds.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +65,7 @@ impl MoveMemo {
     /// move *set*, with each local group's swaps emitted at the group
     /// leader's topological position (instead of per member), and each
     /// binary's FAC/DIS at the binary's position. Deterministic for a given
-    /// state regardless of cache contents or thread count.
+    /// state regardless of cache contents.
     pub fn moves(&self, wf: &Workflow) -> Result<Vec<Move>> {
         let g = wf.graph();
         let mut out = Vec::new();

@@ -20,7 +20,6 @@ mod eval;
 mod exhaustive;
 mod heuristic;
 mod memo;
-mod parallel;
 mod visited;
 
 pub use adaptive::{
@@ -32,10 +31,8 @@ pub(crate) use eval::{EvalState, State, Step};
 pub use exhaustive::ExhaustiveSearch;
 pub use heuristic::{shift_bkw, shift_frw, HeuristicSearch, HsGreedy};
 pub use memo::MoveMemo;
-pub(crate) use parallel::Threads;
 pub(crate) use visited::{Admit, Visited};
 
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
@@ -119,18 +116,6 @@ pub struct SearchBudget {
     pub max_states: usize,
     /// Wall-clock limit.
     pub max_time: Duration,
-    /// Worker threads for frontier/candidate evaluation; `1` is the
-    /// sequential path. Any setting returns the same `best_cost` and
-    /// best-state signature — parallelism only changes wall-clock time.
-    ///
-    /// The default is 1, not the machine's core count: workers are scoped
-    /// threads spawned per [`EXPAND_WINDOW`]-state window, and on the
-    /// reference box (2 hardware threads) that spawning costs more than
-    /// the fan-out saves (the benchmark's `search_plan` population, every
-    /// core vs one thread, ms a pass: ES 107 vs 81, HS 374 vs 220,
-    /// HS-Greedy 1 366 vs 314, beam 371 vs 227). Callers that measured a
-    /// gain ask for it with [`SearchBudget::with_parallelism`].
-    pub parallelism: NonZeroUsize,
 }
 
 impl Default for SearchBudget {
@@ -138,7 +123,6 @@ impl Default for SearchBudget {
         SearchBudget {
             max_states: 200_000,
             max_time: Duration::from_secs(60),
-            parallelism: NonZeroUsize::MIN,
         }
     }
 }
@@ -149,14 +133,13 @@ impl SearchBudget {
         SearchBudget {
             max_states,
             max_time: Duration::from_secs(u64::MAX / 4),
-            parallelism: NonZeroUsize::MIN,
         }
     }
 
-    /// Set the worker-thread count. `1` is the sequential path, and so is
-    /// `0`: it is clamped, never read as "every core".
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN);
+    /// Ignored: returns the budget unchanged, because every search runs on
+    /// the calling thread. Kept only because the benchmark (`benchmark/`)
+    /// still calls it; the benchmark change that stops calling it deletes it.
+    pub fn with_parallelism(self, _n: usize) -> Self {
         self
     }
 
@@ -165,11 +148,6 @@ impl SearchBudget {
     pub fn with_max_time(mut self, max_time: Duration) -> Self {
         self.max_time = max_time;
         self
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.parallelism.get()
     }
 
     /// Is the budget spent?
@@ -233,22 +211,21 @@ impl Pacer {
     }
 }
 
-/// Per-frontier-state expansion result handed back by a generation-
-/// synchronous worker (ES/beam): the fresh successors, the rejection
-/// deltas, and counts of successors the worker itself pre-filtered as
-/// duplicates against the visited set.
+/// Per-frontier-state expansion result of the generation-synchronous loop
+/// (ES/beam): the fresh successors, the rejection deltas, and counts of
+/// successors pre-filtered as duplicates against the visited set.
 #[derive(Debug)]
 pub(crate) struct ExpandChunk {
-    /// Successors not in the visited set when the worker probed it, in
+    /// Successors not in the visited set when the expansion probed it, in
     /// move-enumeration order.
     pub(crate) fresh: Vec<State>,
     /// Rejection-rule deltas for this state's transition attempts.
     pub(crate) rej: crate::trace::Rejections,
-    /// Duplicates recognised worker-side on the delta path — by their
-    /// fingerprint, before regeneration and pricing.
+    /// Duplicates recognised on the delta path — by their fingerprint,
+    /// before regeneration and pricing.
     pub(crate) dedup_delta: u64,
-    /// Duplicates dropped worker-side after full pricing (models without
-    /// delta support).
+    /// Duplicates dropped after full pricing (models without delta
+    /// support).
     pub(crate) dedup_full: u64,
 }
 
@@ -256,23 +233,22 @@ pub(crate) struct ExpandChunk {
 ///
 /// The state budget can only stop work at a merge, so the window bounds
 /// what a search evaluates past its cap: at most `EXPAND_WINDOW` states'
-/// move lists. It is a constant — never derived from the thread count and
-/// not a budget field — because which successors get evaluated, and hence
-/// every deterministic counter, depends on where the merges fall. It is
-/// `Threads::map`'s inline threshold: the narrowest window that still
-/// fans out to workers.
+/// move lists. Which successors get evaluated past the cap, and hence
+/// every deterministic counter (`generated`, `pruned`, the rejection
+/// counts), depends on where the merges fall, so the window is a constant
+/// and not a budget field: changing it changes those counters, and
+/// `tests/search_population.rs` pins them.
 pub const EXPAND_WINDOW: usize = 8;
 
-/// Expand one window of a BFS frontier across the worker pool. Each worker
-/// builds the state it expands (a pending swap successor is built here, by
-/// the search that expands it), enumerates its moves through the shared
-/// [`MoveMemo`], fingerprints each successor incrementally, drops the ones
-/// already in `visited` before they are judged or priced — and without
-/// funneling them through the coordinator — and prices the rest. Workers
-/// hold `visited` by shared borrow and the coordinator inserts through
-/// `&mut` only after the window is back, so the pre-filter's outcome is
-/// deterministic at any thread count. Results come back in (frontier
-/// index, move index) order.
+/// Expand one window of a BFS frontier. Each state is built (a pending
+/// swap successor is built here, by the search that expands it), its moves
+/// are enumerated through the [`MoveMemo`], each successor is fingerprinted
+/// incrementally, the ones already in `visited` are dropped before they are
+/// judged or priced, and the rest are priced. The caller inserts into
+/// `visited` only after the whole window is back, so every state of the
+/// window probes the set as it stood before the window. Results come back
+/// in (frontier index, move index) order; an error stays with its state, so
+/// the merge can drop it with the rest of a region it discards.
 ///
 /// `room` is how many more states `visited` can admit. A state stops
 /// producing successors once it holds `room` distinct ones that `visited`
@@ -282,13 +258,12 @@ pub const EXPAND_WINDOW: usize = 8;
 /// would have produced next could only have been counted, never admitted.
 pub(crate) fn expand_frontier(
     window: &[State],
-    threads: &Threads,
     memo: &MoveMemo,
     model: &dyn CostModel,
     visited: &Visited,
     room: usize,
-) -> Result<Vec<Result<ExpandChunk>>> {
-    threads.map(window, |state| {
+) -> Vec<Result<ExpandChunk>> {
+    let expand = |state: &State| {
         let mut chunk = ExpandChunk {
             fresh: Vec::new(),
             rej: crate::trace::Rejections::default(),
@@ -322,7 +297,8 @@ pub(crate) fn expand_frontier(
             }
         }
         Ok(chunk)
-    })
+    };
+    window.iter().map(expand).collect()
 }
 
 /// The result of a search run.
@@ -449,18 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_parallelism_clamps_to_sequential() {
-        // Regression: `0` used to mean "every core", and so did a budget
-        // nobody set a count on — a measured loss (see the field doc).
-        let b = SearchBudget::default().with_parallelism(0);
-        assert_eq!(b.parallelism, NonZeroUsize::MIN);
-        assert_eq!(b.threads(), 1);
-        assert_eq!(SearchBudget::default().threads(), 1);
-        assert_eq!(SearchBudget::states(10).threads(), 1);
-        assert_eq!(SearchBudget::default().with_parallelism(4).threads(), 4);
-    }
-
-    #[test]
     fn pacer_observes_a_zero_time_budget_before_the_first_stride() {
         // Regression: the pacer only sampled the clock every 1024 ticks,
         // so a `Duration::ZERO` budget burned a full stride of states past
@@ -484,7 +448,6 @@ mod tests {
         let budget = SearchBudget {
             max_states: 100_000,
             max_time: Duration::ZERO,
-            parallelism: NonZeroUsize::MIN,
         };
         let algos: [Box<dyn Optimizer>; 4] = [
             Box::new(ExhaustiveSearch::with_budget(budget)),
@@ -511,7 +474,7 @@ mod tests {
         let wf = sample();
         let model = RowCountModel::default();
         for max in [1usize, 2, 3, 7, 19] {
-            let budget = SearchBudget::states(max).with_parallelism(2);
+            let budget = SearchBudget::states(max);
             let algos: [Box<dyn Optimizer>; 4] = [
                 Box::new(ExhaustiveSearch::with_budget(budget)),
                 Box::new(BeamSearch::with_budget(budget)),

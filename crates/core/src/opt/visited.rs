@@ -6,14 +6,13 @@
 //!
 //! ## Determinism contract
 //!
-//! Only a search's coordinator inserts, through `&mut self`, in its
-//! deterministic merge order (frontier index, then move index). Expansion
-//! workers probe [`Visited::contains`] through a shared borrow handed into
-//! [`crate::opt::Threads`]' map, so the set cannot change while they run:
-//! the borrow checker, not a lock, keeps the probe's answer independent of
-//! the thread count. The accepted set is therefore the one a sequential
-//! run accepts — `tests/search_determinism.rs` and the unit tests below
-//! pin this.
+//! A search inserts through `&mut self`, in its deterministic merge order
+//! (frontier index, then move index). ES and beam expand a window of
+//! states through a shared borrow of the set ([`Visited::contains`]) and
+//! insert only once the whole window is back, so every state of a window
+//! is probed against the set as it stood before the window — the pinned
+//! counters depend on that. `tests/search_determinism.rs` and the unit
+//! tests below pin this.
 //!
 //! ## Budget contract
 //!

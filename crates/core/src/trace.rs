@@ -21,14 +21,11 @@
 //! ## Determinism contract
 //!
 //! Everything rendered by [`SearchStats::counters_json`] is **bit-identical
-//! for any worker-thread count**: workers only ever return per-item counter
-//! deltas through the search's worker map, whose results come back in
-//! input order, and the single-threaded coordinator merges them in that
-//! order (summed integers are also order-insensitive, so the merge is
-//! doubly safe). `tests/search_determinism.rs` pins the seq-vs-par byte
-//! equality. Wall-clock spans, per-worker batch counts and move-memo
-//! hit/miss counts are *runtime* telemetry — a raced memo lookup may record
-//! a miss on two workers at once — so they are rendered only by
+//! run to run**: a search counts on one thread, in its deterministic merge
+//! order, and `tests/search_determinism.rs` runs every search twice and
+//! compares the bytes. Wall-clock spans and move-memo hit/miss counts are
+//! *runtime* telemetry — a memo shared across a family's daemon jobs hits
+//! on what other jobs inserted — so they are rendered only by
 //! [`SearchStats::to_json`] and excluded from the deterministic projection.
 
 use std::collections::HashSet;
@@ -84,8 +81,8 @@ impl Rejections {
         }
     }
 
-    /// Add every counter of `other` into `self` (the coordinator-side merge
-    /// of per-worker-item deltas).
+    /// Add every counter of `other` into `self` (the merge of per-item
+    /// deltas).
     pub fn merge(&mut self, other: &Rejections) {
         self.not_adjacent += other.not_adjacent;
         self.not_unary += other.not_unary;
@@ -173,9 +170,8 @@ pub struct SearchStats {
     pub deduplicated: u64,
     /// Distinct states whose outgoing transitions were enumerated and
     /// applied (each fingerprint counted once, however often a phase
-    /// revisits it). ES and beam count a state when its window is handed to
-    /// the workers, so frontier states a budget stop never reached are not
-    /// in here.
+    /// revisits it). ES and beam count a state when its window is expanded,
+    /// so frontier states a budget stop never reached are not in here.
     pub expanded: u64,
     /// Distinct generated states never expanded: admitted states the run
     /// ended before reaching (a budget stop, a collection cap, beam
@@ -203,7 +199,7 @@ pub struct SearchStats {
     pub frontier_sizes: Vec<usize>,
     /// Transition attempts rejected, by applicability rule. Includes
     /// speculative attempts (HS shift chains, stale greedy-sweep tails)
-    /// because the workers evaluate them either way.
+    /// because they are evaluated either way.
     pub rejections: Rejections,
     /// Beam search only: the configured frontier width `K`. `0` for the
     /// unbounded algorithms (ES, HS, HS-Greedy).
@@ -213,16 +209,14 @@ pub struct SearchStats {
     /// subset of `pruned` — a truncated state was generated and never
     /// expanded.
     pub truncated_states: u64,
-    /// Move-memo cache hits (runtime telemetry: racing workers may both
-    /// miss the same key, so seq/par counts can differ).
+    /// Move-memo cache hits (runtime telemetry: a memo the daemon shares
+    /// across a family's jobs hits on keys other jobs inserted, so two runs
+    /// of one search can count differently).
     pub memo_hits: u64,
     /// Move-memo cache misses (runtime telemetry, as `memo_hits`).
     pub memo_misses: u64,
     /// Wall-clock per phase (runtime telemetry).
     pub phases: Vec<PhaseSpan>,
-    /// Batches of work claimed per worker index (runtime telemetry: the
-    /// claim cursor races under parallelism).
-    pub worker_batches: Vec<u64>,
 }
 
 impl SearchStats {
@@ -243,7 +237,6 @@ impl SearchStats {
             memo_hits: 0,
             memo_misses: 0,
             phases: Vec::new(),
-            worker_batches: Vec::new(),
         }
     }
 
@@ -267,7 +260,7 @@ impl SearchStats {
     }
 
     /// Absorb another run's counters (used to aggregate a sweep). Frontier
-    /// sizes, phases and worker batches are per-run shapes and are not
+    /// sizes and phases are per-run shapes and are not
     /// carried over.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.generated += other.generated;
@@ -328,9 +321,7 @@ impl SearchStats {
                 .iter()
                 .map(|p| format!("{{\"phase\": \"{}\", \"nanos\": {}}}", p.phase, p.nanos))
                 .collect();
-            out.push_str(&format!("  \"phases\": [{}],\n", phases.join(", ")));
-            let batches: Vec<String> = self.worker_batches.iter().map(u64::to_string).collect();
-            out.push_str(&format!("  \"worker_batches\": [{}]\n", batches.join(", ")));
+            out.push_str(&format!("  \"phases\": [{}]\n", phases.join(", ")));
         } else {
             out.push('\n');
         }
@@ -339,21 +330,19 @@ impl SearchStats {
     }
 
     /// The deterministic projection: every field here is byte-identical
-    /// for any worker-thread count on the same search.
+    /// run to run on the same search.
     pub fn counters_json(&self) -> String {
         self.render(false)
     }
 
     /// Full machine-readable rendering, including the runtime-telemetry
-    /// section (wall-clock spans, memo hit/miss, worker batch counts).
+    /// section (wall-clock spans, memo hit/miss).
     pub fn to_json(&self) -> String {
         self.render(true)
     }
 }
 
-/// Run-local counter collector the search algorithms feed. Only the
-/// coordinator thread touches it; workers hand their deltas back as values
-/// through `Threads::map`.
+/// Run-local counter collector the search algorithms feed.
 #[derive(Debug)]
 pub(crate) struct Collector {
     stats: SearchStats,
@@ -399,7 +388,7 @@ impl Collector {
         self.stats.frontier_sizes.push(len);
     }
 
-    /// Merge a worker item's rejection deltas.
+    /// Merge one expanded item's rejection deltas.
     pub(crate) fn rejections(&mut self, rej: &Rejections) {
         self.stats.rejections.merge(rej);
     }
@@ -423,11 +412,6 @@ impl Collector {
     /// Append a finished phase span.
     pub(crate) fn span(&mut self, span: Span) {
         span.finish(&mut self.stats);
-    }
-
-    /// Record the per-worker batch counts (runtime telemetry).
-    pub(crate) fn worker_batches(&mut self, batches: Vec<u64>) {
-        self.stats.worker_batches = batches;
     }
 
     /// Close the run: derive `pruned` from the identity
@@ -661,11 +645,9 @@ mod tests {
         assert!(det.contains("\"frontier_sizes\": [7]"));
         assert!(!det.contains("nanos"), "{det}");
         assert!(!det.contains("memo"), "{det}");
-        assert!(!det.contains("worker_batches"), "{det}");
         let full = stats.to_json();
         assert!(full.contains("\"memo\": {\"hits\": 3, \"misses\": 4}"));
         assert!(full.contains("\"phase\": \"I swaps\""));
-        assert!(full.contains("worker_batches"));
     }
 
     #[test]

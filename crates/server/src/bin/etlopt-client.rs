@@ -4,8 +4,8 @@
 //! etlopt-client submit   --addr HOST:PORT (--workflow FILE | --text DSL)
 //!                        [--op optimize|execute|adaptive] [--tenant NAME]
 //!                        [--algo es|hs|hs-greedy|beam] [--states N]
-//!                        [--time-ms N] [--parallelism N] [--rows N]
-//!                        [--seed N] [--rounds N] [--cold] [--id ID]
+//!                        [--time-ms N] [--rows N] [--seed N]
+//!                        [--rounds N] [--cold] [--id ID]
 //! etlopt-client oneshot  (--workflow FILE | --text DSL) [same knobs]
 //! etlopt-client ping     --addr HOST:PORT
 //! etlopt-client stats    --addr HOST:PORT
@@ -59,7 +59,7 @@ fn build_request(flags: &mut Flags, op_default: Op) -> Result<Request, String> {
         algo: flags.take("--algo").unwrap_or_else(|| "hs".to_owned()),
         states: flags.take_parsed("--states", 600)?,
         time_ms: flags.take_parsed("--time-ms", 60_000)?,
-        parallelism: flags.take_parsed("--parallelism", 1)?,
+        parallelism: 1,
         rows: flags.take_parsed("--rows", 64)?,
         seed: flags.take_parsed("--seed", 2005)?,
         rounds: flags.take_parsed("--rounds", 6)?,

@@ -3,8 +3,7 @@
 //! ```text
 //! etlopt-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!               [--max-states N] [--max-time-ms N] [--max-rows N]
-//!               [--max-rounds N] [--max-parallelism N]
-//!               [--store-dir DIR] [--drain-log FILE]
+//!               [--max-rounds N] [--store-dir DIR] [--drain-log FILE]
 //! ```
 //!
 //! Binds, prints the resolved address as `listening on ADDR` (clients
@@ -29,9 +28,9 @@ fn run() -> Result<ExitCode, String> {
         max_time_ms: flags.take_parsed("--max-time-ms", defaults.max_time_ms)?,
         max_rows: flags.take_parsed("--max-rows", defaults.max_rows)?,
         max_rounds: flags.take_parsed("--max-rounds", defaults.max_rounds)?,
-        max_parallelism: flags.take_parsed("--max-parallelism", defaults.max_parallelism)?,
         store_dir: flags.take("--store-dir").map(Into::into),
         drain_log: flags.take("--drain-log").map(Into::into),
+        ..defaults
     };
     flags.ensure_empty()?;
 

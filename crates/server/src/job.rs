@@ -53,17 +53,13 @@ use crate::state::{relock, BodyKey, Family, Guard, Registry};
 
 /// A request after server-side clamping: the budgets the job actually
 /// runs with. Clamped values are part of the canonical body, so a client
-/// asking for more than the ceiling sees what it actually got — except
-/// `parallelism`, which is a pure resource knob (results are
-/// parallelism-invariant, enforced by the search-determinism suite) and
-/// whose ceiling is machine-dependent: echoing it would break
-/// byte-identity between servers with different core counts.
+/// asking for more than the ceiling sees what it actually got. A request's
+/// `parallelism` is not here: it is ignored.
 struct Effective {
     states: usize,
     time_ms: u64,
     rows: usize,
     rounds: usize,
-    parallelism: usize,
 }
 
 fn clamp(req: &Request, reg: &Registry) -> Effective {
@@ -76,14 +72,11 @@ fn clamp(req: &Request, reg: &Registry) -> Effective {
         time_ms: req.time_ms.clamp(1, cfg.max_time_ms.max(1)),
         rows: req.rows.clamp(1, cfg.max_rows.max(1)),
         rounds: req.rounds.clamp(1, cfg.max_rounds.max(1)),
-        parallelism: req.parallelism.clamp(1, cfg.max_parallelism.max(1)),
     }
 }
 
 fn build_optimizer(req: &Request, eff: &Effective, memo: Arc<MoveMemo>) -> Box<dyn Optimizer> {
-    let budget = SearchBudget::states(eff.states)
-        .with_max_time(Duration::from_millis(eff.time_ms))
-        .with_parallelism(eff.parallelism);
+    let budget = SearchBudget::states(eff.states).with_max_time(Duration::from_millis(eff.time_ms));
     match req.algo.as_str() {
         "es" => Box::new(ExhaustiveSearch::with_budget(budget).with_shared_memo(memo)),
         "hs" => Box::new(HeuristicSearch::with_budget(budget)),
@@ -1137,37 +1130,22 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_is_clamped_and_zero_ceilings_cannot_panic() {
-        let wf = sample_workflow();
-        let reg = Registry::new(ServerConfig {
-            max_parallelism: 2,
-            ..ServerConfig::default()
-        });
-        let mut req = request(Op::Optimize, &wf);
-        req.parallelism = 1_000_000;
-        let eff = clamp(&req, &reg);
-        assert_eq!(eff.parallelism, 2, "parallelism must honor the ceiling");
-
+    fn zero_ceilings_cannot_panic() {
         // Zero ceilings: `x.clamp(1, 0)` panics (min > max), which would
         // turn every job into a `500` — degrade to budget 1 instead.
+        let wf = sample_workflow();
+        let req = request(Op::Optimize, &wf);
         let zero = Registry::new(ServerConfig {
             max_states: 0,
             max_time_ms: 0,
             max_rows: 0,
             max_rounds: 0,
-            max_parallelism: 0,
             ..ServerConfig::default()
         });
         let eff = clamp(&req, &zero);
         assert_eq!(
-            (
-                eff.states,
-                eff.time_ms,
-                eff.rows,
-                eff.rounds,
-                eff.parallelism
-            ),
-            (1, 1, 1, 1, 1)
+            (eff.states, eff.time_ms, eff.rows, eff.rounds),
+            (1, 1, 1, 1)
         );
         // And a full job against the degenerate config still answers.
         let resp = run_request(&zero, &request(Op::Execute, &wf));

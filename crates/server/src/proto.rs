@@ -150,7 +150,11 @@ pub struct Request {
     pub states: usize,
     /// Search budget: wall-clock cap in milliseconds (clamped server-side).
     pub time_ms: u64,
-    /// Search parallelism (worker threads inside one search).
+    /// Ignored: every search runs on one thread. Still parsed and rendered,
+    /// so a client that sends it is accepted, and the canonical body never
+    /// held it. Kept only because the benchmark (`benchmark/`) builds
+    /// requests with it; the benchmark change that stops doing so deletes
+    /// it from the wire.
     pub parallelism: usize,
     /// Synthetic rows per source recordset for execute/adaptive.
     pub rows: usize,

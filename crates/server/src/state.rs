@@ -103,10 +103,9 @@ pub struct ServerConfig {
     pub max_rows: usize,
     /// Ceiling on adaptive rounds per job.
     pub max_rounds: usize,
-    /// Ceiling on per-job search parallelism (threads inside one search).
-    /// Unlike the other ceilings this one is a pure resource knob —
-    /// search results are parallelism-invariant — so the clamped value is
-    /// not echoed in the canonical body.
+    /// Ignored: every search runs on one thread, whatever a request's
+    /// `parallelism` says. Kept only because the benchmark (`benchmark/`)
+    /// reads it; the benchmark change that stops reading it deletes it.
     pub max_parallelism: usize,
     /// Root directory for persisted per-tenant calibration; `None`
     /// keeps calibration in-memory only.
@@ -126,9 +125,7 @@ impl Default for ServerConfig {
             max_time_ms: 60_000,
             max_rows: 4096,
             max_rounds: 8,
-            max_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            max_parallelism: 1,
             store_dir: None,
             drain_log: None,
         }
@@ -205,8 +202,8 @@ const CAL_ENTRY_BYTES: usize = 120;
 
 /// What a body is remembered under: the clamped request, with exactly the
 /// fields the op's body depends on ([`crate::job`] builds it). The others
-/// stay 0, `false` or empty, and `parallelism` is never here: it changes
-/// no result.
+/// stay 0, `false` or empty, and `parallelism` is never here: it is
+/// ignored.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct BodyKey {
     pub(crate) op: Op,

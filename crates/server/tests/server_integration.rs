@@ -416,6 +416,41 @@ fn first_second_and_replayed_bodies_equal_oneshot_for_every_algo_and_op() {
     server.join();
 }
 
+/// A request's `parallelism` is accepted and ignored: the same request at
+/// 1 and at 64 gets one body, and 64 is not another key — once 1 is
+/// remembered, 64 is answered from the tier.
+#[test]
+fn parallelism_is_ignored_on_the_wire_and_keys_no_body() {
+    let server = spawn(ServerConfig::default()).expect("spawn server");
+    let wf = workflow_text(61, SizeCategory::Small);
+    let mut req = request("par", Op::Optimize, &wf);
+    req.algo = "beam".to_owned();
+    // A sibling with another budget is the family's first sight, so the
+    // request below is stored on its first sending.
+    let mut sibling = req.clone();
+    sibling.states = 300;
+    assert_eq!(roundtrip(&server, &sibling).code, Code::Ok);
+
+    let one = roundtrip(&server, &req);
+    assert_eq!(one.code, Code::Ok, "{}", one.error);
+    assert_eq!(plan_cache(&one), "miss");
+    req.parallelism = 64;
+    assert!(
+        req.render().contains("\"parallelism\":64"),
+        "{}",
+        req.render()
+    );
+    let many = roundtrip(&server, &req);
+    assert_eq!(many.code, Code::Ok, "{}", many.error);
+    assert_eq!(many.body, one.body, "parallelism changed the body");
+    assert_eq!(many.body, oneshot(&req).body);
+    assert_eq!(plan_cache(&many), "hit", "{}", many.meta);
+    assert_eq!(run_of(&many), "remembered", "{}", many.meta);
+    assert_eq!(meta_u64(&many, "searches"), 0, "{}", many.meta);
+    server.shutdown();
+    server.join();
+}
+
 /// `rows` and `seed` are part of an `execute`'s key: each pair is computed
 /// on its first sending after the family's first sight and remembered
 /// from then on, and every body is the one-shot body.
@@ -609,7 +644,7 @@ fn a_plan_generates_the_catalog_its_request_text_generates() {
 
     for scenario in Generator::suite(2005, 48, 29, 3) {
         let wf = text::parse(&text::render(&scenario.workflow).expect("render")).expect("parse");
-        let best = BeamSearch::with_budget(SearchBudget::states(600).with_parallelism(1))
+        let best = BeamSearch::with_budget(SearchBudget::states(600))
             .run(&wf, &RowCountModel::default())
             .expect("search")
             .best;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! conformance sweep  [--base-seed N] [--small N] [--medium N] [--large N]
-//!                    [--rows N] [--states N] [--parallelism N] [--chain-len N]
+//!                    [--rows N] [--states N] [--chain-len N]
 //!                    [--adaptive] [--adaptive-rounds N]
 //!                    [--out FILE] [--trace-json FILE]
 //! conformance backends [--rows N] [--frame-budget N] [--batch-rows N]
@@ -79,7 +79,6 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
         large: flags.take_parsed("--large", defaults.large)?,
         rows_per_source: flags.take_parsed("--rows", defaults.rows_per_source)?,
         search_states: flags.take_parsed("--states", defaults.search_states)?,
-        parallelism: flags.take_parsed("--parallelism", defaults.parallelism)?,
         chain_len: flags.take_parsed("--chain-len", defaults.chain_len)?,
         adaptive_rounds: flags.take_parsed("--adaptive-rounds", adaptive_default)?,
     };
@@ -91,13 +90,12 @@ fn sweep(mut flags: Flags) -> Result<ExitCode, String> {
 
     eprintln!(
         "sweeping {} scenarios ({} small / {} medium / {} large), \
-         {} search states, parallelism {}…",
+         {} search states…",
         cfg.scenarios(),
         cfg.small,
         cfg.medium,
         cfg.large,
         cfg.search_states,
-        cfg.parallelism,
     );
 
     let report = run_corpus(&cfg, |done, total, name| {

@@ -9,9 +9,8 @@
 //! * **Monotonicity** — repriced under the *final* calibration, the round
 //!   trajectory's plan costs never increase: each round's choice is at
 //!   least as good as the last once both are judged by the same truth.
-//! * **Determinism** — a 30-scenario seeded sweep converges within the
-//!   4-round default budget, and the full `AdaptiveReport::to_json`
-//!   trajectory is byte-identical between search parallelism 1 and 4.
+//! * **Sweep** — a 30-scenario seeded sweep converges within the 4-round
+//!   default budget.
 //! * **One cost per plan** — a round that takes the search's fresh plan
 //!   reports the same `f64` for it as the search did.
 
@@ -56,13 +55,11 @@ fn fig1_harvester() -> Harvester {
 /// the harvested store.
 fn run_loop(
     wf: &Workflow,
-    parallelism: usize,
     rounds: usize,
     mut harvester: Harvester,
 ) -> (AdaptiveReport, CalibrationStore) {
     let model = RowCountModel::default();
-    let optimizer =
-        HeuristicSearch::with_budget(SearchBudget::states(600).with_parallelism(parallelism));
+    let optimizer = HeuristicSearch::with_budget(SearchBudget::states(600));
     let mut store = CalibrationStore::new();
     let report = run_adaptive(
         wf,
@@ -79,7 +76,7 @@ fn run_loop(
 #[test]
 fn fig1_skewed_selectivities_converge_within_three_rounds() {
     let wf = skewed_fig1();
-    let (report, _) = run_loop(&wf, 1, 4, fig1_harvester());
+    let (report, _) = run_loop(&wf, 4, fig1_harvester());
 
     assert!(report.converged, "fig1 must converge: {:#?}", report.rounds);
     assert!(
@@ -113,7 +110,7 @@ fn converged_loop_is_a_fixpoint() {
     // round to a fresh loop: with exact calibration the plan must not
     // move — the very first round re-chooses the converged fingerprint.
     let wf = skewed_fig1();
-    let (report, mut store) = run_loop(&wf, 1, 4, fig1_harvester());
+    let (report, mut store) = run_loop(&wf, 4, fig1_harvester());
     assert!(report.converged);
     let converged_fp = report.final_round().unwrap().fingerprint;
 
@@ -144,7 +141,7 @@ fn round_costs_are_monotone_under_final_calibration() {
     // calibration — here the final harvested store, the closest thing to
     // ground truth — the chosen plans never get worse round over round.
     let wf = skewed_fig1();
-    let (report, store) = run_loop(&wf, 1, 4, fig1_harvester());
+    let (report, store) = run_loop(&wf, 4, fig1_harvester());
     let model = RowCountModel::default();
 
     let costs: Vec<f64> = report
@@ -164,40 +161,19 @@ fn round_costs_are_monotone_under_final_calibration() {
 }
 
 #[test]
-fn fig1_trajectory_is_identical_at_thread_counts_1_2_4() {
-    let wf = skewed_fig1();
-    let (seq, _) = run_loop(&wf, 1, 4, fig1_harvester());
-    for threads in [2usize, 4] {
-        let (par, _) = run_loop(&wf, threads, 4, fig1_harvester());
-        assert_eq!(
-            seq.to_json(),
-            par.to_json(),
-            "trajectory diverged at {threads} search workers"
-        );
-    }
-}
-
-#[test]
-fn thirty_scenario_sweep_converges_and_is_thread_count_invariant() {
+fn thirty_scenario_sweep_converges() {
     let base_seed = 2005u64;
     for seed in base_seed..base_seed + 30 {
         let s = Generator::generate(GeneratorConfig {
             seed,
             category: SizeCategory::Small,
         });
-        let catalog = || etlopt::workload::datagen::scenario_catalog(&s.workflow, 64, seed);
-        let (seq, _) = run_loop(&s.workflow, 1, 4, Harvester::new(Executor::new(catalog())));
+        let catalog = etlopt::workload::datagen::scenario_catalog(&s.workflow, 64, seed);
+        let (report, _) = run_loop(&s.workflow, 4, Harvester::new(Executor::new(catalog)));
         assert!(
-            seq.converged && seq.rounds_used() <= 4,
+            report.converged && report.rounds_used() <= 4,
             "seed {seed}: no convergence in {} round(s)",
-            seq.rounds_used()
-        );
-
-        let (par, _) = run_loop(&s.workflow, 4, 4, Harvester::new(Executor::new(catalog())));
-        assert_eq!(
-            seq.to_json(),
-            par.to_json(),
-            "seed {seed}: adaptive trajectory diverged between 1 and 4 search workers"
+            report.rounds_used()
         );
     }
 }
@@ -209,7 +185,7 @@ fn a_round_that_takes_the_fresh_plan_reports_the_searchs_cost_for_it() {
     let mut fresh = 0usize;
     for s in Generator::suite(2005, 30, 15, 3) {
         let catalog = etlopt::workload::datagen::catalog_for(&s.workflow, 64, 11);
-        let (report, _) = run_loop(&s.workflow, 1, 4, Harvester::new(Executor::new(catalog)));
+        let (report, _) = run_loop(&s.workflow, 4, Harvester::new(Executor::new(catalog)));
         for r in report.rounds.iter().filter(|r| !r.kept_incumbent) {
             assert_eq!(
                 r.calibrated_cost.to_bits(),

@@ -116,35 +116,33 @@ fn searches_match_their_goldens() {
             .collect();
         assert_eq!(seeds, SMOKE_SEEDS, "{algorithm}");
     }
-    for parallelism in [1usize, 2, 4] {
-        for (algorithm, seed, cost_bits, visited, counters_digest) in GOLDENS {
-            let s = Generator::generate(GeneratorConfig {
-                seed,
-                category: SizeCategory::Small,
-            });
-            let out = optimizer(algorithm, budget().with_parallelism(parallelism))
-                .run(&s.workflow, &model)
-                .unwrap();
-            let at = format!("{algorithm} seed {seed} parallelism {parallelism}");
-            assert_eq!(
-                out.best_cost.to_bits(),
-                cost_bits,
-                "{at}: {}",
-                out.best_cost
-            );
-            assert_eq!(out.visited_states, visited, "{at}");
-            let counters: String = out
-                .stats
-                .counters_json()
-                .split_inclusive('\n')
-                .filter(|l| algorithm == "ES" || !l.contains("\"evaluation\""))
-                .collect();
-            assert_eq!(
-                fnv1a(counters.as_bytes()),
-                counters_digest,
-                "{at}:\n{counters}"
-            );
-        }
+    for (algorithm, seed, cost_bits, visited, counters_digest) in GOLDENS {
+        let s = Generator::generate(GeneratorConfig {
+            seed,
+            category: SizeCategory::Small,
+        });
+        let out = optimizer(algorithm, budget())
+            .run(&s.workflow, &model)
+            .unwrap();
+        let at = format!("{algorithm} seed {seed}");
+        assert_eq!(
+            out.best_cost.to_bits(),
+            cost_bits,
+            "{at}: {}",
+            out.best_cost
+        );
+        assert_eq!(out.visited_states, visited, "{at}");
+        let counters: String = out
+            .stats
+            .counters_json()
+            .split_inclusive('\n')
+            .filter(|l| algorithm == "ES" || !l.contains("\"evaluation\""))
+            .collect();
+        assert_eq!(
+            fnv1a(counters.as_bytes()),
+            counters_digest,
+            "{at}:\n{counters}"
+        );
     }
 }
 

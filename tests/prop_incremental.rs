@@ -392,7 +392,7 @@ fn chain_candidates_fall_back_to_full_evaluation_without_delta_support() {
             category: SizeCategory::Small,
         })
         .workflow;
-        let budget = SearchBudget::states(600).with_parallelism(1);
+        let budget = SearchBudget::states(600);
         let algos: [Box<dyn Optimizer>; 2] = [
             Box::new(HeuristicSearch::with_budget(budget)),
             Box::new(HsGreedy::with_budget(budget)),
@@ -424,7 +424,7 @@ fn chain_candidates_fall_back_to_full_evaluation_without_delta_support() {
 #[test]
 fn cost_is_the_price_total_on_initial_and_searched_states() {
     let model = RowCountModel::default();
-    let budget = SearchBudget::states(400).with_parallelism(1);
+    let budget = SearchBudget::states(400);
     let algos: [Box<dyn Optimizer>; 3] = [
         Box::new(HeuristicSearch::with_budget(budget)),
         Box::new(HsGreedy::with_budget(budget)),

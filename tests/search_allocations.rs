@@ -1,7 +1,7 @@
 //! Heap allocations per generated state, per algorithm, over the
 //! benchmark's `search_plan` population (`Generator::suite(2005, 48, 29,
-//! 3)`, ES at 100 states, HS / HS-Greedy / beam at 400, parallelism 1 —
-//! the population `tests/search_population.rs` pins the plans of).
+//! 3)`, ES at 100 states, HS / HS-Greedy / beam at 400 — the population
+//! `tests/search_population.rs` pins the plans of).
 //!
 //! A search pays for a successor in allocations before anything else: a
 //! structure-sharing clone, the per-node tables, the copy-on-write of every
@@ -60,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// (algorithm, state budget, ceiling on allocations per generated state).
-/// The count is deterministic at parallelism 1; each ceiling is the value
+/// The count is deterministic; each ceiling is the value
 /// reached, rounded up to a tenth. Before the swap path paid for three
 /// nodes: ES 34.35, HS 29.91, HS-Greedy 130.79, beam 32.17. Before a swap
 /// successor was built only when a search expands or returns it: ES 14.79,

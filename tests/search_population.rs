@@ -13,10 +13,7 @@
 //! The population and budgets are the benchmark's
 //! (`benchmark/src/workloads/search_plan.rs`): `Generator::suite(2005, 48,
 //! 29, 3)`, each workflow rendered to text and parsed back as an op does,
-//! ES at 100 states, HS / HS-Greedy / beam at 400. A debug build runs
-//! parallelism 1 only (the debug-only `validate` after every transition
-//! makes a pass slow); a `--release` build — CI's single-threaded release
-//! step — also runs 2 and 4, which must reproduce the same digests.
+//! ES at 100 states, HS / HS-Greedy / beam at 400.
 
 use etlopt::core::opt::SearchBudget;
 use etlopt::core::text;
@@ -36,8 +33,8 @@ const PINNED: [(&str, usize, u64); 4] = [
     ("beam", 400, 0x00ee_5337_958f_091b),
 ];
 
-fn optimizer(algo: &str, states: usize, parallelism: usize) -> Box<dyn Optimizer> {
-    let budget = SearchBudget::states(states).with_parallelism(parallelism);
+fn optimizer(algo: &str, states: usize) -> Box<dyn Optimizer> {
+    let budget = SearchBudget::states(states);
     match algo {
         "es" => Box::new(ExhaustiveSearch::with_budget(budget)),
         "hs" => Box::new(HeuristicSearch::with_budget(budget)),
@@ -60,28 +57,19 @@ fn population_digests_match_the_parent_commit() {
         .iter()
         .map(|s| text::parse(&text::render(&s.workflow).unwrap()).unwrap())
         .collect();
-    let levels: &[usize] = if cfg!(debug_assertions) {
-        &[1]
-    } else {
-        &[1, 2, 4]
-    };
     let mut mismatches = Vec::new();
-    for &parallelism in levels {
-        for (algo, states, pinned) in PINNED {
-            let search = optimizer(algo, states, parallelism);
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            for wf in &population {
-                let out = search.run(wf, &model).unwrap();
-                fnv1a(&mut digest, text::render(&out.best).unwrap().as_bytes());
-                fnv1a(&mut digest, &out.best_cost.to_bits().to_le_bytes());
-                fnv1a(&mut digest, &(out.visited_states as u64).to_le_bytes());
-                fnv1a(&mut digest, out.stats.counters_json().as_bytes());
-            }
-            if digest != pinned {
-                mismatches.push(format!(
-                    "{algo} at parallelism {parallelism}: {digest:#018x}, pinned {pinned:#018x}"
-                ));
-            }
+    for (algo, states, pinned) in PINNED {
+        let search = optimizer(algo, states);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for wf in &population {
+            let out = search.run(wf, &model).unwrap();
+            fnv1a(&mut digest, text::render(&out.best).unwrap().as_bytes());
+            fnv1a(&mut digest, &out.best_cost.to_bits().to_le_bytes());
+            fnv1a(&mut digest, &(out.visited_states as u64).to_le_bytes());
+            fnv1a(&mut digest, out.stats.counters_json().as_bytes());
+        }
+        if digest != pinned {
+            mismatches.push(format!("{algo}: {digest:#018x}, pinned {pinned:#018x}"));
         }
     }
     assert!(

@@ -80,7 +80,7 @@ fn all_algorithms_emit_the_same_stats_schema() {
                 s.algorithm
             );
         }
-        for key in ["\"memo\"", "\"phases\"", "\"worker_batches\""] {
+        for key in ["\"memo\"", "\"phases\""] {
             assert!(
                 s.to_json().contains(key),
                 "{}: runtime telemetry missing {key}",
