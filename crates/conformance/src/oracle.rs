@@ -355,41 +355,27 @@ fn surrogate_attrs(wf: &Workflow) -> Vec<Attr> {
 }
 
 fn collect_surrogates(op: &Op, out: &mut Vec<Attr>) {
-    match op {
-        Op::Unary(UnaryOp::SurrogateKey { surrogate, .. }) if !out.contains(surrogate) => {
+    if let Op::Unary(UnaryOp::SurrogateKey { surrogate, .. }) = op {
+        if !out.contains(surrogate) {
             out.push(surrogate.clone());
         }
-        Op::Merged(chain) => {
-            for link in chain {
-                if let UnaryOp::SurrogateKey { surrogate, .. } = link {
-                    if !out.contains(surrogate) {
-                        out.push(surrogate.clone());
-                    }
-                }
-            }
-        }
-        _ => {}
     }
 }
 
-/// Stat keys whose cardinality the model only *estimates*: merged chains
-/// (stats count every link) and everything downstream of a non-union
-/// binary (join/difference/intersection cardinalities are guesses, union
-/// is exact `l + r`).
+/// Stat keys whose cardinality the model only *estimates*: everything
+/// downstream of a non-union binary (join/difference/intersection
+/// cardinalities are guesses, union is exact `l + r`).
 fn estimate_only_tokens(wf: &Workflow) -> etlopt_core::error::Result<BTreeSet<String>> {
     let g = wf.graph();
     let mut starts = Vec::new();
-    let mut out = BTreeSet::new();
     for id in wf.activities()? {
-        let act = g.activity(id)?;
-        match &act.op {
-            Op::Binary(op) if !matches!(op, BinaryOp::Union) => starts.push(id),
-            Op::Merged(_) => {
-                out.insert(act.id.to_string());
+        if let Op::Binary(op) = &g.activity(id)?.op {
+            if !matches!(op, BinaryOp::Union) {
+                starts.push(id);
             }
-            _ => {}
         }
     }
+    let mut out = BTreeSet::new();
     if starts.is_empty() {
         return Ok(out);
     }
@@ -422,12 +408,8 @@ fn stat_leaves(id: &ActivityId, observed: &ExecStats, out: &mut Vec<ActivityId>)
             stat_leaves(a, observed, out);
             stat_leaves(b, observed, out);
         }
-        ActivityId::Merged(parts) => {
-            for p in parts {
-                stat_leaves(p, observed, out);
-            }
-        }
-        ActivityId::Base(_) => {}
+        // A merged id exists only inside a search; no run observes one.
+        ActivityId::Base(_) | ActivityId::Merged(_) => {}
     }
 }
 

@@ -22,7 +22,9 @@ use crate::semantics::{BinaryOp, UnaryOp};
 pub enum ActivityId {
     /// Priority in the initial workflow's topological order.
     Base(u32),
-    /// A package of activities produced by a Merge transition.
+    /// A package of activities produced by a Merge transition. It exists
+    /// only inside a search: every optimizer returns a split workflow, and
+    /// code after the search resolves or refuses it, never runs it.
     Merged(Vec<ActivityId>),
     /// Product of factorizing two non-clone activities.
     Factored(Box<ActivityId>, Box<ActivityId>),
@@ -92,7 +94,11 @@ pub enum Op {
     Binary(BinaryOp),
     /// A merged linear chain of unary operations (Merge transition, §2.2):
     /// one node, applied front-to-back, that other transitions treat as an
-    /// indivisible unit.
+    /// indivisible unit. It exists only inside a search: HS and HS-Greedy
+    /// merge constrained pairs and split them before they return, so every
+    /// optimizer returns a split workflow. The physical planner, the engine
+    /// and the text format answer one with
+    /// [`CoreError::MergedActivity`](crate::error::CoreError::MergedActivity).
     Merged(Vec<UnaryOp>),
 }
 

@@ -64,6 +64,14 @@ pub enum CoreError {
     /// was executing a chosen plan for feedback (the engine-side error,
     /// carried as text so the core crate stays engine-agnostic).
     Observation(String),
+    /// A merged activity (MER, §2.2) reached code that runs after the
+    /// search: the physical planner, the engine or the text format. A
+    /// merged activity exists only inside a search; every optimizer
+    /// returns a split workflow.
+    MergedActivity {
+        /// The merged activity's identifier (or its handle in the text).
+        activity: String,
+    },
     /// A conformance fault-injection site does not describe a valid
     /// (function, filter) pair on the workflow it was applied to — the
     /// nodes have the wrong operator kinds, or the site went stale after a
@@ -119,6 +127,11 @@ impl fmt::Display for CoreError {
             CoreError::Observation(msg) => {
                 write!(f, "plan observation failed: {msg}")
             }
+            CoreError::MergedActivity { activity } => write!(
+                f,
+                "activity {activity} is merged, and a merged activity exists only inside a \
+                 search: apply Split before planning, executing or rendering"
+            ),
             CoreError::InvalidFaultSite { node, detail } => {
                 write!(f, "invalid fault-injection site at node {node}: {detail}")
             }

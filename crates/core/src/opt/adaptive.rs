@@ -177,33 +177,21 @@ pub fn is_adjustable(op: &Op) -> bool {
 
 /// Resolve the calibration entry for an activity id: the exact key first,
 /// then structurally — a clone inherits its template's entry, a factored
-/// product pools both originators (row-weighted), a merged chain pools
-/// its parts. Mirrors the oracle's `stat_leaves` resolution, but against
-/// the store instead of one run's statistics.
+/// product pools both originators (row-weighted). A merged id exists only
+/// inside a search, never in an executed plan, so it resolves to nothing
+/// past its exact key. Mirrors the oracle's `stat_leaves` resolution, but
+/// against the store instead of one run's statistics.
 fn resolve_entry(id: &ActivityId, cal: &dyn Calibration) -> Option<CalEntry> {
     if let Some(e) = cal.entry(activity_key(id)) {
         return Some(e);
     }
     match id {
-        ActivityId::Base(_) => None,
+        ActivityId::Base(_) | ActivityId::Merged(_) => None,
         ActivityId::Cloned(base, _) => resolve_entry(base, cal),
         ActivityId::Factored(a, b) => match (resolve_entry(a, cal), resolve_entry(b, cal)) {
             (Some(ea), Some(eb)) => Some(ea.pool(eb)),
             (one, other) => one.or(other),
         },
-        ActivityId::Merged(parts) => {
-            let entries: Vec<CalEntry> =
-                parts.iter().filter_map(|p| resolve_entry(p, cal)).collect();
-            if entries.is_empty() {
-                None
-            } else {
-                Some(
-                    entries
-                        .into_iter()
-                        .fold(CalEntry::default(), CalEntry::pool),
-                )
-            }
-        }
     }
 }
 

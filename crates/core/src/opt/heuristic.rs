@@ -846,22 +846,42 @@ mod tests {
         b.target("T", Schema::of(["src", "sk", "v"]), f);
         let wf = b.build().unwrap();
         let model = RowCountModel::default();
-        let hs = HeuristicSearch::new()
-            .with_merge_constraint(add, sk)
-            .run(&wf, &model)
-            .unwrap();
-        // Result is fully split again…
-        assert!(hs.best.activities().unwrap().iter().all(|&a| {
-            !matches!(
-                hs.best.graph().activity(a).unwrap().op,
-                crate::activity::Op::Merged(_)
-            )
-        }));
-        // …equivalent, and the σ was still pushed ahead of the package.
-        assert!(equivalent(&wf, &hs.best).unwrap());
-        assert!(hs.best_cost < hs.initial_cost);
-        let first = hs.best.activities().unwrap()[0];
-        assert_eq!(hs.best.graph().activity(first).unwrap().label, "σ");
+        let searches: [Box<dyn Optimizer>; 2] = [
+            Box::new(HeuristicSearch::new().with_merge_constraint(add, sk)),
+            Box::new(HsGreedy {
+                merge_constraints: vec![(add, sk)],
+                ..HsGreedy::new()
+            }),
+        ];
+        for search in searches {
+            let name = search.name().to_owned();
+            let out = search.run(&wf, &model).unwrap();
+            let best = &out.best;
+            let acts = best.activities().unwrap();
+            let label = |a: NodeId| best.graph().activity(a).unwrap().label.as_str();
+            // Result is fully split again…
+            assert!(
+                acts.iter().all(|&a| {
+                    !matches!(
+                        best.graph().activity(a).unwrap().op,
+                        crate::activity::Op::Merged(_)
+                    )
+                }),
+                "{name}"
+            );
+            // …equivalent, with the pair still adjacent, and the σ was
+            // still pushed ahead of the package.
+            assert!(equivalent(&wf, best).unwrap(), "{name}");
+            let add = acts.iter().copied().find(|&a| label(a) == "ADD").unwrap();
+            let next = best.graph().consumers(add).unwrap();
+            assert_eq!(
+                next.iter().map(|&a| label(a)).collect::<Vec<_>>(),
+                ["SK"],
+                "{name}"
+            );
+            assert!(out.best_cost < out.initial_cost, "{name}");
+            assert_eq!(label(acts[0]), "σ", "{name}");
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                 }
             },
             Node::Activity(act) => {
-                // A binary's whole-row key is its first input's schema.
+                // A whole-row key is the activity's first input schema.
                 let whole_row = || {
                     act.inputs
                         .first()
@@ -178,89 +178,67 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                     .map(|p| p.map(|p| rows.rows_out(p)).unwrap_or(0.0))
                     .collect();
                 match &act.op {
-                    op @ (Op::Unary(_) | Op::Merged(_)) => {
-                        // `unary_chain` is total on these two variants; the
-                        // error arm is unreachable but typed, not a panic.
-                        let op_list = op.unary_chain().ok_or_else(|| {
-                            CoreError::Schema(format!("activity {id} is not unary"))
-                        })?;
+                    Op::Merged(_) => {
+                        return Err(CoreError::MergedActivity {
+                            activity: act.id.to_string(),
+                        })
+                    }
+                    Op::Unary(link) => {
                         let p = graph
                             .provider(id, 0)?
                             .ok_or(CoreError::MissingProvider { node: id, port: 0 })?;
-                        // Each blocking link's key, over the schema that
-                        // link sees: a whole-row key inside a merged chain
-                        // is what the links before it left.
-                        let mut schema = act.inputs.first().cloned().unwrap_or_default();
-                        let keys = op_list
-                            .iter()
-                            .map(|link| {
-                                let key = link.grouping().map(|grouping| match grouping {
-                                    Grouping::Keys(key) => key.to_vec(),
-                                    Grouping::WholeRow => schema.attrs().to_vec(),
-                                });
-                                schema = link.output(&schema)?;
-                                Ok(key)
-                            })
-                            .collect::<Result<Vec<_>>>()?;
+                        let key = link.grouping().map(|grouping| match grouping {
+                            Grouping::Keys(key) => key.to_vec(),
+                            Grouping::WholeRow => whole_row(),
+                        });
+                        let n = n_in[0];
+                        // An estimate the planner cannot price leaves the
+                        // node without alternatives.
+                        let feasible = !(n * link.selectivity()).is_nan();
                         for (pi, palt) in frontiers[&p].iter().enumerate() {
-                            // Price the chain link by link against this
-                            // provider alternative.
-                            let mut n = n_in[0];
+                            if !feasible {
+                                break;
+                            }
+                            // Price the activity against this provider
+                            // alternative.
                             let mut cost = palt.cost;
-                            let mut cur_order = palt.order.clone();
                             let mut choice = PhysImpl::Scan;
-                            let mut feasible = true;
-                            for (link, key) in op_list.iter().zip(&keys) {
-                                if let Some(key) = key {
-                                    let groups = n * link.selectivity();
-                                    let hash_ok = groups <= cfg.memory_rows;
-                                    let presorted = satisfies(&cur_order, key);
-                                    // Pick per-link: sorted input → free
-                                    // sort-group; else the cheaper feasible.
-                                    let (c, imp, out_order) = if presorted {
-                                        (n, PhysImpl::SortGroup, Some(key.clone()))
-                                    } else if hash_ok {
-                                        (n, PhysImpl::HashGroup, None)
-                                    } else {
-                                        (nlogn(n), PhysImpl::SortGroup, Some(key.clone()))
-                                    };
-                                    cost += c;
-                                    choice = imp;
-                                    cur_order = out_order;
+                            let order = if let Some(key) = &key {
+                                let hash_ok = n * link.selectivity() <= cfg.memory_rows;
+                                // Sorted input → free sort-group; else the
+                                // cheaper feasible.
+                                let (c, imp, out_order) = if satisfies(&palt.order, key) {
+                                    (n, PhysImpl::SortGroup, Some(key.clone()))
+                                } else if hash_ok {
+                                    (n, PhysImpl::HashGroup, None)
                                 } else {
-                                    // Row-wise: the order survives up to the
-                                    // first attribute the link does not keep.
-                                    cost += n;
-                                    cur_order = cur_order.and_then(|mut o| {
-                                        o.truncate(o.iter().take_while(|a| link.keeps(a)).count());
-                                        (!o.is_empty()).then_some(o)
-                                    });
-                                }
-                                if let UnaryOp::SurrogateKey { .. } = link {
-                                    // Already priced as row-wise scan above;
-                                    // add the lookup access refinement.
-                                    let hash_ok = cfg.lookup_rows <= cfg.memory_rows;
-                                    if hash_ok {
-                                        choice = PhysImpl::HashLookup;
-                                    } else {
-                                        // Binary search per row.
-                                        cost += n * (cfg.lookup_rows.max(2.0)).log2() - n;
-                                        choice = PhysImpl::SortedLookup;
-                                    }
-                                }
-                                n *= link.selectivity();
-                                if n.is_nan() {
-                                    feasible = false;
-                                    break;
+                                    (nlogn(n), PhysImpl::SortGroup, Some(key.clone()))
+                                };
+                                cost += c;
+                                choice = imp;
+                                out_order
+                            } else {
+                                // Row-wise: the order survives up to the
+                                // first attribute the link does not keep.
+                                cost += n;
+                                palt.order.clone().and_then(|mut o| {
+                                    o.truncate(o.iter().take_while(|a| link.keeps(a)).count());
+                                    (!o.is_empty()).then_some(o)
+                                })
+                            };
+                            if let UnaryOp::SurrogateKey { .. } = link {
+                                // Already priced as row-wise scan above;
+                                // add the lookup access refinement.
+                                if cfg.lookup_rows <= cfg.memory_rows {
+                                    choice = PhysImpl::HashLookup;
+                                } else {
+                                    // Binary search per row.
+                                    cost += n * (cfg.lookup_rows.max(2.0)).log2() - n;
+                                    choice = PhysImpl::SortedLookup;
                                 }
                             }
-                            if feasible {
-                                alts.push(Alt {
-                                    cost,
-                                    order: cur_order,
-                                });
-                                backrefs.push((vec![(p, pi)], choice));
-                            }
+                            alts.push(Alt { cost, order });
+                            backrefs.push((vec![(p, pi)], choice));
                         }
                     }
                     Op::Binary(bop) => {
@@ -482,6 +460,7 @@ impl CostModel for PhysicalCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::ActivityId;
     use crate::opt::{HeuristicSearch, Optimizer};
     use crate::postcond::equivalent;
     use crate::predicate::Predicate;
@@ -726,10 +705,9 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_row_key_in_a_merged_chain_is_the_schema_its_link_sees() {
+    fn a_whole_row_key_is_the_schema_its_activity_sees() {
         // S(k, v, x) -> γ(k, v; SUM(x) -> total) -> π-out(total) -> DD: the
-        // dedup's whole row is (k, v), which γ's sort already orders, with
-        // π-out and DD apart or merged into one activity.
+        // dedup's whole row is (k, v), which γ's sort already orders.
         let mut b = WorkflowBuilder::new();
         let s = b.source("S", Schema::of(["k", "v", "x"]), 50_000.0);
         let g = b.unary(
@@ -741,15 +719,36 @@ mod tests {
         let dd = b.unary("DD", UnaryOp::Dedup { selectivity: 1.0 }, f);
         b.target("T", Schema::of(["k", "v"]), dd);
         let wf = b.build().unwrap();
-        let merged = Merge::new(f, dd).apply(&wf).unwrap();
         let cfg = PhysicalConfig {
             memory_rows: 1.0,
             ..Default::default()
         };
-        for (name, state) in [("apart", &wf), ("merged", &merged)] {
-            let p = plan(state, &cfg).unwrap();
-            assert_eq!(p.total_cost.round(), 860_482.0, "{name}");
-        }
+        let p = plan(&wf, &cfg).unwrap();
+        assert_eq!(p.choices[&dd], PhysImpl::SortGroup);
+        assert_eq!(p.total_cost.round(), 860_482.0);
+    }
+
+    /// A merged activity exists only inside a search: the planner refuses
+    /// one, naming it, instead of pricing its links.
+    #[test]
+    fn a_merged_activity_is_refused_before_planning() {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 1_000.0);
+        let f = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 1)), s);
+        let nn = b.unary("NN", UnaryOp::not_null("k"), f);
+        b.target("T", Schema::of(["k", "v"]), nn);
+        let apart = b.build().unwrap();
+        let merged = Merge::new(f, nn).apply(&apart).unwrap();
+        let err = plan(&merged, &PhysicalConfig::default()).unwrap_err();
+        let ids = [f, nn].map(|n| apart.graph().activity(n).unwrap().id.clone());
+        let activity = ActivityId::merged(&ids).to_string();
+        assert_eq!(err, CoreError::MergedActivity { activity });
+        assert!(plan(&apart, &PhysicalConfig::default()).is_ok());
+        // The physical model plans every state it prices, so a search
+        // under a merge constraint answers the same error.
+        let hs = HeuristicSearch::new().with_merge_constraint(f, nn);
+        let err = hs.run(&apart, &PhysicalCostModel::default()).unwrap_err();
+        assert!(matches!(err, CoreError::MergedActivity { .. }), "{err}");
     }
 
     #[test]

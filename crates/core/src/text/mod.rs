@@ -20,8 +20,10 @@
 //! schemata, and normalizes activity identifiers to fresh topological
 //! priorities — a freshly built workflow round-trips to an identical
 //! signature; an optimizer-produced state round-trips to an *equivalent*
-//! workflow. Merged activities (a transient optimizer construct) are not
-//! representable: split them before saving.
+//! workflow. The format has no spelling for a merged activity: one exists
+//! only inside a search, and every optimizer returns a split workflow, so
+//! [`render`] and [`family_digest`] answer one with
+//! [`CoreError::MergedActivity`].
 
 pub mod lexer;
 pub mod pred;
@@ -29,7 +31,7 @@ pub mod pred;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::activity::Op;
+use crate::activity::{Activity, Op};
 use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::recordset::RecordsetKind;
@@ -50,8 +52,8 @@ fn attr_list(attrs: &[Attr]) -> String {
         .join(", ")
 }
 
-/// Render a workflow as text. Fails on merged activities (split them
-/// first) — everything else round-trips through [`parse`].
+/// Render a workflow as text. Fails on a merged activity, which only a
+/// search holds — everything else round-trips through [`parse`].
 pub fn render(wf: &Workflow) -> Result<String> {
     let graph = wf.graph();
     let order = graph.topo_order()?;
@@ -103,7 +105,7 @@ pub fn render(wf: &Workflow) -> Result<String> {
             Node::Activity(act) => {
                 next_activity += 1;
                 let name = format!("a{next_activity}");
-                let spec = render_op(&act.op)?;
+                let spec = render_op(act)?;
                 let sel_part = match &act.op {
                     Op::Unary(op) => op.estimate().filter(|sel| (sel - 1.0).abs() > 1e-12),
                     _ => None,
@@ -122,12 +124,12 @@ pub fn render(wf: &Workflow) -> Result<String> {
     Ok(out)
 }
 
-fn render_op(op: &Op) -> Result<String> {
-    Ok(match op {
+fn render_op(act: &Activity) -> Result<String> {
+    Ok(match &act.op {
         Op::Merged(_) => {
-            return Err(CoreError::Schema(
-                "merged activities are optimizer-internal; apply Split before rendering".to_owned(),
-            ))
+            return Err(CoreError::MergedActivity {
+                activity: act.id.to_string(),
+            })
         }
         Op::Binary(BinaryOp::Union) => "union".to_owned(),
         Op::Binary(BinaryOp::Difference) => "difference".to_owned(),
@@ -198,8 +200,8 @@ fn render_op(op: &Op) -> Result<String> {
 /// activity set differs (e.g. a FAC/DIS product) digests differently and
 /// lands in its own family — forfeiting sharing, never corrupting it.
 ///
-/// Fails exactly where [`render`] does: on merged activities, an
-/// optimizer-internal construct the wire format cannot carry.
+/// Fails exactly where [`render`] does: on a merged activity, a
+/// search-internal construct the wire format cannot carry.
 pub fn family_digest(wf: &Workflow) -> Result<u128> {
     use crate::signature::Fp128;
     let graph = wf.graph();
@@ -214,7 +216,7 @@ pub fn family_digest(wf: &Workflow) -> Result<u128> {
                 attr_list(rs.schema.attrs())
             )),
             Node::Activity(act) => {
-                activities.push(format!("A\x1f{}\x1f{}", act.id, render_op(&act.op)?))
+                activities.push(format!("A\x1f{}\x1f{}", act.id, render_op(act)?))
             }
         }
     }
@@ -289,7 +291,11 @@ pub fn parse(text: &str) -> Result<Workflow> {
                             inputs.len()
                         )))
                     }
-                    (Op::Merged(_), _) => unreachable!("parser never builds merged ops"),
+                    (Op::Merged(_), _) => {
+                        return Err(CoreError::MergedActivity {
+                            activity: handle.to_owned(),
+                        })
+                    }
                 };
                 names.insert(handle.to_owned(), id);
             }

@@ -342,12 +342,9 @@ pub(crate) fn run_stream(
                 let iter: BoxIter = match &act.op {
                     Op::Unary(op) => {
                         let input = pop_input(&mut inputs, id)?;
-                        stream::unary_pipeline(std::slice::from_ref(op), input, &key, &rt.ctx)?
+                        stream::unary_pipeline(op, input, &key, &rt.ctx)?
                     }
-                    Op::Merged(chain) => {
-                        let input = pop_input(&mut inputs, id)?;
-                        stream::unary_pipeline(chain, input, &key, &rt.ctx)?
-                    }
+                    Op::Merged(_) => return Err(CoreError::MergedActivity { activity: key }.into()),
                     Op::Binary(op) => {
                         let right = inputs
                             .pop()

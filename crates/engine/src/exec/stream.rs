@@ -96,13 +96,12 @@ fn internal(reason: impl Into<String>) -> EngineError {
     }
 }
 
-/// One row-wise link of an activity's chain: the compiled operator, its
-/// output schema, and the stats it reports under the activity's key.
+/// One row-wise activity: the compiled operator, its output schema, and
+/// the stats key it reports under.
 pub(crate) struct Link {
     op: Kernel,
     schema: Schema,
     key: String,
-    counts_out: bool,
 }
 
 /// The rows a [`Scan`] reads. It owns none of them.
@@ -121,9 +120,8 @@ pub(crate) struct Scan {
     source: Source,
     schema: Schema,
     program: Program,
-    /// Per link of the program: its activity's stats key and whether it
-    /// is the link that reports `rows_out`.
-    keys: Vec<(String, bool)>,
+    /// Per link of the program: its activity's stats key.
+    keys: Vec<String>,
 }
 
 impl Scan {
@@ -178,11 +176,8 @@ impl Scan {
         let out = each(&mut self.program, rows)?;
         let keys = &self.keys;
         self.program.drain_tallies(|i, processed, passed| {
-            let (key, counts_out) = &keys[i];
-            rt.add_processed(key, processed);
-            if *counts_out {
-                rt.add_out(key, passed);
-            }
+            rt.add_processed(&keys[i], processed);
+            rt.add_out(&keys[i], passed);
         });
         Ok(Some(out))
     }
@@ -228,7 +223,7 @@ impl BatchIter for Scan {
             return Some(link);
         }
         self.program.push(link.op);
-        self.keys.push((link.key, link.counts_out));
+        self.keys.push(link.key);
         self.schema = link.schema;
         None
     }
@@ -286,9 +281,7 @@ impl BatchIter for Apply {
         };
         rt.add_processed(&self.link.key, batch.len() as u64);
         self.link.op.apply(&mut batch)?;
-        if self.link.counts_out {
-            rt.add_out(&self.link.key, batch.len() as u64);
-        }
+        rt.add_out(&self.link.key, batch.len() as u64);
         Ok(Some(batch))
     }
 }
@@ -299,7 +292,6 @@ struct KeepFirst {
     inner: BoxIter,
     seen: keyed::KeepFirst,
     key: String,
-    counts_out: bool,
     schema: Schema,
 }
 
@@ -314,9 +306,7 @@ impl BatchIter for KeepFirst {
         };
         rt.add_processed(&self.key, batch.len() as u64);
         self.seen.retain(&mut batch);
-        if self.counts_out {
-            rt.add_out(&self.key, batch.len() as u64);
-        }
+        rt.add_out(&self.key, batch.len() as u64);
         Ok(Some(batch))
     }
 }
@@ -330,7 +320,6 @@ struct Agg {
     /// The drained groups, once the input is folded.
     out: Option<std::vec::IntoIter<Row>>,
     key: String,
-    counts_out: bool,
 }
 
 impl BatchIter for Agg {
@@ -352,86 +341,40 @@ impl BatchIter for Agg {
             return Ok(None);
         }
         rt.counters.batches += 1;
-        if self.counts_out {
-            rt.add_out(&self.key, batch.len() as u64);
-        }
-        Ok(Some(batch))
-    }
-}
-
-/// Counts `rows_out` only — stands in for an empty merged chain, whose
-/// materializing counterpart emits its input unchanged but still records
-/// the output cardinality.
-struct Tally {
-    inner: BoxIter,
-    key: String,
-}
-
-impl BatchIter for Tally {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
-            return Ok(None);
-        };
         rt.add_out(&self.key, batch.len() as u64);
         Ok(Some(batch))
     }
 }
 
-/// Build a pipeline of unary links under one activity key: every link
-/// counts `rows_processed` (matching how `ops::exec_chain` prices merged
-/// chains per link), only the last counts `rows_out`.
+/// Build the operator of one unary activity over `input`, reporting
+/// under `key`: a row-wise link is fused into `input` when it reads rows
+/// it does not own.
 pub(crate) fn unary_pipeline(
-    chain: &[UnaryOp],
-    input: BoxIter,
+    op: &UnaryOp,
+    mut input: BoxIter,
     key: &str,
     ctx: &ExecCtx<'_>,
 ) -> Result<BoxIter> {
-    if chain.is_empty() {
-        return Ok(Box::new(Tally {
+    let key = key.to_owned();
+    let (plan, schema) = LinkPlan::compile(op, input.schema(), ctx)?;
+    Ok(match plan {
+        LinkPlan::KeepFirst(cols) => Box::new(KeepFirst {
             inner: input,
-            key: key.to_owned(),
-        }));
-    }
-    let mut cur = input;
-    let last = chain.len() - 1;
-    for (i, op) in chain.iter().enumerate() {
-        let counts_out = i == last;
-        let key = key.to_owned();
-        let (plan, schema) = LinkPlan::compile(op, cur.schema(), ctx)?;
-        cur = match plan {
-            LinkPlan::KeepFirst(cols) => Box::new(KeepFirst {
-                inner: cur,
-                seen: keyed::KeepFirst::new(cols),
-                key,
-                counts_out,
-                schema,
-            }),
-            LinkPlan::Aggregate(state) => Box::new(Agg {
-                inner: cur,
-                state: *state,
-                out: None,
-                key,
-                counts_out,
-            }),
-            LinkPlan::RowWise(op) => {
-                let link = Link {
-                    op,
-                    schema,
-                    key,
-                    counts_out,
-                };
-                match cur.fuse(link) {
-                    None => cur,
-                    Some(link) => Box::new(Apply { inner: cur, link }),
-                }
-            }
-        };
-    }
-    Ok(cur)
+            seen: keyed::KeepFirst::new(cols),
+            key,
+            schema,
+        }),
+        LinkPlan::Aggregate(state) => Box::new(Agg {
+            inner: input,
+            state: *state,
+            out: None,
+            key,
+        }),
+        LinkPlan::RowWise(op) => match input.fuse(Link { op, schema, key }) {
+            None => input,
+            Some(link) => Box::new(Apply { inner: input, link }),
+        },
+    })
 }
 
 /// Bag union: every left batch, then every right batch (reordered to the

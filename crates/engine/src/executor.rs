@@ -15,16 +15,14 @@ use crate::catalog::Catalog;
 use crate::error::{EngineError, Result};
 use crate::exec::{Backend, SharedCache, SharedCacheHandle, StreamConfig, StreamRun};
 use crate::functions::FunctionRegistry;
-use crate::ops::{exec_binary, exec_chain, exec_unary, ExecCtx};
+use crate::ops::{exec_binary, exec_unary, ExecCtx};
 use crate::table::Table;
 
 /// Per-run work statistics, keyed by activity identifier (the paper's
 /// stable priorities) so they can be compared across equivalent states.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Rows processed per activity (sum of input rows; for merged chains,
-    /// summed per link — matching how the row-count cost model prices
-    /// them).
+    /// Rows processed per activity: the rows on its input ports.
     pub rows_processed: BTreeMap<String, u64>,
     /// Rows emitted per activity — the observed counterpart of the cost
     /// model's selectivity-propagated cardinalities.
@@ -38,9 +36,7 @@ impl ExecStats {
     }
 
     /// Observed selectivity of one activity (`rows_out / rows_processed`
-    /// against its direct input), if it processed anything. For merged
-    /// chains `rows_processed` counts every link, so this is only exact for
-    /// plain activities.
+    /// against its direct input), if it processed anything.
     pub fn observed_selectivity(&self, activity_id: &str) -> Option<f64> {
         let inp = *self.rows_processed.get(activity_id)? as f64;
         let out = *self.rows_out.get(activity_id)? as f64;
@@ -248,7 +244,10 @@ impl Executor {
                             let t = exec_unary(op, inputs[0], &ctx)?;
                             (t, inputs[0].len() as u64)
                         }
-                        Op::Merged(chain) => exec_chain(chain, inputs[0], &ctx)?,
+                        Op::Merged(_) => {
+                            let activity = act.id.to_string();
+                            return Err(CoreError::MergedActivity { activity }.into());
+                        }
                         Op::Binary(op) => {
                             let t = exec_binary(op, inputs[0], inputs[1])?;
                             (t, (inputs[0].len() + inputs[1].len()) as u64)

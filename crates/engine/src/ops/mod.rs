@@ -51,18 +51,6 @@ pub fn exec_unary(op: &UnaryOp, input: &Table, ctx: &ExecCtx<'_>) -> Result<Tabl
     }
 }
 
-/// Execute a chain of unary operations (a merged activity), returning the
-/// final table and the total number of rows processed across the links.
-pub fn exec_chain(chain: &[UnaryOp], input: &Table, ctx: &ExecCtx<'_>) -> Result<(Table, u64)> {
-    let mut cur = input.clone();
-    let mut processed = 0u64;
-    for op in chain {
-        processed += cur.len() as u64;
-        cur = exec_unary(op, &cur, ctx)?;
-    }
-    Ok((cur, processed))
-}
-
 /// Canonical key string for a tuple of values (grouping, dedup, join and
 /// bag arithmetic of the materializing reference only — private to `ops`;
 /// the streaming executor keys on `exec::keyed`'s typed bytes, which have
@@ -80,32 +68,6 @@ fn tuple_key<'a>(values: impl Iterator<Item = &'a etlopt_core::scalar::Scalar>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etlopt_core::predicate::Predicate;
-    use etlopt_core::schema::Schema;
-
-    fn ctx_fixture() -> (FunctionRegistry, Catalog) {
-        (FunctionRegistry::builtin(), Catalog::new())
-    }
-
-    #[test]
-    fn chain_counts_processed_rows_per_link() {
-        let (f, c) = ctx_fixture();
-        let ctx = ExecCtx {
-            functions: &f,
-            catalog: &c,
-            auto_lookup: true,
-        };
-        let t =
-            Table::from_rows(Schema::of(["v"]), (0..10).map(|i| vec![i.into()]).collect()).unwrap();
-        // σ(v>=5) keeps 5 rows, then σ(v>=8) keeps 2.
-        let chain = vec![
-            UnaryOp::filter(Predicate::ge("v", 5)),
-            UnaryOp::filter(Predicate::ge("v", 8)),
-        ];
-        let (out, processed) = exec_chain(&chain, &t, &ctx).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(processed, 10 + 5);
-    }
 
     /// The key bytes are load-bearing: they key the reference's join /
     /// group / dedup maps, define the equivalence classes `exec::keyed`

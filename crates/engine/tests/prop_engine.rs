@@ -18,7 +18,7 @@ use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
 use etlopt_core::semantics::{Aggregation, BinaryOp, FunctionApp, UnaryOp};
 use etlopt_core::workflow::{Workflow, WorkflowBuilder};
-use etlopt_engine::ops::{exec_binary, exec_chain, exec_unary, ExecCtx};
+use etlopt_engine::ops::{exec_binary, exec_unary, ExecCtx};
 use etlopt_engine::table::row_cmp;
 use etlopt_engine::{Catalog, EngineError, Executor, FunctionRegistry, StreamConfig, Table};
 use etlopt_workload::scenarios;
@@ -357,8 +357,8 @@ fn assert_same_table(got: &Table, want: &Table, what: &str) {
 
 /// Every row-wise operator, directly above the scan (where a filter runs
 /// on the scan's borrowed rows) and behind another link (where it edits
-/// an owned batch): the streamed target equals `ops::exec_chain` row for
-/// row.
+/// an owned batch): the streamed target equals `ops::exec_unary` applied
+/// link by link, row for row.
 #[test]
 fn kernels_match_the_reference_row_for_row() {
     let ahead = function("normalize", &["k"], "k", false);
@@ -374,7 +374,10 @@ fn kernels_match_the_reference_row_for_row() {
                     catalog: &catalog,
                     auto_lookup: true,
                 };
-                let (want, _) = exec_chain(&chain, &table, &ctx).unwrap();
+                let want = chain
+                    .iter()
+                    .try_fold(table.clone(), |t, op| exec_unary(op, &t, &ctx))
+                    .unwrap();
                 let wf = chain_wf(table.schema(), &chain);
                 let run = Executor::new(catalog.clone())
                     .with_stream_config(stream_cfg(7))

@@ -6,7 +6,6 @@
 
 use etlopt::core::impact::{analyze, lineage, Change};
 use etlopt::core::text;
-use etlopt::core::transition::split_all;
 use etlopt::prelude::*;
 
 const WORKFLOW: &str = r#"
@@ -41,13 +40,13 @@ fn main() {
         out.best_cost,
         out.improvement_pct()
     );
-    let flat = split_all(&out.best).expect("no merged activities remain");
-    let saved = text::render(&flat).expect("optimized state renders");
+    // Every optimizer returns a split workflow, so the result renders as is.
+    let saved = text::render(&out.best).expect("optimized state renders");
     println!("\n--- optimized workflow, as text ---\n{saved}");
 
     // Round-trip sanity: the saved text parses to an equivalent workflow.
     let reloaded = text::parse(&saved).expect("saved text parses");
-    assert!(etlopt::core::postcond::equivalent(&flat, &reloaded).unwrap());
+    assert!(etlopt::core::postcond::equivalent(&out.best, &reloaded).unwrap());
 
     // 3. Impact analysis: what if ORDERS_US stops delivering usd_amount?
     let us = workflow

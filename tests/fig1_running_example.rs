@@ -150,3 +150,47 @@ fn fig1_merge_constraint_roundtrip() {
     let consumer = best.graph().consumers(d2e_new).unwrap()[0];
     assert_eq!(best.graph().activity(consumer).unwrap().label, "A2E");
 }
+
+/// A merged activity exists only inside a search. Fig. 1 with its $2€ /
+/// A2E pair merged is refused, with the activity named, by both engine
+/// backends and by the physical planner; split back, it runs and plans.
+#[test]
+fn fig1_with_a_merged_pair_is_refused_after_the_search() {
+    use etlopt::core::error::CoreError;
+    use etlopt::core::physical::{plan, PhysicalConfig};
+    use etlopt::core::transition::{split_all, Merge, Transition};
+    use etlopt::engine::{Backend, EngineError};
+
+    let wf = scenarios::fig1();
+    let by_label = |label: &str| {
+        wf.activities()
+            .unwrap()
+            .into_iter()
+            .find(|&a| wf.graph().activity(a).unwrap().label == label)
+            .unwrap()
+    };
+    let (d2e, a2e) = (by_label("$2E"), by_label("A2E"));
+    let merged = Merge::new(d2e, a2e).apply(&wf).unwrap();
+    let refusal = CoreError::MergedActivity {
+        activity: format!(
+            "{}+{}",
+            wf.graph().activity(d2e).unwrap().id,
+            wf.graph().activity(a2e).unwrap().id
+        ),
+    };
+
+    let exec = Executor::new(scenarios::fig1_catalog(11, 240, 720));
+    for backend in [Backend::Materialize, Backend::Stream] {
+        let err = exec.clone().with_backend(backend).run(&merged).unwrap_err();
+        assert_eq!(err, EngineError::Core(refusal.clone()), "{backend:?}");
+    }
+    let err = exec.run_stream(&merged).unwrap_err();
+    assert_eq!(err, EngineError::Core(refusal.clone()));
+    let err = plan(&merged, &PhysicalConfig::default()).unwrap_err();
+    assert_eq!(err, refusal);
+    assert!(err.to_string().contains("Split"), "{err}");
+
+    let split = split_all(&merged).unwrap();
+    assert!(exec.run(&split).is_ok());
+    assert!(plan(&split, &PhysicalConfig::default()).is_ok());
+}

@@ -146,6 +146,47 @@ fn distribute_factorize_inverts() {
     }
 }
 
+/// MER∘SPL is the identity (§2.2): on the benchmark's population, for
+/// every adjacent unary pair `Merge` accepts, splitting the merged state
+/// gives back the original's signature, search key, post-condition set
+/// and priced total, to the bit.
+#[test]
+fn split_after_merge_is_the_identity() {
+    use etlopt::core::postcond::WorkflowCond;
+    use etlopt::core::transition::{split_all, Merge, Transition};
+    let model = RowCountModel::default();
+    let mut merged = 0usize;
+    for s in Generator::suite(2005, 48, 29, 3) {
+        let wf = &s.workflow;
+        let key = search_key(wf).1;
+        let cond = WorkflowCond::of(wf).unwrap();
+        let total = model.price(wf).unwrap().total;
+        for a in wf.activities().unwrap() {
+            let [b] = wf.graph().consumers(a).unwrap()[..] else {
+                continue;
+            };
+            let Ok(mer) = Merge::new(a, b).apply(wf) else {
+                continue;
+            };
+            let back = split_all(&mer).unwrap();
+            let at = format!("{}: {}", s.name, Merge::new(a, b).describe(wf));
+            assert_eq!(back.signature(), wf.signature(), "{at}");
+            assert_eq!(search_key(&back).1, key, "{at}");
+            assert_eq!(WorkflowCond::of(&back).unwrap(), cond, "{at}");
+            let back_total = model.price(&back).unwrap().total;
+            assert_eq!(
+                back_total.to_bits(),
+                total.to_bits(),
+                "{at}: {back_total} vs {total}"
+            );
+            merged += 1;
+        }
+    }
+    // Every adjacent unary pair of the population, pinned so a `Merge`
+    // that starts refusing pairs cannot thin the law out unseen.
+    assert_eq!(merged, 2005);
+}
+
 /// Signatures identify states: two different walks that end in the same
 /// signature are the same workflow graph up to slot numbering — their
 /// costs agree under any model.
