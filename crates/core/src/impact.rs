@@ -23,7 +23,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::error::Result;
+use crate::activity::{Activity, Op};
+use crate::error::{CoreError, Result};
 use crate::graph::{Node, NodeId};
 use crate::schema::{Attr, Schema};
 use crate::semantics::UnaryOp;
@@ -76,30 +77,38 @@ impl ImpactReport {
     }
 }
 
-/// The attributes at the output of a unary chain run over `input` that
-/// derive from the `tainted` attributes at its input. Each link's output
-/// schema ([`UnaryOp::output`]) decides what survives: a tainted attribute
-/// stays tainted while the output still carries it, and a link that
+/// The attributes at the output of `op` run over `input` that derive from
+/// the `tainted` attributes at its input. The output schema
+/// ([`UnaryOp::output`]) decides what survives: a tainted attribute stays
+/// tainted while the output still carries it, and an operator that
 /// consumes a tainted attribute taints everything it generates. So taint
 /// flows through `$2€` from `dollar_cost` to `euro_cost`, stops at a
 /// projection, and passes an in-place function or a grouper under its own
 /// name.
 fn propagate_through(
-    links: &[UnaryOp],
+    op: &UnaryOp,
     input: &Schema,
     mut tainted: BTreeSet<Attr>,
 ) -> Result<BTreeSet<Attr>> {
-    let mut schema = input.clone();
-    for op in links {
-        let output = op.output(&schema)?;
-        let consumed = op.functionality().iter().any(|a| tainted.contains(a));
-        tainted.retain(|a| output.contains(a));
-        if consumed {
-            tainted.extend(op.generated().iter().cloned());
-        }
-        schema = output;
+    let output = op.output(input)?;
+    let consumed = op.functionality().iter().any(|a| tainted.contains(a));
+    tainted.retain(|a| output.contains(a));
+    if consumed {
+        tainted.extend(op.generated().iter().cloned());
     }
     Ok(tainted)
+}
+
+/// The one unary operator of `act`, `None` for a binary activity. A merged
+/// activity exists only inside a search, so it is refused.
+fn unary_of(act: &Activity) -> Result<Option<&UnaryOp>> {
+    match &act.op {
+        Op::Unary(op) => Ok(Some(op)),
+        Op::Binary(_) => Ok(None),
+        Op::Merged(_) => Err(CoreError::MergedActivity {
+            activity: act.id.to_string(),
+        }),
+    }
 }
 
 /// Forward impact of a change.
@@ -172,13 +181,13 @@ fn attribute_impact(
             }
             Node::Activity(act) => {
                 report.affected_activities.push(id);
-                let links = act.op.unary_chain().unwrap_or_default();
-                let consumes = |a: &Attr| links.iter().any(|op| op.functionality().contains(a));
+                let unary = unary_of(act)?;
+                let consumes = |a: &Attr| unary.is_some_and(|op| op.functionality().contains(a));
                 if breaks && incoming.iter().any(consumes) {
                     report.broken_activities.push(id);
                 }
-                let out = match act.inputs.first() {
-                    Some(input) if !links.is_empty() => propagate_through(links, input, incoming)?,
+                let out = match (unary, act.inputs.first()) {
+                    (Some(op), Some(input)) => propagate_through(op, input, incoming)?,
                     // Unions and joins pass attributes through.
                     _ => {
                         incoming.retain(|a| act.output.contains(a));
@@ -203,6 +212,43 @@ pub struct LineageStep {
     pub node: NodeId,
     /// The attribute name at that node.
     pub attr: Attr,
+}
+
+/// The input attributes `op` derives its output attribute `attr` from:
+/// a function's inputs (and the attribute itself, when the function keeps
+/// its inputs), a surrogate key's production key, an aggregate's input;
+/// anything else passes `attr` through.
+fn derived_from(op: &UnaryOp, attr: &Attr) -> Vec<Attr> {
+    match op {
+        UnaryOp::Function(f) if f.output == *attr => {
+            let mut from = f.inputs.clone();
+            if f.keep_inputs {
+                from.push(attr.clone());
+            }
+            from
+        }
+        UnaryOp::SurrogateKey { key, surrogate, .. } if surrogate == attr => vec![key.clone()],
+        UnaryOp::Aggregate { agg, .. } => {
+            let from: Vec<Attr> = agg
+                .aggregates
+                .iter()
+                .filter(|s| s.output == *attr)
+                .map(|s| s.input.clone())
+                .collect();
+            match from.is_empty() {
+                true => vec![attr.clone()],
+                false => from,
+            }
+        }
+        UnaryOp::Function(_)
+        | UnaryOp::SurrogateKey { .. }
+        | UnaryOp::Filter { .. }
+        | UnaryOp::NotNull { .. }
+        | UnaryOp::PkCheck { .. }
+        | UnaryOp::Dedup { .. }
+        | UnaryOp::ProjectOut(_)
+        | UnaryOp::AddField { .. } => vec![attr.clone()],
+    }
 }
 
 /// Backward lineage: which source attributes (at which source recordsets)
@@ -234,49 +280,11 @@ pub fn lineage(wf: &Workflow, node: NodeId, attr: &Attr) -> Result<Vec<LineageSt
         // What did this node's op derive the attribute from?
         let upstream_names: Vec<Attr> = match graph.node(step.node)? {
             Node::Recordset(_) => vec![step.attr.clone()],
-            Node::Activity(act) => {
-                let links = act.op.unary_chain().unwrap_or_default();
-                // Walk the chain backwards.
-                let mut names = vec![step.attr.clone()];
-                for op in links.iter().rev() {
-                    let mut prev = Vec::new();
-                    for n in &names {
-                        match op {
-                            UnaryOp::Function(f) if f.output == *n => {
-                                prev.extend(f.inputs.iter().cloned());
-                                if f.keep_inputs {
-                                    prev.push(n.clone());
-                                }
-                            }
-                            UnaryOp::SurrogateKey { key, surrogate, .. } if surrogate == n => {
-                                prev.push(key.clone());
-                            }
-                            UnaryOp::Aggregate { agg, .. } => {
-                                let mut mapped = false;
-                                for s in &agg.aggregates {
-                                    if s.output == *n {
-                                        prev.push(s.input.clone());
-                                        mapped = true;
-                                    }
-                                }
-                                if !mapped {
-                                    prev.push(n.clone());
-                                }
-                            }
-                            UnaryOp::Function(_)
-                            | UnaryOp::SurrogateKey { .. }
-                            | UnaryOp::Filter { .. }
-                            | UnaryOp::NotNull { .. }
-                            | UnaryOp::PkCheck { .. }
-                            | UnaryOp::Dedup { .. }
-                            | UnaryOp::ProjectOut(_)
-                            | UnaryOp::AddField { .. } => prev.push(n.clone()),
-                        }
-                    }
-                    names = prev;
-                }
-                names
-            }
+            Node::Activity(act) => match unary_of(act)? {
+                Some(op) => derived_from(op, &step.attr),
+                // Unions and joins pass attributes through.
+                None => vec![step.attr.clone()],
+            },
         };
         for p in providers {
             let p_schema = graph.node(p)?.output_schema();
@@ -530,15 +538,56 @@ mod tests {
     fn a_projection_ends_the_taint_it_consumes() {
         let input = Schema::of(["x", "y"]);
         let x = BTreeSet::from([Attr::new("x")]);
-        let out = propagate_through(&[UnaryOp::project_out(["x"])], &input, x.clone()).unwrap();
+        let out = propagate_through(&UnaryOp::project_out(["x"]), &input, x.clone()).unwrap();
         assert!(out.is_empty(), "{out:?}");
         // A pass-through keeps it; a consuming function moves it.
         let filter = UnaryOp::filter(Predicate::gt("y", 1));
-        let out = propagate_through(&[filter], &input, x.clone()).unwrap();
+        let out = propagate_through(&filter, &input, x.clone()).unwrap();
         assert_eq!(out, x);
         let f = UnaryOp::function("f", ["x"], "z");
-        let out = propagate_through(&[f], &input, x).unwrap();
+        let out = propagate_through(&f, &input, x).unwrap();
         assert_eq!(out, BTreeSet::from([Attr::new("z")]));
+    }
+
+    /// A merged activity exists only inside a search: both walks refuse
+    /// it with the typed error instead of reading through its chain.
+    #[test]
+    fn a_merged_activity_is_refused() {
+        use crate::transition::{split_all, Merge, Transition};
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["pkey", "dollar_cost"]), 10.0);
+        let d2e = b.unary(
+            "$2E",
+            UnaryOp::function("dollar2euro", ["dollar_cost"], "euro_cost"),
+            s,
+        );
+        let sel = b.unary("σ", UnaryOp::filter(Predicate::gt("euro_cost", 100.0)), d2e);
+        let dw = b.target("DW", Schema::of(["pkey", "euro_cost"]), sel);
+        let wf = b.build().unwrap();
+        let merged = Merge::new(d2e, sel).apply(&wf).unwrap();
+        let ids = |n| wf.graph().activity(n).unwrap().id.to_string();
+        let refusal = CoreError::MergedActivity {
+            activity: format!("{}+{}", ids(d2e), ids(sel)),
+        };
+
+        let drop = Change::DropAttribute {
+            source: s,
+            attr: "dollar_cost".into(),
+        };
+        assert_eq!(analyze(&merged, &drop).unwrap_err(), refusal);
+        let euro = Attr::new("euro_cost");
+        assert_eq!(lineage(&merged, dw, &euro).unwrap_err(), refusal);
+
+        // Split back, both walk it like the workflow it came from.
+        let split = split_all(&merged).unwrap();
+        assert_eq!(
+            analyze(&split, &drop).unwrap(),
+            analyze(&wf, &drop).unwrap()
+        );
+        assert_eq!(
+            lineage(&split, dw, &euro).unwrap(),
+            lineage(&wf, dw, &euro).unwrap()
+        );
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //! link drops is never allocated.
 //!
 //! **Which error a run surfaces.** In a program: that of the first row, in
-//! scan order, that fails, at the link where it fails. Over owned batches:
-//! that of the first batch with a failing row, at the first link failing
-//! on it. With one failing link both are the reference's error; with two
-//! in one chain they need not be (row 3 missing its lookup at link 2 beats
-//! row 7 failing its function at link 1 in a program and loses to it in
-//! the reference) — batch-order-dependent before, row-order-dependent
-//! now. [`Step::Broken`] and an unknown function fail only when a row
-//! reaches them.
+//! scan order, that fails, at the link where it fails. A link above a `∪`
+//! runs in the programs of the union's inputs, left before right, so it
+//! follows the same rule in union order. Over owned batches (an input
+//! that cannot take the link): that of the first batch with a failing
+//! row, at the first link failing on it. With one failing link both are
+//! the reference's error; with two in one chain they need not be (row 3
+//! missing its lookup at link 2 beats row 7 failing its function at
+//! link 1 in a program and loses to it in the reference) —
+//! batch-order-dependent before, row-order-dependent now.
+//! [`Step::Broken`] and an unknown function fail only when a row reaches
+//! them.
 //!
 //! The streaming executor runs these kernels and chooses a unary link's
 //! runtime in one place, [`LinkPlan::compile`]: a kernel for a row-wise
@@ -177,6 +180,9 @@ impl Pred {
 pub(crate) enum Filter {
     Pred(Pred),
     NotNull(usize),
+    /// Keeps every row: a link that only tallies what passes it (the
+    /// count of a `∪` pushed into its inputs).
+    All,
 }
 
 impl Filter {
@@ -184,6 +190,7 @@ impl Filter {
         match self {
             Filter::Pred(p) => p.eval(row).passes(),
             Filter::NotNull(col) => !row[*col].is_null(),
+            Filter::All => true,
         }
     }
 }
@@ -266,8 +273,10 @@ impl Program {
         self.stopped.push(0);
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.stopped.len() == 1
+    /// Does every row come out, unedited? Then a batch is as long as
+    /// its input.
+    pub(crate) fn keeps_all(&self) -> bool {
+        self.rest.is_empty() && self.lead.iter().all(|f| matches!(f, Filter::All))
     }
 
     pub(crate) fn permutes(&self) -> bool {
@@ -481,6 +490,13 @@ fn descending(mut cols: Vec<usize>) -> Vec<usize> {
 }
 
 impl Kernel {
+    /// The link that keeps and tallies every row.
+    pub(crate) fn pass() -> Kernel {
+        Kernel {
+            step: Step::Filter(Filter::All),
+        }
+    }
+
     /// Bind `op` to `input`, returning the kernel and its output schema.
     /// The schema — and every schema error — comes from probing the
     /// materializing implementation with an empty table, so both backends

@@ -482,6 +482,56 @@ mod tests {
         assert_eq!((c.rows_scanned, c.rows_materialized), (500, 0));
     }
 
+    /// `S ∪ R → σ`, feeding `T` directly or through `γ`.
+    fn union_wf(grouped: bool) -> etlopt_core::workflow::Workflow {
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["k", "v"]), 500.0);
+        let r = b.source("R", Schema::of(["k", "v"]), 300.0);
+        let u = b.binary("∪", BinaryOp::Union, s, r);
+        let mut end = b.unary("σ", UnaryOp::filter(Predicate::gt("v", 250.0)), u);
+        if grouped {
+            let sum = UnaryOp::aggregate(Aggregation::sum(["k"], "v", "v"));
+            end = b.unary("γ", sum, end);
+        }
+        b.target("T", Schema::of(["k", "v"]), end);
+        b.build().unwrap()
+    }
+
+    /// The allocation gauge through `∪`: σ above a union runs in both
+    /// scans below it, so only what reaches the target is allocated, and
+    /// nothing when γ reads it. A right source stored column-reversed
+    /// keeps σ and the union's count above its scan (every row it reads is
+    /// allocated) and still agrees with `run_materialize`.
+    #[test]
+    fn links_above_a_union_run_in_the_scans_below_it() {
+        let exec = |right: Table| {
+            let mut cat = Catalog::new();
+            cat.insert("S", wide_table(500));
+            cat.insert("R", right);
+            Executor::new(cat)
+        };
+        let run = assert_backends_agree(&exec(wide_table(300)), &union_wf(false));
+        let kept = run.result.targets["T"].len() as u64;
+        assert!((250..300).contains(&kept), "σ keeps S's top half: {kept}");
+        let c = &run.counters;
+        assert_eq!((c.rows_scanned, c.rows_materialized), (800, kept));
+
+        let run = assert_backends_agree(&exec(wide_table(300)), &union_wf(true));
+        let c = &run.counters;
+        assert_eq!((c.rows_scanned, c.rows_materialized), (800, 0));
+
+        let reversed = wide_table(300).reordered(&Schema::of(["v", "k"])).unwrap();
+        let from_r = |t: &Table| {
+            let high = |r: &&Vec<Scalar>| matches!(r[1], Scalar::Float(v) if v > 250.0);
+            t.rows().iter().filter(high).count() as u64
+        };
+        let run = assert_backends_agree(&exec(reversed.clone()), &union_wf(false));
+        let from_s = run.result.targets["T"].len() as u64 - from_r(&wide_table(300));
+        assert_eq!(run.counters.rows_materialized, from_s + 300);
+        let run = assert_backends_agree(&exec(reversed), &union_wf(true));
+        assert_eq!(run.counters.rows_materialized, 300);
+    }
+
     /// Fig. 1 over a seeded catalog. The workload crate links its own copy
     /// of this crate, so its tables are copied over row by row.
     fn fig1_executor(parts1: usize, parts2: usize) -> (etlopt_core::workflow::Workflow, Executor) {

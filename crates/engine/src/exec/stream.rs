@@ -13,13 +13,16 @@
 //! A batch is owned by whoever pulled it, and a row is allocated only
 //! where an operator must own it. [`Scan`] reads rows it does not own (a
 //! catalog or cached table, a pool page) and every row-wise link above it
-//! — up to the first stateful operator, across activity boundaries — is
-//! fused into its [`Program`] and runs there, per borrowed row. The one
-//! allocation a surviving row pays happens when `next_batch` hands it
-//! over; a consumer that only reads its input (`γ`, the right side of
-//! − / ∩, the drain of a dangling activity) pulls `lend_batch` instead
-//! and the scan allocates nothing. Everything that is not a scan owns its
-//! batches, edits them in place ([`Apply`]) and lends from them.
+//! — up to the first stateful operator, across activity boundaries and
+//! through every `∪` — is fused into its [`Program`] and runs there, per
+//! borrowed row. A [`Union`] runs no link itself: its own count and each
+//! link above it go to both of its inputs (σ(A ∪ B) = σ(A) ∪ σ(B), the
+//! DIS transition's law). The one allocation a surviving row pays happens
+//! when `next_batch` hands it over; a consumer that only reads its input
+//! (`γ`, the right side of − / ∩, the drain of a dangling activity) pulls
+//! `lend_batch` instead, a union forwards that to its inputs, and the scan
+//! allocates nothing. Everything else owns its batches, edits them in
+//! place ([`Apply`]) and lends from them.
 //!
 //! `counters.batches` counts batches *born* into a pipeline: table scans,
 //! buffer re-reads, and aggregate output emissions. Transformed batches
@@ -52,7 +55,8 @@ pub(crate) trait BatchIter {
     /// `next_batch` for a consumer that only reads its input: the batch's
     /// rows are lent to `sink` one by one instead of handed over; `false`
     /// once exhausted. A scan lends its stored or scratch row and
-    /// allocates nothing; everything else lends from the batch it owns.
+    /// allocates nothing, a union lends what its inputs lend, everything
+    /// else lends from the batch it owns.
     fn lend_batch(&mut self, rt: &mut Runtime<'_>, sink: &mut RowSink<'_>) -> Result<bool> {
         let Some(batch) = self.next_batch(rt)? else {
             return Ok(false);
@@ -60,9 +64,10 @@ pub(crate) trait BatchIter {
         batch.iter().try_for_each(|row| sink(row))?;
         Ok(true)
     }
-    /// Offer the row-wise link directly above this iterator. An iterator
-    /// that reads rows it does not own takes it (`None`) and runs it
-    /// before allocating; everything else hands the link back.
+    /// Offer the row-wise link directly above this iterator. A scan that
+    /// reads rows it does not own takes it (`None`) and runs it before
+    /// allocating; a union takes it and offers it to both of its inputs;
+    /// everything else hands the link back.
     fn fuse(&mut self, link: Link) -> Option<Link> {
         Some(link)
     }
@@ -98,6 +103,7 @@ fn internal(reason: impl Into<String>) -> EngineError {
 
 /// One row-wise activity: the compiled operator, its output schema, and
 /// the stats key it reports under.
+#[derive(Clone)]
 pub(crate) struct Link {
     op: Kernel,
     schema: Schema,
@@ -190,7 +196,7 @@ impl BatchIter for Scan {
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
         let batch = self.over_batch(rt, |program, rows| {
-            let all = if program.is_empty() { rows.len() } else { 0 };
+            let all = if program.keeps_all() { rows.len() } else { 0 };
             let mut batch = Vec::with_capacity(all);
             for row in rows {
                 if let Some(lent) = program.run(row)? {
@@ -351,7 +357,7 @@ impl BatchIter for Agg {
 /// it does not own.
 pub(crate) fn unary_pipeline(
     op: &UnaryOp,
-    mut input: BoxIter,
+    input: BoxIter,
     key: &str,
     ctx: &ExecCtx<'_>,
 ) -> Result<BoxIter> {
@@ -370,22 +376,42 @@ pub(crate) fn unary_pipeline(
             out: None,
             key,
         }),
-        LinkPlan::RowWise(op) => match input.fuse(Link { op, schema, key }) {
-            None => input,
-            Some(link) => Box::new(Apply { inner: input, link }),
-        },
+        LinkPlan::RowWise(op) => fused(input, Link { op, schema, key }),
     })
+}
+
+/// `input` running `link`: fused into it when it takes the link, an
+/// [`Apply`] over its owned batches otherwise.
+fn fused(mut input: BoxIter, link: Link) -> BoxIter {
+    match input.fuse(link) {
+        None => input,
+        Some(link) => Box::new(Apply { inner: input, link }),
+    }
 }
 
 /// Bag union: every left batch, then every right batch (reordered to the
 /// left layout at build time) — the exact row order of the materializing
-/// union.
+/// union. It runs no link of its own: its count and every row-wise link
+/// above it are pushed into both sides, so a row some link drops is
+/// dropped below the `∪`, and a side that reads rows it does not own lends
+/// them through it.
 struct Union {
-    left: BoxIter,
-    right: BoxIter,
-    left_done: bool,
-    key: String,
+    /// Left, then right; `sides[at]` is the one being read.
+    sides: Vec<BoxIter>,
+    at: usize,
     schema: Schema,
+}
+
+impl Union {
+    /// Run `link` on every side: fused into a side that takes it, as an
+    /// [`Apply`] over the owned batches of one that does not.
+    fn push(&mut self, link: Link) {
+        self.sides = std::mem::take(&mut self.sides)
+            .into_iter()
+            .map(|side| fused(side, link.clone()))
+            .collect();
+        self.schema = link.schema;
+    }
 }
 
 impl BatchIter for Union {
@@ -394,20 +420,28 @@ impl BatchIter for Union {
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if !self.left_done {
-            if let Some(batch) = self.left.next_batch(rt)? {
-                rt.add_processed(&self.key, batch.len() as u64);
-                rt.add_out(&self.key, batch.len() as u64);
+        while let Some(side) = self.sides.get_mut(self.at) {
+            if let Some(batch) = side.next_batch(rt)? {
                 return Ok(Some(batch));
             }
-            self.left_done = true;
+            self.at += 1;
         }
-        let Some(batch) = self.right.next_batch(rt)? else {
-            return Ok(None);
-        };
-        rt.add_processed(&self.key, batch.len() as u64);
-        rt.add_out(&self.key, batch.len() as u64);
-        Ok(Some(batch))
+        Ok(None)
+    }
+
+    fn lend_batch(&mut self, rt: &mut Runtime<'_>, sink: &mut RowSink<'_>) -> Result<bool> {
+        while let Some(side) = self.sides.get_mut(self.at) {
+            if side.lend_batch(rt, sink)? {
+                return Ok(true);
+            }
+            self.at += 1;
+        }
+        Ok(false)
+    }
+
+    fn fuse(&mut self, link: Link) -> Option<Link> {
+        self.push(link);
+        None
     }
 }
 
@@ -521,13 +555,20 @@ pub(crate) fn binary_pipeline(
     .schema()
     .clone();
     match op {
-        BinaryOp::Union => Ok(Box::new(Union {
-            left,
-            right: reorder(right, &lschema)?,
-            left_done: false,
-            key: key.to_owned(),
-            schema,
-        })),
+        BinaryOp::Union => {
+            let mut union = Union {
+                sides: vec![left, reorder(right, &lschema)?],
+                at: 0,
+                schema: schema.clone(),
+            };
+            // The union's own count: a link that keeps every row.
+            union.push(Link {
+                op: Kernel::pass(),
+                schema,
+                key: key.to_owned(),
+            });
+            Ok(Box::new(union))
+        }
         BinaryOp::Join(on) => {
             let (index, extra) = BuildProbe::plan(on, &lschema, &rschema)?;
             Ok(Box::new(HashJoin {

@@ -6,12 +6,15 @@
 //! The second half pins the streaming engine's compiled row-wise kernels
 //! (`exec::kernel`) to these same operators: rows, row order, `ExecStats`
 //! and error variants equal the materializing reference — link by link,
-//! and as whole chains fused into the scan's row program (over a source, over a buffered fan-out, feeding `γ` and the
-//! right side of − / ∩), where the one thing allowed to differ from the
-//! reference is which of two failing links a run reports.
+//! and as whole chains fused into the scan's row program (over a source,
+//! over a buffered fan-out, above a `∪` whose inputs take the chain or
+//! refuse it, feeding `γ` and the right side of − / ∩), where the one
+//! thing allowed to differ from the reference is which of two failing
+//! links a run reports.
 
 use std::cmp::Ordering;
 
+use etlopt_core::graph::NodeId;
 use etlopt_core::predicate::{CmpOp, Predicate};
 use etlopt_core::rng::Rng;
 use etlopt_core::scalar::Scalar;
@@ -694,6 +697,216 @@ fn fused_chains_match_the_reference_row_for_row() {
                         assert_eq!(c.rows_scanned, read as u64, "{what}");
                         assert_eq!(c.rows_materialized, owned, "{what}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// How one input of a `∪` reaches it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Side {
+    /// A source stored as declared: the union's links fuse into its scan.
+    Direct,
+    /// A source with a second consumer, drained to the pool and re-read.
+    Buffered,
+    /// A source stored column-reversed: its scan permutes, so the links
+    /// run over its owned batches.
+    Reversed,
+    /// A source declared column-reversed: as the union's right input it
+    /// is reordered to the left layout, and the links run above that.
+    Declared,
+    /// Whole-row dedup ahead of the union: a stateful side.
+    Deduped,
+}
+
+/// Random chains of 2–6 row-wise links above a `∪` of every pair of
+/// sides, feeding a target, `γ`, and the right side of − and ∩ (the last
+/// two only lend it): targets row for row and `ExecStats` equal
+/// `run_materialize` at every batch size. Over two direct sides the scans
+/// allocate exactly the rows that reach the target, and nothing for `γ`.
+#[test]
+fn chains_above_a_union_match_the_reference_row_for_row() {
+    use Side::*;
+    for seed in 0..24u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0xD000);
+        let left = table_kns(&mut rng, 40);
+        let mut rrows: Vec<_> = left.rows().iter().step_by(3).cloned().collect();
+        rrows.extend(table_kns(&mut rng, 20).into_rows());
+        let right = Table::from_rows(left.schema().clone(), rrows).unwrap();
+        // A chain that projects every column out leaves γ nothing to group.
+        let (chain, out) = loop {
+            let links = rng.gen_range(2..7usize);
+            let chain = random_chain(&mut rng, left.schema(), links);
+            let out = chain_schema(left.schema(), &chain);
+            if !out.is_empty() {
+                break (chain, out);
+            }
+        };
+        let grouper = out.attrs()[out.len() - 1].clone();
+        let declared = |side: Side| match side {
+            Declared => reversed(&left).schema().clone(),
+            _ => left.schema().clone(),
+        };
+
+        for (lside, rside) in [Direct, Buffered, Reversed, Deduped]
+            .into_iter()
+            .flat_map(|l| [Direct, Buffered, Reversed, Declared, Deduped].map(|r| (l, r)))
+        {
+            let mut catalog = catalog_with(match lside {
+                Reversed => reversed(&left),
+                _ => left.clone(),
+            });
+            catalog.insert(
+                "R",
+                match rside {
+                    Reversed | Declared => reversed(&right),
+                    _ => right.clone(),
+                },
+            );
+            catalog.insert("L", left.clone());
+            // `S ∪ R → chain`, then whatever `read` puts on top.
+            let build = |read: &dyn Fn(&mut WorkflowBuilder, NodeId) -> (Schema, NodeId)| {
+                let mut b = WorkflowBuilder::new();
+                let mut ends = Vec::new();
+                for (name, side) in [("S", lside), ("R", rside)] {
+                    let schema = declared(side);
+                    let mut end = b.source(name, schema.clone(), 100.0);
+                    if side == Buffered {
+                        b.target(&format!("{name}_COPY"), schema, end);
+                    }
+                    if side == Deduped {
+                        end = b.unary(
+                            &format!("DD_{name}"),
+                            UnaryOp::Dedup { selectivity: 1.0 },
+                            end,
+                        );
+                    }
+                    ends.push(end);
+                }
+                let mut cur = b.binary("U", BinaryOp::Union, ends[0], ends[1]);
+                for (i, op) in chain.iter().enumerate() {
+                    cur = b.unary(&format!("u{i}"), op.clone(), cur);
+                }
+                let (schema, end) = read(&mut b, cur);
+                b.target("T", schema, end);
+                b.build().unwrap()
+            };
+            let count = UnaryOp::aggregate(Aggregation::new(
+                [grouper.clone()],
+                vec![etlopt_core::semantics::AggSpec {
+                    func: etlopt_core::semantics::AggFunc::Count,
+                    input: out.attrs()[0].clone(),
+                    output: "cnt".into(),
+                }],
+            ));
+            let bag = |op: BinaryOp| {
+                build(&|b: &mut WorkflowBuilder, union| {
+                    let mut cur = b.source("L", left.schema().clone(), 100.0);
+                    for (i, link) in chain.iter().enumerate() {
+                        cur = b.unary(&format!("l{i}"), link.clone(), cur);
+                    }
+                    (out.clone(), b.binary("X", op.clone(), cur, union))
+                })
+            };
+            let shapes = [
+                ("target", build(&|_, union| (out.clone(), union))),
+                (
+                    "γ",
+                    build(&|b, union| {
+                        (
+                            count.output(&out).unwrap(),
+                            b.unary("γ", count.clone(), union),
+                        )
+                    }),
+                ),
+                ("−", bag(BinaryOp::Difference)),
+                ("∩", bag(BinaryOp::Intersection)),
+            ];
+            for (shape, wf) in &shapes {
+                let want = Executor::new(catalog.clone()).run_materialize(wf).unwrap();
+                for batch_rows in [1, 7, 1024] {
+                    let run = Executor::new(catalog.clone())
+                        .with_stream_config(stream_cfg(batch_rows))
+                        .run_stream(wf)
+                        .unwrap();
+                    let what = format!(
+                        "seed {seed} {lside:?} ∪ {rside:?} → {chain:?} → {shape} batch_rows {batch_rows}"
+                    );
+                    assert_eq!(
+                        run.result.targets.keys().collect::<Vec<_>>(),
+                        want.targets.keys().collect::<Vec<_>>(),
+                        "{what}"
+                    );
+                    for (name, table) in &want.targets {
+                        assert_same_table(&run.result.targets[name], table, &what);
+                    }
+                    assert_eq!(run.result.stats, want.stats, "{what}");
+                    let owned = match *shape {
+                        "target" => want.targets["T"].len() as u64,
+                        _ => 0,
+                    };
+                    if (lside, rside) == (Direct, Direct) && *shape != "−" && *shape != "∩" {
+                        let c = &run.counters;
+                        assert_eq!(c.rows_scanned, (left.len() + right.len()) as u64, "{what}");
+                        assert_eq!(c.rows_materialized, owned, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One failing link above a `∪` fails the run with the reference's error —
+/// the first failing row in union order — whether the row is on the left
+/// or the right, the side is scanned or reordered, at every batch size.
+#[test]
+fn a_failing_link_above_a_union_is_the_reference_error() {
+    let clean = |n: i64| {
+        let rows = (0..n).map(|i| vec![Scalar::Int(i % 4), Scalar::Int(i)]);
+        Table::from_rows(Schema::of(["k", "s"]), rows.collect()).unwrap()
+    };
+    // Row 5 cannot be scaled; row 6's key has no surrogate.
+    let dirty = {
+        let mut rows = clean(12).into_rows();
+        rows[5][1] = "x".into();
+        rows[6][0] = Scalar::Int(9);
+        Table::from_rows(Schema::of(["k", "s"]), rows).unwrap()
+    };
+    let failing = [
+        function("scale", &["s"], "s", false),
+        UnaryOp::surrogate_key("k", "sk", "L"),
+    ];
+    for link in &failing {
+        for (l, r) in [(dirty.clone(), clean(9)), (clean(9), dirty.clone())] {
+            for (declared, stored) in [(false, false), (false, true), (true, true)] {
+                let rschema = match declared {
+                    true => reversed(&r).schema().clone(),
+                    false => r.schema().clone(),
+                };
+                let mut b = WorkflowBuilder::new();
+                let s = b.source("S", l.schema().clone(), 100.0);
+                let rs = b.source("R", rschema, 100.0);
+                let u = b.binary("U", BinaryOp::Union, s, rs);
+                let keep = b.unary("σ", UnaryOp::filter(Predicate::ne("k", 2)), u);
+                let end = b.unary("f", link.clone(), keep);
+                b.target("T", link.output(l.schema()).unwrap(), end);
+                let wf = b.build().unwrap();
+
+                let mut catalog = catalog_with(l.clone());
+                catalog.insert("R", if stored { reversed(&r) } else { r.clone() });
+                let exec = |batch_rows| {
+                    Executor::new(catalog.clone())
+                        .with_strict_lookups()
+                        .with_stream_config(stream_cfg(batch_rows))
+                };
+                let want = exec(7).run_materialize(&wf).unwrap_err();
+                for batch_rows in [1, 7, 1024] {
+                    let got = exec(batch_rows).run_stream(&wf).unwrap_err();
+                    let what = format!(
+                        "{link} declared {declared} stored {stored} batch_rows {batch_rows}"
+                    );
+                    assert_eq!(got, want, "{what}");
                 }
             }
         }
