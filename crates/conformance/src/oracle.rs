@@ -369,7 +369,7 @@ fn estimate_only_tokens(wf: &Workflow) -> etlopt_core::error::Result<BTreeSet<St
     let g = wf.graph();
     let mut starts = Vec::new();
     for id in wf.activities()? {
-        if let Op::Binary(op) = &g.activity(id)?.op {
+        if let Op::Binary(op) = &*g.activity(id)?.op {
             if !matches!(op, BinaryOp::Union) {
                 starts.push(id);
             }

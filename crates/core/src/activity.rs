@@ -11,10 +11,11 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::Result;
 use crate::scalar::Scalar;
-use crate::schema::Schema;
+use crate::schema::{Attr, Schema};
 use crate::semantics::{BinaryOp, UnaryOp};
 
 /// Stable activity identifier.
@@ -133,20 +134,82 @@ impl Op {
     }
 }
 
+/// An activity's label: a shared string, compared and displayed as one.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct Label(Arc<str>);
+
+impl Label {
+    /// The label text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Label {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl From<&str> for Label {
+    fn from(s: &str) -> Label {
+        Label(Arc::from(s))
+    }
+}
+
+impl From<String> for Label {
+    fn from(s: String) -> Label {
+        Label(Arc::from(s))
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// An activity node: identifier, semantics and (cached) schemata.
 ///
 /// The input/output schemata are *derived* state — recomputed by
 /// [`crate::schema_gen`] whenever a transition rewires the graph — kept on
 /// the node so applicability checks and the cost model never re-walk the
-/// graph.
+/// graph. The label, the op and the schemata are shared: the copy a
+/// transition makes of a node it rewires (and the clones DIS and FAC make
+/// of an activity) copies none of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
     /// Stable identifier (see [`ActivityId`]).
     pub id: ActivityId,
     /// Human-readable label, e.g. `"$2E"`.
-    pub label: String,
-    /// Semantics.
-    pub op: Op,
+    pub label: Label,
+    /// Semantics; edit through [`Arc::make_mut`].
+    pub op: Arc<Op>,
     /// Input schemata, one per port (derived).
     pub inputs: Vec<Schema>,
     /// Output schema (derived).
@@ -154,8 +217,10 @@ pub struct Activity {
 }
 
 impl Activity {
-    /// Build an activity with empty (not-yet-derived) schemata.
-    pub fn new(id: ActivityId, label: impl Into<String>, op: Op) -> Self {
+    /// Build an activity with empty (not-yet-derived) schemata. `label`
+    /// and `op` may be another activity's, shared.
+    pub fn new(id: ActivityId, label: impl Into<Label>, op: impl Into<Arc<Op>>) -> Self {
+        let op = op.into();
         let arity = op.arity();
         Activity {
             id,
@@ -181,7 +246,7 @@ impl Activity {
     /// earlier link satisfies a later link's need, so only externally-sourced
     /// attributes count.
     pub fn functionality(&self) -> Schema {
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.functionality(),
             Op::Binary(op) => op.functionality(),
             Op::Merged(chain) => {
@@ -205,7 +270,7 @@ impl Activity {
     /// later link projects out again do not escape; this is computed against
     /// the cached input schema.
     pub fn generated(&self) -> Schema {
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.generated(),
             Op::Binary(_) => Schema::empty(),
             Op::Merged(_) => {
@@ -219,17 +284,51 @@ impl Activity {
     pub fn projected_out(&self) -> Schema {
         let none = Schema::empty();
         let input = self.inputs.first().unwrap_or(&none);
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.projected_out(input),
             Op::Binary(_) => Schema::empty(),
             Op::Merged(_) => input.difference(&self.output),
         }
     }
 
+    /// Visit the attributes of [`Activity::functionality`] while `f`
+    /// returns `true`; returns whether every visit did. A unary activity's
+    /// are read off its op without building a schema; an attribute may be
+    /// visited twice.
+    pub fn all_needed(&self, f: impl FnMut(&Attr) -> bool) -> bool {
+        match &*self.op {
+            Op::Unary(op) => op.all_needed(f),
+            Op::Binary(_) | Op::Merged(_) => self.functionality().iter().all(f),
+        }
+    }
+
+    /// Visit the attributes of [`Activity::generated`] as
+    /// [`Activity::all_needed`] visits the needed ones.
+    pub fn all_generated(&self, f: impl FnMut(&Attr) -> bool) -> bool {
+        match &*self.op {
+            Op::Unary(op) => op.all_generated(f),
+            Op::Binary(_) | Op::Merged(_) => self.generated().iter().all(f),
+        }
+    }
+
+    /// Visit the attributes of [`Activity::projected_out`] as
+    /// [`Activity::all_needed`] visits the needed ones.
+    pub fn all_dropped(&self, f: impl FnMut(&Attr) -> bool) -> bool {
+        match (&*self.op, self.inputs.first()) {
+            (Op::Unary(op), Some(input)) => op.all_dropped(input, f),
+            _ => self.projected_out().iter().all(f),
+        }
+    }
+
+    /// Does [`Activity::functionality`] hold `attr`?
+    pub fn needs(&self, attr: &Attr) -> bool {
+        !self.all_needed(|a| a != attr)
+    }
+
     /// Compute the output schema from given input schemata (does not touch
     /// the cached ones), owned or borrowed.
     pub fn derive_output<S: Borrow<Schema>>(&self, inputs: &[S]) -> Result<Schema> {
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.output(inputs[0].borrow()),
             Op::Binary(op) => op.output(inputs[0].borrow(), inputs[1].borrow()),
             Op::Merged(chain) => {
@@ -246,7 +345,7 @@ impl Activity {
     /// Binary operators report 1.0; their cardinality is the cost model's
     /// business.
     pub fn selectivity(&self) -> f64 {
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.selectivity(),
             Op::Binary(_) => 1.0,
             Op::Merged(chain) => chain.iter().map(UnaryOp::selectivity).product(),
@@ -255,7 +354,7 @@ impl Activity {
 
     /// Are all links of this activity row-wise (tuple-at-a-time)?
     pub fn is_row_wise(&self) -> bool {
-        match &self.op {
+        match &*self.op {
             Op::Unary(op) => op.is_row_wise(),
             Op::Binary(_) => false,
             Op::Merged(chain) => chain.iter().all(UnaryOp::is_row_wise),
@@ -274,7 +373,7 @@ impl Activity {
     /// local groups" part of the definition is checked by the caller, which
     /// knows the graph.
     pub fn same_semantics(&self, other: &Activity) -> bool {
-        match (&self.op, &other.op) {
+        match (&*self.op, &*other.op) {
             (Op::Unary(a), Op::Unary(b)) => a.same_semantics(b),
             (Op::Binary(a), Op::Binary(b)) => a == b,
             (Op::Merged(a), Op::Merged(b)) => {

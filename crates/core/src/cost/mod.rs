@@ -43,7 +43,7 @@ pub trait CostModel {
     /// searches price a swap successor on its parent, before the swap's
     /// schemata are re-derived.
     fn activity_cost(&self, activity: &Activity, input_rows: &[f64]) -> f64 {
-        match &activity.op {
+        match &*activity.op {
             Op::Unary(op) => self.unary_cost(op, input_rows[0]),
             Op::Merged(chain) => {
                 let mut n = input_rows[0];
@@ -136,8 +136,7 @@ pub(crate) fn reprice_total_with_edges(
         let mut own = CostVec::zeroed(0);
         let mut borrowed = scratch.try_borrow_mut();
         let cv = borrowed.as_deref_mut().unwrap_or(&mut own);
-        cv.rows.clone_from(&parent.rows);
-        cv.node_cost.clone_from(&parent.node_cost);
+        cv.slots.clone_from(&parent.slots);
         reprice_into(model, wf, cv, dirty, overlay)?;
         Ok(cv.total)
     })
@@ -147,7 +146,7 @@ thread_local! {
     /// [`reprice_total_with_edges`]'s tables: the parent's, then the
     /// candidate's along its walk; overwritten by the next candidate.
     static SCRATCH: std::cell::RefCell<CostVec> = const {
-        std::cell::RefCell::new(CostVec { total: 0.0, rows: Vec::new(), node_cost: Vec::new() })
+        std::cell::RefCell::new(CostVec { total: 0.0, slots: Vec::new() })
     };
 }
 
@@ -200,7 +199,7 @@ impl SwapPricing {
                 if matches!(node, Node::Activity(_)) {
                     total += match self.nodes.iter().find(|(n, ..)| *n == id) {
                         Some(&(_, _, cost)) => cost,
-                        None => parent.node_cost[id.0 as usize],
+                        None => parent.slots[id.0 as usize].1,
                     };
                 }
             }
@@ -214,8 +213,7 @@ impl SwapPricing {
         let total = self.total(wf, parent)?;
         let mut cv = parent.clone();
         for (id, rows, cost) in self.nodes {
-            cv.rows[id.0 as usize] = rows;
-            cv.node_cost[id.0 as usize] = cost;
+            cv.slots[id.0 as usize] = (rows, cost);
         }
         cv.total = total;
         Some(cv)
@@ -232,13 +230,11 @@ fn reprice_into<M: CostModel + ?Sized>(
     overlay: &[(NodeId, usize, NodeId)],
 ) -> Result<()> {
     let graph = wf.graph();
-    cv.rows.resize(graph.slot_capacity(), 0.0);
-    cv.node_cost.resize(graph.slot_capacity(), 0.0);
+    cv.slots.resize(graph.slot_capacity(), (0.0, 0.0));
     for &id in dirty {
         let (ports, n) = graph.providers_with(id, overlay)?;
-        let (rows, cost) = priced(model, wf, id, &ports[..n], |p| cv.rows[p.0 as usize])?;
-        cv.rows[id.0 as usize] = rows;
-        cv.node_cost[id.0 as usize] = cost;
+        let priced = priced(model, wf, id, &ports[..n], |p| cv.slots[p.0 as usize].0)?;
+        cv.slots[id.0 as usize] = priced;
     }
     cv.total = cv.sum_live(wf);
     Ok(())
@@ -271,7 +267,7 @@ fn priced<M: CostModel + ?Sized>(
         }
         Node::Activity(a) => {
             let in0 = rows_in(0);
-            match &a.op {
+            match &*a.op {
                 Op::Binary(b) => {
                     let in1 = rows_in(1);
                     (
@@ -289,20 +285,33 @@ fn priced<M: CostModel + ?Sized>(
 /// the cost of every activity. Indexed by arena slot; dead slots carry
 /// stale values that are never read (only live providers are consulted,
 /// and the total sums live activities only).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CostVec {
     /// Total state cost `C(S)`, summed over live activities in slot order.
     pub total: f64,
-    rows: Vec<f64>,
-    node_cost: Vec<f64>,
+    /// `(rows out, cost)` per slot.
+    slots: Vec<(f64, f64)>,
+}
+
+impl Clone for CostVec {
+    /// A copy with room for one more slot, as [`crate::graph::Graph`]'s
+    /// clone leaves: a successor priced from it may hold a DIS's extra
+    /// node.
+    fn clone(&self) -> Self {
+        let mut slots = Vec::with_capacity(self.slots.len() + 1);
+        slots.extend_from_slice(&self.slots);
+        CostVec {
+            total: self.total,
+            slots,
+        }
+    }
 }
 
 impl CostVec {
     fn zeroed(cap: usize) -> CostVec {
         CostVec {
             total: 0.0,
-            rows: vec![0.0; cap],
-            node_cost: vec![0.0; cap],
+            slots: vec![(0.0, 0.0); cap],
         }
     }
 
@@ -316,11 +325,11 @@ impl CostVec {
     pub fn rows_out(&self, id: NodeId) -> f64 {
         let slot = id.0 as usize;
         debug_assert!(
-            slot < self.rows.len(),
+            slot < self.slots.len(),
             "rows_out({id}): slot {slot} outside capacity {} — node from another arena?",
-            self.rows.len()
+            self.slots.len()
         );
-        self.rows.get(slot).copied().unwrap_or(0.0)
+        self.slots.get(slot).map_or(0.0, |s| s.0)
     }
 
     /// Cost charged to `id` (0.0 for recordsets). Same out-of-range policy
@@ -328,11 +337,11 @@ impl CostVec {
     pub fn node_cost(&self, id: NodeId) -> f64 {
         let slot = id.0 as usize;
         debug_assert!(
-            slot < self.node_cost.len(),
+            slot < self.slots.len(),
             "node_cost({id}): slot {slot} outside capacity {} — node from another arena?",
-            self.node_cost.len()
+            self.slots.len()
         );
-        self.node_cost.get(slot).copied().unwrap_or(0.0)
+        self.slots.get(slot).map_or(0.0, |s| s.1)
     }
 
     /// Slot-order sum over the live graph. Every total — `price`,
@@ -343,7 +352,7 @@ impl CostVec {
         let mut total = 0.0;
         for (id, node) in wf.graph().iter() {
             if matches!(node, Node::Activity(_)) {
-                total += self.node_cost[id.0 as usize];
+                total += self.slots[id.0 as usize].1;
             }
         }
         total

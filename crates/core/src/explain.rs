@@ -103,7 +103,7 @@ pub fn explain(original: &Workflow, optimized: &Workflow) -> Result<Vec<Edit>> {
         let mut map = BTreeMap::new();
         for (pos, node) in wf.activities()?.into_iter().enumerate() {
             let act = wf.graph().activity(node)?;
-            map.insert(act.id.clone(), (pos, act.label.clone()));
+            map.insert(act.id.clone(), (pos, act.label.to_string()));
         }
         Ok(map)
     };

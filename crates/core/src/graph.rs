@@ -209,9 +209,21 @@ struct Slot {
 }
 
 /// The workflow DAG.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Graph {
     slots: Vec<Option<Slot>>,
+}
+
+impl Clone for Graph {
+    /// A copy with room for one more slot: a search clones a state to
+    /// rewire it, and the DIS among those rewirings adds two nodes where it
+    /// removes one — without the room, the copied arena would be copied
+    /// again to grow.
+    fn clone(&self) -> Self {
+        let mut slots = Vec::with_capacity(self.slots.len() + 1);
+        slots.extend(self.slots.iter().cloned());
+        Graph { slots }
+    }
 }
 
 impl Graph {
@@ -310,10 +322,9 @@ impl Graph {
         Ok(std::sync::Arc::make_mut(&mut self.slot_mut(id)?.node))
     }
 
-    /// The shared handle of the node payload. Test hook for the
-    /// structural-sharing contract: after a transition, untouched nodes
-    /// must still be `Arc::ptr_eq` with the originating state.
-    #[cfg(test)]
+    /// The shared handle of the node payload: a refusal carries it instead
+    /// of a copy, and the structural-sharing tests check that a transition
+    /// left untouched nodes `Arc::ptr_eq` with the originating state's.
     pub(crate) fn node_arc(&self, id: NodeId) -> Result<&std::sync::Arc<Node>> {
         Ok(&self.slot(id)?.node)
     }

@@ -102,7 +102,7 @@ fn propagate_through(
 /// The one unary operator of `act`, `None` for a binary activity. A merged
 /// activity exists only inside a search, so it is refused.
 fn unary_of(act: &Activity) -> Result<Option<&UnaryOp>> {
-    match &act.op {
+    match &*act.op {
         Op::Unary(op) => Ok(Some(op)),
         Op::Binary(_) => Ok(None),
         Op::Merged(_) => Err(CoreError::MergedActivity {

@@ -60,7 +60,7 @@ use crate::cost::{reprice_total_with_edges, CostModel, CostVec, SwapPricing};
 use crate::error::{CoreError, Result};
 use crate::graph::NodeId;
 use crate::opt::Move;
-use crate::schema_gen::downstream_of;
+use crate::schema_gen::{downstream_into, downstream_of};
 use crate::signature::{self, Tokens};
 use crate::trace::Rejections;
 use crate::transition::{finalize_along, Edges, Rewire, Swap, TransitionError};
@@ -246,10 +246,10 @@ impl EvalState {
         match mv {
             Move::Swap(t) => self.step_swap(t, model, known, rej),
             Move::Factorize(t) => {
-                self.step_chain(Cow::Borrowed(&self.wf), Vec::new(), t, model, known, rej)
+                self.step_chain(Cow::Borrowed(&self.wf), &[], t, model, known, rej)
             }
             Move::Distribute(t) => {
-                self.step_chain(Cow::Borrowed(&self.wf), Vec::new(), t, model, known, rej)
+                self.step_chain(Cow::Borrowed(&self.wf), &[], t, model, known, rej)
             }
         }
     }
@@ -267,7 +267,7 @@ impl EvalState {
     ) -> Option<Result<Step>> {
         let step = match &self.detail {
             Some((cost, tokens)) => self.swap_successor(t, cost, tokens, model, known),
-            None => self.successor(Cow::Borrowed(&self.wf), Vec::new(), t, model, known),
+            None => self.successor(Cow::Borrowed(&self.wf), &[], t, model, known),
         };
         step.map_err(|e| rej.record(&e)).ok()
     }
@@ -294,7 +294,7 @@ impl EvalState {
     pub fn step_chain<T: Rewire>(
         &self,
         shifted: Cow<'_, Workflow>,
-        touched: Vec<NodeId>,
+        touched: &[NodeId],
         t: &T,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
@@ -409,7 +409,7 @@ impl EvalState {
     fn successor<T: Rewire>(
         &self,
         shifted: Cow<'_, Workflow>,
-        touched: Vec<NodeId>,
+        touched: &[NodeId],
         t: &T,
         model: &dyn CostModel,
         known: impl Fn(u128) -> bool,
@@ -428,20 +428,40 @@ impl EvalState {
         // `t`'s own affected nodes first: they are what the regeneration is
         // forced from, the chain's earlier ones only widen the walk. Read
         // off the pre-state, which the rewiring may consume.
-        let mut roots = t.affected(&shifted);
-        let own = roots.len();
-        roots.extend(touched);
-        let mut next = t.rewire(shifted)?;
-        let dirty = downstream_of(next.graph(), &roots)?;
-        let (tokens, fp) = tokens.along(&next, &dirty);
+        let mut walk = WALK.take();
+        walk.roots.clear();
+        walk.roots.extend(t.affected(&shifted));
+        let own = walk.roots.len();
+        walk.roots.extend_from_slice(touched);
+        let step = t.rewire(shifted).and_then(|next| {
+            let Walk { roots, dirty } = &mut walk;
+            downstream_into(next.graph(), roots, dirty)?;
+            Self::finalize_priced(next, &roots[..own], dirty, cost, tokens, model, known)
+        });
+        WALK.set(walk);
+        step
+    }
+
+    /// The pipeline's steps 3–6 on the rewired `next`: key it along
+    /// `dirty`, ask `known`, regenerate from `roots` and reprice.
+    fn finalize_priced(
+        mut next: Workflow,
+        roots: &[NodeId],
+        dirty: &[NodeId],
+        cost: &CostVec,
+        tokens: &Tokens,
+        model: &dyn CostModel,
+        known: impl Fn(u128) -> bool,
+    ) -> Result<Result<Step>, TransitionError> {
+        let (tokens, fp) = tokens.along(&next, dirty);
         if known(fp) {
             return Ok(Ok(Step::Known {
                 fp,
                 via_delta: true,
             }));
         }
-        finalize_along(&mut next, &roots[..own], &dirty)?;
-        Ok(model.reprice_along(&next, cost, &dirty).map(|cost| {
+        finalize_along(&mut next, roots, dirty)?;
+        Ok(model.reprice_along(&next, cost, dirty).map(|cost| {
             Step::New(
                 EvalState {
                     total: cost.total,
@@ -454,6 +474,18 @@ impl EvalState {
             )
         }))
     }
+}
+
+/// The lists a successor's walk fills — its roots and the walk itself —
+/// kept by the calling thread between successors.
+#[derive(Default)]
+struct Walk {
+    roots: Vec<NodeId>,
+    dirty: Vec<NodeId>,
+}
+
+thread_local! {
+    static WALK: std::cell::RefCell<Walk> = std::cell::RefCell::new(Walk::default());
 }
 
 /// The successor's walk for the swap along `edges`, read off the parent:

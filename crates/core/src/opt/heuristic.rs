@@ -29,7 +29,7 @@
 //! never judged or priced.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,12 +55,15 @@ type Candidate = Option<Result<Step>>;
 type Known<'a> = &'a dyn Fn(u128) -> bool;
 
 /// A Phase II/III candidate builder, for anchor tuples of `N` activities.
-type ChainFn<const N: usize> =
-    fn(&EvalState, &Ids, &[Anchor; N], &dyn CostModel, Known, &mut Rejections) -> Candidate;
-
-/// A worklist state's activities by id, the first of each in arena order:
-/// where [`Anchor::locate`] looks when the remembered slot holds another.
-type Ids<'a> = HashMap<&'a ActivityId, NodeId>;
+/// The `Vec` is the caller's buffer for the shift chain's touched nodes.
+type ChainFn<const N: usize> = fn(
+    &EvalState,
+    &[Anchor; N],
+    &mut Vec<NodeId>,
+    &dyn CostModel,
+    Known,
+    &mut Rejections,
+) -> Candidate;
 
 /// The HS algorithm (Fig. 7).
 #[derive(Debug, Clone, Default)]
@@ -152,6 +155,12 @@ struct Runner<'m> {
     group_cap: usize,
     phase_stats: Vec<PhaseStat>,
     col: Collector,
+    /// [`Runner::batch`]'s candidates, empty between batches: the buffer
+    /// outlives them so that a batch allocates only what it admits.
+    built: Vec<(Candidate, Rejections)>,
+    /// The swap list of the local group being explored, refilled per
+    /// expansion.
+    swaps: Vec<Swap>,
 }
 
 /// Cap on states produced by the FAC/DIS worklists: the useful chains are
@@ -178,6 +187,8 @@ impl<'m> Runner<'m> {
             group_cap: 5040,
             phase_stats: Vec::new(),
             col: Collector::new(if greedy { "HS-Greedy" } else { "HS" }),
+            built: Vec::new(),
+            swaps: Vec::new(),
         }
     }
 
@@ -225,25 +236,23 @@ impl<'m> Runner<'m> {
         &mut self,
         items: &[T],
         mut have: Option<&mut HashSet<u128>>,
-        build: impl Fn(&T, Known, &mut Rejections) -> Candidate,
+        mut build: impl FnMut(&T, Known, &mut Rejections) -> Candidate,
         mut admit: impl FnMut(usize, State) -> bool,
     ) -> Result<()> {
         let held = have.as_deref();
         let known = |fp: u128| held.is_some_and(|set| set.contains(&fp));
-        let built: Vec<(Candidate, Rejections)> = items
-            .iter()
-            .map(|item| {
-                let mut rej = Rejections::default();
-                (build(item, &known, &mut rej), rej)
-            })
-            .collect();
+        let mut built = std::mem::take(&mut self.built);
+        built.extend(items.iter().map(|item| {
+            let mut rej = Rejections::default();
+            (build(item, &known, &mut rej), rej)
+        }));
         // Rejections first, over *every* item: all of them were built, so
         // the counts must not depend on where the budget (or `admit`)
         // stops the loop below.
         for (_, rej) in &built {
             self.col.rejections(rej);
         }
-        for (i, (candidate, _)) in built.into_iter().enumerate() {
+        for (i, (candidate, _)) in built.drain(..).enumerate() {
             // Per-item stop: without it one speculative batch could admit
             // states past `max_states` before the caller's boundary check
             // ran again.
@@ -259,6 +268,7 @@ impl<'m> Runner<'m> {
                 break;
             }
         }
+        self.built = built;
         Ok(())
     }
 
@@ -380,23 +390,18 @@ impl<'m> Runner<'m> {
         candidate: ChainFn<N>,
     ) -> Result<()> {
         let mut produced: HashSet<u128> = collected.iter().map(|s| s.fp).collect();
+        let mut touched = Vec::new();
         while let Some(idx) = worklist.pop() {
             if collected.len() >= COLLECT_CAP {
                 break;
             }
             let si = collected[idx].built(self.model)?;
             self.col.expanded(si.fp);
-            let mut ids = Ids::with_capacity(si.wf.graph().slot_capacity());
-            for (id, n) in si.wf.graph().iter() {
-                if let Some(a) = n.as_activity() {
-                    ids.entry(&a.id).or_insert(id);
-                }
-            }
             let model = self.model;
             self.batch(
                 anchors,
                 Some(&mut produced),
-                |anchor, known, rej| candidate(&si, &ids, anchor, model, known, rej),
+                |anchor, known, rej| candidate(&si, anchor, &mut touched, model, known, rej),
                 |_, next| {
                     if next.total < smin.total {
                         *smin = next.clone();
@@ -491,7 +496,7 @@ impl<'m> Runner<'m> {
             let s = states[idx].built(self.model)?;
             expanded += 1;
             self.col.expanded(s.fp);
-            let moves = group_swaps(&s.wf, members)?;
+            let moves = self.group_swaps(&s.wf, members);
             let model = self.model;
             self.batch(
                 &moves,
@@ -506,6 +511,7 @@ impl<'m> Runner<'m> {
                     true
                 },
             )?;
+            self.swaps = moves;
         }
         Ok(best)
     }
@@ -521,7 +527,7 @@ impl<'m> Runner<'m> {
         self.record_eval(current.fp, current.via_delta());
         while !self.out_of_budget() {
             self.col.expanded(current.fp);
-            let moves = group_swaps(&current.wf, members)?;
+            let moves = self.group_swaps(&current.wf, members);
             let model = self.model;
             // The first of the cheapest improving successors, in
             // enumeration order: a tie goes to the earlier move.
@@ -537,6 +543,7 @@ impl<'m> Runner<'m> {
                     true
                 },
             )?;
+            self.swaps = moves;
             let Some(next) = improved else { break };
             current = next.build(model)?;
         }
@@ -562,7 +569,7 @@ impl<'m> Runner<'m> {
         // first acceptance; the stale tail is thrown away, but its
         // rejections stay counted (it was evaluated), and the counters
         // are pinned to that.
-        let moves = group_swaps(&current.wf, members)?;
+        let moves = self.group_swaps(&current.wf, members);
         let mut start = 0;
         while start < moves.len() {
             self.col.expanded(current.fp);
@@ -583,21 +590,24 @@ impl<'m> Runner<'m> {
             let Some((next, at)) = advance else { break };
             (current, start) = (next.build(model)?, at);
         }
+        self.swaps = moves;
         Ok(current.into())
     }
-}
 
-/// Adjacent swap candidates entirely inside one local group.
-fn group_swaps(wf: &Workflow, members: &BTreeSet<NodeId>) -> Result<Vec<Swap>> {
-    let g = wf.graph();
-    let mut out = Vec::new();
-    for &a in members {
-        let Ok(cs) = g.consumers(a) else { continue };
-        if cs.len() == 1 && members.contains(&cs[0]) {
-            out.push(Swap::new(a, cs[0]));
+    /// Adjacent swap candidates entirely inside one local group, in the
+    /// runner's swap buffer; hand it back through `self.swaps` when done.
+    fn group_swaps(&mut self, wf: &Workflow, members: &BTreeSet<NodeId>) -> Vec<Swap> {
+        let g = wf.graph();
+        let mut out = std::mem::take(&mut self.swaps);
+        out.clear();
+        for &a in members {
+            let Ok(cs) = g.consumers(a) else { continue };
+            if cs.len() == 1 && members.contains(&cs[0]) {
+                out.push(Swap::new(a, cs[0]));
+            }
         }
+        out
     }
-    Ok(out)
 }
 
 /// Phase II candidate (Fig. 7 lines 16-18): shift both homologous
@@ -605,17 +615,18 @@ fn group_swaps(wf: &Workflow, members: &BTreeSet<NodeId>) -> Result<Vec<Swap>> {
 /// against `si`.
 fn factorize_candidate(
     si: &EvalState,
-    ids: &Ids,
     [a1, a2, ab]: &[Anchor; 3],
+    touched: &mut Vec<NodeId>,
     model: &dyn CostModel,
     known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
-    let at = |a: &Anchor| a.locate(&si.wf, ids);
+    let at = |a: &Anchor| a.locate(&si.wf);
     let (n1, n2, nb) = (at(a1)?, at(a2)?, at(ab)?);
-    let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
-    shift(&mut s, n1, nb, &mut touched, rej, forward)?;
-    shift(&mut s, n2, nb, &mut touched, rej, forward)?;
+    let mut s = Cow::Borrowed(&si.wf);
+    touched.clear();
+    shift(&mut s, n1, nb, touched, rej, forward)?;
+    shift(&mut s, n2, nb, touched, rej, forward)?;
     si.step_chain(s, touched, &Factorize::new(nb, n1, n2), model, known, rej)
 }
 
@@ -623,15 +634,16 @@ fn factorize_candidate(
 /// its binary, distribute it, and price the result against `si`.
 fn distribute_candidate(
     si: &EvalState,
-    ids: &Ids,
     [a, ab]: &[Anchor; 2],
+    touched: &mut Vec<NodeId>,
     model: &dyn CostModel,
     known: Known,
     rej: &mut Rejections,
 ) -> Candidate {
-    let (na, nb) = (a.locate(&si.wf, ids)?, ab.locate(&si.wf, ids)?);
-    let (mut s, mut touched) = (Cow::Borrowed(&si.wf), Vec::new());
-    shift(&mut s, na, nb, &mut touched, rej, backward)?;
+    let (na, nb) = (a.locate(&si.wf)?, ab.locate(&si.wf)?);
+    let mut s = Cow::Borrowed(&si.wf);
+    touched.clear();
+    shift(&mut s, na, nb, touched, rej, backward)?;
     si.step_chain(s, touched, &Distribute::new(nb, na), model, known, rej)
 }
 
@@ -724,11 +736,18 @@ impl Anchor {
 
     /// Find this activity in a (possibly rewired) state: the remembered
     /// slot if it still holds it, else the first holder in arena order.
-    fn locate(&self, wf: &Workflow, ids: &Ids) -> Option<NodeId> {
+    /// Allocates nothing: most anchors a Phase II/III state is asked for
+    /// name an activity it no longer holds, and the scan says so as cheaply
+    /// as a map built per state would.
+    fn locate(&self, wf: &Workflow) -> Option<NodeId> {
         let same = |a: &Activity| a.id == self.activity;
-        let slot = wf.graph().activity(self.node).is_ok_and(same);
-        slot.then_some(self.node)
-            .or_else(|| ids.get(&self.activity).copied())
+        let g = wf.graph();
+        if g.activity(self.node).is_ok_and(same) {
+            return Some(self.node);
+        }
+        g.iter()
+            .find(|(_, n)| n.as_activity().is_some_and(same))
+            .map(|(id, _)| id)
     }
 }
 
@@ -863,7 +882,7 @@ mod tests {
             assert!(
                 acts.iter().all(|&a| {
                     !matches!(
-                        best.graph().activity(a).unwrap().op,
+                        *best.graph().activity(a).unwrap().op,
                         crate::activity::Op::Merged(_)
                     )
                 }),

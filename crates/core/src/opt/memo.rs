@@ -69,13 +69,15 @@ impl MoveMemo {
     pub fn moves(&self, wf: &Workflow) -> Result<Vec<Move>> {
         let g = wf.graph();
         let mut out = Vec::new();
+        // One list for every group's chain, refilled per leader.
+        let mut chain = Vec::new();
         for &a in &wf.activities()? {
             let act = g.activity(a)?;
             if act.is_unary() {
                 if group_predecessor(g, a)?.is_some() {
                     continue; // not a group leader; counted with its leader
                 }
-                let chain = walk_chain(g, a)?;
+                walk_chain(g, a, &mut chain)?;
                 let mut key = Fp128::new();
                 key.write(b"G");
                 for m in &chain {
@@ -104,7 +106,7 @@ impl MoveMemo {
                             key.write(&p.0.to_le_bytes());
                             match g.activity(*p) {
                                 Ok(pa) => {
-                                    if matches!(pa.op, Op::Merged(_)) {
+                                    if matches!(*pa.op, Op::Merged(_)) {
                                         cacheable = false;
                                     }
                                     let _ = write!(key, ":{};", pa.id);
@@ -193,9 +195,11 @@ fn group_predecessor(g: &Graph, a: NodeId) -> Result<Option<NodeId>> {
     Ok(None)
 }
 
-/// The maximal unary single-consumer chain starting at a group leader.
-fn walk_chain(g: &Graph, leader: NodeId) -> Result<Vec<NodeId>> {
-    let mut chain = vec![leader];
+/// The maximal unary single-consumer chain starting at a group leader,
+/// written over `chain`.
+fn walk_chain(g: &Graph, leader: NodeId, chain: &mut Vec<NodeId>) -> Result<()> {
+    chain.clear();
+    chain.push(leader);
     let mut cur = leader;
     // Bounded to the arena size as a cycle guard.
     for _ in 0..=g.slot_capacity() {
@@ -210,7 +214,7 @@ fn walk_chain(g: &Graph, leader: NodeId) -> Result<Vec<NodeId>> {
         chain.push(c);
         cur = c;
     }
-    Ok(chain)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //!   transition chain to a (1-)minimal sub-chain that still fails.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::activity::Op;
 use crate::cost::CostModel;
@@ -175,7 +176,7 @@ pub fn faulty_pushdown_sites(wf: &Workflow) -> Result<Vec<FaultySite>> {
     let mut out = Vec::new();
     for &f in &wf.activities()? {
         let act = g.activity(f)?;
-        let Op::Unary(UnaryOp::Function(app)) = &act.op else {
+        let Op::Unary(UnaryOp::Function(app)) = &*act.op else {
             continue;
         };
         // Only genuine generations (fresh output name, single source
@@ -189,7 +190,7 @@ pub fn faulty_pushdown_sites(wf: &Workflow) -> Result<Vec<FaultySite>> {
         }
         let s = consumers[0];
         let Ok(cons) = g.activity(s) else { continue };
-        let Op::Unary(UnaryOp::Filter { predicate, .. }) = &cons.op else {
+        let Op::Unary(UnaryOp::Filter { predicate, .. }) = &*cons.op else {
             continue;
         };
         let referenced = predicate.referenced_attrs();
@@ -250,7 +251,7 @@ pub fn apply_faulty_pushdown(wf: &Workflow, site: FaultySite) -> Result<Workflow
     // not a (function, filter) pair can never become valid, so it deserves
     // better than the generic stale-site error below. `activity` itself
     // rejects recordset ids and ids from another arena.
-    let (from, to) = match &wf.graph.activity(f)?.op {
+    let (from, to) = match &*wf.graph.activity(f)?.op {
         Op::Unary(UnaryOp::Function(app)) => (app.output.clone(), app.inputs[0].clone()),
         _ => {
             return Err(CoreError::InvalidFaultSite {
@@ -259,7 +260,10 @@ pub fn apply_faulty_pushdown(wf: &Workflow, site: FaultySite) -> Result<Workflow
             })
         }
     };
-    if !matches!(&wf.graph.activity(s)?.op, Op::Unary(UnaryOp::Filter { .. })) {
+    if !matches!(
+        &*wf.graph.activity(s)?.op,
+        Op::Unary(UnaryOp::Filter { .. })
+    ) {
         return Err(CoreError::InvalidFaultSite {
             node: s,
             detail: "site.filter is not a filter activity".into(),
@@ -288,7 +292,7 @@ pub fn apply_faulty_pushdown(wf: &Workflow, site: FaultySite) -> Result<Workflow
     out.graph.connect(s, f, 0)?;
 
     let act = out.graph.activity_mut(s)?;
-    match &mut act.op {
+    match Arc::make_mut(&mut act.op) {
         Op::Unary(UnaryOp::Filter { predicate, .. }) => rename_attr(predicate, &from, &to),
         // Guarded above; keep a typed error rather than silently skipping
         // the rewrite and returning a workflow that was never spliced.
@@ -486,7 +490,7 @@ mod tests {
         // The filter now sits directly on the source and tests `cost`.
         let g = bad.graph();
         let filter = g.activity(site.filter).unwrap();
-        let Op::Unary(UnaryOp::Filter { predicate, .. }) = &filter.op else {
+        let Op::Unary(UnaryOp::Filter { predicate, .. }) = &*filter.op else {
             panic!(
                 "pushdown must leave the σ node a filter, found {:?}",
                 filter.op

@@ -177,7 +177,7 @@ pub fn plan(wf: &Workflow, cfg: &PhysicalConfig) -> Result<PhysicalPlan> {
                     .iter()
                     .map(|p| p.map(|p| rows.rows_out(p)).unwrap_or(0.0))
                     .collect();
-                match &act.op {
+                match &*act.op {
                     Op::Merged(_) => {
                         return Err(CoreError::MergedActivity {
                             activity: act.id.to_string(),

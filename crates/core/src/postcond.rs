@@ -106,7 +106,7 @@ impl WorkflowCond {
 /// transition) carries the conjunction of its members' predicates —
 /// packaging must not change semantics.
 fn activity_conds(a: &Activity) -> Vec<AtomicCond> {
-    match &a.op {
+    match &*a.op {
         Op::Unary(op) => vec![unary_cond(op)],
         Op::Binary(op) => {
             vec![AtomicCond::new(

@@ -164,27 +164,27 @@ impl Predicate {
 
     /// The attributes the predicate mentions — its functionality schema.
     pub fn referenced_attrs(&self) -> Schema {
-        let mut out = Schema::empty();
-        self.collect_attrs(&mut out);
-        out
+        Schema::build(|b| {
+            self.all_attrs(&mut |a| {
+                b.push(a);
+                true
+            });
+        })
     }
 
-    fn collect_attrs(&self, out: &mut Schema) {
+    /// Visit the attributes the predicate mentions, left to right, while
+    /// `f` returns `true`; returns whether every visit did. Allocates
+    /// nothing. An attribute mentioned twice is visited twice.
+    pub fn all_attrs<F: FnMut(&Attr) -> bool>(&self, f: &mut F) -> bool {
         match self {
             Predicate::Cmp { attr, .. }
             | Predicate::IsNotNull(attr)
             | Predicate::IsNull(attr)
-            | Predicate::InList { attr, .. } => out.push(attr.clone()),
-            Predicate::CmpAttr { left, right, .. } => {
-                out.push(left.clone());
-                out.push(right.clone());
-            }
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.collect_attrs(out);
-                b.collect_attrs(out);
-            }
-            Predicate::Not(p) => p.collect_attrs(out),
-            Predicate::True => {}
+            | Predicate::InList { attr, .. } => f(attr),
+            Predicate::CmpAttr { left, right, .. } => f(left) && f(right),
+            Predicate::And(a, b) | Predicate::Or(a, b) => a.all_attrs(f) && b.all_attrs(f),
+            Predicate::Not(p) => p.all_attrs(f),
+            Predicate::True => true,
         }
     }
 }

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 /// A reference attribute name.
 ///
-/// Cheap to clone (`Arc<str>`): schemata are copied wholesale on every state
-/// transition during search, so attribute names are shared, not re-allocated.
+/// Cheap to clone (`Arc<str>`): a schema built from other schemata's
+/// attributes shares their names, it does not re-allocate them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Attr(Arc<str>);
 
@@ -57,15 +57,82 @@ impl From<&Attr> for Attr {
 }
 
 /// An ordered, duplicate-free list of attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Immutable and shared: a clone is one reference-count increment, so the
+/// schemata an activity stores for its ports are its providers' own, and a
+/// copy-on-write node copies none of them. A schema is made once, by
+/// [`Schema::build`] or the constructors on top of it, in one allocation
+/// (the empty schema in none), and never edited in place. `==`, `Hash`,
+/// `Debug` and `Display` read the attribute list alone.
+#[derive(Clone, Default)]
 pub struct Schema {
+    /// `None` is the empty schema.
+    attrs: Option<Arc<[Attr]>>,
+}
+
+/// The working list of [`Schema::build`]: attributes pushed in order,
+/// duplicates ignored.
+#[derive(Debug, Default)]
+pub struct SchemaBuilder {
     attrs: Vec<Attr>,
+}
+
+impl SchemaBuilder {
+    /// Append `attr` unless it is already there (idempotent union insert).
+    pub fn push(&mut self, attr: &Attr) {
+        if !self.attrs.contains(attr) {
+            self.attrs.push(attr.clone());
+        }
+    }
+
+    /// Append every attribute of `attrs` not already there.
+    pub fn extend<'a>(&mut self, attrs: impl IntoIterator<Item = &'a Attr>) {
+        for a in attrs {
+            self.push(a);
+        }
+    }
+
+    /// Does the list hold `attr`?
+    pub fn contains(&self, attr: &Attr) -> bool {
+        self.attrs.contains(attr)
+    }
+}
+
+thread_local! {
+    /// The calling thread's [`SchemaBuilder`], empty between builds: a build
+    /// allocates only the schema it returns.
+    static BUILDER: std::cell::RefCell<SchemaBuilder> =
+        const { std::cell::RefCell::new(SchemaBuilder { attrs: Vec::new() }) };
 }
 
 impl Schema {
     /// The empty schema.
     pub fn empty() -> Self {
-        Schema { attrs: Vec::new() }
+        Schema { attrs: None }
+    }
+
+    /// Build a schema by pushing attributes onto a [`SchemaBuilder`]. The
+    /// list lives in a buffer the calling thread reuses, so the build
+    /// allocates once, for the schema itself.
+    pub fn build(fill: impl FnOnce(&mut SchemaBuilder)) -> Schema {
+        let finish = |b: &mut SchemaBuilder| {
+            b.attrs.clear();
+            fill(b);
+            let out = Schema::from_slice(&b.attrs);
+            b.attrs.clear();
+            out
+        };
+        BUILDER.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut b) => finish(&mut b),
+            // A build inside a build: the inner one pays for its own list.
+            Err(_) => finish(&mut SchemaBuilder::default()),
+        })
+    }
+
+    fn from_slice(attrs: &[Attr]) -> Schema {
+        Schema {
+            attrs: (!attrs.is_empty()).then(|| Arc::from(attrs)),
+        }
     }
 
     /// Build a schema from attribute names. Duplicates are rejected at the
@@ -80,94 +147,98 @@ impl Schema {
         I: IntoIterator<Item = A>,
         A: Into<Attr>,
     {
-        let mut s = Schema::empty();
-        for a in attrs {
-            let a = a.into();
-            assert!(
-                !s.contains(&a),
-                "duplicate attribute `{a}` in schema construction"
-            );
-            s.attrs.push(a);
-        }
-        s
+        Schema::build(|b| {
+            for a in attrs {
+                let a = a.into();
+                assert!(
+                    !b.contains(&a),
+                    "duplicate attribute `{a}` in schema construction"
+                );
+                b.push(&a);
+            }
+        })
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.attrs().len()
     }
 
     /// Is the schema empty?
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.attrs.is_none()
     }
 
     /// Iterate over the attributes in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Attr> + '_ {
-        self.attrs.iter()
+    pub fn iter(&self) -> std::slice::Iter<'_, Attr> {
+        self.attrs().iter()
     }
 
     /// The attributes as a slice.
+    #[inline]
     pub fn attrs(&self) -> &[Attr] {
-        &self.attrs
+        self.attrs.as_deref().unwrap_or_default()
     }
 
     /// Does the schema contain `attr`?
     pub fn contains(&self, attr: &Attr) -> bool {
-        self.attrs.iter().any(|a| a == attr)
+        self.attrs().contains(attr)
     }
 
     /// Position of `attr`, if present.
     pub fn index_of(&self, attr: &Attr) -> Option<usize> {
-        self.attrs.iter().position(|a| a == attr)
+        self.iter().position(|a| a == attr)
     }
 
     /// Set-wise subset test (order-insensitive): every attribute of `self`
     /// appears in `other`. This is the test behind swap conditions 3 and 4
     /// (§3.3).
     pub fn is_subset_of(&self, other: &Schema) -> bool {
-        self.attrs.iter().all(|a| other.contains(a))
+        self.iter().all(|a| other.contains(a))
     }
 
     /// Append an attribute, ignoring duplicates (idempotent union insert).
+    /// A schema is immutable: this builds a new one when `attr` is new.
     pub fn push(&mut self, attr: Attr) {
         if !self.contains(&attr) {
-            self.attrs.push(attr);
+            *self = Schema::build(|b| {
+                b.extend(self.iter());
+                b.push(&attr);
+            });
         }
     }
 
     /// Order-preserving set union: attributes of `self`, then attributes of
-    /// `other` not already present.
+    /// `other` not already present. Shares `self` when `other` adds nothing.
     pub fn union(&self, other: &Schema) -> Schema {
-        let mut out = self.clone();
-        for a in other.iter() {
-            out.push(a.clone());
+        if other.is_subset_of(self) {
+            return self.clone();
         }
-        out
+        Schema::build(|b| {
+            b.extend(self.iter());
+            b.extend(other.iter());
+        })
     }
 
     /// Order-preserving set difference: attributes of `self` not in `other`.
+    /// Shares `self` when the two are disjoint.
     pub fn difference(&self, other: &Schema) -> Schema {
-        Schema {
-            attrs: self
-                .attrs
-                .iter()
-                .filter(|a| !other.contains(a))
-                .cloned()
-                .collect(),
-        }
+        self.filtered(|a| !other.contains(a))
     }
 
     /// Order-preserving intersection: attributes of `self` also in `other`.
+    /// Shares `self` when it is a subset of `other`.
     pub fn intersection(&self, other: &Schema) -> Schema {
-        Schema {
-            attrs: self
-                .attrs
-                .iter()
-                .filter(|a| other.contains(a))
-                .cloned()
-                .collect(),
+        self.filtered(|a| other.contains(a))
+    }
+
+    /// The attributes of `self` that `keep` accepts, in order: `self`
+    /// itself when it accepts them all.
+    fn filtered(&self, keep: impl Fn(&Attr) -> bool) -> Schema {
+        if self.iter().all(&keep) {
+            return self.clone();
         }
+        Schema::build(|b| b.extend(self.iter().filter(|a| keep(a))))
     }
 
     /// Set equality (order-insensitive). Structural `==` remains
@@ -179,10 +250,32 @@ impl Schema {
     }
 }
 
+impl PartialEq for Schema {
+    fn eq(&self, other: &Schema) -> bool {
+        self.attrs() == other.attrs()
+    }
+}
+
+impl Eq for Schema {}
+
+impl std::hash::Hash for Schema {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.attrs().hash(state);
+    }
+}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema")
+            .field("attrs", &self.attrs())
+            .finish()
+    }
+}
+
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, a) in self.attrs.iter().enumerate() {
+        for (i, a) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -196,17 +289,17 @@ impl<'a> IntoIterator for &'a Schema {
     type Item = &'a Attr;
     type IntoIter = std::slice::Iter<'a, Attr>;
     fn into_iter(self) -> Self::IntoIter {
-        self.attrs.iter()
+        self.iter()
     }
 }
 
 impl FromIterator<Attr> for Schema {
     fn from_iter<T: IntoIterator<Item = Attr>>(iter: T) -> Self {
-        let mut s = Schema::empty();
-        for a in iter {
-            s.push(a);
-        }
-        s
+        Schema::build(|b| {
+            for a in iter {
+                b.push(&a);
+            }
+        })
     }
 }
 

@@ -132,8 +132,7 @@ pub(crate) fn regenerate_swap(
     rest: Option<&[NodeId]>,
     targets: &mut Vec<NodeId>,
 ) -> std::result::Result<(), RegenFailure> {
-    let changed = regenerate_nodes(graph, &[second, first, c], Reach::Moved, targets)?;
-    if !changed.get(c.0 as usize).copied().unwrap_or(false) {
+    if !regenerate_nodes(graph, &[second, first, c], Reach::Moved, targets)? {
         return Ok(());
     }
     let walked;
@@ -260,17 +259,50 @@ impl<'v> View<'v> {
 
 /// Walk `order` (topological), refreshing the nodes `reach` selects from
 /// their providers' current outputs. Each target (a recordset nothing
-/// reads) the walk refreshes is appended to `targets`. Returns the
-/// slot-indexed "this walk changed the node's output", sized at the first
-/// change, which most incremental walks never see.
+/// reads) the walk refreshes is appended to `targets`. Returns whether the
+/// walk changed the output of `order`'s last node.
 fn regenerate_nodes(
     graph: &mut Graph,
     order: &[NodeId],
     reach: Reach,
     targets: &mut Vec<NodeId>,
-) -> std::result::Result<Vec<bool>, RegenFailure> {
-    let mut changed: Vec<bool> = Vec::new();
+) -> std::result::Result<bool, RegenFailure> {
+    let cap = graph.slot_capacity();
+    CHANGED.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut changed) => {
+            if changed.len() < cap {
+                changed.resize(cap, false);
+            }
+            let out = regenerate_marking(graph, order, reach, targets, &mut changed);
+            // Only nodes of `order` are ever marked.
+            for id in order {
+                if let Some(mark) = changed.get_mut(id.0 as usize) {
+                    *mark = false;
+                }
+            }
+            out
+        }
+        Err(_) => regenerate_marking(graph, order, reach, targets, &mut vec![false; cap]),
+    })
+}
+
+thread_local! {
+    /// The slot-indexed "this walk changed the node's output" marks of
+    /// [`regenerate_nodes`], all `false` between walks.
+    static CHANGED: std::cell::RefCell<Vec<bool>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// [`regenerate_nodes`] with its marks table: `changed` is slot-indexed,
+/// covers every slot, and reads `false` for every node of `order`.
+fn regenerate_marking(
+    graph: &mut Graph,
+    order: &[NodeId],
+    reach: Reach,
+    targets: &mut Vec<NodeId>,
+    changed: &mut [bool],
+) -> std::result::Result<bool, RegenFailure> {
     let kept = matches!(reach, Reach::Moved);
+    let mut last_changed = false;
     for &id in order {
         let fail = |error: CoreError| RegenFailure { node: id, error };
         if let Reach::From(starts) = reach {
@@ -284,6 +316,7 @@ fn regenerate_nodes(
                         starts.contains(p) || changed.get(p.0 as usize).copied().unwrap_or(false)
                     });
             if !reached {
+                last_changed = false;
                 continue;
             }
         }
@@ -299,8 +332,9 @@ fn regenerate_nodes(
                     None
                 };
                 if let Node::Activity(act) = graph.node_mut(id).map_err(fail)? {
-                    if let Some(inputs) = inputs {
-                        act.inputs = inputs;
+                    if let Some((inputs, n)) = inputs {
+                        act.inputs.clear();
+                        act.inputs.extend(inputs.into_iter().take(n));
                     }
                     act.output = output;
                 }
@@ -319,14 +353,12 @@ fn regenerate_nodes(
         {
             targets.push(id);
         }
-        if output_changed {
-            if changed.is_empty() {
-                changed.resize(graph.slot_capacity(), false);
-            }
-            changed[id.0 as usize] = true;
+        if let Some(mark) = changed.get_mut(id.0 as usize) {
+            *mark = output_changed;
         }
+        last_changed = output_changed;
     }
-    Ok(changed)
+    Ok(last_changed)
 }
 
 /// The schemata node `id` should carry given its providers' current
@@ -380,15 +412,16 @@ fn refresh(graph: &Graph, id: NodeId, kept: bool, view: View) -> Result<Option<U
     }
 }
 
-/// Node `id`'s providers' outputs, one per port, to be stored as its
-/// inputs.
-fn stored_inputs(graph: &Graph, id: NodeId) -> Result<Vec<Schema>> {
-    let providers = graph.providers(id)?;
-    let mut inputs = Vec::with_capacity(providers.len());
-    for p in providers.iter().flatten() {
-        inputs.push(graph.node(*p)?.output_schema().clone());
+/// Node `id`'s providers' outputs, one per connected port (at most two:
+/// the widest operator is binary), shared, to be stored as its inputs.
+fn stored_inputs(graph: &Graph, id: NodeId) -> Result<([Schema; 2], usize)> {
+    let mut inputs = [Schema::empty(), Schema::empty()];
+    let mut n = 0;
+    for (slot, p) in inputs.iter_mut().zip(graph.providers(id)?.iter().flatten()) {
+        *slot = graph.node(*p)?.output_schema().clone();
+        n += 1;
     }
-    Ok(inputs)
+    Ok((inputs, n))
 }
 
 /// Nodes reachable downstream of `start` (inclusive), in topological order.
@@ -405,9 +438,21 @@ fn stored_inputs(graph: &Graph, id: NodeId) -> Result<Vec<Schema>> {
 /// allocation is the returned list: the walk's marks, stack and heap are
 /// the calling thread's `Walk`, reset after every use.
 pub fn downstream_of(graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
+    let mut out = Vec::new();
+    downstream_into(graph, start, &mut out)?;
+    Ok(out)
+}
+
+/// [`downstream_of`] written over `out`, which a caller that walks once
+/// per candidate keeps, so that no walk allocates once it has grown.
+pub(crate) fn downstream_into(
+    graph: &Graph,
+    start: &[NodeId],
+    out: &mut Vec<NodeId>,
+) -> Result<()> {
     WALK.with(|walk| match walk.try_borrow_mut() {
-        Ok(mut walk) => walk.run(graph, start),
-        Err(_) => Walk::new().run(graph, start),
+        Ok(mut walk) => walk.run(graph, start, out),
+        Err(_) => Walk::new().run(graph, start, out),
     })
 }
 
@@ -437,23 +482,23 @@ impl Walk {
         }
     }
 
-    fn run(&mut self, graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
+    fn run(&mut self, graph: &Graph, start: &[NodeId], out: &mut Vec<NodeId>) -> Result<()> {
         let cap = graph.slot_capacity();
         if self.reached.len() < cap {
             self.reached.resize(cap, false);
             self.indegree.resize(cap, 0);
         }
-        let out = self.order(graph, start);
+        let done = self.order(graph, start, out);
         // A failed walk can leave marks on the stack as well as on members.
         for id in self.stack.drain(..).chain(self.members.drain(..)) {
             self.reached[id.0 as usize] = false;
             self.indegree[id.0 as usize] = 0;
         }
         self.heap.clear();
-        out
+        done
     }
 
-    fn order(&mut self, graph: &Graph, start: &[NodeId]) -> Result<Vec<NodeId>> {
+    fn order(&mut self, graph: &Graph, start: &[NodeId], out: &mut Vec<NodeId>) -> Result<()> {
         use std::cmp::Reverse;
         let cap = graph.slot_capacity();
         let Walk {
@@ -493,7 +538,8 @@ impl Walk {
                 heap.push(Reverse(id));
             }
         }
-        let mut out = Vec::with_capacity(members.len());
+        out.clear();
+        out.reserve(members.len());
         while let Some(Reverse(id)) = heap.pop() {
             out.push(id);
             for &c in graph.consumers(id)? {
@@ -514,7 +560,7 @@ impl Walk {
                 .unwrap_or(NodeId(0));
             return Err(CoreError::CyclicGraph { node: stuck });
         }
-        Ok(out)
+        Ok(())
     }
 }
 

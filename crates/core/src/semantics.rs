@@ -150,6 +150,14 @@ pub enum Grouping<'a> {
     WholeRow,
 }
 
+/// Why a [`UnaryOp`] cannot run on an input schema.
+enum Misfit<'a> {
+    /// A needed attribute is missing.
+    Needs,
+    /// This generated attribute already names an input attribute.
+    Collides(&'a Attr),
+}
+
 /// The estimate field of a [`UnaryOp`], for the kinds that carry one: the
 /// one list of them. Yields an `Option` of a reference with the
 /// mutability of `$op`.
@@ -344,25 +352,15 @@ impl UnaryOp {
     }
 
     /// The functionality (necessary) schema: attributes participating in the
-    /// computation (§3.2).
+    /// computation (§3.2). [`UnaryOp::all_needed`] reads it without
+    /// building it.
     pub fn functionality(&self) -> Schema {
-        match self {
-            UnaryOp::Filter { predicate, .. } => predicate.referenced_attrs(),
-            UnaryOp::NotNull { attr, .. } => Schema::of([attr.clone()]),
-            UnaryOp::PkCheck { key, .. } => key.iter().cloned().collect(),
-            UnaryOp::Dedup { .. } => Schema::empty(),
-            UnaryOp::Function(f) => f.inputs.iter().cloned().collect(),
-            UnaryOp::Aggregate { agg, .. } => {
-                let mut s: Schema = agg.group_by.iter().cloned().collect();
-                for a in &agg.aggregates {
-                    s.push(a.input.clone());
-                }
-                s
-            }
-            UnaryOp::ProjectOut(attrs) => attrs.iter().cloned().collect(),
-            UnaryOp::AddField { .. } => Schema::empty(),
-            UnaryOp::SurrogateKey { key, .. } => Schema::of([key.clone()]),
-        }
+        Schema::build(|b| {
+            self.all_needed(|a| {
+                b.push(a);
+                true
+            });
+        })
     }
 
     /// The generated schema: output attributes the activity *creates*
@@ -374,111 +372,179 @@ impl UnaryOp {
     /// name*: `SUM(€COST)` is a new entity, and treating it as generated is
     /// what blocks pushing `σ(€COST)` below the aggregation (the paper's
     /// "we cannot push the selection … before the aggregation").
+    /// [`UnaryOp::all_generated`] reads it without building it.
     pub fn generated(&self) -> Schema {
-        match self {
-            UnaryOp::Function(f) => {
-                if f.inputs.contains(&f.output) {
-                    Schema::empty()
-                } else {
-                    Schema::of([f.output.clone()])
-                }
-            }
-            UnaryOp::Aggregate { agg, .. } => {
-                agg.aggregates.iter().map(|a| a.output.clone()).collect()
-            }
-            UnaryOp::AddField { attr, .. } => Schema::of([attr.clone()]),
-            UnaryOp::SurrogateKey { surrogate, .. } => Schema::of([surrogate.clone()]),
-            UnaryOp::Filter { .. }
-            | UnaryOp::NotNull { .. }
-            | UnaryOp::PkCheck { .. }
-            | UnaryOp::Dedup { .. }
-            | UnaryOp::ProjectOut(_) => Schema::empty(),
-        }
+        Schema::build(|b| {
+            self.all_generated(|a| {
+                b.push(a);
+                true
+            });
+        })
     }
 
     /// The projected-out schema *relative to an input schema*: input
     /// attributes that do not survive the activity (§3.2).
+    /// [`UnaryOp::all_dropped`] reads it without building it.
     pub fn projected_out(&self, input: &Schema) -> Schema {
+        Schema::build(|b| {
+            self.all_dropped(input, |a| {
+                b.push(a);
+                true
+            });
+        })
+    }
+
+    /// Visit the attributes of [`UnaryOp::functionality`] in order while
+    /// `f` returns `true`; returns whether every visit did. Allocates
+    /// nothing; an attribute the op names twice may be visited twice.
+    pub fn all_needed(&self, mut f: impl FnMut(&Attr) -> bool) -> bool {
         match self {
-            UnaryOp::Function(f) => {
-                if f.keep_inputs {
-                    Schema::empty()
-                } else {
-                    f.inputs
-                        .iter()
-                        .filter(|a| **a != f.output)
-                        .cloned()
-                        .collect()
-                }
+            UnaryOp::Filter { predicate, .. } => predicate.all_attrs(&mut f),
+            UnaryOp::NotNull { attr, .. } | UnaryOp::SurrogateKey { key: attr, .. } => f(attr),
+            UnaryOp::PkCheck { key: attrs, .. } | UnaryOp::ProjectOut(attrs) => attrs.iter().all(f),
+            UnaryOp::Function(fa) => fa.inputs.iter().all(f),
+            UnaryOp::Aggregate { agg, .. } => {
+                agg.group_by.iter().all(&mut f) && agg.aggregates.iter().all(|a| f(&a.input))
             }
-            UnaryOp::Aggregate { .. } => {
-                let kept = self.output(input).unwrap_or_else(|_| Schema::empty());
-                input.difference(&kept)
-            }
-            UnaryOp::ProjectOut(attrs) => attrs.iter().cloned().collect(),
-            UnaryOp::SurrogateKey { key, .. } => Schema::of([key.clone()]),
+            UnaryOp::Dedup { .. } | UnaryOp::AddField { .. } => true,
+        }
+    }
+
+    /// Visit the attributes of [`UnaryOp::generated`] as
+    /// [`UnaryOp::all_needed`] visits the needed ones.
+    pub fn all_generated(&self, mut f: impl FnMut(&Attr) -> bool) -> bool {
+        match self {
+            UnaryOp::Function(fa) => fa.inputs.contains(&fa.output) || f(&fa.output),
+            UnaryOp::Aggregate { agg, .. } => agg.aggregates.iter().all(|a| f(&a.output)),
+            UnaryOp::AddField { attr, .. }
+            | UnaryOp::SurrogateKey {
+                surrogate: attr, ..
+            } => f(attr),
             UnaryOp::Filter { .. }
             | UnaryOp::NotNull { .. }
             | UnaryOp::PkCheck { .. }
             | UnaryOp::Dedup { .. }
-            | UnaryOp::AddField { .. } => Schema::empty(),
+            | UnaryOp::ProjectOut(_) => true,
         }
     }
 
-    /// Compute the output schema for a given input schema:
-    /// `(input − projected_out) ∪ generated`, preserving input order and
-    /// appending generated attributes. Fails if the functionality schema is
-    /// not contained in the input (the op cannot run here — the situation
-    /// swap condition 3 exists to prevent), or if a generated attribute
-    /// would collide with an unrelated input attribute of the same name
-    /// (which the naming principle forbids: one name, one entity).
-    pub fn output(&self, input: &Schema) -> Result<Schema> {
-        let fun = self.functionality();
-        if !fun.is_subset_of(input) {
-            return Err(CoreError::Schema(format!(
-                "operation {self} needs attributes {fun} but input offers only {input}"
-            )));
+    /// Visit the attributes of [`UnaryOp::projected_out`] for `input` as
+    /// [`UnaryOp::all_needed`] visits the needed ones.
+    pub fn all_dropped(&self, input: &Schema, mut f: impl FnMut(&Attr) -> bool) -> bool {
+        match self {
+            UnaryOp::Function(fa) => {
+                fa.keep_inputs || fa.inputs.iter().filter(|a| **a != fa.output).all(f)
+            }
+            // Everything the output does not carry; all of the input when
+            // there is no output.
+            UnaryOp::Aggregate { agg, .. } => {
+                let fits = self.misfit(input).is_none();
+                let kept = |a: &Attr| {
+                    fits && (agg.group_by.contains(a)
+                        || agg.aggregates.iter().any(|s| s.output == *a))
+                };
+                input.iter().filter(|a| !kept(a)).all(f)
+            }
+            UnaryOp::ProjectOut(attrs) => attrs.iter().all(f),
+            UnaryOp::SurrogateKey { key, .. } => f(key),
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. }
+            | UnaryOp::AddField { .. } => true,
+        }
+    }
+
+    /// Why the op cannot run on `input`, if it cannot: a needed attribute
+    /// is missing, or a generated one would collide with an unrelated input
+    /// attribute of the same name (which the naming principle forbids: one
+    /// name, one entity). Allocates nothing.
+    fn misfit(&self, input: &Schema) -> Option<Misfit<'_>> {
+        if !self.all_needed(|a| input.contains(a)) {
+            return Some(Misfit::Needs);
         }
         // Collision guards: a *fresh* output name must actually be fresh.
         let collision = match self {
-            UnaryOp::Function(f) => (!f.inputs.contains(&f.output) && input.contains(&f.output))
-                .then(|| f.output.clone()),
-            UnaryOp::AddField { attr, .. } => input.contains(attr).then(|| attr.clone()),
+            UnaryOp::Function(f) => {
+                (!f.inputs.contains(&f.output) && input.contains(&f.output)).then_some(&f.output)
+            }
+            UnaryOp::AddField { attr, .. } => input.contains(attr).then_some(attr),
             UnaryOp::SurrogateKey { surrogate, key, .. } => {
-                (surrogate != key && input.contains(surrogate)).then(|| surrogate.clone())
+                (surrogate != key && input.contains(surrogate)).then_some(surrogate)
             }
             UnaryOp::Aggregate { agg, .. } => agg
                 .aggregates
                 .iter()
                 .find(|s| s.output != s.input && agg.group_by.contains(&s.output))
-                .map(|s| s.output.clone()),
+                .map(|s| &s.output),
             UnaryOp::Filter { .. }
             | UnaryOp::NotNull { .. }
             | UnaryOp::PkCheck { .. }
             | UnaryOp::Dedup { .. }
             | UnaryOp::ProjectOut(_) => None,
         };
-        if let Some(attr) = collision {
-            return Err(CoreError::Schema(format!(
-                "operation {self} would generate `{attr}`, which already names a \
-                 different attribute here (naming principle violation)"
-            )));
+        collision.map(Misfit::Collides)
+    }
+
+    /// Compute the output schema for a given input schema:
+    /// `(input − projected_out) ∪ generated`, preserving input order and
+    /// appending generated attributes — for `γ`, its groupers then its
+    /// outputs. Fails if the functionality schema is not contained in the
+    /// input (the op cannot run here — the situation swap condition 3
+    /// exists to prevent), or if a generated attribute would collide with
+    /// an unrelated input attribute of the same name (which the naming
+    /// principle forbids: one name, one entity).
+    ///
+    /// The filters, NN, PK and DD return `input` itself (shared); every
+    /// other kind builds one schema, or shares `input` when it drops and
+    /// adds nothing.
+    pub fn output(&self, input: &Schema) -> Result<Schema> {
+        match self.misfit(input) {
+            Some(Misfit::Needs) => {
+                let fun = self.functionality();
+                return Err(CoreError::Schema(format!(
+                    "operation {self} needs attributes {fun} but input offers only {input}"
+                )));
+            }
+            Some(Misfit::Collides(attr)) => {
+                return Err(CoreError::Schema(format!(
+                    "operation {self} would generate `{attr}`, which already names a \
+                     different attribute here (naming principle violation)"
+                )));
+            }
+            None => {}
         }
-        if let UnaryOp::Aggregate { agg, .. } = self {
+        let dropped = |a: &Attr| !self.all_dropped(input, |d| d != a);
+        let changes = match self {
+            UnaryOp::Filter { .. }
+            | UnaryOp::NotNull { .. }
+            | UnaryOp::PkCheck { .. }
+            | UnaryOp::Dedup { .. } => false,
             // Aggregation rebuilds the schema wholesale: groupers then
             // aggregate outputs.
-            let mut out: Schema = agg.group_by.iter().cloned().collect();
-            for a in &agg.aggregates {
-                out.push(a.output.clone());
+            UnaryOp::Aggregate { agg, .. } => {
+                return Ok(Schema::build(|b| {
+                    b.extend(&agg.group_by);
+                    b.extend(agg.aggregates.iter().map(|s| &s.output));
+                }));
             }
-            return Ok(out);
+            UnaryOp::Function(_)
+            | UnaryOp::ProjectOut(_)
+            | UnaryOp::AddField { .. }
+            | UnaryOp::SurrogateKey { .. } => {
+                input.iter().any(dropped) || !self.all_generated(|a| input.contains(a))
+            }
+        };
+        if !changes {
+            return Ok(input.clone());
         }
-        let dropped = self.projected_out(input);
-        let mut out = input.difference(&dropped);
-        for a in self.generated().iter() {
-            out.push(a.clone());
-        }
-        Ok(out)
+        Ok(Schema::build(|b| {
+            b.extend(input.iter().filter(|a| !dropped(a)));
+            self.all_generated(|a| {
+                b.push(a);
+                true
+            });
+        }))
     }
 
     /// What a blocking op groups rows on — `γ` its groupers, the PK check
@@ -903,6 +969,246 @@ mod tests {
             assert_eq!(op.keeps(&Attr::new(attr)), kept, "{op} keeps {attr}");
         }
         assert!(dd.keeps(&Attr::new("x")));
+    }
+
+    /// The schema facts as they were derived before they were read off
+    /// the op: allocated schemata throughout, `output` as
+    /// `(input − projected_out(input)) ∪ generated()` — for `γ`, its
+    /// groupers then its outputs — behind the same guards and messages.
+    mod reference {
+        use super::*;
+
+        pub fn functionality(op: &UnaryOp) -> Schema {
+            match op {
+                UnaryOp::Filter { predicate, .. } => predicate.referenced_attrs(),
+                UnaryOp::NotNull { attr, .. } => Schema::of([attr.clone()]),
+                UnaryOp::PkCheck { key, .. } => key.iter().cloned().collect(),
+                UnaryOp::Dedup { .. } | UnaryOp::AddField { .. } => Schema::empty(),
+                UnaryOp::Function(f) => f.inputs.iter().cloned().collect(),
+                UnaryOp::Aggregate { agg, .. } => {
+                    let mut s: Schema = agg.group_by.iter().cloned().collect();
+                    for a in &agg.aggregates {
+                        s.push(a.input.clone());
+                    }
+                    s
+                }
+                UnaryOp::ProjectOut(attrs) => attrs.iter().cloned().collect(),
+                UnaryOp::SurrogateKey { key, .. } => Schema::of([key.clone()]),
+            }
+        }
+
+        pub fn generated(op: &UnaryOp) -> Schema {
+            match op {
+                UnaryOp::Function(f) if f.inputs.contains(&f.output) => Schema::empty(),
+                UnaryOp::Function(f) => Schema::of([f.output.clone()]),
+                UnaryOp::Aggregate { agg, .. } => {
+                    agg.aggregates.iter().map(|a| a.output.clone()).collect()
+                }
+                UnaryOp::AddField { attr, .. } => Schema::of([attr.clone()]),
+                UnaryOp::SurrogateKey { surrogate, .. } => Schema::of([surrogate.clone()]),
+                _ => Schema::empty(),
+            }
+        }
+
+        pub fn projected_out(op: &UnaryOp, input: &Schema) -> Schema {
+            match op {
+                UnaryOp::Function(f) if f.keep_inputs => Schema::empty(),
+                UnaryOp::Function(f) => f
+                    .inputs
+                    .iter()
+                    .filter(|a| **a != f.output)
+                    .cloned()
+                    .collect(),
+                UnaryOp::Aggregate { .. } => {
+                    let kept = output(op, input).unwrap_or_else(|_| Schema::empty());
+                    input.difference(&kept)
+                }
+                UnaryOp::ProjectOut(attrs) => attrs.iter().cloned().collect(),
+                UnaryOp::SurrogateKey { key, .. } => Schema::of([key.clone()]),
+                _ => Schema::empty(),
+            }
+        }
+
+        pub fn output(op: &UnaryOp, input: &Schema) -> Result<Schema> {
+            let fun = functionality(op);
+            if !fun.is_subset_of(input) {
+                return Err(CoreError::Schema(format!(
+                    "operation {op} needs attributes {fun} but input offers only {input}"
+                )));
+            }
+            let collision = match op {
+                UnaryOp::Function(f) => (!f.inputs.contains(&f.output)
+                    && input.contains(&f.output))
+                .then(|| f.output.clone()),
+                UnaryOp::AddField { attr, .. } => input.contains(attr).then(|| attr.clone()),
+                UnaryOp::SurrogateKey { surrogate, key, .. } => {
+                    (surrogate != key && input.contains(surrogate)).then(|| surrogate.clone())
+                }
+                UnaryOp::Aggregate { agg, .. } => agg
+                    .aggregates
+                    .iter()
+                    .find(|s| s.output != s.input && agg.group_by.contains(&s.output))
+                    .map(|s| s.output.clone()),
+                _ => None,
+            };
+            if let Some(attr) = collision {
+                return Err(CoreError::Schema(format!(
+                    "operation {op} would generate `{attr}`, which already names a \
+                     different attribute here (naming principle violation)"
+                )));
+            }
+            if let UnaryOp::Aggregate { agg, .. } = op {
+                let mut out: Schema = agg.group_by.iter().cloned().collect();
+                for a in &agg.aggregates {
+                    out.push(a.output.clone());
+                }
+                return Ok(out);
+            }
+            let mut out = input.difference(&projected_out(op, input));
+            for a in generated(op).iter() {
+                out.push(a.clone());
+            }
+            Ok(out)
+        }
+    }
+
+    /// A random op of every kind over attribute names drawn from a pool of
+    /// five plus one fresh name, so inputs often lack what an op needs and
+    /// generated names often collide.
+    fn random_op(rng: &mut crate::rng::Rng) -> UnaryOp {
+        const POOL: [&str; 6] = ["a", "b", "c", "d", "e", "new"];
+        let attr = |rng: &mut crate::rng::Rng| Attr::new(POOL[rng.gen_range(0..POOL.len())]);
+        let attrs = |rng: &mut crate::rng::Rng| -> Vec<Attr> {
+            (0..rng.gen_range(1..4usize)).map(|_| attr(rng)).collect()
+        };
+        fn predicate(rng: &mut crate::rng::Rng, depth: u32) -> Predicate {
+            let name = |rng: &mut crate::rng::Rng| POOL[rng.gen_range(0..POOL.len())];
+            match rng.gen_range(0..if depth == 0 { 4 } else { 7u32 }) {
+                0 => Predicate::gt(name(rng), 1),
+                1 => Predicate::CmpAttr {
+                    left: Attr::new(name(rng)),
+                    op: crate::predicate::CmpOp::Le,
+                    right: Attr::new(name(rng)),
+                },
+                2 => Predicate::not_null(name(rng)),
+                3 => Predicate::True,
+                4 => predicate(rng, depth - 1).and(predicate(rng, depth - 1)),
+                5 => predicate(rng, depth - 1).or(predicate(rng, depth - 1)),
+                _ => predicate(rng, depth - 1).not(),
+            }
+        }
+        match rng.gen_range(0..9u32) {
+            0 => UnaryOp::filter(predicate(rng, 2)),
+            1 => UnaryOp::not_null(attr(rng)),
+            2 => UnaryOp::PkCheck {
+                key: attrs(rng),
+                selectivity: 1.0,
+            },
+            3 => UnaryOp::Dedup { selectivity: 1.0 },
+            4 => UnaryOp::Function(FunctionApp {
+                function: "f".into(),
+                inputs: attrs(rng),
+                output: attr(rng),
+                keep_inputs: rng.gen_bool(0.5),
+                injective: rng.gen_bool(0.5),
+            }),
+            5 => {
+                let group_by: Vec<Attr> =
+                    (0..rng.gen_range(0..3usize)).map(|_| attr(rng)).collect();
+                let aggregates = (0..rng.gen_range(1..3usize))
+                    .map(|_| AggSpec {
+                        func: AggFunc::Sum,
+                        input: attr(rng),
+                        output: attr(rng),
+                    })
+                    .collect();
+                UnaryOp::aggregate(Aggregation::new(group_by, aggregates))
+            }
+            6 => UnaryOp::ProjectOut(attrs(rng)),
+            7 => UnaryOp::AddField {
+                attr: attr(rng),
+                value: Scalar::from("x"),
+            },
+            _ => UnaryOp::surrogate_key(attr(rng), attr(rng), "L"),
+        }
+    }
+
+    /// The attributes a visitor visits, as a schema (in first-visit order).
+    fn visited(visit: impl FnOnce(&mut dyn FnMut(&Attr) -> bool) -> bool) -> Schema {
+        let mut seen = Vec::new();
+        assert!(visit(&mut |a| {
+            seen.push(a.clone());
+            true
+        }));
+        seen.into_iter().collect()
+    }
+
+    /// How many visits a visitor makes when every visit returns `false`;
+    /// its result must be that it did not see them all through.
+    fn refusing(visit: impl FnOnce(&mut dyn FnMut(&Attr) -> bool) -> bool) -> usize {
+        let mut calls = 0;
+        let all = visit(&mut |_| {
+            calls += 1;
+            false
+        });
+        assert_eq!(all, calls == 0);
+        calls
+    }
+
+    #[test]
+    fn schema_facts_read_off_the_op_match_the_allocating_reference() {
+        let mut rng = crate::rng::Rng::seed_from_u64(0x5C4E_4D41);
+        let pool = ["a", "b", "c", "d", "e", "new"];
+        let mut kinds = std::collections::HashSet::new();
+        let (mut refused, mut shared) = (0, 0);
+        for _ in 0..20_000 {
+            let op = random_op(&mut rng);
+            kinds.insert(std::mem::discriminant(&op));
+            // A random subset of the pool in random order.
+            let mut names: Vec<&str> = pool.iter().copied().filter(|_| rng.gen_bool(0.6)).collect();
+            for i in (1..names.len()).rev() {
+                names.swap(i, rng.gen_range(0..=i));
+            }
+            let input = Schema::of(names);
+
+            let want = reference::output(&op, &input);
+            let got = op.output(&input);
+            assert_eq!(got, want, "{op} on {input}");
+            match &got {
+                Ok(out) if out.attrs().as_ptr() == input.attrs().as_ptr() => shared += 1,
+                Ok(_) => {}
+                Err(_) => refused += 1,
+            }
+
+            let fun = reference::functionality(&op);
+            assert_eq!(op.functionality(), fun, "{op}");
+            assert!(visited(|f| op.all_needed(f)).same_attrs(&fun), "{op}");
+            let generated = reference::generated(&op);
+            assert_eq!(op.generated(), generated, "{op}");
+            assert!(
+                visited(|f| op.all_generated(f)).same_attrs(&generated),
+                "{op}"
+            );
+            let dropped = reference::projected_out(&op, &input);
+            assert_eq!(op.projected_out(&input), dropped, "{op} on {input}");
+            let seen = visited(|f| op.all_dropped(&input, f));
+            assert!(seen.same_attrs(&dropped), "{op} on {input}");
+
+            // A visitor stops at the first `false`, and says so.
+            for (calls, empty) in [
+                (refusing(|f| op.all_needed(f)), fun.is_empty()),
+                (refusing(|f| op.all_generated(f)), generated.is_empty()),
+                (refusing(|f| op.all_dropped(&input, f)), dropped.is_empty()),
+            ] {
+                assert_eq!(calls, usize::from(!empty), "{op} on {input}");
+            }
+        }
+        assert_eq!(kinds.len(), 9, "every kind drawn");
+        // Both guards and the shared-input path were exercised.
+        assert!(
+            refused > 1_000 && shared > 1_000,
+            "{refused} refused, {shared} shared"
+        );
     }
 
     #[test]

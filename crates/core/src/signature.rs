@@ -384,7 +384,7 @@ fn write_token(fp: &mut Fp128, wf: &Workflow, id: NodeId) {
 /// Is `node` a binary activity whose branches the signature sorts?
 fn commutes(node: &Node) -> bool {
     match node {
-        Node::Activity(a) => match &a.op {
+        Node::Activity(a) => match &*a.op {
             crate::activity::Op::Binary(b) => b.is_commutative(),
             _ => false,
         },

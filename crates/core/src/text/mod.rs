@@ -106,7 +106,7 @@ pub fn render(wf: &Workflow) -> Result<String> {
                 next_activity += 1;
                 let name = format!("a{next_activity}");
                 let spec = render_op(act)?;
-                let sel_part = match &act.op {
+                let sel_part = match &*act.op {
                     Op::Unary(op) => op.estimate().filter(|sel| (sel - 1.0).abs() > 1e-12),
                     _ => None,
                 }
@@ -125,7 +125,7 @@ pub fn render(wf: &Workflow) -> Result<String> {
 }
 
 fn render_op(act: &Activity) -> Result<String> {
-    Ok(match &act.op {
+    Ok(match &*act.op {
         Op::Merged(_) => {
             return Err(CoreError::MergedActivity {
                 activity: act.id.to_string(),

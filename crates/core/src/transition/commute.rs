@@ -21,6 +21,8 @@
 //! Row-wise × row-wise pairs always commute once the schema conditions
 //! hold: each transforms disjoint parts of every single row.
 
+use std::fmt;
+
 use crate::semantics::UnaryOp;
 
 /// The verdict of a commutation query.
@@ -43,38 +45,101 @@ impl Verdict {
 /// the schema-level conditions are independently verified)? The relation is
 /// symmetric.
 pub fn ops_commute(a: &UnaryOp, b: &UnaryOp) -> Verdict {
+    let mut why = String::new();
+    if judge(a, b, Some(&mut why)) {
+        Verdict::Commutes
+    } else {
+        Verdict::Blocked(why)
+    }
+}
+
+/// Commutation for whole activities (merged chains commute iff every link
+/// of one commutes with every link of the other).
+pub fn chains_commute(a: &[UnaryOp], b: &[UnaryOp]) -> Verdict {
+    let mut why = String::new();
+    if judge_chains(a, b, Some(&mut why)) {
+        Verdict::Commutes
+    } else {
+        Verdict::Blocked(why)
+    }
+}
+
+/// [`chains_commute`]'s verdict, allocating nothing: a search asks this of
+/// every swap it enumerates, and counts a refusal without reading why.
+pub(crate) fn chains_commute_ok(a: &[UnaryOp], b: &[UnaryOp]) -> bool {
+    judge_chains(a, b, None)
+}
+
+/// [`chains_commute`]'s reason for a blocked pair, written to `why`.
+pub(crate) fn write_blocked(a: &[UnaryOp], b: &[UnaryOp], why: &mut dyn fmt::Write) {
+    judge_chains(a, b, Some(why));
+}
+
+/// The chain rule: the first blocked pair of links, in order, decides.
+fn judge_chains<'w>(
+    a: &[UnaryOp],
+    b: &[UnaryOp],
+    mut why: Option<&mut (dyn fmt::Write + 'w)>,
+) -> bool {
+    for x in a {
+        for y in b {
+            if !judge(x, y, why.as_deref_mut()) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Refuse the pair: write the reason to `why` when the caller wants it,
+/// and return `false`.
+macro_rules! blocked {
+    ($why:expr, $($fmt:tt)*) => {{
+        if let Some(w) = $why {
+            // A failed write only loses the reason's text, never the verdict.
+            let _ = write!(w, $($fmt)*);
+        }
+        return false
+    }};
+}
+
+/// The rules, once: `true` when `a` and `b` commute, else `false` with
+/// the reason written to `why` (when given). Allocates nothing unless it
+/// writes a reason.
+fn judge<'w>(a: &UnaryOp, b: &UnaryOp, why: Option<&mut (dyn fmt::Write + 'w)>) -> bool {
     if a.is_row_wise() && b.is_row_wise() {
-        return Verdict::Commutes;
+        return true;
     }
     if !a.is_row_wise() && !b.is_row_wise() {
-        return Verdict::Blocked(format!(
+        blocked!(
+            why,
             "{} and {} are both blocking operators",
             a.op_name(),
             b.op_name()
-        ));
+        );
     }
     // Exactly one side is blocking; orient the query.
     let (blocking, row_wise) = if a.is_row_wise() { (b, a) } else { (a, b) };
     match blocking {
         UnaryOp::Aggregate { agg, .. } => match row_wise {
             UnaryOp::Filter { predicate, .. } => {
-                let fun = predicate.referenced_attrs();
-                if fun.iter().all(|x| agg.group_by.contains(x)) {
-                    Verdict::Commutes
-                } else {
-                    Verdict::Blocked(format!(
-                        "filter over {fun} touches non-grouping attributes of the aggregation"
-                    ))
+                if !predicate.all_attrs(&mut |x| agg.group_by.contains(x)) {
+                    blocked!(
+                        why,
+                        "filter over {} touches non-grouping attributes of the aggregation",
+                        predicate.referenced_attrs()
+                    );
                 }
+                true
             }
             UnaryOp::NotNull { attr, .. } => {
-                if agg.group_by.contains(attr) {
-                    Verdict::Commutes
-                } else {
-                    Verdict::Blocked(format!(
+                if !agg.group_by.contains(attr) {
+                    blocked!(
+                        why,
                         "NN({attr}) touches a non-grouping attribute of the aggregation"
-                    ))
+                    );
                 }
+                true
             }
             UnaryOp::Function(f) => {
                 let touches_groupers_only = f
@@ -83,124 +148,106 @@ pub fn ops_commute(a: &UnaryOp, b: &UnaryOp) -> Verdict {
                     .chain(std::iter::once(&f.output))
                     .all(|x| agg.group_by.contains(x));
                 if !touches_groupers_only {
-                    Verdict::Blocked(format!(
-                        "function {} touches aggregated attributes",
-                        f.function
-                    ))
-                } else if !f.injective {
-                    Verdict::Blocked(format!(
+                    blocked!(why, "function {} touches aggregated attributes", f.function);
+                }
+                if !f.injective {
+                    blocked!(
+                        why,
                         "function {} is not injective: it may collapse groups",
                         f.function
-                    ))
-                } else {
-                    // The paper's A2E case: an injective transform of a
-                    // grouper neither merges nor splits groups.
-                    Verdict::Commutes
+                    );
                 }
+                // The paper's A2E case: an injective transform of a
+                // grouper neither merges nor splits groups.
+                true
             }
             UnaryOp::ProjectOut(_)
             | UnaryOp::AddField { .. }
             | UnaryOp::SurrogateKey { .. }
             | UnaryOp::PkCheck { .. }
             | UnaryOp::Dedup { .. }
-            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
+            | UnaryOp::Aggregate { .. } => blocked!(
+                why,
                 "{} does not commute with an aggregation",
                 row_wise.op_name()
-            )),
+            ),
         },
         UnaryOp::Dedup { .. } => match row_wise {
-            UnaryOp::Filter { .. } | UnaryOp::NotNull { .. } => Verdict::Commutes,
-            UnaryOp::Function(f) if f.injective && f.keep_inputs => Verdict::Commutes,
+            UnaryOp::Filter { .. } | UnaryOp::NotNull { .. } => true,
+            UnaryOp::Function(f) if f.injective && f.keep_inputs => true,
             UnaryOp::Function(_)
             | UnaryOp::ProjectOut(_)
             | UnaryOp::AddField { .. }
             | UnaryOp::SurrogateKey { .. }
             | UnaryOp::PkCheck { .. }
             | UnaryOp::Dedup { .. }
-            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
+            | UnaryOp::Aggregate { .. } => blocked!(
+                why,
                 "{} may change row identity across a whole-row dedup",
                 row_wise.op_name()
-            )),
+            ),
         },
         UnaryOp::PkCheck { key, .. } => match row_wise {
             UnaryOp::Filter { predicate, .. } => {
-                let fun = predicate.referenced_attrs();
-                if fun.iter().all(|x| key.contains(x)) {
-                    Verdict::Commutes
-                } else {
-                    Verdict::Blocked(
+                if !predicate.all_attrs(&mut |x| key.contains(x)) {
+                    blocked!(
+                        why,
                         "filter over non-key attributes may change which duplicate survives"
-                            .to_owned(),
-                    )
+                    );
                 }
+                true
             }
             UnaryOp::NotNull { attr, .. } => {
-                if key.contains(attr) {
-                    Verdict::Commutes
-                } else {
-                    Verdict::Blocked(
+                if !key.contains(attr) {
+                    blocked!(
+                        why,
                         "NN over a non-key attribute may change which duplicate survives"
-                            .to_owned(),
-                    )
+                    );
                 }
+                true
             }
             UnaryOp::Function(f) => {
                 let disjoint =
                     f.inputs.iter().all(|x| !key.contains(x)) && !key.contains(&f.output);
-                if disjoint || f.injective {
-                    Verdict::Commutes
-                } else {
-                    Verdict::Blocked(format!(
+                if !disjoint && !f.injective {
+                    blocked!(
+                        why,
                         "non-injective function {} rewrites key attributes",
                         f.function
-                    ))
+                    );
                 }
+                true
             }
             UnaryOp::AddField { attr, .. } => {
                 if key.contains(attr) {
-                    Verdict::Blocked("ADD overwrites a key attribute".to_owned())
-                } else {
-                    Verdict::Commutes
+                    blocked!(why, "ADD overwrites a key attribute");
                 }
+                true
             }
             UnaryOp::ProjectOut(attrs) => {
                 if attrs.iter().any(|x| key.contains(x)) {
-                    Verdict::Blocked("projection drops a key attribute".to_owned())
-                } else {
-                    Verdict::Commutes
+                    blocked!(why, "projection drops a key attribute");
                 }
+                true
             }
             UnaryOp::SurrogateKey { .. }
             | UnaryOp::PkCheck { .. }
             | UnaryOp::Dedup { .. }
-            | UnaryOp::Aggregate { .. } => Verdict::Blocked(format!(
+            | UnaryOp::Aggregate { .. } => blocked!(
+                why,
                 "{} does not commute with a PK check",
                 row_wise.op_name()
-            )),
+            ),
         },
         UnaryOp::Filter { .. }
         | UnaryOp::NotNull { .. }
         | UnaryOp::Function(_)
         | UnaryOp::ProjectOut(_)
         | UnaryOp::AddField { .. }
-        | UnaryOp::SurrogateKey { .. } => Verdict::Blocked(format!(
-            "unhandled blocking operator {}",
-            blocking.op_name()
-        )),
-    }
-}
-
-/// Commutation for whole activities (merged chains commute iff every link
-/// of one commutes with every link of the other).
-pub fn chains_commute(a: &[UnaryOp], b: &[UnaryOp]) -> Verdict {
-    for x in a {
-        for y in b {
-            if let Verdict::Blocked(why) = ops_commute(x, y) {
-                return Verdict::Blocked(why);
-            }
+        | UnaryOp::SurrogateKey { .. } => {
+            blocked!(why, "unhandled blocking operator {}", blocking.op_name())
         }
     }
-    Verdict::Commutes
 }
 
 #[cfg(test)]

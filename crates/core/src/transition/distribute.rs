@@ -130,7 +130,8 @@ impl Transition for Distribute {
     fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
         // The clones are spliced in right after the binary's providers, so
         // the providers anchor the dirty set in the successor state.
-        let mut nodes = vec![self.binary, self.activity];
+        let mut nodes = Vec::with_capacity(4);
+        nodes.extend([self.binary, self.activity]);
         for p in wf
             .graph()
             .providers(self.binary)

@@ -15,8 +15,10 @@
 
 use crate::activity::{Activity, ActivityId};
 use crate::graph::NodeId;
+use crate::schema::Schema;
 use crate::semantics::{BinaryOp, UnaryOp};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::transition::{finalize, Rewire, Transition, TransitionError, TransitionKind};
 use crate::workflow::Workflow;
@@ -177,8 +179,13 @@ impl Rewire for Factorize {
         // The replacement activity: a1's semantics under the factored id.
         let template = g.activity(self.a1)?;
         let new_id = ActivityId::factored(&template.id, &g.activity(self.a2)?.id);
-        let mut new_act = Activity::new(new_id, template.label.clone(), template.op.clone());
-        new_act.inputs = template.inputs.clone();
+        let new_act = Activity {
+            id: new_id,
+            label: template.label.clone(),
+            op: Arc::clone(&template.op),
+            inputs: template.inputs.clone(),
+            output: Schema::empty(),
+        };
 
         // Unhook a1, a2; reconnect their providers straight into the binary.
         g.disconnect(self.binary, port1)?;
@@ -205,7 +212,8 @@ impl Transition for Factorize {
     }
 
     fn affected(&self, wf: &Workflow) -> Vec<NodeId> {
-        let mut nodes = vec![self.binary, self.a1, self.a2];
+        let mut nodes = Vec::with_capacity(5);
+        nodes.extend([self.binary, self.a1, self.a2]);
         // The replacement activity may reuse a freed arena slot; covering
         // the providers keeps the dirty set conservative.
         for p in wf

@@ -17,10 +17,10 @@ use crate::workflow::Workflow;
 
 /// Flattened (id, label, op) triple list of an activity's links.
 fn parts_of(act: &Activity) -> Option<(Vec<ActivityId>, Vec<String>, Vec<UnaryOp>)> {
-    match &act.op {
+    match &*act.op {
         Op::Unary(op) => Some((
             vec![act.id.clone()],
-            vec![act.label.clone()],
+            vec![act.label.to_string()],
             vec![op.clone()],
         )),
         Op::Merged(chain) => {
@@ -173,7 +173,7 @@ impl Transition for Split {
         let act = g
             .activity(self.merged)
             .map_err(|_| TransitionError::NotMerged(self.merged))?;
-        let chain_len = match &act.op {
+        let chain_len = match &*act.op {
             Op::Merged(chain) => chain.len(),
             _ => return Err(TransitionError::NotMerged(self.merged)),
         };
@@ -225,7 +225,7 @@ pub fn split_all(wf: &Workflow) -> Result<Workflow, TransitionError> {
             .activities()
             .map_err(TransitionError::Graph)?
             .into_iter()
-            .find(|&a| matches!(cur.graph().activity(a).map(|x| &x.op), Ok(Op::Merged(_))));
+            .find(|&a| matches!(cur.graph().activity(a).map(|x| &*x.op), Ok(Op::Merged(_))));
         match merged {
             Some(m) => cur = Split::new(m).apply(&cur)?,
             None => return Ok(cur),
@@ -270,7 +270,7 @@ mod tests {
             .activities()
             .unwrap()
             .into_iter()
-            .find(|&a| matches!(merged.graph().activity(a).unwrap().op, Op::Merged(_)))
+            .find(|&a| matches!(*merged.graph().activity(a).unwrap().op, Op::Merged(_)))
             .unwrap();
         let split = Split::new(m).apply(&merged).unwrap();
         assert_eq!(wf.signature(), split.signature());
@@ -279,7 +279,7 @@ mod tests {
             .activities()
             .unwrap()
             .iter()
-            .map(|&a| split.graph().activity(a).unwrap().label.clone())
+            .map(|&a| split.graph().activity(a).unwrap().label.to_string())
             .collect();
         assert_eq!(labels, vec!["NN", "σ", "π"]);
     }
@@ -293,14 +293,14 @@ mod tests {
             .activities()
             .unwrap()
             .into_iter()
-            .find(|&a| matches!(m1.graph().activity(a).unwrap().op, Op::Merged(_)))
+            .find(|&a| matches!(*m1.graph().activity(a).unwrap().op, Op::Merged(_)))
             .unwrap();
         let m2 = Merge::new(merged_node, acts[2]).apply(&m1).unwrap();
         let abc = m2
             .activities()
             .unwrap()
             .into_iter()
-            .find(|&a| matches!(m2.graph().activity(a).unwrap().op, Op::Merged(_)))
+            .find(|&a| matches!(*m2.graph().activity(a).unwrap().op, Op::Merged(_)))
             .unwrap();
         assert_eq!(m2.graph().activity(abc).unwrap().label, "NN+σ+π");
         let split = Split::new(abc).apply(&m2).unwrap();
@@ -308,7 +308,7 @@ mod tests {
             .activities()
             .unwrap()
             .iter()
-            .map(|&a| split.graph().activity(a).unwrap().label.clone())
+            .map(|&a| split.graph().activity(a).unwrap().label.to_string())
             .collect();
         assert_eq!(labels, vec!["NN", "σ+π"]);
     }
@@ -321,7 +321,7 @@ mod tests {
             .activities()
             .unwrap()
             .into_iter()
-            .find(|&a| matches!(m1.graph().activity(a).unwrap().op, Op::Merged(_)))
+            .find(|&a| matches!(*m1.graph().activity(a).unwrap().op, Op::Merged(_)))
             .unwrap();
         let m2 = Merge::new(merged_node, acts[2]).apply(&m1).unwrap();
         let flat = split_all(&m2).unwrap();
@@ -337,7 +337,7 @@ mod tests {
             .activities()
             .unwrap()
             .into_iter()
-            .find(|&a| matches!(merged.graph().activity(a).unwrap().op, Op::Merged(_)))
+            .find(|&a| matches!(*merged.graph().activity(a).unwrap().op, Op::Merged(_)))
             .unwrap();
         let swapped = Swap::new(acts[0], m).apply(&merged).unwrap();
         assert!(equivalent(&wf, &swapped).unwrap());
@@ -359,7 +359,7 @@ mod tests {
             UnaryOp::not_null("a"),
             UnaryOp::filter(Predicate::gt("b", 1)),
         ];
-        wf.graph.activity_mut(f).unwrap().op = Op::Merged(chain);
+        wf.graph.activity_mut(f).unwrap().op = Op::Merged(chain).into();
         wf.validate().unwrap();
         let err = Split::new(f).apply(&wf).unwrap_err();
         assert_eq!(err, TransitionError::NotMerged(f));

@@ -52,9 +52,10 @@ pub use swap::{Edges, Swap};
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::CoreError;
-use crate::graph::NodeId;
+use crate::graph::{Node, NodeId};
 use crate::recordset::Recordset;
 use crate::schema::Schema;
 use crate::workflow::Workflow;
@@ -103,7 +104,7 @@ pub enum TransitionError {
         /// The activity whose functionality schema breaks.
         node: NodeId,
         /// Human-readable description.
-        detail: String,
+        detail: Detail,
     },
     /// An input schema would lose its provider attributes (swap
     /// condition 4 — the Fig. 6 projected-out case).
@@ -111,7 +112,7 @@ pub enum TransitionError {
         /// The activity whose input breaks.
         node: NodeId,
         /// Human-readable description.
-        detail: String,
+        detail: Detail,
     },
     /// The two activities do not commute semantically (blocking operators,
     /// non-injective functions across aggregations, …).
@@ -121,7 +122,7 @@ pub enum TransitionError {
         /// Second activity.
         b: NodeId,
         /// Why.
-        detail: String,
+        detail: Detail,
     },
     /// The activities are not homologous (factorize condition 1).
     NotHomologous(NodeId, NodeId),
@@ -174,6 +175,73 @@ impl fmt::Display for TransitionError {
 }
 
 impl std::error::Error for TransitionError {}
+
+/// The human-readable part of a refusal. A swap refused by its structural
+/// check carries the two activities it judged — the state's own nodes,
+/// shared — and writes its text only when displayed: a search counts
+/// refusals by rule and never reads one, so refusing allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Detail {
+    /// Text written when the refusal was raised.
+    Text(String),
+    /// Swap condition 3: `[first, second]`, and `second`, moved before
+    /// `first`, needs attributes `first` generates.
+    Generates([Arc<Node>; 2]),
+    /// Swap condition 4: `[first, second]`, and `first`, moved after
+    /// `second`, needs attributes `second` projects out.
+    ProjectsOut([Arc<Node>; 2]),
+    /// `[first, second]` do not commute (see [`commute`]).
+    Blocked([Arc<Node>; 2]),
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pair = match self {
+            Detail::Text(text) => return f.write_str(text),
+            Detail::Generates(pair) | Detail::ProjectsOut(pair) | Detail::Blocked(pair) => pair,
+        };
+        let [Some(first), Some(second)] = pair.each_ref().map(|n| n.as_activity()) else {
+            return Ok(());
+        };
+        match self {
+            Detail::Generates(_) => {
+                let clash = second.functionality().intersection(&first.generated());
+                write!(
+                    f,
+                    "{} needs {clash}, which {} generates",
+                    second.label, first.label
+                )
+            }
+            Detail::ProjectsOut(_) => {
+                let lost = first.functionality().intersection(&second.projected_out());
+                write!(
+                    f,
+                    "{} needs {lost}, which {} projects out",
+                    first.label, second.label
+                )
+            }
+            // `Text` was written above.
+            Detail::Blocked(_) | Detail::Text(_) => {
+                if let (Some(fl), Some(sl)) = (first.unary_links(), second.unary_links()) {
+                    commute::write_blocked(fl, sl, f);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Detail {
+        Detail::Text(text)
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Detail {
+        Detail::Text(text.to_owned())
+    }
+}
 
 impl From<CoreError> for TransitionError {
     fn from(e: CoreError) -> Self {
@@ -274,7 +342,7 @@ pub(crate) fn refusal(f: crate::schema_gen::RegenFailure) -> TransitionError {
     match f.error {
         CoreError::Schema(detail) => TransitionError::FunctionalityViolated {
             node: f.node,
-            detail,
+            detail: Detail::Text(detail),
         },
         other => TransitionError::Graph(other),
     }

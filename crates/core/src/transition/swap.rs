@@ -18,13 +18,14 @@
 //! `γ`-vs-`σ(€COST)` case is *blocked*).
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
-use crate::graph::{Graph, NodeId};
-use crate::schema::Schema;
+use crate::graph::{Graph, Node, NodeId};
 use crate::schema_gen::{judge_swap, regenerate_swap, Judged};
-use crate::transition::commute::{chains_commute, Verdict};
+use crate::transition::commute::chains_commute_ok;
 use crate::transition::{
-    check_reached, check_target, refusal, Rewire, Transition, TransitionError, TransitionKind,
+    check_reached, check_target, refusal, Detail, Rewire, Transition, TransitionError,
+    TransitionKind,
 };
 use crate::workflow::Workflow;
 
@@ -53,8 +54,9 @@ impl Swap {
 
     /// Determine (provider, consumer) orientation; checks conditions 1–2
     /// and the commutation rules, without building the successor. Allocates
-    /// nothing it does not return: conditions 3 and 4 ask whether two
-    /// schemata meet, and name what they share only to explain a refusal.
+    /// nothing: conditions 3 and 4 ask whether two attribute sets meet, read
+    /// off the two activities, and a refusal carries the two nodes and
+    /// names what they share only when it is displayed ([`Detail`]).
     fn structural_check(&self, wf: &Workflow) -> Result<(NodeId, NodeId), TransitionError> {
         let g = wf.graph();
         let (first, second) = if g.provider(self.a2, 0).ok().flatten() == Some(self.a1) {
@@ -84,44 +86,37 @@ impl Swap {
         if g.consumers(second)?.len() != 1 {
             return Err(TransitionError::MultipleConsumers(second));
         }
+        let pair = || -> Result<[Arc<Node>; 2], TransitionError> {
+            Ok([
+                Arc::clone(g.node_arc(first)?),
+                Arc::clone(g.node_arc(second)?),
+            ])
+        };
         // Semantic commutation (blocking operators, injectivity).
         let fl = fa.unary_links().ok_or(TransitionError::NotUnary(first))?;
         let sl = sa.unary_links().ok_or(TransitionError::NotUnary(second))?;
-        if let Verdict::Blocked(why) = chains_commute(fl, sl) {
+        if !chains_commute_ok(fl, sl) {
             return Err(TransitionError::NotCommutative {
                 a: first,
                 b: second,
-                detail: why,
+                detail: Detail::Blocked(pair()?),
             });
         }
-        let meet = |x: &Schema, y: &Schema| x.iter().any(|a| y.contains(a));
         // Condition 3 (after-swap direction): `second`, once moved before
         // `first`, must not need attributes `first` generates — Fig. 5.
-        // Most activities generate nothing; then `second`'s needs are moot.
-        let gen_first = fa.generated();
-        if !gen_first.is_empty() {
-            let fun_second = sa.functionality();
-            if meet(&fun_second, &gen_first) {
-                let clash = fun_second.intersection(&gen_first);
-                return Err(TransitionError::FunctionalityViolated {
-                    node: second,
-                    detail: format!("{} needs {clash}, which {} generates", sa.label, fa.label),
-                });
-            }
+        if !fa.all_generated(|a| !sa.needs(a)) {
+            return Err(TransitionError::FunctionalityViolated {
+                node: second,
+                detail: Detail::Generates(pair()?),
+            });
         }
         // Condition 4 (after-swap direction): `first`, once moved after
         // `second`, must not lose attributes `second` projects out — Fig. 6.
-        // Most activities project nothing out; then `first`'s needs are moot.
-        let dropped = sa.projected_out();
-        if !dropped.is_empty() {
-            let fun_first = fa.functionality();
-            if meet(&fun_first, &dropped) {
-                let lost = fun_first.intersection(&dropped);
-                return Err(TransitionError::ProviderViolated {
-                    node: first,
-                    detail: format!("{} needs {lost}, which {} projects out", fa.label, sa.label),
-                });
-            }
+        if !sa.all_dropped(|a| !fa.needs(a)) {
+            return Err(TransitionError::ProviderViolated {
+                node: first,
+                detail: Detail::ProjectsOut(pair()?),
+            });
         }
         Ok((first, second))
     }
@@ -388,6 +383,65 @@ mod tests {
                     | TransitionError::NotCommutative { .. }
             ),
             "{err}"
+        );
+    }
+
+    /// A refusal carries the two activities and writes its text only when
+    /// displayed; the text is what the structural check used to format on
+    /// the spot. One message of each kind the check raises with a detail.
+    #[test]
+    fn a_refusal_displays_the_text_it_used_to_format() {
+        // Condition 3, Fig. 5: σ(€) needs what $2€ generates.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["pkey", "dollar_cost"]), 100.0);
+        let f = b.unary(
+            "$2E",
+            UnaryOp::function("dollar2euro", ["dollar_cost"], "euro_cost"),
+            s,
+        );
+        let sel = b.unary(
+            "σ(€)",
+            UnaryOp::filter(Predicate::gt("euro_cost", 100.0)),
+            f,
+        );
+        b.target("DW", Schema::of(["pkey", "euro_cost"]), sel);
+        let wf = b.build().unwrap();
+        assert_eq!(
+            Swap::new(f, sel).edges(&wf).unwrap_err().to_string(),
+            format!("functionality schema of {sel} violated: σ(€) needs [euro_cost], which $2E generates")
+        );
+
+        // Condition 4, Fig. 6: σ(b) needs what π-out drops.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["a", "b"]), 100.0);
+        let f = b.unary("σ(b)", UnaryOp::filter(Predicate::gt("b", 1)), s);
+        let pout = b.unary("π-out", UnaryOp::project_out(["b"]), f);
+        b.target("T", Schema::of(["a"]), pout);
+        let wf = b.build().unwrap();
+        assert_eq!(
+            Swap::new(pout, f).edges(&wf).unwrap_err().to_string(),
+            format!(
+                "input schema of {f} loses its provider: σ(b) needs [b], which π-out projects out"
+            )
+        );
+
+        // The commutation rules: σ over an aggregated value may not cross γ.
+        let mut b = WorkflowBuilder::new();
+        let s = b.source("S", Schema::of(["pkey", "cost"]), 100.0);
+        let agg = b.unary(
+            "γ",
+            UnaryOp::aggregate(Aggregation::sum(["pkey"], "cost", "cost")),
+            s,
+        );
+        let sel = b.unary("σ", UnaryOp::filter(Predicate::gt("cost", 100)), agg);
+        b.target("T", Schema::of(["pkey", "cost"]), sel);
+        let wf = b.build().unwrap();
+        assert_eq!(
+            Swap::new(agg, sel).edges(&wf).unwrap_err().to_string(),
+            format!(
+                "{agg} and {sel} do not commute: \
+                 filter over [cost] touches non-grouping attributes of the aggregation"
+            )
         );
     }
 

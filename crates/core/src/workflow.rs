@@ -16,12 +16,13 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::activity::{Activity, ActivityId, Op};
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, Node, NodeId};
 use crate::recordset::Recordset;
-use crate::schema::Schema;
+use crate::schema::{Attr, Schema};
 use crate::schema_gen;
 use crate::semantics::{BinaryOp, UnaryOp};
 use crate::signature::Signature;
@@ -72,12 +73,9 @@ impl Workflow {
 
     /// Activities in topological order.
     pub fn activities(&self) -> Result<Vec<NodeId>> {
-        Ok(self
-            .graph
-            .topo_order()?
-            .into_iter()
-            .filter(|id| self.graph.activity(*id).is_ok())
-            .collect())
+        let mut order = self.graph.topo_order()?;
+        order.retain(|id| self.graph.activity(*id).is_ok());
+        Ok(order)
     }
 
     /// Number of activity nodes.
@@ -123,7 +121,7 @@ impl Workflow {
     /// operators; merged activities are not re-estimated (split them
     /// first). Errors if `node` is not an activity.
     pub fn set_selectivity(&mut self, node: NodeId, selectivity: f64) -> Result<()> {
-        if let Op::Unary(op) = &mut self.graph.activity_mut(node)?.op {
+        if let Op::Unary(op) = Arc::make_mut(&mut self.graph.activity_mut(node)?.op) {
             op.set_selectivity(selectivity);
         }
         Ok(())
@@ -371,9 +369,14 @@ impl Workflow {
     pub fn are_homologous(&self, a1: NodeId, a2: NodeId) -> Result<bool> {
         let x = self.graph.activity(a1)?;
         let y = self.graph.activity(a2)?;
+        // Set equality read off the two activities, without building either
+        // side's schemata.
+        let generates = |act: &Activity, attr: &Attr| !act.all_generated(|a| a != attr);
         Ok(x.same_semantics(y)
-            && x.functionality().same_attrs(&y.functionality())
-            && x.generated().same_attrs(&y.generated()))
+            && x.all_needed(|a| y.needs(a))
+            && y.all_needed(|a| x.needs(a))
+            && x.all_generated(|a| generates(y, a))
+            && y.all_generated(|a| generates(x, a)))
     }
 
     /// Distributable activities (§4.2, Heuristic 2): unary, row-wise

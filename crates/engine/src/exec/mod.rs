@@ -339,7 +339,7 @@ pub(crate) fn run_stream(
                     inputs.push(take_iter(&mut outs, p, &rt.pool)?);
                 }
                 let key = act.id.to_string();
-                let iter: BoxIter = match &act.op {
+                let iter: BoxIter = match &*act.op {
                     Op::Unary(op) => {
                         let input = pop_input(&mut inputs, id)?;
                         stream::unary_pipeline(op, input, &key, &rt.ctx)?

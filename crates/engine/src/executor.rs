@@ -239,7 +239,7 @@ impl Executor {
                             ))
                         })
                         .collect::<Result<_>>()?;
-                    let (table, processed) = match &act.op {
+                    let (table, processed) = match &*act.op {
                         Op::Unary(op) => {
                             let t = exec_unary(op, inputs[0], &ctx)?;
                             (t, inputs[0].len() as u64)

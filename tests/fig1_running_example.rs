@@ -135,7 +135,7 @@ fn fig1_merge_constraint_roundtrip() {
     // Split back: no merged activities remain.
     for a in out.best.activities().unwrap() {
         assert!(!matches!(
-            out.best.graph().activity(a).unwrap().op,
+            *out.best.graph().activity(a).unwrap().op,
             etlopt::core::activity::Op::Merged(_)
         ));
     }

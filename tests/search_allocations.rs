@@ -68,12 +68,15 @@ static GLOBAL: Counting = Counting;
 /// states through one set instead of sixteen sharded ones: ES 8.55, beam 9.78.
 /// Before the search key and a swap's total stopped walking to the
 /// targets, and a built swap successor shared its parent's tokens: ES
-/// 8.42, HS 6.20, HS-Greedy 44.06, beam 9.70.
+/// 8.42, HS 6.20, HS-Greedy 44.06, beam 9.70. Before schemata were shared
+/// and schema facts read off the ops instead of built, with the search's
+/// per-state lists kept across states: ES 6.80, HS 4.81, HS-Greedy 41.40,
+/// beam 7.96, under ceilings of 7.4, 5.0, 43.3 and 8.6.
 const CEILINGS: [(&str, usize, f64); 4] = [
-    ("es", 100, 7.4),
-    ("hs", 400, 5.0),
-    ("hs-greedy", 400, 43.3),
-    ("beam", 400, 8.6),
+    ("es", 100, 2.3),
+    ("hs", 400, 1.3),
+    ("hs-greedy", 400, 10.1),
+    ("beam", 400, 3.3),
 ];
 
 fn optimizer(algo: &str, states: usize) -> Box<dyn Optimizer> {
